@@ -31,32 +31,13 @@ func (s *nodeState) snapshot() {
 	copy(s.prev, s.data)
 }
 
-// pregrow extends the live buffer — and the BeginStep snapshot, when one
-// exists — to n node rows ahead of a concurrent fan-out. Growth is the only
-// nodeState mutation that is not row-disjoint, so it must happen on one
-// goroutine before shard workers start; the new rows are zero in both
-// buffers (a node first seen this step has no prior state), so pregrowing
-// never changes a computed value. The snapshot must grow too: a SnapshotState
-// gather of a just-added node would otherwise fall back to the live buffer,
-// racing with other shards' commits.
-func (s *nodeState) pregrow(n int) {
-	s.ensure(n)
-	if s.prev == nil || len(s.prev) >= len(s.data) {
-		return
-	}
-	need := len(s.data)
-	if cap(s.prev) >= need {
-		old := len(s.prev)
-		s.prev = s.prev[:need]
-		for i := old; i < need; i++ {
-			s.prev[i] = 0
-		}
-		return
-	}
-	grown := make([]float64, need, 2*need)
-	copy(grown, s.prev)
-	s.prev = grown
-}
+// pregrow extends the live buffer to n node rows ahead of a concurrent
+// fan-out. Growth is the only nodeState mutation that is not row-disjoint, so
+// it must happen on one goroutine before shard workers start; the new rows
+// are zero (a node first seen this step has no prior state), so pregrowing
+// never changes a computed value. The BeginStep snapshot needs no growth:
+// gather reads a node beyond it as a zero row, never from the live buffer.
+func (s *nodeState) pregrow(n int) { s.ensure(n) }
 
 func (s *nodeState) ensure(n int) {
 	if n <= s.n {
@@ -95,6 +76,11 @@ func (s *nodeState) maxID(v View) int {
 // shared model state and can run concurrently on worker goroutines.
 // Committed SnapshotState gathers (the sharded fan-out) rely on pregrow
 // having sized both buffers already, making the ensure below a no-op.
+//
+// A node newer than the source buffer reads as a zero row — from the snapshot
+// too: falling back to the live buffer there would hand a training forward
+// the state this step's inference just committed for the node, and only on
+// the paths that did not pregrow the snapshot with zeros.
 func (s *nodeState) gather(v View) *tensor.Matrix {
 	if !v.NoCommit {
 		s.ensure(s.maxID(v) + 1)
@@ -105,15 +91,10 @@ func (s *nodeState) gather(v View) *tensor.Matrix {
 	}
 	out := tensor.New(v.N, s.dim)
 	for i := 0; i < v.N; i++ {
-		id := v.globalID(i)
-		off := id * s.dim
-		switch {
-		case off+s.dim <= len(src):
+		off := v.globalID(i) * s.dim
+		if off+s.dim <= len(src) {
 			copy(out.Row(i), src[off:off+s.dim])
-		case off+s.dim <= len(s.data):
-			copy(out.Row(i), s.data[off:off+s.dim])
 		}
-		// Otherwise the node has no stored state yet; its row stays zero.
 	}
 	return out
 }
