@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt bench
+.PHONY: build test race lint fmt bench bench-check
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,13 @@ lint:
 
 fmt:
 	gofmt -w .
+
+# bench-check covers benchmarks/ — a module of its own that imports this
+# repository's internal packages, which build, test and lint above do not see:
+# an internal API change that breaks the benchmark build fails here.
+bench-check:
+	$(GO) -C benchmarks vet ./...
+	$(GO) -C benchmarks test -short ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

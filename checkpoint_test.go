@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -309,5 +310,37 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 	e3, _ := NewEngine(3, cfg)
 	if err := e3.LoadCheckpoint(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// A checkpoint written before Config.DisablePooling was retired (by an engine
+// that had it set) still loads and steps: checkpoints carry learned and
+// runtime state, never the Config, so retiring a knob cannot strand them.
+func TestLoadCheckpointFromBeforeKnobRetirement(t *testing.T) {
+	data, err := os.ReadFile("testdata/checkpoint_pr12_v7.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Hidden = 4
+	e, err := NewEngine(3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	for i := 0; i < n; i++ {
+		e.AddNode(0, []float64{float64(i % 2), 0, 1})
+	}
+	for i := 0; i < n; i++ {
+		e.AddUndirectedEdge(i, (i+1)%n, 0)
+	}
+	if err := e.LoadCheckpoint(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if e.CurrentStep() != 4 {
+		t.Fatalf("resumed at step %d, want 4", e.CurrentStep())
+	}
+	if err := e.Step(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -175,4 +175,5 @@ func writeReplicaMetrics(w io.Writer, rep *cluster.Replica) {
 	obs.WriteIntValue(w, "streamgnn_cluster_replica_answers_total", "", st.Answers)
 	obs.WriteHeader(w, "streamgnn_cluster_replica_last_applied_step", "Last event step applied to the graph mirror.", "gauge")
 	obs.WriteIntValue(w, "streamgnn_cluster_replica_last_applied_step", "", st.LastApplied)
+	writeTensorPoolMetrics(w)
 }

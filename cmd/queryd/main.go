@@ -59,6 +59,7 @@ import (
 	"streamgnn/internal/query"
 	"streamgnn/internal/serve"
 	"streamgnn/internal/stream"
+	"streamgnn/internal/tensor"
 	"streamgnn/internal/workload"
 )
 
@@ -658,6 +659,20 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(resp)
 }
 
+// writeTensorPoolMetrics emits the tensor buffer pool's counters — the same
+// three names on the coordinator and on a replica. Fresh bytes growing by more
+// than about one embedding matrix per full forward means a forward is
+// allocating its intermediates again instead of recycling them.
+func writeTensorPoolMetrics(w io.Writer) {
+	ps := tensor.ReadPoolStats()
+	obs.WriteHeader(w, "streamgnn_tensor_pool_gets_total", "Tensor buffer requests.", "counter")
+	obs.WriteIntValue(w, "streamgnn_tensor_pool_gets_total", "", ps.Gets)
+	obs.WriteHeader(w, "streamgnn_tensor_pool_hits_total", "Tensor buffer requests served from a recycled buffer.", "counter")
+	obs.WriteIntValue(w, "streamgnn_tensor_pool_hits_total", "", ps.Hits)
+	obs.WriteHeader(w, "streamgnn_tensor_fresh_bytes_total", "Tensor buffer bytes taken fresh from the Go heap.", "counter")
+	obs.WriteIntValue(w, "streamgnn_tensor_fresh_bytes_total", "", ps.FreshBytes)
+}
+
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	tel := s.eng.Telemetry()
@@ -698,6 +713,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		obs.WriteHeader(&b, "streamgnn_delta_pruned_fraction", "Per-pass pruned-frontier fraction (pruned rows over candidate rows).", "histogram")
 		obs.WriteHistogram(&b, "streamgnn_delta_pruned_fraction", "", snap(tel.DeltaPrunedFraction))
 	}
+
+	writeTensorPoolMetrics(&b)
 
 	if tel.Shards > 1 {
 		obs.WriteHeader(&b, "streamgnn_shard_nodes", "Node occupancy per shard.", "gauge")

@@ -190,4 +190,11 @@ func TestCoordinatorWiringRoutesAndPublishes(t *testing.T) {
 	if !strings.Contains(b.String(), "streamgnn_cluster_replica_last_applied_step") {
 		t.Fatal("replica metrics missing streamgnn_cluster_replica_ family")
 	}
+	// The tensor pool's counters (the coordinator's /metrics writes them
+	// through the same helper).
+	for _, name := range []string{"streamgnn_tensor_pool_gets_total", "streamgnn_tensor_pool_hits_total", "streamgnn_tensor_fresh_bytes_total"} {
+		if !strings.Contains(b.String(), name+" ") {
+			t.Fatalf("replica metrics missing %s", name)
+		}
+	}
 }

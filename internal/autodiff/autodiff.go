@@ -7,6 +7,11 @@
 // and accumulates gradients into the nodes that require them. Parameters are
 // long-lived nodes whose Value persists across steps; the tape itself is
 // rebuilt for every forward pass.
+//
+// Forwards that will never run Backward — the engine's per-step inference,
+// query-head scoring — use an inference tape instead (NewInferenceTape): the
+// same ops compute the same values but record nothing, and the tape hands each
+// intermediate buffer back to the tensor pool at its last use.
 package autodiff
 
 import (
@@ -46,6 +51,7 @@ const (
 	opCrossEntropy
 	opDropout
 	opSum
+	opMatMulAcc
 )
 
 // Node is one value in the computation graph.
@@ -57,6 +63,9 @@ type Node struct {
 	op           opKind
 	parents      []*Node
 	visited      bool
+	// seq is the node's 1-based position on the tape that recorded it; 0 for
+	// leaves (Param, Constant), which no tape owns.
+	seq int32
 
 	// Backward-rule state (meaning depends on op): aux holds a matrix the
 	// rule reads (MSE residual, BCE target, dropout mask, ...), auxCSR the
@@ -82,13 +91,67 @@ type Tape struct {
 	free []*Node
 	// order is Backward's topological-sort scratch, reused across calls.
 	order []*Node
+
+	// noGrad marks an inference tape (NewInferenceTape). plan is the release
+	// plan learned from the previous pass, cur the one this pass is learning,
+	// and planOK whether every op of this pass so far matched plan.
+	noGrad    bool
+	plan, cur []planStep
+	planOK    bool
 }
 
-// NewTape returns an empty tape.
+// planStep is one recorded node of an inference pass: the op that produced it
+// and which recorded nodes it read (the structural signature a later pass is
+// matched against), and the index of the last op that read its value.
+type planStep struct {
+	op   opKind
+	in   [3]int32 // seq of the recorded inputs; 0 for leaves and absent inputs
+	last int32    // index of the last reader, lastNone or lastKept
+}
+
+const (
+	lastNone int32 = -1 // no op reads the value: it lives until Release
+	lastKept int32 = -2 // pinned by Keep: read outside the tape's ops
+)
+
+// NewTape returns an empty recording tape.
 func NewTape() *Tape { return &Tape{} }
 
+// NewInferenceTape returns a tape in inference (no-grad) mode, for forwards
+// that never run Backward. Every op computes its value and nothing else — no
+// parents, no requiresGrad, no index copies; the odd pointer or scalar an op
+// stashes on its node shell is inert and cleared at Release — so the model
+// code that defines a training forward also defines the inference forward, at
+// the cost of the values alone.
+//
+// The tape owns every op output (and every Owned matrix) and recycles it into
+// the tensor pool: at Release at the latest, and normally right after the last
+// op that reads it. Last uses are learned, not declared: each pass records per
+// node which op read it last, and the next pass releases on that schedule for
+// as long as its own op sequence matches the recorded one op for op; at the
+// first mismatch it stops releasing early and relearns. A long-lived tape
+// running the same model therefore keeps only a handful of matrices live at
+// any point of a forward.
+//
+// Ownership rule: nothing may hold a tape value past Release except the
+// forward's output, taken with Detach. A value that code outside the tape's
+// ops reads after the ops are done with it (a recurrent-state commit) must be
+// pinned with Keep. Backward panics on an inference tape.
+func NewInferenceTape() *Tape { return &Tape{noGrad: true, planOK: true} }
+
 // Reset discards all recorded operations so the tape can be reused.
-func (t *Tape) Reset() { t.nodes = t.nodes[:0] }
+func (t *Tape) Reset() {
+	t.nodes = t.nodes[:0]
+	t.endPass()
+}
+
+// endPass makes the plan this inference pass learned the next pass's.
+func (t *Tape) endPass() {
+	if t.noGrad {
+		t.plan, t.cur = t.cur, t.plan[:0]
+		t.planOK = true
+	}
+}
 
 // Release recycles every buffer recorded on the tape back into the tensor
 // pool and resets the tape, keeping the node shells for reuse by the next
@@ -96,9 +159,9 @@ func (t *Tape) Reset() { t.nodes = t.nodes[:0] }
 // nodes are never recorded, so persistent parameters, their gradients, and
 // caller-owned constants are untouched. Every recorded op allocates a fresh
 // output matrix (no op aliases its parents' storage), so a buffer is released
-// at most once. Call only when nothing retains the tape's values — e.g. after
-// the optimizer step of a training unit, never on the inference tape whose
-// embeddings outlive the step.
+// at most once. Call only when nothing retains the tape's values — after the
+// optimizer step of a training unit; after Detach has taken the output of an
+// inference forward.
 func (t *Tape) Release() {
 	for _, n := range t.nodes {
 		tensor.Recycle(n.Value)
@@ -111,9 +174,38 @@ func (t *Tape) Release() {
 		n.aux = nil
 		n.auxCSR = nil
 		n.parents = n.parents[:0]
+		n.seq = 0
 	}
 	t.free = append(t.free, t.nodes...)
 	t.nodes = t.nodes[:0]
+	t.endPass()
+}
+
+// Detach takes n's value out of the tape's ownership and returns it: Release
+// will not recycle it. The engine detaches the output of an inference forward
+// before releasing the tape, because the embedding store and the serving
+// snapshots keep aliasing that matrix.
+func (t *Tape) Detach(n *Node) *tensor.Matrix {
+	m := n.Value
+	if n.seq != 0 {
+		n.Value = nil
+	}
+	return m
+}
+
+// Keep pins n's value until Release and returns it, for code that reads it
+// outside the tape's ops (a model committing recurrent state) after the last
+// op that consumes it. Call it on every pass, whether or not the value ends up
+// being read: the pin takes effect through the plan the pass leaves behind.
+// No-op on a recording tape, whose values all live until Release.
+func (t *Tape) Keep(n *Node) *tensor.Matrix {
+	if t.noGrad && n.seq != 0 {
+		if n.Value == nil {
+			panic("autodiff: Keep of a value the inference tape already released; Keep must be called on every pass")
+		}
+		t.cur[n.seq-1].last = lastKept
+	}
+	return n.Value
 }
 
 // Len returns the number of recorded nodes (for tests).
@@ -142,6 +234,7 @@ func (t *Tape) alloc(v *tensor.Matrix, reqGrad bool) *Node {
 		n = &Node{Value: v, requiresGrad: reqGrad}
 	}
 	t.nodes = append(t.nodes, n)
+	n.seq = int32(len(t.nodes))
 	return n
 }
 
@@ -150,25 +243,75 @@ func (t *Tape) alloc(v *tensor.Matrix, reqGrad bool) *Node {
 // fresh for this forward pass (loss targets, gathered features, sampled
 // batches) that nothing reads after Backward. Returns m for chaining.
 func (t *Tape) Owned(m *tensor.Matrix) *tensor.Matrix {
-	t.alloc(m, false)
-	return m
+	return t.OwnedConstant(m).Value
+}
+
+// OwnedConstant is Owned for a matrix that feeds the tape's ops: it returns
+// the gradient-free node to pass to them, so an inference tape sees the reads
+// and can recycle the buffer after the last one (gathered recurrent state).
+func (t *Tape) OwnedConstant(m *tensor.Matrix) *Node {
+	return t.record(opNone, m, false, nil, nil, nil)
 }
 
 // newNode1 records a node with one parent (fixed arity avoids a variadic
 // argument slice on the hot path).
 func (t *Tape) newNode1(op opKind, v *tensor.Matrix, reqGrad bool, p *Node) *Node {
-	n := t.alloc(v, reqGrad)
-	n.op = op
-	n.parents = append(n.parents, p)
-	return n
+	return t.record(op, v, reqGrad, p, nil, nil)
 }
 
 // newNode2 records a node with two parents.
 func (t *Tape) newNode2(op opKind, v *tensor.Matrix, reqGrad bool, p1, p2 *Node) *Node {
-	n := t.alloc(v, reqGrad)
-	n.op = op
-	n.parents = append(n.parents, p1, p2)
+	return t.record(op, v, reqGrad, p1, p2, nil)
+}
+
+// record records a node with up to three parents (nil ones are absent). On an
+// inference tape it records the node's plan step instead, and releases the
+// inputs whose last use, by the learned plan, this op was.
+func (t *Tape) record(op opKind, v *tensor.Matrix, reqGrad bool, p1, p2, p3 *Node) *Node {
+	if !t.noGrad {
+		n := t.alloc(v, reqGrad)
+		n.op = op
+		for _, p := range [...]*Node{p1, p2, p3} {
+			if p != nil {
+				n.parents = append(n.parents, p)
+			}
+		}
+		return n
+	}
+	n := t.alloc(v, false)
+	i := n.seq - 1
+	st := planStep{op: op, last: lastNone}
+	for k, p := range [...]*Node{p1, p2, p3} {
+		if p != nil {
+			st.in[k] = p.seq
+		}
+	}
+	t.cur = append(t.cur, st)
+	if t.planOK {
+		t.planOK = int(i) < len(t.plan) && t.plan[i].op == op && t.plan[i].in == st.in
+	}
+	for _, seq := range st.in {
+		t.read(seq, i)
+	}
 	return n
+}
+
+// read notes that op i of this inference pass read recorded node seq, and
+// recycles the node's buffer if the plan (still matching) says nothing reads
+// it afterwards. A later read of it — possible only if the pass then departs
+// from the plan in a way that revisits an old value — fails loudly on the nil
+// Value rather than computing on recycled storage.
+func (t *Tape) read(seq, i int32) {
+	if seq == 0 {
+		return
+	}
+	if c := &t.cur[seq-1]; c.last != lastKept {
+		c.last = i
+	}
+	if n := t.nodes[seq-1]; n.Value != nil && t.planOK && t.plan[seq-1].last == i {
+		tensor.Recycle(n.Value)
+		n.Value = nil
+	}
 }
 
 func anyGrad(ps ...*Node) bool {
@@ -197,6 +340,9 @@ func (t *Tape) Backward(root *Node) {
 // sink, parameter-leaf gradients are accumulated into the sink's private
 // buffers instead of the leaves' shared Grad matrices (see GradSink).
 func (t *Tape) backward(root *Node, sink *GradSink) {
+	if t.noGrad {
+		panic("autodiff: Backward on an inference tape")
+	}
 	if root.Value.Rows != 1 || root.Value.Cols != 1 {
 		panic(fmt.Sprintf("autodiff: Backward root must be 1x1, got %dx%d", root.Value.Rows, root.Value.Cols))
 	}
@@ -468,6 +614,27 @@ func (out *Node) runBack(sink *GradSink) {
 				ag.Data[i] += g
 			}
 		}
+	case opMatMulAcc:
+		// sum + x·w: Add's rule for sum, MatMul's for x and w. out.Grad
+		// stands in for the product node's gradient of the unfused pair,
+		// which is 0 + out.Grad: the two differ at most in the sign of a
+		// zero, which no sum below can observe.
+		sum, x, w := out.parents[0], out.parents[1], out.parents[2]
+		if sum.requiresGrad {
+			tensor.AddInPlace(gradOf(sum, sink), out.Grad)
+		}
+		if x.requiresGrad {
+			xg := gradOf(x, sink)
+			tmp := tensor.MatMulTransB(out.Grad, w.Value)
+			tensor.AddInPlace(xg, tmp)
+			tensor.Recycle(tmp)
+		}
+		if w.requiresGrad {
+			wg := gradOf(w, sink)
+			tmp := tensor.MatMulTransA(x.Value, out.Grad)
+			tensor.AddInPlace(wg, tmp)
+			tensor.Recycle(tmp)
+		}
 	}
 }
 
@@ -476,6 +643,13 @@ func (out *Node) runBack(sink *GradSink) {
 // MatMul returns a·b.
 func (t *Tape) MatMul(a, b *Node) *Node {
 	return t.newNode2(opMatMul, tensor.MatMul(a.Value, b.Value), anyGrad(a, b), a, b)
+}
+
+// MatMulAcc returns sum + x·w as one op: the value and all three gradients
+// are bit-identical to Add(sum, MatMul(x, w)), without materializing the
+// product (see tensor.MatMulAcc).
+func (t *Tape) MatMulAcc(sum, x, w *Node) *Node {
+	return t.record(opMatMulAcc, tensor.MatMulAcc(sum.Value, x.Value, w.Value), anyGrad(sum, x, w), sum, x, w)
 }
 
 // SpMM returns s·x where s is a constant sparse matrix (no gradient flows
@@ -548,9 +722,11 @@ func (t *Tape) ConcatCols(a, b *Node) *Node {
 // GatherRows selects the given rows of a.
 func (t *Tape) GatherRows(a *Node, rows []int) *Node {
 	out := t.newNode1(opGatherRows, tensor.GatherRows(a.Value, rows), a.requiresGrad, a)
-	// Defensive copy into the shell's reusable index scratch: the caller may
-	// mutate rows before Backward runs.
-	out.auxInts = append(out.auxInts[:0], rows...)
+	if !t.noGrad {
+		// Defensive copy into the shell's reusable index scratch: the caller
+		// may mutate rows before Backward runs.
+		out.auxInts = append(out.auxInts[:0], rows...)
+	}
 	return out
 }
 

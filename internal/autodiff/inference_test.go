@@ -1,0 +1,205 @@
+package autodiff
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"streamgnn/internal/tensor"
+)
+
+func withPooling(t *testing.T) {
+	t.Helper()
+	was := tensor.PoolingEnabled()
+	tensor.EnablePooling(true)
+	t.Cleanup(func() { tensor.EnablePooling(was) })
+}
+
+// randomWithZeroRows fills a matrix from rng and zeroes every third row, the
+// case MatMul's skip-zero inner loop treats specially.
+func randomWithZeroRows(rng *rand.Rand, rows, cols int) *tensor.Matrix {
+	m := tensor.NewRandom(rng, rows, cols, 1)
+	for r := 0; r < rows; r += 3 {
+		for c := range m.Row(r) {
+			m.Row(r)[c] = 0
+		}
+	}
+	return m
+}
+
+func bitEqual(a, b *tensor.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// MatMulAcc is Add(sum, MatMul(x, w)) as one op: the value and the gradients
+// of all three operands are bit-identical to the unfused pair's, on random
+// shapes, with all-zero rows in x, and with the operands shared by a second
+// use so accumulation order into each gradient is exercised.
+func TestMatMulAccMatchesAddMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		n, k, h := 1+rng.Intn(9), 1+rng.Intn(7), 1+rng.Intn(9)
+		build := func(fused bool) (val *tensor.Matrix, grads []*tensor.Matrix) {
+			r := rand.New(rand.NewSource(int64(100 + trial)))
+			sum := Param(tensor.NewRandom(r, n, h, 1))
+			x := Param(randomWithZeroRows(r, n, k))
+			w := Param(tensor.NewRandom(r, k, h, 1))
+			w2 := Param(tensor.NewRandom(r, k, h, 1))
+			tp := NewTape()
+			var out *Node
+			if fused {
+				out = tp.MatMulAcc(tp.MatMulAcc(sum, x, w), x, w2)
+			} else {
+				out = tp.Add(tp.Add(sum, tp.MatMul(x, w)), tp.MatMul(x, w2))
+			}
+			// A second consumer of sum and x, before the loss.
+			out = tp.Add(out, tp.Mul(sum, tp.MatMul(x, w)))
+			tp.Backward(tp.Sum(tp.Tanh(out)))
+			return out.Value, []*tensor.Matrix{sum.Grad, x.Grad, w.Grad, w2.Grad}
+		}
+		wantV, wantG := build(false)
+		gotV, gotG := build(true)
+		if !bitEqual(wantV, gotV) {
+			t.Fatalf("trial %d (%dx%d·%dx%d): fused value differs", trial, n, k, k, h)
+		}
+		for i := range wantG {
+			if !bitEqual(wantG[i], gotG[i]) {
+				t.Fatalf("trial %d: gradient %d differs between fused and unfused", trial, i)
+			}
+		}
+	}
+}
+
+func TestMatMulAccGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	sum := Param(tensor.NewRandom(rng, 3, 2, 1))
+	x := Param(tensor.NewRandom(rng, 3, 4, 1))
+	w := Param(tensor.NewRandom(rng, 4, 2, 1))
+	checkGrad(t, []*Node{sum, x, w}, func(tp *Tape) *Node {
+		return tp.Mean(tp.Tanh(tp.MatMulAcc(sum, x, w)))
+	})
+}
+
+// gruLike is a small forward with the shapes of use the models have: a value
+// read long after it was made (h), a chain whose links die one by one, and a
+// value read directly after its last op use (kept).
+func gruLike(tp *Tape, x, h, w *Node) (out, kept *Node) {
+	xh := tp.ConcatCols(x, h)
+	z := tp.Sigmoid(tp.MatMul(xh, w))
+	kept = tp.Tanh(tp.MatMul(xh, w))
+	tp.Keep(kept)
+	cand := tp.Mul(kept, z)
+	return tp.Add(tp.Mul(z, h), tp.Mul(tp.OneMinus(z), cand)), kept
+}
+
+// An inference tape computes the recording tape's values, learns last uses on
+// the first pass and releases on that schedule from the second — kept and
+// output values excepted — and records no backward state.
+func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
+	withPooling(t)
+	rng := rand.New(rand.NewSource(4))
+	w := Param(tensor.NewRandom(rng, 7, 4, 1))
+	xm, hm := tensor.NewRandom(rng, 5, 3, 1), tensor.NewRandom(rng, 5, 4, 1)
+	want, _ := gruLike(NewTape(), Constant(xm), Constant(hm), w)
+
+	tp := NewInferenceTape()
+	for pass := 0; pass < 3; pass++ {
+		x, h := tp.OwnedConstant(xm.Clone()), tp.OwnedConstant(hm.Clone())
+		out, kept := gruLike(tp, x, h, w)
+		if !bitEqual(want.Value, out.Value) {
+			t.Fatalf("pass %d: inference value differs from the recording tape's", pass)
+		}
+		live := 0
+		for _, n := range tp.nodes {
+			if n.requiresGrad || n.op != opNone || len(n.parents) != 0 {
+				t.Fatalf("pass %d: inference tape recorded backward state", pass)
+			}
+			if n.Value != nil {
+				live++
+			}
+		}
+		switch {
+		case pass == 0 && live != tp.Len():
+			t.Fatalf("first pass released %d values without a plan", tp.Len()-live)
+		case pass > 0 && live != 2:
+			t.Fatalf("pass %d: %d values live at the end, want the output and the kept one", pass, live)
+		}
+		if kept.Value == nil || x.Value != nil && pass > 0 {
+			t.Fatalf("pass %d: kept value released or owned input not released", pass)
+		}
+		got := tp.Detach(out)
+		tp.Release()
+		if !bitEqual(want.Value, got) {
+			t.Fatalf("pass %d: detached output did not survive Release", pass)
+		}
+	}
+}
+
+// When a pass departs from the learned op sequence the tape stops releasing
+// early for the rest of that pass and relearns; values stay right throughout,
+// whether ops were inserted, dropped, or the same ops read different nodes.
+func TestInferenceTapeRelearnsOnSequenceChange(t *testing.T) {
+	withPooling(t)
+	rng := rand.New(rand.NewSource(6))
+	w := Param(tensor.NewRandom(rng, 3, 3, 1))
+	xm := tensor.NewRandom(rng, 4, 3, 1)
+	forward := func(tp *Tape, variant int) *Node {
+		x := tp.OwnedConstant(xm.Clone())
+		h := tp.Tanh(tp.MatMul(x, w))
+		g := tp.Sigmoid(h)
+		switch variant {
+		case 1: // an inserted op reading a value the plan would release next
+			h = tp.Add(h, tp.MatMul(h, w))
+		case 2: // the same op kinds, wired to other nodes
+			h, g = g, h
+		}
+		return tp.Mul(tp.OneMinus(g), h)
+	}
+	tp := NewInferenceTape()
+	for pass, variant := range []int{0, 0, 1, 1, 2, 2, 0} {
+		want := forward(NewTape(), variant).Value
+		got := forward(tp, variant).Value
+		if !bitEqual(want, got) {
+			t.Fatalf("pass %d (variant %d): value differs after a sequence change", pass, variant)
+		}
+		tp.Release()
+	}
+}
+
+func TestInferenceTapeRejectsBackwardAndLateKeep(t *testing.T) {
+	withPooling(t)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	a := Param(tensor.FromSlice(1, 1, []float64{1}))
+	tp := NewInferenceTape()
+	mustPanic("Backward on an inference tape", func() { tp.Backward(tp.Mean(tp.Add(a, a))) })
+	tp.Release()
+
+	// A value kept on one pass but not on the one the plan was learned from
+	// has been released by the time Keep runs: that must fail loudly.
+	chain := func(keep bool) {
+		h := tp.Tanh(tp.Add(a, a))
+		tp.Sigmoid(h)
+		if keep {
+			tp.Keep(h)
+		}
+	}
+	chain(false)
+	tp.Release()
+	mustPanic("Keep of a released value", func() { chain(true) })
+}

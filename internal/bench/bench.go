@@ -118,6 +118,7 @@ func RunCell(cfg CellConfig) (CellResult, error) {
 	trainer := core.NewTrainer(g, model, wl, opt, cfg.Core, rng)
 
 	var sched *core.Scheduler
+	infer := autodiff.NewInferenceTape()
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
 
@@ -126,10 +127,9 @@ func RunCell(cfg CellConfig) (CellResult, error) {
 		updated := g.Updated()
 		model.BeginStep(t)
 		// Inference: full-graph forward, common to every strategy.
-		tp := autodiff.NewTape()
-		emb := model.Forward(tp, dgnn.FullView(g))
+		emb := dgnn.Infer(infer, model, dgnn.FullView(g))
 		wl.Reveal(g, t)
-		wl.Predict(emb.Value, t)
+		wl.Predict(emb, t)
 		// Training section: metered and timed.
 		if sched == nil {
 			sched, err = core.NewScheduler(trainer, cfg.Core, cfg.Strategy, rng)

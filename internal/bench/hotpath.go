@@ -62,14 +62,14 @@ func NewHotPathCell(dataset, model string, cfg core.Config, cacheCap int, seed i
 	trainer := core.NewTrainer(g, m, wl, opt, cfg, rng)
 
 	var updated []int
+	infer := autodiff.NewInferenceTape()
 	for rep.Advance() {
 		t := rep.Step()
 		updated = append(updated[:0], g.Updated()...)
 		m.BeginStep(t)
-		tp := autodiff.NewTape()
-		emb := m.Forward(tp, dgnn.FullView(g))
+		emb := dgnn.Infer(infer, m, dgnn.FullView(g))
 		wl.Reveal(g, t)
-		wl.Predict(emb.Value, t)
+		wl.Predict(emb, t)
 		g.ResetUpdated()
 	}
 	if cacheCap > 0 {

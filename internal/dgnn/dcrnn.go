@@ -62,15 +62,19 @@ func (m *DCRNNModel) Reset() { m.state.reset() }
 // WrapOptimizer implements Model.
 func (m *DCRNNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 
-// Forward implements Model.
+// Forward implements Model. The update and reset gates convolve the same
+// input [x|h], a constant of the tape, so its K-step propagation is computed
+// once and shared; the candidate gate's input differs and propagates afresh.
 func (m *DCRNNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
-	h := autodiff.Constant(m.state.gather(v))
+	h := tp.OwnedConstant(m.state.gather(v))
+	var d nn.Diffused
 	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node {
-		return mod.(*nn.DiffusionConv).Apply(tp, v.RWFwd, v.RWRev, in)
+		if d.X != in {
+			d = nn.Diffuse(tp, v.RWFwd, v.RWRev, in, m.k)
+		}
+		return mod.(*nn.DiffusionConv).ApplyDiffused(tp, d)
 	}
 	hNew := m.cell.Apply(tp, conv, autodiff.Constant(v.Feat), h)
-	if !v.NoCommit {
-		m.state.write(v, hNew.Value)
-	}
+	m.state.commit(tp, v, hNew)
 	return hNew
 }

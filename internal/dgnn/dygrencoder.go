@@ -80,12 +80,10 @@ func (m *DyGrEncoderModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimi
 func (m *DyGrEncoderModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	x := tp.ReLU(m.enc1.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
 	x = tp.ReLU(m.enc2.Apply(tp, v.Norm, x))
-	h := autodiff.Constant(m.hState.gather(v))
-	c := autodiff.Constant(m.cState.gather(v))
+	h := tp.OwnedConstant(m.hState.gather(v))
+	c := tp.OwnedConstant(m.cState.gather(v))
 	hNew, cNew := m.lstm.Apply(tp, x, h, c)
-	if !v.NoCommit {
-		m.hState.write(v, hNew.Value)
-		m.cState.write(v, cNew.Value)
-	}
+	m.hState.commit(tp, v, hNew)
+	m.cState.commit(tp, v, cNew)
 	return tp.Tanh(m.dec.Apply(tp, hNew))
 }

@@ -74,15 +74,13 @@ func (m *GCLSTMModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer {
 // Forward implements Model.
 func (m *GCLSTMModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	x := tp.ReLU(m.enc.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
-	h := autodiff.Constant(m.hState.gather(v))
-	c := autodiff.Constant(m.cState.gather(v))
+	h := tp.OwnedConstant(m.hState.gather(v))
+	c := tp.OwnedConstant(m.cState.gather(v))
 	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node {
 		return mod.(*nn.GCNConv).Apply(tp, v.Norm, in)
 	}
 	hNew, cNew := m.cell.Apply(tp, conv, x, h, c)
-	if !v.NoCommit {
-		m.hState.write(v, hNew.Value)
-		m.cState.write(v, cNew.Value)
-	}
+	m.hState.commit(tp, v, hNew)
+	m.cState.commit(tp, v, cNew)
 	return hNew
 }

@@ -147,6 +147,18 @@ type Model interface {
 	RestoreState([]StateDump) error
 }
 
+// Infer runs one inference forward of m over v on the inference tape tp
+// (autodiff.NewInferenceTape) and returns the embedding matrix. The matrix is
+// detached from the tape — the caller owns it, and it never returns to the
+// tensor pool — while every intermediate, and v.Feat (built fresh for the view
+// by FullView/SubView/DirtyView), is recycled before Infer returns.
+func Infer(tp *autodiff.Tape, m Model, v View) *tensor.Matrix {
+	tp.Owned(v.Feat)
+	out := tp.Detach(m.Forward(tp, v))
+	tp.Release()
+	return out
+}
+
 // StatePregrower is implemented by models whose committed forwards are safe
 // to run concurrently on disjoint node sets once per-node state buffers have
 // been grown up front. PregrowState(n) sizes every recurrent-state buffer

@@ -78,17 +78,15 @@ func (m *ROLANDModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer {
 func (m *ROLANDModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	// Layer 1: conv on raw features, then hidden-state update.
 	c1 := tp.ReLU(m.conv1.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
-	prev1 := autodiff.Constant(m.h1.gather(v))
+	prev1 := tp.OwnedConstant(m.h1.gather(v))
 	new1 := m.upd1.Apply(tp, c1, prev1)
 
 	// Layer 2: conv on layer-1 state, then hidden-state update.
 	c2 := tp.ReLU(m.conv2.Apply(tp, v.Norm, new1))
-	prev2 := autodiff.Constant(m.h2.gather(v))
+	prev2 := tp.OwnedConstant(m.h2.gather(v))
 	new2 := m.upd2.Apply(tp, c2, prev2)
 
-	if !v.NoCommit {
-		m.h1.write(v, new1.Value)
-		m.h2.write(v, new2.Value)
-	}
+	m.h1.commit(tp, v, new1)
+	m.h2.commit(tp, v, new2)
 	return new2
 }

@@ -92,13 +92,11 @@ func (m *RTGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 		typed = []*tensor.CSR{v.Norm}
 	}
 	x := tp.ReLU(m.enc.Apply(tp, typed, autodiff.Constant(v.Feat)))
-	h := autodiff.Constant(m.state.gather(v))
+	h := tp.OwnedConstant(m.state.gather(v))
 	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node {
 		return mod.(*nn.RGCNConv).Apply(tp, typed, in)
 	}
 	hNew := m.cell.Apply(tp, conv, x, h)
-	if !v.NoCommit {
-		m.state.write(v, hNew.Value)
-	}
+	m.state.commit(tp, v, hNew)
 	return hNew
 }

@@ -17,6 +17,11 @@ import (
 // same rows of a whole-region forward, so shards=1 and shards=P agree bit
 // for bit on seeded runs.
 
+// partTapes holds the inference tapes of the shard workers: each ForwardPart
+// borrows one for the duration of its forward, so concurrent parts never share
+// a tape and a warm tape brings back its node shells and release plan.
+var partTapes = sync.Pool{New: func() any { return autodiff.NewInferenceTape() }}
+
 // ShardForward is one shard's slice of a sharded incremental forward.
 type ShardForward struct {
 	// Shard is the owning shard index.
@@ -104,7 +109,9 @@ func ForwardPart(g *graph.Dynamic, m Model, s int, nodes, exact []int) ShardForw
 	v.SnapshotState = true
 	res.IDs = ids
 	res.Rows = rows
-	res.Out = m.Forward(autodiff.NewTape(), v).Value
+	tp := partTapes.Get().(*autodiff.Tape)
+	res.Out = Infer(tp, m, v)
+	partTapes.Put(tp)
 	return res
 }
 

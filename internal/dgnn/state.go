@@ -1,6 +1,7 @@
 package dgnn
 
 import (
+	"streamgnn/internal/autodiff"
 	"streamgnn/internal/tensor"
 )
 
@@ -79,8 +80,7 @@ func (s *nodeState) maxID(v View) int {
 //
 // A node newer than the source buffer reads as a zero row — from the snapshot
 // too: falling back to the live buffer there would hand a training forward
-// the state this step's inference just committed for the node, and only on
-// the paths that did not pregrow the snapshot with zeros.
+// the state this step's inference just committed for the node.
 func (s *nodeState) gather(v View) *tensor.Matrix {
 	if !v.NoCommit {
 		s.ensure(s.maxID(v) + 1)
@@ -97,6 +97,18 @@ func (s *nodeState) gather(v View) *tensor.Matrix {
 		}
 	}
 	return out
+}
+
+// commit is a forward's recurrent-state write-back: n's value becomes the
+// state of the view's nodes unless the view is NoCommit. The value is pinned
+// on the tape either way — the write reads it outside the tape's ops, possibly
+// after the last op that consumes it, and an inference tape learns its pins
+// from every pass alike.
+func (s *nodeState) commit(tp *autodiff.Tape, v View, n *autodiff.Node) {
+	m := tp.Keep(n)
+	if !v.NoCommit {
+		s.write(v, m)
+	}
 }
 
 // write stores m's rows back into the view's nodes. When the view carries a

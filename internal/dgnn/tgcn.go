@@ -64,13 +64,11 @@ func (m *TGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { r
 // Forward implements Model.
 func (m *TGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	x := tp.ReLU(m.enc.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
-	h := autodiff.Constant(m.state.gather(v))
+	h := tp.OwnedConstant(m.state.gather(v))
 	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node {
 		return mod.(*nn.GCNConv).Apply(tp, v.Norm, in)
 	}
 	hNew := m.cell.Apply(tp, conv, x, h)
-	if !v.NoCommit {
-		m.state.write(v, hNew.Value)
-	}
+	m.state.commit(tp, v, hNew)
 	return hNew
 }

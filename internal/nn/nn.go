@@ -115,17 +115,43 @@ func NewDiffusionConv(rng *rand.Rand, in, out, k int) *DiffusionConv {
 	return c
 }
 
+// Diffused holds a diffusion convolution's propagated inputs P_f^k·x and
+// P_r^k·x for k = 1..K. They depend on the input alone, not on any conv's
+// weights, so convs reading the same input (a GRU's update and reset gates)
+// can share one propagation.
+type Diffused struct {
+	X *autodiff.Node
+	// hops[2(k-1)] is P_f^k·x and hops[2(k-1)+1] is P_r^k·x.
+	hops []*autodiff.Node
+}
+
+// Diffuse propagates x through k steps of the forward and reverse transition
+// matrices.
+func Diffuse(tp *autodiff.Tape, fwd, rev *tensor.CSR, x *autodiff.Node, k int) Diffused {
+	d := Diffused{X: x, hops: make([]*autodiff.Node, 0, 2*k)}
+	xf, xr := x, x
+	for i := 0; i < k; i++ {
+		xf = tp.SpMM(fwd, xf)
+		xr = tp.SpMM(rev, xr)
+		d.hops = append(d.hops, xf, xr)
+	}
+	return d
+}
+
 // Apply computes the diffusion convolution with the given forward and
 // reverse transition matrices.
 func (c *DiffusionConv) Apply(tp *autodiff.Tape, fwd, rev *tensor.CSR, x *autodiff.Node) *autodiff.Node {
-	sum := tp.MatMul(x, c.Wf[0])
-	sum = tp.Add(sum, tp.MatMul(x, c.Wr[0]))
-	xf, xr := x, x
+	return c.ApplyDiffused(tp, Diffuse(tp, fwd, rev, x, c.K))
+}
+
+// ApplyDiffused computes the convolution over an input already propagated
+// K steps by Diffuse: the weighted sum, in ascending k, forward before
+// reverse.
+func (c *DiffusionConv) ApplyDiffused(tp *autodiff.Tape, d Diffused) *autodiff.Node {
+	sum := tp.MatMulAcc(tp.MatMul(d.X, c.Wf[0]), d.X, c.Wr[0])
 	for k := 1; k <= c.K; k++ {
-		xf = tp.SpMM(fwd, xf)
-		xr = tp.SpMM(rev, xr)
-		sum = tp.Add(sum, tp.MatMul(xf, c.Wf[k]))
-		sum = tp.Add(sum, tp.MatMul(xr, c.Wr[k]))
+		sum = tp.MatMulAcc(sum, d.hops[2*(k-1)], c.Wf[k])
+		sum = tp.MatMulAcc(sum, d.hops[2*(k-1)+1], c.Wr[k])
 	}
 	return tp.AddBias(sum, c.B)
 }

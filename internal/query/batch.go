@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"sync"
 
 	"streamgnn/internal/autodiff"
 	"streamgnn/internal/nn"
@@ -54,15 +55,22 @@ type Answer struct {
 	Err   string  `json:"error,omitempty"`
 }
 
+// scoreTapes holds the inference tapes head scoring runs on: serving
+// goroutines each borrow one per micro-batch, and a warm tape scores without
+// allocating node shells or leaving intermediates to the collector.
+var scoreTapes = sync.Pool{New: func() any { return autodiff.NewInferenceTape() }}
+
 // headColumn applies an MLP head to a stacked input matrix (value-only) and
-// returns its single output column.
+// returns its single output column. in stays the caller's.
 func headColumn(head *nn.MLP, in *tensor.Matrix) []float64 {
-	tp := autodiff.NewTape()
+	tp := scoreTapes.Get().(*autodiff.Tape)
 	out := head.Apply(tp, autodiff.Constant(in)).Value
 	scores := make([]float64, out.Rows)
 	for i := range scores {
 		scores[i] = out.At(i, 0)
 	}
+	tp.Release()
+	scoreTapes.Put(tp)
 	return scores
 }
 
@@ -73,7 +81,10 @@ func EventScores(h *Heads, emb *tensor.Matrix, anchors []int) []float64 {
 	if len(anchors) == 0 {
 		return nil
 	}
-	return headColumn(h.Event, tensor.GatherRows(emb, anchors))
+	in := tensor.GatherRows(emb, anchors)
+	scores := headColumn(h.Event, in)
+	tensor.Recycle(in)
+	return scores
 }
 
 // PairInputRows builds the stacked [emb_u | emb_v | emb_u∘emb_v] pair-input
@@ -103,7 +114,10 @@ func LinkScores(h *Heads, emb *tensor.Matrix, src, dst []int) []float64 {
 	if len(src) == 0 {
 		return nil
 	}
-	return headColumn(h.Link, PairInputRows(emb, src, dst))
+	in := PairInputRows(emb, src, dst)
+	scores := headColumn(h.Link, in)
+	tensor.Recycle(in)
+	return scores
 }
 
 // AnswerBatch answers a batch of predictive queries against one embedding

@@ -6,15 +6,36 @@ import (
 	"sync/atomic"
 )
 
-// Buffer pooling for tape intermediates. Training builds and discards a full
-// set of matrices per partition; recycling those buffers through a sized-class
-// sync.Pool removes the dominant source of GC pressure on the hot path.
+// Buffer pooling for tape intermediates. A training unit builds and discards
+// a full set of matrices per partition, and an inference forward does the same
+// over the whole graph every step (its tape hands every intermediate back, see
+// autodiff.NewInferenceTape); recycling those buffers through a sized-class
+// sync.Pool removes the dominant source of allocation, zeroing and GC work on
+// both hot paths.
 //
 // Pooling is orthogonal to the allocation meter: New always records the
 // logical allocation, whether the backing slice came from the pool or from
 // make, so metered working-set numbers stay comparable with pooling on or off.
 
 var poolEnabled int32
+
+// Pool counters, cumulative since process start (see ReadPoolStats). A get is
+// a hit or a miss, so the hot path pays for one counter.
+var poolHits, poolMisses, poolFreshBytes atomic.Int64
+
+// PoolStats is a snapshot of the buffer pool's own counters: how many buffer
+// requests it saw, how many it served from a recycled buffer, and how many
+// bytes it had to take fresh from the Go heap instead. A steady-state
+// inference forward should add (almost) nothing to FreshBytes.
+type PoolStats struct {
+	Gets, Hits, FreshBytes int64
+}
+
+// ReadPoolStats returns the process-wide pool counters.
+func ReadPoolStats() PoolStats {
+	hits := poolHits.Load()
+	return PoolStats{Gets: hits + poolMisses.Load(), Hits: hits, FreshBytes: poolFreshBytes.Load()}
+}
 
 // 1<<poolClasses is the largest pooled buffer (2^26 floats = 512 MB); larger
 // requests always fall through to make.
@@ -111,48 +132,39 @@ func sizeClass(n int) int {
 	return c
 }
 
-// grab returns a zeroed length-n slice, drawn from the pool when possible.
-func grab(n int) []float64 {
-	if atomic.LoadInt32(&poolEnabled) != 0 {
-		if c := sizeClass(n); c >= 0 {
-			s := ringGet(c)
-			if s == nil {
-				if p, ok := pools[c].Get().(*[]float64); ok {
-					s = *p
-				}
-			}
-			if s != nil {
-				s = s[:n]
-				for i := range s {
-					s[i] = 0
-				}
-				return s
-			}
-			return make([]float64, n, 1<<c)
-		}
-	}
-	return make([]float64, n)
-}
-
-// grabUninit is grab without the zeroing pass: pooled buffers come back with
-// arbitrary contents. Only for callers that write every element before any
+// grab returns a length-n slice, drawn from the pool when possible. With zero
+// set its contents are zero; without, a pooled buffer comes back with
+// arbitrary contents — only for callers that write every element before any
 // read (make-backed buffers are zeroed by the runtime regardless).
-func grabUninit(n int) []float64 {
+func grab(n int, zero bool) []float64 {
+	c := -1
 	if atomic.LoadInt32(&poolEnabled) != 0 {
-		if c := sizeClass(n); c >= 0 {
-			s := ringGet(c)
-			if s == nil {
-				if p, ok := pools[c].Get().(*[]float64); ok {
-					s = *p
-				}
-			}
-			if s != nil {
-				return s[:n]
-			}
-			return make([]float64, n, 1<<c)
+		c = sizeClass(n)
+	}
+	if c < 0 {
+		poolMisses.Add(1)
+		poolFreshBytes.Add(int64(n) * 8)
+		return make([]float64, n)
+	}
+	s := ringGet(c)
+	if s == nil {
+		if p, ok := pools[c].Get().(*[]float64); ok {
+			s = *p
 		}
 	}
-	return make([]float64, n)
+	if s == nil {
+		poolMisses.Add(1)
+		poolFreshBytes.Add(8 << uint(c))
+		return make([]float64, n, 1<<c)
+	}
+	poolHits.Add(1)
+	s = s[:n]
+	if zero {
+		for i := range s {
+			s[i] = 0
+		}
+	}
+	return s
 }
 
 // Recycle returns m's backing buffer to the pool and detaches it from m, so

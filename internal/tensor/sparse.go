@@ -50,12 +50,14 @@ func (c *CSR) NNZ() int { return len(c.ColIdx) }
 // RowNNZ returns the number of stored entries in row r.
 func (c *CSR) RowNNZ(r int) int { return c.RowPtr[r+1] - c.RowPtr[r] }
 
-// SpMM returns c·x for dense x.
+// SpMM returns c·x for dense x. Like MatMul, each output row is initialized
+// and accumulated by the one worker that owns it (an empty CSR row is zeroed),
+// so the output needs no zeroing pass.
 func SpMM(c *CSR, x *Matrix) *Matrix {
 	if c.NCols != x.Rows {
 		panic(fmt.Sprintf("tensor: SpMM inner mismatch %dx%d · %dx%d", c.NRows, c.NCols, x.Rows, x.Cols))
 	}
-	out := New(c.NRows, x.Cols)
+	out := newUninit(c.NRows, x.Cols)
 	if Parallelism() <= 1 || c.NRows < 2*parThreshold {
 		// Serial fast path: avoids heap-allocating the shard closure.
 		spMMRange(c, x, out, 0, c.NRows)
@@ -68,10 +70,22 @@ func SpMM(c *CSR, x *Matrix) *Matrix {
 func spMMRange(c *CSR, x, out *Matrix, lo, hi int) {
 	for r := lo; r < hi; r++ {
 		orow := out.Row(r)
-		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
+		p, end := c.RowPtr[r], c.RowPtr[r+1]
+		if p == end {
+			for j := range orow {
+				orow[j] = 0
+			}
+			continue
+		}
+		// The row's first entry initializes it: 0 + v·x is what adding the
+		// product to a zeroed row yields (a -0 product still lands as +0).
+		v := c.Val[p]
+		for j, xv := range x.Row(c.ColIdx[p]) {
+			orow[j] = 0 + v*xv
+		}
+		for p++; p < end; p++ {
 			v := c.Val[p]
-			xrow := x.Row(c.ColIdx[p])
-			for j, xv := range xrow {
+			for j, xv := range x.Row(c.ColIdx[p]) {
 				orow[j] += v * xv
 			}
 		}

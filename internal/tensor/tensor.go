@@ -29,19 +29,21 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
 	recordAlloc(rows * cols)
-	return &Matrix{Rows: rows, Cols: cols, Data: grab(rows * cols)}
+	return &Matrix{Rows: rows, Cols: cols, Data: grab(rows*cols, true)}
 }
 
 // newUninit returns a rows×cols matrix whose contents are arbitrary when the
 // backing buffer comes from the recycle pool. Internal ops that write every
-// output element before any read use it to skip New's zeroing pass;
-// accumulating ops (MatMul, SpMM and friends) must use New.
+// output element before any read use it to skip New's zeroing pass: the
+// elementwise ops, and the row-sharded accumulating kernels (MatMul,
+// MatMulAcc, SpMM), which initialize every output row themselves.
+// Scatter-accumulating ops (MatMulTransA, SpMMTrans) must use New.
 func newUninit(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
 	recordAlloc(rows * cols)
-	return &Matrix{Rows: rows, Cols: cols, Data: grabUninit(rows * cols)}
+	return &Matrix{Rows: rows, Cols: cols, Data: grab(rows*cols, false)}
 }
 
 // FromSlice wraps data (row-major) in a rows×cols matrix without copying.
@@ -152,35 +154,92 @@ func shapeCheck(op string, a, b *Matrix) {
 	}
 }
 
-// MatMul returns a·b.
+// MatMul returns a·b. Every output element is written once, by the one worker
+// that owns its row, so the output needs no zeroing pass (see mulRow).
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Cols)
+	return matMulAcc(nil, a, b)
+}
+
+// MatMulAcc returns sum + x·w, bit-identical to Add(sum, MatMul(x, w)): each
+// product element is accumulated from zero exactly as MatMul would and only
+// then added to sum's, so the rounding sequence is the unfused pair's —
+// without materializing the product matrix.
+func MatMulAcc(sum, x, w *Matrix) *Matrix {
+	if x.Cols != w.Rows {
+		panic(fmt.Sprintf("tensor: MatMulAcc inner mismatch %dx%d · %dx%d", x.Rows, x.Cols, w.Rows, w.Cols))
+	}
+	if sum.Rows != x.Rows || sum.Cols != w.Cols {
+		panic(fmt.Sprintf("tensor: MatMulAcc sum is %dx%d, product is %dx%d", sum.Rows, sum.Cols, x.Rows, w.Cols))
+	}
+	return matMulAcc(sum, x, w)
+}
+
+// matMulAcc computes a·b, plus sum when sum is non-nil, sharding output rows
+// over the kernel workers.
+func matMulAcc(sum, a, b *Matrix) *Matrix {
+	out := newUninit(a.Rows, b.Cols)
 	if Parallelism() <= 1 || a.Rows < 2*parThreshold {
-		// Serial fast path: calling matMulRange directly keeps the shard
+		// Serial fast path: calling the range kernel directly keeps the shard
 		// closure (which escapes through parRange) off the heap.
-		matMulRange(a, b, out, 0, a.Rows)
+		matMulAccRange(sum, a, b, out, 0, a.Rows)
 		return out
 	}
-	parRange(a.Rows, func(lo, hi int) { matMulRange(a, b, out, lo, hi) })
+	parRange(a.Rows, func(lo, hi int) { matMulAccRange(sum, a, b, out, lo, hi) })
 	return out
 }
 
-func matMulRange(a, b, out *Matrix, lo, hi int) {
+func matMulAccRange(sum, a, b, out *Matrix, lo, hi int) {
+	var srow []float64
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
+		if sum != nil {
+			srow = sum.Row(i)
+		}
+		mulRow(out.Row(i), srow, a.Row(i), b)
+	}
+}
+
+// mulRow writes arow·b into orow — plus srow, added last, when srow is
+// non-nil. Every output element is its own sum from zero over ascending k,
+// zero entries of arow skipped: THE summation order of MatMul and MatMulAcc,
+// which the delta path's row kernels replicate to stay bit-identical. Four
+// output columns at a time are accumulated in registers, so each element is
+// stored exactly once and orow needs no zeroing.
+func mulRow(orow, srow, arow []float64, b *Matrix) {
+	n := b.Cols
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		var s0, s1, s2, s3 float64
 		for k, av := range arow {
 			if av == 0 {
 				continue
 			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
+			bk := b.Data[k*n+j : k*n+j+4 : k*n+j+4]
+			s0 += av * bk[0]
+			s1 += av * bk[1]
+			s2 += av * bk[2]
+			s3 += av * bk[3]
+		}
+		o := orow[j : j+4 : j+4]
+		if srow != nil {
+			sr := srow[j : j+4 : j+4]
+			s0, s1, s2, s3 = sr[0]+s0, sr[1]+s1, sr[2]+s2, sr[3]+s3
+		}
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; j < n; j++ {
+		var s float64
+		for k, av := range arow {
+			if av != 0 {
+				s += av * b.Data[k*n+j]
 			}
 		}
+		if srow != nil {
+			s = srow[j] + s
+		}
+		orow[j] = s
 	}
 }
 

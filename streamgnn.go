@@ -133,9 +133,6 @@ type Config struct {
 	// all units tend to share one group and the schedule degenerates to the
 	// serial path. See DESIGN.md §15. Default false.
 	DependencySchedule bool
-	// DisablePooling turns off the tensor buffer pool that recycles tape
-	// intermediates between training units.
-	DisablePooling bool
 
 	// IncrementalForward switches the per-step inference phase from a
 	// full-snapshot forward to dirty-region recomputation: only nodes whose
@@ -392,7 +389,11 @@ type Engine struct {
 	opt     autodiff.Optimizer
 	src     *rng.SplitMix64 // dumpable source behind every engine rng draw
 
-	step        int
+	step int
+	// inferTape runs every inference forward of the step loop (full and
+	// splice); it is long-lived so its node shells and release plan carry
+	// over from step to step. See autodiff.NewInferenceTape.
+	inferTape   *autodiff.Tape
 	lastEmb     *tensor.Matrix
 	emb         *dgnn.EmbStore  // managed embedding cache (incremental mode)
 	delta       dgnn.DeltaState // per-stage delta caches (DeltaForward mode)
@@ -515,9 +516,10 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("streamgnn: %w", err)
 	}
-	// Buffer pooling is process-wide; the engine turns it on unless asked
-	// not to (metered allocation accounting is identical either way).
-	tensor.EnablePooling(!cfg.DisablePooling)
+	// Buffer pooling is process-wide and load-bearing: training tapes and
+	// the inference tape both hand their intermediates back to it (metered
+	// allocation accounting is identical either way).
+	tensor.EnablePooling(true)
 	// Kernel parallelism is also process-wide, but 0 leaves it alone so an
 	// engine built without an opinion does not stomp a host's setting.
 	if cfg.KernelWorkers > 0 {
@@ -535,7 +537,8 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	opt := model.WrapOptimizer(autodiff.NewAdam(ccfg.LR, params))
 	trainer := core.NewTrainer(g, model, wl, opt, ccfg, r)
 	e := &Engine{cfg: cfg, ccfg: ccfg, g: g, model: model, wl: wl,
-		trainer: trainer, opt: opt, src: src, emb: dgnn.NewEmbStore()}
+		trainer: trainer, opt: opt, src: src, emb: dgnn.NewEmbStore(),
+		inferTape: autodiff.NewInferenceTape()}
 	if cfg.Shards > 1 {
 		e.shards, err = shard.New(cfg.Shards, layout)
 		if err != nil {
@@ -753,8 +756,7 @@ func (e *Engine) dirtyFullThreshold() float64 {
 // computation; see DESIGN.md §12.
 func (e *Engine) runForward(t int) {
 	if !e.cfg.IncrementalForward {
-		tp := autodiff.NewTape()
-		e.lastEmb = e.model.Forward(tp, dgnn.FullView(e.g)).Value
+		e.lastEmb = dgnn.Infer(e.inferTape, e.model, dgnn.FullView(e.g))
 		e.tele.fullForwards.Inc()
 		return
 	}
@@ -789,9 +791,9 @@ func (e *Engine) runForward(t int) {
 	}
 	if full {
 		// The forward's output matrix is owned by the store from here on:
-		// inference tapes are never released, so its buffer is not pooled.
-		tp := autodiff.NewTape()
-		out := e.model.Forward(tp, dgnn.FullView(e.g)).Value
+		// Infer detached it from the tape, so its buffer never returns to
+		// the pool while the store or a serving snapshot aliases it.
+		out := dgnn.Infer(e.inferTape, e.model, dgnn.FullView(e.g))
 		e.emb.SetFull(out, t)
 		e.lastEmb = out
 		e.tele.fullForwards.Inc()
@@ -829,8 +831,7 @@ func (e *Engine) runForward(t int) {
 	} else {
 		sub := e.g.Induced(region, region[0])
 		rows := dgnn.LocalRows(sub.Nodes, exact)
-		tp := autodiff.NewTape()
-		out := e.model.Forward(tp, dgnn.DirtyView(sub, rows)).Value
+		out := dgnn.Infer(e.inferTape, e.model, dgnn.DirtyView(sub, rows))
 		e.emb.Splice(out, rows, exact)
 	}
 	e.lastEmb = e.emb.Matrix()

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"streamgnn/internal/obs"
+	"streamgnn/internal/tensor"
 )
 
 // Phase names of one Engine.Step, in execution order. Each phase has its own
@@ -175,6 +176,16 @@ type Telemetry struct {
 	ShardSplicedRows       []int64
 	CrossShardEdgeFraction float64
 	ShardMerge             TelemetryHistogram
+
+	// The tensor buffer pool's own counters (process-wide, cumulative):
+	// buffer requests, requests served from a recycled buffer, and bytes
+	// taken fresh from the Go heap. Inference forwards and training units
+	// both recycle their intermediates, so in steady state TensorFreshBytes
+	// grows by about one embedding matrix per full forward; a forward that
+	// allocates again shows here first.
+	TensorPoolGets   int64
+	TensorPoolHits   int64
+	TensorFreshBytes int64
 }
 
 // Telemetry returns a snapshot of the engine's step and phase timings. Safe
@@ -198,6 +209,8 @@ func (e *Engine) Telemetry() Telemetry {
 		DeltaPrunedFraction: histSnapshot(e.tele.deltaPrunedFrac),
 		SchedGroupFraction:  histSnapshot(e.tele.schedGroupFrac),
 	}
+	pool := tensor.ReadPoolStats()
+	t.TensorPoolGets, t.TensorPoolHits, t.TensorFreshBytes = pool.Gets, pool.Hits, pool.FreshBytes
 	if e.sched != nil {
 		if a := e.sched.Adaptive; a != nil {
 			t.SchedSteps = atomic.LoadInt64(&a.SchedSteps)

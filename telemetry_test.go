@@ -45,6 +45,10 @@ func TestTelemetryPopulated(t *testing.T) {
 	if phaseSum > tel.Step.Sum {
 		t.Fatalf("phase sums (%v) exceed whole-step sum (%v)", phaseSum, tel.Step.Sum)
 	}
+	// The steps above drew their buffers through the pool and recycled them.
+	if tel.TensorPoolGets == 0 || tel.TensorPoolHits == 0 || tel.TensorPoolHits > tel.TensorPoolGets || tel.TensorFreshBytes == 0 {
+		t.Fatalf("tensor pool counters gets=%d hits=%d fresh=%d", tel.TensorPoolGets, tel.TensorPoolHits, tel.TensorFreshBytes)
+	}
 }
 
 func TestTelemetryZeroBeforeStepping(t *testing.T) {
