@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt bench bench-check
+.PHONY: build test race lint fmt bench bench-check bench-kernels
 
 build:
 	$(GO) build ./...
@@ -34,3 +34,9 @@ bench-check:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-kernels times the four dense kernels at the end-to-end ledger's
+# shapes and prints MAC/s per case; BENCHTIME=1x is the CI smoke.
+BENCHTIME ?= 1s
+bench-kernels:
+	$(GO) test -run '^$$' -bench BenchmarkDenseKernels -benchtime $(BENCHTIME) ./internal/tensor

@@ -689,12 +689,12 @@ func (t *Tape) AddBias(m, b *Node) *Node {
 
 // Sigmoid applies the logistic function elementwise.
 func (t *Tape) Sigmoid(a *Node) *Node {
-	return t.newNode1(opSigmoid, tensor.Apply(a.Value, tensor.Sigmoid), a.requiresGrad, a)
+	return t.newNode1(opSigmoid, tensor.SigmoidOf(a.Value), a.requiresGrad, a)
 }
 
 // Tanh applies tanh elementwise.
 func (t *Tape) Tanh(a *Node) *Node {
-	return t.newNode1(opTanh, tensor.Apply(a.Value, math.Tanh), a.requiresGrad, a)
+	return t.newNode1(opTanh, tensor.TanhOf(a.Value), a.requiresGrad, a)
 }
 
 // ReLU applies max(0, x) elementwise.

@@ -16,7 +16,7 @@ func withPooling(t *testing.T) {
 }
 
 // randomWithZeroRows fills a matrix from rng and zeroes every third row, the
-// case MatMul's skip-zero inner loop treats specially.
+// case MatMul's zero-row path treats specially.
 func randomWithZeroRows(rng *rand.Rand, rows, cols int) *tensor.Matrix {
 	m := tensor.NewRandom(rng, rows, cols, 1)
 	for r := 0; r < rows; r += 3 {

@@ -24,7 +24,7 @@ import (
 // bounded staleness for stateful models.
 //
 // Every row kernel below replicates the exact floating-point accumulation
-// order of the full tensor path (MatMul's ascending-k skip-zero inner loop,
+// order of the full tensor path (tensor.MulRow, MatMul's own row kernel,
 // SpMM's per-entry full-column accumulation in norm-row order, AddBias after
 // aggregation), which is what makes epsilon-0 equality bitwise rather than
 // approximate.
@@ -164,7 +164,7 @@ func (p *DeltaPass) StageRow(s, id int) []float64 {
 // W)), B)) with input rows supplied by input(u), replicating the full path's
 // floating-point order: for each normalized-adjacency entry of row v (self
 // loop, out-edges, in-edges — the cache construction order), the neighbor's
-// x·W row is computed with the MatMul inner loop and accumulated with SpMM's
+// x·W row is computed by MatMul's own row kernel and accumulated with SpMM's
 // per-entry full-column add; the bias lands after aggregation. out receives
 // the row; xw is a Conv.Out()-wide scratch.
 func (p *DeltaPass) ConvRow(conv *nn.GCNConv, v int, input func(u int) []float64, out, xw []float64) {
@@ -174,7 +174,7 @@ func (p *DeltaPass) ConvRow(conv *nn.GCNConv, v int, input func(u int) []float64
 	p.entries = p.g.NormRowAppend(v, p.entries[:0])
 	w := conv.Weight().Value
 	for _, e := range p.entries {
-		matVecRow(input(e.Col), w, xw)
+		tensor.MulRow(xw, input(e.Col), w)
 		for j, xv := range xw {
 			out[j] += e.Val * xv
 		}
@@ -185,26 +185,9 @@ func (p *DeltaPass) ConvRow(conv *nn.GCNConv, v int, input func(u int) []float64
 	}
 }
 
-// matVecRow computes one row of MatMul: acc = xrow·w, with the exact inner
-// loop of the full kernel (ascending k, skipping zero inputs).
-func matVecRow(xrow []float64, w *tensor.Matrix, acc []float64) {
-	for j := range acc {
-		acc[j] = 0
-	}
-	for k, av := range xrow {
-		if av == 0 {
-			continue
-		}
-		wrow := w.Row(k)
-		for j, wv := range wrow {
-			acc[j] += av * wv
-		}
-	}
-}
-
 // linearRow computes one row of a Linear apply: out = xrow·W + b.
 func linearRow(xrow []float64, lin *nn.Linear, out []float64) {
-	matVecRow(xrow, lin.W.Value, out)
+	tensor.MulRow(out, xrow, lin.W.Value)
 	b := lin.B.Value.Data
 	for j := range out {
 		out[j] += b[j]

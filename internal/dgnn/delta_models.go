@@ -49,9 +49,9 @@ func fullLinear(lin *nn.Linear, x *tensor.Matrix) *tensor.Matrix {
 func fullConvGRU(cell *nn.ConvGRUCell, norm *tensor.CSR, x, h *tensor.Matrix) *tensor.Matrix {
 	zc, rc, cc := cell.Gates()
 	xh := tensor.ConcatCols(x, h)
-	z := tensor.Apply(fullConv(zc.(*nn.GCNConv), norm, xh), tensor.Sigmoid)
-	r := tensor.Apply(fullConv(rc.(*nn.GCNConv), norm, xh), tensor.Sigmoid)
-	cand := tensor.Apply(fullConv(cc.(*nn.GCNConv), norm, tensor.ConcatCols(x, tensor.Mul(r, h))), math.Tanh)
+	z := tensor.SigmoidOf(fullConv(zc.(*nn.GCNConv), norm, xh))
+	r := tensor.SigmoidOf(fullConv(rc.(*nn.GCNConv), norm, xh))
+	cand := tensor.TanhOf(fullConv(cc.(*nn.GCNConv), norm, tensor.ConcatCols(x, tensor.Mul(r, h))))
 	return tensor.Add(tensor.Mul(z, h), tensor.Mul(tensor.Apply(z, oneMinusVal), cand))
 }
 
@@ -60,8 +60,8 @@ func fullConvGRU(cell *nn.ConvGRUCell, norm *tensor.CSR, x, h *tensor.Matrix) *t
 func zrFull(cell *nn.ConvGRUCell, norm *tensor.CSR, x, h *tensor.Matrix) *tensor.Matrix {
 	zc, rc, _ := cell.Gates()
 	xh := tensor.ConcatCols(x, h)
-	z := tensor.Apply(fullConv(zc.(*nn.GCNConv), norm, xh), tensor.Sigmoid)
-	r := tensor.Apply(fullConv(rc.(*nn.GCNConv), norm, xh), tensor.Sigmoid)
+	z := tensor.SigmoidOf(fullConv(zc.(*nn.GCNConv), norm, xh))
+	r := tensor.SigmoidOf(fullConv(rc.(*nn.GCNConv), norm, xh))
 	return tensor.ConcatCols(z, r)
 }
 
@@ -70,12 +70,12 @@ func zrFull(cell *nn.ConvGRUCell, norm *tensor.CSR, x, h *tensor.Matrix) *tensor
 func fullConvLSTM(cell *nn.ConvLSTMCell, norm *tensor.CSR, x, h, c *tensor.Matrix) (hNew, cNew *tensor.Matrix) {
 	ci, cf, co, cg := cell.Gates()
 	xh := tensor.ConcatCols(x, h)
-	i := tensor.Apply(fullConv(ci.(*nn.GCNConv), norm, xh), tensor.Sigmoid)
-	f := tensor.Apply(fullConv(cf.(*nn.GCNConv), norm, xh), tensor.Sigmoid)
-	o := tensor.Apply(fullConv(co.(*nn.GCNConv), norm, xh), tensor.Sigmoid)
-	g := tensor.Apply(fullConv(cg.(*nn.GCNConv), norm, xh), math.Tanh)
+	i := tensor.SigmoidOf(fullConv(ci.(*nn.GCNConv), norm, xh))
+	f := tensor.SigmoidOf(fullConv(cf.(*nn.GCNConv), norm, xh))
+	o := tensor.SigmoidOf(fullConv(co.(*nn.GCNConv), norm, xh))
+	g := tensor.TanhOf(fullConv(cg.(*nn.GCNConv), norm, xh))
 	cNew = tensor.Add(tensor.Mul(f, c), tensor.Mul(i, g))
-	hNew = tensor.Mul(o, tensor.Apply(cNew, math.Tanh))
+	hNew = tensor.Mul(o, tensor.TanhOf(cNew))
 	return hNew, cNew
 }
 
@@ -83,9 +83,9 @@ func fullConvLSTM(cell *nn.ConvLSTMCell, norm *tensor.CSR, x, h, c *tensor.Matri
 func fullGRU(cell *nn.GRUCell, x, h *tensor.Matrix) *tensor.Matrix {
 	wz, wr, wc := cell.Gates()
 	xh := tensor.ConcatCols(x, h)
-	z := tensor.Apply(fullLinear(wz, xh), tensor.Sigmoid)
-	r := tensor.Apply(fullLinear(wr, xh), tensor.Sigmoid)
-	cand := tensor.Apply(fullLinear(wc, tensor.ConcatCols(x, tensor.Mul(r, h))), math.Tanh)
+	z := tensor.SigmoidOf(fullLinear(wz, xh))
+	r := tensor.SigmoidOf(fullLinear(wr, xh))
+	cand := tensor.TanhOf(fullLinear(wc, tensor.ConcatCols(x, tensor.Mul(r, h))))
 	return tensor.Add(tensor.Mul(z, h), tensor.Mul(tensor.Apply(z, oneMinusVal), cand))
 }
 
@@ -93,12 +93,12 @@ func fullGRU(cell *nn.GRUCell, x, h *tensor.Matrix) *tensor.Matrix {
 func fullLSTM(cell *nn.LSTMCell, x, h, c *tensor.Matrix) (hNew, cNew *tensor.Matrix) {
 	wi, wf, wo, wg := cell.Gates()
 	xh := tensor.ConcatCols(x, h)
-	i := tensor.Apply(fullLinear(wi, xh), tensor.Sigmoid)
-	f := tensor.Apply(fullLinear(wf, xh), tensor.Sigmoid)
-	o := tensor.Apply(fullLinear(wo, xh), tensor.Sigmoid)
-	g := tensor.Apply(fullLinear(wg, xh), math.Tanh)
+	i := tensor.SigmoidOf(fullLinear(wi, xh))
+	f := tensor.SigmoidOf(fullLinear(wf, xh))
+	o := tensor.SigmoidOf(fullLinear(wo, xh))
+	g := tensor.TanhOf(fullLinear(wg, xh))
 	cNew = tensor.Add(tensor.Mul(f, c), tensor.Mul(i, g))
-	hNew = tensor.Mul(o, tensor.Apply(cNew, math.Tanh))
+	hNew = tensor.Mul(o, tensor.TanhOf(cNew))
 	return hNew, cNew
 }
 
@@ -153,7 +153,7 @@ func (m *WinGNNModel) DeltaFull(g *graph.Dynamic, st *DeltaState) *tensor.Matrix
 	norm := g.NormAdj()
 	s0 := tensor.Apply(fullConv(m.conv1, norm, x), reluVal)
 	h := fullConv(m.conv2, norm, s0)
-	out := tensor.Apply(tensor.Add(h, fullLinear(m.skip, x)), math.Tanh)
+	out := tensor.TanhOf(tensor.Add(h, fullLinear(m.skip, x)))
 	st.setStages(s0, out.Clone())
 	return out
 }
@@ -458,7 +458,7 @@ func (m *DyGrEncoderModel) DeltaFull(g *graph.Dynamic, st *DeltaState) *tensor.M
 	h := m.hState.liveMatrix(n)
 	c := m.cState.liveMatrix(n)
 	hNew, cNew := fullLSTM(m.lstm, x2, h, c)
-	emb := tensor.Apply(fullLinear(m.dec, hNew), math.Tanh)
+	emb := tensor.TanhOf(fullLinear(m.dec, hNew))
 	m.hState.setAll(hNew)
 	m.cState.setAll(cNew)
 	st.setStages(x1, x2, tensor.ConcatCols(tensor.ConcatCols(emb, hNew), cNew))

@@ -1,0 +1,50 @@
+package tensor
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// BenchmarkDenseKernels times the four dense kernels at the shapes the
+// end-to-end ledger runs them at: the taxi-infer forward ([10000×23]·[23×16],
+// dense and with 94 % of the rows zero, as its isolated nodes leave the hop
+// inputs), a training partition ([11×22]·[22×16] and its two backward
+// products) and a full-graph weight gradient. MAC/s counts every multiply-add
+// of the dense product, skipped or not, so a zero-row case reads as the
+// speed-up it is. `make bench-kernels` runs it.
+func BenchmarkDenseKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	dense := func(r, c int) *Matrix { return NewRandom(rng, r, c, 1) }
+	a, w, sum, g := dense(10000, 23), dense(23, 16), dense(10000, 16), dense(10000, 16)
+	sparse := a.Clone()
+	for r := 0; r < sparse.Rows; r++ {
+		if r%17 != 0 { // 1 row in 17 kept: 94.1 % zero
+			clear(sparse.Row(r))
+		}
+	}
+	px, pw, pg := dense(11, 22), dense(22, 16), dense(11, 16)
+	cases := []struct {
+		name string
+		macs int
+		run  func() *Matrix
+	}{
+		{"MatMul/10000x23·23x16", 10000 * 23 * 16, func() *Matrix { return MatMul(a, w) }},
+		{"MatMulAcc/10000x23·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulAcc(sum, a, w) }},
+		{"MatMul/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMul(sparse, w) }},
+		{"MatMulAcc/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMulAcc(sum, sparse, w) }},
+		{"MatMul/11x22·22x16", 11 * 22 * 16, func() *Matrix { return MatMul(px, pw) }},
+		{"MatMulTransA/11x22ᵀ·11x16", 11 * 22 * 16, func() *Matrix { return MatMulTransA(px, pg) }},
+		{"MatMulTransA/10000x23ᵀ·10000x16", 10000 * 23 * 16, func() *Matrix { return MatMulTransA(a, g) }},
+		{"MatMulTransB/11x16·(22x16)ᵀ", 11 * 22 * 16, func() *Matrix { return MatMulTransB(pg, pw) }},
+	}
+	EnablePooling(true)
+	defer EnablePooling(false)
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Recycle(c.run())
+			}
+			b.ReportMetric(float64(c.macs)*float64(b.N)/b.Elapsed().Seconds(), "MAC/s")
+		})
+	}
+}

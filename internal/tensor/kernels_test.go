@@ -125,6 +125,183 @@ func TestWriteOnceKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// The naive references of the dense kernels' contract: every output element
+// its own sum over ascending k from +0, nothing skipped, sum added last.
+func naiveMatMulAcc(sum, a, b *Matrix) *Matrix {
+	out := &Matrix{Rows: a.Rows, Cols: b.Cols, Data: make([]float64, a.Rows*b.Cols)}
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float64
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(k, j)
+			}
+			if sum != nil {
+				s = sum.At(i, j) + s
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+func naiveMatMulTransB(a, b *Matrix) *Matrix {
+	out := &Matrix{Rows: a.Rows, Cols: b.Rows, Data: make([]float64, a.Rows*b.Rows)}
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var s float64
+			for k := 0; k < a.Cols; k++ {
+				s += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+func naiveMatMulTransA(a, b *Matrix) *Matrix {
+	out := &Matrix{Rows: a.Cols, Cols: b.Cols, Data: make([]float64, a.Cols*b.Cols)}
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float64
+			for k := 0; k < a.Rows; k++ {
+				s += a.At(k, i) * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// zeroPattern plants the row shapes the kernels branch on into a: all-zero
+// rows first and last, in adjacent pairs, rows zero only in a prefix, a row
+// of negative zeros. Which ones depends on pattern.
+func zeroPattern(a *Matrix, pattern int) {
+	fill := func(r, upto int, v float64) {
+		if r >= 0 && r < a.Rows {
+			row := a.Row(r)
+			for c := 0; c < upto && c < len(row); c++ {
+				row[c] = v
+			}
+		}
+	}
+	switch pattern {
+	case 1: // first and last
+		fill(0, a.Cols, 0)
+		fill(a.Rows-1, a.Cols, 0)
+	case 2: // adjacent pairs, at both parities, and every row of a 4-block
+		for r := 1; r < a.Rows; r += 5 {
+			fill(r, a.Cols, 0)
+			fill(r+1, a.Cols, 0)
+		}
+		for r := 8; r < 12; r++ {
+			fill(r, a.Cols, 0)
+		}
+	case 3: // zero prefixes of every length, one row of -0
+		for r := 0; r < a.Rows; r++ {
+			fill(r, r%(a.Cols+1), 0)
+		}
+		fill(a.Rows/2, a.Cols, math.Copysign(0, -1))
+	}
+}
+
+// The four dense kernels are bit-identical, for finite operands, to the naive
+// triple loops above — over row counts 0, 1, 2, odd, even and tall enough to
+// shard (so worker boundaries fall anywhere, also inside a 4-row block),
+// column counts on every side of the 8- and 4-wide blocks, inner lengths that
+// leave MatMulTransA a k-tail, zero rows in every arrangement, signed zeros
+// in a, b and sum, and poisoned pool buffers.
+func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
+	EnablePooling(true)
+	defer EnablePooling(false)
+	defer SetParallelism(1)
+	rng := rand.New(rand.NewSource(15))
+	rowCounts := []int{0, 1, 2, 3, 4, 5, 7, 10, 2*parThreshold + 3, 3*parThreshold + 8}
+	colCounts := []int{0, 1, 3, 4, 5, 7, 8, 9, 12, 13, 16, 19}
+	innerCounts := []int{23, 1, 6, 0, 2*parThreshold + 5} // the last shards MatMulTransA
+	for workers := 1; workers <= 3; workers++ {
+		SetParallelism(workers)
+		for mi, m := range rowCounts {
+			for ni, n := range colCounts {
+				k := innerCounts[(mi+ni)%len(innerCounts)]
+				pattern := (mi + 2*ni + workers) % 4
+				a := NewRandom(rng, m, k, 1)
+				signedZeros(rng, a)
+				zeroPattern(a, pattern)
+				b := NewRandom(rng, k, n, 1)
+				bt := NewRandom(rng, n, k, 1)
+				g := NewRandom(rng, m, n, 1)
+				sum := NewRandom(rng, m, n, 1)
+				for _, x := range []*Matrix{b, bt, g, sum} {
+					signedZeros(rng, x)
+				}
+				check := func(kernel string, want, got *Matrix) {
+					t.Helper()
+					if !sameBits(want, got) {
+						t.Fatalf("workers=%d [%dx%d]x[%dx%d] pattern %d: %s differs from the naive loop",
+							Parallelism(), m, k, k, n, pattern, kernel)
+					}
+				}
+				dirtyPool(m*n, k*n)
+				check("MatMul", naiveMatMulAcc(nil, a, b), MatMul(a, b))
+				dirtyPool(m * n)
+				check("MatMulAcc", naiveMatMulAcc(sum, a, b), MatMulAcc(sum, a, b))
+				dirtyPool(m * n)
+				check("MatMulTransB", naiveMatMulTransB(a, bt), MatMulTransB(a, bt))
+				dirtyPool(k * n)
+				check("MatMulTransA", naiveMatMulTransA(a, g), MatMulTransA(a, g))
+				orow := make([]float64, n)
+				for i := 0; i < m; i++ {
+					for j := range orow {
+						orow[j] = math.NaN()
+					}
+					MulRow(orow, a.Row(i), b)
+					check("MulRow", naiveMatMulAcc(nil, FromSlice(1, k, a.Row(i)), b), FromSlice(1, n, orow))
+				}
+			}
+		}
+	}
+}
+
+// What the kernels do with 0·Inf is a decision, pinned here, not a promise:
+// a zero operand that is part of a skipped group (a whole zero row of a; in
+// MatMulTransA four zero entries of one column in an aligned 4-row block)
+// contributes nothing, any other zero operand is multiplied, and 0·Inf is NaN.
+// The kernels before these skipped every zero entry of a on its own. Finite
+// weights, which is all the optimizer's clipping lets through, never get here.
+func TestDenseKernelsZeroTimesInf(t *testing.T) {
+	inf, isNaN := math.Inf(1), math.IsNaN
+
+	a := FromSlice(2, 2, []float64{0, 1, 0, 0})
+	b := FromSlice(2, 1, []float64{inf, 2})
+	if got := MatMul(a, b); !isNaN(got.At(0, 0)) || got.At(1, 0) != 0 {
+		t.Fatalf("MatMul: got %v, want [NaN; 0]", got.Data)
+	}
+	if got := MatMulAcc(FromSlice(2, 1, []float64{1, 1}), a, b); !isNaN(got.At(0, 0)) || got.At(1, 0) != 1 {
+		t.Fatalf("MatMulAcc: got %v, want [NaN; 1]", got.Data)
+	}
+	if got := MatMulTransB(a, FromSlice(1, 2, []float64{inf, 2})); !isNaN(got.At(0, 0)) || got.At(1, 0) != 0 {
+		t.Fatalf("MatMulTransB: got %v, want [NaN; 0]", got.Data)
+	}
+	// Column 0 of x is zero in all of rows 0..3, a skipped group; column 1 has
+	// a nonzero among them, so its zero at row 1 meets the Inf. With the Inf
+	// moved to row 4, the k-tail, every zero of that row meets it.
+	x := FromSlice(5, 3, []float64{
+		0, 1, 0,
+		0, 0, 0,
+		0, 0, 0,
+		0, 0, 0,
+		0, 0, 1,
+	})
+	g := FromSlice(5, 1, []float64{1, inf, 1, 1, 1})
+	if got := MatMulTransA(x, g); got.At(0, 0) != 0 || !isNaN(got.At(1, 0)) || got.At(2, 0) != 1 {
+		t.Fatalf("MatMulTransA: got %v, want [0; NaN; 1]", got.Data)
+	}
+	g.Data[1], g.Data[4] = 1, inf
+	if got := MatMulTransA(x, g); !isNaN(got.At(0, 0)) || !isNaN(got.At(1, 0)) || got.At(2, 0) != inf {
+		t.Fatalf("MatMulTransA k-tail: got %v, want [NaN; NaN; +Inf]", got.Data)
+	}
+}
+
 // emptyEveryFifthRow returns c with rows 0, 5, 10, ... emptied.
 func emptyEveryFifthRow(c *CSR) *CSR {
 	entries := make([][]CSREntry, c.NRows)

@@ -154,8 +154,24 @@ func shapeCheck(op string, a, b *Matrix) {
 	}
 }
 
+// The dense kernels — MatMul/MatMulAcc, MatMulTransB, MatMulTransA — share
+// one contract: every output element is its own accumulator, summed over
+// ascending k from +0, and MatMulAcc's sum element is added last. How a loop
+// is blocked (eight output columns, four dot products, four k-rows per pass),
+// how rows are sharded over workers, and whether a row comes from the matrix
+// kernel or from MulRow alone never changes an element's sequence of
+// roundings, so all of them are bit-identical for finite operands.
+//
+// No kernel tests single operands for zero. A term a·b with a = ±0 and b
+// finite is ±0, and an accumulator that starts at +0 is never −0 (x + y
+// rounds to −0 only when both are −0), so adding the term changes nothing:
+// it may be added (the inner loops stay branch-free) or left out (a whole
+// zero row of a, or four zero k-entries at once, is skipped). With a
+// non-finite b a skipped 0·Inf stays 0 and an added one is NaN; which of the
+// two happens is pinned by TestDenseKernelsZeroTimesInf, not promised.
+
 // MatMul returns a·b. Every output element is written once, by the one worker
-// that owns its row, so the output needs no zeroing pass (see mulRow).
+// that owns its row, so the output needs no zeroing pass.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -191,53 +207,84 @@ func matMulAcc(sum, a, b *Matrix) *Matrix {
 	return out
 }
 
+// matMulAccRange computes output rows [lo, hi). A row of a that is entirely
+// zero — in a hop input P^k·[x|h], every node without a live edge — has the
+// product +0 and never enters MulRow; the scan that finds it ends at a dense
+// row's first nonzero entry. sum's row is added to the stored product, zero
+// or not: −0 + 0 is +0, so a zero product is not a copy of sum.
 func matMulAccRange(sum, a, b, out *Matrix, lo, hi int) {
-	var srow []float64
 	for i := lo; i < hi; i++ {
-		if sum != nil {
-			srow = sum.Row(i)
+		orow := out.Row(i)
+		if arow := a.Row(i); allZero(arow) {
+			clear(orow)
+		} else {
+			MulRow(orow, arow, b)
 		}
-		mulRow(out.Row(i), srow, a.Row(i), b)
+		if sum != nil {
+			for j, sv := range sum.Row(i) {
+				orow[j] = sv + orow[j]
+			}
+		}
 	}
 }
 
-// mulRow writes arow·b into orow — plus srow, added last, when srow is
-// non-nil. Every output element is its own sum from zero over ascending k,
-// zero entries of arow skipped: THE summation order of MatMul and MatMulAcc,
-// which the delta path's row kernels replicate to stay bit-identical. Four
-// output columns at a time are accumulated in registers, so each element is
-// stored exactly once and orow needs no zeroing.
-func mulRow(orow, srow, arow []float64, b *Matrix) {
-	n := b.Cols
+func allZero(row []float64) bool {
+	for _, v := range row {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// MulRow writes arow·b into orow: one row of MatMul in the kernels' summation
+// order, for the matrix kernel and for the delta path's per-row forward alike.
+// Eight output columns at a time are accumulated in registers — eight
+// independent add chains sharing each load of arow — so each element is
+// stored exactly once and orow needs no zeroing; b is walked by a running
+// offset, not an index product. The last b.Cols%8 columns go four at a time,
+// then one.
+func MulRow(orow, arow []float64, b *Matrix) {
+	n, bd := b.Cols, b.Data
 	j := 0
+	for ; j+8 <= n; j += 8 {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		off := j
+		for _, av := range arow {
+			bk := bd[off : off+8 : off+8]
+			off += n
+			s0 += av * bk[0]
+			s1 += av * bk[1]
+			s2 += av * bk[2]
+			s3 += av * bk[3]
+			s4 += av * bk[4]
+			s5 += av * bk[5]
+			s6 += av * bk[6]
+			s7 += av * bk[7]
+		}
+		o := orow[j : j+8 : j+8]
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
 	for ; j+4 <= n; j += 4 {
 		var s0, s1, s2, s3 float64
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			bk := b.Data[k*n+j : k*n+j+4 : k*n+j+4]
+		off := j
+		for _, av := range arow {
+			bk := bd[off : off+4 : off+4]
+			off += n
 			s0 += av * bk[0]
 			s1 += av * bk[1]
 			s2 += av * bk[2]
 			s3 += av * bk[3]
 		}
 		o := orow[j : j+4 : j+4]
-		if srow != nil {
-			sr := srow[j : j+4 : j+4]
-			s0, s1, s2, s3 = sr[0]+s0, sr[1]+s1, sr[2]+s2, sr[3]+s3
-		}
 		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
 	}
 	for ; j < n; j++ {
 		var s float64
-		for k, av := range arow {
-			if av != 0 {
-				s += av * b.Data[k*n+j]
-			}
-		}
-		if srow != nil {
-			s = srow[j] + s
+		off := j
+		for _, av := range arow {
+			s += av * bd[off]
+			off += n
 		}
 		orow[j] = s
 	}
@@ -260,11 +307,36 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 	return out
 }
 
+// matMulTransBRange computes output rows [lo, hi), four columns at a time:
+// four independent dot products of one a row with four b rows, where a single
+// dot product is one add chain waiting on itself. In dX = dC·Wᵀ a zero row of
+// a is a node the loss does not reach; its output row is +0, written as such.
 func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
+	n := a.Cols
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
+		if allZero(arow) {
+			clear(orow)
+			continue
+		}
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			b0 := b.Data[j*n : (j+1)*n : (j+1)*n]
+			b1 := b.Data[(j+1)*n : (j+2)*n : (j+2)*n]
+			b2 := b.Data[(j+2)*n : (j+3)*n : (j+3)*n]
+			b3 := b.Data[(j+3)*n : (j+4)*n : (j+4)*n]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			o := orow[j : j+4 : j+4]
+			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+		}
+		for ; j < b.Rows; j++ {
 			brow := b.Row(j)
 			var s float64
 			for k, av := range arow {
@@ -279,47 +351,62 @@ func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
 // (columns of a) rather than the shared k dimension: each worker owns its
 // output rows outright and accumulates them in the same ascending-k order
 // as the serial path, keeping results bit-identical for every worker count
-// (a k-sharded reduction would reorder the floating-point sums). Narrow
-// outputs — the hidden-dim gradients dominating training — stay on the
-// serial k-outer path, which streams a and b once.
+// (a k-sharded reduction would reorder the floating-point sums).
 func MatMulTransA(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Cols, b.Cols)
 	if Parallelism() <= 1 || a.Cols < 2*parThreshold {
-		for k := 0; k < a.Rows; k++ {
-			arow := a.Row(k)
-			brow := b.Row(k)
-			for i, av := range arow {
-				if av == 0 {
-					continue
-				}
-				orow := out.Row(i)
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
+		matMulTransARange(a, b, out, 0, a.Cols)
 		return out
 	}
-	parRange(a.Cols, func(lo, hi int) {
-		for k := 0; k < a.Rows; k++ {
-			arow := a.Row(k)
-			brow := b.Row(k)
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				orow := out.Row(i)
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+	parRange(a.Cols, func(lo, hi int) { matMulTransARange(a, b, out, lo, hi) })
+	return out
+}
+
+// matMulTransARange accumulates output rows [lo, hi) of the zeroed out,
+// streaming a and b once. Four k-rows are consumed per pass, added in
+// ascending order — o = (((o + a0·b0) + a1·b1) + a2·b2) + a3·b3 — so each
+// output element is loaded and stored once per four multiply-adds instead of
+// once per one; the last a.Rows%4 rows go one at a time. Four zero entries of
+// a in a column (an isolated node's rows, a feature nobody has) skip the pass.
+// The rows of b and out are sliced by hand, all to length n, where Row() would
+// read shorter: it is what lets the compiler drop the inner loop's bounds
+// checks (the large shape of BenchmarkDenseKernels runs 1.2× slower without).
+func matMulTransARange(a, b, out *Matrix, lo, hi int) {
+	n := b.Cols
+	k := 0
+	for ; k+4 <= a.Rows; k += 4 {
+		a0, a1, a2, a3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
+		b0 := b.Data[k*n : (k+1)*n : (k+1)*n]
+		b1 := b.Data[(k+1)*n : (k+2)*n : (k+2)*n]
+		b2 := b.Data[(k+2)*n : (k+3)*n : (k+3)*n]
+		b3 := b.Data[(k+3)*n : (k+4)*n : (k+4)*n]
+		for i := lo; i < hi; i++ {
+			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
+			// All four ±0, as one branch: four float compares mispredict on
+			// operands whose zeros have no pattern.
+			if (math.Float64bits(v0)|math.Float64bits(v1)|math.Float64bits(v2)|math.Float64bits(v3))<<1 == 0 {
+				continue
+			}
+			orow := out.Data[i*n : (i+1)*n : (i+1)*n]
+			for j, o := range orow {
+				orow[j] = (((o + v0*b0[j]) + v1*b1[j]) + v2*b2[j]) + v3*b3[j]
 			}
 		}
-	})
-	return out
+	}
+	for ; k < a.Rows; k++ {
+		arow := a.Row(k)
+		brow := b.Row(k)
+		for i := lo; i < hi; i++ {
+			av := arow[i]
+			orow := out.Data[i*n : (i+1)*n : (i+1)*n]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
 }
 
 // Transpose returns mᵀ.
@@ -498,6 +585,25 @@ func SliceCols(m *Matrix, from, to int) *Matrix {
 
 // Sigmoid is the logistic function.
 func Sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+
+// SigmoidOf returns Sigmoid applied elementwise to m: Apply(m, Sigmoid)
+// without the indirect call per element.
+func SigmoidOf(m *Matrix) *Matrix {
+	out := newUninit(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = Sigmoid(v)
+	}
+	return out
+}
+
+// TanhOf returns math.Tanh applied elementwise to m, likewise.
+func TanhOf(m *Matrix) *Matrix {
+	out := newUninit(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = math.Tanh(v)
+	}
+	return out
+}
 
 // ClipInPlace clamps every element of m to [-c, c].
 func ClipInPlace(m *Matrix, c float64) {
