@@ -17,7 +17,6 @@ package streamgnn_test
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"streamgnn"
@@ -196,64 +195,6 @@ func BenchmarkAblationReplay(b *testing.B) {
 				cfg.Core.ReplaySize = replay
 			})
 		})
-	}
-}
-
-// --- hot-path microbenchmarks (partition cache, parallel pair evaluation) ---
-
-// BenchmarkPartitionCache times one partition extraction on a replayed
-// Bitcoin snapshot: cold rebuilds the 2-hop ball from scratch every time,
-// warm serves it from the version-keyed LRU cache.
-func BenchmarkPartitionCache(b *testing.B) {
-	for _, mode := range []string{"cold", "warm"} {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			capacity := 0
-			if mode == "warm" {
-				capacity = 4096
-			}
-			cell, err := bench.NewHotPathCell("Bitcoin", "TGCN", core.DefaultConfig(), capacity, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := cell.G.N()
-			for v := 0; v < n; v++ { // populate (no-op when cold)
-				cell.G.Partition(v, 2)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cell.G.Partition(i%n, 2)
-			}
-			if mode == "warm" {
-				b.ReportMetric(cell.G.PartitionCacheStats().HitRate(), "hit-rate")
-			}
-		})
-	}
-}
-
-// BenchmarkParallelPairs times one adaptive training step (warm cache) with
-// serial vs. worker-pool pair evaluation across PairsPerStep in {1, 3, 7}.
-func BenchmarkParallelPairs(b *testing.B) {
-	for _, pairs := range []int{1, 3, 7} {
-		for _, workers := range []int{1, runtime.NumCPU()} {
-			pairs, workers := pairs, workers
-			b.Run(fmt.Sprintf("pairs=%d/workers=%d", pairs, workers), func(b *testing.B) {
-				cfg := core.DefaultConfig()
-				cfg.PairsPerStep = pairs
-				cfg.Workers = workers
-				cell, err := bench.NewHotPathCell("Bitcoin", "TGCN", cfg, cfg.PartitionCacheCap, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < 3; i++ { // warm the cache and the pools
-					cell.Step()
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cell.Step()
-				}
-			})
-		}
 	}
 }
 

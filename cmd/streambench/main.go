@@ -3,18 +3,16 @@
 //	streambench -table 1 [-runs 10]   # Table I  (event monitoring)
 //	streambench -table 2 [-runs 10]   # Table II (link prediction)
 //	streambench -table 3 [-runs 10]   # Table III (parameter study)
-//	streambench -hotpath              # partition cache + parallel pairs
-//	streambench -qps                  # batched query serving under load
-//	streambench -delta                # splice vs. DeltaForward on a hub-heavy stream
-//	streambench -sched                # serial apply vs. conflict-group schedule
+//	streambench -scaling              # full vs KDE cost as the Taxi stream grows
 //
-// Use -steps and -scale to trade fidelity for speed.
+// Use -steps and -scale to trade fidelity for speed. Per-mechanism and
+// serving numbers come from the end-to-end ledger (benchmarks/run.sh).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -23,26 +21,24 @@ import (
 )
 
 func main() {
-	table := flag.Int("table", 1, "which table to reproduce (1, 2 or 3), or 0 with -scaling")
-	scaling := flag.Bool("scaling", false, "run the scaling study instead of a table")
-	hotpath := flag.Bool("hotpath", false, "benchmark the adaptive hot path (cache + workers) instead of a table")
-	jsonOut := flag.String("json", "", "with -hotpath/-qps: also write the report as JSON to this file (e.g. BENCH_hotpath.json)")
-	qps := flag.Bool("qps", false, "drive a query load against a live stream: rated-load QPS + latency percentiles through the micro-batching admission queue, ingestion-stall evidence, and a batched-vs-per-query saturation A/B")
-	qpsRate := flag.Float64("qps-rate", 2000, "with -qps: target query rate for the rated-load phase")
-	qpsBatch := flag.Int("qps-batch", 64, "with -qps: B, the micro-batch flush size (and the batched saturation call size)")
-	qpsClients := flag.Int("qps-clients", 4, "with -qps: concurrent closed-loop clients in the saturation phases")
-	qpsSeconds := flag.Float64("qps-seconds", 2, "with -qps: duration of each load phase")
-	qpsFloor := flag.Float64("qps-floor", 0, "with -qps: exit non-zero unless the batched saturation phase sustains at least this many qps (CI gate)")
-	delta := flag.Bool("delta", false, "benchmark region-splice vs. event-driven delta forward on a hub-heavy stream where the splice ladder falls back to full")
-	deltaFloor := flag.Float64("delta-floor", 0, "with -delta: exit non-zero unless DeltaForward beats the splice engine by at least this factor (CI gate; e.g. 2)")
-	sched := flag.Bool("sched", false, "benchmark the serial apply phase vs. the conflict-group schedule (Config.DependencySchedule) on sparse, hub and churn streams")
-	schedFloor := flag.Float64("sched-floor", 0, "with -sched: exit non-zero unless the scheduler beats serial apply on the sparse stream by at least this factor (CI gate; e.g. 1.3)")
-	runs := flag.Int("runs", 10, "repetitions per cell (the paper uses 10)")
-	steps := flag.Int("steps", 40, "stream steps per run")
-	scale := flag.Float64("scale", 1, "workload scale factor")
-	kernelWorkers := flag.Int("kernel-workers", 0, "tensor-kernel parallelism (0 = serial, negative = NumCPU)")
-	shards := flag.Int("shards", 4, "with -hotpath: shard count for the sharded-forward A/B (Config.Shards; <2 skips it)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "streambench:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the selected table or study to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("streambench", flag.ContinueOnError)
+	table := fs.Int("table", 1, "which table to reproduce (1, 2 or 3)")
+	scaling := fs.Bool("scaling", false, "run the scaling study instead of a table")
+	runs := fs.Int("runs", 10, "repetitions per cell (the paper uses 10)")
+	steps := fs.Int("steps", 40, "stream steps per run")
+	scale := fs.Float64("scale", 1, "workload scale factor")
+	kernelWorkers := fs.Int("kernel-workers", 0, "tensor-kernel parallelism (0 = leave the process-wide setting untouched, serial by default; negative = NumCPU)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *kernelWorkers < 0 {
 		tensor.SetParallelism(runtime.NumCPU())
@@ -50,182 +46,38 @@ func main() {
 		tensor.SetParallelism(*kernelWorkers)
 	}
 
-	var err error
-	if *sched {
-		fmt.Printf("DEPENDENCY SCHEDULE: serial apply vs. conflict-group scheduling (%d timed steps/leg)\n\n", *steps)
-		ab, serr := bench.RunScheduleAB(*steps, 1)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "streambench:", serr)
-			os.Exit(1)
-		}
-		fmt.Print(ab.String())
-		if *jsonOut != "" {
-			data, jerr := json.MarshalIndent(ab, "", "  ")
-			if jerr == nil {
-				jerr = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
-			}
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "streambench:", jerr)
-				os.Exit(1)
-			}
-			fmt.Printf("\nJSON report written to %s\n", *jsonOut)
-		}
-		sparse := ab.Leg("sparse")
-		if sparse == nil || sparse.SchedSteps == 0 {
-			fmt.Fprintln(os.Stderr, "streambench: the scheduler never ran — the A/B proved nothing")
-			os.Exit(1)
-		}
-		if sparse.GroupsPerStep <= 1 {
-			fmt.Fprintln(os.Stderr, "streambench: the sparse stream never formed concurrent groups — the A/B proved nothing")
-			os.Exit(1)
-		}
-		if *schedFloor > 0 && sparse.Speedup < *schedFloor {
-			fmt.Fprintf(os.Stderr, "streambench: sparse scheduler speedup %.2fx is below the floor of %.2fx\n", sparse.Speedup, *schedFloor)
-			os.Exit(1)
-		}
-		return
-	}
-	if *delta {
-		fmt.Printf("DELTA FORWARD: splice vs. event-driven delta on a hub-heavy stream (%d timed steps)\n\n", *steps)
-		ab, derr := bench.RunDeltaAB("WinGNN", *steps)
-		if derr != nil {
-			fmt.Fprintln(os.Stderr, "streambench:", derr)
-			os.Exit(1)
-		}
-		fmt.Print(ab.String())
-		if *jsonOut != "" {
-			data, jerr := json.MarshalIndent(ab, "", "  ")
-			if jerr == nil {
-				jerr = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
-			}
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "streambench:", jerr)
-				os.Exit(1)
-			}
-			fmt.Printf("\nJSON report written to %s\n", *jsonOut)
-		}
-		if ab.DeltaForwards == 0 {
-			fmt.Fprintln(os.Stderr, "streambench: the delta path never ran — the A/B proved nothing")
-			os.Exit(1)
-		}
-		if *deltaFloor > 0 && ab.Speedup < *deltaFloor {
-			fmt.Fprintf(os.Stderr, "streambench: delta speedup %.2fx is below the floor of %.2fx\n", ab.Speedup, *deltaFloor)
-			os.Exit(1)
-		}
-		return
-	}
-	if *qps {
-		fmt.Printf("QPS LOAD: batched predictive-query serving against a live stream (%.0fs phases)\n\n", *qpsSeconds)
-		rep, qerr := bench.RunQPS("TGCN", *qpsSeconds, *qpsRate, *qpsBatch, *qpsClients)
-		if qerr != nil {
-			fmt.Fprintln(os.Stderr, "streambench:", qerr)
-			os.Exit(1)
-		}
-		fmt.Print(rep.String())
-		if *jsonOut != "" {
-			data, jerr := json.MarshalIndent(rep, "", "  ")
-			if jerr == nil {
-				jerr = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
-			}
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "streambench:", jerr)
-				os.Exit(1)
-			}
-			fmt.Printf("\nJSON report written to %s\n", *jsonOut)
-		}
-		if !rep.BatchedEqualsSerial {
-			fmt.Fprintln(os.Stderr, "streambench: batched answers differ from serial answers")
-			os.Exit(1)
-		}
-		if *qpsFloor > 0 && rep.BatchedQPS < *qpsFloor {
-			fmt.Fprintf(os.Stderr, "streambench: batched saturation %.0f qps is below the floor of %.0f qps\n", rep.BatchedQPS, *qpsFloor)
-			os.Exit(1)
-		}
-		return
-	}
-	if *hotpath {
-		fmt.Printf("HOT PATH: partition cache, parallel pairs and incremental forward (%d timed steps)\n\n", *steps)
-		rep, herr := bench.RunHotPath("Bitcoin", "TGCN", *steps, 1)
-		if herr != nil {
-			fmt.Fprintln(os.Stderr, "streambench:", herr)
-			os.Exit(1)
-		}
-		ab, aerr := bench.RunForwardAB("TGCN", *steps)
-		if aerr != nil {
-			fmt.Fprintln(os.Stderr, "streambench:", aerr)
-			os.Exit(1)
-		}
-		rep.Forward = &ab
-		if *shards > 1 {
-			sab, serr := bench.RunShardedAB("TGCN", *steps, *shards)
-			if serr != nil {
-				fmt.Fprintln(os.Stderr, "streambench:", serr)
-				os.Exit(1)
-			}
-			rep.Sharded = &sab
-		}
-		dab, derr := bench.RunDeltaAB("WinGNN", *steps)
-		if derr != nil {
-			fmt.Fprintln(os.Stderr, "streambench:", derr)
-			os.Exit(1)
-		}
-		rep.Delta = &dab
-		scab, scerr := bench.RunScheduleAB(*steps, 1)
-		if scerr != nil {
-			fmt.Fprintln(os.Stderr, "streambench:", scerr)
-			os.Exit(1)
-		}
-		rep.Sched = &scab
-		fmt.Print(rep.String())
-		if *jsonOut != "" {
-			data, jerr := json.MarshalIndent(rep, "", "  ")
-			if jerr == nil {
-				jerr = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
-			}
-			if jerr != nil {
-				fmt.Fprintln(os.Stderr, "streambench:", jerr)
-				os.Exit(1)
-			}
-			fmt.Printf("\nJSON report written to %s\n", *jsonOut)
-		}
-		return
-	}
 	if *scaling {
-		fmt.Printf("SCALING STUDY: full vs KDE training cost as the Taxi stream grows (%d steps)\n\n", *steps)
-		pts, serr := bench.RunScaling([]float64{0.5, 1, 2, 4}, *steps, 1)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "streambench:", serr)
-			os.Exit(1)
+		fmt.Fprintf(w, "SCALING STUDY: full vs KDE training cost as the Taxi stream grows (%d steps)\n\n", *steps)
+		pts, err := bench.RunScaling([]float64{0.5, 1, 2, 4}, *steps, 1)
+		if err != nil {
+			return err
 		}
-		bench.WriteScaling(os.Stdout, pts)
-		return
+		bench.WriteScaling(w, pts)
+		return nil
 	}
 	switch *table {
 	case 1:
-		fmt.Printf("TABLE I: event monitoring workloads (%d runs/cell, %d steps)\n\n", *runs, *steps)
-		err = runTable(bench.TableICells(), *runs, *steps, *scale, false)
+		fmt.Fprintf(w, "TABLE I: event monitoring workloads (%d runs/cell, %d steps)\n\n", *runs, *steps)
+		return runTable(w, bench.TableICells(), *runs, *steps, *scale, false)
 	case 2:
-		fmt.Printf("TABLE II: link prediction workloads (%d runs/cell, %d steps)\n\n", *runs, *steps)
-		err = runTable(bench.TableIICells(), *runs, *steps, *scale, true)
+		fmt.Fprintf(w, "TABLE II: link prediction workloads (%d runs/cell, %d steps)\n\n", *runs, *steps)
+		return runTable(w, bench.TableIICells(), *runs, *steps, *scale, true)
 	case 3:
-		fmt.Printf("TABLE III: parameter study (%d runs/cell, %d steps, KDE method)\n\n", *runs, *steps)
+		fmt.Fprintf(w, "TABLE III: parameter study (%d runs/cell, %d steps, KDE method)\n\n", *runs, *steps)
 		for _, spec := range bench.TableIIISweeps() {
-			if err = runSweep(spec, *runs, *steps, *scale); err != nil {
-				break
+			if err := runSweep(w, spec, *runs, *steps, *scale); err != nil {
+				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
+		return nil
 	default:
-		err = fmt.Errorf("unknown table %d", *table)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "streambench:", err)
-		os.Exit(1)
+		return fmt.Errorf("unknown table %d", *table)
 	}
 }
 
-func runTable(cells [][2]string, runs, steps int, scale float64, linkPred bool) error {
-	header(linkPred)
+func runTable(w io.Writer, cells [][2]string, runs, steps int, scale float64, linkPred bool) error {
+	header(w, linkPred)
 	for _, cell := range cells {
 		for _, strat := range bench.Strategies() {
 			cfg := bench.EqualizedCell(cell[0], cell[1], strat)
@@ -235,15 +87,15 @@ func runTable(cells [][2]string, runs, steps int, scale float64, linkPred bool) 
 			if err != nil {
 				return err
 			}
-			printRow(cell[0], cell[1], strat.String(), agg, linkPred)
+			printRow(w, cell[0], cell[1], strat.String(), agg, linkPred)
 		}
 	}
 	return nil
 }
 
-func runSweep(spec bench.SweepSpec, runs, steps int, scale float64) error {
-	fmt.Printf("-- sweep %s on %s (%s) --\n", spec.Label, spec.Dataset, spec.Model)
-	header(false)
+func runSweep(w io.Writer, spec bench.SweepSpec, runs, steps int, scale float64) error {
+	fmt.Fprintf(w, "-- sweep %s on %s (%s) --\n", spec.Label, spec.Dataset, spec.Model)
+	header(w, false)
 	for _, v := range spec.Values {
 		cfg := bench.EqualizedCell(spec.Dataset, spec.Model, bench.Strategies()[2])
 		cfg.Gen.Steps = steps
@@ -253,26 +105,26 @@ func runSweep(spec bench.SweepSpec, runs, steps int, scale float64) error {
 		if err != nil {
 			return err
 		}
-		printRow(spec.Dataset, spec.Model, fmt.Sprintf("%s=%g", spec.Label, v), agg, false)
+		printRow(w, spec.Dataset, spec.Model, fmt.Sprintf("%s=%g", spec.Label, v), agg, false)
 	}
 	return nil
 }
 
-func header(linkPred bool) {
+func header(w io.Writer, linkPred bool) {
 	q := "Error"
 	if linkPred {
 		q = "Accuracy"
 	}
-	fmt.Printf("%-14s %-12s %-14s %16s %10s %16s %16s %16s\n",
+	fmt.Fprintf(w, "%-14s %-12s %-14s %16s %10s %16s %16s %16s\n",
 		"Dataset", "Model", "Method", "TrainTime(s)", "Memory", q, "AUC", "MRR")
 }
 
-func printRow(dataset, model, method string, agg bench.AggResult, linkPred bool) {
+func printRow(w io.Writer, dataset, model, method string, agg bench.AggResult, linkPred bool) {
 	quality := agg.Error
 	if linkPred {
 		quality = agg.Accuracy
 	}
-	fmt.Printf("%-14s %-12s %-14s %16s %10s %16s %16s %16s\n",
+	fmt.Fprintf(w, "%-14s %-12s %-14s %16s %10s %16s %16s %16s\n",
 		dataset, model, method,
 		fmt.Sprintf("%.3f±%.3f", agg.Time.Mean(), agg.Time.Std()),
 		bench.FormatBytes(agg.PeakBytes),

@@ -233,58 +233,3 @@ func TestRunScaling(t *testing.T) {
 		t.Fatal("WriteScaling output missing header")
 	}
 }
-
-func TestRunForwardAB(t *testing.T) {
-	ab, err := RunForwardAB("TGCN", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ab.FullStepsPerSec <= 0 || ab.IncStepsPerSec <= 0 {
-		t.Fatalf("degenerate throughput: %+v", ab)
-	}
-	if ab.IncIncForwards == 0 {
-		t.Fatal("incremental engine never took the incremental path")
-	}
-	// The acceptance bar (>= 2x on a sparse-update stream) is checked by the
-	// CI bench job; here only assert the direction so ambient load cannot
-	// flake the unit suite.
-	if ab.Speedup <= 1 {
-		t.Fatalf("incremental slower than full: %+v", ab)
-	}
-	if !strings.Contains(ab.String(), "incremental") {
-		t.Fatal("ForwardAB String missing mode label")
-	}
-}
-
-func TestRunScheduleAB(t *testing.T) {
-	ab, err := RunScheduleAB(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ab.Legs) != 3 {
-		t.Fatalf("legs = %d, want sparse/hub/churn", len(ab.Legs))
-	}
-	for _, l := range ab.Legs {
-		if l.BaselinePerSec <= 0 || l.ScheduledPerSec <= 0 {
-			t.Fatalf("%s: degenerate throughput: %+v", l.Name, l)
-		}
-		if l.SchedSteps == 0 {
-			t.Fatalf("%s: scheduler never ran", l.Name)
-		}
-	}
-	// The structural evidence is load-independent: the sparse stream must
-	// actually form concurrent groups, the hub stream must collapse every
-	// step. (The >= 1.3x sparse speedup floor is a CI bench-job gate — on a
-	// loaded or single-core machine raw speedups would flake the unit suite.)
-	sparse := ab.Leg("sparse")
-	if sparse.GroupsPerStep <= 1 {
-		t.Fatalf("sparse stream never grouped: %+v", *sparse)
-	}
-	hub := ab.Leg("hub")
-	if hub.GroupsPerStep != 1 || hub.CollapsedSteps != hub.SchedSteps {
-		t.Fatalf("hub stream did not collapse to serial: %+v", *hub)
-	}
-	if !strings.Contains(ab.String(), "collapsed") {
-		t.Fatal("SchedAB String missing evidence columns")
-	}
-}

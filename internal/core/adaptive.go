@@ -269,36 +269,25 @@ func (a *AdaptiveLearner) Step(updated []int) {
 		wg.Wait()
 		atomic.AddInt64(&a.ParallelUnits, int64(len(units)))
 	}
-	// Phase 3: serial, fixed-order application and chip accounting. By
-	// default the units' gradients accumulate into the shared parameters and
-	// a single optimizer step applies their sum; PerUnitApply restores the
-	// original one-optimizer-step-per-partition schedule. Under the
-	// dependency schedule gradients were already computed into per-unit
-	// sinks; here they are merged into the parameters strictly in unit-index
-	// order, so the optimizer input never depends on grouping or timing.
+	// Phase 3: serial, fixed-order application and chip accounting. The
+	// units' gradients accumulate into the shared parameters and a single
+	// optimizer step applies their sum. Under the dependency schedule
+	// gradients were already computed into per-unit sinks; here they are
+	// merged into the parameters strictly in unit-index order, so the
+	// optimizer input never depends on grouping or timing.
 	accumulated := false
 	if a.cfg.DependencySchedule {
 		params := a.Trainer.Opt.Params()
 		for i := range units {
-			if !units[i].OK {
-				continue
-			}
-			a.sinks[i].MergeInto(params)
-			if a.cfg.PerUnitApply {
-				a.Trainer.Opt.Step()
-			} else {
+			if units[i].OK {
+				a.sinks[i].MergeInto(params)
 				accumulated = true
 			}
 		}
 	}
 	for pair := 0; pair < a.cfg.PairsPerStep; pair++ {
 		u1, u2 := units[2*pair], units[2*pair+1]
-		if a.cfg.DependencySchedule {
-			// Gradients already merged above.
-		} else if a.cfg.PerUnitApply {
-			a.Trainer.ApplyUnit(u1)
-			a.Trainer.ApplyUnit(u2)
-		} else {
+		if !a.cfg.DependencySchedule { // else already merged above
 			accumulated = a.Trainer.AccumulateUnit(u1) || accumulated
 			accumulated = a.Trainer.AccumulateUnit(u2) || accumulated
 		}

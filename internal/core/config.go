@@ -104,13 +104,6 @@ type Config struct {
 	// LRU partition cache attached to the graph by the scheduler; 0 disables
 	// caching. Default 256.
 	PartitionCacheCap int
-	// PerUnitApply steps the optimizer once per training partition (the
-	// original per-unit schedule) instead of accumulating the step's
-	// gradients and applying them in one optimizer step. Accumulation (the
-	// default) runs clipping, Adam moment updates and gradient zeroing once
-	// per step instead of once per partition; both schedules apply gradients
-	// serially in unit-index order and are bit-deterministic.
-	PerUnitApply bool
 	// DependencySchedule parallelizes backprop and gradient accumulation
 	// across conflict groups of the step's training units (NeutronStream-style
 	// dependency-aware scheduling). After sampling, units whose L-hop

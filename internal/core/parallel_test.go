@@ -97,23 +97,16 @@ func compareFingerprints(t *testing.T, label string, key int,
 
 // TestStepDeterministicAcrossWorkersDependencySchedule extends the headline
 // guarantee to the conflict-group scheduler: with DependencySchedule on,
-// seeded runs are bit-identical across Workers ∈ {1,2,4,8}, for both the
-// batched (single optimizer step) and PerUnitApply schedules. The grouping,
+// seeded runs are bit-identical across Workers ∈ {1,2,4,8}. The grouping,
 // the unit-index merge order, and the chip-move rng stream are all
 // worker-count independent, so everything observable must match the
 // single-worker run bit for bit.
 func TestStepDeterministicAcrossWorkersDependencySchedule(t *testing.T) {
-	for _, perUnit := range []bool{false, true} {
-		mutate := func(cfg *Config) {
-			cfg.DependencySchedule = true
-			cfg.PerUnitApply = perUnit
-		}
-		c1, t1, m1, p1 := adaptiveFingerprint(t, 1, 3, mutate)
-		for _, workers := range []int{2, 4, 8} {
-			cw, tw, mw, pw := adaptiveFingerprint(t, workers, 3, mutate)
-			t.Logf("perUnit=%v workers=%d", perUnit, workers)
-			compareFingerprints(t, "workers", workers, c1, t1, m1, p1, cw, tw, mw, pw)
-		}
+	schedOn := func(cfg *Config) { cfg.DependencySchedule = true }
+	c1, t1, m1, p1 := adaptiveFingerprint(t, 1, 3, schedOn)
+	for _, workers := range []int{2, 4, 8} {
+		cw, tw, mw, pw := adaptiveFingerprint(t, workers, 3, schedOn)
+		compareFingerprints(t, "workers", workers, c1, t1, m1, p1, cw, tw, mw, pw)
 	}
 }
 
@@ -121,11 +114,9 @@ func TestStepDeterministicAcrossWorkersDependencySchedule(t *testing.T) {
 // trajectory is a pure function of the seed: two identical runs (same
 // workers) match bit for bit, and the schedule trains exactly as many
 // partitions as the serial path. Scheduled runs are NOT expected to equal
-// unscheduled ones bitwise: the tape's backward rules read live parameter
-// values, so the serial schedule computes unit k's gradient after unit k-1's
-// update while the concurrent schedule evaluates every gradient against the
-// same snapshot θ_t (see DESIGN.md §15) — a deterministic, not a bitwise,
-// equivalence.
+// unscheduled ones bitwise: the sum association differs (interleaved += into
+// the shared gradients vs. per-unit sinks merged in order, see DESIGN.md §15)
+// — a deterministic, not a bitwise, equivalence.
 func TestDependencyScheduleSelfConsistent(t *testing.T) {
 	schedOn := func(cfg *Config) { cfg.DependencySchedule = true }
 	c1, t1, m1, p1 := adaptiveFingerprint(t, 4, 3, schedOn)

@@ -92,8 +92,9 @@ func NewTrainer(g *graph.Dynamic, m dgnn.Model, w *query.Workload, opt autodiff.
 // before backpropagation — Section IV-A) already measured. Units are the
 // unit of parallelism: evaluation is read-only with respect to model
 // parameters, recurrent state, and optimizer state, so many units can be
-// built concurrently against the same parameter snapshot; ApplyUnit then
-// backpropagates them serially in a fixed order.
+// built concurrently against the same parameter snapshot; AccumulateUnit (or
+// GradUnitTo, into private sinks) then backpropagates them and one
+// optimizer step applies the step's summed gradient.
 type Unit struct {
 	Node    int
 	Utility float64
@@ -128,19 +129,6 @@ func (t *Trainer) evalUnit(v int, rng *rand.Rand) Unit {
 	return Unit{Node: v, Utility: loss.Value.Data[0], OK: true, tape: tp, loss: loss}
 }
 
-// ApplyUnit backpropagates an evaluated unit and applies the optimizer step,
-// then recycles the unit's tape. Must be called serially (optimizer state is
-// not synchronized); call in a deterministic order to keep seeded runs
-// reproducible. No-op for units without training material.
-func (t *Trainer) ApplyUnit(u Unit) {
-	if !u.OK {
-		return
-	}
-	u.tape.Backward(u.loss)
-	t.Opt.Step()
-	putTape(u.tape)
-}
-
 // AccumulateUnit backpropagates an evaluated unit into the shared parameter
 // gradients without stepping the optimizer, then recycles the unit's tape.
 // Must be called serially in a deterministic order; follow a batch of
@@ -157,7 +145,7 @@ func (t *Trainer) AccumulateUnit(u Unit) bool {
 
 // GradUnitTo backpropagates an evaluated unit into sink's private gradient
 // buffers instead of the shared parameter gradients, then recycles the unit's
-// tape. Unlike ApplyUnit/AccumulateUnit it touches no shared model or
+// tape. Unlike AccumulateUnit it touches no shared model or
 // optimizer state, so units may run concurrently as long as each goroutine
 // uses its own sinks (the tape and tensor pools are concurrency-safe).
 // Merge the sinks serially in a fixed order (GradSink.MergeInto) and step the
@@ -186,7 +174,8 @@ func (t *Trainer) TrainPartition(v int) (utility float64, trained bool) {
 	if !u.OK {
 		return 0, false
 	}
-	t.ApplyUnit(u)
+	t.AccumulateUnit(u)
+	t.Opt.Step()
 	return u.Utility, true
 }
 

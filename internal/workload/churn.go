@@ -8,8 +8,8 @@ import (
 	"streamgnn/internal/stream"
 )
 
-// Churn generates the adversarial edge-churn stream used by the scheduler
-// A/B (streambench -sched): a fixed population of small communities whose
+// Churn generates the adversarial edge-churn stream used as the hostile
+// case of the ledger's findings: a fixed population of small communities whose
 // edge set is almost entirely transient. Every step re-asserts each
 // community's ring at the current timestamp and slams a bursty storm of extra
 // edges onto one rotating community — including cross-community chords — so

@@ -4,10 +4,10 @@
 // Answering in Graph Streams" (Liu, King, Ge — ICDE 2024).
 //
 // An Engine holds a dynamic heterogeneous graph snapshot, a pluggable DGNN
-// model (TGCN, DCRNN, GCLSTM, DyGrEncoder, ROLAND, WinGNN, or EvolveGCN),
-// and a set of continuous predictive queries. At every stream step the
-// engine answers the queries from the model's embeddings and updates the
-// model online using one of three strategies:
+// model (TGCN, DCRNN, GCLSTM, DyGrEncoder, ROLAND, WinGNN, EvolveGCN, or the
+// RTGCN extension), and a set of continuous predictive queries. At every
+// stream step the engine answers the queries from the model's embeddings and
+// updates the model online using one of three strategies:
 //
 //   - StrategyFull     — the standard baseline: full-graph training
 //   - StrategyWeighted — Algorithm 1: adaptive node-weight (chip) learning
@@ -58,10 +58,12 @@ const (
 	StrategyKDE      = "kde"
 )
 
-// ModelNames returns the seven supported DGNN baselines.
+// ModelNames returns the eight supported DGNN models: the paper's seven
+// baselines followed by the RTGCN extension.
 func ModelNames() []string {
-	names := make([]string, 0, 7)
-	for _, k := range dgnn.Kinds() {
+	kinds := dgnn.Kinds()
+	names := make([]string, 0, len(kinds))
+	for _, k := range kinds {
 		names = append(names, k.String())
 	}
 	return names
