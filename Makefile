@@ -36,7 +36,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-kernels times the four dense kernels at the end-to-end ledger's
-# shapes and prints MAC/s per case; BENCHTIME=1x is the CI smoke.
+# shapes (MAC/s per case) and one diffusion convolution of the taxi-infer
+# forward with 95 % and 0 % of the nodes isolated; BENCHTIME=1x is the CI smoke.
 BENCHTIME ?= 1s
 bench-kernels:
-	$(GO) test -run '^$$' -bench BenchmarkDenseKernels -benchtime $(BENCHTIME) ./internal/tensor
+	$(GO) test -run '^$$' -bench 'BenchmarkDenseKernels|BenchmarkDiffusionConv' -benchtime $(BENCHTIME) ./internal/tensor ./internal/nn

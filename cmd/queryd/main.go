@@ -698,6 +698,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteIntValue(&b, "streamgnn_forwards_total", `mode="full"`, tel.FullForwards)
 	obs.WriteIntValue(&b, "streamgnn_forwards_total", `mode="incremental"`, tel.IncrementalForwards)
 	obs.WriteIntValue(&b, "streamgnn_forwards_total", `mode="delta"`, tel.DeltaForwards)
+	obs.WriteHeader(&b, "streamgnn_forward_rows", "Rows of the last full forward.", "gauge")
+	obs.WriteIntValue(&b, "streamgnn_forward_rows", "", tel.ForwardRows)
+	obs.WriteHeader(&b, "streamgnn_forward_active_rows", "Rows of the last full forward with a live edge: the rows diffusion hop products ran on.", "gauge")
+	obs.WriteIntValue(&b, "streamgnn_forward_active_rows", "", tel.ForwardActiveRows)
 	obs.WriteHeader(&b, "streamgnn_forward_skipped_rows_total", "Embedding rows incremental forwards did not recompute.", "counter")
 	obs.WriteIntValue(&b, "streamgnn_forward_skipped_rows_total", "", tel.SkippedRows)
 	if tel.DirtyFraction.Count > 0 {

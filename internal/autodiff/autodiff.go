@@ -52,6 +52,7 @@ const (
 	opDropout
 	opSum
 	opMatMulAcc
+	opScatterRows
 )
 
 // Node is one value in the computation graph.
@@ -70,7 +71,7 @@ type Node struct {
 	// Backward-rule state (meaning depends on op): aux holds a matrix the
 	// rule reads (MSE residual, BCE target, dropout mask, ...), auxCSR the
 	// sparse operand of SpMM, auxF a scalar (Scale/AddScalarMul factor), and
-	// auxInts an index list (GatherRows rows, CrossEntropy classes). aux
+	// auxInts an index list (GatherRows/ScatterRows rows, CrossEntropy classes). aux
 	// matrices are either tape-owned (recycled via their own record) or
 	// caller-owned; they are never recycled through this field.
 	aux     *tensor.Matrix
@@ -522,6 +523,33 @@ func (out *Node) runBack(sink *GradSink) {
 				}
 			}
 		}
+	case opScatterRows:
+		// Each output row came from exactly one place: row auxInts[i] from
+		// src's row i, every other row from base's own.
+		base, src := out.parents[0], out.parents[1]
+		if base.requiresGrad {
+			bg := gradOf(base, sink)
+			k := 0
+			for r := 0; r < out.Grad.Rows; r++ {
+				if k < len(out.auxInts) && out.auxInts[k] == r {
+					k++
+					continue
+				}
+				brow := bg.Row(r)
+				for c, v := range out.Grad.Row(r) {
+					brow[c] += v
+				}
+			}
+		}
+		if src.requiresGrad {
+			sg := gradOf(src, sink)
+			for i, r := range out.auxInts {
+				srow := sg.Row(i)
+				for c, v := range out.Grad.Row(r) {
+					srow[c] += v
+				}
+			}
+		}
 	case opMean:
 		a := out.parents[0]
 		if a.requiresGrad {
@@ -725,6 +753,24 @@ func (t *Tape) GatherRows(a *Node, rows []int) *Node {
 	if !t.noGrad {
 		// Defensive copy into the shell's reusable index scratch: the caller
 		// may mutate rows before Backward runs.
+		out.auxInts = append(out.auxInts[:0], rows...)
+	}
+	return out
+}
+
+// ScatterRows returns base with row rows[i] replaced by src's row i: the
+// inverse of GatherRows(·, rows) over a background. rows must be strictly
+// ascending (the backward rule walks them beside base's rows).
+func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node {
+	for i := 1; i < len(rows); i++ {
+		if rows[i] <= rows[i-1] {
+			panic(fmt.Sprintf("autodiff: ScatterRows rows not strictly ascending at %d", i))
+		}
+	}
+	val := base.Value.Clone()
+	tensor.ScatterRows(val, src.Value, rows)
+	out := t.newNode2(opScatterRows, val, anyGrad(base, src), base, src)
+	if !t.noGrad {
 		out.auxInts = append(out.auxInts[:0], rows...)
 	}
 	return out

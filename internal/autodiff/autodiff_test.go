@@ -119,6 +119,24 @@ func TestConcatGatherGrad(t *testing.T) {
 	})
 }
 
+func TestScatterRowsGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	base := Param(tensor.NewRandom(rng, 5, 2, 1))
+	src := Param(tensor.NewRandom(rng, 2, 2, 1))
+	w := Constant(tensor.NewRandom(rng, 5, 2, 1)) // a different weight per element
+	checkGrad(t, []*Node{base, src}, func(tp *Tape) *Node {
+		// base is read again beside the scatter, src through another op.
+		sc := tp.ScatterRows(base, tp.Tanh(src), []int{1, 3})
+		return tp.Mean(tp.Mul(tp.Add(sc, base), w))
+	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ScatterRows accepted rows out of order")
+		}
+	}()
+	NewTape().ScatterRows(base, src, []int{3, 1})
+}
+
 func TestMSEGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	p := Param(tensor.NewRandom(rng, 3, 2, 1))

@@ -143,6 +143,45 @@ func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 	}
 }
 
+// ScatterRows owns its output: on an inference tape the plan recycles base and
+// src at the scatter, their only reader, and the next ops of the same shapes
+// are handed those very buffers — a scatter that wrote into base, or kept a
+// view of src, would read them back overwritten.
+func TestScatterRowsSurvivesRecycledOperands(t *testing.T) {
+	withPooling(t)
+	rng := rand.New(rand.NewSource(8))
+	bm, sm := tensor.NewRandom(rng, 6, 3, 1), tensor.NewRandom(rng, 2, 3, 1)
+	forward := func(tp *Tape) *Node {
+		base, src := tp.OwnedConstant(bm.Clone()), tp.OwnedConstant(sm.Clone())
+		sc := tp.ScatterRows(base, src, []int{0, 4})
+		big := tp.Scale(sc, -3)                              // base's shape
+		small := tp.Scale(tp.GatherRows(sc, []int{1, 2}), 7) // src's shape, twice
+		return tp.Add(tp.Add(sc, big), tp.ScatterRows(sc, small, []int{3, 5}))
+	}
+	sc := NewTape().ScatterRows(Constant(bm), Constant(sm), []int{0, 4}).Value
+	for r := 0; r < bm.Rows; r++ {
+		wantRow := bm.Row(r)
+		switch r {
+		case 0:
+			wantRow = sm.Row(0)
+		case 4:
+			wantRow = sm.Row(1)
+		}
+		if !bitEqual(tensor.FromSlice(1, 3, sc.Row(r)), tensor.FromSlice(1, 3, wantRow)) {
+			t.Fatalf("row %d of the scatter is %v, want %v", r, sc.Row(r), wantRow)
+		}
+	}
+	want := forward(NewTape()).Value
+	tp := NewInferenceTape()
+	for pass := 0; pass < 3; pass++ {
+		got := tp.Detach(forward(tp))
+		tp.Release()
+		if !bitEqual(want, got) {
+			t.Fatalf("pass %d: value differs from the recording tape's", pass)
+		}
+	}
+}
+
 // When a pass departs from the learned op sequence the tape stops releasing
 // early for the rest of that pass and relearns; values stay right throughout,
 // whether ops were inserted, dropped, or the same ops read different nodes.

@@ -70,7 +70,7 @@ func (m *DCRNNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	var d nn.Diffused
 	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node {
 		if d.X != in {
-			d = nn.Diffuse(tp, v.RWFwd, v.RWRev, in, m.k)
+			d = nn.Diffuse(tp, v.RW, in, m.k)
 		}
 		return mod.(*nn.DiffusionConv).ApplyDiffused(tp, d)
 	}

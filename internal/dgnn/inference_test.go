@@ -153,6 +153,58 @@ func TestInferenceTapeSharedAcrossKinds(t *testing.T) {
 	}
 }
 
+// The diffusion convolution runs on the active block when some row has no edge
+// and on today's ops when every row has one, so a stream that flips between the
+// two hands one long-lived inference tape two op sequences in turn: each flip
+// must be met by the plan mismatch (stop releasing early, relearn), not by a
+// release scheduled for the other sequence. Every step DCRNN's full and
+// dirty-region forwards on the reused tape — lent to a TGCN in between, as a
+// pooled shard-worker tape is — match fresh recording tapes bit for bit, output
+// and committed state.
+func TestInferenceTapeAcrossActiveBlockFlips(t *testing.T) {
+	withPooling(t)
+	const n, featDim, hidden, steps = 24, 3, 4, 8
+	g := typedGraph(n, featDim)
+	ref := NewDCRNN(rand.New(rand.NewSource(2)), featDim, hidden)
+	inf := NewDCRNN(rand.New(rand.NewSource(2)), featDim, hidden)
+	other := NewTGCN(rand.New(rand.NewSource(1)), featDim, hidden)
+	tp := autodiff.NewInferenceTape()
+	pending := -1
+	for step := 0; step < steps; step++ {
+		// Two steps in three add a node without an edge (|A| < n); the third
+		// connects both, and every row is active again.
+		if step%3 != 2 {
+			pending = g.AddNode(0, []float64{1, float64(step), 0})
+		} else {
+			for v := pending - 1; v <= pending; v++ {
+				g.AddEdge(v, step%n, 0, int64(200+step))
+			}
+		}
+		if full := FullView(g); (full.RW.ActiveRows() == full.N) != (step%3 == 2) {
+			t.Fatalf("step %d: %d of %d rows active", step, full.RW.ActiveRows(), full.N)
+		}
+		region := g.Ball([]int{pending, step % n}, 2)
+		for _, build := range []func() View{
+			func() View { return FullView(g) },
+			func() View { sub := g.Induced(region, region[0]); return DirtyView(sub, LocalRows(sub.Nodes, region)) },
+		} {
+			// Twice each: the first pass meets a plan learned for other ops,
+			// the second releases early on the plan the first left behind.
+			for pass := 0; pass < 2; pass++ {
+				ref.BeginStep(step)
+				inf.BeginStep(step)
+				want := ref.Forward(autodiff.NewTape(), build()).Value
+				if got := Infer(tp, inf, build()); !want.Equal(got) {
+					t.Fatalf("step %d pass %d: inference-tape output differs from the recording tape's", step, pass)
+				}
+				sameDumps(t, fmt.Sprintf("step %d pass %d", step, pass), ref.DumpState(), inf.DumpState())
+			}
+		}
+		other.BeginStep(step)
+		Infer(tp, other, FullView(g))
+	}
+}
+
 // Shard workers each borrow their own inference tape; concurrent parts over a
 // recurrent model must agree with the serial single-region forward (run under
 // -race in CI).
@@ -184,38 +236,64 @@ func TestForwardShardsOnInferenceTapesMatchesSerial(t *testing.T) {
 	}
 }
 
+// mostlyIsolated is typedGraph's ring with chords on the first n/20 nodes and
+// no edge anywhere else: the shape of a stream whose window has expired under
+// most of its nodes, where the diffusion runs on the active block.
+func mostlyIsolated(n, featDim int) *graph.Dynamic {
+	g := graph.NewDynamic(featDim)
+	for i := 0; i < n; i++ {
+		f := make([]float64, featDim)
+		f[0], f[1] = float64(i%3)-1, float64(i%5)*0.25
+		g.AddNode(0, f)
+	}
+	for i, m := 0, n/20; i < m; i++ {
+		g.AddUndirectedEdge(i, (i+1)%m, graph.EdgeType(i%3), int64(i))
+		if i%4 == 0 {
+			g.AddEdge(i, (i+m/2)%m, graph.EdgeType((i/4)%3), int64(i))
+		}
+	}
+	return g
+}
+
 // Steady state, a full DCRNN forward allocates about its output matrix and
-// nothing else: every intermediate comes from and returns to the pool, and
-// node shells are reused. The guard is the heap bytes allocated per forward,
-// which a forward that materializes fresh temporaries again (80 of them, on a
-// recording tape) exceeds many times over.
+// nothing else: every intermediate comes from and returns to the pool, node
+// shells are reused, and the active block is the graph's, built once per
+// topology version. The guard is the heap bytes allocated per forward, which a
+// forward that materializes fresh temporaries again (80 of them, on a
+// recording tape) or rebuilds the block per call exceeds many times over.
 func TestFullForwardSteadyStateAllocation(t *testing.T) {
 	withPooling(t)
 	const n, featDim, hidden = 2000, 4, 16
-	g := typedGraph(n, featDim)
-	m := NewDCRNN(rand.New(rand.NewSource(1)), featDim, hidden)
-	tp := autodiff.NewInferenceTape()
-	for i := 0; i < 3; i++ { // learn the release plan, warm the pool
-		Infer(tp, m, FullView(g))
-	}
-	// No collection inside the measured region: a GC cycle empties the
-	// sync.Pool tier of the buffer pool, which is a property of the
-	// collector's schedule, not of the forward.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const runs = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fresh0 := tensor.ReadPoolStats().FreshBytes
-	for i := 0; i < runs; i++ {
-		Infer(tp, m, FullView(g))
-	}
-	runtime.ReadMemStats(&after)
-	perForward := (after.TotalAlloc - before.TotalAlloc) / runs
-	output := uint64(n * hidden * 8)
-	if perForward > 3*output {
-		t.Fatalf("full forward allocates %d bytes, more than 3x its %d-byte output", perForward, output)
-	}
-	if fresh := uint64(tensor.ReadPoolStats().FreshBytes-fresh0) / runs; fresh > 3*output {
-		t.Fatalf("pool took %d fresh bytes per forward, more than 3x the %d-byte output", fresh, output)
+	for name, g := range map[string]*graph.Dynamic{
+		"connected":    typedGraph(n, featDim),
+		"95% isolated": mostlyIsolated(n, featDim),
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := NewDCRNN(rand.New(rand.NewSource(1)), featDim, hidden)
+			tp := autodiff.NewInferenceTape()
+			for i := 0; i < 3; i++ { // learn the release plan, warm the pool
+				Infer(tp, m, FullView(g))
+			}
+			// No collection inside the measured region: a GC cycle empties the
+			// sync.Pool tier of the buffer pool, which is a property of the
+			// collector's schedule, not of the forward.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fresh0 := tensor.ReadPoolStats().FreshBytes
+			for i := 0; i < runs; i++ {
+				Infer(tp, m, FullView(g))
+			}
+			runtime.ReadMemStats(&after)
+			perForward := (after.TotalAlloc - before.TotalAlloc) / runs
+			output := uint64(n * hidden * 8)
+			if perForward > 3*output {
+				t.Fatalf("full forward allocates %d bytes, more than 3x its %d-byte output", perForward, output)
+			}
+			if fresh := uint64(tensor.ReadPoolStats().FreshBytes-fresh0) / runs; fresh > 3*output {
+				t.Fatalf("pool took %d fresh bytes per forward, more than 3x the %d-byte output", fresh, output)
+			}
+		})
 	}
 }

@@ -21,12 +21,13 @@ import (
 // View is a model-facing snapshot of either the full graph or an induced
 // subgraph. IDs maps view rows to global node ids; nil means row i is node i.
 type View struct {
-	N     int
-	Feat  *tensor.Matrix
-	Norm  *tensor.CSR
-	RWFwd *tensor.CSR
-	RWRev *tensor.CSR
-	IDs   []int
+	N    int
+	Feat *tensor.Matrix
+	Norm *tensor.CSR
+	// RW is the pair of random-walk transition matrices on the view's active
+	// rows, for diffusion convolutions (DCRNN).
+	RW  *tensor.Diffusion
+	IDs []int
 	// NoCommit, when set, prevents the forward pass from writing updated
 	// recurrent state back (useful for what-if evaluation).
 	NoCommit bool
@@ -54,8 +55,7 @@ func FullView(g *graph.Dynamic) View {
 		N:       g.N(),
 		Feat:    g.Features(),
 		Norm:    g.NormAdj(),
-		RWFwd:   g.RWAdj(false),
-		RWRev:   g.RWAdj(true),
+		RW:      g.Diffusion(),
 		TypedFn: g.TypedAdj,
 	}
 }
@@ -66,8 +66,7 @@ func SubView(s *graph.Subgraph) View {
 		N:       s.N(),
 		Feat:    s.Features(),
 		Norm:    s.NormAdj(),
-		RWFwd:   s.RWAdj(false),
-		RWRev:   s.RWAdj(true),
+		RW:      s.Diffusion(),
 		IDs:     s.Nodes,
 		TypedFn: s.TypedAdj,
 	}

@@ -89,11 +89,13 @@ func (s *nodeState) gather(v View) *tensor.Matrix {
 	if (v.NoCommit || v.SnapshotState) && s.prev != nil {
 		src = s.prev
 	}
-	out := tensor.New(v.N, s.dim)
+	out := tensor.NewUninit(v.N, s.dim)
 	for i := 0; i < v.N; i++ {
 		off := v.globalID(i) * s.dim
 		if off+s.dim <= len(src) {
 			copy(out.Row(i), src[off:off+s.dim])
+		} else {
+			clear(out.Row(i))
 		}
 	}
 	return out

@@ -67,18 +67,18 @@ type Dynamic struct {
 
 	cache *PartitionCache
 
+	// edgeVersion increases only on topology mutations (node adds, edge
+	// inserts, window expiry) — not on feature or label writes. Every cached
+	// adjacency below except the typed ones keys on it, so feature-churn-heavy
+	// streams never rebuild them.
+	edgeVersion  int64
 	cacheVersion int64
 	normAdj      *tensor.CSR
 	rwFwd        *tensor.CSR
 	rwRev        *tensor.CSR
-
-	// edgeVersion increases only on topology mutations (node adds, edge
-	// inserts, window expiry) — not on feature or label writes. The cached
-	// random-walk adjacency below keys on it, so feature-churn-heavy streams
-	// never rebuild it.
-	edgeVersion int64
-	walkVersion int64
-	walkAdj     *tensor.CSR
+	rw           *tensor.Diffusion
+	walkVersion  int64
+	walkAdj      *tensor.CSR
 
 	typedVersion int64
 	typedNTypes  int
@@ -364,27 +364,103 @@ func (g *Dynamic) NormRowAppend(v int, dst []tensor.CSREntry) []tensor.CSREntry 
 }
 
 func (g *Dynamic) refreshCaches() {
-	if g.cacheVersion == g.version && g.normAdj != nil {
+	if g.cacheVersion == g.edgeVersion && g.normAdj != nil {
 		return
 	}
 	n := g.N()
 	// Symmetric GCN normalization of A + Aᵀ + I.
 	entries := make([][]tensor.CSREntry, n)
-	fwd := make([][]tensor.CSREntry, n)
-	rev := make([][]tensor.CSREntry, n)
+	// The two transition matrices are filled in place, rows in order: every
+	// edge is one entry of each, and the rows that get any are the active set.
+	edges := g.NumEdges()
+	newRW := func() *tensor.CSR {
+		return &tensor.CSR{NRows: n, NCols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, 0, edges), Val: make([]float64, 0, edges)}
+	}
+	fwd, rev := newRW(), newRW()
+	var active activeRows
 	for v := 0; v < n; v++ {
 		entries[v] = g.NormRowAppend(v, nil)
 		for _, e := range g.out[v] {
-			fwd[v] = append(fwd[v], tensor.CSREntry{Col: e.To, Val: 1 / float64(max(1, len(g.out[v])))})
+			fwd.ColIdx = append(fwd.ColIdx, e.To)
+			fwd.Val = append(fwd.Val, 1/float64(len(g.out[v])))
 		}
 		for _, e := range g.in[v] {
-			rev[v] = append(rev[v], tensor.CSREntry{Col: e.To, Val: 1 / float64(max(1, len(g.in[v])))})
+			rev.ColIdx = append(rev.ColIdx, e.To)
+			rev.Val = append(rev.Val, 1/float64(len(g.in[v])))
 		}
+		fwd.RowPtr[v+1], rev.RowPtr[v+1] = len(fwd.ColIdx), len(rev.ColIdx)
+		active.row(len(g.out[v])+len(g.in[v]) > 0)
 	}
 	g.normAdj = tensor.NewCSR(n, n, entries)
-	g.rwFwd = tensor.NewCSR(n, n, fwd)
-	g.rwRev = tensor.NewCSR(n, n, rev)
-	g.cacheVersion = g.version
+	g.rwFwd, g.rwRev = fwd, rev
+	rw := g.newDiffusion(fwd, rev, active)
+	g.rw = &rw
+	g.cacheVersion = g.edgeVersion
+}
+
+// activeRows collects the active set of a pair of transition matrices — the
+// rows, ascending, with an entry in either — while the pass that builds the
+// pair visits its rows in order. Until the first inactive row the set is
+// 0..next-1 and nothing is allocated: list stays nil, which is how a pair
+// whose every row is active ends.
+type activeRows struct {
+	next int
+	list []int
+}
+
+func (a *activeRows) row(active bool) {
+	switch {
+	case active && a.list != nil:
+		a.list = append(a.list, a.next)
+	case !active && a.list == nil:
+		a.list = make([]int, a.next)
+		for i := range a.list {
+			a.list[i] = i
+		}
+	}
+	a.next++
+}
+
+// newDiffusion restricts the transition matrices fwd and rev — g's own or an
+// induced subgraph's — to their active rows, sharing their storage: an
+// inactive row has no entries, so the entries of the active rows are all of
+// ColIdx and Val in order, and a restricted row's extent is the original's.
+// The position scratch is sized to g like every other, so the pool keeps one
+// size.
+func (g *Dynamic) newDiffusion(fwd, rev *tensor.CSR, active activeRows) tensor.Diffusion {
+	rows := active.list
+	if rows == nil {
+		return tensor.Diffusion{FwdIn: fwd, RevIn: rev, FwdAA: fwd, RevAA: rev}
+	}
+	n, k := fwd.NRows, len(rows)
+	pos := getScratch(g.N())
+	for i, v := range rows {
+		pos[v] = int32(i)
+	}
+	// One allocation each for the four matrices, the two row-pointer arrays
+	// and the two renumbered column arrays: a training partition around an
+	// isolated node comes through here once per cold extraction.
+	cs := new([4]tensor.CSR)
+	ptrs := make([]int, 2*(k+1))
+	cols := make([]int, fwd.NNZ()+rev.NNZ())
+	restrict := func(c *tensor.CSR, in, aa *tensor.CSR, ptr, col []int) {
+		for i, v := range rows {
+			ptr[i] = c.RowPtr[v]
+		}
+		ptr[k] = c.NNZ()
+		for p, j := range c.ColIdx {
+			col[p] = int(pos[j])
+		}
+		*in = tensor.CSR{NRows: k, NCols: n, RowPtr: ptr, ColIdx: c.ColIdx, Val: c.Val}
+		*aa = tensor.CSR{NRows: k, NCols: k, RowPtr: ptr, ColIdx: col, Val: c.Val}
+	}
+	restrict(fwd, &cs[0], &cs[1], ptrs[:k+1], cols[:fwd.NNZ()])
+	restrict(rev, &cs[2], &cs[3], ptrs[k+1:], cols[fwd.NNZ():])
+	for _, v := range rows {
+		pos[v] = 0
+	}
+	putScratch(pos)
+	return tensor.Diffusion{Active: rows, FwdIn: &cs[0], FwdAA: &cs[1], RevIn: &cs[2], RevAA: &cs[3]}
 }
 
 // WalkAdj returns the unweighted undirected walk adjacency used by the
@@ -418,7 +494,7 @@ func (g *Dynamic) WalkAdj() *tensor.CSR {
 }
 
 // NormAdj returns the symmetric GCN-normalized adjacency
-// D^{-1/2}(A+Aᵀ+I)D^{-1/2} of the current snapshot (cached per version).
+// D^{-1/2}(A+Aᵀ+I)D^{-1/2} of the current snapshot (cached per EdgeVersion).
 func (g *Dynamic) NormAdj() *tensor.CSR {
 	g.refreshCaches()
 	return g.normAdj
@@ -432,6 +508,13 @@ func (g *Dynamic) RWAdj(reverse bool) *tensor.CSR {
 		return g.rwRev
 	}
 	return g.rwFwd
+}
+
+// Diffusion returns the two random-walk adjacencies of RWAdj restricted to
+// the rows with a live edge (see tensor.Diffusion), built with them.
+func (g *Dynamic) Diffusion() *tensor.Diffusion {
+	g.refreshCaches()
+	return g.rw
 }
 
 // KHopBall returns the nodes within L hops of v (including v), treating

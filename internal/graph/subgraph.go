@@ -29,6 +29,7 @@ type Subgraph struct {
 	normAdj *tensor.CSR
 	rwFwd   *tensor.CSR
 	rwRev   *tensor.CSR
+	rw      tensor.Diffusion
 }
 
 // Induced returns the subgraph induced by the given global node ids
@@ -152,6 +153,7 @@ func (s *Subgraph) build() {
 	sym := make([][]tensor.CSREntry, n)
 	fwd := make([][]tensor.CSREntry, n)
 	rev := make([][]tensor.CSREntry, n)
+	var active activeRows
 	for li, v := range s.Nodes {
 		dv := math.Sqrt(deg[li])
 		sym[li] = append(sym[li], tensor.CSREntry{Col: li, Val: 1 / deg[li]})
@@ -171,6 +173,7 @@ func (s *Subgraph) build() {
 				rev[li] = append(rev[li], tensor.CSREntry{Col: j, Val: 1 / float64(max(1, inDeg))})
 			}
 		}
+		active.row(len(fwd[li])+len(rev[li]) > 0)
 	}
 	s.normAdj = tensor.NewCSR(n, n, sym)
 	s.rwFwd = tensor.NewCSR(n, n, fwd)
@@ -179,6 +182,7 @@ func (s *Subgraph) build() {
 		loc[v] = 0
 	}
 	putScratch(loc)
+	s.rw = s.g.newDiffusion(s.rwFwd, s.rwRev, active)
 }
 
 // NormAdj returns the subgraph's symmetric GCN-normalized adjacency.
@@ -191,6 +195,10 @@ func (s *Subgraph) RWAdj(reverse bool) *tensor.CSR {
 	}
 	return s.rwFwd
 }
+
+// Diffusion returns the subgraph's two random-walk adjacencies restricted to
+// the rows with an edge inside the subgraph (see tensor.Diffusion).
+func (s *Subgraph) Diffusion() *tensor.Diffusion { return &s.rw }
 
 // Features returns the |S|×FeatDim attribute matrix of the subgraph nodes.
 func (s *Subgraph) Features() *tensor.Matrix {

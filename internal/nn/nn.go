@@ -121,37 +121,53 @@ func NewDiffusionConv(rng *rand.Rand, in, out, k int) *DiffusionConv {
 // can share one propagation.
 type Diffused struct {
 	X *autodiff.Node
-	// hops[2(k-1)] is P_f^k·x and hops[2(k-1)+1] is P_r^k·x.
+	// hops[2(k-1)] is P_f^k·x and hops[2(k-1)+1] is P_r^k·x, rows p.Active
+	// only: every other row of them is zero.
 	hops []*autodiff.Node
+	p    *tensor.Diffusion
 }
 
 // Diffuse propagates x through k steps of the forward and reverse transition
-// matrices.
-func Diffuse(tp *autodiff.Tape, fwd, rev *tensor.CSR, x *autodiff.Node, k int) Diffused {
-	d := Diffused{X: x, hops: make([]*autodiff.Node, 0, 2*k)}
+// matrices, on the active rows: the first hop reads the n-row x, later hops
+// the |A|-row hop before them.
+func Diffuse(tp *autodiff.Tape, p *tensor.Diffusion, x *autodiff.Node, k int) Diffused {
+	d := Diffused{X: x, hops: make([]*autodiff.Node, 0, 2*k), p: p}
 	xf, xr := x, x
+	fwd, rev := p.FwdIn, p.RevIn
 	for i := 0; i < k; i++ {
 		xf = tp.SpMM(fwd, xf)
 		xr = tp.SpMM(rev, xr)
 		d.hops = append(d.hops, xf, xr)
+		fwd, rev = p.FwdAA, p.RevAA
 	}
 	return d
 }
 
 // Apply computes the diffusion convolution with the given forward and
-// reverse transition matrices.
+// reverse transition matrices, every row taken as active.
 func (c *DiffusionConv) Apply(tp *autodiff.Tape, fwd, rev *tensor.CSR, x *autodiff.Node) *autodiff.Node {
-	return c.ApplyDiffused(tp, Diffuse(tp, fwd, rev, x, c.K))
+	p := &tensor.Diffusion{FwdIn: fwd, RevIn: rev, FwdAA: fwd, RevAA: rev}
+	return c.ApplyDiffused(tp, Diffuse(tp, p, x, c.K))
 }
 
 // ApplyDiffused computes the convolution over an input already propagated
 // K steps by Diffuse: the weighted sum, in ascending k, forward before
-// reverse.
+// reverse. The hop-0 terms cover all n rows; the hop terms are added on the
+// active rows alone and scattered back, since an inactive row's hop inputs
+// are zero and its sum is the hop-0 value bit for bit (DESIGN.md §8).
 func (c *DiffusionConv) ApplyDiffused(tp *autodiff.Tape, d Diffused) *autodiff.Node {
-	sum := tp.MatMulAcc(tp.MatMul(d.X, c.Wf[0]), d.X, c.Wr[0])
+	base := tp.MatMulAcc(tp.MatMul(d.X, c.Wf[0]), d.X, c.Wr[0])
+	sum := base
+	compact := d.p.ActiveRows() < d.p.Rows()
+	if compact {
+		sum = tp.GatherRows(base, d.p.Active)
+	}
 	for k := 1; k <= c.K; k++ {
 		sum = tp.MatMulAcc(sum, d.hops[2*(k-1)], c.Wf[k])
 		sum = tp.MatMulAcc(sum, d.hops[2*(k-1)+1], c.Wr[k])
+	}
+	if compact {
+		sum = tp.ScatterRows(base, sum, d.p.Active)
 	}
 	return tp.AddBias(sum, c.B)
 }

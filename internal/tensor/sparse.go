@@ -38,6 +38,31 @@ func NewCSR(nrows, ncols int, entries [][]CSREntry) *CSR {
 	return c
 }
 
+// Diffusion is a snapshot's forward and reverse random-walk transition
+// matrices in the form the diffusion convolution consumes: restricted to the
+// active rows. Active is the ascending set A of rows with an entry in either
+// matrix — the nodes with a live in- or out-edge. An edge u→v puts v in the
+// forward row of u and u in the reverse row of v, so every column a non-empty
+// row names is itself in A and the A×A blocks lose no entry.
+//
+// FwdIn and RevIn are rows A of the two matrices over all n columns (the first
+// hop reads the n-row input); FwdAA and RevAA are the A×A blocks, columns
+// renumbered to positions in A (later hops read |A|-row hop matrices). All four
+// share Val, and the In pair ColIdx, with the n×n matrices. When every row is
+// active the four are the n×n matrices themselves and Active is unused. A
+// Diffusion is immutable once built.
+type Diffusion struct {
+	Active       []int
+	FwdIn, RevIn *CSR
+	FwdAA, RevAA *CSR
+}
+
+// ActiveRows returns |A|.
+func (d *Diffusion) ActiveRows() int { return d.FwdIn.NRows }
+
+// Rows returns n, the row count of the matrices the block restricts.
+func (d *Diffusion) Rows() int { return d.FwdIn.NCols }
+
 // CSREntry is one stored (column, value) pair of a CSR row.
 type CSREntry struct {
 	Col int

@@ -46,6 +46,10 @@ func newUninit(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: grab(rows*cols, false)}
 }
 
+// NewUninit is newUninit for callers outside the package, under the same
+// rule: every element is written before any is read.
+func NewUninit(rows, cols int) *Matrix { return newUninit(rows, cols) }
+
 // FromSlice wraps data (row-major) in a rows×cols matrix without copying.
 func FromSlice(rows, cols int, data []float64) *Matrix {
 	if len(data) != rows*cols {

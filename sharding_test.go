@@ -250,52 +250,75 @@ func TestShardsImplyIncrementalForward(t *testing.T) {
 // new node to the ring, so training steps gather recurrent state for nodes
 // newer than the BeginStep snapshot. Those must read as zero rows at every
 // shard width — the fixed-node-set tests above never exercised that gather.
+// The DCRNN row attaches every other node a step late: the graph alternates
+// between every row active and one isolated row, the region forwards between
+// DCRNN's two op sequences, on shard workers' pooled inference tapes.
 func TestShardedBitEqualityGrowingStream(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Model = "TGCN"
-	cfg.Strategy = StrategyWeighted
-	cfg.Hidden = 8
-	cfg.Seed = 13
-	cfg.Interval = 5
-	cfg.IncrementalForward = true
-	cfg.DirtyFullThreshold = 1
+	for _, tc := range []struct {
+		model string
+		late  bool
+	}{{"TGCN", false}, {"DCRNN", true}} {
+		t.Run(tc.model, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Model = tc.model
+			cfg.Strategy = StrategyWeighted
+			cfg.Hidden = 8
+			cfg.Seed = 13
+			cfg.Interval = 5
+			cfg.IncrementalForward = true
+			cfg.DirtyFullThreshold = 1
 
-	const n, steps = 40, 24
-	d := incStream{n: n}
-	run := func(shards int) *Engine {
-		c := cfg
-		c.Shards = shards
-		e, err := NewEngine(3, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.init(t, e)
-		for s := 0; s < steps; s++ {
-			d.mutate(e, s)
-			v := e.AddNode(0, []float64{float64(s % 3), 1, 0})
-			e.SetNodeLabel(v, float64(s%2))
-			e.AddUndirectedEdge(v, (s*5)%n, 0)
-			if err := e.Step(); err != nil {
-				t.Fatal(err)
+			const n, steps = 40, 24
+			d := incStream{n: n}
+			run := func(shards int) *Engine {
+				c := cfg
+				c.Shards = shards
+				e, err := NewEngine(3, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.init(t, e)
+				isolated := 0 // steps that ran with a row outside the active block
+				for s := 0; s < steps; s++ {
+					d.mutate(e, s)
+					v := e.AddNode(0, []float64{float64(s % 3), 1, 0})
+					e.SetNodeLabel(v, float64(s%2))
+					switch {
+					case !tc.late:
+						e.AddUndirectedEdge(v, (s*5)%n, 0)
+					case s%2 == 1:
+						e.AddUndirectedEdge(v-1, (s*5)%n, 0)
+						e.AddUndirectedEdge(v, (s*7)%n, 0)
+					}
+					if g := e.Graph(); g.Diffusion().ActiveRows() < g.N() {
+						isolated++
+					}
+					if err := e.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if tc.late && (isolated == 0 || isolated == steps) {
+					t.Fatalf("shards=%d: %d of %d steps saw an isolated row, want some and not all", shards, isolated, steps)
+				}
+				return e
 			}
-		}
-		return e
-	}
-	ref := run(0)
-	for _, shards := range []int{2, 4} {
-		e := run(shards)
-		sameMatrix(t, steps-1, ref.lastEmb.Data, e.lastEmb.Data)
-		pr, pe := ref.allParams(), e.allParams()
-		for i := range pr {
-			if !pr[i].Value.Equal(pe[i].Value) {
-				t.Fatalf("shards=%d: parameter tensor %d differs from unsharded", shards, i)
+			ref := run(0)
+			for _, shards := range []int{2, 4} {
+				e := run(shards)
+				sameMatrix(t, steps-1, ref.lastEmb.Data, e.lastEmb.Data)
+				pr, pe := ref.allParams(), e.allParams()
+				for i := range pr {
+					if !pr[i].Value.Equal(pe[i].Value) {
+						t.Fatalf("shards=%d: parameter tensor %d differs from unsharded", shards, i)
+					}
+				}
+				if fmt.Sprintf("%+v", ref.Outcomes()) != fmt.Sprintf("%+v", e.Outcomes()) {
+					t.Fatalf("shards=%d: query outcomes differ from unsharded", shards)
+				}
+				if e.Telemetry().IncrementalForwards == 0 {
+					t.Fatalf("shards=%d: incremental path never ran", shards)
+				}
 			}
-		}
-		if fmt.Sprintf("%+v", ref.Outcomes()) != fmt.Sprintf("%+v", e.Outcomes()) {
-			t.Fatalf("shards=%d: query outcomes differ from unsharded", shards)
-		}
-		if e.Telemetry().IncrementalForwards == 0 {
-			t.Fatalf("shards=%d: incremental path never ran", shards)
-		}
+		})
 	}
 }

@@ -759,7 +759,7 @@ func (e *Engine) dirtyFullThreshold() float64 {
 func (e *Engine) runForward(t int) {
 	if !e.cfg.IncrementalForward {
 		e.lastEmb = dgnn.Infer(e.inferTape, e.model, dgnn.FullView(e.g))
-		e.tele.fullForwards.Inc()
+		e.noteFullForward()
 		return
 	}
 	if e.deltaFwd != nil {
@@ -798,7 +798,7 @@ func (e *Engine) runForward(t int) {
 		out := dgnn.Infer(e.inferTape, e.model, dgnn.FullView(e.g))
 		e.emb.SetFull(out, t)
 		e.lastEmb = out
-		e.tele.fullForwards.Inc()
+		e.noteFullForward()
 		e.tele.dirtyFrac.Observe(1)
 		if e.shardFwd != nil {
 			// The unmasked full forward advanced every live state row, so
@@ -840,6 +840,15 @@ func (e *Engine) runForward(t int) {
 	e.tele.incForwards.Inc()
 	e.tele.skippedRows.Add(int64(n - len(region)))
 	e.tele.dirtyFrac.Observe(float64(len(region)) / float64(n))
+}
+
+// noteFullForward counts a full forward and records its row counts. The
+// block is the one the forward's view just used, cached per topology version.
+func (e *Engine) noteFullForward() {
+	rw := e.g.Diffusion()
+	e.tele.fwdRows.Store(int64(rw.Rows()))
+	e.tele.fwdActiveRows.Store(int64(rw.ActiveRows()))
+	e.tele.fullForwards.Inc()
 }
 
 // invalidateInference drops every inference cache after a parameter change:
@@ -904,7 +913,7 @@ func (e *Engine) runDeltaForward(t int) {
 	out := dgnn.RunDeltaFull(e.g, e.deltaFwd, &e.delta)
 	e.emb.SetFull(out, t)
 	e.lastEmb = out
-	e.tele.fullForwards.Inc()
+	e.noteFullForward()
 	e.tele.dirtyFrac.Observe(1)
 }
 

@@ -49,6 +49,9 @@ type engineTelemetry struct {
 	incForwards  obs.Counter
 	skippedRows  obs.Counter
 	dirtyFrac    *obs.Histogram
+	// The last full forward's rows, and how many of them had a live edge:
+	// the rows a diffusion model's hop products ran on.
+	fwdRows, fwdActiveRows atomic.Int64
 
 	// Delta-propagation instruments (only move with Config.DeltaForward):
 	// steps served by a delta pass, passes aborted on the candidate budget,
@@ -129,6 +132,14 @@ type Telemetry struct {
 	// every step is a full forward.
 	FullForwards        int64
 	IncrementalForwards int64
+	// ForwardRows is the row count of the last full forward (|V| at the time)
+	// and ForwardActiveRows how many of those rows had a live in- or out-edge
+	// inside the window. Diffusion models (DCRNN) run their hop products on the
+	// active rows alone, so a full forward that got slower with ForwardRows
+	// flat and ForwardActiveRows up is the window filling, not the node set
+	// growing.
+	ForwardRows       int64
+	ForwardActiveRows int64
 	// SkippedRows totals the embedding rows incremental steps did not
 	// recompute (graph size minus compute-region size, summed over steps).
 	SkippedRows int64
@@ -200,6 +211,8 @@ func (e *Engine) Telemetry() Telemetry {
 		Phases:              make(map[string]TelemetryHistogram, numPhases),
 		FullForwards:        e.tele.fullForwards.Value(),
 		IncrementalForwards: e.tele.incForwards.Value(),
+		ForwardRows:         e.tele.fwdRows.Load(),
+		ForwardActiveRows:   e.tele.fwdActiveRows.Load(),
 		SkippedRows:         e.tele.skippedRows.Value(),
 		DirtyFraction:       histSnapshot(e.tele.dirtyFrac),
 		DeltaForwards:       e.tele.deltaForwards.Value(),

@@ -49,6 +49,18 @@ func TestTelemetryPopulated(t *testing.T) {
 	if tel.TensorPoolGets == 0 || tel.TensorPoolHits == 0 || tel.TensorPoolHits > tel.TensorPoolGets || tel.TensorFreshBytes == 0 {
 		t.Fatalf("tensor pool counters gets=%d hits=%d fresh=%d", tel.TensorPoolGets, tel.TensorPoolHits, tel.TensorFreshBytes)
 	}
+	// The last full forward ran over all 12 nodes; a node that joins without
+	// an edge is one more row and no more active rows.
+	if tel.ForwardRows != 12 || tel.ForwardActiveRows < 1 || tel.ForwardActiveRows > 12 {
+		t.Fatalf("last full forward: %d active of %d rows, want 1..12 of 12", tel.ForwardActiveRows, tel.ForwardRows)
+	}
+	e.AddNode(0, []float64{0, 0, 1})
+	if err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if after := e.Telemetry(); after.ForwardRows != 13 || after.ForwardActiveRows < 1 || after.ForwardActiveRows > 12 {
+		t.Fatalf("after an isolated node joined: %d active of %d rows, want 1..12 of 13", after.ForwardActiveRows, after.ForwardRows)
+	}
 }
 
 func TestTelemetryZeroBeforeStepping(t *testing.T) {

@@ -29,6 +29,15 @@ func useAfterTapeRelease() *autodiff.Node {
 	return n // want `use after release: n is a released tape node`
 }
 
+// Positive: the scatter's output is the tape's like any op's, whatever became
+// of the base it copied.
+func useScatterAfterTapeRelease(base, src *autodiff.Node) *tensor.Matrix {
+	tp := autodiff.NewTape()
+	sc := tp.ScatterRows(base, src, []int{0})
+	tp.Release()
+	return sc.Value // want `use after release: sc is a released tape node`
+}
+
 // Positive: nodes from free functions that take the tape count too.
 func useAfterTapeReleaseFree(x *tensor.Matrix) *autodiff.Node {
 	tp := autodiff.NewTape()

@@ -19,5 +19,8 @@ func (t *Tape) Release() {}
 // Add is a tape operation producing a node.
 func (t *Tape) Add(a, b *Node) *Node { return &Node{} }
 
+// ScatterRows is a tape operation over two nodes and an index list.
+func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node { return &Node{} }
+
 // Forward is a free function taking the tape and producing a node.
 func Forward(tp *Tape, x *tensor.Matrix) *Node { return &Node{} }
