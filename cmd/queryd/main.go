@@ -742,6 +742,16 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	} {
 		obs.WriteIntValue(&b, "streamgnn_train_targets_total", fmt.Sprintf("kind=%q", kv.kind), int64(kv.v))
 	}
+	obs.WriteHeader(&b, "streamgnn_train_rounds_total", "Training rounds: disjoint-union evaluations of training units.", "counter")
+	obs.WriteIntValue(&b, "streamgnn_train_rounds_total", "", tel.TrainRounds)
+	obs.WriteHeader(&b, "streamgnn_train_units_total", "Training units evaluated in rounds.", "counter")
+	obs.WriteIntValue(&b, "streamgnn_train_units_total", "", tel.TrainUnits)
+	obs.WriteHeader(&b, "streamgnn_train_union_rows_total", "Rows of the rounds' union forwards.", "counter")
+	obs.WriteIntValue(&b, "streamgnn_train_union_rows_total", "", tel.TrainUnionRows)
+	obs.WriteHeader(&b, "streamgnn_train_round_seconds_total", "Time spent in training rounds, by part.", "counter")
+	for _, part := range streamgnn.TrainRoundParts() {
+		obs.WriteValue(&b, "streamgnn_train_round_seconds_total", fmt.Sprintf("part=%q", part), tel.TrainRoundSeconds[part])
+	}
 	obs.WriteHeader(&b, "streamgnn_trained_partitions_total", "Node partitions trained.", "counter")
 	obs.WriteIntValue(&b, "streamgnn_trained_partitions_total", "", int64(st.TrainedPartitions))
 	obs.WriteHeader(&b, "streamgnn_chip_moves_total", "Accepted chip moves (Algorithm 1).", "counter")

@@ -17,6 +17,7 @@ package autodiff
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"streamgnn/internal/tensor"
 )
@@ -44,8 +45,8 @@ const (
 	opConcatCols
 	opGatherRows
 	opMean
-	opMSE
-	opBCEWithLogits
+	opMSESeg
+	opBCESeg
 	opAddScalarMul
 	opSoftmax
 	opCrossEntropy
@@ -71,7 +72,8 @@ type Node struct {
 	// Backward-rule state (meaning depends on op): aux holds a matrix the
 	// rule reads (MSE residual, BCE target, dropout mask, ...), auxCSR the
 	// sparse operand of SpMM, auxF a scalar (Scale/AddScalarMul factor), and
-	// auxInts an index list (GatherRows/ScatterRows rows, CrossEntropy classes). aux
+	// auxInts an index list (GatherRows/ScatterRows rows, CrossEntropy classes,
+	// MSESeg/BCESeg segment ends). aux
 	// matrices are either tape-owned (recycled via their own record) or
 	// caller-owned; they are never recycled through this field.
 	aux     *tensor.Matrix
@@ -559,24 +561,34 @@ func (out *Node) runBack(sink *GradSink) {
 				ag.Data[i] += g
 			}
 		}
-	case opMSE:
-		// aux is the residual pred−target; auxF its element count.
+	case opMSESeg:
+		// aux is the residual pred−target; auxInts the segments' row ends.
 		pred := out.parents[0]
 		if pred.requiresGrad {
 			pg := gradOf(pred, sink)
-			g := out.Grad.Data[0] * 2 / out.auxF
-			for i, v := range out.aux.Data {
-				pg.Data[i] += g * v
+			lo := 0
+			for s, end := range out.auxInts {
+				hi := end * out.aux.Cols
+				g := out.Grad.Data[s] * 2 / float64(hi-lo)
+				for i := lo; i < hi; i++ {
+					pg.Data[i] += g * out.aux.Data[i]
+				}
+				lo = hi
 			}
 		}
-	case opBCEWithLogits:
-		// aux is the 0/1 target matrix.
+	case opBCESeg:
+		// aux is the 0/1 target matrix; auxInts the segments' row ends.
 		logits := out.parents[0]
 		if logits.requiresGrad {
 			lg := gradOf(logits, sink)
-			g := out.Grad.Data[0] / float64(len(out.aux.Data))
-			for i, z := range logits.Value.Data {
-				lg.Data[i] += g * (tensor.Sigmoid(z) - out.aux.Data[i])
+			lo := 0
+			for s, end := range out.auxInts {
+				hi := end * out.aux.Cols
+				g := out.Grad.Data[s] / float64(hi-lo)
+				for i := lo; i < hi; i++ {
+					lg.Data[i] += g * (tensor.Sigmoid(logits.Value.Data[i]) - out.aux.Data[i])
+				}
+				lo = hi
 			}
 		}
 	case opAddScalarMul:
@@ -784,38 +796,85 @@ func (t *Tape) Mean(a *Node) *Node {
 
 // MSE returns mean squared error between pred and the constant target.
 func (t *Tape) MSE(pred *Node, target *tensor.Matrix) *Node {
+	return t.MSESeg(pred, target, []int{pred.Value.Rows})
+}
+
+// MSESeg returns the mean squared error of each row segment of pred against
+// the constant target, as a len(ends)×1 column: segment s is the rows from
+// ends[s-1] (0 for the first) up to ends[s], ends ascending and ending at
+// pred's row count. Each mean is summed over its own rows in order and takes
+// its own gradient, exactly as MSE over those rows alone; an empty segment
+// reads 0 and passes no gradient on.
+func (t *Tape) MSESeg(pred *Node, target *tensor.Matrix, ends []int) *Node {
 	diff := t.Owned(tensor.Sub(pred.Value, target))
-	var s float64
-	for _, v := range diff.Data {
-		s += v * v
+	val := tensor.New(len(ends), 1)
+	lo := 0
+	for s, end := range checkEnds(ends, diff.Rows) {
+		hi := end * diff.Cols
+		if hi > lo {
+			var sum float64
+			for _, v := range diff.Data[lo:hi] {
+				sum += v * v
+			}
+			val.Data[s] = sum / float64(hi-lo)
+		}
+		lo = hi
 	}
-	n := float64(len(diff.Data))
-	out := t.newNode1(opMSE, tensor.FromSlice(1, 1, []float64{s / n}), pred.requiresGrad, pred)
-	out.aux = diff
-	out.auxF = n
+	return t.segNode(opMSESeg, val, pred, diff, ends)
+}
+
+// segNode records a segmented loss's column with the matrix and the segment
+// ends its backward rule reads.
+func (t *Tape) segNode(op opKind, val *tensor.Matrix, in *Node, aux *tensor.Matrix, ends []int) *Node {
+	out := t.newNode1(op, val, in.requiresGrad, in)
+	out.aux = aux
+	if !t.noGrad {
+		out.auxInts = append(out.auxInts[:0], ends...)
+	}
 	return out
 }
 
 // BCEWithLogits returns mean binary cross-entropy of logits against the
 // constant 0/1 target matrix, computed in a numerically stable form.
 func (t *Tape) BCEWithLogits(logits *Node, target *tensor.Matrix) *Node {
+	return t.BCESeg(logits, target, []int{logits.Value.Rows})
+}
+
+// BCESeg is BCEWithLogits per row segment, segments and result laid out as
+// MSESeg's.
+func (t *Tape) BCESeg(logits *Node, target *tensor.Matrix, ends []int) *Node {
 	if logits.Value.Rows != target.Rows || logits.Value.Cols != target.Cols {
 		panic("autodiff: BCEWithLogits shape mismatch")
 	}
-	n := float64(len(target.Data))
-	var s float64
-	for i, z := range logits.Value.Data {
-		y := target.Data[i]
-		// log(1+e^z) - y*z, stable for both signs of z.
-		if z > 0 {
-			s += z - y*z + math.Log1p(math.Exp(-z))
-		} else {
-			s += -y*z + math.Log1p(math.Exp(z))
+	val := tensor.New(len(ends), 1)
+	lo := 0
+	for s, end := range checkEnds(ends, target.Rows) {
+		hi := end * target.Cols
+		if hi > lo {
+			var sum float64
+			for i, z := range logits.Value.Data[lo:hi] {
+				y := target.Data[lo+i]
+				// log(1+e^z) - y*z, stable for both signs of z.
+				if z > 0 {
+					sum += z - y*z + math.Log1p(math.Exp(-z))
+				} else {
+					sum += -y*z + math.Log1p(math.Exp(z))
+				}
+			}
+			val.Data[s] = sum / float64(hi-lo)
 		}
+		lo = hi
 	}
-	out := t.newNode1(opBCEWithLogits, tensor.FromSlice(1, 1, []float64{s / n}), logits.requiresGrad, logits)
-	out.aux = target
-	return out
+	return t.segNode(opBCESeg, val, logits, target, ends)
+}
+
+// checkEnds panics unless ends are ascending row ends closing at rows, and
+// returns them.
+func checkEnds(ends []int, rows int) []int {
+	if n := len(ends); n == 0 || ends[0] < 0 || ends[n-1] != rows || !sort.IntsAreSorted(ends) {
+		panic(fmt.Sprintf("autodiff: segment ends %v are not ascending row ends closing at %d", ends, rows))
+	}
+	return ends
 }
 
 // AddScalarMul returns a + s·b, a fused helper for residual-style updates.

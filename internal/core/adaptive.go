@@ -34,30 +34,30 @@ func (s *chipSampler) SampleNode() int { return s.chips.Sample(s.rng) }
 // randomized rule whose stationary distribution weights states by e^{u_s}
 // (Theorem IV.4).
 //
-// Step executes in three phases so pair evaluation can run on worker
-// goroutines without giving up determinism:
+// Step executes in three phases:
 //
 //  1. Sampling (serial): all 2·PairsPerStep pair nodes are drawn with the
 //     learner's rng, then each unit is assigned a private seed from the same
-//     rng. The random stream consumed is independent of worker count.
-//  2. Evaluation (parallel): the units' forward passes and losses are built
-//     concurrently against the same parameter snapshot θ_t — the paper
-//     measures temporal utility *before* backpropagation, so utilities are
-//     well-defined at θ_t and independent of evaluation order. Evaluation
-//     is read-only: NoCommit forwards never write model state, each unit
-//     has its own tape and rng, and stats counters are atomic.
-//  3. Apply (serial, fixed order): gradients are backpropagated and the
-//     optimizer stepped in unit-index order, then the chip moves of lines
-//     8-16 are decided per pair with the learner's rng.
+//     rng, and the units' partitions are extracted in unit order (so the
+//     partition cache warms in the same order on every run).
+//  2. Evaluation: the units run as one disjoint-union round against the
+//     parameter snapshot θ_t (Trainer.evalRound) — the paper measures
+//     temporal utility *before* backpropagation, so utilities are well-defined
+//     at θ_t and independent of which units share a round. Under
+//     DependencySchedule each conflict group is a round of its own with its
+//     own gradient sink, and the groups run on the worker pool.
+//  3. Apply (serial, fixed order): group sinks are merged in group order, the
+//     optimizer steps once on the summed gradient, and the chip moves of
+//     lines 8-16 are decided per pair with the learner's rng.
 //
-// Workers=1 runs phase 2 on the caller's goroutine with the exact same
-// seeds, so a seeded run is bit-identical for every worker count.
+// Nothing observable depends on Workers: a seeded run is bit-identical for
+// every worker count.
 type AdaptiveLearner struct {
-	// ParallelUnits counts units evaluated on worker goroutines (0 when
-	// Workers <= 1; observability for streamgnn.Stats). Like every counter
-	// in this block it is written with sync/atomic — Telemetry() readers
-	// run concurrently with Step — and leads the struct so the int64s stay
-	// 8-aligned on 386.
+	// ParallelUnits counts units evaluated on worker goroutines: conflict
+	// groups fanned out under DependencySchedule with Workers > 1, 0 otherwise
+	// (observability for streamgnn.Stats). Like every counter in this block it
+	// is written with sync/atomic — Telemetry() readers run concurrently with
+	// Step — and leads the struct so the int64s stay 8-aligned on 386.
 	ParallelUnits int64
 	// Dependency-schedule counters (observability for streamgnn.Stats and
 	// telemetry): steps scheduled, conflict groups formed, units scheduled,
@@ -85,19 +85,24 @@ type AdaptiveLearner struct {
 	forcedAll     bool
 	scanned       bool
 
-	// Step scratch, reused across calls to keep the hot path allocation-free.
+	// Step scratch, reused across calls to keep the hot path allocation-free:
+	// the step's units, their partitions, and all — the unit indices 0..n-1,
+	// the one chunk of an unscheduled step.
 	units []Unit
 	nodes []int
 	seeds []int64
+	subs  []*graph.Subgraph
+	all   []int
 
-	// Dependency-schedule scratch (cfg.DependencySchedule): per-unit
-	// partitions, the conflict-group builder's buffers, and one gradient sink
-	// per unit. Sinks are per-unit, not per-group, so the merge order (unit
-	// index 0..n-1) — and therefore the optimizer input — is independent of
-	// how units were grouped or which worker ran them.
-	subs     []*graph.Subgraph
-	conflict conflictScratch
+	// rounds[c] is chunk c's evaluation scratch and sinks[c] its gradient
+	// sink: one chunk per step, or one per conflict group under
+	// cfg.DependencySchedule, whose builder's buffers are conflict. The
+	// grouping, and the group order the sinks are merged in, depend only on
+	// the sampled units and the graph, so the optimizer input is independent
+	// of worker count and timing.
+	rounds   []*round
 	sinks    []*autodiff.GradSink
+	conflict conflictScratch
 
 	// Moves counts accepted chip moves (observability/tests).
 	Moves int
@@ -110,7 +115,7 @@ type AdaptiveLearner struct {
 func NewAdaptiveLearner(t *Trainer, cfg Config, strategy Strategy, rng *rand.Rand) *AdaptiveLearner {
 	chips := sampling.NewChips(t.G.N(), cfg.K)
 	chips.MinChips = cfg.MinChips
-	a := &AdaptiveLearner{Chips: chips, Trainer: t, cfg: cfg, rng: rng}
+	a := &AdaptiveLearner{Chips: chips, Trainer: t, cfg: cfg, rng: rng, rounds: []*round{new(round)}}
 	switch strategy {
 	case Weighted:
 		a.sampler = &chipSampler{chips: chips, rng: rng}
@@ -221,10 +226,12 @@ func (a *AdaptiveLearner) applyActivity(dirty []int, full bool) {
 }
 
 // Step runs one training step (Algorithm 1 lines 2-16): PairsPerStep pairs
-// are sampled, their partitions evaluated (concurrently when cfg.Workers >
-// 1), gradients applied serially, and chips moved between winner and loser.
-// updated is the set U of nodes with new data since the previous step.
+// are sampled, their partitions evaluated as one round (one per conflict
+// group under cfg.DependencySchedule), one optimizer step applied, and chips
+// moved between winner and loser. updated is the set U of nodes with new data
+// since the previous step.
 func (a *AdaptiveLearner) Step(updated []int) {
+	clock := now()
 	a.refreshActivity()
 	// Phase 1: sample every pair endpoint, then deal per-unit seeds, all
 	// from the learner's rng so the stream is worker-count independent.
@@ -233,64 +240,38 @@ func (a *AdaptiveLearner) Step(updated []int) {
 		a.units = make([]Unit, n)
 		a.nodes = make([]int, n)
 		a.seeds = make([]int64, n)
+		a.subs = make([]*graph.Subgraph, n)
+		a.all = make([]int, n)
+		for i := range a.all {
+			a.all[i] = i
+		}
 	}
-	units, nodes, seeds := a.units[:n], a.nodes[:n], a.seeds[:n]
+	units, nodes, seeds, subs := a.units[:n], a.nodes[:n], a.seeds[:n], a.subs[:n]
 	for i := range nodes {
 		nodes[i] = a.getSampleNode(updated)
 	}
 	for i := range seeds {
 		seeds[i] = a.rng.Int63()
 	}
-	// Phase 2: evaluate all units against the current parameters. Under the
-	// dependency schedule, backprop into per-unit sinks runs here too, fully
-	// concurrent across conflict groups.
+	stats := &a.Trainer.Stats
+	lap(&clock, &stats.SampleNs)
+	for i, v := range nodes {
+		subs[i] = a.Trainer.G.Partition(v, a.Trainer.Model.Layers())
+	}
+	lap(&clock, &stats.ExtractNs)
+	// Phase 2: evaluate all units against the current parameters.
+	var trained bool
 	if a.cfg.DependencySchedule {
-		a.runScheduled(units, nodes, seeds)
-	} else if workers := min(a.cfg.Workers, len(units)); workers <= 1 {
-		for i := range units {
-			units[i] = a.Trainer.EvalUnit(nodes[i], seeds[i])
-		}
+		trained = a.runScheduled()
 	} else {
-		var cursor int64 = -1
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&cursor, 1))
-					if i >= len(units) {
-						return
-					}
-					units[i] = a.Trainer.EvalUnit(nodes[i], seeds[i])
-				}
-			}()
-		}
-		wg.Wait()
-		atomic.AddInt64(&a.ParallelUnits, int64(len(units)))
+		trained = a.runChunk(0, a.all[:n], nil)
 	}
-	// Phase 3: serial, fixed-order application and chip accounting. The
-	// units' gradients accumulate into the shared parameters and a single
-	// optimizer step applies their sum. Under the dependency schedule
-	// gradients were already computed into per-unit sinks; here they are
-	// merged into the parameters strictly in unit-index order, so the
-	// optimizer input never depends on grouping or timing.
-	accumulated := false
-	if a.cfg.DependencySchedule {
-		params := a.Trainer.Opt.Params()
-		for i := range units {
-			if units[i].OK {
-				a.sinks[i].MergeInto(params)
-				accumulated = true
-			}
-		}
-	}
+	clear(subs) // the partition cache owns the partitions
+	// Phase 3: serial chip accounting in pair order, then one optimizer step
+	// on the round's summed gradient.
+	clock = now()
 	for pair := 0; pair < a.cfg.PairsPerStep; pair++ {
 		u1, u2 := units[2*pair], units[2*pair+1]
-		if !a.cfg.DependencySchedule { // else already merged above
-			accumulated = a.Trainer.AccumulateUnit(u1) || accumulated
-			accumulated = a.Trainer.AccumulateUnit(u2) || accumulated
-		}
 		if u1.OK {
 			a.Trained++
 		}
@@ -319,53 +300,52 @@ func (a *AdaptiveLearner) Step(updated []int) {
 			}
 		}
 	}
-	if accumulated {
-		a.Trainer.Opt.Step()
+	lap(&clock, &stats.SampleNs)
+	if trained {
+		a.Trainer.step()
 	}
+}
+
+// runChunk evaluates the units idx (ascending unit indices) as round c:
+// forward, loss and backward over their disjoint union, gradients into sink
+// (nil: the parameters' own). It reports whether any unit had material.
+func (a *AdaptiveLearner) runChunk(c int, idx []int, sink *autodiff.GradSink) bool {
+	r := a.rounds[c]
+	r.reset()
+	for _, i := range idx {
+		r.add(a.subs[i], a.seeds[i])
+	}
+	a.Trainer.evalRound(r, sink, true)
+	for k, i := range idx {
+		a.units[i] = r.units[k]
+	}
+	return r.trained
 }
 
 // runScheduled is phase 2 under the dependency schedule: partition the
 // step's units into conflict groups (units whose L-hop receptive fields
-// intersect, closed transitively) and run whole groups concurrently on the
-// worker pool — evaluation AND backprop, each unit's gradient going into its
-// own private sink. Within a group, units run serially in unit-index order.
+// intersect, closed transitively) and run each group as a round of its own,
+// gradients into the group's private sink, whole groups concurrently on the
+// worker pool. The sinks are then merged in group order.
 //
-// Determinism: partitions are prefetched serially, so the partition cache
-// warms in the same order on every run; the conflict build reads only the
-// sampled units and the graph; each unit's backward writes only its own sink
-// and its tape's private nodes; and the caller merges sinks in unit-index
-// order. Nothing observable depends on worker count or goroutine timing, so
-// seeded runs are bit-identical for every Workers value.
-func (a *AdaptiveLearner) runScheduled(units []Unit, nodes []int, seeds []int64) {
-	n := len(units)
-	// Serial partition prefetch: shares the version-keyed cache with
-	// evaluation (EvalUnit re-reads the same *Subgraph), and doubles as the
-	// conflict build's input.
-	if cap(a.subs) < n {
-		a.subs = make([]*graph.Subgraph, n)
+// Determinism: the conflict build reads only the sampled units and the
+// graph; a group's round writes only its own scratch, sink, units and tape;
+// and the merge order is the group order. Nothing observable depends on
+// worker count or goroutine timing, so seeded runs are bit-identical for
+// every Workers value — and since a round's cost is per-op dispatch its union
+// already amortises, there is little left for the workers to win.
+func (a *AdaptiveLearner) runScheduled() bool {
+	n := len(a.units)
+	offsets, order, numGroups := a.conflict.build(a.subs[:n], a.Trainer.G.N())
+	for len(a.rounds) < numGroups {
+		a.rounds = append(a.rounds, new(round))
 	}
-	subs := a.subs[:n]
-	L := a.Trainer.Model.Layers()
-	for i := range subs {
-		subs[i] = a.Trainer.G.Partition(nodes[i], L)
-	}
-	offsets, order, numGroups := a.conflict.build(subs, a.Trainer.G.N())
-	for i := range subs {
-		subs[i] = nil // release references; cache owns the partitions
-	}
-	for len(a.sinks) < n {
+	for len(a.sinks) < numGroups {
 		a.sinks = append(a.sinks, autodiff.NewGradSink())
 	}
-	for i := 0; i < n; i++ {
-		a.sinks[i].Reset()
-	}
 	runGroup := func(g int) {
-		for _, i := range order[offsets[g]:offsets[g+1]] {
-			u := a.Trainer.EvalUnit(nodes[i], seeds[i])
-			a.Trainer.GradUnitTo(u, a.sinks[i])
-			// Strip the consumed tape; phase 3 needs only node/utility/OK.
-			units[i] = Unit{Node: u.Node, Utility: u.Utility, OK: u.OK}
-		}
+		a.sinks[g].Reset()
+		a.runChunk(g, order[offsets[g]:offsets[g+1]], a.sinks[g])
 	}
 	if workers := min(a.cfg.Workers, numGroups); workers <= 1 {
 		for g := 0; g < numGroups; g++ {
@@ -390,12 +370,21 @@ func (a *AdaptiveLearner) runScheduled(units []Unit, nodes []int, seeds []int64)
 		wg.Wait()
 		atomic.AddInt64(&a.ParallelUnits, int64(n))
 	}
+	trained := false
+	params := a.Trainer.Opt.Params()
+	for g := 0; g < numGroups; g++ {
+		if a.rounds[g].trained {
+			a.sinks[g].MergeInto(params)
+			trained = true
+		}
+	}
 	atomic.AddInt64(&a.SchedSteps, 1)
 	atomic.AddInt64(&a.SchedGroups, int64(numGroups))
 	atomic.AddInt64(&a.SchedUnits, int64(n))
 	if numGroups == 1 && n > 1 {
 		atomic.AddInt64(&a.SchedCollapsed, 1)
 	}
+	return trained
 }
 
 // Probabilities returns the current normalized node-weight distribution D.

@@ -95,27 +95,26 @@ type Config struct {
 	// Ball-wide targets are more numerous but computed from truncated
 	// neighborhoods; see the ablation bench.
 	BallSupervision bool
-	// Workers is the number of goroutines evaluating training units
-	// concurrently in the adaptive strategies (forward + loss only; gradient
-	// application stays serial). 1 (the default) evaluates on the calling
-	// goroutine; seeded runs are bit-identical for every value.
+	// Workers is the number of goroutines conflict groups run on under
+	// DependencySchedule. Without it a step's units are one union round and
+	// there is nothing left to fan out: the value has no effect. 1 is the
+	// default; seeded runs are bit-identical for every value.
 	Workers int
 	// PartitionCacheCap is the capacity (in partitions) of the version-keyed
 	// LRU partition cache attached to the graph by the scheduler; 0 disables
 	// caching. Default 256.
 	PartitionCacheCap int
-	// DependencySchedule parallelizes backprop and gradient accumulation
-	// across conflict groups of the step's training units (NeutronStream-style
-	// dependency-aware scheduling). After sampling, units whose L-hop
-	// receptive fields intersect are unioned into one conflict group; groups
-	// run fully concurrently on the worker pool (eval + backward into private
-	// gradient sinks), units within a group stay in unit-index order, and the
-	// per-unit gradient sums are merged serially in unit-index order before
-	// the optimizer step. Grouping depends only on the sampled units and the
-	// graph — never on Workers or timing — so seeded runs stay bit-identical
-	// for every Workers value. On hub-heavy graphs all units usually share a
-	// ball and collapse into a single group, which degenerates to the serial
-	// schedule. Default false.
+	// DependencySchedule splits a step's round along its conflict groups
+	// (NeutronStream-style dependency-aware scheduling). After sampling, units
+	// whose L-hop receptive fields intersect are unioned into one conflict
+	// group; each group is evaluated as a union round of its own (forward,
+	// loss, backward into a private gradient sink), groups run concurrently
+	// on the worker pool, and the group sinks are merged serially in group
+	// order before the optimizer step. Grouping depends only on the sampled
+	// units and the graph — never on Workers or timing — so seeded runs stay
+	// bit-identical for every Workers value. On hub-heavy graphs all units
+	// usually share a ball and collapse into a single group: the unscheduled
+	// step plus a sink merge. Default false.
 	DependencySchedule bool
 }
 

@@ -128,17 +128,20 @@ func TestDependencyScheduleSelfConsistent(t *testing.T) {
 	}
 }
 
-// TestParallelUnitsCounter checks the observability counter: worker-pool runs
-// count evaluated units, serial runs stay at zero.
+// TestParallelUnitsCounter checks the observability counter: conflict groups
+// run on the worker pool count their units, serial runs stay at zero.
 func TestParallelUnitsCounter(t *testing.T) {
 	_, tr, _ := testSetup(t, 12, Weighted)
 	cfg := DefaultConfig()
 	cfg.Workers = 4
 	cfg.PairsPerStep = 2
+	cfg.DependencySchedule = true
 	a := NewAdaptiveLearner(tr, cfg, Weighted, rand.New(rand.NewSource(1)))
-	a.Step(nil)
-	if a.ParallelUnits != 4 {
-		t.Fatalf("ParallelUnits = %d, want 4", a.ParallelUnits)
+	for i := 0; i < 50 && a.SchedGroups == a.SchedSteps; i++ { // until a step forms two groups
+		a.Step(nil)
+	}
+	if want := 4 * a.SchedSteps; a.ParallelUnits < 4 || a.ParallelUnits > want {
+		t.Fatalf("ParallelUnits = %d after %d steps, want 4..%d", a.ParallelUnits, a.SchedSteps, want)
 	}
 	_, tr2, _ := testSetup(t, 12, Weighted)
 	s := NewAdaptiveLearner(tr2, DefaultConfig(), Weighted, rand.New(rand.NewSource(1)))

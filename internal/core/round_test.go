@@ -1,0 +1,268 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"streamgnn/internal/autodiff"
+	"streamgnn/internal/dgnn"
+	"streamgnn/internal/graph"
+	"streamgnn/internal/query"
+)
+
+// roundFixture builds a seeded random graph — 30 connected nodes with typed,
+// partly labeled edges and 6 isolated ones — a model of the given kind with
+// committed recurrent state, and a workload that has revealed targets and
+// replay material (plus link pairs, negatives' embeddings and link replay when
+// link is set). mutate adjusts the trainer's configuration.
+func roundFixture(t *testing.T, kind dgnn.Kind, link bool, mutate func(*Config)) (*Trainer, autodiff.Optimizer) {
+	t.Helper()
+	const n, connected, hidden = 36, 30, 6
+	rng := rand.New(rand.NewSource(int64(100 + kind)))
+	g := graph.NewDynamic(3)
+	for v := 0; v < n; v++ {
+		g.AddNode(0, []float64{rng.NormFloat64(), rng.NormFloat64(), 1})
+		if v%3 != 2 {
+			g.SetLabel(v, rng.Float64())
+		}
+	}
+	addEdges := func(count int, ts int64) {
+		for i := 0; i < count; i++ {
+			u, v := rng.Intn(connected), rng.Intn(connected)
+			label := math.NaN()
+			if i%2 == 0 {
+				label = rng.Float64()
+			}
+			g.AddLabeledEdge(u, v, graph.EdgeType(rng.Intn(3)), ts, label)
+		}
+	}
+	addEdges(45, 0)
+	m := dgnn.New(kind, rng, 3, hidden)
+	heads := query.NewHeads(rng, hidden)
+	w := query.NewWorkload(heads)
+	w.AddQuery(&query.EventQuery{
+		Name:    "q",
+		Anchors: []int{0, 4, 9, 17, 31},
+		Delta:   1,
+		Labeler: func(_ *graph.Dynamic, anchor, step int) (float64, bool) {
+			return 0.1 * float64(anchor%7), true
+		},
+	})
+	if link {
+		w.SetLinkTask(query.NewLinkPredTask(5))
+	}
+	cfg := DefaultConfig()
+	cfg.SelfWeight, cfg.SupWeight = 0.5, 1.5 // exercise the weighted columns
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	opt := m.WrapOptimizer(autodiff.NewAdam(cfg.LR, append(m.Params(), heads.Params()...)))
+	tr := NewTrainer(g, m, w, opt, cfg, rng)
+	// One committed forward, predict and reveal: recurrent state, revealed
+	// targets and replay exist, and step 1's edges are the link positives.
+	m.BeginStep(0)
+	tp := autodiff.NewTape()
+	w.Predict(m.Forward(tp, dgnn.FullView(g)).Value, 0)
+	tp.Release()
+	addEdges(12, 1)
+	w.Reveal(g, 1)
+	m.BeginStep(1)
+	return tr, opt
+}
+
+// gradSnapshot copies every parameter gradient (nil reads as absent).
+func gradSnapshot(opt autodiff.Optimizer) [][]float64 {
+	out := make([][]float64, len(opt.Params()))
+	for i, p := range opt.Params() {
+		if p.Grad != nil {
+			out[i] = append([]float64(nil), p.Grad.Data...)
+		}
+	}
+	return out
+}
+
+// evalAsRound evaluates centers as one round from zeroed gradients and returns
+// the units, the parameter gradients and the target counters it consumed.
+func evalAsRound(tr *Trainer, opt autodiff.Optimizer, centers []int, seeds []int64) ([]Unit, [][]float64, TrainerStats) {
+	opt.ZeroGrad()
+	before := tr.Stats
+	r := new(round)
+	for i, v := range centers {
+		r.add(tr.G.Partition(v, tr.Model.Layers()), seeds[i])
+	}
+	tr.evalRound(r, nil, true)
+	return r.units, gradSnapshot(opt), targetDelta(tr.Stats, before)
+}
+
+func targetDelta(now, before TrainerStats) TrainerStats {
+	return TrainerStats{
+		SelfNodeTargets: now.SelfNodeTargets - before.SelfNodeTargets,
+		SelfEdgeTargets: now.SelfEdgeTargets - before.SelfEdgeTargets,
+		SupNodeTargets:  now.SupNodeTargets - before.SupNodeTargets,
+		SupPairTargets:  now.SupPairTargets - before.SupPairTargets,
+		ReplayTargets:   now.ReplayTargets - before.ReplayTargets,
+	}
+}
+
+// checkRoundMatchesUnits is the equivalence the union rests on: a round of
+// len(centers) units against the reference that evaluates each unit as a
+// round of one and sums the gradients in unit order. OK flags and utilities
+// must be bit-equal; gradients are the same terms in another association, so
+// they agree to 1e-12 of each parameter's largest entry — and exactly for a
+// round of one, which IS the reference.
+func checkRoundMatchesUnits(t *testing.T, tr *Trainer, opt autodiff.Optimizer, centers []int) {
+	t.Helper()
+	seeds := make([]int64, len(centers))
+	for i := range seeds {
+		seeds[i] = int64(1000 + 7*i)
+	}
+	// Reference: one round per unit, gradients accumulating in unit order.
+	opt.ZeroGrad()
+	before := tr.Stats
+	want := make([]Unit, len(centers))
+	for i, v := range centers {
+		r := new(round)
+		r.add(tr.G.Partition(v, tr.Model.Layers()), seeds[i])
+		tr.evalRound(r, nil, true)
+		want[i] = r.units[0]
+	}
+	wantGrad, wantTargets := gradSnapshot(opt), targetDelta(tr.Stats, before)
+
+	got, gotGrad, gotTargets := evalAsRound(tr, opt, centers, seeds)
+	opt.ZeroGrad()
+	if gotTargets != wantTargets {
+		t.Fatalf("targets consumed: round %+v, per unit %+v", gotTargets, wantTargets)
+	}
+	anyOK := false
+	for i := range want {
+		if got[i].Node != want[i].Node || got[i].OK != want[i].OK ||
+			math.Float64bits(got[i].Utility) != math.Float64bits(want[i].Utility) {
+			t.Fatalf("unit %d (node %d): round %+v, alone %+v", i, centers[i], got[i], want[i])
+		}
+		anyOK = anyOK || want[i].OK
+	}
+	if !anyOK {
+		t.Fatalf("fixture gave centers %v no material at all", centers)
+	}
+	for p := range wantGrad {
+		if (gotGrad[p] == nil) != (wantGrad[p] == nil) {
+			t.Fatalf("param %d: gradient present in round %v, per unit %v", p, gotGrad[p] != nil, wantGrad[p] != nil)
+		}
+		scale := 0.0
+		for _, x := range wantGrad[p] {
+			scale = math.Max(scale, math.Abs(x))
+		}
+		tol := 1e-12 * scale
+		if len(centers) == 1 {
+			tol = 0
+		}
+		for j, x := range wantGrad[p] {
+			if d := math.Abs(gotGrad[p][j] - x); d > tol || math.IsNaN(d) {
+				t.Fatalf("param %d[%d]: round %v, per unit %v (|diff| %g > %g)", p, j, gotGrad[p][j], x, d, tol)
+			}
+		}
+	}
+}
+
+// Centers of the rounds under test: overlapping partitions (3 and its
+// neighbourhood), an identical pair (3 twice), isolated centers (31 is an
+// anchor, 32..35 are not) and, in the round of 16, most of the graph.
+var roundCenters = [][]int{
+	{3},
+	{3, 31},
+	{3, 3, 4, 31, 33, 0, 9, 17, 12, 25, 35, 7, 21, 28, 5, 14},
+}
+
+// TestRoundMatchesPerUnitEvaluation pins the union's contract for all eight
+// kinds on the event workload and the link workload (global negatives, link
+// replay).
+func TestRoundMatchesPerUnitEvaluation(t *testing.T) {
+	for _, kind := range dgnn.Kinds() {
+		for _, link := range []bool{false, true} {
+			tr, opt := roundFixture(t, kind, link, nil)
+			for _, centers := range roundCenters {
+				t.Run(fmt.Sprintf("%s/link=%v/units=%d", kind, link, len(centers)), func(t *testing.T) {
+					checkRoundMatchesUnits(t, tr, opt, centers)
+				})
+			}
+			// The link fixture must have put every term kind through the round.
+			if st := tr.Stats; link && (st.SelfNodeTargets == 0 || st.SelfEdgeTargets == 0 || st.SupNodeTargets == 0 || st.SupPairTargets == 0 || st.ReplayTargets == 0) {
+				t.Fatalf("%s: link fixture left a term kind without targets: %+v", kind, st)
+			}
+		}
+	}
+}
+
+// TestRoundMatchesPerUnitCenterSupervision repeats the contract with
+// BallSupervision off (targets at the center only).
+func TestRoundMatchesPerUnitCenterSupervision(t *testing.T) {
+	for _, link := range []bool{false, true} {
+		tr, opt := roundFixture(t, dgnn.GCLSTM, link, func(c *Config) { c.BallSupervision = false })
+		for _, centers := range roundCenters {
+			checkRoundMatchesUnits(t, tr, opt, centers)
+		}
+	}
+}
+
+// TestRoundWithMaterialLessUnits checks units without any target — isolated,
+// unlabeled, no anchor, replay off — first, in the middle and last in a round
+// whose other units have material: they come out not OK with zero utility and
+// the others are unmoved.
+func TestRoundWithMaterialLessUnits(t *testing.T) {
+	tr, opt := roundFixture(t, dgnn.TGCN, false, func(c *Config) { c.ReplaySize = 0 })
+	centers := []int{32, 3, 35, 35, 9, 32}
+	checkRoundMatchesUnits(t, tr, opt, centers)
+	units, _, _ := evalAsRound(tr, opt, centers, make([]int64, len(centers)))
+	for i, u := range units {
+		bare := centers[i] == 32 || centers[i] == 35
+		if u.OK == bare || (bare && u.Utility != 0) {
+			t.Fatalf("unit %d (node %d): %+v, want OK=%v", i, centers[i], u, !bare)
+		}
+	}
+	// A round in which no unit has material trains nothing and says so.
+	r := new(round)
+	r.add(tr.G.Partition(32, 2), 1)
+	r.add(tr.G.Partition(35, 2), 2)
+	if tr.evalRound(r, nil, true); r.trained || r.units[0].OK || r.units[1].OK {
+		t.Fatalf("material-less round reports training: %+v", r.units)
+	}
+}
+
+// TestRoundWarmScratch is the allocation promise of a round (next to
+// TestConflictBuildZeroAllocWarm): once its scratch has grown to the
+// high-water mark, building the union and stacking 16 units' material
+// allocate nothing beyond what the partitions' own accessors return, and a
+// whole 16-unit round allocates less than two rounds of one.
+func TestRoundWarmScratch(t *testing.T) {
+	tr, opt := roundFixture(t, dgnn.GCLSTM, false, nil)
+	tr.G.EnablePartitionCache(64)
+	centers := roundCenters[2]
+	r := new(round)
+	fill := func(r *round, centers []int) {
+		r.reset()
+		for i, v := range centers {
+			r.add(tr.G.Partition(v, 2), int64(i))
+		}
+	}
+	run := func(r *round, centers []int) func() {
+		return func() {
+			fill(r, centers)
+			tr.evalRound(r, nil, true)
+			opt.ZeroGrad()
+		}
+	}
+	run(r, centers)() // warm: partitions cached, scratch at its high-water mark
+	if allocs := testing.AllocsPerRun(50, func() { r.union.Build(r.subs) }); allocs != 0 {
+		t.Fatalf("warm union build allocates %.1f times, want 0", allocs)
+	}
+	one := new(round)
+	run(one, centers[:1])()
+	perUnit := testing.AllocsPerRun(50, run(one, centers[:1]))
+	whole := testing.AllocsPerRun(50, run(r, centers))
+	if whole >= 2*perUnit+float64(8*len(centers)) {
+		t.Fatalf("a warm round of %d allocates %.0f times, a round of one %.0f: the scratch is not being reused", len(centers), whole, perUnit)
+	}
+	t.Logf("warm allocations: round of %d %.0f, round of one %.0f", len(centers), whole, perUnit)
+}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"streamgnn/internal/autodiff"
 	"streamgnn/internal/dgnn"
@@ -45,23 +47,33 @@ type Trainer struct {
 	BallSupervision bool
 
 	rng *rand.Rand
+	// own is the round of TrainPartition, EvalPartition and TrainFull.
+	own round
 }
 
-// TrainerStats counts the training targets consumed so far. Fields are
-// updated atomically (loss construction runs on worker goroutines under
-// parallel pair execution); sums are order-independent, so the counters stay
-// deterministic regardless of worker count.
+// TrainerStats counts the training targets consumed so far and accounts for
+// the rounds that consumed them. Fields are updated atomically (conflict
+// groups run their rounds on worker goroutines); sums are order-independent,
+// so the counters stay deterministic regardless of worker count.
 type TrainerStats struct {
 	SelfNodeTargets int64
 	SelfEdgeTargets int64
 	SupNodeTargets  int64
 	SupPairTargets  int64
 	ReplayTargets   int64
+
+	// Rounds counts union evaluations, Units the partitions in them and
+	// UnionRows their stacked rows; a full-graph pass is a round of one unit.
+	Rounds, Units, UnionRows int64
+	// Where a round's time goes, in nanoseconds summed over rounds: node
+	// sampling and chip moves, partition extraction plus the union build,
+	// the forward, material and loss, the backward, the optimizer step.
+	SampleNs, ExtractNs, ForwardNs, LossNs, BackwardNs, OptimizerNs int64
 }
 
-// tapePool recycles training tapes across units and steps. A recycled tape
+// tapePool recycles training tapes across rounds and steps. A recycled tape
 // brings back its node shells and scratch slices (see autodiff.Tape), so a
-// warm training unit allocates little beyond its op closures. Safe for
+// warm round allocates little beyond its op outputs' headers. Safe for
 // concurrent Get/Put from worker goroutines; each tape is used by one
 // goroutine at a time.
 var tapePool = sync.Pool{New: func() any { return autodiff.NewTape() }}
@@ -87,331 +99,412 @@ func NewTrainer(g *graph.Dynamic, m dgnn.Model, w *query.Workload, opt autodiff.
 	}
 }
 
-// Unit is one evaluated-but-not-applied training partition: the forward
-// pass and loss of node v's partition, with the temporal utility (the loss
-// before backpropagation — Section IV-A) already measured. Units are the
-// unit of parallelism: evaluation is read-only with respect to model
-// parameters, recurrent state, and optimizer state, so many units can be
-// built concurrently against the same parameter snapshot; AccumulateUnit (or
-// GradUnitTo, into private sinks) then backpropagates them and one
-// optimizer step applies the step's summed gradient.
+// Unit is one training partition's outcome in a round: whether it had any
+// training material and, if so, its temporal utility — the loss at the round's
+// parameters, before backpropagation (Section IV-A).
 type Unit struct {
 	Node    int
 	Utility float64
 	OK      bool
-
-	tape *autodiff.Tape
-	loss *autodiff.Node
 }
 
-// EvalUnit builds node v's training unit using a private splitmix64 rng
-// seeded with seed (O(1) seeding — the standard lagged-Fibonacci source pays
-// a ~600-word initialization per seed, which profiles as several percent of
-// a training step), so evaluation order (and worker count) cannot perturb
-// the sampled replay batches and negatives. Safe to call from worker
-// goroutines.
-func (t *Trainer) EvalUnit(v int, seed int64) Unit {
-	return t.evalUnit(v, rand.New(rng.New(seed)))
+// round is a chunk of training units — the partitions subs, their rng seeds
+// and, after evalRound, their outcomes — plus the scratch one evaluation of
+// them reuses: the union's arrays, the stacked material and the units' rng.
+// Every slice grows to a high-water mark, so a warm round allocates little
+// beyond its tape's op outputs. One goroutine uses a round at a time.
+type round struct {
+	subs  []*graph.Subgraph
+	seeds []int64
+	units []Unit
+	// trained reports whether any unit of the last evaluation had material.
+	trained bool
+
+	union graph.Union
+	mat   material
+	// src seeds rnd afresh for each unit (O(1): the standard lagged-Fibonacci
+	// source pays a ~600-word initialization per seed), so which chunk a unit
+	// lands in, and beside which others, cannot perturb its sampled replay
+	// batches and negatives.
+	src rng.SplitMix64
+	rnd *rand.Rand
 }
 
-func (t *Trainer) evalUnit(v int, rng *rand.Rand) Unit {
-	sub := t.G.Partition(v, t.Model.Layers())
-	view := dgnn.SubView(sub)
+// reset empties the round's chunk, keeping its scratch.
+func (r *round) reset() {
+	clear(r.subs) // the partition cache owns the partitions
+	r.subs, r.seeds, r.units = r.subs[:0], r.seeds[:0], r.units[:0]
+}
+
+// add appends the partition sub, whose unit draws from an rng seeded with seed.
+func (r *round) add(sub *graph.Subgraph, seed int64) {
+	r.subs = append(r.subs, sub)
+	r.seeds = append(r.seeds, seed)
+	r.units = append(r.units, Unit{Node: sub.Nodes[sub.Center]})
+}
+
+// now reads the wall clock, for the round accounting alone.
+func now() time.Time {
+	return time.Now() //streamlint:ordered-ok round-accounting telemetry; the timestamp never feeds computation
+}
+
+// lap adds the time since *last to the counter *dst and restarts the clock.
+func lap(last *time.Time, dst *int64) {
+	t := now()
+	atomic.AddInt64(dst, int64(t.Sub(*last)))
+	*last = t
+}
+
+// forward runs the model over view on a pooled tape, on the round's clock.
+func (t *Trainer) forward(view dgnn.View, clock *time.Time) (*autodiff.Tape, *autodiff.Node) {
 	view.NoCommit = true // recurrent state advances only at inference time
 	tp := tapePool.Get().(*autodiff.Tape)
 	tp.Owned(view.Feat) // fresh per view; recycled with the tape
+	lap(clock, &t.Stats.ExtractNs)
 	emb := t.Model.Forward(tp, view)
-	loss := t.buildLoss(tp, emb, t.partitionMaterial(v, sub, rng), rng)
-	if loss == nil {
-		putTape(tp)
-		return Unit{Node: v}
-	}
-	return Unit{Node: v, Utility: loss.Value.Data[0], OK: true, tape: tp, loss: loss}
+	lap(clock, &t.Stats.ForwardNs)
+	atomic.AddInt64(&t.Stats.UnionRows, int64(view.N))
+	return tp, emb
 }
 
-// AccumulateUnit backpropagates an evaluated unit into the shared parameter
-// gradients without stepping the optimizer, then recycles the unit's tape.
-// Must be called serially in a deterministic order; follow a batch of
-// accumulations with a single Opt.Step() to apply the summed gradient. It
-// reports whether the unit contributed a gradient.
-func (t *Trainer) AccumulateUnit(u Unit) bool {
-	if !u.OK {
-		return false
+// evalRound is the one way training partitions are evaluated: ONE forward
+// over their disjoint union, one stacked loss whose terms reduce per unit
+// (buildLoss) and — when apply is set — one backward from the sum of the
+// units' losses into sink (nil: the parameters' own gradients). Algorithm 1
+// evaluates every partition of a round at the same θ_t and steps once on the
+// summed gradient, so nothing orders the units; the union saves the per-op
+// cost of a tape per unit for products of ten rows.
+//
+// r.units[i] receives unit i's outcome. Forward rows, and so utilities, are
+// bit-equal to evaluating each unit alone; parameter gradients are the same
+// terms summed inside one product over the stacked rows (DESIGN.md §18). Each
+// unit draws from its own rng seeded with r.seeds[i]. Evaluation writes no
+// model or graph state (NoCommit forward, atomic stats), so rounds with
+// private scratch and sinks may run concurrently.
+func (t *Trainer) evalRound(r *round, sink *autodiff.GradSink, apply bool) {
+	clock := now()
+	r.union.Build(r.subs)
+	tp, emb := t.forward(dgnn.UnionView(&r.union), &clock)
+	r.mat.reset()
+	if r.rnd == nil {
+		r.rnd = rand.New(&r.src)
 	}
-	u.tape.Backward(u.loss)
-	putTape(u.tape)
-	return true
+	for i, sub := range r.subs {
+		r.src.Seed(r.seeds[i])
+		t.partitionMaterial(&r.mat, sub, r.union.Offsets[i], r.rnd)
+		r.units[i].OK = r.mat.closeUnit()
+	}
+	r.trained = t.finish(tp, emb, &r.mat, r.units, sink, apply, &clock)
 }
 
-// GradUnitTo backpropagates an evaluated unit into sink's private gradient
-// buffers instead of the shared parameter gradients, then recycles the unit's
-// tape. Unlike AccumulateUnit it touches no shared model or
-// optimizer state, so units may run concurrently as long as each goroutine
-// uses its own sinks (the tape and tensor pools are concurrency-safe).
-// Merge the sinks serially in a fixed order (GradSink.MergeInto) and step the
-// optimizer to apply the result. It reports whether the unit contributed a
-// gradient.
-func (t *Trainer) GradUnitTo(u Unit, sink *autodiff.GradSink) bool {
-	if !u.OK {
-		return false
+// finish builds the stacked loss of m over emb, reads each unit's utility off
+// it, backpropagates when apply is set, and recycles the tape.
+func (t *Trainer) finish(tp *autodiff.Tape, emb *autodiff.Node, m *material, units []Unit, sink *autodiff.GradSink, apply bool, clock *time.Time) bool {
+	total := t.buildLoss(tp, emb, m)
+	if total != nil {
+		for i := range units {
+			if units[i].OK {
+				units[i].Utility = total.Value.Data[i]
+			}
+		}
 	}
-	u.tape.BackwardTo(u.loss, sink)
-	putTape(u.tape)
-	return true
+	lap(clock, &t.Stats.LossNs)
+	if total != nil && apply {
+		tp.BackwardTo(tp.Sum(total), sink)
+	}
+	putTape(tp)
+	lap(clock, &t.Stats.BackwardNs)
+	atomic.AddInt64(&t.Stats.Rounds, 1)
+	atomic.AddInt64(&t.Stats.Units, int64(len(units)))
+	return total != nil
 }
 
-// DiscardUnit recycles an evaluated unit without applying it.
-func (t *Trainer) DiscardUnit(u Unit) {
-	if u.tape != nil {
-		putTape(u.tape)
-	}
+// step applies the accumulated gradient with one optimizer step.
+func (t *Trainer) step() {
+	start := now()
+	t.Opt.Step()
+	lap(&start, &t.Stats.OptimizerNs)
+}
+
+// roundOfOne evaluates node v's partition as a round of one unit, seeded from
+// the trainer's own rng.
+func (t *Trainer) roundOfOne(v int, apply bool) Unit {
+	r := &t.own
+	r.reset()
+	r.add(t.G.Partition(v, t.Model.Layers()), t.rng.Int63())
+	t.evalRound(r, nil, apply)
+	return r.units[0]
 }
 
 // TrainPartition performs node v's training partition and returns its
 // temporal utility and whether any training material was available.
 func (t *Trainer) TrainPartition(v int) (utility float64, trained bool) {
-	u := t.evalUnit(v, t.rng)
-	if !u.OK {
-		return 0, false
+	u := t.roundOfOne(v, true)
+	if u.OK {
+		t.step()
 	}
-	t.AccumulateUnit(u)
-	t.Opt.Step()
-	return u.Utility, true
-}
-
-// TrainFull performs one full-graph training pass (the baseline) and
-// returns its loss before backpropagation.
-func (t *Trainer) TrainFull() (loss float64, trained bool) {
-	view := dgnn.FullView(t.G)
-	view.NoCommit = true
-	tp := tapePool.Get().(*autodiff.Tape)
-	tp.Owned(view.Feat)
-	emb := t.Model.Forward(tp, view)
-	l := t.buildLoss(tp, emb, fullMaterial(t.G, t.Workload), t.rng)
-	if l == nil {
-		putTape(tp)
-		return 0, false
-	}
-	loss = l.Value.Data[0]
-	tp.Backward(l)
-	t.Opt.Step()
-	putTape(tp)
-	return loss, true
+	return u.Utility, u.OK
 }
 
 // EvalPartition measures node v's partition loss without updating anything
 // (used by what-if analyses and tests).
 func (t *Trainer) EvalPartition(v int) (utility float64, ok bool) {
-	u := t.evalUnit(v, t.rng)
-	if !u.OK {
-		return 0, false
+	u := t.roundOfOne(v, false)
+	return u.Utility, u.OK
+}
+
+// TrainFull performs one full-graph training pass (the baseline) and
+// returns its loss before backpropagation: the same stacked loss with the
+// whole snapshot as its one segment.
+func (t *Trainer) TrainFull() (loss float64, trained bool) {
+	clock := now()
+	tp, emb := t.forward(dgnn.FullView(t.G), &clock)
+	m := &t.own.mat
+	m.reset()
+	t.fullMaterial(m)
+	unit := [1]Unit{{OK: m.closeUnit()}}
+	if t.finish(tp, emb, m, unit[:], nil, true, &clock) {
+		t.step()
 	}
-	t.DiscardUnit(u)
-	return u.Utility, true
+	return unit[0].Utility, unit[0].OK
 }
 
-// material is the training signal available in one unit of work.
-type material struct {
-	selfNodeRows    []int
-	selfNodeTargets []float64
-	selfEdgeSrc     []int
-	selfEdgeDst     []int
-	selfEdgeTargets []float64
-	sup             query.Supervision
-	replay          bool
-	// linkNegRows are detached embedding rows of global negative-sample
-	// nodes, paired with the partition center for link self-supervision.
-	linkNegRows [][]float64
-	center      int
+// The loss terms of a training unit, in the order they are summed into its
+// utility.
+const (
+	termSelfNode   = iota // node label at the center, SelfNode head
+	termSelfEdge          // labels of the center's edges, SelfEdge head
+	termSupNode           // revealed query targets, Event head
+	termSupPair           // labeled link pairs and the center's live edges, Link head
+	termLinkNeg           // the center against global negative samples, Link head
+	termReplay            // replayed (embedding, truth) reveals, Event head
+	termLinkReplay        // replayed pair examples, Link head
+	numTerms
+)
+
+// term is one loss term's material for a whole round, unit after unit. src
+// (and dst, for pair terms) are embedding rows of the round's forward; rows
+// are constant head-input rows, flattened (the negatives' detached embeddings,
+// replayed examples). Unit u's targets end at ends[u].
+type term struct {
+	src, dst []int
+	rows     []float64
+	targets  []float64
+	ends     []int
 }
 
-// partitionMaterial gathers node v's training targets per Section III-C:
-// self-supervision from v itself and its incident labeled edges (the
-// partition's own share of the self-supervised work), and supervised query
+func (tm *term) node(row int, target float64) {
+	tm.src = append(tm.src, row)
+	tm.targets = append(tm.targets, target)
+}
+
+func (tm *term) pair(src, dst int, target float64) {
+	tm.dst = append(tm.dst, dst)
+	tm.node(src, target)
+}
+
+// constant wraps the term's constant rows as a head input.
+func (tm *term) constant() *autodiff.Node {
+	return autodiff.Constant(tensor.FromSlice(len(tm.targets), len(tm.rows)/len(tm.targets), tm.rows))
+}
+
+// material is the training signal of a round: one stacked term per kind.
+type material [numTerms]term
+
+func (m *material) reset() {
+	for k := range m {
+		tm := &m[k]
+		tm.src, tm.dst, tm.rows, tm.targets, tm.ends = tm.src[:0], tm.dst[:0], tm.rows[:0], tm.targets[:0], tm.ends[:0]
+	}
+}
+
+// closeUnit ends the current unit's segment in every term and reports whether
+// any of them holds a target of it.
+func (m *material) closeUnit() (ok bool) {
+	for k := range m {
+		tm := &m[k]
+		prev := 0
+		if len(tm.ends) > 0 {
+			prev = tm.ends[len(tm.ends)-1]
+		}
+		ok = ok || len(tm.targets) > prev
+		tm.ends = append(tm.ends, len(tm.targets))
+	}
+	return ok
+}
+
+// partitionMaterial appends the training targets of the partition sub, whose
+// rows start at row off of the round's forward, per Section III-C:
+// self-supervision from the center v itself and its incident labeled edges (the
+// partition's own share of the self-supervised work), supervised query
 // targets from every anchor inside G_v (the queries whose relevant data
-// overlaps the partition). rng is the unit's private source for negative
-// sampling (never the trainer's shared one when units run concurrently).
-func (t *Trainer) partitionMaterial(v int, sub *graph.Subgraph, rng *rand.Rand) material {
-	m := material{replay: true, center: sub.Center}
+// overlaps the partition), and the replay minibatches. rng is the unit's
+// source for negative sampling and replay, drawn in that order.
+func (t *Trainer) partitionMaterial(m *material, sub *graph.Subgraph, off int, rng *rand.Rand) {
 	center := sub.Center
+	v := sub.Nodes[center]
 	if y, ok := t.G.Label(v); ok {
-		m.selfNodeRows = append(m.selfNodeRows, center)
-		m.selfNodeTargets = append(m.selfNodeTargets, y)
+		m[termSelfNode].node(off+center, y)
 	}
 	src, dst, labels := sub.LabeledEdges()
 	for i := range src {
 		if src[i] == center || dst[i] == center {
-			m.selfEdgeSrc = append(m.selfEdgeSrc, src[i])
-			m.selfEdgeDst = append(m.selfEdgeDst, dst[i])
-			m.selfEdgeTargets = append(m.selfEdgeTargets, labels[i])
+			m[termSelfEdge].pair(off+src[i], off+dst[i], labels[i])
 		}
 	}
-	if t.Workload != nil {
-		sup := t.Workload.Supervision(sub, rng)
-		if t.BallSupervision {
-			m.sup = sup
-		} else {
-			// Keep only targets whose embeddings the truncated subgraph
-			// computes exactly: node targets at the center (whose L-hop
-			// receptive field the partition contains in full) and pair
-			// targets incident to it. Targets anchored deeper in the ball
-			// are computed from truncated neighborhoods.
-			for i, row := range sup.NodeRows {
-				if row == center {
-					m.sup.NodeRows = append(m.sup.NodeRows, row)
-					m.sup.NodeTargets = append(m.sup.NodeTargets, sup.NodeTargets[i])
-				}
-			}
-			for i := range sup.PairSrc {
-				if sup.PairSrc[i] == center || sup.PairDst[i] == center {
-					m.sup.PairSrc = append(m.sup.PairSrc, sup.PairSrc[i])
-					m.sup.PairDst = append(m.sup.PairDst, sup.PairDst[i])
-					m.sup.PairLabels = append(m.sup.PairLabels, sup.PairLabels[i])
-				}
-			}
+	// Without BallSupervision keep only targets whose embeddings the
+	// truncated subgraph computes exactly: node targets at the center (whose
+	// L-hop receptive field the partition contains in full) and pair targets
+	// incident to it. Targets anchored deeper in the ball are computed from
+	// truncated neighborhoods.
+	sup := t.Workload.Supervision(sub, rng)
+	for i, row := range sup.NodeRows {
+		if t.BallSupervision || row == center {
+			m[termSupNode].node(off+row, sup.NodeTargets[i])
 		}
 	}
-	if lt := linkTaskOf(t.Workload); lt != nil && rng != nil && sub.N() > 2 {
+	pairs := &m[termSupPair]
+	for i := range sup.PairSrc {
+		if t.BallSupervision || sup.PairSrc[i] == center || sup.PairDst[i] == center {
+			pairs.pair(off+sup.PairSrc[i], off+sup.PairDst[i], sup.PairLabels[i])
+		}
+	}
+	lt := t.Workload.LinkTask()
+	if lt != nil && sub.N() > 2 {
 		// Structural self-supervision for link workloads (Section III-B:
 		// "predicting chosen nodes/links in the network"): the center's
-		// current edges are positives. Negatives pair the center with
-		// *global* random nodes (their embeddings taken, detached, from the
-		// last inference): partitions are community-local, so in-partition
-		// negatives would cancel the community signal that link ranking
-		// needs.
-		nbrs := map[int]bool{center: true}
-		count := 0
+		// current edges are positives, each neighbor once, up to 8. Negatives
+		// pair the center with *global* random nodes (their embeddings taken,
+		// detached, from the last inference): partitions are community-local,
+		// so in-partition negatives would cancel the community signal that
+		// link ranking needs.
+		first := len(pairs.dst)
 		for _, e := range t.G.OutEdges(v) {
-			if li := sub.LocalID(e.To); li >= 0 && !nbrs[li] {
-				nbrs[li] = true
-				m.sup.PairSrc = append(m.sup.PairSrc, center)
-				m.sup.PairDst = append(m.sup.PairDst, li)
-				m.sup.PairLabels = append(m.sup.PairLabels, 1)
-				count++
-				if count >= 8 {
-					break
-				}
+			li := sub.LocalID(e.To)
+			if li < 0 || li == center || slices.Contains(pairs.dst[first:], off+li) {
+				continue
+			}
+			pairs.pair(off+center, off+li, 1)
+			if len(pairs.dst)-first >= 8 {
+				break
 			}
 		}
+		count := len(pairs.dst) - first
 		if n := lt.NumEmbedded(); n > 1 && count > 0 {
+			neg := &m[termLinkNeg]
 			for k := 0; k < 2*count; k++ {
 				nv := rng.Intn(n)
 				if nv == v {
 					continue
 				}
 				if row, ok := lt.EmbeddingRow(nv); ok {
-					m.linkNegRows = append(m.linkNegRows, row)
+					neg.rows = append(neg.rows, row...)
+					neg.node(off+center, 0)
 				}
 			}
 		}
 	}
-	return m
+	// Replay trains only the heads, on constants: see ReplaySize.
+	if t.ReplaySize > 0 {
+		re := &m[termReplay]
+		re.rows, re.targets = t.Workload.AppendReplay(rng, t.ReplaySize, re.rows, re.targets)
+		if lt != nil {
+			lr := &m[termLinkReplay]
+			lr.rows, lr.targets = lt.AppendReplay(rng, t.ReplaySize, lr.rows, lr.targets)
+		}
+	}
 }
 
-func fullMaterial(g *graph.Dynamic, w *query.Workload) material {
-	m := material{center: -1}
+// fullMaterial appends the whole snapshot's training targets as one unit:
+// every node and edge label, every revealed target and labeled pair.
+func (t *Trainer) fullMaterial(m *material) {
+	g := t.G
 	for v := 0; v < g.N(); v++ {
 		if y, ok := g.Label(v); ok {
-			m.selfNodeRows = append(m.selfNodeRows, v)
-			m.selfNodeTargets = append(m.selfNodeTargets, y)
+			m[termSelfNode].node(v, y)
 		}
 		for _, e := range g.OutEdges(v) {
 			if e.HasLabel() {
-				m.selfEdgeSrc = append(m.selfEdgeSrc, v)
-				m.selfEdgeDst = append(m.selfEdgeDst, e.To)
-				m.selfEdgeTargets = append(m.selfEdgeTargets, e.Label)
+				m[termSelfEdge].pair(v, e.To, e.Label)
 			}
 		}
 	}
-	if w != nil {
-		m.sup = w.SupervisionFull(g.N())
+	sup := t.Workload.SupervisionFull(g.N())
+	for i, row := range sup.NodeRows {
+		m[termSupNode].node(row, sup.NodeTargets[i])
 	}
-	return m
+	for i := range sup.PairSrc {
+		m[termSupPair].pair(sup.PairSrc[i], sup.PairDst[i], sup.PairLabels[i])
+	}
 }
 
-// buildLoss assembles the weighted training loss over emb for the given
-// material; it returns nil when no targets are available. rng draws the
-// replay minibatches; stats counters are updated atomically so concurrent
-// unit evaluation stays race-free.
-func (t *Trainer) buildLoss(tp *autodiff.Tape, emb *autodiff.Node, m material, rng *rand.Rand) *autodiff.Node {
+// buildLoss assembles the weighted training loss of the round over emb: per
+// term kind the units' rows are one head application and one segmented loss,
+// a column of per-unit means; the weighted columns add up, in term order, to
+// the column of the units' losses. A unit without a target in some term reads
+// +0 there, which changes no sum, so entry u is bit for bit the loss unit u's
+// terms alone add up to — its temporal utility. It returns nil when the round
+// has no target at all. Stats counters are updated atomically so concurrent
+// rounds stay race-free.
+func (t *Trainer) buildLoss(tp *autodiff.Tape, emb *autodiff.Node, m *material) *autodiff.Node {
 	heads := t.Workload.Heads()
 	var total *autodiff.Node
-	// cv builds a tape-owned target column so its buffer is recycled with
-	// the tape instead of leaking from the buffer pool every unit.
-	cv := func(vals []float64) *tensor.Matrix { return tp.Owned(colVec(vals)) }
-	add := func(term *autodiff.Node, weight float64) {
+	for k := range m {
+		tm := &m[k]
+		if len(tm.targets) == 0 {
+			continue
+		}
+		n := int64(len(tm.targets))
+		head, weight := heads.Event, t.SupWeight
+		var in *autodiff.Node
+		switch k {
+		case termSelfNode:
+			head, weight = heads.SelfNode, t.SelfWeight
+			in = tp.GatherRows(emb, tm.src)
+			atomic.AddInt64(&t.Stats.SelfNodeTargets, n)
+		case termSelfEdge:
+			head, weight = heads.SelfEdge, t.SelfWeight
+			in = query.PairInput(tp, emb, tm.src, tm.dst)
+			atomic.AddInt64(&t.Stats.SelfEdgeTargets, n)
+		case termSupNode:
+			in = tp.GatherRows(emb, tm.src)
+			atomic.AddInt64(&t.Stats.SupNodeTargets, n)
+		case termSupPair:
+			head = heads.Link
+			in = query.PairInput(tp, emb, tm.src, tm.dst)
+			atomic.AddInt64(&t.Stats.SupPairTargets, n)
+		case termLinkNeg:
+			head, weight = heads.Link, t.SelfWeight
+			c, neg := tp.GatherRows(emb, tm.src), tm.constant()
+			in = tp.ConcatCols(tp.ConcatCols(c, neg), tp.Mul(c, neg))
+			atomic.AddInt64(&t.Stats.SelfEdgeTargets, n)
+		case termReplay, termLinkReplay:
+			if k == termLinkReplay {
+				head = heads.Link
+			}
+			in = tm.constant()
+			atomic.AddInt64(&t.Stats.ReplayTargets, n)
+		}
+		pred := head.Apply(tp, in)
+		var col *autodiff.Node
+		if head == heads.Link {
+			col = tp.BCESeg(pred, colVec(tm.targets), tm.ends)
+		} else {
+			col = tp.MSESeg(pred, colVec(tm.targets), tm.ends)
+		}
 		if weight != 1 {
-			term = tp.Scale(term, weight)
+			col = tp.Scale(col, weight)
 		}
 		if total == nil {
-			total = term
+			total = col
 		} else {
-			total = tp.Add(total, term)
-		}
-	}
-	if len(m.selfNodeRows) > 0 {
-		pred := heads.SelfNode.Apply(tp, tp.GatherRows(emb, m.selfNodeRows))
-		add(tp.MSE(pred, cv(m.selfNodeTargets)), t.SelfWeight)
-		atomic.AddInt64(&t.Stats.SelfNodeTargets, int64(len(m.selfNodeRows)))
-	}
-	if len(m.selfEdgeSrc) > 0 {
-		pred := heads.SelfEdge.Apply(tp, query.PairInput(tp, emb, m.selfEdgeSrc, m.selfEdgeDst))
-		add(tp.MSE(pred, cv(m.selfEdgeTargets)), t.SelfWeight)
-		atomic.AddInt64(&t.Stats.SelfEdgeTargets, int64(len(m.selfEdgeSrc)))
-	}
-	if len(m.sup.NodeRows) > 0 {
-		pred := heads.Event.Apply(tp, tp.GatherRows(emb, m.sup.NodeRows))
-		add(tp.MSE(pred, cv(m.sup.NodeTargets)), t.SupWeight)
-		atomic.AddInt64(&t.Stats.SupNodeTargets, int64(len(m.sup.NodeRows)))
-	}
-	if len(m.sup.PairSrc) > 0 {
-		logits := heads.Link.Apply(tp, query.PairInput(tp, emb, m.sup.PairSrc, m.sup.PairDst))
-		add(tp.BCEWithLogits(logits, cv(m.sup.PairLabels)), t.SupWeight)
-		atomic.AddInt64(&t.Stats.SupPairTargets, int64(len(m.sup.PairSrc)))
-	}
-	if len(m.linkNegRows) > 0 && m.center >= 0 {
-		k := len(m.linkNegRows)
-		idx := make([]int, k)
-		for i := range idx {
-			idx[i] = m.center
-		}
-		centerRep := tp.GatherRows(emb, idx)
-		negs := tp.Owned(tensor.New(k, len(m.linkNegRows[0])))
-		for i, row := range m.linkNegRows {
-			copy(negs.Row(i), row)
-		}
-		nc := autodiff.Constant(negs)
-		in := tp.ConcatCols(tp.ConcatCols(centerRep, nc), tp.Mul(centerRep, nc))
-		logits := heads.Link.Apply(tp, in)
-		add(tp.BCEWithLogits(logits, tp.Owned(tensor.New(k, 1))), t.SelfWeight)
-		atomic.AddInt64(&t.Stats.SelfEdgeTargets, int64(k))
-	}
-	if m.replay && t.Workload != nil && t.ReplaySize > 0 && rng != nil {
-		if re, truths := t.Workload.ReplayBatch(rng, t.ReplaySize); re != nil {
-			pred := heads.Event.Apply(tp, autodiff.Constant(tp.Owned(re)))
-			add(tp.MSE(pred, cv(truths)), t.SupWeight)
-			atomic.AddInt64(&t.Stats.ReplayTargets, int64(len(truths)))
-		}
-		if lt := t.Workload.LinkTask(); lt != nil {
-			if re, labels := lt.ReplayBatch(rng, t.ReplaySize); re != nil {
-				logits := heads.Link.Apply(tp, autodiff.Constant(tp.Owned(re)))
-				add(tp.BCEWithLogits(logits, cv(labels)), t.SupWeight)
-				atomic.AddInt64(&t.Stats.ReplayTargets, int64(len(labels)))
-			}
+			total = tp.Add(total, col)
 		}
 	}
 	return total
 }
 
-func linkTaskOf(w *query.Workload) *query.LinkPredTask {
-	if w == nil {
-		return nil
-	}
-	return w.LinkTask()
-}
-
+// colVec wraps vals as a column, sharing their storage.
 func colVec(vals []float64) *tensor.Matrix {
-	m := tensor.New(len(vals), 1)
-	copy(m.Data, vals)
-	return m
+	return tensor.FromSlice(len(vals), 1, vals)
 }

@@ -72,6 +72,21 @@ func SubView(s *graph.Subgraph) View {
 	}
 }
 
+// UnionView builds the view of a training round's partitions laid out as one
+// disjoint-union graph. IDs repeats a node that several partitions hold, once
+// per block, which a NoCommit forward — the only kind a round runs — tolerates:
+// its state gathers only read.
+func UnionView(u *graph.Union) View {
+	return View{
+		N:       u.N(),
+		Feat:    u.Features(),
+		Norm:    u.NormAdj(),
+		RW:      u.Diffusion(),
+		IDs:     u.Nodes,
+		TypedFn: u.TypedAdj,
+	}
+}
+
 // DirtyView builds the view of an incremental forward: the induced subgraph
 // of the compute region (the dirty nodes' 2L-hop ball), with recurrent-state
 // commit restricted to the exact rows (the dirty nodes' L-hop ball, as local

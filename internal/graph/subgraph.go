@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"streamgnn/internal/tensor"
 )
@@ -30,6 +31,9 @@ type Subgraph struct {
 	rwFwd   *tensor.CSR
 	rwRev   *tensor.CSR
 	rw      tensor.Diffusion
+
+	typedMu sync.Mutex
+	typed   []*tensor.CSR // TypedAdj's result, built on first use
 }
 
 // Induced returns the subgraph induced by the given global node ids

@@ -30,9 +30,11 @@ func (g *Dynamic) NumEdgeTypes() int {
 // NormAdj, no self loop is included — relation-aware layers add an explicit
 // self-transform instead. Normalization uses each node's total degree
 // across all types, so the per-type matrices sum to (roughly) the untyped
-// normalized adjacency.
+// normalized adjacency. Degrees and edge types are topology, so the result is
+// cached per EdgeVersion like the other adjacencies: attribute and label
+// writes leave it standing.
 func (g *Dynamic) TypedAdj(ntypes int) []*tensor.CSR {
-	if g.typedVersion == g.version && g.typedNTypes == ntypes && g.typedAdj != nil {
+	if g.typedVersion == g.edgeVersion && g.typedNTypes == ntypes && g.typedAdj != nil {
 		return g.typedAdj
 	}
 	n := g.N()
@@ -64,15 +66,26 @@ func (g *Dynamic) TypedAdj(ntypes int) []*tensor.CSR {
 		out[t] = tensor.NewCSR(n, n, per[t])
 	}
 	g.typedAdj = out
-	g.typedVersion = g.version
+	g.typedVersion = g.edgeVersion
 	g.typedNTypes = ntypes
 	return out
 }
 
 // TypedAdj returns the subgraph's per-type normalized adjacencies, using
 // global degrees like the untyped case so interior propagation matches the
-// full graph exactly.
+// full graph exactly. A Subgraph is immutable, so they are built once (per
+// ntypes) and shared; the lock is for partitions cached across worker
+// goroutines.
 func (s *Subgraph) TypedAdj(ntypes int) []*tensor.CSR {
+	s.typedMu.Lock()
+	defer s.typedMu.Unlock()
+	if s.typed == nil || len(s.typed) != ntypes {
+		s.typed = s.buildTyped(ntypes)
+	}
+	return s.typed
+}
+
+func (s *Subgraph) buildTyped(ntypes int) []*tensor.CSR {
 	n := len(s.Nodes)
 	deg := make([]float64, n)
 	for li, v := range s.Nodes {

@@ -174,22 +174,19 @@ func (l *LinkPredTask) NumEmbedded() int {
 	return l.lastEmb.Rows
 }
 
-// ReplayBatch samples up to n of the freshest revealed pair examples.
-func (l *LinkPredTask) ReplayBatch(rng *rand.Rand, n int) (emb *tensor.Matrix, labels []float64) {
-	if len(l.replayEmb) == 0 || n <= 0 {
-		return nil, nil
-	}
+// AppendReplay samples up to n of the freshest revealed pair examples,
+// appending each pair-head input row to rows and its label to labels (see
+// Workload.AppendReplay).
+func (l *LinkPredTask) AppendReplay(rng *rand.Rand, n int, rows, labels []float64) ([]float64, []float64) {
 	if n > len(l.replayEmb) {
 		n = len(l.replayEmb)
 	}
-	emb = tensor.New(n, len(l.replayEmb[0]))
-	labels = make([]float64, n)
 	for i := 0; i < n; i++ {
 		j := rng.Intn(len(l.replayEmb))
-		copy(emb.Row(i), l.replayEmb[j])
-		labels[i] = l.replayLabels[j]
+		rows = append(rows, l.replayEmb[j]...)
+		labels = append(labels, l.replayLabels[j])
 	}
-	return emb, labels
+	return rows, labels
 }
 
 // ResetOutcomes clears accumulated evaluation state.

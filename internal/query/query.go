@@ -239,24 +239,20 @@ func (w *Workload) Reveal(g *graph.Dynamic, step int) {
 // Outcomes returns all resolved predictions so far.
 func (w *Workload) Outcomes() []Outcome { return w.outcomes }
 
-// ReplayBatch samples up to n revealed (embedding, truth) pairs from the
-// replay ring. It returns nil when no reveals have happened yet.
-func (w *Workload) ReplayBatch(rng *rand.Rand, n int) (emb *tensor.Matrix, truths []float64) {
-	if len(w.replay) == 0 || n <= 0 {
-		return nil, nil
-	}
+// AppendReplay samples up to n revealed (embedding, truth) pairs from the
+// replay ring, appending each embedding to rows and each truth to truths — a
+// training round stacks its units' batches this way. Nothing is appended (and
+// nothing drawn from rng) when no reveals have happened yet.
+func (w *Workload) AppendReplay(rng *rand.Rand, n int, rows, truths []float64) ([]float64, []float64) {
 	if n > len(w.replay) {
 		n = len(w.replay)
 	}
-	dim := len(w.replay[0].emb)
-	emb = tensor.New(n, dim)
-	truths = make([]float64, n)
 	for i := 0; i < n; i++ {
 		ex := w.replay[rng.Intn(len(w.replay))]
-		copy(emb.Row(i), ex.emb)
-		truths[i] = ex.truth
+		rows = append(rows, ex.emb...)
+		truths = append(truths, ex.truth)
 	}
-	return emb, truths
+	return rows, truths
 }
 
 // TakeAlerts drains and returns the alerts fired since the last call.

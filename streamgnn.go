@@ -114,22 +114,22 @@ type Config struct {
 	// per-step query loss; see DriftDetected.
 	DriftDetection bool
 
-	// Workers is the number of goroutines evaluating training partitions
-	// concurrently in the adaptive strategies. 0 means 1 (serial); any
-	// negative value means runtime.NumCPU(). Seeded runs produce
-	// bit-identical results for every worker count — only wall-clock time
-	// changes.
+	// Workers is the number of goroutines DependencySchedule runs conflict
+	// groups on; without DependencySchedule a training step is one union
+	// round (DESIGN.md §18) and the value has no effect. 0 means 1 (serial);
+	// any negative value means runtime.NumCPU(). Seeded runs produce
+	// bit-identical results for every worker count.
 	Workers int
 	// PartitionCacheCap caps the version-keyed LRU cache of training
 	// partitions (see Stats.CacheHits). 0 means the default (256); negative
 	// disables caching.
 	PartitionCacheCap int
-	// DependencySchedule extends worker-pool parallelism from unit
-	// *evaluation* to the whole training unit (backprop and gradient
-	// accumulation included): the step's units are partitioned into conflict
-	// groups — units whose L-hop receptive fields intersect — and
-	// independent groups run fully concurrently, with per-unit gradients
-	// merged serially in unit-index order before the optimizer step.
+	// DependencySchedule splits a training step's union round along its
+	// conflict groups: the step's units are partitioned into groups — units
+	// whose L-hop receptive fields intersect — each group runs as a round of
+	// its own (forward, loss, backward into a private gradient sink),
+	// independent groups concurrently on Workers goroutines, and the group
+	// gradients are merged serially in group order before the optimizer step.
 	// Grouping depends only on the sampled units and the graph, so seeded
 	// runs stay bit-identical for every Workers value. On hub-heavy graphs
 	// all units tend to share one group and the schedule degenerates to the
@@ -181,7 +181,7 @@ type Config struct {
 	// (tensor.SetParallelism): shards of dense matmuls and SpMM run on this
 	// many goroutines with bit-identical results. 0 leaves the current
 	// process-wide setting untouched; negative means runtime.NumCPU().
-	// Distinct from Workers, which parallelizes whole training partitions.
+	// Distinct from Workers, which runs whole conflict groups concurrently.
 	KernelWorkers int
 
 	// Shards partitions the node-id space into this many shards and makes
@@ -362,8 +362,8 @@ type Stats struct {
 	CacheMisses        int64
 	CacheInvalidations int64
 	CacheHitRate       float64
-	// ParallelUnits counts training units evaluated on worker goroutines
-	// (0 when Workers <= 1).
+	// ParallelUnits counts training units evaluated on worker goroutines:
+	// conflict groups under DependencySchedule with Workers > 1, else 0.
 	ParallelUnits int64
 
 	// Dependency-schedule counters, zero unless Config.DependencySchedule:

@@ -304,15 +304,16 @@ func TestDriftDetectionDisabledByDefault(t *testing.T) {
 // serial and 4-worker pair evaluation and requires bit-identical predictions,
 // metrics and embeddings — the facade-level determinism guarantee.
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) *Engine {
+	run := func(workers int, sched bool) *Engine {
 		cfg := DefaultConfig()
 		cfg.Strategy = StrategyWeighted
 		cfg.Hidden = 8
 		cfg.PairsPerStep = 3
 		cfg.Workers = workers
+		cfg.DependencySchedule = sched
 		return endToEnd(t, cfg, 10)
 	}
-	e1, e4 := run(1), run(4)
+	e1, e4 := run(1, false), run(4, false)
 	o1, o4 := e1.Outcomes(), e4.Outcomes()
 	if len(o1) == 0 || len(o1) != len(o4) {
 		t.Fatalf("outcome counts %d vs %d", len(o1), len(o4))
@@ -340,6 +341,9 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	if s1.TrainedPartitions != s4.TrainedPartitions || s1.ChipEntropy != s4.ChipEntropy {
 		t.Fatalf("stats diverged: %+v vs %+v", s1, s4)
 	}
+	// A step is one round whatever Workers says; only the conflict groups of
+	// DependencySchedule are fanned out, and only there the counter counts.
+	s1, s4 = run(1, true).Stats(), run(4, true).Stats()
 	if s1.ParallelUnits != 0 || s4.ParallelUnits == 0 {
 		t.Fatalf("ParallelUnits: serial %d, parallel %d", s1.ParallelUnits, s4.ParallelUnits)
 	}

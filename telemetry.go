@@ -27,6 +27,14 @@ const (
 	numPhases
 )
 
+// TrainRoundParts returns the keys of Telemetry.TrainRoundSeconds, the parts
+// of a training round in execution order: node sampling and chip moves,
+// partition extraction plus the union build, the union forward, training
+// material plus the stacked loss, the backward pass, the optimizer step.
+func TrainRoundParts() []string {
+	return []string{"sample", "extract", "forward", "loss", "backward", "optimizer"}
+}
+
 // StepPhases returns the phase names of one Step in execution order.
 func StepPhases() []string {
 	return []string{PhaseExpire, PhaseForward, PhaseReveal, PhasePredict, PhaseTrain}
@@ -176,6 +184,17 @@ type Telemetry struct {
 	SchedCollapsedSteps int64
 	SchedGroupFraction  TelemetryHistogram
 
+	// Training-round accounting, cumulative since the engine was built (like
+	// the phase histograms, not checkpointed). A round is one disjoint-union
+	// evaluation of training units (a full-graph pass: a round of one unit),
+	// TrainUnionRows the rows those forwards ran on, and TrainRoundSeconds
+	// where the time went, keyed by TrainRoundParts(): together the parts
+	// are the train phase.
+	TrainRounds       int64
+	TrainUnits        int64
+	TrainUnionRows    int64
+	TrainRoundSeconds map[string]float64
+
 	// Sharded-pipeline fields, zero/nil unless Config.Shards > 1.
 	// Shards is the partition width P; ShardNodes the current node
 	// occupancy per shard; ShardSplicedRows the total embedding rows each
@@ -224,6 +243,15 @@ func (e *Engine) Telemetry() Telemetry {
 	}
 	pool := tensor.ReadPoolStats()
 	t.TensorPoolGets, t.TensorPoolHits, t.TensorFreshBytes = pool.Gets, pool.Hits, pool.FreshBytes
+	rs := &e.trainer.Stats
+	t.TrainRounds = atomic.LoadInt64(&rs.Rounds)
+	t.TrainUnits = atomic.LoadInt64(&rs.Units)
+	t.TrainUnionRows = atomic.LoadInt64(&rs.UnionRows)
+	parts := TrainRoundParts()
+	t.TrainRoundSeconds = make(map[string]float64, len(parts))
+	for i, ns := range []*int64{&rs.SampleNs, &rs.ExtractNs, &rs.ForwardNs, &rs.LossNs, &rs.BackwardNs, &rs.OptimizerNs} {
+		t.TrainRoundSeconds[parts[i]] = float64(atomic.LoadInt64(ns)) / 1e9
+	}
 	if e.sched != nil {
 		if a := e.sched.Adaptive; a != nil {
 			t.SchedSteps = atomic.LoadInt64(&a.SchedSteps)

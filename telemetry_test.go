@@ -76,3 +76,51 @@ func TestTelemetryZeroBeforeStepping(t *testing.T) {
 		t.Fatalf("fresh engine has %d phase histograms, want %d", got, len(StepPhases()))
 	}
 }
+
+// TestTelemetryAccountsForTrainingRounds checks the round accounting sums to
+// its parts: rounds, units and union rows count what the scheduler ran, every
+// part has time on it, and together the parts are the train phase to within
+// 5 % — "why was training slow" is answerable from the running process.
+func TestTelemetryAccountsForTrainingRounds(t *testing.T) {
+	const steps = 20
+	cfg := DefaultConfig()
+	cfg.Hidden = 8
+	cfg.PairsPerStep = 8
+	e := endToEnd(t, cfg, steps)
+	tel, st := e.Telemetry(), e.Stats()
+	// Every step trains the same whole number of rounds of 2·PairsPerStep units.
+	rounds := tel.TrainRounds
+	if rounds < steps || rounds%steps != 0 || tel.TrainUnits != rounds*int64(2*cfg.PairsPerStep) {
+		t.Fatalf("%d rounds of %d units over %d steps of %d pairs", rounds, tel.TrainUnits, steps, cfg.PairsPerStep)
+	}
+	if tel.TrainUnits != int64(st.TrainedPartitions) {
+		t.Fatalf("%d units in rounds, %d partitions trained", tel.TrainUnits, st.TrainedPartitions)
+	}
+	// A partition of the 12-node ring holds its center and at least two
+	// neighbours, and never more than the graph.
+	if tel.TrainUnionRows < 3*tel.TrainUnits || tel.TrainUnionRows > 12*tel.TrainUnits {
+		t.Fatalf("%d union rows for %d units", tel.TrainUnionRows, tel.TrainUnits)
+	}
+	var parts float64
+	for _, name := range TrainRoundParts() {
+		sec, ok := tel.TrainRoundSeconds[name]
+		if !ok || sec <= 0 {
+			t.Fatalf("round part %q has %v seconds on it", name, sec)
+		}
+		parts += sec
+	}
+	if len(tel.TrainRoundSeconds) != len(TrainRoundParts()) {
+		t.Fatalf("round parts %v, want %v", tel.TrainRoundSeconds, TrainRoundParts())
+	}
+	train := tel.Phases[PhaseTrain].Sum
+	if parts > train || parts < 0.95*train {
+		t.Fatalf("round parts sum to %.6fs, the train phase to %.6fs: more than 5%% unaccounted", parts, train)
+	}
+
+	// A full-graph pass is a round of one unit over every row.
+	cfg.Strategy = StrategyFull
+	tel = endToEnd(t, cfg, 5).Telemetry()
+	if tel.TrainRounds < 5 || tel.TrainUnits != tel.TrainRounds || tel.TrainUnionRows != 12*tel.TrainRounds {
+		t.Fatalf("full strategy: %d rounds, %d units, %d rows", tel.TrainRounds, tel.TrainUnits, tel.TrainUnionRows)
+	}
+}

@@ -38,6 +38,15 @@ func useScatterAfterTapeRelease(base, src *autodiff.Node) *tensor.Matrix {
 	return sc.Value // want `use after release: sc is a released tape node`
 }
 
+// Positive: a segmented loss's column of per-unit means is the tape's too —
+// a round's utilities must be read off it before the tape is released.
+func useSegLossAfterTapeRelease(pred *autodiff.Node, target *tensor.Matrix) float64 {
+	tp := autodiff.NewTape()
+	col := tp.MSESeg(pred, target, []int{1, 2})
+	tp.Release()
+	return col.Value.Data[0] // want `use after release: col is a released tape node`
+}
+
 // Positive: nodes from free functions that take the tape count too.
 func useAfterTapeReleaseFree(x *tensor.Matrix) *autodiff.Node {
 	tp := autodiff.NewTape()

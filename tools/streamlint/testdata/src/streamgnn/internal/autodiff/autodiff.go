@@ -22,5 +22,8 @@ func (t *Tape) Add(a, b *Node) *Node { return &Node{} }
 // ScatterRows is a tape operation over two nodes and an index list.
 func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node { return &Node{} }
 
+// MSESeg is a tape operation over a node, a constant and segment ends.
+func (t *Tape) MSESeg(pred *Node, target *tensor.Matrix, ends []int) *Node { return &Node{} }
+
 // Forward is a free function taking the tape and producing a node.
 func Forward(tp *Tape, x *tensor.Matrix) *Node { return &Node{} }
