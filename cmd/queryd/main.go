@@ -255,12 +255,15 @@ func run(opts options) error {
 	// including the ones replayed during a -resume fast-forward — is routed
 	// to the replica outboxes before the engine consumes it.
 	var coord *cluster.Coordinator
+	var wires []*cluster.HTTPTransport
 	src := stream.Source(ds.Source())
 	var routed *routingSource
 	if opts.role == "coordinator" {
 		trans := make([]cluster.Transport, len(peerURLs))
+		wires = make([]*cluster.HTTPTransport, len(peerURLs))
 		for i, p := range peerURLs {
-			trans[i] = &cluster.HTTPTransport{Base: p}
+			wires[i] = &cluster.HTTPTransport{Base: p}
+			trans[i] = wires[i]
 		}
 		if coord, err = cluster.NewCoordinator(eng, trans); err != nil {
 			return err
@@ -308,7 +311,10 @@ func run(opts options) error {
 				coord.PublishStep(snap.Step())
 			}
 		}
-		srv.extraMetrics = coord.WriteMetrics
+		srv.extraMetrics = func(w io.Writer) {
+			coord.WriteMetrics(w)
+			cluster.WriteWireMetrics(w, wires)
+		}
 	}
 	srv.batcher = serve.NewBatcher(serve.Config{MaxBatch: opts.batchMax, MaxWait: opts.batchWait}, answer)
 	defer srv.batcher.Close()

@@ -21,10 +21,10 @@
 //
 // Two Transport implementations ship: Loopback (direct in-process calls,
 // zero-copy — proves the architecture against single-process mode) and
-// HTTPTransport (localhost HTTP/JSON for queryd -role=coordinator|replica).
-// All floating-point payloads travel as Float64s — base64 of the raw IEEE-754
-// little-endian bits — so the JSON wire format is exact for every value,
-// NaN and infinities included.
+// HTTPTransport (binary frames over localhost HTTP for queryd
+// -role=coordinator|replica; frame.go). All floating-point payloads are
+// Float64s and cross the wire as their raw IEEE-754 little-endian words, so
+// the format is exact for every value, NaN and infinities included.
 package cluster
 
 import (
@@ -42,10 +42,11 @@ import (
 	"streamgnn/internal/tensor"
 )
 
-// Float64s is a float slice that marshals to JSON as base64 of its raw
-// little-endian IEEE-754 bits: compact, and exact for every representable
-// value (encoding/json cannot carry NaN or ±Inf, and decimal round-trips,
-// while exact for finite float64s in Go, triple the payload size).
+// Float64s is the float payload of every wire type. In an RPC frame it is a
+// count and its raw little-endian IEEE-754 words (frame.go). Its JSON form —
+// base64 of the same bytes, exact for every representable value where
+// encoding/json alone cannot carry NaN or ±Inf — is what the replica's
+// on-disk WAL stores, and only the WAL uses it.
 type Float64s []float64
 
 // MarshalJSON implements json.Marshaler.
@@ -80,9 +81,9 @@ func (f *Float64s) UnmarshalJSON(b []byte) error {
 
 // Dump is a wire-encodable matrix (the transport twin of dgnn.StateDump).
 type Dump struct {
-	Rows int      `json:"rows"`
-	Cols int      `json:"cols"`
-	Data Float64s `json:"data"`
+	Rows int
+	Cols int
+	Data Float64s
 }
 
 func dumpOf(d dgnn.StateDump) Dump {
@@ -215,17 +216,17 @@ type StepEvents struct {
 // configuration error, reported verbatim.
 type ReplicaConfig struct {
 	// Shard is this replica's shard index in [0, Shards).
-	Shard int `json:"shard"`
+	Shard int
 	// Shards and Layout name the node-space partition (shard.ParseLayout).
-	Shards int    `json:"shards"`
-	Layout string `json:"layout"`
+	Shards int
+	Layout string
 	// Model, Hidden and FeatDim fix the mirrored model's geometry.
-	Model   string `json:"model"`
-	Hidden  int    `json:"hidden"`
-	FeatDim int    `json:"feat_dim"`
+	Model   string
+	Hidden  int
+	FeatDim int
 	// WindowSteps is the engine's sliding-window expiry (0 = none); the
 	// replica applies the same expiry to its graph mirror.
-	WindowSteps int `json:"window_steps"`
+	WindowSteps int
 }
 
 func (c ReplicaConfig) validateAgainst(have ReplicaConfig) error {
@@ -239,7 +240,7 @@ func (c ReplicaConfig) validateAgainst(have ReplicaConfig) error {
 
 // HelloRequest opens (or re-opens) a coordinator→replica session.
 type HelloRequest struct {
-	Config ReplicaConfig `json:"config"`
+	Config ReplicaConfig
 }
 
 // HelloResponse reports how far the replica's mirror has advanced, letting
@@ -247,83 +248,83 @@ type HelloRequest struct {
 type HelloResponse struct {
 	// LastApplied is the last step whose event batch the replica has
 	// applied (-1 before any).
-	LastApplied int `json:"last_applied"`
+	LastApplied int
 	// StateVersion is the model-mirror version the replica holds (0 before
 	// the first full sync).
-	StateVersion uint64 `json:"state_version"`
+	StateVersion uint64
 }
 
 // ModelSync is a full model-mirror refresh: every parameter plus every
 // recurrent-state matrix, stamped with the coordinator's mirror version.
 type ModelSync struct {
-	Version uint64 `json:"version"`
-	Params  []Dump `json:"params"`
-	States  []Dump `json:"states"`
+	Version uint64
+	Params  []Dump
+	States  []Dump
 }
 
 // StatePatch carries the live recurrent-state rows for the ids committed
 // since the replica's last sync or patch — the incremental alternative to a
 // full ModelSync between training steps, when parameters are unchanged.
 type StatePatch struct {
-	IDs    []int  `json:"ids"`
-	States []Dump `json:"states"` // one per state matrix, len(IDs) rows each
+	IDs    []int
+	States []Dump // one per state matrix, len(IDs) rows each
 }
 
 // ForwardRequest asks a replica to execute one shard part of a step's
 // sharded incremental forward.
 type ForwardRequest struct {
-	Step int `json:"step"`
+	Step int
 	// Events is the coordinator's outbox for this replica: every step batch
 	// not yet acknowledged, in step order. The replica applies the ones it
 	// has not seen (dedup by step) before forwarding.
-	Events []StepEvents `json:"events,omitempty"`
+	Events []StepEvents
 	// StateVersion is the model-mirror version this request assumes. When
 	// Sync is present the replica adopts it; otherwise a mismatch with the
 	// replica's held version is an error (the coordinator resyncs).
-	StateVersion uint64      `json:"state_version"`
-	Sync         *ModelSync  `json:"sync,omitempty"`
-	Patch        *StatePatch `json:"patch,omitempty"`
+	StateVersion uint64
+	Sync         *ModelSync
+	Patch        *StatePatch
 	// Part is this shard's component-respecting region part; Exact the
 	// step's global exact-row set (both ascending global ids).
-	Part  []int `json:"part"`
-	Exact []int `json:"exact"`
+	Part  []int
+	Exact []int
 }
 
 // ForwardResponse returns the part's committed rows: embedding values and,
 // for recurrent models, the advanced live state rows at the same ids.
 type ForwardResponse struct {
-	Shard int   `json:"shard"`
-	IDs   []int `json:"ids"`
+	Shard int
+	IDs   []int
 	// Out is len(IDs) × hidden: row k is the committed embedding of IDs[k].
-	Out Dump `json:"out"`
+	Out Dump
 	// StateRows holds the live recurrent-state rows at IDs after the
 	// forward, one Dump per state matrix; nil for stateless models.
-	StateRows   []Dump `json:"state_rows,omitempty"`
-	LastApplied int    `json:"last_applied"`
+	StateRows   []Dump
+	LastApplied int
 }
 
 // PublishRequest pushes the coordinator's post-step serving snapshot to a
 // replica's serving mirror (and flushes the event outbox, so replicas whose
 // shard had no work this step still keep their graph mirror fresh).
 type PublishRequest struct {
-	Step   int          `json:"step"`
-	Events []StepEvents `json:"events,omitempty"`
+	Step   int
+	Events []StepEvents
 	// N is the snapshot's row count. Full publishes carry the whole N ×
 	// hidden matrix in Rows (IDs nil); incremental ones carry only the
 	// changed rows, spliced into the previous mirror.
-	N    int   `json:"n"`
-	Full bool  `json:"full"`
-	IDs  []int `json:"ids,omitempty"`
-	Rows Dump  `json:"rows"`
+	N    int
+	Full bool
+	IDs  []int
+	Rows Dump
 	// HeadsVersion stamps the serving heads; Heads carries their parameter
 	// dumps when the replica's held version is stale.
-	HeadsVersion uint64 `json:"heads_version"`
-	Heads        []Dump `json:"heads,omitempty"`
+	HeadsVersion uint64
+	Heads        []Dump
 }
 
 // PublishResponse acknowledges a publish.
 type PublishResponse struct {
-	LastApplied int `json:"last_applied"`
+	LastApplied int
 }
 
 // AnswerRequest fans part of a predictive-query batch out to a replica. Step
@@ -331,21 +332,21 @@ type PublishResponse struct {
 // mirror is at any other step refuses, and the coordinator answers locally —
 // remote serving accelerates, it never changes an answer.
 type AnswerRequest struct {
-	Step int             `json:"step"`
-	Reqs []query.Request `json:"reqs"`
+	Step int
+	Reqs []query.Request
 }
 
 // WireAnswer is query.Answer with the score carried bit-exactly.
 type WireAnswer struct {
-	Score Float64s `json:"score"` // one element
-	OK    bool     `json:"ok"`
-	Err   string   `json:"error,omitempty"`
+	Score Float64s // one element
+	OK    bool
+	Err   string
 }
 
 // AnswerResponse returns one answer per request, in request order.
 type AnswerResponse struct {
-	Step    int          `json:"step"`
-	Answers []WireAnswer `json:"answers"`
+	Step    int
+	Answers []WireAnswer
 }
 
 func wireAnswers(as []query.Answer) []WireAnswer {

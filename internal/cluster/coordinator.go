@@ -275,7 +275,10 @@ func (c *Coordinator) ForwardShards(step int, parts [][]int, exact []int) []dgnn
 	}
 	sr, hasStateRows := c.model.(dgnn.StateRows)
 
-	// Phase 1: prepare requests serially, before any state moves.
+	// Phase 1: prepare requests serially, before any state moves. A full
+	// sync is the same for every replica that needs one: gathered once, and
+	// shared read-only (both transports copy on receipt).
+	var fullSync *ModelSync
 	reqs := make([]*ForwardRequest, P)
 	for s := 0; s < P; s++ {
 		if len(parts[s]) == 0 {
@@ -293,11 +296,14 @@ func (c *Coordinator) ForwardShards(step int, parts [][]int, exact []int) []dgnn
 			Exact:        exact,
 		}
 		if c.reps[s].needFull {
-			req.Sync = &ModelSync{
-				Version: c.stateVersion,
-				Params:  gatherParams(c.model.Params()),
-				States:  dumpsOf(c.model.DumpState()),
+			if fullSync == nil {
+				fullSync = &ModelSync{
+					Version: c.stateVersion,
+					Params:  gatherParams(c.model.Params()),
+					States:  dumpsOf(c.model.DumpState()),
+				}
 			}
+			req.Sync = fullSync
 		} else if hasStateRows && len(c.reps[s].pending) > 0 {
 			ids := c.reps[s].pending
 			req.Patch = &StatePatch{IDs: ids, States: dumpsOf(sr.GatherStateRows(ids))}
@@ -437,6 +443,7 @@ func (c *Coordinator) PublishStep(step int) {
 	changed := c.stepChanged
 	c.stepChanged = nil
 	var headDumps []Dump
+	var fullRows Dump // identical for every replica due a full publish
 	var wg sync.WaitGroup
 	P := c.sh.P
 	reqs := make([]*PublishRequest, P)
@@ -452,7 +459,10 @@ func (c *Coordinator) PublishStep(step int) {
 		}
 		if c.reps[s].serveFull {
 			req.Full = true
-			req.Rows = dumpMatrix(emb)
+			if fullRows.Data == nil {
+				fullRows = dumpMatrix(emb)
+			}
+			req.Rows = fullRows
 		} else {
 			req.IDs = changed
 			rows := Dump{Rows: len(changed), Cols: c.hidden, Data: make(Float64s, len(changed)*c.hidden)}

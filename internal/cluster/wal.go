@@ -8,7 +8,8 @@ import (
 )
 
 // WAL is the replica's write-ahead log of applied event batches: one JSON
-// line per StepEvents, in the wire encoding (floats bit-exact via Float64s).
+// line per StepEvents (floats bit-exact via Float64s' base64 form) — a file
+// an operator can read, unlike the RPCs' binary frames.
 // A restarted replica replays it to rebuild its graph mirror independently
 // of the coordinator; anything the log misses is redelivered by the
 // coordinator's outbox after the reconnect Hello, deduplicated by step.
