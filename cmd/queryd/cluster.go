@@ -148,6 +148,15 @@ func runReplica(opts options) error {
 	return nil
 }
 
+// writeDemandRows emits the rows this process's incremental forwards covered,
+// by hop distance from the rows whose result they kept.
+func writeDemandRows(w io.Writer, rows [3]int64) {
+	obs.WriteHeader(w, "streamgnn_forward_demand_rows_total", "Rows incremental forwards covered, by depth: 0 the exact rows, 1 within one hop of them, 2 the compute region.", "counter")
+	for d, n := range rows {
+		obs.WriteIntValue(w, "streamgnn_forward_demand_rows_total", fmt.Sprintf(`depth="%d"`, d), n)
+	}
+}
+
 // writeReplicaMetrics emits the replica-side streamgnn_cluster_* family.
 func writeReplicaMetrics(w io.Writer, rep *cluster.Replica) {
 	st := rep.Stats()
@@ -165,6 +174,7 @@ func writeReplicaMetrics(w io.Writer, rep *cluster.Replica) {
 	obs.WriteIntValue(w, "streamgnn_cluster_replica_events_total", `kind="halo"`, st.HaloEvents)
 	obs.WriteHeader(w, "streamgnn_cluster_replica_forwards_total", "Shard-part forwards executed.", "counter")
 	obs.WriteIntValue(w, "streamgnn_cluster_replica_forwards_total", "", st.Forwards)
+	writeDemandRows(w, st.DemandRows)
 	obs.WriteHeader(w, "streamgnn_cluster_replica_full_syncs_total", "Full model-mirror syncs received.", "counter")
 	obs.WriteIntValue(w, "streamgnn_cluster_replica_full_syncs_total", "", st.FullSyncs)
 	obs.WriteHeader(w, "streamgnn_cluster_replica_state_patches_total", "Incremental state-row patches applied.", "counter")

@@ -710,6 +710,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteIntValue(&b, "streamgnn_forward_active_rows", "", tel.ForwardActiveRows)
 	obs.WriteHeader(&b, "streamgnn_forward_skipped_rows_total", "Embedding rows incremental forwards did not recompute.", "counter")
 	obs.WriteIntValue(&b, "streamgnn_forward_skipped_rows_total", "", tel.SkippedRows)
+	writeDemandRows(&b, tel.ForwardDemandRows)
 	if tel.DirtyFraction.Count > 0 {
 		obs.WriteHeader(&b, "streamgnn_forward_dirty_fraction", "Per-step compute-region fraction in incremental mode.", "histogram")
 		obs.WriteHistogram(&b, "streamgnn_forward_dirty_fraction", "", snap(tel.DirtyFraction))

@@ -198,3 +198,24 @@ func TestCoordinatorWiringRoutesAndPublishes(t *testing.T) {
 		}
 	}
 }
+
+// Engine and replica pages name the demand-row counters the same way, one
+// sample per depth.
+func TestDemandRowsMetric(t *testing.T) {
+	var b bytes.Buffer
+	writeDemandRows(&b, [3]int64{5, 9, 14})
+	for _, line := range []string{
+		`streamgnn_forward_demand_rows_total{depth="0"} 5`,
+		`streamgnn_forward_demand_rows_total{depth="1"} 9`,
+		`streamgnn_forward_demand_rows_total{depth="2"} 14`,
+	} {
+		if !strings.Contains(b.String(), line+"\n") {
+			t.Fatalf("missing %q in:\n%s", line, b.String())
+		}
+	}
+	b.Reset()
+	writeReplicaMetrics(&b, cluster.NewReplica())
+	if !strings.Contains(b.String(), `streamgnn_forward_demand_rows_total{depth="2"} 0`) {
+		t.Fatalf("replica page has no demand rows:\n%s", b.String())
+	}
+}

@@ -54,6 +54,7 @@ const (
 	opSum
 	opMatMulAcc
 	opScatterRows
+	opHead
 )
 
 // Node is one value in the computation graph.
@@ -198,9 +199,11 @@ func (t *Tape) Detach(n *Node) *tensor.Matrix {
 
 // Keep pins n's value until Release and returns it, for code that reads it
 // outside the tape's ops (a model committing recurrent state) after the last
-// op that consumes it. Call it on every pass, whether or not the value ends up
-// being read: the pin takes effect through the plan the pass leaves behind.
-// No-op on a recording tape, whose values all live until Release.
+// op that consumes it, or whose readers vary from pass to pass. Call it on
+// every pass, whether or not the value ends up being read: it holds from the
+// call on in this pass, and from the start in the next through the plan the
+// pass leaves behind. No-op on a recording tape, whose values all live until
+// Release.
 func (t *Tape) Keep(n *Node) *tensor.Matrix {
 	if t.noGrad && n.seq != 0 {
 		if n.Value == nil {
@@ -308,9 +311,11 @@ func (t *Tape) read(seq, i int32) {
 	if seq == 0 {
 		return
 	}
-	if c := &t.cur[seq-1]; c.last != lastKept {
-		c.last = i
+	c := &t.cur[seq-1]
+	if c.last == lastKept {
+		return // pinned earlier in this pass, whatever the plan learned
 	}
+	c.last = i
 	if n := t.nodes[seq-1]; n.Value != nil && t.planOK && t.plan[seq-1].last == i {
 		tensor.Recycle(n.Value)
 		n.Value = nil
@@ -552,6 +557,15 @@ func (out *Node) runBack(sink *GradSink) {
 				}
 			}
 		}
+	case opHead:
+		// The leading rows of a row-major matrix are the head of its data.
+		a := out.parents[0]
+		if a.requiresGrad {
+			ag := gradOf(a, sink)
+			for i, v := range out.Grad.Data {
+				ag.Data[i] += v
+			}
+		}
 	case opMean:
 		a := out.parents[0]
 		if a.requiresGrad {
@@ -786,6 +800,22 @@ func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node {
 		out.auxInts = append(out.auxInts[:0], rows...)
 	}
 	return out
+}
+
+// Head returns a's leading rows rows — a itself when that is all of them. It
+// is a copy, not a view of a's storage: every op output being its own buffer
+// is what lets Release, and an inference tape's learned plan, recycle each
+// buffer exactly once, a while the head is still being read included.
+func (t *Tape) Head(a *Node, rows int) *Node {
+	if rows == a.Value.Rows {
+		return a
+	}
+	if rows < 0 || rows > a.Value.Rows {
+		panic(fmt.Sprintf("autodiff: Head %d of %d rows", rows, a.Value.Rows))
+	}
+	val := tensor.NewUninit(rows, a.Value.Cols)
+	copy(val.Data, a.Value.Data)
+	return t.newNode1(opHead, val, a.requiresGrad, a)
 }
 
 // Mean returns the scalar mean of all elements of a.

@@ -296,3 +296,27 @@ func TestTapeReset(t *testing.T) {
 		t.Fatal("Reset did not clear tape")
 	}
 }
+
+func TestHeadGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	a := Param(tensor.NewRandom(rng, 5, 3, 1))
+	w := Constant(tensor.NewRandom(rng, 2, 3, 1))
+	checkGrad(t, []*Node{a}, func(tp *Tape) *Node {
+		// a is read whole beside its head, and the head twice.
+		h := tp.Head(tp.Tanh(a), 2)
+		return tp.Add(tp.Mean(tp.Mul(tp.Add(h, h), w)), tp.Mean(a))
+	})
+	tp := NewTape()
+	if tp.Head(a, 5) != a || tp.Len() != 0 {
+		t.Fatal("the head that is every row should be the node itself, unrecorded")
+	}
+	if h := tp.Head(a, 0); h.Value.Rows != 0 || h.Value.Cols != 3 {
+		t.Fatalf("empty head is %dx%d", h.Value.Rows, h.Value.Cols)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Head accepted more rows than there are")
+		}
+	}()
+	tp.Head(a, 6)
+}

@@ -182,6 +182,36 @@ func TestScatterRowsSurvivesRecycledOperands(t *testing.T) {
 	}
 }
 
+// Head copies: the release plan may hand its parent's buffer back to the pool
+// at the Head itself, and the pool hands it straight to the next op, while the
+// head is read on. A view of the parent would read that op's output.
+func TestHeadSurvivesRecycledParent(t *testing.T) {
+	withPooling(t)
+	rng := rand.New(rand.NewSource(9))
+	xm := tensor.NewRandom(rng, 8, 4, 1)
+	w := Param(tensor.NewRandom(rng, 4, 4, 1))
+	released := false
+	forward := func(tp *Tape) *Node {
+		x := tp.Tanh(tp.OwnedConstant(xm.Clone()))
+		h := tp.Head(x, 3) // x's last reader
+		released = x.Value == nil
+		big := tp.Scale(tp.OwnedConstant(xm.Clone()), -2) // x's shape: takes its buffer
+		return tp.Add(tp.MatMul(h, w), tp.Head(tp.MatMul(big, w), 3))
+	}
+	want := forward(NewTape()).Value
+	tp := NewInferenceTape()
+	for pass := 0; pass < 3; pass++ {
+		got := tp.Detach(forward(tp))
+		tp.Release()
+		if !bitEqual(want, got) {
+			t.Fatalf("pass %d: value differs from the recording tape's", pass)
+		}
+		if released != (pass > 0) {
+			t.Fatalf("pass %d: parent released at its Head: %v", pass, released)
+		}
+	}
+}
+
 // When a pass departs from the learned op sequence the tape stops releasing
 // early for the rest of that pass and relearns; values stay right throughout,
 // whether ops were inserted, dropped, or the same ops read different nodes.

@@ -423,3 +423,26 @@ func TestClusterReplicaRestartWithoutWAL(t *testing.T) {
 		t.Fatalf("redelivered replica at step %d, want 59", la)
 	}
 }
+
+// The forwards happen on the replicas, so the rows they covered are counted
+// there: together the replicas' demand rows are the flat engine's, depth by
+// depth, and the coordinator — which ran no part itself — counts none.
+func TestReplicasCountDemandRows(t *testing.T) {
+	h := newHarness(t, "TGCN", 7, 24, 2, loopbackFactory)
+	for s := 0; s < 12; s++ {
+		h.step(t, s)
+	}
+	var got [3]int64
+	for _, r := range h.reps {
+		for d, rows := range r.Stats().DemandRows {
+			got[d] += rows
+		}
+	}
+	want := h.flat.Telemetry().ForwardDemandRows
+	if want[0] == 0 || got != want {
+		t.Fatalf("replicas covered %v rows, the in-process engine %v", got, want)
+	}
+	if own := h.eng.Telemetry().ForwardDemandRows; own != [3]int64{} {
+		t.Fatalf("coordinator counted %v rows without a local fallback", own)
+	}
+}

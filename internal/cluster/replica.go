@@ -66,6 +66,9 @@ type ReplicaStats struct {
 	Publishes     int64
 	Answers       int64
 	LastApplied   int64
+	// DemandRows totals the rows this replica's forwards covered at depth 0
+	// (exact), 1 (one hop out) and 2 (its part of the region).
+	DemandRows [3]int64
 }
 
 // replicaCounters are the live counters behind ReplicaStats; atomic.Int64
@@ -80,6 +83,7 @@ type replicaCounters struct {
 	publishes     atomic.Int64
 	answers       atomic.Int64
 	lastApplied   atomic.Int64
+	demandRows    [3]atomic.Int64
 }
 
 // NewReplica returns an unconfigured replica that accepts any shard index;
@@ -131,7 +135,12 @@ func (r *Replica) LastApplied() int {
 
 // Stats returns a snapshot of the replica's counters.
 func (r *Replica) Stats() ReplicaStats {
+	var demand [3]int64
+	for d := range demand {
+		demand[d] = r.stats.demandRows[d].Load()
+	}
 	return ReplicaStats{
+		DemandRows:    demand,
 		EventsApplied: r.stats.eventsApplied.Load(),
 		OwnedEvents:   r.stats.ownedEvents.Load(),
 		HaloEvents:    r.stats.haloEvents.Load(),
@@ -286,6 +295,9 @@ func (r *Replica) HandleForward(req ForwardRequest) (ForwardResponse, error) {
 		resp.StateRows = dumpsOf(sr.GatherStateRows(sf.IDs))
 	}
 	r.stats.forwards.Add(1)
+	for d, rows := range sf.Demand {
+		r.stats.demandRows[d].Add(int64(rows))
+	}
 	return resp, nil
 }
 

@@ -65,16 +65,24 @@ func (m *DCRNNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { 
 // Forward implements Model. The update and reset gates convolve the same
 // input [x|h], a constant of the tape, so its K-step propagation is computed
 // once and shared; the candidate gate's input differs and propagates afresh.
+//
+// A view in demand order is still forwarded whole — K hops over the active
+// block do not reduce to leading blocks of one adjacency — and hands back its
+// wanted rows.
 func (m *DCRNNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	h := tp.OwnedConstant(m.state.gather(v))
+	rw := v.RW
+	if rw == nil {
+		rw = v.RWFn()
+	}
 	var d nn.Diffused
-	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node {
+	conv := func(mod nn.Module, in *autodiff.Node, _ int) *autodiff.Node {
 		if d.X != in {
-			d = nn.Diffuse(tp, v.RW, in, m.k)
+			d = nn.Diffuse(tp, rw, in, m.k)
 		}
 		return mod.(*nn.DiffusionConv).ApplyDiffused(tp, d)
 	}
-	hNew := m.cell.Apply(tp, conv, autodiff.Constant(v.Feat), h)
+	hNew := m.cell.ApplyRows(tp, conv, autodiff.Constant(v.Feat), h, v.N, v.N)
 	m.state.commit(tp, v, hNew)
-	return hNew
+	return tp.Head(hNew, v.rows(0))
 }

@@ -98,16 +98,18 @@ func (m *EvolveGCNModel) Reset() {
 // WrapOptimizer implements Model.
 func (m *EvolveGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 
-// Forward implements Model.
+// Forward implements Model. In demand order the last layer runs on the wanted
+// rows and each layer before it a hop further out.
 func (m *EvolveGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	h := autodiff.Constant(v.Feat)
 	for i, l := range m.layers {
+		rows := v.rows(len(m.layers) - 1 - i)
 		w0 := autodiff.Constant(l.wStart)
 		wt := l.gru.Apply(tp, w0, w0) // evolve: rows of W are the GRU batch
 		if l.wNext == nil && !v.NoCommit {
 			l.wNext = wt.Value.Clone()
 		}
-		h = tp.AddBias(tp.SpMM(v.Norm, tp.MatMul(h, wt)), l.bias)
+		h = tp.AddBias(tp.SpMM(v.Norm.Head(rows, h.Value.Rows), tp.MatMul(h, wt)), l.bias)
 		if i+1 < len(m.layers) {
 			h = tp.ReLU(h)
 		} else {

@@ -71,15 +71,18 @@ func (m *GCLSTMModel) Reset() {
 // WrapOptimizer implements Model.
 func (m *GCLSTMModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 
-// Forward implements Model.
+// Forward implements Model. In demand order the wanted rows read the gates
+// and the old cell state on themselves, and the encoder and the old hidden
+// state a hop out.
 func (m *GCLSTMModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
-	x := tp.ReLU(m.enc.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
-	h := tp.OwnedConstant(m.hState.gather(v))
-	c := tp.OwnedConstant(m.cState.gather(v))
-	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node {
-		return mod.(*nn.GCNConv).Apply(tp, v.Norm, in)
+	n1 := v.rows(1)
+	x := tp.ReLU(m.enc.Apply(tp, v.Norm.Head(n1, v.N), autodiff.Constant(v.Feat)))
+	h := tp.OwnedConstant(m.hState.gatherHead(v, n1))
+	c := tp.OwnedConstant(m.cState.gatherHead(v, v.rows(0)))
+	conv := func(mod nn.Module, in *autodiff.Node, rows int) *autodiff.Node {
+		return mod.(*nn.GCNConv).Apply(tp, v.Norm.Head(rows, in.Value.Rows), in)
 	}
-	hNew, cNew := m.cell.Apply(tp, conv, x, h, c)
+	hNew, cNew := m.cell.ApplyRows(tp, conv, x, h, c)
 	m.hState.commit(tp, v, hNew)
 	m.cState.commit(tp, v, cNew)
 	return hNew

@@ -25,17 +25,27 @@ type View struct {
 	Feat *tensor.Matrix
 	Norm *tensor.CSR
 	// RW is the pair of random-walk transition matrices on the view's active
-	// rows, for diffusion convolutions (DCRNN).
-	RW  *tensor.Diffusion
-	IDs []int
+	// rows, for diffusion convolutions (DCRNN). A view that would have to build
+	// it sets RWFn instead and leaves RW nil.
+	RW   *tensor.Diffusion
+	RWFn func() *tensor.Diffusion
+	IDs  []int
+	// Frontier, when non-nil, says the rows are in demand order (RegionView):
+	// the forward's result is wanted on the leading Frontier[0] rows only, and
+	// the rows within d hops of those are the leading Frontier[d]. A forward
+	// then computes each intermediate on the prefix its readers need, returns
+	// Frontier[0] rows and commits recurrent state for exactly those. Nil is
+	// every row wanted: full forwards, training rounds.
+	Frontier []int
 	// NoCommit, when set, prevents the forward pass from writing updated
 	// recurrent state back (useful for what-if evaluation).
 	NoCommit bool
 	// CommitRows, when non-nil on a committed view, restricts recurrent-state
-	// write-back to these local row indices (ascending). Incremental forwards
-	// use it: the view spans the whole compute region, but only the exact
-	// rows — the dirty nodes' L-hop frontier — may overwrite live state;
-	// boundary rows have truncated receptive fields and must not.
+	// write-back to these local row indices (ascending). DirtyView sets it:
+	// the view spans the whole compute region, but only the exact rows — the
+	// dirty nodes' L-hop frontier — may overwrite live state; boundary rows
+	// have truncated receptive fields and must not. (A view in demand order
+	// says the same with Frontier[0].)
 	CommitRows []int
 	// SnapshotState makes a committed forward gather recurrent state from
 	// the BeginStep snapshot instead of the live buffer (writes still land
@@ -87,7 +97,9 @@ func UnionView(u *graph.Union) View {
 	}
 }
 
-// DirtyView builds the view of an incremental forward: the induced subgraph
+// DirtyView builds the reference view of an incremental forward — every row
+// of the region through every op; the engine runs RegionView, which the
+// equivalence test holds to this one bit for bit: the induced subgraph
 // of the compute region (the dirty nodes' 2L-hop ball), with recurrent-state
 // commit restricted to the exact rows (the dirty nodes' L-hop ball, as local
 // indices). Rows listed in commitRows come out bit-identical to a full-graph
@@ -98,6 +110,32 @@ func DirtyView(s *graph.Subgraph, commitRows []int) View {
 	v := SubView(s)
 	v.CommitRows = commitRows
 	return v
+}
+
+// RegionView builds the view of an incremental forward over a hop-ordered
+// region: what DirtyView expresses with a commit mask over ascending rows, in
+// the order that lets the forward skip the rows nothing wanted reads. The
+// random-walk and typed adjacencies are built only if the model asks.
+func RegionView(r *graph.Region) View {
+	return View{
+		N:        r.N(),
+		Feat:     r.Features(),
+		Norm:     r.NormAdj(),
+		RWFn:     r.Diffusion,
+		IDs:      r.Nodes,
+		Frontier: r.Frontier,
+		TypedFn:  r.TypedAdj,
+	}
+}
+
+// rows returns how many leading rows an intermediate that the output reads
+// across d hops must cover: Frontier[d], and every row where the view has no
+// demand order or its frontiers stop short of d.
+func (v View) rows(d int) int {
+	if d < len(v.Frontier) {
+		return v.Frontier[d]
+	}
+	return v.N
 }
 
 // LocalRows returns the positions in nodes (ascending, unique) of the ids in

@@ -82,8 +82,8 @@ func (m *RTGCNModel) DumpState() []StateDump { return []StateDump{m.state.dump()
 // RestoreState implements Model.
 func (m *RTGCNModel) RestoreState(d []StateDump) error { return restoreStates(d, m.state) }
 
-// Forward implements Model. Views without typed adjacency support fall back
-// to treating every edge as relation 0.
+// Forward implements Model, in demand order by TGCN's rule. Views without
+// typed adjacency support fall back to treating every edge as relation 0.
 func (m *RTGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	var typed []*tensor.CSR
 	if v.TypedFn != nil {
@@ -91,12 +91,13 @@ func (m *RTGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	} else {
 		typed = []*tensor.CSR{v.Norm}
 	}
-	x := tp.ReLU(m.enc.Apply(tp, typed, autodiff.Constant(v.Feat)))
-	h := tp.OwnedConstant(m.state.gather(v))
-	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node {
-		return mod.(*nn.RGCNConv).Apply(tp, typed, in)
+	n2 := v.rows(2)
+	x := tp.ReLU(m.enc.ApplyRows(tp, typed, autodiff.Constant(v.Feat), n2))
+	h := tp.OwnedConstant(m.state.gatherHead(v, n2))
+	conv := func(mod nn.Module, in *autodiff.Node, rows int) *autodiff.Node {
+		return mod.(*nn.RGCNConv).ApplyRows(tp, typed, in, rows)
 	}
-	hNew := m.cell.Apply(tp, conv, x, h)
+	hNew := m.cell.ApplyRows(tp, conv, x, h, v.rows(0), v.rows(1))
 	m.state.commit(tp, v, hNew)
 	return hNew
 }

@@ -17,10 +17,17 @@ import (
 // same rows of a whole-region forward, so shards=1 and shards=P agree bit
 // for bit on seeded runs.
 
-// partTapes holds the inference tapes of the shard workers: each ForwardPart
-// borrows one for the duration of its forward, so concurrent parts never share
-// a tape and a warm tape brings back its node shells and release plan.
-var partTapes = sync.Pool{New: func() any { return autodiff.NewInferenceTape() }}
+// partScratch is what one incremental forward works in: the hop-ordered
+// region it lays out and the inference tape it runs on. Each ForwardPart
+// borrows one for its duration, so concurrent parts share neither, and a warm
+// one brings back the region's arrays and the tape's node shells and release
+// plan.
+type partScratch struct {
+	region graph.Region
+	tape   *autodiff.Tape
+}
+
+var partPool = sync.Pool{New: func() any { return &partScratch{tape: autodiff.NewInferenceTape()} }}
 
 // ShardForward is one shard's slice of a sharded incremental forward.
 type ShardForward struct {
@@ -30,11 +37,14 @@ type ShardForward struct {
 	// ascending global ids, the rows Out carries committed values for and
 	// the rows MergeShards splices.
 	IDs []int
-	// Rows are the positions of IDs inside the shard's region part.
+	// Rows are the rows of Out that hold IDs' embeddings, in IDs' order.
 	Rows []int
-	// Out is the part's embedding matrix (part × hidden); nil for a shard
-	// with no region nodes.
+	// Out is the embedding matrix the part's forward returned — the exact
+	// rows lead it; nil for a shard with no region nodes.
 	Out *tensor.Matrix
+	// Demand counts the rows the forward had to cover at depth 0 (the exact
+	// rows), 1 (within a hop of them) and 2 (the part).
+	Demand [3]int
 }
 
 // ForwardShards runs one committed incremental forward per non-empty shard
@@ -65,7 +75,7 @@ func ForwardShards(g *graph.Dynamic, m Model, parts [][]int, exact []int) []Shar
 	run := func(s int) {
 		res[s] = ForwardPart(g, m, s, parts[s], exact)
 	}
-	if !parallel {
+	if !parallel || len(parts) == 1 {
 		for s := range parts {
 			run(s)
 		}
@@ -87,12 +97,16 @@ func ForwardShards(g *graph.Dynamic, m Model, parts [][]int, exact []int) []Shar
 	return res
 }
 
-// ForwardPart runs one shard part's slice of a sharded incremental forward:
-// the committed subgraph forward over the part's nodes, with state gathered
-// from the BeginStep snapshot and write-back masked to the exact rows the
-// part contains. It is the unit of work ForwardShards fans out — and the
-// exact computation a shard replica executes remotely (internal/cluster), so
-// distributed and in-process runs share one code path and stay bit-identical.
+// ForwardPart is THE incremental forward — the unit of work ForwardShards
+// fans out, the whole of an unsharded engine's splice step (one part: the
+// region), and the exact computation a shard replica executes remotely
+// (internal/cluster), so all three share one code path and stay bit-identical.
+// It lays the part out in demand order around the exact rows it contains
+// (graph.Region) and runs the committed forward over that: state gathered from
+// the BeginStep snapshot, each intermediate computed on the rows the exact
+// rows read, state written back for the exact rows alone. Every row it returns
+// equals, bit for bit, the same node's row of the whole-part forward on the
+// ascending subgraph (DirtyView over Induced), which stays as the reference.
 // nodes must be one component-respecting part (graph.RegionParts) and exact
 // the global exact-row set (ascending); both may span other shards — the
 // intersection is taken here. The caller is responsible for BeginStep and,
@@ -102,16 +116,18 @@ func ForwardPart(g *graph.Dynamic, m Model, s int, nodes, exact []int) ShardForw
 	if len(nodes) == 0 {
 		return res
 	}
-	sub := g.Induced(nodes, nodes[0])
-	ids := IntersectSorted(exact, nodes)
-	rows := LocalRows(sub.Nodes, ids)
-	v := DirtyView(sub, rows)
+	sc := partPool.Get().(*partScratch)
+	res.IDs = IntersectSorted(exact, nodes)
+	sc.region.Build(g, nodes, res.IDs, m.Layers())
+	v := RegionView(&sc.region)
 	v.SnapshotState = true
-	res.IDs = ids
-	res.Rows = rows
-	tp := partTapes.Get().(*autodiff.Tape)
-	res.Out = Infer(tp, m, v)
-	partTapes.Put(tp)
+	res.Demand = [3]int{v.rows(0), v.rows(1), v.N}
+	res.Out = Infer(sc.tape, m, v)
+	partPool.Put(sc)
+	res.Rows = make([]int, len(res.IDs))
+	for i := range res.Rows {
+		res.Rows[i] = i
+	}
 	return res
 }
 

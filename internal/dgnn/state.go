@@ -23,10 +23,12 @@ type nodeState struct {
 
 func newNodeState(dim int) *nodeState { return &nodeState{dim: dim} }
 
-// snapshot archives the live state for this step's NoCommit forwards.
+// snapshot archives the live state for this step's NoCommit forwards. The
+// archive grows with the headroom ensure gave the live buffer: on a stream
+// that adds nodes every step it is reallocated per doubling, not per step.
 func (s *nodeState) snapshot() {
 	if cap(s.prev) < len(s.data) {
-		s.prev = make([]float64, len(s.data))
+		s.prev = make([]float64, len(s.data), cap(s.data))
 	}
 	s.prev = s.prev[:len(s.data)]
 	copy(s.prev, s.data)
@@ -81,7 +83,10 @@ func (s *nodeState) maxID(v View) int {
 // A node newer than the source buffer reads as a zero row — from the snapshot
 // too: falling back to the live buffer there would hand a training forward
 // the state this step's inference just committed for the node.
-func (s *nodeState) gather(v View) *tensor.Matrix {
+func (s *nodeState) gather(v View) *tensor.Matrix { return s.gatherHead(v, v.N) }
+
+// gatherHead is gather for the view's leading n rows alone.
+func (s *nodeState) gatherHead(v View, n int) *tensor.Matrix {
 	if !v.NoCommit {
 		s.ensure(s.maxID(v) + 1)
 	}
@@ -89,8 +94,8 @@ func (s *nodeState) gather(v View) *tensor.Matrix {
 	if (v.NoCommit || v.SnapshotState) && s.prev != nil {
 		src = s.prev
 	}
-	out := tensor.NewUninit(v.N, s.dim)
-	for i := 0; i < v.N; i++ {
+	out := tensor.NewUninit(n, s.dim)
+	for i := 0; i < n; i++ {
 		off := v.globalID(i) * s.dim
 		if off+s.dim <= len(src) {
 			copy(out.Row(i), src[off:off+s.dim])
@@ -113,11 +118,13 @@ func (s *nodeState) commit(tp *autodiff.Tape, v View, n *autodiff.Node) {
 	}
 }
 
-// write stores m's rows back into the view's nodes. When the view carries a
-// CommitRows mask (incremental forwards), only the exact rows land; boundary
-// rows of the compute region keep their previous state.
+// write stores m's rows back into the view's nodes. Only the exact rows of an
+// incremental forward land — the rows a CommitRows mask lists, the leading
+// Frontier[0] of a view in demand order (m may cover more) — and boundary rows
+// of the compute region keep their previous state.
 func (s *nodeState) write(v View, m *tensor.Matrix) {
-	if m.Rows != v.N || m.Cols != s.dim {
+	n := v.rows(0)
+	if m.Rows < n || m.Rows > v.N || m.Cols != s.dim {
 		panic("dgnn: state write shape mismatch")
 	}
 	s.ensure(s.maxID(v) + 1)
@@ -128,7 +135,7 @@ func (s *nodeState) write(v View, m *tensor.Matrix) {
 		}
 		return
 	}
-	for i := 0; i < v.N; i++ {
+	for i := 0; i < n; i++ {
 		id := v.globalID(i)
 		copy(s.data[id*s.dim:(id+1)*s.dim], m.Row(i))
 	}

@@ -61,14 +61,17 @@ func (m *TGCNModel) Reset() { m.state.reset() }
 // WrapOptimizer implements Model.
 func (m *TGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 
-// Forward implements Model.
+// Forward implements Model. In demand order the wanted rows read the update
+// gate and the candidate on themselves, the reset gate a hop out, and the
+// encoder and the old state two hops out.
 func (m *TGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
-	x := tp.ReLU(m.enc.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
-	h := tp.OwnedConstant(m.state.gather(v))
-	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node {
-		return mod.(*nn.GCNConv).Apply(tp, v.Norm, in)
+	n2 := v.rows(2)
+	x := tp.ReLU(m.enc.Apply(tp, v.Norm.Head(n2, v.N), autodiff.Constant(v.Feat)))
+	h := tp.OwnedConstant(m.state.gatherHead(v, n2))
+	conv := func(mod nn.Module, in *autodiff.Node, rows int) *autodiff.Node {
+		return mod.(*nn.GCNConv).Apply(tp, v.Norm.Head(rows, in.Value.Rows), in)
 	}
-	hNew := m.cell.Apply(tp, conv, x, h)
+	hNew := m.cell.ApplyRows(tp, conv, x, h, v.rows(0), v.rows(1))
 	m.state.commit(tp, v, hNew)
 	return hNew
 }

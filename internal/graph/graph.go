@@ -338,6 +338,16 @@ func (g *Dynamic) Features() *tensor.Matrix {
 	return m
 }
 
+// featureRows returns the attribute rows of nodes, in their order (copy):
+// the Features of every view that is not the whole graph.
+func (g *Dynamic) featureRows(nodes []int) *tensor.Matrix {
+	m := tensor.NewUninit(len(nodes), g.featDim)
+	for i, v := range nodes {
+		copy(m.Row(i), g.Feature(v))
+	}
+	return m
+}
+
 // normDeg returns the GCN normalization degree of v: in+out degree plus the
 // self loop. This is THE degree expression of the cached normalized
 // adjacency; per-row delta recomputation must produce bit-identical entry
@@ -473,22 +483,22 @@ func (g *Dynamic) WalkAdj() *tensor.CSR {
 	if g.walkAdj != nil && g.walkVersion == g.edgeVersion && g.walkAdj.NRows == g.N() {
 		return g.walkAdj
 	}
-	n := g.N()
-	entries := make([][]tensor.CSREntry, n)
+	// Every edge is an entry of both its endpoints' rows, all of value 1.
+	n, nnz := g.N(), 2*g.NumEdges()
+	w := &tensor.CSR{NRows: n, NCols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, 0, nnz), Val: make([]float64, nnz)}
+	for i := range w.Val {
+		w.Val[i] = 1
+	}
 	for v := 0; v < n; v++ {
-		if g.Degree(v) == 0 {
-			continue
-		}
-		row := make([]tensor.CSREntry, 0, g.Degree(v))
 		for _, e := range g.out[v] {
-			row = append(row, tensor.CSREntry{Col: e.To, Val: 1})
+			w.ColIdx = append(w.ColIdx, e.To)
 		}
 		for _, e := range g.in[v] {
-			row = append(row, tensor.CSREntry{Col: e.To, Val: 1})
+			w.ColIdx = append(w.ColIdx, e.To)
 		}
-		entries[v] = row
+		w.RowPtr[v+1] = len(w.ColIdx)
 	}
-	g.walkAdj = tensor.NewCSR(n, n, entries)
+	g.walkAdj = w
 	g.walkVersion = g.edgeVersion
 	return g.walkAdj
 }

@@ -205,13 +205,7 @@ func (s *Subgraph) RWAdj(reverse bool) *tensor.CSR {
 func (s *Subgraph) Diffusion() *tensor.Diffusion { return &s.rw }
 
 // Features returns the |S|×FeatDim attribute matrix of the subgraph nodes.
-func (s *Subgraph) Features() *tensor.Matrix {
-	m := tensor.New(len(s.Nodes), s.g.featDim)
-	for li, v := range s.Nodes {
-		copy(m.Row(li), s.g.Feature(v))
-	}
-	return m
-}
+func (s *Subgraph) Features() *tensor.Matrix { return s.g.featureRows(s.Nodes) }
 
 // LabeledNodes returns the local indices and labels of labeled nodes.
 func (s *Subgraph) LabeledNodes() (idx []int, labels []float64) {

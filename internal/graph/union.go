@@ -134,11 +134,4 @@ func (u *Union) TypedAdj(ntypes int) []*tensor.CSR {
 }
 
 // Features returns the N()×FeatDim attribute matrix of the union's rows.
-func (u *Union) Features() *tensor.Matrix {
-	g := u.subs[0].g
-	m := tensor.NewUninit(len(u.Nodes), g.featDim)
-	for i, v := range u.Nodes {
-		copy(m.Row(i), g.Feature(v))
-	}
-	return m
-}
+func (u *Union) Features() *tensor.Matrix { return u.subs[0].g.featureRows(u.Nodes) }

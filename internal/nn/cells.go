@@ -105,14 +105,36 @@ func NewConvGRUCell(hidden int, newConv func() Module) *ConvGRUCell {
 	return &ConvGRUCell{convZ: newConv(), convR: newConv(), convC: newConv(), hidden: hidden}
 }
 
-// Apply advances the cell: conv is invoked with each gate's conv module and
-// the gate input. The caller binds the adjacency inside conv.
+// RowConv applies gate module m's graph convolution to x and returns the
+// leading rows rows of the result. The caller binds the adjacency inside it; a
+// convolution that reads one hop takes the adjacency's rows×x.Rows head.
+type RowConv func(m Module, x *autodiff.Node, rows int) *autodiff.Node
+
+// allRows adapts a convolution that always returns every row.
+func allRows(conv func(m Module, x *autodiff.Node) *autodiff.Node) RowConv {
+	return func(m Module, x *autodiff.Node, _ int) *autodiff.Node { return conv(m, x) }
+}
+
+// Apply advances the cell over every row: conv is invoked with each gate's
+// conv module and the gate input.
 func (c *ConvGRUCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.Node) *autodiff.Node, x, h *autodiff.Node) *autodiff.Node {
+	n := h.Value.Rows
+	return c.ApplyRows(tp, allRows(conv), x, h, n, n)
+}
+
+// ApplyRows advances the cell for its leading n0 rows, on rows in demand
+// order (graph.Region): the new state of those rows reads the update gate and
+// the candidate on them, whose convolutions read their inputs — and so the
+// reset gate — on the n1 rows within a hop, whose convolution reads x and h
+// wherever they are given. With n0 = n1 = all rows no Head is recorded and
+// this is the plain cell.
+func (c *ConvGRUCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h *autodiff.Node, n0, n1 int) *autodiff.Node {
 	xh := tp.ConcatCols(x, h)
-	z := tp.Sigmoid(conv(c.convZ, xh))
-	r := tp.Sigmoid(conv(c.convR, xh))
-	cand := tp.Tanh(conv(c.convC, tp.ConcatCols(x, tp.Mul(r, h))))
-	return tp.Add(tp.Mul(z, h), tp.Mul(tp.OneMinus(z), cand))
+	z := tp.Sigmoid(conv(c.convZ, tp.Head(xh, n1), n0))
+	r := tp.Sigmoid(conv(c.convR, xh, n1))
+	rh := tp.Mul(r, tp.Head(h, n1))
+	cand := tp.Tanh(conv(c.convC, tp.ConcatCols(tp.Head(x, n1), rh), n0))
+	return tp.Add(tp.Mul(z, tp.Head(h, n0)), tp.Mul(tp.OneMinus(z), cand))
 }
 
 // Params implements Module.
@@ -139,13 +161,21 @@ func NewConvLSTMCell(hidden int, newConv func() Module) *ConvLSTMCell {
 	return &ConvLSTMCell{convI: newConv(), convF: newConv(), convO: newConv(), convG: newConv(), hidden: hidden}
 }
 
-// Apply advances the cell, returning new hidden and cell state.
+// Apply advances the cell over every row, returning new hidden and cell state.
 func (c *ConvLSTMCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.Node) *autodiff.Node, x, h, cell *autodiff.Node) (hNew, cellNew *autodiff.Node) {
+	return c.ApplyRows(tp, allRows(conv), x, h, cell)
+}
+
+// ApplyRows advances the cell for the rows cell is given on — the leading
+// rows, in demand order, of the ones x and h cover: every gate convolves
+// [x|h] and is read on those rows alone.
+func (c *ConvLSTMCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h, cell *autodiff.Node) (hNew, cellNew *autodiff.Node) {
+	n0 := cell.Value.Rows
 	xh := tp.ConcatCols(x, h)
-	i := tp.Sigmoid(conv(c.convI, xh))
-	f := tp.Sigmoid(conv(c.convF, xh))
-	o := tp.Sigmoid(conv(c.convO, xh))
-	g := tp.Tanh(conv(c.convG, xh))
+	i := tp.Sigmoid(conv(c.convI, xh, n0))
+	f := tp.Sigmoid(conv(c.convF, xh, n0))
+	o := tp.Sigmoid(conv(c.convO, xh, n0))
+	g := tp.Tanh(conv(c.convG, xh, n0))
 	cellNew = tp.Add(tp.Mul(f, cell), tp.Mul(i, g))
 	hNew = tp.Mul(o, tp.Tanh(cellNew))
 	return hNew, cellNew

@@ -42,12 +42,25 @@ func (c *RGCNConv) Relations() int { return len(c.Rel) }
 // per relation (extra relations see a zero adjacency contribution if typed
 // is shorter — the stream may not have surfaced every type yet).
 func (c *RGCNConv) Apply(tp *autodiff.Tape, typed []*tensor.CSR, x *autodiff.Node) *autodiff.Node {
-	sum := tp.MatMul(x, c.Self)
+	return c.ApplyRows(tp, typed, x, x.Value.Rows)
+}
+
+// ApplyRows computes the convolution's leading rows rows, on rows in demand
+// order (graph.Region): each relation's product through the adjacency's
+// rows×x.Rows head. Whether a relation takes part is decided on its whole
+// adjacency, so a head that happens to be empty still adds its +0 rows
+// exactly as the whole convolution does.
+func (c *RGCNConv) ApplyRows(tp *autodiff.Tape, typed []*tensor.CSR, x *autodiff.Node, rows int) *autodiff.Node {
+	// Which relations read x changes with the data, so x is pinned: an
+	// inference tape that learned its last reader from a pass with fewer live
+	// relations would release it under the readers a later pass adds.
+	tp.Keep(x)
+	sum := tp.MatMul(tp.Head(x, rows), c.Self)
 	for r, w := range c.Rel {
 		if r >= len(typed) || typed[r].NNZ() == 0 {
 			continue
 		}
-		sum = tp.Add(sum, tp.SpMM(typed[r], tp.MatMul(x, w)))
+		sum = tp.Add(sum, tp.SpMM(typed[r].Head(rows, x.Value.Rows), tp.MatMul(x, w)))
 	}
 	return tp.AddBias(sum, c.B)
 }

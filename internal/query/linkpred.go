@@ -146,6 +146,8 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) {
 		// Rank of the true endpoint among its RankNegs candidates.
 		l.ranks = append(l.ranks, metrics.RankOf(s, scores[base+1+l.NegPerPos:base+group]))
 	}
+	// pairRow copied every row that outlives this call.
+	tensor.Recycle(in)
 }
 
 // Scores returns accumulated (score, positive?) evaluation pairs.

@@ -75,6 +75,22 @@ func (c *CSR) NNZ() int { return len(c.ColIdx) }
 // RowNNZ returns the number of stored entries in row r.
 func (c *CSR) RowNNZ(r int) int { return c.RowPtr[r+1] - c.RowPtr[r] }
 
+// Head returns c's leading rows×cols block without copying: the first rows
+// row extents over c's own arrays. It is a matrix only if those rows name no
+// column at or beyond cols, which is the caller's to know — a graph.Region
+// orders its rows so that every frontier's block qualifies — and is not
+// checked here. The whole of c is c itself.
+func (c *CSR) Head(rows, cols int) *CSR {
+	if rows < 0 || rows > c.NRows || cols < 0 || cols > c.NCols {
+		panic(fmt.Sprintf("tensor: Head %dx%d of a %dx%d CSR", rows, cols, c.NRows, c.NCols))
+	}
+	if rows == c.NRows && cols == c.NCols {
+		return c
+	}
+	end := c.RowPtr[rows]
+	return &CSR{NRows: rows, NCols: cols, RowPtr: c.RowPtr[:rows+1], ColIdx: c.ColIdx[:end], Val: c.Val[:end]}
+}
+
 // SpMM returns c·x for dense x. Like MatMul, each output row is initialized
 // and accumulated by the one worker that owns it (an empty CSR row is zeroed),
 // so the output needs no zeroing pass.

@@ -88,3 +88,55 @@ func TestCSRColumnOutOfRangePanics(t *testing.T) {
 	}()
 	NewCSR(1, 1, [][]CSREntry{{{Col: 5, Val: 1}}})
 }
+
+// Head is a view, not a copy: it shares the three arrays, any leading block
+// whose rows stay inside its columns multiplies as those rows of the whole
+// do, and only a shape the matrix does not have is refused.
+func TestCSRHead(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	// Lower-triangular plus one band: row r names columns <= r+1, so the
+	// rows×(rows+1) heads are the closed ones.
+	entries := make([][]CSREntry, 7)
+	for r := range entries {
+		for c := 0; c <= r+1 && c < 7; c++ {
+			if rng.Float64() < 0.6 {
+				entries[r] = append(entries[r], CSREntry{Col: c, Val: rng.NormFloat64()})
+			}
+		}
+	}
+	c := NewCSR(7, 7, entries)
+	if c.Head(7, 7) != c {
+		t.Fatal("the whole matrix should be the matrix itself")
+	}
+	x := NewRandom(rng, 7, 3, 1)
+	whole := SpMM(c, x)
+	for rows := 0; rows < 7; rows++ {
+		h := c.Head(rows, rows+1)
+		if h.NRows != rows || h.NCols != rows+1 || h.NNZ() != c.RowPtr[rows] {
+			t.Fatalf("Head(%d, %d) is %dx%d with %d entries", rows, rows+1, h.NRows, h.NCols, h.NNZ())
+		}
+		if h.NNZ() > 0 && (&h.ColIdx[0] != &c.ColIdx[0] || &h.Val[0] != &c.Val[0]) || &h.RowPtr[0] != &c.RowPtr[0] {
+			t.Fatalf("Head(%d, %d) copied an array", rows, rows+1)
+		}
+		got := SpMM(h, FromSlice(rows+1, 3, x.Data[:(rows+1)*3]))
+		for i, v := range got.Data {
+			if v != whole.Data[i] {
+				t.Fatalf("Head(%d, %d)·x differs from the whole product at %d", rows, rows+1, i)
+			}
+		}
+	}
+	// Zero rows, zero columns and a wider-than-needed block are all heads.
+	for _, shape := range [][2]int{{0, 0}, {0, 7}, {3, 7}, {7, 7}} {
+		c.Head(shape[0], shape[1])
+	}
+	for _, shape := range [][2]int{{8, 7}, {7, 8}, {-1, 3}, {3, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Head(%d, %d) of a 7x7 matrix accepted", shape[0], shape[1])
+				}
+			}()
+			c.Head(shape[0], shape[1])
+		}()
+	}
+}

@@ -737,12 +737,14 @@ func (e *Engine) dirtyFullThreshold() float64 {
 // (label writes are supervision, not forward input, and don't count),
 // expands them to the exact frontier D = Ball(dirty, L) — the nodes
 // whose embedding can differ — and forwards only the induced compute region
-// Ball(D, L), whose boundary supplies D's receptive fields. Rows of D are
+// Ball(D, L), whose boundary supplies D's receptive fields, laid out in
+// demand order (graph.Region: D first, then hop by hop outward) so that each
+// intermediate is computed only on the rows D reads it on. Rows of D are
 // spliced into the cached embedding matrix; every other row is reused.
-// Subgraph normalization uses global degrees and the same summation order as
+// Region normalization uses global degrees and the same summation order as
 // the full pass, so for memoryless models the spliced rows are bit-identical
 // to a full forward. Recurrent models additionally freeze the hidden state
-// of untouched nodes (the DirtyView's CommitRows mask), a bounded-staleness
+// of untouched nodes (only D's rows are committed), a bounded-staleness
 // approximation; RefreshEverySteps bounds how long a row may stay frozen.
 //
 // The incremental path falls back to a full forward when the cache is
@@ -753,7 +755,8 @@ func (e *Engine) dirtyFullThreshold() float64 {
 // fallback decision are unchanged — computed globally, so they cannot depend
 // on P — and only the region forward itself fans out: RegionParts groups the
 // region's connected components by owning shard, one worker forwards each
-// shard's part, and MergeShards splices the results in shard-index order.
+// shard's part (dgnn.ForwardPart, which unsharded runs once over the whole
+// region), and MergeShards splices the results in shard-index order.
 // Component isolation keeps every row bit-identical to the unsharded
 // computation; see DESIGN.md §12.
 func (e *Engine) runForward(t int) {
@@ -808,33 +811,34 @@ func (e *Engine) runForward(t int) {
 		return
 	}
 
+	// The exact/region sets and the fallback decision above were computed
+	// globally, so only the grouping of the work differs with P: unsharded,
+	// the region is one part; sharded, RegionParts keeps connected components
+	// whole, making each shard's rows bit-identical to the same rows of the
+	// single-part forward, and the merge splices them in fixed shard-index
+	// order. Every part runs dgnn.ForwardPart, here or on a replica.
+	parts := [][]int{region}
 	if e.shards != nil {
-		// Sharded fan-out: the exact/region sets and the fallback decision
-		// above were computed globally — identically to the unsharded path —
-		// so only the grouping of the work differs with P. RegionParts keeps
-		// connected components whole, making each shard's rows bit-identical
-		// to the same rows of the single-region forward; the merge then
-		// splices them in fixed shard-index order.
-		parts := e.g.RegionParts(region)
-		var res []dgnn.ShardForward
-		if e.shardFwd != nil {
-			res = e.shardFwd.ForwardShards(t, parts, exact)
-		} else {
-			res = dgnn.ForwardShards(e.g, e.model, parts, exact)
-		}
-		mergeStart := time.Now()
-		dgnn.MergeShards(e.emb, res)
-		e.tele.shardMerge.ObserveSince(mergeStart)
-		for s := range res {
-			if res[s].Out != nil {
-				e.tele.shardRows[s].Add(int64(len(res[s].IDs)))
-			}
-		}
+		parts = e.g.RegionParts(region)
+	}
+	var res []dgnn.ShardForward
+	if e.shardFwd != nil {
+		res = e.shardFwd.ForwardShards(t, parts, exact)
 	} else {
-		sub := e.g.Induced(region, region[0])
-		rows := dgnn.LocalRows(sub.Nodes, exact)
-		out := dgnn.Infer(e.inferTape, e.model, dgnn.DirtyView(sub, rows))
-		e.emb.Splice(out, rows, exact)
+		res = dgnn.ForwardShards(e.g, e.model, parts, exact)
+	}
+	mergeStart := time.Now()
+	dgnn.MergeShards(e.emb, res)
+	if e.shards != nil {
+		e.tele.shardMerge.ObserveSince(mergeStart)
+	}
+	for s := range res {
+		for d, rows := range res[s].Demand {
+			e.tele.demandRows[d].Add(int64(rows))
+		}
+		if e.shards != nil && res[s].Out != nil {
+			e.tele.shardRows[s].Add(int64(len(res[s].IDs)))
+		}
 	}
 	e.lastEmb = e.emb.Matrix()
 	e.tele.incForwards.Inc()

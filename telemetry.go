@@ -57,6 +57,9 @@ type engineTelemetry struct {
 	incForwards  obs.Counter
 	skippedRows  obs.Counter
 	dirtyFrac    *obs.Histogram
+	// Rows the incremental forwards of this process covered at depth 0 (the
+	// exact rows), 1 (within a hop) and 2 (the compute region).
+	demandRows [3]obs.Counter
 	// The last full forward's rows, and how many of them had a live edge:
 	// the rows a diffusion model's hop products ran on.
 	fwdRows, fwdActiveRows atomic.Int64
@@ -151,6 +154,13 @@ type Telemetry struct {
 	// SkippedRows totals the embedding rows incremental steps did not
 	// recompute (graph size minus compute-region size, summed over steps).
 	SkippedRows int64
+	// ForwardDemandRows totals, over the incremental forwards this process
+	// ran, the rows they had to cover at depth 0 (the exact rows, whose result
+	// is kept), 1 (within one hop of those) and 2 (the whole compute region):
+	// a model's intermediates run on one of the three, so a splice step that
+	// got slower shows here which of them grew. Parts a cluster replica ran
+	// count on the replica, not here.
+	ForwardDemandRows [3]int64
 	// DirtyFraction is the per-step distribution of |compute region| / |V|
 	// in incremental mode: 0 for quiet steps, 1 for fallback full forwards.
 	// Empty unless Config.IncrementalForward is set. In delta mode the
@@ -240,6 +250,9 @@ func (e *Engine) Telemetry() Telemetry {
 		DeltaPrunedRows:     e.tele.deltaPrunedRows.Value(),
 		DeltaPrunedFraction: histSnapshot(e.tele.deltaPrunedFrac),
 		SchedGroupFraction:  histSnapshot(e.tele.schedGroupFrac),
+	}
+	for d := range t.ForwardDemandRows {
+		t.ForwardDemandRows[d] = e.tele.demandRows[d].Value()
 	}
 	pool := tensor.ReadPoolStats()
 	t.TensorPoolGets, t.TensorPoolHits, t.TensorFreshBytes = pool.Gets, pool.Hits, pool.FreshBytes

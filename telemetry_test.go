@@ -124,3 +124,34 @@ func TestTelemetryAccountsForTrainingRounds(t *testing.T) {
 		t.Fatalf("full strategy: %d rounds, %d units, %d rows", tel.TrainRounds, tel.TrainUnits, tel.TrainUnionRows)
 	}
 }
+
+// The demand-row counters say how far each incremental forward had to reach:
+// the exact rows, the rows within a hop, the compute region. They nest, the
+// region count is what SkippedRows leaves of the graph, and shards — whose
+// parts are whole components — cover the same rows at every depth.
+func TestTelemetryForwardDemandRows(t *testing.T) {
+	base := DefaultConfig()
+	base.Model = "TGCN"
+	base.Hidden = 6
+	base.Seed = 3
+	base.Interval = 10
+	eFlat, eShard := shardedPair(t, base, 3, "hash")
+	const n, steps = 60, 40
+	runShardedEquality(t, eFlat, eShard, n, steps)
+	flat, sharded := eFlat.Telemetry(), eShard.Telemetry()
+	d := flat.ForwardDemandRows
+	if d[0] <= 0 || d[0] > d[1] || d[1] > d[2] {
+		t.Fatalf("demand rows %v do not nest", d)
+	}
+	if sharded.ForwardDemandRows != d {
+		t.Fatalf("demand rows %v unsharded, %v over 3 shards", d, sharded.ForwardDemandRows)
+	}
+	// The stream never goes quiet and never grows, so every incremental step
+	// skipped n minus its region.
+	if want := flat.IncrementalForwards*n - flat.SkippedRows; d[2] != want {
+		t.Fatalf("region rows %d, want %d (%d incremental steps of %d nodes, %d skipped)", d[2], want, flat.IncrementalForwards, n, flat.SkippedRows)
+	}
+	if flat.FullForwards == 0 || flat.IncrementalForwards == 0 {
+		t.Fatalf("run took %d full and %d incremental forwards; the test needs both", flat.FullForwards, flat.IncrementalForwards)
+	}
+}

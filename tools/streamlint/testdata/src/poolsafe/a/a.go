@@ -38,6 +38,15 @@ func useScatterAfterTapeRelease(base, src *autodiff.Node) *tensor.Matrix {
 	return sc.Value // want `use after release: sc is a released tape node`
 }
 
+// Positive: a head is a copy the tape owns, not a view that lives as long as
+// whatever it was taken from.
+func useHeadAfterTapeRelease(emb *autodiff.Node) *tensor.Matrix {
+	tp := autodiff.NewTape()
+	h := tp.Head(emb, 2)
+	tp.Release()
+	return h.Value // want `use after release: h is a released tape node`
+}
+
 // Positive: a segmented loss's column of per-unit means is the tape's too —
 // a round's utilities must be read off it before the tape is released.
 func useSegLossAfterTapeRelease(pred *autodiff.Node, target *tensor.Matrix) float64 {

@@ -22,6 +22,9 @@ func (t *Tape) Add(a, b *Node) *Node { return &Node{} }
 // ScatterRows is a tape operation over two nodes and an index list.
 func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node { return &Node{} }
 
+// Head is a tape operation copying a node's leading rows.
+func (t *Tape) Head(a *Node, rows int) *Node { return &Node{} }
+
 // MSESeg is a tape operation over a node, a constant and segment ends.
 func (t *Tape) MSESeg(pred *Node, target *tensor.Matrix, ends []int) *Node { return &Node{} }
 
