@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt bench bench-check bench-kernels
+.PHONY: build test race lint fmt count bench bench-check bench-kernels
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,16 @@ lint:
 
 fmt:
 	gofmt -w .
+
+# count prints ROADMAP's three north-star counters, so a PR's CHANGES line can
+# quote numbers anyone can reproduce: lines of the non-test Go files outside
+# benchmarks/, tools/ and examples/ (and of internal/graph alone), fields of
+# streamgnn.Config, flags that cmd/queryd defines.
+count:
+	@src() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path './tools/*' ! -path './examples/*' ! -path './.bench_build/*'; }; \
+	echo "non-test lines: $$(src . | xargs cat | wc -l) (internal/graph: $$(src ./internal/graph | xargs cat | wc -l))"
+	@echo "Config fields: $$(sed -n '/^type Config struct {/,/^}/p' streamgnn.go | grep -cE '^	[A-Z][A-Za-z]* ')"
+	@echo "queryd flags: $$(grep -cE '\bflag\.[A-Z][A-Za-z0-9]*\("' cmd/queryd/main.go) (streambench: $$(grep -cE '\bfs\.[A-Z][A-Za-z0-9]*\("' cmd/streambench/main.go))"
 
 # bench-check covers benchmarks/ — a module of its own that imports this
 # repository's internal packages, which build, test and lint above do not see:

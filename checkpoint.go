@@ -131,36 +131,6 @@ func PeekCheckpoint(r io.Reader) (CheckpointInfo, error) {
 		Hidden: ck.Hidden, Step: ck.Step, Shards: ck.Shards, ShardLayout: ck.ShardLayout}, nil
 }
 
-// ModelSnapshot is the learned-state slice of a checkpoint — identifying
-// header plus parameter and recurrent-state dumps — the part a shard replica
-// needs to seed its model mirror from a coordinator checkpoint without
-// constructing a full Engine.
-type ModelSnapshot struct {
-	Info   CheckpointInfo
-	Params []dgnn.StateDump
-	States []dgnn.StateDump
-}
-
-// ReadModelSnapshot decodes the learned state of a checkpoint written by any
-// readable version (v3..v7): the replica-path loader of internal/cluster.
-// Version bounds are enforced exactly as LoadCheckpoint does; all other
-// validation (parameter shapes against a concrete model) is the caller's.
-func ReadModelSnapshot(r io.Reader) (*ModelSnapshot, error) {
-	var ck checkpoint
-	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("streamgnn: decoding checkpoint: %w", err)
-	}
-	if ck.Version < checkpointVersionMin || ck.Version > checkpointVersion {
-		return nil, fmt.Errorf("streamgnn: checkpoint version %d, want %d..%d", ck.Version, checkpointVersionMin, checkpointVersion)
-	}
-	return &ModelSnapshot{
-		Info: CheckpointInfo{Version: ck.Version, Model: ck.Model, Strategy: ck.Strategy,
-			Hidden: ck.Hidden, Step: ck.Step, Shards: ck.Shards, ShardLayout: ck.ShardLayout},
-		Params: ck.Params,
-		States: ck.States,
-	}, nil
-}
-
 // SaveCheckpoint writes the engine's learned and runtime state to w.
 func (e *Engine) SaveCheckpoint(w io.Writer) error {
 	ck := checkpoint{

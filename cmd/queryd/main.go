@@ -83,7 +83,6 @@ func main() {
 	deltaEps := flag.Float64("delta-eps", 0, "with -delta: per-component pruning threshold in [0,1]; 0 keeps delta forwards bit-identical to full forwards")
 	depSchedule := flag.Bool("dep-schedule", false, "conflict-group scheduling of the training apply phase: backprop and gradient accumulation run concurrently across dependency-free partition groups (see DESIGN.md §15)")
 	interval := flag.Int("interval", 0, "steps between training steps (0 = engine default of 1; raise so -incremental can reuse cached embeddings between training steps)")
-	kernelWorkers := flag.Int("kernel-workers", 0, "tensor-kernel parallelism (0 = leave the process-wide setting untouched, serial by default; negative = NumCPU)")
 	shards := flag.Int("shards", 0, "partition the node space into this many shards and fan incremental forwards out per shard (0/1 = unsharded; >1 implies -incremental; see DESIGN.md §12)")
 	shardLayout := flag.String("shard-layout", "hash", "node-to-shard layout with -shards: hash or range")
 	batchMax := flag.Int("batch-max", 64, "B: flush a /query micro-batch as soon as this many queries are pending")
@@ -102,8 +101,8 @@ func main() {
 		dirtyThreshold: *dirtyThreshold,
 		delta:          *delta, deltaEps: *deltaEps,
 		depSchedule: *depSchedule,
-		interval:    *interval, kernelWorkers: *kernelWorkers,
-		shards: *shards, shardLayout: *shardLayout,
+		interval:    *interval,
+		shards:      *shards, shardLayout: *shardLayout,
 		batchMax: *batchMax, batchWait: *batchWait,
 		role: *role, peers: *peers, replicaID: *replicaID, walPath: *wal,
 	}
@@ -130,7 +129,6 @@ type options struct {
 	deltaEps                        float64
 	depSchedule                     bool
 	interval                        int
-	kernelWorkers                   int
 	shards                          int
 	shardLayout                     string
 	batchMax                        int
@@ -222,7 +220,6 @@ func run(opts options) error {
 		DeltaEpsilon:       opts.deltaEps,
 		DependencySchedule: opts.depSchedule,
 		Interval:           opts.interval,
-		KernelWorkers:      opts.kernelWorkers,
 		Shards:             opts.shards,
 		ShardLayout:        opts.shardLayout,
 	})

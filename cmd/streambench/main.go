@@ -14,10 +14,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"streamgnn/internal/bench"
-	"streamgnn/internal/tensor"
 )
 
 func main() {
@@ -35,15 +33,8 @@ func run(args []string, w io.Writer) error {
 	runs := fs.Int("runs", 10, "repetitions per cell (the paper uses 10)")
 	steps := fs.Int("steps", 40, "stream steps per run")
 	scale := fs.Float64("scale", 1, "workload scale factor")
-	kernelWorkers := fs.Int("kernel-workers", 0, "tensor-kernel parallelism (0 = leave the process-wide setting untouched, serial by default; negative = NumCPU)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *kernelWorkers < 0 {
-		tensor.SetParallelism(runtime.NumCPU())
-	} else if *kernelWorkers > 0 {
-		tensor.SetParallelism(*kernelWorkers)
 	}
 
 	if *scaling {

@@ -47,7 +47,6 @@ const (
 	opMean
 	opMSESeg
 	opBCESeg
-	opAddScalarMul
 	opSoftmax
 	opCrossEntropy
 	opDropout
@@ -72,7 +71,7 @@ type Node struct {
 
 	// Backward-rule state (meaning depends on op): aux holds a matrix the
 	// rule reads (MSE residual, BCE target, dropout mask, ...), auxCSR the
-	// sparse operand of SpMM, auxF a scalar (Scale/AddScalarMul factor), and
+	// sparse operand of SpMM, auxF a scalar (Scale's factor), and
 	// auxInts an index list (GatherRows/ScatterRows rows, CrossEntropy classes,
 	// MSESeg/BCESeg segment ends). aux
 	// matrices are either tape-owned (recycled via their own record) or
@@ -605,14 +604,6 @@ func (out *Node) runBack(sink *GradSink) {
 				lo = hi
 			}
 		}
-	case opAddScalarMul:
-		a, b := out.parents[0], out.parents[1]
-		if a.requiresGrad {
-			tensor.AddInPlace(gradOf(a, sink), out.Grad)
-		}
-		if b.requiresGrad {
-			tensor.AddScaledInPlace(gradOf(b, sink), out.Grad, out.auxF)
-		}
 	case opSoftmax:
 		a := out.parents[0]
 		if a.requiresGrad {
@@ -905,13 +896,4 @@ func checkEnds(ends []int, rows int) []int {
 		panic(fmt.Sprintf("autodiff: segment ends %v are not ascending row ends closing at %d", ends, rows))
 	}
 	return ends
-}
-
-// AddScalarMul returns a + s·b, a fused helper for residual-style updates.
-func (t *Tape) AddScalarMul(a, b *Node, s float64) *Node {
-	val := a.Value.Clone()
-	tensor.AddScaledInPlace(val, b.Value, s)
-	out := t.newNode2(opAddScalarMul, val, anyGrad(a, b), a, b)
-	out.auxF = s
-	return out
 }

@@ -72,7 +72,6 @@ func TestElementwiseGrads(t *testing.T) {
 		"sigmoid":  func(tp *Tape) *Node { return tp.Mean(tp.Sigmoid(a)) },
 		"tanh":     func(tp *Tape) *Node { return tp.Mean(tp.Tanh(a)) },
 		"oneminus": func(tp *Tape) *Node { return tp.Mean(tp.OneMinus(tp.Sigmoid(a))) },
-		"addsm":    func(tp *Tape) *Node { return tp.Mean(tp.AddScalarMul(a, b, 0.3)) },
 	}
 	for name, f := range cases {
 		t.Run(name, func(t *testing.T) { checkGrad(t, []*Node{a, b}, f) })

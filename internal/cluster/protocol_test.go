@@ -2,20 +2,27 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
-	"streamgnn"
-	"streamgnn/internal/dgnn"
 	"streamgnn/internal/query"
 )
 
 func baseReplicaConfig() ReplicaConfig {
 	return ReplicaConfig{Shard: 1, Shards: 2, Layout: "hash", Model: "TGCN",
 		Hidden: 8, FeatDim: 3, WindowSteps: 0}
+}
+
+// configuredReplica returns a replica its first Hello configured for cfg.
+func configuredReplica(t *testing.T, cfg ReplicaConfig) *Replica {
+	t.Helper()
+	r := NewReplica()
+	if _, err := r.HandleHello(HelloRequest{Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // A coordinator whose partition, model geometry or window disagrees with
@@ -37,10 +44,7 @@ func TestHelloRejectsConfigMismatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := NewConfiguredReplica(baseReplicaConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := configuredReplica(t, baseReplicaConfig())
 			cfg := baseReplicaConfig()
 			tc.mutate(&cfg)
 			if _, err := r.HandleHello(HelloRequest{Config: cfg}); err == nil {
@@ -71,20 +75,14 @@ func TestHelloRespectsExpectShard(t *testing.T) {
 
 // A replica checkpoint only restores into a replica of the same identity.
 func TestRestoreCheckpointRejectsMismatch(t *testing.T) {
-	r, err := NewConfiguredReplica(baseReplicaConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := configuredReplica(t, baseReplicaConfig())
 	var ck bytes.Buffer
 	if err := r.SaveCheckpoint(&ck); err != nil {
 		t.Fatal(err)
 	}
 	other := baseReplicaConfig()
 	other.Shards = 4
-	wrong, err := NewConfiguredReplica(other)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wrong := configuredReplica(t, other)
 	if err := wrong.RestoreCheckpoint(bytes.NewReader(ck.Bytes())); err == nil {
 		t.Fatal("checkpoint for shards=2 restored into a shards=4 replica")
 	}
@@ -94,116 +92,6 @@ func TestRestoreCheckpointRejectsMismatch(t *testing.T) {
 	}
 	if fresh.Config() != baseReplicaConfig() {
 		t.Fatalf("restored config %+v", fresh.Config())
-	}
-}
-
-// forgedCheckpoint re-encodes an engine checkpoint's learned state under an
-// older version stamp. Gob matches struct fields by name, so this stands in
-// for bytes written by the actual v5/v6 builds (which carried the same
-// fields plus runtime state this test does not need).
-type forgedCheckpoint struct {
-	Version     int
-	Model       string
-	Strategy    string
-	Hidden      int
-	Step        int
-	Params      []dgnn.StateDump
-	States      []dgnn.StateDump
-	Shards      int
-	ShardLayout string
-}
-
-// Engine checkpoints from every readable version (v5, v6, v7 sharded; v3
-// without a recorded partition) must seed a replica's model mirror — and a
-// recorded partition that disagrees with the replica's must be rejected.
-func TestSeedFromEngineCheckpointVersions(t *testing.T) {
-	cfg := clusterConfig("TGCN", 23, 2)
-	eng, err := streamgnn.NewEngine(3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := testStream{n: 24}
-	for s := 0; s < 30; s++ {
-		applyEvents(t, eng, d.eventsFor(s))
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var v7 bytes.Buffer
-	if err := eng.SaveCheckpoint(&v7); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := streamgnn.ReadModelSnapshot(bytes.NewReader(v7.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Info.Version < 7 {
-		t.Fatalf("engine writes checkpoint v%d, test assumes >= 7", snap.Info.Version)
-	}
-
-	forge := func(mutate func(*forgedCheckpoint)) []byte {
-		ck := forgedCheckpoint{
-			Version: snap.Info.Version, Model: snap.Info.Model, Strategy: snap.Info.Strategy,
-			Hidden: snap.Info.Hidden, Step: snap.Info.Step,
-			Params: snap.Params, States: snap.States,
-			Shards: snap.Info.Shards, ShardLayout: snap.Info.ShardLayout,
-		}
-		mutate(&ck)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	repCfg := ReplicaConfig{Shard: 0, Shards: 2, Layout: "hash", Model: cfg.Model,
-		Hidden: cfg.Hidden, FeatDim: 3, WindowSteps: cfg.WindowSteps}
-
-	seed := func(t *testing.T, data []byte) error {
-		r, err := NewConfiguredReplica(repCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.SeedFromEngineCheckpoint(bytes.NewReader(data)); err != nil {
-			return err
-		}
-		// The mirror's model parameters must now hold the checkpoint bits.
-		for i, p := range r.model.Params() {
-			for j, v := range p.Value.Data {
-				if want := snap.Params[i].Data[j]; v != want {
-					t.Fatalf("seeded parameter %d[%d] = %v, checkpoint holds %v", i, j, v, want)
-				}
-			}
-		}
-		return nil
-	}
-
-	if err := seed(t, v7.Bytes()); err != nil {
-		t.Fatalf("v7: %v", err)
-	}
-	for _, v := range []int{5, 6} {
-		if err := seed(t, forge(func(ck *forgedCheckpoint) { ck.Version = v })); err != nil {
-			t.Fatalf("v%d: %v", v, err)
-		}
-	}
-	// v3/v4 predate the recorded partition: Shards = 0 means "unknown",
-	// which seeds without a partition check.
-	if err := seed(t, forge(func(ck *forgedCheckpoint) { ck.Version = 3; ck.Shards = 0; ck.ShardLayout = "" })); err != nil {
-		t.Fatalf("v3: %v", err)
-	}
-
-	if err := seed(t, forge(func(ck *forgedCheckpoint) { ck.Shards = 4 })); err == nil {
-		t.Fatal("shards=4 checkpoint seeded a shards=2 replica")
-	} else if !strings.Contains(err.Error(), "does not match replica") {
-		t.Fatalf("partition mismatch error unclear: %v", err)
-	}
-	if err := seed(t, forge(func(ck *forgedCheckpoint) { ck.ShardLayout = "range" })); err == nil {
-		t.Fatal("range-layout checkpoint seeded a hash-layout replica")
-	}
-	if err := seed(t, forge(func(ck *forgedCheckpoint) { ck.Hidden = 16 })); err == nil {
-		t.Fatal("hidden=16 checkpoint seeded a hidden=8 replica")
-	}
-	if err := seed(t, forge(func(ck *forgedCheckpoint) { ck.Version = 2 })); err == nil {
-		t.Fatal("unreadable v2 checkpoint accepted")
 	}
 }
 

@@ -92,16 +92,6 @@ func NewReplica() *Replica {
 	return &Replica{expectShard: -1, lastApplied: -1}
 }
 
-// NewConfiguredReplica returns a replica pre-configured for cfg (tests and
-// loopback clusters; services usually let Hello configure).
-func NewConfiguredReplica(cfg ReplicaConfig) (*Replica, error) {
-	r := NewReplica()
-	if err := r.configure(cfg); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // SetExpectShard pins the shard index this replica will serve: a Hello for
 // any other index is rejected (the queryd -replica-id flag).
 func (r *Replica) SetExpectShard(s int) {

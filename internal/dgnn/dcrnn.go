@@ -71,10 +71,7 @@ func (m *DCRNNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { 
 // wanted rows.
 func (m *DCRNNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	h := tp.OwnedConstant(m.state.gather(v))
-	rw := v.RW
-	if rw == nil {
-		rw = v.RWFn()
-	}
+	rw := v.RWFn()
 	var d nn.Diffused
 	conv := func(mod nn.Module, in *autodiff.Node, _ int) *autodiff.Node {
 		if d.X != in {

@@ -125,7 +125,7 @@ type DeltaPass struct {
 	g       *graph.Dynamic
 	st      *DeltaState
 	overlay []map[int][]float64
-	entries []tensor.CSREntry
+	row     tensor.CSR // ConvRow's scratch: one row of the normalized adjacency
 	zero    []float64
 }
 
@@ -171,12 +171,12 @@ func (p *DeltaPass) ConvRow(conv *nn.GCNConv, v int, input func(u int) []float64
 	for j := range out {
 		out[j] = 0
 	}
-	p.entries = p.g.NormRowAppend(v, p.entries[:0])
+	p.g.NormRow(v, &p.row)
 	w := conv.Weight().Value
-	for _, e := range p.entries {
-		tensor.MulRow(xw, input(e.Col), w)
+	for k, u := range p.row.ColIdx {
+		tensor.MulRow(xw, input(u), w)
 		for j, xv := range xw {
-			out[j] += e.Val * xv
+			out[j] += p.row.Val[k] * xv
 		}
 	}
 	b := conv.Bias().Value.Data

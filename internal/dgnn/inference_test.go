@@ -180,8 +180,8 @@ func TestInferenceTapeAcrossActiveBlockFlips(t *testing.T) {
 				g.AddEdge(v, step%n, 0, int64(200+step))
 			}
 		}
-		if full := FullView(g); (full.RW.ActiveRows() == full.N) != (step%3 == 2) {
-			t.Fatalf("step %d: %d of %d rows active", step, full.RW.ActiveRows(), full.N)
+		if full := FullView(g); (full.RWFn().ActiveRows() == full.N) != (step%3 == 2) {
+			t.Fatalf("step %d: %d of %d rows active", step, full.RWFn().ActiveRows(), full.N)
 		}
 		region := g.Ball([]int{pending, step % n}, 2)
 		for _, build := range []func() View{

@@ -24,10 +24,9 @@ type View struct {
 	N    int
 	Feat *tensor.Matrix
 	Norm *tensor.CSR
-	// RW is the pair of random-walk transition matrices on the view's active
-	// rows, for diffusion convolutions (DCRNN). A view that would have to build
-	// it sets RWFn instead and leaves RW nil.
-	RW   *tensor.Diffusion
+	// RWFn returns the pair of random-walk transition matrices on the view's
+	// active rows, for diffusion convolutions, building it on first use: of the
+	// models only DCRNN asks.
 	RWFn func() *tensor.Diffusion
 	IDs  []int
 	// Frontier, when non-nil, says the rows are in demand order (RegionView):
@@ -65,18 +64,20 @@ func FullView(g *graph.Dynamic) View {
 		N:       g.N(),
 		Feat:    g.Features(),
 		Norm:    g.NormAdj(),
-		RW:      g.Diffusion(),
+		RWFn:    g.Diffusion,
 		TypedFn: g.TypedAdj,
 	}
 }
 
-// SubView builds the view of an induced subgraph.
+// SubView builds the view of an induced subgraph, every row wanted: Frontier
+// stays nil (the region underneath has nothing wanted, which on a view would
+// read "no rows").
 func SubView(s *graph.Subgraph) View {
 	return View{
 		N:       s.N(),
 		Feat:    s.Features(),
 		Norm:    s.NormAdj(),
-		RW:      s.Diffusion(),
+		RWFn:    s.Diffusion,
 		IDs:     s.Nodes,
 		TypedFn: s.TypedAdj,
 	}
@@ -91,7 +92,7 @@ func UnionView(u *graph.Union) View {
 		N:       u.N(),
 		Feat:    u.Features(),
 		Norm:    u.NormAdj(),
-		RW:      u.Diffusion(),
+		RWFn:    u.Diffusion,
 		IDs:     u.Nodes,
 		TypedFn: u.TypedAdj,
 	}

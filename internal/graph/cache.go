@@ -7,7 +7,7 @@ import (
 
 // PartitionCache is a version-keyed LRU cache of training partitions
 // (Subgraph values) keyed by (center node, hop count). Partition extraction
-// — an L-hop BFS plus three CSR builds — dominates the cost of a training
+// — an L-hop BFS plus the adjacency build — dominates the cost of a training
 // unit on quiet graphs, and the adaptive sampler revisits high-weight nodes
 // constantly, so warm hits are the common case.
 //
@@ -21,8 +21,8 @@ import (
 // expired edge are touched, and feature/label writes touch their node).
 // Flush remains as the coarse fallback.
 //
-// Cached Subgraphs are immutable after construction and may be shared across
-// goroutines; all cache state is guarded by one mutex, so concurrent
+// Cached Subgraphs are never laid out again (their lazy adjacencies are built
+// under their own lock) and may be shared across goroutines; all cache state is guarded by one mutex, so concurrent
 // Partition calls from training workers are safe.
 type PartitionCache struct {
 	mu      sync.Mutex

@@ -29,23 +29,6 @@ func (g *Dynamic) EnableDirtyTracking() {
 	}
 }
 
-// DirtyTrackingEnabled reports whether EnableDirtyTracking (or
-// AttachSharding, which implies it) was called.
-func (g *Dynamic) DirtyTrackingEnabled() bool { return g.fwdDirty != nil || g.sh != nil }
-
-// DirtyCount returns the number of accumulated dirty nodes (0 when tracking
-// is disabled).
-func (g *Dynamic) DirtyCount() int {
-	if g.sh != nil {
-		n := 0
-		for _, m := range g.sh.dirty {
-			n += len(m)
-		}
-		return n
-	}
-	return len(g.fwdDirty)
-}
-
 // TakeDirty drains and returns, in ascending order, the nodes whose forward
 // inputs changed since the previous call. Nil when tracking is disabled or
 // nothing changed. With a sharding attached it drains every per-shard
@@ -67,9 +50,10 @@ func (g *Dynamic) TakeDirty() []int {
 }
 
 // Ball returns the nodes within L undirected hops of any source (sources
-// included, deduplicated), in ascending id order — the multi-source
-// generalization of KHopBall. Visited marks live in the same pooled scratch
-// slice KHopBall uses.
+// included, deduplicated), in ascending id order. One source is the node set
+// of its training partition G_v (Section III-C); the dirty set is the sources
+// of a step's exact rows. Visited marks live in a pooled scratch slice instead
+// of a per-call map.
 func (g *Dynamic) Ball(sources []int, L int) []int {
 	if len(sources) == 0 {
 		return nil

@@ -10,9 +10,6 @@ import (
 func TestDirtyTrackingDisabledByDefault(t *testing.T) {
 	g := NewDynamic(2)
 	g.AddNode(0, []float64{1, 0})
-	if g.DirtyTrackingEnabled() {
-		t.Fatal("tracking enabled without EnableDirtyTracking")
-	}
 	if got := g.TakeDirty(); got != nil {
 		t.Fatalf("TakeDirty = %v on a disabled tracker", got)
 	}
@@ -39,8 +36,8 @@ func TestDirtyTrackingAccumulatesAndDrains(t *testing.T) {
 	if got, want := g.TakeDirty(), []int{b}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("TakeDirty = %v, want %v", got, want)
 	}
-	if g.DirtyCount() != 0 {
-		t.Fatalf("DirtyCount = %d after drain", g.DirtyCount())
+	if got := g.TakeDirty(); got != nil {
+		t.Fatalf("TakeDirty after drain = %v, want nil", got)
 	}
 }
 
@@ -65,7 +62,7 @@ func TestDirtyTrackingSeesExpiry(t *testing.T) {
 	}
 }
 
-// Ball must equal the union of single-source KHopBalls.
+// Ball must equal the union of its sources' single-source balls.
 func TestBallMatchesKHopBallUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := NewDynamic(1)
@@ -83,7 +80,7 @@ func TestBallMatchesKHopBallUnion(t *testing.T) {
 		sources := []int{3, 17, 17, 44} // duplicate on purpose
 		union := map[int]struct{}{}
 		for _, s := range sources {
-			for _, v := range g.KHopBall(s, L) {
+			for _, v := range g.Ball([]int{s}, L) {
 				union[v] = struct{}{}
 			}
 		}

@@ -67,22 +67,20 @@ type Dynamic struct {
 
 	cache *PartitionCache
 
-	// edgeVersion increases only on topology mutations (node adds, edge
-	// inserts, window expiry) — not on feature or label writes. Every cached
-	// adjacency below except the typed ones keys on it, so feature-churn-heavy
-	// streams never rebuild them.
-	edgeVersion  int64
-	cacheVersion int64
-	normAdj      *tensor.CSR
-	rwFwd        *tensor.CSR
-	rwRev        *tensor.CSR
-	rw           *tensor.Diffusion
-	walkVersion  int64
-	walkAdj      *tensor.CSR
+	// root[v] is the square root of v's normalization degree (see setRoot),
+	// kept current by the three mutations that change a degree.
+	root []float64
 
-	typedVersion int64
-	typedNTypes  int
-	typedAdj     []*tensor.CSR
+	// edgeVersion increases only on topology mutations (node adds, edge
+	// inserts, window expiry) — not on feature or label writes. The cached
+	// adjacencies key on it, so feature-churn-heavy streams never rebuild them.
+	edgeVersion int64
+	// full is the whole snapshot as an induced subgraph — the carrier of the
+	// normalized, random-walk and typed adjacencies — built at fullVersion.
+	full        *Subgraph
+	fullVersion int64
+	walkVersion int64
+	walkAdj     *tensor.CSR
 }
 
 // NewDynamic returns an empty dynamic graph whose nodes carry featDim
@@ -143,6 +141,8 @@ func (g *Dynamic) AddNode(t NodeType, feat []float64) int {
 	g.label = append(g.label, math.NaN())
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
+	g.root = append(g.root, 0)
+	g.setRoot(id)
 	if g.sh != nil {
 		g.sh.occupancy[g.sh.s.Of(id)]++
 		g.sh.crossDeg = append(g.sh.crossDeg, 0)
@@ -167,6 +167,8 @@ func (g *Dynamic) AddLabeledEdge(u, v int, et EdgeType, ts int64, label float64)
 	g.edgeVersion++
 	g.out[u] = append(g.out[u], Edge{To: v, Type: et, Time: ts, Label: label})
 	g.in[v] = append(g.in[v], Edge{To: u, Type: et, Time: ts, Label: label})
+	g.setRoot(u)
+	g.setRoot(v)
 	if g.sh != nil {
 		g.sh.noteEdge(u, v, +1)
 	}
@@ -280,6 +282,7 @@ func (g *Dynamic) ExpireEdgesBefore(ts int64) {
 		g.in[v], ci = filter(g.in[v])
 		if co || ci {
 			changed = true
+			g.setRoot(v)
 			g.actDirty[v] = struct{}{}
 			g.markFwdDirty(v)
 			if g.cache != nil {
@@ -349,63 +352,46 @@ func (g *Dynamic) featureRows(nodes []int) *tensor.Matrix {
 }
 
 // normDeg returns the GCN normalization degree of v: in+out degree plus the
-// self loop. This is THE degree expression of the cached normalized
-// adjacency; per-row delta recomputation must produce bit-identical entry
-// values, so both paths call this one function.
+// self loop. It is a GLOBAL degree wherever it is read: an induced subgraph's
+// message weights then match the full-graph convolution exactly, so the
+// embedding of the center of an L-hop partition computed on the subgraph
+// equals its full-graph embedding — edges to nodes outside the subgraph simply
+// contribute nothing (they are outside the center's receptive field anyway).
 func (g *Dynamic) normDeg(v int) float64 {
 	return float64(len(g.out[v])+len(g.in[v])) + 1 // +1 self loop
 }
 
-// NormRowAppend appends row v of the symmetric GCN-normalized adjacency
-// D^{-1/2}(A+Aᵀ+I)D^{-1/2} to dst, in the cache's entry order (self loop,
-// out-edges, in-edges) and with the cache's exact floating-point expressions.
-// The delta-forward path uses it to aggregate one node's neighborhood without
-// rebuilding the full cached CSR.
-func (g *Dynamic) NormRowAppend(v int, dst []tensor.CSREntry) []tensor.CSREntry {
-	dv := math.Sqrt(g.normDeg(v))
-	dst = append(dst, tensor.CSREntry{Col: v, Val: 1 / g.normDeg(v)})
-	for _, e := range g.out[v] {
-		dst = append(dst, tensor.CSREntry{Col: e.To, Val: 1 / (dv * math.Sqrt(g.normDeg(e.To)))})
+// setRoot records the root of v's normalization degree after a mutation
+// changed it. This is the one place the root is taken: every normalized entry
+// of every view — snapshot, partition, region, single row — multiplies two
+// elements of g.root, so the views agree to the last bit by construction.
+func (g *Dynamic) setRoot(v int) { g.root[v] = math.Sqrt(g.normDeg(v)) }
+
+// ActiveNodes returns how many nodes have a live in- or out-edge: the rows of
+// the active block a diffusion convolution's hops run on.
+func (g *Dynamic) ActiveNodes() int {
+	k := 0
+	for _, r := range g.root {
+		if r > 1 {
+			k++
+		}
 	}
-	for _, e := range g.in[v] {
-		dst = append(dst, tensor.CSREntry{Col: e.To, Val: 1 / (dv * math.Sqrt(g.normDeg(e.To)))})
-	}
-	return dst
+	return k
 }
 
-func (g *Dynamic) refreshCaches() {
-	if g.cacheVersion == g.edgeVersion && g.normAdj != nil {
-		return
-	}
-	n := g.N()
-	// Symmetric GCN normalization of A + Aᵀ + I.
-	entries := make([][]tensor.CSREntry, n)
-	// The two transition matrices are filled in place, rows in order: every
-	// edge is one entry of each, and the rows that get any are the active set.
-	edges := g.NumEdges()
-	newRW := func() *tensor.CSR {
-		return &tensor.CSR{NRows: n, NCols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, 0, edges), Val: make([]float64, 0, edges)}
-	}
-	fwd, rev := newRW(), newRW()
-	var active activeRows
-	for v := 0; v < n; v++ {
-		entries[v] = g.NormRowAppend(v, nil)
-		for _, e := range g.out[v] {
-			fwd.ColIdx = append(fwd.ColIdx, e.To)
-			fwd.Val = append(fwd.Val, 1/float64(len(g.out[v])))
+// snapshot returns the whole graph as an induced subgraph, rebuilt — into
+// fresh arrays, so what an earlier version handed out stays as it was — when
+// the topology moved.
+func (g *Dynamic) snapshot() *Subgraph {
+	if g.full == nil || g.fullVersion != g.edgeVersion {
+		all := make([]int, g.N())
+		for i := range all {
+			all[i] = i
 		}
-		for _, e := range g.in[v] {
-			rev.ColIdx = append(rev.ColIdx, e.To)
-			rev.Val = append(rev.Val, 1/float64(len(g.in[v])))
-		}
-		fwd.RowPtr[v+1], rev.RowPtr[v+1] = len(fwd.ColIdx), len(rev.ColIdx)
-		active.row(len(g.out[v])+len(g.in[v]) > 0)
+		g.full = g.Induced(all, -1)
+		g.fullVersion = g.edgeVersion
 	}
-	g.normAdj = tensor.NewCSR(n, n, entries)
-	g.rwFwd, g.rwRev = fwd, rev
-	rw := g.newDiffusion(fwd, rev, active)
-	g.rw = &rw
-	g.cacheVersion = g.edgeVersion
+	return g.full
 }
 
 // activeRows collects the active set of a pair of transition matrices — the
@@ -505,68 +491,21 @@ func (g *Dynamic) WalkAdj() *tensor.CSR {
 
 // NormAdj returns the symmetric GCN-normalized adjacency
 // D^{-1/2}(A+Aᵀ+I)D^{-1/2} of the current snapshot (cached per EdgeVersion).
-func (g *Dynamic) NormAdj() *tensor.CSR {
-	g.refreshCaches()
-	return g.normAdj
+func (g *Dynamic) NormAdj() *tensor.CSR { return g.snapshot().NormAdj() }
+
+// NormRow sets row to row v of NormAdj as a one-row matrix, built by the
+// routine that builds the cached one. The delta-forward path uses it to
+// aggregate one node's neighborhood without rebuilding the whole adjacency.
+func (g *Dynamic) NormRow(v int, row *tensor.CSR) {
+	resetCSR(row, 1, g.N())
+	g.appendNormRow(row, v, v, nil)
 }
 
 // RWAdj returns the row-normalized random-walk adjacency. reverse selects
 // the in-edge direction (used by DCRNN's bidirectional diffusion).
-func (g *Dynamic) RWAdj(reverse bool) *tensor.CSR {
-	g.refreshCaches()
-	if reverse {
-		return g.rwRev
-	}
-	return g.rwFwd
-}
+func (g *Dynamic) RWAdj(reverse bool) *tensor.CSR { return g.snapshot().RWAdj(reverse) }
 
 // Diffusion returns the two random-walk adjacencies of RWAdj restricted to
-// the rows with a live edge (see tensor.Diffusion), built with them.
-func (g *Dynamic) Diffusion() *tensor.Diffusion {
-	g.refreshCaches()
-	return g.rw
-}
-
-// KHopBall returns the nodes within L hops of v (including v), treating
-// edges as undirected, in ascending id order. This is the node set of v's
-// training partition G_v from Section III-C. Visited marks live in a pooled
-// scratch slice instead of a per-call map.
-func (g *Dynamic) KHopBall(v, L int) []int {
-	g.checkNode(v)
-	seen := getScratch(len(g.ntype))
-	seen[v] = 1
-	ids := []int{v}
-	frontier := ids
-	for hop := 0; hop < L && len(frontier) > 0; hop++ {
-		var next []int
-		for _, u := range frontier {
-			for _, e := range g.out[u] {
-				if seen[e.To] == 0 {
-					seen[e.To] = 1
-					next = append(next, e.To)
-				}
-			}
-			for _, e := range g.in[u] {
-				if seen[e.To] == 0 {
-					seen[e.To] = 1
-					next = append(next, e.To)
-				}
-			}
-		}
-		ids = append(ids, next...)
-		frontier = next
-	}
-	for _, u := range ids {
-		seen[u] = 0
-	}
-	putScratch(seen)
-	sort.Ints(ids)
-	return ids
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+// the rows with a live edge (see tensor.Diffusion), built on first use per
+// EdgeVersion.
+func (g *Dynamic) Diffusion() *tensor.Diffusion { return g.snapshot().Diffusion() }

@@ -192,13 +192,13 @@ func TestKHopBallOnChain(t *testing.T) {
 		{6, 3, []int{3, 4, 5, 6}},
 	}
 	for _, c := range cases {
-		got := g.KHopBall(c.v, c.L)
+		got := g.Ball([]int{c.v}, c.L)
 		if len(got) != len(c.want) {
-			t.Fatalf("KHopBall(%d,%d) = %v, want %v", c.v, c.L, got, c.want)
+			t.Fatalf("Ball({%d},%d) = %v, want %v", c.v, c.L, got, c.want)
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Fatalf("KHopBall(%d,%d) = %v, want %v", c.v, c.L, got, c.want)
+				t.Fatalf("Ball({%d},%d) = %v, want %v", c.v, c.L, got, c.want)
 			}
 		}
 	}
@@ -209,7 +209,7 @@ func TestKHopBallUsesBothDirections(t *testing.T) {
 	a := g.AddNode(0, nil)
 	b := g.AddNode(0, nil)
 	g.AddEdge(b, a, 0, 0) // only incoming at a
-	ball := g.KHopBall(a, 1)
+	ball := g.Ball([]int{a}, 1)
 	if len(ball) != 2 {
 		t.Fatalf("ball should include in-neighbor: %v", ball)
 	}
@@ -259,7 +259,7 @@ func TestKHopBallMatchesBFSDistances(t *testing.T) {
 				want[u] = true
 			}
 		}
-		got := g.KHopBall(v, L)
+		got := g.Ball([]int{v}, L)
 		if len(got) != len(want) {
 			return false
 		}

@@ -2,27 +2,35 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"streamgnn/internal/tensor"
 )
 
-// Region is an incremental forward's compute region laid out in demand order:
-// the rows whose result is wanted first, then the rows one hop from them, two
-// hops, and so on, each layer ascending. A row's neighbours are at most one
-// layer further out, so the rows a d-deep intermediate must cover are a
-// prefix — Frontier[d] — and every adjacency row of that prefix names columns
-// below Frontier[d+1]: the forward runs the ordinary kernels on leading blocks
-// (tensor.CSR.Head, autodiff.Tape.Head) instead of the whole region.
+// Region is the subgraph a node set induces, with local (dense) row numbers:
+// the one carrier of a node set's adjacencies. A training partition
+// (Subgraph), the whole snapshot and an incremental forward's compute region
+// are all Regions, and each entry of each adjacency is written by one of the
+// three row appenders below, so the views agree bit for bit by construction.
 //
-// The order does not move a bit. A row of the adjacency holds the entries
-// Subgraph.build gives that node — self loop, out-edges, in-edges, values from
-// global degrees — in that order, and a sparse product sums a row in entry
-// order; only the column numbers differ.
+// The rows are laid out in demand order: the rows whose result is wanted
+// first, then the rows one hop from them, two hops, and so on, each layer
+// ascending. A row's neighbours are at most one layer further out, so the rows
+// a d-deep intermediate must cover are a prefix — Frontier[d] — and every
+// adjacency row of that prefix names columns below Frontier[d+1]: the forward
+// runs the ordinary kernels on leading blocks (tensor.CSR.Head,
+// autodiff.Tape.Head) instead of the whole region. With nothing wanted the
+// order is plain ascending: a partition's.
 //
-// A Region is scratch like Union: Build overwrites it in place and keeps every
-// array, and what it hands out is valid until the next Build.
+// The order does not move a bit. A row holds its node's entries — self loop,
+// out-edges, in-edges, values from global degrees — in that order, and a
+// sparse product sums a row in entry order; only the column numbers differ.
+//
+// Build overwrites a Region in place and keeps every array, so a pooled one
+// lays out warm without allocating, and what it hands out is valid until the
+// next Build. The random-walk and typed adjacencies are built on first use
+// (DCRNN alone reads the first, RTGCN the second); a Region reached from
+// several goroutines needs a lock around those two (Subgraph has it).
 type Region struct {
 	// Nodes maps region row -> global node id.
 	Nodes []int
@@ -33,12 +41,11 @@ type Region struct {
 	Frontier []int
 
 	g        *Dynamic
-	sqrt     []float64 // per row: the root of the global degree + self loop
 	norm     tensor.CSR
 	fwd, rev tensor.CSR
 	rw       *tensor.Diffusion // nil until Diffusion is asked for
 	typed    []*tensor.CSR
-	ntypes   int // how many of typed are built for this layout
+	ntypes   int // how many of typed are built for this layout; 0: none
 }
 
 // Marks in the global->row scratch while Build orders the nodes; a placed
@@ -58,6 +65,9 @@ func (r *Region) Build(g *Dynamic, nodes, want []int, depth int) {
 	for _, v := range nodes {
 		g.checkNode(v)
 		loc[v] = regionUnplaced
+	}
+	if cap(r.Nodes) < len(nodes) {
+		r.Nodes = make([]int, 0, len(nodes))
 	}
 	order := r.Nodes[:0]
 	for _, v := range want {
@@ -96,25 +106,70 @@ func (r *Region) Build(g *Dynamic, nodes, want []int, depth int) {
 	r.Nodes = order
 
 	n := len(r.Nodes)
-	r.sqrt = r.sqrt[:0]
-	for _, v := range r.Nodes {
-		r.sqrt = append(r.sqrt, math.Sqrt(g.normDeg(v)))
-	}
 	resetCSR(&r.norm, n, n)
 	for i, v := range r.Nodes {
-		r.norm.ColIdx = append(r.norm.ColIdx, i)
-		r.norm.Val = append(r.norm.Val, 1/g.normDeg(v))
-		for _, es := range [2][]Edge{g.out[v], g.in[v]} {
-			for _, e := range es {
-				if j := int(loc[e.To]) - 1; j >= 0 {
-					r.norm.ColIdx = append(r.norm.ColIdx, j)
-					r.norm.Val = append(r.norm.Val, 1/(r.sqrt[i]*r.sqrt[j]))
-				}
-			}
-		}
-		r.norm.RowPtr = append(r.norm.RowPtr, len(r.norm.ColIdx))
+		g.appendNormRow(&r.norm, v, i, loc)
 	}
 	r.unlocate(loc)
+}
+
+// col returns the row of global node v under loc (row + 1 per node, 0 for a
+// node outside), or -1; a nil loc is the whole graph, every node its own row.
+func col(loc []int32, v int) int {
+	if loc == nil {
+		return v
+	}
+	return int(loc[v]) - 1
+}
+
+// appendNormRow appends node v's row of D^{-1/2}(A+Aᵀ+I)D^{-1/2} to c — the
+// self loop at column self, then v's out-edges and in-edges that stay inside
+// loc — and closes the row. THE symmetric-normalized entry.
+func (g *Dynamic) appendNormRow(c *tensor.CSR, v, self int, loc []int32) {
+	c.ColIdx = append(c.ColIdx, self)
+	c.Val = append(c.Val, 1/g.normDeg(v))
+	for _, es := range [2][]Edge{g.out[v], g.in[v]} {
+		for _, e := range es {
+			if j := col(loc, e.To); j >= 0 {
+				c.ColIdx = append(c.ColIdx, j)
+				c.Val = append(c.Val, 1/(g.root[v]*g.root[e.To]))
+			}
+		}
+	}
+	c.RowPtr = append(c.RowPtr, len(c.ColIdx))
+}
+
+// appendWalkRow appends a node's random-walk row over its edges es in one
+// direction — the ones that stay inside loc, each weighted by the node's
+// global degree in that direction — and closes the row. THE walk entry.
+func appendWalkRow(c *tensor.CSR, es []Edge, loc []int32) {
+	for _, e := range es {
+		if j := col(loc, e.To); j >= 0 {
+			c.ColIdx = append(c.ColIdx, j)
+			c.Val = append(c.Val, 1/float64(len(es)))
+		}
+	}
+	c.RowPtr = append(c.RowPtr, len(c.ColIdx))
+}
+
+// appendTypedRow appends node v's row of every per-relation normalized
+// adjacency in typed — no self loop: relation-aware layers add an explicit
+// self-transform — and closes them; edges of a type beyond typed are ignored.
+// THE typed entry. Normalization uses the node's total degree across all
+// types, so the per-type matrices sum to (roughly) the untyped one.
+func (g *Dynamic) appendTypedRow(typed []*tensor.CSR, v int, loc []int32) {
+	for _, es := range [2][]Edge{g.out[v], g.in[v]} {
+		for _, e := range es {
+			if j := col(loc, e.To); j >= 0 && int(e.Type) < len(typed) {
+				c := typed[e.Type]
+				c.ColIdx = append(c.ColIdx, j)
+				c.Val = append(c.Val, 1/(g.root[v]*g.root[e.To]))
+			}
+		}
+	}
+	for _, c := range typed {
+		c.RowPtr = append(c.RowPtr, len(c.ColIdx))
+	}
 }
 
 // place sorts a queued layer ascending and numbers it from row base on.
@@ -145,16 +200,14 @@ func (r *Region) unlocate(loc []int32) {
 // N returns the number of rows.
 func (r *Region) N() int { return len(r.Nodes) }
 
-// NormAdj returns the region's symmetric GCN-normalized adjacency, entry for
-// entry Induced(nodes).NormAdj() with rows and columns renumbered.
+// NormAdj returns the region's symmetric GCN-normalized adjacency.
 func (r *Region) NormAdj() *tensor.CSR { return &r.norm }
 
 // Features returns the N()×FeatDim attribute matrix of the region's rows.
 func (r *Region) Features() *tensor.Matrix { return r.g.featureRows(r.Nodes) }
 
 // Diffusion returns the region's random-walk adjacencies on its active rows
-// (see tensor.Diffusion), built on first use: of the models only DCRNN reads
-// them.
+// (see tensor.Diffusion), built on first use.
 func (r *Region) Diffusion() *tensor.Diffusion {
 	if r.rw != nil {
 		return r.rw
@@ -165,8 +218,8 @@ func (r *Region) Diffusion() *tensor.Diffusion {
 	resetCSR(&r.rev, n, n)
 	var active activeRows
 	for i, v := range r.Nodes {
-		appendWalkRow(&r.fwd, loc, g.out[v])
-		appendWalkRow(&r.rev, loc, g.in[v])
+		appendWalkRow(&r.fwd, g.out[v], loc)
+		appendWalkRow(&r.rev, g.in[v], loc)
 		active.row(r.fwd.RowNNZ(i)+r.rev.RowNNZ(i) > 0)
 	}
 	r.unlocate(loc)
@@ -175,25 +228,15 @@ func (r *Region) Diffusion() *tensor.Diffusion {
 	return r.rw
 }
 
-// appendWalkRow appends a node's random-walk row over its edges es — the ones
-// that stay inside the region, each weighted by the node's global degree in
-// that direction.
-func appendWalkRow(c *tensor.CSR, loc []int32, es []Edge) {
-	for _, e := range es {
-		if j := int(loc[e.To]) - 1; j >= 0 {
-			c.ColIdx = append(c.ColIdx, j)
-			c.Val = append(c.Val, 1/float64(len(es)))
-		}
-	}
-	c.RowPtr = append(c.RowPtr, len(c.ColIdx))
-}
-
-// TypedAdj returns the region's per-type normalized adjacencies, entry for
-// entry Induced(nodes).TypedAdj(ntypes) renumbered; built on first use
-// (RTGCN alone reads them).
+// TypedAdj returns the region's per-type normalized adjacencies (ntypes
+// matrices), built on first use. A second width over one layout gets arrays of
+// its own: the first's may be in a reader's hands.
 func (r *Region) TypedAdj(ntypes int) []*tensor.CSR {
 	if r.ntypes == ntypes {
 		return r.typed[:ntypes]
+	}
+	if r.ntypes != 0 {
+		r.typed = nil
 	}
 	for len(r.typed) < ntypes {
 		r.typed = append(r.typed, new(tensor.CSR))
@@ -203,19 +246,8 @@ func (r *Region) TypedAdj(ntypes int) []*tensor.CSR {
 		resetCSR(c, n, n)
 	}
 	loc := r.locate()
-	for i, v := range r.Nodes {
-		for _, es := range [2][]Edge{r.g.out[v], r.g.in[v]} {
-			for _, e := range es {
-				if j := int(loc[e.To]) - 1; j >= 0 && int(e.Type) < ntypes {
-					c := typed[e.Type]
-					c.ColIdx = append(c.ColIdx, j)
-					c.Val = append(c.Val, 1/(r.sqrt[i]*r.sqrt[j]))
-				}
-			}
-		}
-		for _, c := range typed {
-			c.RowPtr = append(c.RowPtr, len(c.ColIdx))
-		}
+	for _, v := range r.Nodes {
+		r.g.appendTypedRow(typed, v, loc)
 	}
 	r.unlocate(loc)
 	r.ntypes = ntypes

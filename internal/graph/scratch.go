@@ -3,9 +3,9 @@ package graph
 import "sync"
 
 // scratchPool recycles the per-call []int32 working buffers used as
-// global-id-indexed marker tables: local-index maps in Subgraph.build and
-// visited marks in KHopBall. Replacing the former map[int]int{} per call
-// removes the dominant allocation of partition extraction.
+// global-id-indexed marker tables: global->row maps in Region and visited
+// marks in Ball. A map[int]int{} per call would be the dominant allocation of
+// partition extraction.
 //
 // Invariant: every buffer in the pool is fully zeroed. getScratch returns
 // buffers without re-zeroing; callers must zero exactly the entries they set

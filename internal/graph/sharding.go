@@ -80,13 +80,6 @@ func (sh *shardState) noteEdge(u, v, delta int) {
 	sh.localEdges += int64(delta)
 }
 
-// IsBoundary reports whether node v has at least one incident cross-shard
-// edge (always false when unsharded).
-func (g *Dynamic) IsBoundary(v int) bool {
-	g.checkNode(v)
-	return g.sh != nil && g.sh.crossDeg[v] > 0
-}
-
 // TakeDirtySharded drains the per-shard forward-dirty trackers and returns
 // one ascending id slice per shard (empty shards yield nil slices). Nil when
 // no sharding is attached — callers on the unsharded path use TakeDirty.

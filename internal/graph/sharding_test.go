@@ -25,12 +25,6 @@ func TestShardedDirtyRouting(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		g.AddNode(0, []float64{1, 0})
 	}
-	if !g.DirtyTrackingEnabled() {
-		t.Fatal("AttachSharding did not enable dirty tracking")
-	}
-	if g.DirtyCount() != 40 {
-		t.Fatalf("DirtyCount = %d, want 40 (AddNode marks dirty)", g.DirtyCount())
-	}
 	parts := g.TakeDirtySharded()
 	if len(parts) != 4 {
 		t.Fatalf("TakeDirtySharded returned %d parts, want 4", len(parts))
@@ -52,8 +46,8 @@ func TestShardedDirtyRouting(t *testing.T) {
 	}
 	// Drained: a second take is empty, and label writes stay clean.
 	g.SetLabel(3, 1)
-	if g.DirtyCount() != 0 {
-		t.Fatal("label write marked forward-dirty under sharding")
+	if got := g.TakeDirty(); got != nil {
+		t.Fatalf("label write marked %v forward-dirty under sharding", got)
 	}
 	g.SetFeature(7, []float64{0, 1})
 	merged := g.TakeDirty()
@@ -106,7 +100,7 @@ func TestShardEdgeClassificationAndExpiry(t *testing.T) {
 	if st.BoundaryNodes != 2 {
 		t.Fatalf("BoundaryNodes = %d, want 2", st.BoundaryNodes)
 	}
-	if !g.IsBoundary(2) || !g.IsBoundary(shard.RangeBlock) || g.IsBoundary(0) {
+	if cd := g.sh.crossDeg; cd[2] != 1 || cd[shard.RangeBlock] != 1 || cd[0] != 0 {
 		t.Fatal("boundary index misclassified nodes")
 	}
 	if st.Occupancy[0] != int64(shard.RangeBlock) || st.Occupancy[1] != 4 {
@@ -120,7 +114,7 @@ func TestShardEdgeClassificationAndExpiry(t *testing.T) {
 	if st.CrossEdges != 0 || st.LocalEdges != 1 {
 		t.Fatalf("after expiry: %d local / %d cross, want 1/0", st.LocalEdges, st.CrossEdges)
 	}
-	if st.BoundaryNodes != 0 || g.IsBoundary(2) {
+	if st.BoundaryNodes != 0 || g.sh.crossDeg[2] != 0 {
 		t.Fatal("boundary index not decremented by expiry")
 	}
 }
@@ -155,7 +149,7 @@ func TestUnshardedStatsAreZero(t *testing.T) {
 	if g.TakeDirtySharded() != nil {
 		t.Fatal("unsharded TakeDirtySharded should be nil")
 	}
-	if g.Sharding() != nil || g.IsBoundary(0) {
+	if g.Sharding() != nil {
 		t.Fatal("unsharded accessors leaked shard state")
 	}
 }

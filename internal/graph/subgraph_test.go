@@ -15,7 +15,7 @@ func TestInducedBasics(t *testing.T) {
 	if s.N() != 3 {
 		t.Fatalf("N = %d", s.N())
 	}
-	if s.GlobalID(0) != 2 || s.GlobalID(1) != 3 || s.GlobalID(2) != 4 {
+	if s.Nodes[0] != 2 || s.Nodes[1] != 3 || s.Nodes[2] != 4 {
 		t.Fatalf("Nodes = %v", s.Nodes)
 	}
 	if s.LocalID(3) != 1 || s.LocalID(5) != -1 {
@@ -29,7 +29,7 @@ func TestInducedBasics(t *testing.T) {
 func TestPartitionIsKHopBall(t *testing.T) {
 	g := chain(9)
 	s := g.Partition(4, 2)
-	want := g.KHopBall(4, 2)
+	want := g.Ball([]int{4}, 2)
 	if s.N() != len(want) {
 		t.Fatalf("partition size %d want %d", s.N(), len(want))
 	}
@@ -38,7 +38,7 @@ func TestPartitionIsKHopBall(t *testing.T) {
 			t.Fatalf("partition nodes %v want %v", s.Nodes, want)
 		}
 	}
-	if s.GlobalID(s.Center) != 4 {
+	if s.Nodes[s.Center] != 4 {
 		t.Fatal("center not preserved")
 	}
 }

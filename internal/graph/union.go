@@ -25,7 +25,7 @@ type Union struct {
 	rev   tensor.CSR
 	fwdAA tensor.CSR
 	revAA tensor.CSR
-	rw    tensor.Diffusion
+	rw    tensor.Diffusion // zero until Diffusion is asked for
 	// active is rw.Active; fwdCols/revCols the renumbered columns of the A×A
 	// blocks, which share row pointers and values with fwd and rev.
 	active           []int
@@ -35,16 +35,29 @@ type Union struct {
 
 // Build lays out the union of subs (at least one, all of one graph).
 func (u *Union) Build(subs []*Subgraph) {
-	u.subs = append(u.subs[:0], subs...)
+	u.subs, u.rw = append(u.subs[:0], subs...), tensor.Diffusion{}
 	u.Nodes, u.Offsets = u.Nodes[:0], append(u.Offsets[:0], 0)
-	k := 0
 	for _, s := range subs {
 		u.Nodes = append(u.Nodes, s.Nodes...)
 		u.Offsets = append(u.Offsets, len(u.Nodes))
-		k += s.rw.ActiveRows()
 	}
-	n := len(u.Nodes)
-	resetCSR(&u.norm, n, n)
+	resetCSR(&u.norm, u.N(), u.N())
+	for b, s := range subs {
+		stackCSR(&u.norm, s.NormAdj(), u.Offsets[b])
+	}
+}
+
+// Diffusion returns the block-diagonal random-walk adjacencies on the union's
+// active rows (see tensor.Diffusion), stacked from the partitions' own on
+// first use: a round of a model that reads none builds none.
+func (u *Union) Diffusion() *tensor.Diffusion {
+	if u.rw.FwdIn != nil {
+		return &u.rw
+	}
+	n, k := u.N(), 0
+	for _, s := range u.subs {
+		k += s.Diffusion().ActiveRows()
+	}
 	resetCSR(&u.fwd, k, n)
 	resetCSR(&u.rev, k, n)
 	// The active block follows tensor.Diffusion's contract: the blocks'
@@ -52,44 +65,47 @@ func (u *Union) Build(subs []*Subgraph) {
 	// is all-active.
 	compact := k < n
 	u.active, u.fwdCols, u.revCols = u.active[:0], u.fwdCols[:0], u.revCols[:0]
-	for b, s := range subs {
-		row := u.Offsets[b]
-		stackCSR(&u.norm, s.normAdj, row)
-		stackCSR(&u.fwd, s.rw.FwdIn, row)
-		stackCSR(&u.rev, s.rw.RevIn, row)
+	for b, s := range u.subs {
+		row, rw := u.Offsets[b], s.Diffusion()
+		stackCSR(&u.fwd, rw.FwdIn, row)
+		stackCSR(&u.rev, rw.RevIn, row)
 		if !compact {
 			continue
 		}
 		pos := len(u.active)
-		if s.rw.ActiveRows() == s.N() {
+		if rw.ActiveRows() == s.N() {
 			for i := range s.Nodes {
 				u.active = append(u.active, row+i)
 			}
 		} else {
-			for _, i := range s.rw.Active {
+			for _, i := range rw.Active {
 				u.active = append(u.active, row+i)
 			}
 		}
-		for _, c := range s.rw.FwdAA.ColIdx {
+		for _, c := range rw.FwdAA.ColIdx {
 			u.fwdCols = append(u.fwdCols, pos+c)
 		}
-		for _, c := range s.rw.RevAA.ColIdx {
+		for _, c := range rw.RevAA.ColIdx {
 			u.revCols = append(u.revCols, pos+c)
 		}
 	}
-	if !compact {
+	if compact {
+		u.fwdAA = tensor.CSR{NRows: k, NCols: k, RowPtr: u.fwd.RowPtr, ColIdx: u.fwdCols, Val: u.fwd.Val}
+		u.revAA = tensor.CSR{NRows: k, NCols: k, RowPtr: u.rev.RowPtr, ColIdx: u.revCols, Val: u.rev.Val}
+		u.rw = tensor.Diffusion{Active: u.active, FwdIn: &u.fwd, RevIn: &u.rev, FwdAA: &u.fwdAA, RevAA: &u.revAA}
+	} else {
 		u.rw = tensor.Diffusion{FwdIn: &u.fwd, RevIn: &u.rev, FwdAA: &u.fwd, RevAA: &u.rev}
-		return
 	}
-	u.fwdAA = tensor.CSR{NRows: k, NCols: k, RowPtr: u.fwd.RowPtr, ColIdx: u.fwdCols, Val: u.fwd.Val}
-	u.revAA = tensor.CSR{NRows: k, NCols: k, RowPtr: u.rev.RowPtr, ColIdx: u.revCols, Val: u.rev.Val}
-	u.rw = tensor.Diffusion{Active: u.active, FwdIn: &u.fwd, RevIn: &u.rev, FwdAA: &u.fwdAA, RevAA: &u.revAA}
+	return &u.rw
 }
 
 // resetCSR empties c to a rows×cols matrix that stackCSR fills, keeping its
 // arrays.
 func resetCSR(c *tensor.CSR, rows, cols int) {
 	c.NRows, c.NCols = rows, cols
+	if cap(c.RowPtr) <= rows {
+		c.RowPtr = make([]int, 0, rows+1)
+	}
 	c.RowPtr, c.ColIdx, c.Val = append(c.RowPtr[:0], 0), c.ColIdx[:0], c.Val[:0]
 }
 
@@ -112,10 +128,6 @@ func (u *Union) N() int { return len(u.Nodes) }
 // NormAdj returns the block-diagonal symmetric GCN-normalized adjacency.
 func (u *Union) NormAdj() *tensor.CSR { return &u.norm }
 
-// Diffusion returns the block-diagonal random-walk adjacencies on the union's
-// active rows (see tensor.Diffusion).
-func (u *Union) Diffusion() *tensor.Diffusion { return &u.rw }
-
 // TypedAdj returns the block-diagonal per-type normalized adjacencies, stacked
 // from the partitions' cached ones.
 func (u *Union) TypedAdj(ntypes int) []*tensor.CSR {
@@ -134,4 +146,4 @@ func (u *Union) TypedAdj(ntypes int) []*tensor.CSR {
 }
 
 // Features returns the N()×FeatDim attribute matrix of the union's rows.
-func (u *Union) Features() *tensor.Matrix { return u.subs[0].g.featureRows(u.Nodes) }
+func (u *Union) Features() *tensor.Matrix { return u.subs[0].r.g.featureRows(u.Nodes) }

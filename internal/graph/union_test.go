@@ -177,8 +177,8 @@ func TestUnionActiveBlockMixes(t *testing.T) {
 	all := g.Partition(1, 1)
 	part := g.Induced([]int{3, 4, 5}, 4)
 	none := g.Partition(8, 2)
-	if all.rw.ActiveRows() != all.N() || part.rw.ActiveRows() != 2 || none.rw.ActiveRows() != 0 {
-		t.Fatalf("fixture blocks have %d/%d, %d/%d, %d/%d active rows", all.rw.ActiveRows(), all.N(), part.rw.ActiveRows(), part.N(), none.rw.ActiveRows(), none.N())
+	if all.Diffusion().ActiveRows() != all.N() || part.Diffusion().ActiveRows() != 2 || none.Diffusion().ActiveRows() != 0 {
+		t.Fatalf("fixture blocks have %d/%d, %d/%d, %d/%d active rows", all.Diffusion().ActiveRows(), all.N(), part.Diffusion().ActiveRows(), part.N(), none.Diffusion().ActiveRows(), none.N())
 	}
 	var u Union
 	for _, subs := range [][]*Subgraph{
@@ -265,7 +265,7 @@ func TestTypedAdjKeysOnTopology(t *testing.T) {
 	if again := s.TypedAdj(3); &again[0] != &built[0] {
 		t.Fatal("a Subgraph rebuilt its typed adjacencies")
 	}
-	fresh := s.buildTyped(3)
+	fresh := g.Induced(s.Nodes, -1).TypedAdj(3)
 	for ty := range built {
 		if !built[ty].Dense().Equal(fresh[ty].Dense()) {
 			t.Fatalf("cached typed adjacency %d differs from a fresh build", ty)
@@ -273,5 +273,11 @@ func TestTypedAdjKeysOnTopology(t *testing.T) {
 	}
 	if two := s.TypedAdj(2); len(two) != 2 || !two[1].Dense().Equal(fresh[1].Dense()) {
 		t.Fatal("a different type budget did not rebuild")
+	}
+	// built may be in another goroutine's hands: the narrower build left it be.
+	for ty := range built {
+		if !built[ty].Dense().Equal(fresh[ty].Dense()) {
+			t.Fatalf("typed adjacency %d was overwritten by a build of another width", ty)
+		}
 	}
 }

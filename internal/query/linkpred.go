@@ -190,8 +190,3 @@ func (l *LinkPredTask) AppendReplay(rng *rand.Rand, n int, rows, labels []float6
 	}
 	return rows, labels
 }
-
-// ResetOutcomes clears accumulated evaluation state.
-func (l *LinkPredTask) ResetOutcomes() {
-	l.scores, l.labels, l.ranks = nil, nil, nil
-}

@@ -262,15 +262,6 @@ func (w *Workload) TakeAlerts() []Alert {
 	return a
 }
 
-// ResetOutcomes clears accumulated outcomes (between measurement windows).
-func (w *Workload) ResetOutcomes() { w.outcomes = nil }
-
-// RevealedTarget returns the most recent revealed target at node v.
-func (w *Workload) RevealedTarget(v int) (Target, bool) {
-	t, ok := w.revealed[v]
-	return t, ok
-}
-
 // Supervision is the training material available inside one node partition:
 // revealed event targets at anchor nodes, and labeled link pairs.
 type Supervision struct {

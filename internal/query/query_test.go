@@ -67,15 +67,11 @@ func TestPredictRevealCycle(t *testing.T) {
 		}
 	}
 	// Revealed targets exposed for supervision.
-	if tgt, ok := w.RevealedTarget(2); !ok || tgt.Value != 2.5 || tgt.Step != 5 {
+	if tgt, ok := w.revealed[2]; !ok || tgt.Value != 2.5 || tgt.Step != 5 {
 		t.Fatalf("revealed target wrong: %+v ok=%v", tgt, ok)
 	}
-	if _, ok := w.RevealedTarget(1); ok {
+	if _, ok := w.revealed[1]; ok {
 		t.Fatal("non-anchor has a target")
-	}
-	w.ResetOutcomes()
-	if len(w.Outcomes()) != 0 {
-		t.Fatal("ResetOutcomes failed")
 	}
 }
 
@@ -191,10 +187,6 @@ func TestLinkPredRevealAndRanks(t *testing.T) {
 	}
 	if !foundPos {
 		t.Fatal("positive pair not exposed as supervision")
-	}
-	lt.ResetOutcomes()
-	if s, _ := lt.Scores(); len(s) != 0 || len(lt.Ranks()) != 0 {
-		t.Fatal("ResetOutcomes failed")
 	}
 }
 

@@ -80,47 +80,43 @@ func dirtyPool(sizes ...int) {
 
 // The write-once kernels equal the old accumulate-into-zeros kernels bit for
 // bit — signed zeros, all-zero input rows, empty CSR rows, every column count
-// around the 4-wide tile, poisoned pool buffers, serial and parallel.
+// around the 4-wide tile, poisoned pool buffers.
 func TestWriteOnceKernelsMatchReference(t *testing.T) {
 	EnablePooling(true)
 	defer EnablePooling(false)
-	defer SetParallelism(1)
 	rng := rand.New(rand.NewSource(9))
-	for _, workers := range []int{1, 4} {
-		SetParallelism(workers)
-		for _, cols := range []int{1, 2, 3, 4, 5, 7, 8, 16, 19} {
-			n := 3*parThreshold + rng.Intn(7) // tall enough for the parallel path
-			a := NewRandom(rng, n, 11, 1)
-			b := NewRandom(rng, 11, cols, 1)
-			signedZeros(rng, a)
-			signedZeros(rng, b)
-			for c := range a.Row(n / 2) {
-				a.Row(n / 2)[c] = 0
-			}
-			sum := NewRandom(rng, n, cols, 1)
-			signedZeros(rng, sum)
-			dirtyPool(n * cols)
-			want := refMatMul(a, b)
-			if got := MatMul(a, b); !sameBits(want, got) {
-				t.Fatalf("workers=%d cols=%d: MatMul differs from the reference kernel", workers, cols)
-			}
-			dirtyPool(n * cols)
-			if got := MatMulAcc(sum, a, b); !sameBits(Add(sum, want), got) {
-				t.Fatalf("workers=%d cols=%d: MatMulAcc differs from Add(sum, MatMul)", workers, cols)
-			}
+	for _, cols := range []int{1, 2, 3, 4, 5, 7, 8, 16, 19} {
+		n := 192 + rng.Intn(7)
+		a := NewRandom(rng, n, 11, 1)
+		b := NewRandom(rng, 11, cols, 1)
+		signedZeros(rng, a)
+		signedZeros(rng, b)
+		for c := range a.Row(n / 2) {
+			a.Row(n / 2)[c] = 0
+		}
+		sum := NewRandom(rng, n, cols, 1)
+		signedZeros(rng, sum)
+		dirtyPool(n * cols)
+		want := refMatMul(a, b)
+		if got := MatMul(a, b); !sameBits(want, got) {
+			t.Fatalf("cols=%d: MatMul differs from the reference kernel", cols)
+		}
+		dirtyPool(n * cols)
+		if got := MatMulAcc(sum, a, b); !sameBits(Add(sum, want), got) {
+			t.Fatalf("cols=%d: MatMulAcc differs from Add(sum, MatMul)", cols)
+		}
 
-			csr := emptyEveryFifthRow(randomCSR(rng, n, n, 0.03))
-			x := NewRandom(rng, n, cols, 1)
-			signedZeros(rng, x)
-			for i := range csr.Val {
-				if rng.Intn(5) == 0 {
-					csr.Val[i] = math.Copysign(0, -1)
-				}
+		csr := emptyEveryFifthRow(randomCSR(rng, n, n, 0.03))
+		x := NewRandom(rng, n, cols, 1)
+		signedZeros(rng, x)
+		for i := range csr.Val {
+			if rng.Intn(5) == 0 {
+				csr.Val[i] = math.Copysign(0, -1)
 			}
-			dirtyPool(n * cols)
-			if got := SpMM(csr, x); !sameBits(refSpMM(csr, x), got) {
-				t.Fatalf("workers=%d cols=%d: SpMM differs from the reference kernel", workers, cols)
-			}
+		}
+		dirtyPool(n * cols)
+		if got := SpMM(csr, x); !sameBits(refSpMM(csr, x), got) {
+			t.Fatalf("cols=%d: SpMM differs from the reference kernel", cols)
 		}
 	}
 }
@@ -205,25 +201,22 @@ func zeroPattern(a *Matrix, pattern int) {
 }
 
 // The four dense kernels are bit-identical, for finite operands, to the naive
-// triple loops above — over row counts 0, 1, 2, odd, even and tall enough to
-// shard (so worker boundaries fall anywhere, also inside a 4-row block),
-// column counts on every side of the 8- and 4-wide blocks, inner lengths that
+// triple loops above — over row counts 0, 1, 2, odd, even and tall, column
+// counts on every side of the 8- and 4-wide blocks, inner lengths that
 // leave MatMulTransA a k-tail, zero rows in every arrangement, signed zeros
 // in a, b and sum, and poisoned pool buffers.
 func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
 	EnablePooling(true)
 	defer EnablePooling(false)
-	defer SetParallelism(1)
 	rng := rand.New(rand.NewSource(15))
-	rowCounts := []int{0, 1, 2, 3, 4, 5, 7, 10, 2*parThreshold + 3, 3*parThreshold + 8}
+	rowCounts := []int{0, 1, 2, 3, 4, 5, 7, 10, 131, 200}
 	colCounts := []int{0, 1, 3, 4, 5, 7, 8, 9, 12, 13, 16, 19}
-	innerCounts := []int{23, 1, 6, 0, 2*parThreshold + 5} // the last shards MatMulTransA
-	for workers := 1; workers <= 3; workers++ {
-		SetParallelism(workers)
+	innerCounts := []int{23, 1, 6, 0, 133}
+	for shift := 1; shift <= 3; shift++ { // three passes, each shape meeting other zero patterns
 		for mi, m := range rowCounts {
 			for ni, n := range colCounts {
 				k := innerCounts[(mi+ni)%len(innerCounts)]
-				pattern := (mi + 2*ni + workers) % 4
+				pattern := (mi + 2*ni + shift) % 4
 				a := NewRandom(rng, m, k, 1)
 				signedZeros(rng, a)
 				zeroPattern(a, pattern)
@@ -237,8 +230,7 @@ func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
 				check := func(kernel string, want, got *Matrix) {
 					t.Helper()
 					if !sameBits(want, got) {
-						t.Fatalf("workers=%d [%dx%d]x[%dx%d] pattern %d: %s differs from the naive loop",
-							Parallelism(), m, k, k, n, pattern, kernel)
+						t.Fatalf("[%dx%d]x[%dx%d] pattern %d: %s differs from the naive loop", m, k, k, n, pattern, kernel)
 					}
 				}
 				dirtyPool(m*n, k*n)

@@ -92,19 +92,14 @@ func (c *CSR) Head(rows, cols int) *CSR {
 }
 
 // SpMM returns c·x for dense x. Like MatMul, each output row is initialized
-// and accumulated by the one worker that owns it (an empty CSR row is zeroed),
-// so the output needs no zeroing pass.
+// and accumulated in one place (an empty CSR row is zeroed), so the output
+// needs no zeroing pass.
 func SpMM(c *CSR, x *Matrix) *Matrix {
 	if c.NCols != x.Rows {
 		panic(fmt.Sprintf("tensor: SpMM inner mismatch %dx%d · %dx%d", c.NRows, c.NCols, x.Rows, x.Cols))
 	}
 	out := newUninit(c.NRows, x.Cols)
-	if Parallelism() <= 1 || c.NRows < 2*parThreshold {
-		// Serial fast path: avoids heap-allocating the shard closure.
-		spMMRange(c, x, out, 0, c.NRows)
-		return out
-	}
-	parRange(c.NRows, func(lo, hi int) { spMMRange(c, x, out, lo, hi) })
+	spMMRange(c, x, out, 0, c.NRows)
 	return out
 }
 

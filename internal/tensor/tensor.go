@@ -35,7 +35,7 @@ func New(rows, cols int) *Matrix {
 // newUninit returns a rows×cols matrix whose contents are arbitrary when the
 // backing buffer comes from the recycle pool. Internal ops that write every
 // output element before any read use it to skip New's zeroing pass: the
-// elementwise ops, and the row-sharded accumulating kernels (MatMul,
+// elementwise ops, and the row-accumulating kernels (MatMul,
 // MatMulAcc, SpMM), which initialize every output row themselves.
 // Scatter-accumulating ops (MatMulTransA, SpMMTrans) must use New.
 func newUninit(rows, cols int) *Matrix {
@@ -161,10 +161,10 @@ func shapeCheck(op string, a, b *Matrix) {
 // The dense kernels — MatMul/MatMulAcc, MatMulTransB, MatMulTransA — share
 // one contract: every output element is its own accumulator, summed over
 // ascending k from +0, and MatMulAcc's sum element is added last. How a loop
-// is blocked (eight output columns, four dot products, four k-rows per pass),
-// how rows are sharded over workers, and whether a row comes from the matrix
-// kernel or from MulRow alone never changes an element's sequence of
-// roundings, so all of them are bit-identical for finite operands.
+// is blocked (eight output columns, four dot products, four k-rows per pass)
+// and whether a row comes from the matrix kernel or from MulRow alone never
+// changes an element's sequence of roundings, so all of them are bit-identical
+// for finite operands.
 //
 // No kernel tests single operands for zero. A term a·b with a = ±0 and b
 // finite is ±0, and an accumulator that starts at +0 is never −0 (x + y
@@ -174,8 +174,8 @@ func shapeCheck(op string, a, b *Matrix) {
 // non-finite b a skipped 0·Inf stays 0 and an added one is NaN; which of the
 // two happens is pinned by TestDenseKernelsZeroTimesInf, not promised.
 
-// MatMul returns a·b. Every output element is written once, by the one worker
-// that owns its row, so the output needs no zeroing pass.
+// MatMul returns a·b. Every output element is written once, so the output
+// needs no zeroing pass.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -197,17 +197,10 @@ func MatMulAcc(sum, x, w *Matrix) *Matrix {
 	return matMulAcc(sum, x, w)
 }
 
-// matMulAcc computes a·b, plus sum when sum is non-nil, sharding output rows
-// over the kernel workers.
+// matMulAcc computes a·b, plus sum when sum is non-nil.
 func matMulAcc(sum, a, b *Matrix) *Matrix {
 	out := newUninit(a.Rows, b.Cols)
-	if Parallelism() <= 1 || a.Rows < 2*parThreshold {
-		// Serial fast path: calling the range kernel directly keeps the shard
-		// closure (which escapes through parRange) off the heap.
-		matMulAccRange(sum, a, b, out, 0, a.Rows)
-		return out
-	}
-	parRange(a.Rows, func(lo, hi int) { matMulAccRange(sum, a, b, out, lo, hi) })
+	matMulAccRange(sum, a, b, out, 0, a.Rows)
 	return out
 }
 
@@ -294,20 +287,13 @@ func MulRow(orow, arow []float64, b *Matrix) {
 	}
 }
 
-// MatMulTransB returns a·bᵀ. Like MatMul, large outputs are sharded over
-// output rows across the kernel worker pool; each output element is written
-// by exactly one worker with the same inner summation as the serial path,
-// so results are bit-identical for every worker count.
+// MatMulTransB returns a·bᵀ, every output element written once like MatMul's.
 func MatMulTransB(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := newUninit(a.Rows, b.Rows)
-	if Parallelism() <= 1 || a.Rows < 2*parThreshold {
-		matMulTransBRange(a, b, out, 0, a.Rows)
-		return out
-	}
-	parRange(a.Rows, func(lo, hi int) { matMulTransBRange(a, b, out, lo, hi) })
+	matMulTransBRange(a, b, out, 0, a.Rows)
 	return out
 }
 
@@ -351,21 +337,14 @@ func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
 	}
 }
 
-// MatMulTransA returns aᵀ·b. The parallel path shards over *output* rows
-// (columns of a) rather than the shared k dimension: each worker owns its
-// output rows outright and accumulates them in the same ascending-k order
-// as the serial path, keeping results bit-identical for every worker count
-// (a k-sharded reduction would reorder the floating-point sums).
+// MatMulTransA returns aᵀ·b, each output row accumulated in ascending-k
+// order.
 func MatMulTransA(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Cols, b.Cols)
-	if Parallelism() <= 1 || a.Cols < 2*parThreshold {
-		matMulTransARange(a, b, out, 0, a.Cols)
-		return out
-	}
-	parRange(a.Cols, func(lo, hi int) { matMulTransARange(a, b, out, lo, hi) })
+	matMulTransARange(a, b, out, 0, a.Cols)
 	return out
 }
 
@@ -533,15 +512,6 @@ func (m *Matrix) MaxAbs() float64 {
 	return mx
 }
 
-// Norm2 returns the Frobenius norm of m.
-func (m *Matrix) Norm2() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // GatherRows returns the matrix whose i-th row is m's rows[i]-th row.
 func GatherRows(m *Matrix, rows []int) *Matrix {
 	out := newUninit(len(rows), m.Cols)
@@ -607,15 +577,4 @@ func TanhOf(m *Matrix) *Matrix {
 		out.Data[i] = math.Tanh(v)
 	}
 	return out
-}
-
-// ClipInPlace clamps every element of m to [-c, c].
-func ClipInPlace(m *Matrix, c float64) {
-	for i, v := range m.Data {
-		if v > c {
-			m.Data[i] = c
-		} else if v < -c {
-			m.Data[i] = -c
-		}
-	}
 }

@@ -177,13 +177,6 @@ type Config struct {
 	// frontier. Must lie in [0, 1].
 	DeltaEpsilon float64
 
-	// KernelWorkers sets the process-wide tensor-kernel parallelism
-	// (tensor.SetParallelism): shards of dense matmuls and SpMM run on this
-	// many goroutines with bit-identical results. 0 leaves the current
-	// process-wide setting untouched; negative means runtime.NumCPU().
-	// Distinct from Workers, which runs whole conflict groups concurrently.
-	KernelWorkers int
-
 	// Shards partitions the node-id space into this many shards and makes
 	// the streaming pipeline shard-aware end to end: ingestion routes dirty
 	// marks to per-shard trackers, incremental forwards fan the compute
@@ -522,13 +515,6 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	// the inference tape both hand their intermediates back to it (metered
 	// allocation accounting is identical either way).
 	tensor.EnablePooling(true)
-	// Kernel parallelism is also process-wide, but 0 leaves it alone so an
-	// engine built without an opinion does not stomp a host's setting.
-	if cfg.KernelWorkers > 0 {
-		tensor.SetParallelism(cfg.KernelWorkers)
-	} else if cfg.KernelWorkers < 0 {
-		tensor.SetParallelism(runtime.NumCPU())
-	}
 	src := rng.New(cfg.Seed)
 	r := rand.New(src)
 	g := graph.NewDynamic(featDim)
@@ -747,10 +733,6 @@ func (e *Engine) dirtyFullThreshold() float64 {
 // of untouched nodes (only D's rows are committed), a bounded-staleness
 // approximation; RefreshEverySteps bounds how long a row may stay frozen.
 //
-// The incremental path falls back to a full forward when the cache is
-// invalid (first step, post-restore), a refresh is due, or the compute
-// region exceeds dirtyFullThreshold of the graph.
-//
 // With Shards > 1 the dirty drain, the exact/region expansion and the
 // fallback decision are unchanged — computed globally, so they cannot depend
 // on P — and only the region forward itself fans out: RegionParts groups the
@@ -765,52 +747,67 @@ func (e *Engine) runForward(t int) {
 		e.noteFullForward()
 		return
 	}
-	if e.deltaFwd != nil {
-		e.runDeltaForward(t)
-		return
-	}
-
-	dirty := e.g.TakeDirty()
-	n := e.g.N()
-	full := !e.emb.Valid()
-	if !full && e.cfg.RefreshEverySteps > 0 && t-e.emb.LastFullStep() >= e.cfg.RefreshEverySteps {
-		full = true
-	}
-	if !full && len(dirty) == 0 && e.emb.Rows() == n {
-		// Quiet step: nothing changed, serve the cache as-is.
-		e.lastEmb = e.emb.Matrix()
-		e.tele.incForwards.Inc()
-		e.tele.skippedRows.Add(int64(n))
-		e.tele.dirtyFrac.Observe(0)
-		return
-	}
-
-	var exact, region []int
+	// One ladder, whichever executor brings the rows up to date — the region
+	// splice or, for a model with a delta decomposition under DeltaForward,
+	// per-row delta propagation: a full forward when a cache is invalid (first
+	// step, post-restore, after training) or a refresh is due; the cache as it
+	// is when nothing changed; else the executor, which declines a step whose
+	// work exceeds dirtyFullThreshold of the graph, committing nothing.
+	dirty, n := e.g.TakeDirty(), e.g.N()
+	delta := e.deltaFwd != nil
+	full := !e.emb.Valid() || delta && !e.delta.Valid() ||
+		e.cfg.RefreshEverySteps > 0 && t-e.emb.LastFullStep() >= e.cfg.RefreshEverySteps
 	if !full {
-		L := e.model.Layers()
-		exact = e.g.Ball(dirty, L)
-		region = e.g.Ball(exact, L)
-		if len(region) == 0 || float64(len(region)) > e.dirtyFullThreshold()*float64(n) {
-			full = true
+		rows, frac, ok := 0, 0.0, true
+		switch {
+		case len(dirty) == 0 && e.emb.Rows() == n && (!delta || len(e.delta.LastCommitted()) == 0):
+			// Quiet step: no graph change (and no recurrent-state drift
+			// pending in the delta caches); serve the cache as-is.
+			e.lastEmb = e.emb.Matrix()
+		case delta:
+			rows, frac, ok = e.deltaForward(dirty, n)
+		default:
+			rows, frac, ok = e.spliceForward(t, dirty, n)
+		}
+		if ok {
+			e.tele.incForwards.Inc()
+			e.tele.skippedRows.Add(int64(n - rows))
+			e.tele.dirtyFrac.Observe(frac)
+			return
 		}
 	}
-	if full {
-		// The forward's output matrix is owned by the store from here on:
-		// Infer detached it from the tape, so its buffer never returns to
-		// the pool while the store or a serving snapshot aliases it.
-		out := dgnn.Infer(e.inferTape, e.model, dgnn.FullView(e.g))
-		e.emb.SetFull(out, t)
-		e.lastEmb = out
-		e.noteFullForward()
-		e.tele.dirtyFrac.Observe(1)
-		if e.shardFwd != nil {
-			// The unmasked full forward advanced every live state row, so
-			// replica state mirrors no longer match row-for-row.
-			e.shardFwd.InvalidateMirrors()
-		}
-		return
+	// The full forward's output matrix is owned by the store from here on:
+	// it is detached from any tape, so its buffer never returns to the pool
+	// while the store or a serving snapshot aliases it. The delta executor's
+	// full pass refills every stage cache alongside and is bit-identical to
+	// the tape's.
+	var out *tensor.Matrix
+	if delta {
+		out = dgnn.RunDeltaFull(e.g, e.deltaFwd, &e.delta)
+	} else {
+		out = dgnn.Infer(e.inferTape, e.model, dgnn.FullView(e.g))
 	}
+	e.emb.SetFull(out, t)
+	e.lastEmb = out
+	e.noteFullForward()
+	e.tele.dirtyFrac.Observe(1)
+	if e.shardFwd != nil {
+		// The unmasked full forward advanced every live state row, so
+		// replica state mirrors no longer match row-for-row.
+		e.shardFwd.InvalidateMirrors()
+	}
+}
 
+// spliceForward forwards the compute region of dirty and splices its exact
+// rows into the store. It reports the rows it forwarded and their share of the
+// graph, or !ok — nothing touched — when the region is too large to pay.
+func (e *Engine) spliceForward(t int, dirty []int, n int) (rows int, frac float64, ok bool) {
+	L := e.model.Layers()
+	exact := e.g.Ball(dirty, L)
+	region := e.g.Ball(exact, L)
+	if len(region) == 0 || float64(len(region)) > e.dirtyFullThreshold()*float64(n) {
+		return 0, 0, false
+	}
 	// The exact/region sets and the fallback decision above were computed
 	// globally, so only the grouping of the work differs with P: unsharded,
 	// the region is one part; sharded, RegionParts keeps connected components
@@ -833,25 +830,45 @@ func (e *Engine) runForward(t int) {
 		e.tele.shardMerge.ObserveSince(mergeStart)
 	}
 	for s := range res {
-		for d, rows := range res[s].Demand {
-			e.tele.demandRows[d].Add(int64(rows))
+		for d, covered := range res[s].Demand {
+			e.tele.demandRows[d].Add(int64(covered))
 		}
 		if e.shards != nil && res[s].Out != nil {
 			e.tele.shardRows[s].Add(int64(len(res[s].IDs)))
 		}
 	}
 	e.lastEmb = e.emb.Matrix()
-	e.tele.incForwards.Inc()
-	e.tele.skippedRows.Add(int64(n - len(region)))
-	e.tele.dirtyFrac.Observe(float64(len(region)) / float64(n))
+	return len(region), float64(len(region)) / float64(n), true
 }
 
-// noteFullForward counts a full forward and records its row counts. The
-// block is the one the forward's view just used, cached per topology version.
+// deltaForward is the event-driven executor (Config.DeltaForward): per-edge
+// deltas propagate stage by stage through the model's delta decomposition,
+// recomputing single rows and pruning frontier nodes whose change stays within
+// DeltaEpsilon. A frontier above the candidate budget (dirtyFullThreshold · n
+// per stage) aborts the pass, which commits nothing.
+func (e *Engine) deltaForward(dirty []int, n int) (rows int, frac float64, ok bool) {
+	maxCand := int(e.dirtyFullThreshold() * float64(n))
+	res := dgnn.RunDelta(e.g, e.deltaFwd, &e.delta, e.emb, dirty, e.cfg.DeltaEpsilon, maxCand)
+	if res.Aborted {
+		e.tele.deltaAborts.Inc()
+		return 0, 0, false
+	}
+	e.lastEmb = res.Out
+	e.tele.deltaForwards.Inc()
+	e.tele.deltaCandidateRows.Add(int64(res.Candidates))
+	e.tele.deltaPrunedRows.Add(int64(res.Pruned))
+	if res.Candidates > 0 {
+		e.tele.deltaPrunedFrac.Observe(float64(res.Pruned) / float64(res.Candidates))
+	}
+	return res.Candidates - res.Pruned, float64(res.Candidates) / float64(n*e.deltaFwd.DeltaStages()), true
+}
+
+// noteFullForward counts a full forward and records its row counts: all of
+// them, and those with a live edge — what a diffusion convolution's hops run
+// on — counted from the degrees, not by building a walk matrix to ask it.
 func (e *Engine) noteFullForward() {
-	rw := e.g.Diffusion()
-	e.tele.fwdRows.Store(int64(rw.Rows()))
-	e.tele.fwdActiveRows.Store(int64(rw.ActiveRows()))
+	e.tele.fwdRows.Store(int64(e.g.N()))
+	e.tele.fwdActiveRows.Store(int64(e.g.ActiveNodes()))
 	e.tele.fullForwards.Inc()
 }
 
@@ -864,61 +881,6 @@ func (e *Engine) invalidateInference() {
 	if e.shardFwd != nil {
 		e.shardFwd.InvalidateMirrors()
 	}
-}
-
-// runDeltaForward is the event-driven variant of the incremental forward
-// (Config.DeltaForward): per-edge deltas propagate stage by stage through the
-// model's delta decomposition, recomputing single rows and pruning frontier
-// nodes whose change stays within DeltaEpsilon. The fallback ladder is
-//
-//	invalid caches / refresh due  →  full delta forward (refills caches)
-//	quiet step                    →  serve the cache
-//	frontier above the candidate budget (dirtyFullThreshold · n per stage)
-//	                              →  abort, commit nothing, full delta forward
-//
-// The full delta forward is bit-identical to the tape's full forward, so the
-// serving path and checkpoint regime see exactly the matrices they would see
-// under region splicing's full fallback.
-func (e *Engine) runDeltaForward(t int) {
-	dirty := e.g.TakeDirty()
-	n := e.g.N()
-	full := !e.emb.Valid() || !e.delta.Valid()
-	if !full && e.cfg.RefreshEverySteps > 0 && t-e.emb.LastFullStep() >= e.cfg.RefreshEverySteps {
-		full = true
-	}
-	if !full && len(dirty) == 0 && len(e.delta.LastCommitted()) == 0 && e.emb.Rows() == n {
-		// Quiet step: no graph change and no recurrent-state drift pending.
-		e.lastEmb = e.emb.Matrix()
-		e.tele.incForwards.Inc()
-		e.tele.skippedRows.Add(int64(n))
-		e.tele.dirtyFrac.Observe(0)
-		return
-	}
-	if !full {
-		maxCand := int(e.dirtyFullThreshold() * float64(n))
-		res := dgnn.RunDelta(e.g, e.deltaFwd, &e.delta, e.emb, dirty, e.cfg.DeltaEpsilon, maxCand)
-		if !res.Aborted {
-			e.lastEmb = res.Out
-			e.tele.deltaForwards.Inc()
-			e.tele.incForwards.Inc()
-			e.tele.deltaCandidateRows.Add(int64(res.Candidates))
-			e.tele.deltaPrunedRows.Add(int64(res.Pruned))
-			e.tele.skippedRows.Add(int64(n - (res.Candidates - res.Pruned)))
-			if res.Candidates > 0 {
-				e.tele.deltaPrunedFrac.Observe(float64(res.Pruned) / float64(res.Candidates))
-			}
-			e.tele.dirtyFrac.Observe(float64(res.Candidates) / float64(n*e.deltaFwd.DeltaStages()))
-			return
-		}
-		e.tele.deltaAborts.Inc()
-	}
-	// Full delta forward: refills every stage cache alongside the embedding,
-	// bit-identical to the tape's full pass.
-	out := dgnn.RunDeltaFull(e.g, e.deltaFwd, &e.delta)
-	e.emb.SetFull(out, t)
-	e.lastEmb = out
-	e.noteFullForward()
-	e.tele.dirtyFrac.Observe(1)
 }
 
 // observeSchedule records the dependency scheduler's per-step group/unit
