@@ -33,7 +33,7 @@ count:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path './tools/*' ! -path './examples/*' ! -path './.bench_build/*'; }; \
 	echo "non-test lines: $$(src . | xargs cat | wc -l) (internal/graph: $$(src ./internal/graph | xargs cat | wc -l))"
 	@echo "Config fields: $$(sed -n '/^type Config struct {/,/^}/p' streamgnn.go | grep -cE '^	[A-Z][A-Za-z]* ')"
-	@echo "queryd flags: $$(grep -cE '\bflag\.[A-Z][A-Za-z0-9]*\("' cmd/queryd/main.go) (streambench: $$(grep -cE '\bfs\.[A-Z][A-Za-z0-9]*\("' cmd/streambench/main.go))"
+	@echo "queryd flags: $$(grep -cE '\bflag\.[A-Z][A-Za-z0-9]*\((&[A-Za-z.]+, )?"' cmd/queryd/main.go) (streambench: $$(grep -cE '\bfs\.[A-Z][A-Za-z0-9]*\("' cmd/streambench/main.go))"
 
 # bench-check covers benchmarks/ — a module of its own that imports this
 # repository's internal packages, which build, test and lint above do not see:

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"streamgnn/internal/autodiff"
-	"streamgnn/internal/core"
 	"streamgnn/internal/dgnn"
 	"streamgnn/internal/drift"
 	"streamgnn/internal/query"
@@ -176,31 +175,19 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 		ds := e.driftDet.State()
 		ck.Drift = &ds
 	}
-	switch {
-	case e.sched != nil:
-		ck.TrainSteps = e.sched.TrainSteps
-		if a := e.sched.Adaptive; a != nil {
-			ck.Chips = a.Chips.Counts()
-			ck.Trained, ck.Moves = a.Trained, a.Moves
-			ck.ParallelUnits = atomic.LoadInt64(&a.ParallelUnits)
-			ck.SchedSteps = atomic.LoadInt64(&a.SchedSteps)
-			ck.SchedGroups = atomic.LoadInt64(&a.SchedGroups)
-			ck.SchedUnits = atomic.LoadInt64(&a.SchedUnits)
-			ck.SchedCollapsed = atomic.LoadInt64(&a.SchedCollapsed)
-			if ks, ok := a.Sampler().(*core.KDESampler); ok {
-				ck.KDESeeds, ck.KDEOldest = ks.SeedState()
-				ck.HasKDESeeds = true
-			}
+	ck.TrainSteps = e.sched.TrainSteps
+	if a := e.sched.Adaptive; a != nil {
+		ck.Chips = a.Chips.Counts()
+		ck.Trained, ck.Moves = a.Trained, a.Moves
+		ck.ParallelUnits = atomic.LoadInt64(&a.ParallelUnits)
+		ck.SchedSteps = atomic.LoadInt64(&a.SchedSteps)
+		ck.SchedGroups = atomic.LoadInt64(&a.SchedGroups)
+		ck.SchedUnits = atomic.LoadInt64(&a.SchedUnits)
+		ck.SchedCollapsed = atomic.LoadInt64(&a.SchedCollapsed)
+		if ks := a.KDE(); ks != nil {
+			ck.KDESeeds, ck.KDEOldest = ks.SeedState()
+			ck.HasKDESeeds = true
 		}
-	case e.pending != nil:
-		// Saved after a restore but before the first Step: pass the stashed
-		// state through unchanged.
-		p := e.pending
-		ck.Chips = append([]int(nil), p.chips...)
-		ck.TrainSteps, ck.Trained, ck.Moves, ck.ParallelUnits = p.trainSteps, p.trained, p.moves, p.parallelUnits
-		ck.SchedSteps, ck.SchedGroups = p.schedSteps, p.schedGroups
-		ck.SchedUnits, ck.SchedCollapsed = p.schedUnits, p.schedCollapse
-		ck.KDESeeds, ck.KDEOldest, ck.HasKDESeeds = append([]int(nil), p.kdeSeeds...), p.kdeOldest, p.hasKDE
 	}
 	return gob.NewEncoder(w).Encode(ck)
 }
@@ -246,7 +233,16 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 				i, d.Rows, d.Cols, p.Value.Rows, p.Value.Cols)
 		}
 	}
-	// All validations that can fail cleanly come before any mutation.
+	// All validations that can fail cleanly come before any mutation. The
+	// learner checks its chip counts and seed window against the replayed
+	// graph before it installs either, so a checkpoint that does not fit the
+	// graph leaves the engine as it was.
+	a := e.sched.Adaptive
+	if a != nil {
+		if err := a.Restore(ck.Chips, ck.KDESeeds, ck.KDEOldest, ck.HasKDESeeds); err != nil {
+			return err
+		}
+	}
 	if ck.Opt != nil {
 		opt, ok := e.opt.(autodiff.Stateful)
 		if !ok {
@@ -277,24 +273,17 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 	if e.driftDet != nil && ck.Drift != nil {
 		e.driftDet.RestoreState(*ck.Drift)
 	}
-	e.pending = &pendingRestore{
-		chips:         ck.Chips,
-		trainSteps:    ck.TrainSteps,
-		trained:       ck.Trained,
-		moves:         ck.Moves,
-		parallelUnits: ck.ParallelUnits,
-		schedSteps:    ck.SchedSteps,
-		schedGroups:   ck.SchedGroups,
-		schedUnits:    ck.SchedUnits,
-		schedCollapse: ck.SchedCollapsed,
-		kdeSeeds:      ck.KDESeeds,
-		kdeOldest:     ck.KDEOldest,
-		hasKDE:        ck.HasKDESeeds,
-	}
-	if e.sched != nil {
-		if err := e.applyPendingRestore(); err != nil {
-			return err
-		}
+	e.sched.TrainSteps = ck.TrainSteps
+	if a != nil {
+		a.Trained, a.Moves = ck.Trained, ck.Moves
+		atomic.StoreInt64(&a.ParallelUnits, ck.ParallelUnits)
+		atomic.StoreInt64(&a.SchedSteps, ck.SchedSteps)
+		atomic.StoreInt64(&a.SchedGroups, ck.SchedGroups)
+		atomic.StoreInt64(&a.SchedUnits, ck.SchedUnits)
+		atomic.StoreInt64(&a.SchedCollapsed, ck.SchedCollapsed)
+		// The telemetry watermarks follow, so the first resumed step observes
+		// only its own group fraction, not the whole restored history.
+		e.tele.prevSchedGroups, e.tele.prevSchedUnits = ck.SchedGroups, ck.SchedUnits
 	}
 	if err := e.emb.Restore(ck.Emb, ck.EmbLastFull); err != nil {
 		return err

@@ -2,6 +2,7 @@ package streamgnn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
@@ -342,5 +343,82 @@ func TestLoadCheckpointFromBeforeKnobRetirement(t *testing.T) {
 	}
 	if err := e.Step(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A checkpoint whose learner state does not fit the replayed graph — a KDE
+// seed past its last node, a chip count below the floor — is refused by
+// LoadCheckpoint itself, before anything is restored: parameters, workload
+// and step stay those of the engine it was loaded into.
+func TestLoadCheckpointRejectsLearnerStateOutsideGraph(t *testing.T) {
+	cfg := DefaultConfig() // KDE: the checkpoint carries chips and a seed window
+	cfg.Hidden = 8
+	e1 := endToEnd(t, cfg, 8)
+	var buf bytes.Buffer
+	if err := e1.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var saved checkpoint
+	if err := gob.NewDecoder(&buf).Decode(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if !saved.HasKDESeeds || len(saved.Chips) == 0 {
+		t.Fatalf("checkpoint carries no learner state to corrupt: %d seeds, %d chips", len(saved.KDESeeds), len(saved.Chips))
+	}
+	const n = 12 // the graph endToEnd builds
+	for name, corrupt := range map[string]func(*checkpoint){
+		"KDE seed outside the graph": func(ck *checkpoint) {
+			ck.KDESeeds = append([]int(nil), ck.KDESeeds...)
+			ck.KDESeeds[0] = n
+		},
+		"chip count below the floor": func(ck *checkpoint) {
+			ck.Chips = append([]int(nil), ck.Chips...)
+			ck.Chips[0] = 0
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := saved
+			corrupt(&bad)
+			var enc bytes.Buffer
+			if err := gob.NewEncoder(&enc).Encode(bad); err != nil {
+				t.Fatal(err)
+			}
+			e2, err := NewEngine(3, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				e2.AddNode(0, []float64{float64(i % 2), 0, 1})
+			}
+			for i := 0; i < n; i++ {
+				e2.AddUndirectedEdge(i, (i+1)%n, 0)
+			}
+			lab := func(anchor, step int) (float64, bool) { return 1, true }
+			if err := e2.AddQuery(Query{Name: "activity", Anchors: []int{0, 5}, Delta: 1, Labeler: lab}); err != nil {
+				t.Fatal(err)
+			}
+			var params [][]float64
+			for _, p := range e2.allParams() {
+				params = append(params, append([]float64(nil), p.Value.Data...))
+			}
+			workload := fmt.Sprintf("%+v", e2.wl.DumpState())
+
+			if err := e2.LoadCheckpoint(&enc); err == nil {
+				t.Fatal("checkpoint accepted")
+			}
+			if e2.CurrentStep() != 0 {
+				t.Fatalf("refused load moved the step to %d", e2.CurrentStep())
+			}
+			for i, p := range e2.allParams() {
+				for j, v := range p.Value.Data {
+					if v != params[i][j] {
+						t.Fatalf("refused load changed parameter %d", i)
+					}
+				}
+			}
+			if got := fmt.Sprintf("%+v", e2.wl.DumpState()); got != workload {
+				t.Fatal("refused load changed the workload")
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -53,53 +52,43 @@ func (r *routingSource) Next() (stream.Batch, bool) {
 }
 
 // runReplica is the -role=replica service: a cluster.Replica behind the HTTP
-// transport, with an optional WAL and its own checkpoint written on SIGTERM
-// — per-replica crash recovery independent of the coordinator's.
+// transport, with an optional WAL — its configuration and every applied event
+// batch — from which -resume rebuilds it, independently of the coordinator.
 func runReplica(opts options) error {
 	if opts.listen == "" {
 		return errors.New("-role=replica requires -listen")
+	}
+	if opts.ckptPath != "" {
+		return errors.New("-role=replica keeps no checkpoint: its -wal log is its recovery state")
+	}
+	if opts.resume && opts.walPath == "" {
+		return errors.New("-role=replica -resume requires -wal")
 	}
 	rep := cluster.NewReplica()
 	if opts.replicaID >= 0 {
 		rep.SetExpectShard(opts.replicaID)
 	}
-	if opts.resume {
-		if opts.ckptPath == "" {
-			return errors.New("-resume requires -checkpoint")
-		}
-		f, err := os.Open(opts.ckptPath)
-		if err != nil {
-			return err
-		}
-		err = rep.RestoreCheckpoint(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		cfg := rep.Config()
-		fmt.Printf("replica restored from %s: shard %d of %d (%s), model %s\n",
-			opts.ckptPath, cfg.Shard, cfg.Shards, cfg.Layout, cfg.Model)
-		if opts.walPath != "" {
-			f, err := os.Open(opts.walPath)
-			switch {
-			case err == nil:
-				replayErr := rep.ReplayWAL(f)
-				f.Close()
-				if replayErr != nil {
-					return replayErr
-				}
-				fmt.Printf("wal %s replayed; graph mirror at step %d\n", opts.walPath, rep.LastApplied())
-			case !errors.Is(err, os.ErrNotExist):
-				return err
-			}
-		}
-	}
 	if opts.walPath != "" {
-		wf, err := os.OpenFile(opts.walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		// A fresh replica starts its log over; a resumed one replays it, then
+		// appends to it.
+		mode := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+		if opts.resume {
+			mode = os.O_CREATE | os.O_RDWR | os.O_APPEND
+		}
+		wf, err := os.OpenFile(opts.walPath, mode, 0o644)
 		if err != nil {
 			return err
 		}
 		defer wf.Close()
+		if opts.resume {
+			if err := rep.ReplayWAL(wf); err != nil {
+				return err
+			}
+			if cfg := rep.Config(); cfg.Shards > 0 {
+				fmt.Printf("replica replayed %s: shard %d of %d (%s), model %s, graph mirror at step %d\n",
+					opts.walPath, cfg.Shard, cfg.Shards, cfg.Layout, cfg.Model, rep.LastApplied())
+			}
+		}
 		rep.SetWAL(cluster.NewWAL(wf))
 	}
 
@@ -132,20 +121,7 @@ func runReplica(opts options) error {
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		return err
-	}
-	if opts.ckptPath != "" && rep.Config().Shards > 0 {
-		var buf bytes.Buffer
-		if err := rep.SaveCheckpoint(&buf); err != nil {
-			return err
-		}
-		if err := os.WriteFile(opts.ckptPath, buf.Bytes(), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("replica checkpoint written to %s (graph mirror at step %d)\n", opts.ckptPath, rep.LastApplied())
-	}
-	return nil
+	return httpSrv.Shutdown(shutCtx)
 }
 
 // writeDemandRows emits the rows this process's incremental forwards covered,

@@ -64,48 +64,35 @@ import (
 )
 
 func main() {
-	dataset := flag.String("dataset", "Bitcoin", "workload: "+strings.Join(workload.Names(), ", "))
-	input := flag.String("input", "", "replay an external JSONL event stream instead of a built-in workload")
-	model := flag.String("model", "TGCN", "DGNN baseline")
-	strategy := flag.String("strategy", "kde", "training strategy: full, weighted, kde")
-	steps := flag.Int("steps", 60, "stream steps to replay")
-	seed := flag.Int64("seed", 1, "random seed")
-	hidden := flag.Int("hidden", 16, "embedding dimension")
-	detectDrift := flag.Bool("drift", true, "print drift warnings (Page-Hinkley over query loss)")
-	listen := flag.String("listen", "", "admin listen address (e.g. :8080); empty disables the HTTP endpoints")
-	ckptPath := flag.String("checkpoint", "", "checkpoint file written on graceful shutdown (and read by -resume)")
-	resume := flag.Bool("resume", false, "resume from -checkpoint: replay the stream up to the saved step, then continue")
-	rate := flag.Float64("rate", 0, "max replay steps per second; 0 replays at full speed")
-	incremental := flag.Bool("incremental", false, "dirty-region incremental forward inference (see DESIGN.md §10)")
-	refreshEvery := flag.Int("refresh-every", 0, "with -incremental: force a full forward every N steps (0 = never)")
-	dirtyThreshold := flag.Float64("dirty-threshold", 0, "with -incremental: compute-region fraction in [0,1] above which a step falls back to a full forward (0 = engine default of 0.25, 1 never falls back)")
-	delta := flag.Bool("delta", false, "event-driven delta-propagation forward instead of region splicing (implies -incremental; see DESIGN.md §14)")
-	deltaEps := flag.Float64("delta-eps", 0, "with -delta: per-component pruning threshold in [0,1]; 0 keeps delta forwards bit-identical to full forwards")
-	depSchedule := flag.Bool("dep-schedule", false, "conflict-group scheduling of the training apply phase: backprop and gradient accumulation run concurrently across dependency-free partition groups (see DESIGN.md §15)")
-	interval := flag.Int("interval", 0, "steps between training steps (0 = engine default of 1; raise so -incremental can reuse cached embeddings between training steps)")
-	shards := flag.Int("shards", 0, "partition the node space into this many shards and fan incremental forwards out per shard (0/1 = unsharded; >1 implies -incremental; see DESIGN.md §12)")
-	shardLayout := flag.String("shard-layout", "hash", "node-to-shard layout with -shards: hash or range")
-	batchMax := flag.Int("batch-max", 64, "B: flush a /query micro-batch as soon as this many queries are pending")
-	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "T: flush a /query micro-batch this long after its first query")
-	role := flag.String("role", "", "cluster role: coordinator or replica; empty runs the single-process service (see DESIGN.md §17)")
-	peers := flag.String("peers", "", "with -role=coordinator: comma-separated replica base URLs, one per shard in shard order (e.g. http://127.0.0.1:9201,http://127.0.0.1:9202)")
-	replicaID := flag.Int("replica-id", -1, "with -role=replica: pin the shard index this replica serves; -1 accepts the coordinator's assignment")
-	wal := flag.String("wal", "", "with -role=replica: write-ahead log of applied event batches, replayed on -resume to rebuild the graph mirror")
+	var opts options
+	flag.StringVar(&opts.dataset, "dataset", "Bitcoin", "workload: "+strings.Join(workload.Names(), ", "))
+	flag.StringVar(&opts.input, "input", "", "replay an external JSONL event stream instead of a built-in workload")
+	flag.StringVar(&opts.model, "model", "TGCN", "DGNN baseline")
+	flag.StringVar(&opts.strategy, "strategy", "kde", "training strategy: full, weighted, kde")
+	flag.IntVar(&opts.steps, "steps", 60, "stream steps to replay")
+	flag.Int64Var(&opts.seed, "seed", 1, "random seed")
+	flag.IntVar(&opts.hidden, "hidden", 16, "embedding dimension")
+	flag.BoolVar(&opts.drift, "drift", true, "print drift warnings (Page-Hinkley over query loss)")
+	flag.StringVar(&opts.listen, "listen", "", "admin listen address (e.g. :8080); empty disables the HTTP endpoints")
+	flag.StringVar(&opts.ckptPath, "checkpoint", "", "checkpoint file written on graceful shutdown (and read by -resume)")
+	flag.BoolVar(&opts.resume, "resume", false, "resume from -checkpoint: replay the stream up to the saved step, then continue")
+	flag.Float64Var(&opts.rate, "rate", 0, "max replay steps per second; 0 replays at full speed")
+	flag.BoolVar(&opts.incremental, "incremental", false, "dirty-region incremental forward inference (see DESIGN.md §10)")
+	flag.IntVar(&opts.refreshEvery, "refresh-every", 0, "with -incremental: force a full forward every N steps (0 = never)")
+	flag.Float64Var(&opts.dirtyThreshold, "dirty-threshold", 0, "with -incremental: compute-region fraction in [0,1] above which a step falls back to a full forward (0 = engine default of 0.25, 1 never falls back)")
+	flag.BoolVar(&opts.delta, "delta", false, "event-driven delta-propagation forward instead of region splicing (implies -incremental; see DESIGN.md §14)")
+	flag.Float64Var(&opts.deltaEps, "delta-eps", 0, "with -delta: per-component pruning threshold in [0,1]; 0 keeps delta forwards bit-identical to full forwards")
+	flag.BoolVar(&opts.depSchedule, "dep-schedule", false, "conflict-group scheduling of the training apply phase: backprop and gradient accumulation run concurrently across dependency-free partition groups (see DESIGN.md §15)")
+	flag.IntVar(&opts.interval, "interval", 0, "steps between training steps (0 = engine default of 1; raise so -incremental can reuse cached embeddings between training steps)")
+	flag.IntVar(&opts.shards, "shards", 0, "partition the node space into this many shards and fan incremental forwards out per shard (0/1 = unsharded; >1 implies -incremental; see DESIGN.md §12)")
+	flag.StringVar(&opts.shardLayout, "shard-layout", "hash", "node-to-shard layout with -shards: hash or range")
+	flag.IntVar(&opts.batchMax, "batch-max", 64, "B: flush a /query micro-batch as soon as this many queries are pending")
+	flag.DurationVar(&opts.batchWait, "batch-wait", 2*time.Millisecond, "T: flush a /query micro-batch this long after its first query")
+	flag.StringVar(&opts.role, "role", "", "cluster role: coordinator or replica; empty runs the single-process service (see DESIGN.md §17)")
+	flag.StringVar(&opts.peers, "peers", "", "with -role=coordinator: comma-separated replica base URLs, one per shard in shard order (e.g. http://127.0.0.1:9201,http://127.0.0.1:9202)")
+	flag.IntVar(&opts.replicaID, "replica-id", -1, "with -role=replica: pin the shard index this replica serves; -1 accepts the coordinator's assignment")
+	flag.StringVar(&opts.walPath, "wal", "", "with -role=replica: write-ahead log of applied event batches, replayed on -resume to rebuild the graph mirror")
 	flag.Parse()
-
-	opts := options{
-		dataset: *dataset, input: *input, model: *model, strategy: *strategy,
-		steps: *steps, seed: *seed, hidden: *hidden, drift: *detectDrift,
-		listen: *listen, ckptPath: *ckptPath, resume: *resume, rate: *rate,
-		incremental: *incremental, refreshEvery: *refreshEvery,
-		dirtyThreshold: *dirtyThreshold,
-		delta:          *delta, deltaEps: *deltaEps,
-		depSchedule: *depSchedule,
-		interval:    *interval,
-		shards:      *shards, shardLayout: *shardLayout,
-		batchMax: *batchMax, batchWait: *batchWait,
-		role: *role, peers: *peers, replicaID: *replicaID, walPath: *wal,
-	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "queryd:", err)
 		os.Exit(1)
@@ -768,15 +755,15 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteIntValue(&b, "streamgnn_partition_cache_events_total", `event="invalidation"`, st.CacheInvalidations)
 	obs.WriteHeader(&b, "streamgnn_parallel_units_total", "Training units evaluated on worker goroutines.", "counter")
 	obs.WriteIntValue(&b, "streamgnn_parallel_units_total", "", st.ParallelUnits)
-	if tel.SchedSteps > 0 {
+	if st.SchedSteps > 0 {
 		obs.WriteHeader(&b, "streamgnn_sched_steps_total", "Training rounds run under the conflict-group schedule.", "counter")
-		obs.WriteIntValue(&b, "streamgnn_sched_steps_total", "", tel.SchedSteps)
+		obs.WriteIntValue(&b, "streamgnn_sched_steps_total", "", st.SchedSteps)
 		obs.WriteHeader(&b, "streamgnn_sched_groups_total", "Conflict groups formed across scheduled rounds.", "counter")
-		obs.WriteIntValue(&b, "streamgnn_sched_groups_total", "", tel.SchedGroups)
+		obs.WriteIntValue(&b, "streamgnn_sched_groups_total", "", st.SchedGroups)
 		obs.WriteHeader(&b, "streamgnn_sched_units_total", "Training units scheduled across conflict groups.", "counter")
-		obs.WriteIntValue(&b, "streamgnn_sched_units_total", "", tel.SchedUnits)
+		obs.WriteIntValue(&b, "streamgnn_sched_units_total", "", st.SchedUnits)
 		obs.WriteHeader(&b, "streamgnn_sched_collapsed_steps_total", "Scheduled rounds that collapsed into a single conflict group.", "counter")
-		obs.WriteIntValue(&b, "streamgnn_sched_collapsed_steps_total", "", tel.SchedCollapsedSteps)
+		obs.WriteIntValue(&b, "streamgnn_sched_collapsed_steps_total", "", st.SchedCollapsedSteps)
 		obs.WriteHeader(&b, "streamgnn_sched_group_fraction", "Per-step groups-over-units fraction (1 = fully independent, near 0 = hub collapse).", "histogram")
 		obs.WriteHistogram(&b, "streamgnn_sched_group_fraction", "", snap(tel.SchedGroupFraction))
 	}

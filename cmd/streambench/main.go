@@ -49,14 +49,15 @@ func run(args []string, w io.Writer) error {
 	switch *table {
 	case 1:
 		fmt.Fprintf(w, "TABLE I: event monitoring workloads (%d runs/cell, %d steps)\n\n", *runs, *steps)
-		return runTable(w, bench.TableICells(), *runs, *steps, *scale, false)
+		return bench.RunTable(w, bench.TableICells(), *runs, *steps, *scale, false)
 	case 2:
 		fmt.Fprintf(w, "TABLE II: link prediction workloads (%d runs/cell, %d steps)\n\n", *runs, *steps)
-		return runTable(w, bench.TableIICells(), *runs, *steps, *scale, true)
+		return bench.RunTable(w, bench.TableIICells(), *runs, *steps, *scale, true)
 	case 3:
 		fmt.Fprintf(w, "TABLE III: parameter study (%d runs/cell, %d steps, KDE method)\n\n", *runs, *steps)
 		for _, spec := range bench.TableIIISweeps() {
-			if err := runSweep(w, spec, *runs, *steps, *scale); err != nil {
+			fmt.Fprintf(w, "-- sweep %s on %s (%s) --\n", spec.Label, spec.Dataset, spec.Model)
+			if err := bench.RunSweep(w, spec, *runs, *steps, *scale); err != nil {
 				return err
 			}
 			fmt.Fprintln(w)
@@ -65,61 +66,4 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown table %d", *table)
 	}
-}
-
-func runTable(w io.Writer, cells [][2]string, runs, steps int, scale float64, linkPred bool) error {
-	header(w, linkPred)
-	for _, cell := range cells {
-		for _, strat := range bench.Strategies() {
-			cfg := bench.EqualizedCell(cell[0], cell[1], strat)
-			cfg.Gen.Steps = steps
-			cfg.Gen.Scale = scale
-			agg, err := bench.RunRepeated(cfg, runs)
-			if err != nil {
-				return err
-			}
-			printRow(w, cell[0], cell[1], strat.String(), agg, linkPred)
-		}
-	}
-	return nil
-}
-
-func runSweep(w io.Writer, spec bench.SweepSpec, runs, steps int, scale float64) error {
-	fmt.Fprintf(w, "-- sweep %s on %s (%s) --\n", spec.Label, spec.Dataset, spec.Model)
-	header(w, false)
-	for _, v := range spec.Values {
-		cfg := bench.EqualizedCell(spec.Dataset, spec.Model, bench.Strategies()[2])
-		cfg.Gen.Steps = steps
-		cfg.Gen.Scale = scale
-		spec.Apply(&cfg, v)
-		agg, err := bench.RunRepeated(cfg, runs)
-		if err != nil {
-			return err
-		}
-		printRow(w, spec.Dataset, spec.Model, fmt.Sprintf("%s=%g", spec.Label, v), agg, false)
-	}
-	return nil
-}
-
-func header(w io.Writer, linkPred bool) {
-	q := "Error"
-	if linkPred {
-		q = "Accuracy"
-	}
-	fmt.Fprintf(w, "%-14s %-12s %-14s %16s %10s %16s %16s %16s\n",
-		"Dataset", "Model", "Method", "TrainTime(s)", "Memory", q, "AUC", "MRR")
-}
-
-func printRow(w io.Writer, dataset, model, method string, agg bench.AggResult, linkPred bool) {
-	quality := agg.Error
-	if linkPred {
-		quality = agg.Accuracy
-	}
-	fmt.Fprintf(w, "%-14s %-12s %-14s %16s %10s %16s %16s %16s\n",
-		dataset, model, method,
-		fmt.Sprintf("%.3f±%.3f", agg.Time.Mean(), agg.Time.Std()),
-		bench.FormatBytes(agg.PeakBytes),
-		fmt.Sprintf("%.3f±%.3f", quality.Mean(), quality.Std()),
-		fmt.Sprintf("%.3f±%.3f", agg.AUC.Mean(), agg.AUC.Std()),
-		fmt.Sprintf("%.3f±%.3f", agg.MRR.Mean(), agg.MRR.Std()))
 }

@@ -116,8 +116,11 @@ func RunCell(cfg CellConfig) (CellResult, error) {
 	params := append(model.Params(), heads.Params()...)
 	opt := model.WrapOptimizer(autodiff.NewAdam(cfg.Core.LR, params))
 	trainer := core.NewTrainer(g, model, wl, opt, cfg.Core, rng)
+	sched, err := core.NewScheduler(trainer, cfg.Core, cfg.Strategy, rng)
+	if err != nil {
+		return res, err
+	}
 
-	var sched *core.Scheduler
 	infer := autodiff.NewInferenceTape()
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
@@ -131,12 +134,6 @@ func RunCell(cfg CellConfig) (CellResult, error) {
 		wl.Reveal(g, t)
 		wl.Predict(emb, t)
 		// Training section: metered and timed.
-		if sched == nil {
-			sched, err = core.NewScheduler(trainer, cfg.Core, cfg.Strategy, rng)
-			if err != nil {
-				return res, err
-			}
-		}
 		if cfg.StopTrainingAfter <= 0 || t < cfg.StopTrainingAfter {
 			tensor.ResetMeter()
 			start := time.Now()
@@ -151,7 +148,7 @@ func RunCell(cfg CellConfig) (CellResult, error) {
 
 	res.StepLoss = perStepLoss(wl.Outcomes(), ds.Steps)
 	fillMetrics(&res, wl, ds.Steps)
-	if sched != nil && sched.Adaptive != nil {
+	if sched.Adaptive != nil {
 		res.TrainedPartitions = sched.Adaptive.Trained
 		res.FinalChips = sched.Adaptive.Probabilities()
 	}

@@ -159,7 +159,7 @@ func TestRunSweepWritesRows(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := RunSweep(&buf, spec, 1); err != nil {
+	if err := RunSweep(&buf, spec, 1, 40, 1); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -170,15 +170,9 @@ func TestRunSweepWritesRows(t *testing.T) {
 
 func TestRunTableWritesRows(t *testing.T) {
 	var buf bytes.Buffer
-	// Single tiny cell to keep the test fast: reuse RunTable's machinery
-	// through a custom cell list.
+	// One cell at a short, small stream keeps the test fast.
 	cells := [][2]string{{"UCIMessages", "ROLAND"}}
-	// Patch: RunTable uses DefaultCell; accept the default 40 steps being
-	// too slow by scaling via a tiny custom run instead.
-	if testing.Short() {
-		t.Skip("table run in short mode")
-	}
-	if err := RunTable(&buf, cells, 1, true); err != nil {
+	if err := RunTable(&buf, cells, 1, 12, 0.5, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "UCIMessages") {

@@ -32,34 +32,21 @@ func Strategies() []core.Strategy {
 	return []core.Strategy{core.Full, core.Weighted, core.KDE}
 }
 
-// RunTable runs all cells of Table I or II and writes paper-style rows.
-// linkPred selects Table II formatting (Accuracy instead of Error).
-func RunTable(w io.Writer, cells [][2]string, runs int, linkPred bool) error {
-	if linkPred {
-		fmt.Fprintf(w, "%-14s %-12s %-13s %12s %10s %14s %14s %14s\n",
-			"Dataset", "Model", "Method", "TrainTime(s)", "Memory", "Accuracy", "AUC", "MRR")
-	} else {
-		fmt.Fprintf(w, "%-14s %-12s %-13s %12s %10s %14s %14s %14s\n",
-			"Dataset", "Model", "Method", "TrainTime(s)", "Memory", "Error", "AUC", "MRR")
-	}
+// RunTable runs every cell of Table I or II under the three methods, each
+// `runs` times over `steps` stream steps at workload scale `scale`, and writes
+// one row per cell and method. linkPred selects Table II's quality column
+// (Accuracy instead of Error).
+func RunTable(w io.Writer, cells [][2]string, runs, steps int, scale float64, linkPred bool) error {
+	writeHeader(w, linkPred)
 	for _, cell := range cells {
 		for _, strat := range Strategies() {
 			cfg := EqualizedCell(cell[0], cell[1], strat)
+			cfg.Gen.Steps, cfg.Gen.Scale = steps, scale
 			agg, err := RunRepeated(cfg, runs)
 			if err != nil {
 				return err
 			}
-			quality := agg.Error
-			if linkPred {
-				quality = agg.Accuracy
-			}
-			fmt.Fprintf(w, "%-14s %-12s %-13s %12s %10s %14s %14s %14s\n",
-				cell[0], cell[1], strat,
-				fmt.Sprintf("%.3f±%.3f", agg.Time.Mean(), agg.Time.Std()),
-				FormatBytes(agg.PeakBytes),
-				fmt.Sprintf("%.3f±%.3f", quality.Mean(), quality.Std()),
-				fmt.Sprintf("%.3f±%.3f", agg.AUC.Mean(), agg.AUC.Std()),
-				fmt.Sprintf("%.3f±%.3f", agg.MRR.Mean(), agg.MRR.Std()))
+			writeRow(w, cell[0], cell[1], strat.String(), agg, linkPred)
 		}
 	}
 	return nil
@@ -107,27 +94,45 @@ func TableIIISweeps() []SweepSpec {
 	}
 }
 
-// RunSweep runs one Table III sweep with the KDE method and writes rows.
-func RunSweep(w io.Writer, spec SweepSpec, runs int) error {
-	fmt.Fprintf(w, "%-22s %-24s %12s %10s %14s %14s %14s\n",
-		"Dataset/Model", "Parameter", "TrainTime(s)", "Memory", "Error", "AUC", "MRR")
+// RunSweep runs one Table III sweep with the KDE method, each value `runs`
+// times over `steps` stream steps at workload scale `scale` (spec.Apply may
+// override both), and writes one row per value.
+func RunSweep(w io.Writer, spec SweepSpec, runs, steps int, scale float64) error {
+	writeHeader(w, false)
 	for _, v := range spec.Values {
 		cfg := EqualizedCell(spec.Dataset, spec.Model, core.KDE)
+		cfg.Gen.Steps, cfg.Gen.Scale = steps, scale
 		spec.Apply(&cfg, v)
 		agg, err := RunRepeated(cfg, runs)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-22s %-24s %12s %10s %14s %14s %14s\n",
-			spec.Dataset+" ("+spec.Model+")",
-			fmt.Sprintf("%s = %g", spec.Label, v),
-			fmt.Sprintf("%.3f±%.3f", agg.Time.Mean(), agg.Time.Std()),
-			FormatBytes(agg.PeakBytes),
-			fmt.Sprintf("%.3f±%.3f", agg.Error.Mean(), agg.Error.Std()),
-			fmt.Sprintf("%.3f±%.3f", agg.AUC.Mean(), agg.AUC.Std()),
-			fmt.Sprintf("%.3f±%.3f", agg.MRR.Mean(), agg.MRR.Std()))
+		writeRow(w, spec.Dataset, spec.Model, fmt.Sprintf("%s=%g", spec.Label, v), agg, false)
 	}
 	return nil
+}
+
+const rowFormat = "%-14s %-12s %-14s %16s %10s %16s %16s %16s\n"
+
+func writeHeader(w io.Writer, linkPred bool) {
+	quality := "Error"
+	if linkPred {
+		quality = "Accuracy"
+	}
+	fmt.Fprintf(w, rowFormat, "Dataset", "Model", "Method", "TrainTime(s)", "Memory", quality, "AUC", "MRR")
+}
+
+func writeRow(w io.Writer, dataset, model, method string, agg AggResult, linkPred bool) {
+	quality := agg.Error
+	if linkPred {
+		quality = agg.Accuracy
+	}
+	fmt.Fprintf(w, rowFormat, dataset, model, method,
+		fmt.Sprintf("%.3f±%.3f", agg.Time.Mean(), agg.Time.Std()),
+		FormatBytes(agg.PeakBytes),
+		fmt.Sprintf("%.3f±%.3f", quality.Mean(), quality.Std()),
+		fmt.Sprintf("%.3f±%.3f", agg.AUC.Mean(), agg.AUC.Std()),
+		fmt.Sprintf("%.3f±%.3f", agg.MRR.Mean(), agg.MRR.Std()))
 }
 
 // MotivationResult holds the Figure 4 series for one dataset.

@@ -167,26 +167,45 @@ func EncodeEvents(events []stream.Event) ([]WireEvent, error) {
 	return out, nil
 }
 
+// check reports why the event cannot apply to a mirror of n nodes: an
+// unknown op, a label payload that is not one value, or a node id outside
+// [0, n).
+func (w WireEvent) check(n int) error {
+	switch w.Op {
+	case opNode:
+		return nil
+	case opFeat:
+	case opEdge, opLabel:
+		if len(w.Label) != 1 {
+			return fmt.Errorf("cluster: %s event carries %d label values, want 1", w.Op, len(w.Label))
+		}
+	default:
+		return fmt.Errorf("cluster: unknown event op %q", w.Op)
+	}
+	for _, v := range w.touches(n, nil) {
+		if v < 0 || v >= n {
+			return fmt.Errorf("cluster: %s event names node %d outside the mirror's [0, %d)", w.Op, v, n)
+		}
+	}
+	return nil
+}
+
 // apply replays the event onto a graph mirror — the same mutations the
-// event's stream.Event counterpart performs on the coordinator's graph.
+// event's stream.Event counterpart performs on the coordinator's graph — or,
+// when check rejects it, leaves the mirror untouched.
 func (w WireEvent) apply(g *graph.Dynamic) error {
+	if err := w.check(g.N()); err != nil {
+		return err
+	}
 	switch w.Op {
 	case opNode:
 		g.AddNode(graph.NodeType(w.Type), w.Feat)
 	case opEdge:
-		if len(w.Label) != 1 {
-			return fmt.Errorf("cluster: edge event carries %d label values, want 1", len(w.Label))
-		}
 		g.AddLabeledEdge(w.U, w.V, graph.EdgeType(w.Type), w.Time, w.Label[0])
 	case opFeat:
 		g.SetFeature(w.V, w.Feat)
 	case opLabel:
-		if len(w.Label) != 1 {
-			return fmt.Errorf("cluster: label event carries %d label values, want 1", len(w.Label))
-		}
 		g.SetLabel(w.V, w.Label[0])
-	default:
-		return fmt.Errorf("cluster: unknown event op %q", w.Op)
 	}
 	return nil
 }

@@ -346,38 +346,30 @@ func TestClusterReplicaFailureFallback(t *testing.T) {
 	}
 }
 
-// Kill one replica mid-stream, bring up a fresh process from its own
-// checkpoint plus WAL replay, swap the transport — equality must survive,
-// which is the per-replica crash-recovery contract.
+// Kill one replica mid-stream, bring up a fresh process from its WAL alone,
+// swap the transport — equality must survive, which is the per-replica
+// crash-recovery contract. The WAL's first line configures the new process;
+// the model mirror comes back with the reconnect's full sync.
 func TestClusterKillReplicaResume(t *testing.T) {
 	h := newHarness(t, "TGCN", 17, 48, 2, loopbackFactory)
 	var wal bytes.Buffer
 	h.reps[1].SetWAL(NewWAL(&wal))
-
-	var ck bytes.Buffer
 	for s := 0; s < 120; s++ {
 		h.step(t, s)
-		if s == 99 {
-			if err := h.reps[1].SaveCheckpoint(&ck); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 
-	// "Crash" replica 1 and restart it from checkpoint + WAL.
+	// "Crash" replica 1 and restart it from its WAL.
 	fresh := NewReplica()
-	if err := fresh.RestoreCheckpoint(bytes.NewReader(ck.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if got := fresh.Config(); got.Shard != 1 {
-		t.Fatalf("restored replica serves shard %d, want 1", got.Shard)
-	}
 	if err := fresh.ReplayWAL(bytes.NewReader(wal.Bytes())); err != nil {
 		t.Fatal(err)
+	}
+	if got := fresh.Config(); got != h.reps[1].Config() {
+		t.Fatalf("replayed replica configured as %+v, want %+v", got, h.reps[1].Config())
 	}
 	if la := fresh.LastApplied(); la != 119 {
 		t.Fatalf("WAL replay brought the mirror to step %d, want 119", la)
 	}
+	syncs := fresh.Stats().FullSyncs
 	fresh.SetWAL(NewWAL(&wal))
 	h.reps[1] = fresh
 	h.coord.SetTransport(1, &Loopback{R: fresh})
@@ -389,8 +381,35 @@ func TestClusterKillReplicaResume(t *testing.T) {
 		}
 	}
 	h.finish(t)
-	if fresh.Stats().Forwards == 0 {
-		t.Fatal("restarted replica never forwarded")
+	if st := fresh.Stats(); st.Forwards == 0 || st.FullSyncs == syncs {
+		t.Fatalf("restarted replica never forwarded from a fresh full sync: %+v", st)
+	}
+}
+
+// The same restart without the WAL and without re-routed history: the new
+// process's mirror is empty, the coordinator's outbox no longer holds the
+// batches it needs, so the coordinator must stop forwarding to it — its parts
+// run locally, answers stay bit-equal, and no batch touches its mirror.
+func TestClusterReplicaLostHistoryFallsBack(t *testing.T) {
+	h := newHarness(t, "WinGNN", 19, 32, 2, loopbackFactory)
+	for s := 0; s < 30; s++ {
+		h.step(t, s)
+	}
+	// Replica 0 owns the ring's parts on this stream; replica 1 rarely does.
+	fresh := NewReplica()
+	h.reps[0] = fresh
+	h.coord.SetTransport(0, &Loopback{R: fresh})
+	fallbacks := h.coord.tele.localFallbacks.Value()
+	for s := 30; s < 60; s++ {
+		h.step(t, s)
+		h.checkRemoteServing(t, s)
+	}
+	h.finish(t)
+	if h.coord.tele.localFallbacks.Value() == fallbacks {
+		t.Fatal("the replica without history ran no part locally")
+	}
+	if st := fresh.Stats(); st.EventsApplied != 0 || st.Forwards != 0 || fresh.LastApplied() != -1 {
+		t.Fatalf("a replica without history was forwarded to: %+v", st)
 	}
 }
 

@@ -63,6 +63,10 @@ type repState struct {
 	sentHeads uint64
 	pending   []int // ids committed since the replica's last sync/patch
 	outbox    []StepEvents
+	// pruned is the last step dropped from outbox as acknowledged (-1 none),
+	// lowered again when RouteEvents re-routes history: a replica reporting
+	// less has lost batches only a re-route can give back.
+	pruned int
 }
 
 // serveStep is the step whose serving snapshot replicas currently mirror;
@@ -133,6 +137,7 @@ func NewCoordinator(eng *streamgnn.Engine, trans []Transport) (*Coordinator, err
 	for r := range c.reps {
 		c.reps[r].needFull = true
 		c.reps[r].serveFull = true
+		c.reps[r].pruned = -1
 	}
 	c.tele.serveStep.Store(-1)
 	c.tele.forwardLatency = obs.NewHistogram(obs.DefaultLatencyBuckets())
@@ -205,6 +210,8 @@ func (c *Coordinator) RouteEvents(step int, events []stream.Event) error {
 	}
 	batch := StepEvents{Step: step, Events: wire}
 	for r := range c.reps {
+		// Re-routed history: from this step on the outbox holds it again.
+		c.reps[r].pruned = min(c.reps[r].pruned, step-1)
 		c.reps[r].outbox = append(c.reps[r].outbox, batch)
 		atomic.StoreInt64(&c.tele.outboxLen[r], int64(len(c.reps[r].outbox)))
 	}
@@ -213,10 +220,13 @@ func (c *Coordinator) RouteEvents(step int, events []stream.Event) error {
 
 // hello (re)opens the session with replica s: prune the outbox to what the
 // replica already holds and schedule a full model sync plus a full serving
-// publish — reconnects never assume any mirror survived.
+// publish — reconnects never assume any mirror survived. A replica whose
+// mirror ends before batches this outbox already dropped (restarted without
+// its WAL, history not re-routed) could apply none of what follows: it stays
+// down and its parts run locally.
 func (c *Coordinator) hello(s int) bool {
 	resp, err := c.trans[s].Hello(HelloRequest{Config: c.replicaConfig(s)})
-	if err != nil {
+	if err != nil || resp.LastApplied < c.reps[s].pruned {
 		c.reps[s].connected.Store(false)
 		return false
 	}
@@ -242,6 +252,7 @@ func (c *Coordinator) pruneOutbox(s, lastApplied int) {
 		keep++
 	}
 	if keep > 0 {
+		c.reps[s].pruned = max(c.reps[s].pruned, ob[keep-1].Step)
 		c.reps[s].outbox = append([]StepEvents(nil), ob[keep:]...)
 	}
 	atomic.StoreInt64(&c.tele.outboxLen[s], int64(len(c.reps[s].outbox)))

@@ -73,25 +73,60 @@ func TestHelloRespectsExpectShard(t *testing.T) {
 	}
 }
 
-// A replica checkpoint only restores into a replica of the same identity.
-func TestRestoreCheckpointRejectsMismatch(t *testing.T) {
-	r := configuredReplica(t, baseReplicaConfig())
-	var ck bytes.Buffer
-	if err := r.SaveCheckpoint(&ck); err != nil {
+// A WAL replays only into a replica of the identity its header names: one
+// configured for another shard or model, or pinned to another shard, rejects
+// it; a fresh replica adopts it.
+func TestReplayWALRejectsMismatch(t *testing.T) {
+	var wal bytes.Buffer
+	r := NewReplica()
+	r.SetWAL(NewWAL(&wal))
+	if _, err := r.HandleHello(HelloRequest{Config: baseReplicaConfig()}); err != nil {
 		t.Fatal(err)
 	}
-	other := baseReplicaConfig()
-	other.Shards = 4
-	wrong := configuredReplica(t, other)
-	if err := wrong.RestoreCheckpoint(bytes.NewReader(ck.Bytes())); err == nil {
-		t.Fatal("checkpoint for shards=2 restored into a shards=4 replica")
+	for _, mutate := range []func(*ReplicaConfig){
+		func(c *ReplicaConfig) { c.Shard = 0 },
+		func(c *ReplicaConfig) { c.Model = "WinGNN" },
+	} {
+		other := baseReplicaConfig()
+		mutate(&other)
+		if err := configuredReplica(t, other).ReplayWAL(bytes.NewReader(wal.Bytes())); err == nil {
+			t.Fatalf("WAL for %+v replayed into a replica configured as %+v", baseReplicaConfig(), other)
+		}
+	}
+	pinned := NewReplica()
+	pinned.SetExpectShard(0)
+	if err := pinned.ReplayWAL(bytes.NewReader(wal.Bytes())); err == nil {
+		t.Fatal("WAL for shard 1 replayed into a replica pinned to shard 0")
 	}
 	fresh := NewReplica()
-	if err := fresh.RestoreCheckpoint(bytes.NewReader(ck.Bytes())); err != nil {
-		t.Fatalf("fresh replica rejected its own checkpoint: %v", err)
+	if err := fresh.ReplayWAL(bytes.NewReader(wal.Bytes())); err != nil {
+		t.Fatalf("fresh replica rejected its own WAL: %v", err)
 	}
 	if fresh.Config() != baseReplicaConfig() {
-		t.Fatalf("restored config %+v", fresh.Config())
+		t.Fatalf("replayed config %+v", fresh.Config())
+	}
+}
+
+// A batch applies whole or not at all: one that names a node the mirror does
+// not hold — counting the nodes the batch itself adds — is refused before any
+// of its events lands, and the mirror and its step cursor stay where they were.
+func TestApplyBatchesRejectsMissingHistory(t *testing.T) {
+	r := configuredReplica(t, baseReplicaConfig())
+	node := WireEvent{Op: opNode, Feat: Float64s{1, 0, 0}}
+	edge := func(u, v int) WireEvent { return WireEvent{Op: opEdge, U: u, V: v, Label: Float64s{math.NaN()}} }
+	bad := StepEvents{Step: 3, Events: []WireEvent{node, node, edge(0, 1), edge(1, 2)}}
+	if err := r.applyBatches([]StepEvents{bad}); err == nil {
+		t.Fatal("a batch naming node 2 of a 2-node mirror applied")
+	}
+	if n := r.g.N(); n != 0 || r.LastApplied() != -1 {
+		t.Fatalf("refused batch left %d nodes, cursor at step %d", n, r.LastApplied())
+	}
+	good := StepEvents{Step: 3, Events: []WireEvent{node, node, edge(0, 1)}}
+	if err := r.applyBatches([]StepEvents{good}); err != nil {
+		t.Fatal(err)
+	}
+	if r.g.N() != 2 || r.g.NumEdges() != 1 || r.LastApplied() != 3 {
+		t.Fatalf("mirror after a good batch: %d nodes, %d edges, step %d", r.g.N(), r.g.NumEdges(), r.LastApplied())
 	}
 }
 

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -24,9 +22,11 @@ import (
 // bit-identical to single-process sharded ones.
 //
 // A replica starts unconfigured; the coordinator's first Hello configures it
-// (or validates the configuration it restored from a checkpoint). All
-// handlers are safe for concurrent use: Hello/Forward/Publish serialize on a
-// mutex, HandleAnswer reads only the atomic serving snapshot.
+// (or validates the configuration its replayed WAL named). Its graph mirror is
+// the only state worth recovering — the model and serving mirrors are
+// resynchronized in full on every reconnect — so the WAL is its whole recovery
+// state. All handlers are safe for concurrent use: Hello/Forward/Publish
+// serialize on a mutex, HandleAnswer reads only the atomic serving snapshot.
 type Replica struct {
 	mu          sync.Mutex
 	configured  bool
@@ -100,9 +100,10 @@ func (r *Replica) SetExpectShard(s int) {
 	r.expectShard = s
 }
 
-// SetWAL attaches a write-ahead log: every applied event batch is appended,
-// so a restarted replica rebuilds its graph mirror without coordinator
-// history. Attach after ReplayWAL, not before.
+// SetWAL attaches a write-ahead log: the configuration the first Hello brings
+// is its first line and every applied event batch is appended, so a restarted
+// replica rebuilds itself from the log alone (ReplayWAL). Attach after
+// ReplayWAL and before the first Hello.
 func (r *Replica) SetWAL(w *WAL) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -143,6 +144,9 @@ func (r *Replica) Stats() ReplicaStats {
 	}
 }
 
+// configure builds the mirrors cfg describes and, with a WAL attached, logs
+// cfg as its first line. ReplayWAL runs without one, so a configuration read
+// from the log is not written back.
 func (r *Replica) configure(cfg ReplicaConfig) error {
 	if r.expectShard >= 0 && cfg.Shard != r.expectShard {
 		return fmt.Errorf("cluster: this replica serves shard %d, asked to serve shard %d", r.expectShard, cfg.Shard)
@@ -164,6 +168,11 @@ func (r *Replica) configure(cfg ReplicaConfig) error {
 	kind, err := dgnn.ParseKind(cfg.Model)
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
+	}
+	if r.wal != nil {
+		if err := r.wal.write(cfg); err != nil {
+			return fmt.Errorf("cluster: wal: %w", err)
+		}
 	}
 	// The mirror's initial random parameters are irrelevant: the first
 	// Forward always carries a full sync. The rng only fixes shapes.
@@ -192,12 +201,25 @@ func (r *Replica) HandleHello(req HelloRequest) (HelloResponse, error) {
 
 // applyBatches replays unseen event batches onto the graph mirror, in step
 // order, deduplicating by step (at-least-once delivery: the coordinator
-// resends its whole outbox until acknowledged). Caller holds the mutex.
+// resends its whole outbox until acknowledged). A batch applies whole or not
+// at all: every event is checked against the mirror first, counting the
+// batch's own node additions, so a batch that references history this mirror
+// never saw returns an error and leaves the mirror as it was. Caller holds
+// the mutex.
 func (r *Replica) applyBatches(batches []StepEvents) error {
 	scratch := make([]int, 0, 2)
 	for _, b := range batches {
 		if b.Step <= r.lastApplied {
 			continue
+		}
+		n := r.g.N()
+		for _, ev := range b.Events {
+			if err := ev.check(n); err != nil {
+				return fmt.Errorf("cluster: step %d batch does not apply to the mirror (applied through step %d): %w", b.Step, r.lastApplied, err)
+			}
+			if ev.Op == opNode {
+				n++
+			}
 		}
 		for _, ev := range b.Events {
 			scratch = ev.touches(r.g.N(), scratch[:0])
@@ -219,7 +241,7 @@ func (r *Replica) applyBatches(batches []StepEvents) error {
 			r.stats.eventsApplied.Add(1)
 		}
 		if r.wal != nil {
-			if err := r.wal.Append(b); err != nil {
+			if err := r.wal.write(b); err != nil {
 				return fmt.Errorf("cluster: wal append: %w", err)
 			}
 		}
@@ -364,82 +386,4 @@ func (r *Replica) HandleAnswer(req AnswerRequest) (AnswerResponse, error) {
 	answers := query.AnswerBatch(snap.heads, snap.emb, req.Reqs, nil)
 	r.stats.answers.Add(int64(len(req.Reqs)))
 	return AnswerResponse{Step: snap.step, Answers: wireAnswers(answers)}, nil
-}
-
-// replicaCheckpointVersion guards the per-replica checkpoint format.
-const replicaCheckpointVersion = 1
-
-// replicaCheckpoint is the gob-encoded independent recovery state of one
-// replica: its identity plus the model mirror. The graph mirror is NOT
-// included — it is rebuilt by replaying the WAL (or redelivered by the
-// coordinator's outbox after a fresh Hello).
-type replicaCheckpoint struct {
-	Version      int
-	Config       ReplicaConfig
-	LastApplied  int
-	StateVersion uint64
-	Params       []dgnn.StateDump
-	States       []dgnn.StateDump
-}
-
-// SaveCheckpoint writes the replica's recovery state to w.
-func (r *Replica) SaveCheckpoint(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.configured {
-		return fmt.Errorf("cluster: cannot checkpoint an unconfigured replica")
-	}
-	ck := replicaCheckpoint{
-		Version:      replicaCheckpointVersion,
-		Config:       r.cfg,
-		LastApplied:  r.lastApplied,
-		StateVersion: r.stateVersion,
-		States:       r.model.DumpState(),
-	}
-	for _, p := range r.model.Params() {
-		ck.Params = append(ck.Params, dgnn.StateDump{
-			Rows: p.Value.Rows, Cols: p.Value.Cols,
-			Data: append([]float64(nil), p.Value.Data...),
-		})
-	}
-	return gob.NewEncoder(w).Encode(ck)
-}
-
-// RestoreCheckpoint loads a replica checkpoint into this replica,
-// configuring it when fresh and rejecting a partition/model mismatch when
-// already configured. The graph mirror starts empty: replay the WAL next
-// (ReplayWAL), or let the coordinator's outbox redeliver. lastApplied is
-// deliberately left at -1 so the WAL replay re-applies every batch to the
-// empty graph; the model mirror's state version is kept, but the next
-// coordinator contact performs a full sync regardless (reconnects always
-// do), so a stale mirror can never leak into results.
-func (r *Replica) RestoreCheckpoint(rd io.Reader) error {
-	var ck replicaCheckpoint
-	if err := gob.NewDecoder(rd).Decode(&ck); err != nil {
-		return fmt.Errorf("cluster: decoding replica checkpoint: %w", err)
-	}
-	if ck.Version != replicaCheckpointVersion {
-		return fmt.Errorf("cluster: replica checkpoint version %d, want %d", ck.Version, replicaCheckpointVersion)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.configured {
-		if err := ck.Config.validateAgainst(r.cfg); err != nil {
-			return err
-		}
-	} else if err := r.configure(ck.Config); err != nil {
-		return err
-	}
-	dumps := make([]Dump, len(ck.Params))
-	for i, d := range ck.Params {
-		dumps[i] = dumpOf(d)
-	}
-	if err := restoreParams(r.model.Params(), dumps); err != nil {
-		return err
-	}
-	if err := r.model.RestoreState(ck.States); err != nil {
-		return err
-	}
-	r.stateVersion = ck.StateVersion
-	return nil
 }

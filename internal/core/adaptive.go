@@ -71,8 +71,11 @@ type AdaptiveLearner struct {
 	Chips   *sampling.Chips
 	Trainer *Trainer
 
-	cfg     Config
-	rng     *rand.Rand
+	cfg Config
+	rng *rand.Rand
+	// sampler is the chipSampler under Weighted; under KDE it is nil until
+	// FillSeedWindow draws the seed window from the graph or Restore installs
+	// a checkpointed one.
 	sampler NodeSampler
 	anchors map[int]bool
 
@@ -110,7 +113,9 @@ type AdaptiveLearner struct {
 	Trained int
 }
 
-// NewAdaptiveLearner builds Algorithm 1 over the trainer's graph. strategy
+// NewAdaptiveLearner builds Algorithm 1 over the trainer's graph, which may
+// still be empty: chips grow with the graph, and graph-KDE sampling draws its
+// seed window in FillSeedWindow, the first Step at the latest. strategy
 // selects plain chip sampling (Weighted) or graph-KDE sampling (KDE).
 func NewAdaptiveLearner(t *Trainer, cfg Config, strategy Strategy, rng *rand.Rand) *AdaptiveLearner {
 	chips := sampling.NewChips(t.G.N(), cfg.K)
@@ -119,16 +124,52 @@ func NewAdaptiveLearner(t *Trainer, cfg Config, strategy Strategy, rng *rand.Ran
 	switch strategy {
 	case Weighted:
 		a.sampler = &chipSampler{chips: chips, rng: rng}
-	case KDE:
-		a.sampler = NewKDESampler(t.G, chips, cfg, rng)
+	case KDE: // sampler waits for FillSeedWindow
 	default:
 		panic("core: AdaptiveLearner requires Weighted or KDE strategy")
 	}
 	return a
 }
 
-// Sampler exposes the underlying node sampler (tests, analysis).
-func (a *AdaptiveLearner) Sampler() NodeSampler { return a.sampler }
+// FillSeedWindow draws graph-KDE sampling's seed window (Algorithm 2 line 1)
+// from the graph as it is now, unless it is already filled or restored; a
+// no-op under Weighted. Step calls it first; a caller whose step mutates the
+// graph before training (window expiry) calls it before that, on the graph
+// the step started from. Panics on an empty graph.
+func (a *AdaptiveLearner) FillSeedWindow() {
+	if a.sampler == nil {
+		a.sampler = NewKDESampler(a.Trainer.G, a.Chips, a.cfg, a.rng)
+	}
+}
+
+// KDE returns the graph-KDE sampler, or nil under Weighted and before
+// FillSeedWindow or Restore has filled its seed window.
+func (a *AdaptiveLearner) KDE() *KDESampler {
+	ks, _ := a.sampler.(*KDESampler)
+	return ks
+}
+
+// Restore installs checkpointed chip counts (when counts is non-empty) and,
+// when hasSeeds, a KDE seed window. Both are validated against the graph
+// before either is installed, so on error the learner is unchanged.
+func (a *AdaptiveLearner) Restore(counts, seeds []int, oldest int, hasSeeds bool) error {
+	var ks *KDESampler
+	if hasSeeds {
+		ks = &KDESampler{g: a.Trainer.G, chips: a.Chips, cfg: a.cfg, rng: a.rng}
+		if err := ks.RestoreSeedState(seeds, oldest); err != nil {
+			return err
+		}
+	}
+	if len(counts) > 0 {
+		if err := a.Chips.Restore(counts); err != nil {
+			return err
+		}
+	}
+	if ks != nil {
+		a.sampler = ks
+	}
+	return nil
+}
 
 // getSampleNode is Algorithm 1 lines 17-22: with probability p_u sample
 // from D restricted to the update set, otherwise from the sampler.
@@ -232,6 +273,7 @@ func (a *AdaptiveLearner) applyActivity(dirty []int, full bool) {
 // since the previous step.
 func (a *AdaptiveLearner) Step(updated []int) {
 	clock := now()
+	a.FillSeedWindow()
 	a.refreshActivity()
 	// Phase 1: sample every pair endpoint, then deal per-unit seeds, all
 	// from the learner's rng so the stream is worker-count independent.

@@ -65,9 +65,9 @@ func (s *KDESampler) SeedState() (seeds []int, oldest int) {
 	return s.Seeds(), s.oldest
 }
 
-// RestoreSeedState restores a window captured with SeedState. The restored
-// window replaces the freshly initialized one so a resumed run continues the
-// exact sampling trajectory of the saved run.
+// RestoreSeedState restores a window captured with SeedState, so a resumed
+// run continues the exact sampling trajectory of the saved run. On error the
+// window is unchanged.
 func (s *KDESampler) RestoreSeedState(seeds []int, oldest int) error {
 	if len(seeds) == 0 {
 		return fmt.Errorf("core: empty KDE seed window")

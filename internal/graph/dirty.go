@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"sort"
-
-	"streamgnn/internal/shard"
-)
+import "sort"
 
 // Forward-inference dirty tracking. When enabled, the graph accumulates the
 // set of nodes whose forward-pass inputs changed — feature writes, label
@@ -21,22 +17,17 @@ import (
 
 // EnableDirtyTracking starts accumulating forward-dirty nodes. Idempotent;
 // tracking is off by default so engines that always run full forwards pay
-// nothing. With a sharding attached (AttachSharding), tracking is already on
-// via the per-shard trackers and this is a no-op.
+// nothing. AttachSharding turns it on as well.
 func (g *Dynamic) EnableDirtyTracking() {
-	if g.sh == nil && g.fwdDirty == nil {
+	if g.fwdDirty == nil {
 		g.fwdDirty = make(map[int]struct{})
 	}
 }
 
 // TakeDirty drains and returns, in ascending order, the nodes whose forward
 // inputs changed since the previous call. Nil when tracking is disabled or
-// nothing changed. With a sharding attached it drains every per-shard
-// tracker and merges the results; use TakeDirtySharded to keep them apart.
+// nothing changed.
 func (g *Dynamic) TakeDirty() []int {
-	if g.sh != nil {
-		return shard.Merge(g.TakeDirtySharded())
-	}
 	if len(g.fwdDirty) == 0 {
 		return nil
 	}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"sort"
 
+	"streamgnn/internal/shard"
 	"streamgnn/internal/tensor"
 )
 
@@ -57,13 +58,12 @@ type Dynamic struct {
 	actDirty map[int]struct{}
 
 	// fwdDirty accumulates forward-inference dirty nodes between TakeDirty
-	// calls (see dirty.go); nil until EnableDirtyTracking. With a sharding
-	// attached it stays nil and sh.dirty takes over, one tracker per shard.
+	// calls (see dirty.go); nil until EnableDirtyTracking.
 	fwdDirty map[int]struct{}
 
-	// sh is the shard-aware ingestion state (see sharding.go); nil until
+	// sh is the node-space partition (see sharding.go); nil until
 	// AttachSharding.
-	sh *shardState
+	sh *shard.Sharding
 
 	cache *PartitionCache
 
@@ -117,13 +117,8 @@ func (g *Dynamic) touch(v int) {
 // markFwdDirty records v as forward-inference dirty (see dirty.go). Only
 // mutations that change what Forward computes — features, incident edges,
 // degrees — call it; label-only writes (delayed supervision) do not, so a
-// step whose sole activity is truth reveal stays a quiet step. With a
-// sharding attached the mark is routed to the tracker of v's owning shard.
+// step whose sole activity is truth reveal stays a quiet step.
 func (g *Dynamic) markFwdDirty(v int) {
-	if g.sh != nil {
-		g.sh.dirty[g.sh.s.Of(v)][v] = struct{}{}
-		return
-	}
 	if g.fwdDirty != nil {
 		g.fwdDirty[v] = struct{}{}
 	}
@@ -143,10 +138,6 @@ func (g *Dynamic) AddNode(t NodeType, feat []float64) int {
 	g.in = append(g.in, nil)
 	g.root = append(g.root, 0)
 	g.setRoot(id)
-	if g.sh != nil {
-		g.sh.occupancy[g.sh.s.Of(id)]++
-		g.sh.crossDeg = append(g.sh.crossDeg, 0)
-	}
 	g.touch(id)
 	g.markFwdDirty(id)
 	return id
@@ -169,9 +160,6 @@ func (g *Dynamic) AddLabeledEdge(u, v int, et EdgeType, ts int64, label float64)
 	g.in[v] = append(g.in[v], Edge{To: u, Type: et, Time: ts, Label: label})
 	g.setRoot(u)
 	g.setRoot(v)
-	if g.sh != nil {
-		g.sh.noteEdge(u, v, +1)
-	}
 	g.touch(u)
 	g.touch(v)
 	g.markFwdDirty(u)
@@ -260,25 +248,9 @@ func (g *Dynamic) ExpireEdgesBefore(ts int64) {
 		}
 		return es[:k], k != len(es)
 	}
-	// Out-edge expiry additionally maintains the shard boundary index; each
-	// directed edge is stored on both endpoints, so decrementing on the out
-	// side alone counts it exactly once.
-	filterOut := func(v int) ([]Edge, bool) {
-		es := g.out[v]
-		k := 0
-		for _, e := range es {
-			if e.Time >= ts {
-				es[k] = e
-				k++
-			} else if g.sh != nil {
-				g.sh.noteEdge(v, e.To, -1)
-			}
-		}
-		return es[:k], k != len(es)
-	}
 	for v := range g.out {
 		var co, ci bool
-		g.out[v], co = filterOut(v)
+		g.out[v], co = filter(g.out[v])
 		g.in[v], ci = filter(g.in[v])
 		if co || ci {
 			changed = true

@@ -6,102 +6,18 @@ import (
 	"streamgnn/internal/shard"
 )
 
-// Shard-aware ingestion. With a sharding attached, the graph classifies every
-// mutation by the shard owning the touched node and keeps one forward-dirty
-// tracker per shard, so the engine can route each shard's dirty frontier to
-// its own worker goroutine without a global drain-and-split pass. Edge
-// insertions are additionally classified shard-local vs cross-shard, and a
-// per-node boundary index (the count of incident cross-shard edges) is
-// maintained incrementally — including through window expiry — for telemetry
-// and for reasoning about merge-phase work.
-type shardState struct {
-	s *shard.Sharding
-	// dirty is the per-shard forward-dirty tracker: dirty[Of(v)] accumulates
-	// v between TakeDirtySharded calls. Replaces the single fwdDirty map.
-	dirty []map[int]struct{}
-	// occupancy counts nodes owned by each shard.
-	occupancy []int64
-	// crossDeg[v] counts v's incident cross-shard edges (both directions):
-	// the boundary-edge index. A node with crossDeg > 0 is a boundary node —
-	// its L-hop ball spans shards, so its recomputation involves rows another
-	// shard owns.
-	crossDeg []int32
-	// localEdges / crossEdges count live directed edges whose endpoints
-	// share / do not share a shard.
-	localEdges, crossEdges int64
-}
-
-// AttachSharding partitions the node-id space with s and switches dirty
-// tracking to per-shard trackers (implicitly enabling it). Existing nodes,
-// edges and accumulated dirty marks are re-indexed, so attaching to a
-// populated graph is allowed; attaching twice or concurrently with use is
-// not.
+// AttachSharding partitions the node-id space with s — the partition
+// RegionParts groups compute regions by and ShardStats reports on — and turns
+// forward-dirty tracking on: the sharded pipeline is the incremental path's
+// fan-out. Ownership is a pure function of the id, so attaching to a
+// populated graph is allowed; attaching concurrently with use is not.
 func (g *Dynamic) AttachSharding(s *shard.Sharding) {
-	sh := &shardState{
-		s:         s,
-		dirty:     make([]map[int]struct{}, s.P),
-		occupancy: make([]int64, s.P),
-		crossDeg:  make([]int32, g.N()),
-	}
-	for i := range sh.dirty {
-		sh.dirty[i] = make(map[int]struct{})
-	}
-	for v := 0; v < g.N(); v++ {
-		sh.occupancy[s.Of(v)]++
-		for _, e := range g.out[v] {
-			sh.noteEdge(v, e.To, +1)
-		}
-	}
-	// Carry over dirty marks accumulated under the unsharded tracker.
-	for v := range g.fwdDirty {
-		sh.dirty[s.Of(v)][v] = struct{}{}
-	}
-	g.fwdDirty = nil
-	g.sh = sh
+	g.sh = s
+	g.EnableDirtyTracking()
 }
 
 // Sharding returns the attached node-space partition, nil when unsharded.
-func (g *Dynamic) Sharding() *shard.Sharding {
-	if g.sh == nil {
-		return nil
-	}
-	return g.sh.s
-}
-
-// noteEdge updates the cross/local counters and the boundary index for a
-// directed edge u→v being inserted (delta +1) or expired (delta -1).
-func (sh *shardState) noteEdge(u, v, delta int) {
-	if sh.s.Of(u) != sh.s.Of(v) {
-		sh.crossEdges += int64(delta)
-		sh.crossDeg[u] += int32(delta)
-		sh.crossDeg[v] += int32(delta)
-		return
-	}
-	sh.localEdges += int64(delta)
-}
-
-// TakeDirtySharded drains the per-shard forward-dirty trackers and returns
-// one ascending id slice per shard (empty shards yield nil slices). Nil when
-// no sharding is attached — callers on the unsharded path use TakeDirty.
-func (g *Dynamic) TakeDirtySharded() [][]int {
-	if g.sh == nil {
-		return nil
-	}
-	parts := make([][]int, len(g.sh.dirty))
-	for si, m := range g.sh.dirty {
-		if len(m) == 0 {
-			continue
-		}
-		ids := make([]int, 0, len(m))
-		for v := range m {
-			ids = append(ids, v)
-		}
-		sort.Ints(ids)
-		parts[si] = ids
-		g.sh.dirty[si] = make(map[int]struct{})
-	}
-	return parts
-}
+func (g *Dynamic) Sharding() *shard.Sharding { return g.sh }
 
 // RegionParts partitions a compute region (ascending global ids, as produced
 // by Ball) into one node list per shard, grouping by connected component:
@@ -120,7 +36,7 @@ func (g *Dynamic) RegionParts(region []int) [][]int {
 	if g.sh == nil {
 		panic("graph: RegionParts without an attached sharding")
 	}
-	parts := make([][]int, g.sh.s.P)
+	parts := make([][]int, g.sh.P)
 	if len(region) == 0 {
 		return parts
 	}
@@ -137,7 +53,7 @@ func (g *Dynamic) RegionParts(region []int) [][]int {
 		}
 		// v is the smallest unassigned node, hence the smallest of its
 		// component (region is ascending): it names the owner.
-		owner := g.sh.s.Of(v)
+		owner := g.sh.Of(v)
 		mark[v] = 2
 		comp := append([]int(nil), v)
 		frontier = append(frontier[:0], v)
@@ -198,21 +114,31 @@ func (st ShardStats) CrossFraction() float64 {
 	return float64(st.CrossEdges) / float64(total)
 }
 
-// ShardStats summarizes the attached sharding (zero value when unsharded).
+// ShardStats counts the attached sharding's occupancy and edge split from the
+// graph, one pass over the nodes and their edges (zero value when unsharded).
+// Only telemetry reads it, so nothing is maintained per mutation.
 func (g *Dynamic) ShardStats() ShardStats {
-	sh := g.sh
-	if sh == nil {
+	s := g.sh
+	if s == nil {
 		return ShardStats{}
 	}
-	st := ShardStats{
-		Shards:     sh.s.P,
-		Layout:     sh.s.Layout.String(),
-		Occupancy:  append([]int64(nil), sh.occupancy...),
-		LocalEdges: sh.localEdges,
-		CrossEdges: sh.crossEdges,
-	}
-	for _, d := range sh.crossDeg {
-		if d > 0 {
+	st := ShardStats{Shards: s.P, Layout: s.Layout.String(), Occupancy: make([]int64, s.P)}
+	for v, out := range g.out {
+		sv := s.Of(v)
+		st.Occupancy[sv]++
+		boundary := false
+		for _, e := range out {
+			if s.Of(e.To) == sv {
+				st.LocalEdges++
+			} else {
+				st.CrossEdges++
+				boundary = true
+			}
+		}
+		for _, e := range g.in[v] {
+			boundary = boundary || s.Of(e.To) != sv
+		}
+		if boundary {
 			st.BoundaryNodes++
 		}
 	}

@@ -16,46 +16,6 @@ func attach(t *testing.T, g *Dynamic, p int, l shard.Layout) *shard.Sharding {
 	return s
 }
 
-// Dirty marks route to the owning shard's tracker, TakeDirtySharded drains
-// them ascending and disjoint, and the merged TakeDirty view matches what an
-// unsharded tracker would have produced.
-func TestShardedDirtyRouting(t *testing.T) {
-	g := NewDynamic(2)
-	s := attach(t, g, 4, shard.Hash)
-	for i := 0; i < 40; i++ {
-		g.AddNode(0, []float64{1, 0})
-	}
-	parts := g.TakeDirtySharded()
-	if len(parts) != 4 {
-		t.Fatalf("TakeDirtySharded returned %d parts, want 4", len(parts))
-	}
-	total := 0
-	for si, ids := range parts {
-		for k, v := range ids {
-			if s.Of(v) != si {
-				t.Fatalf("node %d drained from shard %d, owner is %d", v, si, s.Of(v))
-			}
-			if k > 0 && ids[k-1] >= v {
-				t.Fatalf("shard %d ids not strictly ascending", si)
-			}
-		}
-		total += len(ids)
-	}
-	if total != 40 {
-		t.Fatalf("drained %d ids, want 40", total)
-	}
-	// Drained: a second take is empty, and label writes stay clean.
-	g.SetLabel(3, 1)
-	if got := g.TakeDirty(); got != nil {
-		t.Fatalf("label write marked %v forward-dirty under sharding", got)
-	}
-	g.SetFeature(7, []float64{0, 1})
-	merged := g.TakeDirty()
-	if len(merged) != 1 || merged[0] != 7 {
-		t.Fatalf("merged TakeDirty = %v, want [7]", merged)
-	}
-}
-
 // Dirty marks accumulated before AttachSharding survive the switch to
 // per-shard trackers.
 func TestAttachShardingCarriesDirtyMarks(t *testing.T) {
@@ -100,9 +60,6 @@ func TestShardEdgeClassificationAndExpiry(t *testing.T) {
 	if st.BoundaryNodes != 2 {
 		t.Fatalf("BoundaryNodes = %d, want 2", st.BoundaryNodes)
 	}
-	if cd := g.sh.crossDeg; cd[2] != 1 || cd[shard.RangeBlock] != 1 || cd[0] != 0 {
-		t.Fatal("boundary index misclassified nodes")
-	}
 	if st.Occupancy[0] != int64(shard.RangeBlock) || st.Occupancy[1] != 4 {
 		t.Fatalf("occupancy = %v", st.Occupancy)
 	}
@@ -114,7 +71,7 @@ func TestShardEdgeClassificationAndExpiry(t *testing.T) {
 	if st.CrossEdges != 0 || st.LocalEdges != 1 {
 		t.Fatalf("after expiry: %d local / %d cross, want 1/0", st.LocalEdges, st.CrossEdges)
 	}
-	if st.BoundaryNodes != 0 || g.sh.crossDeg[2] != 0 {
+	if st.BoundaryNodes != 0 {
 		t.Fatal("boundary index not decremented by expiry")
 	}
 }
@@ -139,15 +96,12 @@ func TestAttachShardingScansExistingGraph(t *testing.T) {
 	}
 }
 
-// The unsharded graph reports zero-value stats and nil sharded drains.
+// The unsharded graph reports zero-value stats.
 func TestUnshardedStatsAreZero(t *testing.T) {
 	g := NewDynamic(2)
 	g.AddNode(0, nil)
 	if st := g.ShardStats(); st.Shards != 0 {
 		t.Fatalf("unsharded ShardStats = %+v", st)
-	}
-	if g.TakeDirtySharded() != nil {
-		t.Fatal("unsharded TakeDirtySharded should be nil")
 	}
 	if g.Sharding() != nil {
 		t.Fatal("unsharded accessors leaked shard state")

@@ -1,18 +1,14 @@
 // Package shard partitions the node-id space of a graph stream into P
-// disjoint shards, the unit of parallelism of the engine's shard-aware
-// pipeline: ingestion classifies each mutation by the shard that owns the
-// touched node, dirty tracking keeps one tracker per shard, and the
-// incremental forward fans the dirty frontier out to one worker per shard
-// before a deterministic merge. Ownership is a pure function of (node id,
-// shard count, layout) — no state, no randomness — so a seeded run assigns
-// identical shards on every execution and a checkpointed layout can be
-// re-derived exactly on resume.
+// disjoint shards, the unit of parallelism of the engine's sharded forward:
+// the incremental forward groups its compute region's connected components
+// by the shard owning each one's smallest id, forwards each group on its own
+// worker (or cluster replica), and merges the rows in shard order.
+// Ownership is a pure function of (node id, shard count, layout) — no state,
+// no randomness — so a seeded run assigns identical shards on every
+// execution and a checkpointed layout can be re-derived exactly on resume.
 package shard
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Layout selects the ownership function mapping node ids to shards.
 type Layout int
@@ -87,33 +83,4 @@ func (s *Sharding) Of(v int) int {
 	x := uint64(v) * 0x9E3779B97F4A7C15
 	x ^= x >> 32
 	return int(x % uint64(s.P))
-}
-
-// Split partitions ids by owning shard, preserving input order within each
-// shard: ascending input yields P ascending (possibly empty) slices.
-func (s *Sharding) Split(ids []int) [][]int {
-	parts := make([][]int, s.P)
-	for _, v := range ids {
-		si := s.Of(v)
-		parts[si] = append(parts[si], v)
-	}
-	return parts
-}
-
-// Merge flattens per-shard id slices back into one ascending slice (the
-// inverse of Split for disjoint inputs). Nil when every part is empty.
-func Merge(parts [][]int) []int {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil
-	}
-	ids := make([]int, 0, total)
-	for _, p := range parts {
-		ids = append(ids, p...)
-	}
-	sort.Ints(ids)
-	return ids
 }

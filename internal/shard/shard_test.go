@@ -1,9 +1,6 @@
 package shard
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
 func TestParseLayout(t *testing.T) {
 	for _, tc := range []struct {
@@ -77,41 +74,5 @@ func TestLayoutShapes(t *testing.T) {
 		if c < n/8 || c > n/2 {
 			t.Fatalf("hash: shard %d owns %d of %d ids — badly unbalanced", si, c, n)
 		}
-	}
-}
-
-// Split partitions without loss, preserves ascending order per shard, and
-// Merge reassembles the original ascending input.
-func TestSplitMergeRoundTrip(t *testing.T) {
-	s, _ := New(3, Hash)
-	ids := make([]int, 0, 500)
-	for v := 0; v < 1000; v += 2 {
-		ids = append(ids, v)
-	}
-	parts := s.Split(ids)
-	if len(parts) != 3 {
-		t.Fatalf("Split returned %d parts, want 3", len(parts))
-	}
-	for si, p := range parts {
-		if !sort.IntsAreSorted(p) {
-			t.Fatalf("shard %d part is not ascending", si)
-		}
-		for _, v := range p {
-			if s.Of(v) != si {
-				t.Fatalf("id %d landed on shard %d, owner is %d", v, si, s.Of(v))
-			}
-		}
-	}
-	merged := Merge(parts)
-	if len(merged) != len(ids) {
-		t.Fatalf("Merge lost ids: %d vs %d", len(merged), len(ids))
-	}
-	for i := range ids {
-		if merged[i] != ids[i] {
-			t.Fatalf("Merge[%d] = %d, want %d", i, merged[i], ids[i])
-		}
-	}
-	if Merge(make([][]int, 3)) != nil {
-		t.Fatal("Merge of empty parts should be nil")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"streamgnn/internal/core"
 	"streamgnn/internal/kde"
 	"streamgnn/internal/query"
 	"streamgnn/internal/tensor"
@@ -140,12 +139,13 @@ func (e *Engine) publishServing(step int) {
 // density from. Errors when the adaptive scheduler or its KDE sampler is not
 // running.
 func (e *Engine) densityInputs() (seeds []int, weights []float64, err error) {
-	if e.sched == nil || e.sched.Adaptive == nil {
-		return nil, nil, fmt.Errorf("streamgnn: no adaptive scheduler (strategy %q, or no Step yet)", e.cfg.Strategy)
+	a := e.sched.Adaptive
+	if a == nil {
+		return nil, nil, fmt.Errorf("streamgnn: no adaptive scheduler (strategy %q)", e.cfg.Strategy)
 	}
-	ks, ok := e.sched.Adaptive.Sampler().(*core.KDESampler)
-	if !ok {
-		return nil, nil, fmt.Errorf("streamgnn: strategy %q has no KDE seed window", e.cfg.Strategy)
+	ks := a.KDE()
+	if ks == nil {
+		return nil, nil, fmt.Errorf("streamgnn: no KDE seed window (strategy %q, or no Step yet)", e.cfg.Strategy)
 	}
 	seeds = ks.Seeds()
 	if len(seeds) == 0 {
@@ -154,7 +154,7 @@ func (e *Engine) densityInputs() (seeds []int, weights []float64, err error) {
 	weights = make([]float64, len(seeds))
 	var total float64
 	for i, s := range seeds {
-		weights[i] = e.sched.Adaptive.Chips.EffectiveWeight(s)
+		weights[i] = a.Chips.EffectiveWeight(s)
 		total += weights[i]
 	}
 	if total <= 0 {

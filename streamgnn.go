@@ -388,17 +388,13 @@ type Engine struct {
 	// inferTape runs every inference forward of the step loop (full and
 	// splice); it is long-lived so its node shells and release plan carry
 	// over from step to step. See autodiff.NewInferenceTape.
-	inferTape   *autodiff.Tape
-	lastEmb     *tensor.Matrix
-	emb         *dgnn.EmbStore  // managed embedding cache (incremental mode)
-	delta       dgnn.DeltaState // per-stage delta caches (DeltaForward mode)
-	deltaFwd    dgnn.DeltaForwarder
-	shards      *shard.Sharding // node-space partition; nil when Shards <= 1
-	shardFwd    ShardForwarder  // optional remote executor for sharded forwards
-	mkScheduler func() (*core.Scheduler, error)
-	// pending is checkpoint state that can only be applied once the
-	// scheduler exists (it is created lazily at the first Step).
-	pending *pendingRestore
+	inferTape *autodiff.Tape
+	lastEmb   *tensor.Matrix
+	emb       *dgnn.EmbStore  // managed embedding cache (incremental mode)
+	delta     dgnn.DeltaState // per-stage delta caches (DeltaForward mode)
+	deltaFwd  dgnn.DeltaForwarder
+	shards    *shard.Sharding // node-space partition; nil when Shards <= 1
+	shardFwd  ShardForwarder  // optional remote executor for sharded forwards
 
 	driftDet     *drift.PageHinkley
 	driftFlag    bool
@@ -409,23 +405,6 @@ type Engine struct {
 	serving atomic.Pointer[QuerySnapshot]
 
 	tele engineTelemetry
-}
-
-// pendingRestore carries the scheduler-scoped checkpoint state (chips and
-// observability counters) between LoadCheckpoint and the first Step.
-type pendingRestore struct {
-	chips         []int
-	trainSteps    int
-	trained       int
-	moves         int
-	parallelUnits int64
-	schedSteps    int64
-	schedGroups   int64
-	schedUnits    int64
-	schedCollapse int64
-	kdeSeeds      []int
-	kdeOldest     int
-	hasKDE        bool
 }
 
 // ShardForwarder executes the sharded region forwards of incremental steps
@@ -495,9 +474,6 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ccfg.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.DirtyFullThreshold < 0 || cfg.DirtyFullThreshold > 1 {
 		return nil, fmt.Errorf("streamgnn: DirtyFullThreshold is a fraction of the graph and must lie in [0, 1], got %g", cfg.DirtyFullThreshold)
 	}
@@ -524,7 +500,11 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	params := append(model.Params(), heads.Params()...)
 	opt := model.WrapOptimizer(autodiff.NewAdam(ccfg.LR, params))
 	trainer := core.NewTrainer(g, model, wl, opt, ccfg, r)
-	e := &Engine{cfg: cfg, ccfg: ccfg, g: g, model: model, wl: wl,
+	sched, err := core.NewScheduler(trainer, ccfg, strategy, r)
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{cfg: cfg, ccfg: ccfg, g: g, model: model, wl: wl, sched: sched,
 		trainer: trainer, opt: opt, src: src, emb: dgnn.NewEmbStore(),
 		inferTape: autodiff.NewInferenceTape()}
 	if cfg.Shards > 1 {
@@ -547,11 +527,6 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	}
 	if cfg.DriftDetection {
 		e.driftDet = drift.NewPageHinkley(0.05, 3)
-	}
-	// The adaptive learner needs at least one node; scheduler creation is
-	// deferred to the first Step so users can populate the graph first.
-	e.mkScheduler = func() (*core.Scheduler, error) {
-		return core.NewScheduler(trainer, ccfg, strategy, r)
 	}
 	return e, nil
 }
@@ -638,27 +613,11 @@ func (e *Engine) Step() error {
 	if e.g.N() == 0 {
 		return fmt.Errorf("streamgnn: cannot step an empty graph")
 	}
-	if e.sched == nil {
-		// When resuming from a checkpoint, scheduler construction must not
-		// advance the restored random stream: its draws (e.g. the KDE seed
-		// window init) are overwritten by the restored state anyway, and the
-		// uninterrupted run made them before the checkpoint was taken.
-		resuming := e.pending != nil
-		var rngState uint64
-		if resuming {
-			rngState = e.src.State()
-		}
-		s, err := e.mkScheduler()
-		if err != nil {
-			return err
-		}
-		e.sched = s
-		if err := e.applyPendingRestore(); err != nil {
-			return err
-		}
-		if resuming {
-			e.src.SetState(rngState)
-		}
+	if a := e.sched.Adaptive; a != nil {
+		// The KDE seed window is drawn from the first snapshot stepped, before
+		// its expiry; nothing else draws from the engine's random stream
+		// between here and training.
+		a.FillSeedWindow()
 	}
 	t := e.step
 	stepStart := time.Now()
@@ -887,11 +846,8 @@ func (e *Engine) invalidateInference() {
 // fraction against the learner-counter watermarks (a training step may run
 // several adaptive rounds; the observation aggregates them).
 func (e *Engine) observeSchedule() {
-	if !e.cfg.DependencySchedule || e.sched == nil {
-		return
-	}
 	a := e.sched.Adaptive
-	if a == nil {
+	if !e.cfg.DependencySchedule || a == nil {
 		return
 	}
 	groups := atomic.LoadInt64(&a.SchedGroups)
@@ -902,43 +858,6 @@ func (e *Engine) observeSchedule() {
 	if du > 0 {
 		e.tele.schedGroupFrac.Observe(float64(dg) / float64(du))
 	}
-}
-
-// applyPendingRestore pushes checkpoint state stashed by LoadCheckpoint into
-// the freshly created scheduler.
-func (e *Engine) applyPendingRestore() error {
-	p := e.pending
-	if p == nil {
-		return nil
-	}
-	e.pending = nil
-	e.sched.TrainSteps = p.trainSteps
-	a := e.sched.Adaptive
-	if a == nil {
-		return nil
-	}
-	if len(p.chips) > 0 {
-		if err := a.Chips.Restore(p.chips); err != nil {
-			return err
-		}
-	}
-	a.Trained, a.Moves = p.trained, p.moves
-	atomic.StoreInt64(&a.ParallelUnits, p.parallelUnits)
-	atomic.StoreInt64(&a.SchedSteps, p.schedSteps)
-	atomic.StoreInt64(&a.SchedGroups, p.schedGroups)
-	atomic.StoreInt64(&a.SchedUnits, p.schedUnits)
-	atomic.StoreInt64(&a.SchedCollapsed, p.schedCollapse)
-	// Sync the telemetry watermarks so the first post-resume step observes
-	// only its own group fraction, not the whole restored history.
-	e.tele.prevSchedGroups, e.tele.prevSchedUnits = p.schedGroups, p.schedUnits
-	if p.hasKDE {
-		if ks, ok := a.Sampler().(*core.KDESampler); ok {
-			if err := ks.RestoreSeedState(p.kdeSeeds, p.kdeOldest); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // observeDrift feeds this step's mean prediction loss to the detector.
@@ -998,10 +917,7 @@ func (e *Engine) Outcomes() []Outcome {
 	return out
 }
 
-// Stats returns a snapshot of the online trainer's internals. After
-// LoadCheckpoint (and before the first Step re-creates the scheduler) the
-// restored counters are reported from the stashed checkpoint state, so a
-// resumed engine never shows a dip to zero.
+// Stats returns a snapshot of the online trainer's internals.
 func (e *Engine) Stats() Stats {
 	var s Stats
 	// Field-by-field atomic loads: the trainer's workers bump these counters
@@ -1017,18 +933,6 @@ func (e *Engine) Stats() Stats {
 	s.CacheMisses = cs.Misses
 	s.CacheInvalidations = cs.Invalidations
 	s.CacheHitRate = cs.HitRate()
-	if e.sched == nil {
-		if p := e.pending; p != nil {
-			s.TrainedPartitions = p.trained
-			s.ChipMoves = p.moves
-			s.ParallelUnits = p.parallelUnits
-			s.SchedSteps = p.schedSteps
-			s.SchedGroups = p.schedGroups
-			s.SchedUnits = p.schedUnits
-			s.SchedCollapsedSteps = p.schedCollapse
-		}
-		return s
-	}
 	if a := e.sched.Adaptive; a != nil {
 		s.TrainedPartitions = a.Trained
 		s.ChipMoves = a.Moves

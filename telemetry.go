@@ -181,18 +181,11 @@ type Telemetry struct {
 	DeltaPrunedRows     int64
 	DeltaPrunedFraction TelemetryHistogram
 
-	// Dependency-schedule fields, zero unless Config.DependencySchedule is
-	// set. SchedSteps counts adaptive training rounds run under the
-	// conflict-group schedule, SchedGroups/SchedUnits the groups formed and
-	// units scheduled across them, SchedCollapsedSteps the rounds that
-	// collapsed into a single group; SchedGroupFraction is the per-engine-step
-	// distribution of groups/units (1.0 = fully independent units, near 0 =
-	// hub collapse).
-	SchedSteps          int64
-	SchedGroups         int64
-	SchedUnits          int64
-	SchedCollapsedSteps int64
-	SchedGroupFraction  TelemetryHistogram
+	// SchedGroupFraction is the per-engine-step distribution of conflict
+	// groups over scheduled units (1.0 = fully independent units, near 0 = hub
+	// collapse); empty unless Config.DependencySchedule is set. The cumulative
+	// counters are on Stats.
+	SchedGroupFraction TelemetryHistogram
 
 	// Training-round accounting, cumulative since the engine was built (like
 	// the phase histograms, not checkpointed). A round is one disjoint-union
@@ -229,10 +222,10 @@ type Telemetry struct {
 }
 
 // Telemetry returns a snapshot of the engine's step and phase timings. Safe
-// to call concurrently with Step, except for the shard occupancy and edge
-// counters: those ride the graph-mutation funnel unsynchronized, so when
-// Config.Shards > 1 take snapshots between Step calls (or under the same
-// lock as Step, as cmd/queryd does).
+// to call concurrently with Step, except when Config.Shards > 1: the shard
+// occupancy and cross-shard edge fraction are counted from the graph itself,
+// so take those snapshots between Step calls (or under the same lock as Step,
+// as cmd/queryd does).
 func (e *Engine) Telemetry() Telemetry {
 	t := Telemetry{
 		Steps:               e.tele.steps.Value(),
@@ -264,19 +257,6 @@ func (e *Engine) Telemetry() Telemetry {
 	t.TrainRoundSeconds = make(map[string]float64, len(parts))
 	for i, ns := range []*int64{&rs.SampleNs, &rs.ExtractNs, &rs.ForwardNs, &rs.LossNs, &rs.BackwardNs, &rs.OptimizerNs} {
 		t.TrainRoundSeconds[parts[i]] = float64(atomic.LoadInt64(ns)) / 1e9
-	}
-	if e.sched != nil {
-		if a := e.sched.Adaptive; a != nil {
-			t.SchedSteps = atomic.LoadInt64(&a.SchedSteps)
-			t.SchedGroups = atomic.LoadInt64(&a.SchedGroups)
-			t.SchedUnits = atomic.LoadInt64(&a.SchedUnits)
-			t.SchedCollapsedSteps = atomic.LoadInt64(&a.SchedCollapsed)
-		}
-	} else if p := e.pending; p != nil {
-		t.SchedSteps = p.schedSteps
-		t.SchedGroups = p.schedGroups
-		t.SchedUnits = p.schedUnits
-		t.SchedCollapsedSteps = p.schedCollapse
 	}
 	for i, name := range StepPhases() {
 		t.Phases[name] = histSnapshot(e.tele.phases[i])
