@@ -127,39 +127,27 @@ func runReplica(opts options) error {
 // writeDemandRows emits the rows this process's incremental forwards covered,
 // by hop distance from the rows whose result they kept.
 func writeDemandRows(w io.Writer, rows [3]int64) {
-	obs.WriteHeader(w, "streamgnn_forward_demand_rows_total", "Rows incremental forwards covered, by depth: 0 the exact rows, 1 within one hop of them, 2 the compute region.", "counter")
-	for d, n := range rows {
-		obs.WriteIntValue(w, "streamgnn_forward_demand_rows_total", fmt.Sprintf(`depth="%d"`, d), n)
-	}
+	obs.WriteCounter(w, "streamgnn_forward_demand_rows_total", "Rows incremental forwards covered, by depth: 0 the exact rows, 1 within one hop of them, 2 the compute region.",
+		obs.Indexed("depth", rows[:])...)
 }
 
 // writeReplicaMetrics emits the replica-side streamgnn_cluster_* family.
 func writeReplicaMetrics(w io.Writer, rep *cluster.Replica) {
 	st := rep.Stats()
-	cfg := rep.Config()
-	obs.WriteHeader(w, "streamgnn_cluster_replica_shard", "Shard index this replica serves (-1 before configuration).", "gauge")
-	shard := int64(-1)
-	if cfg.Shards > 0 {
-		shard = int64(cfg.Shard)
+	shard := -1
+	if cfg := rep.Config(); cfg.Shards > 0 {
+		shard = cfg.Shard
 	}
-	obs.WriteIntValue(w, "streamgnn_cluster_replica_shard", "", shard)
-	obs.WriteHeader(w, "streamgnn_cluster_replica_events_applied_total", "Replicated events applied to the graph mirror.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_replica_events_applied_total", "", st.EventsApplied)
-	obs.WriteHeader(w, "streamgnn_cluster_replica_events_total", "Replicated events by ownership (owned vs halo).", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_replica_events_total", `kind="owned"`, st.OwnedEvents)
-	obs.WriteIntValue(w, "streamgnn_cluster_replica_events_total", `kind="halo"`, st.HaloEvents)
-	obs.WriteHeader(w, "streamgnn_cluster_replica_forwards_total", "Shard-part forwards executed.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_replica_forwards_total", "", st.Forwards)
+	obs.WriteGauge(w, "streamgnn_cluster_replica_shard", "Shard index this replica serves (-1 before configuration).", obs.Value(shard))
+	obs.WriteCounter(w, "streamgnn_cluster_replica_events_applied_total", "Replicated events applied to the graph mirror.", obs.Value(st.EventsApplied))
+	obs.WriteCounter(w, "streamgnn_cluster_replica_events_total", "Replicated events by ownership (owned vs halo).",
+		obs.Labeled(`kind="owned"`, st.OwnedEvents), obs.Labeled(`kind="halo"`, st.HaloEvents))
+	obs.WriteCounter(w, "streamgnn_cluster_replica_forwards_total", "Shard-part forwards executed.", obs.Value(st.Forwards))
 	writeDemandRows(w, st.DemandRows)
-	obs.WriteHeader(w, "streamgnn_cluster_replica_full_syncs_total", "Full model-mirror syncs received.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_replica_full_syncs_total", "", st.FullSyncs)
-	obs.WriteHeader(w, "streamgnn_cluster_replica_state_patches_total", "Incremental state-row patches applied.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_replica_state_patches_total", "", st.Patches)
-	obs.WriteHeader(w, "streamgnn_cluster_replica_publishes_total", "Serving-snapshot publishes received.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_replica_publishes_total", "", st.Publishes)
-	obs.WriteHeader(w, "streamgnn_cluster_replica_answers_total", "Predictive queries answered from the serving mirror.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_replica_answers_total", "", st.Answers)
-	obs.WriteHeader(w, "streamgnn_cluster_replica_last_applied_step", "Last event step applied to the graph mirror.", "gauge")
-	obs.WriteIntValue(w, "streamgnn_cluster_replica_last_applied_step", "", st.LastApplied)
+	obs.WriteCounter(w, "streamgnn_cluster_replica_full_syncs_total", "Full model-mirror syncs received.", obs.Value(st.FullSyncs))
+	obs.WriteCounter(w, "streamgnn_cluster_replica_state_patches_total", "Incremental state-row patches applied.", obs.Value(st.Patches))
+	obs.WriteCounter(w, "streamgnn_cluster_replica_publishes_total", "Serving-snapshot publishes received.", obs.Value(st.Publishes))
+	obs.WriteCounter(w, "streamgnn_cluster_replica_answers_total", "Predictive queries answered from the serving mirror.", obs.Value(st.Answers))
+	obs.WriteGauge(w, "streamgnn_cluster_replica_last_applied_step", "Last event step applied to the graph mirror.", obs.Value(st.LastApplied))
 	writeTensorPoolMetrics(w)
 }

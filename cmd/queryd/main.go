@@ -655,12 +655,9 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // allocating its intermediates again instead of recycling them.
 func writeTensorPoolMetrics(w io.Writer) {
 	ps := tensor.ReadPoolStats()
-	obs.WriteHeader(w, "streamgnn_tensor_pool_gets_total", "Tensor buffer requests.", "counter")
-	obs.WriteIntValue(w, "streamgnn_tensor_pool_gets_total", "", ps.Gets)
-	obs.WriteHeader(w, "streamgnn_tensor_pool_hits_total", "Tensor buffer requests served from a recycled buffer.", "counter")
-	obs.WriteIntValue(w, "streamgnn_tensor_pool_hits_total", "", ps.Hits)
-	obs.WriteHeader(w, "streamgnn_tensor_fresh_bytes_total", "Tensor buffer bytes taken fresh from the Go heap.", "counter")
-	obs.WriteIntValue(w, "streamgnn_tensor_fresh_bytes_total", "", ps.FreshBytes)
+	obs.WriteCounter(w, "streamgnn_tensor_pool_gets_total", "Tensor buffer requests.", obs.Value(ps.Gets))
+	obs.WriteCounter(w, "streamgnn_tensor_pool_hits_total", "Tensor buffer requests served from a recycled buffer.", obs.Value(ps.Hits))
+	obs.WriteCounter(w, "streamgnn_tensor_fresh_bytes_total", "Tensor buffer bytes taken fresh from the Go heap.", obs.Value(ps.FreshBytes))
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -675,144 +672,92 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b bytes.Buffer
 
-	obs.WriteHeader(&b, "streamgnn_steps_total", "Completed engine steps.", "counter")
-	obs.WriteIntValue(&b, "streamgnn_steps_total", "", tel.Steps)
-	obs.WriteHeader(&b, "streamgnn_step_seconds", "Whole-step latency.", "histogram")
-	obs.WriteHistogram(&b, "streamgnn_step_seconds", "", snap(tel.Step))
-	obs.WriteHeader(&b, "streamgnn_step_phase_seconds", "Per-phase step latency.", "histogram")
+	obs.WriteCounter(&b, "streamgnn_steps_total", "Completed engine steps.", obs.Value(tel.Steps))
+	obs.WriteHistogram(&b, "streamgnn_step_seconds", "Whole-step latency.", obs.Series{Snapshot: tel.Step})
+	var phases []obs.Series
 	for _, phase := range streamgnn.StepPhases() {
-		obs.WriteHistogram(&b, "streamgnn_step_phase_seconds", fmt.Sprintf("phase=%q", phase), snap(tel.Phases[phase]))
+		phases = append(phases, obs.Series{Labels: fmt.Sprintf("phase=%q", phase), Snapshot: tel.Phases[phase]})
 	}
+	obs.WriteHistogram(&b, "streamgnn_step_phase_seconds", "Per-phase step latency.", phases...)
 
-	obs.WriteHeader(&b, "streamgnn_forwards_total", "Forward inference passes, by mode.", "counter")
-	obs.WriteIntValue(&b, "streamgnn_forwards_total", `mode="full"`, tel.FullForwards)
-	obs.WriteIntValue(&b, "streamgnn_forwards_total", `mode="incremental"`, tel.IncrementalForwards)
-	obs.WriteIntValue(&b, "streamgnn_forwards_total", `mode="delta"`, tel.DeltaForwards)
-	obs.WriteHeader(&b, "streamgnn_forward_rows", "Rows of the last full forward.", "gauge")
-	obs.WriteIntValue(&b, "streamgnn_forward_rows", "", tel.ForwardRows)
-	obs.WriteHeader(&b, "streamgnn_forward_active_rows", "Rows of the last full forward with a live edge: the rows diffusion hop products ran on.", "gauge")
-	obs.WriteIntValue(&b, "streamgnn_forward_active_rows", "", tel.ForwardActiveRows)
-	obs.WriteHeader(&b, "streamgnn_forward_skipped_rows_total", "Embedding rows incremental forwards did not recompute.", "counter")
-	obs.WriteIntValue(&b, "streamgnn_forward_skipped_rows_total", "", tel.SkippedRows)
+	obs.WriteCounter(&b, "streamgnn_forwards_total", "Forward inference passes, by mode.",
+		obs.Labeled(`mode="full"`, tel.FullForwards), obs.Labeled(`mode="incremental"`, tel.IncrementalForwards), obs.Labeled(`mode="delta"`, tel.DeltaForwards))
+	obs.WriteGauge(&b, "streamgnn_forward_rows", "Rows of the last full forward.", obs.Value(tel.ForwardRows))
+	obs.WriteGauge(&b, "streamgnn_forward_active_rows", "Rows of the last full forward with a live edge: the rows diffusion hop products ran on.", obs.Value(tel.ForwardActiveRows))
+	obs.WriteCounter(&b, "streamgnn_forward_skipped_rows_total", "Embedding rows incremental forwards did not recompute.", obs.Value(tel.SkippedRows))
 	writeDemandRows(&b, tel.ForwardDemandRows)
 	if tel.DirtyFraction.Count > 0 {
-		obs.WriteHeader(&b, "streamgnn_forward_dirty_fraction", "Per-step compute-region fraction in incremental mode.", "histogram")
-		obs.WriteHistogram(&b, "streamgnn_forward_dirty_fraction", "", snap(tel.DirtyFraction))
+		obs.WriteHistogram(&b, "streamgnn_forward_dirty_fraction", "Per-step compute-region fraction in incremental mode.", obs.Series{Snapshot: tel.DirtyFraction})
 	}
 	if tel.DeltaForwards > 0 || tel.DeltaAborts > 0 {
-		obs.WriteHeader(&b, "streamgnn_delta_aborts_total", "Delta passes aborted on the candidate budget (fell back to a full forward).", "counter")
-		obs.WriteIntValue(&b, "streamgnn_delta_aborts_total", "", tel.DeltaAborts)
-		obs.WriteHeader(&b, "streamgnn_delta_rows_total", "Delta-pass stage rows, by outcome.", "counter")
-		obs.WriteIntValue(&b, "streamgnn_delta_rows_total", `outcome="candidate"`, tel.DeltaCandidateRows)
-		obs.WriteIntValue(&b, "streamgnn_delta_rows_total", `outcome="pruned"`, tel.DeltaPrunedRows)
-		obs.WriteHeader(&b, "streamgnn_delta_pruned_fraction", "Per-pass pruned-frontier fraction (pruned rows over candidate rows).", "histogram")
-		obs.WriteHistogram(&b, "streamgnn_delta_pruned_fraction", "", snap(tel.DeltaPrunedFraction))
+		obs.WriteCounter(&b, "streamgnn_delta_aborts_total", "Delta passes aborted on the candidate budget (fell back to a full forward).", obs.Value(tel.DeltaAborts))
+		obs.WriteCounter(&b, "streamgnn_delta_rows_total", "Delta-pass stage rows, by outcome.",
+			obs.Labeled(`outcome="candidate"`, tel.DeltaCandidateRows), obs.Labeled(`outcome="pruned"`, tel.DeltaPrunedRows))
+		obs.WriteHistogram(&b, "streamgnn_delta_pruned_fraction", "Per-pass pruned-frontier fraction (pruned rows over candidate rows).", obs.Series{Snapshot: tel.DeltaPrunedFraction})
 	}
 
 	writeTensorPoolMetrics(&b)
 
 	if tel.Shards > 1 {
-		obs.WriteHeader(&b, "streamgnn_shard_nodes", "Node occupancy per shard.", "gauge")
-		obs.WriteIndexedIntValues(&b, "streamgnn_shard_nodes", "shard", tel.ShardNodes)
-		obs.WriteHeader(&b, "streamgnn_shard_spliced_rows_total", "Embedding rows contributed per shard by sharded forwards.", "counter")
-		obs.WriteIndexedIntValues(&b, "streamgnn_shard_spliced_rows_total", "shard", tel.ShardSplicedRows)
-		obs.WriteHeader(&b, "streamgnn_cross_shard_edge_fraction", "Fraction of live edges whose endpoints live on different shards.", "gauge")
-		obs.WriteValue(&b, "streamgnn_cross_shard_edge_fraction", "", tel.CrossShardEdgeFraction)
-		obs.WriteHeader(&b, "streamgnn_shard_merge_seconds", "Cross-shard merge-phase latency.", "histogram")
-		obs.WriteHistogram(&b, "streamgnn_shard_merge_seconds", "", snap(tel.ShardMerge))
+		obs.WriteGauge(&b, "streamgnn_shard_nodes", "Node occupancy per shard.", obs.Indexed("shard", tel.ShardNodes)...)
+		obs.WriteCounter(&b, "streamgnn_shard_spliced_rows_total", "Embedding rows contributed per shard by sharded forwards.", obs.Indexed("shard", tel.ShardSplicedRows)...)
+		obs.WriteGauge(&b, "streamgnn_cross_shard_edge_fraction", "Fraction of live edges whose endpoints live on different shards.", obs.Value(tel.CrossShardEdgeFraction))
+		obs.WriteHistogram(&b, "streamgnn_shard_merge_seconds", "Cross-shard merge-phase latency.", obs.Series{Snapshot: tel.ShardMerge})
 	}
 
-	obs.WriteHeader(&b, "streamgnn_train_targets_total", "Training targets consumed, by kind.", "counter")
-	for _, kv := range []struct {
-		kind string
-		v    int
-	}{
-		{"self_node", st.SelfNodeTargets}, {"self_edge", st.SelfEdgeTargets},
-		{"sup_node", st.SupNodeTargets}, {"sup_pair", st.SupPairTargets},
-		{"replay", st.ReplayTargets},
-	} {
-		obs.WriteIntValue(&b, "streamgnn_train_targets_total", fmt.Sprintf("kind=%q", kv.kind), int64(kv.v))
-	}
-	obs.WriteHeader(&b, "streamgnn_train_rounds_total", "Training rounds: disjoint-union evaluations of training units.", "counter")
-	obs.WriteIntValue(&b, "streamgnn_train_rounds_total", "", tel.TrainRounds)
-	obs.WriteHeader(&b, "streamgnn_train_units_total", "Training units evaluated in rounds.", "counter")
-	obs.WriteIntValue(&b, "streamgnn_train_units_total", "", tel.TrainUnits)
-	obs.WriteHeader(&b, "streamgnn_train_union_rows_total", "Rows of the rounds' union forwards.", "counter")
-	obs.WriteIntValue(&b, "streamgnn_train_union_rows_total", "", tel.TrainUnionRows)
-	obs.WriteHeader(&b, "streamgnn_train_round_seconds_total", "Time spent in training rounds, by part.", "counter")
+	obs.WriteCounter(&b, "streamgnn_train_targets_total", "Training targets consumed, by kind.",
+		obs.Labeled(`kind="self_node"`, st.SelfNodeTargets), obs.Labeled(`kind="self_edge"`, st.SelfEdgeTargets),
+		obs.Labeled(`kind="sup_node"`, st.SupNodeTargets), obs.Labeled(`kind="sup_pair"`, st.SupPairTargets),
+		obs.Labeled(`kind="replay"`, st.ReplayTargets))
+	obs.WriteCounter(&b, "streamgnn_train_rounds_total", "Training rounds: disjoint-union evaluations of training units.", obs.Value(tel.TrainRounds))
+	obs.WriteCounter(&b, "streamgnn_train_units_total", "Training units evaluated in rounds.", obs.Value(tel.TrainUnits))
+	obs.WriteCounter(&b, "streamgnn_train_union_rows_total", "Rows of the rounds' union forwards.", obs.Value(tel.TrainUnionRows))
+	var parts []obs.Sample
 	for _, part := range streamgnn.TrainRoundParts() {
-		obs.WriteValue(&b, "streamgnn_train_round_seconds_total", fmt.Sprintf("part=%q", part), tel.TrainRoundSeconds[part])
+		parts = append(parts, obs.Labeled(fmt.Sprintf("part=%q", part), tel.TrainRoundSeconds[part]))
 	}
-	obs.WriteHeader(&b, "streamgnn_trained_partitions_total", "Node partitions trained.", "counter")
-	obs.WriteIntValue(&b, "streamgnn_trained_partitions_total", "", int64(st.TrainedPartitions))
-	obs.WriteHeader(&b, "streamgnn_chip_moves_total", "Accepted chip moves (Algorithm 1).", "counter")
-	obs.WriteIntValue(&b, "streamgnn_chip_moves_total", "", int64(st.ChipMoves))
-	obs.WriteHeader(&b, "streamgnn_chip_entropy", "Normalized entropy of the chip distribution.", "gauge")
-	obs.WriteValue(&b, "streamgnn_chip_entropy", "", st.ChipEntropy)
-	obs.WriteHeader(&b, "streamgnn_partition_cache_events_total", "Partition cache activity, by event.", "counter")
-	obs.WriteIntValue(&b, "streamgnn_partition_cache_events_total", `event="hit"`, st.CacheHits)
-	obs.WriteIntValue(&b, "streamgnn_partition_cache_events_total", `event="miss"`, st.CacheMisses)
-	obs.WriteIntValue(&b, "streamgnn_partition_cache_events_total", `event="invalidation"`, st.CacheInvalidations)
-	obs.WriteHeader(&b, "streamgnn_parallel_units_total", "Training units evaluated on worker goroutines.", "counter")
-	obs.WriteIntValue(&b, "streamgnn_parallel_units_total", "", st.ParallelUnits)
+	obs.WriteCounter(&b, "streamgnn_train_round_seconds_total", "Time spent in training rounds, by part.", parts...)
+	obs.WriteCounter(&b, "streamgnn_trained_partitions_total", "Node partitions trained.", obs.Value(st.TrainedPartitions))
+	obs.WriteCounter(&b, "streamgnn_chip_moves_total", "Accepted chip moves (Algorithm 1).", obs.Value(st.ChipMoves))
+	obs.WriteGauge(&b, "streamgnn_chip_entropy", "Normalized entropy of the chip distribution.", obs.Value(st.ChipEntropy))
+	obs.WriteCounter(&b, "streamgnn_partition_cache_events_total", "Partition cache activity, by event.",
+		obs.Labeled(`event="hit"`, st.CacheHits), obs.Labeled(`event="miss"`, st.CacheMisses), obs.Labeled(`event="invalidation"`, st.CacheInvalidations))
+	obs.WriteCounter(&b, "streamgnn_parallel_units_total", "Training units evaluated on worker goroutines.", obs.Value(st.ParallelUnits))
 	if st.SchedSteps > 0 {
-		obs.WriteHeader(&b, "streamgnn_sched_steps_total", "Training rounds run under the conflict-group schedule.", "counter")
-		obs.WriteIntValue(&b, "streamgnn_sched_steps_total", "", st.SchedSteps)
-		obs.WriteHeader(&b, "streamgnn_sched_groups_total", "Conflict groups formed across scheduled rounds.", "counter")
-		obs.WriteIntValue(&b, "streamgnn_sched_groups_total", "", st.SchedGroups)
-		obs.WriteHeader(&b, "streamgnn_sched_units_total", "Training units scheduled across conflict groups.", "counter")
-		obs.WriteIntValue(&b, "streamgnn_sched_units_total", "", st.SchedUnits)
-		obs.WriteHeader(&b, "streamgnn_sched_collapsed_steps_total", "Scheduled rounds that collapsed into a single conflict group.", "counter")
-		obs.WriteIntValue(&b, "streamgnn_sched_collapsed_steps_total", "", st.SchedCollapsedSteps)
-		obs.WriteHeader(&b, "streamgnn_sched_group_fraction", "Per-step groups-over-units fraction (1 = fully independent, near 0 = hub collapse).", "histogram")
-		obs.WriteHistogram(&b, "streamgnn_sched_group_fraction", "", snap(tel.SchedGroupFraction))
+		obs.WriteCounter(&b, "streamgnn_sched_steps_total", "Training rounds run under the conflict-group schedule.", obs.Value(st.SchedSteps))
+		obs.WriteCounter(&b, "streamgnn_sched_groups_total", "Conflict groups formed across scheduled rounds.", obs.Value(st.SchedGroups))
+		obs.WriteCounter(&b, "streamgnn_sched_units_total", "Training units scheduled across conflict groups.", obs.Value(st.SchedUnits))
+		obs.WriteCounter(&b, "streamgnn_sched_collapsed_steps_total", "Scheduled rounds that collapsed into a single conflict group.", obs.Value(st.SchedCollapsedSteps))
+		obs.WriteHistogram(&b, "streamgnn_sched_group_fraction", "Per-step groups-over-units fraction (1 = fully independent, near 0 = hub collapse).", obs.Series{Snapshot: tel.SchedGroupFraction})
 	}
 
-	obs.WriteHeader(&b, "streamgnn_stream_step", "Next stream step to execute.", "gauge")
-	obs.WriteIntValue(&b, "streamgnn_stream_step", "", int64(step))
-	obs.WriteHeader(&b, "streamgnn_graph_nodes", "Nodes in the snapshot.", "gauge")
-	obs.WriteIntValue(&b, "streamgnn_graph_nodes", "", int64(nodes))
-	obs.WriteHeader(&b, "streamgnn_graph_edges", "Directed edges in the snapshot.", "gauge")
-	obs.WriteIntValue(&b, "streamgnn_graph_edges", "", int64(edges))
+	obs.WriteGauge(&b, "streamgnn_stream_step", "Next stream step to execute.", obs.Value(step))
+	obs.WriteGauge(&b, "streamgnn_graph_nodes", "Nodes in the snapshot.", obs.Value(nodes))
+	obs.WriteGauge(&b, "streamgnn_graph_edges", "Directed edges in the snapshot.", obs.Value(edges))
 
-	obs.WriteHeader(&b, "streamgnn_resolved_predictions", "Resolved predictions, by task.", "gauge")
-	obs.WriteIntValue(&b, "streamgnn_resolved_predictions", `task="event"`, int64(m.EventN))
-	obs.WriteIntValue(&b, "streamgnn_resolved_predictions", `task="link"`, int64(m.LinkN))
+	obs.WriteGauge(&b, "streamgnn_resolved_predictions", "Resolved predictions, by task.",
+		obs.Labeled(`task="event"`, m.EventN), obs.Labeled(`task="link"`, m.LinkN))
 	if m.EventN > 0 && m.EventAUC == m.EventAUC {
-		obs.WriteHeader(&b, "streamgnn_event_auc", "AUC over resolved event-query predictions.", "gauge")
-		obs.WriteValue(&b, "streamgnn_event_auc", "", m.EventAUC)
+		obs.WriteGauge(&b, "streamgnn_event_auc", "AUC over resolved event-query predictions.", obs.Value(m.EventAUC))
 	}
 	if m.LinkN > 0 && m.LinkAUC == m.LinkAUC {
-		obs.WriteHeader(&b, "streamgnn_link_auc", "AUC over link-prediction scores.", "gauge")
-		obs.WriteValue(&b, "streamgnn_link_auc", "", m.LinkAUC)
+		obs.WriteGauge(&b, "streamgnn_link_auc", "AUC over link-prediction scores.", obs.Value(m.LinkAUC))
 	}
 
 	// Query-serving instruments. The batcher's counters are atomic, so this
 	// section deliberately runs outside mu — /metrics never blocks serving.
-	obs.WriteHeader(&b, "streamgnn_query_answered_total", "Queries answered through the admission queue.", "counter")
-	obs.WriteIntValue(&b, "streamgnn_query_answered_total", "", s.batcher.Queries())
-	obs.WriteHeader(&b, "streamgnn_query_batches_total", "Micro-batches flushed by the admission queue.", "counter")
-	obs.WriteIntValue(&b, "streamgnn_query_batches_total", "", s.batcher.Batches())
-	obs.WriteHeader(&b, "streamgnn_query_queue_depth", "Queries admitted but not yet answered.", "gauge")
-	obs.WriteIntValue(&b, "streamgnn_query_queue_depth", "", s.batcher.QueueDepth())
+	obs.WriteCounter(&b, "streamgnn_query_answered_total", "Queries answered through the admission queue.", obs.Value(s.batcher.Queries()))
+	obs.WriteCounter(&b, "streamgnn_query_batches_total", "Micro-batches flushed by the admission queue.", obs.Value(s.batcher.Batches()))
+	obs.WriteGauge(&b, "streamgnn_query_queue_depth", "Queries admitted but not yet answered.", obs.Value(s.batcher.QueueDepth()))
 	lat := s.batcher.LatencySnapshot()
-	obs.WriteHeader(&b, "streamgnn_query_latency_seconds", "Per-query admission-to-answer latency.", "histogram")
-	obs.WriteHistogram(&b, "streamgnn_query_latency_seconds", "", lat)
-	obs.WriteHeader(&b, "streamgnn_query_latency_quantile_seconds", "Estimated query-latency quantiles.", "gauge")
-	obs.WriteValue(&b, "streamgnn_query_latency_quantile_seconds", `q="0.5"`, lat.Quantile(0.5))
-	obs.WriteValue(&b, "streamgnn_query_latency_quantile_seconds", `q="0.99"`, lat.Quantile(0.99))
-	obs.WriteHeader(&b, "streamgnn_query_batch_size", "Flushed micro-batch sizes, in queries per batch.", "histogram")
-	obs.WriteHistogram(&b, "streamgnn_query_batch_size", "", s.batcher.BatchSizeSnapshot())
+	obs.WriteHistogram(&b, "streamgnn_query_latency_seconds", "Per-query admission-to-answer latency.", obs.Series{Snapshot: lat})
+	obs.WriteGauge(&b, "streamgnn_query_latency_quantile_seconds", "Estimated query-latency quantiles.",
+		obs.Labeled(`q="0.5"`, lat.Quantile(0.5)), obs.Labeled(`q="0.99"`, lat.Quantile(0.99)))
+	obs.WriteHistogram(&b, "streamgnn_query_batch_size", "Flushed micro-batch sizes, in queries per batch.", obs.Series{Snapshot: s.batcher.BatchSizeSnapshot()})
 
 	if s.extraMetrics != nil {
 		s.extraMetrics(&b)
 	}
 
 	w.Write(b.Bytes())
-}
-
-// snap converts a public telemetry histogram back into an obs snapshot for
-// the Prometheus writers.
-func snap(h streamgnn.TelemetryHistogram) obs.Snapshot {
-	return obs.Snapshot{Count: h.Count, Sum: h.Sum, Bounds: h.Bounds, Counts: h.Counts}
 }

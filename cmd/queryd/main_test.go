@@ -127,11 +127,11 @@ func TestPeerList(t *testing.T) {
 	}
 }
 
-// End-to-end check of the coordinator wiring queryd assembles: the
-// routingSource replicates every stream batch, afterStep publishes each
-// completed step, and both coordinator and replica metrics render. Uses
-// in-process loopback transports so the test needs no sockets.
-func TestCoordinatorWiringRoutesAndPublishes(t *testing.T) {
+// replayCoordinated replays a 12-step Bitcoin stream through a coordinator
+// over two in-process loopback replicas, assembled the way run() assembles
+// it: routed source, afterStep publish hook. It needs no sockets.
+func replayCoordinated(t *testing.T) (*server, *cluster.Coordinator, []*cluster.Replica, *workload.Dataset) {
+	t.Helper()
 	d, err := workload.ByName("Bitcoin", workload.GenConfig{Seed: 1, Steps: 12})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,6 @@ func TestCoordinatorWiringRoutesAndPublishes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Mirror run()'s assembly: routed source, afterStep publish hook.
 	routed := &routingSource{src: d.Source(), coord: coord}
 	rep := stream.NewReplayer(eng.Graph(), routed, 0)
 	srv := &server{eng: eng, dataset: d.Name, started: time.Now()}
@@ -170,6 +169,14 @@ func TestCoordinatorWiringRoutesAndPublishes(t *testing.T) {
 	if routed.err != nil {
 		t.Fatalf("event routing failed: %v", routed.err)
 	}
+	return srv, coord, reps, d
+}
+
+// End-to-end check of the coordinator wiring queryd assembles: the
+// routingSource replicates every stream batch, afterStep publishes each
+// completed step, and both coordinator and replica metrics render.
+func TestCoordinatorWiringRoutesAndPublishes(t *testing.T) {
+	_, coord, reps, d := replayCoordinated(t)
 	for i, r := range reps {
 		st := r.Stats()
 		if st.Publishes == 0 || st.Forwards == 0 {

@@ -82,9 +82,6 @@ type Node struct {
 	auxInts []int
 }
 
-// RequiresGrad reports whether gradients are accumulated into this node.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
-
 // Tape records a forward computation for reverse-mode differentiation.
 type Tape struct {
 	nodes []*Node

@@ -156,9 +156,6 @@ func NewCoordinator(eng *streamgnn.Engine, trans []Transport) (*Coordinator, err
 	return c, nil
 }
 
-// Replicas returns the shard count.
-func (c *Coordinator) Replicas() int { return c.sh.P }
-
 // SetTransport swaps the transport for one shard (a replica restarted at a
 // new address) and marks the replica down so the next contact renegotiates.
 func (c *Coordinator) SetTransport(s int, t Transport) {
@@ -582,49 +579,33 @@ func (c *Coordinator) RemoteAnswerers() []func([]query.Request) []query.Answer {
 // three fan-out latency histograms. Counters and gauges are atomics, so
 // this is safe to call from the /metrics handler while the step loop runs.
 func (c *Coordinator) WriteMetrics(w io.Writer) {
-	obs.WriteHeader(w, "streamgnn_cluster_replicas", "Configured shard replicas.", "gauge")
-	obs.WriteIntValue(w, "streamgnn_cluster_replicas", "", int64(c.sh.P))
-	obs.WriteHeader(w, "streamgnn_cluster_forward_rpcs_total", "Forward RPCs issued to replicas.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_forward_rpcs_total", "", c.tele.forwardRPCs.Value())
-	obs.WriteHeader(w, "streamgnn_cluster_forward_errors_total", "Forward RPCs that failed or returned invalid results.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_forward_errors_total", "", c.tele.forwardErrors.Value())
-	obs.WriteHeader(w, "streamgnn_cluster_local_fallbacks_total", "Shard parts the coordinator ran locally (replica down or failed).", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_local_fallbacks_total", "", c.tele.localFallbacks.Value())
-	obs.WriteHeader(w, "streamgnn_cluster_full_syncs_total", "Full model-mirror syncs shipped to replicas.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_full_syncs_total", "", c.tele.fullSyncs.Value())
-	obs.WriteHeader(w, "streamgnn_cluster_state_patches_total", "Incremental state-row patches shipped to replicas.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_state_patches_total", "", c.tele.patches.Value())
-	obs.WriteHeader(w, "streamgnn_cluster_state_patch_rows_total", "State rows shipped in incremental patches.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_state_patch_rows_total", "", c.tele.patchRows.Value())
-	obs.WriteHeader(w, "streamgnn_cluster_publishes_total", "Serving-snapshot publishes delivered to replicas.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_publishes_total", "", c.tele.publishes.Value())
-	obs.WriteHeader(w, "streamgnn_cluster_publish_errors_total", "Serving-snapshot publishes that failed.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_publish_errors_total", "", c.tele.publishErrors.Value())
-	obs.WriteHeader(w, "streamgnn_cluster_remote_answers_total", "Predictive queries answered by replicas via fan-out.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_remote_answers_total", "", c.tele.remoteAnswers.Value())
-	obs.WriteHeader(w, "streamgnn_cluster_answer_errors_total", "Answer fan-out calls that fell back to local serving.", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_answer_errors_total", "", c.tele.answerErrors.Value())
-	obs.WriteHeader(w, "streamgnn_cluster_reconnects_total", "Successful Hello handshakes (first connects included).", "counter")
-	obs.WriteIntValue(w, "streamgnn_cluster_reconnects_total", "", c.tele.reconnects.Value())
-	obs.WriteHeader(w, "streamgnn_cluster_events_owned_total", "Replicated events touching a node the replica owns.", "counter")
-	obs.WriteIndexedIntValues(w, "streamgnn_cluster_events_owned_total", "replica", atomicSnapshot(c.tele.ownedEvents))
-	obs.WriteHeader(w, "streamgnn_cluster_events_halo_total", "Replicated events that are pure halo traffic for the replica.", "counter")
-	obs.WriteIndexedIntValues(w, "streamgnn_cluster_events_halo_total", "replica", atomicSnapshot(c.tele.haloEvents))
-	serveStep := c.tele.serveStep.Load()
+	t := &c.tele
+	obs.WriteGauge(w, "streamgnn_cluster_replicas", "Configured shard replicas.", obs.Value(c.sh.P))
+	obs.WriteCounter(w, "streamgnn_cluster_forward_rpcs_total", "Forward RPCs issued to replicas.", obs.Value(t.forwardRPCs.Value()))
+	obs.WriteCounter(w, "streamgnn_cluster_forward_errors_total", "Forward RPCs that failed or returned invalid results.", obs.Value(t.forwardErrors.Value()))
+	obs.WriteCounter(w, "streamgnn_cluster_local_fallbacks_total", "Shard parts the coordinator ran locally (replica down or failed).", obs.Value(t.localFallbacks.Value()))
+	obs.WriteCounter(w, "streamgnn_cluster_full_syncs_total", "Full model-mirror syncs shipped to replicas.", obs.Value(t.fullSyncs.Value()))
+	obs.WriteCounter(w, "streamgnn_cluster_state_patches_total", "Incremental state-row patches shipped to replicas.", obs.Value(t.patches.Value()))
+	obs.WriteCounter(w, "streamgnn_cluster_state_patch_rows_total", "State rows shipped in incremental patches.", obs.Value(t.patchRows.Value()))
+	obs.WriteCounter(w, "streamgnn_cluster_publishes_total", "Serving-snapshot publishes delivered to replicas.", obs.Value(t.publishes.Value()))
+	obs.WriteCounter(w, "streamgnn_cluster_publish_errors_total", "Serving-snapshot publishes that failed.", obs.Value(t.publishErrors.Value()))
+	obs.WriteCounter(w, "streamgnn_cluster_remote_answers_total", "Predictive queries answered by replicas via fan-out.", obs.Value(t.remoteAnswers.Value()))
+	obs.WriteCounter(w, "streamgnn_cluster_answer_errors_total", "Answer fan-out calls that fell back to local serving.", obs.Value(t.answerErrors.Value()))
+	obs.WriteCounter(w, "streamgnn_cluster_reconnects_total", "Successful Hello handshakes (first connects included).", obs.Value(t.reconnects.Value()))
+	obs.WriteCounter(w, "streamgnn_cluster_events_owned_total", "Replicated events touching a node the replica owns.", obs.Indexed("replica", atomicSnapshot(t.ownedEvents))...)
+	obs.WriteCounter(w, "streamgnn_cluster_events_halo_total", "Replicated events that are pure halo traffic for the replica.", obs.Indexed("replica", atomicSnapshot(t.haloEvents))...)
+	serveStep := t.serveStep.Load()
 	lags := make([]int64, c.sh.P)
 	for s := range lags {
-		la := atomic.LoadInt64(&c.tele.lastApplied[s])
 		if serveStep >= 0 {
-			lags[s] = serveStep - la
+			lags[s] = serveStep - atomic.LoadInt64(&t.lastApplied[s])
 		}
 	}
-	obs.WriteHeader(w, "streamgnn_cluster_replica_lag_steps", "Steps between the last published step and the replica's last applied event batch.", "gauge")
-	obs.WriteIndexedIntValues(w, "streamgnn_cluster_replica_lag_steps", "replica", lags)
-	obs.WriteHeader(w, "streamgnn_cluster_outbox_batches", "Unacknowledged event batches queued per replica.", "gauge")
-	obs.WriteIndexedIntValues(w, "streamgnn_cluster_outbox_batches", "replica", atomicSnapshot(c.tele.outboxLen))
-	obs.WriteHistogram(w, "streamgnn_cluster_forward_latency_seconds", "", c.tele.forwardLatency.Snapshot())
-	obs.WriteHistogram(w, "streamgnn_cluster_publish_latency_seconds", "", c.tele.publishLatency.Snapshot())
-	obs.WriteHistogram(w, "streamgnn_cluster_answer_latency_seconds", "", c.tele.answerLatency.Snapshot())
+	obs.WriteGauge(w, "streamgnn_cluster_replica_lag_steps", "Steps between the last published step and the replica's last applied event batch.", obs.Indexed("replica", lags)...)
+	obs.WriteGauge(w, "streamgnn_cluster_outbox_batches", "Unacknowledged event batches queued per replica.", obs.Indexed("replica", atomicSnapshot(t.outboxLen))...)
+	obs.WriteHistogram(w, "streamgnn_cluster_forward_latency_seconds", "Forward RPC latency, including requests that failed.", obs.Series{Snapshot: t.forwardLatency.Snapshot()})
+	obs.WriteHistogram(w, "streamgnn_cluster_publish_latency_seconds", "Serving-snapshot publish RPC latency, including requests that failed.", obs.Series{Snapshot: t.publishLatency.Snapshot()})
+	obs.WriteHistogram(w, "streamgnn_cluster_answer_latency_seconds", "Answer fan-out RPC latency, including requests that failed.", obs.Series{Snapshot: t.answerLatency.Snapshot()})
 }
 
 func atomicSnapshot(vals []int64) []int64 {

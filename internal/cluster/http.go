@@ -188,15 +188,15 @@ func (t *HTTPTransport) Answer(req AnswerRequest) (AnswerResponse, error) {
 // WriteWireMetrics appends streamgnn_cluster_wire_bytes_total: the RPC body
 // bytes trans sent and received, summed over the replicas, per op.
 func WriteWireMetrics(w io.Writer, trans []*HTTPTransport) {
-	const name = "streamgnn_cluster_wire_bytes_total"
-	obs.WriteHeader(w, name, "RPC body bytes the coordinator sent (out) and received (in).", "counter")
+	var samples []obs.Sample
 	for op, opName := range rpcNames {
 		for dir, dirName := range [...]string{"out", "in"} {
 			var n int64
 			for _, t := range trans {
 				n += t.wire[op][dir].Load()
 			}
-			obs.WriteIntValue(w, name, fmt.Sprintf("op=%q,dir=%q", opName, dirName), n)
+			samples = append(samples, obs.Labeled(fmt.Sprintf("op=%q,dir=%q", opName, dirName), n))
 		}
 	}
+	obs.WriteCounter(w, "streamgnn_cluster_wire_bytes_total", "RPC body bytes the coordinator sent (out) and received (in).", samples...)
 }

@@ -268,10 +268,6 @@ func (g *Dynamic) ExpireEdgesBefore(ts int64) {
 	}
 }
 
-// EdgeVersion increases on every topology mutation (node adds, edge inserts,
-// window expiry); attribute and label writes leave it unchanged.
-func (g *Dynamic) EdgeVersion() int64 { return g.edgeVersion }
-
 // Updated returns the set of nodes touched (added, re-attributed, relabeled,
 // or incident to a new edge) since the last ResetUpdated, in ascending order.
 // This is the set U in Algorithm 1.
@@ -434,7 +430,7 @@ func (g *Dynamic) newDiffusion(fwd, rev *tensor.CSR, active activeRows) tensor.D
 // WalkAdj returns the unweighted undirected walk adjacency used by the
 // graph-KDE density: row v lists v's out-edge targets then in-edge sources,
 // each with unit value, so RowNNZ(v) == Degree(v) and the entry order matches
-// iterating OutEdges then InEdges. The CSR is cached per EdgeVersion and
+// iterating OutEdges then InEdges. The CSR is cached per edge version and
 // rebuilt into a fresh allocation, so a pointer captured by a serving
 // snapshot stays immutable while the graph keeps mutating.
 func (g *Dynamic) WalkAdj() *tensor.CSR {
@@ -462,7 +458,7 @@ func (g *Dynamic) WalkAdj() *tensor.CSR {
 }
 
 // NormAdj returns the symmetric GCN-normalized adjacency
-// D^{-1/2}(A+Aᵀ+I)D^{-1/2} of the current snapshot (cached per EdgeVersion).
+// D^{-1/2}(A+Aᵀ+I)D^{-1/2} of the current snapshot (cached per edge version).
 func (g *Dynamic) NormAdj() *tensor.CSR { return g.snapshot().NormAdj() }
 
 // NormRow sets row to row v of NormAdj as a one-row matrix, built by the
@@ -479,5 +475,5 @@ func (g *Dynamic) RWAdj(reverse bool) *tensor.CSR { return g.snapshot().RWAdj(re
 
 // Diffusion returns the two random-walk adjacencies of RWAdj restricted to
 // the rows with a live edge (see tensor.Diffusion), built on first use per
-// EdgeVersion.
+// edge version.
 func (g *Dynamic) Diffusion() *tensor.Diffusion { return g.snapshot().Diffusion() }

@@ -23,6 +23,6 @@ func (g *Dynamic) NumEdgeTypes() int {
 
 // TypedAdj returns one symmetric-normalized adjacency per edge type (ntypes
 // matrices; see Region.TypedAdj). Degrees and edge types are topology, so the
-// result is cached per EdgeVersion like the other adjacencies: attribute and
+// result is cached per edge version like the other adjacencies: attribute and
 // label writes leave it standing.
 func (g *Dynamic) TypedAdj(ntypes int) []*tensor.CSR { return g.snapshot().TypedAdj(ntypes) }

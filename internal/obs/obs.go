@@ -120,7 +120,7 @@ func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Second
 // per-bucket (not cumulative); Counts[len(Bounds)] is the +Inf bucket.
 type Snapshot struct {
 	Count  int64
-	Sum    float64 // seconds
+	Sum    float64 // in the observations' unit: seconds for latencies
 	Bounds []float64
 	Counts []int64
 }
@@ -189,52 +189,87 @@ func (s Snapshot) Quantile(q float64) float64 {
 }
 
 // ---- Prometheus text exposition format ----
+//
+// Each writer below emits one whole family — its # HELP and # TYPE lines,
+// then every sample — so a family can be neither split nor left untyped.
+// Label lists are written without braces (e.g. `phase="train"`); empty means
+// an unlabelled sample.
 
-// WriteHeader emits the # HELP and # TYPE lines for a metric.
-func WriteHeader(w io.Writer, name, help, typ string) {
+// Sample is one sample line of a counter or gauge family.
+type Sample struct {
+	Labels string
+	Value  float64
+}
+
+type number interface{ ~int | ~int64 | ~float64 }
+
+// Value returns an unlabelled sample.
+func Value[T number](v T) Sample { return Sample{Value: float64(v)} }
+
+// Labeled returns a sample with the label list labels.
+func Labeled[T number](labels string, v T) Sample { return Sample{Labels: labels, Value: float64(v)} }
+
+// Indexed returns one sample per element of vals, labelled label="i" — the
+// shape of per-shard series (shard="0", shard="1", ...).
+func Indexed[T number](label string, vals []T) []Sample {
+	out := make([]Sample, len(vals))
+	for i, v := range vals {
+		out[i] = Labeled(fmt.Sprintf(`%s="%d"`, label, i), v)
+	}
+	return out
+}
+
+// WriteCounter writes a counter family.
+func WriteCounter(w io.Writer, name, help string, samples ...Sample) {
+	writeFamily(w, name, help, "counter", samples)
+}
+
+// WriteGauge writes a gauge family.
+func WriteGauge(w io.Writer, name, help string, samples ...Sample) {
+	writeFamily(w, name, help, "gauge", samples)
+}
+
+func writeFamily(w io.Writer, name, help, typ string, samples []Sample) {
+	writeHeader(w, name, help, typ)
+	for _, s := range samples {
+		writeSample(w, name, s.Labels, s.Value)
+	}
+}
+
+// Series is one series of a histogram family: a snapshot and its label list.
+type Series struct {
+	Labels string
+	Snapshot
+}
+
+// WriteHistogram writes a histogram family: each series' cumulative _bucket
+// lines (its labels merged with le), then its _sum and _count.
+func WriteHistogram(w io.Writer, name, help string, series ...Series) {
+	writeHeader(w, name, help, "histogram")
+	for _, s := range series {
+		var cum int64
+		for i, b := range s.Bounds {
+			cum += s.Counts[i]
+			writeSample(w, name+"_bucket", joinLabels(s.Labels, `le="`+formatFloat(b)+`"`), float64(cum))
+		}
+		if len(s.Counts) > len(s.Bounds) {
+			cum += s.Counts[len(s.Bounds)]
+		}
+		writeSample(w, name+"_bucket", joinLabels(s.Labels, `le="+Inf"`), float64(cum))
+		writeSample(w, name+"_sum", s.Labels, s.Sum)
+		writeSample(w, name+"_count", s.Labels, float64(s.Count))
+	}
+}
+
+func writeHeader(w io.Writer, name, help, typ string) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// WriteValue emits one sample line. labels is either empty or a
-// comma-separated label list without braces (e.g. `phase="train"`).
-func WriteValue(w io.Writer, name, labels string, value float64) {
+func writeSample(w io.Writer, name, labels string, v float64) {
 	if labels != "" {
 		labels = "{" + labels + "}"
 	}
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(value))
-}
-
-// WriteIntValue emits one sample line with an integer value.
-func WriteIntValue(w io.Writer, name, labels string, value int64) {
-	if labels != "" {
-		labels = "{" + labels + "}"
-	}
-	fmt.Fprintf(w, "%s%s %d\n", name, labels, value)
-}
-
-// WriteIndexedIntValues emits one sample line per element of vals, labeled
-// label="i" — the shape of per-shard series (shard="0", shard="1", ...).
-func WriteIndexedIntValues(w io.Writer, name, label string, vals []int64) {
-	for i, v := range vals {
-		WriteIntValue(w, name, fmt.Sprintf("%s=%q", label, fmt.Sprint(i)), v)
-	}
-}
-
-// WriteHistogram emits the _bucket/_sum/_count series of a histogram
-// snapshot in Prometheus cumulative form. labels (may be empty) is merged
-// with the per-bucket le label.
-func WriteHistogram(w io.Writer, name, labels string, s Snapshot) {
-	var cum int64
-	for i, b := range s.Bounds {
-		cum += s.Counts[i]
-		WriteIntValue(w, name+"_bucket", joinLabels(labels, fmt.Sprintf(`le="%s"`, formatFloat(b))), cum)
-	}
-	if len(s.Counts) > len(s.Bounds) {
-		cum += s.Counts[len(s.Bounds)]
-	}
-	WriteIntValue(w, name+"_bucket", joinLabels(labels, `le="+Inf"`), cum)
-	WriteValue(w, name+"_sum", labels, s.Sum)
-	WriteIntValue(w, name+"_count", labels, s.Count)
+	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(v))
 }
 
 func joinLabels(a, b string) string {

@@ -105,43 +105,48 @@ func TestWriteHistogramPrometheus(t *testing.T) {
 	h.Observe(0.7)
 	h.Observe(3)
 	var b strings.Builder
-	WriteHeader(&b, "x_seconds", "test", "histogram")
-	WriteHistogram(&b, "x_seconds", `phase="train"`, h.Snapshot())
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE x_seconds histogram",
-		`x_seconds_bucket{phase="train",le="0.5"} 1`,
-		`x_seconds_bucket{phase="train",le="1"} 2`,
-		`x_seconds_bucket{phase="train",le="+Inf"} 3`,
-		`x_seconds_sum{phase="train"} 3.9`,
-		`x_seconds_count{phase="train"} 3`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
+	empty := NewHistogram([]float64{0.5, 1}).Snapshot()
+	WriteHistogram(&b, "x_seconds", "test", Series{Labels: `phase="train"`, Snapshot: h.Snapshot()}, Series{Labels: `phase="idle"`, Snapshot: empty})
+	want := `# HELP x_seconds test
+# TYPE x_seconds histogram
+x_seconds_bucket{phase="train",le="0.5"} 1
+x_seconds_bucket{phase="train",le="1"} 2
+x_seconds_bucket{phase="train",le="+Inf"} 3
+x_seconds_sum{phase="train"} 3.9
+x_seconds_count{phase="train"} 3
+x_seconds_bucket{phase="idle",le="0.5"} 0
+x_seconds_bucket{phase="idle",le="1"} 0
+x_seconds_bucket{phase="idle",le="+Inf"} 0
+x_seconds_sum{phase="idle"} 0
+x_seconds_count{phase="idle"} 0
+`
+	if b.String() != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 
 func TestWriteIndexedIntValues(t *testing.T) {
 	var b strings.Builder
-	WriteIndexedIntValues(&b, "shard_nodes", "shard", []int64{7, 0, 3})
-	want := "shard_nodes{shard=\"0\"} 7\nshard_nodes{shard=\"1\"} 0\nshard_nodes{shard=\"2\"} 3\n"
+	WriteGauge(&b, "shard_nodes", "Nodes per shard.", Indexed("shard", []int64{7, 0, 3})...)
+	want := "# HELP shard_nodes Nodes per shard.\n# TYPE shard_nodes gauge\n" +
+		"shard_nodes{shard=\"0\"} 7\nshard_nodes{shard=\"1\"} 0\nshard_nodes{shard=\"2\"} 3\n"
 	if b.String() != want {
 		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
 	}
-	b.Reset()
-	WriteIndexedIntValues(&b, "empty", "i", nil)
-	if b.String() != "" {
-		t.Fatalf("nil slice should emit nothing, got %q", b.String())
+	if s := Indexed[int64]("i", nil); len(s) != 0 {
+		t.Fatalf("nil slice should index to no samples, got %v", s)
 	}
 }
 
 func TestWriteValueNoLabels(t *testing.T) {
 	var b strings.Builder
-	WriteIntValue(&b, "steps_total", "", 42)
-	WriteValue(&b, "rate", "", 0.25)
-	out := b.String()
-	if !strings.Contains(out, "steps_total 42\n") || !strings.Contains(out, "rate 0.25\n") {
-		t.Fatalf("bad output:\n%s", out)
+	WriteCounter(&b, "steps_total", "Steps.", Value(int64(42)))
+	WriteGauge(&b, "rate", "Rate.", Value(0.25))
+	WriteCounter(&b, "big_total", "Big.", Value(int64(1)<<40), Labeled(`kind="neg"`, -3))
+	want := "# HELP steps_total Steps.\n# TYPE steps_total counter\nsteps_total 42\n" +
+		"# HELP rate Rate.\n# TYPE rate gauge\nrate 0.25\n" +
+		"# HELP big_total Big.\n# TYPE big_total counter\nbig_total 1099511627776\nbig_total{kind=\"neg\"} -3\n"
+	if b.String() != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

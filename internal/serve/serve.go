@@ -119,9 +119,13 @@ func (b *Batcher) armTimer() {
 }
 
 // take claims the pending batch and resets admission state. Called with mu
-// held.
+// held, which is also where a non-empty batch joins wg: Close sets closed
+// under mu before it waits, so every batch taken before it is counted.
 func (b *Batcher) take() []submission {
 	batch := b.pending
+	if len(batch) > 0 {
+		b.wg.Add(1)
+	}
 	b.pending = nil
 	b.npend = 0
 	b.gen++
@@ -155,7 +159,6 @@ func (b *Batcher) run(batch []submission) {
 	if len(batch) == 0 {
 		return
 	}
-	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
 		total := 0

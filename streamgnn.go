@@ -120,10 +120,6 @@ type Config struct {
 	// any negative value means runtime.NumCPU(). Seeded runs produce
 	// bit-identical results for every worker count.
 	Workers int
-	// PartitionCacheCap caps the version-keyed LRU cache of training
-	// partitions (see Stats.CacheHits). 0 means the default (256); negative
-	// disables caching.
-	PartitionCacheCap int
 	// DependencySchedule splits a training step's union round along its
 	// conflict groups: the step's units are partitioned into groups — units
 	// whose L-hop receptive fields intersect — each group runs as a round of
@@ -255,11 +251,6 @@ func (c Config) fill() (Config, core.Config) {
 		cc.Workers = runtime.NumCPU()
 	} else if c.Workers > 0 {
 		cc.Workers = c.Workers
-	}
-	if c.PartitionCacheCap < 0 {
-		cc.PartitionCacheCap = 0
-	} else if c.PartitionCacheCap > 0 {
-		cc.PartitionCacheCap = c.PartitionCacheCap
 	}
 	cc.DependencySchedule = c.DependencySchedule
 	return c, cc

@@ -363,15 +363,6 @@ func TestEngineCacheStatsObservable(t *testing.T) {
 	if s.CacheHitRate < 0 || s.CacheHitRate > 1 {
 		t.Fatalf("hit rate %v out of [0,1]", s.CacheHitRate)
 	}
-	// Disabling the cache removes the counters entirely.
-	cfgOff := DefaultConfig()
-	cfgOff.Strategy = StrategyWeighted
-	cfgOff.Hidden = 8
-	cfgOff.PartitionCacheCap = -1
-	eo := endToEnd(t, cfgOff, 5)
-	if so := eo.Stats(); so.CacheMisses != 0 || so.CacheHits != 0 {
-		t.Fatalf("cache disabled but counters non-zero: %+v", so)
-	}
 }
 
 func TestEngineStats(t *testing.T) {

@@ -104,26 +104,12 @@ func (t *engineTelemetry) init(shards int) {
 	}
 }
 
-// TelemetryHistogram is a latency distribution snapshot: per-bucket counts
-// (not cumulative) over log-spaced upper bounds in seconds, plus the count
-// and sum of all observations.
-type TelemetryHistogram struct {
-	// Count is the number of observations; Sum their total in seconds.
-	Count int64
-	Sum   float64
-	// Bounds are the inclusive bucket upper bounds in seconds; Counts has
-	// one extra trailing slot for observations above the last bound.
-	Bounds []float64
-	Counts []int64
-}
-
-// Mean returns the mean observation in seconds (0 when empty).
-func (h TelemetryHistogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
+// TelemetryHistogram is a distribution snapshot, the internal histogram's own
+// snapshot type: Count observations totalling Sum, per-bucket counts (not
+// cumulative) over the inclusive upper Bounds, and one extra trailing slot in
+// Counts for observations above the last bound. Mean and Quantile summarise
+// it.
+type TelemetryHistogram = obs.Snapshot
 
 // Telemetry is a point-in-time snapshot of the engine's operational
 // instruments: step throughput and per-phase latency distributions.
@@ -229,20 +215,20 @@ type Telemetry struct {
 func (e *Engine) Telemetry() Telemetry {
 	t := Telemetry{
 		Steps:               e.tele.steps.Value(),
-		Step:                histSnapshot(e.tele.step),
+		Step:                e.tele.step.Snapshot(),
 		Phases:              make(map[string]TelemetryHistogram, numPhases),
 		FullForwards:        e.tele.fullForwards.Value(),
 		IncrementalForwards: e.tele.incForwards.Value(),
 		ForwardRows:         e.tele.fwdRows.Load(),
 		ForwardActiveRows:   e.tele.fwdActiveRows.Load(),
 		SkippedRows:         e.tele.skippedRows.Value(),
-		DirtyFraction:       histSnapshot(e.tele.dirtyFrac),
+		DirtyFraction:       e.tele.dirtyFrac.Snapshot(),
 		DeltaForwards:       e.tele.deltaForwards.Value(),
 		DeltaAborts:         e.tele.deltaAborts.Value(),
 		DeltaCandidateRows:  e.tele.deltaCandidateRows.Value(),
 		DeltaPrunedRows:     e.tele.deltaPrunedRows.Value(),
-		DeltaPrunedFraction: histSnapshot(e.tele.deltaPrunedFrac),
-		SchedGroupFraction:  histSnapshot(e.tele.schedGroupFrac),
+		DeltaPrunedFraction: e.tele.deltaPrunedFrac.Snapshot(),
+		SchedGroupFraction:  e.tele.schedGroupFrac.Snapshot(),
 	}
 	for d := range t.ForwardDemandRows {
 		t.ForwardDemandRows[d] = e.tele.demandRows[d].Value()
@@ -259,7 +245,7 @@ func (e *Engine) Telemetry() Telemetry {
 		t.TrainRoundSeconds[parts[i]] = float64(atomic.LoadInt64(ns)) / 1e9
 	}
 	for i, name := range StepPhases() {
-		t.Phases[name] = histSnapshot(e.tele.phases[i])
+		t.Phases[name] = e.tele.phases[i].Snapshot()
 	}
 	if e.shards != nil {
 		st := e.g.ShardStats()
@@ -270,12 +256,7 @@ func (e *Engine) Telemetry() Telemetry {
 		for i := range e.tele.shardRows {
 			t.ShardSplicedRows[i] = e.tele.shardRows[i].Value()
 		}
-		t.ShardMerge = histSnapshot(e.tele.shardMerge)
+		t.ShardMerge = e.tele.shardMerge.Snapshot()
 	}
 	return t
-}
-
-func histSnapshot(h *obs.Histogram) TelemetryHistogram {
-	s := h.Snapshot()
-	return TelemetryHistogram{Count: s.Count, Sum: s.Sum, Bounds: s.Bounds, Counts: s.Counts}
 }
