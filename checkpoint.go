@@ -258,6 +258,7 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 	for i, p := range params {
 		copy(p.Value.Data, ck.Params[i].Data)
 	}
+	autodiff.CopyValues(e.opt.Params(), params) // the learner's copy of θ
 	if err := e.model.RestoreState(ck.States); err != nil {
 		return err
 	}

@@ -183,7 +183,7 @@ func TestMetricsPagesExposition(t *testing.T) {
 			t.Errorf("%s page: %v", name, err)
 		}
 	}
-	for _, want := range []string{"streamgnn_delta_pruned_fraction_count", "streamgnn_sched_group_fraction_count", "streamgnn_query_latency_seconds_count 2"} {
+	for _, want := range []string{"streamgnn_delta_pruned_fraction_count", "streamgnn_sched_group_fraction_count", "streamgnn_query_latency_seconds_count 2", "streamgnn_step_join_wait_seconds_count"} {
 		if !strings.Contains(pages["single-process"], want) {
 			t.Errorf("single-process page lacks %q", want)
 		}

@@ -196,6 +196,18 @@ func zeroGrads(params []*Node) {
 	}
 }
 
+// CopyValues copies each src parameter's value into the dst parameter at the
+// same position, in place: two parameter lists of one architecture, such as a
+// learner copy's and the live model's.
+func CopyValues(dst, src []*Node) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("autodiff: CopyValues into %d parameters from %d", len(dst), len(src)))
+	}
+	for i, d := range dst {
+		copy(d.Value.Data, src[i].Value.Data)
+	}
+}
+
 // clipScale returns the factor that rescales the global gradient norm to at
 // most clip (1 when clipping is disabled or the norm is within bounds).
 func clipScale(params []*Node, clip float64) float64 {

@@ -100,10 +100,6 @@ type Config struct {
 	// there is nothing left to fan out: the value has no effect. 1 is the
 	// default; seeded runs are bit-identical for every value.
 	Workers int
-	// PartitionCacheCap is the capacity (in partitions) of the version-keyed
-	// LRU partition cache attached to the graph by the scheduler; 0 disables
-	// caching. Default 256.
-	PartitionCacheCap int
 	// DependencySchedule splits a step's round along its conflict groups
 	// (NeutronStream-style dependency-aware scheduling). After sampling, units
 	// whose L-hop receptive fields intersect are unioned into one conflict
@@ -118,26 +114,30 @@ type Config struct {
 	DependencySchedule bool
 }
 
+// PartitionCacheCap is the capacity, in partitions, of the version-keyed LRU
+// partition cache the scheduler attaches to the graph under the adaptive
+// strategies.
+const PartitionCacheCap = 256
+
 // DefaultConfig returns the paper's default parameter values.
 func DefaultConfig() Config {
 	return Config{
-		K:                 5,
-		PairsPerStep:      1,
-		RoundsPerStep:     10,
-		PUpdate:           0.5,
-		Interval:          1,
-		Seeds:             15,
-		StopProb:          0.5,
-		SeedKeep:          0.8,
-		Teleport:          true,
-		MinChips:          1,
-		LR:                0.02,
-		SelfWeight:        1,
-		SupWeight:         1,
-		ReplaySize:        24,
-		BallSupervision:   true,
-		Workers:           1,
-		PartitionCacheCap: 256,
+		K:               5,
+		PairsPerStep:    1,
+		RoundsPerStep:   10,
+		PUpdate:         0.5,
+		Interval:        1,
+		Seeds:           15,
+		StopProb:        0.5,
+		SeedKeep:        0.8,
+		Teleport:        true,
+		MinChips:        1,
+		LR:              0.02,
+		SelfWeight:      1,
+		SupWeight:       1,
+		ReplaySize:      24,
+		BallSupervision: true,
+		Workers:         1,
 	}
 }
 
@@ -166,8 +166,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: LR must be positive, got %v", c.LR)
 	case c.Workers < 1:
 		return fmt.Errorf("core: Workers must be >= 1, got %d", c.Workers)
-	case c.PartitionCacheCap < 0:
-		return fmt.Errorf("core: PartitionCacheCap must be >= 0, got %d", c.PartitionCacheCap)
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ func adaptiveFingerprint(t *testing.T, workers, pairs int, mutate func(*Config))
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	g.EnablePartitionCache(cfg.PartitionCacheCap)
+	g.EnablePartitionCache(PartitionCacheCap)
 	m := dgnn.NewTGCN(rng, 3, 4)
 	heads := query.NewHeads(rng, 4)
 	w := query.NewWorkload(heads)

@@ -167,7 +167,7 @@ func TestScheduledStepCounters(t *testing.T) {
 		cfg.DependencySchedule = true
 		cfg.Workers = 4
 		cfg.PairsPerStep = 3
-		g.EnablePartitionCache(cfg.PartitionCacheCap)
+		g.EnablePartitionCache(PartitionCacheCap)
 		m := dgnn.NewTGCN(rng, 3, 4)
 		heads := query.NewHeads(rng, 4)
 		w := query.NewWorkload(heads)

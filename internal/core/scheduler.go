@@ -27,8 +27,8 @@ func NewScheduler(t *Trainer, cfg Config, strategy Strategy, rng *rand.Rand) (*S
 		// Partition extraction dominates warm adaptive steps; attach the
 		// version-keyed LRU cache (Full trains whole snapshots and never
 		// extracts partitions, so it gets none).
-		if cfg.PartitionCacheCap > 0 && t.G.PartitionCache() == nil {
-			t.G.EnablePartitionCache(cfg.PartitionCacheCap)
+		if t.G.PartitionCache() == nil {
+			t.G.EnablePartitionCache(PartitionCacheCap)
 		}
 	}
 	return s, nil
@@ -37,11 +37,14 @@ func NewScheduler(t *Trainer, cfg Config, strategy Strategy, rng *rand.Rand) (*S
 // Config returns the scheduler's configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
+// Due reports whether step falls on the training interval.
+func (s *Scheduler) Due(step int) bool { return step%s.cfg.Interval == 0 }
+
 // OnStep performs the step's training work if the step falls on the
 // training interval. updated is the update set U of the step. It reports
 // whether training ran.
 func (s *Scheduler) OnStep(step int, updated []int) bool {
-	if step%s.cfg.Interval != 0 {
+	if !s.Due(step) {
 		return false
 	}
 	s.TrainSteps++

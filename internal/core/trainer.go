@@ -32,8 +32,11 @@ type Trainer struct {
 
 	Model    dgnn.Model
 	Workload *query.Workload
-	Opt      autodiff.Optimizer
-	G        *graph.Dynamic
+	// Heads are the prediction heads the loss trains: Workload.Heads() unless
+	// the caller trains a copy of them (the engine's learner does).
+	Heads *query.Heads
+	Opt   autodiff.Optimizer
+	G     *graph.Dynamic
 
 	SelfWeight float64
 	SupWeight  float64
@@ -89,6 +92,7 @@ func NewTrainer(g *graph.Dynamic, m dgnn.Model, w *query.Workload, opt autodiff.
 	return &Trainer{
 		Model:           m,
 		Workload:        w,
+		Heads:           w.Heads(),
 		Opt:             opt,
 		G:               g,
 		SelfWeight:      cfg.SelfWeight,
@@ -447,7 +451,7 @@ func (t *Trainer) fullMaterial(m *material) {
 // has no target at all. Stats counters are updated atomically so concurrent
 // rounds stay race-free.
 func (t *Trainer) buildLoss(tp *autodiff.Tape, emb *autodiff.Node, m *material) *autodiff.Node {
-	heads := t.Workload.Heads()
+	heads := t.Heads
 	var total *autodiff.Node
 	for k := range m {
 		tm := &m[k]

@@ -118,8 +118,8 @@ func (m *WinGNNModel) RestoreState(d []StateDump) error {
 // exists (so a restore resumes exactly where the dumped model would have
 // continued), else the step's starting weights.
 func (m *EvolveGCNModel) DumpState() []StateDump {
-	out := make([]StateDump, len(m.layers))
-	for i, l := range m.layers {
+	out := make([]StateDump, len(m.weights))
+	for i, l := range m.weights {
 		w := l.wStart
 		if l.wNext != nil {
 			w = l.wNext
@@ -131,10 +131,10 @@ func (m *EvolveGCNModel) DumpState() []StateDump {
 
 // RestoreState implements Model.
 func (m *EvolveGCNModel) RestoreState(d []StateDump) error {
-	if len(d) != len(m.layers) {
-		return fmt.Errorf("dgnn: EvolveGCN checkpoint has %d weight states, need %d", len(d), len(m.layers))
+	if len(d) != len(m.weights) {
+		return fmt.Errorf("dgnn: EvolveGCN checkpoint has %d weight states, need %d", len(d), len(m.weights))
 	}
-	for i, l := range m.layers {
+	for i, l := range m.weights {
 		w, err := d[i].matrix()
 		if err != nil {
 			return err

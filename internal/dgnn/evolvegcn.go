@@ -17,7 +17,12 @@ import (
 // weights, and the first Forward of a step captures the evolved value as the
 // next step's starting point.
 type EvolveGCNModel struct {
+	//streamlint:ckpt-exempt GRU and bias are trainable parameters, serialized through Params(); the evolving weights checkpoint through weights
 	layers []*evolveLayer
+	// weights holds the evolving weights (wStart, wNext) Forward reads and
+	// captures: layers itself, or a live model's layers on a learner copy
+	// (NewLearner), whose own GRU and bias train against the live recurrence.
+	weights []*evolveLayer
 	//streamlint:ckpt-exempt architecture configuration, validated against the checkpoint header
 	hidden int
 	//streamlint:ckpt-exempt step bookkeeping, re-established by BeginStep on the first resumed step
@@ -42,10 +47,12 @@ func NewEvolveGCN(rng *rand.Rand, featDim, hidden int) *EvolveGCNModel {
 			wStart: tensor.Glorot(rng, in, hidden),
 		}
 	}
-	return &EvolveGCNModel{
+	m := &EvolveGCNModel{
 		layers: []*evolveLayer{mk(featDim), mk(hidden)},
 		hidden: hidden,
 	}
+	m.weights = m.layers
+	return m
 }
 
 // Name implements Model.
@@ -75,7 +82,7 @@ func (m *EvolveGCNModel) BeginStep(t int) {
 	}
 	m.curStep = t
 	m.haveStep = true
-	for _, l := range m.layers {
+	for _, l := range m.weights {
 		if l.wNext != nil {
 			l.wStart = l.wNext
 			l.wNext = nil
@@ -90,7 +97,7 @@ func (m *EvolveGCNModel) Memoryless() bool { return false }
 // Reset implements Model: forgets captured evolutions (starting weights are
 // kept, as they are the model's only weights).
 func (m *EvolveGCNModel) Reset() {
-	for _, l := range m.layers {
+	for _, l := range m.weights {
 		l.wNext = nil
 	}
 }
@@ -104,10 +111,13 @@ func (m *EvolveGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	h := autodiff.Constant(v.Feat)
 	for i, l := range m.layers {
 		rows := v.rows(len(m.layers) - 1 - i)
-		w0 := autodiff.Constant(l.wStart)
+		w := m.weights[i]
+		w0 := autodiff.Constant(w.wStart)
 		wt := l.gru.Apply(tp, w0, w0) // evolve: rows of W are the GRU batch
-		if l.wNext == nil && !v.NoCommit {
-			l.wNext = wt.Value.Clone()
+		// NoCommit first: a learner's forward must not read wNext, which the
+		// step's committed inference forward writes beside it.
+		if !v.NoCommit && w.wNext == nil {
+			w.wNext = wt.Value.Clone()
 		}
 		h = tp.AddBias(tp.SpMM(v.Norm.Head(rows, h.Value.Rows), tp.MatMul(h, wt)), l.bias)
 		if i+1 < len(m.layers) {

@@ -1,0 +1,44 @@
+package dgnn
+
+import (
+	"math/rand"
+
+	"streamgnn/internal/autodiff"
+	srng "streamgnn/internal/rng"
+)
+
+// NewLearner returns the model a concurrent training half trains: a model of
+// kind shaped like live (New with featDim and hidden), with parameter nodes of
+// its own holding live's values, that shares live's recurrent-state objects,
+// so live's BeginStep snapshots them for both. Its forwards must be NoCommit:
+// a NoCommit gather reads only the BeginStep snapshot, never the live buffer
+// live's committed forwards write, so the learner may train while live infers.
+// The caller copies the trained values back (autodiff.CopyValues).
+//
+// Building it draws nothing from the caller's random stream: the construction
+// values are overwritten, and WinGNN's optimizer seed is live's as long as the
+// caller wraps the learner's optimizer with live.WrapOptimizer.
+func NewLearner(kind Kind, live Model, featDim, hidden int) Model {
+	m := New(kind, rand.New(srng.New(1)), featDim, hidden)
+	autodiff.CopyValues(m.Params(), live.Params())
+	m.(interface{ shareState(live Model) }).shareState(live)
+	return m
+}
+
+// shareState points the receiver's recurrent state at live's (same kind).
+func (m *TGCNModel) shareState(live Model)  { m.state = live.(*TGCNModel).state }
+func (m *DCRNNModel) shareState(live Model) { m.state = live.(*DCRNNModel).state }
+func (m *RTGCNModel) shareState(live Model) { m.state = live.(*RTGCNModel).state }
+func (m *WinGNNModel) shareState(Model)     {}
+func (m *GCLSTMModel) shareState(live Model) {
+	m.hState, m.cState = live.(*GCLSTMModel).hState, live.(*GCLSTMModel).cState
+}
+func (m *DyGrEncoderModel) shareState(live Model) {
+	m.hState, m.cState = live.(*DyGrEncoderModel).hState, live.(*DyGrEncoderModel).cState
+}
+func (m *ROLANDModel) shareState(live Model) {
+	m.h1, m.h2 = live.(*ROLANDModel).h1, live.(*ROLANDModel).h2
+}
+func (m *EvolveGCNModel) shareState(live Model) {
+	m.weights = live.(*EvolveGCNModel).weights
+}

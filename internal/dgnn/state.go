@@ -83,6 +83,10 @@ func (s *nodeState) maxID(v View) int {
 // A node newer than the source buffer reads as a zero row — from the snapshot
 // too: falling back to the live buffer there would hand a training forward
 // the state this step's inference just committed for the node.
+//
+// A gather that reads the snapshot never touches the live buffer, not even
+// its slice header: a learner's training forwards run beside the step's
+// committed inference forwards, whose ensure may reallocate it.
 func (s *nodeState) gather(v View) *tensor.Matrix { return s.gatherHead(v, v.N) }
 
 // gatherHead is gather for the view's leading n rows alone.
@@ -90,9 +94,9 @@ func (s *nodeState) gatherHead(v View, n int) *tensor.Matrix {
 	if !v.NoCommit {
 		s.ensure(s.maxID(v) + 1)
 	}
-	src := s.data
-	if (v.NoCommit || v.SnapshotState) && s.prev != nil {
-		src = s.prev
+	src := s.prev
+	if !(v.NoCommit || v.SnapshotState) || src == nil {
+		src = s.data
 	}
 	out := tensor.NewUninit(n, s.dim)
 	for i := 0; i < n; i++ {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"streamgnn/internal/shard"
 	"streamgnn/internal/tensor"
@@ -76,7 +77,9 @@ type Dynamic struct {
 	// adjacencies key on it, so feature-churn-heavy streams never rebuild them.
 	edgeVersion int64
 	// full is the whole snapshot as an induced subgraph — the carrier of the
-	// normalized, random-walk and typed adjacencies — built at fullVersion.
+	// normalized, random-walk and typed adjacencies — built at fullVersion,
+	// under fullMu.
+	fullMu      sync.Mutex
 	full        *Subgraph
 	fullVersion int64
 	walkVersion int64
@@ -349,8 +352,11 @@ func (g *Dynamic) ActiveNodes() int {
 
 // snapshot returns the whole graph as an induced subgraph, rebuilt — into
 // fresh arrays, so what an earlier version handed out stays as it was — when
-// the topology moved.
+// the topology moved. The lazy build is locked: a step's inference forward and
+// a full-graph training pass beside it both ask for the snapshot.
 func (g *Dynamic) snapshot() *Subgraph {
+	g.fullMu.Lock()
+	defer g.fullMu.Unlock()
 	if g.full == nil || g.fullVersion != g.edgeVersion {
 		all := make([]int, g.N())
 		for i := range all {

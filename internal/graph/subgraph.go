@@ -139,14 +139,3 @@ func (s *Subgraph) Overlaps(o *Subgraph) bool {
 	}
 	return false
 }
-
-// LabeledNodes returns the local indices and labels of labeled nodes.
-func (s *Subgraph) LabeledNodes() (idx []int, labels []float64) {
-	for li, v := range s.Nodes {
-		if y, ok := s.r.g.Label(v); ok {
-			idx = append(idx, li)
-			labels = append(labels, y)
-		}
-	}
-	return idx, labels
-}

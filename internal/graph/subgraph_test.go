@@ -65,17 +65,6 @@ func TestSubgraphFeaturesMatchGlobal(t *testing.T) {
 	}
 }
 
-func TestSubgraphLabeledNodes(t *testing.T) {
-	g := chain(5)
-	g.SetLabel(1, 0.25)
-	g.SetLabel(4, 0.75)
-	s := g.Induced([]int{0, 1, 2}, -1)
-	idx, labels := s.LabeledNodes()
-	if len(idx) != 1 || idx[0] != 1 || labels[0] != 0.25 {
-		t.Fatalf("labeled nodes %v %v", idx, labels)
-	}
-}
-
 func TestSubgraphLabeledEdges(t *testing.T) {
 	g := NewDynamic(1)
 	for i := 0; i < 4; i++ {

@@ -175,17 +175,19 @@ func (b *Batcher) run(batch []submission) {
 		b.sizes.Observe(float64(total))
 		off := 0
 		for _, s := range batch {
+			// Observed before the answer is handed over, so a Submit that has
+			// returned is already counted.
+			lat := time.Since(s.enq).Seconds()
+			for range s.reqs {
+				b.latency.Observe(lat)
+			}
+			b.depth.Add(-int64(len(s.reqs)))
 			if answers != nil && len(answers) >= off+len(s.reqs) {
 				s.out <- answers[off : off+len(s.reqs)]
 			} else {
 				s.out <- nil
 			}
 			off += len(s.reqs)
-			lat := time.Since(s.enq).Seconds()
-			for range s.reqs {
-				b.latency.Observe(lat)
-			}
-			b.depth.Add(-int64(len(s.reqs)))
 		}
 	}()
 }

@@ -365,12 +365,14 @@ type Stats struct {
 
 // Engine is the online continuous-learning query engine.
 type Engine struct {
-	cfg     Config
-	ccfg    core.Config
-	g       *graph.Dynamic
-	model   dgnn.Model
-	wl      *query.Workload
-	sched   *core.Scheduler
+	cfg   Config
+	ccfg  core.Config
+	g     *graph.Dynamic
+	model dgnn.Model // the live θ inference and prediction read
+	wl    *query.Workload
+	sched *core.Scheduler
+	// trainer trains the learner's copy of θ (dgnn.NewLearner and a clone of
+	// the heads); opt steps it, and opt.Params() lists it in allParams order.
 	trainer *core.Trainer
 	opt     autodiff.Optimizer
 	src     *rng.SplitMix64 // dumpable source behind every engine rng draw
@@ -488,9 +490,13 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	model := dgnn.New(kind, r, featDim, cfg.Hidden)
 	heads := query.NewHeads(r, cfg.Hidden)
 	wl := query.NewWorkload(heads)
-	params := append(model.Params(), heads.Params()...)
+	// The learner trains its own copy of θ, so training can run beside
+	// inference, which reads the live one; see Step.
+	learner, learnerHeads := dgnn.NewLearner(kind, model, featDim, cfg.Hidden), heads.Clone()
+	params := append(learner.Params(), learnerHeads.Params()...)
 	opt := model.WrapOptimizer(autodiff.NewAdam(ccfg.LR, params))
-	trainer := core.NewTrainer(g, model, wl, opt, ccfg, r)
+	trainer := core.NewTrainer(g, learner, wl, opt, ccfg, r)
+	trainer.Heads = learnerHeads
 	sched, err := core.NewScheduler(trainer, ccfg, strategy, r)
 	if err != nil {
 		return nil, err
@@ -595,9 +601,19 @@ func (e *Engine) EnableLinkPrediction() {
 // the strategy's online training. Mutate the graph (AddNode/AddEdge/...)
 // between Step calls to feed the stream.
 //
-// Each phase — window expiry, forward inference, truth reveal, query
+// Answering and training both start from θ_t and the same snapshot, and
+// neither reads what the other writes, so they run at once (DESIGN.md §19).
+// A serial prologue expires edges, snapshots recurrent state (BeginStep) and
+// reveals truths. Then the inference half — forward and prediction on the live
+// model — runs on the caller's goroutine while, on a training step, the
+// learner trains its copy of θ on a goroutine of its own; after both, the
+// learner's θ is copied into the live model and the serving snapshot
+// published. Answers are bit-identical to running the halves in turn.
+//
+// Each phase — window expiry, truth reveal, forward inference, query
 // prediction, training — is timed into the engine's telemetry histograms;
-// see Telemetry.
+// training overlaps forward and prediction, and Telemetry.StepJoinWait
+// records how long inference waited for the learner.
 //
 //streamlint:steploop
 func (e *Engine) Step() error {
@@ -618,39 +634,71 @@ func (e *Engine) Step() error {
 		e.g.ExpireEdgesBefore(int64(t - e.cfg.WindowSteps + 1))
 	}
 	e.tele.phases[phaseExpire].ObserveSince(phaseStart)
-
-	phaseStart = time.Now()
 	updated := e.g.Updated()
 	e.model.BeginStep(t)
-	e.runForward(t)
-	e.tele.phases[phaseForward].ObserveSince(phaseStart)
 
+	// Reveal reads the graph, earlier predictions and last step's embeddings,
+	// none of which this step's forward writes, so it can run first.
 	phaseStart = time.Now()
 	e.wl.Reveal(e.g, t)
 	e.observeDrift()
 	e.tele.phases[phaseReveal].ObserveSince(phaseStart)
 
-	phaseStart = time.Now()
-	e.wl.Predict(e.lastEmb, t)
-	e.tele.phases[phasePredict].ObserveSince(phaseStart)
+	trained := false
+	train := func() {
+		phaseStart := time.Now()
+		trained = e.sched.OnStep(t, updated)
+		e.tele.phases[phaseTrain].ObserveSince(phaseStart)
+	}
+	if e.sched.Due(t) && !e.learnerReadsInference(t) {
+		done := make(chan struct{})
+		go func() { train(); close(done) }()
+		e.infer(t)
+		waitStart := time.Now()
+		<-done
+		e.tele.joinWait.ObserveSince(waitStart)
+	} else {
+		e.infer(t)
+		train()
+	}
 
-	phaseStart = time.Now()
-	if e.sched.OnStep(t, updated) {
-		// Training moved the model parameters, so every cached embedding row
-		// is stale — not just the dirty region. The next forward runs full.
-		// Incremental inference therefore pays off on the steps *between*
-		// training steps (Interval > 1) and on quiet stretches of the stream.
+	if trained {
+		// Training moved θ, so every cached embedding row is stale — not just
+		// the dirty region. The next forward runs full. Incremental inference
+		// therefore pays off on the steps *between* training steps (Interval >
+		// 1) and on quiet stretches of the stream.
+		autodiff.CopyValues(e.allParams(), e.opt.Params())
 		e.invalidateInference()
 	}
-	e.tele.phases[phaseTrain].ObserveSince(phaseStart)
 	e.observeSchedule()
-
 	e.g.ResetUpdated()
 	e.publishServing(t)
 	e.step++
 	e.tele.step.ObserveSince(stepStart)
 	e.tele.steps.Inc()
 	return nil
+}
+
+// infer is a step's inference half: the forward, then prediction from it.
+func (e *Engine) infer(t int) {
+	phaseStart := time.Now()
+	e.runForward(t)
+	e.tele.phases[phaseForward].ObserveSince(phaseStart)
+	phaseStart = time.Now()
+	e.wl.Predict(e.lastEmb, t)
+	e.tele.phases[phasePredict].ObserveSince(phaseStart)
+}
+
+// learnerReadsInference reports whether step t's training reads something its
+// inference half writes, and so must start after prediction instead of beside
+// the forward. Two things qualify:
+//   - on a link workload, the embeddings Predict records: training pairs each
+//     center with detached rows of them (the link-negative term);
+//   - on the engine's first step, the recurrent state: no BeginStep snapshot
+//     exists before a forward has committed state, so a training gather reads
+//     the live rows this step's forward commits.
+func (e *Engine) learnerReadsInference(t int) bool {
+	return e.wl.LinkTask() != nil || t == 0
 }
 
 // defaultDirtyFullThreshold is the compute-region fraction above which an

@@ -7,12 +7,12 @@ import (
 	"streamgnn/internal/tensor"
 )
 
-// Phase names of one Engine.Step, in execution order. Each phase has its own
-// latency histogram in Telemetry.Phases under these keys.
+// Phase names of one Engine.Step, in the order they start. Each phase has its
+// own latency histogram in Telemetry.Phases under these keys.
 const (
 	PhaseExpire  = "expire"  // sliding-window edge expiry
-	PhaseForward = "forward" // full-snapshot forward inference
 	PhaseReveal  = "reveal"  // truth reveal + drift observation
+	PhaseForward = "forward" // full-snapshot forward inference
 	PhasePredict = "predict" // query answering from fresh embeddings
 	PhaseTrain   = "train"   // the strategy's online training
 )
@@ -20,8 +20,8 @@ const (
 // indices into engineTelemetry.phases, aligned with StepPhases().
 const (
 	phaseExpire = iota
-	phaseForward
 	phaseReveal
+	phaseForward
 	phasePredict
 	phaseTrain
 	numPhases
@@ -35,9 +35,9 @@ func TrainRoundParts() []string {
 	return []string{"sample", "extract", "forward", "loss", "backward", "optimizer"}
 }
 
-// StepPhases returns the phase names of one Step in execution order.
+// StepPhases returns the phase names of one Step in the order they start.
 func StepPhases() []string {
-	return []string{PhaseExpire, PhaseForward, PhaseReveal, PhasePredict, PhaseTrain}
+	return []string{PhaseExpire, PhaseReveal, PhaseForward, PhasePredict, PhaseTrain}
 }
 
 // engineTelemetry holds the engine's internal instruments. Histograms and
@@ -48,6 +48,8 @@ type engineTelemetry struct {
 	steps  obs.Counter
 	step   *obs.Histogram
 	phases [numPhases]*obs.Histogram
+	// joinWait is how long a step's inference half waited for its learner.
+	joinWait *obs.Histogram
 
 	// Forward-mode instruments: how many steps ran a full-snapshot forward
 	// vs. a dirty-region incremental one, how many embedding rows the
@@ -92,6 +94,7 @@ type engineTelemetry struct {
 
 func (t *engineTelemetry) init(shards int) {
 	t.step = obs.NewHistogram(obs.DefaultLatencyBuckets())
+	t.joinWait = obs.NewHistogram(obs.DefaultLatencyBuckets())
 	for i := range t.phases {
 		t.phases[i] = obs.NewHistogram(obs.DefaultLatencyBuckets())
 	}
@@ -120,8 +123,13 @@ type Telemetry struct {
 	Steps int64
 	// Step is the whole-step latency distribution.
 	Step TelemetryHistogram
-	// Phases maps each StepPhases() name to its latency distribution.
+	// Phases maps each StepPhases() name to its latency distribution. Train
+	// overlaps forward and predict, so the phases can sum past Step.
 	Phases map[string]TelemetryHistogram
+	// StepJoinWait is, per step whose learner ran beside its inference half,
+	// how long inference waited for the learner: near zero where inference
+	// is the longer half.
+	StepJoinWait TelemetryHistogram
 
 	// FullForwards counts steps whose inference recomputed the whole
 	// snapshot; IncrementalForwards counts steps served by the dirty-region
@@ -216,6 +224,7 @@ func (e *Engine) Telemetry() Telemetry {
 	t := Telemetry{
 		Steps:               e.tele.steps.Value(),
 		Step:                e.tele.step.Snapshot(),
+		StepJoinWait:        e.tele.joinWait.Snapshot(),
 		Phases:              make(map[string]TelemetryHistogram, numPhases),
 		FullForwards:        e.tele.fullForwards.Value(),
 		IncrementalForwards: e.tele.incForwards.Value(),

@@ -37,13 +37,20 @@ func TestTelemetryPopulated(t *testing.T) {
 			t.Fatalf("phase %q has %d counts for %d bounds", name, len(h.Counts), len(h.Bounds))
 		}
 	}
-	// Phase times nest inside the whole-step time.
-	var phaseSum float64
-	for _, h := range tel.Phases {
-		phaseSum += h.Sum
+	// Phase times nest inside the whole-step time: the phases on the step's
+	// own goroutine together, and the learner's train phase, which runs
+	// beside forward and predict, on its own.
+	var serialSum float64
+	for _, name := range []string{PhaseExpire, PhaseReveal, PhaseForward, PhasePredict} {
+		serialSum += tel.Phases[name].Sum
 	}
-	if phaseSum > tel.Step.Sum {
-		t.Fatalf("phase sums (%v) exceed whole-step sum (%v)", phaseSum, tel.Step.Sum)
+	if serialSum > tel.Step.Sum || tel.Phases[PhaseTrain].Sum > tel.Step.Sum {
+		t.Fatalf("phase sums (%v serial, %v train) exceed whole-step sum (%v)", serialSum, tel.Phases[PhaseTrain].Sum, tel.Step.Sum)
+	}
+	// Four of the five steps train beside their inference half; the first
+	// keeps the serial order.
+	if tel.StepJoinWait.Count != 4 {
+		t.Fatalf("join-wait histogram count = %d, want 4", tel.StepJoinWait.Count)
 	}
 	// The steps above drew their buffers through the pool and recycled them.
 	if tel.TensorPoolGets == 0 || tel.TensorPoolHits == 0 || tel.TensorPoolHits > tel.TensorPoolGets || tel.TensorFreshBytes == 0 {
