@@ -8,28 +8,60 @@ import (
 	"testing"
 
 	"streamgnn/internal/autodiff"
+	"streamgnn/internal/graph"
+	"streamgnn/internal/query"
 	"streamgnn/internal/stream"
 	"streamgnn/internal/workload"
 )
 
 // halvesRun drives an engine over a generated dataset the way cmd/queryd
 // does: the dataset's queries and link task registered on the engine, its
-// batches applied by a replayer, the engine owning window expiry.
+// batches applied by a replayer, the engine owning window expiry and watching
+// for drift. Its labelers read the engine's graph, as a degree-based labeler
+// would, while the forward runs beside them.
 type halvesRun struct {
 	e   *Engine
 	rep *stream.Replayer
+	// read collects what the current step's labelers read of the graph: per
+	// call, the anchor's degree and then its out-edges' targets.
+	read []int
+	// steps holds, per step run, those reads and DriftDetected after it.
+	steps []halvesStep
+}
+
+type halvesStep struct {
+	read  []int
+	drift bool
 }
 
 func newHalvesRun(t *testing.T, ds *workload.Dataset, cfg Config) *halvesRun {
 	t.Helper()
 	cfg.WindowSteps = ds.WindowSteps
+	cfg.DriftDetection = true
 	e, err := NewEngine(ds.FeatDim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range ds.Queries {
+	r := &halvesRun{e: e, rep: stream.NewReplayer(e.Graph(), ds.Source(), 0)}
+	queries := ds.Queries
+	if ds.LinkPred {
+		// A degree query gives a link stream's reveal an event labeler too,
+		// and its drift detector losses to watch.
+		queries = append(queries[:len(queries):len(queries)], &query.EventQuery{
+			Name: "degree", Anchors: []int{0, 1, 2, 3}, Delta: 1, Threshold: 4,
+			Labeler: func(g *graph.Dynamic, anchor, _ int) (float64, bool) { return float64(g.Degree(anchor)), true },
+		})
+	}
+	for _, q := range queries {
 		err := e.AddQuery(Query{Name: q.Name, Anchors: q.Anchors, Delta: q.Delta, Threshold: q.Threshold,
-			Labeler: func(anchor, step int) (float64, bool) { return q.Labeler(e.Graph(), anchor, step) }})
+			Labeler: func(anchor, step int) (float64, bool) {
+				g := e.Graph()
+				r.read = append(r.read, g.Degree(anchor))
+				for _, ed := range g.OutEdges(anchor) {
+					r.read = append(r.read, ed.To)
+				}
+				return q.Labeler(g, anchor, step)
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +69,7 @@ func newHalvesRun(t *testing.T, ds *workload.Dataset, cfg Config) *halvesRun {
 	if ds.LinkPred {
 		e.EnableLinkPrediction()
 	}
-	return &halvesRun{e: e, rep: stream.NewReplayer(e.Graph(), ds.Source(), 0)}
+	return r
 }
 
 // advance applies the next batch without stepping: how a resumed engine
@@ -49,8 +81,9 @@ func (r *halvesRun) advance(t *testing.T) {
 	}
 }
 
-// run runs n stream steps with the scheduler given procs processors, and
-// checks after every step that the live θ equals the learner's copy.
+// run runs n stream steps with the scheduler given procs processors, records
+// each step's labeler reads and drift flag, and checks after every step that
+// the live θ equals the learner's copy.
 func (r *halvesRun) run(t *testing.T, n, procs int) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -59,8 +92,24 @@ func (r *halvesRun) run(t *testing.T, n, procs int) {
 		if err := r.e.Step(); err != nil {
 			t.Fatal(err)
 		}
+		r.steps = append(r.steps, halvesStep{read: r.read, drift: r.e.DriftDetected()})
+		r.read = nil
 		if err := sameBits(r.e.allParams(), r.e.opt.Params()); err != nil {
 			t.Fatalf("after step %d the live θ and the learner's differ: %v", r.e.CurrentStep()-1, err)
+		}
+	}
+}
+
+// sameSteps compares two runs' per-step labeler reads and drift flags; a and
+// b hold the same steps, from the first on or from a resume on.
+func sameSteps(t *testing.T, a, b []halvesStep) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%d vs %d steps recorded", len(a), len(b))
+	}
+	for i := range a {
+		if fmt.Sprint(a[i]) != fmt.Sprint(b[i]) {
+			t.Fatalf("step %d of %d: labeler reads and drift flag differ:\n  %v\n  %v", i, len(a), a[i], b[i])
 		}
 	}
 }
@@ -132,12 +181,13 @@ func sameEngineState(t *testing.T, a, b *Engine, resumed bool) {
 }
 
 // TestStepHalvesIndependentOfSchedule is the property that lets a step's
-// inference half and its learner run at once: every answer and every bit of
-// learned state is the same however the two are scheduled — interleaved on one
-// processor or overlapped on four — for every model kind, an event stream and
-// a link stream, the full and the incremental forward, the adaptive and the
-// full training strategy, and across a checkpoint resume. After every step
-// the live θ equals the learner's copy.
+// reveal, its inference half and its learner run at once: every answer, every
+// drift flag, every read a labeler makes of the graph and every bit of learned
+// state is the same however they are scheduled — interleaved on one processor
+// or overlapped on four — for every model kind, an event stream and a link
+// stream, the full and the incremental forward, the adaptive and the full
+// training strategy, and across a checkpoint resume. After every step the
+// live θ equals the learner's copy.
 func TestStepHalvesIndependentOfSchedule(t *testing.T) {
 	const steps = 8
 	datasets := map[string]*workload.Dataset{
@@ -158,6 +208,7 @@ func TestStepHalvesIndependentOfSchedule(t *testing.T) {
 						one, four := newHalvesRun(t, ds, cfg), newHalvesRun(t, ds, cfg)
 						one.run(t, steps, 1)
 						four.run(t, steps, 4)
+						sameSteps(t, one.steps, four.steps)
 						sameEngineState(t, one.e, four.e, false)
 					})
 				}
@@ -189,6 +240,7 @@ func TestStepHalvesIndependentOfSchedule(t *testing.T) {
 			t.Fatalf("after the load the live θ and the learner's differ: %v", err)
 		}
 		resumed.run(t, steps-saveAt, 1)
+		sameSteps(t, whole.steps[saveAt:], resumed.steps)
 		sameEngineState(t, whole.e, resumed.e, true)
 	})
 }

@@ -47,9 +47,6 @@ const (
 	opMean
 	opMSESeg
 	opBCESeg
-	opSoftmax
-	opCrossEntropy
-	opDropout
 	opSum
 	opMatMulAcc
 	opScatterRows
@@ -70,10 +67,9 @@ type Node struct {
 	seq int32
 
 	// Backward-rule state (meaning depends on op): aux holds a matrix the
-	// rule reads (MSE residual, BCE target, dropout mask, ...), auxCSR the
-	// sparse operand of SpMM, auxF a scalar (Scale's factor), and
-	// auxInts an index list (GatherRows/ScatterRows rows, CrossEntropy classes,
-	// MSESeg/BCESeg segment ends). aux
+	// rule reads (MSE residual, BCE target), auxCSR the sparse operand of
+	// SpMM, auxF a scalar (Scale's factor), and auxInts an index list
+	// (GatherRows/ScatterRows rows, MSESeg/BCESeg segment ends). aux
 	// matrices are either tape-owned (recycled via their own record) or
 	// caller-owned; they are never recycled through this field.
 	aux     *tensor.Matrix
@@ -601,52 +597,6 @@ func (out *Node) runBack(sink *GradSink) {
 				lo = hi
 			}
 		}
-	case opSoftmax:
-		a := out.parents[0]
-		if a.requiresGrad {
-			ag := gradOf(a, sink)
-			val := out.Value
-			for r := 0; r < val.Rows; r++ {
-				y := val.Row(r)
-				g := out.Grad.Row(r)
-				var dot float64
-				for c := range y {
-					dot += y[c] * g[c]
-				}
-				arow := ag.Row(r)
-				for c := range y {
-					arow[c] += y[c] * (g[c] - dot)
-				}
-			}
-		}
-	case opCrossEntropy:
-		// aux is the row-wise softmax of the logits; auxInts the classes.
-		logits := out.parents[0]
-		if logits.requiresGrad {
-			lgrad := gradOf(logits, sink)
-			n := out.aux.Rows
-			g := out.Grad.Data[0] / float64(n)
-			for r := 0; r < n; r++ {
-				p := out.aux.Row(r)
-				grow := lgrad.Row(r)
-				for j, pj := range p {
-					grad := pj
-					if j == out.auxInts[r] {
-						grad -= 1
-					}
-					grow[j] += g * grad
-				}
-			}
-		}
-	case opDropout:
-		// aux is the 0-or-1/(1-p) keep mask.
-		a := out.parents[0]
-		if a.requiresGrad {
-			ag := gradOf(a, sink)
-			for i, m := range out.aux.Data {
-				ag.Data[i] += out.Grad.Data[i] * m
-			}
-		}
 	case opSum:
 		a := out.parents[0]
 		if a.requiresGrad {
@@ -810,6 +760,11 @@ func (t *Tape) Head(a *Node, rows int) *Node {
 func (t *Tape) Mean(a *Node) *Node {
 	val := tensor.FromSlice(1, 1, []float64{a.Value.Mean()})
 	return t.newNode1(opMean, val, a.requiresGrad, a)
+}
+
+// Sum returns the scalar sum of all elements of a.
+func (t *Tape) Sum(a *Node) *Node {
+	return t.newNode1(opSum, tensor.FromSlice(1, 1, []float64{a.Value.Sum()}), a.requiresGrad, a)
 }
 
 // MSE returns mean squared error between pred and the constant target.

@@ -319,3 +319,16 @@ func TestHeadGrad(t *testing.T) {
 	}()
 	tp.Head(a, 6)
 }
+
+func TestSumGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	a := Param(tensor.NewRandom(rng, 2, 3, 1))
+	checkGrad(t, []*Node{a}, func(tp *Tape) *Node {
+		return tp.Sum(a)
+	})
+	tp := NewTape()
+	out := tp.Sum(a)
+	if math.Abs(out.Value.Data[0]-a.Value.Sum()) > 1e-12 {
+		t.Fatal("Sum value wrong")
+	}
+}

@@ -1,4 +1,4 @@
-// Package drift provides online concept-drift detectors over the engine's
+// Package drift provides an online concept-drift detector over the engine's
 // per-step query loss. The paper's Figure 4 shows that graph streams drift
 // and that a stale model's error spikes at regime boundaries; a detector
 // turns those spikes into explicit signals that an operator (or an adaptive
@@ -6,19 +6,7 @@
 // budget, as the extension example in cmd/queryd demonstrates.
 package drift
 
-import (
-	"fmt"
-	"math"
-)
-
-// Detector consumes one observation per step and reports drift.
-type Detector interface {
-	// Add consumes the step's observation (e.g. mean query loss) and
-	// reports whether a drift was detected at this step.
-	Add(x float64) bool
-	// Reset clears all detector state.
-	Reset()
-}
+import "fmt"
 
 // PageHinkley is the Page-Hinkley test, a sequential changepoint detector
 // for increases in the mean of a signal: it accumulates deviations above the
@@ -49,7 +37,8 @@ func NewPageHinkley(delta, lambda float64) *PageHinkley {
 	return &PageHinkley{Delta: delta, Lambda: lambda, MinSamples: 5}
 }
 
-// Add implements Detector.
+// Add consumes the step's observation (e.g. mean query loss) and reports
+// whether a drift was detected at this step.
 func (p *PageHinkley) Add(x float64) bool {
 	p.n++
 	p.mean += (x - p.mean) / float64(p.n)
@@ -64,7 +53,7 @@ func (p *PageHinkley) Add(x float64) bool {
 	return false
 }
 
-// Reset implements Detector.
+// Reset clears all detector state.
 func (p *PageHinkley) Reset() {
 	p.n, p.mean, p.cum, p.min = 0, 0, 0, 0
 }
@@ -86,63 +75,4 @@ func (p *PageHinkley) State() PageHinkleyState {
 // RestoreState restores statistics captured with State.
 func (p *PageHinkley) RestoreState(s PageHinkleyState) {
 	p.n, p.mean, p.cum, p.min = s.N, s.Mean, s.Cum, s.Min
-}
-
-// WindowShift detects drift by comparing the means of two adjacent sliding
-// windows (reference vs. recent): a shift larger than Factor× the reference
-// window's standard deviation signals drift. Simpler and more interpretable
-// than Page-Hinkley, at the cost of a detection delay of about Window steps.
-type WindowShift struct {
-	// Window is the length of each of the two compared windows.
-	Window int
-	// Factor is the shift threshold in reference-window std units.
-	Factor float64
-
-	buf []float64
-}
-
-// NewWindowShift returns a detector comparing two windows of length window.
-func NewWindowShift(window int, factor float64) *WindowShift {
-	if window < 2 || factor <= 0 {
-		panic(fmt.Sprintf("drift: invalid WindowShift(window=%d, factor=%v)", window, factor))
-	}
-	return &WindowShift{Window: window, Factor: factor}
-}
-
-// Add implements Detector.
-func (w *WindowShift) Add(x float64) bool {
-	w.buf = append(w.buf, x)
-	if len(w.buf) > 2*w.Window {
-		w.buf = w.buf[1:]
-	}
-	if len(w.buf) < 2*w.Window {
-		return false
-	}
-	ref := w.buf[:w.Window]
-	rec := w.buf[w.Window:]
-	refMean, refStd := meanStd(ref)
-	recMean, _ := meanStd(rec)
-	if refStd < 1e-12 {
-		refStd = 1e-12
-	}
-	if math.Abs(recMean-refMean) > w.Factor*refStd {
-		w.Reset()
-		return true
-	}
-	return false
-}
-
-// Reset implements Detector.
-func (w *WindowShift) Reset() { w.buf = w.buf[:0] }
-
-func meanStd(xs []float64) (mean, std float64) {
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	var sq float64
-	for _, x := range xs {
-		sq += (x - mean) * (x - mean)
-	}
-	return mean, math.Sqrt(sq / float64(len(xs)))
 }

@@ -17,7 +17,7 @@ func stepSignal(rng *rand.Rand, lo, hi float64, n, m int) []float64 {
 	return out
 }
 
-func detectAt(d Detector, xs []float64) int {
+func detectAt(d *PageHinkley, xs []float64) int {
 	for i, x := range xs {
 		if d.Add(x) {
 			return i
@@ -69,45 +69,4 @@ func TestPageHinkleyValidation(t *testing.T) {
 		}
 	}()
 	NewPageHinkley(-1, 1)
-}
-
-func TestWindowShiftDetects(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	xs := stepSignal(rng, 1, 3, 30, 20)
-	at := detectAt(NewWindowShift(8, 4), xs)
-	if at < 30 {
-		t.Fatalf("false positive at %d", at)
-	}
-	if at < 0 || at > 45 {
-		t.Fatalf("shift detected at %d", at)
-	}
-}
-
-func TestWindowShiftQuietOnStationary(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := NewWindowShift(8, 6)
-	for i := 0; i < 500; i++ {
-		if d.Add(2 + 0.1*rng.NormFloat64()) {
-			t.Fatalf("false positive at %d", i)
-		}
-	}
-}
-
-func TestWindowShiftConstantReference(t *testing.T) {
-	// Zero-variance reference must not divide by zero; a clear shift still
-	// registers.
-	d := NewWindowShift(4, 3)
-	xs := []float64{1, 1, 1, 1, 1, 1, 1, 9}
-	if detectAt(d, xs) != 7 {
-		t.Fatal("shift from constant reference missed")
-	}
-}
-
-func TestWindowShiftValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewWindowShift(1, 1)
 }

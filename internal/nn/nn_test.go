@@ -91,8 +91,9 @@ func TestDiffusionConvParamsAndShapes(t *testing.T) {
 	if len(c.Params()) != 2*(2+1)+1 {
 		t.Fatalf("param count %d", len(c.Params()))
 	}
-	fwd := tensor.Identity(4)
-	rev := tensor.Identity(4)
+	eye := [][]tensor.CSREntry{{{Col: 0, Val: 1}}, {{Col: 1, Val: 1}}, {{Col: 2, Val: 1}}, {{Col: 3, Val: 1}}}
+	fwd := tensor.NewCSR(4, 4, eye)
+	rev := tensor.NewCSR(4, 4, eye)
 	tp := autodiff.NewTape()
 	x := autodiff.Constant(tensor.NewRandom(rng, 4, 3, 1))
 	y := c.Apply(tp, fwd, rev, x)

@@ -120,7 +120,15 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) {
 	}
 	in := PairInputRows(l.lastEmb, src, dst)
 	scores := headColumn(h.Link, in)
-	pairRow := func(i int) []float64 { return append([]float64(nil), in.Row(i)...) }
+	// The replay keeps each positive and its NegPerPos negatives: one slice
+	// holds all of their rows, which pairRow hands out in turn.
+	rows, c := make([]float64, len(pos)*(1+l.NegPerPos)*in.Cols), in.Cols
+	pairRow := func(i int) []float64 {
+		row := rows[:c:c]
+		rows = rows[c:]
+		copy(row, in.Row(i))
+		return row
+	}
 
 	l.recentPairs = l.recentPairs[:0]
 	l.replayEmb = l.replayEmb[:0]

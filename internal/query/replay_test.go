@@ -98,6 +98,34 @@ func TestLinkReplayBatch(t *testing.T) {
 	}
 }
 
+// Each link replay row is its supervision pair's head input, and the rows,
+// carved from one slice, are capped so that appending to one cannot write
+// into the next.
+func TestLinkReplayRowsArePairInputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	lt := NewLinkPredTask(5)
+	g := testGraph(8)
+	emb := tensor.NewRandom(rng, 8, 4, 1)
+	lt.observeEmbeddings(emb, 0)
+	g.AddEdge(0, 3, 0, 1)
+	g.AddEdge(2, 5, 0, 1)
+	lt.reveal(g, 1, NewHeads(rng, 4))
+	if len(lt.replayEmb) != 2*(1+lt.NegPerPos) || len(lt.recentPairs) != len(lt.replayEmb) {
+		t.Fatalf("%d replay rows for %d pairs", len(lt.replayEmb), len(lt.recentPairs))
+	}
+	for i, p := range lt.recentPairs {
+		row, want := lt.replayEmb[i], PairInputRows(emb, []int{p.U}, []int{p.V}).Row(0)
+		if len(row) != len(want) || cap(row) != len(row) {
+			t.Fatalf("row %d: len %d cap %d, want %d", i, len(row), cap(row), len(want))
+		}
+		for k := range want {
+			if row[k] != want[k] {
+				t.Fatalf("row %d of pair %+v differs at %d: %v vs %v", i, p, k, row[k], want[k])
+			}
+		}
+	}
+}
+
 func TestEmbeddingRowAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	lt := NewLinkPredTask(6)

@@ -48,32 +48,3 @@ func BenchmarkChipsMove(b *testing.B) {
 		c.Move(rng.Intn(c.N()), rng.Intn(c.N()))
 	}
 }
-
-// BenchmarkAliasVsFenwickStatic compares O(1) alias sampling against the
-// Fenwick tree for a static distribution.
-func BenchmarkAliasVsFenwickStatic(b *testing.B) {
-	const n = 100000
-	rng := rand.New(rand.NewSource(4))
-	weights := make([]float64, n)
-	f := NewFenwick(n)
-	for i := range weights {
-		weights[i] = rng.Float64()
-		f.Add(i, weights[i])
-	}
-	a, err := NewAlias(weights)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("alias", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < b.N; i++ {
-			a.Sample(rng)
-		}
-	})
-	b.Run("fenwick", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < b.N; i++ {
-			f.Sample(rng)
-		}
-	})
-}

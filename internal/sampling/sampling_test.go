@@ -285,80 +285,3 @@ func TestChipsFenwickConsistency(t *testing.T) {
 		}
 	}
 }
-
-func TestAliasDistribution(t *testing.T) {
-	weights := []float64{1, 0, 3, 6}
-	a, err := NewAlias(weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != 4 {
-		t.Fatalf("N = %d", a.N())
-	}
-	rng := rand.New(rand.NewSource(13))
-	counts := make([]int, 4)
-	const trials = 200000
-	for i := 0; i < trials; i++ {
-		counts[a.Sample(rng)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight item sampled %d times", counts[1])
-	}
-	for i, w := range weights {
-		if w == 0 {
-			continue
-		}
-		got := float64(counts[i]) / trials
-		want := w / 10
-		if math.Abs(got-want) > 0.01 {
-			t.Fatalf("item %d frequency %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestAliasValidation(t *testing.T) {
-	if _, err := NewAlias(nil); err == nil {
-		t.Fatal("empty weights accepted")
-	}
-	if _, err := NewAlias([]float64{1, -1}); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if _, err := NewAlias([]float64{0, 0}); err == nil {
-		t.Fatal("zero total accepted")
-	}
-}
-
-// Property: alias sampling matches the normalized weights for random tables.
-func TestAliasMatchesWeightsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(12)
-		weights := make([]float64, n)
-		var total float64
-		for i := range weights {
-			weights[i] = rng.Float64() * 5
-			total += weights[i]
-		}
-		if total == 0 {
-			return true
-		}
-		a, err := NewAlias(weights)
-		if err != nil {
-			return false
-		}
-		const trials = 30000
-		counts := make([]float64, n)
-		for i := 0; i < trials; i++ {
-			counts[a.Sample(rng)]++
-		}
-		for i := range weights {
-			if math.Abs(counts[i]/trials-weights[i]/total) > 0.05 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -157,12 +157,3 @@ func (c *CSR) Dense() *Matrix {
 	}
 	return out
 }
-
-// Identity returns the n×n identity as CSR.
-func Identity(n int) *CSR {
-	entries := make([][]CSREntry, n)
-	for i := range entries {
-		entries[i] = []CSREntry{{Col: i, Val: 1}}
-	}
-	return NewCSR(n, n, entries)
-}

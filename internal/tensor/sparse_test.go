@@ -63,14 +63,6 @@ func TestSpMMTransMatchesDense(t *testing.T) {
 	}
 }
 
-func TestIdentityCSR(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := NewRandom(rng, 5, 3, 1)
-	if !SpMM(Identity(5), x).AllClose(x, 1e-12) {
-		t.Fatal("I·x != x")
-	}
-}
-
 func TestCSRDuplicateColumnsSum(t *testing.T) {
 	c := NewCSR(1, 2, [][]CSREntry{{{Col: 0, Val: 1}, {Col: 0, Val: 2}}})
 	x := FromSlice(2, 1, []float64{10, 0})

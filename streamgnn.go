@@ -267,7 +267,9 @@ type Query struct {
 	Delta     int
 	Threshold float64
 	// Labeler returns the true monitored value at an anchor for a step
-	// once that step has arrived (ok=false if unavailable).
+	// once that step has arrived (ok=false if unavailable). Step calls it
+	// while the forward runs on another goroutine: it may read the engine's
+	// graph (Graph), but must not mutate it or call back into the engine.
 	Labeler func(anchor, step int) (value float64, ok bool)
 }
 
@@ -601,18 +603,22 @@ func (e *Engine) EnableLinkPrediction() {
 // the strategy's online training. Mutate the graph (AddNode/AddEdge/...)
 // between Step calls to feed the stream.
 //
-// Answering and training both start from θ_t and the same snapshot, and
-// neither reads what the other writes, so they run at once (DESIGN.md §19).
-// A serial prologue expires edges, snapshots recurrent state (BeginStep) and
-// reveals truths. Then the inference half — forward and prediction on the live
-// model — runs on the caller's goroutine while, on a training step, the
-// learner trains its copy of θ on a goroutine of its own; after both, the
-// learner's θ is copied into the live model and the serving snapshot
-// published. Answers are bit-identical to running the halves in turn.
+// A step is three tasks that only their data edges order (DESIGN.md §19).
+// A serial prologue expires edges and snapshots recurrent state (BeginStep).
+// Then one goroutine reveals truths and observes drift while the caller's
+// goroutine runs the forward on the live model, which reads nothing reveal
+// writes. Prediction waits for reveal: reveal resolves the predictions parked
+// for this step, and prediction replaces the embeddings link reveal scores.
+// The learner, which trains its copy of θ, waits for reveal too; on a training
+// step whose learner reads nothing inference writes it runs on the reveal
+// goroutine, beside the forward and prediction, and otherwise after
+// prediction (learnerReadsInference). Then the learner's θ is copied into the
+// live model and the serving snapshot published. Answers are bit-identical to
+// running the tasks in turn.
 //
 // Each phase — window expiry, truth reveal, forward inference, query
 // prediction, training — is timed into the engine's telemetry histograms;
-// training overlaps forward and prediction, and Telemetry.StepJoinWait
+// reveal and training overlap the forward, and Telemetry.StepJoinWait
 // records how long inference waited for the learner.
 //
 //streamlint:steploop
@@ -637,28 +643,31 @@ func (e *Engine) Step() error {
 	updated := e.g.Updated()
 	e.model.BeginStep(t)
 
-	// Reveal reads the graph, earlier predictions and last step's embeddings,
-	// none of which this step's forward writes, so it can run first.
-	phaseStart = time.Now()
-	e.wl.Reveal(e.g, t)
-	e.observeDrift()
-	e.tele.phases[phaseReveal].ObserveSince(phaseStart)
-
 	trained := false
 	train := func() {
 		phaseStart := time.Now()
 		trained = e.sched.OnStep(t, updated)
 		e.tele.phases[phaseTrain].ObserveSince(phaseStart)
 	}
-	if e.sched.Due(t) && !e.learnerReadsInference(t) {
-		done := make(chan struct{})
-		go func() { train(); close(done) }()
-		e.infer(t)
-		waitStart := time.Now()
-		<-done
+	beside := e.sched.Due(t) && !e.learnerReadsInference(t)
+	revealed, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		phaseStart := time.Now()
+		e.wl.Reveal(e.g, t)
+		e.observeDrift()
+		e.tele.phases[phaseReveal].ObserveSince(phaseStart)
+		close(revealed)
+		if beside {
+			train()
+		}
+	}()
+	e.infer(t, revealed)
+	waitStart := time.Now()
+	<-done
+	if beside {
 		e.tele.joinWait.ObserveSince(waitStart)
 	} else {
-		e.infer(t)
 		train()
 	}
 
@@ -679,19 +688,21 @@ func (e *Engine) Step() error {
 	return nil
 }
 
-// infer is a step's inference half: the forward, then prediction from it.
-func (e *Engine) infer(t int) {
+// infer is a step's inference half: the forward, then, once revealed is
+// closed, prediction from it.
+func (e *Engine) infer(t int, revealed <-chan struct{}) {
 	phaseStart := time.Now()
 	e.runForward(t)
 	e.tele.phases[phaseForward].ObserveSince(phaseStart)
+	<-revealed
 	phaseStart = time.Now()
 	e.wl.Predict(e.lastEmb, t)
 	e.tele.phases[phasePredict].ObserveSince(phaseStart)
 }
 
 // learnerReadsInference reports whether step t's training reads something its
-// inference half writes, and so must start after prediction instead of beside
-// the forward. Two things qualify:
+// inference half writes, and so must start after prediction instead of after
+// reveal on the reveal goroutine, beside the forward. Two things qualify:
 //   - on a link workload, the embeddings Predict records: training pairs each
 //     center with detached rows of them (the link-negative term);
 //   - on the engine's first step, the recurrent state: no BeginStep snapshot

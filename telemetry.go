@@ -123,8 +123,10 @@ type Telemetry struct {
 	Steps int64
 	// Step is the whole-step latency distribution.
 	Step TelemetryHistogram
-	// Phases maps each StepPhases() name to its latency distribution. Train
-	// overlaps forward and predict, so the phases can sum past Step.
+	// Phases maps each StepPhases() name to its latency distribution. Reveal
+	// runs beside the forward, and train after reveal beside forward and
+	// predict (after predict on a link workload and the first step), so the
+	// phases can sum past Step.
 	Phases map[string]TelemetryHistogram
 	// StepJoinWait is, per step whose learner ran beside its inference half,
 	// how long inference waited for the learner: near zero where inference
