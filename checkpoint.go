@@ -1,7 +1,7 @@
 package streamgnn
 
 import (
-	"encoding/gob"
+	"bytes"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -10,98 +10,17 @@ import (
 	"streamgnn/internal/dgnn"
 	"streamgnn/internal/drift"
 	"streamgnn/internal/query"
+	"streamgnn/internal/tensor"
+	"streamgnn/internal/wire"
 )
 
-// checkpointVersion guards the on-disk format. Version 2 extended the
-// learned-state-only v1 with the full runtime state (random stream,
-// optimizer moments, workload, scheduler counters), making a graceful
-// shutdown + resume reproduce the uninterrupted run. Version 3 added the
-// incremental-forward embedding cache (Emb/EmbLastFull), so a resumed
-// incremental run splices into the same matrix instead of starting with a
-// forced full forward. Version 4 extended the optimizer state with WinGNN's
-// gradient-aggregation window (nested inner state, window RNG position,
-// gradient history) — new fields on the gob-encoded OptState, so v3
-// checkpoints still decode; checkpointVersionMin marks the oldest readable
-// format. A v3 WinGNN checkpoint simply carries no optimizer state (the old
-// winOptimizer was not Stateful) and resumes with an empty window. Version 5
-// records the shard layout (Shards/ShardLayout) so a resumed engine can be
-// validated against — and a service can adopt — the saved partition; the
-// fields gob-decode to zero from older checkpoints, which skips the
-// validation (pre-v5 runs were always unsharded). Version 6 adds the
-// delta-propagation caches (Delta/DeltaCommitted/HasDelta) so a resumed
-// DeltaForward run with a nonzero epsilon continues from the exact stage
-// caches of the uninterrupted run instead of resynchronizing with a full
-// forward; the fields gob-decode to zero from v3-v5 checkpoints, which simply
-// leaves the caches invalid (the first resumed delta step runs full — at
-// epsilon 0 that is bit-identical anyway). Version 7 adds the dependency
-// scheduler's observability counters (SchedSteps/SchedGroups/SchedUnits/
-// SchedCollapsed) — the scheduler keeps no other persistent state (its
-// conflict scratch and gradient sinks are rebuilt every step), so resumed
-// runs stay bit-identical; the fields gob-decode to zero from older
-// checkpoints.
+// A checkpoint is checkpointMagic, then one internal/wire frame of version 8
+// holding the checkpoint struct's fields in declaration order
+// (checkpoint.wire) — canonical, so one engine state has exactly one file.
 const (
-	checkpointVersion    = 7
-	checkpointVersionMin = 3
+	checkpointMagic   = "streamgnn checkpoint\n"
+	checkpointVersion = 8
 )
-
-// checkpoint is the gob-encoded engine state: everything *learned* — model
-// and head parameters, recurrent state, the chip distribution — plus the
-// runtime state needed to continue the exact trajectory: the engine's random
-// stream, optimizer moments, the workload's revealed/pending/replay state,
-// KDE seed window, drift-detector statistics, and the observability
-// counters. The graph snapshot itself is NOT included: reconstruct it by
-// replaying the stream (see internal/stream's JSONL encoding), then load the
-// checkpoint to resume.
-type checkpoint struct {
-	Version  int
-	Model    string
-	Strategy string
-	Hidden   int
-	Step     int
-	Params   []dgnn.StateDump
-	States   []dgnn.StateDump
-	Chips    []int
-
-	// Runtime state (v2).
-	RngState      uint64
-	TrainerStats  [5]int64
-	TrainSteps    int
-	Trained       int
-	Moves         int
-	ParallelUnits int64
-	KDESeeds      []int
-	KDEOldest     int
-	HasKDESeeds   bool
-	Opt           *autodiff.OptState
-	Workload      query.WorkloadState
-	Drift         *drift.PageHinkleyState
-	SeenOutcomes  int
-
-	// Incremental-forward embedding cache (v3); nil when the cache was
-	// invalid at save time (engine not in incremental mode, or pre-Step).
-	Emb         *dgnn.StateDump
-	EmbLastFull int
-
-	// Shard layout (v5): the effective shard count (1 when unsharded) and
-	// the layout name ("" when unsharded). 0 in pre-v5 checkpoints.
-	Shards      int
-	ShardLayout string
-
-	// Delta-propagation caches (v6): one stage-output dump per model stage
-	// plus the ids whose recurrent state the last pass committed. HasDelta
-	// is false — and the slices nil — when the engine was not in delta mode
-	// or the caches were invalid at save time, and in pre-v6 checkpoints.
-	Delta          []dgnn.StateDump
-	DeltaCommitted []int
-	HasDelta       bool
-
-	// Dependency-scheduler counters (v7): steps, groups, units, collapsed
-	// steps. Zero in pre-v7 checkpoints.
-	SchedSteps     int64
-	SchedGroups    int64
-	SchedUnits     int64
-	SchedCollapsed int64
-}
 
 // CheckpointInfo is the identifying header of a saved checkpoint.
 type CheckpointInfo struct {
@@ -111,193 +30,342 @@ type CheckpointInfo struct {
 	Hidden   int
 	// Step is the next step the resumed engine will execute.
 	Step int
-	// Shards is the saved run's effective shard count (1 = unsharded, 0 =
-	// pre-v5 checkpoint) and ShardLayout its layout name; a resuming
-	// service configures its engine to match (cmd/queryd does).
+	// Shards is the saved run's effective shard count (1 = unsharded) and
+	// ShardLayout its layout name; a resuming service configures its engine
+	// to match (cmd/queryd does).
 	Shards      int
 	ShardLayout string
 }
 
-// PeekCheckpoint decodes just the identifying header of a checkpoint, so a
-// service can learn how far to replay the stream (Info.Step) and which
+// checkpoint is the engine state a checkpoint carries: everything *learned*
+// — model and head parameters, recurrent state, the chip distribution — plus
+// the runtime state needed to continue the exact trajectory: the engine's
+// random stream, optimizer moments, the workload's revealed/pending/replay
+// state, KDE seed window, drift-detector statistics, and the observability
+// counters. The graph snapshot itself is NOT included: reconstruct it by
+// replaying the stream (see internal/stream's JSONL encoding), then load the
+// checkpoint to resume.
+type checkpoint struct {
+	CheckpointInfo // Version is the frame's, not a field of its own
+
+	Params []dgnn.StateDump
+	States []dgnn.StateDump
+	Chips  []int
+
+	RngState   uint64
+	Counters   []int64 // Engine.counters, in its order
+	TrainSteps int
+	Trained    int
+	Moves      int
+	// KDESeeds is the KDE seed window, empty when the engine has none yet.
+	KDESeeds     []int
+	KDEOldest    int
+	Opt          autodiff.OptState
+	Workload     query.WorkloadState
+	Drift        *drift.PageHinkleyState
+	SeenOutcomes int
+
+	// Emb is the incremental-forward embedding cache; nil when the cache was
+	// invalid at save time (engine not in incremental mode, or pre-Step).
+	Emb         *dgnn.StateDump
+	EmbLastFull int
+
+	// Delta-propagation caches: one stage-output dump per model stage plus
+	// the ids whose recurrent state the last pass committed; both empty when
+	// the engine was not in delta mode or the caches were invalid at save
+	// time.
+	Delta          []dgnn.StateDump
+	DeltaCommitted []int
+}
+
+func (ck *checkpoint) wire(c *wire.Coder) {
+	c.String(&ck.Model)
+	c.String(&ck.Strategy)
+	c.Int(&ck.Hidden)
+	c.Int(&ck.Step)
+	c.Int(&ck.Shards)
+	c.String(&ck.ShardLayout)
+	dgnn.WireDumps(c, &ck.Params)
+	dgnn.WireDumps(c, &ck.States)
+	c.Ints(&ck.Chips)
+	c.Uvarint(&ck.RngState)
+	wire.List(c, &ck.Counters, 1, func(v *int64, c *wire.Coder) { c.Varint(v) })
+	c.Int(&ck.TrainSteps)
+	c.Int(&ck.Trained)
+	c.Int(&ck.Moves)
+	c.Ints(&ck.KDESeeds)
+	c.Int(&ck.KDEOldest)
+	optState(&ck.Opt, c)
+	workloadState(&ck.Workload, c)
+	wire.Opt(c, &ck.Drift, func(d *drift.PageHinkleyState, c *wire.Coder) {
+		c.Int(&d.N)
+		c.Float(&d.Mean)
+		c.Float(&d.Cum)
+		c.Float(&d.Min)
+	})
+	c.Int(&ck.SeenOutcomes)
+	wire.Opt(c, &ck.Emb, (*dgnn.StateDump).Wire)
+	c.Int(&ck.EmbLastFull)
+	dgnn.WireDumps(c, &ck.Delta)
+	c.Ints(&ck.DeltaCommitted)
+}
+
+// rows codes a list of non-empty float rows. Refusing an empty row keeps
+// every row at 9 bytes or more, so a decoded list costs at most a few times
+// its bytes in slice headers.
+func rows(c *wire.Coder, p *[][]float64) {
+	wire.List(c, p, 9, func(row *[]float64, c *wire.Coder) {
+		c.Floats(row)
+		if len(*row) == 0 {
+			c.Fail("empty float row")
+		}
+	})
+}
+
+// optState codes an optimizer's state and the one optimizer state a
+// decorating optimizer may nest in it.
+func optState(o *autodiff.OptState, c *wire.Coder) {
+	optFields(o, c)
+	wire.Opt(c, &o.Inner, func(in *autodiff.OptState, c *wire.Coder) {
+		optFields(in, c)
+		if in.Inner != nil {
+			c.Fail("optimizer state nested more than one level deep")
+		}
+	})
+}
+
+func optFields(o *autodiff.OptState, c *wire.Coder) {
+	c.Int(&o.Step)
+	rows(c, &o.Moments)
+	c.Uvarint(&o.RNG)
+	wire.List(c, &o.History, 10, func(snap *[][]float64, c *wire.Coder) {
+		rows(c, snap)
+		if len(*snap) == 0 {
+			c.Fail("empty gradient snapshot")
+		}
+	})
+}
+
+func workloadState(w *query.WorkloadState, c *wire.Coder) {
+	wire.List(c, &w.Revealed, 10, func(t *query.NodeTarget, c *wire.Coder) {
+		c.Int(&t.Node)
+		c.Float(&t.Value)
+		c.Int(&t.Step)
+	})
+	wire.List(c, &w.Replay, 9, func(r *query.ReplayExample, c *wire.Coder) {
+		c.Floats(&r.Emb)
+		c.Float(&r.Truth)
+	})
+	c.Int(&w.ReplayPos)
+	wire.List(c, &w.Pending, 12, func(p *query.PendingPrediction, c *wire.Coder) {
+		c.String(&p.Query)
+		c.Int(&p.Anchor)
+		c.Int(&p.Due)
+		c.Float(&p.Score)
+		c.Floats(&p.Emb)
+	})
+	wire.List(c, &w.Outcomes, 20, func(o *query.Outcome, c *wire.Coder) {
+		c.String(&o.Query)
+		c.Int(&o.Anchor)
+		c.Int(&o.Step)
+		c.Float(&o.Score)
+		c.Float(&o.Truth)
+		c.Bool(&o.Event)
+	})
+	wire.Opt(c, &w.Link, func(l *query.LinkState, c *wire.Coder) {
+		c.Uvarint(&l.RngState)
+		c.Int(&l.LastStep)
+		wire.Opt(c, &l.LastEmb, func(m *tensor.Matrix, c *wire.Coder) { (*dgnn.StateDump)(m).Wire(c) })
+		wire.List(c, &l.RecentPairs, 10, func(p *query.Pair, c *wire.Coder) {
+			c.Int(&p.U)
+			c.Int(&p.V)
+			c.Float(&p.Label)
+		})
+		c.Floats(&l.Scores)
+		wire.List(c, &l.Labels, 1, func(b *bool, c *wire.Coder) { c.Bool(b) })
+		c.Ints(&l.Ranks)
+		rows(c, &l.ReplayEmb)
+		c.Floats(&l.ReplayLbl)
+	})
+}
+
+func (ck *checkpoint) encode() ([]byte, error) {
+	frame, err := wire.Encode(checkpointVersion, ck.wire)
+	if err != nil {
+		return nil, fmt.Errorf("streamgnn: encoding checkpoint: %w", err)
+	}
+	return append([]byte(checkpointMagic), frame...), nil
+}
+
+// decodeCheckpoint reads and parses a whole checkpoint.
+func decodeCheckpoint(r io.Reader) (*checkpoint, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("streamgnn: reading checkpoint: %w", err)
+	}
+	frame, ok := bytes.CutPrefix(b, []byte(checkpointMagic))
+	if !ok {
+		// A gob stream names the struct it encodes in its first bytes.
+		if bytes.Contains(b[:min(len(b), 32)], []byte("checkpoint")) {
+			return nil, fmt.Errorf("streamgnn: checkpoint is a gob stream (format v7 or older), which this build no longer reads; it reads v8")
+		}
+		return nil, fmt.Errorf("streamgnn: not a streamgnn checkpoint")
+	}
+	ck := checkpoint{CheckpointInfo: CheckpointInfo{Version: checkpointVersion}}
+	if err := wire.Decode(frame, checkpointVersion, ck.wire); err != nil {
+		return nil, fmt.Errorf("streamgnn: decoding checkpoint: %w", err)
+	}
+	return &ck, nil
+}
+
+// PeekCheckpoint decodes a checkpoint and returns its identifying header,
+// so a service can learn how far to replay the stream (Info.Step) and which
 // model/strategy to configure before constructing the engine.
 func PeekCheckpoint(r io.Reader) (CheckpointInfo, error) {
-	var ck checkpoint
-	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return CheckpointInfo{}, fmt.Errorf("streamgnn: decoding checkpoint: %w", err)
+	ck, err := decodeCheckpoint(r)
+	if err != nil {
+		return CheckpointInfo{}, err
 	}
-	return CheckpointInfo{Version: ck.Version, Model: ck.Model, Strategy: ck.Strategy,
-		Hidden: ck.Hidden, Step: ck.Step, Shards: ck.Shards, ShardLayout: ck.ShardLayout}, nil
+	return ck.CheckpointInfo, nil
+}
+
+// counters lists the observability counters a checkpoint carries, in its
+// order: the trainer's five target counts, then, under an adaptive learner,
+// its parallel-unit count and four dependency-scheduler counters.
+func (e *Engine) counters() []*int64 {
+	st := &e.trainer.Stats
+	//streamlint:atommix the pointers reach sync/atomic alone, in SaveCheckpoint and LoadCheckpoint
+	c := []*int64{&st.SelfNodeTargets, &st.SelfEdgeTargets, &st.SupNodeTargets, &st.SupPairTargets, &st.ReplayTargets}
+	if a := e.sched.Adaptive; a != nil {
+		//streamlint:atommix as above
+		c = append(c, &a.ParallelUnits, &a.SchedSteps, &a.SchedGroups, &a.SchedUnits, &a.SchedCollapsed)
+	}
+	return c
 }
 
 // SaveCheckpoint writes the engine's learned and runtime state to w.
 func (e *Engine) SaveCheckpoint(w io.Writer) error {
 	ck := checkpoint{
-		Version:      checkpointVersion,
-		Model:        e.cfg.Model,
-		Strategy:     e.cfg.Strategy,
-		Hidden:       e.cfg.Hidden,
-		Step:         e.step,
+		CheckpointInfo: CheckpointInfo{Version: checkpointVersion, Model: e.cfg.Model, Strategy: e.cfg.Strategy,
+			Hidden: e.cfg.Hidden, Step: e.step, Shards: 1},
+		Params:       dgnn.DumpParams(e.allParams()),
 		States:       e.model.DumpState(),
 		RngState:     e.src.State(),
+		TrainSteps:   e.sched.TrainSteps,
+		Opt:          e.opt.DumpState(),
 		Workload:     e.wl.DumpState(),
 		SeenOutcomes: e.seenOutcomes,
 		Emb:          e.emb.Dump(),
 		EmbLastFull:  e.emb.LastFullStep(),
-		Shards:       1,
 	}
 	if e.shards != nil {
 		ck.Shards = e.shards.P
 		ck.ShardLayout = e.shards.Layout.String()
 	}
 	if e.deltaFwd != nil {
-		ck.Delta, ck.DeltaCommitted, ck.HasDelta = e.delta.DeltaDump()
+		ck.Delta, ck.DeltaCommitted = e.delta.DeltaDump()
 	}
-	for _, p := range e.allParams() {
-		ck.Params = append(ck.Params, dgnn.StateDump{
-			Rows: p.Value.Rows, Cols: p.Value.Cols,
-			Data: append([]float64(nil), p.Value.Data...),
-		})
-	}
-	st := &e.trainer.Stats
-	ck.TrainerStats = [5]int64{
-		atomic.LoadInt64(&st.SelfNodeTargets),
-		atomic.LoadInt64(&st.SelfEdgeTargets),
-		atomic.LoadInt64(&st.SupNodeTargets),
-		atomic.LoadInt64(&st.SupPairTargets),
-		atomic.LoadInt64(&st.ReplayTargets),
-	}
-	if opt, ok := e.opt.(autodiff.Stateful); ok {
-		os := opt.DumpState()
-		ck.Opt = &os
+	for _, c := range e.counters() {
+		ck.Counters = append(ck.Counters, atomic.LoadInt64(c))
 	}
 	if e.driftDet != nil {
 		ds := e.driftDet.State()
 		ck.Drift = &ds
 	}
-	ck.TrainSteps = e.sched.TrainSteps
 	if a := e.sched.Adaptive; a != nil {
 		ck.Chips = a.Chips.Counts()
 		ck.Trained, ck.Moves = a.Trained, a.Moves
-		ck.ParallelUnits = atomic.LoadInt64(&a.ParallelUnits)
-		ck.SchedSteps = atomic.LoadInt64(&a.SchedSteps)
-		ck.SchedGroups = atomic.LoadInt64(&a.SchedGroups)
-		ck.SchedUnits = atomic.LoadInt64(&a.SchedUnits)
-		ck.SchedCollapsed = atomic.LoadInt64(&a.SchedCollapsed)
 		if ks := a.KDE(); ks != nil {
 			ck.KDESeeds, ck.KDEOldest = ks.SeedState()
-			ck.HasKDESeeds = true
 		}
 	}
-	return gob.NewEncoder(w).Encode(ck)
+	b, err := ck.encode()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
 // LoadCheckpoint restores state saved by SaveCheckpoint into a compatible
-// engine (same model, strategy and hidden size). The graph snapshot must be
-// reconstructed separately — by replaying the stream up to the checkpoint's
-// step — before stepping resumes, and queries (plus the link task, if it was
-// enabled) must be re-registered before the call. After a successful load,
-// continued stepping follows the exact trajectory of the uninterrupted run:
-// the random stream, optimizer moments, replay buffers and chip distribution
-// all pick up where they left off.
+// engine (same model, strategy, hidden size and shard layout). The graph
+// snapshot must be reconstructed separately — by replaying the stream up to
+// the checkpoint's step — before stepping resumes, and queries (plus the link
+// task, if it was enabled) must be re-registered before the call. It decodes
+// the whole checkpoint, then checks every section against the engine and the
+// replayed graph, and only then installs any of it: a refused checkpoint
+// leaves the engine as it was. After a successful load, continued stepping
+// follows the exact trajectory of the uninterrupted run: the random stream,
+// optimizer moments, replay buffers and chip distribution all pick up where
+// they left off.
 func (e *Engine) LoadCheckpoint(r io.Reader) error {
-	var ck checkpoint
-	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return fmt.Errorf("streamgnn: decoding checkpoint: %w", err)
-	}
-	if ck.Version < checkpointVersionMin || ck.Version > checkpointVersion {
-		return fmt.Errorf("streamgnn: checkpoint version %d, want %d..%d", ck.Version, checkpointVersionMin, checkpointVersion)
+	ck, err := decodeCheckpoint(r)
+	if err != nil {
+		return err
 	}
 	if ck.Model != e.cfg.Model || ck.Strategy != e.cfg.Strategy || ck.Hidden != e.cfg.Hidden {
 		return fmt.Errorf("streamgnn: checkpoint is for %s/%s/h=%d, engine is %s/%s/h=%d",
 			ck.Model, ck.Strategy, ck.Hidden, e.cfg.Model, e.cfg.Strategy, e.cfg.Hidden)
 	}
-	if ck.Shards != 0 { // 0 = pre-v5 checkpoint: always unsharded, skip
-		engShards, engLayout := 1, ""
-		if e.shards != nil {
-			engShards, engLayout = e.shards.P, e.shards.Layout.String()
-		}
-		if ck.Shards != engShards || ck.ShardLayout != engLayout {
-			return fmt.Errorf("streamgnn: checkpoint is for shards=%d/%s, engine is shards=%d/%s (resume with the saved partition; services adopt it from CheckpointInfo)",
-				ck.Shards, ck.ShardLayout, engShards, engLayout)
+	engShards, engLayout := 1, ""
+	if e.shards != nil {
+		engShards, engLayout = e.shards.P, e.shards.Layout.String()
+	}
+	if ck.Shards != engShards || ck.ShardLayout != engLayout {
+		return fmt.Errorf("streamgnn: checkpoint is for shards=%d/%s, engine is shards=%d/%s (resume with the saved partition; services adopt it from CheckpointInfo)",
+			ck.Shards, ck.ShardLayout, engShards, engLayout)
+	}
+	// Each section checks itself and hands back its install; the first
+	// refusal ends the load before any install has run.
+	var installs []func()
+	stage := func(install func(), sectionErr error) {
+		if err == nil {
+			installs, err = append(installs, install), sectionErr
 		}
 	}
 	params := e.allParams()
-	if len(ck.Params) != len(params) {
-		return fmt.Errorf("streamgnn: checkpoint has %d parameters, engine has %d", len(ck.Params), len(params))
+	stage(dgnn.RestoreParams(params, ck.Params))
+	counters := e.counters()
+	if len(ck.Counters) != len(counters) {
+		stage(nil, fmt.Errorf("streamgnn: checkpoint carries %d counters, engine keeps %d", len(ck.Counters), len(counters)))
 	}
-	for i, p := range params {
-		d := ck.Params[i]
-		if d.Rows != p.Value.Rows || d.Cols != p.Value.Cols || len(d.Data) != len(p.Value.Data) {
-			return fmt.Errorf("streamgnn: parameter %d shape mismatch (%dx%d vs %dx%d)",
-				i, d.Rows, d.Cols, p.Value.Rows, p.Value.Cols)
-		}
-	}
-	// All validations that can fail cleanly come before any mutation. The
-	// learner checks its chip counts and seed window against the replayed
-	// graph before it installs either, so a checkpoint that does not fit the
-	// graph leaves the engine as it was.
 	a := e.sched.Adaptive
 	if a != nil {
-		if err := a.Restore(ck.Chips, ck.KDESeeds, ck.KDEOldest, ck.HasKDESeeds); err != nil {
-			return err
-		}
+		stage(a.Restore(ck.Chips, ck.KDESeeds, ck.KDEOldest))
 	}
-	if ck.Opt != nil {
-		opt, ok := e.opt.(autodiff.Stateful)
-		if !ok {
-			return fmt.Errorf("streamgnn: checkpoint carries optimizer state but the %s optimizer cannot restore it", e.cfg.Model)
-		}
-		if err := opt.RestoreState(*ck.Opt); err != nil {
-			return err
-		}
+	stage(e.opt.RestoreState(ck.Opt))
+	stage(e.wl.RestoreState(ck.Workload))
+	stage(e.model.RestoreState(ck.States))
+	stage(e.emb.Restore(ck.Emb, ck.EmbLastFull))
+	if len(ck.Delta) > 0 && e.deltaFwd != nil {
+		// A checkpoint without delta caches leaves them invalid, and the first
+		// resumed delta step runs full — at epsilon 0 that is bit-identical.
+		stage(e.delta.DeltaRestore(e.deltaFwd, ck.Delta, ck.DeltaCommitted))
+	} else {
+		stage(e.delta.Invalidate, nil)
 	}
-	if err := e.wl.RestoreState(ck.Workload); err != nil {
+	if err != nil {
 		return err
 	}
-	for i, p := range params {
-		copy(p.Value.Data, ck.Params[i].Data)
+	for _, install := range installs {
+		install()
 	}
 	autodiff.CopyValues(e.opt.Params(), params) // the learner's copy of θ
-	if err := e.model.RestoreState(ck.States); err != nil {
-		return err
-	}
 	e.step = ck.Step
 	e.src.SetState(ck.RngState)
 	e.seenOutcomes = ck.SeenOutcomes
-	st := &e.trainer.Stats
-	atomic.StoreInt64(&st.SelfNodeTargets, ck.TrainerStats[0])
-	atomic.StoreInt64(&st.SelfEdgeTargets, ck.TrainerStats[1])
-	atomic.StoreInt64(&st.SupNodeTargets, ck.TrainerStats[2])
-	atomic.StoreInt64(&st.SupPairTargets, ck.TrainerStats[3])
-	atomic.StoreInt64(&st.ReplayTargets, ck.TrainerStats[4])
+	for i, c := range counters {
+		atomic.StoreInt64(c, ck.Counters[i])
+	}
 	if e.driftDet != nil && ck.Drift != nil {
 		e.driftDet.RestoreState(*ck.Drift)
 	}
 	e.sched.TrainSteps = ck.TrainSteps
 	if a != nil {
 		a.Trained, a.Moves = ck.Trained, ck.Moves
-		atomic.StoreInt64(&a.ParallelUnits, ck.ParallelUnits)
-		atomic.StoreInt64(&a.SchedSteps, ck.SchedSteps)
-		atomic.StoreInt64(&a.SchedGroups, ck.SchedGroups)
-		atomic.StoreInt64(&a.SchedUnits, ck.SchedUnits)
-		atomic.StoreInt64(&a.SchedCollapsed, ck.SchedCollapsed)
 		// The telemetry watermarks follow, so the first resumed step observes
 		// only its own group fraction, not the whole restored history.
-		e.tele.prevSchedGroups, e.tele.prevSchedUnits = ck.SchedGroups, ck.SchedUnits
-	}
-	if err := e.emb.Restore(ck.Emb, ck.EmbLastFull); err != nil {
-		return err
-	}
-	if ck.HasDelta && e.deltaFwd != nil {
-		// DeltaRestore validates the stage count and widths before mutating;
-		// a checkpoint without delta caches (pre-v6, or saved invalid) leaves
-		// them invalid and the first resumed delta step runs full.
-		if err := e.delta.DeltaRestore(e.deltaFwd, ck.Delta, ck.DeltaCommitted); err != nil {
-			return err
-		}
-	} else {
-		e.delta.Invalidate()
+		e.tele.prevSchedGroups, e.tele.prevSchedUnits = atomic.LoadInt64(&a.SchedGroups), atomic.LoadInt64(&a.SchedUnits)
 	}
 	if e.emb.Valid() {
 		e.lastEmb = e.emb.Matrix()

@@ -2,11 +2,17 @@ package streamgnn
 
 import (
 	"bytes"
-	"encoding/gob"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"streamgnn/internal/dgnn"
+	"streamgnn/internal/query"
+	"streamgnn/internal/wire/wiretest"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -314,27 +320,18 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 	}
 }
 
-// A checkpoint written before Config.DisablePooling was retired (by an engine
-// that had it set) still loads and steps: checkpoints carry learned and
-// runtime state, never the Config, so retiring a knob cannot strand them.
+// A checkpoint written before a Config knob is retired still loads and
+// steps: checkpoints carry learned and runtime state, never the Config, so
+// retiring a knob cannot strand them. testdata/checkpoint_v8.ckpt is what
+// endToEnd wrote at step 4 with Hidden 4 when v8 became the format.
 func TestLoadCheckpointFromBeforeKnobRetirement(t *testing.T) {
-	data, err := os.ReadFile("testdata/checkpoint_pr12_v7.gob")
+	data, err := os.ReadFile("testdata/checkpoint_v8.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Hidden = 4
-	e, err := NewEngine(3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 12
-	for i := 0; i < n; i++ {
-		e.AddNode(0, []float64{float64(i % 2), 0, 1})
-	}
-	for i := 0; i < n; i++ {
-		e.AddUndirectedEdge(i, (i+1)%n, 0)
-	}
+	e := ringEngine(t, cfg)
 	if err := e.LoadCheckpoint(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
@@ -346,24 +343,72 @@ func TestLoadCheckpointFromBeforeKnobRetirement(t *testing.T) {
 	}
 }
 
-// A checkpoint whose learner state does not fit the replayed graph — a KDE
-// seed past its last node, a chip count below the floor — is refused by
-// LoadCheckpoint itself, before anything is restored: parameters, workload
-// and step stay those of the engine it was loaded into.
+// ringEngine is a fresh engine over endToEnd's 12-node ring, not stepped.
+func ringEngine(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	e, err := NewEngine(3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	for i := 0; i < n; i++ {
+		e.AddNode(0, []float64{float64(i % 2), 0, 1})
+	}
+	for i := 0; i < n; i++ {
+		e.AddUndirectedEdge(i, (i+1)%n, 0)
+	}
+	return e
+}
+
+// saved returns the engine's checkpoint bytes.
+func saved(t *testing.T, e *Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// The gob checkpoints of v7 and earlier are refused with an error naming
+// their format, by PeekCheckpoint and LoadCheckpoint alike, and the refused
+// load leaves the engine as it was.
+func TestCheckpointRefusesGob(t *testing.T) {
+	data, err := os.ReadFile("testdata/checkpoint_pr12_v7.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PeekCheckpoint(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "gob") {
+		t.Fatalf("PeekCheckpoint of a gob checkpoint: %v", err)
+	}
+	cfg := DefaultConfig()
+	cfg.Hidden = 4
+	e := ringEngine(t, cfg)
+	before := saved(t, e)
+	if err := e.LoadCheckpoint(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "gob") {
+		t.Fatalf("LoadCheckpoint of a gob checkpoint: %v", err)
+	}
+	if !bytes.Equal(saved(t, e), before) {
+		t.Fatal("the refused gob checkpoint changed the engine")
+	}
+}
+
+// A checkpoint that does not fit the engine it is loaded into — a KDE seed
+// past the graph's last node, a chip count below the floor, link-task state
+// for an engine without the link task, an embedding cache whose shape is
+// negative, a recurrent-state matrix of the wrong width — is refused by
+// LoadCheckpoint itself, with an error and before any section installs:
+// the engine's own checkpoint (parameters, optimizer moments, chips, seed
+// window, workload, step) reads the same bytes after the refusal as before.
 func TestLoadCheckpointRejectsLearnerStateOutsideGraph(t *testing.T) {
 	cfg := DefaultConfig() // KDE: the checkpoint carries chips and a seed window
 	cfg.Hidden = 8
-	e1 := endToEnd(t, cfg, 8)
-	var buf bytes.Buffer
-	if err := e1.SaveCheckpoint(&buf); err != nil {
+	good, err := decodeCheckpoint(bytes.NewReader(saved(t, endToEnd(t, cfg, 8))))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var saved checkpoint
-	if err := gob.NewDecoder(&buf).Decode(&saved); err != nil {
-		t.Fatal(err)
-	}
-	if !saved.HasKDESeeds || len(saved.Chips) == 0 {
-		t.Fatalf("checkpoint carries no learner state to corrupt: %d seeds, %d chips", len(saved.KDESeeds), len(saved.Chips))
+	if len(good.KDESeeds) == 0 || len(good.Chips) == 0 || len(good.Opt.Moments) == 0 {
+		t.Fatalf("checkpoint carries no learner state to corrupt: %d seeds, %d chips", len(good.KDESeeds), len(good.Chips))
 	}
 	const n = 12 // the graph endToEnd builds
 	for name, corrupt := range map[string]func(*checkpoint){
@@ -375,50 +420,136 @@ func TestLoadCheckpointRejectsLearnerStateOutsideGraph(t *testing.T) {
 			ck.Chips = append([]int(nil), ck.Chips...)
 			ck.Chips[0] = 0
 		},
+		"link-task state without a link task": func(ck *checkpoint) {
+			ck.Workload.Link = &query.LinkState{LastStep: 7}
+		},
+		"embedding cache of a negative shape": func(ck *checkpoint) {
+			ck.Emb = &dgnn.StateDump{Rows: -1, Cols: -1, Data: []float64{0}}
+		},
+		"recurrent state of the wrong width": func(ck *checkpoint) {
+			last := ck.States[len(ck.States)-1]
+			ck.States = append(ck.States[:len(ck.States)-1:len(ck.States)-1],
+				dgnn.StateDump{Rows: last.Rows, Cols: last.Cols + 1, Data: make([]float64, last.Rows*(last.Cols+1))})
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			bad := saved
+			bad := *good
 			corrupt(&bad)
-			var enc bytes.Buffer
-			if err := gob.NewEncoder(&enc).Encode(bad); err != nil {
-				t.Fatal(err)
-			}
-			e2, err := NewEngine(3, cfg)
+			data, err := bad.encode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < n; i++ {
-				e2.AddNode(0, []float64{float64(i % 2), 0, 1})
-			}
-			for i := 0; i < n; i++ {
-				e2.AddUndirectedEdge(i, (i+1)%n, 0)
-			}
+			e2 := ringEngine(t, cfg)
 			lab := func(anchor, step int) (float64, bool) { return 1, true }
 			if err := e2.AddQuery(Query{Name: "activity", Anchors: []int{0, 5}, Delta: 1, Labeler: lab}); err != nil {
 				t.Fatal(err)
 			}
-			var params [][]float64
-			for _, p := range e2.allParams() {
-				params = append(params, append([]float64(nil), p.Value.Data...))
-			}
-			workload := fmt.Sprintf("%+v", e2.wl.DumpState())
-
-			if err := e2.LoadCheckpoint(&enc); err == nil {
+			before := saved(t, e2)
+			if err := e2.LoadCheckpoint(bytes.NewReader(data)); err == nil {
 				t.Fatal("checkpoint accepted")
 			}
-			if e2.CurrentStep() != 0 {
-				t.Fatalf("refused load moved the step to %d", e2.CurrentStep())
-			}
-			for i, p := range e2.allParams() {
-				for j, v := range p.Value.Data {
-					if v != params[i][j] {
-						t.Fatalf("refused load changed parameter %d", i)
-					}
-				}
-			}
-			if got := fmt.Sprintf("%+v", e2.wl.DumpState()); got != workload {
-				t.Fatal("refused load changed the workload")
+			if !bytes.Equal(saved(t, e2), before) {
+				t.Fatal("the refused load changed the engine")
 			}
 		})
+	}
+}
+
+// canonicalRun drives detStream with the link task and two event queries —
+// six anchors, so the revealed targets gob wrote in map order hold six
+// nodes — through steps mutations, stepping each one when step is set.
+func canonicalRun(t *testing.T, steps int, step bool) *Engine {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Hidden = 4
+	e, err := NewEngine(3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.EnableLinkPrediction()
+	d := newDetStream(5, 12, steps)
+	d.init(t, e)
+	err = e.AddQuery(Query{Name: "parity", Anchors: []int{1, 2, 3, 4}, Delta: 1, Threshold: 0.5,
+		Labeler: func(anchor, step int) (float64, bool) { return float64((anchor + step) % 2), true }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < steps; s++ {
+		d.mutate(e, s)
+		if step {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return e
+}
+
+// A checkpoint is canonical: two identical runs write identical bytes, and
+// an engine restored from a checkpoint saves that checkpoint again, byte
+// for byte.
+func TestCheckpointBytesCanonical(t *testing.T) {
+	const steps = 6
+	first := saved(t, canonicalRun(t, steps, true))
+	if again := saved(t, canonicalRun(t, steps, true)); !bytes.Equal(first, again) {
+		t.Fatalf("two identical runs wrote different checkpoints (%d and %d bytes)", len(first), len(again))
+	}
+	ck, err := decodeCheckpoint(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Workload.Revealed) < 2 || ck.Workload.Link == nil || len(ck.Workload.Pending) == 0 {
+		t.Fatalf("the run checkpoints %d revealed targets, %d pending, link %v: too little to prove order",
+			len(ck.Workload.Revealed), len(ck.Workload.Pending), ck.Workload.Link != nil)
+	}
+	resumed := canonicalRun(t, steps, false)
+	if err := resumed.LoadCheckpoint(bytes.NewReader(first)); err != nil {
+		t.Fatal(err)
+	}
+	if again := saved(t, resumed); !bytes.Equal(first, again) {
+		t.Fatal("save -> load -> save wrote different bytes")
+	}
+}
+
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzCheckpointDecode from a fresh canonicalRun")
+
+// FuzzCheckpointDecode feeds arbitrary bytes to the checkpoint decoder under
+// the harness every wire decoder shares (wiretest.Check). Its seed corpus is
+// canonicalRun's checkpoint; TestCheckpointCorpusDecodes keeps it current.
+func FuzzCheckpointDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte(checkpointMagic))
+	f.Add(append([]byte(checkpointMagic), checkpointVersion, 0x80, 0x80, 0x80, 0x80, 0x10)) // 2^32-byte model name
+	decode := func(data []byte) (func() ([]byte, error), error) {
+		ck, err := decodeCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		return ck.encode, nil
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { wiretest.Check(t, data, "checkpoint", decode) })
+}
+
+func TestCheckpointCorpusDecodes(t *testing.T) {
+	path := "testdata/fuzz/FuzzCheckpointDecode/link-and-events"
+	if *updateCorpus {
+		entry := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", saved(t, canonicalRun(t, 6, true)))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed []byte
+	if _, err := fmt.Sscanf(string(raw), "go test fuzz v1\n[]byte(%q)", &seed); err != nil {
+		t.Fatalf("not a one-value corpus file: %v", err)
+	}
+	if _, err := decodeCheckpoint(bytes.NewReader(seed)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -157,13 +157,11 @@ func run(opts options) error {
 			return err
 		}
 		opts.model, opts.strategy, opts.hidden = info.Model, info.Strategy, info.Hidden
-		if info.Shards > 0 {
-			// Adopt the saved shard layout: LoadCheckpoint rejects a
-			// mismatched partition, so the flags must not override it.
-			opts.shards, opts.shardLayout = info.Shards, info.ShardLayout
-			if opts.shards <= 1 {
-				opts.shardLayout = "hash"
-			}
+		// Adopt the saved shard layout: LoadCheckpoint rejects a mismatched
+		// partition, so the flags must not override it.
+		opts.shards, opts.shardLayout = info.Shards, info.ShardLayout
+		if opts.shards <= 1 {
+			opts.shardLayout = "hash"
 		}
 		resumeStep = info.Step
 		fmt.Printf("resuming %s/%s at step %d from %s\n", info.Model, info.Strategy, info.Step, opts.ckptPath)
@@ -217,7 +215,6 @@ func run(opts options) error {
 	// predictions attach to queries by name, and the link task must exist
 	// for its state to land.
 	for _, q := range ds.Queries {
-		q := q
 		err := eng.AddQuery(streamgnn.Query{
 			Name:      q.Name,
 			Anchors:   q.Anchors,

@@ -3,12 +3,15 @@ package autodiff
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"streamgnn/internal/tensor"
 )
 
 // Optimizer updates a fixed set of parameters from their accumulated
-// gradients and clears the gradients afterwards.
+// gradients and clears the gradients afterwards. Its internal state crosses
+// a checkpoint: restoring the moments makes post-resume updates
+// bit-identical to an uninterrupted run.
 type Optimizer interface {
 	// Step applies one update using the gradients currently stored in the
 	// parameters and then zeroes them.
@@ -17,6 +20,12 @@ type Optimizer interface {
 	ZeroGrad()
 	// Params returns the parameter nodes managed by the optimizer.
 	Params() []*Node
+	// DumpState captures the optimizer's internal state.
+	DumpState() OptState
+	// RestoreState checks a state captured by DumpState on an optimizer over
+	// the same parameter set and returns the install that restores it;
+	// nothing changes until install runs.
+	RestoreState(OptState) (install func(), err error)
 }
 
 // SGD is plain stochastic gradient descent with optional gradient clipping.
@@ -115,77 +124,49 @@ func (o *Adam) Step() {
 // the step counter and any per-parameter moment buffers (flattened, in
 // parameter order). SGD has no moments; Adam has two per parameter.
 // Decorating optimizers use the remaining fields: Inner nests the wrapped
-// optimizer's state, RNG/HasRNG carry a private random stream's position,
-// and History holds a window of per-parameter gradient snapshots (an empty
-// inner slice marks a parameter whose gradient was nil at snapshot time).
-// All fields are gob-encoded by name, so states saved before a field existed
-// still decode (the new fields read back as zero values).
+// optimizer's state, RNG carries a private random stream's position, and
+// History holds a window of per-parameter gradient snapshots.
 type OptState struct {
 	Step    int
 	Moments [][]float64
 	Inner   *OptState
 	RNG     uint64
-	HasRNG  bool
 	History [][][]float64
 }
 
-// Stateful is implemented by optimizers whose internal state can be dumped
-// and restored across a checkpoint/resume cycle. Restoring the moments makes
-// post-resume parameter updates bit-identical to an uninterrupted run, which
-// checkpoint resume tests rely on. Decorating optimizers that keep extra
-// state of their own (e.g. WinGNN's gradient-aggregation window) implement
-// it by nesting the wrapped optimizer's state in OptState.Inner.
-type Stateful interface {
-	// DumpState captures the optimizer's internal state.
-	DumpState() OptState
-	// RestoreState restores a state captured by DumpState on an optimizer
-	// over the same parameter set.
-	RestoreState(OptState) error
-}
-
-// DumpState implements Stateful (SGD keeps no moments).
+// DumpState implements Optimizer (SGD keeps no moments).
 func (o *SGD) DumpState() OptState { return OptState{} }
 
-// RestoreState implements Stateful.
-func (o *SGD) RestoreState(OptState) error { return nil }
+// RestoreState implements Optimizer.
+func (o *SGD) RestoreState(OptState) (func(), error) { return func() {}, nil }
 
-// DumpState implements Stateful.
+// DumpState implements Optimizer: the first moments, then the second.
 func (o *Adam) DumpState() OptState {
-	st := OptState{Step: o.step, Moments: make([][]float64, 0, 2*len(o.params))}
-	for _, m := range o.m {
+	st := OptState{Step: o.step}
+	for _, m := range slices.Concat(o.m, o.v) {
 		st.Moments = append(st.Moments, append([]float64(nil), m.Data...))
-	}
-	for _, v := range o.v {
-		st.Moments = append(st.Moments, append([]float64(nil), v.Data...))
 	}
 	return st
 }
 
-// RestoreState implements Stateful.
-func (o *Adam) RestoreState(st OptState) error {
-	if len(st.Moments) != 2*len(o.params) {
-		return fmt.Errorf("autodiff: optimizer state has %d moment buffers, Adam over %d params needs %d",
-			len(st.Moments), len(o.params), 2*len(o.params))
+// RestoreState implements Optimizer.
+func (o *Adam) RestoreState(st OptState) (func(), error) {
+	moments := slices.Concat(o.m, o.v)
+	if len(st.Moments) != len(moments) {
+		return nil, fmt.Errorf("autodiff: optimizer state has %d moment buffers, Adam over %d params needs %d",
+			len(st.Moments), len(o.params), len(moments))
 	}
-	for i, m := range o.m {
+	for i, m := range moments {
 		if len(st.Moments[i]) != len(m.Data) {
-			return fmt.Errorf("autodiff: moment buffer %d has %d values, want %d", i, len(st.Moments[i]), len(m.Data))
+			return nil, fmt.Errorf("autodiff: moment buffer %d has %d values, want %d", i, len(st.Moments[i]), len(m.Data))
 		}
 	}
-	for i, v := range o.v {
-		j := len(o.m) + i
-		if len(st.Moments[j]) != len(v.Data) {
-			return fmt.Errorf("autodiff: moment buffer %d has %d values, want %d", j, len(st.Moments[j]), len(v.Data))
+	return func() {
+		o.step = st.Step
+		for i, m := range moments {
+			copy(m.Data, st.Moments[i])
 		}
-	}
-	o.step = st.Step
-	for i, m := range o.m {
-		copy(m.Data, st.Moments[i])
-	}
-	for i, v := range o.v {
-		copy(v.Data, st.Moments[len(o.m)+i])
-	}
-	return nil
+	}, nil
 }
 
 func zeroGrads(params []*Node) {

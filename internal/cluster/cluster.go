@@ -22,211 +22,63 @@
 // Two Transport implementations ship: Loopback (direct in-process calls,
 // zero-copy — proves the architecture against single-process mode) and
 // HTTPTransport (binary frames over localhost HTTP for queryd
-// -role=coordinator|replica; frame.go). All floating-point payloads are
-// Float64s and cross the wire as their raw IEEE-754 little-endian words, so
-// the format is exact for every value, NaN and infinities included.
+// -role=coordinator|replica; frame.go). Every float crosses the wire as its
+// raw IEEE-754 word (internal/wire), so the format is exact for every value,
+// NaN and infinities included.
 package cluster
 
 import (
-	"encoding/base64"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"math"
 
-	"streamgnn/internal/autodiff"
 	"streamgnn/internal/dgnn"
-	"streamgnn/internal/graph"
 	"streamgnn/internal/query"
 	"streamgnn/internal/stream"
-	"streamgnn/internal/tensor"
 )
 
-// Float64s is the float payload of every wire type. In an RPC frame it is a
-// count and its raw little-endian IEEE-754 words (frame.go). Its JSON form —
-// base64 of the same bytes, exact for every representable value where
-// encoding/json alone cannot carry NaN or ±Inf — is what the replica's
-// on-disk WAL stores, and only the WAL uses it.
-type Float64s []float64
-
-// MarshalJSON implements json.Marshaler.
-func (f Float64s) MarshalJSON() ([]byte, error) {
-	buf := make([]byte, 8*len(f))
-	for i, v := range f {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return json.Marshal(base64.StdEncoding.EncodeToString(buf))
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *Float64s) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	buf, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return err
-	}
-	if len(buf)%8 != 0 {
-		return fmt.Errorf("cluster: float payload of %d bytes is not a multiple of 8", len(buf))
-	}
-	out := make(Float64s, len(buf)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	*f = out
-	return nil
-}
-
-// Dump is a wire-encodable matrix (the transport twin of dgnn.StateDump).
-type Dump struct {
-	Rows int
-	Cols int
-	Data Float64s
-}
-
-func dumpOf(d dgnn.StateDump) Dump {
-	return Dump{Rows: d.Rows, Cols: d.Cols, Data: Float64s(d.Data)}
-}
-
-func dumpsOf(ds []dgnn.StateDump) []Dump {
-	out := make([]Dump, len(ds))
-	for i, d := range ds {
-		out[i] = dumpOf(d)
-	}
-	return out
-}
-
-func (d Dump) stateDump() dgnn.StateDump {
-	return dgnn.StateDump{Rows: d.Rows, Cols: d.Cols, Data: []float64(d.Data)}
-}
-
-func stateDumps(ds []Dump) []dgnn.StateDump {
-	out := make([]dgnn.StateDump, len(ds))
-	for i, d := range ds {
-		out[i] = d.stateDump()
-	}
-	return out
-}
-
-func dumpMatrix(m *tensor.Matrix) Dump {
-	data := make(Float64s, len(m.Data))
-	copy(data, m.Data)
-	return Dump{Rows: m.Rows, Cols: m.Cols, Data: data}
-}
-
-func (d Dump) matrix() (*tensor.Matrix, error) {
-	if len(d.Data) != d.Rows*d.Cols {
-		return nil, fmt.Errorf("cluster: %dx%d matrix payload carries %d values", d.Rows, d.Cols, len(d.Data))
-	}
-	m := tensor.New(d.Rows, d.Cols)
-	copy(m.Data, d.Data)
-	return m, nil
-}
-
-// Wire event ops.
+// Event kinds: the byte that leads each stream.Event in a frame or the WAL.
 const (
-	opNode  = "node"
-	opEdge  = "edge"
-	opFeat  = "feat"
-	opLabel = "label"
+	kindNode byte = iota
+	kindEdge
+	kindFeature
+	kindLabel
 )
 
-// WireEvent is one graph mutation in transit: the four stream.Event kinds,
-// with every float carried bit-exactly (AddEdge's NaN no-label sentinel
-// included) via Float64s.
-type WireEvent struct {
-	Op    string   `json:"op"`
-	Type  int      `json:"type,omitempty"`
-	U     int      `json:"u,omitempty"`
-	V     int      `json:"v,omitempty"`
-	Time  int64    `json:"time,omitempty"`
-	Label Float64s `json:"label,omitempty"` // one element when present
-	Feat  Float64s `json:"feat,omitempty"`
-}
-
-// EncodeEvents converts one step's stream events to the wire form.
-func EncodeEvents(events []stream.Event) ([]WireEvent, error) {
-	out := make([]WireEvent, len(events))
-	for i, ev := range events {
-		switch e := ev.(type) {
-		case stream.AddNode:
-			out[i] = WireEvent{Op: opNode, Type: int(e.Type), Feat: append(Float64s(nil), e.Feat...)}
-		case stream.AddEdge:
-			out[i] = WireEvent{Op: opEdge, U: e.U, V: e.V, Type: int(e.Type), Time: e.Time,
-				Label: Float64s{e.Label}}
-		case stream.SetFeature:
-			out[i] = WireEvent{Op: opFeat, V: e.V, Feat: append(Float64s(nil), e.Feat...)}
-		case stream.SetLabel:
-			out[i] = WireEvent{Op: opLabel, V: e.V, Label: Float64s{e.Label}}
-		default:
-			return nil, fmt.Errorf("cluster: cannot encode stream event %T", ev)
-		}
+// eventKind names the kind of a stream event; ok is false for a type the
+// wire does not carry.
+func eventKind(ev stream.Event) (kind byte, ok bool) {
+	switch ev.(type) {
+	case stream.AddNode:
+		return kindNode, true
+	case stream.AddEdge:
+		return kindEdge, true
+	case stream.SetFeature:
+		return kindFeature, true
+	case stream.SetLabel:
+		return kindLabel, true
 	}
-	return out, nil
-}
-
-// check reports why the event cannot apply to a mirror of n nodes: an
-// unknown op, a label payload that is not one value, or a node id outside
-// [0, n).
-func (w WireEvent) check(n int) error {
-	switch w.Op {
-	case opNode:
-		return nil
-	case opFeat:
-	case opEdge, opLabel:
-		if len(w.Label) != 1 {
-			return fmt.Errorf("cluster: %s event carries %d label values, want 1", w.Op, len(w.Label))
-		}
-	default:
-		return fmt.Errorf("cluster: unknown event op %q", w.Op)
-	}
-	for _, v := range w.touches(n, nil) {
-		if v < 0 || v >= n {
-			return fmt.Errorf("cluster: %s event names node %d outside the mirror's [0, %d)", w.Op, v, n)
-		}
-	}
-	return nil
-}
-
-// apply replays the event onto a graph mirror — the same mutations the
-// event's stream.Event counterpart performs on the coordinator's graph — or,
-// when check rejects it, leaves the mirror untouched.
-func (w WireEvent) apply(g *graph.Dynamic) error {
-	if err := w.check(g.N()); err != nil {
-		return err
-	}
-	switch w.Op {
-	case opNode:
-		g.AddNode(graph.NodeType(w.Type), w.Feat)
-	case opEdge:
-		g.AddLabeledEdge(w.U, w.V, graph.EdgeType(w.Type), w.Time, w.Label[0])
-	case opFeat:
-		g.SetFeature(w.V, w.Feat)
-	case opLabel:
-		g.SetLabel(w.V, w.Label[0])
-	}
-	return nil
+	return 0, false
 }
 
 // touches appends the node ids an event mentions (for owned/halo telemetry);
-// nextID is the id an opNode event will be assigned.
-func (w WireEvent) touches(nextID int, dst []int) []int {
-	switch w.Op {
-	case opNode:
+// nextID is the id an AddNode event will be assigned.
+func touches(ev stream.Event, nextID int, dst []int) []int {
+	switch e := ev.(type) {
+	case stream.AddNode:
 		return append(dst, nextID)
-	case opEdge:
-		return append(dst, w.U, w.V)
-	default:
-		return append(dst, w.V)
+	case stream.AddEdge:
+		return append(dst, e.U, e.V)
+	case stream.SetFeature:
+		return append(dst, e.V)
+	case stream.SetLabel:
+		return append(dst, e.V)
 	}
+	return dst
 }
 
 // StepEvents is one step's replicated event batch.
 type StepEvents struct {
-	Step   int         `json:"step"`
-	Events []WireEvent `json:"events"`
+	Step   int
+	Events []stream.Event
 }
 
 // ReplicaConfig identifies a shard replica: which slice of which partition
@@ -250,9 +102,7 @@ type ReplicaConfig struct {
 
 func (c ReplicaConfig) validateAgainst(have ReplicaConfig) error {
 	if c != have {
-		return fmt.Errorf("cluster: replica configured as shard %d of %d (%s) model=%s hidden=%d featdim=%d window=%d, coordinator wants shard %d of %d (%s) model=%s hidden=%d featdim=%d window=%d",
-			have.Shard, have.Shards, have.Layout, have.Model, have.Hidden, have.FeatDim, have.WindowSteps,
-			c.Shard, c.Shards, c.Layout, c.Model, c.Hidden, c.FeatDim, c.WindowSteps)
+		return fmt.Errorf("cluster: replica configured as %+v, coordinator wants %+v", have, c)
 	}
 	return nil
 }
@@ -277,8 +127,8 @@ type HelloResponse struct {
 // recurrent-state matrix, stamped with the coordinator's mirror version.
 type ModelSync struct {
 	Version uint64
-	Params  []Dump
-	States  []Dump
+	Params  []dgnn.StateDump
+	States  []dgnn.StateDump
 }
 
 // StatePatch carries the live recurrent-state rows for the ids committed
@@ -286,7 +136,7 @@ type ModelSync struct {
 // full ModelSync between training steps, when parameters are unchanged.
 type StatePatch struct {
 	IDs    []int
-	States []Dump // one per state matrix, len(IDs) rows each
+	States []dgnn.StateDump // one per state matrix, len(IDs) rows each
 }
 
 // ForwardRequest asks a replica to execute one shard part of a step's
@@ -315,10 +165,10 @@ type ForwardResponse struct {
 	Shard int
 	IDs   []int
 	// Out is len(IDs) × hidden: row k is the committed embedding of IDs[k].
-	Out Dump
+	Out dgnn.StateDump
 	// StateRows holds the live recurrent-state rows at IDs after the
-	// forward, one Dump per state matrix; nil for stateless models.
-	StateRows   []Dump
+	// forward, one dump per state matrix; nil for stateless models.
+	StateRows   []dgnn.StateDump
 	LastApplied int
 }
 
@@ -334,11 +184,11 @@ type PublishRequest struct {
 	N    int
 	Full bool
 	IDs  []int
-	Rows Dump
+	Rows dgnn.StateDump
 	// HeadsVersion stamps the serving heads; Heads carries their parameter
-	// dumps when the replica's held version is stale.
+	// dumps when the replica's held version is stale, and is empty otherwise.
 	HeadsVersion uint64
-	Heads        []Dump
+	Heads        []dgnn.StateDump
 }
 
 // PublishResponse acknowledges a publish.
@@ -355,9 +205,10 @@ type AnswerRequest struct {
 	Reqs []query.Request
 }
 
-// WireAnswer is query.Answer with the score carried bit-exactly.
+// WireAnswer is query.Answer in an AnswerResponse; its score is an array of
+// one because the benchmark harness (benchmarks/e2e) reads it as a list.
 type WireAnswer struct {
-	Score Float64s // one element
+	Score [1]float64
 	OK    bool
 	Err   string
 }
@@ -366,25 +217,6 @@ type WireAnswer struct {
 type AnswerResponse struct {
 	Step    int
 	Answers []WireAnswer
-}
-
-func wireAnswers(as []query.Answer) []WireAnswer {
-	out := make([]WireAnswer, len(as))
-	for i, a := range as {
-		out[i] = WireAnswer{Score: Float64s{a.Score}, OK: a.OK, Err: a.Err}
-	}
-	return out
-}
-
-func unwireAnswers(ws []WireAnswer) ([]query.Answer, error) {
-	out := make([]query.Answer, len(ws))
-	for i, w := range ws {
-		if len(w.Score) != 1 {
-			return nil, fmt.Errorf("cluster: answer %d carries %d score values, want 1", i, len(w.Score))
-		}
-		out[i] = query.Answer{Score: w.Score[0], OK: w.OK, Err: w.Err}
-	}
-	return out, nil
 }
 
 // Transport is one coordinator→replica session: the four RPCs of the
@@ -398,59 +230,4 @@ type Transport interface {
 	Forward(req ForwardRequest) (ForwardResponse, error)
 	Publish(req PublishRequest) (PublishResponse, error)
 	Answer(req AnswerRequest) (AnswerResponse, error)
-}
-
-// mergeSorted returns the ascending union of two ascending id slices.
-func mergeSorted(a, b []int) []int {
-	if len(a) == 0 {
-		return append([]int(nil), b...)
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// restoreParams overwrites parameter values from wire dumps, validating
-// every shape first so a bad payload never half-applies.
-func restoreParams(params []*autodiff.Node, dumps []Dump) error {
-	if len(dumps) != len(params) {
-		return fmt.Errorf("cluster: sync carries %d parameters, model has %d", len(dumps), len(params))
-	}
-	for i, p := range params {
-		d := dumps[i]
-		if d.Rows != p.Value.Rows || d.Cols != p.Value.Cols || len(d.Data) != len(p.Value.Data) {
-			return fmt.Errorf("cluster: parameter %d shape mismatch (%dx%d vs %dx%d)",
-				i, d.Rows, d.Cols, p.Value.Rows, p.Value.Cols)
-		}
-	}
-	for i, p := range params {
-		copy(p.Value.Data, dumps[i].Data)
-	}
-	return nil
-}
-
-func gatherParams(params []*autodiff.Node) []Dump {
-	out := make([]Dump, len(params))
-	for i, p := range params {
-		out[i] = dumpMatrix(p.Value)
-	}
-	return out
 }

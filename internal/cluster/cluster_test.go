@@ -40,16 +40,9 @@ func (d testStream) eventsFor(s int) []stream.Event {
 	return evs
 }
 
-func applyEvents(t *testing.T, e *streamgnn.Engine, events []stream.Event) {
-	t.Helper()
-	wire, err := EncodeEvents(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range wire {
-		if err := ev.apply(e.Graph()); err != nil {
-			t.Fatal(err)
-		}
+func applyEvents(e *streamgnn.Engine, events []stream.Event) {
+	for _, ev := range events {
+		ev.Apply(e.Graph())
 	}
 }
 
@@ -151,8 +144,8 @@ func (h *harness) step(t *testing.T, s int) {
 	if err := h.coord.RouteEvents(s, evs); err != nil {
 		t.Fatal(err)
 	}
-	applyEvents(t, h.flat, evs)
-	applyEvents(t, h.eng, evs)
+	applyEvents(h.flat, evs)
+	applyEvents(h.eng, evs)
 	if s == 0 {
 		addTestQuery(t, h.flat, h.d.n)
 		addTestQuery(t, h.eng, h.d.n)
@@ -267,9 +260,9 @@ func TestClusterLoopbackRecurrent200(t *testing.T) {
 	}
 }
 
-// The localhost HTTP transport is held to the same bar: JSON round-trips of
-// every payload (Float64s carries raw IEEE-754 bits) must not perturb a
-// single bit over 200 steps, for a memoryless and a recurrent model.
+// The localhost HTTP transport is held to the same bar: framing every
+// payload (floats as raw IEEE-754 words) must not perturb a single bit over
+// 200 steps, for a memoryless and a recurrent model.
 func TestClusterHTTPBitEquality200(t *testing.T) {
 	for _, model := range []string{"WinGNN", "TGCN"} {
 		t.Run(model, func(t *testing.T) {
@@ -348,7 +341,7 @@ func TestClusterReplicaFailureFallback(t *testing.T) {
 
 // Kill one replica mid-stream, bring up a fresh process from its WAL alone,
 // swap the transport — equality must survive, which is the per-replica
-// crash-recovery contract. The WAL's first line configures the new process;
+// crash-recovery contract. The WAL's first record configures the new process;
 // the model mirror comes back with the reconnect's full sync.
 func TestClusterKillReplicaResume(t *testing.T) {
 	h := newHarness(t, "TGCN", 17, 48, 2, loopbackFactory)

@@ -160,9 +160,7 @@ func NewCoordinator(eng *streamgnn.Engine, trans []Transport) (*Coordinator, err
 // new address) and marks the replica down so the next contact renegotiates.
 func (c *Coordinator) SetTransport(s int, t Transport) {
 	c.trans[s] = t
-	c.reps[s].connected.Store(false)
-	c.reps[s].needFull = true
-	c.reps[s].serveFull = true
+	c.markDown(s)
 }
 
 // RouteEvents replicates one step's event batch to every replica outbox.
@@ -173,22 +171,25 @@ func (c *Coordinator) SetTransport(s int, t Transport) {
 // §17). Call it for every step batch, before the engine step that consumes
 // it — including during resume fast-forward, so replicas behind a restarted
 // coordinator are redelivered the replayed history (they dedup by step).
+// The outbox holds events itself until every replica acknowledged them, so
+// the caller must not change them afterwards.
 func (c *Coordinator) RouteEvents(step int, events []stream.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	wire, err := EncodeEvents(events)
-	if err != nil {
-		return err
+	for _, ev := range events {
+		if _, ok := eventKind(ev); !ok {
+			return fmt.Errorf("cluster: cannot route stream event %T", ev)
+		}
 	}
 	// Owned/halo accounting: an event is "owned" by every replica holding
 	// one of the nodes it touches, halo traffic for the rest.
 	nextID := c.g.N()
 	scratch := make([]int, 0, 2)
 	ownerHit := make([]bool, c.sh.P)
-	for _, ev := range wire {
-		scratch = ev.touches(nextID, scratch[:0])
-		if ev.Op == opNode {
+	for _, ev := range events {
+		scratch = touches(ev, nextID, scratch[:0])
+		if _, ok := ev.(stream.AddNode); ok {
 			nextID++
 		}
 		for r := range ownerHit {
@@ -205,7 +206,7 @@ func (c *Coordinator) RouteEvents(step int, events []stream.Event) error {
 			}
 		}
 	}
-	batch := StepEvents{Step: step, Events: wire}
+	batch := StepEvents{Step: step, Events: events}
 	for r := range c.reps {
 		// Re-routed history: from this step on the outbox holds it again.
 		c.reps[r].pruned = min(c.reps[r].pruned, step-1)
@@ -222,7 +223,9 @@ func (c *Coordinator) RouteEvents(step int, events []stream.Event) error {
 // its WAL, history not re-routed) could apply none of what follows: it stays
 // down and its parts run locally.
 func (c *Coordinator) hello(s int) bool {
-	resp, err := c.trans[s].Hello(HelloRequest{Config: c.replicaConfig(s)})
+	cfg := c.base
+	cfg.Shard = s
+	resp, err := c.trans[s].Hello(HelloRequest{Config: cfg})
 	if err != nil || resp.LastApplied < c.reps[s].pruned {
 		c.reps[s].connected.Store(false)
 		return false
@@ -234,12 +237,6 @@ func (c *Coordinator) hello(s int) bool {
 	c.reps[s].connected.Store(true)
 	c.tele.reconnects.Inc()
 	return true
-}
-
-func (c *Coordinator) replicaConfig(s int) ReplicaConfig {
-	cfg := c.base
-	cfg.Shard = s
-	return cfg
 }
 
 func (c *Coordinator) pruneOutbox(s, lastApplied int) {
@@ -307,14 +304,14 @@ func (c *Coordinator) ForwardShards(step int, parts [][]int, exact []int) []dgnn
 			if fullSync == nil {
 				fullSync = &ModelSync{
 					Version: c.stateVersion,
-					Params:  gatherParams(c.model.Params()),
-					States:  dumpsOf(c.model.DumpState()),
+					Params:  dgnn.DumpParams(c.model.Params()),
+					States:  c.model.DumpState(),
 				}
 			}
 			req.Sync = fullSync
 		} else if hasStateRows && len(c.reps[s].pending) > 0 {
 			ids := c.reps[s].pending
-			req.Patch = &StatePatch{IDs: ids, States: dumpsOf(sr.GatherStateRows(ids))}
+			req.Patch = &StatePatch{IDs: ids, States: sr.GatherStateRows(ids)}
 		}
 		reqs[s] = req
 	}
@@ -368,7 +365,7 @@ func (c *Coordinator) ForwardShards(step int, parts [][]int, exact []int) []dgnn
 	// Every replica owes the rows this step committed — its own included
 	// (harmless: the values are identical) — until its next sync or patch.
 	for s := 0; s < P; s++ {
-		c.reps[s].pending = mergeSorted(c.reps[s].pending, exact)
+		c.reps[s].pending = dgnn.MergeSorted(c.reps[s].pending, exact)
 	}
 	return res
 }
@@ -390,7 +387,7 @@ func (c *Coordinator) adoptForward(s int, req *ForwardRequest, resp *ForwardResp
 			return dgnn.ShardForward{}, fmt.Errorf("cluster: shard %d returned row id %d, want %d", s, resp.IDs[i], want[i])
 		}
 	}
-	out, err := resp.Out.matrix()
+	out, err := resp.Out.Matrix()
 	if err != nil {
 		return dgnn.ShardForward{}, err
 	}
@@ -398,7 +395,7 @@ func (c *Coordinator) adoptForward(s int, req *ForwardRequest, resp *ForwardResp
 		return dgnn.ShardForward{}, fmt.Errorf("cluster: shard %d embedding payload %dx%d, want %dx%d", s, out.Rows, out.Cols, len(want), c.hidden)
 	}
 	if sr, ok := c.model.(dgnn.StateRows); ok {
-		if err := sr.ScatterStateRows(resp.IDs, stateDumps(resp.StateRows)); err != nil {
+		if err := sr.ScatterStateRows(resp.IDs, resp.StateRows); err != nil {
 			return dgnn.ShardForward{}, err
 		}
 	} else if len(resp.StateRows) != 0 {
@@ -450,8 +447,8 @@ func (c *Coordinator) PublishStep(step int) {
 	heads := snap.Heads()
 	changed := c.stepChanged
 	c.stepChanged = nil
-	var headDumps []Dump
-	var fullRows Dump // identical for every replica due a full publish
+	var headDumps []dgnn.StateDump
+	var fullRows dgnn.StateDump // identical for every replica due a full publish
 	var wg sync.WaitGroup
 	P := c.sh.P
 	reqs := make([]*PublishRequest, P)
@@ -468,20 +465,19 @@ func (c *Coordinator) PublishStep(step int) {
 		if c.reps[s].serveFull {
 			req.Full = true
 			if fullRows.Data == nil {
-				fullRows = dumpMatrix(emb)
+				fullRows = dgnn.DumpMatrix(emb)
 			}
 			req.Rows = fullRows
 		} else {
 			req.IDs = changed
-			rows := Dump{Rows: len(changed), Cols: c.hidden, Data: make(Float64s, len(changed)*c.hidden)}
+			req.Rows = dgnn.StateDump{Rows: len(changed), Cols: c.hidden, Data: make([]float64, len(changed)*c.hidden)}
 			for k, id := range changed {
-				copy(rows.Data[k*c.hidden:(k+1)*c.hidden], emb.Row(id))
+				copy(req.Rows.Data[k*c.hidden:(k+1)*c.hidden], emb.Row(id))
 			}
-			req.Rows = rows
 		}
 		if c.reps[s].sentHeads != c.headsVersion {
 			if headDumps == nil {
-				headDumps = gatherParams(heads.Params())
+				headDumps = dgnn.DumpParams(heads.Params())
 			}
 			req.Heads = headDumps
 		}
@@ -548,7 +544,6 @@ func (c *Coordinator) Route(req query.Request) int {
 func (c *Coordinator) RemoteAnswerers() []func([]query.Request) []query.Answer {
 	out := make([]func([]query.Request) []query.Answer, c.sh.P)
 	for s := range out {
-		s := s
 		out[s] = func(reqs []query.Request) []query.Answer {
 			step := c.tele.serveStep.Load()
 			if step < 0 || !c.reps[s].connected.Load() {
@@ -561,10 +556,9 @@ func (c *Coordinator) RemoteAnswerers() []func([]query.Request) []query.Answer {
 				c.tele.answerErrors.Inc()
 				return nil
 			}
-			answers, err := unwireAnswers(resp.Answers)
-			if err != nil {
-				c.tele.answerErrors.Inc()
-				return nil
+			answers := make([]query.Answer, len(resp.Answers))
+			for i, a := range resp.Answers {
+				answers[i] = query.Answer{Score: a.Score[0], OK: a.OK, Err: a.Err}
 			}
 			c.tele.remoteAnswers.Add(int64(len(reqs)))
 			return answers

@@ -17,7 +17,10 @@ import (
 	"testing"
 
 	"streamgnn"
+	"streamgnn/internal/dgnn"
 	"streamgnn/internal/query"
+	"streamgnn/internal/stream"
+	"streamgnn/internal/wire/wiretest"
 	"streamgnn/internal/workload"
 )
 
@@ -57,11 +60,18 @@ func bitEqual(a, b reflect.Value) bool {
 	switch a.Kind() {
 	case reflect.Float64:
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
-	case reflect.Ptr:
+	case reflect.Ptr, reflect.Interface:
 		if a.IsNil() || b.IsNil() {
 			return a.IsNil() == b.IsNil()
 		}
 		return bitEqual(a.Elem(), b.Elem())
+	case reflect.Array:
+		for i := 0; i < a.Len(); i++ {
+			if !bitEqual(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
 	case reflect.Slice:
 		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
 			return false
@@ -84,28 +94,37 @@ func bitEqual(a, b reflect.Value) bool {
 	}
 }
 
+func mustFrame(t testing.TB, m frameMessage) []byte {
+	t.Helper()
+	frame, err := encodeFrame(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
 // Every message must cross the codec with every field intact — floats to the
 // bit — and a value must have exactly one frame (decode then encode gives the
-// bytes back). want is set where the frame deliberately normalises: a list
-// without a presence byte decodes to nil when empty.
+// bytes back). want is set where the frame deliberately normalises: an empty
+// list decodes to nil.
 func TestFrameRoundTrip(t *testing.T) {
 	nanPayload := math.Float64frombits(0x7ff8_0000_dead_beef)
-	odd := Float64s{nanPayload, math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+	odd := []float64{nanPayload, math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, math.MaxFloat64, 1.0 / 3.0}
-	dump := Dump{Rows: 2, Cols: 5, Data: odd}
-	empty := Dump{Rows: 0, Cols: 16}
+	dump := dgnn.StateDump{Rows: 2, Cols: 5, Data: odd}
+	empty := dgnn.StateDump{Rows: 0, Cols: 16}
 	events := []StepEvents{
-		{Step: 3, Events: []WireEvent{
-			{Op: opNode, Type: 2, Feat: Float64s{1, nanPayload}},
-			{Op: opEdge, U: 4, V: 9, Type: 1, Time: math.MinInt64, Label: Float64s{math.NaN()}},
-			{Op: opEdge, U: 9, V: 4, Time: math.MaxInt64, Label: Float64s{-0.5}},
-			{Op: opFeat, V: 7, Feat: Float64s{}},
-			{Op: opLabel, V: -1, Label: Float64s{math.Inf(-1)}},
+		{Step: 3, Events: []stream.Event{
+			stream.AddNode{Type: 2, Feat: []float64{1, nanPayload}},
+			stream.AddEdge{U: 4, V: 9, Type: 1, Time: math.MinInt64, Label: math.NaN()},
+			stream.AddEdge{U: 9, V: 4, Time: math.MaxInt64, Label: -0.5},
+			stream.SetFeature{V: 7, Feat: []float64{}},
+			stream.SetLabel{V: -1, Label: math.Inf(-1)},
 		}},
 		{Step: 4},
 	}
-	eventsWant := []StepEvents{{Step: 3, Events: append([]WireEvent(nil), events[0].Events...)}, {Step: 4}}
-	eventsWant[0].Events[3].Feat = nil
+	eventsWant := []StepEvents{{Step: 3, Events: append([]stream.Event(nil), events[0].Events...)}, {Step: 4}}
+	eventsWant[0].Events[3] = stream.SetFeature{V: 7}
 	cfg := ReplicaConfig{Shard: 1, Shards: 2, Layout: "hash", Model: "TGCN", Hidden: 16, FeatDim: 8, WindowSteps: -3}
 
 	cases := []struct {
@@ -117,39 +136,40 @@ func TestFrameRoundTrip(t *testing.T) {
 		{name: "hello reply", in: &HelloResponse{LastApplied: -1, StateVersion: math.MaxUint64}},
 		{name: "forward bare", in: &ForwardRequest{}},
 		{name: "forward sync", in: &ForwardRequest{Step: 7, Events: events, StateVersion: 9,
-			Sync: &ModelSync{Version: 9, Params: []Dump{dump, empty}, States: []Dump{dump}},
+			Sync: &ModelSync{Version: 9, Params: []dgnn.StateDump{dump, empty}, States: []dgnn.StateDump{dump}},
 			Part: []int{0, 1, 5, 1 << 40}, Exact: []int{5}},
 			want: &ForwardRequest{Step: 7, Events: eventsWant, StateVersion: 9,
-				Sync: &ModelSync{Version: 9, Params: []Dump{dump, empty}, States: []Dump{dump}},
+				Sync: &ModelSync{Version: 9, Params: []dgnn.StateDump{dump, empty}, States: []dgnn.StateDump{dump}},
 				Part: []int{0, 1, 5, 1 << 40}, Exact: []int{5}}},
 		{name: "forward patch", in: &ForwardRequest{Step: -2, StateVersion: 1,
-			Patch: &StatePatch{IDs: []int{2, 3}, States: []Dump{dump}}, Part: []int{2, 3}}},
+			Patch: &StatePatch{IDs: []int{2, 3}, States: []dgnn.StateDump{dump}}, Part: []int{2, 3}}},
 		{name: "forward empty sync and patch", in: &ForwardRequest{Sync: &ModelSync{}, Patch: &StatePatch{}}},
 		{name: "forward empty part", in: &ForwardRequest{Part: []int{}, Exact: []int{}, Events: []StepEvents{}},
 			want: &ForwardRequest{}},
 		{name: "forward descending ids", in: &ForwardRequest{
 			Part: []int{9, 3, 3, -4, math.MaxInt64, math.MinInt64, 0}, Exact: []int{math.MinInt64}}},
 		{name: "forward reply", in: &ForwardResponse{Shard: 1, IDs: []int{4, 8}, Out: dump,
-			StateRows: []Dump{dump, dump}, LastApplied: 12}},
+			StateRows: []dgnn.StateDump{dump, dump}, LastApplied: 12}},
 		{name: "forward reply nil state rows", in: &ForwardResponse{Out: empty, LastApplied: -1}},
-		{name: "forward reply empty state rows", in: &ForwardResponse{StateRows: []Dump{}}},
+		{name: "forward reply empty state rows", in: &ForwardResponse{StateRows: []dgnn.StateDump{}},
+			want: &ForwardResponse{}},
 		{name: "publish full", in: &PublishRequest{Step: 5, Events: events[1:], N: 2, Full: true, Rows: dump,
-			HeadsVersion: 3, Heads: []Dump{dump}}},
+			HeadsVersion: 3, Heads: []dgnn.StateDump{dump}}},
 		{name: "publish rows", in: &PublishRequest{Step: 6, N: 40, IDs: []int{1, 39}, Rows: dump, HeadsVersion: 3}},
-		{name: "publish empty heads", in: &PublishRequest{Heads: []Dump{}}},
+		{name: "publish empty heads", in: &PublishRequest{Heads: []dgnn.StateDump{}}, want: &PublishRequest{}},
 		{name: "publish reply", in: &PublishResponse{LastApplied: math.MinInt64}},
 		{name: "answer", in: &AnswerRequest{Step: 8, Reqs: []query.Request{
 			{Kind: query.KindEvent, Anchor: 3}, {Kind: query.KindLink, Src: 1, Dst: -2},
 			{Kind: "", Node: math.MaxInt64}}}},
 		{name: "answer none", in: &AnswerRequest{Step: 8}},
 		{name: "answer reply", in: &AnswerResponse{Step: 8, Answers: []WireAnswer{
-			{Score: Float64s{nanPayload}, Err: "node 7 outside \xff\xfe the matrix"},
-			{Score: Float64s{0.25}, OK: true},
+			{Score: [1]float64{nanPayload}, Err: "node 7 outside \xff\xfe the matrix"},
+			{Score: [1]float64{0.25}, OK: true},
 			{}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			frame := encodeFrame(tc.in)
+			frame := mustFrame(t, tc.in)
 			got := reflect.New(reflect.TypeOf(tc.in).Elem()).Interface().(frameMessage)
 			if err := decodeFrame(frame, got); err != nil {
 				t.Fatal(err)
@@ -161,7 +181,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			if !bitEqual(reflect.ValueOf(got), reflect.ValueOf(want)) {
 				t.Fatalf("round trip changed the message:\n got  %+v\n want %+v", got, want)
 			}
-			if again := encodeFrame(got); !bytes.Equal(again, frame) {
+			if again := mustFrame(t, got); !bytes.Equal(again, frame) {
 				t.Fatalf("decoded value re-encodes to %d bytes that differ from the %d received", len(again), len(frame))
 			}
 		})
@@ -169,29 +189,34 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // What the decoder must refuse, each with an error that says why — and the
-// announced 2^32 floats without an allocation sized by the lie.
+// announced 2^32 floats without an allocation sized by the lie. An event of a
+// type the wire does not carry is refused on the way out, too.
 func TestFrameRejects(t *testing.T) {
-	valid := encodeFrame(&AnswerResponse{Step: 1, Answers: []WireAnswer{{Score: Float64s{1}, OK: true}}})
-	huge := enc{}
-	huge.byte(frameVersion)
-	huge.int(0)
-	huge.uvarint(1)       // one answer
-	huge.uvarint(1 << 32) // whose score announces 2^32 floats
+	valid := mustFrame(t, &AnswerResponse{Step: 1, Answers: []WireAnswer{{Score: [1]float64{1}, OK: true}}})
+	// A forward reply: shard 0, no ids, a 0x0 Out whose data announces 2^32 floats.
+	huge := []byte{frameVersion, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10}
 	cases := []struct {
 		name, want string
 		frame      []byte
+		into       frameMessage
 	}{
-		{"empty", "empty", nil},
-		{"version", fmt.Sprintf("version 9, this binary speaks version %d", frameVersion), append([]byte{9}, valid[1:]...)},
-		{"trailing byte", "1 trailing bytes", append(append([]byte(nil), valid...), 0)},
-		{"truncated", "frame:", valid[:len(valid)-1]},
-		{"2^32 floats in 10 bytes", "announced", huge.b},
-		{"non-minimal varint", "non-minimal", []byte{frameVersion, 0x80, 0x00, 0}},
-		{"flag byte", "flag byte", append(append([]byte(nil), valid[:len(valid)-2]...), 2, 0)},
+		{"empty", "empty", nil, nil},
+		{"version", fmt.Sprintf("version 9, this binary speaks version %d", frameVersion), append([]byte{9}, valid[1:]...), nil},
+		{"trailing byte", "1 trailing bytes", append(append([]byte(nil), valid...), 0), nil},
+		{"truncated", "frame:", valid[:len(valid)-1], nil},
+		{"2^32 floats in 10 bytes", "announced", huge, new(ForwardResponse)},
+		{"non-minimal varint", "non-minimal", []byte{frameVersion, 0x80, 0x00, 0}, nil},
+		{"flag byte", "flag byte", append(append([]byte(nil), valid[:len(valid)-2]...), 2, 0), nil},
+		// A publish at step 0 whose one batch holds one event of kind 9.
+		{"unknown event kind", "unknown event kind 9", []byte{frameVersion, 0, 1, 0, 1, 9, 0, 0}, new(PublishRequest)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := decodeFrame(tc.frame, new(AnswerResponse))
+			into := tc.into
+			if into == nil {
+				into = new(AnswerResponse)
+			}
+			err := decodeFrame(tc.frame, into)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one naming %q", err, tc.want)
 			}
@@ -199,10 +224,14 @@ func TestFrameRejects(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_ = decodeFrame(huge.b, new(AnswerResponse))
+	_ = decodeFrame(huge, new(ForwardResponse))
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
-		t.Fatalf("rejecting a %d-byte frame allocated %d bytes", len(huge.b), got)
+		t.Fatalf("rejecting a %d-byte frame allocated %d bytes", len(huge), got)
+	}
+	foreign := &PublishRequest{Events: []StepEvents{{Events: []stream.Event{&stream.AddNode{}}}}}
+	if _, err := encodeFrame(foreign); err == nil || !strings.Contains(err.Error(), "cannot encode") {
+		t.Fatalf("encoding a *stream.AddNode event: error %v", err)
 	}
 }
 
@@ -216,7 +245,10 @@ type codecTransport struct {
 
 func codecCall[Req, Resp any, PReq framePtr[Req], PResp framePtr[Resp]](c *codecTransport, op string, req *Req, handle func(Req) (Resp, error)) (Resp, error) {
 	pass := func(kind string, m frameMessage, into frameMessage) error {
-		frame := encodeFrame(m)
+		frame, err := encodeFrame(m)
+		if err != nil {
+			return err
+		}
 		if c.tap != nil {
 			frame = c.tap(kind, frame)
 		}
@@ -343,11 +375,7 @@ func TestHTTPBadFrameLeavesReplicaUntouched(t *testing.T) {
 	if lastForward == nil || lastPublish == nil {
 		t.Fatal("replica 0 saw no forward or publish in the warm-up")
 	}
-	wire, err := EncodeEvents(h.d.eventsFor(next))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := []StepEvents{{Step: next, Events: wire}}
+	batch := []StepEvents{{Step: next, Events: h.d.eventsFor(next)}}
 
 	// The next step's requests, carrying every optional member at once.
 	var fwd ForwardRequest
@@ -359,13 +387,13 @@ func TestHTTPBadFrameLeavesReplicaUntouched(t *testing.T) {
 	}
 	fwd.Step, fwd.Events = next, batch
 	fwd.Sync = &ModelSync{Version: fwd.StateVersion,
-		Params: gatherParams(h.coord.model.Params()), States: dumpsOf(h.coord.model.DumpState())}
+		Params: dgnn.DumpParams(h.coord.model.Params()), States: h.coord.model.DumpState()}
 	var pub PublishRequest
 	if err := decodeFrame(lastPublish, &pub); err != nil {
 		t.Fatal(err)
 	}
 	pub.Step, pub.Events = next, batch
-	pub.Heads = gatherParams(h.eng.QuerySnapshot().Heads().Params())
+	pub.Heads = dgnn.DumpParams(h.eng.QuerySnapshot().Heads().Params())
 
 	rep := h.reps[0]
 	handler := NewHTTPHandler(rep)
@@ -400,7 +428,7 @@ func TestHTTPBadFrameLeavesReplicaUntouched(t *testing.T) {
 	for _, rpc := range []struct {
 		op    string
 		frame []byte
-	}{{"forward", encodeFrame(&fwd)}, {"publish", encodeFrame(&pub)}} {
+	}{{"forward", mustFrame(t, &fwd)}, {"publish", mustFrame(t, &pub)}} {
 		before := look()
 		for n := 0; n < len(rpc.frame); n++ {
 			refuse(rpc.op, fmt.Sprintf("prefix of %d/%d bytes", n, len(rpc.frame)), rpc.frame[:n], before)
@@ -420,48 +448,60 @@ func TestHTTPBadFrameLeavesReplicaUntouched(t *testing.T) {
 	}
 }
 
-// FuzzFrameDecode feeds arbitrary bytes to all eight decoders. Each must
-// return an error or a value whose frame is exactly the input, never panic,
-// and never allocate more than a small multiple of the input: a length is
-// believed only as far as the bytes behind it.
+// decodeWAL reads an input as a whole WAL: a ReplicaConfig record, then
+// StepEvents records.
+func decodeWAL(data []byte) (func() ([]byte, error), error) {
+	var records []frameMessage
+	for log, m := data, frameMessage(new(ReplicaConfig)); len(log) > 0; m = new(StepEvents) {
+		var err error
+		if log, err = readRecord(log, m); err != nil {
+			return nil, err
+		}
+		records = append(records, m)
+	}
+	return func() ([]byte, error) {
+		var out bytes.Buffer
+		wal := NewWAL(&out)
+		for _, m := range records {
+			if err := wal.write(m); err != nil {
+				return nil, err
+			}
+		}
+		return out.Bytes(), nil
+	}, nil
+}
+
+// FuzzFrameDecode feeds arbitrary bytes to all eight frame decoders, and
+// FuzzWALDecode to the WAL reader, under the harness every wire decoder
+// shares (wiretest.Check): an error or a value that re-encodes to exactly
+// the input, no panic, and allocation within 20x the input.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{frameVersion})
-	f.Add([]byte{frameVersion, 0, 1, 0x80, 0x80, 0x80, 0x80, 0x10}) // 2^32 floats announced
+	f.Add([]byte{frameVersion, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10}) // 2^32 floats announced
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msgs := make([]frameMessage, len(frameKinds))
-		errs := make([]error, len(frameKinds))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i, k := range frameKinds {
-			msgs[i] = k.new()
-			errs[i] = decodeFrame(data, msgs[i])
-		}
-		runtime.ReadMemStats(&after)
-		// The widest element per wire byte is a 32-byte StepEvents behind a
-		// 2-byte minimum: 16x, per decoder, plus size-class rounding and the
-		// error values.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(frameKinds)*(20*len(data)+8192)); got > limit {
-			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
-		}
-		for i, k := range frameKinds {
-			if errs[i] != nil {
-				continue
-			}
-			if again := encodeFrame(msgs[i]); !bytes.Equal(again, data) {
-				t.Fatalf("%s accepted a frame it re-encodes differently:\n in  %x\n out %x", k.name, data, again)
-			}
+		for _, k := range frameKinds {
+			m := k.new()
+			wiretest.Check(t, data, k.name, func(data []byte) (func() ([]byte, error), error) {
+				return func() ([]byte, error) { return encodeFrame(m) }, decodeFrame(data, m)
+			})
 		}
 	})
 }
 
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/FuzzFrameDecode from a fresh 20-step run")
+func FuzzWALDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x80, 0x00})                                    // a non-minimal record length
+	f.Add([]byte{5, frameVersion, 0, 0, 0x80, 0x80, 0x80, 0x80}) // a record cut short
+	f.Fuzz(func(t *testing.T, data []byte) { wiretest.Check(t, data, "wal", decodeWAL) })
+}
 
-const corpusDir = "testdata/fuzz/FuzzFrameDecode"
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz/Fuzz{Frame,WAL}Decode from a fresh 20-step run")
 
 // captureCorpus runs Bitcoin × TGCN for 20 steps on two codec replicas and
-// keeps the smallest frame of every shape the protocol produces there.
-func captureCorpus(t *testing.T) map[string][]byte {
+// keeps the smallest frame of every shape the protocol produces there, and
+// replica 0's WAL: its header alone, and with its first three batches.
+func captureCorpus(t *testing.T) (frames, wal map[string][]byte) {
 	t.Helper()
 	d, err := workload.ByName("Bitcoin", workload.GenConfig{Seed: 1, Steps: 20})
 	if err != nil {
@@ -474,7 +514,7 @@ func captureCorpus(t *testing.T) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := map[string][]byte{}
+	frames = map[string][]byte{}
 	var mu sync.Mutex // the two shards' RPCs run side by side
 	keep := func(name string, frame []byte) {
 		mu.Lock()
@@ -515,6 +555,8 @@ func captureCorpus(t *testing.T) map[string][]byte {
 		return frame
 	}
 	reps := []*Replica{NewReplica(), NewReplica()}
+	var log recordLog
+	reps[0].SetWAL(NewWAL(&log))
 	coord, err := NewCoordinator(eng, codecFactory(tap)(t, reps))
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +574,7 @@ func captureCorpus(t *testing.T) map[string][]byte {
 		if err := coord.RouteEvents(b.Step, b.Events); err != nil {
 			t.Fatal(err)
 		}
-		applyEvents(t, eng, b.Events)
+		applyEvents(eng, b.Events)
 		if err := eng.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -543,42 +585,73 @@ func captureCorpus(t *testing.T) map[string][]byte {
 			remotes[s]([]query.Request{{Kind: query.KindEvent, Anchor: s}, {Kind: query.KindEvent, Anchor: 1 << 20}})
 		}
 	}
-	return frames
+	if len(log) < 4 {
+		t.Fatalf("replica 0 logged %d records, want a header and three batches", len(log))
+	}
+	wal = map[string][]byte{"header": log[0], "header-3-batches": bytes.Join(log[:4], nil)}
+	return frames, wal
 }
 
-// The committed seed corpus is the frames of that run. They must still
-// decode: a change to the frame layout fails here until the corpus is
-// regenerated with -update-corpus (and frameVersion has been raised).
+// recordLog keeps each WAL record it is written as one element.
+type recordLog [][]byte
+
+func (l *recordLog) Write(p []byte) (int, error) {
+	*l = append(*l, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// The committed seed corpora are the frames and the WAL of that run. They
+// must still decode: a change to the frame layout fails here until the
+// corpora are regenerated with -update-corpus (and frameVersion has been
+// raised).
 func TestFuzzCorpusDecodes(t *testing.T) {
 	shapes := []string{"hello-req", "hello-resp", "forward-req-sync", "forward-req-patch", "forward-resp",
 		"publish-req-full", "publish-req-rows", "publish-resp", "answer-req", "answer-resp-error"}
 	if *updateCorpus {
-		frames := captureCorpus(t)
-		if err := os.MkdirAll(corpusDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
+		frames, wal := captureCorpus(t)
 		for _, name := range shapes {
-			frame, ok := frames[name]
-			if !ok {
+			if _, ok := frames[name]; !ok {
 				t.Fatalf("the run produced no %s frame", name)
 			}
-			entry := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame)
-			if err := os.WriteFile(filepath.Join(corpusDir, name), []byte(entry), 0o644); err != nil {
-				t.Fatal(err)
-			}
 		}
+		writeCorpus(t, "FuzzFrameDecode", frames, shapes)
+		writeCorpus(t, "FuzzWALDecode", wal, []string{"header", "header-3-batches"})
 	}
 	for _, name := range shapes {
-		raw, err := os.ReadFile(filepath.Join(corpusDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var frame []byte
-		if _, err := fmt.Sscanf(string(raw), "go test fuzz v1\n[]byte(%q)", &frame); err != nil {
-			t.Fatalf("%s: not a one-value corpus file: %v", name, err)
-		}
-		if err := decodeFrame(frame, newFrameMessage(t, name)); err != nil {
+		if err := decodeFrame(readSeed(t, "FuzzFrameDecode", name), newFrameMessage(t, name)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
+	for _, name := range []string{"header", "header-3-batches"} {
+		if err := NewReplica().ReplayWAL(bytes.NewReader(readSeed(t, "FuzzWALDecode", name))); err != nil {
+			t.Fatalf("WAL %s: %v", name, err)
+		}
+	}
+}
+
+func writeCorpus(t *testing.T, target string, seeds map[string][]byte, names []string) {
+	t.Helper()
+	dir := filepath.Join("testdata/fuzz", target)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		entry := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seeds[name])
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(entry), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func readSeed(t *testing.T, target, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata/fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed []byte
+	if _, err := fmt.Sscanf(string(raw), "go test fuzz v1\n[]byte(%q)", &seed); err != nil {
+		t.Fatalf("%s/%s: not a one-value corpus file: %v", target, name, err)
+	}
+	return seed
 }

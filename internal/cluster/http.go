@@ -40,46 +40,44 @@ const (
 // NewHTTPHandler serves a Replica's four RPCs under /cluster/.
 func NewHTTPHandler(r *Replica) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/cluster/hello", func(w http.ResponseWriter, req *http.Request) {
-		serveRPC(w, req, r.HandleHello)
-	})
-	mux.HandleFunc("/cluster/forward", func(w http.ResponseWriter, req *http.Request) {
-		serveRPC(w, req, r.HandleForward)
-	})
-	mux.HandleFunc("/cluster/publish", func(w http.ResponseWriter, req *http.Request) {
-		serveRPC(w, req, r.HandlePublish)
-	})
-	mux.HandleFunc("/cluster/answer", func(w http.ResponseWriter, req *http.Request) {
-		serveRPC(w, req, r.HandleAnswer)
-	})
+	mux.Handle("/cluster/hello", rpcHandler(r.HandleHello))
+	mux.Handle("/cluster/forward", rpcHandler(r.HandleForward))
+	mux.Handle("/cluster/publish", rpcHandler(r.HandlePublish))
+	mux.Handle("/cluster/answer", rpcHandler(r.HandleAnswer))
 	return mux
 }
 
-// serveRPC decodes the request frame, and only when all of it decoded hands
-// the message to handle: a bad frame never reaches the replica.
-func serveRPC[Req, Resp any, PReq framePtr[Req], PResp framePtr[Resp]](w http.ResponseWriter, r *http.Request, handle func(Req) (Resp, error)) {
-	if r.Method != http.MethodPost {
-		http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
-		return
+// rpcHandler serves one RPC: it decodes the request frame, and only when all
+// of it decoded hands the message to handle, so a bad frame never reaches the
+// replica.
+func rpcHandler[Req, Resp any, PReq framePtr[Req], PResp framePtr[Resp]](handle func(Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, `{"error":"POST only"}`, http.StatusMethodNotAllowed)
+			return
+		}
+		var req Req
+		body, err := readFrame(r.Body, r.ContentLength)
+		if err == nil {
+			err = decodeFrame(body, PReq(&req))
+		}
+		if err != nil {
+			writeRPCError(w, http.StatusBadRequest, err)
+			return
+		}
+		resp, err := handle(req)
+		var frame []byte
+		if err == nil {
+			frame, err = encodeFrame(PResp(&resp))
+		}
+		if err != nil {
+			writeRPCError(w, http.StatusConflict, err)
+			return
+		}
+		w.Header().Set("Content-Type", frameContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+		w.Write(frame)
 	}
-	var req Req
-	body, err := readFrame(r.Body, r.ContentLength)
-	if err == nil {
-		err = decodeFrame(body, PReq(&req))
-	}
-	if err != nil {
-		writeRPCError(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, err := handle(req)
-	if err != nil {
-		writeRPCError(w, http.StatusConflict, err)
-		return
-	}
-	frame := encodeFrame(PResp(&resp))
-	w.Header().Set("Content-Type", frameContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.Write(frame)
 }
 
 // readFrame reads a whole body into one buffer sized by the announced
@@ -132,14 +130,18 @@ func (t *HTTPTransport) client() *http.Client {
 	return defaultClient
 }
 
-func (t *HTTPTransport) call(op int, req, resp frameMessage) error {
+// post sends req as RPC op and decodes the reply.
+func post[Resp any, PResp framePtr[Resp]](t *HTTPTransport, op int, req frameMessage) (resp Resp, err error) {
 	name := rpcNames[op]
-	body := encodeFrame(req)
+	body, err := encodeFrame(req)
+	if err != nil {
+		return resp, err
+	}
 	url := strings.TrimRight(t.Base, "/") + "/cluster/" + name
 	t.wire[op][0].Add(int64(len(body)))
 	httpResp, err := t.client().Post(url, frameContentType, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return resp, err
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusOK {
@@ -149,40 +151,32 @@ func (t *HTTPTransport) call(op int, req, resp frameMessage) error {
 		raw, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
 		t.wire[op][1].Add(int64(len(raw)))
 		if json.Unmarshal(raw, &appErr) == nil && appErr.Error != "" {
-			return fmt.Errorf("cluster: %s: %s", name, appErr.Error)
+			return resp, fmt.Errorf("cluster: %s: %s", name, appErr.Error)
 		}
-		return fmt.Errorf("cluster: %s: HTTP %d", name, httpResp.StatusCode)
+		return resp, fmt.Errorf("cluster: %s: HTTP %d", name, httpResp.StatusCode)
 	}
 	raw, err := readFrame(httpResp.Body, httpResp.ContentLength)
 	t.wire[op][1].Add(int64(len(raw)))
 	if err != nil {
-		return fmt.Errorf("cluster: %s: reading the reply: %w", name, err)
+		return resp, fmt.Errorf("cluster: %s: reading the reply: %w", name, err)
 	}
-	return decodeFrame(raw, resp)
+	return resp, decodeFrame(raw, PResp(&resp))
 }
 
 func (t *HTTPTransport) Hello(req HelloRequest) (HelloResponse, error) {
-	var resp HelloResponse
-	err := t.call(rpcHello, &req, &resp)
-	return resp, err
+	return post[HelloResponse](t, rpcHello, &req)
 }
 
 func (t *HTTPTransport) Forward(req ForwardRequest) (ForwardResponse, error) {
-	var resp ForwardResponse
-	err := t.call(rpcForward, &req, &resp)
-	return resp, err
+	return post[ForwardResponse](t, rpcForward, &req)
 }
 
 func (t *HTTPTransport) Publish(req PublishRequest) (PublishResponse, error) {
-	var resp PublishResponse
-	err := t.call(rpcPublish, &req, &resp)
-	return resp, err
+	return post[PublishResponse](t, rpcPublish, &req)
 }
 
 func (t *HTTPTransport) Answer(req AnswerRequest) (AnswerResponse, error) {
-	var resp AnswerResponse
-	err := t.call(rpcAnswer, &req, &resp)
-	return resp, err
+	return post[AnswerResponse](t, rpcAnswer, &req)
 }
 
 // WriteWireMetrics appends streamgnn_cluster_wire_bytes_total: the RPC body

@@ -1,11 +1,11 @@
 package cluster
 
 // Loopback is the in-process Transport: direct method calls into a Replica
-// living in the same process, zero copies beyond what the wire types already
-// make. It exists to prove the protocol exact — a coordinator driving P
-// loopback replicas must produce bit-identical embeddings, answers and
-// checkpoints to a single-process engine with Config.Shards = P — and to
-// give tests a place to inject failures without sockets.
+// living in the same process, no encoding and no copies of its own. It
+// exists to prove the protocol exact — a coordinator driving P loopback
+// replicas must produce bit-identical embeddings, answers and checkpoints to
+// a single-process engine with Config.Shards = P — and to give tests a place
+// to inject failures without sockets.
 type Loopback struct {
 	R *Replica
 	// Fail, when set, is consulted before every RPC with the op name
@@ -15,38 +15,28 @@ type Loopback struct {
 	Fail func(op string) error
 }
 
-func (l *Loopback) Hello(req HelloRequest) (HelloResponse, error) {
+// call runs handle unless Fail refuses op.
+func call[Req, Resp any](l *Loopback, op string, req Req, handle func(Req) (Resp, error)) (resp Resp, err error) {
 	if l.Fail != nil {
-		if err := l.Fail("hello"); err != nil {
-			return HelloResponse{}, err
+		if err = l.Fail(op); err != nil {
+			return resp, err
 		}
 	}
-	return l.R.HandleHello(req)
+	return handle(req)
+}
+
+func (l *Loopback) Hello(req HelloRequest) (HelloResponse, error) {
+	return call(l, "hello", req, l.R.HandleHello)
 }
 
 func (l *Loopback) Forward(req ForwardRequest) (ForwardResponse, error) {
-	if l.Fail != nil {
-		if err := l.Fail("forward"); err != nil {
-			return ForwardResponse{}, err
-		}
-	}
-	return l.R.HandleForward(req)
+	return call(l, "forward", req, l.R.HandleForward)
 }
 
 func (l *Loopback) Publish(req PublishRequest) (PublishResponse, error) {
-	if l.Fail != nil {
-		if err := l.Fail("publish"); err != nil {
-			return PublishResponse{}, err
-		}
-	}
-	return l.R.HandlePublish(req)
+	return call(l, "publish", req, l.R.HandlePublish)
 }
 
 func (l *Loopback) Answer(req AnswerRequest) (AnswerResponse, error) {
-	if l.Fail != nil {
-		if err := l.Fail("answer"); err != nil {
-			return AnswerResponse{}, err
-		}
-	}
-	return l.R.HandleAnswer(req)
+	return call(l, "answer", req, l.R.HandleAnswer)
 }

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
-	"streamgnn/internal/query"
+	"streamgnn/internal/stream"
 )
 
 func baseReplicaConfig() ReplicaConfig {
@@ -112,16 +112,16 @@ func TestReplayWALRejectsMismatch(t *testing.T) {
 // of its events lands, and the mirror and its step cursor stay where they were.
 func TestApplyBatchesRejectsMissingHistory(t *testing.T) {
 	r := configuredReplica(t, baseReplicaConfig())
-	node := WireEvent{Op: opNode, Feat: Float64s{1, 0, 0}}
-	edge := func(u, v int) WireEvent { return WireEvent{Op: opEdge, U: u, V: v, Label: Float64s{math.NaN()}} }
-	bad := StepEvents{Step: 3, Events: []WireEvent{node, node, edge(0, 1), edge(1, 2)}}
+	node := stream.AddNode{Feat: []float64{1, 0, 0}}
+	edge := func(u, v int) stream.Event { return stream.AddEdge{U: u, V: v, Label: math.NaN()} }
+	bad := StepEvents{Step: 3, Events: []stream.Event{node, node, edge(0, 1), edge(1, 2)}}
 	if err := r.applyBatches([]StepEvents{bad}); err == nil {
 		t.Fatal("a batch naming node 2 of a 2-node mirror applied")
 	}
 	if n := r.g.N(); n != 0 || r.LastApplied() != -1 {
 		t.Fatalf("refused batch left %d nodes, cursor at step %d", n, r.LastApplied())
 	}
-	good := StepEvents{Step: 3, Events: []WireEvent{node, node, edge(0, 1)}}
+	good := StepEvents{Step: 3, Events: []stream.Event{node, node, edge(0, 1)}}
 	if err := r.applyBatches([]StepEvents{good}); err != nil {
 		t.Fatal(err)
 	}
@@ -130,51 +130,50 @@ func TestApplyBatchesRejectsMissingHistory(t *testing.T) {
 	}
 }
 
-// Float64s must round-trip every representable value through JSON — NaN,
-// infinities, signed zero and denormals included — because the HTTP
-// transport's bit-equality rests on it.
-func TestFloat64sJSONRoundTrip(t *testing.T) {
-	vals := Float64s{0, math.Copysign(0, -1), 1.0 / 3.0, math.NaN(), math.Inf(1), math.Inf(-1),
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, 1e-310}
-	data, err := json.Marshal(vals)
-	if err != nil {
+// The WAL carries every float bit-exactly — an edge's NaN no-label sentinel
+// with its payload, ±Inf and −0 features — so a replica replayed from it
+// holds the same mirror, bit for bit, as the one that wrote it.
+func TestWALRoundTrip(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	var wal bytes.Buffer
+	r := NewReplica()
+	r.SetWAL(NewWAL(&wal))
+	if _, err := r.HandleHello(HelloRequest{Config: baseReplicaConfig()}); err != nil {
 		t.Fatal(err)
 	}
-	var got Float64s
-	if err := json.Unmarshal(data, &got); err != nil {
+	batches := []StepEvents{
+		{Step: 0, Events: []stream.Event{
+			stream.AddNode{Type: 2, Feat: []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}},
+			stream.AddNode{Feat: []float64{1}},
+			stream.AddEdge{U: 0, V: 1, Type: 1, Time: -7, Label: nan},
+		}},
+		{Step: 2, Events: []stream.Event{
+			stream.SetFeature{V: 1, Feat: []float64{math.Inf(-1), 0, math.Inf(1)}},
+			stream.SetLabel{V: 0, Label: math.SmallestNonzeroFloat64},
+		}},
+	}
+	if err := r.applyBatches(batches); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(vals) {
-		t.Fatalf("round-trip length %d, want %d", len(got), len(vals))
+	fresh := NewReplica()
+	if err := fresh.ReplayWAL(bytes.NewReader(wal.Bytes())); err != nil {
+		t.Fatal(err)
 	}
-	for i := range vals {
-		if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
-			t.Fatalf("value %d: %v -> %v (bits %x -> %x)", i, vals[i], got[i],
-				math.Float64bits(vals[i]), math.Float64bits(got[i]))
+	if fresh.Config() != r.Config() || fresh.LastApplied() != 2 {
+		t.Fatalf("replayed %+v at step %d", fresh.Config(), fresh.LastApplied())
+	}
+	a, b := r.g, fresh.g
+	for v := 0; v < a.N(); v++ {
+		la, _ := a.Label(v)
+		lb, _ := b.Label(v)
+		same := a.Type(v) == b.Type(v) && math.Float64bits(la) == math.Float64bits(lb) &&
+			bitEqual(reflect.ValueOf(a.Feature(v)), reflect.ValueOf(b.Feature(v))) &&
+			bitEqual(reflect.ValueOf(a.OutEdges(v)), reflect.ValueOf(b.OutEdges(v)))
+		if !same {
+			t.Fatalf("node %d differs after replay: %v %v vs %v %v", v, a.Feature(v), a.OutEdges(v), b.Feature(v), b.OutEdges(v))
 		}
 	}
-	var bad Float64s
-	if err := bad.UnmarshalJSON([]byte(`"AAAA"`)); err == nil {
-		t.Fatal("3-byte payload accepted")
-	}
-}
-
-func TestWireAnswersRoundTrip(t *testing.T) {
-	in := []query.Answer{
-		{Score: math.NaN(), OK: false, Err: "no label"},
-		{Score: 0.25, OK: true},
-	}
-	out, err := unwireAnswers(wireAnswers(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[1] != in[1] {
-		t.Fatalf("round-trip %+v", out)
-	}
-	if math.Float64bits(out[0].Score) != math.Float64bits(in[0].Score) || out[0].Err != "no label" {
-		t.Fatalf("NaN answer mangled: %+v", out[0])
-	}
-	if _, err := unwireAnswers([]WireAnswer{{}}); err == nil {
-		t.Fatal("scoreless answer accepted")
+	if b.N() != 2 || math.Float64bits(b.OutEdges(0)[0].Label) != math.Float64bits(nan) {
+		t.Fatalf("replayed mirror: %d nodes, edge label bits %x", b.N(), math.Float64bits(b.OutEdges(0)[0].Label))
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"streamgnn/internal/graph"
 	"streamgnn/internal/query"
 	"streamgnn/internal/shard"
+	"streamgnn/internal/stream"
 	"streamgnn/internal/tensor"
 )
 
@@ -170,7 +171,7 @@ func (r *Replica) configure(cfg ReplicaConfig) error {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	if r.wal != nil {
-		if err := r.wal.write(cfg); err != nil {
+		if err := r.wal.write(&cfg); err != nil {
 			return fmt.Errorf("cluster: wal: %w", err)
 		}
 	}
@@ -214,15 +215,19 @@ func (r *Replica) applyBatches(batches []StepEvents) error {
 		}
 		n := r.g.N()
 		for _, ev := range b.Events {
-			if err := ev.check(n); err != nil {
-				return fmt.Errorf("cluster: step %d batch does not apply to the mirror (applied through step %d): %w", b.Step, r.lastApplied, err)
-			}
-			if ev.Op == opNode {
+			if _, ok := ev.(stream.AddNode); ok {
 				n++
+				continue
+			}
+			for _, v := range touches(ev, n, scratch[:0]) {
+				if v < 0 || v >= n {
+					return fmt.Errorf("cluster: step %d batch does not apply to the mirror (applied through step %d): %T event names node %d outside [0, %d)",
+						b.Step, r.lastApplied, ev, v, n)
+				}
 			}
 		}
 		for _, ev := range b.Events {
-			scratch = ev.touches(r.g.N(), scratch[:0])
+			scratch = touches(ev, r.g.N(), scratch[:0])
 			owned := false
 			for _, v := range scratch {
 				if r.sh.Of(v) == r.cfg.Shard {
@@ -235,13 +240,11 @@ func (r *Replica) applyBatches(batches []StepEvents) error {
 			} else {
 				r.stats.haloEvents.Add(1)
 			}
-			if err := ev.apply(r.g); err != nil {
-				return err
-			}
+			ev.Apply(r.g)
 			r.stats.eventsApplied.Add(1)
 		}
 		if r.wal != nil {
-			if err := r.wal.write(b); err != nil {
+			if err := r.wal.write(&b); err != nil {
 				return fmt.Errorf("cluster: wal append: %w", err)
 			}
 		}
@@ -273,12 +276,16 @@ func (r *Replica) HandleForward(req ForwardRequest) (ForwardResponse, error) {
 	}
 	switch {
 	case req.Sync != nil:
-		if err := restoreParams(r.model.Params(), req.Sync.Params); err != nil {
+		installParams, err := dgnn.RestoreParams(r.model.Params(), req.Sync.Params)
+		if err != nil {
 			return ForwardResponse{}, err
 		}
-		if err := r.model.RestoreState(stateDumps(req.Sync.States)); err != nil {
+		installStates, err := r.model.RestoreState(req.Sync.States)
+		if err != nil {
 			return ForwardResponse{}, err
 		}
+		installParams()
+		installStates()
 		r.stateVersion = req.Sync.Version
 		r.stats.fullSyncs.Add(1)
 	case req.StateVersion != r.stateVersion:
@@ -289,7 +296,7 @@ func (r *Replica) HandleForward(req ForwardRequest) (ForwardResponse, error) {
 		if !ok {
 			return ForwardResponse{}, fmt.Errorf("cluster: model %s cannot apply state-row patches", r.cfg.Model)
 		}
-		if err := sr.ScatterStateRows(req.Patch.IDs, stateDumps(req.Patch.States)); err != nil {
+		if err := sr.ScatterStateRows(req.Patch.IDs, req.Patch.States); err != nil {
 			return ForwardResponse{}, err
 		}
 		r.stats.patches.Add(1)
@@ -298,13 +305,12 @@ func (r *Replica) HandleForward(req ForwardRequest) (ForwardResponse, error) {
 	sf := dgnn.ForwardPart(r.g, r.model, r.cfg.Shard, req.Part, req.Exact)
 	resp := ForwardResponse{Shard: r.cfg.Shard, IDs: sf.IDs, LastApplied: r.lastApplied}
 	hidden := r.cfg.Hidden
-	out := Dump{Rows: len(sf.IDs), Cols: hidden, Data: make(Float64s, len(sf.IDs)*hidden)}
+	resp.Out = dgnn.StateDump{Rows: len(sf.IDs), Cols: hidden, Data: make([]float64, len(sf.IDs)*hidden)}
 	for k, row := range sf.Rows {
-		copy(out.Data[k*hidden:(k+1)*hidden], sf.Out.Row(row))
+		copy(resp.Out.Data[k*hidden:(k+1)*hidden], sf.Out.Row(row))
 	}
-	resp.Out = out
 	if sr, ok := r.model.(dgnn.StateRows); ok {
-		resp.StateRows = dumpsOf(sr.GatherStateRows(sf.IDs))
+		resp.StateRows = sr.GatherStateRows(sf.IDs)
 	}
 	r.stats.forwards.Add(1)
 	for d, rows := range sf.Demand {
@@ -326,13 +332,18 @@ func (r *Replica) HandlePublish(req PublishRequest) (PublishResponse, error) {
 	if err := r.applyBatches(req.Events); err != nil {
 		return PublishResponse{}, err
 	}
+	if req.N < 0 {
+		return PublishResponse{}, fmt.Errorf("cluster: publish of %d rows", req.N)
+	}
 	hidden := r.cfg.Hidden
 	heads := r.heads
-	if req.Heads != nil {
+	if len(req.Heads) > 0 {
 		h := query.NewHeads(rand.New(rand.NewSource(1)), hidden)
-		if err := restoreParams(h.Params(), req.Heads); err != nil {
+		install, err := dgnn.RestoreParams(h.Params(), req.Heads)
+		if err != nil {
 			return PublishResponse{}, err
 		}
+		install()
 		heads = h
 		r.heads = h
 		r.headsVersion = req.HeadsVersion
@@ -385,5 +396,9 @@ func (r *Replica) HandleAnswer(req AnswerRequest) (AnswerResponse, error) {
 	}
 	answers := query.AnswerBatch(snap.heads, snap.emb, req.Reqs, nil)
 	r.stats.answers.Add(int64(len(req.Reqs)))
-	return AnswerResponse{Step: snap.step, Answers: wireAnswers(answers)}, nil
+	resp := AnswerResponse{Step: snap.step, Answers: make([]WireAnswer, len(answers))}
+	for i, a := range answers {
+		resp.Answers[i] = WireAnswer{Score: [1]float64{a.Score}, OK: a.OK, Err: a.Err}
+	}
+	return resp, nil
 }

@@ -149,26 +149,30 @@ func (a *AdaptiveLearner) KDE() *KDESampler {
 	return ks
 }
 
-// Restore installs checkpointed chip counts (when counts is non-empty) and,
-// when hasSeeds, a KDE seed window. Both are validated against the graph
-// before either is installed, so on error the learner is unchanged.
-func (a *AdaptiveLearner) Restore(counts, seeds []int, oldest int, hasSeeds bool) error {
+// Restore checks checkpointed chip counts and a KDE seed window (each when
+// non-empty) against the graph, and returns the install of both; the
+// learner is unchanged until install runs.
+func (a *AdaptiveLearner) Restore(counts, seeds []int, oldest int) (func(), error) {
 	var ks *KDESampler
-	if hasSeeds {
+	if len(seeds) > 0 {
 		ks = &KDESampler{g: a.Trainer.G, chips: a.Chips, cfg: a.cfg, rng: a.rng}
 		if err := ks.RestoreSeedState(seeds, oldest); err != nil {
-			return err
+			return nil, err
 		}
 	}
+	installChips := func() {}
 	if len(counts) > 0 {
-		if err := a.Chips.Restore(counts); err != nil {
-			return err
+		var err error
+		if installChips, err = a.Chips.Restore(counts); err != nil {
+			return nil, err
 		}
 	}
-	if ks != nil {
-		a.sampler = ks
-	}
-	return nil
+	return func() {
+		installChips()
+		if ks != nil {
+			a.sampler = ks
+		}
+	}, nil
 }
 
 // getSampleNode is Algorithm 1 lines 17-22: with probability p_u sample

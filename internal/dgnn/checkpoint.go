@@ -3,25 +3,68 @@ package dgnn
 import (
 	"fmt"
 
+	"streamgnn/internal/autodiff"
 	"streamgnn/internal/tensor"
+	"streamgnn/internal/wire"
 )
 
-// StateDump is one serializable recurrent-state matrix of a model
-// checkpoint. Together with the parameter values (reachable via Params())
-// it captures everything a model needs to resume mid-stream.
+// StateDump is one serializable matrix: a recurrent-state matrix of a model
+// checkpoint, and every matrix the cluster's frames carry. Together with the
+// parameter values (reachable via Params()) the state dumps capture
+// everything a model needs to resume mid-stream.
 type StateDump struct {
 	Rows, Cols int
 	Data       []float64
 }
 
-func dumpMatrix(m *tensor.Matrix) StateDump {
+// Wire codes the dump as Rows, Cols and Data.
+func (d *StateDump) Wire(c *wire.Coder) {
+	c.Int(&d.Rows)
+	c.Int(&d.Cols)
+	c.Floats(&d.Data)
+}
+
+// WireDumps codes a list of dumps.
+func WireDumps(c *wire.Coder, ds *[]StateDump) { wire.List(c, ds, 3, (*StateDump).Wire) }
+
+// DumpParams copies every parameter's value into a dump.
+func DumpParams(params []*autodiff.Node) []StateDump {
+	out := make([]StateDump, len(params))
+	for i, p := range params {
+		out[i] = DumpMatrix(p.Value)
+	}
+	return out
+}
+
+// RestoreParams checks one dump per parameter, each of its shape, and
+// returns the install that copies them into the parameters' values.
+func RestoreParams(params []*autodiff.Node, dumps []StateDump) (func(), error) {
+	if len(dumps) != len(params) {
+		return nil, fmt.Errorf("dgnn: %d parameter dumps for %d parameters", len(dumps), len(params))
+	}
+	for i, p := range params {
+		if d := dumps[i]; d.Rows != p.Value.Rows || d.Cols != p.Value.Cols || len(d.Data) != len(p.Value.Data) {
+			return nil, fmt.Errorf("dgnn: parameter %d shape mismatch (%dx%d vs %dx%d)", i, d.Rows, d.Cols, p.Value.Rows, p.Value.Cols)
+		}
+	}
+	return func() {
+		for i, p := range params {
+			copy(p.Value.Data, dumps[i].Data)
+		}
+	}, nil
+}
+
+// DumpMatrix copies m into a dump.
+func DumpMatrix(m *tensor.Matrix) StateDump {
 	d := StateDump{Rows: m.Rows, Cols: m.Cols, Data: make([]float64, len(m.Data))}
 	copy(d.Data, m.Data)
 	return d
 }
 
-func (d StateDump) matrix() (*tensor.Matrix, error) {
-	if len(d.Data) != d.Rows*d.Cols {
+// Matrix copies the dump into a new matrix, refusing one whose values do not
+// fill its shape.
+func (d StateDump) Matrix() (*tensor.Matrix, error) {
+	if !tensor.Holds(d.Rows, d.Cols, len(d.Data)) {
 		return nil, fmt.Errorf("dgnn: state dump %dx%d carries %d values", d.Rows, d.Cols, len(d.Data))
 	}
 	m := tensor.New(d.Rows, d.Cols)
@@ -35,42 +78,51 @@ func (s *nodeState) dump() StateDump {
 	return d
 }
 
-func (s *nodeState) restore(d StateDump) error {
+// restore checks d against the state's width and returns its install.
+func (s *nodeState) restore(d StateDump) (func(), error) {
 	if d.Cols != s.dim {
-		return fmt.Errorf("dgnn: state dim %d does not match model dim %d", d.Cols, s.dim)
+		return nil, fmt.Errorf("dgnn: state dim %d does not match model dim %d", d.Cols, s.dim)
 	}
-	if len(d.Data) != d.Rows*d.Cols {
-		return fmt.Errorf("dgnn: state dump %dx%d carries %d values", d.Rows, d.Cols, len(d.Data))
+	if !tensor.Holds(d.Rows, d.Cols, len(d.Data)) {
+		return nil, fmt.Errorf("dgnn: state dump %dx%d carries %d values", d.Rows, d.Cols, len(d.Data))
 	}
-	s.data = append(s.data[:0], d.Data...)
-	s.n = d.Rows
-	s.prev = nil
-	return nil
+	return func() {
+		s.data = append(s.data[:0], d.Data...)
+		s.n = d.Rows
+		s.prev = nil
+	}, nil
 }
 
-func restoreStates(dumps []StateDump, states ...*nodeState) error {
+// restoreStates checks every dump before it returns the install of all.
+func restoreStates(dumps []StateDump, states ...*nodeState) (func(), error) {
 	if len(dumps) != len(states) {
-		return fmt.Errorf("dgnn: checkpoint has %d states, model needs %d", len(dumps), len(states))
+		return nil, fmt.Errorf("dgnn: checkpoint has %d states, model needs %d", len(dumps), len(states))
 	}
+	installs := make([]func(), len(states))
 	for i, st := range states {
-		if err := st.restore(dumps[i]); err != nil {
-			return err
+		var err error
+		if installs[i], err = st.restore(dumps[i]); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return func() {
+		for _, install := range installs {
+			install()
+		}
+	}, nil
 }
 
 // DumpState implements Model.
 func (m *TGCNModel) DumpState() []StateDump { return []StateDump{m.state.dump()} }
 
 // RestoreState implements Model.
-func (m *TGCNModel) RestoreState(d []StateDump) error { return restoreStates(d, m.state) }
+func (m *TGCNModel) RestoreState(d []StateDump) (func(), error) { return restoreStates(d, m.state) }
 
 // DumpState implements Model.
 func (m *DCRNNModel) DumpState() []StateDump { return []StateDump{m.state.dump()} }
 
 // RestoreState implements Model.
-func (m *DCRNNModel) RestoreState(d []StateDump) error { return restoreStates(d, m.state) }
+func (m *DCRNNModel) RestoreState(d []StateDump) (func(), error) { return restoreStates(d, m.state) }
 
 // DumpState implements Model.
 func (m *GCLSTMModel) DumpState() []StateDump {
@@ -78,7 +130,7 @@ func (m *GCLSTMModel) DumpState() []StateDump {
 }
 
 // RestoreState implements Model.
-func (m *GCLSTMModel) RestoreState(d []StateDump) error {
+func (m *GCLSTMModel) RestoreState(d []StateDump) (func(), error) {
 	return restoreStates(d, m.hState, m.cState)
 }
 
@@ -88,7 +140,7 @@ func (m *DyGrEncoderModel) DumpState() []StateDump {
 }
 
 // RestoreState implements Model.
-func (m *DyGrEncoderModel) RestoreState(d []StateDump) error {
+func (m *DyGrEncoderModel) RestoreState(d []StateDump) (func(), error) {
 	return restoreStates(d, m.hState, m.cState)
 }
 
@@ -98,7 +150,7 @@ func (m *ROLANDModel) DumpState() []StateDump {
 }
 
 // RestoreState implements Model.
-func (m *ROLANDModel) RestoreState(d []StateDump) error {
+func (m *ROLANDModel) RestoreState(d []StateDump) (func(), error) {
 	return restoreStates(d, m.h1, m.h2)
 }
 
@@ -106,11 +158,11 @@ func (m *ROLANDModel) RestoreState(d []StateDump) error {
 func (m *WinGNNModel) DumpState() []StateDump { return nil }
 
 // RestoreState implements Model.
-func (m *WinGNNModel) RestoreState(d []StateDump) error {
+func (m *WinGNNModel) RestoreState(d []StateDump) (func(), error) {
 	if len(d) != 0 {
-		return fmt.Errorf("dgnn: WinGNN checkpoint must carry no state, got %d", len(d))
+		return nil, fmt.Errorf("dgnn: WinGNN checkpoint must carry no state, got %d", len(d))
 	}
-	return nil
+	return func() {}, nil
 }
 
 // DumpState implements Model: EvolveGCN's state is each layer's weight
@@ -124,27 +176,32 @@ func (m *EvolveGCNModel) DumpState() []StateDump {
 		if l.wNext != nil {
 			w = l.wNext
 		}
-		out[i] = dumpMatrix(w)
+		out[i] = DumpMatrix(w)
 	}
 	return out
 }
 
 // RestoreState implements Model.
-func (m *EvolveGCNModel) RestoreState(d []StateDump) error {
+func (m *EvolveGCNModel) RestoreState(d []StateDump) (func(), error) {
 	if len(d) != len(m.weights) {
-		return fmt.Errorf("dgnn: EvolveGCN checkpoint has %d weight states, need %d", len(d), len(m.weights))
+		return nil, fmt.Errorf("dgnn: EvolveGCN checkpoint has %d weight states, need %d", len(d), len(m.weights))
 	}
+	ws := make([]*tensor.Matrix, len(d))
 	for i, l := range m.weights {
-		w, err := d[i].matrix()
+		w, err := d[i].Matrix()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if w.Rows != l.wStart.Rows || w.Cols != l.wStart.Cols {
-			return fmt.Errorf("dgnn: EvolveGCN layer %d weight shape %dx%d, need %dx%d",
+			return nil, fmt.Errorf("dgnn: EvolveGCN layer %d weight shape %dx%d, need %dx%d",
 				i, w.Rows, w.Cols, l.wStart.Rows, l.wStart.Cols)
 		}
-		l.wStart = w
-		l.wNext = nil
+		ws[i] = w
 	}
-	return nil
+	return func() {
+		for i, l := range m.weights {
+			l.wStart = ws[i]
+			l.wNext = nil
+		}
+	}, nil
 }

@@ -24,9 +24,11 @@ func TestCheckpointRoundTripAllModels(t *testing.T) {
 
 		rng2 := rand.New(rand.NewSource(9)) // identical params
 		m2 := New(k, rng2, 3, 4)
-		if err := m2.RestoreState(dumped); err != nil {
+		install, err := m2.RestoreState(dumped)
+		if err != nil {
 			t.Fatalf("%s: restore failed: %v", k, err)
 		}
+		install()
 		m1.BeginStep(3)
 		m2.BeginStep(3)
 		tp := autodiff.NewTape()
@@ -42,34 +44,42 @@ func TestCheckpointRoundTripAllModels(t *testing.T) {
 func TestCheckpointRestoreValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewGCLSTM(rng, 3, 4)
-	if err := m.RestoreState(nil); err == nil {
+	if _, err := m.RestoreState(nil); err == nil {
 		t.Fatal("wrong state count accepted")
 	}
 	bad := []StateDump{{Rows: 2, Cols: 99, Data: make([]float64, 2*99)}, {Rows: 0, Cols: 4}}
-	if err := m.RestoreState(bad); err == nil {
+	if _, err := m.RestoreState(bad); err == nil {
 		t.Fatal("wrong state dim accepted")
 	}
 	short := []StateDump{{Rows: 2, Cols: 4, Data: make([]float64, 3)}, {Rows: 0, Cols: 4}}
-	if err := m.RestoreState(short); err == nil {
+	if _, err := m.RestoreState(short); err == nil {
 		t.Fatal("short data accepted")
 	}
+	// A refused second matrix leaves the first as it was, too.
+	secondBad := []StateDump{{Rows: 2, Cols: 4, Data: make([]float64, 8)}, {Rows: 0, Cols: 99}}
+	if _, err := m.RestoreState(secondBad); err == nil {
+		t.Fatal("wrong second state dim accepted")
+	}
+	if st := m.DumpState(); st[0].Rows != 0 {
+		t.Fatalf("refused restore left a %d-row first state", st[0].Rows)
+	}
 	w := NewWinGNN(rng, 3, 4)
-	if err := w.RestoreState([]StateDump{{}}); err == nil {
+	if _, err := w.RestoreState([]StateDump{{}}); err == nil {
 		t.Fatal("WinGNN with state accepted")
 	}
 	ev := NewEvolveGCN(rng, 3, 4)
-	if err := ev.RestoreState(nil); err == nil {
+	if _, err := ev.RestoreState(nil); err == nil {
 		t.Fatal("EvolveGCN wrong count accepted")
 	}
 	wrongShape := ev.DumpState()
 	wrongShape[0].Rows++
 	wrongShape[0].Data = append(wrongShape[0].Data, make([]float64, 4)...)
-	if err := ev.RestoreState(wrongShape); err == nil {
+	if _, err := ev.RestoreState(wrongShape); err == nil {
 		t.Fatal("EvolveGCN wrong shape accepted")
 	}
 	corrupt := ev.DumpState()
 	corrupt[0].Data = corrupt[0].Data[:1]
-	if err := ev.RestoreState(corrupt); err == nil {
+	if _, err := ev.RestoreState(corrupt); err == nil {
 		t.Fatal("EvolveGCN corrupt data accepted")
 	}
 }

@@ -81,40 +81,41 @@ func (st *DeltaState) LastCommitted() []int { return st.lastCommitted }
 func (st *DeltaState) setStages(ms ...*tensor.Matrix) { st.stages = ms }
 
 // DeltaDump serializes the delta caches for checkpointing: one StateDump per
-// stage plus the committed-id set. ok is false when the state is invalid.
-func (st *DeltaState) DeltaDump() (stages []StateDump, committed []int, ok bool) {
+// stage plus the committed-id set; both nil when the state is invalid.
+func (st *DeltaState) DeltaDump() (stages []StateDump, committed []int) {
 	if !st.Valid() {
-		return nil, nil, false
+		return nil, nil
 	}
 	stages = make([]StateDump, len(st.stages))
 	for i, m := range st.stages {
-		stages[i] = dumpMatrix(m)
+		stages[i] = DumpMatrix(m)
 	}
-	return stages, append([]int(nil), st.lastCommitted...), true
+	return stages, append([]int(nil), st.lastCommitted...)
 }
 
-// DeltaRestore replaces the delta caches from a checkpoint. All validations
-// come before any mutation.
-func (st *DeltaState) DeltaRestore(m DeltaForwarder, stages []StateDump, committed []int) error {
+// DeltaRestore checks delta caches from a checkpoint against m and returns
+// the install that replaces the state's caches with them.
+func (st *DeltaState) DeltaRestore(m DeltaForwarder, stages []StateDump, committed []int) (func(), error) {
 	if len(stages) != m.DeltaStages() {
-		return fmt.Errorf("dgnn: delta checkpoint has %d stage caches, model %s needs %d",
+		return nil, fmt.Errorf("dgnn: delta checkpoint has %d stage caches, model %s needs %d",
 			len(stages), m.Name(), m.DeltaStages())
 	}
 	ms := make([]*tensor.Matrix, len(stages))
 	for i, d := range stages {
 		if d.Cols != m.DeltaStageCols(i) {
-			return fmt.Errorf("dgnn: delta stage %d cache is %d wide, model %s needs %d",
+			return nil, fmt.Errorf("dgnn: delta stage %d cache is %d wide, model %s needs %d",
 				i, d.Cols, m.Name(), m.DeltaStageCols(i))
 		}
-		mat, err := d.matrix()
+		mat, err := d.Matrix()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ms[i] = mat
 	}
-	st.stages = ms
-	st.lastCommitted = append([]int(nil), committed...)
-	return nil
+	return func() {
+		st.stages = ms
+		st.lastCommitted = append([]int(nil), committed...)
+	}, nil
 }
 
 // DeltaPass is the read context handed to DeltaRows: stage reads go through
@@ -226,35 +227,6 @@ func exceedsEps(fresh, cached []float64, eps float64) bool {
 	return false
 }
 
-// mergeSorted merges two ascending id slices into a fresh ascending slice
-// without duplicates.
-func mergeSorted(a, b []int) []int {
-	if len(a) == 0 {
-		return append([]int(nil), b...)
-	}
-	if len(b) == 0 {
-		return append([]int(nil), a...)
-	}
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
 // RunDeltaFull runs the model's full-tensor forward, refreshing every stage
 // cache, and records the full id range as committed for stateful models — a
 // full forward rewrites every node's recurrent state, so every node must
@@ -304,7 +276,7 @@ type DeltaResult struct {
 func RunDelta(g *graph.Dynamic, m DeltaForwarder, st *DeltaState, emb *EmbStore, dirty []int, eps float64, maxCand int) DeltaResult {
 	n := g.N()
 	nStages := m.DeltaStages()
-	sources := mergeSorted(dirty, st.lastCommitted)
+	sources := MergeSorted(dirty, st.lastCommitted)
 	p := newDeltaPass(g, m, st)
 
 	type stageCommit struct {
@@ -315,7 +287,7 @@ func RunDelta(g *graph.Dynamic, m DeltaForwarder, st *DeltaState, emb *EmbStore,
 	var res DeltaResult
 	var frontier []int
 	for s := 0; s < nStages; s++ {
-		cand := g.Ball(mergeSorted(frontier, sources), 1)
+		cand := g.Ball(MergeSorted(frontier, sources), 1)
 		if len(cand) > maxCand {
 			return DeltaResult{Aborted: true}
 		}
@@ -356,7 +328,7 @@ func RunDelta(g *graph.Dynamic, m DeltaForwarder, st *DeltaState, emb *EmbStore,
 			copy(cache.Row(id), c.rows.Row(a))
 		}
 		if m.DeltaCommit(s, c.ids, c.rows) {
-			committed = mergeSorted(committed, c.ids)
+			committed = MergeSorted(committed, c.ids)
 		}
 	}
 	st.lastCommitted = committed

@@ -121,23 +121,23 @@ func (s *EmbStore) Dump() *StateDump {
 	if s.emb == nil {
 		return nil
 	}
-	d := dumpMatrix(s.emb)
+	d := DumpMatrix(s.emb)
 	return &d
 }
 
-// Restore replaces the store's contents from a checkpoint dump. A nil dump
-// invalidates the store.
-func (s *EmbStore) Restore(d *StateDump, lastFull int) error {
+// Restore checks a checkpoint dump and returns the install that replaces the
+// store's contents with it; a nil dump installs an invalid store.
+func (s *EmbStore) Restore(d *StateDump, lastFull int) (func(), error) {
 	if d == nil {
-		s.Invalidate()
-		return nil
+		return s.Invalidate, nil
 	}
-	m, err := d.matrix()
+	m, err := d.Matrix()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.emb = m
-	s.lastFull = lastFull
-	s.shared = false
-	return nil
+	return func() {
+		s.emb = m
+		s.lastFull = lastFull
+		s.shared = false
+	}, nil
 }

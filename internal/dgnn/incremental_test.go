@@ -62,21 +62,27 @@ func TestEmbStoreDumpRestore(t *testing.T) {
 
 	d := s.Dump()
 	r := NewEmbStore()
-	if err := r.Restore(d, s.LastFullStep()); err != nil {
+	install, err := r.Restore(d, s.LastFullStep())
+	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
+	install()
 	if !r.Valid() || r.LastFullStep() != 7 {
 		t.Fatal("restored store metadata wrong")
 	}
 	if !r.Matrix().AllClose(s.Matrix(), 0) {
 		t.Fatal("restored matrix differs")
 	}
-	if err := r.Restore(nil, 0); err != nil || r.Valid() {
-		t.Fatal("nil dump should invalidate")
-	}
 	bad := &StateDump{Rows: 2, Cols: 3, Data: []float64{1}}
-	if err := r.Restore(bad, 0); err == nil {
+	if _, err := r.Restore(bad, 0); err == nil {
 		t.Fatal("malformed dump accepted")
+	}
+	if install, err = r.Restore(nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	install()
+	if r.Valid() {
+		t.Fatal("nil dump should invalidate")
 	}
 }
 

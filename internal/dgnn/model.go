@@ -196,8 +196,10 @@ type Model interface {
 	WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer
 	// DumpState returns the model's recurrent state for checkpointing.
 	DumpState() []StateDump
-	// RestoreState replaces the recurrent state from a checkpoint.
-	RestoreState([]StateDump) error
+	// RestoreState checks a checkpoint's recurrent state against the model
+	// and returns the install that replaces the live state with it; nothing
+	// changes until install runs.
+	RestoreState([]StateDump) (install func(), err error)
 }
 
 // Infer runs one inference forward of m over v on the inference tape tp

@@ -80,7 +80,7 @@ func (m *RTGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { 
 func (m *RTGCNModel) DumpState() []StateDump { return []StateDump{m.state.dump()} }
 
 // RestoreState implements Model.
-func (m *RTGCNModel) RestoreState(d []StateDump) error { return restoreStates(d, m.state) }
+func (m *RTGCNModel) RestoreState(d []StateDump) (func(), error) { return restoreStates(d, m.state) }
 
 // Forward implements Model, in demand order by TGCN's rule. Views without
 // typed adjacency support fall back to treating every edge as relation 0.

@@ -131,6 +131,35 @@ func ForwardPart(g *graph.Dynamic, m Model, s int, nodes, exact []int) ShardForw
 	return res
 }
 
+// MergeSorted merges two ascending id slices into a fresh ascending slice
+// without duplicates.
+func MergeSorted(a, b []int) []int {
+	if len(a) == 0 {
+		return append([]int(nil), b...)
+	}
+	if len(b) == 0 {
+		return append([]int(nil), a...)
+	}
+	out := make([]int, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
 // IntersectSorted returns the elements common to two ascending id slices.
 func IntersectSorted(a, b []int) []int {
 	var out []int

@@ -91,9 +91,9 @@ func (m *WinGNNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 // winOptimizer implements WinGNN's random gradient-aggregation window: it
 // remembers the last `window` gradient snapshots and, on each Step, replaces
 // the live gradient with the mean of a uniformly random-length suffix of the
-// history before delegating to the wrapped optimizer. It is fully Stateful:
+// history before delegating to the wrapped optimizer. All of its state —
 // the gradient history, the random stream position and the wrapped
-// optimizer's own state all round-trip through DumpState/RestoreState, which
+// optimizer's own state — round-trips through DumpState/RestoreState, which
 // is what makes a WinGNN resume bit-identical to the uninterrupted run.
 type winOptimizer struct {
 	inner   autodiff.Optimizer
@@ -146,21 +146,22 @@ func (w *winOptimizer) intn(n int) int {
 	return int(w.src.Uint64() % uint64(n))
 }
 
-// DumpState implements autodiff.Stateful: the wrapped optimizer's state
+// DumpState implements autodiff.Optimizer: the wrapped optimizer's state
 // nests under Inner, the window's random stream position under RNG, and the
-// gradient history (flattened, parameter order; empty slice = nil gradient)
-// under History.
+// gradient history (flattened, parameter order) under History. A parameter
+// whose gradient was nil at snapshot time is dumped as zeros, which the
+// window's mean adds exactly as it skips a nil one.
 func (w *winOptimizer) DumpState() autodiff.OptState {
-	st := autodiff.OptState{RNG: w.src.State(), HasRNG: true}
-	if s, ok := w.inner.(autodiff.Stateful); ok {
-		inner := s.DumpState()
-		st.Inner = &inner
-	}
+	inner := w.inner.DumpState()
+	st := autodiff.OptState{Inner: &inner, RNG: w.src.State()}
+	params := w.inner.Params()
 	for _, snap := range w.history {
 		row := make([][]float64, len(snap))
 		for i, g := range snap {
 			if g != nil {
 				row[i] = append([]float64(nil), g.Data...)
+			} else {
+				row[i] = make([]float64, len(params[i].Value.Data))
 			}
 		}
 		st.History = append(st.History, row)
@@ -168,25 +169,28 @@ func (w *winOptimizer) DumpState() autodiff.OptState {
 	return st
 }
 
-// RestoreState implements autodiff.Stateful. All validations that can fail
-// come before any mutation, so a rejected state leaves the optimizer intact.
-func (w *winOptimizer) RestoreState(st autodiff.OptState) error {
+// RestoreState implements autodiff.Optimizer.
+func (w *winOptimizer) RestoreState(st autodiff.OptState) (func(), error) {
 	if len(st.History) > w.window {
-		return fmt.Errorf("dgnn: WinGNN state has %d gradient snapshots, window is %d", len(st.History), w.window)
+		return nil, fmt.Errorf("dgnn: WinGNN state has %d gradient snapshots, window is %d", len(st.History), w.window)
+	}
+	if st.Inner == nil {
+		return nil, fmt.Errorf("dgnn: WinGNN state carries no inner optimizer state")
+	}
+	installInner, err := w.inner.RestoreState(*st.Inner)
+	if err != nil {
+		return nil, err
 	}
 	params := w.inner.Params()
 	history := make([][]*tensor.Matrix, 0, len(st.History))
 	for k, row := range st.History {
 		if len(row) != len(params) {
-			return fmt.Errorf("dgnn: WinGNN gradient snapshot %d covers %d params, optimizer has %d", k, len(row), len(params))
+			return nil, fmt.Errorf("dgnn: WinGNN gradient snapshot %d covers %d params, optimizer has %d", k, len(row), len(params))
 		}
 		snap := make([]*tensor.Matrix, len(params))
 		for i, data := range row {
-			if len(data) == 0 {
-				continue // parameter had a nil gradient at snapshot time
-			}
 			if len(data) != len(params[i].Value.Data) {
-				return fmt.Errorf("dgnn: WinGNN gradient snapshot %d param %d has %d values, want %d", k, i, len(data), len(params[i].Value.Data))
+				return nil, fmt.Errorf("dgnn: WinGNN gradient snapshot %d param %d has %d values, want %d", k, i, len(data), len(params[i].Value.Data))
 			}
 			g := tensor.New(params[i].Value.Rows, params[i].Value.Cols)
 			copy(g.Data, data)
@@ -194,17 +198,9 @@ func (w *winOptimizer) RestoreState(st autodiff.OptState) error {
 		}
 		history = append(history, snap)
 	}
-	if s, ok := w.inner.(autodiff.Stateful); ok {
-		if st.Inner == nil {
-			return fmt.Errorf("dgnn: WinGNN state carries no inner optimizer state")
-		}
-		if err := s.RestoreState(*st.Inner); err != nil {
-			return err
-		}
-	}
-	w.history = history
-	if st.HasRNG {
+	return func() {
+		installInner()
+		w.history = history
 		w.src.SetState(st.RNG)
-	}
-	return nil
+	}, nil
 }

@@ -23,10 +23,7 @@ type PageHinkley struct {
 	//streamlint:ckpt-exempt detection tuning is configuration, rebuilt from Config on resume
 	MinSamples int
 
-	n    int
-	mean float64
-	cum  float64
-	min  float64
+	st PageHinkleyState
 }
 
 // NewPageHinkley returns a detector with the given tolerance and threshold.
@@ -40,13 +37,14 @@ func NewPageHinkley(delta, lambda float64) *PageHinkley {
 // Add consumes the step's observation (e.g. mean query loss) and reports
 // whether a drift was detected at this step.
 func (p *PageHinkley) Add(x float64) bool {
-	p.n++
-	p.mean += (x - p.mean) / float64(p.n)
-	p.cum += x - p.mean - p.Delta
-	if p.cum < p.min {
-		p.min = p.cum
+	s := &p.st
+	s.N++
+	s.Mean += (x - s.Mean) / float64(s.N)
+	s.Cum += x - s.Mean - p.Delta
+	if s.Cum < s.Min {
+		s.Min = s.Cum
 	}
-	if p.n >= p.MinSamples && p.cum-p.min > p.Lambda {
+	if s.N >= p.MinSamples && s.Cum-s.Min > p.Lambda {
 		p.Reset()
 		return true
 	}
@@ -54,9 +52,7 @@ func (p *PageHinkley) Add(x float64) bool {
 }
 
 // Reset clears all detector state.
-func (p *PageHinkley) Reset() {
-	p.n, p.mean, p.cum, p.min = 0, 0, 0, 0
-}
+func (p *PageHinkley) Reset() { p.st = PageHinkleyState{} }
 
 // PageHinkleyState is a checkpointable snapshot of the detector's running
 // statistics.
@@ -68,11 +64,7 @@ type PageHinkleyState struct {
 }
 
 // State captures the detector's running statistics for checkpointing.
-func (p *PageHinkley) State() PageHinkleyState {
-	return PageHinkleyState{N: p.n, Mean: p.mean, Cum: p.cum, Min: p.min}
-}
+func (p *PageHinkley) State() PageHinkleyState { return p.st }
 
 // RestoreState restores statistics captured with State.
-func (p *PageHinkley) RestoreState(s PageHinkleyState) {
-	p.n, p.mean, p.cum, p.min = s.N, s.Mean, s.Cum, s.Min
-}
+func (p *PageHinkley) RestoreState(s PageHinkleyState) { p.st = s }

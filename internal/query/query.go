@@ -88,16 +88,17 @@ type pendingPred struct {
 	emb    []float64 // anchor's embedding at prediction time
 }
 
-// replayExample is one revealed supervision pair: the embedding the
+// ReplayExample is one revealed supervision pair: the embedding the
 // prediction was made from and the truth that later arrived. The buffer
 // holds only the freshest reveals (it is cleared at each reveal step), so
 // every training unit can refit the event head on a minibatch of the most
 // recent query results (constant inputs — only the head trains through
 // replay). This removes the catastrophic interference of single-target
-// online updates without feeding back pre-drift targets.
-type replayExample struct {
-	emb   []float64
-	truth float64
+// online updates without feeding back pre-drift targets. An example is never
+// changed once made, so the buffer and its checkpoint share them.
+type ReplayExample struct {
+	Emb   []float64
+	Truth float64
 }
 
 // Alert is a fired monitoring notification: at some step the system
@@ -126,7 +127,7 @@ type Workload struct {
 	outcomes []Outcome
 	alerts   []Alert
 
-	replay    []replayExample
+	replay    []ReplayExample
 	replayPos int
 }
 
@@ -222,7 +223,7 @@ func (w *Workload) Reveal(g *graph.Dynamic, step int) {
 			Event:  truth > p.q.Threshold,
 		})
 		w.revealed[p.anchor] = Target{Value: truth, Step: step}
-		ex := replayExample{emb: p.emb, truth: truth}
+		ex := ReplayExample{Emb: p.emb, Truth: truth}
 		if len(w.replay) < replayCap {
 			w.replay = append(w.replay, ex)
 		} else {
@@ -249,8 +250,8 @@ func (w *Workload) AppendReplay(rng *rand.Rand, n int, rows, truths []float64) (
 	}
 	for i := 0; i < n; i++ {
 		ex := w.replay[rng.Intn(len(w.replay))]
-		rows = append(rows, ex.emb...)
-		truths = append(truths, ex.truth)
+		rows = append(rows, ex.Emb...)
+		truths = append(truths, ex.Truth)
 	}
 	return rows, truths
 }

@@ -15,7 +15,8 @@ import (
 // a resumed run continue the exact trajectory of the saved one, so a
 // graceful-shutdown/resume cycle is invisible in the Stats accounting.
 type WorkloadState struct {
-	Revealed map[int]Target
+	// Revealed holds the revealed targets in ascending node order.
+	Revealed []NodeTarget
 	Replay   []ReplayExample
 	// ReplayPos is the ring cursor of the replay buffer.
 	ReplayPos int
@@ -24,10 +25,10 @@ type WorkloadState struct {
 	Link      *LinkState
 }
 
-// ReplayExample is one revealed (embedding, truth) supervision pair.
-type ReplayExample struct {
-	Emb   []float64
-	Truth float64
+// NodeTarget is the revealed target at one node.
+type NodeTarget struct {
+	Node int
+	Target
 }
 
 // PendingPrediction is one in-flight prediction awaiting its reveal step.
@@ -42,13 +43,13 @@ type PendingPrediction struct {
 	Emb    []float64
 }
 
-// LinkState is the link-prediction task's checkpointable state.
+// LinkState is the link-prediction task's checkpointable state. LastEmb is
+// the last observed embedding matrix (nil before the first); a restore
+// adopts it rather than copying it.
 type LinkState struct {
 	RngState    uint64
 	LastStep    int
-	LastEmbRows int
-	LastEmbCols int
-	LastEmbData []float64
+	LastEmb     *tensor.Matrix
 	RecentPairs []Pair
 	Scores      []float64
 	Labels      []bool
@@ -57,21 +58,19 @@ type LinkState struct {
 	ReplayLbl   []float64
 }
 
-// DumpState captures the workload's runtime state for checkpointing.
+// DumpState captures the workload's runtime state for checkpointing. Both
+// maps are walked in sorted key order, so the checkpoint bytes do not depend
+// on map iteration order (checkpoints of identical runs are bit-identical).
 func (w *Workload) DumpState() WorkloadState {
 	st := WorkloadState{
-		Revealed:  make(map[int]Target, len(w.revealed)),
+		Revealed:  make([]NodeTarget, 0, len(w.revealed)),
 		ReplayPos: w.replayPos,
 	}
 	for v, t := range w.revealed {
-		st.Revealed[v] = t
+		st.Revealed = append(st.Revealed, NodeTarget{Node: v, Target: t})
 	}
-	for _, ex := range w.replay {
-		st.Replay = append(st.Replay, ReplayExample{Emb: append([]float64(nil), ex.emb...), Truth: ex.truth})
-	}
-	// Walk due steps in sorted order so the checkpoint bytes do not depend
-	// on map iteration order (checkpoints of identical runs must be
-	// bit-identical).
+	sort.Slice(st.Revealed, func(i, j int) bool { return st.Revealed[i].Node < st.Revealed[j].Node })
+	st.Replay = append(st.Replay, w.replay...)
 	dues := make([]int, 0, len(w.pending))
 	for due := range w.pending {
 		dues = append(dues, due)
@@ -92,46 +91,53 @@ func (w *Workload) DumpState() WorkloadState {
 	return st
 }
 
-// RestoreState restores a snapshot captured with DumpState. Queries (and the
-// link task, if any) must be registered before the call; pending predictions
-// whose query name is unknown are dropped so that learned state saved with a
-// richer workload still loads into a narrower one.
-func (w *Workload) RestoreState(st WorkloadState) error {
-	w.revealed = make(map[int]Target, len(st.Revealed))
-	for v, t := range st.Revealed {
-		w.revealed[v] = t
+// RestoreState checks a snapshot captured with DumpState and returns the
+// install that restores it; nothing changes until install runs. Queries (and
+// the link task, if any) must be registered before the call; pending
+// predictions whose query name is unknown are dropped so that learned state
+// saved with a richer workload still loads into a narrower one.
+func (w *Workload) RestoreState(st WorkloadState) (func(), error) {
+	revealed := make(map[int]Target, len(st.Revealed))
+	for i, t := range st.Revealed {
+		if i > 0 && t.Node <= st.Revealed[i-1].Node {
+			return nil, fmt.Errorf("query: revealed target at node %d out of ascending order", t.Node)
+		}
+		revealed[t.Node] = t.Target
 	}
-	w.replay = w.replay[:0]
-	for _, ex := range st.Replay {
-		w.replay = append(w.replay, replayExample{emb: append([]float64(nil), ex.Emb...), truth: ex.Truth})
+	if st.ReplayPos < 0 || (len(st.Replay) > 0 && st.ReplayPos >= replayCap) {
+		return nil, fmt.Errorf("query: replay cursor %d out of range", st.ReplayPos)
 	}
-	w.replayPos = st.ReplayPos
-	if w.replayPos < 0 || (len(w.replay) > 0 && w.replayPos >= replayCap) {
-		return fmt.Errorf("query: replay cursor %d out of range", w.replayPos)
+	if st.Link != nil {
+		if w.link == nil {
+			return nil, fmt.Errorf("query: checkpoint carries link-task state but no link task is attached")
+		}
+		if m := st.Link.LastEmb; m != nil && !tensor.Holds(m.Rows, m.Cols, len(m.Data)) {
+			return nil, fmt.Errorf("query: link-task embeddings %dx%d carry %d values", m.Rows, m.Cols, len(m.Data))
+		}
 	}
 	byName := make(map[string]*EventQuery, len(w.queries))
 	for _, q := range w.queries {
 		byName[q.Name] = q
 	}
-	w.pending = make(map[int][]pendingPred)
+	pending := make(map[int][]pendingPred)
 	for _, p := range st.Pending {
-		q, ok := byName[p.Query]
-		if !ok {
-			continue
+		if q, ok := byName[p.Query]; ok {
+			pending[p.Due] = append(pending[p.Due], pendingPred{
+				q: q, anchor: p.Anchor, score: p.Score, emb: append([]float64(nil), p.Emb...),
+			})
 		}
-		w.pending[p.Due] = append(w.pending[p.Due], pendingPred{
-			q: q, anchor: p.Anchor, score: p.Score, emb: append([]float64(nil), p.Emb...),
-		})
 	}
-	w.outcomes = append([]Outcome(nil), st.Outcomes...)
-	w.alerts = nil
-	if st.Link != nil {
-		if w.link == nil {
-			return fmt.Errorf("query: checkpoint carries link-task state but no link task is attached")
+	return func() {
+		w.revealed = revealed
+		w.replay = append([]ReplayExample(nil), st.Replay...)
+		w.replayPos = st.ReplayPos
+		w.pending = pending
+		w.outcomes = append([]Outcome(nil), st.Outcomes...)
+		w.alerts = nil
+		if st.Link != nil {
+			w.link.restoreState(st.Link)
 		}
-		w.link.restoreState(st.Link)
-	}
-	return nil
+	}, nil
 }
 
 func (l *LinkPredTask) dumpState() *LinkState {
@@ -144,9 +150,8 @@ func (l *LinkPredTask) dumpState() *LinkState {
 		Ranks:       append([]int(nil), l.ranks...),
 		ReplayLbl:   append([]float64(nil), l.replayLabels...),
 	}
-	if l.lastEmb != nil {
-		st.LastEmbRows, st.LastEmbCols = l.lastEmb.Rows, l.lastEmb.Cols
-		st.LastEmbData = append([]float64(nil), l.lastEmb.Data...)
+	if m := l.lastEmb; m != nil {
+		st.LastEmb = &tensor.Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
 	}
 	for _, e := range l.replayEmb {
 		st.ReplayEmb = append(st.ReplayEmb, append([]float64(nil), e...))
@@ -157,12 +162,7 @@ func (l *LinkPredTask) dumpState() *LinkState {
 func (l *LinkPredTask) restoreState(st *LinkState) {
 	l.src.SetState(st.RngState)
 	l.lastStep = st.LastStep
-	l.lastEmb = nil
-	if st.LastEmbRows > 0 {
-		m := tensor.New(st.LastEmbRows, st.LastEmbCols)
-		copy(m.Data, st.LastEmbData)
-		l.lastEmb = m
-	}
+	l.lastEmb = st.LastEmb
 	l.recentPairs = append(l.recentPairs[:0], st.RecentPairs...)
 	l.scores = append([]float64(nil), st.Scores...)
 	l.labels = append([]bool(nil), st.Labels...)

@@ -157,22 +157,24 @@ func (c *Chips) Counts() []int {
 	return out
 }
 
-// Restore replaces all chip counts from a checkpoint, re-activating every
-// node (activity is re-derived from the snapshot on the next step).
-func (c *Chips) Restore(counts []int) error {
+// Restore checks chip counts from a checkpoint and returns the install that
+// replaces all counts with them, re-activating every node (activity is
+// re-derived from the snapshot on the next step).
+func (c *Chips) Restore(counts []int) (func(), error) {
 	for v, n := range counts {
 		if n < c.MinChips {
-			return fmt.Errorf("sampling: restored count %d at node %d below floor %d", n, v, c.MinChips)
+			return nil, fmt.Errorf("sampling: restored count %d at node %d below floor %d", n, v, c.MinChips)
 		}
 	}
-	c.counts = append(c.counts[:0], counts...)
-	c.active = make([]bool, len(counts))
-	c.total = 0
-	c.f = NewFenwick(len(counts))
-	for v, n := range counts {
-		c.active[v] = true
-		c.total += n
-		c.f.Add(v, float64(n))
-	}
-	return nil
+	return func() {
+		c.counts = append(c.counts[:0], counts...)
+		c.active = make([]bool, len(counts))
+		c.total = 0
+		c.f = NewFenwick(len(counts))
+		for v, n := range counts {
+			c.active[v] = true
+			c.total += n
+			c.f.Add(v, float64(n))
+		}
+	}, nil
 }

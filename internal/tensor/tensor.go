@@ -21,6 +21,16 @@ type Matrix struct {
 	Data       []float64
 }
 
+// Holds reports whether a rows×cols matrix holds exactly n values: both
+// dimensions non-negative and their product n, with no overflow to wrap a
+// shape read from outside the process onto n.
+func Holds(rows, cols, n int) bool {
+	if rows < 0 || cols <= 0 {
+		return rows >= 0 && cols == 0 && n == 0
+	}
+	return n%cols == 0 && n/cols == rows
+}
+
 // New returns a zeroed rows×cols matrix. When pooling is enabled (see
 // EnablePooling) the backing buffer may be drawn from the recycle pool; the
 // allocation meter records the logical allocation either way.

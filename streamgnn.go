@@ -173,12 +173,11 @@ type Config struct {
 	// frontier. Must lie in [0, 1].
 	DeltaEpsilon float64
 
-	// Shards partitions the node-id space into this many shards and makes
-	// the streaming pipeline shard-aware end to end: ingestion routes dirty
-	// marks to per-shard trackers, incremental forwards fan the compute
-	// region out to one worker per shard (by connected component, so results
-	// are bit-identical to the unsharded path on seeded runs — see DESIGN.md
-	// §12), and a deterministic merge splices the per-shard rows back.
+	// Shards partitions the node-id space into this many shards:
+	// incremental forwards fan the compute region out to one worker per shard
+	// (by connected component, so results are bit-identical to the unsharded
+	// path on seeded runs — see DESIGN.md §12), and a deterministic merge
+	// splices the per-shard rows back.
 	// 0 or 1 disables sharding; > 1 implies IncrementalForward. Negative is
 	// rejected.
 	Shards int
