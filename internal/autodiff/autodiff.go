@@ -17,6 +17,7 @@ package autodiff
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"streamgnn/internal/tensor"
@@ -90,10 +91,13 @@ type Tape struct {
 
 	// noGrad marks an inference tape (NewInferenceTape). plan is the release
 	// plan learned from the previous pass, cur the one this pass is learning,
-	// and planOK whether every op of this pass so far matched plan.
+	// and planOK whether every op of this pass so far matched plan. into is
+	// the input whose buffer the op being computed writes its result into
+	// (see reuse), until record moves the buffer to the op's output.
 	noGrad    bool
 	plan, cur []planStep
 	planOK    bool
+	into      *Node
 }
 
 // planStep is one recorded node of an inference pass: the op that produced it
@@ -129,10 +133,19 @@ func NewTape() *Tape { return &Tape{} }
 // running the same model therefore keeps only a handful of matrices live at
 // any point of a forward.
 //
-// Ownership rule: nothing may hold a tape value past Release except the
-// forward's output, taken with Detach. A value that code outside the tape's
-// ops reads after the ops are done with it (a recurrent-state commit) must be
-// pinned with Keep. Backward panics on an inference tape.
+// A row-local op — Add, Sub, Mul, Scale, AddBias, Sigmoid, Tanh, ReLU,
+// OneMinus, MatMulAcc's sum, ScatterRows's base, Head — does better than
+// release its dying operand right after allocating a buffer of the same
+// shape: it writes its result into that operand's buffer (Head takes a prefix
+// of it), which then belongs to the output. The arithmetic and its order are
+// the allocating op's, so every value is bit-identical.
+//
+// Ownership rule: every buffer has one owner, the one node whose Value it is,
+// so Release hands each back exactly once. Nothing may hold a tape value past
+// Release except the forward's output, taken with Detach. A value that code
+// outside the tape's ops reads after the ops are done with it (a
+// recurrent-state commit) must be pinned with Keep, which also keeps every op
+// from writing over it. Backward panics on an inference tape.
 func NewInferenceTape() *Tape { return &Tape{noGrad: true, planOK: true} }
 
 // Reset discards all recorded operations so the tape can be reused.
@@ -146,6 +159,7 @@ func (t *Tape) endPass() {
 	if t.noGrad {
 		t.plan, t.cur = t.cur, t.plan[:0]
 		t.planOK = true
+		t.into = nil // an op that panicked between reuse and record
 	}
 }
 
@@ -153,11 +167,11 @@ func (t *Tape) endPass() {
 // pool and resets the tape, keeping the node shells for reuse by the next
 // forward pass on this tape. Only op outputs are recycled: Param and Constant
 // nodes are never recorded, so persistent parameters, their gradients, and
-// caller-owned constants are untouched. Every recorded op allocates a fresh
-// output matrix (no op aliases its parents' storage), so a buffer is released
-// at most once. Call only when nothing retains the tape's values — after the
-// optimizer step of a training unit; after Detach has taken the output of an
-// inference forward.
+// caller-owned constants are untouched. A buffer is the Value of one recorded
+// node at a time — an op that writes into an input's buffer takes it from
+// that input, whose Value becomes nil — so it is released at most once. Call
+// only when nothing retains the tape's values — after the optimizer step of a
+// training unit; after Detach has taken the output of an inference forward.
 func (t *Tape) Release() {
 	for _, n := range t.nodes {
 		tensor.Recycle(n.Value)
@@ -180,12 +194,18 @@ func (t *Tape) Release() {
 // Detach takes n's value out of the tape's ownership and returns it: Release
 // will not recycle it. The engine detaches the output of an inference forward
 // before releasing the tape, because the embedding store and the serving
-// snapshots keep aliasing that matrix.
+// snapshots keep aliasing that matrix. A value that is the head of a longer
+// buffer (an inference tape's Head may take its parent's) is copied out
+// instead, so the longer buffer goes back to the pool at Release.
 func (t *Tape) Detach(n *Node) *tensor.Matrix {
 	m := n.Value
-	if n.seq != 0 {
-		n.Value = nil
+	if n.seq == 0 {
+		return m
 	}
+	if tensor.Oversized(m) {
+		return m.Clone()
+	}
+	n.Value = nil
 	return m
 }
 
@@ -263,7 +283,8 @@ func (t *Tape) newNode2(op opKind, v *tensor.Matrix, reqGrad bool, p1, p2 *Node)
 }
 
 // record records a node with up to three parents (nil ones are absent). On an
-// inference tape it records the node's plan step instead, and releases the
+// inference tape it records the node's plan step instead, moves the buffer of
+// the input the op wrote into (see reuse) to the new node, and releases the
 // inputs whose last use, by the learned plan, this op was.
 func (t *Tape) record(op opKind, v *tensor.Matrix, reqGrad bool, p1, p2, p3 *Node) *Node {
 	if !t.noGrad {
@@ -276,22 +297,74 @@ func (t *Tape) record(op opKind, v *tensor.Matrix, reqGrad bool, p1, p2, p3 *Nod
 		}
 		return n
 	}
+	if p := t.into; p != nil {
+		// The output gets a header of its own and the input's goes stale, as
+		// Recycle leaves it: a reference to it kept outside the tape fails
+		// loudly instead of reading the output.
+		t.into = nil
+		if v == p.Value {
+			v = tensor.FromSlice(v.Rows, v.Cols, v.Data)
+		}
+		p.Value.Data = nil
+		p.Value = nil
+	}
 	n := t.alloc(v, false)
 	i := n.seq - 1
-	st := planStep{op: op, last: lastNone}
-	for k, p := range [...]*Node{p1, p2, p3} {
-		if p != nil {
-			st.in[k] = p.seq
-		}
-	}
+	st := planStep{op: op, in: inputs(p1, p2, p3), last: lastNone}
 	t.cur = append(t.cur, st)
 	if t.planOK {
-		t.planOK = int(i) < len(t.plan) && t.plan[i].op == op && t.plan[i].in == st.in
+		t.planOK = t.matches(i, op, st.in)
 	}
 	for _, seq := range st.in {
 		t.read(seq, i)
 	}
 	return n
+}
+
+// inputs is the plan signature of an op's inputs: their seqs, 0 for leaves
+// and absent inputs.
+func inputs(p1, p2, p3 *Node) (in [3]int32) {
+	for k, p := range [...]*Node{p1, p2, p3} {
+		if p != nil {
+			in[k] = p.seq
+		}
+	}
+	return in
+}
+
+// matches reports whether op i of this pass, of kind op on inputs in, is the
+// one the plan recorded at i.
+func (t *Tape) matches(i int32, op opKind, in [3]int32) bool {
+	return int(i) < len(t.plan) && t.plan[i].op == op && t.plan[i].in == in
+}
+
+// reuse returns the buffer the op about to be recorded, of kind op on inputs
+// p1..p3, may write its result into: that of the first of its leading cands
+// inputs which, on an inference tape whose pass matches the plan up to and
+// including this op, the tape owns, nobody pinned with Keep, and the plan
+// says this op reads last — an input no later op reads, so no later op can
+// tell whether its buffer was written over or released. The op must take
+// every element of the result from the same element (or, for Head, row) of
+// that input, not read others after writing; an input it also reads as a
+// non-candidate does not qualify. record moves the buffer to the op's output.
+// nil means the op allocates.
+func (t *Tape) reuse(op opKind, cands int, p1, p2, p3 *Node) *tensor.Matrix {
+	if !t.noGrad || !t.planOK {
+		return nil
+	}
+	i := int32(len(t.nodes))
+	ps := [...]*Node{p1, p2, p3}
+	if !t.matches(i, op, inputs(p1, p2, p3)) {
+		return nil
+	}
+	for _, p := range ps[:cands] {
+		if p.seq != 0 && p.Value != nil && t.plan[p.seq-1].last == i &&
+			t.cur[p.seq-1].last != lastKept && !slices.Contains(ps[cands:], p) {
+			t.into = p
+			return p.Value
+		}
+	}
+	return nil
 }
 
 // read notes that op i of this inference pass read recorded node seq, and
@@ -639,9 +712,11 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 
 // MatMulAcc returns sum + x·w as one op: the value and all three gradients
 // are bit-identical to Add(sum, MatMul(x, w)), without materializing the
-// product (see tensor.MatMulAcc).
+// product (see tensor.MatMulAccTo). On an inference tape it may add the
+// product into sum's buffer.
 func (t *Tape) MatMulAcc(sum, x, w *Node) *Node {
-	return t.record(opMatMulAcc, tensor.MatMulAcc(sum.Value, x.Value, w.Value), anyGrad(sum, x, w), sum, x, w)
+	dst := t.reuse(opMatMulAcc, 1, sum, x, w)
+	return t.record(opMatMulAcc, tensor.MatMulAccTo(dst, sum.Value, x.Value, w.Value), anyGrad(sum, x, w), sum, x, w)
 }
 
 // SpMM returns s·x where s is a constant sparse matrix (no gradient flows
@@ -652,58 +727,64 @@ func (t *Tape) SpMM(s *tensor.CSR, x *Node) *Node {
 	return out
 }
 
+// The row-local ops below may, on an inference tape, write into the buffer
+// of an operand they read last (see reuse): either operand of Add, Sub and
+// Mul, the matrix operand of the rest.
+
 // Add returns a+b (same shape).
 func (t *Tape) Add(a, b *Node) *Node {
-	return t.newNode2(opAdd, tensor.Add(a.Value, b.Value), anyGrad(a, b), a, b)
+	dst := t.reuse(opAdd, 2, a, b, nil)
+	return t.newNode2(opAdd, tensor.AddTo(dst, a.Value, b.Value), anyGrad(a, b), a, b)
 }
 
 // Sub returns a−b.
 func (t *Tape) Sub(a, b *Node) *Node {
-	return t.newNode2(opSub, tensor.Sub(a.Value, b.Value), anyGrad(a, b), a, b)
+	dst := t.reuse(opSub, 2, a, b, nil)
+	return t.newNode2(opSub, tensor.SubTo(dst, a.Value, b.Value), anyGrad(a, b), a, b)
 }
 
 // Mul returns the Hadamard product a∘b.
 func (t *Tape) Mul(a, b *Node) *Node {
-	return t.newNode2(opMul, tensor.Mul(a.Value, b.Value), anyGrad(a, b), a, b)
+	dst := t.reuse(opMul, 2, a, b, nil)
+	return t.newNode2(opMul, tensor.MulTo(dst, a.Value, b.Value), anyGrad(a, b), a, b)
 }
 
 // Scale returns s·a for scalar constant s.
 func (t *Tape) Scale(a *Node, s float64) *Node {
-	out := t.newNode1(opScale, tensor.Scale(a.Value, s), a.requiresGrad, a)
+	dst := t.reuse(opScale, 1, a, nil, nil)
+	out := t.newNode1(opScale, tensor.ScaleTo(dst, a.Value, s), a.requiresGrad, a)
 	out.auxF = s
 	return out
 }
 
 // AddBias returns m with the 1×cols bias row b added to every row.
 func (t *Tape) AddBias(m, b *Node) *Node {
-	return t.newNode2(opAddBias, tensor.AddRowVector(m.Value, b.Value), anyGrad(m, b), m, b)
+	dst := t.reuse(opAddBias, 1, m, b, nil)
+	return t.newNode2(opAddBias, tensor.AddRowVectorTo(dst, m.Value, b.Value), anyGrad(m, b), m, b)
 }
 
 // Sigmoid applies the logistic function elementwise.
 func (t *Tape) Sigmoid(a *Node) *Node {
-	return t.newNode1(opSigmoid, tensor.SigmoidOf(a.Value), a.requiresGrad, a)
+	dst := t.reuse(opSigmoid, 1, a, nil, nil)
+	return t.newNode1(opSigmoid, tensor.SigmoidTo(dst, a.Value), a.requiresGrad, a)
 }
 
 // Tanh applies tanh elementwise.
 func (t *Tape) Tanh(a *Node) *Node {
-	return t.newNode1(opTanh, tensor.TanhOf(a.Value), a.requiresGrad, a)
+	dst := t.reuse(opTanh, 1, a, nil, nil)
+	return t.newNode1(opTanh, tensor.TanhTo(dst, a.Value), a.requiresGrad, a)
 }
 
 // ReLU applies max(0, x) elementwise.
 func (t *Tape) ReLU(a *Node) *Node {
-	val := tensor.Apply(a.Value, func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return 0
-	})
-	return t.newNode1(opReLU, val, a.requiresGrad, a)
+	dst := t.reuse(opReLU, 1, a, nil, nil)
+	return t.newNode1(opReLU, tensor.ReLUTo(dst, a.Value), a.requiresGrad, a)
 }
 
 // OneMinus returns 1−a elementwise (used by GRU gates).
 func (t *Tape) OneMinus(a *Node) *Node {
-	val := tensor.Apply(a.Value, func(v float64) float64 { return 1 - v })
-	return t.newNode1(opOneMinus, val, a.requiresGrad, a)
+	dst := t.reuse(opOneMinus, 1, a, nil, nil)
+	return t.newNode1(opOneMinus, tensor.OneMinusTo(dst, a.Value), a.requiresGrad, a)
 }
 
 // ConcatCols returns [a | b].
@@ -724,14 +805,19 @@ func (t *Tape) GatherRows(a *Node, rows []int) *Node {
 
 // ScatterRows returns base with row rows[i] replaced by src's row i: the
 // inverse of GatherRows(·, rows) over a background. rows must be strictly
-// ascending (the backward rule walks them beside base's rows).
+// ascending (the backward rule walks them beside base's rows). The result is
+// a copy of base, unless an inference tape scatters into base's own buffer,
+// which base's last read allows (see reuse).
 func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node {
 	for i := 1; i < len(rows); i++ {
 		if rows[i] <= rows[i-1] {
 			panic(fmt.Sprintf("autodiff: ScatterRows rows not strictly ascending at %d", i))
 		}
 	}
-	val := base.Value.Clone()
+	val := t.reuse(opScatterRows, 1, base, src, nil)
+	if val == nil {
+		val = base.Value.Clone()
+	}
 	tensor.ScatterRows(val, src.Value, rows)
 	out := t.newNode2(opScatterRows, val, anyGrad(base, src), base, src)
 	if !t.noGrad {
@@ -741,9 +827,10 @@ func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node {
 }
 
 // Head returns a's leading rows rows — a itself when that is all of them. It
-// is a copy, not a view of a's storage: every op output being its own buffer
-// is what lets Release, and an inference tape's learned plan, recycle each
-// buffer exactly once, a while the head is still being read included.
+// is a copy, unless a is read for the last time here on an inference tape:
+// then the head is the leading part of a's buffer, which it takes from a (see
+// reuse). A view of a value that lives on would leave its buffer two owners,
+// and Release, or the learned plan, could recycle it while one still reads.
 func (t *Tape) Head(a *Node, rows int) *Node {
 	if rows == a.Value.Rows {
 		return a
@@ -751,8 +838,13 @@ func (t *Tape) Head(a *Node, rows int) *Node {
 	if rows < 0 || rows > a.Value.Rows {
 		panic(fmt.Sprintf("autodiff: Head %d of %d rows", rows, a.Value.Rows))
 	}
-	val := tensor.NewUninit(rows, a.Value.Cols)
-	copy(val.Data, a.Value.Data)
+	var val *tensor.Matrix
+	if m := t.reuse(opHead, 1, a, nil, nil); m != nil {
+		val = tensor.FromSlice(rows, m.Cols, m.Data[:rows*m.Cols])
+	} else {
+		val = tensor.NewUninit(rows, a.Value.Cols)
+		copy(val.Data, a.Value.Data)
+	}
 	return t.newNode1(opHead, val, a.requiresGrad, a)
 }
 

@@ -75,6 +75,33 @@ func TestMatMulAccMatchesAddMatMul(t *testing.T) {
 				t.Fatalf("trial %d: gradient %d differs between fused and unfused", trial, i)
 			}
 		}
+
+		// In place on an inference tape, over a sum with −0 rows where x has
+		// all-zero ones (0 + −0 must still come out +0) and in the others.
+		r := rand.New(rand.NewSource(int64(200 + trial)))
+		sm := tensor.NewRandom(r, n, h, 1)
+		for row := 0; row < n; row += 2 {
+			for c := range sm.Row(row) {
+				sm.Row(row)[c] = math.Copysign(0, -1)
+			}
+		}
+		xm, wm, w2m := randomWithZeroRows(r, n, k), tensor.NewRandom(r, k, h, 1), tensor.NewRandom(r, k, h, 1)
+		x, w, w2 := Constant(xm), Param(wm), Param(w2m)
+		ref := NewTape()
+		want := ref.Add(ref.Add(Constant(sm), ref.MatMul(x, w)), ref.MatMul(x, w2)).Value
+		tp := NewInferenceTape()
+		for pass := 0; pass < 2; pass++ {
+			sum := tp.OwnedConstant(sm.Clone())
+			buf := sum.Value.Data
+			out := tp.MatMulAcc(tp.MatMulAcc(sum, x, w), x, w2)
+			if inPlace := &out.Value.Data[0] == &buf[0]; inPlace != (pass > 0) {
+				t.Fatalf("trial %d pass %d: sum's buffer written in place: %v", trial, pass, inPlace)
+			}
+			if !bitEqual(want, out.Value) {
+				t.Fatalf("trial %d pass %d: value differs from Add(sum, MatMul)", trial, pass)
+			}
+			tp.Release()
+		}
 	}
 }
 
@@ -89,33 +116,47 @@ func TestMatMulAccGrad(t *testing.T) {
 }
 
 // gruLike is a small forward with the shapes of use the models have: a value
-// read long after it was made (h), a chain whose links die one by one, and a
-// value read directly after its last op use (kept).
-func gruLike(tp *Tape, x, h, w *Node) (out, kept *Node) {
-	xh := tp.ConcatCols(x, h)
+// read long after it was made (h), a chain whose links die one by one, a value
+// read directly after its last op use (kept), an SpMM, which mixes rows, over a
+// value that dies there, and a leaf read last by an op that could otherwise
+// write into it.
+func gruLike(tp *Tape, x, h, w, leaf *Node) (out, kept *Node) {
+	ring := tensor.NewCSR(5, 5, [][]tensor.CSREntry{{{Col: 1, Val: 0.5}, {Col: 4, Val: 2}}, {{Col: 2, Val: 1}}, {{Col: 0, Val: -1}}, {{Col: 3, Val: 1}}, {{Col: 3, Val: 0.25}}})
+	xh := tp.SpMM(ring, tp.ConcatCols(x, h))
 	z := tp.Sigmoid(tp.MatMul(xh, w))
 	kept = tp.Tanh(tp.MatMul(xh, w))
 	tp.Keep(kept)
 	cand := tp.Mul(kept, z)
-	return tp.Add(tp.Mul(z, h), tp.Mul(tp.OneMinus(z), cand)), kept
+	return tp.Add(tp.Add(leaf, tp.Mul(z, h)), tp.Mul(tp.OneMinus(z), cand)), kept
 }
 
 // An inference tape computes the recording tape's values, learns last uses on
-// the first pass and releases on that schedule from the second — kept and
-// output values excepted — and records no backward state.
+// the first pass and from the second releases on that schedule, or writes in
+// place, so it meters fewer floats — kept and output values excepted, and
+// never over a kept value, a leaf, or an SpMM's input — and records no
+// backward state.
 func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 	withPooling(t)
+	tensor.EnableMeter(true)
+	defer tensor.EnableMeter(false)
 	rng := rand.New(rand.NewSource(4))
 	w := Param(tensor.NewRandom(rng, 7, 4, 1))
-	xm, hm := tensor.NewRandom(rng, 5, 3, 1), tensor.NewRandom(rng, 5, 4, 1)
-	want, _ := gruLike(NewTape(), Constant(xm), Constant(hm), w)
+	xm, hm, lm := tensor.NewRandom(rng, 5, 3, 1), tensor.NewRandom(rng, 5, 4, 1), tensor.NewRandom(rng, 5, 4, 1)
+	leaf := Constant(lm.Clone())
+	want, wantKept := gruLike(NewTape(), Constant(xm), Constant(hm), w, leaf)
 
 	tp := NewInferenceTape()
+	var floats [3]int64
 	for pass := 0; pass < 3; pass++ {
+		tensor.ResetMeter()
 		x, h := tp.OwnedConstant(xm.Clone()), tp.OwnedConstant(hm.Clone())
-		out, kept := gruLike(tp, x, h, w)
+		out, kept := gruLike(tp, x, h, w, leaf)
+		floats[pass] = tensor.TotalFloats()
 		if !bitEqual(want.Value, out.Value) {
 			t.Fatalf("pass %d: inference value differs from the recording tape's", pass)
+		}
+		if !bitEqual(wantKept.Value, kept.Value) || !bitEqual(lm, leaf.Value) {
+			t.Fatalf("pass %d: kept value or leaf written over", pass)
 		}
 		live := 0
 		for _, n := range tp.nodes {
@@ -141,12 +182,15 @@ func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 			t.Fatalf("pass %d: detached output did not survive Release", pass)
 		}
 	}
+	if floats[1] >= floats[0] || floats[2] != floats[1] {
+		t.Fatalf("metered floats per pass %v: want fewer from the second pass on, as many each time", floats)
+	}
 }
 
-// ScatterRows owns its output: on an inference tape the plan recycles base and
-// src at the scatter, their only reader, and the next ops of the same shapes
-// are handed those very buffers — a scatter that wrote into base, or kept a
-// view of src, would read them back overwritten.
+// ScatterRows owns its output: on an inference tape base's buffer becomes the
+// scatter's, base dying there, and src's goes back to the pool, which hands it
+// to the next op of src's shape — a scatter that kept a view of src would read
+// it back overwritten. Where base lives on, the scatter is a copy.
 func TestScatterRowsSurvivesRecycledOperands(t *testing.T) {
 	withPooling(t)
 	rng := rand.New(rand.NewSource(8))
@@ -182,20 +226,22 @@ func TestScatterRowsSurvivesRecycledOperands(t *testing.T) {
 	}
 }
 
-// Head copies: the release plan may hand its parent's buffer back to the pool
-// at the Head itself, and the pool hands it straight to the next op, while the
-// head is read on. A view of the parent would read that op's output.
+// Head owns its rows: at its parent's last read it takes the parent's buffer,
+// so the pool cannot hand that buffer to the next op of the parent's shape
+// while the head is read on. A view that left the buffer with the parent,
+// released there, would read that op's output.
 func TestHeadSurvivesRecycledParent(t *testing.T) {
 	withPooling(t)
 	rng := rand.New(rand.NewSource(9))
 	xm := tensor.NewRandom(rng, 8, 4, 1)
 	w := Param(tensor.NewRandom(rng, 4, 4, 1))
-	released := false
+	taken := false
 	forward := func(tp *Tape) *Node {
 		x := tp.Tanh(tp.OwnedConstant(xm.Clone()))
+		buf := x.Value.Data
 		h := tp.Head(x, 3) // x's last reader
-		released = x.Value == nil
-		big := tp.Scale(tp.OwnedConstant(xm.Clone()), -2) // x's shape: takes its buffer
+		taken = x.Value == nil && &h.Value.Data[0] == &buf[0]
+		big := tp.Scale(tp.OwnedConstant(xm.Clone()), -2) // x's shape: the pool's next buffer
 		return tp.Add(tp.MatMul(h, w), tp.Head(tp.MatMul(big, w), 3))
 	}
 	want := forward(NewTape()).Value
@@ -206,15 +252,19 @@ func TestHeadSurvivesRecycledParent(t *testing.T) {
 		if !bitEqual(want, got) {
 			t.Fatalf("pass %d: value differs from the recording tape's", pass)
 		}
-		if released != (pass > 0) {
-			t.Fatalf("pass %d: parent released at its Head: %v", pass, released)
+		if taken != (pass > 0) {
+			t.Fatalf("pass %d: parent's buffer taken by its Head: %v", pass, taken)
 		}
 	}
 }
 
 // When a pass departs from the learned op sequence the tape stops releasing
-// early for the rest of that pass and relearns; values stay right throughout,
-// whether ops were inserted, dropped, or the same ops read different nodes.
+// early, and writing in place, for the rest of that pass and relearns; values
+// stay right throughout, whether ops were inserted, dropped, or the same ops
+// read different nodes, and an op that meets the plan's at its index after a
+// departure does not write in place. A pass that departs only after an op
+// wrote over a value, and then reads that value, fails on its nil Value, as it
+// does on a value released early.
 func TestInferenceTapeRelearnsOnSequenceChange(t *testing.T) {
 	withPooling(t)
 	rng := rand.New(rand.NewSource(6))
@@ -223,17 +273,23 @@ func TestInferenceTapeRelearnsOnSequenceChange(t *testing.T) {
 	forward := func(tp *Tape, variant int) *Node {
 		x := tp.OwnedConstant(xm.Clone())
 		h := tp.Tanh(tp.MatMul(x, w))
+		if variant == 4 { // another op kind, then the plan's OneMinus(g) at its index, then g again
+			g := tp.Tanh(h)
+			return tp.Mul(tp.OneMinus(g), tp.Add(g, h))
+		}
 		g := tp.Sigmoid(h)
 		switch variant {
 		case 1: // an inserted op reading a value the plan would release next
 			h = tp.Add(h, tp.MatMul(h, w))
 		case 2: // the same op kinds, wired to other nodes
 			h, g = g, h
+		case 3: // the plan's ops, then a read of g, which OneMinus wrote over
+			return tp.Mul(tp.OneMinus(g), tp.Add(g, h))
 		}
 		return tp.Mul(tp.OneMinus(g), h)
 	}
 	tp := NewInferenceTape()
-	for pass, variant := range []int{0, 0, 1, 1, 2, 2, 0} {
+	for pass, variant := range []int{0, 0, 1, 1, 2, 2, 0, 4, 4, 0} {
 		want := forward(NewTape(), variant).Value
 		got := forward(tp, variant).Value
 		if !bitEqual(want, got) {
@@ -241,6 +297,12 @@ func TestInferenceTapeRelearnsOnSequenceChange(t *testing.T) {
 		}
 		tp.Release()
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a read of a value written over in place did not fail")
+		}
+	}()
+	forward(tp, 3)
 }
 
 func TestInferenceTapeRejectsBackwardAndLateKeep(t *testing.T) {
@@ -271,4 +333,22 @@ func TestInferenceTapeRejectsBackwardAndLateKeep(t *testing.T) {
 	chain(false)
 	tp.Release()
 	mustPanic("Keep of a released value", func() { chain(true) })
+	tp.Release()
+
+	// Kept before the op the plan says reads it last, on a pass after one
+	// that did not keep it, a value is neither released nor written over.
+	early := func(keep bool) *Node {
+		h := tp.Tanh(tp.Add(a, a))
+		if keep {
+			tp.Keep(h)
+		}
+		tp.Sigmoid(h)
+		return h
+	}
+	early(false)
+	tp.Release()
+	if h := early(true); h.Value == nil || h.Value.Data[0] != math.Tanh(2) {
+		t.Fatalf("a value kept on this pass alone was released or written over: %v", h.Value)
+	}
+	tp.Release()
 }

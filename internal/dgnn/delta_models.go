@@ -19,18 +19,9 @@ import (
 //
 // The DeltaFull implementations run the same tensor kernels, in the same
 // order, as the tape ops inside Forward — the tape's MatMul/SpMM/AddBias/
-// Apply delegate to exactly these functions — so their outputs are bitwise
-// equal to Forward over FullView, which the delta tests assert for every
-// delta-capable kind.
-
-func reluVal(v float64) float64 {
-	if v > 0 {
-		return v
-	}
-	return 0
-}
-
-func oneMinusVal(v float64) float64 { return 1 - v }
+// ReLU/OneMinus delegate to exactly these functions, in place or not — so
+// their outputs are bitwise equal to Forward over FullView, which the delta
+// tests assert for every delta-capable kind.
 
 // fullConv computes AddBias(SpMM(norm, MatMul(x, W)), B) — the value path of
 // GCNConv.Apply.
@@ -52,7 +43,7 @@ func fullConvGRU(cell *nn.ConvGRUCell, norm *tensor.CSR, x, h *tensor.Matrix) *t
 	z := tensor.SigmoidOf(fullConv(zc.(*nn.GCNConv), norm, xh))
 	r := tensor.SigmoidOf(fullConv(rc.(*nn.GCNConv), norm, xh))
 	cand := tensor.TanhOf(fullConv(cc.(*nn.GCNConv), norm, tensor.ConcatCols(x, tensor.Mul(r, h))))
-	return tensor.Add(tensor.Mul(z, h), tensor.Mul(tensor.Apply(z, oneMinusVal), cand))
+	return tensor.Add(tensor.Mul(z, h), tensor.Mul(tensor.OneMinusOf(z), cand))
 }
 
 // zrFull computes the full [z|r] gate matrix of a graph-gated GRU — the
@@ -86,7 +77,7 @@ func fullGRU(cell *nn.GRUCell, x, h *tensor.Matrix) *tensor.Matrix {
 	z := tensor.SigmoidOf(fullLinear(wz, xh))
 	r := tensor.SigmoidOf(fullLinear(wr, xh))
 	cand := tensor.TanhOf(fullLinear(wc, tensor.ConcatCols(x, tensor.Mul(r, h))))
-	return tensor.Add(tensor.Mul(z, h), tensor.Mul(tensor.Apply(z, oneMinusVal), cand))
+	return tensor.Add(tensor.Mul(z, h), tensor.Mul(tensor.OneMinusOf(z), cand))
 }
 
 // fullLSTM advances a dense LSTM — the value path of LSTMCell.Apply.
@@ -151,7 +142,7 @@ func (m *WinGNNModel) DeltaStageCols(s int) int { return m.hidden }
 func (m *WinGNNModel) DeltaFull(g *graph.Dynamic, st *DeltaState) *tensor.Matrix {
 	x := g.Features()
 	norm := g.NormAdj()
-	s0 := tensor.Apply(fullConv(m.conv1, norm, x), reluVal)
+	s0 := tensor.ReLUOf(fullConv(m.conv1, norm, x))
 	h := fullConv(m.conv2, norm, s0)
 	out := tensor.TanhOf(tensor.Add(h, fullLinear(m.skip, x)))
 	st.setStages(s0, out.Clone())
@@ -208,7 +199,7 @@ func (m *TGCNModel) DeltaStageCols(s int) int {
 func (m *TGCNModel) DeltaFull(g *graph.Dynamic, st *DeltaState) *tensor.Matrix {
 	n := g.N()
 	norm := g.NormAdj()
-	x1 := tensor.Apply(fullConv(m.enc, norm, g.Features()), reluVal)
+	x1 := tensor.ReLUOf(fullConv(m.enc, norm, g.Features()))
 	h := m.state.liveMatrix(n)
 	zr := zrFull(m.cell, norm, x1, h)
 	hNew := fullConvGRU(m.cell, norm, x1, h)
@@ -305,7 +296,7 @@ func (m *GCLSTMModel) DeltaStageCols(s int) int {
 func (m *GCLSTMModel) DeltaFull(g *graph.Dynamic, st *DeltaState) *tensor.Matrix {
 	n := g.N()
 	norm := g.NormAdj()
-	x1 := tensor.Apply(fullConv(m.enc, norm, g.Features()), reluVal)
+	x1 := tensor.ReLUOf(fullConv(m.enc, norm, g.Features()))
 	h := m.hState.liveMatrix(n)
 	c := m.cState.liveMatrix(n)
 	hNew, cNew := fullConvLSTM(m.cell, norm, x1, h, c)
@@ -386,9 +377,9 @@ func (m *ROLANDModel) DeltaStageCols(s int) int { return m.hidden }
 func (m *ROLANDModel) DeltaFull(g *graph.Dynamic, st *DeltaState) *tensor.Matrix {
 	n := g.N()
 	norm := g.NormAdj()
-	c1 := tensor.Apply(fullConv(m.conv1, norm, g.Features()), reluVal)
+	c1 := tensor.ReLUOf(fullConv(m.conv1, norm, g.Features()))
 	new1 := fullGRU(m.upd1, c1, m.h1.liveMatrix(n))
-	c2 := tensor.Apply(fullConv(m.conv2, norm, new1), reluVal)
+	c2 := tensor.ReLUOf(fullConv(m.conv2, norm, new1))
 	new2 := fullGRU(m.upd2, c2, m.h2.liveMatrix(n))
 	m.h1.setAll(new1)
 	m.h2.setAll(new2)
@@ -453,8 +444,8 @@ func (m *DyGrEncoderModel) DeltaStageCols(s int) int {
 func (m *DyGrEncoderModel) DeltaFull(g *graph.Dynamic, st *DeltaState) *tensor.Matrix {
 	n := g.N()
 	norm := g.NormAdj()
-	x1 := tensor.Apply(fullConv(m.enc1, norm, g.Features()), reluVal)
-	x2 := tensor.Apply(fullConv(m.enc2, norm, x1), reluVal)
+	x1 := tensor.ReLUOf(fullConv(m.enc1, norm, g.Features()))
+	x2 := tensor.ReLUOf(fullConv(m.enc2, norm, x1))
 	h := m.hState.liveMatrix(n)
 	c := m.cState.liveMatrix(n)
 	hNew, cNew := fullLSTM(m.lstm, x2, h, c)

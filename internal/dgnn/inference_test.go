@@ -255,24 +255,49 @@ func mostlyIsolated(n, featDim int) *graph.Dynamic {
 	return g
 }
 
-// Steady state, a full DCRNN forward allocates about its output matrix and
-// nothing else: every intermediate comes from and returns to the pool, node
-// shells are reused, and the active block is the graph's, built once per
+// Steady state, a full DCRNN or TGCN forward allocates about its output matrix
+// and nothing else: every intermediate comes from and returns to the pool,
+// node shells are reused, and the active block is the graph's, built once per
 // topology version. The guard is the heap bytes allocated per forward, which a
 // forward that materializes fresh temporaries again (80 of them, on a
 // recording tape) or rebuilds the block per call exceeds many times over.
+//
+// A warm forward also meters at most 60 % of the floats of the first, which
+// learns the plan: from the second on, every row-local op whose operand dies
+// there writes into that operand's buffer instead of drawing a new one.
 func TestFullForwardSteadyStateAllocation(t *testing.T) {
 	withPooling(t)
 	const n, featDim, hidden = 2000, 4, 16
-	for name, g := range map[string]*graph.Dynamic{
-		"connected":    typedGraph(n, featDim),
-		"95% isolated": mostlyIsolated(n, featDim),
+	newDCRNN := func() Model { return NewDCRNN(rand.New(rand.NewSource(1)), featDim, hidden) }
+	newTGCN := func() Model { return NewTGCN(rand.New(rand.NewSource(1)), featDim, hidden) }
+	for _, c := range []struct {
+		name  string
+		model func() Model
+		g     *graph.Dynamic
+	}{
+		{"connected", newDCRNN, typedGraph(n, featDim)},
+		{"95% isolated", newDCRNN, mostlyIsolated(n, featDim)},
+		{"TGCN connected", newTGCN, typedGraph(n, featDim)},
 	} {
-		t.Run(name, func(t *testing.T) {
-			m := NewDCRNN(rand.New(rand.NewSource(1)), featDim, hidden)
+		g := c.g
+		t.Run(c.name, func(t *testing.T) {
+			m := c.model()
 			tp := autodiff.NewInferenceTape()
-			for i := 0; i < 3; i++ { // learn the release plan, warm the pool
+			tensor.EnableMeter(true)
+			defer tensor.EnableMeter(false)
+			metered := func() int64 {
+				tensor.ResetMeter()
 				Infer(tp, m, FullView(g))
+				return tensor.TotalFloats()
+			}
+			first := metered()
+			for i := 0; i < 2; i++ { // warm the pool
+				Infer(tp, m, FullView(g))
+			}
+			warm := metered()
+			t.Logf("metered floats: first pass %d, warm %d", first, warm)
+			if 10*warm > 6*first {
+				t.Fatalf("a warm forward meters %d floats, more than 60 %% of the first pass's %d", warm, first)
 			}
 			// No collection inside the measured region: a GC cycle empties the
 			// sync.Pool tier of the buffer pool, which is a property of the

@@ -17,17 +17,14 @@ import (
 // same rows of a whole-region forward, so shards=1 and shards=P agree bit
 // for bit on seeded runs.
 
-// partScratch is what one incremental forward works in: the hop-ordered
-// region it lays out and the inference tape it runs on. Each ForwardPart
-// borrows one for its duration, so concurrent parts share neither, and a warm
-// one brings back the region's arrays and the tape's node shells and release
-// plan.
-type partScratch struct {
-	region graph.Region
-	tape   *autodiff.Tape
-}
-
-var partPool = sync.Pool{New: func() any { return &partScratch{tape: autodiff.NewInferenceTape()} }}
+// An incremental forward works in a hop-ordered region it lays out and an
+// inference tape it runs on. Each ForwardPart borrows one of each for its
+// duration, so concurrent parts share neither, and a warm one brings back the
+// region's arrays, or the tape's node shells and learned plan.
+var (
+	partRegions = sync.Pool{New: func() any { return new(graph.Region) }}
+	partTapes   = autodiff.NewTapePool()
+)
 
 // ShardForward is one shard's slice of a sharded incremental forward.
 type ShardForward struct {
@@ -116,14 +113,15 @@ func ForwardPart(g *graph.Dynamic, m Model, s int, nodes, exact []int) ShardForw
 	if len(nodes) == 0 {
 		return res
 	}
-	sc := partPool.Get().(*partScratch)
+	region, tp := partRegions.Get().(*graph.Region), partTapes.Get()
 	res.IDs = IntersectSorted(exact, nodes)
-	sc.region.Build(g, nodes, res.IDs, m.Layers())
-	v := RegionView(&sc.region)
+	region.Build(g, nodes, res.IDs, m.Layers())
+	v := RegionView(region)
 	v.SnapshotState = true
 	res.Demand = [3]int{v.rows(0), v.rows(1), v.N}
-	res.Out = Infer(sc.tape, m, v)
-	partPool.Put(sc)
+	res.Out = Infer(tp, m, v)
+	partTapes.Put(tp)
+	partRegions.Put(region)
 	res.Rows = make([]int, len(res.IDs))
 	for i := range res.Rows {
 		res.Rows[i] = i

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"sync"
 
 	"streamgnn/internal/autodiff"
 	"streamgnn/internal/nn"
@@ -58,12 +57,12 @@ type Answer struct {
 // scoreTapes holds the inference tapes head scoring runs on: serving
 // goroutines each borrow one per micro-batch, and a warm tape scores without
 // allocating node shells or leaving intermediates to the collector.
-var scoreTapes = sync.Pool{New: func() any { return autodiff.NewInferenceTape() }}
+var scoreTapes = autodiff.NewTapePool()
 
 // headColumn applies an MLP head to a stacked input matrix (value-only) and
 // returns its single output column. in stays the caller's.
 func headColumn(head *nn.MLP, in *tensor.Matrix) []float64 {
-	tp := scoreTapes.Get().(*autodiff.Tape)
+	tp := scoreTapes.Get()
 	out := head.Apply(tp, autodiff.Constant(in)).Value
 	scores := make([]float64, out.Rows)
 	for i := range scores {

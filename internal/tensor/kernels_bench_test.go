@@ -29,9 +29,9 @@ func BenchmarkDenseKernels(b *testing.B) {
 		run  func() *Matrix
 	}{
 		{"MatMul/10000x23·23x16", 10000 * 23 * 16, func() *Matrix { return MatMul(a, w) }},
-		{"MatMulAcc/10000x23·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulAcc(sum, a, w) }},
+		{"MatMulAcc/10000x23·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulAccTo(nil, sum, a, w) }},
 		{"MatMul/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMul(sparse, w) }},
-		{"MatMulAcc/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMulAcc(sum, sparse, w) }},
+		{"MatMulAcc/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMulAccTo(nil, sum, sparse, w) }},
 		{"MatMul/11x22·22x16", 11 * 22 * 16, func() *Matrix { return MatMul(px, pw) }},
 		{"MatMulTransA/11x22ᵀ·11x16", 11 * 22 * 16, func() *Matrix { return MatMulTransA(px, pg) }},
 		{"MatMulTransA/10000x23ᵀ·10000x16", 10000 * 23 * 16, func() *Matrix { return MatMulTransA(a, g) }},

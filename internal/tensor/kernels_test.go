@@ -102,7 +102,7 @@ func TestWriteOnceKernelsMatchReference(t *testing.T) {
 			t.Fatalf("cols=%d: MatMul differs from the reference kernel", cols)
 		}
 		dirtyPool(n * cols)
-		if got := MatMulAcc(sum, a, b); !sameBits(Add(sum, want), got) {
+		if got := MatMulAccTo(nil, sum, a, b); !sameBits(Add(sum, want), got) {
 			t.Fatalf("cols=%d: MatMulAcc differs from Add(sum, MatMul)", cols)
 		}
 
@@ -236,7 +236,7 @@ func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
 				dirtyPool(m*n, k*n)
 				check("MatMul", naiveMatMulAcc(nil, a, b), MatMul(a, b))
 				dirtyPool(m * n)
-				check("MatMulAcc", naiveMatMulAcc(sum, a, b), MatMulAcc(sum, a, b))
+				check("MatMulAcc", naiveMatMulAcc(sum, a, b), MatMulAccTo(nil, sum, a, b))
 				dirtyPool(m * n)
 				check("MatMulTransB", naiveMatMulTransB(a, bt), MatMulTransB(a, bt))
 				dirtyPool(k * n)
@@ -268,7 +268,7 @@ func TestDenseKernelsZeroTimesInf(t *testing.T) {
 	if got := MatMul(a, b); !isNaN(got.At(0, 0)) || got.At(1, 0) != 0 {
 		t.Fatalf("MatMul: got %v, want [NaN; 0]", got.Data)
 	}
-	if got := MatMulAcc(FromSlice(2, 1, []float64{1, 1}), a, b); !isNaN(got.At(0, 0)) || got.At(1, 0) != 1 {
+	if got := MatMulAccTo(nil, FromSlice(2, 1, []float64{1, 1}), a, b); !isNaN(got.At(0, 0)) || got.At(1, 0) != 1 {
 		t.Fatalf("MatMulAcc: got %v, want [NaN; 1]", got.Data)
 	}
 	if got := MatMulTransB(a, FromSlice(1, 2, []float64{inf, 2})); !isNaN(got.At(0, 0)) || got.At(1, 0) != 0 {
@@ -318,8 +318,8 @@ func TestMatMulAccShapeChecks(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic(func() { MatMulAcc(New(2, 3), New(2, 4), New(5, 3)) })
-	mustPanic(func() { MatMulAcc(New(2, 2), New(2, 4), New(4, 3)) })
+	mustPanic(func() { MatMulAccTo(nil, New(2, 3), New(2, 4), New(5, 3)) })
+	mustPanic(func() { MatMulAccTo(nil, New(2, 2), New(2, 4), New(4, 3)) })
 }
 
 // The pool counts its own traffic: a miss is a get plus fresh bytes of the

@@ -184,52 +184,67 @@ func shapeCheck(op string, a, b *Matrix) {
 // non-finite b a skipped 0·Inf stays 0 and an added one is NaN; which of the
 // two happens is pinned by TestDenseKernelsZeroTimesInf, not promised.
 
-// MatMul returns a·b. Every output element is written once, so the output
-// needs no zeroing pass.
+// dest returns dst, or a new rows×cols matrix for every element to be written
+// into when dst is nil: the destination of an op's To form.
+func dest(dst *Matrix, rows, cols int) *Matrix {
+	if dst == nil {
+		return newUninit(rows, cols)
+	}
+	if dst.Rows != rows || dst.Cols != cols {
+		panic(fmt.Sprintf("tensor: destination is %dx%d, result is %dx%d", dst.Rows, dst.Cols, rows, cols))
+	}
+	return dst
+}
+
+// MatMul returns a·b.
 func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	return matMulAcc(nil, a, b)
+	out := newUninit(a.Rows, b.Cols)
+	matMulAccRange(nil, a, b, out, 0, a.Rows)
+	return out
 }
 
-// MatMulAcc returns sum + x·w, bit-identical to Add(sum, MatMul(x, w)): each
-// product element is accumulated from zero exactly as MatMul would and only
-// then added to sum's, so the rounding sequence is the unfused pair's —
-// without materializing the product matrix.
-func MatMulAcc(sum, x, w *Matrix) *Matrix {
+// MatMulAccTo writes sum + x·w into dst (a new matrix when nil; sum itself
+// for the sum in place) and returns it, bit-identical to Add(sum, MatMul(x,
+// w)): each product element is accumulated from zero exactly as MatMul would
+// and only then added to sum's, so the rounding sequence is the unfused
+// pair's — without materializing the product matrix. dst must not share
+// storage with x or w.
+func MatMulAccTo(dst, sum, x, w *Matrix) *Matrix {
 	if x.Cols != w.Rows {
 		panic(fmt.Sprintf("tensor: MatMulAcc inner mismatch %dx%d · %dx%d", x.Rows, x.Cols, w.Rows, w.Cols))
 	}
 	if sum.Rows != x.Rows || sum.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: MatMulAcc sum is %dx%d, product is %dx%d", sum.Rows, sum.Cols, x.Rows, w.Cols))
 	}
-	return matMulAcc(sum, x, w)
-}
-
-// matMulAcc computes a·b, plus sum when sum is non-nil.
-func matMulAcc(sum, a, b *Matrix) *Matrix {
-	out := newUninit(a.Rows, b.Cols)
-	matMulAccRange(sum, a, b, out, 0, a.Rows)
+	out := dest(dst, sum.Rows, sum.Cols)
+	matMulAccRange(sum, x, w, out, 0, x.Rows)
 	return out
 }
 
-// matMulAccRange computes output rows [lo, hi). A row of a that is entirely
+// matMulAccRange computes output rows [lo, hi) of a·b, plus sum's rows when
+// sum is non-nil; sum may be out itself. Each row starts as +0 (a·b alone) or
+// sum's row, and the product is added into it. A row of a that is entirely
 // zero — in a hop input P^k·[x|h], every node without a live edge — has the
-// product +0 and never enters MulRow; the scan that finds it ends at a dense
-// row's first nonzero entry. sum's row is added to the stored product, zero
-// or not: −0 + 0 is +0, so a zero product is not a copy of sum.
+// product +0 and never enters mulRow; the scan that finds it ends at a dense
+// row's first nonzero entry. sum's row is added to that +0 all the same:
+// −0 + 0 is +0, so a zero product is not a copy of sum.
 func matMulAccRange(sum, a, b, out *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		orow := out.Row(i)
-		if arow := a.Row(i); allZero(arow) {
+		switch {
+		case sum == nil:
 			clear(orow)
-		} else {
-			MulRow(orow, arow, b)
+		case sum != out:
+			copy(orow, sum.Row(i))
 		}
-		if sum != nil {
-			for j, sv := range sum.Row(i) {
-				orow[j] = sv + orow[j]
+		if arow := a.Row(i); !allZero(arow) {
+			mulRow(orow, arow, b)
+		} else if sum != nil {
+			for j := range orow {
+				orow[j] += 0
 			}
 		}
 	}
@@ -245,13 +260,19 @@ func allZero(row []float64) bool {
 }
 
 // MulRow writes arow·b into orow: one row of MatMul in the kernels' summation
-// order, for the matrix kernel and for the delta path's per-row forward alike.
-// Eight output columns at a time are accumulated in registers — eight
-// independent add chains sharing each load of arow — so each element is
-// stored exactly once and orow needs no zeroing; b is walked by a running
-// offset, not an index product. The last b.Cols%8 columns go four at a time,
-// then one.
+// order, for the delta path's per-row forward.
 func MulRow(orow, arow []float64, b *Matrix) {
+	clear(orow)
+	mulRow(orow, arow, b)
+}
+
+// mulRow adds arow·b into orow: one row of the matrix kernel. Eight output
+// columns at a time are accumulated in registers — eight independent add
+// chains sharing each load of arow — and only then added to the row, so each
+// element is loaded and stored once; b is walked by a running offset, not an
+// index product. The last b.Cols%8 columns go four at a time, then one. A sum
+// that starts at +0 is never −0, so a cleared row receives the sum itself.
+func mulRow(orow, arow []float64, b *Matrix) {
 	n, bd := b.Cols, b.Data
 	j := 0
 	for ; j+8 <= n; j += 8 {
@@ -270,7 +291,7 @@ func MulRow(orow, arow []float64, b *Matrix) {
 			s7 += av * bk[7]
 		}
 		o := orow[j : j+8 : j+8]
-		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = o[0]+s0, o[1]+s1, o[2]+s2, o[3]+s3, o[4]+s4, o[5]+s5, o[6]+s6, o[7]+s7
 	}
 	for ; j+4 <= n; j += 4 {
 		var s0, s1, s2, s3 float64
@@ -284,7 +305,7 @@ func MulRow(orow, arow []float64, b *Matrix) {
 			s3 += av * bk[3]
 		}
 		o := orow[j : j+4 : j+4]
-		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+		o[0], o[1], o[2], o[3] = o[0]+s0, o[1]+s1, o[2]+s2, o[3]+s3
 	}
 	for ; j < n; j++ {
 		var s float64
@@ -293,7 +314,7 @@ func MulRow(orow, arow []float64, b *Matrix) {
 			s += av * bd[off]
 			off += n
 		}
-		orow[j] = s
+		orow[j] += s
 	}
 }
 
@@ -414,10 +435,19 @@ func Transpose(m *Matrix) *Matrix {
 	return out
 }
 
+// A row-local op's To form writes its result into dst and returns it; its
+// plain form, where it has one, is the To form with a nil dst, which
+// allocates the result. dst is nil, an operand of the result's shape (the op
+// in place: each element is read before it is written, in the same place), or
+// a matrix sharing no storage with the operands.
+
 // Add returns a+b.
-func Add(a, b *Matrix) *Matrix {
+func Add(a, b *Matrix) *Matrix { return AddTo(nil, a, b) }
+
+// AddTo writes a+b into dst.
+func AddTo(dst, a, b *Matrix) *Matrix {
 	shapeCheck("Add", a, b)
-	out := newUninit(a.Rows, a.Cols)
+	out := dest(dst, a.Rows, a.Cols)
 	for i, v := range a.Data {
 		out.Data[i] = v + b.Data[i]
 	}
@@ -425,9 +455,12 @@ func Add(a, b *Matrix) *Matrix {
 }
 
 // Sub returns a−b.
-func Sub(a, b *Matrix) *Matrix {
+func Sub(a, b *Matrix) *Matrix { return SubTo(nil, a, b) }
+
+// SubTo writes a−b into dst.
+func SubTo(dst, a, b *Matrix) *Matrix {
 	shapeCheck("Sub", a, b)
-	out := newUninit(a.Rows, a.Cols)
+	out := dest(dst, a.Rows, a.Cols)
 	for i, v := range a.Data {
 		out.Data[i] = v - b.Data[i]
 	}
@@ -435,18 +468,21 @@ func Sub(a, b *Matrix) *Matrix {
 }
 
 // Mul returns the Hadamard (elementwise) product a∘b.
-func Mul(a, b *Matrix) *Matrix {
+func Mul(a, b *Matrix) *Matrix { return MulTo(nil, a, b) }
+
+// MulTo writes a∘b into dst.
+func MulTo(dst, a, b *Matrix) *Matrix {
 	shapeCheck("Mul", a, b)
-	out := newUninit(a.Rows, a.Cols)
+	out := dest(dst, a.Rows, a.Cols)
 	for i, v := range a.Data {
 		out.Data[i] = v * b.Data[i]
 	}
 	return out
 }
 
-// Scale returns s·m.
-func Scale(m *Matrix, s float64) *Matrix {
-	out := newUninit(m.Rows, m.Cols)
+// ScaleTo writes s·m into dst.
+func ScaleTo(dst, m *Matrix, s float64) *Matrix {
+	out := dest(dst, m.Rows, m.Cols)
 	for i, v := range m.Data {
 		out.Data[i] = v * s
 	}
@@ -470,26 +506,20 @@ func AddScaledInPlace(a, b *Matrix, s float64) {
 }
 
 // AddRowVector returns m with the 1×cols row vector v added to every row.
-func AddRowVector(m, v *Matrix) *Matrix {
+func AddRowVector(m, v *Matrix) *Matrix { return AddRowVectorTo(nil, m, v) }
+
+// AddRowVectorTo writes m plus v on every row into dst (m, not v, in place).
+func AddRowVectorTo(dst, m, v *Matrix) *Matrix {
 	if v.Rows != 1 || v.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVector needs 1x%d, got %dx%d", m.Cols, v.Rows, v.Cols))
 	}
-	out := newUninit(m.Rows, m.Cols)
+	out := dest(dst, m.Rows, m.Cols)
 	for r := 0; r < m.Rows; r++ {
 		row := m.Row(r)
 		orow := out.Row(r)
 		for c, x := range row {
 			orow[c] = x + v.Data[c]
 		}
-	}
-	return out
-}
-
-// Apply returns f applied elementwise to m.
-func Apply(m *Matrix, f func(float64) float64) *Matrix {
-	out := newUninit(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
 	}
 	return out
 }
@@ -570,21 +600,54 @@ func SliceCols(m *Matrix, from, to int) *Matrix {
 // Sigmoid is the logistic function.
 func Sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// SigmoidOf returns Sigmoid applied elementwise to m: Apply(m, Sigmoid)
-// without the indirect call per element.
-func SigmoidOf(m *Matrix) *Matrix {
-	out := newUninit(m.Rows, m.Cols)
+// SigmoidOf returns Sigmoid applied elementwise to m.
+func SigmoidOf(m *Matrix) *Matrix { return SigmoidTo(nil, m) }
+
+// SigmoidTo writes Sigmoid of each element of m into dst.
+func SigmoidTo(dst, m *Matrix) *Matrix {
+	out := dest(dst, m.Rows, m.Cols)
 	for i, v := range m.Data {
 		out.Data[i] = Sigmoid(v)
 	}
 	return out
 }
 
-// TanhOf returns math.Tanh applied elementwise to m, likewise.
-func TanhOf(m *Matrix) *Matrix {
-	out := newUninit(m.Rows, m.Cols)
+// TanhOf returns math.Tanh applied elementwise to m.
+func TanhOf(m *Matrix) *Matrix { return TanhTo(nil, m) }
+
+// TanhTo writes math.Tanh of each element of m into dst.
+func TanhTo(dst, m *Matrix) *Matrix {
+	out := dest(dst, m.Rows, m.Cols)
 	for i, v := range m.Data {
 		out.Data[i] = math.Tanh(v)
+	}
+	return out
+}
+
+// ReLUOf returns max(0, x) of each element x of m.
+func ReLUOf(m *Matrix) *Matrix { return ReLUTo(nil, m) }
+
+// ReLUTo writes max(0, x) of each element x of m into dst: x itself when it
+// is above 0, +0 otherwise (a NaN and a −0 included).
+func ReLUTo(dst, m *Matrix) *Matrix {
+	out := dest(dst, m.Rows, m.Cols)
+	for i, v := range m.Data {
+		if !(v > 0) {
+			v = 0
+		}
+		out.Data[i] = v
+	}
+	return out
+}
+
+// OneMinusOf returns 1−x of each element x of m.
+func OneMinusOf(m *Matrix) *Matrix { return OneMinusTo(nil, m) }
+
+// OneMinusTo writes 1−x of each element x of m into dst.
+func OneMinusTo(dst, m *Matrix) *Matrix {
+	out := dest(dst, m.Rows, m.Cols)
+	for i, v := range m.Data {
+		out.Data[i] = 1 - v
 	}
 	return out
 }

@@ -100,7 +100,7 @@ func TestAddSubMulScale(t *testing.T) {
 	if got := Mul(a, b); !got.Equal(FromSlice(2, 2, []float64{5, 12, 21, 32})) {
 		t.Fatalf("Mul = %v", got)
 	}
-	if got := Scale(a, 2); !got.Equal(FromSlice(2, 2, []float64{2, 4, 6, 8})) {
+	if got := ScaleTo(nil, a, 2); !got.Equal(FromSlice(2, 2, []float64{2, 4, 6, 8})) {
 		t.Fatalf("Scale = %v", got)
 	}
 }
@@ -153,11 +153,30 @@ func TestSumMeanNorms(t *testing.T) {
 	}
 }
 
-func TestApplyAndClip(t *testing.T) {
-	m := FromSlice(1, 3, []float64{-2, 0, 2})
-	sq := Apply(m, func(v float64) float64 { return v * v })
-	if !sq.Equal(FromSlice(1, 3, []float64{4, 0, 4})) {
-		t.Fatalf("Apply = %v", sq)
+// ReLU maps every element that is not above 0 — a −0 and a NaN included — to
+// +0, and OneMinus is 1−x; each To form computes the same in place.
+func TestReLUAndOneMinus(t *testing.T) {
+	in := []float64{-2, math.Copysign(0, -1), 0, 2, math.NaN()}
+	for _, c := range []struct {
+		name string
+		of   func(*Matrix) *Matrix
+		to   func(dst, m *Matrix) *Matrix
+		want []float64
+	}{
+		{"ReLU", ReLUOf, ReLUTo, []float64{0, 0, 0, 2, 0}},
+		{"OneMinus", OneMinusOf, OneMinusTo, []float64{3, 1, 1, -1, math.NaN()}},
+	} {
+		m := FromSlice(1, len(in), append([]float64(nil), in...))
+		got := c.of(m)
+		inPlace := c.to(m, m)
+		for i, w := range c.want {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(w) && !(math.IsNaN(w) && math.IsNaN(got.Data[i])) {
+				t.Fatalf("%s(%v) = %v, want %v", c.name, in[i], got.Data[i], w)
+			}
+			if math.Float64bits(inPlace.Data[i]) != math.Float64bits(got.Data[i]) {
+				t.Fatalf("%s in place at %d: %v, allocating: %v", c.name, i, inPlace.Data[i], got.Data[i])
+			}
+		}
 	}
 }
 

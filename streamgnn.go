@@ -379,9 +379,9 @@ type Engine struct {
 	src     *rng.SplitMix64 // dumpable source behind every engine rng draw
 
 	step int
-	// inferTape runs every inference forward of the step loop (full and
-	// splice); it is long-lived so its node shells and release plan carry
-	// over from step to step. See autodiff.NewInferenceTape.
+	// inferTape runs the step loop's full forward; it is long-lived so its
+	// node shells and learned plan carry over from step to step. Splices run
+	// on tapes dgnn.ForwardPart borrows. See autodiff.NewInferenceTape.
 	inferTape *autodiff.Tape
 	lastEmb   *tensor.Matrix
 	emb       *dgnn.EmbStore  // managed embedding cache (incremental mode)
