@@ -4,7 +4,11 @@
 // baselines used in the paper's evaluation, plus SGD and Adam optimizers.
 //
 // A Tape records the forward computation; Backward walks the tape in reverse
-// and accumulates gradients into the nodes that require them. Parameters are
+// and gives each node that requires a gradient its gradient. A parameter's is
+// summed onto its Grad, which persists until the optimizer clears it. An
+// interior node's is a buffer written once, with one owner: a node's first
+// contribution is written, not added onto zeros, and an elementwise rule
+// hands its own buffer down to its operand (see runBack). Parameters are
 // long-lived nodes whose Value persists across steps; the tape itself is
 // rebuilt for every forward pass.
 //
@@ -88,6 +92,9 @@ type Tape struct {
 	free []*Node
 	// order is Backward's topological-sort scratch, reused across calls.
 	order []*Node
+	// backwardRan is set by Backward and cleared by Reset and Release: a
+	// second pass would run the rules again over gradients the first left.
+	backwardRan bool
 
 	// noGrad marks an inference tape (NewInferenceTape). plan is the release
 	// plan learned from the previous pass, cur the one this pass is learning,
@@ -154,8 +161,10 @@ func (t *Tape) Reset() {
 	t.endPass()
 }
 
-// endPass makes the plan this inference pass learned the next pass's.
+// endPass ends a pass: the next may run Backward, and on an inference tape
+// follows the plan this one learned.
 func (t *Tape) endPass() {
+	t.backwardRan = false
 	if t.noGrad {
 		t.plan, t.cur = t.cur, t.plan[:0]
 		t.planOK = true
@@ -165,11 +174,13 @@ func (t *Tape) endPass() {
 
 // Release recycles every buffer recorded on the tape back into the tensor
 // pool and resets the tape, keeping the node shells for reuse by the next
-// forward pass on this tape. Only op outputs are recycled: Param and Constant
-// nodes are never recorded, so persistent parameters, their gradients, and
-// caller-owned constants are untouched. A buffer is the Value of one recorded
-// node at a time — an op that writes into an input's buffer takes it from
-// that input, whose Value becomes nil — so it is released at most once. Call
+// forward pass on this tape. Only recorded nodes' values and gradients are
+// recycled: Param and Constant nodes are never recorded, so persistent
+// parameters, their gradients, and caller-owned constants are untouched. A
+// buffer is the Value, or the Grad, of one recorded node at a time — an op
+// that writes into an input's buffer takes it from that input, whose Value
+// becomes nil, and a backward rule that hands its gradient down leaves its
+// own Grad nil — so it is released at most once. Call
 // only when nothing retains the tape's values — after the optimizer step of a
 // training unit; after Detach has taken the output of an inference forward.
 func (t *Tape) Release() {
@@ -403,8 +414,11 @@ func ensureGrad(n *Node) {
 }
 
 // Backward runs reverse-mode differentiation from root, which must be a
-// scalar (1x1) node produced by this tape. Gradients accumulate into every
-// reachable node with requiresGrad.
+// scalar (1x1) node produced by this tape. Every reachable parameter's
+// gradient is added into its Grad. An interior node's Grad is its gradient,
+// unless its rule handed the buffer down to an operand, which leaves it nil
+// (see runBack). A tape runs one backward per pass: a second one before Reset
+// or Release panics.
 func (t *Tape) Backward(root *Node) {
 	t.backward(root, nil)
 }
@@ -416,9 +430,13 @@ func (t *Tape) backward(root *Node, sink *GradSink) {
 	if t.noGrad {
 		panic("autodiff: Backward on an inference tape")
 	}
+	if t.backwardRan {
+		panic("autodiff: second Backward on one tape; Reset or Release it first")
+	}
 	if root.Value.Rows != 1 || root.Value.Cols != 1 {
 		panic(fmt.Sprintf("autodiff: Backward root must be 1x1, got %dx%d", root.Value.Rows, root.Value.Cols))
 	}
+	t.backwardRan = true
 	// Topological order via DFS over recorded nodes; the order slice is tape
 	// scratch reused across Backward calls.
 	t.order = t.order[:0]
@@ -447,11 +465,12 @@ func (t *Tape) backward(root *Node, sink *GradSink) {
 	}
 }
 
-// gradOf returns the buffer a gradient write into n should accumulate into:
-// with a non-nil sink, parameter leaves (op == opNone — Param nodes are never
+// gradOf returns the buffer a gradient contribution to n is added into: with
+// a non-nil sink, parameter leaves (op == opNone — Param nodes are never
 // tape-recorded) get the sink's private buffer; everything else — and every
-// node when sink is nil — uses n's own Grad, which for interior nodes is
-// private to the tape. Callers have already checked n.requiresGrad.
+// node when sink is nil — uses n's own Grad, zero-filled on first use, which
+// for interior nodes is private to the tape. Callers have already checked
+// n.requiresGrad.
 func gradOf(n *Node, sink *GradSink) *tensor.Matrix {
 	if sink != nil && n.op == opNone {
 		return sink.of(n)
@@ -460,137 +479,226 @@ func gradOf(n *Node, sink *GradSink) *tensor.Matrix {
 	return n.Grad
 }
 
-// runBack applies node n's backward rule, accumulating into its parents'
-// gradients (redirected through sink for parameter leaves when non-nil).
-// One switch instead of per-node closures: see opKind.
+// fresh reports whether n's next gradient contribution is its first and is
+// written as its gradient instead of added onto zeros: n was recorded on a
+// tape and has no gradient yet. Parameter leaves are never fresh; their
+// gradients, and a sink's, are always summed onto +0.
+func fresh(n *Node) bool { return n.seq != 0 && n.Grad == nil }
+
+// pass gives p out's gradient g unchanged: g itself when p is fresh — out
+// gives the buffer up, so it keeps one owner — and added into p's gradient
+// otherwise. The rule may read g afterwards, as long as whatever it then
+// writes into p's gradient (when p is an operand twice over) it writes
+// element by element after reading that element of g.
+func (out *Node) pass(p *Node, g *tensor.Matrix, sink *GradSink) {
+	if fresh(p) {
+		p.Grad, out.Grad = g, nil
+		return
+	}
+	tensor.AddInPlace(gradOf(p, sink), g)
+}
+
+// elementwise returns where an elementwise rule writes its contribution to p,
+// and whether it adds: g itself, which the rule overwrites and which is
+// handed down, when p is fresh; p's gradient, to add into, otherwise. Call it
+// after every other read of g in the rule.
+func (out *Node) elementwise(p *Node, sink *GradSink) (dst *tensor.Matrix, add bool) {
+	if !fresh(p) {
+		return gradOf(p, sink), true
+	}
+	p.Grad, out.Grad = out.Grad, nil
+	return p.Grad, false
+}
+
+// plus is an elementwise rule's write of d over the destination element o.
+func plus(add bool, o, d float64) float64 {
+	if add {
+		return o + d
+	}
+	return d
+}
+
+// put gives p the contribution m, drawn for this rule: m becomes p's
+// gradient when p is fresh; otherwise it is added in and recycled at once —
+// a temporary is no tape node, so without this it would drain the buffer
+// pool every step.
+func put(p *Node, sink *GradSink, m *tensor.Matrix) {
+	if fresh(p) {
+		p.Grad = m
+		return
+	}
+	tensor.AddInPlace(gradOf(p, sink), m)
+	tensor.Recycle(m)
+}
+
+// dInput gives p, the left factor of a product p·w, its share g·wᵀ: written
+// as p's gradient when p is fresh, added straight in otherwise.
+func dInput(p *Node, g, w *tensor.Matrix, sink *GradSink) {
+	if fresh(p) {
+		p.Grad = tensor.MatMulTransB(g, w)
+		return
+	}
+	tensor.MatMulTransBAddTo(gradOf(p, sink), g, w)
+}
+
+// sliceOf gives p the columns [from, from + p's width) of g: written as p's
+// gradient when p is fresh, added straight in otherwise.
+func sliceOf(p *Node, g *tensor.Matrix, from int, sink *GradSink) {
+	to := from + p.Value.Cols
+	if fresh(p) {
+		p.Grad = tensor.SliceCols(g, from, to)
+		return
+	}
+	dst := gradOf(p, sink)
+	for r := 0; r < g.Rows; r++ {
+		drow := dst.Row(r)
+		for c, v := range g.Row(r)[from:to] {
+			drow[c] += v
+		}
+	}
+}
+
+// runBack applies node out's backward rule, giving each parent that requires
+// one its share of out's gradient g (redirected through sink for parameter
+// leaves when non-nil). One switch instead of per-node closures: see opKind.
+//
+// Every gradient buffer is written once and has one owner: a fresh parent's
+// first share is written as its gradient — g itself, handed down, where the
+// rule passes g on unchanged or elementwise — and later shares are added in.
+// Against adding every share onto zeros only a first share changes, from
+// +0 + s to s, so interior gradients differ at most in the sign of a zero and
+// every parameter gradient, summed onto +0, is bit-identical for finite
+// values (DESIGN.md §8, "Gradients in place").
 func (out *Node) runBack(sink *GradSink) {
+	g := out.Grad
 	switch out.op {
 	case opMatMul:
 		a, b := out.parents[0], out.parents[1]
-		// Gradient temporaries are recycled immediately: they are not tape
-		// nodes, so without this they would drain the buffer pool every step.
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
-			tmp := tensor.MatMulTransB(out.Grad, b.Value)
-			tensor.AddInPlace(ag, tmp)
-			tensor.Recycle(tmp)
+			dInput(a, g, b.Value, sink)
 		}
 		if b.requiresGrad {
-			bg := gradOf(b, sink)
-			tmp := tensor.MatMulTransA(a.Value, out.Grad)
-			tensor.AddInPlace(bg, tmp)
-			tensor.Recycle(tmp)
+			// Into a parameter or a sink the scatter's sums from +0 are what
+			// fix the bits, so the product stays a temporary there.
+			put(b, sink, tensor.MatMulTransA(a.Value, g))
 		}
 	case opSpMM:
 		x := out.parents[0]
 		if x.requiresGrad {
-			xg := gradOf(x, sink)
-			tmp := tensor.SpMMTrans(out.auxCSR, out.Grad)
-			tensor.AddInPlace(xg, tmp)
-			tensor.Recycle(tmp)
+			put(x, sink, tensor.SpMMTrans(out.auxCSR, g))
 		}
-	case opAdd:
+	case opAdd, opSub:
+		// a takes g first and unchanged; b reads it after, so b gets g (−g
+		// for Sub) written into a buffer of its own.
 		a, b := out.parents[0], out.parents[1]
+		s := 1.0
+		if out.op == opSub {
+			s = -1
+		}
 		if a.requiresGrad {
-			tensor.AddInPlace(gradOf(a, sink), out.Grad)
+			out.pass(a, g, sink)
 		}
 		if b.requiresGrad {
-			tensor.AddInPlace(gradOf(b, sink), out.Grad)
-		}
-	case opSub:
-		a, b := out.parents[0], out.parents[1]
-		if a.requiresGrad {
-			tensor.AddInPlace(gradOf(a, sink), out.Grad)
-		}
-		if b.requiresGrad {
-			tensor.AddScaledInPlace(gradOf(b, sink), out.Grad, -1)
+			if fresh(b) {
+				b.Grad = tensor.ScaleTo(nil, g, s)
+			} else {
+				tensor.AddScaledInPlace(gradOf(b, sink), g, s)
+			}
 		}
 	case opMul:
+		// b's share g∘a first, then a's, g∘b, written over g when a is fresh.
 		a, b := out.parents[0], out.parents[1]
-		if a.requiresGrad {
-			ag := gradOf(a, sink)
-			tmp := tensor.Mul(out.Grad, b.Value)
-			tensor.AddInPlace(ag, tmp)
-			tensor.Recycle(tmp)
-		}
 		if b.requiresGrad {
-			bg := gradOf(b, sink)
-			tmp := tensor.Mul(out.Grad, a.Value)
-			tensor.AddInPlace(bg, tmp)
-			tensor.Recycle(tmp)
+			if fresh(b) {
+				b.Grad = tensor.Mul(g, a.Value)
+			} else {
+				bg := gradOf(b, sink)
+				for i, v := range g.Data {
+					bg.Data[i] += v * a.Value.Data[i]
+				}
+			}
+		}
+		if a.requiresGrad {
+			dst, add := out.elementwise(a, sink)
+			for i, v := range g.Data {
+				dst.Data[i] = plus(add, dst.Data[i], v*b.Value.Data[i])
+			}
 		}
 	case opScale:
 		a := out.parents[0]
 		if a.requiresGrad {
-			tensor.AddScaledInPlace(gradOf(a, sink), out.Grad, out.auxF)
+			dst, add := out.elementwise(a, sink)
+			for i, v := range g.Data {
+				dst.Data[i] = plus(add, dst.Data[i], out.auxF*v)
+			}
 		}
 	case opAddBias:
 		m, b := out.parents[0], out.parents[1]
-		if m.requiresGrad {
-			tensor.AddInPlace(gradOf(m, sink), out.Grad)
-		}
 		if b.requiresGrad {
 			bg := gradOf(b, sink)
-			for r := 0; r < out.Grad.Rows; r++ {
-				row := out.Grad.Row(r)
-				for c, v := range row {
+			for r := 0; r < g.Rows; r++ {
+				for c, v := range g.Row(r) {
 					bg.Data[c] += v
 				}
 			}
 		}
+		if m.requiresGrad {
+			out.pass(m, g, sink)
+		}
 	case opSigmoid:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			dst, add := out.elementwise(a, sink)
 			for i, y := range out.Value.Data {
-				ag.Data[i] += out.Grad.Data[i] * y * (1 - y)
+				dst.Data[i] = plus(add, dst.Data[i], g.Data[i]*y*(1-y))
 			}
 		}
 	case opTanh:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			dst, add := out.elementwise(a, sink)
 			for i, y := range out.Value.Data {
-				ag.Data[i] += out.Grad.Data[i] * (1 - y*y)
+				dst.Data[i] = plus(add, dst.Data[i], g.Data[i]*(1-y*y))
 			}
 		}
 	case opReLU:
+		// Where a is not above 0 the share is +0: written as such into g,
+		// left out of a sum, as adding onto zeros leaves it.
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
-			for i := range out.Value.Data {
-				if a.Value.Data[i] > 0 {
-					ag.Data[i] += out.Grad.Data[i]
+			dst, add := out.elementwise(a, sink)
+			for i, x := range a.Value.Data {
+				switch {
+				case x > 0:
+					dst.Data[i] = plus(add, dst.Data[i], g.Data[i])
+				case !add:
+					dst.Data[i] = 0
 				}
 			}
 		}
 	case opOneMinus:
 		a := out.parents[0]
 		if a.requiresGrad {
-			tensor.AddScaledInPlace(gradOf(a, sink), out.Grad, -1)
+			dst, add := out.elementwise(a, sink)
+			for i, v := range g.Data {
+				dst.Data[i] = plus(add, dst.Data[i], -v)
+			}
 		}
 	case opConcatCols:
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
-			tmp := tensor.SliceCols(out.Grad, 0, a.Value.Cols)
-			tensor.AddInPlace(ag, tmp)
-			tensor.Recycle(tmp)
+			sliceOf(a, g, 0, sink)
 		}
 		if b.requiresGrad {
-			bg := gradOf(b, sink)
-			tmp := tensor.SliceCols(out.Grad, a.Value.Cols, out.Grad.Cols)
-			tensor.AddInPlace(bg, tmp)
-			tensor.Recycle(tmp)
+			sliceOf(b, g, a.Value.Cols, sink)
 		}
 	case opGatherRows:
 		a := out.parents[0]
 		if a.requiresGrad {
 			ag := gradOf(a, sink)
 			for i, r := range out.auxInts {
-				grow := out.Grad.Row(i)
 				arow := ag.Row(r)
-				for c, v := range grow {
+				for c, v := range g.Row(i) {
 					arow[c] += v
 				}
 			}
@@ -602,13 +710,13 @@ func (out *Node) runBack(sink *GradSink) {
 		if base.requiresGrad {
 			bg := gradOf(base, sink)
 			k := 0
-			for r := 0; r < out.Grad.Rows; r++ {
+			for r := 0; r < g.Rows; r++ {
 				if k < len(out.auxInts) && out.auxInts[k] == r {
 					k++
 					continue
 				}
 				brow := bg.Row(r)
-				for c, v := range out.Grad.Row(r) {
+				for c, v := range g.Row(r) {
 					brow[c] += v
 				}
 			}
@@ -617,7 +725,7 @@ func (out *Node) runBack(sink *GradSink) {
 			sg := gradOf(src, sink)
 			for i, r := range out.auxInts {
 				srow := sg.Row(i)
-				for c, v := range out.Grad.Row(r) {
+				for c, v := range g.Row(r) {
 					srow[c] += v
 				}
 			}
@@ -627,7 +735,7 @@ func (out *Node) runBack(sink *GradSink) {
 		a := out.parents[0]
 		if a.requiresGrad {
 			ag := gradOf(a, sink)
-			for i, v := range out.Grad.Data {
+			for i, v := range g.Data {
 				ag.Data[i] += v
 			}
 		}
@@ -635,9 +743,9 @@ func (out *Node) runBack(sink *GradSink) {
 		a := out.parents[0]
 		if a.requiresGrad {
 			ag := gradOf(a, sink)
-			g := out.Grad.Data[0] / float64(len(a.Value.Data))
+			d := g.Data[0] / float64(len(a.Value.Data))
 			for i := range ag.Data {
-				ag.Data[i] += g
+				ag.Data[i] += d
 			}
 		}
 	case opMSESeg:
@@ -648,9 +756,9 @@ func (out *Node) runBack(sink *GradSink) {
 			lo := 0
 			for s, end := range out.auxInts {
 				hi := end * out.aux.Cols
-				g := out.Grad.Data[s] * 2 / float64(hi-lo)
+				d := g.Data[s] * 2 / float64(hi-lo)
 				for i := lo; i < hi; i++ {
-					pg.Data[i] += g * out.aux.Data[i]
+					pg.Data[i] += d * out.aux.Data[i]
 				}
 				lo = hi
 			}
@@ -663,9 +771,9 @@ func (out *Node) runBack(sink *GradSink) {
 			lo := 0
 			for s, end := range out.auxInts {
 				hi := end * out.aux.Cols
-				g := out.Grad.Data[s] / float64(hi-lo)
+				d := g.Data[s] / float64(hi-lo)
 				for i := lo; i < hi; i++ {
-					lg.Data[i] += g * (tensor.Sigmoid(logits.Value.Data[i]) - out.aux.Data[i])
+					lg.Data[i] += d * (tensor.Sigmoid(logits.Value.Data[i]) - out.aux.Data[i])
 				}
 				lo = hi
 			}
@@ -674,31 +782,28 @@ func (out *Node) runBack(sink *GradSink) {
 		a := out.parents[0]
 		if a.requiresGrad {
 			ag := gradOf(a, sink)
-			g := out.Grad.Data[0]
+			d := g.Data[0]
 			for i := range ag.Data {
-				ag.Data[i] += g
+				ag.Data[i] += d
 			}
 		}
 	case opMatMulAcc:
-		// sum + x·w: Add's rule for sum, MatMul's for x and w. out.Grad
-		// stands in for the product node's gradient of the unfused pair,
-		// which is 0 + out.Grad: the two differ at most in the sign of a
-		// zero, which no sum below can observe.
+		// sum + x·w: Add's rule for sum, then MatMul's for x and w, in the
+		// unfused pair's order. x's add form reads rows of g while it writes
+		// x's gradient, so a sum that is also x takes a copy of g.
 		sum, x, w := out.parents[0], out.parents[1], out.parents[2]
 		if sum.requiresGrad {
-			tensor.AddInPlace(gradOf(sum, sink), out.Grad)
+			if sum == x && fresh(sum) {
+				sum.Grad = g.Clone()
+			} else {
+				out.pass(sum, g, sink)
+			}
 		}
 		if x.requiresGrad {
-			xg := gradOf(x, sink)
-			tmp := tensor.MatMulTransB(out.Grad, w.Value)
-			tensor.AddInPlace(xg, tmp)
-			tensor.Recycle(tmp)
+			dInput(x, g, w.Value, sink)
 		}
 		if w.requiresGrad {
-			wg := gradOf(w, sink)
-			tmp := tensor.MatMulTransA(x.Value, out.Grad)
-			tensor.AddInPlace(wg, tmp)
-			tensor.Recycle(tmp)
+			put(w, sink, tensor.MatMulTransA(x.Value, g))
 		}
 	}
 }

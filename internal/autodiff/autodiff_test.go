@@ -226,6 +226,34 @@ func TestBackwardRequiresScalar(t *testing.T) {
 	tp.Backward(tp.Add(a, a))
 }
 
+// A second backward over one pass would run every rule again over the
+// interior gradients the first left behind; it panics instead, through
+// Backward and BackwardTo alike, and a new pass may run one again.
+func TestSecondBackwardPanics(t *testing.T) {
+	a := Param(tensor.FromSlice(1, 2, []float64{1, 2}))
+	tp := NewTape()
+	for pass := 0; pass < 2; pass++ {
+		root := tp.Mean(tp.Tanh(tp.Mul(a, a)))
+		tp.Backward(root)
+		for _, sink := range []*GradSink{nil, NewGradSink()} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("pass %d: a second backward on one tape ran (sink %v)", pass, sink != nil)
+					}
+				}()
+				tp.BackwardTo(root, sink)
+			}()
+		}
+		if pass == 0 {
+			tp.Release()
+		} else {
+			tp.Reset()
+		}
+	}
+	tp.Backward(tp.Mean(a))
+}
+
 func TestSGDConvergesOnQuadratic(t *testing.T) {
 	// Minimize mean((w - target)^2) by SGD.
 	w := Param(tensor.FromSlice(1, 3, []float64{5, -4, 3}))

@@ -10,6 +10,7 @@ import (
 	"streamgnn/internal/dgnn"
 	"streamgnn/internal/graph"
 	"streamgnn/internal/query"
+	"streamgnn/internal/tensor"
 )
 
 // roundFixture builds a seeded random graph — 30 connected nodes with typed,
@@ -265,4 +266,49 @@ func TestRoundWarmScratch(t *testing.T) {
 		t.Fatalf("a warm round of %d allocates %.0f times, a round of one %.0f: the scratch is not being reused", len(centers), whole, perUnit)
 	}
 	t.Logf("warm allocations: round of %d %.0f, round of one %.0f", len(centers), whole, perUnit)
+}
+
+// TestRoundBackwardMetersLessThanItsForward is the volume promise of a warm
+// 16-unit round's backward pass, metered apart from its forward and loss: the
+// backward writes each interior gradient once and hands elementwise ones down
+// (autodiff's runBack) instead of zero-filling a buffer per node and drawing
+// a temporary per rule. GCLSTM's, the reddit-train model's, meters at most
+// half its forward's floats; each kind's ceiling is its count plus 10 %.
+func TestRoundBackwardMetersLessThanItsForward(t *testing.T) {
+	tensor.EnableMeter(true)
+	defer tensor.EnableMeter(false)
+	for _, c := range []struct {
+		kind dgnn.Kind
+		max  int64 // backward floats
+	}{
+		// The counts are 16 288, 17 102 and 23 217 (0.44×, 0.51× and 0.40×
+		// the forward's); with a zero-filled buffer per node and a temporary
+		// per rule they were 58 633, 53 637 and 72 935 (1.57×, 1.59×, 1.26×).
+		{dgnn.GCLSTM, 17917},
+		{dgnn.TGCN, 18812},
+		{dgnn.DCRNN, 25539},
+	} {
+		tr, opt := roundFixture(t, c.kind, false, nil)
+		tr.G.EnablePartitionCache(64)
+		r := new(round)
+		metered := func(apply bool) int64 {
+			r.reset()
+			for i, v := range roundCenters[2] {
+				r.add(tr.G.Partition(v, 2), int64(i))
+			}
+			tensor.ResetMeter()
+			tr.evalRound(r, nil, apply)
+			floats := tensor.TotalFloats()
+			opt.ZeroGrad()
+			return floats
+		}
+		metered(true) // warm: partitions cached, parameter gradients allocated
+		fwd := metered(false)
+		bwd := metered(true) - fwd
+		ratio := float64(bwd) / float64(fwd)
+		t.Logf("%s: forward and loss %d floats, backward %d (%.3f×)", c.kind, fwd, bwd, ratio)
+		if bwd > c.max || c.kind == dgnn.GCLSTM && ratio > 0.5 {
+			t.Errorf("%s: a warm round's backward meters %d floats, %.3f× its forward's %d; want at most %d", c.kind, bwd, ratio, fwd, c.max)
+		}
+	}
 }

@@ -9,7 +9,8 @@ import (
 // end-to-end ledger runs them at: the taxi-infer forward ([10000×23]·[23×16],
 // dense and with 94 % of the rows zero, as its isolated nodes leave the hop
 // inputs), a training partition ([11×22]·[22×16] and its two backward
-// products) and a full-graph weight gradient. MAC/s counts every multiply-add
+// products, the input gradient also added in place) and a full-graph weight
+// gradient. MAC/s counts every multiply-add
 // of the dense product, skipped or not, so a zero-row case reads as the
 // speed-up it is. `make bench-kernels` runs it.
 func BenchmarkDenseKernels(b *testing.B) {
@@ -22,7 +23,7 @@ func BenchmarkDenseKernels(b *testing.B) {
 			clear(sparse.Row(r))
 		}
 	}
-	px, pw, pg := dense(11, 22), dense(22, 16), dense(11, 16)
+	px, pw, pg, pacc := dense(11, 22), dense(22, 16), dense(11, 16), dense(11, 22)
 	cases := []struct {
 		name string
 		macs int
@@ -36,6 +37,7 @@ func BenchmarkDenseKernels(b *testing.B) {
 		{"MatMulTransA/11x22ᵀ·11x16", 11 * 22 * 16, func() *Matrix { return MatMulTransA(px, pg) }},
 		{"MatMulTransA/10000x23ᵀ·10000x16", 10000 * 23 * 16, func() *Matrix { return MatMulTransA(a, g) }},
 		{"MatMulTransB/11x16·(22x16)ᵀ", 11 * 22 * 16, func() *Matrix { return MatMulTransB(pg, pw) }},
+		{"MatMulTransBAddTo/11x16·(22x16)ᵀ", 11 * 22 * 16, func() *Matrix { MatMulTransBAddTo(pacc, pg, pw); return nil }},
 	}
 	EnablePooling(true)
 	defer EnablePooling(false)

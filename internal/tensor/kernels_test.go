@@ -200,8 +200,8 @@ func zeroPattern(a *Matrix, pattern int) {
 	}
 }
 
-// The four dense kernels are bit-identical, for finite operands, to the naive
-// triple loops above — over row counts 0, 1, 2, odd, even and tall, column
+// The four dense kernels, and MatMulTransB's add form, are bit-identical, for
+// finite operands, to the naive triple loops above — over row counts 0, 1, 2, odd, even and tall, column
 // counts on every side of the 8- and 4-wide blocks, inner lengths that
 // leave MatMulTransA a k-tail, zero rows in every arrangement, signed zeros
 // in a, b and sum, and poisoned pool buffers.
@@ -239,6 +239,9 @@ func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
 				check("MatMulAcc", naiveMatMulAcc(sum, a, b), MatMulAccTo(nil, sum, a, b))
 				dirtyPool(m * n)
 				check("MatMulTransB", naiveMatMulTransB(a, bt), MatMulTransB(a, bt))
+				acc := sum.Clone()
+				MatMulTransBAddTo(acc, a, bt)
+				check("MatMulTransBAddTo", Add(sum, naiveMatMulTransB(a, bt)), acc)
 				dirtyPool(k * n)
 				check("MatMulTransA", naiveMatMulTransA(a, g), MatMulTransA(a, g))
 				orow := make([]float64, n)
@@ -320,6 +323,8 @@ func TestMatMulAccShapeChecks(t *testing.T) {
 	}
 	mustPanic(func() { MatMulAccTo(nil, New(2, 3), New(2, 4), New(5, 3)) })
 	mustPanic(func() { MatMulAccTo(nil, New(2, 2), New(2, 4), New(4, 3)) })
+	mustPanic(func() { MatMulTransBAddTo(New(2, 2), New(2, 4), New(3, 4)) })
+	mustPanic(func() { MatMulTransBAddTo(New(2, 3), New(2, 4), New(3, 5)) })
 }
 
 // The pool counts its own traffic: a miss is a get plus fresh bytes of the

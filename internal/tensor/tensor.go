@@ -170,11 +170,11 @@ func shapeCheck(op string, a, b *Matrix) {
 
 // The dense kernels — MatMul/MatMulAcc, MatMulTransB, MatMulTransA — share
 // one contract: every output element is its own accumulator, summed over
-// ascending k from +0, and MatMulAcc's sum element is added last. How a loop
-// is blocked (eight output columns, four dot products, four k-rows per pass)
-// and whether a row comes from the matrix kernel or from MulRow alone never
-// changes an element's sequence of roundings, so all of them are bit-identical
-// for finite operands.
+// ascending k from +0, and MatMulAcc's sum element (MatMulTransBAddTo's
+// destination element) is added last. How a loop is blocked (eight output
+// columns, four dot products, four k-rows per pass) and whether a row comes
+// from the matrix kernel or from MulRow alone never changes an element's
+// sequence of roundings, so all of them are bit-identical for finite operands.
 //
 // No kernel tests single operands for zero. A term a·b with a = ±0 and b
 // finite is ±0, and an accumulator that starts at +0 is never −0 (x + y
@@ -324,21 +324,39 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := newUninit(a.Rows, b.Rows)
-	matMulTransBRange(a, b, out, 0, a.Rows)
+	matMulTransBInto(a, b, out, false)
 	return out
 }
 
-// matMulTransBRange computes output rows [lo, hi), four columns at a time:
-// four independent dot products of one a row with four b rows, where a single
-// dot product is one add chain waiting on itself. In dX = dC·Wᵀ a zero row of
-// a is a node the loss does not reach; its output row is +0, written as such.
-func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
+// MatMulTransBAddTo adds a·bᵀ into dst, bit-identical to adding a
+// MatMulTransB(a, b) temporary into it: each dot product is summed from +0 in
+// registers exactly as MatMulTransB sums it and only then added to dst's
+// element, without the temporary. dst must not share storage with a or b.
+func MatMulTransBAddTo(dst, a, b *Matrix) {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulTransBAddTo %dx%d += %dx%d · (%dx%d)ᵀ", dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	matMulTransBInto(a, b, dst, true)
+}
+
+// matMulTransBInto writes a·bᵀ into out, or adds it in when add is set,
+// four columns at a time: four independent dot products of one a row with
+// four b rows, where a single dot product is one add chain waiting on itself.
+// In dX = dC·Wᵀ a zero row of a is a node the loss does not reach; its dot
+// products are +0, written or added as such (−0 + 0 is +0).
+func matMulTransBInto(a, b, out *Matrix, add bool) {
 	n := a.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
 		if allZero(arow) {
-			clear(orow)
+			if add {
+				for j := range orow {
+					orow[j] += 0
+				}
+			} else {
+				clear(orow)
+			}
 			continue
 		}
 		j := 0
@@ -355,7 +373,11 @@ func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
 				s3 += av * b3[k]
 			}
 			o := orow[j : j+4 : j+4]
-			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+			if add {
+				o[0], o[1], o[2], o[3] = o[0]+s0, o[1]+s1, o[2]+s2, o[3]+s3
+			} else {
+				o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+			}
 		}
 		for ; j < b.Rows; j++ {
 			brow := b.Row(j)
@@ -363,7 +385,11 @@ func matMulTransBRange(a, b, out *Matrix, lo, hi int) {
 			for k, av := range arow {
 				s += av * brow[k]
 			}
-			orow[j] = s
+			if add {
+				orow[j] += s
+			} else {
+				orow[j] = s
+			}
 		}
 	}
 }
