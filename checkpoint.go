@@ -14,12 +14,12 @@ import (
 	"streamgnn/internal/wire"
 )
 
-// A checkpoint is checkpointMagic, then one internal/wire frame of version 8
-// holding the checkpoint struct's fields in declaration order
+// A checkpoint is checkpointMagic, then one internal/wire frame of version
+// checkpointVersion holding the checkpoint struct's fields in declaration order
 // (checkpoint.wire) — canonical, so one engine state has exactly one file.
 const (
 	checkpointMagic   = "streamgnn checkpoint\n"
-	checkpointVersion = 8
+	checkpointVersion = 9
 )
 
 // CheckpointInfo is the identifying header of a saved checkpoint.
@@ -207,7 +207,7 @@ func decodeCheckpoint(r io.Reader) (*checkpoint, error) {
 	if !ok {
 		// A gob stream names the struct it encodes in its first bytes.
 		if bytes.Contains(b[:min(len(b), 32)], []byte("checkpoint")) {
-			return nil, fmt.Errorf("streamgnn: checkpoint is a gob stream (format v7 or older), which this build no longer reads; it reads v8")
+			return nil, fmt.Errorf("streamgnn: checkpoint is a gob stream (format v7 or older), which this build no longer reads; it reads v%d", checkpointVersion)
 		}
 		return nil, fmt.Errorf("streamgnn: not a streamgnn checkpoint")
 	}
@@ -230,17 +230,11 @@ func PeekCheckpoint(r io.Reader) (CheckpointInfo, error) {
 }
 
 // counters lists the observability counters a checkpoint carries, in its
-// order: the trainer's five target counts, then, under an adaptive learner,
-// its parallel-unit count and four dependency-scheduler counters.
+// order: the trainer's five target counts.
 func (e *Engine) counters() []*int64 {
 	st := &e.trainer.Stats
 	//streamlint:atommix the pointers reach sync/atomic alone, in SaveCheckpoint and LoadCheckpoint
-	c := []*int64{&st.SelfNodeTargets, &st.SelfEdgeTargets, &st.SupNodeTargets, &st.SupPairTargets, &st.ReplayTargets}
-	if a := e.sched.Adaptive; a != nil {
-		//streamlint:atommix as above
-		c = append(c, &a.ParallelUnits, &a.SchedSteps, &a.SchedGroups, &a.SchedUnits, &a.SchedCollapsed)
-	}
-	return c
+	return []*int64{&st.SelfNodeTargets, &st.SelfEdgeTargets, &st.SupNodeTargets, &st.SupPairTargets, &st.ReplayTargets}
 }
 
 // SaveCheckpoint writes the engine's learned and runtime state to w.
@@ -363,9 +357,6 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 	e.sched.TrainSteps = ck.TrainSteps
 	if a != nil {
 		a.Trained, a.Moves = ck.Trained, ck.Moves
-		// The telemetry watermarks follow, so the first resumed step observes
-		// only its own group fraction, not the whole restored history.
-		e.tele.prevSchedGroups, e.tele.prevSchedUnits = atomic.LoadInt64(&a.SchedGroups), atomic.LoadInt64(&a.SchedUnits)
 	}
 	if e.emb.Valid() {
 		e.lastEmb = e.emb.Matrix()

@@ -223,6 +223,18 @@ func TestCheckpointResumeEqualityKDE(t *testing.T) {
 	resumeEquality(t, cfg)
 }
 
+// Resume equality with the deprecated DependencySchedule and Workers set:
+// a run configured for them must still resume bit for bit, counters
+// included (Stats are compared verbatim above).
+func TestCheckpointResumeEqualityDependencySchedule(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Strategy = StrategyWeighted
+	cfg.Hidden = 6
+	cfg.DependencySchedule = true
+	cfg.Workers = 4
+	resumeEquality(t, cfg)
+}
+
 // Resume equality with the incremental forward path: the checkpoint carries
 // the embedding cache (v3), and the resumed run must splice into it exactly
 // as the uninterrupted run did. Interval 3 mixes trained steps (cache
@@ -235,21 +247,6 @@ func TestCheckpointResumeEqualityIncremental(t *testing.T) {
 	cfg.Interval = 3
 	cfg.IncrementalForward = true
 	cfg.DirtyFullThreshold = 1
-	resumeEquality(t, cfg)
-}
-
-// Resume equality under the conflict-group scheduler: the scheduler keeps no
-// persistent state beyond its observability counters (v7) — conflict scratch
-// and gradient sinks are rebuilt every step — so a resumed scheduled run must
-// match the uninterrupted one bit for bit, counters included (Stats are
-// compared verbatim above). Workers 4 keeps the group pool genuinely
-// concurrent across the save point.
-func TestCheckpointResumeEqualityDependencySchedule(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Strategy = StrategyWeighted
-	cfg.Hidden = 6
-	cfg.DependencySchedule = true
-	cfg.Workers = 4
 	resumeEquality(t, cfg)
 }
 
@@ -322,10 +319,10 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 
 // A checkpoint written before a Config knob is retired still loads and
 // steps: checkpoints carry learned and runtime state, never the Config, so
-// retiring a knob cannot strand them. testdata/checkpoint_v8.ckpt is what
-// endToEnd wrote at step 4 with Hidden 4 when v8 became the format.
+// retiring a knob cannot strand them. testdata/checkpoint_v9.ckpt is what
+// endToEnd wrote at step 4 with Hidden 4 when v9 became the format.
 func TestLoadCheckpointFromBeforeKnobRetirement(t *testing.T) {
-	data, err := os.ReadFile("testdata/checkpoint_v8.ckpt")
+	data, err := os.ReadFile("testdata/checkpoint_v9.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,6 +387,29 @@ func TestCheckpointRefusesGob(t *testing.T) {
 	}
 	if !bytes.Equal(saved(t, e), before) {
 		t.Fatal("the refused gob checkpoint changed the engine")
+	}
+}
+
+// A v8 checkpoint, which carried the conflict-group schedule's counters, is
+// refused with an error naming its version, by PeekCheckpoint and
+// LoadCheckpoint alike, and the refused load leaves the engine as it was.
+func TestCheckpointRefusesV8(t *testing.T) {
+	data, err := os.ReadFile("testdata/checkpoint_v8.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PeekCheckpoint(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "version 8") {
+		t.Fatalf("PeekCheckpoint of a v8 checkpoint: %v", err)
+	}
+	cfg := DefaultConfig()
+	cfg.Hidden = 4
+	e := ringEngine(t, cfg)
+	before := saved(t, e)
+	if err := e.LoadCheckpoint(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "version 8") {
+		t.Fatalf("LoadCheckpoint of a v8 checkpoint: %v", err)
+	}
+	if !bytes.Equal(saved(t, e), before) {
+		t.Fatal("the refused v8 checkpoint changed the engine")
 	}
 }
 

@@ -82,7 +82,6 @@ func main() {
 	flag.Float64Var(&opts.dirtyThreshold, "dirty-threshold", 0, "with -incremental: compute-region fraction in [0,1] above which a step falls back to a full forward (0 = engine default of 0.25, 1 never falls back)")
 	flag.BoolVar(&opts.delta, "delta", false, "event-driven delta-propagation forward instead of region splicing (implies -incremental; see DESIGN.md §14)")
 	flag.Float64Var(&opts.deltaEps, "delta-eps", 0, "with -delta: per-component pruning threshold in [0,1]; 0 keeps delta forwards bit-identical to full forwards")
-	flag.BoolVar(&opts.depSchedule, "dep-schedule", false, "conflict-group scheduling of the training apply phase: backprop and gradient accumulation run concurrently across dependency-free partition groups (see DESIGN.md §15)")
 	flag.IntVar(&opts.interval, "interval", 0, "steps between training steps (0 = engine default of 1; raise so -incremental can reuse cached embeddings between training steps)")
 	flag.IntVar(&opts.shards, "shards", 0, "partition the node space into this many shards and fan incremental forwards out per shard (0/1 = unsharded; >1 implies -incremental; see DESIGN.md §12)")
 	flag.StringVar(&opts.shardLayout, "shard-layout", "hash", "node-to-shard layout with -shards: hash or range")
@@ -114,7 +113,6 @@ type options struct {
 	dirtyThreshold                  float64
 	delta                           bool
 	deltaEps                        float64
-	depSchedule                     bool
 	interval                        int
 	shards                          int
 	shardLayout                     string
@@ -203,7 +201,6 @@ func run(opts options) error {
 		DirtyFullThreshold: opts.dirtyThreshold,
 		DeltaForward:       opts.delta,
 		DeltaEpsilon:       opts.deltaEps,
-		DependencySchedule: opts.depSchedule,
 		Interval:           opts.interval,
 		Shards:             opts.shards,
 		ShardLayout:        opts.shardLayout,
@@ -720,14 +717,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteGauge(&b, "streamgnn_chip_entropy", "Normalized entropy of the chip distribution.", obs.Value(st.ChipEntropy))
 	obs.WriteCounter(&b, "streamgnn_partition_cache_events_total", "Partition cache activity, by event.",
 		obs.Labeled(`event="hit"`, st.CacheHits), obs.Labeled(`event="miss"`, st.CacheMisses), obs.Labeled(`event="invalidation"`, st.CacheInvalidations))
-	obs.WriteCounter(&b, "streamgnn_parallel_units_total", "Training units evaluated on worker goroutines.", obs.Value(st.ParallelUnits))
-	if st.SchedSteps > 0 {
-		obs.WriteCounter(&b, "streamgnn_sched_steps_total", "Training rounds run under the conflict-group schedule.", obs.Value(st.SchedSteps))
-		obs.WriteCounter(&b, "streamgnn_sched_groups_total", "Conflict groups formed across scheduled rounds.", obs.Value(st.SchedGroups))
-		obs.WriteCounter(&b, "streamgnn_sched_units_total", "Training units scheduled across conflict groups.", obs.Value(st.SchedUnits))
-		obs.WriteCounter(&b, "streamgnn_sched_collapsed_steps_total", "Scheduled rounds that collapsed into a single conflict group.", obs.Value(st.SchedCollapsedSteps))
-		obs.WriteHistogram(&b, "streamgnn_sched_group_fraction", "Per-step groups-over-units fraction (1 = fully independent, near 0 = hub collapse).", obs.Series{Snapshot: tel.SchedGroupFraction})
-	}
 
 	obs.WriteGauge(&b, "streamgnn_stream_step", "Next stream step to execute.", obs.Value(step))
 	obs.WriteGauge(&b, "streamgnn_graph_nodes", "Nodes in the snapshot.", obs.Value(nodes))

@@ -407,10 +407,14 @@ func anyGrad(ps ...*Node) bool {
 	return false
 }
 
-func ensureGrad(n *Node) {
+// ensureGrad returns the buffer a gradient contribution to n is added into:
+// n's own Grad, zero-filled on first use, which for interior nodes is private
+// to the tape. Callers have already checked n.requiresGrad.
+func ensureGrad(n *Node) *tensor.Matrix {
 	if n.Grad == nil {
 		n.Grad = tensor.New(n.Value.Rows, n.Value.Cols)
 	}
+	return n.Grad
 }
 
 // Backward runs reverse-mode differentiation from root, which must be a
@@ -420,13 +424,6 @@ func ensureGrad(n *Node) {
 // (see runBack). A tape runs one backward per pass: a second one before Reset
 // or Release panics.
 func (t *Tape) Backward(root *Node) {
-	t.backward(root, nil)
-}
-
-// backward is the shared body of Backward and BackwardTo. With a non-nil
-// sink, parameter-leaf gradients are accumulated into the sink's private
-// buffers instead of the leaves' shared Grad matrices (see GradSink).
-func (t *Tape) backward(root *Node, sink *GradSink) {
 	if t.noGrad {
 		panic("autodiff: Backward on an inference tape")
 	}
@@ -460,29 +457,15 @@ func (t *Tape) backward(root *Node, sink *GradSink) {
 	for i := len(t.order) - 1; i >= 0; i-- {
 		n := t.order[i]
 		if n.Grad != nil {
-			n.runBack(sink)
+			n.runBack()
 		}
 	}
-}
-
-// gradOf returns the buffer a gradient contribution to n is added into: with
-// a non-nil sink, parameter leaves (op == opNone — Param nodes are never
-// tape-recorded) get the sink's private buffer; everything else — and every
-// node when sink is nil — uses n's own Grad, zero-filled on first use, which
-// for interior nodes is private to the tape. Callers have already checked
-// n.requiresGrad.
-func gradOf(n *Node, sink *GradSink) *tensor.Matrix {
-	if sink != nil && n.op == opNone {
-		return sink.of(n)
-	}
-	ensureGrad(n)
-	return n.Grad
 }
 
 // fresh reports whether n's next gradient contribution is its first and is
 // written as its gradient instead of added onto zeros: n was recorded on a
 // tape and has no gradient yet. Parameter leaves are never fresh; their
-// gradients, and a sink's, are always summed onto +0.
+// gradients are always summed onto +0.
 func fresh(n *Node) bool { return n.seq != 0 && n.Grad == nil }
 
 // pass gives p out's gradient g unchanged: g itself when p is fresh — out
@@ -490,21 +473,21 @@ func fresh(n *Node) bool { return n.seq != 0 && n.Grad == nil }
 // otherwise. The rule may read g afterwards, as long as whatever it then
 // writes into p's gradient (when p is an operand twice over) it writes
 // element by element after reading that element of g.
-func (out *Node) pass(p *Node, g *tensor.Matrix, sink *GradSink) {
+func (out *Node) pass(p *Node, g *tensor.Matrix) {
 	if fresh(p) {
 		p.Grad, out.Grad = g, nil
 		return
 	}
-	tensor.AddInPlace(gradOf(p, sink), g)
+	tensor.AddInPlace(ensureGrad(p), g)
 }
 
 // elementwise returns where an elementwise rule writes its contribution to p,
 // and whether it adds: g itself, which the rule overwrites and which is
 // handed down, when p is fresh; p's gradient, to add into, otherwise. Call it
 // after every other read of g in the rule.
-func (out *Node) elementwise(p *Node, sink *GradSink) (dst *tensor.Matrix, add bool) {
+func (out *Node) elementwise(p *Node) (dst *tensor.Matrix, add bool) {
 	if !fresh(p) {
-		return gradOf(p, sink), true
+		return ensureGrad(p), true
 	}
 	p.Grad, out.Grad = out.Grad, nil
 	return p.Grad, false
@@ -522,34 +505,34 @@ func plus(add bool, o, d float64) float64 {
 // gradient when p is fresh; otherwise it is added in and recycled at once —
 // a temporary is no tape node, so without this it would drain the buffer
 // pool every step.
-func put(p *Node, sink *GradSink, m *tensor.Matrix) {
+func put(p *Node, m *tensor.Matrix) {
 	if fresh(p) {
 		p.Grad = m
 		return
 	}
-	tensor.AddInPlace(gradOf(p, sink), m)
+	tensor.AddInPlace(ensureGrad(p), m)
 	tensor.Recycle(m)
 }
 
 // dInput gives p, the left factor of a product p·w, its share g·wᵀ: written
 // as p's gradient when p is fresh, added straight in otherwise.
-func dInput(p *Node, g, w *tensor.Matrix, sink *GradSink) {
+func dInput(p *Node, g, w *tensor.Matrix) {
 	if fresh(p) {
 		p.Grad = tensor.MatMulTransB(g, w)
 		return
 	}
-	tensor.MatMulTransBAddTo(gradOf(p, sink), g, w)
+	tensor.MatMulTransBAddTo(ensureGrad(p), g, w)
 }
 
 // sliceOf gives p the columns [from, from + p's width) of g: written as p's
 // gradient when p is fresh, added straight in otherwise.
-func sliceOf(p *Node, g *tensor.Matrix, from int, sink *GradSink) {
+func sliceOf(p *Node, g *tensor.Matrix, from int) {
 	to := from + p.Value.Cols
 	if fresh(p) {
 		p.Grad = tensor.SliceCols(g, from, to)
 		return
 	}
-	dst := gradOf(p, sink)
+	dst := ensureGrad(p)
 	for r := 0; r < g.Rows; r++ {
 		drow := dst.Row(r)
 		for c, v := range g.Row(r)[from:to] {
@@ -559,8 +542,8 @@ func sliceOf(p *Node, g *tensor.Matrix, from int, sink *GradSink) {
 }
 
 // runBack applies node out's backward rule, giving each parent that requires
-// one its share of out's gradient g (redirected through sink for parameter
-// leaves when non-nil). One switch instead of per-node closures: see opKind.
+// one its share of out's gradient g. One switch instead of per-node closures:
+// see opKind.
 //
 // Every gradient buffer is written once and has one owner: a fresh parent's
 // first share is written as its gradient — g itself, handed down, where the
@@ -569,23 +552,23 @@ func sliceOf(p *Node, g *tensor.Matrix, from int, sink *GradSink) {
 // +0 + s to s, so interior gradients differ at most in the sign of a zero and
 // every parameter gradient, summed onto +0, is bit-identical for finite
 // values (DESIGN.md §8, "Gradients in place").
-func (out *Node) runBack(sink *GradSink) {
+func (out *Node) runBack() {
 	g := out.Grad
 	switch out.op {
 	case opMatMul:
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
-			dInput(a, g, b.Value, sink)
+			dInput(a, g, b.Value)
 		}
 		if b.requiresGrad {
-			// Into a parameter or a sink the scatter's sums from +0 are what
+			// Into a parameter the scatter's sums from +0 are what
 			// fix the bits, so the product stays a temporary there.
-			put(b, sink, tensor.MatMulTransA(a.Value, g))
+			put(b, tensor.MatMulTransA(a.Value, g))
 		}
 	case opSpMM:
 		x := out.parents[0]
 		if x.requiresGrad {
-			put(x, sink, tensor.SpMMTrans(out.auxCSR, g))
+			put(x, tensor.SpMMTrans(out.auxCSR, g))
 		}
 	case opAdd, opSub:
 		// a takes g first and unchanged; b reads it after, so b gets g (−g
@@ -596,13 +579,13 @@ func (out *Node) runBack(sink *GradSink) {
 			s = -1
 		}
 		if a.requiresGrad {
-			out.pass(a, g, sink)
+			out.pass(a, g)
 		}
 		if b.requiresGrad {
 			if fresh(b) {
 				b.Grad = tensor.ScaleTo(nil, g, s)
 			} else {
-				tensor.AddScaledInPlace(gradOf(b, sink), g, s)
+				tensor.AddScaledInPlace(ensureGrad(b), g, s)
 			}
 		}
 	case opMul:
@@ -612,14 +595,14 @@ func (out *Node) runBack(sink *GradSink) {
 			if fresh(b) {
 				b.Grad = tensor.Mul(g, a.Value)
 			} else {
-				bg := gradOf(b, sink)
+				bg := ensureGrad(b)
 				for i, v := range g.Data {
 					bg.Data[i] += v * a.Value.Data[i]
 				}
 			}
 		}
 		if a.requiresGrad {
-			dst, add := out.elementwise(a, sink)
+			dst, add := out.elementwise(a)
 			for i, v := range g.Data {
 				dst.Data[i] = plus(add, dst.Data[i], v*b.Value.Data[i])
 			}
@@ -627,7 +610,7 @@ func (out *Node) runBack(sink *GradSink) {
 	case opScale:
 		a := out.parents[0]
 		if a.requiresGrad {
-			dst, add := out.elementwise(a, sink)
+			dst, add := out.elementwise(a)
 			for i, v := range g.Data {
 				dst.Data[i] = plus(add, dst.Data[i], out.auxF*v)
 			}
@@ -635,7 +618,7 @@ func (out *Node) runBack(sink *GradSink) {
 	case opAddBias:
 		m, b := out.parents[0], out.parents[1]
 		if b.requiresGrad {
-			bg := gradOf(b, sink)
+			bg := ensureGrad(b)
 			for r := 0; r < g.Rows; r++ {
 				for c, v := range g.Row(r) {
 					bg.Data[c] += v
@@ -643,12 +626,12 @@ func (out *Node) runBack(sink *GradSink) {
 			}
 		}
 		if m.requiresGrad {
-			out.pass(m, g, sink)
+			out.pass(m, g)
 		}
 	case opSigmoid:
 		a := out.parents[0]
 		if a.requiresGrad {
-			dst, add := out.elementwise(a, sink)
+			dst, add := out.elementwise(a)
 			for i, y := range out.Value.Data {
 				dst.Data[i] = plus(add, dst.Data[i], g.Data[i]*y*(1-y))
 			}
@@ -656,7 +639,7 @@ func (out *Node) runBack(sink *GradSink) {
 	case opTanh:
 		a := out.parents[0]
 		if a.requiresGrad {
-			dst, add := out.elementwise(a, sink)
+			dst, add := out.elementwise(a)
 			for i, y := range out.Value.Data {
 				dst.Data[i] = plus(add, dst.Data[i], g.Data[i]*(1-y*y))
 			}
@@ -666,7 +649,7 @@ func (out *Node) runBack(sink *GradSink) {
 		// left out of a sum, as adding onto zeros leaves it.
 		a := out.parents[0]
 		if a.requiresGrad {
-			dst, add := out.elementwise(a, sink)
+			dst, add := out.elementwise(a)
 			for i, x := range a.Value.Data {
 				switch {
 				case x > 0:
@@ -679,7 +662,7 @@ func (out *Node) runBack(sink *GradSink) {
 	case opOneMinus:
 		a := out.parents[0]
 		if a.requiresGrad {
-			dst, add := out.elementwise(a, sink)
+			dst, add := out.elementwise(a)
 			for i, v := range g.Data {
 				dst.Data[i] = plus(add, dst.Data[i], -v)
 			}
@@ -687,15 +670,15 @@ func (out *Node) runBack(sink *GradSink) {
 	case opConcatCols:
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
-			sliceOf(a, g, 0, sink)
+			sliceOf(a, g, 0)
 		}
 		if b.requiresGrad {
-			sliceOf(b, g, a.Value.Cols, sink)
+			sliceOf(b, g, a.Value.Cols)
 		}
 	case opGatherRows:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			for i, r := range out.auxInts {
 				arow := ag.Row(r)
 				for c, v := range g.Row(i) {
@@ -708,7 +691,7 @@ func (out *Node) runBack(sink *GradSink) {
 		// src's row i, every other row from base's own.
 		base, src := out.parents[0], out.parents[1]
 		if base.requiresGrad {
-			bg := gradOf(base, sink)
+			bg := ensureGrad(base)
 			k := 0
 			for r := 0; r < g.Rows; r++ {
 				if k < len(out.auxInts) && out.auxInts[k] == r {
@@ -722,7 +705,7 @@ func (out *Node) runBack(sink *GradSink) {
 			}
 		}
 		if src.requiresGrad {
-			sg := gradOf(src, sink)
+			sg := ensureGrad(src)
 			for i, r := range out.auxInts {
 				srow := sg.Row(i)
 				for c, v := range g.Row(r) {
@@ -734,7 +717,7 @@ func (out *Node) runBack(sink *GradSink) {
 		// The leading rows of a row-major matrix are the head of its data.
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			for i, v := range g.Data {
 				ag.Data[i] += v
 			}
@@ -742,7 +725,7 @@ func (out *Node) runBack(sink *GradSink) {
 	case opMean:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			d := g.Data[0] / float64(len(a.Value.Data))
 			for i := range ag.Data {
 				ag.Data[i] += d
@@ -752,7 +735,7 @@ func (out *Node) runBack(sink *GradSink) {
 		// aux is the residual pred−target; auxInts the segments' row ends.
 		pred := out.parents[0]
 		if pred.requiresGrad {
-			pg := gradOf(pred, sink)
+			pg := ensureGrad(pred)
 			lo := 0
 			for s, end := range out.auxInts {
 				hi := end * out.aux.Cols
@@ -767,7 +750,7 @@ func (out *Node) runBack(sink *GradSink) {
 		// aux is the 0/1 target matrix; auxInts the segments' row ends.
 		logits := out.parents[0]
 		if logits.requiresGrad {
-			lg := gradOf(logits, sink)
+			lg := ensureGrad(logits)
 			lo := 0
 			for s, end := range out.auxInts {
 				hi := end * out.aux.Cols
@@ -781,7 +764,7 @@ func (out *Node) runBack(sink *GradSink) {
 	case opSum:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			d := g.Data[0]
 			for i := range ag.Data {
 				ag.Data[i] += d
@@ -796,14 +779,14 @@ func (out *Node) runBack(sink *GradSink) {
 			if sum == x && fresh(sum) {
 				sum.Grad = g.Clone()
 			} else {
-				out.pass(sum, g, sink)
+				out.pass(sum, g)
 			}
 		}
 		if x.requiresGrad {
-			dInput(x, g, w.Value, sink)
+			dInput(x, g, w.Value)
 		}
 		if w.requiresGrad {
-			put(w, sink, tensor.MatMulTransA(x.Value, g))
+			put(w, tensor.MatMulTransA(x.Value, g))
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // refBackward and refRunBack are the backward pass the in-place rules
 // replaced — every share added onto a zero-filled gradient per node, products
 // and slices through a temporary — kept here as the reference the rules must
-// match: bit for bit in every parameter and sink gradient, up to the sign of
-// a zero in every interior one.
-func refBackward(t *Tape, root *Node, sink *GradSink) {
+// match: bit for bit in every parameter gradient, up to the sign of a zero in
+// every interior one.
+func refBackward(t *Tape, root *Node) {
 	var order []*Node
 	var visit func(n *Node)
 	visit = func(n *Node) {
@@ -34,25 +34,25 @@ func refBackward(t *Tape, root *Node, sink *GradSink) {
 	root.Grad.Data[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		if n := order[i]; n.Grad != nil {
-			refRunBack(n, sink)
+			refRunBack(n)
 		}
 	}
 }
 
-func refRunBack(out *Node, sink *GradSink) {
+func refRunBack(out *Node) {
 	switch out.op {
 	case opMatMul:
 		a, b := out.parents[0], out.parents[1]
 		// Gradient temporaries are recycled immediately: they are not tape
 		// nodes, so without this they would drain the buffer pool every step.
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			tmp := tensor.MatMulTransB(out.Grad, b.Value)
 			tensor.AddInPlace(ag, tmp)
 			tensor.Recycle(tmp)
 		}
 		if b.requiresGrad {
-			bg := gradOf(b, sink)
+			bg := ensureGrad(b)
 			tmp := tensor.MatMulTransA(a.Value, out.Grad)
 			tensor.AddInPlace(bg, tmp)
 			tensor.Recycle(tmp)
@@ -60,7 +60,7 @@ func refRunBack(out *Node, sink *GradSink) {
 	case opSpMM:
 		x := out.parents[0]
 		if x.requiresGrad {
-			xg := gradOf(x, sink)
+			xg := ensureGrad(x)
 			tmp := tensor.SpMMTrans(out.auxCSR, out.Grad)
 			tensor.AddInPlace(xg, tmp)
 			tensor.Recycle(tmp)
@@ -68,29 +68,29 @@ func refRunBack(out *Node, sink *GradSink) {
 	case opAdd:
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
-			tensor.AddInPlace(gradOf(a, sink), out.Grad)
+			tensor.AddInPlace(ensureGrad(a), out.Grad)
 		}
 		if b.requiresGrad {
-			tensor.AddInPlace(gradOf(b, sink), out.Grad)
+			tensor.AddInPlace(ensureGrad(b), out.Grad)
 		}
 	case opSub:
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
-			tensor.AddInPlace(gradOf(a, sink), out.Grad)
+			tensor.AddInPlace(ensureGrad(a), out.Grad)
 		}
 		if b.requiresGrad {
-			tensor.AddScaledInPlace(gradOf(b, sink), out.Grad, -1)
+			tensor.AddScaledInPlace(ensureGrad(b), out.Grad, -1)
 		}
 	case opMul:
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			tmp := tensor.Mul(out.Grad, b.Value)
 			tensor.AddInPlace(ag, tmp)
 			tensor.Recycle(tmp)
 		}
 		if b.requiresGrad {
-			bg := gradOf(b, sink)
+			bg := ensureGrad(b)
 			tmp := tensor.Mul(out.Grad, a.Value)
 			tensor.AddInPlace(bg, tmp)
 			tensor.Recycle(tmp)
@@ -98,15 +98,15 @@ func refRunBack(out *Node, sink *GradSink) {
 	case opScale:
 		a := out.parents[0]
 		if a.requiresGrad {
-			tensor.AddScaledInPlace(gradOf(a, sink), out.Grad, out.auxF)
+			tensor.AddScaledInPlace(ensureGrad(a), out.Grad, out.auxF)
 		}
 	case opAddBias:
 		m, b := out.parents[0], out.parents[1]
 		if m.requiresGrad {
-			tensor.AddInPlace(gradOf(m, sink), out.Grad)
+			tensor.AddInPlace(ensureGrad(m), out.Grad)
 		}
 		if b.requiresGrad {
-			bg := gradOf(b, sink)
+			bg := ensureGrad(b)
 			for r := 0; r < out.Grad.Rows; r++ {
 				row := out.Grad.Row(r)
 				for c, v := range row {
@@ -117,7 +117,7 @@ func refRunBack(out *Node, sink *GradSink) {
 	case opSigmoid:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			for i, y := range out.Value.Data {
 				ag.Data[i] += out.Grad.Data[i] * y * (1 - y)
 			}
@@ -125,7 +125,7 @@ func refRunBack(out *Node, sink *GradSink) {
 	case opTanh:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			for i, y := range out.Value.Data {
 				ag.Data[i] += out.Grad.Data[i] * (1 - y*y)
 			}
@@ -133,7 +133,7 @@ func refRunBack(out *Node, sink *GradSink) {
 	case opReLU:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			for i := range out.Value.Data {
 				if a.Value.Data[i] > 0 {
 					ag.Data[i] += out.Grad.Data[i]
@@ -143,18 +143,18 @@ func refRunBack(out *Node, sink *GradSink) {
 	case opOneMinus:
 		a := out.parents[0]
 		if a.requiresGrad {
-			tensor.AddScaledInPlace(gradOf(a, sink), out.Grad, -1)
+			tensor.AddScaledInPlace(ensureGrad(a), out.Grad, -1)
 		}
 	case opConcatCols:
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			tmp := tensor.SliceCols(out.Grad, 0, a.Value.Cols)
 			tensor.AddInPlace(ag, tmp)
 			tensor.Recycle(tmp)
 		}
 		if b.requiresGrad {
-			bg := gradOf(b, sink)
+			bg := ensureGrad(b)
 			tmp := tensor.SliceCols(out.Grad, a.Value.Cols, out.Grad.Cols)
 			tensor.AddInPlace(bg, tmp)
 			tensor.Recycle(tmp)
@@ -162,7 +162,7 @@ func refRunBack(out *Node, sink *GradSink) {
 	case opGatherRows:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			for i, r := range out.auxInts {
 				grow := out.Grad.Row(i)
 				arow := ag.Row(r)
@@ -176,7 +176,7 @@ func refRunBack(out *Node, sink *GradSink) {
 		// src's row i, every other row from base's own.
 		base, src := out.parents[0], out.parents[1]
 		if base.requiresGrad {
-			bg := gradOf(base, sink)
+			bg := ensureGrad(base)
 			k := 0
 			for r := 0; r < out.Grad.Rows; r++ {
 				if k < len(out.auxInts) && out.auxInts[k] == r {
@@ -190,7 +190,7 @@ func refRunBack(out *Node, sink *GradSink) {
 			}
 		}
 		if src.requiresGrad {
-			sg := gradOf(src, sink)
+			sg := ensureGrad(src)
 			for i, r := range out.auxInts {
 				srow := sg.Row(i)
 				for c, v := range out.Grad.Row(r) {
@@ -202,7 +202,7 @@ func refRunBack(out *Node, sink *GradSink) {
 		// The leading rows of a row-major matrix are the head of its data.
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			for i, v := range out.Grad.Data {
 				ag.Data[i] += v
 			}
@@ -210,7 +210,7 @@ func refRunBack(out *Node, sink *GradSink) {
 	case opMean:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			g := out.Grad.Data[0] / float64(len(a.Value.Data))
 			for i := range ag.Data {
 				ag.Data[i] += g
@@ -220,7 +220,7 @@ func refRunBack(out *Node, sink *GradSink) {
 		// aux is the residual pred−target; auxInts the segments' row ends.
 		pred := out.parents[0]
 		if pred.requiresGrad {
-			pg := gradOf(pred, sink)
+			pg := ensureGrad(pred)
 			lo := 0
 			for s, end := range out.auxInts {
 				hi := end * out.aux.Cols
@@ -235,7 +235,7 @@ func refRunBack(out *Node, sink *GradSink) {
 		// aux is the 0/1 target matrix; auxInts the segments' row ends.
 		logits := out.parents[0]
 		if logits.requiresGrad {
-			lg := gradOf(logits, sink)
+			lg := ensureGrad(logits)
 			lo := 0
 			for s, end := range out.auxInts {
 				hi := end * out.aux.Cols
@@ -249,7 +249,7 @@ func refRunBack(out *Node, sink *GradSink) {
 	case opSum:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := gradOf(a, sink)
+			ag := ensureGrad(a)
 			g := out.Grad.Data[0]
 			for i := range ag.Data {
 				ag.Data[i] += g
@@ -262,16 +262,16 @@ func refRunBack(out *Node, sink *GradSink) {
 		// zero, which no sum below can observe.
 		sum, x, w := out.parents[0], out.parents[1], out.parents[2]
 		if sum.requiresGrad {
-			tensor.AddInPlace(gradOf(sum, sink), out.Grad)
+			tensor.AddInPlace(ensureGrad(sum), out.Grad)
 		}
 		if x.requiresGrad {
-			xg := gradOf(x, sink)
+			xg := ensureGrad(x)
 			tmp := tensor.MatMulTransB(out.Grad, w.Value)
 			tensor.AddInPlace(xg, tmp)
 			tensor.Recycle(tmp)
 		}
 		if w.requiresGrad {
-			wg := gradOf(w, sink)
+			wg := ensureGrad(w)
 			tmp := tensor.MatMulTransA(x.Value, out.Grad)
 			tensor.AddInPlace(wg, tmp)
 			tensor.Recycle(tmp)
@@ -528,64 +528,51 @@ func equalUpToZeroSign(a, b *tensor.Matrix) bool {
 // The in-place backward rules against the accumulate-onto-zeros reference,
 // over random programs of every op kind with ±0 in values and upstream
 // gradients, aliased operands, nodes read by one to four ops and interior
-// product weights, through Backward and through BackwardTo a sink, with
-// poisoned pool buffers: parameter and sink gradients are bit-equal, interior
-// gradients equal up to the sign of a zero, and no two nodes own one buffer.
+// product weights, with poisoned pool buffers: parameter gradients are
+// bit-equal, interior gradients equal up to the sign of a zero, and no two
+// nodes own one buffer.
 func TestBackwardRulesMatchAccumulatingReference(t *testing.T) {
 	withPooling(t)
 	seen := map[opKind]bool{}
 	handed := 0
 	for seed := int64(1); seed <= 300; seed++ {
-		for _, withSink := range []bool{false, true} {
-			var sinkR, sinkN *GradSink
-			if withSink {
-				sinkR, sinkN = NewGradSink(), NewGradSink()
-			}
-			tpR, tpN := NewTape(), NewTape()
-			rootR, pR := randomProgram(seed, tpR)
-			poisonPool()
-			refBackward(tpR, rootR, sinkR)
-			rootN, pN := randomProgram(seed, tpN)
-			poisonPool()
-			tpN.BackwardTo(rootN, sinkN)
-			for _, n := range tpN.nodes {
-				seen[n.op] = true
-			}
-
-			if !bitEqual(rootR.Value, rootN.Value) {
-				t.Fatalf("seed %d: the two programs compute different losses", seed)
-			}
-			for i, want := range pR.params {
-				got := pN.params[i]
-				wantG, gotG := want.Grad, got.Grad
-				if withSink {
-					if wantG != nil || gotG != nil {
-						t.Fatalf("seed %d: a backward into a sink wrote parameter %d's own gradient", seed, i)
-					}
-					wantG, gotG = sinkR.grads[want], sinkN.grads[got]
-				}
-				if (wantG == nil) != (gotG == nil) || wantG != nil && !bitEqual(wantG, gotG) {
-					t.Fatalf("seed %d sink %v: parameter %d gradient %v, reference %v", seed, withSink, i, gotG, wantG)
-				}
-			}
-			owner := map[*float64]int{}
-			for i, n := range tpN.nodes {
-				ref := tpR.nodes[i].Grad
-				switch {
-				case n.Grad == nil && ref != nil:
-					handed++ // its rule handed the buffer down to an operand
-				case n.Grad != nil && (ref == nil || !equalUpToZeroSign(n.Grad, ref)):
-					t.Fatalf("seed %d sink %v: node %d (op %d) gradient %v, reference %v", seed, withSink, i, n.op, n.Grad, ref)
-				case n.Grad != nil && len(n.Grad.Data) > 0:
-					if j, ok := owner[&n.Grad.Data[0]]; ok {
-						t.Fatalf("seed %d: nodes %d and %d own one gradient buffer", seed, j, i)
-					}
-					owner[&n.Grad.Data[0]] = i
-				}
-			}
-			tpR.Release()
-			tpN.Release()
+		tpR, tpN := NewTape(), NewTape()
+		rootR, pR := randomProgram(seed, tpR)
+		poisonPool()
+		refBackward(tpR, rootR)
+		rootN, pN := randomProgram(seed, tpN)
+		poisonPool()
+		tpN.Backward(rootN)
+		for _, n := range tpN.nodes {
+			seen[n.op] = true
 		}
+
+		if !bitEqual(rootR.Value, rootN.Value) {
+			t.Fatalf("seed %d: the two programs compute different losses", seed)
+		}
+		for i, want := range pR.params {
+			wantG, gotG := want.Grad, pN.params[i].Grad
+			if (wantG == nil) != (gotG == nil) || wantG != nil && !bitEqual(wantG, gotG) {
+				t.Fatalf("seed %d: parameter %d gradient %v, reference %v", seed, i, gotG, wantG)
+			}
+		}
+		owner := map[*float64]int{}
+		for i, n := range tpN.nodes {
+			ref := tpR.nodes[i].Grad
+			switch {
+			case n.Grad == nil && ref != nil:
+				handed++ // its rule handed the buffer down to an operand
+			case n.Grad != nil && (ref == nil || !equalUpToZeroSign(n.Grad, ref)):
+				t.Fatalf("seed %d: node %d (op %d) gradient %v, reference %v", seed, i, n.op, n.Grad, ref)
+			case n.Grad != nil && len(n.Grad.Data) > 0:
+				if j, ok := owner[&n.Grad.Data[0]]; ok {
+					t.Fatalf("seed %d: nodes %d and %d own one gradient buffer", seed, j, i)
+				}
+				owner[&n.Grad.Data[0]] = i
+			}
+		}
+		tpR.Release()
+		tpN.Release()
 	}
 	for k := opMatMul; k <= opHead; k++ {
 		if !seen[k] {

@@ -3,11 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
-	"streamgnn/internal/autodiff"
-	"streamgnn/internal/graph"
 	"streamgnn/internal/sampling"
 )
 
@@ -43,31 +39,11 @@ func (s *chipSampler) SampleNode() int { return s.chips.Sample(s.rng) }
 //  2. Evaluation: the units run as one disjoint-union round against the
 //     parameter snapshot θ_t (Trainer.evalRound) — the paper measures
 //     temporal utility *before* backpropagation, so utilities are well-defined
-//     at θ_t and independent of which units share a round. Under
-//     DependencySchedule each conflict group is a round of its own with its
-//     own gradient sink, and the groups run on the worker pool.
-//  3. Apply (serial, fixed order): group sinks are merged in group order, the
-//     optimizer steps once on the summed gradient, and the chip moves of
-//     lines 8-16 are decided per pair with the learner's rng.
-//
-// Nothing observable depends on Workers: a seeded run is bit-identical for
-// every worker count.
+//     at θ_t and independent of which units share a round.
+//  3. Apply (serial, fixed order): the optimizer steps once on the round's
+//     gradient, and the chip moves of lines 8-16 are decided per pair with
+//     the learner's rng.
 type AdaptiveLearner struct {
-	// ParallelUnits counts units evaluated on worker goroutines: conflict
-	// groups fanned out under DependencySchedule with Workers > 1, 0 otherwise
-	// (observability for streamgnn.Stats). Like every counter in this block it
-	// is written with sync/atomic — Telemetry() readers run concurrently with
-	// Step — and leads the struct so the int64s stay 8-aligned on 386.
-	ParallelUnits int64
-	// Dependency-schedule counters (observability for streamgnn.Stats and
-	// telemetry): steps scheduled, conflict groups formed, units scheduled,
-	// and steps whose units all collapsed into a single group (the serial
-	// degenerate case on hub-heavy graphs).
-	SchedSteps     int64
-	SchedGroups    int64
-	SchedUnits     int64
-	SchedCollapsed int64
-
 	Chips   *sampling.Chips
 	Trainer *Trainer
 
@@ -89,23 +65,11 @@ type AdaptiveLearner struct {
 	scanned       bool
 
 	// Step scratch, reused across calls to keep the hot path allocation-free:
-	// the step's units, their partitions, and all — the unit indices 0..n-1,
-	// the one chunk of an unscheduled step.
-	units []Unit
+	// the sampled pair endpoints, their units' seeds and the step's round,
+	// which holds their partitions and outcomes.
 	nodes []int
 	seeds []int64
-	subs  []*graph.Subgraph
-	all   []int
-
-	// rounds[c] is chunk c's evaluation scratch and sinks[c] its gradient
-	// sink: one chunk per step, or one per conflict group under
-	// cfg.DependencySchedule, whose builder's buffers are conflict. The
-	// grouping, and the group order the sinks are merged in, depend only on
-	// the sampled units and the graph, so the optimizer input is independent
-	// of worker count and timing.
-	rounds   []*round
-	sinks    []*autodiff.GradSink
-	conflict conflictScratch
+	round round
 
 	// Moves counts accepted chip moves (observability/tests).
 	Moves int
@@ -120,7 +84,7 @@ type AdaptiveLearner struct {
 func NewAdaptiveLearner(t *Trainer, cfg Config, strategy Strategy, rng *rand.Rand) *AdaptiveLearner {
 	chips := sampling.NewChips(t.G.N(), cfg.K)
 	chips.MinChips = cfg.MinChips
-	a := &AdaptiveLearner{Chips: chips, Trainer: t, cfg: cfg, rng: rng, rounds: []*round{new(round)}}
+	a := &AdaptiveLearner{Chips: chips, Trainer: t, cfg: cfg, rng: rng}
 	switch strategy {
 	case Weighted:
 		a.sampler = &chipSampler{chips: chips, rng: rng}
@@ -271,28 +235,21 @@ func (a *AdaptiveLearner) applyActivity(dirty []int, full bool) {
 }
 
 // Step runs one training step (Algorithm 1 lines 2-16): PairsPerStep pairs
-// are sampled, their partitions evaluated as one round (one per conflict
-// group under cfg.DependencySchedule), one optimizer step applied, and chips
-// moved between winner and loser. updated is the set U of nodes with new data
-// since the previous step.
+// are sampled, their partitions evaluated as one round, one optimizer step
+// applied, and chips moved between winner and loser. updated is the set U of
+// nodes with new data since the previous step.
 func (a *AdaptiveLearner) Step(updated []int) {
 	clock := now()
 	a.FillSeedWindow()
 	a.refreshActivity()
 	// Phase 1: sample every pair endpoint, then deal per-unit seeds, all
-	// from the learner's rng so the stream is worker-count independent.
+	// from the learner's rng.
 	n := 2 * a.cfg.PairsPerStep
-	if cap(a.units) < n {
-		a.units = make([]Unit, n)
+	if cap(a.nodes) < n {
 		a.nodes = make([]int, n)
 		a.seeds = make([]int64, n)
-		a.subs = make([]*graph.Subgraph, n)
-		a.all = make([]int, n)
-		for i := range a.all {
-			a.all[i] = i
-		}
 	}
-	units, nodes, seeds, subs := a.units[:n], a.nodes[:n], a.seeds[:n], a.subs[:n]
+	nodes, seeds := a.nodes[:n], a.seeds[:n]
 	for i := range nodes {
 		nodes[i] = a.getSampleNode(updated)
 	}
@@ -301,21 +258,19 @@ func (a *AdaptiveLearner) Step(updated []int) {
 	}
 	stats := &a.Trainer.Stats
 	lap(&clock, &stats.SampleNs)
+	r := &a.round
+	r.reset()
 	for i, v := range nodes {
-		subs[i] = a.Trainer.G.Partition(v, a.Trainer.Model.Layers())
+		r.add(a.Trainer.G.Partition(v, a.Trainer.Model.Layers()), seeds[i])
 	}
 	lap(&clock, &stats.ExtractNs)
 	// Phase 2: evaluate all units against the current parameters.
-	var trained bool
-	if a.cfg.DependencySchedule {
-		trained = a.runScheduled()
-	} else {
-		trained = a.runChunk(0, a.all[:n], nil)
-	}
-	clear(subs) // the partition cache owns the partitions
+	a.Trainer.evalRound(r, true)
+	clear(r.subs) // the partition cache owns the partitions
 	// Phase 3: serial chip accounting in pair order, then one optimizer step
 	// on the round's summed gradient.
 	clock = now()
+	units := r.units
 	for pair := 0; pair < a.cfg.PairsPerStep; pair++ {
 		u1, u2 := units[2*pair], units[2*pair+1]
 		if u1.OK {
@@ -347,90 +302,9 @@ func (a *AdaptiveLearner) Step(updated []int) {
 		}
 	}
 	lap(&clock, &stats.SampleNs)
-	if trained {
+	if r.trained {
 		a.Trainer.step()
 	}
-}
-
-// runChunk evaluates the units idx (ascending unit indices) as round c:
-// forward, loss and backward over their disjoint union, gradients into sink
-// (nil: the parameters' own). It reports whether any unit had material.
-func (a *AdaptiveLearner) runChunk(c int, idx []int, sink *autodiff.GradSink) bool {
-	r := a.rounds[c]
-	r.reset()
-	for _, i := range idx {
-		r.add(a.subs[i], a.seeds[i])
-	}
-	a.Trainer.evalRound(r, sink, true)
-	for k, i := range idx {
-		a.units[i] = r.units[k]
-	}
-	return r.trained
-}
-
-// runScheduled is phase 2 under the dependency schedule: partition the
-// step's units into conflict groups (units whose L-hop receptive fields
-// intersect, closed transitively) and run each group as a round of its own,
-// gradients into the group's private sink, whole groups concurrently on the
-// worker pool. The sinks are then merged in group order.
-//
-// Determinism: the conflict build reads only the sampled units and the
-// graph; a group's round writes only its own scratch, sink, units and tape;
-// and the merge order is the group order. Nothing observable depends on
-// worker count or goroutine timing, so seeded runs are bit-identical for
-// every Workers value — and since a round's cost is per-op dispatch its union
-// already amortises, there is little left for the workers to win.
-func (a *AdaptiveLearner) runScheduled() bool {
-	n := len(a.units)
-	offsets, order, numGroups := a.conflict.build(a.subs[:n], a.Trainer.G.N())
-	for len(a.rounds) < numGroups {
-		a.rounds = append(a.rounds, new(round))
-	}
-	for len(a.sinks) < numGroups {
-		a.sinks = append(a.sinks, autodiff.NewGradSink())
-	}
-	runGroup := func(g int) {
-		a.sinks[g].Reset()
-		a.runChunk(g, order[offsets[g]:offsets[g+1]], a.sinks[g])
-	}
-	if workers := min(a.cfg.Workers, numGroups); workers <= 1 {
-		for g := 0; g < numGroups; g++ {
-			runGroup(g)
-		}
-	} else {
-		var cursor int64 = -1
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					g := int(atomic.AddInt64(&cursor, 1))
-					if g >= numGroups {
-						return
-					}
-					runGroup(g)
-				}
-			}()
-		}
-		wg.Wait()
-		atomic.AddInt64(&a.ParallelUnits, int64(n))
-	}
-	trained := false
-	params := a.Trainer.Opt.Params()
-	for g := 0; g < numGroups; g++ {
-		if a.rounds[g].trained {
-			a.sinks[g].MergeInto(params)
-			trained = true
-		}
-	}
-	atomic.AddInt64(&a.SchedSteps, 1)
-	atomic.AddInt64(&a.SchedGroups, int64(numGroups))
-	atomic.AddInt64(&a.SchedUnits, int64(n))
-	if numGroups == 1 && n > 1 {
-		atomic.AddInt64(&a.SchedCollapsed, 1)
-	}
-	return trained
 }
 
 // Probabilities returns the current normalized node-weight distribution D.

@@ -95,23 +95,6 @@ type Config struct {
 	// Ball-wide targets are more numerous but computed from truncated
 	// neighborhoods; see the ablation bench.
 	BallSupervision bool
-	// Workers is the number of goroutines conflict groups run on under
-	// DependencySchedule. Without it a step's units are one union round and
-	// there is nothing left to fan out: the value has no effect. 1 is the
-	// default; seeded runs are bit-identical for every value.
-	Workers int
-	// DependencySchedule splits a step's round along its conflict groups
-	// (NeutronStream-style dependency-aware scheduling). After sampling, units
-	// whose L-hop receptive fields intersect are unioned into one conflict
-	// group; each group is evaluated as a union round of its own (forward,
-	// loss, backward into a private gradient sink), groups run concurrently
-	// on the worker pool, and the group sinks are merged serially in group
-	// order before the optimizer step. Grouping depends only on the sampled
-	// units and the graph — never on Workers or timing — so seeded runs stay
-	// bit-identical for every Workers value. On hub-heavy graphs all units
-	// usually share a ball and collapse into a single group: the unscheduled
-	// step plus a sink merge. Default false.
-	DependencySchedule bool
 }
 
 // PartitionCacheCap is the capacity, in partitions, of the version-keyed LRU
@@ -137,7 +120,6 @@ func DefaultConfig() Config {
 		SupWeight:       1,
 		ReplaySize:      24,
 		BallSupervision: true,
-		Workers:         1,
 	}
 }
 
@@ -164,8 +146,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MinChips must be >= 0, got %d", c.MinChips)
 	case c.LR <= 0:
 		return fmt.Errorf("core: LR must be positive, got %v", c.LR)
-	case c.Workers < 1:
-		return fmt.Errorf("core: Workers must be >= 1, got %d", c.Workers)
 	}
 	return nil
 }

@@ -93,7 +93,7 @@ func evalAsRound(tr *Trainer, opt autodiff.Optimizer, centers []int, seeds []int
 	for i, v := range centers {
 		r.add(tr.G.Partition(v, tr.Model.Layers()), seeds[i])
 	}
-	tr.evalRound(r, nil, true)
+	tr.evalRound(r, true)
 	return r.units, gradSnapshot(opt), targetDelta(tr.Stats, before)
 }
 
@@ -126,7 +126,7 @@ func checkRoundMatchesUnits(t *testing.T, tr *Trainer, opt autodiff.Optimizer, c
 	for i, v := range centers {
 		r := new(round)
 		r.add(tr.G.Partition(v, tr.Model.Layers()), seeds[i])
-		tr.evalRound(r, nil, true)
+		tr.evalRound(r, true)
 		want[i] = r.units[0]
 	}
 	wantGrad, wantTargets := gradSnapshot(opt), targetDelta(tr.Stats, before)
@@ -226,16 +226,16 @@ func TestRoundWithMaterialLessUnits(t *testing.T) {
 	r := new(round)
 	r.add(tr.G.Partition(32, 2), 1)
 	r.add(tr.G.Partition(35, 2), 2)
-	if tr.evalRound(r, nil, true); r.trained || r.units[0].OK || r.units[1].OK {
+	if tr.evalRound(r, true); r.trained || r.units[0].OK || r.units[1].OK {
 		t.Fatalf("material-less round reports training: %+v", r.units)
 	}
 }
 
-// TestRoundWarmScratch is the allocation promise of a round (next to
-// TestConflictBuildZeroAllocWarm): once its scratch has grown to the
-// high-water mark, building the union and stacking 16 units' material
-// allocate nothing beyond what the partitions' own accessors return, and a
-// whole 16-unit round allocates less than two rounds of one.
+// TestRoundWarmScratch is the allocation promise of a round: once its
+// scratch has grown to the high-water mark, building the union and stacking
+// 16 units' material allocate nothing beyond what the partitions' own
+// accessors return, and a whole 16-unit round allocates less than two rounds
+// of one.
 func TestRoundWarmScratch(t *testing.T) {
 	tr, opt := roundFixture(t, dgnn.GCLSTM, false, nil)
 	tr.G.EnablePartitionCache(64)
@@ -250,7 +250,7 @@ func TestRoundWarmScratch(t *testing.T) {
 	run := func(r *round, centers []int) func() {
 		return func() {
 			fill(r, centers)
-			tr.evalRound(r, nil, true)
+			tr.evalRound(r, true)
 			opt.ZeroGrad()
 		}
 	}
@@ -297,7 +297,7 @@ func TestRoundBackwardMetersLessThanItsForward(t *testing.T) {
 				r.add(tr.G.Partition(v, 2), int64(i))
 			}
 			tensor.ResetMeter()
-			tr.evalRound(r, nil, apply)
+			tr.evalRound(r, apply)
 			floats := tensor.TotalFloats()
 			opt.ZeroGrad()
 			return floats

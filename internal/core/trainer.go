@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,12 +51,16 @@ type Trainer struct {
 	rng *rand.Rand
 	// own is the round of TrainPartition, EvalPartition and TrainFull.
 	own round
+	// tape records every training forward; finish releases it for the next.
+	// A recycled tape brings back its node shells and scratch slices (see
+	// autodiff.Tape), so a warm round allocates little beyond its op outputs'
+	// headers.
+	tape *autodiff.Tape
 }
 
 // TrainerStats counts the training targets consumed so far and accounts for
-// the rounds that consumed them. Fields are updated atomically (conflict
-// groups run their rounds on worker goroutines); sums are order-independent,
-// so the counters stay deterministic regardless of worker count.
+// the rounds that consumed them. Fields are updated atomically: Telemetry()
+// readers run concurrently with the learner.
 type TrainerStats struct {
 	SelfNodeTargets int64
 	SelfEdgeTargets int64
@@ -74,19 +77,6 @@ type TrainerStats struct {
 	SampleNs, ExtractNs, ForwardNs, LossNs, BackwardNs, OptimizerNs int64
 }
 
-// tapePool recycles training tapes across rounds and steps. A recycled tape
-// brings back its node shells and scratch slices (see autodiff.Tape), so a
-// warm round allocates little beyond its op outputs' headers. Safe for
-// concurrent Get/Put from worker goroutines; each tape is used by one
-// goroutine at a time.
-var tapePool = sync.Pool{New: func() any { return autodiff.NewTape() }}
-
-// putTape releases the tape's buffers and returns it to the pool.
-func putTape(tp *autodiff.Tape) {
-	tp.Release()
-	tapePool.Put(tp)
-}
-
 // NewTrainer wires a trainer; opt must manage both model and head params.
 func NewTrainer(g *graph.Dynamic, m dgnn.Model, w *query.Workload, opt autodiff.Optimizer, cfg Config, rng *rand.Rand) *Trainer {
 	return &Trainer{
@@ -100,6 +90,7 @@ func NewTrainer(g *graph.Dynamic, m dgnn.Model, w *query.Workload, opt autodiff.
 		ReplaySize:      cfg.ReplaySize,
 		BallSupervision: cfg.BallSupervision,
 		rng:             rng,
+		tape:            autodiff.NewTape(),
 	}
 }
 
@@ -112,11 +103,11 @@ type Unit struct {
 	OK      bool
 }
 
-// round is a chunk of training units — the partitions subs, their rng seeds
+// round is a step's training units — the partitions subs, their rng seeds
 // and, after evalRound, their outcomes — plus the scratch one evaluation of
 // them reuses: the union's arrays, the stacked material and the units' rng.
 // Every slice grows to a high-water mark, so a warm round allocates little
-// beyond its tape's op outputs. One goroutine uses a round at a time.
+// beyond its tape's op outputs.
 type round struct {
 	subs  []*graph.Subgraph
 	seeds []int64
@@ -127,14 +118,13 @@ type round struct {
 	union graph.Union
 	mat   material
 	// src seeds rnd afresh for each unit (O(1): the standard lagged-Fibonacci
-	// source pays a ~600-word initialization per seed), so which chunk a unit
-	// lands in, and beside which others, cannot perturb its sampled replay
-	// batches and negatives.
+	// source pays a ~600-word initialization per seed), so which units share
+	// a round cannot perturb a unit's sampled replay batches and negatives.
 	src rng.SplitMix64
 	rnd *rand.Rand
 }
 
-// reset empties the round's chunk, keeping its scratch.
+// reset empties the round's units, keeping its scratch.
 func (r *round) reset() {
 	clear(r.subs) // the partition cache owns the partitions
 	r.subs, r.seeds, r.units = r.subs[:0], r.seeds[:0], r.units[:0]
@@ -159,36 +149,37 @@ func lap(last *time.Time, dst *int64) {
 	*last = t
 }
 
-// forward runs the model over view on a pooled tape, on the round's clock.
-func (t *Trainer) forward(view dgnn.View, clock *time.Time) (*autodiff.Tape, *autodiff.Node) {
+// forward runs the model over view on the trainer's tape, on the round's
+// clock.
+func (t *Trainer) forward(view dgnn.View, clock *time.Time) *autodiff.Node {
 	view.NoCommit = true // recurrent state advances only at inference time
-	tp := tapePool.Get().(*autodiff.Tape)
+	tp := t.tape
+	tp.Reset()
 	tp.Owned(view.Feat) // fresh per view; recycled with the tape
 	lap(clock, &t.Stats.ExtractNs)
 	emb := t.Model.Forward(tp, view)
 	lap(clock, &t.Stats.ForwardNs)
 	atomic.AddInt64(&t.Stats.UnionRows, int64(view.N))
-	return tp, emb
+	return emb
 }
 
 // evalRound is the one way training partitions are evaluated: ONE forward
 // over their disjoint union, one stacked loss whose terms reduce per unit
 // (buildLoss) and — when apply is set — one backward from the sum of the
-// units' losses into sink (nil: the parameters' own gradients). Algorithm 1
-// evaluates every partition of a round at the same θ_t and steps once on the
-// summed gradient, so nothing orders the units; the union saves the per-op
-// cost of a tape per unit for products of ten rows.
+// units' losses into the parameters' gradients. Algorithm 1 evaluates every
+// partition of a round at the same θ_t and steps once on the summed gradient,
+// so nothing orders the units; the union saves the per-op cost of a tape per
+// unit for products of ten rows.
 //
 // r.units[i] receives unit i's outcome. Forward rows, and so utilities, are
 // bit-equal to evaluating each unit alone; parameter gradients are the same
 // terms summed inside one product over the stacked rows (DESIGN.md §18). Each
 // unit draws from its own rng seeded with r.seeds[i]. Evaluation writes no
-// model or graph state (NoCommit forward, atomic stats), so rounds with
-// private scratch and sinks may run concurrently.
-func (t *Trainer) evalRound(r *round, sink *autodiff.GradSink, apply bool) {
+// model or graph state (NoCommit forward).
+func (t *Trainer) evalRound(r *round, apply bool) {
 	clock := now()
 	r.union.Build(r.subs)
-	tp, emb := t.forward(dgnn.UnionView(&r.union), &clock)
+	emb := t.forward(dgnn.UnionView(&r.union), &clock)
 	r.mat.reset()
 	if r.rnd == nil {
 		r.rnd = rand.New(&r.src)
@@ -198,14 +189,16 @@ func (t *Trainer) evalRound(r *round, sink *autodiff.GradSink, apply bool) {
 		t.partitionMaterial(&r.mat, sub, r.union.Offsets[i], r.rnd)
 		r.units[i].OK = r.mat.closeUnit()
 	}
-	r.trained = t.finish(tp, emb, &r.mat, r.units, sink, apply, &clock)
+	r.trained = t.finish(emb, &r.mat, r.units, apply, &clock)
 }
 
 // finish builds the stacked loss of m over emb, reads each unit's utility off
-// it, backpropagates when apply is set, and recycles the tape.
-func (t *Trainer) finish(tp *autodiff.Tape, emb *autodiff.Node, m *material, units []Unit, sink *autodiff.GradSink, apply bool, clock *time.Time) bool {
+// it, backpropagates when apply is set, and releases the tape.
+func (t *Trainer) finish(emb *autodiff.Node, m *material, units []Unit, apply bool, clock *time.Time) bool {
+	tp := t.tape
 	total := t.buildLoss(tp, emb, m)
-	if total != nil {
+	trained := total != nil
+	if trained {
 		for i := range units {
 			if units[i].OK {
 				units[i].Utility = total.Value.Data[i]
@@ -213,14 +206,14 @@ func (t *Trainer) finish(tp *autodiff.Tape, emb *autodiff.Node, m *material, uni
 		}
 	}
 	lap(clock, &t.Stats.LossNs)
-	if total != nil && apply {
-		tp.BackwardTo(tp.Sum(total), sink)
+	if trained && apply {
+		tp.Backward(tp.Sum(total))
 	}
-	putTape(tp)
+	tp.Release()
 	lap(clock, &t.Stats.BackwardNs)
 	atomic.AddInt64(&t.Stats.Rounds, 1)
 	atomic.AddInt64(&t.Stats.Units, int64(len(units)))
-	return total != nil
+	return trained
 }
 
 // step applies the accumulated gradient with one optimizer step.
@@ -236,7 +229,7 @@ func (t *Trainer) roundOfOne(v int, apply bool) Unit {
 	r := &t.own
 	r.reset()
 	r.add(t.G.Partition(v, t.Model.Layers()), t.rng.Int63())
-	t.evalRound(r, nil, apply)
+	t.evalRound(r, apply)
 	return r.units[0]
 }
 
@@ -262,12 +255,12 @@ func (t *Trainer) EvalPartition(v int) (utility float64, ok bool) {
 // whole snapshot as its one segment.
 func (t *Trainer) TrainFull() (loss float64, trained bool) {
 	clock := now()
-	tp, emb := t.forward(dgnn.FullView(t.G), &clock)
+	emb := t.forward(dgnn.FullView(t.G), &clock)
 	m := &t.own.mat
 	m.reset()
 	t.fullMaterial(m)
 	unit := [1]Unit{{OK: m.closeUnit()}}
-	if t.finish(tp, emb, m, unit[:], nil, true, &clock) {
+	if t.finish(emb, m, unit[:], true, &clock) {
 		t.step()
 	}
 	return unit[0].Utility, unit[0].OK
@@ -448,8 +441,7 @@ func (t *Trainer) fullMaterial(m *material) {
 // the column of the units' losses. A unit without a target in some term reads
 // +0 there, which changes no sum, so entry u is bit for bit the loss unit u's
 // terms alone add up to — its temporal utility. It returns nil when the round
-// has no target at all. Stats counters are updated atomically so concurrent
-// rounds stay race-free.
+// has no target at all.
 func (t *Trainer) buildLoss(tp *autodiff.Tape, emb *autodiff.Node, m *material) *autodiff.Node {
 	heads := t.Heads
 	var total *autodiff.Node

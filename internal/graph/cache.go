@@ -22,8 +22,9 @@ import (
 // Flush remains as the coarse fallback.
 //
 // Cached Subgraphs are never laid out again (their lazy adjacencies are built
-// under their own lock) and may be shared across goroutines; all cache state is guarded by one mutex, so concurrent
-// Partition calls from training workers are safe.
+// under their own lock) and may be shared across goroutines. All cache state
+// is guarded by one mutex: the learner goroutine's Partition calls run while
+// Stats readers take PartitionCacheStats.
 type PartitionCache struct {
 	mu      sync.Mutex
 	cap     int

@@ -119,23 +119,3 @@ func (s *Subgraph) LabeledEdges() (src, dst []int, labels []float64) {
 	}
 	return src, dst, labels
 }
-
-// Overlaps reports whether the two subgraphs share any node. Both Nodes
-// slices are sorted ascending unique, so this is a two-pointer merge —
-// O(|s|+|o|) worst case, and it exits at the first common node. It is the
-// oracle internal/core's scheduler tests hold the conflict groups to.
-func (s *Subgraph) Overlaps(o *Subgraph) bool {
-	a, b := s.Nodes, o.Nodes
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
-}

@@ -90,58 +90,6 @@ func TestInducedCenterMustBeMember(t *testing.T) {
 	g.Induced([]int{0, 1}, 2)
 }
 
-func TestSubgraphOverlaps(t *testing.T) {
-	g := chain(10)
-	a := g.Induced([]int{1, 3, 5}, -1)
-	b := g.Induced([]int{0, 2, 4}, -1)
-	c := g.Induced([]int{5, 6}, -1)
-	empty := g.Induced(nil, -1)
-	if a.Overlaps(b) || b.Overlaps(a) {
-		t.Fatal("disjoint interleaved sets reported as overlapping")
-	}
-	if !a.Overlaps(c) || !c.Overlaps(a) {
-		t.Fatal("sets sharing node 5 reported as disjoint")
-	}
-	if a.Overlaps(empty) || empty.Overlaps(a) || empty.Overlaps(empty) {
-		t.Fatal("empty subgraph cannot overlap anything")
-	}
-	if !a.Overlaps(a) {
-		t.Fatal("non-empty subgraph must overlap itself")
-	}
-}
-
-// Property: Overlaps agrees with a brute-force set intersection.
-func TestSubgraphOverlapsMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := chain(20)
-		pick := func() *Subgraph {
-			var nodes []int
-			for v := 0; v < 20; v++ {
-				if rng.Intn(3) == 0 {
-					nodes = append(nodes, v)
-				}
-			}
-			return g.Induced(nodes, -1)
-		}
-		a, b := pick(), pick()
-		want := false
-		in := make(map[int]bool, a.N())
-		for _, v := range a.Nodes {
-			in[v] = true
-		}
-		for _, v := range b.Nodes {
-			if in[v] {
-				want = true
-			}
-		}
-		return a.Overlaps(b) == want && b.Overlaps(a) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: subgraph normalization uses global degrees, so on the full node
 // set the subgraph adjacency equals the graph's own.
 func TestSubgraphOfWholeGraphMatches(t *testing.T) {

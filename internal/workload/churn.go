@@ -74,8 +74,8 @@ func Churn(cfg GenConfig) *Dataset {
 			}
 		}
 		// The storm: a bursty batch of edges inside one rotating community,
-		// with every fourth edge a chord into the next community — the chords
-		// are what intermittently merge conflict groups under the scheduler.
+		// with every fourth edge a chord into the next community, so training
+		// partitions intermittently span two communities.
 		storm := step % communities
 		base := storm * size
 		intensity := burst/2 + rng.Intn(burst)

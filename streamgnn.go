@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -114,22 +113,17 @@ type Config struct {
 	// per-step query loss; see DriftDetected.
 	DriftDetection bool
 
-	// Workers is the number of goroutines DependencySchedule runs conflict
-	// groups on; without DependencySchedule a training step is one union
-	// round (DESIGN.md §18) and the value has no effect. 0 means 1 (serial);
-	// any negative value means runtime.NumCPU(). Seeded runs produce
-	// bit-identical results for every worker count.
+	// Workers is accepted and ignored: a training step is one union round on
+	// the learner's goroutine (DESIGN.md §18), so there is nothing to fan out.
+	//
+	// Deprecated: a no-op kept only while the benchmark harness still sets
+	// it; ROADMAP item 1(e) removes it.
 	Workers int
-	// DependencySchedule splits a training step's union round along its
-	// conflict groups: the step's units are partitioned into groups — units
-	// whose L-hop receptive fields intersect — each group runs as a round of
-	// its own (forward, loss, backward into a private gradient sink),
-	// independent groups concurrently on Workers goroutines, and the group
-	// gradients are merged serially in group order before the optimizer step.
-	// Grouping depends only on the sampled units and the graph, so seeded
-	// runs stay bit-identical for every Workers value. On hub-heavy graphs
-	// all units tend to share one group and the schedule degenerates to the
-	// serial path. See DESIGN.md §15. Default false.
+	// DependencySchedule is accepted and ignored: the conflict-group schedule
+	// it selected is gone (DESIGN.md §15).
+	//
+	// Deprecated: a no-op kept only while the benchmark harness still sets
+	// it; ROADMAP item 1(e) removes it.
 	DependencySchedule bool
 
 	// IncrementalForward switches the per-step inference phase from a
@@ -246,12 +240,6 @@ func (c Config) fill() (Config, core.Config) {
 	if c.LearningRate > 0 {
 		cc.LR = c.LearningRate
 	}
-	if c.Workers < 0 {
-		cc.Workers = runtime.NumCPU()
-	} else if c.Workers > 0 {
-		cc.Workers = c.Workers
-	}
-	cc.DependencySchedule = c.DependencySchedule
 	return c, cc
 }
 
@@ -347,20 +335,14 @@ type Stats struct {
 	CacheMisses        int64
 	CacheInvalidations int64
 	CacheHitRate       float64
-	// ParallelUnits counts training units evaluated on worker goroutines:
-	// conflict groups under DependencySchedule with Workers > 1, else 0.
-	ParallelUnits int64
 
-	// Dependency-schedule counters, zero unless Config.DependencySchedule:
-	// SchedSteps counts adaptive training rounds run under the conflict-group
-	// schedule, SchedGroups the conflict groups they formed, SchedUnits the
-	// units they scheduled, and SchedCollapsedSteps the rounds whose units
-	// all fell into a single group (the serial degenerate case on hub-heavy
-	// streams). SchedGroups/SchedUnits close to 1 means near-perfect
-	// parallelism; close to 1/units means the schedule is collapsing.
+	// SchedSteps, SchedGroups and SchedCollapsedSteps always read 0: they
+	// counted the conflict-group schedule, which is gone (DESIGN.md §15).
+	//
+	// Deprecated: kept only while the benchmark harness still reads them;
+	// ROADMAP item 1(e) removes them.
 	SchedSteps          int64
 	SchedGroups         int64
-	SchedUnits          int64
 	SchedCollapsedSteps int64
 }
 
@@ -678,7 +660,6 @@ func (e *Engine) Step() error {
 		autodiff.CopyValues(e.allParams(), e.opt.Params())
 		e.invalidateInference()
 	}
-	e.observeSchedule()
 	e.g.ResetUpdated()
 	e.publishServing(t)
 	e.step++
@@ -891,24 +872,6 @@ func (e *Engine) invalidateInference() {
 	}
 }
 
-// observeSchedule records the dependency scheduler's per-step group/unit
-// fraction against the learner-counter watermarks (a training step may run
-// several adaptive rounds; the observation aggregates them).
-func (e *Engine) observeSchedule() {
-	a := e.sched.Adaptive
-	if !e.cfg.DependencySchedule || a == nil {
-		return
-	}
-	groups := atomic.LoadInt64(&a.SchedGroups)
-	units := atomic.LoadInt64(&a.SchedUnits)
-	dg := groups - e.tele.prevSchedGroups
-	du := units - e.tele.prevSchedUnits
-	e.tele.prevSchedGroups, e.tele.prevSchedUnits = groups, units
-	if du > 0 {
-		e.tele.schedGroupFrac.Observe(float64(dg) / float64(du))
-	}
-}
-
 // observeDrift feeds this step's mean prediction loss to the detector.
 func (e *Engine) observeDrift() {
 	e.driftFlag = false
@@ -969,8 +932,9 @@ func (e *Engine) Outcomes() []Outcome {
 // Stats returns a snapshot of the online trainer's internals.
 func (e *Engine) Stats() Stats {
 	var s Stats
-	// Field-by-field atomic loads: the trainer's workers bump these counters
-	// with atomic adds, so a whole-struct copy here would race them.
+	// Field-by-field atomic loads: the learner bumps these counters with
+	// atomic adds while Stats runs, so a whole-struct copy here would race
+	// them.
 	ts := &e.trainer.Stats
 	s.SelfNodeTargets = int(atomic.LoadInt64(&ts.SelfNodeTargets))
 	s.SelfEdgeTargets = int(atomic.LoadInt64(&ts.SelfEdgeTargets))
@@ -985,11 +949,6 @@ func (e *Engine) Stats() Stats {
 	if a := e.sched.Adaptive; a != nil {
 		s.TrainedPartitions = a.Trained
 		s.ChipMoves = a.Moves
-		s.ParallelUnits = atomic.LoadInt64(&a.ParallelUnits)
-		s.SchedSteps = atomic.LoadInt64(&a.SchedSteps)
-		s.SchedGroups = atomic.LoadInt64(&a.SchedGroups)
-		s.SchedUnits = atomic.LoadInt64(&a.SchedUnits)
-		s.SchedCollapsedSteps = atomic.LoadInt64(&a.SchedCollapsed)
 		probs := a.Probabilities()
 		if len(probs) > 1 {
 			var h float64

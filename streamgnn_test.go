@@ -1,6 +1,7 @@
 package streamgnn
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -300,20 +301,18 @@ func TestDriftDetectionDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestEngineDeterministicAcrossWorkers runs the same seeded stream with
-// serial and 4-worker pair evaluation and requires bit-identical predictions,
-// metrics and embeddings — the facade-level determinism guarantee.
+// TestEngineDeterministicAcrossWorkers checks that the Workers setting does
+// not change what the engine predicts, measures or embeds.
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int, sched bool) *Engine {
+	run := func(workers int) *Engine {
 		cfg := DefaultConfig()
 		cfg.Strategy = StrategyWeighted
 		cfg.Hidden = 8
 		cfg.PairsPerStep = 3
 		cfg.Workers = workers
-		cfg.DependencySchedule = sched
 		return endToEnd(t, cfg, 10)
 	}
-	e1, e4 := run(1, false), run(4, false)
+	e1, e4 := run(1), run(4)
 	o1, o4 := e1.Outcomes(), e4.Outcomes()
 	if len(o1) == 0 || len(o1) != len(o4) {
 		t.Fatalf("outcome counts %d vs %d", len(o1), len(o4))
@@ -341,11 +340,35 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	if s1.TrainedPartitions != s4.TrainedPartitions || s1.ChipEntropy != s4.ChipEntropy {
 		t.Fatalf("stats diverged: %+v vs %+v", s1, s4)
 	}
-	// A step is one round whatever Workers says; only the conflict groups of
-	// DependencySchedule are fanned out, and only there the counter counts.
-	s1, s4 = run(1, true).Stats(), run(4, true).Stats()
-	if s1.ParallelUnits != 0 || s4.ParallelUnits == 0 {
-		t.Fatalf("ParallelUnits: serial %d, parallel %d", s1.ParallelUnits, s4.ParallelUnits)
+}
+
+// TestRetiredParallelKnobsAreNoOps holds the deprecated Workers and
+// DependencySchedule to what their docs promise: any setting of them trains
+// exactly as the defaults do — the checkpoint, which carries θ, optimizer
+// moments, chips and counters, is the same bytes — and the schedule counters
+// stay 0.
+func TestRetiredParallelKnobsAreNoOps(t *testing.T) {
+	run := func(workers int, sched bool) *Engine {
+		cfg := DefaultConfig()
+		cfg.Strategy = StrategyWeighted
+		cfg.Hidden = 8
+		cfg.PairsPerStep = 3
+		cfg.Workers = workers
+		cfg.DependencySchedule = sched
+		return endToEnd(t, cfg, 10)
+	}
+	want := saved(t, run(0, false))
+	for _, workers := range []int{-1, 0, 4} {
+		for _, sched := range []bool{false, true} {
+			e := run(workers, sched)
+			if !bytes.Equal(saved(t, e), want) {
+				t.Errorf("Workers %d, DependencySchedule %v: checkpoint differs from the default run's", workers, sched)
+			}
+			if s := e.Stats(); s.SchedSteps != 0 || s.SchedGroups != 0 || s.SchedCollapsedSteps != 0 {
+				t.Errorf("Workers %d, DependencySchedule %v: schedule counters %d/%d/%d, want 0",
+					workers, sched, s.SchedSteps, s.SchedGroups, s.SchedCollapsedSteps)
+			}
+		}
 	}
 }
 

@@ -81,15 +81,6 @@ type engineTelemetry struct {
 	// the embedding rows its forwards contributed.
 	shardMerge *obs.Histogram
 	shardRows  []obs.Counter
-
-	// Dependency-schedule instrument (only moves with DependencySchedule):
-	// per training step, conflict groups formed over units scheduled — 1.0
-	// means every unit ran independently, 1/units means the step collapsed
-	// to the serial schedule. prevSchedGroups/prevSchedUnits are the
-	// learner-counter watermarks the per-step deltas are computed against.
-	schedGroupFrac  *obs.Histogram
-	prevSchedGroups int64
-	prevSchedUnits  int64
 }
 
 func (t *engineTelemetry) init(shards int) {
@@ -100,7 +91,6 @@ func (t *engineTelemetry) init(shards int) {
 	}
 	t.dirtyFrac = obs.NewHistogram(obs.FractionBuckets())
 	t.deltaPrunedFrac = obs.NewHistogram(obs.FractionBuckets())
-	t.schedGroupFrac = obs.NewHistogram(obs.FractionBuckets())
 	if shards > 1 {
 		t.shardMerge = obs.NewHistogram(obs.DefaultLatencyBuckets())
 		t.shardRows = make([]obs.Counter, shards)
@@ -177,12 +167,6 @@ type Telemetry struct {
 	DeltaPrunedRows     int64
 	DeltaPrunedFraction TelemetryHistogram
 
-	// SchedGroupFraction is the per-engine-step distribution of conflict
-	// groups over scheduled units (1.0 = fully independent units, near 0 = hub
-	// collapse); empty unless Config.DependencySchedule is set. The cumulative
-	// counters are on Stats.
-	SchedGroupFraction TelemetryHistogram
-
 	// Training-round accounting, cumulative since the engine was built (like
 	// the phase histograms, not checkpointed). A round is one disjoint-union
 	// evaluation of training units (a full-graph pass: a round of one unit),
@@ -239,7 +223,6 @@ func (e *Engine) Telemetry() Telemetry {
 		DeltaCandidateRows:  e.tele.deltaCandidateRows.Value(),
 		DeltaPrunedRows:     e.tele.deltaPrunedRows.Value(),
 		DeltaPrunedFraction: e.tele.deltaPrunedFrac.Snapshot(),
-		SchedGroupFraction:  e.tele.schedGroupFrac.Snapshot(),
 	}
 	for d := range t.ForwardDemandRows {
 		t.ForwardDemandRows[d] = e.tele.demandRows[d].Value()
