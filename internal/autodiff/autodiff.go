@@ -12,9 +12,13 @@
 // long-lived nodes whose Value persists across steps; the tape itself is
 // rebuilt for every forward pass.
 //
-// Forwards that will never run Backward — the engine's per-step inference,
-// query-head scoring — use an inference tape instead (NewInferenceTape): the
-// same ops compute the same values but record nothing, and the tape hands each
+// Every tape learns, pass by pass, which op reads each value last, and a
+// row-local op that reads an operand for the last time writes its result over
+// that operand's buffer instead of drawing one — on a recording tape only
+// where no backward rule reads the operand's value (see reuse). Forwards that
+// will never run Backward — the engine's per-step inference, query-head
+// scoring — use an inference tape (NewInferenceTape): the same ops compute
+// the same values but record nothing, and the tape also hands each
 // intermediate buffer back to the tensor pool at its last use.
 package autodiff
 
@@ -92,11 +96,11 @@ type Tape struct {
 	free []*Node
 	// order is Backward's topological-sort scratch, reused across calls.
 	order []*Node
-	// backwardRan is set by Backward and cleared by Reset and Release: a
-	// second pass would run the rules again over gradients the first left.
+	// backwardRan is set by Backward and cleared by Release: a second pass
+	// would run the rules again over gradients the first left.
 	backwardRan bool
 
-	// noGrad marks an inference tape (NewInferenceTape). plan is the release
+	// noGrad marks an inference tape (NewInferenceTape). plan is the last-use
 	// plan learned from the previous pass, cur the one this pass is learning,
 	// and planOK whether every op of this pass so far matched plan. into is
 	// the input whose buffer the op being computed writes its result into
@@ -107,9 +111,9 @@ type Tape struct {
 	into      *Node
 }
 
-// planStep is one recorded node of an inference pass: the op that produced it
-// and which recorded nodes it read (the structural signature a later pass is
-// matched against), and the index of the last op that read its value.
+// planStep is one recorded node of a pass: the op that produced it and which
+// recorded nodes it read (the structural signature a later pass is matched
+// against), and the index of the last op that read its value.
 type planStep struct {
 	op   opKind
 	in   [3]int32 // seq of the recorded inputs; 0 for leaves and absent inputs
@@ -118,10 +122,18 @@ type planStep struct {
 
 const (
 	lastNone int32 = -1 // no op reads the value: it lives until Release
-	lastKept int32 = -2 // pinned by Keep: read outside the tape's ops
+	lastKept int32 = -2 // pinned by Keep, or read by a backward rule
 )
 
-// NewTape returns an empty recording tape.
+// NewTape returns an empty recording tape, for forwards that run Backward.
+// Every value lives until Release, so the backward rules can read it — but a
+// warm tape gives a row-local op (see NewInferenceTape) the buffer of an
+// operand it reads last, by the plan the previous pass left, unless a backward
+// rule reads that operand's value: Sigmoid, Tanh and ReLU read their output;
+// MatMul, Mul and MatMulAcc read an operand when the other one needs a
+// gradient; BCESeg reads its logits (ruleReads). Every other rule reads
+// shapes alone, which the written-over operand keeps. A reader whose rule
+// reads a value pins it, as Keep does, when it is recorded.
 func NewTape() *Tape { return &Tape{} }
 
 // NewInferenceTape returns a tape in inference (no-grad) mode, for forwards
@@ -145,7 +157,8 @@ func NewTape() *Tape { return &Tape{} }
 // release its dying operand right after allocating a buffer of the same
 // shape: it writes its result into that operand's buffer (Head takes a prefix
 // of it), which then belongs to the output. The arithmetic and its order are
-// the allocating op's, so every value is bit-identical.
+// the allocating op's, so every value is bit-identical. A recording tape
+// writes in place the same way but releases nothing before Release.
 //
 // Ownership rule: every buffer has one owner, the one node whose Value it is,
 // so Release hands each back exactly once. Nothing may hold a tape value past
@@ -153,36 +166,29 @@ func NewTape() *Tape { return &Tape{} }
 // outside the tape's ops reads after the ops are done with it (a
 // recurrent-state commit) must be pinned with Keep, which also keeps every op
 // from writing over it. Backward panics on an inference tape.
-func NewInferenceTape() *Tape { return &Tape{noGrad: true, planOK: true} }
+func NewInferenceTape() *Tape { return &Tape{noGrad: true} }
 
-// Reset discards all recorded operations so the tape can be reused.
-func (t *Tape) Reset() {
-	t.nodes = t.nodes[:0]
-	t.endPass()
-}
-
-// endPass ends a pass: the next may run Backward, and on an inference tape
-// follows the plan this one learned.
+// endPass ends a pass: the next may run Backward, and follows the plan this
+// one learned.
 func (t *Tape) endPass() {
 	t.backwardRan = false
-	if t.noGrad {
-		t.plan, t.cur = t.cur, t.plan[:0]
-		t.planOK = true
-		t.into = nil // an op that panicked between reuse and record
-	}
+	t.plan, t.cur = t.cur, t.plan[:0]
+	t.planOK = true
+	t.into = nil // an op that panicked between reuse and record
 }
 
 // Release recycles every buffer recorded on the tape back into the tensor
-// pool and resets the tape, keeping the node shells for reuse by the next
-// forward pass on this tape. Only recorded nodes' values and gradients are
-// recycled: Param and Constant nodes are never recorded, so persistent
-// parameters, their gradients, and caller-owned constants are untouched. A
-// buffer is the Value, or the Grad, of one recorded node at a time — an op
-// that writes into an input's buffer takes it from that input, whose Value
-// becomes nil, and a backward rule that hands its gradient down leaves its
-// own Grad nil — so it is released at most once. Call
-// only when nothing retains the tape's values — after the optimizer step of a
-// training unit; after Detach has taken the output of an inference forward.
+// pool and ends the pass, keeping the node shells, and the plan the pass
+// learned, for the next forward pass on this tape: it is the one way a pass
+// ends. Only recorded nodes' values and gradients are recycled: Param and
+// Constant nodes are never recorded, so persistent parameters, their
+// gradients, and caller-owned constants are untouched. A buffer is the Value,
+// or the Grad, of one recorded node at a time — an op that writes into an
+// input's buffer takes it from that input, whose Value is left without data,
+// and a backward rule that hands its gradient down leaves its own Grad nil —
+// so it is released at most once. Call only when nothing retains the tape's
+// values — after the backward and the utility reads of a training round;
+// after Detach has taken the output of an inference forward.
 func (t *Tape) Release() {
 	for _, n := range t.nodes {
 		tensor.Recycle(n.Value)
@@ -206,8 +212,8 @@ func (t *Tape) Release() {
 // will not recycle it. The engine detaches the output of an inference forward
 // before releasing the tape, because the embedding store and the serving
 // snapshots keep aliasing that matrix. A value that is the head of a longer
-// buffer (an inference tape's Head may take its parent's) is copied out
-// instead, so the longer buffer goes back to the pool at Release.
+// buffer (a Head may take its parent's) is copied out instead, so the longer
+// buffer goes back to the pool at Release.
 func (t *Tape) Detach(n *Node) *tensor.Matrix {
 	m := n.Value
 	if n.seq == 0 {
@@ -225,12 +231,12 @@ func (t *Tape) Detach(n *Node) *tensor.Matrix {
 // op that consumes it, or whose readers vary from pass to pass. Call it on
 // every pass, whether or not the value ends up being read: it holds from the
 // call on in this pass, and from the start in the next through the plan the
-// pass leaves behind. No-op on a recording tape, whose values all live until
-// Release.
+// pass leaves behind. A pinned value is neither released early nor written
+// over, on either kind of tape.
 func (t *Tape) Keep(n *Node) *tensor.Matrix {
-	if t.noGrad && n.seq != 0 {
-		if n.Value == nil {
-			panic("autodiff: Keep of a value the inference tape already released; Keep must be called on every pass")
+	if n.seq != 0 {
+		if n.Value == nil || n.Value.Data == nil {
+			panic("autodiff: Keep of a value the tape already released or wrote over; Keep must be called on every pass")
 		}
 		t.cur[n.seq-1].last = lastKept
 	}
@@ -293,33 +299,36 @@ func (t *Tape) newNode2(op opKind, v *tensor.Matrix, reqGrad bool, p1, p2 *Node)
 	return t.record(op, v, reqGrad, p1, p2, nil)
 }
 
-// record records a node with up to three parents (nil ones are absent). On an
-// inference tape it records the node's plan step instead, moves the buffer of
-// the input the op wrote into (see reuse) to the new node, and releases the
-// inputs whose last use, by the learned plan, this op was.
+// record records a node with up to three parents (nil ones are absent) and
+// its plan step, moves the buffer of the input the op wrote into (see reuse)
+// to the new node, and pins the values the node's backward rule reads
+// (ruleReads). An inference tape records no parents and no gradient, and
+// releases the inputs whose last use, by the learned plan, this op was.
 func (t *Tape) record(op opKind, v *tensor.Matrix, reqGrad bool, p1, p2, p3 *Node) *Node {
-	if !t.noGrad {
-		n := t.alloc(v, reqGrad)
-		n.op = op
-		for _, p := range [...]*Node{p1, p2, p3} {
-			if p != nil {
-				n.parents = append(n.parents, p)
-			}
-		}
-		return n
-	}
 	if p := t.into; p != nil {
 		// The output gets a header of its own and the input's goes stale, as
 		// Recycle leaves it: a reference to it kept outside the tape fails
-		// loudly instead of reading the output.
+		// loudly instead of reading the output. On a recording tape the input
+		// keeps its shape, which ensureGrad and the slicing rules read.
 		t.into = nil
 		if v == p.Value {
 			v = tensor.FromSlice(v.Rows, v.Cols, v.Data)
 		}
 		p.Value.Data = nil
-		p.Value = nil
+		if t.noGrad {
+			p.Value = nil
+		}
 	}
-	n := t.alloc(v, false)
+	ps := [...]*Node{p1, p2, p3}
+	n := t.alloc(v, reqGrad && !t.noGrad)
+	if !t.noGrad {
+		n.op = op
+		for _, p := range ps {
+			if p != nil {
+				n.parents = append(n.parents, p)
+			}
+		}
+	}
 	i := n.seq - 1
 	st := planStep{op: op, in: inputs(p1, p2, p3), last: lastNone}
 	t.cur = append(t.cur, st)
@@ -329,7 +338,36 @@ func (t *Tape) record(op opKind, v *tensor.Matrix, reqGrad bool, p1, p2, p3 *Nod
 	for _, seq := range st.in {
 		t.read(seq, i)
 	}
+	in, out := t.ruleReads(op, ps)
+	for k, p := range ps {
+		if in[k] && p.seq != 0 {
+			t.cur[p.seq-1].last = lastKept
+		}
+	}
+	if out {
+		t.cur[i].last = lastKept
+	}
 	return n
+}
+
+// ruleReads is the table of values the backward rule of an op of kind op on
+// inputs ps reads, on a recording tape: which inputs, and whether its own
+// output. Every rule not listed reads shapes alone.
+func (t *Tape) ruleReads(op opKind, ps [3]*Node) (in [3]bool, out bool) {
+	if t.noGrad {
+		return in, false
+	}
+	switch op {
+	case opSigmoid, opTanh, opReLU:
+		out = ps[0].requiresGrad
+	case opMatMul, opMul:
+		in[0], in[1] = ps[1].requiresGrad, ps[0].requiresGrad
+	case opMatMulAcc:
+		in[1], in[2] = ps[2].requiresGrad, ps[1].requiresGrad
+	case opBCESeg:
+		in[0] = ps[0].requiresGrad
+	}
+	return in, out
 }
 
 // inputs is the plan signature of an op's inputs: their seqs, 0 for leaves
@@ -351,16 +389,17 @@ func (t *Tape) matches(i int32, op opKind, in [3]int32) bool {
 
 // reuse returns the buffer the op about to be recorded, of kind op on inputs
 // p1..p3, may write its result into: that of the first of its leading cands
-// inputs which, on an inference tape whose pass matches the plan up to and
-// including this op, the tape owns, nobody pinned with Keep, and the plan
-// says this op reads last — an input no later op reads, so no later op can
-// tell whether its buffer was written over or released. The op must take
-// every element of the result from the same element (or, for Head, row) of
-// that input, not read others after writing; an input it also reads as a
-// non-candidate does not qualify. record moves the buffer to the op's output.
-// nil means the op allocates.
+// inputs which, on a tape whose pass matches the plan up to and including
+// this op, the tape owns, nobody pinned — with Keep, or by a backward rule
+// that reads it (ruleReads), this op's own included — and the plan says this
+// op reads last: an input no later op reads, so no later op can tell whether
+// its buffer was written over or released. The op must take every element of
+// the result from the same element (or, for Head, row) of that input, not
+// read others after writing; an input it also reads as a non-candidate does
+// not qualify. record moves the buffer to the op's output. nil means the op
+// allocates.
 func (t *Tape) reuse(op opKind, cands int, p1, p2, p3 *Node) *tensor.Matrix {
-	if !t.noGrad || !t.planOK {
+	if !t.planOK {
 		return nil
 	}
 	i := int32(len(t.nodes))
@@ -368,8 +407,9 @@ func (t *Tape) reuse(op opKind, cands int, p1, p2, p3 *Node) *tensor.Matrix {
 	if !t.matches(i, op, inputs(p1, p2, p3)) {
 		return nil
 	}
-	for _, p := range ps[:cands] {
-		if p.seq != 0 && p.Value != nil && t.plan[p.seq-1].last == i &&
+	reads, _ := t.ruleReads(op, ps)
+	for k, p := range ps[:cands] {
+		if p.seq != 0 && p.Value != nil && t.plan[p.seq-1].last == i && !reads[k] &&
 			t.cur[p.seq-1].last != lastKept && !slices.Contains(ps[cands:], p) {
 			t.into = p
 			return p.Value
@@ -378,11 +418,13 @@ func (t *Tape) reuse(op opKind, cands int, p1, p2, p3 *Node) *tensor.Matrix {
 	return nil
 }
 
-// read notes that op i of this inference pass read recorded node seq, and
-// recycles the node's buffer if the plan (still matching) says nothing reads
-// it afterwards. A later read of it — possible only if the pass then departs
-// from the plan in a way that revisits an old value — fails loudly on the nil
-// Value rather than computing on recycled storage.
+// read notes that op i of this pass read recorded node seq. On an inference
+// tape it also recycles the node's buffer if the plan (still matching) says
+// nothing reads it afterwards; a recording tape keeps every value for the
+// backward rules. A later read of a recycled or written-over value — possible
+// only if the pass then departs from the plan in a way that revisits an old
+// value — fails loudly on the missing data rather than computing on recycled
+// storage.
 func (t *Tape) read(seq, i int32) {
 	if seq == 0 {
 		return
@@ -392,7 +434,7 @@ func (t *Tape) read(seq, i int32) {
 		return // pinned earlier in this pass, whatever the plan learned
 	}
 	c.last = i
-	if n := t.nodes[seq-1]; n.Value != nil && t.planOK && t.plan[seq-1].last == i {
+	if n := t.nodes[seq-1]; t.noGrad && n.Value != nil && t.planOK && t.plan[seq-1].last == i {
 		tensor.Recycle(n.Value)
 		n.Value = nil
 	}
@@ -421,14 +463,14 @@ func ensureGrad(n *Node) *tensor.Matrix {
 // scalar (1x1) node produced by this tape. Every reachable parameter's
 // gradient is added into its Grad. An interior node's Grad is its gradient,
 // unless its rule handed the buffer down to an operand, which leaves it nil
-// (see runBack). A tape runs one backward per pass: a second one before Reset
-// or Release panics.
+// (see runBack). A tape runs one backward per pass: a second one before
+// Release panics.
 func (t *Tape) Backward(root *Node) {
 	if t.noGrad {
 		panic("autodiff: Backward on an inference tape")
 	}
 	if t.backwardRan {
-		panic("autodiff: second Backward on one tape; Reset or Release it first")
+		panic("autodiff: second Backward on one tape; Release it first")
 	}
 	if root.Value.Rows != 1 || root.Value.Cols != 1 {
 		panic(fmt.Sprintf("autodiff: Backward root must be 1x1, got %dx%d", root.Value.Rows, root.Value.Cols))
@@ -646,13 +688,14 @@ func (out *Node) runBack() {
 		}
 	case opReLU:
 		// Where a is not above 0 the share is +0: written as such into g,
-		// left out of a sum, as adding onto zeros leaves it.
+		// left out of a sum, as adding onto zeros leaves it. The output is
+		// above 0 exactly where a is (ReLUTo), and a may be written over.
 		a := out.parents[0]
 		if a.requiresGrad {
 			dst, add := out.elementwise(a)
-			for i, x := range a.Value.Data {
+			for i, y := range out.Value.Data {
 				switch {
-				case x > 0:
+				case y > 0:
 					dst.Data[i] = plus(add, dst.Data[i], g.Data[i])
 				case !add:
 					dst.Data[i] = 0
@@ -726,7 +769,7 @@ func (out *Node) runBack() {
 		a := out.parents[0]
 		if a.requiresGrad {
 			ag := ensureGrad(a)
-			d := g.Data[0] / float64(len(a.Value.Data))
+			d := g.Data[0] / float64(a.Value.Rows*a.Value.Cols)
 			for i := range ag.Data {
 				ag.Data[i] += d
 			}
@@ -800,8 +843,8 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 
 // MatMulAcc returns sum + x·w as one op: the value and all three gradients
 // are bit-identical to Add(sum, MatMul(x, w)), without materializing the
-// product (see tensor.MatMulAccTo). On an inference tape it may add the
-// product into sum's buffer.
+// product (see tensor.MatMulAccTo). On a warm tape it may add the product
+// into sum's buffer.
 func (t *Tape) MatMulAcc(sum, x, w *Node) *Node {
 	dst := t.reuse(opMatMulAcc, 1, sum, x, w)
 	return t.record(opMatMulAcc, tensor.MatMulAccTo(dst, sum.Value, x.Value, w.Value), anyGrad(sum, x, w), sum, x, w)
@@ -815,9 +858,9 @@ func (t *Tape) SpMM(s *tensor.CSR, x *Node) *Node {
 	return out
 }
 
-// The row-local ops below may, on an inference tape, write into the buffer
-// of an operand they read last (see reuse): either operand of Add, Sub and
-// Mul, the matrix operand of the rest.
+// The row-local ops below may, on a warm tape, write into the buffer of an
+// operand they read last (see reuse): either operand of Add, Sub and Mul, the
+// matrix operand of the rest.
 
 // Add returns a+b (same shape).
 func (t *Tape) Add(a, b *Node) *Node {
@@ -894,8 +937,8 @@ func (t *Tape) GatherRows(a *Node, rows []int) *Node {
 // ScatterRows returns base with row rows[i] replaced by src's row i: the
 // inverse of GatherRows(·, rows) over a background. rows must be strictly
 // ascending (the backward rule walks them beside base's rows). The result is
-// a copy of base, unless an inference tape scatters into base's own buffer,
-// which base's last read allows (see reuse).
+// a copy of base, unless a warm tape scatters into base's own buffer, which
+// base's last read allows (see reuse).
 func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node {
 	for i := 1; i < len(rows); i++ {
 		if rows[i] <= rows[i-1] {
@@ -915,9 +958,8 @@ func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node {
 }
 
 // Head returns a's leading rows rows — a itself when that is all of them. It
-// is a copy, unless a is read for the last time here on an inference tape:
-// then the head is the leading part of a's buffer, which it takes from a (see
-// reuse). A view of a value that lives on would leave its buffer two owners,
+// is a copy, unless a is read for the last time here on a warm tape: then the
+// head is the leading part of a's buffer, which it takes from a (see reuse). A view of a value that lives on would leave its buffer two owners,
 // and Release, or the learned plan, could recycle it while one still reads.
 func (t *Tape) Head(a *Node, rows int) *Node {
 	if rows == a.Value.Rows {

@@ -243,11 +243,7 @@ func TestSecondBackwardPanics(t *testing.T) {
 			}()
 			tp.Backward(root)
 		}()
-		if pass == 0 {
-			tp.Release()
-		} else {
-			tp.Reset()
-		}
+		tp.Release()
 	}
 	tp.Backward(tp.Mean(a))
 }
@@ -306,19 +302,6 @@ func TestOptimizerZeroGrad(t *testing.T) {
 	opt.ZeroGrad()
 	if w.Grad.Data[0] != 0 {
 		t.Fatal("ZeroGrad did not clear gradient")
-	}
-}
-
-func TestTapeReset(t *testing.T) {
-	a := Param(tensor.FromSlice(1, 1, []float64{1}))
-	tp := NewTape()
-	tp.Mean(tp.Add(a, a))
-	if tp.Len() == 0 {
-		t.Fatal("tape recorded nothing")
-	}
-	tp.Reset()
-	if tp.Len() != 0 {
-		t.Fatal("Reset did not clear tape")
 	}
 }
 

@@ -293,6 +293,9 @@ type program struct {
 	nodes  []*Node // operands to draw from: every node built, leaves included
 	uses   map[*Node]int
 	terms  []*Node // scalar loss terms
+	// freeze makes every other parameter leaf need no gradient: the same
+	// ops over the same values, with other operands needing gradients.
+	freeze bool
 }
 
 // mat is a random matrix with the zeros the rules must carry: +0, −0, whole
@@ -320,6 +323,7 @@ func signed(rng *rand.Rand, m *tensor.Matrix) {
 
 func (p *program) param(rows, cols int) *Node {
 	n := Param(p.mat(rows, cols))
+	n.requiresGrad = !p.freeze || len(p.params)%2 == 0
 	p.params = append(p.params, n)
 	return n
 }

@@ -268,25 +268,28 @@ func TestRoundWarmScratch(t *testing.T) {
 	t.Logf("warm allocations: round of %d %.0f, round of one %.0f", len(centers), whole, perUnit)
 }
 
-// TestRoundBackwardMetersLessThanItsForward is the volume promise of a warm
-// 16-unit round's backward pass, metered apart from its forward and loss: the
-// backward writes each interior gradient once and hands elementwise ones down
-// (autodiff's runBack) instead of zero-filling a buffer per node and drawing
-// a temporary per rule. GCLSTM's, the reddit-train model's, meters at most
-// half its forward's floats; each kind's ceiling is its count plus 10 %.
-func TestRoundBackwardMetersLessThanItsForward(t *testing.T) {
+// TestRoundMetersWithinCeilings is the volume promise of a warm 16-unit
+// round, its forward and loss metered apart from its backward pass. The
+// forward writes a row-local op's result over an operand no backward rule
+// reads (autodiff's reuse on a recording tape); the backward writes each
+// interior gradient once and hands elementwise ones down (autodiff's runBack)
+// instead of zero-filling a buffer per node and drawing a temporary per rule.
+// Each ceiling is the kind's count plus 10 %.
+func TestRoundMetersWithinCeilings(t *testing.T) {
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
 	for _, c := range []struct {
-		kind dgnn.Kind
-		max  int64 // backward floats
+		kind     dgnn.Kind
+		fwd, bwd int64 // ceilings: forward and loss floats, backward floats
 	}{
-		// The counts are 16 288, 17 102 and 23 217 (0.44×, 0.51× and 0.40×
-		// the forward's); with a zero-filled buffer per node and a temporary
-		// per rule they were 58 633, 53 637 and 72 935 (1.57×, 1.59×, 1.26×).
-		{dgnn.GCLSTM, 17917},
-		{dgnn.TGCN, 18812},
-		{dgnn.DCRNN, 25539},
+		// The forward counts are 23 174, 21 844 and 30 018; with every
+		// value in a buffer of its own they were 37 235, 33 695 and 57 860.
+		// The backward counts are 16 288, 17 102 and 23 217; with a
+		// zero-filled buffer per node and a temporary per rule they were
+		// 58 633, 53 637 and 72 935.
+		{dgnn.GCLSTM, 25491, 17917},
+		{dgnn.TGCN, 24028, 18812},
+		{dgnn.DCRNN, 33020, 25539},
 	} {
 		tr, opt := roundFixture(t, c.kind, false, nil)
 		tr.G.EnablePartitionCache(64)
@@ -302,13 +305,12 @@ func TestRoundBackwardMetersLessThanItsForward(t *testing.T) {
 			opt.ZeroGrad()
 			return floats
 		}
-		metered(true) // warm: partitions cached, parameter gradients allocated
+		metered(true) // warm: partitions cached, plan learned, parameter gradients allocated
 		fwd := metered(false)
 		bwd := metered(true) - fwd
-		ratio := float64(bwd) / float64(fwd)
-		t.Logf("%s: forward and loss %d floats, backward %d (%.3f×)", c.kind, fwd, bwd, ratio)
-		if bwd > c.max || c.kind == dgnn.GCLSTM && ratio > 0.5 {
-			t.Errorf("%s: a warm round's backward meters %d floats, %.3f× its forward's %d; want at most %d", c.kind, bwd, ratio, fwd, c.max)
+		t.Logf("%s: forward and loss %d floats, backward %d", c.kind, fwd, bwd)
+		if fwd > c.fwd || bwd > c.bwd {
+			t.Errorf("%s: a warm round's forward and loss meter %d floats, its backward %d; want at most %d and %d", c.kind, fwd, bwd, c.fwd, c.bwd)
 		}
 	}
 }

@@ -154,7 +154,6 @@ func lap(last *time.Time, dst *int64) {
 func (t *Trainer) forward(view dgnn.View, clock *time.Time) *autodiff.Node {
 	view.NoCommit = true // recurrent state advances only at inference time
 	tp := t.tape
-	tp.Reset()
 	tp.Owned(view.Feat) // fresh per view; recycled with the tape
 	lap(clock, &t.Stats.ExtractNs)
 	emb := t.Model.Forward(tp, view)

@@ -127,9 +127,11 @@ func (c *ConvGRUCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.N
 // the candidate on them, whose convolutions read their inputs — and so the
 // reset gate — on the n1 rows within a hop, whose convolution reads x and h
 // wherever they are given. With n0 = n1 = all rows no Head is recorded and
-// this is the plain cell. On a warm inference tape every gate activation
-// writes over its convolution's output and every term of the update over an
-// operand it reads last — h's buffer, through h's last head, included.
+// this is the plain cell. On a warm tape every gate activation writes over
+// its convolution's output. On a warm inference tape every term of the update
+// also writes over an operand it reads last — h's buffer, through h's last
+// head, included — where a recording tape keeps the ones a product's backward
+// rule reads.
 func (c *ConvGRUCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h *autodiff.Node, n0, n1 int) *autodiff.Node {
 	xh := tp.ConcatCols(x, h)
 	z := tp.Sigmoid(conv(c.convZ, tp.Head(xh, n1), n0))
@@ -170,10 +172,11 @@ func (c *ConvLSTMCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.
 
 // ApplyRows advances the cell for the rows cell is given on — the leading
 // rows, in demand order, of the ones x and h cover: every gate convolves
-// [x|h] and is read on those rows alone. On a warm inference tape every gate
-// activation writes over its convolution's output and every product over the
-// gate it reads; tanh(cellNew) gets a buffer of its own where the model keeps
-// cellNew as state.
+// [x|h] and is read on those rows alone. On a warm tape every gate activation
+// writes over its convolution's output. On a warm inference tape every product
+// also writes over the gate it reads, which a recording tape keeps for the
+// product's backward rule; tanh(cellNew) gets a buffer of its own where the
+// model keeps cellNew as state.
 func (c *ConvLSTMCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h, cell *autodiff.Node) (hNew, cellNew *autodiff.Node) {
 	n0 := cell.Value.Rows
 	xh := tp.ConcatCols(x, h)

@@ -155,10 +155,10 @@ func (c *DiffusionConv) Apply(tp *autodiff.Tape, fwd, rev *tensor.CSR, x *autodi
 // reverse. The hop-0 terms cover all n rows; the hop terms are added on the
 // active rows alone and scattered back, since an inactive row's hop inputs
 // are zero and its sum is the hop-0 value bit for bit (DESIGN.md §8). Every
-// op after the first product reads its running sum last, so on a warm
-// inference tape the conv draws one n-row and one |A|-row buffer: each
-// MatMulAcc adds into its sum, the scatter writes into the hop-0 sum and the
-// bias is added where the scatter left it.
+// op after the first product reads its running sum last, so on a warm tape
+// the conv draws one n-row and one |A|-row buffer: each MatMulAcc adds into
+// its sum, the scatter writes into the hop-0 sum and the bias is added where
+// the scatter left it.
 func (c *DiffusionConv) ApplyDiffused(tp *autodiff.Tape, d Diffused) *autodiff.Node {
 	base := tp.MatMulAcc(tp.MatMul(d.X, c.Wf[0]), d.X, c.Wr[0])
 	sum := base
