@@ -20,6 +20,11 @@
 // scoring — use an inference tape (NewInferenceTape): the same ops compute
 // the same values but record nothing, and the tape also hands each
 // intermediate buffer back to the tensor pool at its last use.
+//
+// A concatenation (ConcatCols) is a view over its operands, not a copy: the
+// products and SpMM read its parts where they are, and its gradient is kept
+// per part, for the parts that need one (see Node.parts). A read of a view is
+// a read of each part, for the plan as for the kernels.
 package autodiff
 
 import (
@@ -85,6 +90,17 @@ type Node struct {
 	auxCSR  *tensor.CSR
 	auxF    float64
 	auxInts []int
+
+	// parts makes the node a view (ConcatCols, and a Head of a view): its
+	// value is the leading Value.Rows rows of these operands side by side,
+	// nested concatenations flattened, read where they are, and Value is a
+	// shape with no data of its own until a reader that cannot read parts
+	// takes a copy (dense). mats holds the parts' values for the kernels;
+	// grads, on a recording tape, the view's gradient part by part, nil for a
+	// part that needs none. All three are empty on every other node.
+	parts []*Node
+	mats  []*tensor.Matrix
+	grads []*tensor.Matrix
 }
 
 // Tape records a forward computation for reverse-mode differentiation.
@@ -196,6 +212,13 @@ func (t *Tape) Release() {
 			tensor.Recycle(n.Grad)
 			n.Grad = nil
 		}
+		for _, g := range n.grads {
+			tensor.Recycle(g)
+		}
+		clear(n.parts)
+		clear(n.mats)
+		clear(n.grads)
+		n.parts, n.mats, n.grads = n.parts[:0], n.mats[:0], n.grads[:0]
 		n.Value = nil
 		n.op = opNone
 		n.aux = nil
@@ -215,7 +238,7 @@ func (t *Tape) Release() {
 // buffer (a Head may take its parent's) is copied out instead, so the longer
 // buffer goes back to the pool at Release.
 func (t *Tape) Detach(n *Node) *tensor.Matrix {
-	m := n.Value
+	m := n.dense()
 	if n.seq == 0 {
 		return m
 	}
@@ -235,10 +258,49 @@ func (t *Tape) Detach(n *Node) *tensor.Matrix {
 // over, on either kind of tape.
 func (t *Tape) Keep(n *Node) *tensor.Matrix {
 	if n.seq != 0 {
-		if n.Value == nil || n.Value.Data == nil {
+		if n.dense() == nil || n.Value.Data == nil {
 			panic("autodiff: Keep of a value the tape already released or wrote over; Keep must be called on every pass")
 		}
+		t.pin(n)
+	}
+	return n.Value
+}
+
+// pin keeps n's value, and a view's parts, from being released early or
+// written over, from now on in this pass and from the start of the next.
+func (t *Tape) pin(n *Node) {
+	if n.seq != 0 {
 		t.cur[n.seq-1].last = lastKept
+	}
+	for _, q := range n.parts {
+		if q.seq != 0 {
+			t.cur[q.seq-1].last = lastKept
+		}
+	}
+}
+
+// view reports whether n is a view over parts (see Node.parts).
+func (n *Node) view() bool { return len(n.parts) > 0 }
+
+// blocks returns the matrices n's value is made of side by side: a view's
+// parts' values, or n's own.
+func (n *Node) blocks() []*tensor.Matrix {
+	if n.view() {
+		return n.mats
+	}
+	return []*tensor.Matrix{n.Value}
+}
+
+// concat is n's value as the kernels read it.
+func (n *Node) concat() tensor.Concat { return tensor.Concat{Rows: n.Value.Rows, Parts: n.blocks()} }
+
+// dense returns n's value as one matrix. A view's is copied from its parts
+// on the first read that needs one matrix — an op that cannot read parts,
+// Keep, Detach — and is then the view's own buffer, recycled as any value
+// is. It is the one copy a concatenation ever takes.
+func (n *Node) dense() *tensor.Matrix {
+	if n.view() && n.Value != nil && n.Value.Data == nil {
+		n.Value.Data = n.concat().Dense().Data
 	}
 	return n.Value
 }
@@ -335,13 +397,23 @@ func (t *Tape) record(op opKind, v *tensor.Matrix, reqGrad bool, p1, p2, p3 *Nod
 	if t.planOK {
 		t.planOK = t.matches(i, op, st.in)
 	}
-	for _, seq := range st.in {
-		t.read(seq, i)
+	// A read of a view is a read of each of its parts. An op that makes a
+	// view releases none of them: the view's value holds from its creation
+	// on, as any op's does.
+	release := op != opConcatCols && (op != opHead || !p1.view())
+	for _, p := range ps {
+		if p == nil {
+			continue
+		}
+		t.read(p.seq, i, release)
+		for _, q := range p.parts {
+			t.read(q.seq, i, release)
+		}
 	}
 	in, out := t.ruleReads(op, ps)
 	for k, p := range ps {
-		if in[k] && p.seq != 0 {
-			t.cur[p.seq-1].last = lastKept
+		if in[k] {
+			t.pin(p)
 		}
 	}
 	if out {
@@ -352,7 +424,8 @@ func (t *Tape) record(op opKind, v *tensor.Matrix, reqGrad bool, p1, p2, p3 *Nod
 
 // ruleReads is the table of values the backward rule of an op of kind op on
 // inputs ps reads, on a recording tape: which inputs, and whether its own
-// output. Every rule not listed reads shapes alone.
+// output. Every rule not listed reads shapes alone. A rule that reads a view
+// reads its parts (MatMul's weight rule) or its copy.
 func (t *Tape) ruleReads(op opKind, ps [3]*Node) (in [3]bool, out bool) {
 	if t.noGrad {
 		return in, false
@@ -393,11 +466,14 @@ func (t *Tape) matches(i int32, op opKind, in [3]int32) bool {
 // this op, the tape owns, nobody pinned — with Keep, or by a backward rule
 // that reads it (ruleReads), this op's own included — and the plan says this
 // op reads last: an input no later op reads, so no later op can tell whether
-// its buffer was written over or released. The op must take every element of
-// the result from the same element (or, for Head, row) of that input, not
-// read others after writing; an input it also reads as a non-candidate does
-// not qualify. record moves the buffer to the op's output. nil means the op
-// allocates.
+// its buffer was written over or released. A read of a view counts as a read
+// of its parts, so no part is written over while a view of it is read later.
+// The op must take every element of the result from the same element (or,
+// for Head, row) of that input, not read others after writing; an input it
+// also reads as a non-candidate does not qualify (MatMulAcc's x may hold sum
+// as a part: it assembles a row of x before it writes that row), and neither
+// does a view, which is never written over. record moves the buffer to the
+// op's output. nil means the op allocates.
 func (t *Tape) reuse(op opKind, cands int, p1, p2, p3 *Node) *tensor.Matrix {
 	if !t.planOK {
 		return nil
@@ -409,7 +485,7 @@ func (t *Tape) reuse(op opKind, cands int, p1, p2, p3 *Node) *tensor.Matrix {
 	}
 	reads, _ := t.ruleReads(op, ps)
 	for k, p := range ps[:cands] {
-		if p.seq != 0 && p.Value != nil && t.plan[p.seq-1].last == i && !reads[k] &&
+		if p.seq != 0 && !p.view() && p.Value != nil && t.plan[p.seq-1].last == i && !reads[k] &&
 			t.cur[p.seq-1].last != lastKept && !slices.Contains(ps[cands:], p) {
 			t.into = p
 			return p.Value
@@ -419,13 +495,13 @@ func (t *Tape) reuse(op opKind, cands int, p1, p2, p3 *Node) *tensor.Matrix {
 }
 
 // read notes that op i of this pass read recorded node seq. On an inference
-// tape it also recycles the node's buffer if the plan (still matching) says
-// nothing reads it afterwards; a recording tape keeps every value for the
-// backward rules. A later read of a recycled or written-over value — possible
+// tape it also recycles the node's buffer, if release is set and the plan
+// (still matching) says nothing reads it afterwards; a recording tape keeps
+// every value for the backward rules. A later read of a recycled or written-over value — possible
 // only if the pass then departs from the plan in a way that revisits an old
 // value — fails loudly on the missing data rather than computing on recycled
 // storage.
-func (t *Tape) read(seq, i int32) {
+func (t *Tape) read(seq, i int32, release bool) {
 	if seq == 0 {
 		return
 	}
@@ -434,7 +510,7 @@ func (t *Tape) read(seq, i int32) {
 		return // pinned earlier in this pass, whatever the plan learned
 	}
 	c.last = i
-	if n := t.nodes[seq-1]; t.noGrad && n.Value != nil && t.planOK && t.plan[seq-1].last == i {
+	if n := t.nodes[seq-1]; release && t.noGrad && n.Value != nil && t.planOK && t.plan[seq-1].last == i {
 		tensor.Recycle(n.Value)
 		n.Value = nil
 	}
@@ -497,11 +573,15 @@ func (t *Tape) Backward(root *Node) {
 	ensureGrad(root)
 	root.Grad.Data[0] = 1
 	for i := len(t.order) - 1; i >= 0; i-- {
-		n := t.order[i]
-		if n.Grad != nil {
+		if n := t.order[i]; n.hasGrad() {
 			n.runBack()
 		}
 	}
+}
+
+// hasGrad reports whether n has a gradient: its Grad, or a view's part.
+func (n *Node) hasGrad() bool {
+	return n.Grad != nil || slices.ContainsFunc(n.grads, func(g *tensor.Matrix) bool { return g != nil })
 }
 
 // fresh reports whether n's next gradient contribution is its first and is
@@ -556,31 +636,100 @@ func put(p *Node, m *tensor.Matrix) {
 	tensor.Recycle(m)
 }
 
-// dInput gives p, the left factor of a product p·w, its share g·wᵀ: written
-// as p's gradient when p is fresh, added straight in otherwise.
-func dInput(p *Node, g, w *tensor.Matrix) {
-	if fresh(p) {
-		p.Grad = tensor.MatMulTransB(g, w)
-		return
+// The rules that read a view's parts write its gradient block by block: one
+// block per part, or a node's own gradient as its one block.
+
+// needs reports whether block k of n's gradient is wanted.
+func (n *Node) needs(k int) bool {
+	if n.view() {
+		return n.parts[k].requiresGrad
 	}
-	tensor.MatMulTransBAddTo(ensureGrad(p), g, w)
+	return n.requiresGrad
 }
 
-// sliceOf gives p the columns [from, from + p's width) of g: written as p's
-// gradient when p is fresh, added straight in otherwise.
-func sliceOf(p *Node, g *tensor.Matrix, from int) {
-	to := from + p.Value.Cols
-	if fresh(p) {
-		p.Grad = tensor.SliceCols(g, from, to)
-		return
+// slot returns where block k of n's gradient is, and whether it is fresh:
+// the next contribution is written there, not added in (see fresh).
+func (n *Node) slot(k int) (dst **tensor.Matrix, first bool) {
+	if n.view() {
+		return &n.grads[k], n.grads[k] == nil
 	}
-	dst := ensureGrad(p)
-	for r := 0; r < g.Rows; r++ {
-		drow := dst.Row(r)
-		for c, v := range g.Row(r)[from:to] {
-			drow[c] += v
+	if fresh(n) {
+		return &n.Grad, true
+	}
+	ensureGrad(n)
+	return &n.Grad, false
+}
+
+// putBlock gives block k of n the contribution m, as put gives a node.
+func (n *Node) putBlock(k int, m *tensor.Matrix) {
+	if dst, first := n.slot(k); first {
+		*dst = m
+	} else {
+		tensor.AddInPlace(*dst, m)
+		tensor.Recycle(m)
+	}
+}
+
+// dInput gives p, the left factor of a product p·w, its share g·wᵀ: written
+// as p's gradient when p is fresh, added straight in otherwise. A view's
+// part takes its block g·W[part's rows]ᵀ, whose dot products are the ones
+// g·wᵀ has in those columns; a part that needs no gradient costs nothing.
+func dInput(p *Node, g, w *tensor.Matrix) {
+	off := 0
+	for k, m := range p.blocks() {
+		wk := w.RowRange(off, off+m.Cols)
+		off += m.Cols
+		if !p.needs(k) {
+			continue
+		}
+		if dst, first := p.slot(k); first {
+			*dst = tensor.MatMulTransB(g, wk)
+		} else {
+			tensor.MatMulTransBAddTo(*dst, g, wk)
 		}
 	}
+}
+
+// densify gives a view the one gradient buffer a rule that cannot write its
+// parts' blocks adds into — the rule of an op that read the view's copy —
+// and split takes it back apart: the blocks side by side (zeros for parts
+// that need none), or no buffer while the view has no gradient yet, so the
+// rule writes its share as into a fresh node's. Every element is added to in
+// the order it would be in one buffer; split runs after the rule's last read
+// of its gradient, which the buffer may be. Both are no-ops on every other
+// node.
+func (n *Node) densify() {
+	if !n.view() || n.Grad != nil || !n.hasGrad() {
+		return
+	}
+	g := tensor.New(n.Value.Rows, n.Value.Cols)
+	off := 0
+	for k, m := range n.mats {
+		if s := n.grads[k]; s != nil {
+			for r := 0; r < g.Rows; r++ {
+				copy(g.Row(r)[off:off+m.Cols], s.Row(r))
+			}
+			tensor.Recycle(s)
+			n.grads[k] = nil
+		}
+		off += m.Cols
+	}
+	n.Grad = g
+}
+
+func (n *Node) split() {
+	if !n.view() || n.Grad == nil {
+		return
+	}
+	off := 0
+	for k, m := range n.mats {
+		if n.parts[k].requiresGrad {
+			n.grads[k] = tensor.SliceCols(n.Grad, off, off+m.Cols)
+		}
+		off += m.Cols
+	}
+	tensor.Recycle(n.Grad)
+	n.Grad = nil
 }
 
 // runBack applies node out's backward rule, giving each parent that requires
@@ -594,6 +743,11 @@ func sliceOf(p *Node, g *tensor.Matrix, from int) {
 // +0 + s to s, so interior gradients differ at most in the sign of a zero and
 // every parameter gradient, summed onto +0, is bit-identical for finite
 // values (DESIGN.md §8, "Gradients in place").
+//
+// A view keeps its gradient part by part (Node.grads). The products' input
+// rules, SpMM's, Head's and ConcatCols' write the parts' blocks; any other
+// rule, of an op that read the view's copy, writes one buffer that densify
+// and split convert from and to the blocks.
 func (out *Node) runBack() {
 	g := out.Grad
 	switch out.op {
@@ -605,13 +759,87 @@ func (out *Node) runBack() {
 		if b.requiresGrad {
 			// Into a parameter the scatter's sums from +0 are what
 			// fix the bits, so the product stays a temporary there.
-			put(b, tensor.MatMulTransA(a.Value, g))
+			b.densify()
+			put(b, tensor.MatMulTransAConcat(a.concat(), g))
+			b.split()
 		}
-	case opSpMM:
-		x := out.parents[0]
+		return
+	case opMatMulAcc:
+		// sum + x·w: Add's rule for sum, then MatMul's for x and w, in the
+		// unfused pair's order. x's add form reads rows of g while it writes
+		// x's gradient, so a sum that is also x takes a copy of g; so does a
+		// view, whose buffer split recycles before x and w read g.
+		sum, x, w := out.parents[0], out.parents[1], out.parents[2]
+		if sum.requiresGrad {
+			sum.densify()
+			if (sum == x || sum.view()) && fresh(sum) {
+				sum.Grad = g.Clone()
+			} else {
+				out.pass(sum, g)
+			}
+			sum.split()
+		}
 		if x.requiresGrad {
-			put(x, tensor.SpMMTrans(out.auxCSR, g))
+			dInput(x, g, w.Value)
 		}
+		if w.requiresGrad {
+			w.densify()
+			put(w, tensor.MatMulTransAConcat(x.concat(), g))
+			w.split()
+		}
+		return
+	case opSpMM:
+		// A view's part takes SpMMTrans over its columns of g.
+		x, off := out.parents[0], 0
+		for k, m := range x.blocks() {
+			if x.needs(k) {
+				x.putBlock(k, tensor.SpMMTransCols(out.auxCSR, g, off, off+m.Cols))
+			}
+			off += m.Cols
+		}
+		return
+	case opHead:
+		// The leading rows of a row-major matrix are the head of its data:
+		// of a's gradient, or of each of a view's blocks.
+		a, gs := out.parents[0], out.grads
+		if !out.view() {
+			gs = []*tensor.Matrix{g}
+		}
+		for k, s := range gs {
+			if s == nil || !a.needs(k) {
+				continue
+			}
+			dst, first := a.slot(k)
+			if first {
+				*dst = tensor.New(a.Value.Rows, s.Cols)
+			}
+			for i, v := range s.Data {
+				(*dst).Data[i] += v
+			}
+		}
+		return
+	case opConcatCols:
+		// Each operand takes its blocks once, where the copy's column slices
+		// were taken: the block itself when it is fresh, added in otherwise.
+		k := 0
+		for _, p := range out.parents {
+			for j := range p.blocks() {
+				if s := out.grads[k]; s != nil {
+					if dst, first := p.slot(j); first {
+						*dst, out.grads[k] = s, nil
+					} else {
+						tensor.AddInPlace(*dst, s)
+					}
+				}
+				k++
+			}
+		}
+		return
+	}
+	for _, p := range out.parents {
+		p.densify()
+	}
+	switch out.op {
 	case opAdd, opSub:
 		// a takes g first and unchanged; b reads it after, so b gets g (−g
 		// for Sub) written into a buffer of its own.
@@ -710,14 +938,6 @@ func (out *Node) runBack() {
 				dst.Data[i] = plus(add, dst.Data[i], -v)
 			}
 		}
-	case opConcatCols:
-		a, b := out.parents[0], out.parents[1]
-		if a.requiresGrad {
-			sliceOf(a, g, 0)
-		}
-		if b.requiresGrad {
-			sliceOf(b, g, a.Value.Cols)
-		}
 	case opGatherRows:
 		a := out.parents[0]
 		if a.requiresGrad {
@@ -754,15 +974,6 @@ func (out *Node) runBack() {
 				for c, v := range g.Row(r) {
 					srow[c] += v
 				}
-			}
-		}
-	case opHead:
-		// The leading rows of a row-major matrix are the head of its data.
-		a := out.parents[0]
-		if a.requiresGrad {
-			ag := ensureGrad(a)
-			for i, v := range g.Data {
-				ag.Data[i] += v
 			}
 		}
 	case opMean:
@@ -813,24 +1024,9 @@ func (out *Node) runBack() {
 				ag.Data[i] += d
 			}
 		}
-	case opMatMulAcc:
-		// sum + x·w: Add's rule for sum, then MatMul's for x and w, in the
-		// unfused pair's order. x's add form reads rows of g while it writes
-		// x's gradient, so a sum that is also x takes a copy of g.
-		sum, x, w := out.parents[0], out.parents[1], out.parents[2]
-		if sum.requiresGrad {
-			if sum == x && fresh(sum) {
-				sum.Grad = g.Clone()
-			} else {
-				out.pass(sum, g)
-			}
-		}
-		if x.requiresGrad {
-			dInput(x, g, w.Value)
-		}
-		if w.requiresGrad {
-			put(w, tensor.MatMulTransA(x.Value, g))
-		}
+	}
+	for _, p := range out.parents {
+		p.split()
 	}
 }
 
@@ -838,7 +1034,7 @@ func (out *Node) runBack() {
 
 // MatMul returns a·b.
 func (t *Tape) MatMul(a, b *Node) *Node {
-	return t.newNode2(opMatMul, tensor.MatMul(a.Value, b.Value), anyGrad(a, b), a, b)
+	return t.newNode2(opMatMul, tensor.MatMulConcat(a.concat(), b.dense()), anyGrad(a, b), a, b)
 }
 
 // MatMulAcc returns sum + x·w as one op: the value and all three gradients
@@ -847,13 +1043,13 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 // into sum's buffer.
 func (t *Tape) MatMulAcc(sum, x, w *Node) *Node {
 	dst := t.reuse(opMatMulAcc, 1, sum, x, w)
-	return t.record(opMatMulAcc, tensor.MatMulAccTo(dst, sum.Value, x.Value, w.Value), anyGrad(sum, x, w), sum, x, w)
+	return t.record(opMatMulAcc, tensor.MatMulAccConcatTo(dst, sum.dense(), x.concat(), w.dense()), anyGrad(sum, x, w), sum, x, w)
 }
 
 // SpMM returns s·x where s is a constant sparse matrix (no gradient flows
 // into s; this matches graph adjacency use).
 func (t *Tape) SpMM(s *tensor.CSR, x *Node) *Node {
-	out := t.newNode1(opSpMM, tensor.SpMM(s, x.Value), x.requiresGrad, x)
+	out := t.newNode1(opSpMM, tensor.SpMMConcat(s, x.concat()), x.requiresGrad, x)
 	out.auxCSR = s
 	return out
 }
@@ -865,25 +1061,25 @@ func (t *Tape) SpMM(s *tensor.CSR, x *Node) *Node {
 // Add returns a+b (same shape).
 func (t *Tape) Add(a, b *Node) *Node {
 	dst := t.reuse(opAdd, 2, a, b, nil)
-	return t.newNode2(opAdd, tensor.AddTo(dst, a.Value, b.Value), anyGrad(a, b), a, b)
+	return t.newNode2(opAdd, tensor.AddTo(dst, a.dense(), b.dense()), anyGrad(a, b), a, b)
 }
 
 // Sub returns a−b.
 func (t *Tape) Sub(a, b *Node) *Node {
 	dst := t.reuse(opSub, 2, a, b, nil)
-	return t.newNode2(opSub, tensor.SubTo(dst, a.Value, b.Value), anyGrad(a, b), a, b)
+	return t.newNode2(opSub, tensor.SubTo(dst, a.dense(), b.dense()), anyGrad(a, b), a, b)
 }
 
 // Mul returns the Hadamard product a∘b.
 func (t *Tape) Mul(a, b *Node) *Node {
 	dst := t.reuse(opMul, 2, a, b, nil)
-	return t.newNode2(opMul, tensor.MulTo(dst, a.Value, b.Value), anyGrad(a, b), a, b)
+	return t.newNode2(opMul, tensor.MulTo(dst, a.dense(), b.dense()), anyGrad(a, b), a, b)
 }
 
 // Scale returns s·a for scalar constant s.
 func (t *Tape) Scale(a *Node, s float64) *Node {
 	dst := t.reuse(opScale, 1, a, nil, nil)
-	out := t.newNode1(opScale, tensor.ScaleTo(dst, a.Value, s), a.requiresGrad, a)
+	out := t.newNode1(opScale, tensor.ScaleTo(dst, a.dense(), s), a.requiresGrad, a)
 	out.auxF = s
 	return out
 }
@@ -891,41 +1087,72 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 // AddBias returns m with the 1×cols bias row b added to every row.
 func (t *Tape) AddBias(m, b *Node) *Node {
 	dst := t.reuse(opAddBias, 1, m, b, nil)
-	return t.newNode2(opAddBias, tensor.AddRowVectorTo(dst, m.Value, b.Value), anyGrad(m, b), m, b)
+	return t.newNode2(opAddBias, tensor.AddRowVectorTo(dst, m.dense(), b.dense()), anyGrad(m, b), m, b)
 }
 
 // Sigmoid applies the logistic function elementwise.
 func (t *Tape) Sigmoid(a *Node) *Node {
 	dst := t.reuse(opSigmoid, 1, a, nil, nil)
-	return t.newNode1(opSigmoid, tensor.SigmoidTo(dst, a.Value), a.requiresGrad, a)
+	return t.newNode1(opSigmoid, tensor.SigmoidTo(dst, a.dense()), a.requiresGrad, a)
 }
 
 // Tanh applies tanh elementwise.
 func (t *Tape) Tanh(a *Node) *Node {
 	dst := t.reuse(opTanh, 1, a, nil, nil)
-	return t.newNode1(opTanh, tensor.TanhTo(dst, a.Value), a.requiresGrad, a)
+	return t.newNode1(opTanh, tensor.TanhTo(dst, a.dense()), a.requiresGrad, a)
 }
 
 // ReLU applies max(0, x) elementwise.
 func (t *Tape) ReLU(a *Node) *Node {
 	dst := t.reuse(opReLU, 1, a, nil, nil)
-	return t.newNode1(opReLU, tensor.ReLUTo(dst, a.Value), a.requiresGrad, a)
+	return t.newNode1(opReLU, tensor.ReLUTo(dst, a.dense()), a.requiresGrad, a)
 }
 
 // OneMinus returns 1−a elementwise (used by GRU gates).
 func (t *Tape) OneMinus(a *Node) *Node {
 	dst := t.reuse(opOneMinus, 1, a, nil, nil)
-	return t.newNode1(opOneMinus, tensor.OneMinusTo(dst, a.Value), a.requiresGrad, a)
+	return t.newNode1(opOneMinus, tensor.OneMinusTo(dst, a.dense()), a.requiresGrad, a)
 }
 
-// ConcatCols returns [a | b].
+// ConcatCols returns [a | b] as a view: no buffer of its own, its parts read
+// where they are by the ops that can — MatMul's and MatMulAcc's left factor,
+// SpMM's dense operand, Head, ConcatCols — and copied once for any other
+// reader (see Node.parts). A concatenation of a view flattens into one list
+// of parts. Its gradient is kept part by part, for the parts that need one.
 func (t *Tape) ConcatCols(a, b *Node) *Node {
-	return t.newNode2(opConcatCols, tensor.ConcatCols(a.Value, b.Value), anyGrad(a, b), a, b)
+	if a.Value.Rows != b.Value.Rows {
+		panic(fmt.Sprintf("autodiff: ConcatCols row mismatch %d vs %d", a.Value.Rows, b.Value.Rows))
+	}
+	return t.newView(opConcatCols, a.Value.Rows, a, b)
+}
+
+// newView records a view of kind op over the leading rows rows of a's parts
+// and, unless nil, b's: an operand's own parts if it is a view, else itself.
+func (t *Tape) newView(op opKind, rows int, a, b *Node) *Node {
+	out := t.record(op, &tensor.Matrix{Rows: rows}, a.requiresGrad || b != nil && b.requiresGrad, a, b, nil)
+	for _, p := range [...]*Node{a, b} {
+		if p == nil {
+			continue
+		}
+		out.Value.Cols += p.Value.Cols
+		out.mats = append(out.mats, p.blocks()...)
+		if p.view() {
+			out.parts = append(out.parts, p.parts...)
+		} else {
+			out.parts = append(out.parts, p)
+		}
+	}
+	if !t.noGrad {
+		for range out.parts {
+			out.grads = append(out.grads, nil)
+		}
+	}
+	return out
 }
 
 // GatherRows selects the given rows of a.
 func (t *Tape) GatherRows(a *Node, rows []int) *Node {
-	out := t.newNode1(opGatherRows, tensor.GatherRows(a.Value, rows), a.requiresGrad, a)
+	out := t.newNode1(opGatherRows, tensor.GatherRows(a.dense(), rows), a.requiresGrad, a)
 	if !t.noGrad {
 		// Defensive copy into the shell's reusable index scratch: the caller
 		// may mutate rows before Backward runs.
@@ -947,9 +1174,9 @@ func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node {
 	}
 	val := t.reuse(opScatterRows, 1, base, src, nil)
 	if val == nil {
-		val = base.Value.Clone()
+		val = base.dense().Clone()
 	}
-	tensor.ScatterRows(val, src.Value, rows)
+	tensor.ScatterRows(val, src.dense(), rows)
 	out := t.newNode2(opScatterRows, val, anyGrad(base, src), base, src)
 	if !t.noGrad {
 		out.auxInts = append(out.auxInts[:0], rows...)
@@ -957,16 +1184,21 @@ func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node {
 	return out
 }
 
-// Head returns a's leading rows rows — a itself when that is all of them. It
-// is a copy, unless a is read for the last time here on a warm tape: then the
-// head is the leading part of a's buffer, which it takes from a (see reuse). A view of a value that lives on would leave its buffer two owners,
-// and Release, or the learned plan, could recycle it while one still reads.
+// Head returns a's leading rows rows — a itself when that is all of them. Of
+// a view it is a view of the parts' leading rows. Otherwise it is a copy,
+// unless a is read for the last time here on a warm tape: then the head is
+// the leading part of a's buffer, which it takes from a (see reuse). A view
+// of a value that lives on would leave its buffer two owners, and Release, or
+// the learned plan, could recycle it while one still reads.
 func (t *Tape) Head(a *Node, rows int) *Node {
 	if rows == a.Value.Rows {
 		return a
 	}
 	if rows < 0 || rows > a.Value.Rows {
 		panic(fmt.Sprintf("autodiff: Head %d of %d rows", rows, a.Value.Rows))
+	}
+	if a.view() {
+		return t.newView(opHead, rows, a, nil)
 	}
 	var val *tensor.Matrix
 	if m := t.reuse(opHead, 1, a, nil, nil); m != nil {
@@ -980,13 +1212,13 @@ func (t *Tape) Head(a *Node, rows int) *Node {
 
 // Mean returns the scalar mean of all elements of a.
 func (t *Tape) Mean(a *Node) *Node {
-	val := tensor.FromSlice(1, 1, []float64{a.Value.Mean()})
+	val := tensor.FromSlice(1, 1, []float64{a.dense().Mean()})
 	return t.newNode1(opMean, val, a.requiresGrad, a)
 }
 
 // Sum returns the scalar sum of all elements of a.
 func (t *Tape) Sum(a *Node) *Node {
-	return t.newNode1(opSum, tensor.FromSlice(1, 1, []float64{a.Value.Sum()}), a.requiresGrad, a)
+	return t.newNode1(opSum, tensor.FromSlice(1, 1, []float64{a.dense().Sum()}), a.requiresGrad, a)
 }
 
 // MSE returns mean squared error between pred and the constant target.
@@ -1001,7 +1233,7 @@ func (t *Tape) MSE(pred *Node, target *tensor.Matrix) *Node {
 // its own gradient, exactly as MSE over those rows alone; an empty segment
 // reads 0 and passes no gradient on.
 func (t *Tape) MSESeg(pred *Node, target *tensor.Matrix, ends []int) *Node {
-	diff := t.Owned(tensor.Sub(pred.Value, target))
+	diff := t.Owned(tensor.Sub(pred.dense(), target))
 	val := tensor.New(len(ends), 1)
 	lo := 0
 	for s, end := range checkEnds(ends, diff.Rows) {
@@ -1038,7 +1270,7 @@ func (t *Tape) BCEWithLogits(logits *Node, target *tensor.Matrix) *Node {
 // BCESeg is BCEWithLogits per row segment, segments and result laid out as
 // MSESeg's.
 func (t *Tape) BCESeg(logits *Node, target *tensor.Matrix, ends []int) *Node {
-	if logits.Value.Rows != target.Rows || logits.Value.Cols != target.Cols {
+	if logits.dense().Rows != target.Rows || logits.Value.Cols != target.Cols {
 		panic("autodiff: BCEWithLogits shape mismatch")
 	}
 	val := tensor.New(len(ends), 1)

@@ -12,8 +12,12 @@ import (
 // replaced — every share added onto a zero-filled gradient per node, products
 // and slices through a temporary — kept here as the reference the rules must
 // match: bit for bit in every parameter gradient, up to the sign of a zero in
-// every interior one.
+// every interior one. The reference reads every concatenation as the copy
+// ConcatCols once made, and keeps one gradient for it.
 func refBackward(t *Tape, root *Node) {
+	for _, n := range t.nodes {
+		n.dense()
+	}
 	var order []*Node
 	var visit func(n *Node)
 	visit = func(n *Node) {
@@ -290,7 +294,8 @@ type program struct {
 	rng    *rand.Rand
 	tp     *Tape
 	params []*Node
-	nodes  []*Node // operands to draw from: every node built, leaves included
+	nodes  []*Node       // operands to draw from: every node built, leaves included
+	widths map[*Node]int // their widths, which an inference tape's released ones lose
 	uses   map[*Node]int
 	terms  []*Node // scalar loss terms
 	// freeze makes every other parameter leaf need no gradient: the same
@@ -330,7 +335,11 @@ func (p *program) param(rows, cols int) *Node {
 
 // add makes n an operand for later ops.
 func (p *program) add(n *Node) *Node {
+	if p.widths == nil {
+		p.widths = map[*Node]int{}
+	}
 	p.nodes = append(p.nodes, n)
+	p.widths[n] = n.Value.Cols
 	return n
 }
 
@@ -339,7 +348,7 @@ func (p *program) add(n *Node) *Node {
 func (p *program) pick(cols int) *Node {
 	var ok []*Node
 	for _, n := range p.nodes {
-		if p.uses[n] < 4 && (cols == 0 || n.Value.Cols == cols) {
+		if p.uses[n] < 4 && (cols == 0 || p.widths[n] == cols) {
 			ok = append(ok, n)
 		}
 	}
@@ -412,9 +421,64 @@ func (p *program) upstream(n *Node) *Node {
 	return tp.Sum(tp.Mul(n, Constant(p.mat(n.Value.Rows, n.Value.Cols))))
 }
 
+// viewCase records, over operand a, one of the shapes of use concatenation
+// views have in the models and around them, passing each value later ops may
+// read to rec: DCRNN's [x|h] of a constant and a tracked part read by two
+// products and an SpMM; the link heads' nested [u|v|u∘v], whose parts Mul
+// reads beside; TGCN's head of [x|h] beside a head of x, concatenated again;
+// a part read last after the concatenation's last read, by an op that may
+// write over it unless a later weight rule reads the concatenation; readers
+// that take the lazy copy beside ones that read parts; and a concatenation
+// left for the random ops that follow.
+func (p *program) viewCase(a *Node, rec func(*Node) *Node) {
+	tp := p.tp
+	cols := a.Value.Cols
+	switch p.rng.Intn(6) {
+	case 0:
+		v := tp.ConcatCols(p.add(Constant(p.mat(progRows, 2))), a)
+		w := v.Value.Cols
+		rec(tp.SpMM(p.csr(), v))
+		rec(tp.MatMulAcc(tp.MatMul(v, p.param(w, cols)), v, p.param(w, cols)))
+	case 1:
+		b := p.second(a)
+		rec(tp.MatMul(tp.ConcatCols(tp.ConcatCols(a, b), tp.Mul(a, b)), p.param(3*cols, 1+p.rng.Intn(3))))
+	case 2:
+		r := 1 + p.rng.Intn(progRows-1)
+		z := tp.MatMul(tp.Head(tp.ConcatCols(a, p.second(a)), r), p.param(2*cols, cols))
+		p.terms = append(p.terms, p.upstream(tp.MatMul(tp.ConcatCols(tp.Head(a, r), z), p.param(2*cols, 2))))
+	case 3:
+		v := tp.ConcatCols(a, p.second(a))
+		w := Constant(p.mat(2*cols, 2))
+		if p.rng.Intn(2) == 0 {
+			w = p.param(2*cols, 2)
+		}
+		rec(tp.MatMul(v, w))
+		if p.uses[a] < 4 {
+			p.uses[a] = 4
+			rec(tp.Sigmoid(a))
+		}
+	case 4:
+		v := tp.ConcatCols(a, p.second(a))
+		rec(tp.MatMul(v, p.param(2*cols, 2)))
+		switch p.rng.Intn(4) {
+		case 0:
+			rec(tp.Tanh(v))
+		case 1:
+			rec(tp.Add(v, v))
+		case 2:
+			rec(tp.MatMul(p.param(progRows, progRows), v))
+		case 3:
+			rec(tp.GatherRows(v, []int{p.rng.Intn(progRows), 0, p.rng.Intn(progRows), 1}))
+		}
+		rec(tp.SpMM(p.csr(), v))
+	case 5:
+		rec(tp.ConcatCols(a, p.second(a)))
+	}
+}
+
 // randomProgram records ops random programs are made of — every op kind,
 // aliased operands, nodes read by one to four ops, products over interior
-// weights — and returns the scalar sum of a loss term over every node no op
+// weights, concatenations in their shapes of use (viewCase) — and returns the scalar sum of a loss term over every node no op
 // read.
 func randomProgram(seed int64, tp *Tape) (*Node, *program) {
 	p := &program{rng: rand.New(rand.NewSource(seed)), tp: tp, uses: map[*Node]int{}}
@@ -428,8 +492,8 @@ func randomProgram(seed int64, tp *Tape) (*Node, *program) {
 		if a == nil {
 			break
 		}
-		cols := a.Value.Cols
-		switch p.rng.Intn(15) {
+		cols := p.widths[a]
+		switch p.rng.Intn(16) {
 		case 0:
 			p.add(tp.Sigmoid(a))
 		case 1:
@@ -485,6 +549,8 @@ func randomProgram(seed int64, tp *Tape) (*Node, *program) {
 			src := tp.GatherRows(p.second(a), []int{p.rng.Intn(progRows), p.rng.Intn(progRows)})
 			p.add(tp.ScatterRows(a, src, []int{0, 1 + p.rng.Intn(progRows-1)}))
 			p.terms = append(p.terms, p.upstream(tp.Head(a, 1+p.rng.Intn(progRows-1))))
+		case 15:
+			p.viewCase(a, p.add)
 		}
 	}
 	for _, n := range p.nodes {
@@ -558,6 +624,11 @@ func TestBackwardRulesMatchAccumulatingReference(t *testing.T) {
 			wantG, gotG := want.Grad, pN.params[i].Grad
 			if (wantG == nil) != (gotG == nil) || wantG != nil && !bitEqual(wantG, gotG) {
 				t.Fatalf("seed %d: parameter %d gradient %v, reference %v", seed, i, gotG, wantG)
+			}
+		}
+		for _, n := range pN.nodes {
+			if !n.requiresGrad && n.Grad != nil {
+				t.Fatalf("seed %d: a value that needs no gradient has one: %v", seed, n.Grad)
 			}
 		}
 		owner := map[*float64]int{}

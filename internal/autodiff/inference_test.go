@@ -187,6 +187,52 @@ func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 	}
 }
 
+// An inference tape computes a recording tape's values over random programs
+// of every forward op — concatenations read by parts and through their copy,
+// nested, their heads, their parts read elsewhere and written over after the
+// views' last read — pass after pass, departing passes and passes after them
+// included, while from the second pass on it releases values at their last
+// read and writes row-local results in place.
+func TestInferenceTapeProgramsMatchRecordingTape(t *testing.T) {
+	withPooling(t)
+	released := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		tp := NewInferenceTape()
+		depart := variant{depart: 1 + int(seed%13)}
+		for pass, d := range []variant{{}, {}, {}, depart, depart, {}} {
+			poisonPool()
+			want := inPlaceProgram(seed, NewTape(), d)
+			poisonPool()
+			got := inPlaceProgram(seed, tp, d)
+			if len(got.vals) != len(want.vals) {
+				t.Fatalf("seed %d pass %d: %d values, recording tape %d", seed, pass, len(got.vals), len(want.vals))
+			}
+			for i, v := range want.vals {
+				if !bitEqual(v, got.vals[i]) {
+					t.Fatalf("seed %d pass %d: value %d is %v, recording tape %v", seed, pass, i, got.vals[i], v)
+				}
+			}
+			if k := got.kept; k != nil && (k.Value == nil || !bitEqual(k.Value, want.kept.Value)) {
+				t.Fatalf("seed %d pass %d: kept node %d released or written over", seed, pass, k.seq)
+			}
+			for _, n := range tp.nodes {
+				if n.Value == nil {
+					if pass == 0 {
+						t.Fatalf("seed %d: node %d released without a plan", seed, n.seq)
+					}
+					released++
+				}
+			}
+			want.p.tp.Release()
+			tp.Release()
+		}
+	}
+	if released == 0 {
+		t.Fatal("no value released early: the programs do not exercise the plan")
+	}
+	t.Logf("%d values released or written over before Release", released)
+}
+
 // ScatterRows owns its output: on an inference tape base's buffer becomes the
 // scatter's, base dying there, and src's goes back to the pool, which hands it
 // to the next op of src's shape — a scatter that kept a view of src would read

@@ -29,14 +29,15 @@ type variant struct {
 // inPlaceProgram records a random forward of the row-local ops mixed with
 // MatMul, SpMM, ConcatCols, GatherRows and the losses, over operands that need
 // a gradient and operands that do not, aliased operands included: an operand
-// read by a ConcatCols and then by a row-local op last, loss terms read before
-// other ops, and one value pinned with Keep. The same seed and variant build
+// read by a ConcatCols and then by a row-local op last, concatenations in
+// their shapes of use (viewCase), loss terms read before other ops, and one
+// value pinned with Keep. The same seed and variant build
 // the same program on any tape.
 func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 	p := &program{rng: rand.New(rand.NewSource(seed)), tp: tp, uses: map[*Node]int{}, freeze: v.freeze}
 	run := &inPlaceRun{p: p}
 	op := func(n *Node) *Node {
-		run.vals = append(run.vals, n.Value.Clone())
+		run.vals = append(run.vals, n.concat().Dense())
 		return p.add(n)
 	}
 	for c := 1; c <= 3; c++ {
@@ -69,8 +70,8 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 		if a == nil {
 			break
 		}
-		cols := a.Value.Cols
-		switch p.rng.Intn(19) {
+		cols := p.widths[a]
+		switch p.rng.Intn(20) {
 		case 0:
 			op(tp.Sigmoid(a))
 		case 1:
@@ -121,7 +122,7 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 			op(tp.ScatterRows(a, src, []int{0, 1 + p.rng.Intn(progRows-1)}))
 		case 15:
 			h := tp.Head(a, 1+p.rng.Intn(progRows-1))
-			run.vals = append(run.vals, h.Value.Clone())
+			run.vals = append(run.vals, h.concat().Dense())
 			p.terms = append(p.terms, p.upstream(tp.Scale(h, 3)))
 		case 16, 17:
 			// Read by a concatenation, then last by a row-local op, which
@@ -135,6 +136,8 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 		case 18:
 			// A loss term in the middle: a stays an operand of later ops.
 			p.terms = append(p.terms, p.upstream(a))
+		case 19:
+			p.viewCase(a, op)
 		}
 	}
 	for _, n := range p.nodes {
@@ -146,7 +149,7 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 	for _, term := range p.terms[1:] {
 		run.root = tp.Add(run.root, term)
 	}
-	run.vals = append(run.vals, run.root.Value.Clone())
+	run.vals = append(run.vals, run.root.concat().Dense())
 	return run
 }
 

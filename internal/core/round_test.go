@@ -271,10 +271,12 @@ func TestRoundWarmScratch(t *testing.T) {
 // TestRoundMetersWithinCeilings is the volume promise of a warm 16-unit
 // round, its forward and loss metered apart from its backward pass. The
 // forward writes a row-local op's result over an operand no backward rule
-// reads (autodiff's reuse on a recording tape); the backward writes each
-// interior gradient once and hands elementwise ones down (autodiff's runBack)
-// instead of zero-filling a buffer per node and drawing a temporary per rule.
-// Each ceiling is the kind's count plus 10 %.
+// reads (autodiff's reuse on a recording tape) and reads a concatenation's
+// parts where they are; the backward writes each interior gradient once and
+// hands elementwise ones down (autodiff's runBack) instead of zero-filling a
+// buffer per node and drawing a temporary per rule, and gives a
+// concatenation's parts their blocks without a sliced copy, none to a
+// constant part. Each ceiling is the kind's count plus 10 %.
 func TestRoundMetersWithinCeilings(t *testing.T) {
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
@@ -282,14 +284,18 @@ func TestRoundMetersWithinCeilings(t *testing.T) {
 		kind     dgnn.Kind
 		fwd, bwd int64 // ceilings: forward and loss floats, backward floats
 	}{
-		// The forward counts are 23 174, 21 844 and 30 018; with every
-		// value in a buffer of its own they were 37 235, 33 695 and 57 860.
-		// The backward counts are 16 288, 17 102 and 23 217; with a
-		// zero-filled buffer per node and a temporary per rule they were
-		// 58 633, 53 637 and 72 935.
-		{dgnn.GCLSTM, 25491, 17917},
-		{dgnn.TGCN, 24028, 18812},
-		{dgnn.DCRNN, 33020, 25539},
+		// The forward counts are 20 060, 16 696 and 26 136 with every
+		// concatenation a view over its parts; 23 174, 21 844 and 30 018
+		// with a copy per concatenation; 37 235, 33 695 and 57 860 with
+		// every value in a buffer of its own. The backward counts are
+		// 13 546, 13 358 and 20 679 with a concatenation's gradient kept
+		// per part, for the parts that need one; 16 288, 17 102 and 23 217
+		// with one gradient per concatenation sliced for its operands;
+		// 58 633, 53 637 and 72 935 with a zero-filled buffer per node and
+		// a temporary per rule.
+		{dgnn.GCLSTM, 22066, 14901},
+		{dgnn.TGCN, 18366, 14694},
+		{dgnn.DCRNN, 28750, 22747},
 	} {
 		tr, opt := roundFixture(t, c.kind, false, nil)
 		tr.G.EnablePartitionCache(64)

@@ -154,7 +154,7 @@ func lap(last *time.Time, dst *int64) {
 func (t *Trainer) forward(view dgnn.View, clock *time.Time) *autodiff.Node {
 	view.NoCommit = true // recurrent state advances only at inference time
 	tp := t.tape
-	tp.Owned(view.Feat) // fresh per view; recycled with the tape
+	view.OwnFeat(tp)
 	lap(clock, &t.Stats.ExtractNs)
 	emb := t.Model.Forward(tp, view)
 	lap(clock, &t.Stats.ForwardNs)

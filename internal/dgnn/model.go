@@ -56,16 +56,31 @@ type View struct {
 	// TypedFn lazily builds per-relation normalized adjacencies for
 	// relation-aware models (RTGCN); nil for views that cannot provide it.
 	TypedFn func(ntypes int) []*tensor.CSR
+	// featShared marks Feat as the graph's own store (FullView); see
+	// OwnFeat.
+	featShared bool
 }
 
-// FullView builds the view of a full snapshot.
+// FullView builds the view of a full snapshot. Its features are the graph's
+// own attribute store, read in place (graph.Dynamic.Features): the graph
+// changes only between steps, never while a forward reads it.
 func FullView(g *graph.Dynamic) View {
 	return View{
-		N:       g.N(),
-		Feat:    g.Features(),
-		Norm:    g.NormAdj(),
-		RWFn:    g.Diffusion,
-		TypedFn: g.TypedAdj,
+		N:          g.N(),
+		Feat:       g.Features(),
+		Norm:       g.NormAdj(),
+		RWFn:       g.Diffusion,
+		TypedFn:    g.TypedAdj,
+		featShared: true,
+	}
+}
+
+// OwnFeat registers the view's features with tp, which recycles them at
+// Release: every view's but the full view's are gathered fresh for it, while
+// the full view's are the graph's store, which no tape owns.
+func (v View) OwnFeat(tp *autodiff.Tape) {
+	if !v.featShared {
+		tp.Owned(v.Feat)
 	}
 }
 
@@ -205,10 +220,10 @@ type Model interface {
 // Infer runs one inference forward of m over v on the inference tape tp
 // (autodiff.NewInferenceTape) and returns the embedding matrix. The matrix is
 // detached from the tape — the caller owns it, and it never returns to the
-// tensor pool — while every intermediate, and v.Feat (built fresh for the view
-// by FullView/SubView/DirtyView), is recycled before Infer returns.
+// tensor pool — while every intermediate, and v.Feat where the view gathered
+// it (see OwnFeat), is recycled before Infer returns.
 func Infer(tp *autodiff.Tape, m Model, v View) *tensor.Matrix {
-	tp.Owned(v.Feat)
+	v.OwnFeat(tp)
 	out := tp.Detach(m.Forward(tp, v))
 	tp.Release()
 	return out

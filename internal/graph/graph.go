@@ -305,11 +305,12 @@ func (g *Dynamic) TakeActivityDirty() []int {
 	return ids
 }
 
-// Features returns the n×FeatDim attribute matrix (copy).
+// Features returns the n×FeatDim attribute matrix without copying it: a
+// read-only view of the graph's own store, current until the graph next
+// changes (between steps). Nothing may write into it or recycle it.
 func (g *Dynamic) Features() *tensor.Matrix {
-	m := tensor.New(g.N(), g.featDim)
-	copy(m.Data, g.feat)
-	return m
+	n := g.N() * g.featDim
+	return tensor.FromSlice(g.N(), g.featDim, g.feat[:n:n])
 }
 
 // featureRows returns the attribute rows of nodes, in their order (copy):

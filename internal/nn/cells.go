@@ -127,11 +127,15 @@ func (c *ConvGRUCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.N
 // the candidate on them, whose convolutions read their inputs — and so the
 // reset gate — on the n1 rows within a hop, whose convolution reads x and h
 // wherever they are given. With n0 = n1 = all rows no Head is recorded and
-// this is the plain cell. On a warm tape every gate activation writes over
-// its convolution's output. On a warm inference tape every term of the update
+// this is the plain cell. [x|h], its head and [x|r∘h] are views over x, h
+// and r∘h, which the convolutions' products and SpMMs read where they are;
+// their backward gives a part its block only where it needs one, never to a
+// constant h. On a warm tape every gate activation writes over its
+// convolution's output. On a warm inference tape every term of the update
 // also writes over an operand it reads last — h's buffer, through h's last
-// head, included — where a recording tape keeps the ones a product's backward
-// rule reads.
+// head, included, once no view of h is read any more — where a recording
+// tape keeps the ones a product's backward rule reads, and the parts of a
+// concatenation whose weight rule reads it.
 func (c *ConvGRUCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h *autodiff.Node, n0, n1 int) *autodiff.Node {
 	xh := tp.ConcatCols(x, h)
 	z := tp.Sigmoid(conv(c.convZ, tp.Head(xh, n1), n0))
@@ -172,8 +176,9 @@ func (c *ConvLSTMCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.
 
 // ApplyRows advances the cell for the rows cell is given on — the leading
 // rows, in demand order, of the ones x and h cover: every gate convolves
-// [x|h] and is read on those rows alone. On a warm tape every gate activation
-// writes over its convolution's output. On a warm inference tape every product
+// [x|h], a view over x and h that the four products read where they are, and
+// is read on those rows alone. On a warm tape every gate activation writes
+// over its convolution's output. On a warm inference tape every product
 // also writes over the gate it reads, which a recording tape keeps for the
 // product's backward rule; tanh(cellNew) gets a buffer of its own where the
 // model keeps cellNew as state.

@@ -8,7 +8,8 @@ import (
 // BenchmarkDenseKernels times the four dense kernels at the shapes the
 // end-to-end ledger runs them at: the taxi-infer forward ([10000×23]·[23×16],
 // dense and with 94 % of the rows zero, as its isolated nodes leave the hop
-// inputs), a training partition ([11×22]·[22×16] and its two backward
+// inputs, and over the concatenation [x|h] of a 7- and a 16-column part read
+// where they are, beside the copy it replaced), a training partition ([11×22]·[22×16] and its two backward
 // products, the input gradient also added in place) and a full-graph weight
 // gradient. MAC/s counts every multiply-add
 // of the dense product, skipped or not, so a zero-row case reads as the
@@ -24,6 +25,7 @@ func BenchmarkDenseKernels(b *testing.B) {
 		}
 	}
 	px, pw, pg, pacc := dense(11, 22), dense(22, 16), dense(11, 16), dense(11, 22)
+	xh := Concat{Rows: 10000, Parts: []*Matrix{dense(10000, 7), dense(10000, 16)}}
 	cases := []struct {
 		name string
 		macs int
@@ -33,6 +35,13 @@ func BenchmarkDenseKernels(b *testing.B) {
 		{"MatMulAcc/10000x23·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulAccTo(nil, sum, a, w) }},
 		{"MatMul/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMul(sparse, w) }},
 		{"MatMulAcc/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMulAccTo(nil, sum, sparse, w) }},
+		{"MatMul/[10000x7|10000x16]·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulConcat(xh, w) }},
+		{"MatMulAcc/[10000x7|10000x16]·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulAccConcatTo(nil, sum, xh, w) }},
+		{"ConcatCols+MatMul/[10000x7|10000x16]·23x16", 10000 * 23 * 16, func() *Matrix {
+			c := xh.Dense()
+			defer Recycle(c)
+			return MatMul(c, w)
+		}},
 		{"MatMul/11x22·22x16", 11 * 22 * 16, func() *Matrix { return MatMul(px, pw) }},
 		{"MatMulTransA/11x22ᵀ·11x16", 11 * 22 * 16, func() *Matrix { return MatMulTransA(px, pg) }},
 		{"MatMulTransA/10000x23ᵀ·10000x16", 10000 * 23 * 16, func() *Matrix { return MatMulTransA(a, g) }},

@@ -257,6 +257,62 @@ func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
 	}
 }
 
+// The kernels over a concatenation read where its parts are — rows assembled
+// for the products, column windows for SpMM, row blocks of MatMulTransA's
+// output, SpMMTrans over a column window — and equal the same kernels over
+// its copy bit for bit: parts of every width around the blocks, one part and
+// several, parts longer than the concatenation's rows (a head), zero rows and
+// signed zeros, a sum that is a part of x, poisoned pool buffers.
+func TestConcatKernelsMatchDenseCopy(t *testing.T) {
+	EnablePooling(true)
+	defer EnablePooling(false)
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 60; trial++ {
+		rows := []int{0, 1, 3, 4, 9, 17}[trial%6]
+		var parts []*Matrix
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			p := NewRandom(rng, rows+rng.Intn(3), []int{1, 3, 4, 7, 8, 9, 16}[rng.Intn(7)], 1)
+			signedZeros(rng, p)
+			zeroPattern(p, rng.Intn(4))
+			parts = append(parts, p)
+		}
+		x := Concat{Rows: rows, Parts: parts}
+		d := x.Dense()
+		k, n := x.Cols(), 1+rng.Intn(19)
+		w, g := NewRandom(rng, k, n, 1), NewRandom(rng, rows, n, 1)
+		sum := NewRandom(rng, rows, n, 1)
+		signedZeros(rng, g)
+		check := func(kernel string, want, got *Matrix) {
+			t.Helper()
+			if !sameBits(want, got) {
+				t.Fatalf("trial %d (%d rows, %d parts): %s differs from the kernel over the copy", trial, rows, len(parts), kernel)
+			}
+		}
+		dirtyPool(rows*n, k*n)
+		check("MatMul", MatMul(d, w), MatMulConcat(x, w))
+		check("MatMulAcc", MatMulAccTo(nil, sum, d, w), MatMulAccConcatTo(nil, sum, x, w))
+		check("MatMulTransA", MatMulTransA(d, g), MatMulTransAConcat(x, g))
+		c := NewCSR(rows+1, rows, nil)
+		if rows > 0 {
+			c = emptyEveryFifthRow(randomCSR(rng, rows+1, rows, 0.4))
+		}
+		check("SpMM", SpMM(c, d), SpMMConcat(c, x))
+		gc := NewRandom(rng, c.NRows, k, 1)
+		whole := SpMMTrans(c, gc)
+		for from := 0; from < k; from += 3 {
+			to := min(from+3, k)
+			check("SpMMTransCols", SliceCols(whole, from, to), SpMMTransCols(c, gc, from, to))
+		}
+		if p := parts[0]; p.Rows == rows && len(parts) > 1 {
+			// In place over a part of x: each row of x is assembled before
+			// the row of the sum is written.
+			wp := NewRandom(rng, k, p.Cols, 1)
+			want := MatMulAccTo(nil, p, d, wp)
+			check("MatMulAcc into a part", want, MatMulAccConcatTo(p, p, x, wp))
+		}
+	}
+}
+
 // What the kernels do with 0·Inf is a decision, pinned here, not a promise:
 // a zero operand that is part of a skipped group (a whole zero row of a; in
 // MatMulTransA four zero entries of one column in an aligned 4-row block)

@@ -94,48 +94,60 @@ func (c *CSR) Head(rows, cols int) *CSR {
 // SpMM returns c·x for dense x. Like MatMul, each output row is initialized
 // and accumulated in one place (an empty CSR row is zeroed), so the output
 // needs no zeroing pass.
-func SpMM(c *CSR, x *Matrix) *Matrix {
-	if c.NCols != x.Rows {
-		panic(fmt.Sprintf("tensor: SpMM inner mismatch %dx%d · %dx%d", c.NRows, c.NCols, x.Rows, x.Cols))
-	}
-	out := newUninit(c.NRows, x.Cols)
-	spMMRange(c, x, out, 0, c.NRows)
-	return out
-}
+func SpMM(c *CSR, x *Matrix) *Matrix { return SpMMConcat(c, whole(x)) }
 
-func spMMRange(c *CSR, x, out *Matrix, lo, hi int) {
-	for r := lo; r < hi; r++ {
+// SpMMConcat returns c·x for a concatenated x: each nonzero adds into every
+// part's column window of its output row in turn. An element's sequence of
+// roundings is per nonzero and does not depend on the columns, so the result
+// is bit-identical to SpMM of x.Dense().
+func SpMMConcat(c *CSR, x Concat) *Matrix {
+	if c.NCols != x.Rows {
+		panic(fmt.Sprintf("tensor: SpMM inner mismatch %dx%d · %dx%d", c.NRows, c.NCols, x.Rows, x.Cols()))
+	}
+	out := newUninit(c.NRows, x.Cols())
+	for r := 0; r < c.NRows; r++ {
 		orow := out.Row(r)
 		p, end := c.RowPtr[r], c.RowPtr[r+1]
 		if p == end {
-			for j := range orow {
-				orow[j] = 0
-			}
+			clear(orow)
 			continue
 		}
 		// The row's first entry initializes it: 0 + v·x is what adding the
 		// product to a zeroed row yields (a -0 product still lands as +0).
-		v := c.Val[p]
-		for j, xv := range x.Row(c.ColIdx[p]) {
-			orow[j] = 0 + v*xv
+		v, k, off := c.Val[p], c.ColIdx[p], 0
+		for _, part := range x.Parts {
+			o := orow[off : off+part.Cols]
+			for j, xv := range part.Row(k) {
+				o[j] = 0 + v*xv
+			}
+			off += part.Cols
 		}
 		for p++; p < end; p++ {
-			v := c.Val[p]
-			for j, xv := range x.Row(c.ColIdx[p]) {
-				orow[j] += v * xv
+			v, k, off := c.Val[p], c.ColIdx[p], 0
+			for _, part := range x.Parts {
+				o := orow[off : off+part.Cols]
+				for j, xv := range part.Row(k) {
+					o[j] += v * xv
+				}
+				off += part.Cols
 			}
 		}
 	}
+	return out
 }
 
 // SpMMTrans returns cᵀ·x for dense x (used for gradients through SpMM).
-func SpMMTrans(c *CSR, x *Matrix) *Matrix {
-	if c.NRows != x.Rows {
-		panic(fmt.Sprintf("tensor: SpMMTrans inner mismatch (%dx%d)ᵀ · %dx%d", c.NRows, c.NCols, x.Rows, x.Cols))
+func SpMMTrans(c *CSR, x *Matrix) *Matrix { return SpMMTransCols(c, x, 0, x.Cols) }
+
+// SpMMTransCols returns cᵀ·x over x's columns [from, to): the columns of
+// SpMMTrans(c, x) they are, each element summed as there.
+func SpMMTransCols(c *CSR, x *Matrix, from, to int) *Matrix {
+	if c.NRows != x.Rows || from < 0 || to > x.Cols || from > to {
+		panic(fmt.Sprintf("tensor: SpMMTrans inner mismatch (%dx%d)ᵀ · %dx%d[:, %d:%d]", c.NRows, c.NCols, x.Rows, x.Cols, from, to))
 	}
-	out := New(c.NCols, x.Cols)
+	out := New(c.NCols, to-from)
 	for r := 0; r < c.NRows; r++ {
-		xrow := x.Row(r)
+		xrow := x.Row(r)[from:to]
 		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
 			v := c.Val[p]
 			orow := out.Row(c.ColIdx[p])

@@ -196,13 +196,68 @@ func dest(dst *Matrix, rows, cols int) *Matrix {
 	return dst
 }
 
+// Concat is the column concatenation [P₀ | P₁ | …] of the leading Rows rows
+// of its parts, read where the parts are: the products and SpMM take each row,
+// or each part's column window, from the parts themselves, bit-identical to
+// the same kernel over Dense, the concatenation copied into one matrix. A
+// single part is that matrix as it is.
+type Concat struct {
+	Rows  int
+	Parts []*Matrix
+}
+
+// whole is m as a concatenation of one part.
+func whole(m *Matrix) Concat { return Concat{Rows: m.Rows, Parts: []*Matrix{m}} }
+
+// Cols returns the concatenation's width, its parts' summed.
+func (c Concat) Cols() int {
+	n := 0
+	for _, p := range c.Parts {
+		n += p.Cols
+	}
+	return n
+}
+
+// row returns row i: the single part's own, or the parts' rows copied side
+// by side into buf.
+func (c Concat) row(i int, buf []float64) []float64 {
+	if len(c.Parts) == 1 {
+		return c.Parts[0].Row(i)
+	}
+	off := 0
+	for _, p := range c.Parts {
+		off += copy(buf[off:], p.Row(i))
+	}
+	return buf
+}
+
+// Dense returns the concatenation copied into one new matrix.
+func (c Concat) Dense() *Matrix {
+	out := newUninit(c.Rows, c.Cols())
+	for r := 0; r < c.Rows; r++ {
+		copy(out.Row(r), c.row(r, out.Row(r)))
+	}
+	return out
+}
+
+// RowRange returns rows [lo, hi) of m, sharing its storage: the leading rows
+// of a row-major matrix's tail.
+func (m *Matrix) RowRange(lo, hi int) *Matrix {
+	return FromSlice(hi-lo, m.Cols, m.Data[lo*m.Cols:hi*m.Cols])
+}
+
 // MatMul returns a·b.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+func MatMul(a, b *Matrix) *Matrix { return MatMulConcat(whole(a), b) }
+
+// MatMulConcat returns a·b for a concatenated a: each row of a is assembled
+// from its parts into one reused row, which the kernel reads as MatMul reads
+// a row of a.Dense().
+func MatMulConcat(a Concat, b *Matrix) *Matrix {
+	if a.Cols() != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d · %dx%d", a.Rows, a.Cols(), b.Rows, b.Cols))
 	}
 	out := newUninit(a.Rows, b.Cols)
-	matMulAccRange(nil, a, b, out, 0, a.Rows)
+	matMulAcc(nil, a, b, out)
 	return out
 }
 
@@ -212,35 +267,45 @@ func MatMul(a, b *Matrix) *Matrix {
 // and only then added to sum's, so the rounding sequence is the unfused
 // pair's — without materializing the product matrix. dst must not share
 // storage with x or w.
-func MatMulAccTo(dst, sum, x, w *Matrix) *Matrix {
-	if x.Cols != w.Rows {
-		panic(fmt.Sprintf("tensor: MatMulAcc inner mismatch %dx%d · %dx%d", x.Rows, x.Cols, w.Rows, w.Cols))
+func MatMulAccTo(dst, sum, x, w *Matrix) *Matrix { return MatMulAccConcatTo(dst, sum, whole(x), w) }
+
+// MatMulAccConcatTo is MatMulAccTo for a concatenated x, its rows assembled
+// as MatMulConcat's. dst may be sum even when sum is a part of x: a row of x
+// is assembled before the row of dst is written.
+func MatMulAccConcatTo(dst, sum *Matrix, x Concat, w *Matrix) *Matrix {
+	if x.Cols() != w.Rows {
+		panic(fmt.Sprintf("tensor: MatMulAcc inner mismatch %dx%d · %dx%d", x.Rows, x.Cols(), w.Rows, w.Cols))
 	}
 	if sum.Rows != x.Rows || sum.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: MatMulAcc sum is %dx%d, product is %dx%d", sum.Rows, sum.Cols, x.Rows, w.Cols))
 	}
 	out := dest(dst, sum.Rows, sum.Cols)
-	matMulAccRange(sum, x, w, out, 0, x.Rows)
+	matMulAcc(sum, x, w, out)
 	return out
 }
 
-// matMulAccRange computes output rows [lo, hi) of a·b, plus sum's rows when
-// sum is non-nil; sum may be out itself. Each row starts as +0 (a·b alone) or
-// sum's row, and the product is added into it. A row of a that is entirely
-// zero — in a hop input P^k·[x|h], every node without a live edge — has the
-// product +0 and never enters mulRow; the scan that finds it ends at a dense
-// row's first nonzero entry. sum's row is added to that +0 all the same:
-// −0 + 0 is +0, so a zero product is not a copy of sum.
-func matMulAccRange(sum, a, b, out *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// matMulAcc computes a·b into out, plus sum's rows when sum is non-nil; sum
+// may be out itself. Each row starts as +0 (a·b alone) or sum's row, and the
+// product is added into it. A row of a that is entirely zero — in a hop
+// input P^k·[x|h], every node without a live edge — has the product +0 and
+// never enters mulRow; the scan that finds it ends at a dense row's first
+// nonzero entry. sum's row is added to that +0 all the same: −0 + 0 is +0,
+// so a zero product is not a copy of sum.
+func matMulAcc(sum *Matrix, a Concat, b, out *Matrix) {
+	var buf []float64 // rows of several parts are assembled here
+	if len(a.Parts) > 1 {
+		buf = make([]float64, a.Cols())
+	}
+	for i := 0; i < a.Rows; i++ {
 		orow := out.Row(i)
+		arow := a.row(i, buf)
 		switch {
 		case sum == nil:
 			clear(orow)
 		case sum != out:
 			copy(orow, sum.Row(i))
 		}
-		if arow := a.Row(i); !allZero(arow) {
+		if !allZero(arow) {
 			mulRow(orow, arow, b)
 		} else if sum != nil {
 			for j := range orow {
@@ -396,34 +461,44 @@ func matMulTransBInto(a, b, out *Matrix, add bool) {
 
 // MatMulTransA returns aᵀ·b, each output row accumulated in ascending-k
 // order.
-func MatMulTransA(a, b *Matrix) *Matrix {
+func MatMulTransA(a, b *Matrix) *Matrix { return MatMulTransAConcat(whole(a), b) }
+
+// MatMulTransAConcat returns aᵀ·b for a concatenated a: output row j reads
+// column j of a alone, so each part fills the block of rows its columns are,
+// bit-identical to MatMulTransA of a.Dense().
+func MatMulTransAConcat(a Concat, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+		panic(fmt.Sprintf("tensor: MatMulTransA inner mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols(), b.Rows, b.Cols))
 	}
-	out := New(a.Cols, b.Cols)
-	matMulTransARange(a, b, out, 0, a.Cols)
+	out := New(a.Cols(), b.Cols)
+	off := 0
+	for _, p := range a.Parts {
+		matMulTransAInto(p, b, out.RowRange(off, off+p.Cols))
+		off += p.Cols
+	}
 	return out
 }
 
-// matMulTransARange accumulates output rows [lo, hi) of the zeroed out,
-// streaming a and b once. Four k-rows are consumed per pass, added in
-// ascending order — o = (((o + a0·b0) + a1·b1) + a2·b2) + a3·b3 — so each
-// output element is loaded and stored once per four multiply-adds instead of
-// once per one; the last a.Rows%4 rows go one at a time. Four zero entries of
-// a in a column (an isolated node's rows, a feature nobody has) skip the pass.
-// The rows of b and out are sliced by hand, all to length n, where Row() would
-// read shorter: it is what lets the compiler drop the inner loop's bounds
-// checks (the large shape of BenchmarkDenseKernels runs 1.2× slower without).
-func matMulTransARange(a, b, out *Matrix, lo, hi int) {
+// matMulTransAInto accumulates aᵀ·b into the zeroed out over a's leading
+// b.Rows rows, streaming a and b once. Four k-rows are consumed per pass,
+// added in ascending order — o = (((o + a0·b0) + a1·b1) + a2·b2) + a3·b3 — so
+// each output element is loaded and stored once per four multiply-adds
+// instead of once per one; the last b.Rows%4 rows go one at a time. Four zero
+// entries of a in a column (an isolated node's rows, a feature nobody has)
+// skip the pass. The rows of b and out are sliced by hand, all to length n,
+// where Row() would read shorter: it is what lets the compiler drop the inner
+// loop's bounds checks (the large shape of BenchmarkDenseKernels runs 1.2×
+// slower without).
+func matMulTransAInto(a, b, out *Matrix) {
 	n := b.Cols
 	k := 0
-	for ; k+4 <= a.Rows; k += 4 {
+	for ; k+4 <= b.Rows; k += 4 {
 		a0, a1, a2, a3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
 		b0 := b.Data[k*n : (k+1)*n : (k+1)*n]
 		b1 := b.Data[(k+1)*n : (k+2)*n : (k+2)*n]
 		b2 := b.Data[(k+2)*n : (k+3)*n : (k+3)*n]
 		b3 := b.Data[(k+3)*n : (k+4)*n : (k+4)*n]
-		for i := lo; i < hi; i++ {
+		for i := 0; i < a.Cols; i++ {
 			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
 			// All four ±0, as one branch: four float compares mispredict on
 			// operands whose zeros have no pattern.
@@ -436,10 +511,10 @@ func matMulTransARange(a, b, out *Matrix, lo, hi int) {
 			}
 		}
 	}
-	for ; k < a.Rows; k++ {
+	for ; k < b.Rows; k++ {
 		arow := a.Row(k)
 		brow := b.Row(k)
-		for i := lo; i < hi; i++ {
+		for i := 0; i < a.Cols; i++ {
 			av := arow[i]
 			orow := out.Data[i*n : (i+1)*n : (i+1)*n]
 			for j, bv := range brow {
@@ -603,12 +678,7 @@ func ConcatCols(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", a.Rows, b.Rows))
 	}
-	out := newUninit(a.Rows, a.Cols+b.Cols)
-	for r := 0; r < a.Rows; r++ {
-		copy(out.Row(r)[:a.Cols], a.Row(r))
-		copy(out.Row(r)[a.Cols:], b.Row(r))
-	}
-	return out
+	return Concat{Rows: a.Rows, Parts: []*Matrix{a, b}}.Dense()
 }
 
 // SliceCols returns the column range [from, to) of m as a new matrix.
