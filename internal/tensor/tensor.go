@@ -270,8 +270,8 @@ func MatMulConcat(a Concat, b *Matrix) *Matrix {
 func MatMulAccTo(dst, sum, x, w *Matrix) *Matrix { return MatMulAccConcatTo(dst, sum, whole(x), w) }
 
 // MatMulAccConcatTo is MatMulAccTo for a concatenated x, its rows assembled
-// as MatMulConcat's. dst may be sum even when sum is a part of x: a row of x
-// is assembled before the row of dst is written.
+// as MatMulConcat's. dst may be sum even when sum is one of several parts of
+// x: a row of x is assembled before the row of dst is written.
 func MatMulAccConcatTo(dst, sum *Matrix, x Concat, w *Matrix) *Matrix {
 	if x.Cols() != w.Rows {
 		panic(fmt.Sprintf("tensor: MatMulAcc inner mismatch %dx%d · %dx%d", x.Rows, x.Cols(), w.Rows, w.Cols))
