@@ -497,10 +497,10 @@ func (t *Tape) reuse(op opKind, cands int, p1, p2, p3 *Node) *tensor.Matrix {
 // read notes that op i of this pass read recorded node seq. On an inference
 // tape it also recycles the node's buffer, if release is set and the plan
 // (still matching) says nothing reads it afterwards; a recording tape keeps
-// every value for the backward rules. A later read of a recycled or written-over value — possible
-// only if the pass then departs from the plan in a way that revisits an old
-// value — fails loudly on the missing data rather than computing on recycled
-// storage.
+// every value for the backward rules. A later read of a recycled or
+// written-over value — possible only if the pass then departs from the plan
+// in a way that revisits an old value — fails loudly on the missing data
+// rather than computing on recycled storage.
 func (t *Tape) read(seq, i int32, release bool) {
 	if seq == 0 {
 		return

@@ -9,11 +9,11 @@ import (
 // end-to-end ledger runs them at: the taxi-infer forward ([10000×23]·[23×16],
 // dense and with 94 % of the rows zero, as its isolated nodes leave the hop
 // inputs, and over the concatenation [x|h] of a 7- and a 16-column part read
-// where they are, beside the copy it replaced), a training partition ([11×22]·[22×16] and its two backward
-// products, the input gradient also added in place) and a full-graph weight
-// gradient. MAC/s counts every multiply-add
-// of the dense product, skipped or not, so a zero-row case reads as the
-// speed-up it is. `make bench-kernels` runs it.
+// where they are, beside the copy it replaced), a training partition
+// ([11×22]·[22×16] and its two backward products, the input gradient also
+// added in place) and a full-graph weight gradient. MAC/s counts every
+// multiply-add of the dense product, skipped or not, so a zero-row case reads
+// as the speed-up it is. `make bench-kernels` runs it.
 func BenchmarkDenseKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	dense := func(r, c int) *Matrix { return NewRandom(rng, r, c, 1) }
