@@ -478,8 +478,8 @@ func (p *program) viewCase(a *Node, rec func(*Node) *Node) {
 
 // randomProgram records ops random programs are made of — every op kind,
 // aliased operands, nodes read by one to four ops, products over interior
-// weights, concatenations in their shapes of use (viewCase) — and returns the scalar sum of a loss term over every node no op
-// read.
+// weights, concatenations in their shapes of use (viewCase) — and returns
+// the scalar sum of a loss term over every node no op read.
 func randomProgram(seed int64, tp *Tape) (*Node, *program) {
 	p := &program{rng: rand.New(rand.NewSource(seed)), tp: tp, uses: map[*Node]int{}}
 	for c := 1; c <= 3; c++ {
