@@ -21,10 +21,11 @@
 // the same values but record nothing, and the tape also hands each
 // intermediate buffer back to the tensor pool at its last use.
 //
-// A concatenation (ConcatCols) is a view over its operands, not a copy: the
-// products and SpMM read its parts where they are, and its gradient is kept
-// per part, for the parts that need one (see Node.parts). A read of a view is
-// a read of each part, for the plan as for the kernels.
+// A concatenation (ConcatCols) is a view over its operands, never a copy: the
+// products' left factors, SpMM, Head and ConcatCols read its parts where they
+// are, any other reader panics, and its gradient is kept per part, for the
+// parts that need one (see Node.parts). A read of a view is a read of each
+// part, for the plan as for the kernels; Pin pins a view part by part.
 package autodiff
 
 import (
@@ -94,10 +95,9 @@ type Node struct {
 	// parts makes the node a view (ConcatCols, and a Head of a view): its
 	// value is the leading Value.Rows rows of these operands side by side,
 	// nested concatenations flattened, read where they are, and Value is a
-	// shape with no data of its own until a reader that cannot read parts
-	// takes a copy (dense). mats holds the parts' values for the kernels;
-	// grads, on a recording tape, the view's gradient part by part, nil for a
-	// part that needs none. All three are empty on every other node.
+	// shape with no data of its own. mats holds the parts' values for the
+	// kernels; grads, on a recording tape, the view's gradient part by part,
+	// nil for a part that needs none. All three are empty on every other node.
 	parts []*Node
 	mats  []*tensor.Matrix
 	grads []*tensor.Matrix
@@ -138,7 +138,7 @@ type planStep struct {
 
 const (
 	lastNone int32 = -1 // no op reads the value: it lives until Release
-	lastKept int32 = -2 // pinned by Keep, or read by a backward rule
+	lastKept int32 = -2 // pinned by Pin, or read by a backward rule
 )
 
 // NewTape returns an empty recording tape, for forwards that run Backward.
@@ -149,7 +149,7 @@ const (
 // MatMul, Mul and MatMulAcc read an operand when the other one needs a
 // gradient; BCESeg reads its logits (ruleReads). Every other rule reads
 // shapes alone, which the written-over operand keeps. A reader whose rule
-// reads a value pins it, as Keep does, when it is recorded.
+// reads a value pins it, as Pin does, when it is recorded.
 func NewTape() *Tape { return &Tape{} }
 
 // NewInferenceTape returns a tape in inference (no-grad) mode, for forwards
@@ -180,8 +180,8 @@ func NewTape() *Tape { return &Tape{} }
 // so Release hands each back exactly once. Nothing may hold a tape value past
 // Release except the forward's output, taken with Detach. A value that code
 // outside the tape's ops reads after the ops are done with it (a
-// recurrent-state commit) must be pinned with Keep, which also keeps every op
-// from writing over it. Backward panics on an inference tape.
+// recurrent-state commit) must be pinned with Keep or Pin, which also keep
+// every op from writing over it. Backward panics on an inference tape.
 func NewInferenceTape() *Tape { return &Tape{noGrad: true} }
 
 // endPass ends a pass: the next may run Backward, and follows the plan this
@@ -238,7 +238,7 @@ func (t *Tape) Release() {
 // buffer (a Head may take its parent's) is copied out instead, so the longer
 // buffer goes back to the pool at Release.
 func (t *Tape) Detach(n *Node) *tensor.Matrix {
-	m := n.dense()
+	m := n.dense("Detach")
 	if n.seq == 0 {
 		return m
 	}
@@ -249,21 +249,27 @@ func (t *Tape) Detach(n *Node) *tensor.Matrix {
 	return m
 }
 
-// Keep pins n's value until Release and returns it, for code that reads it
-// outside the tape's ops (a model committing recurrent state) after the last
-// op that consumes it, or whose readers vary from pass to pass. Call it on
-// every pass, whether or not the value ends up being read: it holds from the
-// call on in this pass, and from the start in the next through the plan the
-// pass leaves behind. A pinned value is neither released early nor written
-// over, on either kind of tape.
+// Keep pins n's value (Pin) and returns it, for code that reads it outside
+// the tape's ops (a model committing recurrent state). A view has no value of
+// its own to return: Keep of one panics.
 func (t *Tape) Keep(n *Node) *tensor.Matrix {
-	if n.seq != 0 {
-		if n.dense() == nil || n.Value.Data == nil {
-			panic("autodiff: Keep of a value the tape already released or wrote over; Keep must be called on every pass")
-		}
-		t.pin(n)
+	m := n.dense("Keep")
+	t.Pin(n)
+	return m
+}
+
+// Pin keeps n's value until Release — a view's part by part, with no copy —
+// for a value read after the last op that consumes it, or whose readers vary
+// from pass to pass. Call it on every pass, whether or not the value ends up
+// being read: it holds from the call on in this pass, and from the start in
+// the next through the plan the pass leaves behind. A pinned value is neither
+// released early nor written over, on either kind of tape.
+func (t *Tape) Pin(n *Node) {
+	gone := func(q *Node) bool { return q.seq != 0 && (q.Value == nil || q.Value.Data == nil) }
+	if !n.view() && gone(n) || slices.ContainsFunc(n.parts, gone) {
+		panic("autodiff: Pin of a value the tape already released or wrote over; Pin must be called on every pass")
 	}
-	return n.Value
+	t.pin(n)
 }
 
 // pin keeps n's value, and a view's parts, from being released early or
@@ -294,13 +300,11 @@ func (n *Node) blocks() []*tensor.Matrix {
 // concat is n's value as the kernels read it.
 func (n *Node) concat() tensor.Concat { return tensor.Concat{Rows: n.Value.Rows, Parts: n.blocks()} }
 
-// dense returns n's value as one matrix. A view's is copied from its parts
-// on the first read that needs one matrix — an op that cannot read parts,
-// Keep, Detach — and is then the view's own buffer, recycled as any value
-// is. It is the one copy a concatenation ever takes.
-func (n *Node) dense() *tensor.Matrix {
-	if n.view() && n.Value != nil && n.Value.Data == nil {
-		n.Value.Data = n.concat().Dense().Data
+// dense returns n's value for op, a reader that cannot read a view's parts:
+// of a view it panics, before op's kernel runs.
+func (n *Node) dense(op string) *tensor.Matrix {
+	if n.view() {
+		panic("autodiff: " + op + " cannot read a concatenation view; only MatMul's left factor, MatMulAcc's x, SpMM, Head and ConcatCols can")
 	}
 	return n.Value
 }
@@ -424,8 +428,8 @@ func (t *Tape) record(op opKind, v *tensor.Matrix, reqGrad bool, p1, p2, p3 *Nod
 
 // ruleReads is the table of values the backward rule of an op of kind op on
 // inputs ps reads, on a recording tape: which inputs, and whether its own
-// output. Every rule not listed reads shapes alone. A rule that reads a view
-// reads its parts (MatMul's weight rule) or its copy.
+// output. Every rule not listed reads shapes alone. A weight rule reads the
+// parts of a view left factor, MatMulAcc's sum among them if x holds it.
 func (t *Tape) ruleReads(op opKind, ps [3]*Node) (in [3]bool, out bool) {
 	if t.noGrad {
 		return in, false
@@ -437,6 +441,7 @@ func (t *Tape) ruleReads(op opKind, ps [3]*Node) (in [3]bool, out bool) {
 		in[0], in[1] = ps[1].requiresGrad, ps[0].requiresGrad
 	case opMatMulAcc:
 		in[1], in[2] = ps[2].requiresGrad, ps[1].requiresGrad
+		in[0] = in[1] && slices.Contains(ps[1].parts, ps[0])
 	case opBCESeg:
 		in[0] = ps[0].requiresGrad
 	}
@@ -463,7 +468,7 @@ func (t *Tape) matches(i int32, op opKind, in [3]int32) bool {
 // reuse returns the buffer the op about to be recorded, of kind op on inputs
 // p1..p3, may write its result into: that of the first of its leading cands
 // inputs which, on a tape whose pass matches the plan up to and including
-// this op, the tape owns, nobody pinned — with Keep, or by a backward rule
+// this op, the tape owns, nobody pinned — with Pin, or by a backward rule
 // that reads it (ruleReads), this op's own included — and the plan says this
 // op reads last: an input no later op reads, so no later op can tell whether
 // its buffer was written over or released. A read of a view counts as a read
@@ -471,8 +476,8 @@ func (t *Tape) matches(i int32, op opKind, in [3]int32) bool {
 // The op must take every element of the result from the same element (or,
 // for Head, row) of that input, not read others after writing; an input it
 // also reads as a non-candidate does not qualify (MatMulAcc's x may hold sum
-// as a part: it assembles a row of x before it writes that row), and neither
-// does a view, which is never written over. record moves the buffer to the
+// as a part: it assembles a row of x before it writes that row). A candidate
+// is never a view: no row-local op reads one. record moves the buffer to the
 // op's output. nil means the op allocates.
 func (t *Tape) reuse(op opKind, cands int, p1, p2, p3 *Node) *tensor.Matrix {
 	if !t.planOK {
@@ -485,7 +490,7 @@ func (t *Tape) reuse(op opKind, cands int, p1, p2, p3 *Node) *tensor.Matrix {
 	}
 	reads, _ := t.ruleReads(op, ps)
 	for k, p := range ps[:cands] {
-		if p.seq != 0 && !p.view() && p.Value != nil && t.plan[p.seq-1].last == i && !reads[k] &&
+		if p.seq != 0 && p.Value != nil && t.plan[p.seq-1].last == i && !reads[k] &&
 			t.cur[p.seq-1].last != lastKept && !slices.Contains(ps[cands:], p) {
 			t.into = p
 			return p.Value
@@ -690,48 +695,6 @@ func dInput(p *Node, g, w *tensor.Matrix) {
 	}
 }
 
-// densify gives a view the one gradient buffer a rule that cannot write its
-// parts' blocks adds into — the rule of an op that read the view's copy —
-// and split takes it back apart: the blocks side by side (zeros for parts
-// that need none), or no buffer while the view has no gradient yet, so the
-// rule writes its share as into a fresh node's. Every element is added to in
-// the order it would be in one buffer; split runs after the rule's last read
-// of its gradient, which the buffer may be. Both are no-ops on every other
-// node.
-func (n *Node) densify() {
-	if !n.view() || n.Grad != nil || !n.hasGrad() {
-		return
-	}
-	g := tensor.New(n.Value.Rows, n.Value.Cols)
-	off := 0
-	for k, m := range n.mats {
-		if s := n.grads[k]; s != nil {
-			for r := 0; r < g.Rows; r++ {
-				copy(g.Row(r)[off:off+m.Cols], s.Row(r))
-			}
-			tensor.Recycle(s)
-			n.grads[k] = nil
-		}
-		off += m.Cols
-	}
-	n.Grad = g
-}
-
-func (n *Node) split() {
-	if !n.view() || n.Grad == nil {
-		return
-	}
-	off := 0
-	for k, m := range n.mats {
-		if n.parts[k].requiresGrad {
-			n.grads[k] = tensor.SliceCols(n.Grad, off, off+m.Cols)
-		}
-		off += m.Cols
-	}
-	tensor.Recycle(n.Grad)
-	n.Grad = nil
-}
-
 // runBack applies node out's backward rule, giving each parent that requires
 // one its share of out's gradient g. One switch instead of per-node closures:
 // see opKind.
@@ -744,10 +707,9 @@ func (n *Node) split() {
 // every parameter gradient, summed onto +0, is bit-identical for finite
 // values (DESIGN.md §8, "Gradients in place").
 //
-// A view keeps its gradient part by part (Node.grads). The products' input
-// rules, SpMM's, Head's and ConcatCols' write the parts' blocks; any other
-// rule, of an op that read the view's copy, writes one buffer that densify
-// and split convert from and to the blocks.
+// A view keeps its gradient part by part (Node.grads), which the rules of the
+// ops that read views — the products' input rules, SpMM's, Head's and
+// ConcatCols' — write block by block.
 func (out *Node) runBack() {
 	g := out.Grad
 	switch out.op {
@@ -759,33 +721,26 @@ func (out *Node) runBack() {
 		if b.requiresGrad {
 			// Into a parameter the scatter's sums from +0 are what
 			// fix the bits, so the product stays a temporary there.
-			b.densify()
 			put(b, tensor.MatMulTransAConcat(a.concat(), g))
-			b.split()
 		}
 		return
 	case opMatMulAcc:
 		// sum + x·w: Add's rule for sum, then MatMul's for x and w, in the
 		// unfused pair's order. x's add form reads rows of g while it writes
-		// x's gradient, so a sum that is also x takes a copy of g; so does a
-		// view, whose buffer split recycles before x and w read g.
+		// x's gradient, so a sum that is also x takes a copy of g.
 		sum, x, w := out.parents[0], out.parents[1], out.parents[2]
 		if sum.requiresGrad {
-			sum.densify()
-			if (sum == x || sum.view()) && fresh(sum) {
+			if sum == x && fresh(sum) {
 				sum.Grad = g.Clone()
 			} else {
 				out.pass(sum, g)
 			}
-			sum.split()
 		}
 		if x.requiresGrad {
 			dInput(x, g, w.Value)
 		}
 		if w.requiresGrad {
-			w.densify()
 			put(w, tensor.MatMulTransAConcat(x.concat(), g))
-			w.split()
 		}
 		return
 	case opSpMM:
@@ -835,11 +790,6 @@ func (out *Node) runBack() {
 			}
 		}
 		return
-	}
-	for _, p := range out.parents {
-		p.densify()
-	}
-	switch out.op {
 	case opAdd, opSub:
 		// a takes g first and unchanged; b reads it after, so b gets g (−g
 		// for Sub) written into a buffer of its own.
@@ -1025,16 +975,13 @@ func (out *Node) runBack() {
 			}
 		}
 	}
-	for _, p := range out.parents {
-		p.split()
-	}
 }
 
 // --- operations ---
 
 // MatMul returns a·b.
 func (t *Tape) MatMul(a, b *Node) *Node {
-	return t.newNode2(opMatMul, tensor.MatMulConcat(a.concat(), b.dense()), anyGrad(a, b), a, b)
+	return t.newNode2(opMatMul, tensor.MatMulConcat(a.concat(), b.dense("MatMul's right operand")), anyGrad(a, b), a, b)
 }
 
 // MatMulAcc returns sum + x·w as one op: the value and all three gradients
@@ -1043,7 +990,7 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 // into sum's buffer.
 func (t *Tape) MatMulAcc(sum, x, w *Node) *Node {
 	dst := t.reuse(opMatMulAcc, 1, sum, x, w)
-	return t.record(opMatMulAcc, tensor.MatMulAccConcatTo(dst, sum.dense(), x.concat(), w.dense()), anyGrad(sum, x, w), sum, x, w)
+	return t.record(opMatMulAcc, tensor.MatMulAccConcatTo(dst, sum.dense("MatMulAcc's sum"), x.concat(), w.dense("MatMulAcc's w")), anyGrad(sum, x, w), sum, x, w)
 }
 
 // SpMM returns s·x where s is a constant sparse matrix (no gradient flows
@@ -1061,25 +1008,25 @@ func (t *Tape) SpMM(s *tensor.CSR, x *Node) *Node {
 // Add returns a+b (same shape).
 func (t *Tape) Add(a, b *Node) *Node {
 	dst := t.reuse(opAdd, 2, a, b, nil)
-	return t.newNode2(opAdd, tensor.AddTo(dst, a.dense(), b.dense()), anyGrad(a, b), a, b)
+	return t.newNode2(opAdd, tensor.AddTo(dst, a.dense("Add"), b.dense("Add")), anyGrad(a, b), a, b)
 }
 
 // Sub returns a−b.
 func (t *Tape) Sub(a, b *Node) *Node {
 	dst := t.reuse(opSub, 2, a, b, nil)
-	return t.newNode2(opSub, tensor.SubTo(dst, a.dense(), b.dense()), anyGrad(a, b), a, b)
+	return t.newNode2(opSub, tensor.SubTo(dst, a.dense("Sub"), b.dense("Sub")), anyGrad(a, b), a, b)
 }
 
 // Mul returns the Hadamard product a∘b.
 func (t *Tape) Mul(a, b *Node) *Node {
 	dst := t.reuse(opMul, 2, a, b, nil)
-	return t.newNode2(opMul, tensor.MulTo(dst, a.dense(), b.dense()), anyGrad(a, b), a, b)
+	return t.newNode2(opMul, tensor.MulTo(dst, a.dense("Mul"), b.dense("Mul")), anyGrad(a, b), a, b)
 }
 
 // Scale returns s·a for scalar constant s.
 func (t *Tape) Scale(a *Node, s float64) *Node {
 	dst := t.reuse(opScale, 1, a, nil, nil)
-	out := t.newNode1(opScale, tensor.ScaleTo(dst, a.dense(), s), a.requiresGrad, a)
+	out := t.newNode1(opScale, tensor.ScaleTo(dst, a.dense("Scale"), s), a.requiresGrad, a)
 	out.auxF = s
 	return out
 }
@@ -1087,38 +1034,38 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 // AddBias returns m with the 1×cols bias row b added to every row.
 func (t *Tape) AddBias(m, b *Node) *Node {
 	dst := t.reuse(opAddBias, 1, m, b, nil)
-	return t.newNode2(opAddBias, tensor.AddRowVectorTo(dst, m.dense(), b.dense()), anyGrad(m, b), m, b)
+	return t.newNode2(opAddBias, tensor.AddRowVectorTo(dst, m.dense("AddBias"), b.dense("AddBias")), anyGrad(m, b), m, b)
 }
 
 // Sigmoid applies the logistic function elementwise.
 func (t *Tape) Sigmoid(a *Node) *Node {
 	dst := t.reuse(opSigmoid, 1, a, nil, nil)
-	return t.newNode1(opSigmoid, tensor.SigmoidTo(dst, a.dense()), a.requiresGrad, a)
+	return t.newNode1(opSigmoid, tensor.SigmoidTo(dst, a.dense("Sigmoid")), a.requiresGrad, a)
 }
 
 // Tanh applies tanh elementwise.
 func (t *Tape) Tanh(a *Node) *Node {
 	dst := t.reuse(opTanh, 1, a, nil, nil)
-	return t.newNode1(opTanh, tensor.TanhTo(dst, a.dense()), a.requiresGrad, a)
+	return t.newNode1(opTanh, tensor.TanhTo(dst, a.dense("Tanh")), a.requiresGrad, a)
 }
 
 // ReLU applies max(0, x) elementwise.
 func (t *Tape) ReLU(a *Node) *Node {
 	dst := t.reuse(opReLU, 1, a, nil, nil)
-	return t.newNode1(opReLU, tensor.ReLUTo(dst, a.dense()), a.requiresGrad, a)
+	return t.newNode1(opReLU, tensor.ReLUTo(dst, a.dense("ReLU")), a.requiresGrad, a)
 }
 
 // OneMinus returns 1−a elementwise (used by GRU gates).
 func (t *Tape) OneMinus(a *Node) *Node {
 	dst := t.reuse(opOneMinus, 1, a, nil, nil)
-	return t.newNode1(opOneMinus, tensor.OneMinusTo(dst, a.dense()), a.requiresGrad, a)
+	return t.newNode1(opOneMinus, tensor.OneMinusTo(dst, a.dense("OneMinus")), a.requiresGrad, a)
 }
 
 // ConcatCols returns [a | b] as a view: no buffer of its own, its parts read
 // where they are by the ops that can — MatMul's and MatMulAcc's left factor,
-// SpMM's dense operand, Head, ConcatCols — and copied once for any other
-// reader (see Node.parts). A concatenation of a view flattens into one list
-// of parts. Its gradient is kept part by part, for the parts that need one.
+// SpMM's dense operand, Head, ConcatCols — while any other reader panics (see
+// Node.parts). A concatenation of a view flattens into one list of parts. Its
+// gradient is kept part by part, for the parts that need one.
 func (t *Tape) ConcatCols(a, b *Node) *Node {
 	if a.Value.Rows != b.Value.Rows {
 		panic(fmt.Sprintf("autodiff: ConcatCols row mismatch %d vs %d", a.Value.Rows, b.Value.Rows))
@@ -1152,7 +1099,7 @@ func (t *Tape) newView(op opKind, rows int, a, b *Node) *Node {
 
 // GatherRows selects the given rows of a.
 func (t *Tape) GatherRows(a *Node, rows []int) *Node {
-	out := t.newNode1(opGatherRows, tensor.GatherRows(a.dense(), rows), a.requiresGrad, a)
+	out := t.newNode1(opGatherRows, tensor.GatherRows(a.dense("GatherRows"), rows), a.requiresGrad, a)
 	if !t.noGrad {
 		// Defensive copy into the shell's reusable index scratch: the caller
 		// may mutate rows before Backward runs.
@@ -1172,11 +1119,12 @@ func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node {
 			panic(fmt.Sprintf("autodiff: ScatterRows rows not strictly ascending at %d", i))
 		}
 	}
+	bv, sv := base.dense("ScatterRows"), src.dense("ScatterRows")
 	val := t.reuse(opScatterRows, 1, base, src, nil)
 	if val == nil {
-		val = base.dense().Clone()
+		val = bv.Clone()
 	}
-	tensor.ScatterRows(val, src.dense(), rows)
+	tensor.ScatterRows(val, sv, rows)
 	out := t.newNode2(opScatterRows, val, anyGrad(base, src), base, src)
 	if !t.noGrad {
 		out.auxInts = append(out.auxInts[:0], rows...)
@@ -1212,13 +1160,13 @@ func (t *Tape) Head(a *Node, rows int) *Node {
 
 // Mean returns the scalar mean of all elements of a.
 func (t *Tape) Mean(a *Node) *Node {
-	val := tensor.FromSlice(1, 1, []float64{a.dense().Mean()})
+	val := tensor.FromSlice(1, 1, []float64{a.dense("Mean").Mean()})
 	return t.newNode1(opMean, val, a.requiresGrad, a)
 }
 
 // Sum returns the scalar sum of all elements of a.
 func (t *Tape) Sum(a *Node) *Node {
-	return t.newNode1(opSum, tensor.FromSlice(1, 1, []float64{a.dense().Sum()}), a.requiresGrad, a)
+	return t.newNode1(opSum, tensor.FromSlice(1, 1, []float64{a.dense("Sum").Sum()}), a.requiresGrad, a)
 }
 
 // MSE returns mean squared error between pred and the constant target.
@@ -1233,7 +1181,7 @@ func (t *Tape) MSE(pred *Node, target *tensor.Matrix) *Node {
 // its own gradient, exactly as MSE over those rows alone; an empty segment
 // reads 0 and passes no gradient on.
 func (t *Tape) MSESeg(pred *Node, target *tensor.Matrix, ends []int) *Node {
-	diff := t.Owned(tensor.Sub(pred.dense(), target))
+	diff := t.Owned(tensor.Sub(pred.dense("MSESeg"), target))
 	val := tensor.New(len(ends), 1)
 	lo := 0
 	for s, end := range checkEnds(ends, diff.Rows) {
@@ -1270,7 +1218,7 @@ func (t *Tape) BCEWithLogits(logits *Node, target *tensor.Matrix) *Node {
 // BCESeg is BCEWithLogits per row segment, segments and result laid out as
 // MSESeg's.
 func (t *Tape) BCESeg(logits *Node, target *tensor.Matrix, ends []int) *Node {
-	if logits.dense().Rows != target.Rows || logits.Value.Cols != target.Cols {
+	if logits.dense("BCESeg").Rows != target.Rows || logits.Value.Cols != target.Cols {
 		panic("autodiff: BCEWithLogits shape mismatch")
 	}
 	val := tensor.New(len(ends), 1)

@@ -1,8 +1,10 @@
 package autodiff
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"streamgnn/internal/tensor"
@@ -108,13 +110,16 @@ func TestAddBiasGrad(t *testing.T) {
 	})
 }
 
+// ConcatCols' gradient, through a product that reads the view's parts and a
+// gather that mixes the product's rows.
 func TestConcatGatherGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := Param(tensor.NewRandom(rng, 3, 2, 1))
 	b := Param(tensor.NewRandom(rng, 3, 3, 1))
+	w := Constant(tensor.NewRandom(rng, 5, 2, 1))
 	checkGrad(t, []*Node{a, b}, func(tp *Tape) *Node {
 		cat := tp.ConcatCols(a, b)
-		return tp.Mean(tp.GatherRows(cat, []int{2, 0, 2}))
+		return tp.Mean(tp.GatherRows(tp.MatMul(cat, w), []int{2, 0, 2}))
 	})
 }
 
@@ -246,6 +251,68 @@ func TestSecondBackwardPanics(t *testing.T) {
 		tp.Release()
 	}
 	tp.Backward(tp.Mean(a))
+}
+
+// A concatenation view is read part by part, by a product's left factor,
+// MatMulAcc's x, SpMM, Head and ConcatCols alone. Every other reader of a view
+// (v, or h, a view of its first row) panics on either kind of tape, naming
+// the op, before its kernel runs: the tape records nothing and meters no
+// float.
+func TestViewReadersPanic(t *testing.T) {
+	tensor.EnableMeter(true)
+	defer tensor.EnableMeter(false)
+	rng := rand.New(rand.NewSource(10))
+	a, b := Param(tensor.NewRandom(rng, 3, 2, 1)), Param(tensor.NewRandom(rng, 3, 2, 1))
+	m, sq := Param(tensor.NewRandom(rng, 3, 4, 1)), Param(tensor.NewRandom(rng, 3, 3, 1))
+	row := Param(tensor.NewRandom(rng, 1, 4, 1))
+	target := tensor.New(3, 4)
+	readers := []struct {
+		op   string
+		read func(tp *Tape, v, h *Node)
+	}{
+		{"Add", func(tp *Tape, v, h *Node) { tp.Add(m, v) }},
+		{"Sub", func(tp *Tape, v, h *Node) { tp.Sub(v, m) }},
+		{"Mul", func(tp *Tape, v, h *Node) { tp.Mul(v, v) }},
+		{"Scale", func(tp *Tape, v, h *Node) { tp.Scale(v, 2) }},
+		{"AddBias", func(tp *Tape, v, h *Node) { tp.AddBias(m, h) }},
+		{"Sigmoid", func(tp *Tape, v, h *Node) { tp.Sigmoid(v) }},
+		{"Tanh", func(tp *Tape, v, h *Node) { tp.Tanh(v) }},
+		{"ReLU", func(tp *Tape, v, h *Node) { tp.ReLU(v) }},
+		{"OneMinus", func(tp *Tape, v, h *Node) { tp.OneMinus(v) }},
+		{"GatherRows", func(tp *Tape, v, h *Node) { tp.GatherRows(v, []int{1}) }},
+		{"ScatterRows", func(tp *Tape, v, h *Node) { tp.ScatterRows(v, row, []int{2}) }},
+		{"ScatterRows", func(tp *Tape, v, h *Node) { tp.ScatterRows(m, h, []int{2}) }},
+		{"MatMul's right operand", func(tp *Tape, v, h *Node) { tp.MatMul(sq, v) }},
+		{"MatMulAcc's sum", func(tp *Tape, v, h *Node) { tp.MatMulAcc(v, sq, m) }},
+		{"MatMulAcc's w", func(tp *Tape, v, h *Node) { tp.MatMulAcc(m, sq, v) }},
+		{"Mean", func(tp *Tape, v, h *Node) { tp.Mean(v) }},
+		{"Sum", func(tp *Tape, v, h *Node) { tp.Sum(v) }},
+		{"MSESeg", func(tp *Tape, v, h *Node) { tp.MSE(v, target) }},
+		{"BCESeg", func(tp *Tape, v, h *Node) { tp.BCEWithLogits(h, target.RowRange(0, 1)) }},
+		{"Keep", func(tp *Tape, v, h *Node) { tp.Keep(v) }},
+		{"Detach", func(tp *Tape, v, h *Node) { tp.Detach(h) }},
+	}
+	for _, tp := range []*Tape{NewTape(), NewInferenceTape()} {
+		for _, r := range readers {
+			v := tp.ConcatCols(a, b)
+			h := tp.Head(v, 1)
+			n := tp.Len()
+			tensor.ResetMeter()
+			msg := panicMessage(func() { r.read(tp, v, h) })
+			if !strings.Contains(msg, r.op) || tp.Len() != n || tensor.TotalFloats() != 0 {
+				t.Fatalf("%s of a view (inference tape %v): panic %q, %d ops recorded, %d floats metered",
+					r.op, tp.noGrad, msg, tp.Len()-n, tensor.TotalFloats())
+			}
+			tp.Release()
+		}
+	}
+}
+
+// panicMessage runs f and returns what it panicked with, "<nil>" if nothing.
+func panicMessage(f func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	f()
+	return
 }
 
 func TestSGDConvergesOnQuadratic(t *testing.T) {

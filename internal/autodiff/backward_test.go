@@ -13,10 +13,12 @@ import (
 // and slices through a temporary — kept here as the reference the rules must
 // match: bit for bit in every parameter gradient, up to the sign of a zero in
 // every interior one. The reference reads every concatenation as the copy
-// ConcatCols once made, and keeps one gradient for it.
+// ConcatCols once made, taken here, and keeps one gradient for it.
 func refBackward(t *Tape, root *Node) {
 	for _, n := range t.nodes {
-		n.dense()
+		if n.view() {
+			n.Value.Data = n.concat().Dense().Data
+		}
 	}
 	var order []*Node
 	var visit func(n *Node)
@@ -427,13 +429,13 @@ func (p *program) upstream(n *Node) *Node {
 // products and an SpMM; the link heads' nested [u|v|u∘v], whose parts Mul
 // reads beside; TGCN's head of [x|h] beside a head of x, concatenated again;
 // a part read last after the concatenation's last read, by an op that may
-// write over it unless a later weight rule reads the concatenation; readers
-// that take the lazy copy beside ones that read parts; and a concatenation
-// left for the random ops that follow.
+// write over it unless a later weight rule reads the concatenation; and a
+// concatenation read by one of the ops that read parts (partRead). No view
+// reaches rec: only those ops can read one (TestViewReadersPanic).
 func (p *program) viewCase(a *Node, rec func(*Node) *Node) {
 	tp := p.tp
 	cols := a.Value.Cols
-	switch p.rng.Intn(6) {
+	switch p.rng.Intn(5) {
 	case 0:
 		v := tp.ConcatCols(p.add(Constant(p.mat(progRows, 2))), a)
 		w := v.Value.Cols
@@ -458,28 +460,35 @@ func (p *program) viewCase(a *Node, rec func(*Node) *Node) {
 			rec(tp.Sigmoid(a))
 		}
 	case 4:
-		v := tp.ConcatCols(a, p.second(a))
-		rec(tp.MatMul(v, p.param(2*cols, 2)))
-		switch p.rng.Intn(4) {
-		case 0:
-			rec(tp.Tanh(v))
-		case 1:
-			rec(tp.Add(v, v))
-		case 2:
-			rec(tp.MatMul(p.param(progRows, progRows), v))
-		case 3:
-			rec(tp.GatherRows(v, []int{p.rng.Intn(progRows), 0, p.rng.Intn(progRows), 1}))
-		}
-		rec(tp.SpMM(p.csr(), v))
-	case 5:
-		rec(tp.ConcatCols(a, p.second(a)))
+		rec(p.partRead(tp.ConcatCols(a, p.second(a))))
 	}
+}
+
+// partRead reads the view v of progRows rows by one of the ops that read a
+// view's parts and returns what it computes, no view: a product's left
+// factor, over an interior weight at times; MatMulAcc's x, beside a sum from
+// the operands; SpMM; or a concatenation of v, read in turn.
+func (p *program) partRead(v *Node) *Node {
+	tp, cols := p.tp, v.Value.Cols
+	switch p.rng.Intn(4) {
+	case 0:
+		return tp.MatMul(v, p.weight(cols, 1+p.rng.Intn(3)))
+	case 1:
+		sum := p.pick(0)
+		if sum == nil {
+			sum = p.param(progRows, 2)
+		}
+		return tp.MatMulAcc(sum, v, p.weight(cols, sum.Value.Cols))
+	case 2:
+		return tp.SpMM(p.csr(), v)
+	}
+	return p.partRead(tp.ConcatCols(v, p.param(progRows, 1)))
 }
 
 // randomProgram records ops random programs are made of — every op kind,
 // aliased operands, nodes read by one to four ops, products over interior
 // weights, concatenations in their shapes of use (viewCase) — and returns
-// the scalar sum of a loss term over every node no op read.
+// the scalar sum of a loss term over every node no op read, none a view.
 func randomProgram(seed int64, tp *Tape) (*Node, *program) {
 	p := &program{rng: rand.New(rand.NewSource(seed)), tp: tp, uses: map[*Node]int{}}
 	for c := 1; c <= 3; c++ {
@@ -533,10 +542,10 @@ func randomProgram(seed int64, tp *Tape) (*Node, *program) {
 			p.add(tp.SpMM(p.csr(), a))
 		case 12:
 			if cols > 3 {
-				p.add(tp.ConcatCols(a, p.param(progRows, 1)))
+				p.add(p.partRead(tp.ConcatCols(a, p.param(progRows, 1))))
 				break
 			}
-			p.add(tp.ConcatCols(a, p.second(a)))
+			p.add(p.partRead(tp.ConcatCols(a, p.second(a))))
 		case 13:
 			rows := make([]int, progRows)
 			for i := range rows {
@@ -600,10 +609,10 @@ func equalUpToZeroSign(a, b *tensor.Matrix) bool {
 // gradients, aliased operands, nodes read by one to four ops and interior
 // product weights, with poisoned pool buffers: parameter gradients are
 // bit-equal, interior gradients equal up to the sign of a zero, and no two
-// nodes own one buffer.
+// nodes own one buffer. Every op that reads views reads one.
 func TestBackwardRulesMatchAccumulatingReference(t *testing.T) {
 	withPooling(t)
-	seen := map[opKind]bool{}
+	seen, readsView := map[opKind]bool{}, map[opKind]bool{}
 	handed := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		tpR, tpN := NewTape(), NewTape()
@@ -615,6 +624,9 @@ func TestBackwardRulesMatchAccumulatingReference(t *testing.T) {
 		tpN.Backward(rootN)
 		for _, n := range tpN.nodes {
 			seen[n.op] = true
+			for _, q := range n.parents {
+				readsView[n.op] = readsView[n.op] || q.view()
+			}
 		}
 
 		if !bitEqual(rootR.Value, rootN.Value) {
@@ -652,6 +664,11 @@ func TestBackwardRulesMatchAccumulatingReference(t *testing.T) {
 	for k := opMatMul; k <= opHead; k++ {
 		if !seen[k] {
 			t.Fatalf("no program recorded op %d", k)
+		}
+	}
+	for _, k := range []opKind{opMatMul, opMatMulAcc, opSpMM, opHead, opConcatCols} {
+		if !readsView[k] {
+			t.Fatalf("no program read a view with op %d", k)
 		}
 	}
 	if handed == 0 {

@@ -188,7 +188,7 @@ func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 }
 
 // An inference tape computes a recording tape's values over random programs
-// of every forward op — concatenations read by parts and through their copy,
+// of every forward op — concatenations read by each op that reads parts,
 // nested, their heads, their parts read elsewhere and written over after the
 // views' last read — pass after pass, departing passes and passes after them
 // included, while from the second pass on it releases values at their last
@@ -397,4 +397,46 @@ func TestInferenceTapeRejectsBackwardAndLateKeep(t *testing.T) {
 		t.Fatalf("a value kept on this pass alone was released or written over: %v", h.Value)
 	}
 	tp.Release()
+}
+
+// Pin of a view pins its parts where they are: it meters no float on an
+// inference tape, and the parts survive until Release a pass whose readers
+// vary from pass to pass — RTGCN's shape, a relation with edges on one pass
+// and none on the next, whose learned plan would otherwise release the parts
+// at the last reader of a pass without the relation.
+func TestPinViewKeepsPartsWithoutCopy(t *testing.T) {
+	withPooling(t)
+	tensor.EnableMeter(true)
+	defer tensor.EnableMeter(false)
+	rng := rand.New(rand.NewSource(11))
+	xm, hm := tensor.NewRandom(rng, 5, 3, 1), tensor.NewRandom(rng, 5, 4, 1)
+	self, rel := Param(tensor.NewRandom(rng, 7, 2, 1)), Param(tensor.NewRandom(rng, 7, 2, 1))
+	adj := tensor.NewCSR(5, 5, [][]tensor.CSREntry{{{Col: 4, Val: 0.5}}, {{Col: 0, Val: 2}}, {{Col: 1, Val: -1}}, nil, {{Col: 2, Val: 1}}})
+	forward := func(tp *Tape, edges bool) (out, x, h *Node, pinned int64) {
+		x, h = tp.OwnedConstant(xm.Clone()), tp.Tanh(tp.OwnedConstant(hm.Clone()))
+		v := tp.ConcatCols(x, h)
+		tensor.ResetMeter()
+		tp.Pin(v)
+		pinned = tensor.TotalFloats()
+		out = tp.MatMul(tp.Head(v, 3), self)
+		if edges {
+			out = tp.Add(out, tp.SpMM(adj.Head(3, 5), tp.MatMul(v, rel)))
+		}
+		return out, x, h, pinned
+	}
+	tp := NewInferenceTape()
+	for pass, edges := range []bool{false, false, true, false, true, true, false} {
+		want, _, wantH, _ := forward(NewTape(), edges)
+		out, x, h, pinned := forward(tp, edges)
+		if pinned != 0 {
+			t.Fatalf("pass %d: Pin of a view metered %d floats", pass, pinned)
+		}
+		if !bitEqual(want.Value, out.Value) {
+			t.Fatalf("pass %d (edges %v): value differs from the recording tape's", pass, edges)
+		}
+		if x.Value == nil || !bitEqual(xm, x.Value) || h.Value == nil || !bitEqual(wantH.Value, h.Value) {
+			t.Fatalf("pass %d (edges %v): a pinned part was released or written over", pass, edges)
+		}
+		tp.Release()
+	}
 }

@@ -107,10 +107,10 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 			op(tp.SpMM(p.csr(), a))
 		case 12:
 			if cols > 3 {
-				op(tp.ConcatCols(a, p.param(progRows, 1)))
+				op(p.partRead(tp.ConcatCols(a, p.param(progRows, 1))))
 				break
 			}
-			op(tp.ConcatCols(a, p.second(a)))
+			op(p.partRead(tp.ConcatCols(a, p.second(a))))
 		case 13:
 			rows := make([]int, progRows)
 			for i := range rows {
@@ -130,7 +130,7 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 			if cols > 3 || p.uses[a] >= 4 {
 				break
 			}
-			op(tp.ConcatCols(a, p.second(a)))
+			op(p.partRead(tp.ConcatCols(a, p.second(a))))
 			p.uses[a] = 4
 			op([]func(*Node) *Node{tp.OneMinus, tp.Sigmoid}[p.rng.Intn(2)](a))
 		case 18:

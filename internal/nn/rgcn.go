@@ -51,10 +51,11 @@ func (c *RGCNConv) Apply(tp *autodiff.Tape, typed []*tensor.CSR, x *autodiff.Nod
 // adjacency, so a head that happens to be empty still adds its +0 rows
 // exactly as the whole convolution does.
 func (c *RGCNConv) ApplyRows(tp *autodiff.Tape, typed []*tensor.CSR, x *autodiff.Node, rows int) *autodiff.Node {
-	// Which relations read x changes with the data, so x is pinned: an
-	// inference tape that learned its last reader from a pass with fewer live
-	// relations would release it under the readers a later pass adds.
-	tp.Keep(x)
+	// Which relations read x changes with the data, so x is pinned (part by
+	// part, when it is a concatenation): an inference tape that learned its
+	// last reader from a pass with fewer live relations would release it under
+	// the readers a later pass adds.
+	tp.Pin(x)
 	sum := tp.MatMul(tp.Head(x, rows), c.Self)
 	for r, w := range c.Rel {
 		if r >= len(typed) || typed[r].NNZ() == 0 {
