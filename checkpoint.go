@@ -364,10 +364,14 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 	// The caller rebuilt the graph by replaying the whole stream, which marks
 	// every node updated; the saved run had cleared the set at the end of its
 	// last step. Clear it so the first resumed step sees only the mutations
-	// applied after this load. The forward-dirty set accumulated the same
-	// replay churn: drain it too, or the first resumed incremental step would
-	// recompute the whole graph.
+	// applied after this load. The replay also kept the edges the saved run's
+	// window had expired: expire them as its last step did. The forward-dirty
+	// set accumulated the replay churn and that expiry: drain it too, or the
+	// first resumed step would advance rows the saved run holds.
 	e.g.ResetUpdated()
+	if e.cfg.WindowSteps > 0 {
+		e.g.ExpireEdgesBefore(int64(e.step - e.cfg.WindowSteps))
+	}
 	e.g.TakeDirty()
 	return nil
 }

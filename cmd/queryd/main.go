@@ -677,12 +677,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	obs.WriteCounter(&b, "streamgnn_forwards_total", "Forward inference passes, by mode.",
 		obs.Labeled(`mode="full"`, tel.FullForwards), obs.Labeled(`mode="incremental"`, tel.IncrementalForwards), obs.Labeled(`mode="delta"`, tel.DeltaForwards))
-	obs.WriteGauge(&b, "streamgnn_forward_rows", "Rows of the last full forward.", obs.Value(tel.ForwardRows))
-	obs.WriteGauge(&b, "streamgnn_forward_active_rows", "Rows of the last full forward with a live edge: the rows diffusion hop products ran on.", obs.Value(tel.ForwardActiveRows))
-	obs.WriteCounter(&b, "streamgnn_forward_skipped_rows_total", "Embedding rows incremental forwards did not recompute.", obs.Value(tel.SkippedRows))
+	obs.WriteGauge(&b, "streamgnn_forward_rows", "Rows the last step's forward advanced or recomputed.", obs.Value(tel.ForwardRows))
+	obs.WriteCounter(&b, "streamgnn_forward_skipped_rows_total", "Embedding rows forwards held or reused instead of computing.", obs.Value(tel.SkippedRows))
 	writeDemandRows(&b, tel.ForwardDemandRows)
 	if tel.DirtyFraction.Count > 0 {
-		obs.WriteHistogram(&b, "streamgnn_forward_dirty_fraction", "Per-step compute-region fraction in incremental mode.", obs.Series{Snapshot: tel.DirtyFraction})
+		obs.WriteHistogram(&b, "streamgnn_forward_dirty_fraction", "Per-step share of the rows the forward computed.", obs.Series{Snapshot: tel.DirtyFraction})
 	}
 	if tel.DeltaForwards > 0 || tel.DeltaAborts > 0 {
 		obs.WriteCounter(&b, "streamgnn_delta_aborts_total", "Delta passes aborted on the candidate budget (fell back to a full forward).", obs.Value(tel.DeltaAborts))

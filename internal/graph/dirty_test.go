@@ -97,3 +97,34 @@ func TestBallMatchesKHopBallUnion(t *testing.T) {
 		t.Fatalf("Ball(nil) = %v, want nil", got)
 	}
 }
+
+// Live is the nodes with a live edge plus the extra ids, ascending and
+// deduplicated, and it is closed under Ball: expiry takes a node out, a new
+// edge brings it back.
+func TestLiveIsClosedUnderBall(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := NewDynamic(1)
+	for v := 0; v < 40; v++ {
+		g.AddNode(0, []float64{0})
+	}
+	for step := int64(0); step < 12; step++ {
+		for k := 0; k < 4; k++ {
+			g.AddEdge(rng.Intn(40), rng.Intn(40), 0, step)
+		}
+		g.ExpireEdgesBefore(step - 2)
+		extra := []int{7, rng.Intn(40), 7}
+		live := g.Live(extra)
+		var want []int
+		for v := 0; v < g.N(); v++ {
+			if g.Degree(v) > 0 || v == extra[0] || v == extra[1] {
+				want = append(want, v)
+			}
+		}
+		if !reflect.DeepEqual(live, want) {
+			t.Fatalf("step %d: Live = %v, want %v", step, live, want)
+		}
+		if ball := g.Ball(live, 3); !reflect.DeepEqual(ball, live) {
+			t.Fatalf("step %d: Ball(Live, 3) = %v, Live = %v", step, ball, live)
+		}
+	}
+}

@@ -339,16 +339,25 @@ func (g *Dynamic) normDeg(v int) float64 {
 // elements of g.root, so the views agree to the last bit by construction.
 func (g *Dynamic) setRoot(v int) { g.root[v] = math.Sqrt(g.normDeg(v)) }
 
-// ActiveNodes returns how many nodes have a live in- or out-edge: the rows of
-// the active block a diffusion convolution's hops run on.
-func (g *Dynamic) ActiveNodes() int {
-	k := 0
-	for _, r := range g.root {
-		if r > 1 {
-			k++
+// Live returns, ascending, the nodes with a live in- or out-edge together with
+// the members of extra (any order, repeats allowed): the rows a step's forward
+// advances. The set is closed under Ball — an edgeless node has no neighbours
+// — so every row in it sees its whole receptive field inside it.
+func (g *Dynamic) Live(extra []int) []int {
+	mark := getScratch(len(g.ntype))
+	for _, v := range extra {
+		g.checkNode(v)
+		mark[v] = 1
+	}
+	ids := make([]int, 0, len(extra))
+	for v, r := range g.root {
+		if r > 1 || mark[v] != 0 {
+			ids = append(ids, v)
+			mark[v] = 0
 		}
 	}
-	return k
+	putScratch(mark)
+	return ids
 }
 
 // snapshot returns the whole graph as an induced subgraph, rebuilt — into

@@ -51,10 +51,9 @@ type engineTelemetry struct {
 	// joinWait is how long a step's inference half waited for its learner.
 	joinWait *obs.Histogram
 
-	// Forward-mode instruments: how many steps ran a full-snapshot forward
-	// vs. a dirty-region incremental one, how many embedding rows the
-	// incremental path avoided recomputing, and the distribution of the
-	// dirty (compute-region) fraction per incremental-mode step.
+	// Forward-mode instruments: how many steps ran the live rung vs. a
+	// dirty-region splice, how many embedding rows forwards held or reused,
+	// and the distribution of the computed-row fraction per step.
 	fullForwards obs.Counter
 	incForwards  obs.Counter
 	skippedRows  obs.Counter
@@ -62,9 +61,8 @@ type engineTelemetry struct {
 	// Rows the incremental forwards of this process covered at depth 0 (the
 	// exact rows), 1 (within a hop) and 2 (the compute region).
 	demandRows [3]obs.Counter
-	// The last full forward's rows, and how many of them had a live edge:
-	// the rows a diffusion model's hop products ran on.
-	fwdRows, fwdActiveRows atomic.Int64
+	// The rows the last step's forward computed.
+	fwdRows atomic.Int64
 
 	// Delta-propagation instruments (only move with Config.DeltaForward):
 	// steps served by a delta pass, passes aborted on the candidate budget,
@@ -123,22 +121,19 @@ type Telemetry struct {
 	// is the longer half.
 	StepJoinWait TelemetryHistogram
 
-	// FullForwards counts steps whose inference recomputed the whole
-	// snapshot; IncrementalForwards counts steps served by the dirty-region
-	// path (including quiet-step cache reuse). Without IncrementalForward
-	// every step is a full forward.
+	// FullForwards counts steps whose forward advanced every live row (the
+	// live rung, whichever executor ran it); IncrementalForwards counts steps
+	// served by a dirty-region splice (including quiet-step cache reuse).
+	// Without IncrementalForward every step is a full forward.
 	FullForwards        int64
 	IncrementalForwards int64
-	// ForwardRows is the row count of the last full forward (|V| at the time)
-	// and ForwardActiveRows how many of those rows had a live in- or out-edge
-	// inside the window. Diffusion models (DCRNN) run their hop products on the
-	// active rows alone, so a full forward that got slower with ForwardRows
-	// flat and ForwardActiveRows up is the window filling, not the node set
-	// growing.
-	ForwardRows       int64
-	ForwardActiveRows int64
-	// SkippedRows totals the embedding rows incremental steps did not
-	// recompute (graph size minus compute-region size, summed over steps).
+	// ForwardRows is the number of rows the last step's forward advanced or
+	// recomputed: |V| for a plain full forward, the live rows when edgeless
+	// rows were held, a splice's compute region, 0 on a quiet step.
+	ForwardRows int64
+	// SkippedRows totals, over steps, the rows each step's forward did not
+	// compute: held rows (no live edge, not dirty, no anchor) and the rows a
+	// splice reused. Each step adds |V| − ForwardRows.
 	SkippedRows int64
 	// ForwardDemandRows totals, over the incremental forwards this process
 	// ran, the rows they had to cover at depth 0 (the exact rows, whose result
@@ -147,10 +142,9 @@ type Telemetry struct {
 	// got slower shows here which of them grew. Parts a cluster replica ran
 	// count on the replica, not here.
 	ForwardDemandRows [3]int64
-	// DirtyFraction is the per-step distribution of |compute region| / |V|
-	// in incremental mode: 0 for quiet steps, 1 for fallback full forwards.
-	// Empty unless Config.IncrementalForward is set. In delta mode the
-	// observation is candidate rows over |V|·stages.
+	// DirtyFraction is the per-step distribution of ForwardRows / |V|: 1 for
+	// a plain full forward, the live share when rows were held, a splice's
+	// region share, 0 for quiet steps.
 	DirtyFraction TelemetryHistogram
 
 	// Delta-propagation fields, zero unless Config.DeltaForward is set and
@@ -215,7 +209,6 @@ func (e *Engine) Telemetry() Telemetry {
 		FullForwards:        e.tele.fullForwards.Value(),
 		IncrementalForwards: e.tele.incForwards.Value(),
 		ForwardRows:         e.tele.fwdRows.Load(),
-		ForwardActiveRows:   e.tele.fwdActiveRows.Load(),
 		SkippedRows:         e.tele.skippedRows.Value(),
 		DirtyFraction:       e.tele.dirtyFrac.Snapshot(),
 		DeltaForwards:       e.tele.deltaForwards.Value(),

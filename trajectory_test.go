@@ -5,7 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"strconv"
 	"testing"
 
 	"streamgnn/internal/stream"
@@ -14,24 +19,37 @@ import (
 
 // trajectoryRuns are the pinned runs of TestTrajectoryDigestsPinned: one per
 // model family the benchmark workloads exercise, each on its own generated
-// stream, training every step.
+// stream, training every step. What each run pins is in trajectoryFile, under
+// its name.
 var trajectoryRuns = []struct {
 	name, dataset string
 	scale         float64
 	cfg           Config
-	// ckpt and outcomes are the hex SHA-256 digests of the run's checkpoint
-	// bytes and of its resolved predictions: event outcomes, then link
-	// scores with their labels.
-	ckpt, outcomes string
 }{
-	{"Taxi×DCRNN", "Taxi", 1, Config{Model: "DCRNN"},
-		"9a24fd7c80510a37b61be9ff6588417730a053fc8a30197604fadba7eca5b599", "85c232e8b68ccf7e98c5653257ee0ba31b5c0674729deeea6c68bc34f6ed6260"},
-	{"Reddit×GCLSTM", "Reddit", 0.5, Config{Model: "GCLSTM", PairsPerStep: 4},
-		"dd6b2bea307630a4090f3d9cf3c78e47007cce48b7585f2683cde6f250a2293f", "ca55c3f0f7ada1d377ab0a2c919d93a0da4272bbdc47500f562074fe230bd463"},
-	{"StackOverflow×EvolveGCN", "StackOverflow", 1, Config{Model: "EvolveGCN"},
-		"d3c200df1d2ab68d65c2ca59ab845d09639726920340238f159571d5313d5ada", "7a9ab9d6adfaa58915c210bbbe84b205afce5806a9837b8518bab6cff25e4b55"},
-	{"Bitcoin×TGCN/incremental", "Bitcoin", 1, Config{Model: "TGCN", IncrementalForward: true},
-		"be8e81ba2c551c932c1fc970837c5789ee7e279dcd5d11865493272301c65873", "e1db596596631ec16a473757daee929eff6f2566b2794e968e94d641117b8c02"},
+	{"Taxi×DCRNN", "Taxi", 1, Config{Model: "DCRNN"}},
+	{"Reddit×GCLSTM", "Reddit", 0.5, Config{Model: "GCLSTM", PairsPerStep: 4}},
+	{"StackOverflow×EvolveGCN", "StackOverflow", 1, Config{Model: "EvolveGCN"}},
+	{"Bitcoin×TGCN/incremental", "Bitcoin", 1, Config{Model: "TGCN", IncrementalForward: true}},
+}
+
+// trajectoryFile holds, per run name, the hex SHA-256 digests of the run's
+// checkpoint bytes and of its resolved predictions (event outcomes, then link
+// scores with their labels), and its quality: pred_mse and pred_auc as the
+// benchmark ledger reads them, each as its float64 bits and its value.
+const trajectoryFile = "testdata/trajectories.json"
+
+type pinnedTrajectory struct {
+	Ckpt     string `json:"ckpt"`
+	Outcomes string `json:"outcomes"`
+	PredMSE  string `json:"pred_mse"`
+	PredAUC  string `json:"pred_auc"`
+}
+
+var updateTrajectories = flag.Bool("update", false, "rewrite "+trajectoryFile+" from this build's runs")
+
+// pinnedFloat renders v as its bits, then its shortest decimal.
+func pinnedFloat(v float64) string {
+	return fmt.Sprintf("%#016x %s", math.Float64bits(v), strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 // TestTrajectoryDigestsPinned pins the bits of four short runs across
@@ -40,8 +58,21 @@ var trajectoryRuns = []struct {
 // resolved outcomes hash to digests written into the test. The other
 // bit-equality tests compare two runs of one build; this one fails when a
 // change to any layer moves a single bit of what a run computes.
+//
+// A change that means to move those bits re-pins them with
+// `go test -run TestTrajectoryDigestsPinned -update .` and states the old and
+// new quality of each run it moved.
 func TestTrajectoryDigestsPinned(t *testing.T) {
 	const steps = 12
+	raw, err := os.ReadFile(trajectoryFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]pinnedTrajectory{}
+	if err := json.Unmarshal(raw, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]pinnedTrajectory{}
 	for _, r := range trajectoryRuns {
 		t.Run(r.name, func(t *testing.T) {
 			ds, err := workload.ByName(r.dataset, workload.GenConfig{Seed: 1, Steps: steps, Scale: r.scale})
@@ -103,13 +134,40 @@ func TestTrajectoryDigestsPinned(t *testing.T) {
 			if resolved == 0 {
 				t.Fatal("the run resolved no prediction")
 			}
-			gotCkpt, gotOut := sha256.Sum256(ckpt.Bytes()), h.Sum(nil)
-			if got := hex.EncodeToString(gotCkpt[:]); got != r.ckpt {
-				t.Errorf("checkpoint digest %s, pinned %s", got, r.ckpt)
+			gotCkpt := sha256.Sum256(ckpt.Bytes())
+			m := e.Metrics()
+			mse, auc := m.MSE, m.EventAUC
+			if m.LinkN > 0 && m.EventN == 0 {
+				mse, auc = 1-m.Accuracy, m.LinkAUC
 			}
-			if got := hex.EncodeToString(gotOut); got != r.outcomes {
-				t.Errorf("outcome digest %s (%d resolved), pinned %s", got, resolved, r.outcomes)
+			run := pinnedTrajectory{Ckpt: hex.EncodeToString(gotCkpt[:]), Outcomes: hex.EncodeToString(h.Sum(nil)),
+				PredMSE: pinnedFloat(mse), PredAUC: pinnedFloat(auc)}
+			got[r.name] = run
+			if *updateTrajectories {
+				return
+			}
+			want, ok := pinned[r.name]
+			if !ok {
+				t.Fatalf("%s pins nothing for this run", trajectoryFile)
+			}
+			if run.Ckpt != want.Ckpt {
+				t.Errorf("checkpoint digest %s, pinned %s", run.Ckpt, want.Ckpt)
+			}
+			if run.Outcomes != want.Outcomes {
+				t.Errorf("outcome digest %s (%d resolved), pinned %s", run.Outcomes, resolved, want.Outcomes)
+			}
+			if run.PredMSE != want.PredMSE || run.PredAUC != want.PredAUC {
+				t.Errorf("pred_mse %s, pred_auc %s; pinned %s, %s", run.PredMSE, run.PredAUC, want.PredMSE, want.PredAUC)
 			}
 		})
+	}
+	if *updateTrajectories && !t.Failed() {
+		out, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(trajectoryFile, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
