@@ -2,6 +2,7 @@ package dgnn
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"streamgnn/internal/autodiff"
@@ -158,6 +159,20 @@ func TestMemorylessFlags(t *testing.T) {
 		if m.Memoryless() != want {
 			t.Fatalf("%s Memoryless = %v, want %v", m.Name(), m.Memoryless(), want)
 		}
+	}
+}
+
+// HoldsNodeState flags: the six recurrent kinds hold edgeless rows; WinGNN
+// keeps no state and EvolveGCN's forward also advances its weights.
+func TestHoldsNodeStateFlags(t *testing.T) {
+	var held []string
+	for _, k := range Kinds() {
+		if k.HoldsNodeState() {
+			held = append(held, k.String())
+		}
+	}
+	if got := strings.Join(held, " "); got != "TGCN DCRNN GCLSTM DyGrEncoder ROLAND RTGCN" {
+		t.Fatalf("kinds that hold rows: %s", got)
 	}
 }
 
