@@ -76,9 +76,6 @@ type Config struct {
 	// SeedKeep is p, the probability that the newest sample replaces the
 	// oldest seed (vs. a uniform teleport node); default 0.8.
 	SeedKeep float64
-	// Teleport enables Algorithm 2 line 12; default true. Exposed for the
-	// ablation bench.
-	Teleport bool
 	// MinChips is the chip floor (1 in the paper). Exposed for ablation.
 	MinChips int
 	// LR is the optimizer learning rate.
@@ -113,7 +110,6 @@ func DefaultConfig() Config {
 		Seeds:           15,
 		StopProb:        0.5,
 		SeedKeep:        0.8,
-		Teleport:        true,
 		MinChips:        1,
 		LR:              0.02,
 		SelfWeight:      1,

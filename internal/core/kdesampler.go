@@ -106,7 +106,7 @@ func (s *KDESampler) SampleNode() int {
 	// duplicate candidates teleport, and if even the teleports collide the
 	// old seed is kept.
 	replacement := cur
-	if s.cfg.Teleport && s.rng.Float64() >= s.cfg.SeedKeep {
+	if s.rng.Float64() >= s.cfg.SeedKeep {
 		replacement = s.teleportNode()
 	}
 	for try := 0; try < 8 && s.contains(replacement); try++ {

@@ -81,16 +81,6 @@ func (d *Dataset) Source() stream.Source {
 	return &stream.SliceSource{Batches: d.Batches}
 }
 
-// Attach registers the dataset's queries (and link task) on a workload.
-func (d *Dataset) Attach(w *query.Workload, seed int64) {
-	for _, q := range d.Queries {
-		w.AddQuery(q)
-	}
-	if d.LinkPred {
-		w.SetLinkTask(query.NewLinkPredTask(seed))
-	}
-}
-
 // ByName builds a dataset by its paper name.
 func ByName(name string, cfg GenConfig) (*Dataset, error) {
 	switch name {

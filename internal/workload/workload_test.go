@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"streamgnn/internal/graph"
-	"streamgnn/internal/query"
 	"streamgnn/internal/stream"
 )
 
@@ -173,20 +172,13 @@ func TestLinkPredDatasetsAttach(t *testing.T) {
 		if !d.LinkPred || len(d.Queries) != 0 {
 			t.Fatalf("%s should be link-pred only", name)
 		}
-		w := query.NewWorkload(query.NewHeads(rand.New(rand.NewSource(1)), 4))
-		d.Attach(w, 9)
-		if w.LinkTask() == nil {
-			t.Fatalf("%s: link task not attached", name)
-		}
 	}
 }
 
 func TestEventDatasetAttach(t *testing.T) {
 	d := Bitcoin(GenConfig{Seed: 6, Steps: 10})
-	w := query.NewWorkload(query.NewHeads(rand.New(rand.NewSource(1)), 4))
-	d.Attach(w, 9)
-	if len(w.Queries()) != 1 || w.LinkTask() != nil {
-		t.Fatal("attach wrong")
+	if len(d.Queries) != 1 || d.LinkPred {
+		t.Fatal("Bitcoin should attach one event query and no link task")
 	}
 }
 

@@ -69,7 +69,8 @@ func ModelNames() []string {
 }
 
 // Config configures an Engine. Zero values fall back to the paper's
-// defaults (Section VI-F).
+// defaults (Section VI-F); NewEngine rejects negative sizes, counts, steps
+// and rates.
 type Config struct {
 	// Model is the DGNN baseline name; see ModelNames(). Default "TGCN".
 	Model string
@@ -439,6 +440,18 @@ func (e *Engine) allParams() []*autodiff.Node {
 // NewEngine creates an engine over an empty graph whose nodes carry featDim
 // attributes.
 func NewEngine(featDim int, cfg Config) (*Engine, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Hidden", float64(cfg.Hidden)}, {"WindowSteps", float64(cfg.WindowSteps)}, {"Chips", float64(cfg.Chips)},
+		{"PairsPerStep", float64(cfg.PairsPerStep)}, {"Interval", float64(cfg.Interval)}, {"Seeds", float64(cfg.Seeds)},
+		{"LearningRate", cfg.LearningRate}, {"RefreshEverySteps", float64(cfg.RefreshEverySteps)}, {"Shards", float64(cfg.Shards)},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("streamgnn: %s must be >= 0 (0 selects the default), got %g", f.name, f.v)
+		}
+	}
 	cfg, ccfg := cfg.fill()
 	kind, err := dgnn.ParseKind(cfg.Model)
 	if err != nil {
@@ -453,9 +466,6 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	}
 	if cfg.DeltaEpsilon < 0 || cfg.DeltaEpsilon > 1 {
 		return nil, fmt.Errorf("streamgnn: DeltaEpsilon must lie in [0, 1], got %g", cfg.DeltaEpsilon)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("streamgnn: Shards must be >= 0, got %d", cfg.Shards)
 	}
 	layout, err := shard.ParseLayout(cfg.ShardLayout)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +21,23 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(2, Config{Strategy: "bogus"}); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+	for name, set := range map[string]func(*Config){
+		"Interval":          func(c *Config) { c.Interval = -2 },
+		"PairsPerStep":      func(c *Config) { c.PairsPerStep = -1 },
+		"Chips":             func(c *Config) { c.Chips = -1 },
+		"Seeds":             func(c *Config) { c.Seeds = -1 },
+		"Hidden":            func(c *Config) { c.Hidden = -1 },
+		"WindowSteps":       func(c *Config) { c.WindowSteps = -1 },
+		"RefreshEverySteps": func(c *Config) { c.RefreshEverySteps = -1 },
+		"LearningRate":      func(c *Config) { c.LearningRate = -0.01 },
+		"Shards":            func(c *Config) { c.Shards = -1 },
+	} {
+		cfg := DefaultConfig()
+		set(&cfg)
+		if _, err := NewEngine(2, cfg); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("negative %s: error %v", name, err)
+		}
 	}
 	if _, err := NewEngine(2, DefaultConfig()); err != nil {
 		t.Fatalf("default config rejected: %v", err)

@@ -15,8 +15,8 @@
 //  2. Calls to package-level math/rand functions draw from the process
 //     global source, which is unseeded and lock-shared; seeded paths must
 //     draw from an injected *rand.Rand.
-//  3. time.Now has no place in a seeded computation (benchmarks live in
-//     internal/bench, which is out of scope).
+//  3. time.Now has no place in a seeded computation (timing lives in the
+//     root package's telemetry and in cmd/, which are out of scope).
 //
 // An explicit `//streamlint:ordered-ok <justification>` on the flagged line
 // or the line above waives the check.

@@ -31,8 +31,9 @@ func TestDetOrderBatchQueryScope(t *testing.T) {
 }
 
 func TestDetOrderScopedOut(t *testing.T) {
-	// internal/bench is outside the determinism scope: the same constructs
-	// that fire in detorder/a must stay silent there.
+	// A package outside the determinism scope (the fixture sits at
+	// internal/bench, a path the tree no longer uses) stays silent on the
+	// same constructs that fire in detorder/a.
 	analysistest.Run(t, fixtureRoot, detorder.Analyzer, "streamgnn/internal/bench")
 }
 
