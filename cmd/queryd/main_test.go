@@ -108,6 +108,15 @@ func TestShutdownWithoutCheckpoint(t *testing.T) {
 	srv.batcher.Close() // the deferred safety net must not panic
 }
 
+// A negative -interval reaches NewEngine, which rejects it before the service
+// starts; the engine used to train every step while reporting -2.
+func TestRunRejectsNegativeInterval(t *testing.T) {
+	err := run(options{dataset: "Bitcoin", model: "TGCN", strategy: "kde", steps: 4, seed: 1, interval: -2})
+	if err == nil || !strings.Contains(err.Error(), "Interval") {
+		t.Fatalf("run with -interval -2: %v", err)
+	}
+}
+
 // The -peers list parser drives shard addressing; whitespace and empty
 // segments must not produce phantom replicas.
 func TestPeerList(t *testing.T) {

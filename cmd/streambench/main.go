@@ -88,8 +88,8 @@ type cell struct {
 	scale                    float64
 }
 
-// session is one cell's engine, fed its generated stream batch by batch.
-type session struct {
+// trial is one run of a cell: its engine, fed its stream batch by batch.
+type trial struct {
 	e    *streamgnn.Engine
 	rep  *stream.Replayer
 	peak int64 // largest metered bytes of one whole Step
@@ -98,7 +98,7 @@ type session struct {
 // open builds c's engine over the dataset gen generates, wired the way a
 // service wires it: the dataset's queries with its labelers, its link task,
 // and a replayer that leaves window expiry to the engine.
-func open(c cell, gen workload.GenConfig) (*session, error) {
+func open(c cell, gen workload.GenConfig) (*trial, error) {
 	ds, err := workload.ByName(c.dataset, gen)
 	if err != nil {
 		return nil, err
@@ -112,9 +112,8 @@ func open(c cell, gen workload.GenConfig) (*session, error) {
 		return nil, err
 	}
 	for _, q := range ds.Queries {
-		lab := q.Labeler
 		err := e.AddQuery(streamgnn.Query{Name: q.Name, Anchors: q.Anchors, Delta: q.Delta, Threshold: q.Threshold,
-			Labeler: func(anchor, step int) (float64, bool) { return lab(e.Graph(), anchor, step) }})
+			Labeler: func(anchor, step int) (float64, bool) { return q.Labeler(e.Graph(), anchor, step) }})
 		if err != nil {
 			return nil, err
 		}
@@ -123,12 +122,12 @@ func open(c cell, gen workload.GenConfig) (*session, error) {
 		e.EnableLinkPrediction()
 	}
 	tensor.EnableMeter(true)
-	return &session{e: e, rep: stream.NewReplayer(e.Graph(), ds.Source(), 0)}, nil
+	return &trial{e: e, rep: stream.NewReplayer(e.Graph(), ds.Source(), 0)}, nil
 }
 
 // advance steps the engine over the next batches until step stop or the end
 // of the stream, metering each whole Step.
-func (s *session) advance(stop int) error {
+func (s *trial) advance(stop int) error {
 	for s.e.CurrentStep() < stop && s.rep.Advance() {
 		tensor.ResetMeter()
 		if err := s.e.Step(); err != nil {
@@ -140,7 +139,7 @@ func (s *session) advance(stop int) error {
 }
 
 // runCell runs c once over the stream gen generates.
-func runCell(c cell, gen workload.GenConfig) (*session, error) {
+func runCell(c cell, gen workload.GenConfig) (*trial, error) {
 	s, err := open(c, gen)
 	if err == nil {
 		err = s.advance(never)
@@ -157,7 +156,7 @@ type row struct {
 }
 
 // add folds one finished run into the row.
-func (r *row) add(s *session) {
+func (r *row) add(s *trial) {
 	m := s.e.Metrics()
 	r.time.Add(s.e.Telemetry().Phases[streamgnn.PhaseTrain].Sum)
 	r.peak = max(r.peak, s.peak)
@@ -173,6 +172,8 @@ func (r *row) add(s *session) {
 	}
 }
 
+// repeat runs c o.runs times, run r over o.gen(r) with its scale multiplied by
+// c.scale.
 func repeat(c cell, o opts) (row, error) {
 	var r row
 	for i := 0; i < o.runs; i++ {
@@ -294,22 +295,19 @@ func header(o opts) string {
 		vcs["vcs.revision"], vcs["vcs.modified"], o.runs, o.runs, o.steps, o.scale)
 }
 
-// columns defines a table's columns; the key is whether it reports link
-// prediction.
-var columns = map[bool]string{
-	false: "Error = Metrics().MSE; AUC = Metrics().EventAUC; MRR ranks each event's score against the first 20 non-events' (Outcomes())",
-	true:  "Accuracy = Metrics().Accuracy; AUC = Metrics().LinkAUC; MRR = Metrics().MRR",
-}
-
 const rowFormat = "%-14s %-12s %-14s %8s %14s %10s %16s %14s %14s\n"
 
-// writeTable writes a table's header, then each group's rows, one per cell.
+// writeTable writes a table's header and column definitions, then each
+// group's rows, one per cell. link selects the link-prediction quality columns.
 func writeTable(w io.Writer, title string, o opts, link bool, groups ...group) error {
+	quality, defs := "Error", "Error = Metrics().MSE; AUC = Metrics().EventAUC; MRR ranks each event's score against the first 20 non-events' (Outcomes())"
+	if link {
+		quality, defs = "Accuracy", "Accuracy = Metrics().Accuracy; AUC = Metrics().LinkAUC; MRR = Metrics().MRR"
+	}
 	fmt.Fprintf(w, "%s\n%s", title, header(o))
 	fmt.Fprintf(w, "Nodes = NumNodes() at the end of the stream; TrainTime = Telemetry().Phases[\"train\"].Sum in seconds; "+
 		"Memory = the largest tensor-metered MB of one whole Engine.Step (the ledger's peak_step_mb), max over runs\n"+
-		"%s; columns are mean±std over runs; Method = strategy/Interval\n\n", columns[link])
-	quality := map[bool]string{false: "Error", true: "Accuracy"}[link]
+		"%s; columns are mean±std over runs; Method = strategy/Interval\n\n", defs)
 	for _, g := range groups {
 		if g.title != "" {
 			fmt.Fprintf(w, "-- %s --\n", g.title)
@@ -351,7 +349,7 @@ const never = 1 << 30
 // an engine with the same Config but Interval never, which replays the first
 // stop batches into its graph and resumes the continuous run's checkpoint at
 // step stop, so it stops training there. c.tweak must leave Interval alone.
-func partialRun(c cell, gen workload.GenConfig, stop int) (cont, part *session, err error) {
+func partialRun(c cell, gen workload.GenConfig, stop int) (cont, part *trial, err error) {
 	if cont, err = open(c, gen); err != nil {
 		return nil, nil, err
 	}

@@ -19,7 +19,7 @@ func taxi(strategy string) cell {
 }
 
 // once runs c over the short stream and folds the run into a row.
-func once(t *testing.T, c cell) (*session, row) {
+func once(t *testing.T, c cell) (*trial, row) {
 	t.Helper()
 	s, err := runCell(c, short)
 	if err != nil {
