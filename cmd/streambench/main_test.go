@@ -89,16 +89,23 @@ func TestWeightedBeatsFullOnResources(t *testing.T) {
 	}
 }
 
-// Figure 4's partial run resumes the continuous run's checkpoint, so every
-// prediction resolved before the stop is the continuous run's to the bit; after
-// it the model no longer trains and falls behind the drift.
-func TestPartialRunResumesThenFallsBehind(t *testing.T) {
-	gen := workload.GenConfig{Seed: 1, Steps: 16}
-	const stop = 4
+// motivation runs Figure 4's pair on a short Bitcoin stream stopped at step
+// stop: the continuous run and the partial run that resumes its checkpoint.
+func motivation(t *testing.T) (gen workload.GenConfig, stop int, cont, part *trial) {
+	t.Helper()
+	gen, stop = workload.GenConfig{Seed: 1, Steps: 16}, 4
 	cont, part, err := partialRun(cell{dataset: "Bitcoin", model: "TGCN", strategy: streamgnn.StrategyKDE, interval: 1}, gen, stop)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return gen, stop, cont, part
+}
+
+// Figure 4's partial run resumes the continuous run's checkpoint, so every
+// prediction resolved before the stop is the continuous run's to the bit; after
+// it the model no longer trains and falls behind the drift.
+func TestPartialRunResumesThenFallsBehind(t *testing.T) {
+	gen, stop, cont, part := motivation(t)
 	co, po := cont.e.Outcomes(), part.e.Outcomes()
 	if len(po) != len(co) {
 		t.Fatalf("partial run resolved %d predictions, continuous %d", len(po), len(co))
@@ -118,12 +125,25 @@ func TestPartialRunResumesThenFallsBehind(t *testing.T) {
 	if before == 0 {
 		t.Fatal("no prediction resolved before the stop")
 	}
+	cl, pl := stepLoss(co, gen.Steps), stepLoss(po, gen.Steps)
+	if len(cl) != gen.Steps || len(pl) != gen.Steps {
+		t.Fatalf("loss series lengths %d and %d, want %d", len(cl), len(pl), gen.Steps)
+	}
+	if ct, pt := tailMeanLoss(cl), tailMeanLoss(pl); !(pt > ct) {
+		t.Fatalf("tail loss: partial %g, continuous %g", pt, ct)
+	}
+}
+
+// After the stop the partial run trains nothing: it trains fewer partitions,
+// and spends less train-phase time, than the continuous run.
+func TestPartialRunStopsTraining(t *testing.T) {
+	_, _, cont, part := motivation(t)
 	if pt, ct := part.e.Stats().TrainedPartitions, cont.e.Stats().TrainedPartitions; pt == 0 || pt >= ct {
 		t.Fatalf("trained partitions: partial %d, continuous %d", pt, ct)
 	}
-	ct, pt := tailMeanLoss(stepLoss(co, gen.Steps)), tailMeanLoss(stepLoss(po, gen.Steps))
-	if !(pt > ct) {
-		t.Fatalf("tail loss: partial %g, continuous %g", pt, ct)
+	train := func(s *trial) float64 { return s.e.Telemetry().Phases[streamgnn.PhaseTrain].Sum }
+	if pt, ct := train(part), train(cont); pt >= ct {
+		t.Fatalf("train time: partial %gs, continuous %gs", pt, ct)
 	}
 }
 
