@@ -79,13 +79,12 @@ func run(args []string, w io.Writer) error {
 
 // cell is one experiment cell: a dataset and model trained by one strategy at
 // one training interval. method labels its row; tweak, if set, installs a
-// sweep's setting; scale, if set, multiplies the -scale of its stream.
+// sweep's setting.
 type cell struct {
 	dataset, model, strategy string
 	interval                 int
 	method                   string
 	tweak                    func(*streamgnn.Config)
-	scale                    float64
 }
 
 // trial is one run of a cell: its engine, fed its stream batch by batch.
@@ -172,16 +171,11 @@ func (r *row) add(s *trial) {
 	}
 }
 
-// repeat runs c o.runs times, run r over o.gen(r) with its scale multiplied by
-// c.scale.
+// repeat runs c o.runs times, run r over o.gen(r).
 func repeat(c cell, o opts) (row, error) {
 	var r row
 	for i := 0; i < o.runs; i++ {
-		gen := o.gen(i)
-		if c.scale > 0 {
-			gen.Scale *= c.scale
-		}
-		s, err := runCell(c, gen)
+		s, err := runCell(c, o.gen(i))
 		if err != nil {
 			return r, err
 		}
@@ -235,10 +229,12 @@ func cross(pairs [][2]string, methods []cell) []cell {
 	return cells
 }
 
-// group is one titled row group of a table.
+// group is one titled row group of a table; scale, if set, multiplies the
+// -scale of its cells' streams.
 type group struct {
 	title string
 	cells []cell
+	scale float64
 }
 
 // sweep is a row group training dataset × model with strategy every step,
@@ -274,11 +270,7 @@ func table3() []group {
 func scaling() []group {
 	var groups []group
 	for _, f := range []float64{0.5, 1, 2, 4} {
-		g := group{title: fmt.Sprintf("scale x%g", f), cells: cross([][2]string{{"Taxi", "DCRNN"}}, []cell{methods[0], methods[3]})}
-		for i := range g.cells {
-			g.cells[i].scale = f
-		}
-		groups = append(groups, g)
+		groups = append(groups, group{title: fmt.Sprintf("scale x%g", f), cells: cross([][2]string{{"Taxi", "DCRNN"}}, []cell{methods[0], methods[3]}), scale: f})
 	}
 	return groups
 }
@@ -309,12 +301,16 @@ func writeTable(w io.Writer, title string, o opts, link bool, groups ...group) e
 		"Memory = the largest tensor-metered MB of one whole Engine.Step (the ledger's peak_step_mb), max over runs\n"+
 		"%s; columns are mean±std over runs; Method = strategy/Interval\n\n", defs)
 	for _, g := range groups {
+		og := o
+		if g.scale > 0 {
+			og.scale *= g.scale
+		}
 		if g.title != "" {
 			fmt.Fprintf(w, "-- %s --\n", g.title)
 		}
 		fmt.Fprintf(w, rowFormat, "Dataset", "Model", "Method", "Nodes", "TrainTime(s)", "Memory(MB)", quality, "AUC", "MRR")
 		for _, c := range g.cells {
-			r, err := repeat(c, o)
+			r, err := repeat(c, og)
 			if err != nil {
 				return err
 			}

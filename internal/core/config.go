@@ -57,12 +57,6 @@ type Config struct {
 	// PairsPerStep is the number of sampled node pairs per training round;
 	// default 1 (Table III).
 	PairsPerStep int
-	// RoundsPerStep is the number of training rounds executed per training
-	// step — the paper's training frequency f between snapshot arrivals.
-	// Full training performs this many full-graph passes; the adaptive
-	// strategies perform this many Algorithm-1 iterations, so the
-	// per-update cost ratio between methods is preserved. Default 10.
-	RoundsPerStep int
 	// PUpdate is p_u, the probability of restricting sampling to the
 	// update set U (Algorithm 1 lines 18-21); default 0.5.
 	PUpdate float64
@@ -104,7 +98,6 @@ func DefaultConfig() Config {
 	return Config{
 		K:               5,
 		PairsPerStep:    1,
-		RoundsPerStep:   10,
 		PUpdate:         0.5,
 		Interval:        1,
 		Seeds:           15,
@@ -126,8 +119,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: K must be >= 1, got %d", c.K)
 	case c.PairsPerStep < 1:
 		return fmt.Errorf("core: PairsPerStep must be >= 1, got %d", c.PairsPerStep)
-	case c.RoundsPerStep < 1:
-		return fmt.Errorf("core: RoundsPerStep must be >= 1, got %d", c.RoundsPerStep)
 	case c.PUpdate < 0 || c.PUpdate > 1:
 		return fmt.Errorf("core: PUpdate must be in [0,1], got %v", c.PUpdate)
 	case c.Interval < 1:

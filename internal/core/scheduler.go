@@ -4,6 +4,12 @@ import (
 	"math/rand"
 )
 
+// roundsPerStep is the number of training rounds per training step, the
+// paper's training frequency f between snapshot arrivals: Full performs this
+// many full-graph passes and the adaptive strategies this many Algorithm-1
+// iterations, so the per-update cost ratio between methods is preserved.
+const roundsPerStep = 10
+
 // Scheduler runs the selected training strategy at the configured interval.
 // It is the piece the engine calls once per stream step.
 type Scheduler struct {
@@ -34,9 +40,6 @@ func NewScheduler(t *Trainer, cfg Config, strategy Strategy, rng *rand.Rand) (*S
 	return s, nil
 }
 
-// Config returns the scheduler's configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // Due reports whether step falls on the training interval.
 func (s *Scheduler) Due(step int) bool { return step%s.cfg.Interval == 0 }
 
@@ -48,7 +51,7 @@ func (s *Scheduler) OnStep(step int, updated []int) bool {
 		return false
 	}
 	s.TrainSteps++
-	for round := 0; round < s.cfg.RoundsPerStep; round++ {
+	for round := 0; round < roundsPerStep; round++ {
 		switch s.Strategy {
 		case Full:
 			s.Trainer.TrainFull()
