@@ -706,6 +706,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteCounter(&b, "streamgnn_train_rounds_total", "Training rounds: disjoint-union evaluations of training units.", obs.Value(tel.TrainRounds))
 	obs.WriteCounter(&b, "streamgnn_train_units_total", "Training units evaluated in rounds.", obs.Value(tel.TrainUnits))
 	obs.WriteCounter(&b, "streamgnn_train_union_rows_total", "Rows of the rounds' union forwards.", obs.Value(tel.TrainUnionRows))
+	obs.WriteCounter(&b, "streamgnn_train_want_rows_total", "Rows of the rounds' union forwards that their losses read.", obs.Value(tel.TrainWantRows))
 	var parts []obs.Sample
 	for _, part := range streamgnn.TrainRoundParts() {
 		parts = append(parts, obs.Labeled(fmt.Sprintf("part=%q", part), tel.TrainRoundSeconds[part]))

@@ -22,9 +22,9 @@
 // intermediate buffer back to the tensor pool at its last use.
 //
 // A concatenation (ConcatCols) is a view over its operands, never a copy: the
-// products' left factors, SpMM, Head and ConcatCols read its parts where they
-// are, any other reader panics, and its gradient is kept per part, for the
-// parts that need one (see Node.parts). A read of a view is a read of each
+// products' left factors, SpMM, GatherRows, Head and ConcatCols read its parts
+// where they are, any other reader panics, and its gradient is kept per part,
+// for the parts that need one (see Node.parts). A read of a view is a read of each
 // part, for the plan as for the kernels; Pin pins a view part by part.
 package autodiff
 
@@ -304,7 +304,7 @@ func (n *Node) concat() tensor.Concat { return tensor.Concat{Rows: n.Value.Rows,
 // of a view it panics, before op's kernel runs.
 func (n *Node) dense(op string) *tensor.Matrix {
 	if n.view() {
-		panic("autodiff: " + op + " cannot read a concatenation view; only MatMul's left factor, MatMulAcc's x, SpMM, Head and ConcatCols can")
+		panic("autodiff: " + op + " cannot read a concatenation view; only MatMul's left factor, MatMulAcc's x, SpMM, GatherRows, Head and ConcatCols can")
 	}
 	return n.Value
 }
@@ -708,8 +708,8 @@ func dInput(p *Node, g, w *tensor.Matrix) {
 // values (DESIGN.md §8, "Gradients in place").
 //
 // A view keeps its gradient part by part (Node.grads), which the rules of the
-// ops that read views — the products' input rules, SpMM's, Head's and
-// ConcatCols' — write block by block.
+// ops that read views — the products' input rules, SpMM's, GatherRows',
+// Head's and ConcatCols' — write block by block.
 func (out *Node) runBack() {
 	g := out.Grad
 	switch out.op {
@@ -889,15 +889,22 @@ func (out *Node) runBack() {
 			}
 		}
 	case opGatherRows:
-		a := out.parents[0]
-		if a.requiresGrad {
-			ag := ensureGrad(a)
-			for i, r := range out.auxInts {
-				arow := ag.Row(r)
-				for c, v := range g.Row(i) {
-					arow[c] += v
+		// Row i of g goes to row auxInts[i] of a's gradient, block by block.
+		a, off := out.parents[0], 0
+		for k, m := range a.blocks() {
+			if a.needs(k) {
+				dst, first := a.slot(k)
+				if first {
+					*dst = tensor.New(a.Value.Rows, m.Cols)
+				}
+				for i, r := range out.auxInts {
+					drow := (*dst).Row(r)
+					for c, v := range g.Row(i)[off : off+m.Cols] {
+						drow[c] += v
+					}
 				}
 			}
+			off += m.Cols
 		}
 	case opScatterRows:
 		// Each output row came from exactly one place: row auxInts[i] from
@@ -1063,9 +1070,9 @@ func (t *Tape) OneMinus(a *Node) *Node {
 
 // ConcatCols returns [a | b] as a view: no buffer of its own, its parts read
 // where they are by the ops that can — MatMul's and MatMulAcc's left factor,
-// SpMM's dense operand, Head, ConcatCols — while any other reader panics (see
-// Node.parts). A concatenation of a view flattens into one list of parts. Its
-// gradient is kept part by part, for the parts that need one.
+// SpMM's dense operand, GatherRows, Head, ConcatCols — while any other reader
+// panics (see Node.parts). A concatenation of a view flattens into one list
+// of parts. Its gradient is kept part by part, for the parts that need one.
 func (t *Tape) ConcatCols(a, b *Node) *Node {
 	if a.Value.Rows != b.Value.Rows {
 		panic(fmt.Sprintf("autodiff: ConcatCols row mismatch %d vs %d", a.Value.Rows, b.Value.Rows))
@@ -1097,9 +1104,9 @@ func (t *Tape) newView(op opKind, rows int, a, b *Node) *Node {
 	return out
 }
 
-// GatherRows selects the given rows of a.
+// GatherRows selects the given rows of a, of a view's parts where they are.
 func (t *Tape) GatherRows(a *Node, rows []int) *Node {
-	out := t.newNode1(opGatherRows, tensor.GatherRows(a.dense("GatherRows"), rows), a.requiresGrad, a)
+	out := t.newNode1(opGatherRows, tensor.GatherRowsConcat(a.concat(), rows), a.requiresGrad, a)
 	if !t.noGrad {
 		// Defensive copy into the shell's reusable index scratch: the caller
 		// may mutate rows before Backward runs.

@@ -254,10 +254,12 @@ func TestSecondBackwardPanics(t *testing.T) {
 }
 
 // A concatenation view is read part by part, by a product's left factor,
-// MatMulAcc's x, SpMM, Head and ConcatCols alone. Every other reader of a view
-// (v, or h, a view of its first row) panics on either kind of tape, naming
-// the op, before its kernel runs: the tape records nothing and meters no
-// float.
+// MatMulAcc's x, SpMM, GatherRows, Head and ConcatCols alone. Every other
+// reader of a view (v, or h, a view of its first row) panics on either kind of
+// tape, naming the op, before its kernel runs: the tape records nothing and
+// meters no float. GatherRows of a view reads what GatherRows of its copy
+// reads, and its gradient lands in the view's blocks, none in a constant
+// part's.
 func TestViewReadersPanic(t *testing.T) {
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
@@ -279,7 +281,6 @@ func TestViewReadersPanic(t *testing.T) {
 		{"Tanh", func(tp *Tape, v, h *Node) { tp.Tanh(v) }},
 		{"ReLU", func(tp *Tape, v, h *Node) { tp.ReLU(v) }},
 		{"OneMinus", func(tp *Tape, v, h *Node) { tp.OneMinus(v) }},
-		{"GatherRows", func(tp *Tape, v, h *Node) { tp.GatherRows(v, []int{1}) }},
 		{"ScatterRows", func(tp *Tape, v, h *Node) { tp.ScatterRows(v, row, []int{2}) }},
 		{"ScatterRows", func(tp *Tape, v, h *Node) { tp.ScatterRows(m, h, []int{2}) }},
 		{"MatMul's right operand", func(tp *Tape, v, h *Node) { tp.MatMul(sq, v) }},
@@ -306,6 +307,27 @@ func TestViewReadersPanic(t *testing.T) {
 			tp.Release()
 		}
 	}
+
+	c := Constant(tensor.NewRandom(rng, 3, 3, 1))
+	rows := []int{2, 0, 2}
+	tp := NewTape()
+	v := tp.ConcatCols(a, c)
+	got := tp.GatherRows(v, rows)
+	if want := tensor.GatherRows(v.concat().Dense(), rows); !got.Value.Equal(want) {
+		t.Fatalf("GatherRows of a view reads %v, of its copy %v", got.Value, want)
+	}
+	tp.Backward(tp.Sum(got))
+	if v.grads[1] != nil || c.Grad != nil {
+		t.Fatal("GatherRows of a view gave the constant part a gradient")
+	}
+	for i, want := range []float64{1, 0, 2} { // row 2 read twice, row 1 never
+		for _, g := range a.Grad.Row(i) {
+			if g != want {
+				t.Fatalf("GatherRows of a view: the first part's gradient %v, want row %d to read %v", a.Grad, i, want)
+			}
+		}
+	}
+	tp.Release()
 }
 
 // panicMessage runs f and returns what it panicked with, "<nil>" if nothing.

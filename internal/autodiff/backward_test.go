@@ -467,10 +467,11 @@ func (p *program) viewCase(a *Node, rec func(*Node) *Node) {
 // partRead reads the view v of progRows rows by one of the ops that read a
 // view's parts and returns what it computes, no view: a product's left
 // factor, over an interior weight at times; MatMulAcc's x, beside a sum from
-// the operands; SpMM; or a concatenation of v, read in turn.
+// the operands; SpMM; a gather of rows, some twice, some never; or a
+// concatenation of v, read in turn.
 func (p *program) partRead(v *Node) *Node {
 	tp, cols := p.tp, v.Value.Cols
-	switch p.rng.Intn(4) {
+	switch p.rng.Intn(5) {
 	case 0:
 		return tp.MatMul(v, p.weight(cols, 1+p.rng.Intn(3)))
 	case 1:
@@ -481,6 +482,12 @@ func (p *program) partRead(v *Node) *Node {
 		return tp.MatMulAcc(sum, v, p.weight(cols, sum.Value.Cols))
 	case 2:
 		return tp.SpMM(p.csr(), v)
+	case 3:
+		rows := make([]int, progRows)
+		for i := range rows {
+			rows[i] = p.rng.Intn(progRows)
+		}
+		return tp.GatherRows(v, rows)
 	}
 	return p.partRead(tp.ConcatCols(v, p.param(progRows, 1)))
 }
@@ -666,7 +673,7 @@ func TestBackwardRulesMatchAccumulatingReference(t *testing.T) {
 			t.Fatalf("no program recorded op %d", k)
 		}
 	}
-	for _, k := range []opKind{opMatMul, opMatMulAcc, opSpMM, opHead, opConcatCols} {
+	for _, k := range []opKind{opMatMul, opMatMulAcc, opSpMM, opGatherRows, opHead, opConcatCols} {
 		if !readsView[k] {
 			t.Fatalf("no program read a view with op %d", k)
 		}

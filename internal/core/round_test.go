@@ -324,3 +324,61 @@ func TestRoundMetersWithinCeilings(t *testing.T) {
 		}
 	}
 }
+
+// everyRow forwards every row of a view whatever rows it wants: the model a
+// round runs without View.Want.
+type everyRow struct{ dgnn.Model }
+
+func (m everyRow) Forward(tp *autodiff.Tape, v dgnn.View) *autodiff.Node {
+	v.Want = nil
+	return m.Model.Forward(tp, v)
+}
+
+// TestRoundWantedRowsMatchEveryRow is the exactness of View.Want: a round
+// whose model computes only the rows the loss reads (DCRNN) gives utilities
+// and every parameter gradient Float64bits-equal to the same round forwarded
+// on every row, for all eight kinds on the event and the link workload. The
+// rounds' losses must read fewer rows than they stack, or the test says
+// nothing.
+func TestRoundWantedRowsMatchEveryRow(t *testing.T) {
+	for _, kind := range dgnn.Kinds() {
+		var wantRows, unionRows int64
+		for _, link := range []bool{false, true} {
+			tr, opt := roundFixture(t, kind, link, nil)
+			for _, centers := range roundCenters {
+				seeds := make([]int64, len(centers))
+				for i := range seeds {
+					seeds[i] = int64(2000 + 5*i)
+				}
+				model := tr.Model
+				before := tr.Stats
+				want, wantGrad, _ := evalAsRound(tr, opt, centers, seeds)
+				wantRows += tr.Stats.WantRows - before.WantRows
+				unionRows += tr.Stats.UnionRows - before.UnionRows
+				tr.Model = everyRow{model}
+				got, gotGrad, _ := evalAsRound(tr, opt, centers, seeds)
+				tr.Model = model
+				opt.ZeroGrad()
+				name := fmt.Sprintf("%s/link=%v/units=%d", kind, link, len(centers))
+				for i := range want {
+					if got[i].OK != want[i].OK || math.Float64bits(got[i].Utility) != math.Float64bits(want[i].Utility) {
+						t.Fatalf("%s: unit %d every row %+v, wanted rows %+v", name, i, got[i], want[i])
+					}
+				}
+				for p := range wantGrad {
+					if len(gotGrad[p]) != len(wantGrad[p]) {
+						t.Fatalf("%s: param %d gradient of %d entries every row, %d wanted rows", name, p, len(gotGrad[p]), len(wantGrad[p]))
+					}
+					for j, x := range wantGrad[p] {
+						if math.Float64bits(gotGrad[p][j]) != math.Float64bits(x) {
+							t.Fatalf("%s: param %d[%d] every row %v, wanted rows %v", name, p, j, gotGrad[p][j], x)
+						}
+					}
+				}
+			}
+		}
+		if wantRows <= 0 || wantRows >= unionRows {
+			t.Fatalf("%s: the losses read %d of %d rows", kind, wantRows, unionRows)
+		}
+	}
+}

@@ -68,9 +68,10 @@ type TrainerStats struct {
 	SupPairTargets  int64
 	ReplayTargets   int64
 
-	// Rounds counts union evaluations, Units the partitions in them and
-	// UnionRows their stacked rows; a full-graph pass is a round of one unit.
-	Rounds, Units, UnionRows int64
+	// Rounds counts union evaluations, Units the partitions in them,
+	// UnionRows their stacked rows and WantRows the rows of those the loss
+	// reads; a full-graph pass is a round of one unit.
+	Rounds, Units, UnionRows, WantRows int64
 	// Where a round's time goes, in nanoseconds summed over rounds: node
 	// sampling and chip moves, partition extraction plus the union build,
 	// the forward, material and loss, the backward, the optimizer step.
@@ -117,6 +118,8 @@ type round struct {
 
 	union graph.Union
 	mat   material
+	// want is the ascending rows the material reads, the forward's View.Want.
+	want []int
 	// src seeds rnd afresh for each unit (O(1): the standard lagged-Fibonacci
 	// source pays a ~600-word initialization per seed), so which units share
 	// a round cannot perturb a unit's sampled replay batches and negatives.
@@ -150,16 +153,49 @@ func lap(last *time.Time, dst *int64) {
 }
 
 // forward runs the model over view on the trainer's tape, on the round's
-// clock.
-func (t *Trainer) forward(view dgnn.View, clock *time.Time) *autodiff.Node {
+// clock, for the rows r's material reads (nil, with no forward, if none): it
+// passes them as View.Want and, if the model returns those rows alone,
+// renumbers the material's rows to their positions among them.
+func (t *Trainer) forward(view dgnn.View, r *round, clock *time.Time) *autodiff.Node {
 	view.NoCommit = true // recurrent state advances only at inference time
+	view.Want = r.rowsRead()
+	atomic.AddInt64(&t.Stats.WantRows, int64(len(view.Want)))
+	if len(view.Want) == 0 {
+		return nil
+	}
 	tp := t.tape
 	view.OwnFeat(tp)
 	lap(clock, &t.Stats.ExtractNs)
 	emb := t.Model.Forward(tp, view)
 	lap(clock, &t.Stats.ForwardNs)
 	atomic.AddInt64(&t.Stats.UnionRows, int64(view.N))
+	if emb.Value.Rows < view.N {
+		r.mat.renumber(view.Want)
+	}
 	return emb
+}
+
+// rowsRead returns r.want, the ascending rows the material's terms read.
+func (r *round) rowsRead() []int {
+	want := r.want[:0]
+	for k := range r.mat {
+		want = append(append(want, r.mat[k].src...), r.mat[k].dst...)
+	}
+	slices.Sort(want)
+	r.want = slices.Compact(want)
+	return r.want
+}
+
+// renumber replaces every row the material reads with its position in want,
+// the ascending rows it reads.
+func (m *material) renumber(want []int) {
+	for k := range m {
+		for _, rows := range [...][]int{m[k].src, m[k].dst} {
+			for i, row := range rows {
+				rows[i], _ = slices.BinarySearch(want, row)
+			}
+		}
+	}
 }
 
 // evalRound is the one way training partitions are evaluated: ONE forward
@@ -178,7 +214,7 @@ func (t *Trainer) forward(view dgnn.View, clock *time.Time) *autodiff.Node {
 func (t *Trainer) evalRound(r *round, apply bool) {
 	clock := now()
 	r.union.Build(r.subs)
-	emb := t.forward(dgnn.UnionView(&r.union), &clock)
+	lap(&clock, &t.Stats.ExtractNs)
 	r.mat.reset()
 	if r.rnd == nil {
 		r.rnd = rand.New(&r.src)
@@ -188,6 +224,8 @@ func (t *Trainer) evalRound(r *round, apply bool) {
 		t.partitionMaterial(&r.mat, sub, r.union.Offsets[i], r.rnd)
 		r.units[i].OK = r.mat.closeUnit()
 	}
+	lap(&clock, &t.Stats.LossNs)
+	emb := t.forward(dgnn.UnionView(&r.union), r, &clock)
 	r.trained = t.finish(emb, &r.mat, r.units, apply, &clock)
 }
 
@@ -254,11 +292,12 @@ func (t *Trainer) EvalPartition(v int) (utility float64, ok bool) {
 // whole snapshot as its one segment.
 func (t *Trainer) TrainFull() (loss float64, trained bool) {
 	clock := now()
-	emb := t.forward(dgnn.FullView(t.G), &clock)
 	m := &t.own.mat
 	m.reset()
 	t.fullMaterial(m)
 	unit := [1]Unit{{OK: m.closeUnit()}}
+	lap(&clock, &t.Stats.LossNs)
+	emb := t.forward(dgnn.FullView(t.G), &t.own, &clock)
 	if t.finish(emb, m, unit[:], true, &clock) {
 		t.step()
 	}

@@ -68,18 +68,27 @@ func (m *DCRNNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { 
 //
 // A view in demand order is still forwarded whole — K hops over the active
 // block do not reduce to leading blocks of one adjacency — and hands back its
-// wanted rows.
+// wanted rows. A view that lists its wanted rows (View.Want) gets those alone:
+// the update gate, the candidate and the combine run on them, the reset gate
+// and the two propagations on every row.
 func (m *DCRNNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	h := tp.OwnedConstant(m.state.gather(v))
 	rw := v.RWFn()
 	var d nn.Diffused
-	conv := func(mod nn.Module, in *autodiff.Node, _ int) *autodiff.Node {
+	conv := func(mod nn.Module, in *autodiff.Node, rows nn.Rows) *autodiff.Node {
 		if d.X != in {
 			d = nn.Diffuse(tp, rw, in, m.k)
 		}
-		return mod.(*nn.DiffusionConv).ApplyDiffused(tp, d)
+		return mod.(*nn.DiffusionConv).ApplyDiffused(tp, d, rows.Want)
 	}
-	hNew := m.cell.ApplyRows(tp, conv, autodiff.Constant(v.Feat), h, v.N, v.N)
+	rows := nn.Leading(v.N)
+	if v.Want != nil {
+		rows = nn.Rows{Want: v.Want}
+	}
+	hNew := m.cell.ApplyRows(tp, conv, autodiff.Constant(v.Feat), h, rows, v.N)
 	m.state.commit(tp, v, hNew)
+	if v.Want != nil {
+		return hNew
+	}
 	return tp.Head(hNew, v.rows(0))
 }

@@ -79,8 +79,8 @@ func (m *GCLSTMModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	x := tp.ReLU(m.enc.Apply(tp, v.Norm.Head(n1, v.N), autodiff.Constant(v.Feat)))
 	h := tp.OwnedConstant(m.hState.gatherHead(v, n1))
 	c := tp.OwnedConstant(m.cState.gatherHead(v, v.rows(0)))
-	conv := func(mod nn.Module, in *autodiff.Node, rows int) *autodiff.Node {
-		return mod.(*nn.GCNConv).Apply(tp, v.Norm.Head(rows, in.Value.Rows), in)
+	conv := func(mod nn.Module, in *autodiff.Node, rows nn.Rows) *autodiff.Node {
+		return mod.(*nn.GCNConv).Apply(tp, v.Norm.Head(rows.N, in.Value.Rows), in)
 	}
 	hNew, cNew := m.cell.ApplyRows(tp, conv, x, h, c)
 	m.hState.commit(tp, v, hNew)

@@ -34,8 +34,13 @@ type View struct {
 	// the rows within d hops of those are the leading Frontier[d]. A forward
 	// then computes each intermediate on the prefix its readers need, returns
 	// Frontier[0] rows and commits recurrent state for exactly those. Nil is
-	// every row wanted: full forwards, training rounds.
+	// every row wanted, unless Want lists them: full forwards, training rounds.
 	Frontier []int
+	// Want, when non-nil on a NoCommit view, lists the rows (ascending) whose
+	// embeddings the caller reads: a training round's loss rows. A model may
+	// return those rows alone, in that order — DCRNN does — or ignore Want
+	// and return every row; the caller tells the two apart by the row count.
+	Want []int
 	// NoCommit, when set, prevents the forward pass from writing updated
 	// recurrent state back (useful for what-if evaluation).
 	NoCommit bool

@@ -94,10 +94,10 @@ func (m *RTGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	n2 := v.rows(2)
 	x := tp.ReLU(m.enc.ApplyRows(tp, typed, autodiff.Constant(v.Feat), n2))
 	h := tp.OwnedConstant(m.state.gatherHead(v, n2))
-	conv := func(mod nn.Module, in *autodiff.Node, rows int) *autodiff.Node {
-		return mod.(*nn.RGCNConv).ApplyRows(tp, typed, in, rows)
+	conv := func(mod nn.Module, in *autodiff.Node, rows nn.Rows) *autodiff.Node {
+		return mod.(*nn.RGCNConv).ApplyRows(tp, typed, in, rows.N)
 	}
-	hNew := m.cell.ApplyRows(tp, conv, x, h, v.rows(0), v.rows(1))
+	hNew := m.cell.ApplyRows(tp, conv, x, h, nn.Leading(v.rows(0)), v.rows(1))
 	m.state.commit(tp, v, hNew)
 	return hNew
 }

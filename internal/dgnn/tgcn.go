@@ -68,10 +68,10 @@ func (m *TGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	n2 := v.rows(2)
 	x := tp.ReLU(m.enc.Apply(tp, v.Norm.Head(n2, v.N), autodiff.Constant(v.Feat)))
 	h := tp.OwnedConstant(m.state.gatherHead(v, n2))
-	conv := func(mod nn.Module, in *autodiff.Node, rows int) *autodiff.Node {
-		return mod.(*nn.GCNConv).Apply(tp, v.Norm.Head(rows, in.Value.Rows), in)
+	conv := func(mod nn.Module, in *autodiff.Node, rows nn.Rows) *autodiff.Node {
+		return mod.(*nn.GCNConv).Apply(tp, v.Norm.Head(rows.N, in.Value.Rows), in)
 	}
-	hNew := m.cell.ApplyRows(tp, conv, x, h, v.rows(0), v.rows(1))
+	hNew := m.cell.ApplyRows(tp, conv, x, h, nn.Leading(v.rows(0)), v.rows(1))
 	m.state.commit(tp, v, hNew)
 	return hNew
 }

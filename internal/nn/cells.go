@@ -105,30 +105,51 @@ func NewConvGRUCell(hidden int, newConv func() Module) *ConvGRUCell {
 	return &ConvGRUCell{convZ: newConv(), convR: newConv(), convC: newConv(), hidden: hidden}
 }
 
+// Rows selects the rows a cell computes: the leading N, on rows in demand
+// order (graph.Region), or, when Want is non-nil, the ascending rows it lists
+// instead (the rows a training round's loss reads, dgnn.View.Want), which
+// only DCRNN's convolution takes.
+type Rows struct {
+	N    int
+	Want []int
+}
+
+// Leading selects the leading n rows.
+func Leading(n int) Rows { return Rows{N: n} }
+
+// Of returns the selected rows of a: its head, or the listed rows gathered.
+func (s Rows) Of(tp *autodiff.Tape, a *autodiff.Node) *autodiff.Node {
+	if s.Want != nil {
+		return tp.GatherRows(a, s.Want)
+	}
+	return tp.Head(a, s.N)
+}
+
 // RowConv applies gate module m's graph convolution to x and returns the
-// leading rows rows of the result. The caller binds the adjacency inside it; a
+// selected rows of the result. The caller binds the adjacency inside it; a
 // convolution that reads one hop takes the adjacency's rows×x.Rows head.
-type RowConv func(m Module, x *autodiff.Node, rows int) *autodiff.Node
+type RowConv func(m Module, x *autodiff.Node, rows Rows) *autodiff.Node
 
 // allRows adapts a convolution that always returns every row.
 func allRows(conv func(m Module, x *autodiff.Node) *autodiff.Node) RowConv {
-	return func(m Module, x *autodiff.Node, _ int) *autodiff.Node { return conv(m, x) }
+	return func(m Module, x *autodiff.Node, _ Rows) *autodiff.Node { return conv(m, x) }
 }
 
 // Apply advances the cell over every row: conv is invoked with each gate's
 // conv module and the gate input.
 func (c *ConvGRUCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.Node) *autodiff.Node, x, h *autodiff.Node) *autodiff.Node {
 	n := h.Value.Rows
-	return c.ApplyRows(tp, allRows(conv), x, h, n, n)
+	return c.ApplyRows(tp, allRows(conv), x, h, Leading(n), n)
 }
 
-// ApplyRows advances the cell for its leading n0 rows, on rows in demand
-// order (graph.Region): the new state of those rows reads the update gate and
-// the candidate on them, whose convolutions read their inputs — and so the
-// reset gate — on the n1 rows within a hop, whose convolution reads x and h
-// wherever they are given. With n0 = n1 = all rows no Head is recorded and
-// this is the plain cell. [x|h], its head and [x|r∘h] are views over x, h
-// and r∘h, which the convolutions' products and SpMMs read where they are;
+// ApplyRows advances the cell for the rows n0 selects — its leading rows, on
+// rows in demand order (graph.Region), or a list of them: the new state of
+// those rows reads the update gate and the candidate on them, whose
+// convolutions read their inputs — and so the reset gate — on the n1 rows
+// within a hop, whose convolution reads x and h wherever they are given. A
+// list needs n1 to be every row. With n0 and n1 all rows no Head is recorded
+// and this is the plain cell. [x|h], its head and [x|r∘h] are views over x,
+// h and r∘h, which the convolutions' products and SpMMs read where they are;
 // their backward gives a part its block only where it needs one, never to a
 // constant h. On a warm tape every gate activation writes over its
 // convolution's output. On a warm inference tape every term of the update
@@ -136,13 +157,13 @@ func (c *ConvGRUCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.N
 // head, included, once no view of h is read any more — where a recording
 // tape keeps the ones a product's backward rule reads, and the parts of a
 // concatenation whose weight rule reads it.
-func (c *ConvGRUCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h *autodiff.Node, n0, n1 int) *autodiff.Node {
+func (c *ConvGRUCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h *autodiff.Node, n0 Rows, n1 int) *autodiff.Node {
 	xh := tp.ConcatCols(x, h)
 	z := tp.Sigmoid(conv(c.convZ, tp.Head(xh, n1), n0))
-	r := tp.Sigmoid(conv(c.convR, xh, n1))
+	r := tp.Sigmoid(conv(c.convR, xh, Leading(n1)))
 	rh := tp.Mul(r, tp.Head(h, n1))
 	cand := tp.Tanh(conv(c.convC, tp.ConcatCols(tp.Head(x, n1), rh), n0))
-	return tp.Add(tp.Mul(z, tp.Head(h, n0)), tp.Mul(tp.OneMinus(z), cand))
+	return tp.Add(tp.Mul(z, n0.Of(tp, h)), tp.Mul(tp.OneMinus(z), cand))
 }
 
 // Params implements Module.
@@ -183,7 +204,7 @@ func (c *ConvLSTMCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.
 // product's backward rule; tanh(cellNew) gets a buffer of its own where the
 // model keeps cellNew as state.
 func (c *ConvLSTMCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h, cell *autodiff.Node) (hNew, cellNew *autodiff.Node) {
-	n0 := cell.Value.Rows
+	n0 := Leading(cell.Value.Rows)
 	xh := tp.ConcatCols(x, h)
 	i := tp.Sigmoid(conv(c.convI, xh, n0))
 	f := tp.Sigmoid(conv(c.convF, xh, n0))

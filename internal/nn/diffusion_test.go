@@ -106,7 +106,7 @@ func TestDiffusionConvMatchesDenseReference(t *testing.T) {
 						y = tp.Mul(denseDiffusionConv(tp, c1, x, hops), denseDiffusionConv(tp, c2, x, hops))
 					} else {
 						d := Diffuse(tp, p, x, K)
-						y = tp.Mul(c1.ApplyDiffused(tp, d), c2.ApplyDiffused(tp, d))
+						y = tp.Mul(c1.ApplyDiffused(tp, d, nil), c2.ApplyDiffused(tp, d, nil))
 					}
 					y = tp.Add(y, tp.MatMul(x, c1.Wf[0]))
 					tp.Backward(tp.MSE(tp.Tanh(y), target))
@@ -132,13 +132,68 @@ func TestDiffusionConvMatchesDenseReference(t *testing.T) {
 				tp := autodiff.NewInferenceTape()
 				for pass := 0; pass < 3; pass++ {
 					x := tp.OwnedConstant(xm.Clone())
-					got := tp.Detach(c.ApplyDiffused(tp, Diffuse(tp, p, x, K)))
+					got := tp.Detach(c.ApplyDiffused(tp, Diffuse(tp, p, x, K), nil))
 					tp.Release()
 					if !sameBits(want, got) {
 						t.Fatalf("inference pass %d: value differs from the dense reference", pass)
 					}
 				}
 			})
+		}
+	}
+}
+
+// A convolution on wanted rows against the same convolution on every row with
+// the wanted ones gathered from it, beside a second consumer of the same
+// propagation on every row (a GRU's reset gate beside its update gate): the
+// wanted rows' values and every weight, bias and input gradient are
+// Float64bits-equal, over graphs from every row active to none and wanted
+// sets from none to all, active and inactive rows mixed.
+func TestDiffusionConvWantedRowsMatchEveryRow(t *testing.T) {
+	const n, in, out, K = 40, 5, 4, 2
+	for _, isolated := range []float64{0, 0.5, 0.97, 1} {
+		for trial := int64(0); trial < 6; trial++ {
+			rng := rand.New(rand.NewSource(20*trial + 3))
+			p := diffusionGraph(rng, n, isolated).Diffusion()
+			xm := tensor.NewRandom(rng, n, in, 1)
+			var want []int
+			share := float64(trial) / 5 // none, …, all
+			for r := 0; r < n; r++ {
+				if rng.Float64() < share || share == 1 {
+					want = append(want, r)
+				}
+			}
+			want = append(make([]int, 0, len(want)), want...) // never nil
+			target := tensor.NewRandom(rng, len(want), out, 1)
+			run := func(listed bool) (val *tensor.Matrix, grads []*tensor.Matrix) {
+				r := rand.New(rand.NewSource(trial))
+				c1, c2 := NewDiffusionConv(r, in, out, K), NewDiffusionConv(r, in, out, K)
+				x := autodiff.Param(xm.Clone())
+				tp := autodiff.NewTape()
+				d := Diffuse(tp, p, x, K)
+				var y *autodiff.Node
+				if listed {
+					y = c1.ApplyDiffused(tp, d, want)
+				} else {
+					y = tp.GatherRows(c1.ApplyDiffused(tp, d, nil), want)
+				}
+				loss := tp.Add(tp.MSE(tp.Tanh(y), target), tp.Mean(tp.Tanh(c2.ApplyDiffused(tp, d, nil))))
+				tp.Backward(loss)
+				for _, prm := range append(CollectParams(c1, c2), x) {
+					grads = append(grads, prm.Grad)
+				}
+				return y.Value, grads
+			}
+			wantV, wantG := run(false)
+			gotV, gotG := run(true)
+			if !sameBits(wantV, gotV) {
+				t.Fatalf("isolated %v, %d wanted rows: value differs from every row's", isolated, len(want))
+			}
+			for i := range wantG {
+				if !sameBits(wantG[i], gotG[i]) {
+					t.Fatalf("isolated %v, %d wanted rows: gradient %d of %d differs from every row's", isolated, len(want), i, len(wantG))
+				}
+			}
 		}
 	}
 }
@@ -161,7 +216,7 @@ func BenchmarkDiffusionConv(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				x := tp.OwnedConstant(xm.Clone())
-				y := tp.Detach(c.ApplyDiffused(tp, Diffuse(tp, p, x, K)))
+				y := tp.Detach(c.ApplyDiffused(tp, Diffuse(tp, p, x, K), nil))
 				tp.Release()
 				tensor.Recycle(y)
 			}

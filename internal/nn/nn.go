@@ -6,6 +6,7 @@ package nn
 
 import (
 	"math/rand"
+	"slices"
 
 	"streamgnn/internal/autodiff"
 	"streamgnn/internal/tensor"
@@ -147,33 +148,69 @@ func Diffuse(tp *autodiff.Tape, p *tensor.Diffusion, x *autodiff.Node, k int) Di
 // reverse transition matrices, every row taken as active.
 func (c *DiffusionConv) Apply(tp *autodiff.Tape, fwd, rev *tensor.CSR, x *autodiff.Node) *autodiff.Node {
 	p := &tensor.Diffusion{FwdIn: fwd, RevIn: rev, FwdAA: fwd, RevAA: rev}
-	return c.ApplyDiffused(tp, Diffuse(tp, p, x, c.K))
+	return c.ApplyDiffused(tp, Diffuse(tp, p, x, c.K), nil)
 }
 
 // ApplyDiffused computes the convolution over an input already propagated
-// K steps by Diffuse: the weighted sum, in ascending k, forward before
-// reverse. The hop-0 terms cover all n rows; the hop terms are added on the
-// active rows alone and scattered back, since an inactive row's hop inputs
-// are zero and its sum is the hop-0 value bit for bit (DESIGN.md §8). Every
-// op after the first product reads its running sum last, so on a warm tape
-// the conv draws one n-row and one |A|-row buffer: each MatMulAcc adds into
-// its sum, the scatter writes into the hop-0 sum and the bias is added where
-// the scatter left it.
-func (c *DiffusionConv) ApplyDiffused(tp *autodiff.Tape, d Diffused) *autodiff.Node {
-	base := tp.MatMulAcc(tp.MatMul(d.X, c.Wf[0]), d.X, c.Wr[0])
-	sum := base
+// K steps by Diffuse, on the ascending rows want, or on every row when want is
+// nil: the weighted sum, in ascending k, forward before reverse. The hop-0
+// terms cover the wanted rows; the hop terms are added on the wanted rows that
+// are active alone and scattered back, since an inactive row's hop inputs are
+// zero and its sum is the hop-0 value bit for bit (DESIGN.md §8). Each product
+// gathers the wanted rows for itself, which keeps its gradient share a term of
+// its own (DESIGN.md §18). Every op after the first product reads its running
+// sum last, so on a warm tape the conv draws one buffer for the wanted rows
+// and one for their active ones: each MatMulAcc adds into its sum, the
+// scatter writes into the hop-0 sum and the bias is added where the scatter
+// left it.
+func (c *DiffusionConv) ApplyDiffused(tp *autodiff.Tape, d Diffused, want []int) *autodiff.Node {
+	rowsOf := func(x *autodiff.Node, rows []int) *autodiff.Node {
+		if rows == nil {
+			return x
+		}
+		return tp.GatherRows(x, rows)
+	}
+	base := tp.MatMulAcc(tp.MatMul(rowsOf(d.X, want), c.Wf[0]), rowsOf(d.X, want), c.Wr[0])
+	at, hop := d.p.Active, []int(nil)
 	compact := d.p.ActiveRows() < d.p.Rows()
+	if want != nil {
+		at, hop = d.wanted(want)
+		compact = len(at) < len(want)
+	}
+	sum := base
 	if compact {
-		sum = tp.GatherRows(base, d.p.Active)
+		sum = tp.GatherRows(base, at)
 	}
 	for k := 1; k <= c.K; k++ {
-		sum = tp.MatMulAcc(sum, d.hops[2*(k-1)], c.Wf[k])
-		sum = tp.MatMulAcc(sum, d.hops[2*(k-1)+1], c.Wr[k])
+		sum = tp.MatMulAcc(sum, rowsOf(d.hops[2*(k-1)], hop), c.Wf[k])
+		sum = tp.MatMulAcc(sum, rowsOf(d.hops[2*(k-1)+1], hop), c.Wr[k])
 	}
 	if compact {
-		sum = tp.ScatterRows(base, sum, d.p.Active)
+		sum = tp.ScatterRows(base, sum, at)
 	}
 	return tp.AddBias(sum, c.B)
+}
+
+// wanted returns the positions in want (ascending rows) of its active rows
+// and where those rows sit in the hop matrices, nil when that is every hop row
+// in order.
+func (d Diffused) wanted(want []int) (at, hop []int) {
+	p := d.p
+	all := p.ActiveRows() == p.Rows()
+	at, hop = make([]int, 0, len(want)), make([]int, 0, len(want))
+	for i, r := range want {
+		j, ok := r, all
+		if !all {
+			j, ok = slices.BinarySearch(p.Active, r)
+		}
+		if ok {
+			at, hop = append(at, i), append(hop, j)
+		}
+	}
+	if len(hop) == p.ActiveRows() {
+		hop = nil
+	}
+	return at, hop
 }
 
 // Params implements Module.

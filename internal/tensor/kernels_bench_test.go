@@ -11,7 +11,9 @@ import (
 // inputs, and over the concatenation [x|h] of a 7- and a 16-column part read
 // where they are, beside the copy it replaced), a training partition
 // ([11×22]·[22×16] and its two backward products, the input gradient also
-// added in place) and a full-graph weight gradient. MAC/s counts every
+// added in place), a Taxi training round's weight gradient ([129×23]ᵀ·[129×16]
+// with 93 % of the gradient rows zero, the rows the loss does not read) and a
+// full-graph weight gradient. MAC/s counts every
 // multiply-add of the dense product, skipped or not, so a zero-row case reads
 // as the speed-up it is. `make bench-kernels` runs it.
 func BenchmarkDenseKernels(b *testing.B) {
@@ -25,6 +27,12 @@ func BenchmarkDenseKernels(b *testing.B) {
 		}
 	}
 	px, pw, pg, pacc := dense(11, 22), dense(22, 16), dense(11, 16), dense(11, 22)
+	ux, ug := dense(129, 23), dense(129, 16)
+	for r := 0; r < ug.Rows; r++ {
+		if r%15 != 0 { // 9 rows of 129 kept: 93.0 % zero
+			clear(ug.Row(r))
+		}
+	}
 	xh := Concat{Rows: 10000, Parts: []*Matrix{dense(10000, 7), dense(10000, 16)}}
 	cases := []struct {
 		name string
@@ -44,6 +52,7 @@ func BenchmarkDenseKernels(b *testing.B) {
 		}},
 		{"MatMul/11x22·22x16", 11 * 22 * 16, func() *Matrix { return MatMul(px, pw) }},
 		{"MatMulTransA/11x22ᵀ·11x16", 11 * 22 * 16, func() *Matrix { return MatMulTransA(px, pg) }},
+		{"MatMulTransA/129x23ᵀ·129x16/zero93", 129 * 23 * 16, func() *Matrix { return MatMulTransA(ux, ug) }},
 		{"MatMulTransA/10000x23ᵀ·10000x16", 10000 * 23 * 16, func() *Matrix { return MatMulTransA(a, g) }},
 		{"MatMulTransB/11x16·(22x16)ᵀ", 11 * 22 * 16, func() *Matrix { return MatMulTransB(pg, pw) }},
 		{"MatMulTransBAddTo/11x16·(22x16)ᵀ", 11 * 22 * 16, func() *Matrix { MatMulTransBAddTo(pacc, pg, pw); return nil }},

@@ -257,6 +257,37 @@ func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
 	}
 }
 
+// MatMulTransA skips a k-row of b that is all ±0 and takes the rest four at a
+// time: bit-identical, for finite operands, to the naive loop that adds every
+// k in turn — over random shares of zero rows of b (none to all, +0 and −0,
+// runs of them across and inside the four-row groups), signed zeros in a and
+// in b's other rows, and inner lengths that leave a tail after the skips.
+func TestMatMulTransASkipsZeroRowsOfB(t *testing.T) {
+	EnablePooling(true)
+	defer EnablePooling(false)
+	rng := rand.New(rand.NewSource(39))
+	negZero := math.Copysign(0, -1)
+	for trial := 0; trial < 400; trial++ {
+		k, m, n := rng.Intn(40), 1+rng.Intn(24), 1+rng.Intn(20)
+		a, b := NewRandom(rng, k, m, 1), NewRandom(rng, k, n, 1)
+		signedZeros(rng, a)
+		signedZeros(rng, b)
+		share := rng.Float64()
+		for r := 0; r < k; r++ {
+			if rng.Float64() < share {
+				row := b.Row(r)
+				for j := range row {
+					row[j] = []float64{0, negZero}[rng.Intn(2)]
+				}
+			}
+		}
+		dirtyPool(m * n)
+		if got, want := MatMulTransA(a, b), naiveMatMulTransA(a, b); !sameBits(want, got) {
+			t.Fatalf("trial %d: (%dx%d)ᵀ·%dx%d with %.0f %% zero rows of b differs from the naive loop", trial, k, m, k, n, 100*share)
+		}
+	}
+}
+
 // The kernels over a concatenation read where its parts are — rows assembled
 // for the products, column windows for SpMM, row blocks of MatMulTransA's
 // output, SpMMTrans over a column window — and equal the same kernels over
@@ -350,6 +381,13 @@ func TestDenseKernelsZeroTimesInf(t *testing.T) {
 	g.Data[1], g.Data[4] = 1, inf
 	if got := MatMulTransA(x, g); !isNaN(got.At(0, 0)) || !isNaN(got.At(1, 0)) || got.At(2, 0) != inf {
 		t.Fatalf("MatMulTransA k-tail: got %v, want [NaN; NaN; +Inf]", got.Data)
+	}
+	// A zero row of g — a row the loss does not reach — is skipped whole, so
+	// the Inf in x's row 1 meets no term: column 1 sums rows 0 and 4 alone.
+	x.Set(1, 1, inf)
+	g.Data[1], g.Data[4] = 0, 1
+	if got := MatMulTransA(x, g); got.At(0, 0) != 0 || got.At(1, 0) != 1 || got.At(2, 0) != 1 {
+		t.Fatalf("MatMulTransA over a zero row of g: got %v, want [0; 1; 1]", got.Data)
 	}
 }
 

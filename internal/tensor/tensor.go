@@ -180,7 +180,8 @@ func shapeCheck(op string, a, b *Matrix) {
 // finite is ±0, and an accumulator that starts at +0 is never −0 (x + y
 // rounds to −0 only when both are −0), so adding the term changes nothing:
 // it may be added (the inner loops stay branch-free) or left out (a whole
-// zero row of a, or four zero k-entries at once, is skipped). With a
+// zero row of a, a whole zero k-row of MatMulTransA's b, or four zero
+// k-entries at once, is skipped). With a
 // non-finite b a skipped 0·Inf stays 0 and an added one is NaN; which of the
 // two happens is pinned by TestDenseKernelsZeroTimesInf, not promised.
 
@@ -480,24 +481,32 @@ func MatMulTransAConcat(a Concat, b *Matrix) *Matrix {
 }
 
 // matMulTransAInto accumulates aᵀ·b into the zeroed out over a's leading
-// b.Rows rows, streaming a and b once. Four k-rows are consumed per pass,
-// added in ascending order — o = (((o + a0·b0) + a1·b1) + a2·b2) + a3·b3 — so
-// each output element is loaded and stored once per four multiply-adds
-// instead of once per one; the last b.Rows%4 rows go one at a time. Four zero
-// entries of a in a column (an isolated node's rows, a feature nobody has)
-// skip the pass. The rows of b and out are sliced by hand, all to length n,
-// where Row() would read shorter: it is what lets the compiler drop the inner
-// loop's bounds checks (the large shape of BenchmarkDenseKernels runs 1.2×
-// slower without).
+// b.Rows rows, streaming a and b once. A k-row of b that is all ±0 — in
+// dW = Xᵀ·dC, a row the loss does not reach — adds only ±0 terms and is
+// skipped whole. The rest are consumed four per pass, added in ascending
+// order — o = (((o + a0·b0) + a1·b1) + a2·b2) + a3·b3 — so each output element
+// is loaded and stored once per four multiply-adds instead of once per one;
+// the last of them, fewer than four, go one at a time. Four zero entries of a
+// in a column (an isolated node's rows, a feature nobody has) skip the pass.
+// The rows of b and out are sliced by hand, all to length n, where Row()
+// would read shorter: it is what lets the compiler drop the inner loop's
+// bounds checks (the large shape of BenchmarkDenseKernels runs 1.2× slower
+// without).
 func matMulTransAInto(a, b, out *Matrix) {
 	n := b.Cols
-	k := 0
-	for ; k+4 <= b.Rows; k += 4 {
-		a0, a1, a2, a3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
-		b0 := b.Data[k*n : (k+1)*n : (k+1)*n]
-		b1 := b.Data[(k+1)*n : (k+2)*n : (k+2)*n]
-		b2 := b.Data[(k+2)*n : (k+3)*n : (k+3)*n]
-		b3 := b.Data[(k+3)*n : (k+4)*n : (k+4)*n]
+	var ks [4]int
+	m := 0
+	for k := 0; k < b.Rows; k++ {
+		if allZero(b.Data[k*n : (k+1)*n]) {
+			continue
+		}
+		if ks[m] = k; m < 3 {
+			m++
+			continue
+		}
+		m = 0
+		a0, a1, a2, a3 := a.Row(ks[0]), a.Row(ks[1]), a.Row(ks[2]), a.Row(ks[3])
+		b0, b1, b2, b3 := b.Data[ks[0]*n:][:n:n], b.Data[ks[1]*n:][:n:n], b.Data[ks[2]*n:][:n:n], b.Data[ks[3]*n:][:n:n]
 		for i := 0; i < a.Cols; i++ {
 			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
 			// All four ±0, as one branch: four float compares mispredict on
@@ -511,7 +520,7 @@ func matMulTransAInto(a, b, out *Matrix) {
 			}
 		}
 	}
-	for ; k < b.Rows; k++ {
+	for _, k := range ks[:m] {
 		arow := a.Row(k)
 		brow := b.Row(k)
 		for i := 0; i < a.Cols; i++ {
@@ -654,10 +663,18 @@ func (m *Matrix) MaxAbs() float64 {
 }
 
 // GatherRows returns the matrix whose i-th row is m's rows[i]-th row.
-func GatherRows(m *Matrix, rows []int) *Matrix {
-	out := newUninit(len(rows), m.Cols)
+func GatherRows(m *Matrix, rows []int) *Matrix { return GatherRowsConcat(whole(m), rows) }
+
+// GatherRowsConcat is GatherRows of a concatenation, each row assembled from
+// the parts straight into the output.
+func GatherRowsConcat(c Concat, rows []int) *Matrix {
+	out := newUninit(len(rows), c.Cols())
 	for i, r := range rows {
-		copy(out.Row(i), m.Row(r))
+		if r < 0 || r >= c.Rows {
+			panic(fmt.Sprintf("tensor: GatherRows row %d of %d", r, c.Rows))
+		}
+		orow := out.Row(i)
+		copy(orow, c.row(r, orow))
 	}
 	return out
 }

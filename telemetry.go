@@ -28,9 +28,11 @@ const (
 )
 
 // TrainRoundParts returns the keys of Telemetry.TrainRoundSeconds, the parts
-// of a training round in execution order: node sampling and chip moves,
-// partition extraction plus the union build, the union forward, training
-// material plus the stacked loss, the backward pass, the optimizer step.
+// of a training round: node sampling and chip moves, partition extraction
+// plus the union build, the union forward, training material plus the
+// stacked loss, the backward pass, the optimizer step. They run in that
+// order but for the material, which is built before the forward (it names
+// the rows the forward computes) and is timed under "loss" all the same.
 func TrainRoundParts() []string {
 	return []string{"sample", "extract", "forward", "loss", "backward", "optimizer"}
 }
@@ -164,12 +166,14 @@ type Telemetry struct {
 	// Training-round accounting, cumulative since the engine was built (like
 	// the phase histograms, not checkpointed). A round is one disjoint-union
 	// evaluation of training units (a full-graph pass: a round of one unit),
-	// TrainUnionRows the rows those forwards ran on, and TrainRoundSeconds
-	// where the time went, keyed by TrainRoundParts(): together the parts
-	// are the train phase.
+	// TrainUnionRows the rows those forwards ran on, TrainWantRows the rows
+	// of those the losses read — all a DCRNN round computes past its reset
+	// gate — and TrainRoundSeconds where the time went, keyed by
+	// TrainRoundParts(): together the parts are the train phase.
 	TrainRounds       int64
 	TrainUnits        int64
 	TrainUnionRows    int64
+	TrainWantRows     int64
 	TrainRoundSeconds map[string]float64
 
 	// Sharded-pipeline fields, zero/nil unless Config.Shards > 1.
@@ -226,6 +230,7 @@ func (e *Engine) Telemetry() Telemetry {
 	t.TrainRounds = atomic.LoadInt64(&rs.Rounds)
 	t.TrainUnits = atomic.LoadInt64(&rs.Units)
 	t.TrainUnionRows = atomic.LoadInt64(&rs.UnionRows)
+	t.TrainWantRows = atomic.LoadInt64(&rs.WantRows)
 	parts := TrainRoundParts()
 	t.TrainRoundSeconds = make(map[string]float64, len(parts))
 	for i, ns := range []*int64{&rs.SampleNs, &rs.ExtractNs, &rs.ForwardNs, &rs.LossNs, &rs.BackwardNs, &rs.OptimizerNs} {
