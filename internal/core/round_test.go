@@ -295,7 +295,10 @@ func TestRoundMetersWithinCeilings(t *testing.T) {
 		// a temporary per rule. RTGCN's forward is 38 485 with its
 		// convolution input pinned part by part, 42 829 with the view
 		// copied to pin it; its backward is 35 921 either way. The RTGCN
-		// forward ceiling sits below the copy's count.
+		// forward ceiling sits below the copy's count. DCRNN's round,
+		// its gates past the reset gate on the rows the loss reads
+		// (View.Want), meters 27 744 and 18 879: this fixture's losses
+		// read most rows, so the gathers cost more than they save.
 		{dgnn.GCLSTM, 22066, 14901},
 		{dgnn.TGCN, 18366, 14694},
 		{dgnn.DCRNN, 28750, 22747},
@@ -337,9 +340,9 @@ func (m everyRow) Forward(tp *autodiff.Tape, v dgnn.View) *autodiff.Node {
 // TestRoundWantedRowsMatchEveryRow is the exactness of View.Want: a round
 // whose model computes only the rows the loss reads (DCRNN) gives utilities
 // and every parameter gradient Float64bits-equal to the same round forwarded
-// on every row, for all eight kinds on the event and the link workload. The
-// rounds' losses must read fewer rows than they stack, or the test says
-// nothing.
+// on every row, for all eight kinds on the event and the link workload, and
+// a full-graph pass steps to the same parameters. The rounds' losses must
+// read fewer rows than they stack, or the test says nothing.
 func TestRoundWantedRowsMatchEveryRow(t *testing.T) {
 	for _, kind := range dgnn.Kinds() {
 		var wantRows, unionRows int64
@@ -379,6 +382,23 @@ func TestRoundWantedRowsMatchEveryRow(t *testing.T) {
 		}
 		if wantRows <= 0 || wantRows >= unionRows {
 			t.Fatalf("%s: the losses read %d of %d rows", kind, wantRows, unionRows)
+		}
+		// A full-graph pass is the same round of one unit: two identical
+		// fixtures, one forwarding every row, step to the same parameters.
+		wantTr, wantOpt := roundFixture(t, kind, false, nil)
+		gotTr, gotOpt := roundFixture(t, kind, false, nil)
+		gotTr.Model = everyRow{gotTr.Model}
+		wantLoss, wantOK := wantTr.TrainFull()
+		gotLoss, gotOK := gotTr.TrainFull()
+		if gotOK != wantOK || math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+			t.Fatalf("%s: full pass every row %v (%v), wanted rows %v (%v)", kind, gotLoss, gotOK, wantLoss, wantOK)
+		}
+		for p, prm := range wantOpt.Params() {
+			for j, x := range prm.Value.Data {
+				if math.Float64bits(gotOpt.Params()[p].Value.Data[j]) != math.Float64bits(x) {
+					t.Fatalf("%s: full pass: param %d[%d] every row %v, wanted rows %v", kind, p, j, gotOpt.Params()[p].Value.Data[j], x)
+				}
+			}
 		}
 	}
 }

@@ -81,11 +81,7 @@ func (m *DCRNNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 		}
 		return mod.(*nn.DiffusionConv).ApplyDiffused(tp, d, rows.Want)
 	}
-	rows := nn.Leading(v.N)
-	if v.Want != nil {
-		rows = nn.Rows{Want: v.Want}
-	}
-	hNew := m.cell.ApplyRows(tp, conv, autodiff.Constant(v.Feat), h, rows, v.N)
+	hNew := m.cell.ApplyRows(tp, conv, autodiff.Constant(v.Feat), h, nn.Rows{N: v.N, Want: v.Want}, v.N)
 	m.state.commit(tp, v, hNew)
 	if v.Want != nil {
 		return hNew

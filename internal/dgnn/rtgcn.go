@@ -97,7 +97,7 @@ func (m *RTGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	conv := func(mod nn.Module, in *autodiff.Node, rows nn.Rows) *autodiff.Node {
 		return mod.(*nn.RGCNConv).ApplyRows(tp, typed, in, rows.N)
 	}
-	hNew := m.cell.ApplyRows(tp, conv, x, h, nn.Leading(v.rows(0)), v.rows(1))
+	hNew := m.cell.ApplyRows(tp, conv, x, h, nn.Rows{N: v.rows(0)}, v.rows(1))
 	m.state.commit(tp, v, hNew)
 	return hNew
 }

@@ -71,7 +71,7 @@ func (m *TGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	conv := func(mod nn.Module, in *autodiff.Node, rows nn.Rows) *autodiff.Node {
 		return mod.(*nn.GCNConv).Apply(tp, v.Norm.Head(rows.N, in.Value.Rows), in)
 	}
-	hNew := m.cell.ApplyRows(tp, conv, x, h, nn.Leading(v.rows(0)), v.rows(1))
+	hNew := m.cell.ApplyRows(tp, conv, x, h, nn.Rows{N: v.rows(0)}, v.rows(1))
 	m.state.commit(tp, v, hNew)
 	return hNew
 }

