@@ -69,8 +69,8 @@ type TrainerStats struct {
 	ReplayTargets   int64
 
 	// Rounds counts union evaluations, Units the partitions in them,
-	// UnionRows their stacked rows and WantRows the rows of those the loss
-	// reads; a full-graph pass is a round of one unit.
+	// UnionRows the stacked rows their forwards ran on and WantRows the rows
+	// their losses read; a full-graph pass is a round of one unit.
 	Rounds, Units, UnionRows, WantRows int64
 	// Where a round's time goes, in nanoseconds summed over rounds: node
 	// sampling and chip moves, partition extraction plus the union build,
@@ -208,9 +208,10 @@ func (m *material) renumber(want []int) {
 //
 // r.units[i] receives unit i's outcome. Forward rows, and so utilities, are
 // bit-equal to evaluating each unit alone; parameter gradients are the same
-// terms summed inside one product over the stacked rows (DESIGN.md §18). Each
-// unit draws from its own rng seeded with r.seeds[i]. Evaluation writes no
-// model or graph state (NoCommit forward).
+// terms summed inside one product over the stacked rows (DESIGN.md §18). The
+// material comes first, so the forward computes the rows it reads (forward).
+// Each unit draws from its own rng seeded with r.seeds[i]. Evaluation writes
+// no model or graph state (NoCommit forward).
 func (t *Trainer) evalRound(r *round, apply bool) {
 	clock := now()
 	r.union.Build(r.subs)
