@@ -122,9 +122,7 @@ func (d *detStream) mutate(e *Engine, s int) {
 // resumeEquality runs the stream uninterrupted on one engine and
 // save/rebuild/load/resume on another, then asserts that the resumed run's
 // stats, chips and metrics are indistinguishable from the uninterrupted
-// one. Partition-cache counters are necessarily excluded: the resumed
-// engine starts with a cold cache, so its hit/miss split differs even
-// though the trained content is identical.
+// one.
 func resumeEquality(t *testing.T, cfg Config) {
 	t.Helper()
 	const n, saveAt, total = 12, 6, 10
@@ -181,8 +179,6 @@ func resumeEquality(t *testing.T, cfg Config) {
 	}
 
 	s1, s2 := e1.Stats(), e2.Stats()
-	s1.CacheHits, s1.CacheMisses, s1.CacheInvalidations, s1.CacheHitRate = 0, 0, 0, 0
-	s2.CacheHits, s2.CacheMisses, s2.CacheInvalidations, s2.CacheHitRate = 0, 0, 0, 0
 	if fmt.Sprintf("%+v", s1) != fmt.Sprintf("%+v", s2) {
 		t.Fatalf("stats diverged after resume:\n  uninterrupted: %+v\n  resumed:       %+v", s1, s2)
 	}

@@ -715,8 +715,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteCounter(&b, "streamgnn_trained_partitions_total", "Node partitions trained.", obs.Value(st.TrainedPartitions))
 	obs.WriteCounter(&b, "streamgnn_chip_moves_total", "Accepted chip moves (Algorithm 1).", obs.Value(st.ChipMoves))
 	obs.WriteGauge(&b, "streamgnn_chip_entropy", "Normalized entropy of the chip distribution.", obs.Value(st.ChipEntropy))
-	obs.WriteCounter(&b, "streamgnn_partition_cache_events_total", "Partition cache activity, by event.",
-		obs.Labeled(`event="hit"`, st.CacheHits), obs.Labeled(`event="miss"`, st.CacheMisses), obs.Labeled(`event="invalidation"`, st.CacheInvalidations))
 
 	obs.WriteGauge(&b, "streamgnn_stream_step", "Next stream step to execute.", obs.Value(step))
 	obs.WriteGauge(&b, "streamgnn_graph_nodes", "Nodes in the snapshot.", obs.Value(nodes))

@@ -140,10 +140,9 @@ func sameFloats(a, b []float64) error {
 }
 
 // sameEngineState compares everything a step produces, bit for bit: the
-// resolved outcomes, the metrics, the training stats (partition-cache
-// counters aside when a run resumed on a cold cache), every parameter, the
+// resolved outcomes, the metrics, the training stats, every parameter, the
 // last embeddings and the recurrent state.
-func sameEngineState(t *testing.T, a, b *Engine, resumed bool) {
+func sameEngineState(t *testing.T, a, b *Engine) {
 	t.Helper()
 	if oa, ob := a.Outcomes(), b.Outcomes(); fmt.Sprintf("%v", oa) != fmt.Sprintf("%v", ob) {
 		t.Fatalf("outcomes differ:\n  %v\n  %v", oa, ob)
@@ -152,12 +151,7 @@ func sameEngineState(t *testing.T, a, b *Engine, resumed bool) {
 	if ma, mb := a.Metrics(), b.Metrics(); fmt.Sprintf("%+v", ma) != fmt.Sprintf("%+v", mb) {
 		t.Fatalf("metrics differ:\n  %+v\n  %+v", ma, mb)
 	}
-	sa, sb := a.Stats(), b.Stats()
-	if resumed {
-		sa.CacheHits, sa.CacheMisses, sa.CacheInvalidations, sa.CacheHitRate = 0, 0, 0, 0
-		sb.CacheHits, sb.CacheMisses, sb.CacheInvalidations, sb.CacheHitRate = 0, 0, 0, 0
-	}
-	if fmt.Sprintf("%+v", sa) != fmt.Sprintf("%+v", sb) {
+	if sa, sb := a.Stats(), b.Stats(); fmt.Sprintf("%+v", sa) != fmt.Sprintf("%+v", sb) {
 		t.Fatalf("stats differ:\n  %+v\n  %+v", sa, sb)
 	}
 	if err := sameBits(a.allParams(), b.allParams()); err != nil {
@@ -209,7 +203,7 @@ func TestStepHalvesIndependentOfSchedule(t *testing.T) {
 						one.run(t, steps, 1)
 						four.run(t, steps, 4)
 						sameSteps(t, one.steps, four.steps)
-						sameEngineState(t, one.e, four.e, false)
+						sameEngineState(t, one.e, four.e)
 					})
 				}
 			}
@@ -241,6 +235,6 @@ func TestStepHalvesIndependentOfSchedule(t *testing.T) {
 		}
 		resumed.run(t, steps-saveAt, 1)
 		sameSteps(t, whole.steps[saveAt:], resumed.steps)
-		sameEngineState(t, whole.e, resumed.e, true)
+		sameEngineState(t, whole.e, resumed.e)
 	})
 }

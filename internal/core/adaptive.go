@@ -34,8 +34,7 @@ func (s *chipSampler) SampleNode() int { return s.chips.Sample(s.rng) }
 //
 //  1. Sampling (serial): all 2·PairsPerStep pair nodes are drawn with the
 //     learner's rng, then each unit is assigned a private seed from the same
-//     rng, and the units' partitions are extracted in unit order (so the
-//     partition cache warms in the same order on every run).
+//     rng, and the units' partitions are extracted fresh in unit order.
 //  2. Evaluation: the units run as one disjoint-union round against the
 //     parameter snapshot θ_t (Trainer.evalRound) — the paper measures
 //     temporal utility *before* backpropagation, so utilities are well-defined
@@ -83,7 +82,6 @@ type AdaptiveLearner struct {
 // selects plain chip sampling (Weighted) or graph-KDE sampling (KDE).
 func NewAdaptiveLearner(t *Trainer, cfg Config, strategy Strategy, rng *rand.Rand) *AdaptiveLearner {
 	chips := sampling.NewChips(t.G.N(), cfg.K)
-	chips.MinChips = cfg.MinChips
 	a := &AdaptiveLearner{Chips: chips, Trainer: t, cfg: cfg, rng: rng}
 	switch strategy {
 	case Weighted:
@@ -266,7 +264,7 @@ func (a *AdaptiveLearner) Step(updated []int) {
 	lap(&clock, &stats.ExtractNs)
 	// Phase 2: evaluate all units against the current parameters.
 	a.Trainer.evalRound(r, true)
-	clear(r.subs) // the partition cache owns the partitions
+	clear(r.subs) // release the partitions; the next round extracts its own
 	// Phase 3: serial chip accounting in pair order, then one optimizer step
 	// on the round's summed gradient.
 	clock = now()

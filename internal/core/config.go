@@ -70,8 +70,6 @@ type Config struct {
 	// SeedKeep is p, the probability that the newest sample replaces the
 	// oldest seed (vs. a uniform teleport node); default 0.8.
 	SeedKeep float64
-	// MinChips is the chip floor (1 in the paper). Exposed for ablation.
-	MinChips int
 	// LR is the optimizer learning rate.
 	LR float64
 	// SelfWeight and SupWeight scale the self-supervised and supervised
@@ -81,34 +79,22 @@ type Config struct {
 	// partition's supervised loss (trains the prediction heads only;
 	// default 24). 0 disables replay.
 	ReplaySize int
-	// BallSupervision trains supervised query targets anchored anywhere in
-	// the partition ball (true) instead of only at the center (false).
-	// Ball-wide targets are more numerous but computed from truncated
-	// neighborhoods; see the ablation bench.
-	BallSupervision bool
 }
-
-// PartitionCacheCap is the capacity, in partitions, of the version-keyed LRU
-// partition cache the scheduler attaches to the graph under the adaptive
-// strategies.
-const PartitionCacheCap = 256
 
 // DefaultConfig returns the paper's default parameter values.
 func DefaultConfig() Config {
 	return Config{
-		K:               5,
-		PairsPerStep:    1,
-		PUpdate:         0.5,
-		Interval:        1,
-		Seeds:           15,
-		StopProb:        0.5,
-		SeedKeep:        0.8,
-		MinChips:        1,
-		LR:              0.02,
-		SelfWeight:      1,
-		SupWeight:       1,
-		ReplaySize:      24,
-		BallSupervision: true,
+		K:            5,
+		PairsPerStep: 1,
+		PUpdate:      0.5,
+		Interval:     1,
+		Seeds:        15,
+		StopProb:     0.5,
+		SeedKeep:     0.8,
+		LR:           0.02,
+		SelfWeight:   1,
+		SupWeight:    1,
+		ReplaySize:   24,
 	}
 }
 
@@ -129,8 +115,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: StopProb must be in (0,1], got %v", c.StopProb)
 	case c.SeedKeep < 0 || c.SeedKeep > 1:
 		return fmt.Errorf("core: SeedKeep must be in [0,1], got %v", c.SeedKeep)
-	case c.MinChips < 0:
-		return fmt.Errorf("core: MinChips must be >= 0, got %d", c.MinChips)
 	case c.LR <= 0:
 		return fmt.Errorf("core: LR must be positive, got %v", c.LR)
 	}

@@ -57,7 +57,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Seeds = 0 },
 		func(c *Config) { c.StopProb = 0 },
 		func(c *Config) { c.SeedKeep = -0.1 },
-		func(c *Config) { c.MinChips = -1 },
 		func(c *Config) { c.LR = 0 },
 	}
 	for i, mutate := range bad {
@@ -135,7 +134,7 @@ func TestAdaptiveLearnerStepMaintainsInvariants(t *testing.T) {
 	total := 0
 	for v := 0; v < a.Chips.N(); v++ {
 		cnt := a.Chips.Count(v)
-		if cnt < cfg.MinChips {
+		if cnt < a.Chips.MinChips {
 			t.Fatalf("node %v dropped below chip floor", v)
 		}
 		total += cnt
@@ -162,7 +161,7 @@ func TestAdaptiveLearnerGrowsWithGraph(t *testing.T) {
 	g.SetLabel(v, 1)
 	g.AddUndirectedEdge(v, 0, 0, 1)
 	a.Step(g.Updated())
-	if a.Chips.N() != 9 || a.Chips.Count(v) < cfg.MinChips {
+	if a.Chips.N() != 9 || a.Chips.Count(v) < a.Chips.MinChips {
 		t.Fatal("new node not covered by chips")
 	}
 }

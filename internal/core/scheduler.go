@@ -30,12 +30,6 @@ func NewScheduler(t *Trainer, cfg Config, strategy Strategy, rng *rand.Rand) (*S
 	s := &Scheduler{Strategy: strategy, Trainer: t, cfg: cfg}
 	if strategy != Full {
 		s.Adaptive = NewAdaptiveLearner(t, cfg, strategy, rng)
-		// Partition extraction dominates warm adaptive steps; attach the
-		// version-keyed LRU cache (Full trains whole snapshots and never
-		// extracts partitions, so it gets none).
-		if t.G.PartitionCache() == nil {
-			t.G.EnablePartitionCache(PartitionCacheCap)
-		}
 	}
 	return s, nil
 }

@@ -45,8 +45,6 @@ type Trainer struct {
 	// catastrophic interference of single-target online head updates at a
 	// cost independent of graph size.
 	ReplaySize int
-	// BallSupervision widens supervised targets to the whole partition.
-	BallSupervision bool
 
 	rng *rand.Rand
 	// own is the round of TrainPartition, EvalPartition and TrainFull.
@@ -81,17 +79,16 @@ type TrainerStats struct {
 // NewTrainer wires a trainer; opt must manage both model and head params.
 func NewTrainer(g *graph.Dynamic, m dgnn.Model, w *query.Workload, opt autodiff.Optimizer, cfg Config, rng *rand.Rand) *Trainer {
 	return &Trainer{
-		Model:           m,
-		Workload:        w,
-		Heads:           w.Heads(),
-		Opt:             opt,
-		G:               g,
-		SelfWeight:      cfg.SelfWeight,
-		SupWeight:       cfg.SupWeight,
-		ReplaySize:      cfg.ReplaySize,
-		BallSupervision: cfg.BallSupervision,
-		rng:             rng,
-		tape:            autodiff.NewTape(),
+		Model:      m,
+		Workload:   w,
+		Heads:      w.Heads(),
+		Opt:        opt,
+		G:          g,
+		SelfWeight: cfg.SelfWeight,
+		SupWeight:  cfg.SupWeight,
+		ReplaySize: cfg.ReplaySize,
+		rng:        rng,
+		tape:       autodiff.NewTape(),
 	}
 }
 
@@ -129,7 +126,7 @@ type round struct {
 
 // reset empties the round's units, keeping its scratch.
 func (r *round) reset() {
-	clear(r.subs) // the partition cache owns the partitions
+	clear(r.subs) // release the partitions; a round extracts its own
 	r.subs, r.seeds, r.units = r.subs[:0], r.seeds[:0], r.units[:0]
 }
 
@@ -388,22 +385,13 @@ func (t *Trainer) partitionMaterial(m *material, sub *graph.Subgraph, off int, r
 			m[termSelfEdge].pair(off+src[i], off+dst[i], labels[i])
 		}
 	}
-	// Without BallSupervision keep only targets whose embeddings the
-	// truncated subgraph computes exactly: node targets at the center (whose
-	// L-hop receptive field the partition contains in full) and pair targets
-	// incident to it. Targets anchored deeper in the ball are computed from
-	// truncated neighborhoods.
 	sup := t.Workload.Supervision(sub, rng)
 	for i, row := range sup.NodeRows {
-		if t.BallSupervision || row == center {
-			m[termSupNode].node(off+row, sup.NodeTargets[i])
-		}
+		m[termSupNode].node(off+row, sup.NodeTargets[i])
 	}
 	pairs := &m[termSupPair]
 	for i := range sup.PairSrc {
-		if t.BallSupervision || sup.PairSrc[i] == center || sup.PairDst[i] == center {
-			pairs.pair(off+sup.PairSrc[i], off+sup.PairDst[i], sup.PairLabels[i])
-		}
+		pairs.pair(off+sup.PairSrc[i], off+sup.PairDst[i], sup.PairLabels[i])
 	}
 	lt := t.Workload.LinkTask()
 	if lt != nil && sub.N() > 2 {

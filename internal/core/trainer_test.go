@@ -71,26 +71,6 @@ func TestReplayDisabled(t *testing.T) {
 	}
 }
 
-func TestBallSupervisionWidensTargets(t *testing.T) {
-	cfgBall := DefaultConfig()
-	cfgBall.BallSupervision = true
-	cfgBall.ReplaySize = 0
-	_, trBall, _ := workloadSetup(t, cfgBall)
-	cfgCtr := cfgBall
-	cfgCtr.BallSupervision = false
-	_, trCtr, _ := workloadSetup(t, cfgCtr)
-	// Node 4's 2-hop ball contains anchor 3 but 4 is not an anchor: ball
-	// supervision sees it, center-only does not.
-	trBall.TrainPartition(4)
-	trCtr.TrainPartition(4)
-	if trBall.Stats.SupNodeTargets == 0 {
-		t.Fatal("ball supervision found no anchor in ball")
-	}
-	if trCtr.Stats.SupNodeTargets != 0 {
-		t.Fatal("center-only supervision leaked ball anchors")
-	}
-}
-
 func TestSelfSupervisionIsCenterOnly(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ReplaySize = 0

@@ -12,8 +12,8 @@ import "sort"
 // outside that frontier provably kept the same forward inputs, so its cached
 // embedding row can be reused.
 //
-// Tracking rides the same mutation funnel (touch / ExpireEdgesBefore) that
-// drives partition-cache invalidation, so no mutation path can bypass it.
+// Tracking rides the mutation funnel (touch / ExpireEdgesBefore) that every
+// mutation passes through, so no mutation path can bypass it.
 
 // EnableDirtyTracking starts accumulating forward-dirty nodes. Idempotent;
 // tracking is off by default so engines that always run full forwards pay

@@ -49,7 +49,6 @@ type Dynamic struct {
 	in  [][]Edge
 
 	updated map[int]struct{}
-	version int64
 
 	// actDirty accumulates nodes whose incident edges or attributes changed
 	// since the last TakeActivityDirty. Unlike updated (the algorithmic set
@@ -65,8 +64,6 @@ type Dynamic struct {
 	// sh is the node-space partition (see sharding.go); nil until
 	// AttachSharding.
 	sh *shard.Sharding
-
-	cache *PartitionCache
 
 	// root[v] is the square root of v's normalization degree (see setRoot),
 	// kept current by the three mutations that change a degree.
@@ -105,16 +102,9 @@ func (g *Dynamic) N() int { return len(g.ntype) }
 // FeatDim returns the per-node attribute dimension.
 func (g *Dynamic) FeatDim() int { return g.featDim }
 
-// Version increases on every mutation; snapshot caches key on it.
-func (g *Dynamic) Version() int64 { return g.version }
-
 func (g *Dynamic) touch(v int) {
 	g.updated[v] = struct{}{}
-	g.version++
 	g.actDirty[v] = struct{}{}
-	if g.cache != nil {
-		g.cache.invalidate(v)
-	}
 }
 
 // markFwdDirty records v as forward-inference dirty (see dirty.go). Only
@@ -237,8 +227,7 @@ func (g *Dynamic) NumEdges() int {
 // ExpireEdgesBefore drops every edge with Time < ts, implementing the
 // sliding-window view of the stream. Nodes are kept. Expiry does not feed
 // the update set U (Algorithm 1 reacts to new data, not to data aging out),
-// but it does mark affected nodes activity-dirty and forward-dirty and
-// invalidates their cached partitions.
+// but it does mark affected nodes activity-dirty and forward-dirty.
 func (g *Dynamic) ExpireEdgesBefore(ts int64) {
 	changed := false
 	filter := func(es []Edge) ([]Edge, bool) {
@@ -260,13 +249,9 @@ func (g *Dynamic) ExpireEdgesBefore(ts int64) {
 			g.setRoot(v)
 			g.actDirty[v] = struct{}{}
 			g.markFwdDirty(v)
-			if g.cache != nil {
-				g.cache.invalidate(v)
-			}
 		}
 	}
 	if changed {
-		g.version++
 		g.edgeVersion++
 	}
 }

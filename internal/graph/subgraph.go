@@ -14,9 +14,10 @@ import (
 // instead of the full snapshot, which is where the paper's O(d^L) vs O(n)
 // resource saving comes from.
 //
-// A Subgraph is built once and never laid out again, so instances may be
-// cached and shared across goroutines; the lock is for the region's two lazy
-// builds. Features and LabeledEdges read through to the live graph.
+// A Subgraph is built once and never laid out again. A training round owns
+// the partitions it extracts; the whole snapshot's Subgraph can be read by
+// both halves of a step, so the lock is for the region's two lazy builds.
+// Features and LabeledEdges read through to the live graph.
 type Subgraph struct {
 	// Nodes maps local index -> global node id (ascending, unique).
 	Nodes []int
@@ -42,20 +43,10 @@ func (g *Dynamic) Induced(nodes []int, center int) *Subgraph {
 }
 
 // Partition returns node v's training partition: the induced subgraph of
-// v's L-hop neighborhood with v as center (Section III-C). When a partition
-// cache is attached (EnablePartitionCache), warm extractions are served from
-// it; invalidation is handled by the mutation path (see PartitionCache).
+// v's L-hop neighborhood with v as center (Section III-C), extracted fresh
+// on every call.
 func (g *Dynamic) Partition(v, L int) *Subgraph {
-	if g.cache != nil {
-		if s := g.cache.get(v, L); s != nil {
-			return s
-		}
-	}
-	s := g.Induced(g.Ball([]int{v}, L), v)
-	if g.cache != nil {
-		g.cache.put(v, L, s)
-	}
-	return s
+	return g.Induced(g.Ball([]int{v}, L), v)
 }
 
 // N returns the number of nodes in the subgraph.

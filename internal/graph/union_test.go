@@ -233,7 +233,7 @@ func TestDiffusionConvOverUnionMatchesPartitions(t *testing.T) {
 
 // TestTypedAdjKeysOnTopology: degrees and edge types are topology, so feature
 // and label writes keep Dynamic.TypedAdj's cached slice and every topology
-// change replaces it; a cached Subgraph builds its typed adjacencies once.
+// change replaces it; a Subgraph builds its typed adjacencies once.
 func TestTypedAdjKeysOnTopology(t *testing.T) {
 	g := typedDirected(rand.New(rand.NewSource(5)), 12, 0)
 	first := g.TypedAdj(3)

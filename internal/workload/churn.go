@@ -16,7 +16,7 @@ import (
 // with the short sliding window each burst later expires en masse. The stream
 // therefore alternates insert storms with expiry storms while features and
 // labels drift in the storm's wake: an ugly workload for anything that
-// assumes a quiet edge set, partition caches included.
+// assumes a quiet edge set.
 //
 // Churn is not one of the paper's five datasets, but it is registered in
 // Names() alongside them so generators and services can list it.

@@ -326,12 +326,14 @@ type Stats struct {
 	// TopChipNodes lists the highest-weight nodes (up to 5, descending).
 	TopChipNodes []int
 
-	// CacheHits/CacheMisses/CacheInvalidations count partition-cache
-	// activity; CacheHitRate is Hits/(Hits+Misses), 0 when caching is off.
-	CacheHits          int64
-	CacheMisses        int64
-	CacheInvalidations int64
-	CacheHitRate       float64
+	// CacheHits, CacheMisses and CacheHitRate always read 0: they counted
+	// the partition cache, which is gone (DESIGN.md §8).
+	//
+	// Deprecated: kept only while the benchmark harness still reads them;
+	// ROADMAP item 1(e) removes them.
+	CacheHits    int64
+	CacheMisses  int64
+	CacheHitRate float64
 
 	// SchedSteps, SchedGroups and SchedCollapsedSteps always read 0: they
 	// counted the conflict-group schedule, which is gone (DESIGN.md §15).
@@ -970,11 +972,6 @@ func (e *Engine) Stats() Stats {
 	s.SupNodeTargets = int(atomic.LoadInt64(&ts.SupNodeTargets))
 	s.SupPairTargets = int(atomic.LoadInt64(&ts.SupPairTargets))
 	s.ReplayTargets = int(atomic.LoadInt64(&ts.ReplayTargets))
-	cs := e.g.PartitionCacheStats()
-	s.CacheHits = cs.Hits
-	s.CacheMisses = cs.Misses
-	s.CacheInvalidations = cs.Invalidations
-	s.CacheHitRate = cs.HitRate()
 	if a := e.sched.Adaptive; a != nil {
 		s.TrainedPartitions = a.Trained
 		s.ChipMoves = a.Moves
