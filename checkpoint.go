@@ -70,10 +70,10 @@ type checkpoint struct {
 	Emb         *dgnn.StateDump
 	EmbLastFull int
 
-	// Delta-propagation caches: one stage-output dump per model stage plus
-	// the ids whose recurrent state the last pass committed; both empty when
-	// the engine was not in delta mode or the caches were invalid at save
-	// time.
+	// Delta and DeltaCommitted are reserved slots of the retired delta
+	// forward's caches (DESIGN.md §14): written empty, and decoded and
+	// dropped on load, so v9 files from before the retirement still load.
+	// ROADMAP item 1(e) removes them with the next version.
 	Delta          []dgnn.StateDump
 	DeltaCommitted []int
 }
@@ -256,9 +256,6 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 		ck.Shards = e.shards.P
 		ck.ShardLayout = e.shards.Layout.String()
 	}
-	if e.deltaFwd != nil {
-		ck.Delta, ck.DeltaCommitted = e.delta.DeltaDump()
-	}
 	for _, c := range e.counters() {
 		ck.Counters = append(ck.Counters, atomic.LoadInt64(c))
 	}
@@ -331,13 +328,6 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 	stage(e.wl.RestoreState(ck.Workload))
 	stage(e.model.RestoreState(ck.States))
 	stage(e.emb.Restore(ck.Emb, ck.EmbLastFull))
-	if len(ck.Delta) > 0 && e.deltaFwd != nil {
-		// A checkpoint without delta caches leaves them invalid, and the first
-		// resumed delta step runs full — at epsilon 0 that is bit-identical.
-		stage(e.delta.DeltaRestore(e.deltaFwd, ck.Delta, ck.DeltaCommitted))
-	} else {
-		stage(e.delta.Invalidate, nil)
-	}
 	if err != nil {
 		return err
 	}

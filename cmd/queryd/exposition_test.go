@@ -145,15 +145,15 @@ func TestCheckExpositionRejects(t *testing.T) {
 func TestMetricsPagesExposition(t *testing.T) {
 	pages := map[string]string{}
 
-	// Single process, with the delta forward on so its conditional families
-	// render too.
+	// Single process, with the incremental forward on so its conditional
+	// families render too.
 	d, err := workload.ByName("Bitcoin", workload.GenConfig{Seed: 1, Steps: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng, err := streamgnn.NewEngine(d.FeatDim, streamgnn.Config{
 		Model: "TGCN", Strategy: "kde", Hidden: 4, Seed: 1, WindowSteps: d.WindowSteps,
-		DeltaForward: true, DirtyFullThreshold: 1, Interval: 3,
+		IncrementalForward: true, DirtyFullThreshold: 1, Interval: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestMetricsPagesExposition(t *testing.T) {
 			t.Errorf("%s page: %v", name, err)
 		}
 	}
-	for _, want := range []string{"streamgnn_delta_pruned_fraction_count", "streamgnn_query_latency_seconds_count 2", "streamgnn_step_join_wait_seconds_count"} {
+	for _, want := range []string{"streamgnn_forward_dirty_fraction_count", "streamgnn_query_latency_seconds_count 2", "streamgnn_step_join_wait_seconds_count"} {
 		if !strings.Contains(pages["single-process"], want) {
 			t.Errorf("single-process page lacks %q", want)
 		}

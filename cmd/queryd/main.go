@@ -78,10 +78,8 @@ func main() {
 	flag.BoolVar(&opts.resume, "resume", false, "resume from -checkpoint: replay the stream up to the saved step, then continue")
 	flag.Float64Var(&opts.rate, "rate", 0, "max replay steps per second; 0 replays at full speed")
 	flag.BoolVar(&opts.incremental, "incremental", false, "dirty-region incremental forward inference (see DESIGN.md §10)")
-	flag.IntVar(&opts.refreshEvery, "refresh-every", 0, "with -incremental: force a full forward every N steps (0 = never)")
-	flag.Float64Var(&opts.dirtyThreshold, "dirty-threshold", 0, "with -incremental: compute-region fraction in [0,1] above which a step falls back to a full forward (0 = engine default of 0.25, 1 never falls back)")
-	flag.BoolVar(&opts.delta, "delta", false, "event-driven delta-propagation forward instead of region splicing (implies -incremental; see DESIGN.md §14)")
-	flag.Float64Var(&opts.deltaEps, "delta-eps", 0, "with -delta: per-component pruning threshold in [0,1]; 0 keeps delta forwards bit-identical to full forwards")
+	flag.IntVar(&opts.refreshEvery, "refresh-every", 0, "with -incremental: advance the live rows at least every N steps instead of splicing (recurrent models without a link task hold the rest; 0 = never)")
+	flag.Float64Var(&opts.dirtyThreshold, "dirty-threshold", 0, "with -incremental: compute-region fraction in [0,1] above which a step advances the live rows instead of splicing (0 = engine default of 0.25, 1 never falls back)")
 	flag.IntVar(&opts.interval, "interval", 0, "steps between training steps (0 = engine default of 1; raise so -incremental can reuse cached embeddings between training steps)")
 	flag.IntVar(&opts.shards, "shards", 0, "partition the node space into this many shards and fan incremental forwards out per shard (0/1 = unsharded; >1 implies -incremental; see DESIGN.md §12)")
 	flag.StringVar(&opts.shardLayout, "shard-layout", "hash", "node-to-shard layout with -shards: hash or range")
@@ -111,8 +109,6 @@ type options struct {
 	incremental                     bool
 	refreshEvery                    int
 	dirtyThreshold                  float64
-	delta                           bool
-	deltaEps                        float64
 	interval                        int
 	shards                          int
 	shardLayout                     string
@@ -199,8 +195,6 @@ func run(opts options) error {
 		IncrementalForward: opts.incremental,
 		RefreshEverySteps:  opts.refreshEvery,
 		DirtyFullThreshold: opts.dirtyThreshold,
-		DeltaForward:       opts.delta,
-		DeltaEpsilon:       opts.deltaEps,
 		Interval:           opts.interval,
 		Shards:             opts.shards,
 		ShardLayout:        opts.shardLayout,
@@ -676,18 +670,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteHistogram(&b, "streamgnn_step_join_wait_seconds", "Time a step's inference half waited for its learner at the join.", obs.Series{Snapshot: tel.StepJoinWait})
 
 	obs.WriteCounter(&b, "streamgnn_forwards_total", "Forward inference passes, by mode.",
-		obs.Labeled(`mode="full"`, tel.FullForwards), obs.Labeled(`mode="incremental"`, tel.IncrementalForwards), obs.Labeled(`mode="delta"`, tel.DeltaForwards))
+		obs.Labeled(`mode="full"`, tel.FullForwards), obs.Labeled(`mode="incremental"`, tel.IncrementalForwards))
 	obs.WriteGauge(&b, "streamgnn_forward_rows", "Rows the last step's forward advanced or recomputed.", obs.Value(tel.ForwardRows))
 	obs.WriteCounter(&b, "streamgnn_forward_skipped_rows_total", "Embedding rows forwards held or reused instead of computing.", obs.Value(tel.SkippedRows))
 	writeDemandRows(&b, tel.ForwardDemandRows)
 	if tel.DirtyFraction.Count > 0 {
 		obs.WriteHistogram(&b, "streamgnn_forward_dirty_fraction", "Per-step share of the rows the forward computed.", obs.Series{Snapshot: tel.DirtyFraction})
-	}
-	if tel.DeltaForwards > 0 || tel.DeltaAborts > 0 {
-		obs.WriteCounter(&b, "streamgnn_delta_aborts_total", "Delta passes aborted on the candidate budget (fell back to a full forward).", obs.Value(tel.DeltaAborts))
-		obs.WriteCounter(&b, "streamgnn_delta_rows_total", "Delta-pass stage rows, by outcome.",
-			obs.Labeled(`outcome="candidate"`, tel.DeltaCandidateRows), obs.Labeled(`outcome="pruned"`, tel.DeltaPrunedRows))
-		obs.WriteHistogram(&b, "streamgnn_delta_pruned_fraction", "Per-pass pruned-frontier fraction (pruned rows over candidate rows).", obs.Series{Snapshot: tel.DeltaPrunedFraction})
 	}
 
 	writeTensorPoolMetrics(&b)

@@ -1,7 +1,12 @@
 package streamgnn
 
 import (
+	"bytes"
+	"reflect"
+	"runtime"
 	"testing"
+
+	"streamgnn/internal/workload"
 )
 
 // incStream drives two engines through an identical sparse-update stream:
@@ -183,6 +188,47 @@ func TestIncrementalForwardRejectsNegativeThreshold(t *testing.T) {
 	cfg.DirtyFullThreshold = -0.5
 	if _, err := NewEngine(3, cfg); err == nil {
 		t.Fatal("negative DirtyFullThreshold accepted")
+	}
+}
+
+func TestNewEngineRejectsDirtyFullThresholdAboveOne(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DirtyFullThreshold = 1.5
+	if _, err := NewEngine(3, cfg); err == nil {
+		t.Fatal("DirtyFullThreshold > 1 accepted (it is a fraction of the graph)")
+	}
+	cfg.DirtyFullThreshold = 1 // the documented never-fall-back value stays legal
+	if _, err := NewEngine(3, cfg); err != nil {
+		t.Fatalf("DirtyFullThreshold = 1 rejected: %v", err)
+	}
+}
+
+// TestRetiredDeltaKnobIsNoOp pins the deprecated DeltaForward shim the
+// benchmark harness still sets: a Bitcoin×TGCN run with it writes the bytes
+// and resolves the outcomes of the same run without it, and never counts a
+// delta forward.
+func TestRetiredDeltaKnobIsNoOp(t *testing.T) {
+	run := func(delta bool) (*Engine, []byte) {
+		cfg := DefaultConfig()
+		cfg.Hidden = 8
+		cfg.IncrementalForward = true
+		cfg.Interval = 3
+		cfg.DirtyFullThreshold = 1
+		cfg.DeltaForward = delta
+		r := newHalvesRun(t, workload.Bitcoin(workload.GenConfig{Seed: 1, Steps: 15}), cfg)
+		r.run(t, 14, runtime.GOMAXPROCS(0))
+		return r.e, saved(t, r.e)
+	}
+	eOff, want := run(false)
+	eOn, got := run(true)
+	if !bytes.Equal(got, want) {
+		t.Error("DeltaForward: checkpoint differs from the run without it")
+	}
+	if len(eOff.Outcomes()) == 0 || !reflect.DeepEqual(eOn.Outcomes(), eOff.Outcomes()) {
+		t.Errorf("DeltaForward: %d outcomes, %d without it, or they differ", len(eOn.Outcomes()), len(eOff.Outcomes()))
+	}
+	if tel := eOn.Telemetry(); tel.DeltaForwards != 0 || tel.IncrementalForwards == 0 {
+		t.Errorf("DeltaForward: %d delta and %d incremental forwards, want 0 and some", tel.DeltaForwards, tel.IncrementalForwards)
 	}
 }
 

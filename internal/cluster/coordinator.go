@@ -99,8 +99,7 @@ type coordTelemetry struct {
 // NewCoordinator wraps eng — a sharded engine (Config.Shards == len(trans))
 // — and installs itself as the engine's shard forwarder. The model must
 // support distribution: per-node recurrent state only (dgnn.StatePregrower;
-// EvolveGCN's per-step weight dynamics cannot be mirrored row-wise) and no
-// DeltaForward (its stage caches have no per-shard decomposition).
+// EvolveGCN's per-step weight dynamics cannot be mirrored row-wise).
 func NewCoordinator(eng *streamgnn.Engine, trans []Transport) (*Coordinator, error) {
 	g := eng.Graph()
 	sh := g.Sharding()

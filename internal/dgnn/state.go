@@ -168,31 +168,6 @@ func (s *nodeState) rowInto(id int, dst []float64) {
 	}
 }
 
-// writeRows commits m's rows (columns [colOff, colOff+dim)) to the given
-// global node ids: the delta path's masked state write.
-func (s *nodeState) writeRows(ids []int, m *tensor.Matrix, colOff int) {
-	maxID := -1
-	for _, id := range ids {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	s.ensure(maxID + 1)
-	for k, id := range ids {
-		copy(s.data[id*s.dim:(id+1)*s.dim], m.Row(k)[colOff:colOff+s.dim])
-	}
-}
-
-// setAll replaces the state of nodes [0, m.Rows) with m — a full forward's
-// unmasked commit on the delta path.
-func (s *nodeState) setAll(m *tensor.Matrix) {
-	if m.Cols != s.dim {
-		panic("dgnn: setAll state dim mismatch")
-	}
-	s.ensure(m.Rows)
-	copy(s.data[:m.Rows*s.dim], m.Data)
-}
-
 // reset zeroes all stored state and drops the snapshot.
 func (s *nodeState) reset() {
 	for i := range s.data {

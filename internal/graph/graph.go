@@ -320,7 +320,7 @@ func (g *Dynamic) normDeg(v int) float64 {
 
 // setRoot records the root of v's normalization degree after a mutation
 // changed it. This is the one place the root is taken: every normalized entry
-// of every view — snapshot, partition, region, single row — multiplies two
+// of every view — snapshot, partition, region — multiplies two
 // elements of g.root, so the views agree to the last bit by construction.
 func (g *Dynamic) setRoot(v int) { g.root[v] = math.Sqrt(g.normDeg(v)) }
 
@@ -461,14 +461,6 @@ func (g *Dynamic) WalkAdj() *tensor.CSR {
 // NormAdj returns the symmetric GCN-normalized adjacency
 // D^{-1/2}(A+Aᵀ+I)D^{-1/2} of the current snapshot (cached per edge version).
 func (g *Dynamic) NormAdj() *tensor.CSR { return g.snapshot().NormAdj() }
-
-// NormRow sets row to row v of NormAdj as a one-row matrix, built by the
-// routine that builds the cached one. The delta-forward path uses it to
-// aggregate one node's neighborhood without rebuilding the whole adjacency.
-func (g *Dynamic) NormRow(v int, row *tensor.CSR) {
-	resetCSR(row, 1, g.N())
-	g.appendNormRow(row, v, v, nil)
-}
 
 // RWAdj returns the row-normalized random-walk adjacency. reverse selects
 // the in-edge direction (used by DCRNN's bidirectional diffusion).

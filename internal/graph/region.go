@@ -114,13 +114,8 @@ func (r *Region) Build(g *Dynamic, nodes, want []int, depth int) {
 }
 
 // col returns the row of global node v under loc (row + 1 per node, 0 for a
-// node outside), or -1; a nil loc is the whole graph, every node its own row.
-func col(loc []int32, v int) int {
-	if loc == nil {
-		return v
-	}
-	return int(loc[v]) - 1
-}
+// node outside), or -1.
+func col(loc []int32, v int) int { return int(loc[v]) - 1 }
 
 // appendNormRow appends node v's row of D^{-1/2}(A+Aᵀ+I)D^{-1/2} to c — the
 // self loop at column self, then v's out-edges and in-edges that stay inside

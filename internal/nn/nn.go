@@ -89,13 +89,6 @@ func (c *GCNConv) Params() []*autodiff.Node { return c.lin.Params() }
 // Out returns the output dimension.
 func (c *GCNConv) Out() int { return c.lin.out }
 
-// Weight exposes the convolution's weight node for value-level row kernels
-// (the delta-forward path recomputes single rows outside the tape).
-func (c *GCNConv) Weight() *autodiff.Node { return c.lin.W }
-
-// Bias exposes the convolution's bias node.
-func (c *GCNConv) Bias() *autodiff.Node { return c.lin.B }
-
 // DiffusionConv is DCRNN's bidirectional diffusion convolution
 // h = Σ_{k=0..K} (P_f^k·x)·Wf_k + (P_r^k·x)·Wr_k + b, where P_f and P_r are
 // the forward and reverse random-walk transition matrices.

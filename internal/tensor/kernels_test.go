@@ -244,14 +244,6 @@ func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
 				check("MatMulTransBAddTo", Add(sum, naiveMatMulTransB(a, bt)), acc)
 				dirtyPool(k * n)
 				check("MatMulTransA", naiveMatMulTransA(a, g), MatMulTransA(a, g))
-				orow := make([]float64, n)
-				for i := 0; i < m; i++ {
-					for j := range orow {
-						orow[j] = math.NaN()
-					}
-					MulRow(orow, a.Row(i), b)
-					check("MulRow", naiveMatMulAcc(nil, FromSlice(1, k, a.Row(i)), b), FromSlice(1, n, orow))
-				}
 			}
 		}
 	}

@@ -172,9 +172,9 @@ func shapeCheck(op string, a, b *Matrix) {
 // one contract: every output element is its own accumulator, summed over
 // ascending k from +0, and MatMulAcc's sum element (MatMulTransBAddTo's
 // destination element) is added last. How a loop is blocked (eight output
-// columns, four dot products, four k-rows per pass) and whether a row comes
-// from the matrix kernel or from MulRow alone never changes an element's
-// sequence of roundings, so all of them are bit-identical for finite operands.
+// columns, four dot products, four k-rows per pass) never changes an
+// element's sequence of roundings, so all of them are bit-identical for finite
+// operands.
 //
 // No kernel tests single operands for zero. A term a·b with a = ±0 and b
 // finite is ±0, and an accumulator that starts at +0 is never −0 (x + y
@@ -323,13 +323,6 @@ func allZero(row []float64) bool {
 		}
 	}
 	return true
-}
-
-// MulRow writes arow·b into orow: one row of MatMul in the kernels' summation
-// order, for the delta path's per-row forward.
-func MulRow(orow, arow []float64, b *Matrix) {
-	clear(orow)
-	mulRow(orow, arow, b)
 }
 
 // mulRow adds arow·b into orow: one row of the matrix kernel. Eight output
@@ -720,9 +713,6 @@ func SliceCols(m *Matrix, from, to int) *Matrix {
 // Sigmoid is the logistic function.
 func Sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// SigmoidOf returns Sigmoid applied elementwise to m.
-func SigmoidOf(m *Matrix) *Matrix { return SigmoidTo(nil, m) }
-
 // SigmoidTo writes Sigmoid of each element of m into dst.
 func SigmoidTo(dst, m *Matrix) *Matrix {
 	out := dest(dst, m.Rows, m.Cols)
@@ -732,9 +722,6 @@ func SigmoidTo(dst, m *Matrix) *Matrix {
 	return out
 }
 
-// TanhOf returns math.Tanh applied elementwise to m.
-func TanhOf(m *Matrix) *Matrix { return TanhTo(nil, m) }
-
 // TanhTo writes math.Tanh of each element of m into dst.
 func TanhTo(dst, m *Matrix) *Matrix {
 	out := dest(dst, m.Rows, m.Cols)
@@ -743,9 +730,6 @@ func TanhTo(dst, m *Matrix) *Matrix {
 	}
 	return out
 }
-
-// ReLUOf returns max(0, x) of each element x of m.
-func ReLUOf(m *Matrix) *Matrix { return ReLUTo(nil, m) }
 
 // ReLUTo writes max(0, x) of each element x of m into dst: x itself when it
 // is above 0, +0 otherwise (a NaN and a −0 included).
@@ -759,9 +743,6 @@ func ReLUTo(dst, m *Matrix) *Matrix {
 	}
 	return out
 }
-
-// OneMinusOf returns 1−x of each element x of m.
-func OneMinusOf(m *Matrix) *Matrix { return OneMinusTo(nil, m) }
 
 // OneMinusTo writes 1−x of each element x of m into dst.
 func OneMinusTo(dst, m *Matrix) *Matrix {

@@ -154,20 +154,20 @@ func TestSumMeanNorms(t *testing.T) {
 }
 
 // ReLU maps every element that is not above 0 — a −0 and a NaN included — to
-// +0, and OneMinus is 1−x; each To form computes the same in place.
+// +0, and OneMinus is 1−x; each computes the same into a fresh matrix and in
+// place.
 func TestReLUAndOneMinus(t *testing.T) {
 	in := []float64{-2, math.Copysign(0, -1), 0, 2, math.NaN()}
 	for _, c := range []struct {
 		name string
-		of   func(*Matrix) *Matrix
 		to   func(dst, m *Matrix) *Matrix
 		want []float64
 	}{
-		{"ReLU", ReLUOf, ReLUTo, []float64{0, 0, 0, 2, 0}},
-		{"OneMinus", OneMinusOf, OneMinusTo, []float64{3, 1, 1, -1, math.NaN()}},
+		{"ReLU", ReLUTo, []float64{0, 0, 0, 2, 0}},
+		{"OneMinus", OneMinusTo, []float64{3, 1, 1, -1, math.NaN()}},
 	} {
 		m := FromSlice(1, len(in), append([]float64(nil), in...))
-		got := c.of(m)
+		got := c.to(nil, m)
 		inPlace := c.to(m, m)
 		for i, w := range c.want {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(w) && !(math.IsNaN(w) && math.IsNaN(got.Data[i])) {

@@ -137,32 +137,20 @@ type Config struct {
 	// DirtyFullThreshold is the compute-region fraction above which an
 	// incremental step's splice falls back to advancing the live rows. 0
 	// means the default (0.25); 1 never falls back; values outside [0, 1] are
-	// rejected. Only meaningful with IncrementalForward; with DeltaForward it
-	// bounds the per-stage candidate set instead.
+	// rejected. Only meaningful with IncrementalForward.
 	DirtyFullThreshold float64
 	// RefreshEverySteps, when > 0, advances the live rows at least every this
 	// many steps in incremental mode, bounding how long a splice leaves a row
 	// with live edges frozen. 0 never forces a refresh.
 	RefreshEverySteps int
 
-	// DeltaForward switches incremental inference from region splicing to
-	// event-driven delta propagation: per-edge changes propagate stage by
-	// stage through the model, recomputing single rows and pruning frontier
-	// nodes whose recomputation stays within DeltaEpsilon of the cached
-	// value. Where region splicing recomputes the induced subgraph of
-	// Ball(Ball(S,L),L) — which explodes into a full forward as soon as a
-	// high-degree hub turns dirty — delta propagation's cost tracks the
-	// number of rows that actually change. Implies IncrementalForward.
-	// Models without a delta decomposition (DCRNN, EvolveGCN) silently keep
-	// the splice ladder. See DESIGN.md §14.
+	// DeltaForward is accepted and ignored: the event-driven delta forward it
+	// selected is gone, and incremental inference has one executor, the
+	// region splice (DESIGN.md §14).
+	//
+	// Deprecated: a no-op kept only while the benchmark harness still sets
+	// it; ROADMAP item 1(e) removes it.
 	DeltaForward bool
-	// DeltaEpsilon is the per-component pruning threshold of DeltaForward:
-	// a recomputed stage row within epsilon of its cached value is
-	// discarded, stopping propagation through it. 0 (the default) prunes
-	// only bit-identical rows, keeping delta forwards bit-identical to full
-	// forwards; larger values trade bounded per-stage error for a smaller
-	// frontier. Must lie in [0, 1].
-	DeltaEpsilon float64
 
 	// Shards partitions the node-id space into this many shards:
 	// incremental forwards fan the compute region out to one worker per shard
@@ -205,11 +193,6 @@ func (c Config) fill() (Config, core.Config) {
 	if c.Shards > 1 {
 		// The sharded pipeline is the incremental path's fan-out; a full
 		// forward has no per-shard structure to exploit.
-		c.IncrementalForward = true
-	}
-	if c.DeltaForward {
-		// Delta propagation is a refinement of incremental inference: it
-		// needs the same dirty tracking and embedding cache.
 		c.IncrementalForward = true
 	}
 	cc := core.DefaultConfig()
@@ -368,8 +351,6 @@ type Engine struct {
 	emb       *dgnn.EmbStore  // the rows a forward did not compute (held, reused)
 	holds     bool            // dgnn.Kind.HoldsNodeState
 	liveShare float64         // liveRegionShare; tests move it to pick an executor
-	delta     dgnn.DeltaState // per-stage delta caches (DeltaForward mode)
-	deltaFwd  dgnn.DeltaForwarder
 	shards    *shard.Sharding // node-space partition; nil when Shards <= 1
 	shardFwd  ShardForwarder  // optional remote executor for sharded forwards
 
@@ -407,9 +388,8 @@ type ShardForwarder interface {
 }
 
 // SetShardForwarder installs f as the executor of sharded region forwards.
-// Requires a sharded engine (Config.Shards > 1); incompatible with
-// DeltaForward, whose per-stage caches have no per-shard decomposition to
-// distribute. Pass nil to restore the in-process fan-out.
+// Requires a sharded engine (Config.Shards > 1). Pass nil to restore the
+// in-process fan-out.
 func (e *Engine) SetShardForwarder(f ShardForwarder) error {
 	if f == nil {
 		e.shardFwd = nil
@@ -417,9 +397,6 @@ func (e *Engine) SetShardForwarder(f ShardForwarder) error {
 	}
 	if e.shards == nil {
 		return fmt.Errorf("streamgnn: SetShardForwarder requires Shards > 1")
-	}
-	if e.deltaFwd != nil {
-		return fmt.Errorf("streamgnn: SetShardForwarder is incompatible with DeltaForward")
 	}
 	e.shardFwd = f
 	return nil
@@ -466,9 +443,6 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	if cfg.DirtyFullThreshold < 0 || cfg.DirtyFullThreshold > 1 {
 		return nil, fmt.Errorf("streamgnn: DirtyFullThreshold is a fraction of the graph and must lie in [0, 1], got %g", cfg.DirtyFullThreshold)
 	}
-	if cfg.DeltaEpsilon < 0 || cfg.DeltaEpsilon > 1 {
-		return nil, fmt.Errorf("streamgnn: DeltaEpsilon must lie in [0, 1], got %g", cfg.DeltaEpsilon)
-	}
 	layout, err := shard.ParseLayout(cfg.ShardLayout)
 	if err != nil {
 		return nil, fmt.Errorf("streamgnn: %w", err)
@@ -506,13 +480,6 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	}
 	e.tele.init(cfg.Shards)
 	g.EnableDirtyTracking()
-	if cfg.DeltaForward {
-		// Models without a delta decomposition keep the splice ladder;
-		// deltaFwd stays nil and runForward dispatches as before.
-		if df, ok := model.(dgnn.DeltaForwarder); ok {
-			e.deltaFwd = df
-		}
-	}
 	if cfg.DriftDetection {
 		e.driftDet = drift.NewPageHinkley(0.05, 3)
 	}
@@ -726,19 +693,14 @@ func (e *Engine) dirtyFullThreshold() float64 {
 // global, so none depends on P; only region forwards fan out (DESIGN.md §12).
 func (e *Engine) runForward(t int) {
 	dirty, n := e.g.TakeDirty(), e.g.N()
-	delta := e.deltaFwd != nil
 	last := e.emb.LastFullStep()
-	if e.cfg.IncrementalForward && last >= 0 && (!delta || e.delta.Valid()) &&
+	if e.cfg.IncrementalForward && last >= 0 &&
 		(e.cfg.RefreshEverySteps <= 0 || t-last < e.cfg.RefreshEverySteps) {
 		rows, ok := 0, true
-		switch {
-		case len(dirty) == 0 && e.emb.Rows() == n && (!delta || len(e.delta.LastCommitted()) == 0):
-			// Quiet step: no graph change (and no recurrent-state drift
-			// pending in the delta caches); serve the cache as-is.
+		if len(dirty) == 0 && e.emb.Rows() == n {
+			// Quiet step: no graph change; serve the cache as-is.
 			e.lastEmb = e.emb.Matrix()
-		case delta:
-			rows, ok = e.deltaForward(dirty, n)
-		default:
+		} else {
 			rows, ok = e.spliceForward(t, dirty, n)
 		}
 		if ok {
@@ -750,10 +712,10 @@ func (e *Engine) runForward(t int) {
 	e.liveForward(t, dirty, n)
 }
 
-// holdsRows reports whether the live rung may hold rows: not under
-// DeltaForward's own full pass, nor a link task, which scores any row.
+// holdsRows reports whether the live rung may hold rows: not for a link task,
+// which scores any row.
 func (e *Engine) holdsRows() bool {
-	return e.holds && e.deltaFwd == nil && e.wl.LinkTask() == nil
+	return e.holds && e.wl.LinkTask() == nil
 }
 
 // liveRegionShare is the live share of the rows from which a full forward
@@ -787,9 +749,6 @@ func (e *Engine) liveForward(t int, dirty []int, n int) {
 	e.tele.fullForwards.Inc()
 	rows := n
 	switch {
-	case e.deltaFwd != nil:
-		e.lastEmb = dgnn.RunDeltaFull(e.g, e.deltaFwd, &e.delta)
-		e.emb.SetFull(e.lastEmb, t)
 	case live == nil:
 		e.lastEmb = dgnn.Infer(e.inferTape, e.model, dgnn.FullView(e.g))
 		if e.holdsRows() || e.cfg.IncrementalForward {
@@ -870,34 +829,10 @@ func (e *Engine) forwardRegion(t int, region, exact []int) {
 	e.lastEmb = e.emb.Matrix()
 }
 
-// deltaForward is the event-driven executor (Config.DeltaForward): per-edge
-// deltas propagate stage by stage through the model's delta decomposition,
-// recomputing single rows and pruning frontier nodes whose change stays within
-// DeltaEpsilon. A frontier above the candidate budget (dirtyFullThreshold · n
-// per stage) aborts the pass, which commits nothing.
-func (e *Engine) deltaForward(dirty []int, n int) (rows int, ok bool) {
-	maxCand := int(e.dirtyFullThreshold() * float64(n))
-	res := dgnn.RunDelta(e.g, e.deltaFwd, &e.delta, e.emb, dirty, e.cfg.DeltaEpsilon, maxCand)
-	if res.Aborted {
-		e.tele.deltaAborts.Inc()
-		return 0, false
-	}
-	e.lastEmb = res.Out
-	e.tele.deltaForwards.Inc()
-	e.tele.deltaCandidateRows.Add(int64(res.Candidates))
-	e.tele.deltaPrunedRows.Add(int64(res.Pruned))
-	if res.Candidates > 0 {
-		e.tele.deltaPrunedFrac.Observe(float64(res.Pruned) / float64(res.Candidates))
-	}
-	return res.Candidates - res.Pruned, true
-}
-
 // invalidateInference marks the inference caches stale after a parameter
-// change: the store keeps its rows for held rows to serve, and the delta
-// caches (rows of the old weights) are dropped.
+// change: the store keeps its rows for held rows to serve.
 func (e *Engine) invalidateInference() {
 	e.emb.MarkStale()
-	e.delta.Invalidate()
 	if e.shardFwd != nil {
 		e.shardFwd.InvalidateMirrors()
 	}

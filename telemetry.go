@@ -66,16 +66,6 @@ type engineTelemetry struct {
 	// The rows the last step's forward computed.
 	fwdRows atomic.Int64
 
-	// Delta-propagation instruments (only move with Config.DeltaForward):
-	// steps served by a delta pass, passes aborted on the candidate budget,
-	// candidate rows recomputed vs. pruned sub-epsilon, and the per-pass
-	// pruned-frontier fraction distribution.
-	deltaForwards      obs.Counter
-	deltaAborts        obs.Counter
-	deltaCandidateRows obs.Counter
-	deltaPrunedRows    obs.Counter
-	deltaPrunedFrac    *obs.Histogram
-
 	// Sharded-pipeline instruments (nil/empty when Shards <= 1): the
 	// latency of the deterministic cross-shard merge phase and, per shard,
 	// the embedding rows its forwards contributed.
@@ -90,7 +80,6 @@ func (t *engineTelemetry) init(shards int) {
 		t.phases[i] = obs.NewHistogram(obs.DefaultLatencyBuckets())
 	}
 	t.dirtyFrac = obs.NewHistogram(obs.FractionBuckets())
-	t.deltaPrunedFrac = obs.NewHistogram(obs.FractionBuckets())
 	if shards > 1 {
 		t.shardMerge = obs.NewHistogram(obs.DefaultLatencyBuckets())
 		t.shardRows = make([]obs.Counter, shards)
@@ -149,19 +138,12 @@ type Telemetry struct {
 	// region share, 0 for quiet steps.
 	DirtyFraction TelemetryHistogram
 
-	// Delta-propagation fields, zero unless Config.DeltaForward is set and
-	// the model has a delta decomposition. DeltaForwards counts steps served
-	// by a delta pass (also counted in IncrementalForwards); DeltaAborts
-	// counts passes whose candidate set blew the budget and fell back to a
-	// full forward. DeltaCandidateRows and DeltaPrunedRows total the stage
-	// rows recomputed and the subset discarded sub-epsilon;
-	// DeltaPrunedFraction is the per-pass pruned/candidates distribution —
-	// the pruned-frontier fraction.
-	DeltaForwards       int64
-	DeltaAborts         int64
-	DeltaCandidateRows  int64
-	DeltaPrunedRows     int64
-	DeltaPrunedFraction TelemetryHistogram
+	// DeltaForwards always reads 0: it counted the event-driven delta
+	// forward, which is gone (DESIGN.md §14).
+	//
+	// Deprecated: kept only while the benchmark harness still reads it;
+	// ROADMAP item 1(e) removes it.
+	DeltaForwards int64
 
 	// Training-round accounting, cumulative since the engine was built (like
 	// the phase histograms, not checkpointed). A round is one disjoint-union
@@ -215,11 +197,6 @@ func (e *Engine) Telemetry() Telemetry {
 		ForwardRows:         e.tele.fwdRows.Load(),
 		SkippedRows:         e.tele.skippedRows.Value(),
 		DirtyFraction:       e.tele.dirtyFrac.Snapshot(),
-		DeltaForwards:       e.tele.deltaForwards.Value(),
-		DeltaAborts:         e.tele.deltaAborts.Value(),
-		DeltaCandidateRows:  e.tele.deltaCandidateRows.Value(),
-		DeltaPrunedRows:     e.tele.deltaPrunedRows.Value(),
-		DeltaPrunedFraction: e.tele.deltaPrunedFrac.Snapshot(),
 	}
 	for d := range t.ForwardDemandRows {
 		t.ForwardDemandRows[d] = e.tele.demandRows[d].Value()

@@ -90,10 +90,9 @@ func histogram(m map[int]float64, bins []float64) {
 	}
 }
 
-// Positive: the delta-propagation anti-pattern — a frontier kept as a set
-// and expanded by ranging over it. The candidate list comes out in
-// randomized order, so stage splices (and their float accumulation) differ
-// across runs.
+// Positive: a frontier kept as a set and expanded by ranging over it. The
+// candidate list comes out in randomized order, so whatever is accumulated
+// over it (a float sum, a splice) differs across runs.
 func expandFrontier(frontier map[int]bool, adj [][]int) []int {
 	var cand []int
 	for v := range frontier {
@@ -103,8 +102,8 @@ func expandFrontier(frontier map[int]bool, adj [][]int) []int {
 	return cand
 }
 
-// Negative: the dgnn.RunDelta idiom — drain the frontier set into a slice,
-// sort it, then expand deterministically.
+// Negative: drain the frontier set into a slice, sort it, then expand
+// deterministically.
 func expandFrontierSorted(frontier map[int]bool, adj [][]int) []int {
 	ids := make([]int, 0, len(frontier))
 	for v := range frontier {
