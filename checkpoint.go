@@ -349,7 +349,7 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 		a.Trained, a.Moves = ck.Trained, ck.Moves
 	}
 	if e.emb.Valid() {
-		e.lastEmb = e.emb.Matrix()
+		e.lastEmb = e.emb.Publish()
 	}
 	// The caller rebuilt the graph by replaying the whole stream, which marks
 	// every node updated; the saved run had cleared the set at the end of its

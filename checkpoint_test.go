@@ -200,7 +200,7 @@ func resumeEquality(t *testing.T, cfg Config) {
 	// The final inference embeddings must be bit-identical too — in
 	// incremental mode this proves the restored cache spliced exactly like
 	// the uninterrupted run's.
-	if !e1.lastEmb.Equal(e2.lastEmb) {
+	if !e1.lastEmb.Dense().Equal(e2.lastEmb.Dense()) {
 		t.Fatal("final embeddings diverged after resume")
 	}
 }

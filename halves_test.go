@@ -157,10 +157,10 @@ func sameEngineState(t *testing.T, a, b *Engine) {
 	if err := sameBits(a.allParams(), b.allParams()); err != nil {
 		t.Fatalf("parameters differ: %v", err)
 	}
-	if a.lastEmb.Rows != b.lastEmb.Rows {
-		t.Fatalf("embeddings have %d vs %d rows", a.lastEmb.Rows, b.lastEmb.Rows)
+	if a.lastEmb.Rows() != b.lastEmb.Rows() {
+		t.Fatalf("embeddings have %d vs %d rows", a.lastEmb.Rows(), b.lastEmb.Rows())
 	}
-	if err := sameFloats(a.lastEmb.Data, b.lastEmb.Data); err != nil {
+	if err := sameFloats(a.lastEmb.Dense().Data, b.lastEmb.Dense().Data); err != nil {
 		t.Fatalf("embeddings differ: %v", err)
 	}
 	da, db := a.model.DumpState(), b.model.DumpState()

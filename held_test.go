@@ -141,17 +141,14 @@ func TestHeldRowsMatchFullForward(t *testing.T) {
 				for v := 0; v < n; v++ {
 					edged[v] = region.Graph().Degree(v) > 0
 				}
-				var prevEmb *tensor.Matrix
-				if region.lastEmb != nil {
-					prevEmb = region.lastEmb.Clone()
-				}
+				prevEmb := region.lastEmb
 				params, before := dgnn.DumpParams(region.model.Params()), region.model.DumpState()
 				for _, e := range engines {
 					if err := e.Step(); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if !region.lastEmb.Equal(masked.lastEmb) {
+				if !region.lastEmb.Dense().Equal(masked.lastEmb.Dense()) {
 					t.Fatalf("%s seed %d step %d: the region and masked executors' embeddings differ", model, seed, s)
 				}
 				after := region.model.DumpState()
@@ -205,7 +202,7 @@ func TestLinkTaskHoldsNoRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, _ := referenceForward(t, e, params, before)
-			if !equalBits(e.lastEmb.Data, want.Data) {
+			if !equalBits(e.lastEmb.Dense().Data, want.Data) {
 				t.Fatalf("%s step %d: embeddings differ from the full forward's", model, s)
 			}
 			for v := 0; v < e.NumNodes(); v++ {
@@ -247,7 +244,7 @@ func TestAllLiveMatchesFullForward(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, _ := referenceForward(t, e, params, before)
-			if !equalBits(e.lastEmb.Data, want.Data) {
+			if !equalBits(e.lastEmb.Dense().Data, want.Data) {
 				t.Fatalf("%s step %d: embeddings differ from the full forward's", model, s)
 			}
 		}

@@ -92,7 +92,7 @@ func TestIncrementalForwardBitExactMemoryless(t *testing.T) {
 		if err := eInc.Step(); err != nil {
 			t.Fatal(err)
 		}
-		sameMatrix(t, s, eFull.lastEmb.Data, eInc.lastEmb.Data)
+		sameMatrix(t, s, eFull.lastEmb.Dense().Data, eInc.lastEmb.Dense().Data)
 	}
 
 	tele := eInc.Telemetry()
@@ -266,7 +266,7 @@ func TestIncrementalRefreshEveryStepMatchesBaselineTGCN(t *testing.T) {
 		if err := e2.Step(); err != nil {
 			t.Fatal(err)
 		}
-		sameMatrix(t, s, e1.lastEmb.Data, e2.lastEmb.Data)
+		sameMatrix(t, s, e1.lastEmb.Dense().Data, e2.lastEmb.Dense().Data)
 	}
 	if got := e2.Telemetry().FullForwards; got != 30 {
 		t.Fatalf("FullForwards = %d, want 30", got)
@@ -296,8 +296,8 @@ func TestIncrementalForwardStatefulRuns(t *testing.T) {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if e.lastEmb.Rows != e.NumNodes() || e.lastEmb.Cols != 8 {
-			t.Fatalf("step %d: embedding shape %dx%d", s, e.lastEmb.Rows, e.lastEmb.Cols)
+		if e.lastEmb.Rows() != e.NumNodes() || e.lastEmb.Cols() != 8 {
+			t.Fatalf("step %d: embedding shape %dx%d", s, e.lastEmb.Rows(), e.lastEmb.Cols())
 		}
 	}
 	if e.Telemetry().IncrementalForwards == 0 {

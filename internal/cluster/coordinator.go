@@ -275,7 +275,7 @@ func (c *Coordinator) ForwardShards(step int, parts [][]int, exact []int) []dgnn
 	res := make([]dgnn.ShardForward, P)
 	c.stepChanged = append([]int(nil), exact...)
 	if pg, ok := c.model.(dgnn.StatePregrower); ok {
-		pg.PregrowState(c.g.N())
+		pg.PregrowState(c.g.N(), exact)
 	}
 	sr, hasStateRows := c.model.(dgnn.StateRows)
 
@@ -442,7 +442,7 @@ func (c *Coordinator) PublishStep(step int) {
 	if snap == nil {
 		return
 	}
-	emb := snap.Emb()
+	emb := snap.View()
 	heads := snap.Heads()
 	changed := c.stepChanged
 	c.stepChanged = nil
@@ -458,13 +458,13 @@ func (c *Coordinator) PublishStep(step int) {
 		req := &PublishRequest{
 			Step:         step,
 			Events:       c.reps[s].outbox,
-			N:            emb.Rows,
+			N:            emb.Rows(),
 			HeadsVersion: c.headsVersion,
 		}
 		if c.reps[s].serveFull {
 			req.Full = true
 			if fullRows.Data == nil {
-				fullRows = dgnn.DumpMatrix(emb)
+				fullRows = dgnn.DumpRows(emb)
 			}
 			req.Rows = fullRows
 		} else {

@@ -43,7 +43,11 @@ type Replica struct {
 	heads        *query.Heads // current serving heads (immutable once built)
 
 	serving atomic.Pointer[replicaSnapshot]
-	wal     *WAL
+	// mirror holds the serving rows; each publish writes the rows it carries
+	// and freezes a view of them into serving, so it copies the pages it
+	// writes, not the mirror.
+	mirror *tensor.Paged
+	wal    *WAL
 
 	stats replicaCounters
 }
@@ -51,7 +55,7 @@ type Replica struct {
 // replicaSnapshot is the replica's immutable serving state for one step.
 type replicaSnapshot struct {
 	step  int
-	emb   *tensor.Matrix
+	emb   *tensor.RowView
 	heads *query.Heads
 }
 
@@ -258,10 +262,11 @@ func (r *Replica) applyBatches(batches []StepEvents) error {
 // engine's step exactly: apply pending events, run the sliding-window
 // expiry for this step (idempotent — a replica that skipped steps catches up
 // with one call), bring the model mirror to the coordinator's pre-step live
-// state (full sync or row patch), snapshot it with BeginStep, and run the
-// part's committed forward. The response carries the committed embedding
-// rows plus, for recurrent models, the advanced live state rows at the same
-// ids — everything the coordinator needs to stay authoritative.
+// state (full sync or row patch), begin the step (no training forward reads
+// a snapshot here, so none is kept), and run the part's committed forward.
+// The response carries the committed embedding rows plus, for recurrent
+// models, the advanced live state rows at the same ids — everything the
+// coordinator needs to stay authoritative.
 func (r *Replica) HandleForward(req ForwardRequest) (ForwardResponse, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -302,6 +307,7 @@ func (r *Replica) HandleForward(req ForwardRequest) (ForwardResponse, error) {
 		r.stats.patches.Add(1)
 	}
 	r.model.BeginStep(req.Step)
+	dgnn.DropSnapshot(r.model) // a replica runs no training forward to read it
 	sf := dgnn.ForwardPart(r.g, r.model, r.cfg.Shard, req.Part, req.Exact)
 	resp := ForwardResponse{Shard: r.cfg.Shard, IDs: sf.IDs, LastApplied: r.lastApplied}
 	hidden := r.cfg.Hidden
@@ -350,32 +356,34 @@ func (r *Replica) HandlePublish(req PublishRequest) (PublishResponse, error) {
 	} else if req.HeadsVersion != r.headsVersion || heads == nil {
 		return PublishResponse{}, fmt.Errorf("cluster: serving heads at version %d, publish assumes %d", r.headsVersion, req.HeadsVersion)
 	}
-	m := tensor.New(req.N, hidden)
 	if req.Full {
 		if req.Rows.Rows != req.N || req.Rows.Cols != hidden || len(req.Rows.Data) != req.N*hidden {
 			return PublishResponse{}, fmt.Errorf("cluster: full publish payload %dx%d for %d rows", req.Rows.Rows, req.Rows.Cols, req.N)
 		}
+		m := tensor.New(req.N, hidden)
 		copy(m.Data, req.Rows.Data)
+		r.mirror = tensor.PagedFrom(m)
 	} else {
-		prev := r.serving.Load()
-		if prev == nil {
+		if r.mirror == nil {
 			return PublishResponse{}, fmt.Errorf("cluster: incremental publish without a base snapshot")
 		}
-		if prev.emb.Rows > req.N {
-			return PublishResponse{}, fmt.Errorf("cluster: publish shrinks the snapshot (%d -> %d rows)", prev.emb.Rows, req.N)
+		if r.mirror.Rows() > req.N {
+			return PublishResponse{}, fmt.Errorf("cluster: publish shrinks the snapshot (%d -> %d rows)", r.mirror.Rows(), req.N)
 		}
-		copy(m.Data, prev.emb.Data)
-		if req.Rows.Rows != len(req.IDs) || req.Rows.Cols != hidden {
+		if req.Rows.Rows != len(req.IDs) || req.Rows.Cols != hidden || len(req.Rows.Data) != len(req.IDs)*hidden {
 			return PublishResponse{}, fmt.Errorf("cluster: publish payload %dx%d for %d changed rows", req.Rows.Rows, req.Rows.Cols, len(req.IDs))
 		}
-		for k, id := range req.IDs {
+		for _, id := range req.IDs {
 			if id < 0 || id >= req.N {
 				return PublishResponse{}, fmt.Errorf("cluster: published row %d outside [0, %d)", id, req.N)
 			}
-			copy(m.Row(id), req.Rows.Data[k*hidden:(k+1)*hidden])
+		}
+		r.mirror.Grow(req.N)
+		for k, id := range req.IDs {
+			r.mirror.SetRow(id, req.Rows.Data[k*hidden:(k+1)*hidden])
 		}
 	}
-	r.serving.Store(&replicaSnapshot{step: req.Step, emb: m, heads: heads})
+	r.serving.Store(&replicaSnapshot{step: req.Step, emb: r.mirror.Freeze(), heads: heads})
 	r.stats.publishes.Add(1)
 	return PublishResponse{LastApplied: r.lastApplied}, nil
 }

@@ -65,7 +65,7 @@ func roundFixture(t *testing.T, kind dgnn.Kind, link bool, mutate func(*Config))
 	// targets and replay exist, and step 1's edges are the link positives.
 	m.BeginStep(0)
 	tp := autodiff.NewTape()
-	w.Predict(m.Forward(tp, dgnn.FullView(g)).Value, 0)
+	w.Predict(tensor.ViewOf(m.Forward(tp, dgnn.FullView(g)).Value), 0)
 	tp.Release()
 	addEdges(12, 1)
 	w.Reveal(g, 1)

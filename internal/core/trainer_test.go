@@ -42,7 +42,7 @@ func workloadSetup(t *testing.T, cfg Config) (*graph.Dynamic, *Trainer, *query.W
 	m.BeginStep(0)
 	tp := autodiff.NewTape()
 	emb := m.Forward(tp, dgnn.FullView(g))
-	w.Predict(emb.Value, 0)
+	w.Predict(tensor.ViewOf(emb.Value), 0)
 	w.Reveal(g, 1)
 	return g, tr, w
 }
@@ -104,7 +104,7 @@ func TestLinkSelfSupervisionGlobalNegatives(t *testing.T) {
 	m.BeginStep(0)
 	tp := autodiff.NewTape()
 	emb := m.Forward(tp, dgnn.FullView(g))
-	w.Predict(emb.Value, 0)
+	w.Predict(tensor.ViewOf(emb.Value), 0)
 	if _, ok := tr.TrainPartition(3); !ok {
 		t.Fatal("link self-supervision should provide material")
 	}

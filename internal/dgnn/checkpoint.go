@@ -61,6 +61,16 @@ func DumpMatrix(m *tensor.Matrix) StateDump {
 	return d
 }
 
+// DumpRows copies v's rows, in order, into a dump: the bytes DumpMatrix
+// writes for the same rows held densely.
+func DumpRows(v *tensor.RowView) StateDump {
+	d := StateDump{Rows: v.Rows(), Cols: v.Cols(), Data: make([]float64, v.Rows()*v.Cols())}
+	for i := 0; i < d.Rows; i++ {
+		copy(d.Data[i*d.Cols:(i+1)*d.Cols], v.Row(i))
+	}
+	return d
+}
+
 // Matrix copies the dump into a new matrix, refusing one whose values do not
 // fill its shape.
 func (d StateDump) Matrix() (*tensor.Matrix, error) {
@@ -72,11 +82,7 @@ func (d StateDump) Matrix() (*tensor.Matrix, error) {
 	return m, nil
 }
 
-func (s *nodeState) dump() StateDump {
-	d := StateDump{Rows: s.n, Cols: s.dim, Data: make([]float64, s.n*s.dim)}
-	copy(d.Data, s.data)
-	return d
-}
+func (s *nodeState) dump() StateDump { return DumpRows(&s.data.RowView) }
 
 // restore checks d against the state's width and returns its install.
 func (s *nodeState) restore(d StateDump) (func(), error) {
@@ -87,9 +93,8 @@ func (s *nodeState) restore(d StateDump) (func(), error) {
 		return nil, fmt.Errorf("dgnn: state dump %dx%d carries %d values", d.Rows, d.Cols, len(d.Data))
 	}
 	return func() {
-		s.data = append(s.data[:0], d.Data...)
-		s.n = d.Rows
-		s.prev = nil
+		s.data = tensor.PagedFrom(tensor.FromSlice(d.Rows, d.Cols, append([]float64(nil), d.Data...)))
+		s.snap = nil
 	}, nil
 }
 

@@ -18,12 +18,14 @@ type DCRNNModel struct {
 	//streamlint:ckpt-exempt diffusion order is construction-time configuration
 	k     int
 	state *nodeState
+	//streamlint:ckpt-exempt the state fields above again, which DumpState serializes
+	nodeStates
 }
 
 // NewDCRNN returns a DCRNN with diffusion order 2.
 func NewDCRNN(rng *rand.Rand, featDim, hidden int) *DCRNNModel {
 	const k = 2
-	return &DCRNNModel{
+	m := &DCRNNModel{
 		cell: nn.NewConvGRUCell(hidden, func() nn.Module {
 			return nn.NewDiffusionConv(rng, featDim+hidden, hidden, k)
 		}),
@@ -31,6 +33,8 @@ func NewDCRNN(rng *rand.Rand, featDim, hidden int) *DCRNNModel {
 		k:      k,
 		state:  newNodeState(hidden),
 	}
+	m.nodeStates = nodeStates{m.state}
+	return m
 }
 
 // Name implements Model.
@@ -45,19 +49,8 @@ func (m *DCRNNModel) Hidden() int { return m.hidden }
 // Params implements Model.
 func (m *DCRNNModel) Params() []*autodiff.Node { return m.cell.Params() }
 
-// BeginStep implements Model: snapshots recurrent state for the step's
-// training forwards.
-func (m *DCRNNModel) BeginStep(t int) { m.state.snapshot() }
-
 // Memoryless implements Model: DCRNN carries per-node GRU state.
 func (m *DCRNNModel) Memoryless() bool { return false }
-
-// PregrowState sizes the hidden-state buffers for n nodes ahead of a
-// concurrent shard fan-out.
-func (m *DCRNNModel) PregrowState(n int) { m.state.pregrow(n) }
-
-// Reset implements Model.
-func (m *DCRNNModel) Reset() { m.state.reset() }
 
 // WrapOptimizer implements Model.
 func (m *DCRNNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }

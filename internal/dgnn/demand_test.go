@@ -222,7 +222,7 @@ func TestForwardShardsConcurrentRegions(t *testing.T) {
 			t.Fatalf("step %d: parts covered %v rows, exact %d, region %d", step, demand, len(exact), len(region))
 		}
 		MergeShards(storeMany, res)
-		if !sameBits(storeOne.Matrix().Data, storeMany.Matrix().Data) {
+		if !sameBits(storeOne.Publish().Dense().Data, storeMany.Publish().Dense().Data) {
 			t.Fatalf("step %d: five concurrent parts differ from the single part", step)
 		}
 		sameStateBits(t, fmt.Sprintf("step %d", step), mOne.DumpState(), mMany.DumpState())

@@ -337,9 +337,9 @@ func TestNodeStateGatherWrite(t *testing.T) {
 
 func TestNodeStateGrowth(t *testing.T) {
 	s := newNodeState(3)
-	s.ensure(2)
+	s.data.Grow(2)
 	s.write(View{N: 2}, tensor.FromSlice(2, 3, []float64{1, 1, 1, 2, 2, 2}))
-	s.ensure(100)
+	s.data.Grow(100)
 	m := s.gather(View{N: 100})
 	if m.At(1, 0) != 2 || m.At(99, 2) != 0 {
 		t.Fatal("growth corrupted state")

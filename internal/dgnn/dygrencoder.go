@@ -21,11 +21,13 @@ type DyGrEncoderModel struct {
 	hidden int
 	hState *nodeState
 	cState *nodeState
+	//streamlint:ckpt-exempt the state fields above again, which DumpState serializes
+	nodeStates
 }
 
 // NewDyGrEncoder returns a DyGrEncoder with the given dimensions.
 func NewDyGrEncoder(rng *rand.Rand, featDim, hidden int) *DyGrEncoderModel {
-	return &DyGrEncoderModel{
+	m := &DyGrEncoderModel{
 		enc1:   nn.NewGCNConv(rng, featDim, hidden),
 		enc2:   nn.NewGCNConv(rng, hidden, hidden),
 		lstm:   nn.NewLSTMCell(rng, hidden, hidden),
@@ -34,6 +36,8 @@ func NewDyGrEncoder(rng *rand.Rand, featDim, hidden int) *DyGrEncoderModel {
 		hState: newNodeState(hidden),
 		cState: newNodeState(hidden),
 	}
+	m.nodeStates = nodeStates{m.hState, m.cState}
+	return m
 }
 
 // Name implements Model.
@@ -50,28 +54,8 @@ func (m *DyGrEncoderModel) Params() []*autodiff.Node {
 	return nn.CollectParams(m.enc1, m.enc2, m.lstm, m.dec)
 }
 
-// BeginStep implements Model: snapshots recurrent state for the step's
-// training forwards.
-func (m *DyGrEncoderModel) BeginStep(t int) {
-	m.hState.snapshot()
-	m.cState.snapshot()
-}
-
 // Memoryless implements Model: DyGrEncoder carries per-node LSTM state.
 func (m *DyGrEncoderModel) Memoryless() bool { return false }
-
-// PregrowState sizes the hidden- and cell-state buffers for n nodes ahead of
-// a concurrent shard fan-out.
-func (m *DyGrEncoderModel) PregrowState(n int) {
-	m.hState.pregrow(n)
-	m.cState.pregrow(n)
-}
-
-// Reset implements Model.
-func (m *DyGrEncoderModel) Reset() {
-	m.hState.reset()
-	m.cState.reset()
-}
 
 // WrapOptimizer implements Model.
 func (m *DyGrEncoderModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }

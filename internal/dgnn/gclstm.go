@@ -18,11 +18,13 @@ type GCLSTMModel struct {
 	hidden int
 	hState *nodeState
 	cState *nodeState
+	//streamlint:ckpt-exempt the state fields above again, which DumpState serializes
+	nodeStates
 }
 
 // NewGCLSTM returns a GC-LSTM with the given dimensions.
 func NewGCLSTM(rng *rand.Rand, featDim, hidden int) *GCLSTMModel {
-	return &GCLSTMModel{
+	m := &GCLSTMModel{
 		enc: nn.NewGCNConv(rng, featDim, hidden),
 		cell: nn.NewConvLSTMCell(hidden, func() nn.Module {
 			return nn.NewGCNConv(rng, hidden+hidden, hidden)
@@ -31,6 +33,8 @@ func NewGCLSTM(rng *rand.Rand, featDim, hidden int) *GCLSTMModel {
 		hState: newNodeState(hidden),
 		cState: newNodeState(hidden),
 	}
+	m.nodeStates = nodeStates{m.hState, m.cState}
+	return m
 }
 
 // Name implements Model.
@@ -45,28 +49,8 @@ func (m *GCLSTMModel) Hidden() int { return m.hidden }
 // Params implements Model.
 func (m *GCLSTMModel) Params() []*autodiff.Node { return nn.CollectParams(m.enc, m.cell) }
 
-// BeginStep implements Model: snapshots recurrent state for the step's
-// training forwards.
-func (m *GCLSTMModel) BeginStep(t int) {
-	m.hState.snapshot()
-	m.cState.snapshot()
-}
-
 // Memoryless implements Model: GC-LSTM carries per-node LSTM state.
 func (m *GCLSTMModel) Memoryless() bool { return false }
-
-// PregrowState sizes the hidden- and cell-state buffers for n nodes ahead of
-// a concurrent shard fan-out.
-func (m *GCLSTMModel) PregrowState(n int) {
-	m.hState.pregrow(n)
-	m.cState.pregrow(n)
-}
-
-// Reset implements Model.
-func (m *GCLSTMModel) Reset() {
-	m.hState.reset()
-	m.cState.reset()
-}
 
 // WrapOptimizer implements Model.
 func (m *GCLSTMModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }

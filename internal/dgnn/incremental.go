@@ -6,37 +6,36 @@ import (
 	"streamgnn/internal/tensor"
 )
 
-// EmbStore is the managed per-node embedding matrix behind the step's
-// forward. A full forward installs its output with SetFull (or SetLive, which
-// keeps the held rows); a region forward splices only the rows it advanced
-// back with Splice. The store owns the matrices handed to it and mutates them
-// in place; callers that need a stable copy must clone before handing over.
+// EmbStore is the managed per-node embedding rows behind the step's forward.
+// A full forward installs its output with SetFull (or SetLive, which keeps
+// the held rows); a region forward splices only the rows it advanced back
+// with Splice. The rows live in a tensor.Paged: SetFull adopts a matrix as
+// pages without copying it, and the store writes them in place until a
+// Publish.
 //
-// Publish hands out an immutable snapshot of the current matrix with
-// copy-on-write semantics: publication is O(1), and the next in-place Splice
-// pays one clone so the published matrix is never mutated again. Concurrent
-// readers may therefore score against a published snapshot, lock-free, while
-// the engine's step loop keeps splicing.
+// Publish hands out a frozen view of the rows: publication copies the page
+// table, and the next Splice clones only the pages it writes, so a published
+// view is never mutated again. Growth appends pages. Concurrent
+// readers may therefore score against a published view, lock-free, while the
+// engine's step loop keeps splicing, and a step pays for the pages it writes,
+// not for n rows.
 type EmbStore struct {
-	emb      *tensor.Matrix
-	lastFull int // step of the last forward that advanced every live row
-	// shared marks emb as published: in-place writes must clone first.
-	//streamlint:ckpt-exempt transient copy-on-write marker; snapshots never outlive a process
-	shared bool
+	rows     *tensor.Paged // nil when invalid
+	lastFull int           // step of the last forward that advanced every live row
 }
 
 // NewEmbStore returns an empty, invalid store.
 func NewEmbStore() *EmbStore { return &EmbStore{lastFull: -1} }
 
-// Valid reports whether the store holds an embedding matrix to splice into.
-func (s *EmbStore) Valid() bool { return s.emb != nil }
+// Valid reports whether the store holds embedding rows to splice into.
+func (s *EmbStore) Valid() bool { return s.rows != nil }
 
 // Rows returns the number of node rows held, 0 when invalid.
 func (s *EmbStore) Rows() int {
-	if s.emb == nil {
+	if s.rows == nil {
 		return 0
 	}
-	return s.emb.Rows
+	return s.rows.Rows()
 }
 
 // LastFullStep returns the step of the last forward that advanced every live
@@ -51,17 +50,20 @@ func (s *EmbStore) MarkFresh(t int) { s.lastFull = t }
 func (s *EmbStore) MarkStale() { s.lastFull = -1 }
 
 // SetFull installs m as the complete embedding matrix computed at step t,
-// taking ownership of m. Any previously published snapshot keeps the old
-// matrix untouched.
+// taking ownership of m: its rows become the store's pages without a copy.
+// Any previously published view keeps the old rows untouched.
 func (s *EmbStore) SetFull(m *tensor.Matrix, t int) {
-	s.emb = m
+	s.rows = tensor.PagedFrom(m)
 	s.lastFull = t
-	s.shared = false
 }
 
 // SetLive installs m, a full forward's output at step t that advanced only
 // the rows in live (ascending), taking ownership of m: every other row is
-// held, so it is copied over from the stored matrix, which must cover it.
+// held, so it is copied over from the store, which must cover it, and m's
+// rows become the store's pages as in SetFull. The engine runs this masked
+// forward only when most rows are live, so copying the held rows into m
+// moves fewer rows than writing the live ones into pages, and allocates
+// nothing.
 func (s *EmbStore) SetLive(m *tensor.Matrix, live []int, t int) {
 	j := 0
 	for v := 0; v < m.Rows; v++ {
@@ -69,27 +71,20 @@ func (s *EmbStore) SetLive(m *tensor.Matrix, live []int, t int) {
 			j++
 			continue
 		}
-		copy(m.Row(v), s.emb.Row(v))
+		copy(m.Row(v), s.rows.Row(v))
 	}
 	s.SetFull(m, t)
 }
 
-// Matrix returns the live embedding matrix (not a copy); nil when invalid.
-func (s *EmbStore) Matrix() *tensor.Matrix { return s.emb }
-
-// Publish returns the current embedding matrix as an immutable snapshot
-// (nil when invalid). The store guarantees the returned matrix is never
-// mutated afterwards: the next in-place Splice clones first, and SetFull /
-// Invalidate / growth replace the matrix rather than touch it. Publication
-// itself copies nothing — quiet steps republish the same matrix for free,
-// and at most one clone is paid per published matrix regardless of how many
-// snapshots were handed out.
-func (s *EmbStore) Publish() *tensor.Matrix {
-	if s.emb == nil {
+// Publish returns a frozen view of the stored rows (nil when invalid). The
+// view is never mutated afterwards: the store's next Splice clones the pages
+// it touches, and SetFull / SetLive / Invalidate replace the pages rather
+// than touch them. Publication copies the page table only.
+func (s *EmbStore) Publish() *tensor.RowView {
+	if s.rows == nil {
 		return nil
 	}
-	s.shared = true
-	return s.emb
+	return s.rows.Freeze()
 }
 
 // Splice overwrites the stored rows for the given global node ids with the
@@ -98,52 +93,36 @@ func (s *EmbStore) Publish() *tensor.Matrix {
 // current row count grow the store; grown-but-unwritten rows stay zero
 // until their own splice or the next full forward.
 func (s *EmbStore) Splice(m *tensor.Matrix, rows, ids []int) {
-	if s.emb == nil {
+	if s.rows == nil {
 		panic("dgnn: Splice on invalid EmbStore")
 	}
 	if len(rows) != len(ids) {
 		panic(fmt.Sprintf("dgnn: Splice rows/ids length mismatch: %d vs %d", len(rows), len(ids)))
 	}
-	if m.Cols != s.emb.Cols {
-		panic(fmt.Sprintf("dgnn: Splice column mismatch: %d vs %d", m.Cols, s.emb.Cols))
+	if m.Cols != s.rows.Cols() {
+		panic(fmt.Sprintf("dgnn: Splice column mismatch: %d vs %d", m.Cols, s.rows.Cols()))
 	}
-	if n := len(ids); n > 0 && ids[n-1] >= s.emb.Rows {
-		s.grow(ids[n-1] + 1)
-	} else if s.shared {
-		// Copy-on-write: the current matrix is published, so the in-place
-		// row writes below must go to a private clone.
-		s.emb = s.emb.Clone()
-		s.shared = false
+	if n := len(ids); n > 0 {
+		s.rows.Grow(ids[n-1] + 1)
 	}
 	for k, i := range rows {
-		copy(s.emb.Row(ids[k]), m.Row(i))
+		s.rows.SetRow(ids[k], m.Row(i))
 	}
 }
 
-// grow extends the embedding matrix to n rows, preserving existing rows and
-// zero-filling the new ones. The replacement matrix is private even if the
-// old one was published.
-func (s *EmbStore) grow(n int) {
-	grown := tensor.New(n, s.emb.Cols)
-	copy(grown.Data, s.emb.Data)
-	s.emb = grown
-	s.shared = false
-}
-
-// Invalidate drops the stored matrix, forcing the next forward to be full.
-// A published snapshot keeps the dropped matrix alive and untouched.
+// Invalidate drops the stored rows, forcing the next forward to be full.
+// A published view keeps the dropped pages alive and untouched.
 func (s *EmbStore) Invalidate() {
-	s.emb = nil
+	s.rows = nil
 	s.lastFull = -1
-	s.shared = false
 }
 
-// Dump serializes the store's matrix for checkpointing; nil when invalid.
+// Dump serializes the store's rows for checkpointing; nil when invalid.
 func (s *EmbStore) Dump() *StateDump {
-	if s.emb == nil {
+	if s.rows == nil {
 		return nil
 	}
-	d := DumpMatrix(s.emb)
+	d := DumpRows(&s.rows.RowView)
 	return &d
 }
 
@@ -158,8 +137,7 @@ func (s *EmbStore) Restore(d *StateDump, lastFull int) (func(), error) {
 		return nil, err
 	}
 	return func() {
-		s.emb = m
+		s.rows = tensor.PagedFrom(m)
 		s.lastFull = lastFull
-		s.shared = false
 	}, nil
 }

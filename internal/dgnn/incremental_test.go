@@ -31,7 +31,7 @@ func TestEmbStoreSpliceAndGrow(t *testing.T) {
 		patch.Data[i] = 100 + float64(i)
 	}
 	s.Splice(patch, []int{0, 2}, []int{1, 4})
-	m := s.Matrix()
+	m := s.Publish().Dense()
 	if m.Rows != 5 {
 		t.Fatalf("splice should grow to 5 rows, got %d", m.Rows)
 	}
@@ -71,7 +71,7 @@ func TestEmbStoreDumpRestore(t *testing.T) {
 	if !r.Valid() || r.LastFullStep() != 7 {
 		t.Fatal("restored store metadata wrong")
 	}
-	if !r.Matrix().AllClose(s.Matrix(), 0) {
+	if !r.Publish().Dense().AllClose(s.Publish().Dense(), 0) {
 		t.Fatal("restored matrix differs")
 	}
 	bad := &StateDump{Rows: 2, Cols: 3, Data: []float64{1}}

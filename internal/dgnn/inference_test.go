@@ -229,7 +229,7 @@ func TestForwardShardsOnInferenceTapesMatchesSerial(t *testing.T) {
 		store := NewEmbStore()
 		store.SetFull(tensor.New(g.N(), 4), step)
 		MergeShards(store, ForwardShards(g, par, parts, all))
-		if !want.Equal(store.Matrix()) {
+		if !want.Equal(store.Publish().Dense()) {
 			t.Fatalf("step %d: sharded inference-tape rows differ from the serial forward", step)
 		}
 		sameDumps(t, fmt.Sprintf("step %d", step), ref.DumpState(), par.DumpState())

@@ -26,18 +26,27 @@ func NewLearner(kind Kind, live Model, featDim, hidden int) Model {
 }
 
 // shareState points the receiver's recurrent state at live's (same kind).
-func (m *TGCNModel) shareState(live Model)  { m.state = live.(*TGCNModel).state }
-func (m *DCRNNModel) shareState(live Model) { m.state = live.(*DCRNNModel).state }
-func (m *RTGCNModel) shareState(live Model) { m.state = live.(*RTGCNModel).state }
-func (m *WinGNNModel) shareState(Model)     {}
+func (m *TGCNModel) shareState(live Model) {
+	m.state, m.nodeStates = live.(*TGCNModel).state, live.(*TGCNModel).nodeStates
+}
+func (m *DCRNNModel) shareState(live Model) {
+	m.state, m.nodeStates = live.(*DCRNNModel).state, live.(*DCRNNModel).nodeStates
+}
+func (m *RTGCNModel) shareState(live Model) {
+	m.state, m.nodeStates = live.(*RTGCNModel).state, live.(*RTGCNModel).nodeStates
+}
+func (m *WinGNNModel) shareState(Model) {}
 func (m *GCLSTMModel) shareState(live Model) {
-	m.hState, m.cState = live.(*GCLSTMModel).hState, live.(*GCLSTMModel).cState
+	l := live.(*GCLSTMModel)
+	m.hState, m.cState, m.nodeStates = l.hState, l.cState, l.nodeStates
 }
 func (m *DyGrEncoderModel) shareState(live Model) {
-	m.hState, m.cState = live.(*DyGrEncoderModel).hState, live.(*DyGrEncoderModel).cState
+	l := live.(*DyGrEncoderModel)
+	m.hState, m.cState, m.nodeStates = l.hState, l.cState, l.nodeStates
 }
 func (m *ROLANDModel) shareState(live Model) {
-	m.h1, m.h2 = live.(*ROLANDModel).h1, live.(*ROLANDModel).h2
+	l := live.(*ROLANDModel)
+	m.h1, m.h2, m.nodeStates = l.h1, l.h2, l.nodeStates
 }
 func (m *EvolveGCNModel) shareState(live Model) {
 	m.weights = live.(*EvolveGCNModel).weights

@@ -236,15 +236,16 @@ func Infer(tp *autodiff.Tape, m Model, v View) *tensor.Matrix {
 }
 
 // StatePregrower is implemented by models whose committed forwards are safe
-// to run concurrently on disjoint node sets once per-node state buffers have
-// been grown up front. PregrowState(n) sizes every recurrent-state buffer
-// (live and BeginStep snapshot) for n nodes on the calling goroutine, so the
-// shard fan-out's subsequent gathers and row-disjoint writes never reallocate
-// shared slices. Models with per-step *weight* dynamics on the committed path
-// (EvolveGCN advances its weight recurrence inside Forward) must not
-// implement it; the fan-out runs them serially in shard order instead.
+// to run concurrently on disjoint node sets once per-node state has been
+// prepared up front. PregrowState(n, rows) grows every live recurrent state
+// to n nodes and clones the shared pages that hold rows — the rows the
+// fan-out will commit — on the calling goroutine, so the parts' gathers and
+// row-disjoint writes never touch a page table. Models with per-step *weight*
+// dynamics on the committed path (EvolveGCN advances its weight recurrence
+// inside Forward) must not implement it; the fan-out runs them serially in
+// shard order instead.
 type StatePregrower interface {
-	PregrowState(n int)
+	PregrowState(n int, rows []int)
 }
 
 // Kind enumerates the implemented baselines.

@@ -19,11 +19,13 @@ type ROLANDModel struct {
 	//streamlint:ckpt-exempt architecture configuration, validated against the checkpoint header
 	hidden int
 	h1, h2 *nodeState
+	//streamlint:ckpt-exempt the state fields above again, which DumpState serializes
+	nodeStates
 }
 
 // NewROLAND returns a two-layer ROLAND with GRU embedding updates.
 func NewROLAND(rng *rand.Rand, featDim, hidden int) *ROLANDModel {
-	return &ROLANDModel{
+	m := &ROLANDModel{
 		conv1:  nn.NewGCNConv(rng, featDim, hidden),
 		conv2:  nn.NewGCNConv(rng, hidden, hidden),
 		upd1:   nn.NewGRUCell(rng, hidden, hidden),
@@ -32,6 +34,8 @@ func NewROLAND(rng *rand.Rand, featDim, hidden int) *ROLANDModel {
 		h1:     newNodeState(hidden),
 		h2:     newNodeState(hidden),
 	}
+	m.nodeStates = nodeStates{m.h1, m.h2}
+	return m
 }
 
 // Name implements Model.
@@ -48,28 +52,8 @@ func (m *ROLANDModel) Params() []*autodiff.Node {
 	return nn.CollectParams(m.conv1, m.conv2, m.upd1, m.upd2)
 }
 
-// BeginStep implements Model: snapshots layer states for the step's
-// training forwards.
-func (m *ROLANDModel) BeginStep(t int) {
-	m.h1.snapshot()
-	m.h2.snapshot()
-}
-
 // Memoryless implements Model: ROLAND carries per-node layerwise state.
 func (m *ROLANDModel) Memoryless() bool { return false }
-
-// PregrowState sizes both layers' hidden-state buffers for n nodes ahead of
-// a concurrent shard fan-out.
-func (m *ROLANDModel) PregrowState(n int) {
-	m.h1.pregrow(n)
-	m.h2.pregrow(n)
-}
-
-// Reset implements Model.
-func (m *ROLANDModel) Reset() {
-	m.h1.reset()
-	m.h2.reset()
-}
 
 // WrapOptimizer implements Model.
 func (m *ROLANDModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }

@@ -27,6 +27,8 @@ type RTGCNModel struct {
 	//streamlint:ckpt-exempt edge-type count is construction-time configuration
 	relations int
 	state     *nodeState
+	//streamlint:ckpt-exempt the state fields above again, which DumpState serializes
+	nodeStates
 }
 
 // NewRTGCN returns a relation-aware TGCN over `relations` edge types.
@@ -34,7 +36,7 @@ func NewRTGCN(rng *rand.Rand, featDim, hidden, relations int) *RTGCNModel {
 	if relations < 1 {
 		relations = 1
 	}
-	return &RTGCNModel{
+	m := &RTGCNModel{
 		enc: nn.NewRGCNConv(rng, featDim, hidden, relations),
 		cell: nn.NewConvGRUCell(hidden, func() nn.Module {
 			return nn.NewRGCNConv(rng, hidden+hidden, hidden, relations)
@@ -43,6 +45,8 @@ func NewRTGCN(rng *rand.Rand, featDim, hidden, relations int) *RTGCNModel {
 		relations: relations,
 		state:     newNodeState(hidden),
 	}
+	m.nodeStates = nodeStates{m.state}
+	return m
 }
 
 // Name implements Model.
@@ -60,18 +64,8 @@ func (m *RTGCNModel) Relations() int { return m.relations }
 // Params implements Model.
 func (m *RTGCNModel) Params() []*autodiff.Node { return nn.CollectParams(m.enc, m.cell) }
 
-// BeginStep implements Model.
-func (m *RTGCNModel) BeginStep(t int) { m.state.snapshot() }
-
 // Memoryless implements Model: RTGCN carries per-node GRU state.
 func (m *RTGCNModel) Memoryless() bool { return false }
-
-// PregrowState sizes the hidden-state buffers for n nodes ahead of a
-// concurrent shard fan-out.
-func (m *RTGCNModel) PregrowState(n int) { m.state.pregrow(n) }
-
-// Reset implements Model.
-func (m *RTGCNModel) Reset() { m.state.reset() }
 
 // WrapOptimizer implements Model.
 func (m *RTGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }

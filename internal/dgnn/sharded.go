@@ -52,11 +52,12 @@ type ShardForward struct {
 // its part contains, so the union of commits over shards equals the
 // unsharded commit set.
 //
-// Models implementing StatePregrower run in parallel: state buffers are
-// grown up front on this goroutine, every per-shard view sets SnapshotState
-// so gathers read the BeginStep snapshot (identical to live state at this
-// point in the step), and the parts' disjoint node sets keep state writes
-// row-disjoint across workers. Models without it — EvolveGCN mutates weight
+// Models implementing StatePregrower run in parallel: the live state is grown
+// and the pages of exact made private up front on this goroutine, every
+// per-shard view sets SnapshotState so gathers read the BeginStep snapshot
+// (identical to live state at this point in the step), and the parts'
+// disjoint node sets keep state writes row-disjoint across workers — two
+// parts may commit rows of one page, which is private by then. Models without it — EvolveGCN mutates weight
 // recurrences inside a committed Forward — fall back to a serial loop in
 // shard index order, which computes the same values since each shard still
 // sees only its own components.
@@ -67,7 +68,7 @@ func ForwardShards(g *graph.Dynamic, m Model, parts [][]int, exact []int) []Shar
 	res := make([]ShardForward, len(parts))
 	pg, parallel := m.(StatePregrower)
 	if parallel {
-		pg.PregrowState(g.N())
+		pg.PregrowState(g.N(), exact)
 	}
 	run := func(s int) {
 		res[s] = ForwardPart(g, m, s, parts[s], exact)

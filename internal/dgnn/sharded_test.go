@@ -83,7 +83,7 @@ func TestForwardShardsMatchesUnsharded(t *testing.T) {
 				t.Fatalf("MergeShards spliced %d rows, want %d", n, len(exact))
 			}
 
-			if !storeA.Matrix().AllClose(storeB.Matrix(), 0) {
+			if !storeA.Publish().Dense().AllClose(storeB.Publish().Dense(), 0) {
 				t.Fatal("sharded embeddings differ from unsharded reference")
 			}
 			if !reflect.DeepEqual(mA.DumpState(), mB.DumpState()) {

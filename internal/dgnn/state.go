@@ -14,47 +14,81 @@ import (
 // was *before* this step's inference — so a training partition replays
 // exactly the computation whose output the prediction heads are evaluated
 // on, rather than advancing the recurrence a second time within the step.
+//
+// The live rows are a tensor.Paged and the snapshot a frozen view of it, so
+// BeginStep copies the page table, not the state: the step's first write to a
+// page clones that page, and the snapshot keeps reading the old one.
 type nodeState struct {
 	dim  int
-	data []float64 // n × dim, live
-	prev []float64 // snapshot taken at BeginStep; nil before the first one
-	n    int
+	data *tensor.Paged   // live rows
+	snap *tensor.RowView // BeginStep snapshot; nil before the first one that holds rows
 }
 
-func newNodeState(dim int) *nodeState { return &nodeState{dim: dim} }
+func newNodeState(dim int) *nodeState { return &nodeState{dim: dim, data: tensor.NewPaged(dim)} }
 
-// snapshot archives the live state for this step's NoCommit forwards. The
-// archive grows with the headroom ensure gave the live buffer: on a stream
-// that adds nodes every step it is reallocated per doubling, not per step.
+// snapshot freezes the live state for this step's NoCommit forwards. Before
+// any row is stored there is nothing to freeze: gathers read the live rows.
 func (s *nodeState) snapshot() {
-	if cap(s.prev) < len(s.data) {
-		s.prev = make([]float64, len(s.data), cap(s.data))
+	s.snap = nil
+	if s.data.Rows() > 0 {
+		s.snap = s.data.Freeze()
 	}
-	s.prev = s.prev[:len(s.data)]
-	copy(s.prev, s.data)
 }
 
-// pregrow extends the live buffer to n node rows ahead of a concurrent
-// fan-out. Growth is the only nodeState mutation that is not row-disjoint, so
-// it must happen on one goroutine before shard workers start; the new rows
-// are zero (a node first seen this step has no prior state), so pregrowing
-// never changes a computed value. The BeginStep snapshot needs no growth:
-// gather reads a node beyond it as a zero row, never from the live buffer.
-func (s *nodeState) pregrow(n int) { s.ensure(n) }
+// nodeStates is a recurrent model's per-node state matrices in DumpState
+// order. The model embeds it beside the named fields that point at the same
+// states, for the methods that treat every state matrix alike.
+type nodeStates []*nodeState
 
-func (s *nodeState) ensure(n int) {
-	if n <= s.n {
-		return
+// BeginStep implements Model: snapshots recurrent state for the step's
+// training forwards.
+func (ss nodeStates) BeginStep(int) {
+	for _, s := range ss {
+		s.snapshot()
 	}
-	need := n * s.dim
-	if need > cap(s.data) {
-		grown := make([]float64, need, 2*need)
-		copy(grown, s.data)
-		s.data = grown
-	} else {
-		s.data = s.data[:need]
+}
+
+// PregrowState implements StatePregrower: it extends the live state to n
+// node rows and makes private the pages of rows, ahead of a concurrent
+// fan-out whose parts commit disjoint subsets of rows. Growth and the first
+// write to a shared page are the only nodeState mutations that are not
+// row-disjoint, so both must happen on one goroutine before shard workers
+// start; the new rows are zero (a node first seen this step has no prior
+// state), so pregrowing never changes a computed value. The BeginStep
+// snapshot needs no growth: gather reads a node beyond it as a zero row,
+// never from the live state.
+func (ss nodeStates) PregrowState(n int, rows []int) {
+	for _, s := range ss {
+		s.data.Grow(n)
+		s.data.Privatize(rows)
 	}
-	s.n = n
+}
+
+// Reset implements Model.
+func (ss nodeStates) Reset() {
+	for _, s := range ss {
+		s.reset()
+	}
+}
+
+// DropSnapshot releases the BeginStep snapshot of m's per-node recurrent
+// state, for a step that runs no NoCommit forward: its committed writes then
+// land in place instead of cloning the pages the snapshot shares, and its
+// SnapshotState gathers read the live rows, which no commit of the step has
+// touched when they read them. Models without per-node state ignore it.
+func DropSnapshot(m Model) {
+	if ss, ok := m.(interface{ dropSnapshot() }); ok {
+		ss.dropSnapshot()
+	}
+}
+
+func (ss nodeStates) dropSnapshot() {
+	for _, s := range ss {
+		if s.snap != nil {
+			s.snap = nil
+			s.data.Thaw()
+		}
+	}
 }
 
 func (s *nodeState) maxID(v View) int {
@@ -74,35 +108,34 @@ func (s *nodeState) maxID(v View) int {
 // SnapshotState views read the BeginStep snapshot when one exists.
 //
 // NoCommit gathers are strictly read-only: nodes the state has never seen
-// read as zero rows instead of growing the state, exactly the values ensure
+// read as zero rows instead of growing the state, exactly the values growth
 // would append. Training forwards (always NoCommit) therefore never mutate
 // shared model state and can run concurrently on worker goroutines.
 // Committed SnapshotState gathers (the sharded fan-out) rely on pregrow
-// having sized both buffers already, making the ensure below a no-op.
+// having sized the live state already, making the growth below a no-op.
 //
-// A node newer than the source buffer reads as a zero row — from the snapshot
-// too: falling back to the live buffer there would hand a training forward
+// A node newer than the source rows reads as a zero row — from the snapshot
+// too: falling back to the live state there would hand a training forward
 // the state this step's inference just committed for the node.
 //
-// A gather that reads the snapshot never touches the live buffer, not even
-// its slice header: a learner's training forwards run beside the step's
-// committed inference forwards, whose ensure may reallocate it.
+// A gather that reads the snapshot never touches the live state, not even
+// its page table: a learner's training forwards run beside the step's
+// committed inference forwards, which grow it and clone its pages.
 func (s *nodeState) gather(v View) *tensor.Matrix { return s.gatherHead(v, v.N) }
 
 // gatherHead is gather for the view's leading n rows alone.
 func (s *nodeState) gatherHead(v View, n int) *tensor.Matrix {
 	if !v.NoCommit {
-		s.ensure(s.maxID(v) + 1)
+		s.data.Grow(s.maxID(v) + 1)
 	}
-	src := s.prev
+	src := s.snap
 	if !(v.NoCommit || v.SnapshotState) || src == nil {
-		src = s.data
+		src = &s.data.RowView
 	}
 	out := tensor.NewUninit(n, s.dim)
 	for i := 0; i < n; i++ {
-		off := v.globalID(i) * s.dim
-		if off+s.dim <= len(src) {
-			copy(out.Row(i), src[off:off+s.dim])
+		if id := v.globalID(i); id < src.Rows() {
+			copy(out.Row(i), src.Row(id))
 		} else {
 			clear(out.Row(i))
 		}
@@ -131,27 +164,24 @@ func (s *nodeState) write(v View, m *tensor.Matrix) {
 	if m.Rows < n || m.Rows > v.N || m.Cols != s.dim {
 		panic("dgnn: state write shape mismatch")
 	}
-	s.ensure(s.maxID(v) + 1)
+	s.data.Grow(s.maxID(v) + 1)
 	if v.CommitRows != nil {
 		for _, i := range v.CommitRows {
-			id := v.globalID(i)
-			copy(s.data[id*s.dim:(id+1)*s.dim], m.Row(i))
+			s.data.SetRow(v.globalID(i), m.Row(i))
 		}
 		return
 	}
 	for i := 0; i < n; i++ {
-		id := v.globalID(i)
-		copy(s.data[id*s.dim:(id+1)*s.dim], m.Row(i))
+		s.data.SetRow(v.globalID(i), m.Row(i))
 	}
 }
 
 // row returns node id's live state row, or nil when the node has no stored
-// state yet (reads as zero). The returned slice aliases the live buffer;
-// callers must not hold it across a write.
+// state yet (reads as zero). The returned slice aliases the live state;
+// callers must not write it or hold it across a write.
 func (s *nodeState) row(id int) []float64 {
-	off := id * s.dim
-	if off+s.dim <= len(s.data) {
-		return s.data[off : off+s.dim]
+	if id < s.data.Rows() {
+		return s.data.Row(id)
 	}
 	return nil
 }
@@ -170,8 +200,8 @@ func (s *nodeState) rowInto(id int, dst []float64) {
 
 // reset zeroes all stored state and drops the snapshot.
 func (s *nodeState) reset() {
-	for i := range s.data {
-		s.data[i] = 0
-	}
-	s.prev = nil
+	n := s.data.Rows()
+	s.data = tensor.NewPaged(s.dim)
+	s.data.Grow(n)
+	s.snap = nil
 }

@@ -12,9 +12,9 @@ import (
 // rows a lagging replica missed — without disturbing anything else.
 //
 // DumpState/RestoreState are the wrong tool for that: nodeState.restore
-// replaces the whole buffer and drops the BeginStep snapshot, which NoCommit
+// replaces the whole state and drops the BeginStep snapshot, which NoCommit
 // training gathers later in the same step still read. GatherStateRows and
-// ScatterStateRows move only the named rows of the *live* buffer and leave
+// ScatterStateRows move only the named rows of the *live* state and leave
 // the snapshot untouched, so a mid-step scatter is exactly equivalent to the
 // masked CommitRows write the local fan-out would have performed.
 
@@ -29,7 +29,7 @@ type StateRows interface {
 	// the value a forward would read for them.
 	GatherStateRows(ids []int) []StateDump
 	// ScatterStateRows writes previously gathered rows back into the live
-	// state at the given ids, growing the buffers as needed. The BeginStep
+	// state at the given ids, growing it as needed. The BeginStep
 	// snapshot is not modified.
 	ScatterStateRows(ids []int, dumps []StateDump) error
 }
@@ -44,7 +44,7 @@ func (s *nodeState) gatherRows(ids []int) StateDump {
 	return d
 }
 
-// scatterRows writes d's rows into the live buffer at ids. The snapshot is
+// scatterRows writes d's rows into the live state at ids. The snapshot is
 // left alone: a scatter stands in for this step's masked commit, which also
 // only touches live state.
 func (s *nodeState) scatterRows(ids []int, d StateDump) error {
@@ -58,86 +58,34 @@ func (s *nodeState) scatterRows(ids []int, d StateDump) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	if !sort.IntsAreSorted(ids) {
-		return fmt.Errorf("dgnn: state row scatter ids must be ascending")
+	if !sort.IntsAreSorted(ids) || ids[0] < 0 {
+		return fmt.Errorf("dgnn: state row scatter ids must be ascending and non-negative")
 	}
-	s.ensure(ids[len(ids)-1] + 1)
+	s.data.Grow(ids[len(ids)-1] + 1)
 	for k, id := range ids {
-		copy(s.data[id*s.dim:(id+1)*s.dim], d.Data[k*s.dim:(k+1)*s.dim])
+		s.data.SetRow(id, d.Data[k*s.dim:(k+1)*s.dim])
 	}
 	return nil
 }
 
-func gatherStateRows(ids []int, states ...*nodeState) []StateDump {
-	out := make([]StateDump, len(states))
-	for i, st := range states {
+// GatherStateRows implements StateRows.
+func (ss nodeStates) GatherStateRows(ids []int) []StateDump {
+	out := make([]StateDump, len(ss))
+	for i, st := range ss {
 		out[i] = st.gatherRows(ids)
 	}
 	return out
 }
 
-func scatterStateRows(ids []int, dumps []StateDump, states ...*nodeState) error {
-	if len(dumps) != len(states) {
-		return fmt.Errorf("dgnn: state row scatter has %d matrices, model needs %d", len(dumps), len(states))
+// ScatterStateRows implements StateRows.
+func (ss nodeStates) ScatterStateRows(ids []int, dumps []StateDump) error {
+	if len(dumps) != len(ss) {
+		return fmt.Errorf("dgnn: state row scatter has %d matrices, model needs %d", len(dumps), len(ss))
 	}
-	for i, st := range states {
+	for i, st := range ss {
 		if err := st.scatterRows(ids, dumps[i]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// GatherStateRows implements StateRows.
-func (m *TGCNModel) GatherStateRows(ids []int) []StateDump { return gatherStateRows(ids, m.state) }
-
-// ScatterStateRows implements StateRows.
-func (m *TGCNModel) ScatterStateRows(ids []int, d []StateDump) error {
-	return scatterStateRows(ids, d, m.state)
-}
-
-// GatherStateRows implements StateRows.
-func (m *DCRNNModel) GatherStateRows(ids []int) []StateDump { return gatherStateRows(ids, m.state) }
-
-// ScatterStateRows implements StateRows.
-func (m *DCRNNModel) ScatterStateRows(ids []int, d []StateDump) error {
-	return scatterStateRows(ids, d, m.state)
-}
-
-// GatherStateRows implements StateRows.
-func (m *GCLSTMModel) GatherStateRows(ids []int) []StateDump {
-	return gatherStateRows(ids, m.hState, m.cState)
-}
-
-// ScatterStateRows implements StateRows.
-func (m *GCLSTMModel) ScatterStateRows(ids []int, d []StateDump) error {
-	return scatterStateRows(ids, d, m.hState, m.cState)
-}
-
-// GatherStateRows implements StateRows.
-func (m *DyGrEncoderModel) GatherStateRows(ids []int) []StateDump {
-	return gatherStateRows(ids, m.hState, m.cState)
-}
-
-// ScatterStateRows implements StateRows.
-func (m *DyGrEncoderModel) ScatterStateRows(ids []int, d []StateDump) error {
-	return scatterStateRows(ids, d, m.hState, m.cState)
-}
-
-// GatherStateRows implements StateRows.
-func (m *ROLANDModel) GatherStateRows(ids []int) []StateDump {
-	return gatherStateRows(ids, m.h1, m.h2)
-}
-
-// ScatterStateRows implements StateRows.
-func (m *ROLANDModel) ScatterStateRows(ids []int, d []StateDump) error {
-	return scatterStateRows(ids, d, m.h1, m.h2)
-}
-
-// GatherStateRows implements StateRows.
-func (m *RTGCNModel) GatherStateRows(ids []int) []StateDump { return gatherStateRows(ids, m.state) }
-
-// ScatterStateRows implements StateRows.
-func (m *RTGCNModel) ScatterStateRows(ids []int, d []StateDump) error {
-	return scatterStateRows(ids, d, m.state)
 }

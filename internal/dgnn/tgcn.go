@@ -18,11 +18,13 @@ type TGCNModel struct {
 	//streamlint:ckpt-exempt architecture configuration, validated against the checkpoint header
 	hidden int
 	state  *nodeState
+	//streamlint:ckpt-exempt the state fields above again, which DumpState serializes
+	nodeStates
 }
 
 // NewTGCN returns a TGCN with the given feature and hidden dimensions.
 func NewTGCN(rng *rand.Rand, featDim, hidden int) *TGCNModel {
-	return &TGCNModel{
+	m := &TGCNModel{
 		enc: nn.NewGCNConv(rng, featDim, hidden),
 		cell: nn.NewConvGRUCell(hidden, func() nn.Module {
 			return nn.NewGCNConv(rng, hidden+hidden, hidden)
@@ -30,6 +32,8 @@ func NewTGCN(rng *rand.Rand, featDim, hidden int) *TGCNModel {
 		hidden: hidden,
 		state:  newNodeState(hidden),
 	}
+	m.nodeStates = nodeStates{m.state}
+	return m
 }
 
 // Name implements Model.
@@ -44,19 +48,8 @@ func (m *TGCNModel) Hidden() int { return m.hidden }
 // Params implements Model.
 func (m *TGCNModel) Params() []*autodiff.Node { return nn.CollectParams(m.enc, m.cell) }
 
-// BeginStep implements Model: snapshots recurrent state for the step's
-// training forwards.
-func (m *TGCNModel) BeginStep(t int) { m.state.snapshot() }
-
 // Memoryless implements Model: TGCN carries per-node GRU state.
 func (m *TGCNModel) Memoryless() bool { return false }
-
-// PregrowState sizes the hidden-state buffers for n nodes ahead of a
-// concurrent shard fan-out.
-func (m *TGCNModel) PregrowState(n int) { m.state.pregrow(n) }
-
-// Reset implements Model.
-func (m *TGCNModel) Reset() { m.state.reset() }
 
 // WrapOptimizer implements Model.
 func (m *TGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }

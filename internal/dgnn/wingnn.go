@@ -65,7 +65,7 @@ func (m *WinGNNModel) Memoryless() bool { return true }
 
 // PregrowState is a no-op: WinGNN keeps no per-node state. Implementing the
 // interface opts the model into the parallel shard fan-out.
-func (m *WinGNNModel) PregrowState(n int) {}
+func (m *WinGNNModel) PregrowState(int, []int) {}
 
 // Reset implements Model.
 func (m *WinGNNModel) Reset() {}

@@ -76,11 +76,11 @@ func headColumn(head *nn.MLP, in *tensor.Matrix) []float64 {
 // EventScores scores the event head at every anchor through one stacked
 // forward. Each score is bit-identical to a 1-row gather + apply of the same
 // anchor. Anchors must be valid rows of emb.
-func EventScores(h *Heads, emb *tensor.Matrix, anchors []int) []float64 {
+func EventScores(h *Heads, emb *tensor.RowView, anchors []int) []float64 {
 	if len(anchors) == 0 {
 		return nil
 	}
-	in := tensor.GatherRows(emb, anchors)
+	in := emb.Gather(anchors)
 	scores := headColumn(h.Event, in)
 	tensor.Recycle(in)
 	return scores
@@ -91,8 +91,8 @@ func EventScores(h *Heads, emb *tensor.Matrix, anchors []int) []float64 {
 // into one pass: each output row is written once instead of gathered and
 // re-copied through two ConcatCols. The values (and therefore the link-head
 // scores) are bit-identical to the tape path's.
-func PairInputRows(emb *tensor.Matrix, src, dst []int) *tensor.Matrix {
-	d := emb.Cols
+func PairInputRows(emb *tensor.RowView, src, dst []int) *tensor.Matrix {
+	d := emb.Cols()
 	out := tensor.New(len(src), 3*d)
 	for i := range src {
 		u, v, row := emb.Row(src[i]), emb.Row(dst[i]), out.Row(i)
@@ -109,7 +109,7 @@ func PairInputRows(emb *tensor.Matrix, src, dst []int) *tensor.Matrix {
 // LinkScores scores the link head on every (src, dst) pair through one
 // stacked pair-input forward. src and dst must have equal length and index
 // valid rows of emb.
-func LinkScores(h *Heads, emb *tensor.Matrix, src, dst []int) []float64 {
+func LinkScores(h *Heads, emb *tensor.RowView, src, dst []int) []float64 {
 	if len(src) == 0 {
 		return nil
 	}
@@ -119,28 +119,28 @@ func LinkScores(h *Heads, emb *tensor.Matrix, src, dst []int) []float64 {
 	return scores
 }
 
-// AnswerBatch answers a batch of predictive queries against one embedding
-// matrix: all event requests share a single event-head application, all link
-// requests a single link-head application over one stacked pair-input
-// matrix, and all density requests index the caller-supplied seed-window
-// density vector (evaluated once per batch; nil when density serving is
-// unavailable). Answers are returned in request order and are bit-identical
-// to answering each request alone.
-func AnswerBatch(h *Heads, emb *tensor.Matrix, reqs []Request, density []float64) []Answer {
+// AnswerBatch answers a batch of predictive queries against one frozen view
+// of the embedding rows: all event requests share a single event-head
+// application, all link requests a single link-head application over one
+// stacked pair-input matrix, and all density requests index the
+// caller-supplied seed-window density vector (evaluated once per batch; nil
+// when density serving is unavailable). Answers are returned in request order
+// and are bit-identical to answering each request alone.
+func AnswerBatch(h *Heads, emb *tensor.RowView, reqs []Request, density []float64) []Answer {
 	answers := make([]Answer, len(reqs))
 	var evIdx, anchors []int
 	var lnIdx, src, dst []int
 	for i, r := range reqs {
 		switch r.Kind {
 		case KindEvent:
-			if emb == nil || r.Anchor < 0 || r.Anchor >= emb.Rows {
+			if r.Anchor < 0 || r.Anchor >= emb.Rows() {
 				answers[i] = Answer{Err: "anchor outside the embedding matrix"}
 				continue
 			}
 			evIdx = append(evIdx, i)
 			anchors = append(anchors, r.Anchor)
 		case KindLink:
-			if emb == nil || r.Src < 0 || r.Src >= emb.Rows || r.Dst < 0 || r.Dst >= emb.Rows {
+			if r.Src < 0 || r.Src >= emb.Rows() || r.Dst < 0 || r.Dst >= emb.Rows() {
 				answers[i] = Answer{Err: "pair endpoint outside the embedding matrix"}
 				continue
 			}

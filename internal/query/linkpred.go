@@ -35,7 +35,7 @@ type LinkPredTask struct {
 	src *rng.SplitMix64 // dumpable source behind rng (checkpointing)
 	//streamlint:ckpt-exempt stateless wrapper around src, whose word IS the stream state
 	rng      *rand.Rand
-	lastEmb  *tensor.Matrix
+	lastEmb  *tensor.RowView // frozen: read, never written
 	lastStep int
 
 	recentPairs []Pair
@@ -64,10 +64,10 @@ func NewLinkPredTask(seed int64) *LinkPredTask {
 	}
 }
 
-// observeEmbeddings stores the step-t embeddings used to score step-t+1
-// edges at reveal time.
-func (l *LinkPredTask) observeEmbeddings(emb *tensor.Matrix, step int) {
-	l.lastEmb = emb.Clone()
+// observeEmbeddings keeps the step-t embeddings used to score step-t+1 edges
+// at reveal time. The view is frozen, so it is held rather than copied.
+func (l *LinkPredTask) observeEmbeddings(emb *tensor.RowView, step int) {
+	l.lastEmb = emb
 	l.lastStep = step
 }
 
@@ -77,7 +77,7 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) {
 	if l.lastEmb == nil || l.lastStep != step-1 {
 		return
 	}
-	n := l.lastEmb.Rows
+	n := l.lastEmb.Rows()
 	if n < 2 {
 		return
 	}
@@ -170,19 +170,14 @@ func (l *LinkPredTask) RecentPairs() []Pair { return l.recentPairs }
 // EmbeddingRow returns node v's row of the last observed inference
 // embeddings (ok=false before the first observation or for unknown nodes).
 func (l *LinkPredTask) EmbeddingRow(v int) ([]float64, bool) {
-	if l.lastEmb == nil || v < 0 || v >= l.lastEmb.Rows {
+	if v < 0 || v >= l.lastEmb.Rows() {
 		return nil, false
 	}
 	return l.lastEmb.Row(v), true
 }
 
 // NumEmbedded returns the node count of the last observed embeddings.
-func (l *LinkPredTask) NumEmbedded() int {
-	if l.lastEmb == nil {
-		return 0
-	}
-	return l.lastEmb.Rows
-}
+func (l *LinkPredTask) NumEmbedded() int { return l.lastEmb.Rows() }
 
 // AppendReplay samples up to n of the freshest revealed pair examples,
 // appending each pair-head input row to rows and its label to labels (see

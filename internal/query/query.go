@@ -158,10 +158,10 @@ func (w *Workload) SetLinkTask(t *LinkPredTask) { w.link = t }
 // LinkTask returns the attached link-prediction task, or nil.
 func (w *Workload) LinkTask() *LinkPredTask { return w.link }
 
-// Predict issues every query's prediction at step t from the full-graph
-// embedding matrix (value-only; no gradients). Predictions for step t+δ are
-// parked until Reveal(t+δ).
-func (w *Workload) Predict(emb *tensor.Matrix, step int) {
+// Predict issues every query's prediction at step t from a frozen view of the
+// full-graph embedding rows (value-only; no gradients). Predictions for step
+// t+δ are parked until Reveal(t+δ).
+func (w *Workload) Predict(emb *tensor.RowView, step int) {
 	// Collect every (query, anchor) slot, then score all anchors through one
 	// stacked event-head application — the same batched path AnswerBatch
 	// serves ad-hoc queries with, so per-step prediction and serving share
@@ -174,7 +174,7 @@ func (w *Workload) Predict(emb *tensor.Matrix, step int) {
 	var anchors []int
 	for _, q := range w.queries {
 		for _, a := range q.Anchors {
-			if a >= emb.Rows {
+			if a >= emb.Rows() {
 				continue // anchor node not in the graph yet
 			}
 			slots = append(slots, slot{q: q, anchor: a})
@@ -182,7 +182,7 @@ func (w *Workload) Predict(emb *tensor.Matrix, step int) {
 		}
 	}
 	if len(slots) > 0 {
-		rows := tensor.GatherRows(emb, anchors)
+		rows := emb.Gather(anchors)
 		scores := headColumn(w.heads.Event, rows)
 		for i, s := range slots {
 			score := scores[i]

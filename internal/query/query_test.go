@@ -43,7 +43,7 @@ func TestPredictRevealCycle(t *testing.T) {
 	w.AddQuery(q)
 
 	emb := tensor.NewRandom(rng, 5, 4, 1)
-	w.Predict(emb, 3) // predicts for step 5
+	w.Predict(tensor.ViewOf(emb), 3) // predicts for step 5
 	if len(w.Outcomes()) != 0 {
 		t.Fatal("outcomes before reveal")
 	}
@@ -85,7 +85,7 @@ func TestPredictSkipsMissingAnchors(t *testing.T) {
 		Labeler: func(g *graph.Dynamic, anchor, step int) (float64, bool) { return 1, true },
 	})
 	emb := tensor.NewRandom(rng, 3, 4, 1)
-	w.Predict(emb, 0)
+	w.Predict(tensor.ViewOf(emb), 0)
 	w.Reveal(testGraph(3), 1)
 	if len(w.Outcomes()) != 1 {
 		t.Fatalf("outcomes = %d, want 1 (missing anchor skipped)", len(w.Outcomes()))
@@ -101,7 +101,7 @@ func TestLabelerCanWithholdTruth(t *testing.T) {
 		Delta:   1,
 		Labeler: func(g *graph.Dynamic, anchor, step int) (float64, bool) { return 0, false },
 	})
-	w.Predict(tensor.NewRandom(rng, 2, 4, 1), 0)
+	w.Predict(tensor.ViewOf(tensor.NewRandom(rng, 2, 4, 1)), 0)
 	w.Reveal(testGraph(2), 1)
 	if len(w.Outcomes()) != 0 {
 		t.Fatal("withheld truth should produce no outcome")
@@ -120,7 +120,7 @@ func TestSupervisionFromSubgraph(t *testing.T) {
 		},
 	})
 	g := testGraph(6)
-	w.Predict(tensor.NewRandom(rng, 6, 4, 1), 0)
+	w.Predict(tensor.ViewOf(tensor.NewRandom(rng, 6, 4, 1)), 0)
 	w.Reveal(g, 1)
 	sub := g.Partition(1, 1) // nodes {0,1,2}
 	sup := w.Supervision(sub, nil)
@@ -145,7 +145,7 @@ func TestLinkPredRevealAndRanks(t *testing.T) {
 
 	g := testGraph(6)
 	emb := tensor.NewRandom(rng, 6, 4, 1)
-	w.Predict(emb, 0)
+	w.Predict(tensor.ViewOf(emb), 0)
 	// Edges arriving at step 1.
 	g.AddEdge(0, 3, 0, 1)
 	g.AddEdge(2, 5, 0, 1)
@@ -201,7 +201,7 @@ func TestLinkPredSkipsWithoutEmbeddings(t *testing.T) {
 		t.Fatal("reveal without embeddings should no-op")
 	}
 	// Stale embeddings (step gap) are also skipped.
-	lt.observeEmbeddings(tensor.NewRandom(rng, 4, 4, 1), 5)
+	lt.observeEmbeddings(tensor.ViewOf(tensor.NewRandom(rng, 4, 4, 1)), 5)
 	lt.reveal(g, 9, h)
 	if len(lt.Ranks()) != 0 {
 		t.Fatal("stale embeddings should be skipped")
@@ -214,7 +214,7 @@ func TestLinkPredCapsPositives(t *testing.T) {
 	lt := NewLinkPredTask(2)
 	lt.MaxPositives = 3
 	g := testGraph(10)
-	lt.observeEmbeddings(tensor.NewRandom(rng, 10, 4, 1), 0)
+	lt.observeEmbeddings(tensor.ViewOf(tensor.NewRandom(rng, 10, 4, 1)), 0)
 	for i := 0; i < 8; i++ {
 		g.AddEdge(i, (i+2)%10, 0, 1)
 	}

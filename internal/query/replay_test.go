@@ -10,7 +10,7 @@ import (
 
 func revealOnce(t *testing.T, w *Workload, g *graph.Dynamic, emb *tensor.Matrix, step int) {
 	t.Helper()
-	w.Predict(emb, step)
+	w.Predict(tensor.ViewOf(emb), step)
 	w.Reveal(g, step+1)
 }
 
@@ -81,7 +81,7 @@ func TestLinkReplayBatch(t *testing.T) {
 	h := NewHeads(rng, 4)
 	lt := NewLinkPredTask(5)
 	g := testGraph(8)
-	lt.observeEmbeddings(tensor.NewRandom(rng, 8, 4, 1), 0)
+	lt.observeEmbeddings(tensor.ViewOf(tensor.NewRandom(rng, 8, 4, 1)), 0)
 	g.AddEdge(0, 3, 0, 1)
 	lt.reveal(g, 1, h)
 	e, labels := lt.ReplayBatch(rng, 4)
@@ -106,7 +106,7 @@ func TestLinkReplayRowsArePairInputs(t *testing.T) {
 	lt := NewLinkPredTask(5)
 	g := testGraph(8)
 	emb := tensor.NewRandom(rng, 8, 4, 1)
-	lt.observeEmbeddings(emb, 0)
+	lt.observeEmbeddings(tensor.ViewOf(emb), 0)
 	g.AddEdge(0, 3, 0, 1)
 	g.AddEdge(2, 5, 0, 1)
 	lt.reveal(g, 1, NewHeads(rng, 4))
@@ -114,7 +114,7 @@ func TestLinkReplayRowsArePairInputs(t *testing.T) {
 		t.Fatalf("%d replay rows for %d pairs", len(lt.replayEmb), len(lt.recentPairs))
 	}
 	for i, p := range lt.recentPairs {
-		row, want := lt.replayEmb[i], PairInputRows(emb, []int{p.U}, []int{p.V}).Row(0)
+		row, want := lt.replayEmb[i], PairInputRows(tensor.ViewOf(emb), []int{p.U}, []int{p.V}).Row(0)
 		if len(row) != len(want) || cap(row) != len(row) {
 			t.Fatalf("row %d: len %d cap %d, want %d", i, len(row), cap(row), len(want))
 		}
@@ -136,7 +136,7 @@ func TestEmbeddingRowAccessors(t *testing.T) {
 		t.Fatal("EmbeddingRow before observe")
 	}
 	m := tensor.NewRandom(rng, 5, 3, 1)
-	lt.observeEmbeddings(m, 0)
+	lt.observeEmbeddings(tensor.ViewOf(m), 0)
 	if lt.NumEmbedded() != 5 {
 		t.Fatalf("NumEmbedded = %d", lt.NumEmbedded())
 	}
@@ -156,7 +156,7 @@ func TestSupervisionAddsInPartitionNegatives(t *testing.T) {
 	lt := NewLinkPredTask(8)
 	w.SetLinkTask(lt)
 	g := testGraph(10)
-	lt.observeEmbeddings(tensor.NewRandom(rng, 10, 4, 1), 0)
+	lt.observeEmbeddings(tensor.ViewOf(tensor.NewRandom(rng, 10, 4, 1)), 0)
 	g.AddEdge(1, 2, 0, 1)
 	w.Reveal(g, 1)
 	sub := g.Induced([]int{0, 1, 2, 3, 4}, -1)

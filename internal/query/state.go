@@ -150,8 +150,8 @@ func (l *LinkPredTask) dumpState() *LinkState {
 		Ranks:       append([]int(nil), l.ranks...),
 		ReplayLbl:   append([]float64(nil), l.replayLabels...),
 	}
-	if m := l.lastEmb; m != nil {
-		st.LastEmb = &tensor.Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
+	if l.lastEmb != nil {
+		st.LastEmb = l.lastEmb.Dense()
 	}
 	for _, e := range l.replayEmb {
 		st.ReplayEmb = append(st.ReplayEmb, append([]float64(nil), e...))
@@ -162,7 +162,10 @@ func (l *LinkPredTask) dumpState() *LinkState {
 func (l *LinkPredTask) restoreState(st *LinkState) {
 	l.src.SetState(st.RngState)
 	l.lastStep = st.LastStep
-	l.lastEmb = st.LastEmb
+	l.lastEmb = nil
+	if st.LastEmb != nil {
+		l.lastEmb = tensor.ViewOf(st.LastEmb)
+	}
 	l.recentPairs = append(l.recentPairs[:0], st.RecentPairs...)
 	l.scores = append([]float64(nil), st.Scores...)
 	l.labels = append([]bool(nil), st.Labels...)

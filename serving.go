@@ -10,21 +10,21 @@ import (
 )
 
 // This file is the engine side of batched query serving: at the end of every
-// Step the engine publishes an immutable QuerySnapshot — the step's embedding
-// matrix (copy-on-write, via EmbStore.Publish) plus a value clone of the
-// prediction heads — through an atomic pointer. Any number of serving
-// goroutines then answer query batches against the snapshot with zero locks
-// while the step loop keeps ingesting and training; the snapshot's matrix and
-// heads are never mutated after publication, so readers see bit-identical
-// rows for as long as they hold it. See DESIGN.md §13.
+// Step the engine publishes an immutable QuerySnapshot — the step's frozen
+// view of the embedding rows (copy-on-write pages, via EmbStore.Publish) plus
+// a value clone of the prediction heads — through an atomic pointer. Any
+// number of serving goroutines then answer query batches against the snapshot
+// with zero locks while the step loop keeps ingesting and training; the
+// snapshot's rows and heads are never mutated after publication, so readers
+// see bit-identical rows for as long as they hold it. See DESIGN.md §13.
 
 // QuerySnapshot is an immutable view of the engine's serving state as of one
 // completed step. Snapshots are safe for concurrent use and stay valid (and
-// bit-stable) after the engine moves on; holding one only pins its matrix in
-// memory.
+// bit-stable) after the engine moves on; holding one only pins the pages of
+// its rows in memory.
 type QuerySnapshot struct {
 	step  int
-	emb   *tensor.Matrix
+	emb   *tensor.RowView
 	heads *query.Heads
 
 	// Density capture: the KDE seed window, its chip weights, the frozen
@@ -50,17 +50,17 @@ type QuerySnapshot struct {
 func (s *QuerySnapshot) Step() int { return s.step }
 
 // Rows returns the number of node rows the snapshot can answer about.
-func (s *QuerySnapshot) Rows() int {
-	if s.emb == nil {
-		return 0
-	}
-	return s.emb.Rows
-}
+func (s *QuerySnapshot) Rows() int { return s.emb.Rows() }
 
-// Emb exposes the snapshot's embedding matrix. It is immutable after
-// publication; callers must treat it as read-only. The cluster coordinator
-// reads it to push changed rows to replica serving mirrors.
-func (s *QuerySnapshot) Emb() *tensor.Matrix { return s.emb }
+// View exposes the snapshot's frozen view of the embedding rows: read it,
+// never write through it. The cluster coordinator reads it to push changed
+// rows to replica serving mirrors.
+func (s *QuerySnapshot) View() *tensor.RowView { return s.emb }
+
+// Emb copies the snapshot's embedding rows into one dense matrix the caller
+// owns: O(n) floats a call, for an end-of-run digest, never a per-step
+// reader (those take View).
+func (s *QuerySnapshot) Emb() *tensor.Matrix { return s.emb.Dense() }
 
 // Heads exposes the snapshot's prediction heads — a value clone frozen at
 // publication, safe to read (never mutate) from any goroutine.
@@ -105,21 +105,16 @@ func (e *Engine) QuerySnapshot() *QuerySnapshot {
 	return e.serving.Load()
 }
 
-// publishServing installs the post-step serving snapshot. The embedding
-// matrix is published copy-on-write when it is the incremental store's live
-// matrix (the next in-place splice clones first); in every other case —
-// full-forward outputs, matrices the store just dropped via Invalidate — the
-// matrix is already never mutated again. Heads are value-cloned so training's
-// in-place parameter updates never race a reader's forward.
+// publishServing installs the post-step serving snapshot. The step's
+// embeddings are already a frozen view (the store's next write clones the
+// pages it touches), so they are published as they are. Heads are
+// value-cloned so training's in-place parameter updates never race a
+// reader's forward.
 func (e *Engine) publishServing(step int) {
 	if e.lastEmb == nil {
 		return
 	}
-	m := e.lastEmb
-	if e.emb.Valid() && e.emb.Matrix() == m {
-		m = e.emb.Publish()
-	}
-	snap := &QuerySnapshot{step: step, emb: m, heads: e.wl.Heads().Clone(), stopProb: e.ccfg.StopProb}
+	snap := &QuerySnapshot{step: step, emb: e.lastEmb, heads: e.wl.Heads().Clone(), stopProb: e.ccfg.StopProb}
 	seeds, weights, err := e.densityInputs()
 	if err != nil {
 		snap.densityErr = err

@@ -44,7 +44,7 @@ func runShardedEquality(t *testing.T, eFlat, eShard *Engine, n, steps int) {
 		if err := eShard.Step(); err != nil {
 			t.Fatal(err)
 		}
-		sameMatrix(t, s, eFlat.lastEmb.Data, eShard.lastEmb.Data)
+		sameMatrix(t, s, eFlat.lastEmb.Dense().Data, eShard.lastEmb.Dense().Data)
 	}
 	o1, o2 := eFlat.Outcomes(), eShard.Outcomes()
 	if fmt.Sprintf("%+v", o1) != fmt.Sprintf("%+v", o2) {
@@ -305,7 +305,7 @@ func TestShardedBitEqualityGrowingStream(t *testing.T) {
 			ref := run(0)
 			for _, shards := range []int{2, 4} {
 				e := run(shards)
-				sameMatrix(t, steps-1, ref.lastEmb.Data, e.lastEmb.Data)
+				sameMatrix(t, steps-1, ref.lastEmb.Dense().Data, e.lastEmb.Dense().Data)
 				pr, pe := ref.allParams(), e.allParams()
 				for i := range pr {
 					if !pr[i].Value.Equal(pe[i].Value) {

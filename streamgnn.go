@@ -347,7 +347,7 @@ type Engine struct {
 	// node shells and learned plan carry over from step to step. Splices run
 	// on tapes dgnn.ForwardPart borrows. See autodiff.NewInferenceTape.
 	inferTape *autodiff.Tape
-	lastEmb   *tensor.Matrix
+	lastEmb   *tensor.RowView // this step's embeddings, frozen for every reader
 	emb       *dgnn.EmbStore  // the rows a forward did not compute (held, reused)
 	holds     bool            // dgnn.Kind.HoldsNodeState
 	liveShare float64         // liveRegionShare; tests move it to pick an executor
@@ -598,6 +598,11 @@ func (e *Engine) Step() error {
 	e.tele.phases[phaseExpire].ObserveSince(phaseStart)
 	updated := e.g.Updated()
 	e.model.BeginStep(t)
+	if !e.sched.Due(t) {
+		// Only the learner's training forwards read the state's snapshot;
+		// without one the forward's commits write the pages in place.
+		dgnn.DropSnapshot(e.model)
+	}
 
 	trained := false
 	train := func() {
@@ -699,7 +704,7 @@ func (e *Engine) runForward(t int) {
 		rows, ok := 0, true
 		if len(dirty) == 0 && e.emb.Rows() == n {
 			// Quiet step: no graph change; serve the cache as-is.
-			e.lastEmb = e.emb.Matrix()
+			e.lastEmb = e.emb.Publish()
 		} else {
 			rows, ok = e.spliceForward(t, dirty, n)
 		}
@@ -750,10 +755,13 @@ func (e *Engine) liveForward(t int, dirty []int, n int) {
 	rows := n
 	switch {
 	case live == nil:
-		e.lastEmb = dgnn.Infer(e.inferTape, e.model, dgnn.FullView(e.g))
-		if e.holdsRows() || e.cfg.IncrementalForward {
-			e.emb.SetFull(e.lastEmb, t)
+		out := dgnn.Infer(e.inferTape, e.model, dgnn.FullView(e.g))
+		if !e.holdsRows() && !e.cfg.IncrementalForward {
+			e.lastEmb = tensor.ViewOf(out)
+			break
 		}
+		e.emb.SetFull(out, t)
+		e.lastEmb = e.emb.Publish()
 	case float64(len(live)) < e.liveShare*float64(n):
 		e.forwardRegion(t, live, live)
 		e.emb.MarkFresh(t)
@@ -762,8 +770,8 @@ func (e *Engine) liveForward(t int, dirty []int, n int) {
 	default:
 		v := dgnn.FullView(e.g)
 		v.CommitRows = live
-		e.lastEmb = dgnn.Infer(e.inferTape, e.model, v)
-		e.emb.SetLive(e.lastEmb, live, t)
+		e.emb.SetLive(dgnn.Infer(e.inferTape, e.model, v), live, t)
+		e.lastEmb = e.emb.Publish()
 		rows = len(live)
 	}
 	e.noteRows(rows, n)
@@ -826,7 +834,7 @@ func (e *Engine) forwardRegion(t int, region, exact []int) {
 			e.tele.shardRows[s].Add(int64(len(res[s].IDs)))
 		}
 	}
-	e.lastEmb = e.emb.Matrix()
+	e.lastEmb = e.emb.Publish()
 }
 
 // invalidateInference marks the inference caches stale after a parameter
@@ -866,12 +874,10 @@ func (e *Engine) DriftDetected() bool { return e.driftFlag }
 // Embedding returns a copy of node v's current embedding (nil before the
 // first Step or for unknown nodes).
 func (e *Engine) Embedding(v int) []float64 {
-	if e.lastEmb == nil || v < 0 || v >= e.lastEmb.Rows {
+	if v < 0 || v >= e.lastEmb.Rows() {
 		return nil
 	}
-	out := make([]float64, e.lastEmb.Cols)
-	copy(out, e.lastEmb.Row(v))
-	return out
+	return append([]float64(nil), e.lastEmb.Row(v)...)
 }
 
 // TakeAlerts drains the alerts fired since the last call.

@@ -1,12 +1,15 @@
-// Package snapimmut enforces snapshot immutability: a tensor.Matrix or
-// dgnn.EmbStore value obtained from a Publish() call, or read out of a
-// QuerySnapshot, must never be mutated — not by a mutating method (Set,
-// Zero, Fill, Splice, ...), not by a store through an aliasing view
-// (Row(i)[j] = v, m.Data[k] = v), not by copy() into it, and not by
-// passing it to a function that mutates the corresponding parameter. The
-// serving design publishes embeddings copy-on-write (DESIGN.md §13): the
-// step loop clones before its next write, so a consumer-side mutation
-// corrupts every concurrently served query without any lock to catch it.
+// Package snapimmut enforces snapshot immutability: a tensor.Matrix,
+// tensor.RowView or dgnn.EmbStore value obtained from a Publish() or
+// Freeze() call, or read out of a QuerySnapshot (a field, or a method such
+// as View() that returns one), must never be mutated — not by a mutating
+// method (Set, Zero, Fill, Splice, SetRow, ...), not by a store through an
+// aliasing view (Row(i)[j] = v, m.Data[k] = v), not by copy() into it, and
+// not by passing it to a function that mutates the corresponding parameter.
+// The serving design publishes embeddings copy-on-write (DESIGN.md §13): a
+// published RowView shares the store's pages, and the step loop clones a
+// page before its next write to it, so a consumer-side write through a
+// view's row corrupts every concurrently served query without any lock to
+// catch it.
 //
 // The check is interprocedural: a fixpoint over the whole-program call
 // graph computes, for every function with source, which of its parameters
@@ -14,7 +17,7 @@
 // its field/index/Row aliases, a copy() into it, or handing it to another
 // mutator. Interface calls union the summaries of every CHA candidate.
 // Taint then flows forward through local assignments from the two source
-// shapes; Clone() breaks the taint, Row()/Matrix() carry it.
+// shapes; Clone() breaks the taint, Row()/Matrix()/View() carry it.
 //
 // Limits: taint is tracked per function in source order (no back-edges), a
 // callee with no loaded source has an unknown summary and is assumed
@@ -45,12 +48,12 @@ var Analyzer = &analysis.ProgramAnalyzer{
 const directive = "cow-exempt"
 
 // trackedType names the value types whose published instances are immutable.
-var trackedType = map[string]bool{"Matrix": true, "EmbStore": true}
+var trackedType = map[string]bool{"Matrix": true, "RowView": true, "EmbStore": true}
 
 // aliasMethod results alias their receiver's storage; cloneMethod results
 // are fresh copies.
 var (
-	aliasMethod = map[string]bool{"Row": true, "Matrix": true}
+	aliasMethod = map[string]bool{"Row": true, "Matrix": true, "View": true}
 	cloneMethod = map[string]bool{"Clone": true}
 )
 
@@ -59,7 +62,11 @@ var (
 var bodilessMut = map[string]bool{
 	"Set": true, "Zero": true, "Fill": true,
 	"Splice": true, "SetFull": true, "Invalidate": true, "Restore": true,
+	"SetRow": true, "Grow": true, "Privatize": true, "Thaw": true,
 }
+
+// sourceMethod names the calls whose result is a published value.
+var sourceMethod = map[string]string{"Publish": "derived from Publish()", "Freeze": "derived from Freeze()"}
 
 const snapshotType = "QuerySnapshot"
 
@@ -480,13 +487,16 @@ func taintOf(info *types.Info, e ast.Expr, tainted map[types.Object]taint) (tain
 		if fn == nil {
 			return taint{}, false
 		}
-		if fn.Name() == "Publish" {
-			return taint{origin: "derived from Publish()"}, true
+		if origin, ok := sourceMethod[fn.Name()]; ok {
+			return taint{origin: origin}, true
 		}
-		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
-			if aliasMethod[fn.Name()] {
-				return taintOf(info, sel.X, tainted)
+		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && aliasMethod[fn.Name()] {
+			// A QuerySnapshot's aliasing accessor (View) is a source, like
+			// reading the field it returns.
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && namedName(recv.Type()) == snapshotType {
+				return taint{origin: "captured in a QuerySnapshot"}, true
 			}
+			return taintOf(info, sel.X, tainted)
 		}
 	}
 	return taint{}, false

@@ -1,5 +1,5 @@
-// Package a exercises the snapimmut analyzer with miniature Matrix,
-// EmbStore and QuerySnapshot types mirroring the real serving path.
+// Package a exercises the snapimmut analyzer with miniature Matrix, RowView,
+// Paged, EmbStore and QuerySnapshot types mirroring the real serving path.
 package a
 
 // Matrix is a dense row-major matrix, like tensor.Matrix.
@@ -28,10 +28,45 @@ func (s *EmbStore) Publish() *Matrix {
 	return s.emb
 }
 
-// QuerySnapshot captures a published matrix, like the real serving snapshot.
-type QuerySnapshot struct {
-	emb *Matrix
+// RowView is a frozen view of paged rows, like tensor.RowView: Row aliases
+// a page the store may share with other views.
+type RowView struct {
+	cols  int
+	pages [][]float64
 }
+
+func (v *RowView) Row(i int) []float64 {
+	off := (i % 64) * v.cols
+	return v.pages[i/64][off : off+v.cols]
+}
+
+// Paged is the store's writable side, like tensor.Paged.
+type Paged struct {
+	RowView
+}
+
+func (p *Paged) SetRow(i int, src []float64) { copy(p.Row(i), src) }
+
+func (p *Paged) Freeze() *RowView {
+	v := p.RowView
+	return &v
+}
+
+// PagedStore publishes frozen row views, like the real dgnn.EmbStore.
+type PagedStore struct {
+	rows *Paged
+}
+
+func (s *PagedStore) Publish() *RowView { return s.rows.Freeze() }
+
+// QuerySnapshot captures a published matrix and view, like the real serving
+// snapshot.
+type QuerySnapshot struct {
+	emb  *Matrix
+	view *RowView
+}
+
+func (s *QuerySnapshot) View() *RowView { return s.view }
 
 // scale mutates its parameter through an index store; callers handing it a
 // published matrix are flagged via the interprocedural summary.
@@ -103,6 +138,45 @@ func MutateSnapshotField(snap *QuerySnapshot) {
 func MutateSnapshotVar(snap *QuerySnapshot) {
 	m := snap.emb
 	m.Data[0] = 1 // want `store into a value captured in a QuerySnapshot`
+}
+
+func MutateViewRow(s *PagedStore) {
+	v := s.Publish()
+	row := v.Row(0)
+	row[0] = 1 // want `store into a value derived from Publish\(\)`
+}
+
+func MutateViewCopy(s *PagedStore, src []float64) {
+	copy(s.Publish().Row(1), src) // want `copy\(\) into a value derived from Publish\(\)`
+}
+
+func MutateFrozenRow(p *Paged) {
+	p.Freeze().Row(0)[0] = 1 // want `store into a value derived from Freeze\(\)`
+}
+
+func MutateSnapshotViewField(snap *QuerySnapshot) {
+	snap.view.Row(0)[0] = 1 // want `store into a value captured in a QuerySnapshot`
+}
+
+func MutateSnapshotViewMethod(snap *QuerySnapshot) {
+	v := snap.View()
+	row := v.Row(2)
+	row[1] = 1 // want `store into a value captured in a QuerySnapshot`
+}
+
+// WriteThroughStore is the store's own write path: it clones the page first,
+// so it is not a published value.
+func WriteThroughStore(s *PagedStore, src []float64) {
+	s.rows.SetRow(0, src)
+}
+
+// ReadView consumes a published view without mutating it.
+func ReadView(snap *QuerySnapshot) float64 {
+	sum := 0.0
+	for _, v := range snap.View().Row(0) {
+		sum += v
+	}
+	return sum
 }
 
 // CloneThenMutate is the sanctioned pattern: Clone breaks the taint.
