@@ -235,14 +235,13 @@ func TestCheckpointResumeEqualityDependencySchedule(t *testing.T) {
 // the embedding cache (v3), and the resumed run must splice into it exactly
 // as the uninterrupted run did. Interval 3 mixes trained steps (cache
 // invalidated, full forward) with incremental ones across the save point;
-// DirtyFullThreshold 1 keeps every non-trained step incremental.
+// every non-trained step is incremental.
 func TestCheckpointResumeEqualityIncremental(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Strategy = StrategyWeighted
 	cfg.Hidden = 6
 	cfg.Interval = 3
 	cfg.IncrementalForward = true
-	cfg.DirtyFullThreshold = 1
 	resumeEquality(t, cfg)
 }
 
@@ -269,7 +268,6 @@ func TestCheckpointResumeEqualityWinGNNIncremental(t *testing.T) {
 	cfg.Hidden = 6
 	cfg.Interval = 3
 	cfg.IncrementalForward = true
-	cfg.DirtyFullThreshold = 1
 	resumeEquality(t, cfg)
 }
 

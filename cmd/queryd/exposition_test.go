@@ -153,7 +153,7 @@ func TestMetricsPagesExposition(t *testing.T) {
 	}
 	eng, err := streamgnn.NewEngine(d.FeatDim, streamgnn.Config{
 		Model: "TGCN", Strategy: "kde", Hidden: 4, Seed: 1, WindowSteps: d.WindowSteps,
-		IncrementalForward: true, DirtyFullThreshold: 1, Interval: 3,
+		IncrementalForward: true, Interval: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

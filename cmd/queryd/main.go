@@ -79,7 +79,6 @@ func main() {
 	flag.Float64Var(&opts.rate, "rate", 0, "max replay steps per second; 0 replays at full speed")
 	flag.BoolVar(&opts.incremental, "incremental", false, "dirty-region incremental forward inference (see DESIGN.md §10)")
 	flag.IntVar(&opts.refreshEvery, "refresh-every", 0, "with -incremental: advance the live rows at least every N steps instead of splicing (recurrent models without a link task hold the rest; 0 = never)")
-	flag.Float64Var(&opts.dirtyThreshold, "dirty-threshold", 0, "with -incremental: compute-region fraction in [0,1] above which a step advances the live rows instead of splicing (0 = engine default of 0.25, 1 never falls back)")
 	flag.IntVar(&opts.interval, "interval", 0, "steps between training steps (0 = engine default of 1; raise so -incremental can reuse cached embeddings between training steps)")
 	flag.IntVar(&opts.shards, "shards", 0, "partition the node space into this many shards and fan incremental forwards out per shard (0/1 = unsharded; >1 implies -incremental; see DESIGN.md §12)")
 	flag.StringVar(&opts.shardLayout, "shard-layout", "hash", "node-to-shard layout with -shards: hash or range")
@@ -108,7 +107,6 @@ type options struct {
 	rate                            float64
 	incremental                     bool
 	refreshEvery                    int
-	dirtyThreshold                  float64
 	interval                        int
 	shards                          int
 	shardLayout                     string
@@ -194,7 +192,6 @@ func run(opts options) error {
 		DriftDetection:     opts.drift,
 		IncrementalForward: opts.incremental,
 		RefreshEverySteps:  opts.refreshEvery,
-		DirtyFullThreshold: opts.dirtyThreshold,
 		Interval:           opts.interval,
 		Shards:             opts.shards,
 		ShardLayout:        opts.shardLayout,

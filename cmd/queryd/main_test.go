@@ -150,7 +150,7 @@ func replayCoordinated(t *testing.T) (*server, *cluster.Coordinator, []*cluster.
 		WindowSteps: d.WindowSteps, IncrementalForward: true, Shards: 2,
 		// Space training out so steps between training rounds take the
 		// sharded incremental-forward path — that's what fans out.
-		Interval: 6, DirtyFullThreshold: 1,
+		Interval: 6,
 	})
 	if err != nil {
 		t.Fatal(err)

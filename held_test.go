@@ -14,7 +14,7 @@ import (
 )
 
 // heldKinds are the models whose forward advances per-node recurrent state
-// and nothing else, so the live rung holds their edgeless rows.
+// and nothing else, so the live rule holds their edgeless rows.
 var heldKinds = []string{"TGCN", "DCRNN", "GCLSTM", "DyGrEncoder", "ROLAND", "RTGCN"}
 
 // referenceForward runs a full forward of a fresh copy of e's model — holding
@@ -101,7 +101,7 @@ func (h *heldStream) mutate(e *Engine, s int) {
 	h.touched[v] = true
 }
 
-// TestHeldRowsMatchFullForward is the live rung's property, for the six
+// TestHeldRowsMatchFullForward is the live rule's property, for the six
 // recurrent kinds on random streams with expiry and edgeless new nodes: on
 // every step the live rows — a live edge, touched since the last step, or an
 // anchor — are bit-equal to a full forward from the same parameters and state,
@@ -306,5 +306,65 @@ func TestHeldRowsResumeMatchesUninterrupted(t *testing.T) {
 	}
 	if !bytes.Equal(saved(t, e1), saved(t, e2)) {
 		t.Fatal("resumed run's checkpoint differs from the uninterrupted run's")
+	}
+}
+
+// inexactSpliceKinds are the kinds whose splice leaves rows that are neither
+// a full forward's nor held (ROADMAP item 19): their forward reads inputs
+// farther out than Layers() hops, so Ball(dirty, L) misses some of the rows
+// a change reaches. The change that fixes the frontier empties this list.
+var inexactSpliceKinds = map[string]bool{"TGCN": true, "DCRNN": true, "RTGCN": true}
+
+// TestSpliceRowsExactOrHeld is the splice's property on the bitcoin-serve
+// shape (Bitcoin, Interval 5, incremental forwards): on every splice step each
+// row is bit-equal, embedding and state, to a full forward from the same
+// parameters and state, or held, keeping the previous step's embedding and
+// state. It holds for every kind but inexactSpliceKinds, which must still
+// break it.
+func TestSpliceRowsExactOrHeld(t *testing.T) {
+	const steps = 40
+	ds, err := workload.ByName("Bitcoin", workload.GenConfig{Seed: 1, Steps: steps, Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range dgnn.Kinds() {
+		model := kind.String()
+		r := newHalvesRun(t, ds, Config{Model: model, Strategy: StrategyKDE, Seed: 1, Interval: 5, IncrementalForward: true})
+		e := r.e
+		splices, badSteps, badRows := 0, 0, 0
+		for r.rep.Advance() {
+			prevEmb, incBefore := e.lastEmb, e.Telemetry().IncrementalForwards
+			params, before := dgnn.DumpParams(e.model.Params()), e.model.DumpState()
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if tel := e.Telemetry(); tel.IncrementalForwards == incBefore || tel.ForwardRows == 0 {
+				continue
+			}
+			splices++
+			want, wantState := referenceForward(t, e, params, before)
+			after, bad := e.model.DumpState(), 0
+			for v := 0; v < e.NumNodes(); v++ {
+				got := e.lastEmb.Row(v)
+				exact := equalBits(got, want.Row(v)) && equalBits(stateRow(after, v), stateRow(wantState, v))
+				held := v < prevEmb.Rows() && equalBits(got, prevEmb.Row(v)) && equalBits(stateRow(after, v), stateRow(before, v))
+				if !exact && !held {
+					bad++
+				}
+			}
+			if bad > 0 {
+				badSteps++
+				badRows += bad
+			}
+		}
+		t.Logf("%s: %d of %d splice steps, %d rows neither exact nor held", model, badSteps, splices, badRows)
+		switch {
+		case splices == 0:
+			t.Errorf("%s: no step spliced; the test proved nothing", model)
+		case inexactSpliceKinds[model] && badRows == 0:
+			t.Errorf("%s: every spliced row is exact or held; drop it from inexactSpliceKinds", model)
+		case !inexactSpliceKinds[model] && badRows > 0:
+			t.Errorf("%s: %d of %d splice steps left %d rows neither exact nor held", model, badSteps, splices, badRows)
+		}
 	}
 }

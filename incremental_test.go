@@ -68,7 +68,6 @@ func TestIncrementalForwardBitExactMemoryless(t *testing.T) {
 
 	inc := base
 	inc.IncrementalForward = true
-	inc.DirtyFullThreshold = 1 // never fall back on region size
 
 	const n, steps = 80, 200
 	d := incStream{n: n}
@@ -155,80 +154,45 @@ func TestIncrementalForwardQuietStep(t *testing.T) {
 	}
 }
 
-// A tiny DirtyFullThreshold must push every dirty step onto the full path.
-func TestIncrementalForwardThresholdFallback(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Model = "WinGNN"
-	cfg.Strategy = StrategyWeighted
-	cfg.Hidden = 8
-	cfg.Interval = 1000
-	cfg.IncrementalForward = true
-	cfg.DirtyFullThreshold = 1e-9
-
-	d := incStream{n: 20}
-	e, err := NewEngine(3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.init(t, e)
-	for s := 0; s < 5; s++ {
-		d.mutate(e, s)
-		if err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tele := e.Telemetry()
-	if tele.FullForwards != 5 || tele.IncrementalForwards != 0 {
-		t.Fatalf("forwards = %d full / %d inc, want 5/0", tele.FullForwards, tele.IncrementalForwards)
-	}
-}
-
-func TestIncrementalForwardRejectsNegativeThreshold(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DirtyFullThreshold = -0.5
-	if _, err := NewEngine(3, cfg); err == nil {
-		t.Fatal("negative DirtyFullThreshold accepted")
-	}
-}
-
-func TestNewEngineRejectsDirtyFullThresholdAboveOne(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DirtyFullThreshold = 1.5
-	if _, err := NewEngine(3, cfg); err == nil {
-		t.Fatal("DirtyFullThreshold > 1 accepted (it is a fraction of the graph)")
-	}
-	cfg.DirtyFullThreshold = 1 // the documented never-fall-back value stays legal
-	if _, err := NewEngine(3, cfg); err != nil {
-		t.Fatalf("DirtyFullThreshold = 1 rejected: %v", err)
-	}
-}
-
-// TestRetiredDeltaKnobIsNoOp pins the deprecated DeltaForward shim the
-// benchmark harness still sets: a Bitcoin×TGCN run with it writes the bytes
-// and resolves the outcomes of the same run without it, and never counts a
-// delta forward.
-func TestRetiredDeltaKnobIsNoOp(t *testing.T) {
-	run := func(delta bool) (*Engine, []byte) {
+// TestRetiredKnobsAreNoOps pins the deprecated shims the benchmark harness
+// still sets, DeltaForward and DirtyFullThreshold: a Bitcoin×TGCN run that
+// splices between training steps writes the bytes and resolves the outcomes
+// of the same run without them, whatever threshold it sets, and never counts
+// a delta forward.
+func TestRetiredKnobsAreNoOps(t *testing.T) {
+	run := func(set func(*Config)) (*Engine, []byte) {
 		cfg := DefaultConfig()
 		cfg.Hidden = 8
 		cfg.IncrementalForward = true
 		cfg.Interval = 3
-		cfg.DirtyFullThreshold = 1
-		cfg.DeltaForward = delta
+		set(&cfg)
 		r := newHalvesRun(t, workload.Bitcoin(workload.GenConfig{Seed: 1, Steps: 15}), cfg)
 		r.run(t, 14, runtime.GOMAXPROCS(0))
 		return r.e, saved(t, r.e)
 	}
-	eOff, want := run(false)
-	eOn, got := run(true)
-	if !bytes.Equal(got, want) {
-		t.Error("DeltaForward: checkpoint differs from the run without it")
+	eOff, want := run(func(*Config) {})
+	if len(eOff.Outcomes()) == 0 || eOff.Telemetry().IncrementalForwards == 0 {
+		t.Fatal("the run without the knobs resolved no outcome or never spliced; the test proves nothing")
 	}
-	if len(eOff.Outcomes()) == 0 || !reflect.DeepEqual(eOn.Outcomes(), eOff.Outcomes()) {
-		t.Errorf("DeltaForward: %d outcomes, %d without it, or they differ", len(eOn.Outcomes()), len(eOff.Outcomes()))
-	}
-	if tel := eOn.Telemetry(); tel.DeltaForwards != 0 || tel.IncrementalForwards == 0 {
-		t.Errorf("DeltaForward: %d delta and %d incremental forwards, want 0 and some", tel.DeltaForwards, tel.IncrementalForwards)
+	for _, knob := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"DeltaForward", func(c *Config) { c.DeltaForward = true }},
+		{"DirtyFullThreshold=1e-9", func(c *Config) { c.DirtyFullThreshold = 1e-9 }},
+		{"DirtyFullThreshold=0.25", func(c *Config) { c.DirtyFullThreshold = 0.25 }},
+		{"DirtyFullThreshold=1", func(c *Config) { c.DirtyFullThreshold = 1 }},
+	} {
+		eOn, got := run(knob.set)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: checkpoint differs from the run without it", knob.name)
+		}
+		if !reflect.DeepEqual(eOn.Outcomes(), eOff.Outcomes()) {
+			t.Errorf("%s: %d outcomes, %d without it, or they differ", knob.name, len(eOn.Outcomes()), len(eOff.Outcomes()))
+		}
+		if tel := eOn.Telemetry(); tel.DeltaForwards != 0 {
+			t.Errorf("%s: %d delta forwards, want 0", knob.name, tel.DeltaForwards)
+		}
 	}
 }
 
@@ -283,7 +247,6 @@ func TestIncrementalForwardStatefulRuns(t *testing.T) {
 	cfg.Hidden = 8
 	cfg.Interval = 10
 	cfg.IncrementalForward = true
-	cfg.DirtyFullThreshold = 1
 
 	d := incStream{n: 40}
 	e, err := NewEngine(3, cfg)

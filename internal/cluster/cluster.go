@@ -4,8 +4,8 @@
 // without giving up bit-equality.
 //
 // The division of labor keeps every P-dependent decision on the coordinator:
-// it runs the authoritative Engine — dirty tracking, exact/region expansion,
-// the full-forward fallback decision, training, workload bookkeeping — and
+// it runs the authoritative Engine — dirty tracking, the forward policy that
+// picks the rows a step advances, training, workload bookkeeping — and
 // hands out only the per-shard region forwards via the engine's
 // ShardForwarder seam. A replica mirrors the full graph (events are
 // replicated to every replica: connected components may span shards and

@@ -67,7 +67,6 @@ func clusterConfig(model string, seed int64, shards int) streamgnn.Config {
 	cfg.Seed = seed
 	cfg.Interval = 25
 	cfg.IncrementalForward = true
-	cfg.DirtyFullThreshold = 1
 	cfg.Shards = shards
 	return cfg
 }

@@ -18,8 +18,8 @@ import (
 
 // Coordinator owns the authoritative Engine and drives one replica per
 // shard over a Transport. It implements streamgnn.ShardForwarder: the
-// engine keeps computing everything P-dependent-free (dirty sets, regions,
-// fallback decisions, training, workload), and the coordinator farms out
+// engine keeps computing everything P-dependent-free (dirty sets, the forward
+// policy's rows and rule, training, workload), and the coordinator farms out
 // only the per-shard region forwards, folding the returned embedding and
 // state rows back so the engine's model stays the single source of truth.
 //

@@ -509,7 +509,7 @@ func captureCorpus(t *testing.T) (frames, wal map[string][]byte) {
 	}
 	eng, err := streamgnn.NewEngine(d.FeatDim, streamgnn.Config{
 		Model: "TGCN", Strategy: "full", Hidden: 4, Seed: 1, WindowSteps: d.WindowSteps,
-		IncrementalForward: true, Shards: 2, Interval: 6, DirtyFullThreshold: 1,
+		IncrementalForward: true, Shards: 2, Interval: 6,
 	})
 	if err != nil {
 		t.Fatal(err)

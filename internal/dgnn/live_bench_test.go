@@ -28,7 +28,7 @@ func liveGraph(n int, share float64, rng *rand.Rand) (*graph.Dynamic, []int) {
 	return g, live
 }
 
-// BenchmarkLiveExecutors times the engine's two executors of a live rung
+// BenchmarkLiveExecutors times the engine's two executors of a live step
 // with held rows, for the six kinds that hold rows, over live shares of the
 // graph: a region forward over the live rows spliced into a published store,
 // and a full forward masked to them (View.CommitRows) whose held rows are

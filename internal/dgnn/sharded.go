@@ -8,9 +8,9 @@ import (
 	"streamgnn/internal/tensor"
 )
 
-// Sharded incremental forward: the engine computes a step's exact rows and
-// compute region globally (so the full-forward fallback decision and the
-// region itself never depend on P), partitions the region by connected
+// Sharded region forward: the engine computes a step's exact rows and
+// compute region globally (so the forward policy's rule and the region
+// itself never depend on P), partitions the region by connected
 // component with graph.RegionParts, runs one forward per shard part, and
 // merges the results back into the shared embedding store in a deterministic
 // order. Component isolation makes each part's rows bit-identical to the

@@ -3,17 +3,17 @@ package graph
 import "sort"
 
 // Forward-inference dirty tracking. When enabled, the graph accumulates the
-// set of nodes whose forward-pass inputs changed — feature writes, label
-// writes, incident-edge insertions, *and* window expiry (unlike the
-// algorithmic update set U, which expiry deliberately does not feed; a
-// degree change alters the GCN normalization of every incident message, so
-// inference must see it). The engine drains the set once per step and
-// expands it to the model's L-hop affected frontier with Ball; everything
-// outside that frontier provably kept the same forward inputs, so its cached
-// embedding row can be reused.
+// set of nodes whose forward-pass inputs changed — new nodes, feature writes,
+// incident-edge insertions, *and* window expiry (unlike the algorithmic
+// update set U, which expiry deliberately does not feed; a degree change
+// alters the GCN normalization of every incident message, so inference must
+// see it). Label writes do not mark a node: a forward does not read labels.
+// The engine drains the set once per step and expands it to the model's
+// L-hop affected frontier with Ball.
 //
-// Tracking rides the mutation funnel (touch / ExpireEdgesBefore) that every
-// mutation passes through, so no mutation path can bypass it.
+// Every mutation that changes what a forward reads (AddNode, AddLabeledEdge,
+// SetFeature, ExpireEdgesBefore) calls markFwdDirty, the one funnel; touch,
+// which feeds U, does not.
 
 // EnableDirtyTracking starts accumulating forward-dirty nodes. Idempotent;
 // tracking is off by default so engines that always run full forwards pay

@@ -8,11 +8,10 @@ import (
 
 // shardedPair builds an unsharded incremental engine and a sharded one over
 // the same stream config. Both take the incremental path on every non-trained
-// step (DirtyFullThreshold 1), so any divergence is the sharded fan-out's.
+// step, so any divergence is the sharded fan-out's.
 func shardedPair(t *testing.T, base Config, shards int, layout string) (eFlat, eShard *Engine) {
 	t.Helper()
 	base.IncrementalForward = true
-	base.DirtyFullThreshold = 1
 
 	sh := base
 	sh.Shards = shards
@@ -143,7 +142,6 @@ func TestCheckpointResumeEqualitySharded(t *testing.T) {
 	cfg.Hidden = 6
 	cfg.Interval = 3
 	cfg.IncrementalForward = true
-	cfg.DirtyFullThreshold = 1
 	cfg.Shards = 4
 	resumeEquality(t, cfg)
 }
@@ -227,7 +225,6 @@ func TestShardsImplyIncrementalForward(t *testing.T) {
 	cfg.Hidden = 8
 	cfg.Interval = 1000
 	cfg.Shards = 4
-	cfg.DirtyFullThreshold = 1
 
 	d := incStream{n: 30}
 	e, err := NewEngine(3, cfg)
@@ -266,7 +263,6 @@ func TestShardedBitEqualityGrowingStream(t *testing.T) {
 			cfg.Seed = 13
 			cfg.Interval = 5
 			cfg.IncrementalForward = true
-			cfg.DirtyFullThreshold = 1
 
 			const n, steps = 40, 24
 			d := incStream{n: n}

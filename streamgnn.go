@@ -131,13 +131,15 @@ type Config struct {
 	// Every other forward advances the live rows (a live edge, changed since
 	// the last forward, or a query anchor); without a link task, recurrent
 	// models hold every other row. A splice recomputes only the nodes whose
-	// L-hop neighborhood changed: exact for memoryless models, bounded-
-	// staleness for recurrent ones until RefreshEverySteps. See DESIGN.md §10.
+	// L-hop neighborhood changed, whatever their share of the graph: exact for
+	// memoryless models, bounded-staleness for recurrent ones until
+	// RefreshEverySteps. See DESIGN.md §10.
 	IncrementalForward bool
-	// DirtyFullThreshold is the compute-region fraction above which an
-	// incremental step's splice falls back to advancing the live rows. 0
-	// means the default (0.25); 1 never falls back; values outside [0, 1] are
-	// rejected. Only meaningful with IncrementalForward.
+	// DirtyFullThreshold is accepted and ignored: a splice runs whatever the
+	// size of its region (DESIGN.md §10).
+	//
+	// Deprecated: a no-op kept only while the benchmark harness still sets
+	// it; ROADMAP item 1(e) removes it.
 	DirtyFullThreshold float64
 	// RefreshEverySteps, when > 0, advances the live rows at least every this
 	// many steps in incremental mode, bounding how long a splice leaves a row
@@ -349,7 +351,7 @@ type Engine struct {
 	inferTape *autodiff.Tape
 	lastEmb   *tensor.RowView // this step's embeddings, frozen for every reader
 	emb       *dgnn.EmbStore  // the rows a forward did not compute (held, reused)
-	holds     bool            // dgnn.Kind.HoldsNodeState
+	holds     bool            // dgnn.Kind.HoldsNodeState, and no link task scores held rows
 	liveShare float64         // liveRegionShare; tests move it to pick an executor
 	shards    *shard.Sharding // node-space partition; nil when Shards <= 1
 	shardFwd  ShardForwarder  // optional remote executor for sharded forwards
@@ -365,18 +367,17 @@ type Engine struct {
 	tele engineTelemetry
 }
 
-// ShardForwarder executes the sharded region forwards of incremental steps
-// on behalf of the engine — the seam the coordinator/replica split
-// (internal/cluster) plugs into. The engine still computes the dirty set,
-// the exact/region expansion and the full-forward fallback decision globally
-// (so they cannot depend on where parts execute), then hands the
-// component-respecting parts and the global exact set to the forwarder,
-// which must return per-shard results exactly as dgnn.ForwardShards would:
-// res[s].Out carrying the committed values of res[s].IDs, with the model's
-// recurrent state rows for those ids advanced in the engine's own model.
-// The engine merges the results in the usual deterministic MergeShards
-// order, so a forwarder that is row-exact preserves bit-equality with the
-// in-process path.
+// ShardForwarder executes the sharded region forwards on behalf of the
+// engine — the seam the coordinator/replica split (internal/cluster) plugs
+// into. The engine still computes the dirty set, the forward policy's rows
+// and rule, and the compute region globally (so they cannot depend on where
+// parts execute), then hands the component-respecting parts and the global
+// exact set to the forwarder, which must return per-shard results exactly as
+// dgnn.ForwardShards would: res[s].Out carrying the committed values of
+// res[s].IDs, with the model's recurrent state rows for those ids advanced in
+// the engine's own model. The engine merges the results in the usual
+// deterministic MergeShards order, so a forwarder that is row-exact preserves
+// bit-equality with the in-process path.
 type ShardForwarder interface {
 	// ForwardShards runs one forward per non-empty part for the given step
 	// and returns results indexed like parts. BeginStep has already run.
@@ -439,9 +440,6 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	strategy, err := core.ParseStrategy(cfg.Strategy)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.DirtyFullThreshold < 0 || cfg.DirtyFullThreshold > 1 {
-		return nil, fmt.Errorf("streamgnn: DirtyFullThreshold is a fraction of the graph and must lie in [0, 1], got %g", cfg.DirtyFullThreshold)
 	}
 	layout, err := shard.ParseLayout(cfg.ShardLayout)
 	if err != nil {
@@ -550,8 +548,10 @@ func (e *Engine) AddQuery(q Query) error {
 }
 
 // EnableLinkPrediction subscribes continuous next-step link prediction.
+// The task scores any row, so from then on the engine holds none.
 func (e *Engine) EnableLinkPrediction() {
 	e.wl.SetLinkTask(query.NewLinkPredTask(e.cfg.Seed + 1))
+	e.holds = false
 }
 
 // Step executes one stream step: it reveals truths that arrived with the
@@ -633,8 +633,9 @@ func (e *Engine) Step() error {
 	}
 
 	if trained {
-		// Training moved θ, so every stored row is stale. The next forward is
-		// the live rung; held rows keep serving their stored embeddings.
+		// Training moved θ, so every stored row is stale. The next forward
+		// takes the live or all rule; held rows keep serving their stored
+		// embeddings.
 		// Splices therefore pay off on the steps *between* training steps
 		// (Interval > 1) and on quiet stretches of the stream.
 		autodiff.CopyValues(e.allParams(), e.opt.Params())
@@ -672,55 +673,54 @@ func (e *Engine) learnerReadsInference(t int) bool {
 	return e.wl.LinkTask() != nil || t == 0
 }
 
-// defaultDirtyFullThreshold is the compute-region fraction above which an
-// incremental step's splice falls back to the live rung when the user did not
-// set Config.DirtyFullThreshold.
-const defaultDirtyFullThreshold = 0.25
+// rule names the policy rule that chose the rows a step's forward advances
+// (DESIGN.md §10). It alone decides which forward counter ticks and whether
+// the store is fresh afterwards: live and all advance every live row.
+type rule uint8
 
-func (e *Engine) dirtyFullThreshold() float64 {
-	if e.cfg.DirtyFullThreshold > 0 {
-		return e.cfg.DirtyFullThreshold
+const (
+	ruleNone  rule = iota // incremental, fresh store, quiet step: no row advances
+	ruleDirty             // incremental, fresh store: the rows whose L-hop balls changed
+	ruleLive              // a kind that holds state, no link task, valid store: the live rows
+	ruleAll               // every row
+)
+
+// advance is the forward policy: the rows step t advances, ascending, and the
+// rule that chose them. Rows the store does not cover yet count as dirty.
+// With IncrementalForward, a store fresh since the last live or full forward
+// (no training, restore or refresh since, and younger than RefreshEverySteps)
+// advances the exact frontier Ball(dirty, L): for memoryless models the rows
+// a full forward would change; recurrent models also freeze the state of
+// every other row, which RefreshEverySteps bounds. Otherwise an engine that
+// holds rows advances the live ones, and every other case advances every row
+// (rows nil).
+func (e *Engine) advance(t int, dirty []int, n int) ([]int, rule) {
+	if e.emb.Valid() {
+		for v := e.emb.Rows(); v < n; v++ {
+			dirty = append(dirty, v)
+		}
 	}
-	return defaultDirtyFullThreshold
-}
-
-// runForward computes this step's inference embeddings into e.lastEmb: one
-// ladder of two rungs (DESIGN.md §10). The live rung (liveForward) advances
-// the live rows and holds the rest. With IncrementalForward, a step whose
-// store is fresh — no training, restore or refresh since the last live rung —
-// splices instead: it expands the dirty set to the exact frontier
-// D = Ball(dirty, L), forwards the compute region Ball(D, L) in demand order
-// (graph.Region) and splices D's rows into the store, reusing every other row;
-// a region above dirtyFullThreshold falls back to the live rung. For
-// memoryless models the spliced rows are bit-identical to a full forward;
-// recurrent models also freeze the state of rows outside D, which
-// RefreshEverySteps bounds. With Shards > 1 every set and decision stays
-// global, so none depends on P; only region forwards fan out (DESIGN.md §12).
-func (e *Engine) runForward(t int) {
-	dirty, n := e.g.TakeDirty(), e.g.N()
 	last := e.emb.LastFullStep()
 	if e.cfg.IncrementalForward && last >= 0 &&
 		(e.cfg.RefreshEverySteps <= 0 || t-last < e.cfg.RefreshEverySteps) {
-		rows, ok := 0, true
-		if len(dirty) == 0 && e.emb.Rows() == n {
-			// Quiet step: no graph change; serve the cache as-is.
-			e.lastEmb = e.emb.Publish()
-		} else {
-			rows, ok = e.spliceForward(t, dirty, n)
+		if len(dirty) == 0 {
+			return nil, ruleNone
 		}
-		if ok {
-			e.tele.incForwards.Inc()
-			e.noteRows(rows, n)
-			return
+		return e.g.Ball(dirty, e.model.Layers()), ruleDirty
+	}
+	if e.holds && e.emb.Valid() {
+		for _, q := range e.wl.Queries() {
+			for _, a := range q.Anchors {
+				if a < n {
+					dirty = append(dirty, a)
+				}
+			}
+		}
+		if live := e.g.Live(dirty); len(live) < n {
+			return live, ruleLive
 		}
 	}
-	e.liveForward(t, dirty, n)
-}
-
-// holdsRows reports whether the live rung may hold rows: not for a link task,
-// which scores any row.
-func (e *Engine) holdsRows() bool {
-	return e.holds && e.wl.LinkTask() == nil
+	return nil, ruleAll
 }
 
 // liveRegionShare is the live share of the rows from which a full forward
@@ -728,80 +728,71 @@ func (e *Engine) holdsRows() bool {
 // dgnn's BenchmarkLiveExecutors measures (EXPERIMENTS.md, "Held rows").
 const liveRegionShare = 0.85
 
-// liveForward is the live rung. The live rows are closed under L-hop balls
-// (an edgeless row has no neighbours), so a region forward over them, run
-// below liveRegionShare, gives the bits of a full forward masked to them.
-// Without held rows — every row live, or !holdsRows — it is the plain full
-// forward, whose detached output the store then owns.
-func (e *Engine) liveForward(t int, dirty []int, n int) {
-	var live []int // nil: every row
-	if e.holdsRows() && e.emb.Valid() {
-		extra := dirty
-		for _, q := range e.wl.Queries() {
-			for _, a := range q.Anchors {
-				if a < n {
-					extra = append(extra, a)
-				}
-			}
-		}
-		for v := e.emb.Rows(); v < n; v++ {
-			extra = append(extra, v) // no stored row to hold
-		}
-		if live = e.g.Live(extra); len(live) == n {
-			live = nil
+// runForward computes this step's inference embeddings into e.lastEmb: the
+// policy (advance) picks the rows, then the rule's executor advances them.
+// all runs the plain full forward; none publishes the store; live runs a
+// region forward over the live rows — closed under L-hop balls, so bit-equal
+// to a full forward masked to them — below liveRegionShare, and that masked
+// forward above; dirty runs a region forward over Ball(rows, L) in demand
+// order (graph.Region), never the masked one: for TGCN, DCRNN and RTGCN a
+// region's rows are not all a full forward's (ROADMAP item 19), so the choice
+// would move answers. With Shards > 1 the policy stays global, so no decision
+// depends on P; only region forwards fan out (DESIGN.md §12).
+func (e *Engine) runForward(t int) {
+	n := e.g.N()
+	rows, r := e.advance(t, e.g.TakeDirty(), n)
+	computed := len(rows)
+	switch r {
+	case ruleAll:
+		computed = n
+		e.forwardFull(t, nil)
+	case ruleNone:
+		e.lastEmb = e.emb.Publish()
+	case ruleDirty:
+		region := e.g.Ball(rows, e.model.Layers())
+		e.forwardRegion(t, region, rows)
+		computed = len(region)
+	case ruleLive:
+		if float64(len(rows)) < e.liveShare*float64(n) {
+			e.forwardRegion(t, rows, rows)
+			e.emb.MarkFresh(t)
+		} else {
+			e.forwardFull(t, rows)
 		}
 	}
-	e.tele.fullForwards.Inc()
-	rows := n
+	if r >= ruleLive {
+		e.tele.fullForwards.Inc()
+	} else {
+		e.tele.incForwards.Inc()
+	}
+	e.tele.fwdRows.Store(int64(computed))
+	e.tele.skippedRows.Add(int64(n - computed))
+	e.tele.dirtyFrac.Observe(float64(computed) / float64(n))
+}
+
+// forwardFull runs a forward over the whole graph of step t, committing the
+// rows of live (nil: every row) and holding the rest. With every row
+// committed the store adopts the output, unless no later step reads the
+// store (no IncrementalForward, no held rows): then it is served as is.
+func (e *Engine) forwardFull(t int, live []int) {
+	v := dgnn.FullView(e.g)
+	v.CommitRows = live
+	out := dgnn.Infer(e.inferTape, e.model, v)
 	switch {
-	case live == nil:
-		out := dgnn.Infer(e.inferTape, e.model, dgnn.FullView(e.g))
-		if !e.holdsRows() && !e.cfg.IncrementalForward {
-			e.lastEmb = tensor.ViewOf(out)
-			break
-		}
+	case live != nil:
+		e.emb.SetLive(out, live, t)
+		e.lastEmb = e.emb.Publish()
+	case e.cfg.IncrementalForward || e.holds:
 		e.emb.SetFull(out, t)
 		e.lastEmb = e.emb.Publish()
-	case float64(len(live)) < e.liveShare*float64(n):
-		e.forwardRegion(t, live, live)
-		e.emb.MarkFresh(t)
-		e.noteRows(len(live), n)
-		return
 	default:
-		v := dgnn.FullView(e.g)
-		v.CommitRows = live
-		e.emb.SetLive(dgnn.Infer(e.inferTape, e.model, v), live, t)
-		e.lastEmb = e.emb.Publish()
-		rows = len(live)
+		e.lastEmb = tensor.ViewOf(out)
 	}
-	e.noteRows(rows, n)
 	if e.shardFwd != nil {
 		// A forward over the whole graph committed state rows here, so
 		// replica state mirrors no longer match row for row.
 		e.shardFwd.InvalidateMirrors()
 	}
-}
-
-// noteRows records a forward that computed rows of the graph's n: the rows it
-// skipped, and their share.
-func (e *Engine) noteRows(rows, n int) {
-	e.tele.fwdRows.Store(int64(rows))
-	e.tele.skippedRows.Add(int64(n - rows))
-	e.tele.dirtyFrac.Observe(float64(rows) / float64(n))
-}
-
-// spliceForward forwards the compute region of dirty and splices its exact
-// rows into the store. It reports the rows it forwarded, or !ok — nothing
-// touched — when the region is too large to pay.
-func (e *Engine) spliceForward(t int, dirty []int, n int) (rows int, ok bool) {
-	L := e.model.Layers()
-	exact := e.g.Ball(dirty, L)
-	region := e.g.Ball(exact, L)
-	if len(region) == 0 || float64(len(region)) > e.dirtyFullThreshold()*float64(n) {
-		return 0, false
-	}
-	e.forwardRegion(t, region, exact)
-	return len(region), true
 }
 
 // forwardRegion forwards region and splices the rows of exact (ascending, the

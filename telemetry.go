@@ -53,8 +53,8 @@ type engineTelemetry struct {
 	// joinWait is how long a step's inference half waited for its learner.
 	joinWait *obs.Histogram
 
-	// Forward-mode instruments: how many steps ran the live rung vs. a
-	// dirty-region splice, how many embedding rows forwards held or reused,
+	// Forward-mode instruments: how many steps' forward rule advanced every
+	// live row vs. only the dirty ones, how many embedding rows forwards held or reused,
 	// and the distribution of the computed-row fraction per step.
 	fullForwards obs.Counter
 	incForwards  obs.Counter
@@ -112,9 +112,10 @@ type Telemetry struct {
 	// is the longer half.
 	StepJoinWait TelemetryHistogram
 
-	// FullForwards counts steps whose forward advanced every live row (the
-	// live rung, whichever executor ran it); IncrementalForwards counts steps
-	// served by a dirty-region splice (including quiet-step cache reuse).
+	// FullForwards counts steps whose forward policy advanced every live row
+	// (the live or all rule, whichever executor ran it); IncrementalForwards
+	// counts steps of the dirty rule, a splice, and of the none rule, a quiet
+	// step's store reuse. The rule alone decides which ticks (DESIGN.md §10).
 	// Without IncrementalForward every step is a full forward.
 	FullForwards        int64
 	IncrementalForwards int64
@@ -126,10 +127,10 @@ type Telemetry struct {
 	// compute: held rows (no live edge, not dirty, no anchor) and the rows a
 	// splice reused. Each step adds |V| − ForwardRows.
 	SkippedRows int64
-	// ForwardDemandRows totals, over the incremental forwards this process
-	// ran, the rows they had to cover at depth 0 (the exact rows, whose result
-	// is kept), 1 (within one hop of those) and 2 (the whole compute region):
-	// a model's intermediates run on one of the three, so a splice step that
+	// ForwardDemandRows totals, over the region forwards this process ran,
+	// the rows they had to cover at depth 0 (the exact rows, whose result is
+	// kept), 1 (within one hop of those) and 2 (the whole compute region): a
+	// model's intermediates run on one of the three, so a splice step that
 	// got slower shows here which of them grew. Parts a cluster replica ran
 	// count on the replica, not here.
 	ForwardDemandRows [3]int64
