@@ -664,7 +664,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		phases = append(phases, obs.Series{Labels: fmt.Sprintf("phase=%q", phase), Snapshot: tel.Phases[phase]})
 	}
 	obs.WriteHistogram(&b, "streamgnn_step_phase_seconds", "Per-phase step latency; train overlaps forward and predict on a step that trains.", phases...)
-	obs.WriteHistogram(&b, "streamgnn_step_join_wait_seconds", "Time a step's inference half waited for its learner at the join.", obs.Series{Snapshot: tel.StepJoinWait})
+	obs.WriteHistogram(&b, "streamgnn_step_join_wait_seconds", "Time a step waited at its join.", obs.Series{Snapshot: tel.StepJoinWait})
 
 	obs.WriteCounter(&b, "streamgnn_forwards_total", "Forward inference passes, by mode.",
 		obs.Labeled(`mode="full"`, tel.FullForwards), obs.Labeled(`mode="incremental"`, tel.IncrementalForwards))

@@ -72,17 +72,19 @@ func (l *LinkPredTask) observeEmbeddings(emb *tensor.RowView, step int) {
 }
 
 // reveal evaluates last step's predictions against the edges that actually
-// arrived at `step` and refreshes the supervision pair set.
-func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) {
+// arrived at `step` and refreshes the supervision pair set: everything the
+// learner reads. It returns the rest, nil when nothing was revealed: scoring
+// the pairs for AUC, accuracy and MRR, which reads h.Link and rows built here.
+func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) func() {
 	if l.lastEmb == nil || l.lastStep != step-1 {
-		return
+		return nil
 	}
 	n := l.lastEmb.Rows()
 	if n < 2 {
-		return
+		return nil
 	}
 	// Positives: edges stamped with this step whose endpoints existed at
-	// prediction time.
+	// prediction time. Sources ascend, so recentPairs ascends by U.
 	var pos []Pair
 	for u := 0; u < n && len(pos) < l.MaxPositives; u++ {
 		for _, e := range g.OutEdges(u) {
@@ -95,7 +97,7 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) {
 		}
 	}
 	if len(pos) == 0 {
-		return
+		return nil
 	}
 	// Collect every pair to score — each positive, its accuracy/supervision
 	// negatives, then its MRR rank candidates — drawing the random endpoints
@@ -119,7 +121,6 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) {
 		}
 	}
 	in := PairInputRows(l.lastEmb, src, dst)
-	scores := headColumn(h.Link, in)
 	// The replay keeps each positive and its NegPerPos negatives: one slice
 	// holds all of their rows, which pairRow hands out in turn.
 	rows, c := make([]float64, len(pos)*(1+l.NegPerPos)*in.Cols), in.Cols
@@ -135,27 +136,30 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) {
 	l.replayLabels = l.replayLabels[:0]
 	for j, p := range pos {
 		base := j * group
-		s := scores[base]
-		l.scores = append(l.scores, s)
-		l.labels = append(l.labels, true)
 		l.recentPairs = append(l.recentPairs, p)
 		l.replayEmb = append(l.replayEmb, pairRow(base))
 		l.replayLabels = append(l.replayLabels, 1)
 		// Sampled negatives for accuracy/AUC and supervision.
 		for k := 0; k < l.NegPerPos; k++ {
-			i := base + 1 + k
-			neg := Pair{U: p.U, V: dst[i], Label: 0}
-			l.scores = append(l.scores, scores[i])
-			l.labels = append(l.labels, false)
-			l.recentPairs = append(l.recentPairs, neg)
-			l.replayEmb = append(l.replayEmb, pairRow(i))
+			l.recentPairs = append(l.recentPairs, Pair{U: p.U, V: dst[base+1+k], Label: 0})
+			l.replayEmb = append(l.replayEmb, pairRow(base+1+k))
 			l.replayLabels = append(l.replayLabels, 0)
 		}
-		// Rank of the true endpoint among its RankNegs candidates.
-		l.ranks = append(l.ranks, metrics.RankOf(s, scores[base+1+l.NegPerPos:base+group]))
 	}
-	// pairRow copied every row that outlives this call.
-	tensor.Recycle(in)
+	return func() {
+		scores := headColumn(h.Link, in)
+		for base := 0; base < len(scores); base += group {
+			// The positive and its sampled negatives, then the rank of the
+			// true endpoint among its RankNegs candidates.
+			l.scores = append(l.scores, scores[base:base+1+l.NegPerPos]...)
+			for k := 0; k <= l.NegPerPos; k++ {
+				l.labels = append(l.labels, k == 0)
+			}
+			l.ranks = append(l.ranks, metrics.RankOf(scores[base], scores[base+1+l.NegPerPos:base+group]))
+		}
+		// pairRow copied every row that outlives reveal.
+		tensor.Recycle(in)
+	}
 }
 
 // Scores returns accumulated (score, positive?) evaluation pairs.
@@ -163,9 +167,6 @@ func (l *LinkPredTask) Scores() ([]float64, []bool) { return l.scores, l.labels 
 
 // Ranks returns accumulated 1-based MRR ranks.
 func (l *LinkPredTask) Ranks() []int { return l.ranks }
-
-// RecentPairs returns the supervision pairs from the latest reveal.
-func (l *LinkPredTask) RecentPairs() []Pair { return l.recentPairs }
 
 // EmbeddingRow returns node v's row of the last observed inference
 // embeddings (ok=false before the first observation or for unknown nodes).

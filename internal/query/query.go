@@ -201,8 +201,10 @@ func (w *Workload) Predict(emb *tensor.RowView, step int) {
 
 // Reveal resolves the predictions that were made for `step`, now that the
 // snapshot has arrived: it computes truths, records outcomes, and refreshes
-// the revealed supervision targets.
-func (w *Workload) Reveal(g *graph.Dynamic, step int) {
+// the revealed supervision targets. It returns the link task's scoring of the
+// revealed pairs, which only the evaluation metrics read, for the caller to
+// run before the link head next changes; nil when there is nothing to score.
+func (w *Workload) Reveal(g *graph.Dynamic, step int) (scoring func()) {
 	if len(w.pending[step]) > 0 {
 		// Fresh reveals replace the replay buffer wholesale: under drift,
 		// pre-regime-change targets would actively mistrain the heads.
@@ -233,8 +235,9 @@ func (w *Workload) Reveal(g *graph.Dynamic, step int) {
 	}
 	delete(w.pending, step)
 	if w.link != nil {
-		w.link.reveal(g, step, w.heads)
+		return w.link.reveal(g, step, w.heads)
 	}
+	return nil
 }
 
 // Outcomes returns all resolved predictions so far.
@@ -273,11 +276,6 @@ type Supervision struct {
 	PairLabels  []float64
 }
 
-// Empty reports whether no supervised material is available.
-func (s Supervision) Empty() bool {
-	return len(s.NodeRows) == 0 && len(s.PairSrc) == 0
-}
-
 // SupervisionFull collects every revealed target and labeled pair for a
 // full-graph training pass over n nodes (indices are global node ids).
 func (w *Workload) SupervisionFull(n int) Supervision {
@@ -307,24 +305,26 @@ func (w *Workload) SupervisionFull(n int) Supervision {
 
 // Supervision collects the workload's supervised targets that fall inside
 // the given subgraph (a node's training partition). rng draws the balancing
-// in-partition negatives; pass the training unit's private rng when units
-// are evaluated concurrently (nil falls back to the link task's own rng,
-// which is only safe single-threaded).
+// in-partition negatives: the training unit's private rng.
 func (w *Workload) Supervision(sub *graph.Subgraph, rng *rand.Rand) Supervision {
 	var sup Supervision
-	if rng == nil && w.link != nil {
-		rng = w.link.rng
-	}
 	for li, v := range sub.Nodes {
 		if t, ok := w.revealed[v]; ok {
 			sup.NodeRows = append(sup.NodeRows, li)
 			sup.NodeTargets = append(sup.NodeTargets, t.Value)
 		}
 	}
-	if w.link != nil {
-		for _, p := range w.link.recentPairs {
-			lu, lv := sub.LocalID(p.U), sub.LocalID(p.V)
-			if lu < 0 || lv < 0 {
+	if w.link == nil {
+		return sup
+	}
+	// recentPairs ascends by U, as sub.Nodes does: each node's run of pairs,
+	// found by binary search after the last run, comes in the pairs' order.
+	pairs, i := w.link.recentPairs, 0
+	for lu, u := range sub.Nodes {
+		i += sort.Search(len(pairs)-i, func(k int) bool { return pairs[i+k].U >= u })
+		for ; i < len(pairs) && pairs[i].U == u; i++ {
+			p, lv := pairs[i], sub.LocalID(pairs[i].V)
+			if lv < 0 {
 				continue
 			}
 			sup.PairSrc = append(sup.PairSrc, lu)

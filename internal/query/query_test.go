@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamgnn/internal/graph"
@@ -123,15 +124,12 @@ func TestSupervisionFromSubgraph(t *testing.T) {
 	w.Predict(tensor.ViewOf(tensor.NewRandom(rng, 6, 4, 1)), 0)
 	w.Reveal(g, 1)
 	sub := g.Partition(1, 1) // nodes {0,1,2}
-	sup := w.Supervision(sub, nil)
+	sup := w.Supervision(sub, rand.New(rand.NewSource(1)))
 	if len(sup.NodeRows) != 1 || sup.NodeTargets[0] != 1 {
 		t.Fatalf("supervision = %+v", sup)
 	}
-	if sup.Empty() {
-		t.Fatal("Empty() wrong")
-	}
-	empty := w.Supervision(g.Partition(3, 0), nil)
-	if !empty.Empty() {
+	empty := w.Supervision(g.Partition(3, 0), rand.New(rand.NewSource(2)))
+	if len(empty.NodeRows) != 0 || len(empty.PairSrc) != 0 {
 		t.Fatal("partition without anchors should be empty")
 	}
 }
@@ -149,7 +147,13 @@ func TestLinkPredRevealAndRanks(t *testing.T) {
 	// Edges arriving at step 1.
 	g.AddEdge(0, 3, 0, 1)
 	g.AddEdge(2, 5, 0, 1)
-	w.Reveal(g, 1)
+	scoring := w.Reveal(g, 1)
+	// Reveal leaves the metrics to its scoring: the learner's material is ready
+	// before it runs.
+	if len(lt.recentPairs) != 2*(1+lt.NegPerPos) || len(lt.Ranks()) != 0 {
+		t.Fatalf("before scoring: %d recent pairs, %d ranks", len(lt.recentPairs), len(lt.Ranks()))
+	}
+	scoring()
 
 	scores, labels := lt.Scores()
 	if len(scores) != 2*(1+lt.NegPerPos) || len(labels) != len(scores) {
@@ -173,12 +177,12 @@ func TestLinkPredRevealAndRanks(t *testing.T) {
 			t.Fatalf("rank out of range: %d", r)
 		}
 	}
-	if len(lt.RecentPairs()) != 2*(1+lt.NegPerPos) {
-		t.Fatalf("recent pairs %d", len(lt.RecentPairs()))
+	if len(lt.recentPairs) != 2*(1+lt.NegPerPos) {
+		t.Fatalf("recent pairs %d", len(lt.recentPairs))
 	}
 	// Supervision pairs inside a subgraph containing 0 and 3.
 	sub := g.Induced([]int{0, 3}, -1)
-	sup := w.Supervision(sub, nil)
+	sup := w.Supervision(sub, rand.New(rand.NewSource(3)))
 	foundPos := false
 	for i := range sup.PairSrc {
 		if sup.PairLabels[i] == 1 {
@@ -196,14 +200,12 @@ func TestLinkPredSkipsWithoutEmbeddings(t *testing.T) {
 	lt := NewLinkPredTask(1)
 	g := testGraph(4)
 	g.AddEdge(0, 2, 0, 1)
-	lt.reveal(g, 1, h) // no observed embeddings yet
-	if len(lt.Ranks()) != 0 {
+	if lt.reveal(g, 1, h) != nil || len(lt.Ranks()) != 0 { // no observed embeddings yet
 		t.Fatal("reveal without embeddings should no-op")
 	}
 	// Stale embeddings (step gap) are also skipped.
 	lt.observeEmbeddings(tensor.ViewOf(tensor.NewRandom(rng, 4, 4, 1)), 5)
-	lt.reveal(g, 9, h)
-	if len(lt.Ranks()) != 0 {
+	if lt.reveal(g, 9, h) != nil || len(lt.Ranks()) != 0 {
 		t.Fatal("stale embeddings should be skipped")
 	}
 }
@@ -218,8 +220,97 @@ func TestLinkPredCapsPositives(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		g.AddEdge(i, (i+2)%10, 0, 1)
 	}
-	lt.reveal(g, 1, h)
+	lt.reveal(g, 1, h)()
 	if len(lt.Ranks()) != 3 {
 		t.Fatalf("positives not capped: %d", len(lt.Ranks()))
+	}
+}
+
+// scanSupervisionPairs is Supervision's pair lookup as a scan over every
+// revealed pair, each endpoint searched in the partition: the reference the
+// by-source search must match pair for pair and draw for draw.
+func scanSupervisionPairs(w *Workload, sub *graph.Subgraph, rng *rand.Rand) (src, dst []int, labels []float64) {
+	for _, p := range w.link.recentPairs {
+		lu, lv := sub.LocalID(p.U), sub.LocalID(p.V)
+		if lu < 0 || lv < 0 {
+			continue
+		}
+		src, dst, labels = append(src, lu), append(dst, lv), append(labels, p.Label)
+		if p.Label == 1 && sub.N() > 2 {
+			for k := 0; k < w.link.NegPerPos; k++ {
+				nv := rng.Intn(sub.N())
+				if nv == lu || nv == lv {
+					continue
+				}
+				src, dst, labels = append(src, lu), append(dst, nv), append(labels, 0)
+			}
+		}
+	}
+	return src, dst, labels
+}
+
+// recentPairsAscend fails t unless the revealed pairs are non-decreasing in
+// U, which Supervision's search by source relies on.
+func recentPairsAscend(t *testing.T, lt *LinkPredTask, when string) {
+	t.Helper()
+	for i := 1; i < len(lt.recentPairs); i++ {
+		if lt.recentPairs[i].U < lt.recentPairs[i-1].U {
+			t.Fatalf("%s: recentPairs[%d].U = %d after %d", when, i, lt.recentPairs[i].U, lt.recentPairs[i-1].U)
+		}
+	}
+}
+
+func TestSupervisionPairsMatchScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(40)
+		w := NewWorkload(NewHeads(rng, 4))
+		lt := NewLinkPredTask(seed)
+		lt.MaxPositives = 1 + rng.Intn(3*n)
+		w.SetLinkTask(lt)
+		g := testGraph(n)
+		lt.observeEmbeddings(tensor.ViewOf(tensor.NewRandom(rng, n, 4, 1)), 0)
+		for e := rng.Intn(4 * n); e > 0; e-- {
+			g.AddEdge(rng.Intn(n), rng.Intn(n), 0, 1)
+		}
+		if scoring := w.Reveal(g, 1); scoring != nil {
+			scoring()
+		}
+		recentPairsAscend(t, lt, "reveal")
+		restored := NewWorkload(NewHeads(rng, 4))
+		restored.SetLinkTask(NewLinkPredTask(0))
+		commit, err := restored.RestoreState(w.DumpState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		commit()
+		recentPairsAscend(t, restored.link, "RestoreState")
+
+		for trial := 0; trial < 30; trial++ {
+			var nodes []int
+			keep := rng.Float64()
+			for v := 0; v < n; v++ {
+				if rng.Float64() < keep {
+					nodes = append(nodes, v)
+				}
+			}
+			sub := g.Induced(nodes, -1)
+			if trial%3 == 0 {
+				sub = g.Partition(rng.Intn(n), rng.Intn(3))
+			}
+			k := rng.Int63()
+			for _, ww := range []*Workload{w, restored} {
+				refRng, gotRng := rand.New(rand.NewSource(k)), rand.New(rand.NewSource(k))
+				src, dst, labels := scanSupervisionPairs(w, sub, refRng)
+				sup := ww.Supervision(sub, gotRng)
+				if !slices.Equal(sup.PairSrc, src) || !slices.Equal(sup.PairDst, dst) || !slices.Equal(sup.PairLabels, labels) {
+					t.Fatalf("seed %d trial %d: pairs (%v, %v, %v), scan gives (%v, %v, %v)",
+						seed, trial, sup.PairSrc, sup.PairDst, sup.PairLabels, src, dst, labels)
+				}
+				if gotRng.Int63() != refRng.Int63() {
+					t.Fatalf("seed %d trial %d: rng position differs from the scan's", seed, trial)
+				}
+			}
+		}
 	}
 }

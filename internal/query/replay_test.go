@@ -160,7 +160,7 @@ func TestSupervisionAddsInPartitionNegatives(t *testing.T) {
 	g.AddEdge(1, 2, 0, 1)
 	w.Reveal(g, 1)
 	sub := g.Induced([]int{0, 1, 2, 3, 4}, -1)
-	sup := w.Supervision(sub, nil)
+	sup := w.Supervision(sub, rand.New(rand.NewSource(1)))
 	pos, neg := 0, 0
 	for _, l := range sup.PairLabels {
 		if l == 1 {

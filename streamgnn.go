@@ -564,18 +564,19 @@ func (e *Engine) EnableLinkPrediction() {
 // Then one goroutine reveals truths and observes drift while the caller's
 // goroutine runs the forward on the live model, which reads nothing reveal
 // writes. Prediction waits for reveal: reveal resolves the predictions parked
-// for this step, and prediction replaces the embeddings link reveal scores.
+// for this step, and prediction replaces the embeddings link reveal reads.
 // The learner, which trains its copy of θ, waits for reveal too; on a training
 // step whose learner reads nothing inference writes it runs on the reveal
 // goroutine, beside the forward and prediction, and otherwise after
-// prediction (learnerReadsInference). Then the learner's θ is copied into the
-// live model and the serving snapshot published. Answers are bit-identical to
-// running the tasks in turn.
+// prediction (learnerReadsInference); on a link step, beside reveal's scoring
+// of the pairs, which no learner reads. Then the learner's θ is copied into
+// the live model and the serving snapshot published. Answers are bit-identical
+// to running the tasks in turn.
 //
 // Each phase — window expiry, truth reveal, forward inference, query
 // prediction, training — is timed into the engine's telemetry histograms;
 // reveal and training overlap the forward, and Telemetry.StepJoinWait
-// records how long inference waited for the learner.
+// records how long a step waited at its join.
 //
 //streamlint:steploop
 func (e *Engine) Step() error {
@@ -615,21 +616,25 @@ func (e *Engine) Step() error {
 	go func() {
 		defer close(done)
 		phaseStart := time.Now()
-		e.wl.Reveal(e.g, t)
+		scoring := e.wl.Reveal(e.g, t)
 		e.observeDrift()
-		e.tele.phases[phaseReveal].ObserveSince(phaseStart)
 		close(revealed)
+		if scoring != nil {
+			scoring()
+		}
+		e.tele.phases[phaseReveal].ObserveSince(phaseStart)
 		if beside {
 			train()
 		}
 	}()
 	e.infer(t, revealed)
+	if !beside {
+		train()
+	}
 	waitStart := time.Now()
 	<-done
-	if beside {
+	if beside || e.wl.LinkTask() != nil {
 		e.tele.joinWait.ObserveSince(waitStart)
-	} else {
-		train()
 	}
 
 	if trained {

@@ -50,7 +50,7 @@ type engineTelemetry struct {
 	steps  obs.Counter
 	step   *obs.Histogram
 	phases [numPhases]*obs.Histogram
-	// joinWait is how long a step's inference half waited for its learner.
+	// joinWait is how long a step waited at its join.
 	joinWait *obs.Histogram
 
 	// Forward-mode instruments: how many steps' forward rule advanced every
@@ -104,12 +104,12 @@ type Telemetry struct {
 	Step TelemetryHistogram
 	// Phases maps each StepPhases() name to its latency distribution. Reveal
 	// runs beside the forward, and train after reveal beside forward and
-	// predict (after predict on a link workload and the first step), so the
-	// phases can sum past Step.
+	// predict (after predict on the first step and on a link workload, whose
+	// reveal scoring it runs beside), so the phases can sum past Step.
 	Phases map[string]TelemetryHistogram
-	// StepJoinWait is, per step whose learner ran beside its inference half,
-	// how long inference waited for the learner: near zero where inference
-	// is the longer half.
+	// StepJoinWait is how long a step waited at its join, per step whose
+	// learner ran beside inference and per link step, whose learner ran beside
+	// reveal's scoring: near zero where the step's own goroutine is longer.
 	StepJoinWait TelemetryHistogram
 
 	// FullForwards counts steps whose forward policy advanced every live row
