@@ -13,13 +13,13 @@
 // rebuilt for every forward pass.
 //
 // Every tape learns, pass by pass, which op reads each value last, and a
-// row-local op that reads an operand for the last time writes its result over
-// that operand's buffer instead of drawing one — on a recording tape only
-// where no backward rule reads the operand's value (see reuse). Forwards that
-// will never run Backward — the engine's per-step inference, query-head
-// scoring — use an inference tape (NewInferenceTape): the same ops compute
-// the same values but record nothing, and the tape also hands each
-// intermediate buffer back to the tensor pool at its last use.
+// row-local op (or a product by a square matrix) that reads an operand for
+// the last time writes its result over that operand's buffer instead of
+// drawing one — on a recording tape only where no backward rule reads the
+// operand's value (see reuse). Forwards that will never run Backward — the
+// engine's per-step inference — use an inference tape (NewInferenceTape): the
+// same ops compute the same values but record nothing, and the tape also hands
+// each intermediate buffer back to the tensor pool at its last use.
 //
 // A concatenation (ConcatCols) is a view over its operands, never a copy: the
 // products' left factors, SpMM, GatherRows, Head and ConcatCols read its parts
@@ -74,9 +74,13 @@ type Node struct {
 	Grad  *tensor.Matrix
 
 	requiresGrad bool
-	op           opKind
-	parents      []*Node
-	visited      bool
+	// zeroed marks a parameter's Grad as all +0, cleared by zeroGrads and not
+	// added into since (ensureGrad; see dWeight). Code that writes a Grad
+	// outside the rules leaves it all +0 again, as every Optimizer.Step does.
+	zeroed  bool
+	op      opKind
+	parents []*Node
+	visited bool
 	// seq is the node's 1-based position on the tape that recorded it; 0 for
 	// leaves (Param, Constant), which no tape owns.
 	seq int32
@@ -169,12 +173,13 @@ func NewTape() *Tape { return &Tape{} }
 // any point of a forward.
 //
 // A row-local op — Add, Sub, Mul, Scale, AddBias, Sigmoid, Tanh, ReLU,
-// OneMinus, MatMulAcc's sum, ScatterRows's base, Head — does better than
-// release its dying operand right after allocating a buffer of the same
-// shape: it writes its result into that operand's buffer (Head takes a prefix
-// of it), which then belongs to the output. The arithmetic and its order are
-// the allocating op's, so every value is bit-identical. A recording tape
-// writes in place the same way but releases nothing before Release.
+// OneMinus, MatMulAcc's sum, ScatterRows's base, Head, and MatMul's left
+// factor when the right one is square — does better than release its dying
+// operand right after allocating a buffer of the same shape: it writes its
+// result into that operand's buffer (Head takes a prefix of it), which then
+// belongs to the output. The arithmetic and its order are the allocating
+// op's, so every value is bit-identical. A recording tape writes in place the
+// same way but releases nothing before Release.
 //
 // Ownership rule: every buffer has one owner, the one node whose Value it is,
 // so Release hands each back exactly once. Nothing may hold a tape value past
@@ -474,11 +479,12 @@ func (t *Tape) matches(i int32, op opKind, in [3]int32) bool {
 // its buffer was written over or released. A read of a view counts as a read
 // of its parts, so no part is written over while a view of it is read later.
 // The op must take every element of the result from the same element (or,
-// for Head, row) of that input, not read others after writing; an input it
-// also reads as a non-candidate does not qualify (MatMulAcc's x may hold sum
-// as a part: it assembles a row of x before it writes that row). A candidate
-// is never a view: no row-local op reads one. record moves the buffer to the
-// op's output. nil means the op allocates.
+// for Head, row; a square MatMul copies each row out first) of that input,
+// not read others after writing; an input it also reads as a non-candidate
+// does not qualify (MatMulAcc's x may hold sum as a part: it assembles a row
+// of x before it writes that row). A candidate is never a view (MatMul offers
+// a dense left factor alone). record moves the buffer to the op's output. nil
+// means the op allocates.
 func (t *Tape) reuse(op opKind, cands int, p1, p2, p3 *Node) *tensor.Matrix {
 	if !t.planOK {
 		return nil
@@ -532,11 +538,13 @@ func anyGrad(ps ...*Node) bool {
 
 // ensureGrad returns the buffer a gradient contribution to n is added into:
 // n's own Grad, zero-filled on first use, which for interior nodes is private
-// to the tape. Callers have already checked n.requiresGrad.
+// to the tape. It clears the zeroed mark: the caller adds into the buffer.
+// Callers have already checked n.requiresGrad.
 func ensureGrad(n *Node) *tensor.Matrix {
 	if n.Grad == nil {
 		n.Grad = tensor.New(n.Value.Rows, n.Value.Cols)
 	}
+	n.zeroed = false
 	return n.Grad
 }
 
@@ -641,6 +649,18 @@ func put(p *Node, m *tensor.Matrix) {
 	tensor.Recycle(m)
 }
 
+// dWeight gives w, the right factor of a product x·w, its share xᵀ·g. A
+// gradient of all +0 (none yet, or zeroed) takes the sums straight in: a sum
+// from +0 is never −0, so +0 + s is s. Into any other the share is a
+// temporary added in, as the scatter's sums from +0 fix a parameter's bits.
+func dWeight(w *Node, x tensor.Concat, g *tensor.Matrix) {
+	if w.Grad == nil || w.zeroed {
+		tensor.MatMulTransAConcatInto(ensureGrad(w), x, g)
+		return
+	}
+	put(w, tensor.MatMulTransAConcat(x, g))
+}
+
 // The rules that read a view's parts write its gradient block by block: one
 // block per part, or a node's own gradient as its one block.
 
@@ -719,9 +739,7 @@ func (out *Node) runBack() {
 			dInput(a, g, b.Value)
 		}
 		if b.requiresGrad {
-			// Into a parameter the scatter's sums from +0 are what
-			// fix the bits, so the product stays a temporary there.
-			put(b, tensor.MatMulTransAConcat(a.concat(), g))
+			dWeight(b, a.concat(), g)
 		}
 		return
 	case opMatMulAcc:
@@ -740,7 +758,7 @@ func (out *Node) runBack() {
 			dInput(x, g, w.Value)
 		}
 		if w.requiresGrad {
-			put(w, tensor.MatMulTransAConcat(x.concat(), g))
+			dWeight(w, x.concat(), g)
 		}
 		return
 	case opSpMM:
@@ -986,9 +1004,16 @@ func (out *Node) runBack() {
 
 // --- operations ---
 
-// MatMul returns a·b.
+// MatMul returns a·b. On a warm tape a product by a square b may write over
+// a dense a it reads last (see reuse), never on a recording tape where b needs
+// a gradient, whose rule reads a.
 func (t *Tape) MatMul(a, b *Node) *Node {
-	return t.newNode2(opMatMul, tensor.MatMulConcat(a.concat(), b.dense("MatMul's right operand")), anyGrad(a, b), a, b)
+	bv := b.dense("MatMul's right operand")
+	var dst *tensor.Matrix
+	if !a.view() && bv.Rows == bv.Cols {
+		dst = t.reuse(opMatMul, 1, a, b, nil)
+	}
+	return t.newNode2(opMatMul, tensor.MatMulConcatTo(dst, a.concat(), bv), anyGrad(a, b), a, b)
 }
 
 // MatMulAcc returns sum + x·w as one op: the value and all three gradients

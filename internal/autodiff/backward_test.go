@@ -291,11 +291,12 @@ const progRows = 4
 
 // program builds a random forward on a tape from one seed: the same seed
 // builds the same ops over the same values on any tape, over parameter leaves
-// of its own.
+// of its own, or over prior's: those of an earlier program of the seed.
 type program struct {
 	rng    *rand.Rand
 	tp     *Tape
 	params []*Node
+	prior  []*Node
 	nodes  []*Node       // operands to draw from: every node built, leaves included
 	widths map[*Node]int // their widths, which an inference tape's released ones lose
 	uses   map[*Node]int
@@ -330,6 +331,9 @@ func signed(rng *rand.Rand, m *tensor.Matrix) {
 
 func (p *program) param(rows, cols int) *Node {
 	n := Param(p.mat(rows, cols))
+	if k := len(p.params); k < len(p.prior) {
+		n = p.prior[k] // drawn by the same seed: the same shape and values
+	}
 	n.requiresGrad = !p.freeze || len(p.params)%2 == 0
 	p.params = append(p.params, n)
 	return n
@@ -496,8 +500,12 @@ func (p *program) partRead(v *Node) *Node {
 // aliased operands, nodes read by one to four ops, products over interior
 // weights, concatenations in their shapes of use (viewCase) — and returns
 // the scalar sum of a loss term over every node no op read, none a view.
-func randomProgram(seed int64, tp *Tape) (*Node, *program) {
-	p := &program{rng: rand.New(rand.NewSource(seed)), tp: tp, uses: map[*Node]int{}}
+func randomProgram(seed int64, tp *Tape) (*Node, *program) { return randomProgramOver(seed, tp, nil) }
+
+// randomProgramOver is randomProgram over the parameter leaves of an earlier
+// program of the seed, nil for leaves of its own.
+func randomProgramOver(seed int64, tp *Tape, prior []*Node) (*Node, *program) {
+	p := &program{rng: rand.New(rand.NewSource(seed)), tp: tp, uses: map[*Node]int{}, prior: prior}
 	for c := 1; c <= 3; c++ {
 		p.add(p.param(progRows, c))
 	}
@@ -681,4 +689,73 @@ func TestBackwardRulesMatchAccumulatingReference(t *testing.T) {
 	if handed == 0 {
 		t.Fatal("no rule handed its gradient buffer down")
 	}
+}
+
+// twoProducts adds to a random program's loss a term that reads its first
+// parameter as the right factor of two products.
+func twoProducts(root *Node, p *program) (*Node, *program) {
+	tp, w := p.tp, p.params[0]
+	x, y := Constant(p.mat(3, progRows)), Constant(p.mat(3, progRows))
+	return tp.Add(root, tp.Mean(tp.Tanh(tp.MatMulAcc(tp.MatMul(x, w), y, w)))), p
+}
+
+// A product's share goes straight into a gradient that is all +0 — none yet,
+// or one ZeroGrad cleared — and through a temporary into any other: over
+// random programs on one set of parameter leaves, some the right factor of
+// two products in a round, three rounds — from nil gradients, after
+// zeroGrads, and onto the second round's gradients without it — leave every
+// parameter gradient bit-equal to the accumulate-onto-zeros reference's after
+// each round.
+func TestFirstProductIntoZeroedGradient(t *testing.T) {
+	withPooling(t)
+	direct, twice := 0, 0
+	for seed := int64(1); seed <= 200; seed++ {
+		var psR, psN []*Node
+		for round := 0; round < 3; round++ {
+			if round == 1 {
+				zeroGrads(psR)
+				zeroGrads(psN)
+			}
+			tpR, tpN := NewTape(), NewTape()
+			rootR, pR := twoProducts(randomProgramOver(seed, tpR, psR))
+			rootN, pN := twoProducts(randomProgramOver(seed, tpN, psN))
+			psR, psN = pR.params, pN.params
+			weights := map[*Node]int{}
+			for _, n := range tpN.nodes {
+				var w *Node
+				switch n.op {
+				case opMatMul:
+					w = n.parents[1]
+				case opMatMulAcc:
+					w = n.parents[2]
+				}
+				if w != nil && w.seq == 0 && w.requiresGrad {
+					if weights[w]++; w.zeroed && weights[w] == 1 {
+						direct++
+					}
+				}
+			}
+			for _, k := range weights {
+				if k > 1 {
+					twice++
+				}
+			}
+			poisonPool()
+			refBackward(tpR, rootR)
+			poisonPool()
+			tpN.Backward(rootN)
+			for i, want := range psR {
+				wantG, gotG := want.Grad, psN[i].Grad
+				if (wantG == nil) != (gotG == nil) || wantG != nil && !bitEqual(wantG, gotG) {
+					t.Fatalf("seed %d round %d: parameter %d gradient %v, reference %v", seed, round, i, gotG, wantG)
+				}
+			}
+			tpR.Release()
+			tpN.Release()
+		}
+	}
+	if direct == 0 || twice == 0 {
+		t.Fatalf("%d first products into a zeroed gradient, %d parameters read by two products in a round: the programs miss a case", direct, twice)
+	}
+	t.Logf("%d first products into a zeroed gradient, %d parameters read by two products in a round", direct, twice)
 }

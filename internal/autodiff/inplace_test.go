@@ -241,3 +241,81 @@ func TestRecordingInPlaceMatchesFreshTape(t *testing.T) {
 	}()
 	chain(true)
 }
+
+// A product by a square matrix writes over its left factor on a warm tape
+// when it reads that factor last, and its values and gradients stay
+// bit-identical to a fresh tape's: on an inference tape, and on a recording
+// tape whose square factor is a constant. On a recording tape whose square
+// factor needs a gradient its rule reads the left factor, which is never
+// written over. The left factor has zero rows and −0 entries.
+func TestSquareMatMulWritesOverDyingInput(t *testing.T) {
+	withPooling(t)
+	rng := rand.New(rand.NewSource(21))
+	x := randomWithZeroRows(rng, 7, 3)
+	signed(rng, x)
+	w, bias := Param(tensor.NewRandom(rng, 3, 4, 1)), Param(tensor.New(1, 4))
+	sqConst, sqParam := Constant(tensor.NewRandom(rng, 4, 4, 1)), Param(tensor.NewRandom(rng, 4, 4, 1))
+	target := tensor.NewRandom(rng, 7, 4, 1)
+	// pass records a·sq over a dying a, and reports whether the product took
+	// a's buffer.
+	pass := func(tp *Tape, sq *Node) (out *Node, over bool) {
+		a := tp.AddBias(tp.MatMul(Constant(x), w), bias)
+		buf := &a.Value.Data[0]
+		out = tp.MatMul(a, sq)
+		return out, &out.Value.Data[0] == buf
+	}
+	params := []*Node{w, bias, sqParam}
+	for _, c := range []struct {
+		name      string
+		inference bool
+		sq        *Node
+		over      bool
+	}{
+		{"inference tape", true, sqParam, true},
+		{"recording tape, constant square factor", false, sqConst, true},
+		{"recording tape, square factor needing a gradient", false, sqParam, false},
+	} {
+		tp := NewTape()
+		if c.inference {
+			tp = NewInferenceTape()
+		}
+		for k := 0; k < 3; k++ {
+			fresh := NewTape()
+			if c.inference {
+				fresh = NewInferenceTape()
+			}
+			want, _ := pass(fresh, c.sq)
+			wantVal := want.Value.Clone()
+			var wantGrads []*tensor.Matrix
+			if !c.inference {
+				fresh.Backward(fresh.MSE(want, target))
+				for _, p := range params {
+					var g *tensor.Matrix
+					if p.Grad != nil {
+						g = p.Grad.Clone()
+					}
+					wantGrads = append(wantGrads, g)
+				}
+				zeroGrads(params)
+			}
+			got, over := pass(tp, c.sq)
+			if warm := k > 0; over != (warm && c.over) {
+				t.Fatalf("%s, pass %d: product written over its left factor: %v", c.name, k, over)
+			}
+			if !bitEqual(got.Value, wantVal) {
+				t.Fatalf("%s, pass %d: value %v, fresh tape %v", c.name, k, got.Value, wantVal)
+			}
+			if !c.inference {
+				tp.Backward(tp.MSE(got, target))
+				for i, p := range params {
+					if (p.Grad == nil) != (wantGrads[i] == nil) || p.Grad != nil && !bitEqual(p.Grad, wantGrads[i]) {
+						t.Fatalf("%s, pass %d: parameter %d gradient %v, fresh tape %v", c.name, k, i, p.Grad, wantGrads[i])
+					}
+				}
+				zeroGrads(params)
+			}
+			fresh.Release()
+			tp.Release()
+		}
+	}
+}

@@ -103,18 +103,21 @@ func (o *Adam) Step() {
 	scale := clipScale(o.params, o.ClipNorm)
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.step))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.step))
+	b1, b2, lr, eps := o.Beta1, o.Beta2, o.LR, o.Eps
 	for i, p := range o.params {
 		if p.Grad == nil {
 			continue
 		}
-		m, v := o.m[i], o.v[i]
-		for j, g := range p.Grad.Data {
+		// One length for the four slices lets the loop drop their bounds
+		// checks; the hoisted fields are read once, not per element.
+		gs := p.Grad.Data
+		ms, vs, ws := o.m[i].Data[:len(gs)], o.v[i].Data[:len(gs)], p.Value.Data[:len(gs)]
+		for j, g := range gs {
 			g *= scale
-			m.Data[j] = o.Beta1*m.Data[j] + (1-o.Beta1)*g
-			v.Data[j] = o.Beta2*v.Data[j] + (1-o.Beta2)*g*g
-			mhat := m.Data[j] / bc1
-			vhat := v.Data[j] / bc2
-			p.Value.Data[j] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
+			m := b1*ms[j] + (1-b1)*g
+			v := b2*vs[j] + (1-b2)*g*g
+			ms[j], vs[j] = m, v
+			ws[j] -= lr * (m / bc1) / (math.Sqrt(v/bc2) + eps)
 		}
 	}
 	o.ZeroGrad()
@@ -169,10 +172,13 @@ func (o *Adam) RestoreState(st OptState) (func(), error) {
 	}, nil
 }
 
+// zeroGrads clears every parameter gradient to +0 and marks it so (see
+// Node.zeroed).
 func zeroGrads(params []*Node) {
 	for _, p := range params {
 		if p.Grad != nil {
 			p.Grad.Zero()
+			p.zeroed = true
 		}
 	}
 }

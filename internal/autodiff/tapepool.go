@@ -1,12 +1,12 @@
 package autodiff
 
 // maxPooledTapes bounds the tapes a TapePool keeps; more may be out at once. It
-// is well above the borrowers that run at once — a step's shard parts, the
-// batcher's flushes — and a kept tape is node shells and a plan, no buffers.
+// is well above the borrowers that run at once — a step's shard parts — and a
+// kept tape is node shells and a plan, no buffers.
 const maxPooledTapes = 64
 
 // TapePool lends inference tapes to forwards that borrow one at a time from
-// any goroutine: shard parts, head scoring. A tape brings back its node
+// any goroutine: a step's shard parts. A tape brings back its node
 // shells and its learned plan, and the plan decides which ops write in place
 // and so how many floats a forward allocates. A sync.Pool would drop tapes at
 // garbage collection and keep them per P, which would make that count depend

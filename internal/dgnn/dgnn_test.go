@@ -1,6 +1,7 @@
 package dgnn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -267,6 +268,42 @@ func TestWinOptimizerAveragesGradients(t *testing.T) {
 	}
 	if len(w.history) != 4 {
 		t.Fatalf("history exceeded window: %d", len(w.history))
+	}
+}
+
+// WinGNN's window optimizer writes the parameters' gradients outside the
+// backward rules and leaves them all +0 again through the wrapped Step, so a
+// round's first product share may go straight into a zeroed gradient:
+// training is bit-equal to rounds that take every share through a temporary,
+// which a backward of the loss scaled by 0 before each round forces (it
+// leaves every gradient +0 and no longer marked as cleared).
+func TestWinGNNWindowFirstProductsMatchTemporaries(t *testing.T) {
+	g := ring(10, 3)
+	target := tensor.NewRandom(rand.New(rand.NewSource(3)), 10, 4, 1)
+	train := func(temporaries bool) []*autodiff.Node {
+		m := NewWinGNN(rand.New(rand.NewSource(7)), 3, 4)
+		opt := m.WrapOptimizer(autodiff.NewAdam(0.02, m.Params()))
+		round := func(scale float64) {
+			tp := autodiff.NewTape()
+			tp.Backward(tp.Scale(tp.MSE(m.Forward(tp, FullView(g)), target), scale))
+			tp.Release()
+		}
+		for step := 0; step < 12; step++ {
+			if temporaries {
+				round(0)
+			}
+			round(1)
+			opt.Step()
+		}
+		return m.Params()
+	}
+	want, got := train(true), train(false)
+	for i, p := range got {
+		for j, v := range p.Value.Data {
+			if math.Float64bits(v) != math.Float64bits(want[i].Value.Data[j]) {
+				t.Fatalf("parameter %d element %d is %v, %v through temporaries", i, j, v, want[i].Value.Data[j])
+			}
+		}
 	}
 }
 

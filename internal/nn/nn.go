@@ -246,6 +246,36 @@ func (m *MLP) Apply(tp *autodiff.Tape, x *autodiff.Node) *autodiff.Node {
 	return h
 }
 
+// Score evaluates the MLP on n input rows one row at a time and returns each
+// row's first output; fill writes row i's input into row. Each layer runs the
+// kernels Apply's ops run, on one row: the product (tensor.MatMulTo), the bias
+// and, between layers, the ReLU. So every score is bit-identical to Apply's
+// on the stacked rows, and the scratch is one row per layer, not a matrix.
+func (m *MLP) Score(n int, fill func(i int, row []float64)) []float64 {
+	if n == 0 {
+		return nil
+	}
+	rows := []*tensor.Matrix{tensor.New(1, m.layers[0].in)} // the input, then each layer's output
+	for _, l := range m.layers {
+		rows = append(rows, tensor.New(1, l.out))
+	}
+	scores := make([]float64, n)
+	for i := range scores {
+		fill(i, rows[0].Data)
+		for k, l := range m.layers {
+			y := tensor.AddRowVectorTo(rows[k+1], tensor.MatMulTo(rows[k+1], rows[k], l.W.Value), l.B.Value)
+			if k+1 < len(m.layers) {
+				tensor.ReLUTo(y, y)
+			}
+		}
+		scores[i] = rows[len(m.layers)].Data[0]
+	}
+	for _, r := range rows {
+		tensor.Recycle(r)
+	}
+	return scores
+}
+
 // Params implements Module.
 func (m *MLP) Params() []*autodiff.Node {
 	var out []*autodiff.Node

@@ -3,21 +3,19 @@ package query
 import (
 	"fmt"
 
-	"streamgnn/internal/autodiff"
-	"streamgnn/internal/nn"
 	"streamgnn/internal/tensor"
 )
 
-// This file is the batched query-serving path: N predictive queries are
-// answered against one embedding matrix with one head application per task
-// kind — a single stacked GatherRows + MLP forward instead of N scalar
-// applies — and, for density queries, one shared KDE seed-window density
-// vector per batch. Because every kernel in the stack (GatherRows,
-// ConcatCols, Mul, MatMul, AddBias, ReLU) computes each output row with the
-// same floating-point order as its 1-row counterpart, batched scores are
-// bit-identical to the serial per-query scores for any batch size; the
-// per-step Workload.Predict and LinkPredTask.reveal paths reuse these same
-// functions, so ad-hoc serving and continuous prediction share one code path.
+// This file is the query-serving path: N predictive queries are answered
+// against one frozen view of the embedding rows, the event and the link
+// requests each through one row-by-row pass of their head (nn.MLP.Score),
+// which builds a row's head input straight from the view and keeps no stacked
+// matrix; density requests index one KDE seed-window density vector shared by
+// the batch. Score runs each row through the kernels the head's tape forward
+// runs, so every score is bit-identical to that forward's over the stacked
+// rows, and to the request answered alone, for any batch size. The per-step
+// Workload.Predict and LinkPredTask.reveal score through these same functions,
+// so ad-hoc serving and continuous prediction share one code path.
 
 // Request kinds accepted by AnswerBatch.
 const (
@@ -54,78 +52,36 @@ type Answer struct {
 	Err   string  `json:"error,omitempty"`
 }
 
-// scoreTapes holds the inference tapes head scoring runs on: serving
-// goroutines each borrow one per micro-batch, and a warm tape scores without
-// allocating node shells or leaving intermediates to the collector.
-var scoreTapes = autodiff.NewTapePool()
-
-// headColumn applies an MLP head to a stacked input matrix (value-only) and
-// returns its single output column. in stays the caller's.
-func headColumn(head *nn.MLP, in *tensor.Matrix) []float64 {
-	tp := scoreTapes.Get()
-	out := head.Apply(tp, autodiff.Constant(in)).Value
-	scores := make([]float64, out.Rows)
-	for i := range scores {
-		scores[i] = out.At(i, 0)
-	}
-	tp.Release()
-	scoreTapes.Put(tp)
-	return scores
-}
-
-// EventScores scores the event head at every anchor through one stacked
-// forward. Each score is bit-identical to a 1-row gather + apply of the same
-// anchor. Anchors must be valid rows of emb.
+// EventScores scores the event head at every anchor, one row at a time.
+// Anchors must be valid rows of emb.
 func EventScores(h *Heads, emb *tensor.RowView, anchors []int) []float64 {
-	if len(anchors) == 0 {
-		return nil
-	}
-	in := emb.Gather(anchors)
-	scores := headColumn(h.Event, in)
-	tensor.Recycle(in)
-	return scores
+	return h.Event.Score(len(anchors), func(i int, row []float64) { copy(row, emb.Row(anchors[i])) })
 }
 
-// PairInputRows builds the stacked [emb_u | emb_v | emb_u∘emb_v] pair-input
-// matrix for the link head — the value-level counterpart of PairInput, fused
-// into one pass: each output row is written once instead of gathered and
-// re-copied through two ConcatCols. The values (and therefore the link-head
-// scores) are bit-identical to the tape path's.
-func PairInputRows(emb *tensor.RowView, src, dst []int) *tensor.Matrix {
-	d := emb.Cols()
-	out := tensor.New(len(src), 3*d)
-	for i := range src {
-		u, v, row := emb.Row(src[i]), emb.Row(dst[i]), out.Row(i)
-		copy(row[:d], u)
-		copy(row[d:2*d], v)
-		had := row[2*d:]
-		for k := range u {
-			had[k] = u[k] * v[k]
-		}
+// pairRow writes the pair heads' input for the endpoint embeddings u and v,
+// [u | v | u∘v], into row: the value of PairInput's row for the pair.
+func pairRow(row, u, v []float64) {
+	d := len(u)
+	copy(row[:d], u)
+	copy(row[d:2*d], v)
+	had := row[2*d:]
+	for k := range u {
+		had[k] = u[k] * v[k]
 	}
-	return out
 }
 
-// LinkScores scores the link head on every (src, dst) pair through one
-// stacked pair-input forward. src and dst must have equal length and index
-// valid rows of emb.
+// LinkScores scores the link head on every (src, dst) pair, one row at a
+// time. src and dst must have equal length and index valid rows of emb.
 func LinkScores(h *Heads, emb *tensor.RowView, src, dst []int) []float64 {
-	if len(src) == 0 {
-		return nil
-	}
-	in := PairInputRows(emb, src, dst)
-	scores := headColumn(h.Link, in)
-	tensor.Recycle(in)
-	return scores
+	return h.Link.Score(len(src), func(i int, row []float64) { pairRow(row, emb.Row(src[i]), emb.Row(dst[i])) })
 }
 
 // AnswerBatch answers a batch of predictive queries against one frozen view
-// of the embedding rows: all event requests share a single event-head
-// application, all link requests a single link-head application over one
-// stacked pair-input matrix, and all density requests index the
-// caller-supplied seed-window density vector (evaluated once per batch; nil
-// when density serving is unavailable). Answers are returned in request order
-// and are bit-identical to answering each request alone.
+// of the embedding rows: all event requests share one pass of the event head,
+// all link requests one pass of the link head, and all density requests index
+// the caller-supplied seed-window density vector (evaluated once per batch;
+// nil when density serving is unavailable). Answers are returned in request
+// order and are bit-identical to answering each request alone.
 func AnswerBatch(h *Heads, emb *tensor.RowView, reqs []Request, density []float64) []Answer {
 	answers := make([]Answer, len(reqs))
 	var evIdx, anchors []int

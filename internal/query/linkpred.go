@@ -74,12 +74,14 @@ func (l *LinkPredTask) observeEmbeddings(emb *tensor.RowView, step int) {
 // reveal evaluates last step's predictions against the edges that actually
 // arrived at `step` and refreshes the supervision pair set: everything the
 // learner reads. It returns the rest, nil when nothing was revealed: scoring
-// the pairs for AUC, accuracy and MRR, which reads h.Link and rows built here.
+// the pairs for AUC, accuracy and MRR, which reads h.Link and the frozen
+// embeddings the pairs were drawn against.
 func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) func() {
 	if l.lastEmb == nil || l.lastStep != step-1 {
 		return nil
 	}
-	n := l.lastEmb.Rows()
+	emb := l.lastEmb // Predict may move lastEmb on while the scoring runs
+	n := emb.Rows()
 	if n < 2 {
 		return nil
 	}
@@ -103,7 +105,7 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) func() {
 	// negatives, then its MRR rank candidates — drawing the random endpoints
 	// in exactly the order per-pair scoring drew them, so the RNG stream
 	// (and therefore checkpoints and repeat runs) is unchanged. All pairs
-	// then go through one stacked link-head application instead of
+	// then go through one pass of the link head instead of
 	// len(pos)*(1+NegPerPos+RankNegs) scalar pairScore calls.
 	group := 1 + l.NegPerPos + l.RankNegs
 	src := make([]int, 0, len(pos)*group)
@@ -120,14 +122,15 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) func() {
 			dst = append(dst, l.rng.Intn(n))
 		}
 	}
-	in := PairInputRows(l.lastEmb, src, dst)
 	// The replay keeps each positive and its NegPerPos negatives: one slice
-	// holds all of their rows, which pairRow hands out in turn.
-	rows, c := make([]float64, len(pos)*(1+l.NegPerPos)*in.Cols), in.Cols
-	pairRow := func(i int) []float64 {
+	// holds all of their head inputs, which replayRow writes and hands out in
+	// turn.
+	c := 3 * emb.Cols()
+	rows := make([]float64, len(pos)*(1+l.NegPerPos)*c)
+	replayRow := func(i int) []float64 {
 		row := rows[:c:c]
 		rows = rows[c:]
-		copy(row, in.Row(i))
+		pairRow(row, emb.Row(src[i]), emb.Row(dst[i]))
 		return row
 	}
 
@@ -137,17 +140,17 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) func() {
 	for j, p := range pos {
 		base := j * group
 		l.recentPairs = append(l.recentPairs, p)
-		l.replayEmb = append(l.replayEmb, pairRow(base))
+		l.replayEmb = append(l.replayEmb, replayRow(base))
 		l.replayLabels = append(l.replayLabels, 1)
 		// Sampled negatives for accuracy/AUC and supervision.
 		for k := 0; k < l.NegPerPos; k++ {
 			l.recentPairs = append(l.recentPairs, Pair{U: p.U, V: dst[base+1+k], Label: 0})
-			l.replayEmb = append(l.replayEmb, pairRow(base+1+k))
+			l.replayEmb = append(l.replayEmb, replayRow(base+1+k))
 			l.replayLabels = append(l.replayLabels, 0)
 		}
 	}
 	return func() {
-		scores := headColumn(h.Link, in)
+		scores := LinkScores(h, emb, src, dst)
 		for base := 0; base < len(scores); base += group {
 			// The positive and its sampled negatives, then the rank of the
 			// true endpoint among its RankNegs candidates.
@@ -157,8 +160,6 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) func() {
 			}
 			l.ranks = append(l.ranks, metrics.RankOf(scores[base], scores[base+1+l.NegPerPos:base+group]))
 		}
-		// pairRow copied every row that outlives reveal.
-		tensor.Recycle(in)
 	}
 }
 

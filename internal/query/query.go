@@ -163,9 +163,9 @@ func (w *Workload) LinkTask() *LinkPredTask { return w.link }
 // t+δ are parked until Reveal(t+δ).
 func (w *Workload) Predict(emb *tensor.RowView, step int) {
 	// Collect every (query, anchor) slot, then score all anchors through one
-	// stacked event-head application — the same batched path AnswerBatch
-	// serves ad-hoc queries with, so per-step prediction and serving share
-	// one code path (and bit-identical scores).
+	// pass of the event head — the path AnswerBatch serves ad-hoc queries
+	// with, so per-step prediction and serving share one code path (and
+	// bit-identical scores).
 	type slot struct {
 		q      *EventQuery
 		anchor int
@@ -181,17 +181,14 @@ func (w *Workload) Predict(emb *tensor.RowView, step int) {
 			anchors = append(anchors, a)
 		}
 	}
-	if len(slots) > 0 {
-		rows := emb.Gather(anchors)
-		scores := headColumn(w.heads.Event, rows)
-		for i, s := range slots {
-			score := scores[i]
-			due := step + s.q.Delta
-			row := append([]float64(nil), rows.Row(i)...)
-			w.pending[due] = append(w.pending[due], pendingPred{q: s.q, anchor: s.anchor, score: score, emb: row})
-			if score > s.q.Threshold {
-				w.alerts = append(w.alerts, Alert{Query: s.q.Name, Anchor: s.anchor, ForStep: due, Score: score})
-			}
+	scores := EventScores(w.heads, emb, anchors)
+	for i, s := range slots {
+		score := scores[i]
+		due := step + s.q.Delta
+		row := append([]float64(nil), emb.Row(s.anchor)...)
+		w.pending[due] = append(w.pending[due], pendingPred{q: s.q, anchor: s.anchor, score: score, emb: row})
+		if score > s.q.Threshold {
+			w.alerts = append(w.alerts, Alert{Query: s.q.Name, Anchor: s.anchor, ForStep: due, Score: score})
 		}
 	}
 	if w.link != nil {

@@ -98,6 +98,16 @@ func TestLinkReplayBatch(t *testing.T) {
 	}
 }
 
+// pairInput is the pair heads' input row for endpoint embeddings u and v,
+// [u | v | u∘v], built on its own.
+func pairInput(u, v []float64) []float64 {
+	row := append(append([]float64(nil), u...), v...)
+	for k := range u {
+		row = append(row, u[k]*v[k])
+	}
+	return row
+}
+
 // Each link replay row is its supervision pair's head input, and the rows,
 // carved from one slice, are capped so that appending to one cannot write
 // into the next.
@@ -114,7 +124,7 @@ func TestLinkReplayRowsArePairInputs(t *testing.T) {
 		t.Fatalf("%d replay rows for %d pairs", len(lt.replayEmb), len(lt.recentPairs))
 	}
 	for i, p := range lt.recentPairs {
-		row, want := lt.replayEmb[i], PairInputRows(tensor.ViewOf(emb), []int{p.U}, []int{p.V}).Row(0)
+		row, want := lt.replayEmb[i], pairInput(emb.Row(p.U), emb.Row(p.V))
 		if len(row) != len(want) || cap(row) != len(row) {
 			t.Fatalf("row %d: len %d cap %d, want %d", i, len(row), cap(row), len(want))
 		}

@@ -2,7 +2,7 @@
 // serving: callers submit small groups of queries from many goroutines, the
 // batcher coalesces them into micro-batches — flushing when B queries have
 // accumulated or T has elapsed since the first, whichever comes first — and
-// each batch is answered by one shared forward pass (see query.AnswerBatch).
+// each batch is answered by one pass per head (see query.AnswerBatch).
 // Batches run on their own goroutines, so under load multiple batches are in
 // flight concurrently: the answer function must be safe for concurrent use
 // (it is, when it reads an immutable engine QuerySnapshot).

@@ -43,7 +43,7 @@ func BenchmarkDenseKernels(b *testing.B) {
 		{"MatMulAcc/10000x23·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulAccTo(nil, sum, a, w) }},
 		{"MatMul/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMul(sparse, w) }},
 		{"MatMulAcc/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMulAccTo(nil, sum, sparse, w) }},
-		{"MatMul/[10000x7|10000x16]·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulConcat(xh, w) }},
+		{"MatMul/[10000x7|10000x16]·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulConcatTo(nil, xh, w) }},
 		{"MatMulAcc/[10000x7|10000x16]·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulAccConcatTo(nil, sum, xh, w) }},
 		{"ConcatCols+MatMul/[10000x7|10000x16]·23x16", 10000 * 23 * 16, func() *Matrix {
 			c := xh.Dense()

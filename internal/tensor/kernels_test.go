@@ -204,7 +204,9 @@ func zeroPattern(a *Matrix, pattern int) {
 // finite operands, to the naive triple loops above — over row counts 0, 1, 2, odd, even and tall, column
 // counts on every side of the 8- and 4-wide blocks, inner lengths that
 // leave MatMulTransA a k-tail, zero rows in every arrangement, signed zeros
-// in a, b and sum, and poisoned pool buffers.
+// in a, b and sum, and poisoned pool buffers. So are a product by a square
+// matrix written over its left factor, and MatMulTransA accumulated into a
+// zeroed output.
 func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
 	EnablePooling(true)
 	defer EnablePooling(false)
@@ -244,6 +246,17 @@ func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
 				check("MatMulTransBAddTo", Add(sum, naiveMatMulTransB(a, bt)), acc)
 				dirtyPool(k * n)
 				check("MatMulTransA", naiveMatMulTransA(a, g), MatMulTransA(a, g))
+				into := New(k, n)
+				MatMulTransAConcatInto(into, whole(a), g)
+				check("MatMulTransAConcatInto", naiveMatMulTransA(a, g), into)
+				sq := NewRandom(rng, k, k, 1)
+				signedZeros(rng, sq)
+				over := a.Clone()
+				dirtyPool(k)
+				if got := MatMulTo(over, over, sq); got != over {
+					t.Fatal("MatMulTo over its input returned another matrix")
+				}
+				check("MatMul over its input", naiveMatMulAcc(nil, a, sq), over)
 			}
 		}
 	}
@@ -312,9 +325,12 @@ func TestConcatKernelsMatchDenseCopy(t *testing.T) {
 			}
 		}
 		dirtyPool(rows*n, k*n)
-		check("MatMul", MatMul(d, w), MatMulConcat(x, w))
+		check("MatMul", MatMul(d, w), MatMulConcatTo(nil, x, w))
 		check("MatMulAcc", MatMulAccTo(nil, sum, d, w), MatMulAccConcatTo(nil, sum, x, w))
 		check("MatMulTransA", MatMulTransA(d, g), MatMulTransAConcat(x, g))
+		into := New(k, n)
+		MatMulTransAConcatInto(into, x, g)
+		check("MatMulTransAConcatInto", MatMulTransA(d, g), into)
 		c := NewCSR(rows+1, rows, nil)
 		if rows > 0 {
 			c = emptyEveryFifthRow(randomCSR(rng, rows+1, rows, 0.4))

@@ -49,15 +49,6 @@ func (v *RowView) Row(i int) []float64 {
 	return v.pages[i/PageRows][off : off+v.cols : off+v.cols]
 }
 
-// Gather returns the listed rows stacked into a new matrix, like GatherRows.
-func (v *RowView) Gather(rows []int) *Matrix {
-	out := newUninit(len(rows), v.cols)
-	for i, r := range rows {
-		copy(out.Row(i), v.Row(r))
-	}
-	return out
-}
-
 // Dense copies every row into one new matrix: O(rows), for readers that
 // need contiguous storage.
 func (v *RowView) Dense() *Matrix {

@@ -75,7 +75,7 @@ func TestPagedMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// A view of a dense matrix slices its storage, Dense and Gather copy rows in
+// A view of a dense matrix slices its storage, Dense copies its rows in
 // order, and Thaw lets an array write the pages its dropped view shared in
 // place again.
 func TestRowViewReadsAndThaw(t *testing.T) {
@@ -84,8 +84,8 @@ func TestRowViewReadsAndThaw(t *testing.T) {
 	if &v.Row(PageRows + 1)[0] != &m.Row(PageRows + 1)[0] {
 		t.Fatal("ViewOf copied the matrix")
 	}
-	if !v.Dense().Equal(m) || !v.Gather([]int{5, PageRows * 2}).Equal(GatherRows(m, []int{5, PageRows * 2})) {
-		t.Fatal("Dense or Gather differ from the dense matrix")
+	if !v.Dense().Equal(m) {
+		t.Fatal("Dense differs from the dense matrix")
 	}
 	if (*RowView)(nil).Rows() != 0 {
 		t.Fatal("a nil view should hold no rows")

@@ -248,16 +248,23 @@ func (m *Matrix) RowRange(lo, hi int) *Matrix {
 }
 
 // MatMul returns a·b.
-func MatMul(a, b *Matrix) *Matrix { return MatMulConcat(whole(a), b) }
+func MatMul(a, b *Matrix) *Matrix { return MatMulConcatTo(nil, whole(a), b) }
 
-// MatMulConcat returns a·b for a concatenated a: each row of a is assembled
-// from its parts into one reused row, which the kernel reads as MatMul reads
-// a row of a.Dense().
-func MatMulConcat(a Concat, b *Matrix) *Matrix {
+// MatMulTo writes a·b into dst (a new matrix when nil) and returns it; dst may
+// be a itself when b is square (see MatMulConcatTo).
+func MatMulTo(dst, a, b *Matrix) *Matrix { return MatMulConcatTo(dst, whole(a), b) }
+
+// MatMulConcatTo writes a·b for a concatenated a into dst (a new matrix when
+// nil) and returns it: each row of a is assembled from its parts into one
+// reused row, which the kernel reads as MatMul reads a row of a.Dense(). dst
+// may be a's single part itself when b is square, the product written over
+// its input: each row of a is copied into a one-row scratch before that row
+// of dst is written. Otherwise dst shares no storage with a or b.
+func MatMulConcatTo(dst *Matrix, a Concat, b *Matrix) *Matrix {
 	if a.Cols() != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d · %dx%d", a.Rows, a.Cols(), b.Rows, b.Cols))
 	}
-	out := newUninit(a.Rows, b.Cols)
+	out := dest(dst, a.Rows, b.Cols)
 	matMulAcc(nil, a, b, out)
 	return out
 }
@@ -271,7 +278,7 @@ func MatMulConcat(a Concat, b *Matrix) *Matrix {
 func MatMulAccTo(dst, sum, x, w *Matrix) *Matrix { return MatMulAccConcatTo(dst, sum, whole(x), w) }
 
 // MatMulAccConcatTo is MatMulAccTo for a concatenated x, its rows assembled
-// as MatMulConcat's. dst may be sum even when sum is one of several parts of
+// as MatMulConcatTo's. dst may be sum even when sum is one of several parts of
 // x: a row of x is assembled before the row of dst is written.
 func MatMulAccConcatTo(dst, sum *Matrix, x Concat, w *Matrix) *Matrix {
 	if x.Cols() != w.Rows {
@@ -286,20 +293,30 @@ func MatMulAccConcatTo(dst, sum *Matrix, x Concat, w *Matrix) *Matrix {
 }
 
 // matMulAcc computes a·b into out, plus sum's rows when sum is non-nil; sum
-// may be out itself. Each row starts as +0 (a·b alone) or sum's row, and the
-// product is added into it. A row of a that is entirely zero — in a hop
-// input P^k·[x|h], every node without a live edge — has the product +0 and
-// never enters mulRow; the scan that finds it ends at a dense row's first
-// nonzero entry. sum's row is added to that +0 all the same: −0 + 0 is +0,
-// so a zero product is not a copy of sum.
+// may be out itself, and so may a's single part when sum is nil (its rows are
+// copied out before they are written). Each row starts as +0 (a·b alone) or
+// sum's row, and the product is added into it. A row of a that is entirely
+// zero — in a hop input P^k·[x|h], every node without a live edge — has the
+// product +0 and never enters mulRow; the scan that finds it ends at a dense
+// row's first nonzero entry. sum's row is added to that +0 all the same:
+// −0 + 0 is +0, so a zero product is not a copy of sum.
 func matMulAcc(sum *Matrix, a Concat, b, out *Matrix) {
 	var buf []float64 // rows of several parts are assembled here
 	if len(a.Parts) > 1 {
 		buf = make([]float64, a.Cols())
 	}
+	over := len(a.Parts) == 1 && a.Parts[0] == out
+	if over {
+		scratch := New(1, a.Cols())
+		defer Recycle(scratch)
+		buf = scratch.Data
+	}
 	for i := 0; i < a.Rows; i++ {
 		orow := out.Row(i)
 		arow := a.row(i, buf)
+		if over {
+			arow = buf[:copy(buf, arow)]
+		}
 		switch {
 		case sum == nil:
 			clear(orow)
@@ -461,16 +478,24 @@ func MatMulTransA(a, b *Matrix) *Matrix { return MatMulTransAConcat(whole(a), b)
 // column j of a alone, so each part fills the block of rows its columns are,
 // bit-identical to MatMulTransA of a.Dense().
 func MatMulTransAConcat(a Concat, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols(), b.Rows, b.Cols))
-	}
 	out := New(a.Cols(), b.Cols)
+	MatMulTransAConcatInto(out, a, b)
+	return out
+}
+
+// MatMulTransAConcatInto accumulates aᵀ·b into out, element by element onto
+// what out holds: into an out of all +0 it writes MatMulTransAConcat's bits,
+// without the temporary. Onto other values it is not out plus that product:
+// the terms are added to out's element one by one.
+func MatMulTransAConcatInto(out *Matrix, a Concat, b *Matrix) {
+	if a.Rows != b.Rows || out.Rows != a.Cols() || out.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulTransA %dx%d += (%dx%d)ᵀ · %dx%d", out.Rows, out.Cols, a.Rows, a.Cols(), b.Rows, b.Cols))
+	}
 	off := 0
 	for _, p := range a.Parts {
 		matMulTransAInto(p, b, out.RowRange(off, off+p.Cols))
 		off += p.Cols
 	}
-	return out
 }
 
 // matMulTransAInto accumulates aᵀ·b into the zeroed out over a's leading

@@ -67,7 +67,7 @@ func (s *QuerySnapshot) Emb() *tensor.Matrix { return s.emb.Dense() }
 func (s *QuerySnapshot) Heads() *query.Heads { return s.heads }
 
 // Answer evaluates a batch of predictive queries against the snapshot:
-// one stacked head application per task kind instead of one per query, with
+// one pass of each task kind's head over its requests' rows, with
 // answers in request order, bit-identical to answering each query alone (see
 // query.AnswerBatch). density is the shared seed-window density vector for
 // KindDensity requests (from Density; nil disables them). Safe to call from
