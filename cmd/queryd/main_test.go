@@ -25,7 +25,7 @@ func testEngine(t *testing.T) *streamgnn.Engine {
 	}
 	g := eng.Graph()
 	for i := 0; i < 4; i++ {
-		g.AddNode(0, []float64{float64(i), 1})
+		g.AddNode([]float64{float64(i), 1})
 	}
 	for i := 0; i < 4; i++ {
 		g.AddEdge(i, (i+1)%4, 0, 0)

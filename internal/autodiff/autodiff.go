@@ -1,7 +1,7 @@
 // Package autodiff implements a small tape-based reverse-mode automatic
 // differentiation engine over dense matrices. It provides exactly the set of
 // operations needed to express the seven dynamic-graph-neural-network
-// baselines used in the paper's evaluation, plus SGD and Adam optimizers.
+// baselines used in the paper's evaluation, plus the Adam optimizer.
 //
 // A Tape records the forward computation; Backward walks the tape in reverse
 // and gives each node that requires a gradient its gradient. A parameter's is
@@ -49,7 +49,6 @@ const (
 	opMatMul
 	opSpMM
 	opAdd
-	opSub
 	opMul
 	opScale
 	opAddBias
@@ -762,7 +761,7 @@ func (out *Node) runBack() {
 		}
 		return
 	case opSpMM:
-		// A view's part takes SpMMTrans over its columns of g.
+		// A view's part takes SpMMTransCols over its columns of g.
 		x, off := out.parents[0], 0
 		for k, m := range x.blocks() {
 			if x.needs(k) {
@@ -808,22 +807,18 @@ func (out *Node) runBack() {
 			}
 		}
 		return
-	case opAdd, opSub:
-		// a takes g first and unchanged; b reads it after, so b gets g (−g
-		// for Sub) written into a buffer of its own.
+	case opAdd:
+		// a takes g first and unchanged; b reads it after, so b gets g
+		// written into a buffer of its own.
 		a, b := out.parents[0], out.parents[1]
-		s := 1.0
-		if out.op == opSub {
-			s = -1
-		}
 		if a.requiresGrad {
 			out.pass(a, g)
 		}
 		if b.requiresGrad {
 			if fresh(b) {
-				b.Grad = tensor.ScaleTo(nil, g, s)
+				b.Grad = g.Clone()
 			} else {
-				tensor.AddScaledInPlace(ensureGrad(b), g, s)
+				tensor.AddInPlace(ensureGrad(b), g)
 			}
 		}
 	case opMul:
@@ -1018,7 +1013,7 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 
 // MatMulAcc returns sum + x·w as one op: the value and all three gradients
 // are bit-identical to Add(sum, MatMul(x, w)), without materializing the
-// product (see tensor.MatMulAccTo). On a warm tape it may add the product
+// product (see tensor.MatMulAccConcatTo). On a warm tape it may add the product
 // into sum's buffer.
 func (t *Tape) MatMulAcc(sum, x, w *Node) *Node {
 	dst := t.reuse(opMatMulAcc, 1, sum, x, w)
@@ -1041,12 +1036,6 @@ func (t *Tape) SpMM(s *tensor.CSR, x *Node) *Node {
 func (t *Tape) Add(a, b *Node) *Node {
 	dst := t.reuse(opAdd, 2, a, b, nil)
 	return t.newNode2(opAdd, tensor.AddTo(dst, a.dense("Add"), b.dense("Add")), anyGrad(a, b), a, b)
-}
-
-// Sub returns a−b.
-func (t *Tape) Sub(a, b *Node) *Node {
-	dst := t.reuse(opSub, 2, a, b, nil)
-	return t.newNode2(opSub, tensor.SubTo(dst, a.dense("Sub"), b.dense("Sub")), anyGrad(a, b), a, b)
 }
 
 // Mul returns the Hadamard product a∘b.
@@ -1201,16 +1190,11 @@ func (t *Tape) Sum(a *Node) *Node {
 	return t.newNode1(opSum, tensor.FromSlice(1, 1, []float64{a.dense("Sum").Sum()}), a.requiresGrad, a)
 }
 
-// MSE returns mean squared error between pred and the constant target.
-func (t *Tape) MSE(pred *Node, target *tensor.Matrix) *Node {
-	return t.MSESeg(pred, target, []int{pred.Value.Rows})
-}
-
 // MSESeg returns the mean squared error of each row segment of pred against
 // the constant target, as a len(ends)×1 column: segment s is the rows from
 // ends[s-1] (0 for the first) up to ends[s], ends ascending and ending at
 // pred's row count. Each mean is summed over its own rows in order and takes
-// its own gradient, exactly as MSE over those rows alone; an empty segment
+// its own gradient, exactly as one segment of those rows alone; an empty segment
 // reads 0 and passes no gradient on.
 func (t *Tape) MSESeg(pred *Node, target *tensor.Matrix, ends []int) *Node {
 	diff := t.Owned(tensor.Sub(pred.dense("MSESeg"), target))
@@ -1241,17 +1225,12 @@ func (t *Tape) segNode(op opKind, val *tensor.Matrix, in *Node, aux *tensor.Matr
 	return out
 }
 
-// BCEWithLogits returns mean binary cross-entropy of logits against the
-// constant 0/1 target matrix, computed in a numerically stable form.
-func (t *Tape) BCEWithLogits(logits *Node, target *tensor.Matrix) *Node {
-	return t.BCESeg(logits, target, []int{logits.Value.Rows})
-}
-
-// BCESeg is BCEWithLogits per row segment, segments and result laid out as
-// MSESeg's.
+// BCESeg returns the mean binary cross-entropy of each row segment of logits
+// against the constant 0/1 target matrix, computed in a numerically stable
+// form; segments and result are laid out as MSESeg's.
 func (t *Tape) BCESeg(logits *Node, target *tensor.Matrix, ends []int) *Node {
 	if logits.dense("BCESeg").Rows != target.Rows || logits.Value.Cols != target.Cols {
-		panic("autodiff: BCEWithLogits shape mismatch")
+		panic("autodiff: BCESeg shape mismatch")
 	}
 	val := tensor.New(len(ends), 1)
 	lo := 0

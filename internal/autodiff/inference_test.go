@@ -8,13 +8,6 @@ import (
 	"streamgnn/internal/tensor"
 )
 
-func withPooling(t *testing.T) {
-	t.Helper()
-	was := tensor.PoolingEnabled()
-	tensor.EnablePooling(true)
-	t.Cleanup(func() { tensor.EnablePooling(was) })
-}
-
 // randomWithZeroRows fills a matrix from rng and zeroes every third row, the
 // case MatMul's zero-row path treats specially.
 func randomWithZeroRows(rng *rand.Rand, rows, cols int) *tensor.Matrix {
@@ -136,7 +129,6 @@ func gruLike(tp *Tape, x, h, w, leaf *Node) (out, kept *Node) {
 // never over a kept value, a leaf, or an SpMM's input — and records no
 // backward state.
 func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
-	withPooling(t)
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
 	rng := rand.New(rand.NewSource(4))
@@ -194,7 +186,6 @@ func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 // included, while from the second pass on it releases values at their last
 // read and writes row-local results in place.
 func TestInferenceTapeProgramsMatchRecordingTape(t *testing.T) {
-	withPooling(t)
 	released := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		tp := NewInferenceTape()
@@ -238,7 +229,6 @@ func TestInferenceTapeProgramsMatchRecordingTape(t *testing.T) {
 // to the next op of src's shape — a scatter that kept a view of src would read
 // it back overwritten. Where base lives on, the scatter is a copy.
 func TestScatterRowsSurvivesRecycledOperands(t *testing.T) {
-	withPooling(t)
 	rng := rand.New(rand.NewSource(8))
 	bm, sm := tensor.NewRandom(rng, 6, 3, 1), tensor.NewRandom(rng, 2, 3, 1)
 	forward := func(tp *Tape) *Node {
@@ -277,7 +267,6 @@ func TestScatterRowsSurvivesRecycledOperands(t *testing.T) {
 // while the head is read on. A view that left the buffer with the parent,
 // released there, would read that op's output.
 func TestHeadSurvivesRecycledParent(t *testing.T) {
-	withPooling(t)
 	rng := rand.New(rand.NewSource(9))
 	xm := tensor.NewRandom(rng, 8, 4, 1)
 	w := Param(tensor.NewRandom(rng, 4, 4, 1))
@@ -312,7 +301,6 @@ func TestHeadSurvivesRecycledParent(t *testing.T) {
 // wrote over a value, and then reads that value, fails on its nil Value, as it
 // does on a value released early.
 func TestInferenceTapeRelearnsOnSequenceChange(t *testing.T) {
-	withPooling(t)
 	rng := rand.New(rand.NewSource(6))
 	w := Param(tensor.NewRandom(rng, 3, 3, 1))
 	xm := tensor.NewRandom(rng, 4, 3, 1)
@@ -352,7 +340,6 @@ func TestInferenceTapeRelearnsOnSequenceChange(t *testing.T) {
 }
 
 func TestInferenceTapeRejectsBackwardAndLateKeep(t *testing.T) {
-	withPooling(t)
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -405,7 +392,6 @@ func TestInferenceTapeRejectsBackwardAndLateKeep(t *testing.T) {
 // and none on the next, whose learned plan would otherwise release the parts
 // at the last reader of a pass without the relation.
 func TestPinViewKeepsPartsWithoutCopy(t *testing.T) {
-	withPooling(t)
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
 	rng := rand.New(rand.NewSource(11))

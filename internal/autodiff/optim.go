@@ -16,8 +16,6 @@ type Optimizer interface {
 	// Step applies one update using the gradients currently stored in the
 	// parameters and then zeroes them.
 	Step()
-	// ZeroGrad clears all parameter gradients without updating.
-	ZeroGrad()
 	// Params returns the parameter nodes managed by the optimizer.
 	Params() []*Node
 	// DumpState captures the optimizer's internal state.
@@ -26,39 +24,6 @@ type Optimizer interface {
 	// the same parameter set and returns the install that restores it;
 	// nothing changes until install runs.
 	RestoreState(OptState) (install func(), err error)
-}
-
-// SGD is plain stochastic gradient descent with optional gradient clipping.
-type SGD struct {
-	//streamlint:ckpt-exempt learning rate is configuration, rebuilt from Config on resume
-	LR float64
-	//streamlint:ckpt-exempt clip threshold is configuration (0 disables clipping)
-	ClipNorm float64
-	//streamlint:ckpt-exempt parameter wiring, re-established at engine construction
-	params []*Node
-}
-
-// NewSGD returns an SGD optimizer over params.
-func NewSGD(lr float64, params []*Node) *SGD {
-	return &SGD{LR: lr, ClipNorm: 5, params: params}
-}
-
-// Params implements Optimizer.
-func (o *SGD) Params() []*Node { return o.params }
-
-// ZeroGrad implements Optimizer.
-func (o *SGD) ZeroGrad() { zeroGrads(o.params) }
-
-// Step implements Optimizer.
-func (o *SGD) Step() {
-	scale := clipScale(o.params, o.ClipNorm)
-	for _, p := range o.params {
-		if p.Grad == nil {
-			continue
-		}
-		tensor.AddScaledInPlace(p.Value, p.Grad, -o.LR*scale)
-	}
-	o.ZeroGrad()
 }
 
 // Adam implements the Adam optimizer (Kingma & Ba) with bias correction and
@@ -94,7 +59,7 @@ func NewAdam(lr float64, params []*Node) *Adam {
 // Params implements Optimizer.
 func (o *Adam) Params() []*Node { return o.params }
 
-// ZeroGrad implements Optimizer.
+// ZeroGrad clears all parameter gradients without updating.
 func (o *Adam) ZeroGrad() { zeroGrads(o.params) }
 
 // Step implements Optimizer.
@@ -125,7 +90,7 @@ func (o *Adam) Step() {
 
 // OptState is a checkpointable snapshot of an optimizer's internal state:
 // the step counter and any per-parameter moment buffers (flattened, in
-// parameter order). SGD has no moments; Adam has two per parameter.
+// parameter order). Adam has two per parameter.
 // Decorating optimizers use the remaining fields: Inner nests the wrapped
 // optimizer's state, RNG carries a private random stream's position, and
 // History holds a window of per-parameter gradient snapshots.
@@ -136,12 +101,6 @@ type OptState struct {
 	RNG     uint64
 	History [][][]float64
 }
-
-// DumpState implements Optimizer (SGD keeps no moments).
-func (o *SGD) DumpState() OptState { return OptState{} }
-
-// RestoreState implements Optimizer.
-func (o *SGD) RestoreState(OptState) (func(), error) { return func() {}, nil }
 
 // DumpState implements Optimizer: the first moments, then the second.
 func (o *Adam) DumpState() OptState {

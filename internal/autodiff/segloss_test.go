@@ -118,9 +118,9 @@ func TestSegLossMatchesPerSegment(t *testing.T) {
 			for r := lo; r < hi; r++ {
 				rows = append(rows, r)
 			}
-			alone := Param(tensor.GatherRows(pred.Value, rows))
+			alone := Param(tensor.GatherRowsConcat(one(pred.Value), rows))
 			tp1 := NewTape()
-			out := l.one(tp1, alone, tensor.GatherRows(target, rows))
+			out := l.one(tp1, alone, tensor.GatherRowsConcat(one(target), rows))
 			tp1.Backward(tp1.Scale(out, weights.Data[s]))
 			if math.Float64bits(out.Value.Data[0]) != math.Float64bits(want) {
 				t.Fatalf("%s: one-segment op value %v, reference %v", l.name, out.Value.Data[0], want)
@@ -174,4 +174,42 @@ func TestSegLossValidation(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// MSE is MSESeg over one segment: the mean squared error between pred and the
+// constant target.
+func (t *Tape) MSE(pred *Node, target *tensor.Matrix) *Node {
+	return t.MSESeg(pred, target, []int{pred.Value.Rows})
+}
+
+// BCEWithLogits is BCESeg over one segment: the mean binary cross-entropy of
+// logits against the constant 0/1 target.
+func (t *Tape) BCEWithLogits(logits *Node, target *tensor.Matrix) *Node {
+	return t.BCESeg(logits, target, []int{logits.Value.Rows})
+}
+
+// one is m as a concatenation of one part.
+func one(m *tensor.Matrix) tensor.Concat {
+	return tensor.Concat{Rows: m.Rows, Parts: []*tensor.Matrix{m}}
+}
+
+// dense copies a concatenation's parts side by side into one new matrix.
+func dense(c tensor.Concat) *tensor.Matrix {
+	out := tensor.New(c.Rows, c.Cols())
+	for r := 0; r < c.Rows; r++ {
+		off := 0
+		for _, p := range c.Parts {
+			off += copy(out.Row(r)[off:], p.Row(r))
+		}
+	}
+	return out
+}
+
+// sliceCols returns the column range [from, to) of m as a new matrix.
+func sliceCols(m *tensor.Matrix, from, to int) *tensor.Matrix {
+	out := tensor.New(m.Rows, to-from)
+	for r := 0; r < m.Rows; r++ {
+		copy(out.Row(r), m.Row(r)[from:to])
+	}
+	return out
 }

@@ -457,3 +457,10 @@ func TestReplicasCountDemandRows(t *testing.T) {
 		t.Fatalf("coordinator counted %v rows without a local fallback", own)
 	}
 }
+
+// SetTransport swaps the transport for one shard (a replica restarted at a
+// new address) and marks the replica down so the next contact renegotiates.
+func (c *Coordinator) SetTransport(s int, t Transport) {
+	c.trans[s] = t
+	c.markDown(s)
+}

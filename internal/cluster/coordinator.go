@@ -155,13 +155,6 @@ func NewCoordinator(eng *streamgnn.Engine, trans []Transport) (*Coordinator, err
 	return c, nil
 }
 
-// SetTransport swaps the transport for one shard (a replica restarted at a
-// new address) and marks the replica down so the next contact renegotiates.
-func (c *Coordinator) SetTransport(s int, t Transport) {
-	c.trans[s] = t
-	c.markDown(s)
-}
-
 // RouteEvents replicates one step's event batch to every replica outbox.
 // Full replication is the halo rule taken to its closure: region parts are
 // connected components that may span shards, and subgraph normalization

@@ -166,7 +166,7 @@ func TestWALRoundTrip(t *testing.T) {
 	for v := 0; v < a.N(); v++ {
 		la, _ := a.Label(v)
 		lb, _ := b.Label(v)
-		same := a.Type(v) == b.Type(v) && math.Float64bits(la) == math.Float64bits(lb) &&
+		same := math.Float64bits(la) == math.Float64bits(lb) &&
 			bitEqual(reflect.ValueOf(a.Feature(v)), reflect.ValueOf(b.Feature(v))) &&
 			bitEqual(reflect.ValueOf(a.OutEdges(v)), reflect.ValueOf(b.OutEdges(v)))
 		if !same {

@@ -22,13 +22,13 @@ func TestIncrementalActivityMatchesFullScan(t *testing.T) {
 		}
 		for v := 0; v < g.N(); v++ {
 			want := g.Degree(v) > 0 || !anyActive
-			if got := a.Chips.Active(v); got != want {
+			if got := a.Chips.EffectiveWeight(v) > 0; got != want {
 				t.Fatalf("%s: node %d active=%v want %v", when, v, got, want)
 			}
 		}
 	}
 	check("initial")
-	g.AddNode(0, []float64{1, 0, 1}) // isolated node 10
+	g.AddNode([]float64{1, 0, 1}) // isolated node 10
 	check("after isolated add")
 	g.AddUndirectedEdge(10, 3, 0, 100)
 	check("after connecting")

@@ -18,7 +18,7 @@ func testSetup(t *testing.T, n int, strategy Strategy) (*graph.Dynamic, *Trainer
 	rng := rand.New(rand.NewSource(42))
 	g := graph.NewDynamic(3)
 	for i := 0; i < n; i++ {
-		g.AddNode(0, []float64{float64(i % 2), float64(i % 3), 1})
+		g.AddNode([]float64{float64(i % 2), float64(i % 3), 1})
 		g.SetLabel(i, float64(i%2))
 	}
 	for i := 0; i < n; i++ {
@@ -104,7 +104,7 @@ func TestTrainPartitionNoMaterial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.NewDynamic(2)
 	for i := 0; i < 4; i++ {
-		g.AddNode(0, nil) // no labels anywhere
+		g.AddNode(nil) // no labels anywhere
 	}
 	m := dgnn.NewTGCN(rng, 2, 3)
 	heads := query.NewHeads(rng, 3)
@@ -132,8 +132,8 @@ func TestAdaptiveLearnerStepMaintainsInvariants(t *testing.T) {
 		t.Fatal("no partitions trained")
 	}
 	total := 0
-	for v := 0; v < a.Chips.N(); v++ {
-		cnt := a.Chips.Count(v)
+	for v := 0; v < len(a.Chips.Counts()); v++ {
+		cnt := a.Chips.Counts()[v]
 		if cnt < a.Chips.MinChips {
 			t.Fatalf("node %v dropped below chip floor", v)
 		}
@@ -157,11 +157,11 @@ func TestAdaptiveLearnerGrowsWithGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := NewAdaptiveLearner(tr, cfg, Weighted, rng)
 	a.Step(nil)
-	v := g.AddNode(0, []float64{1, 1, 1})
+	v := g.AddNode([]float64{1, 1, 1})
 	g.SetLabel(v, 1)
 	g.AddUndirectedEdge(v, 0, 0, 1)
 	a.Step(g.Updated())
-	if a.Chips.N() != 9 || a.Chips.Count(v) < a.Chips.MinChips {
+	if len(a.Chips.Counts()) != 9 || a.Chips.Counts()[v] < a.Chips.MinChips {
 		t.Fatal("new node not covered by chips")
 	}
 }
@@ -243,7 +243,7 @@ func TestChipsConcentrateOnHardRegion(t *testing.T) {
 	n := 20
 	g := graph.NewDynamic(2)
 	for i := 0; i < n; i++ {
-		g.AddNode(0, []float64{1, 0})
+		g.AddNode([]float64{1, 0})
 		if i < n/2 {
 			g.SetLabel(i, 0) // easy: constant target
 		} else {
@@ -266,10 +266,10 @@ func TestChipsConcentrateOnHardRegion(t *testing.T) {
 	}
 	easy, hard := 0, 0
 	for v := 0; v < n/2; v++ {
-		easy += a.Chips.Count(v)
+		easy += a.Chips.Counts()[v]
 	}
 	for v := n / 2; v < n; v++ {
-		hard += a.Chips.Count(v)
+		hard += a.Chips.Counts()[v]
 	}
 	if hard <= easy {
 		t.Fatalf("chips did not concentrate on hard region: easy=%d hard=%d", easy, hard)

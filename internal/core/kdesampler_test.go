@@ -6,14 +6,14 @@ import (
 	"testing"
 
 	"streamgnn/internal/graph"
-	"streamgnn/internal/kde"
+	"streamgnn/internal/kde/kdetest"
 	"streamgnn/internal/sampling"
 )
 
 func gridGraph(side int) *graph.Dynamic {
 	g := graph.NewDynamic(1)
 	for i := 0; i < side*side; i++ {
-		g.AddNode(0, nil)
+		g.AddNode(nil)
 	}
 	id := func(r, c int) int { return r*side + c }
 	for r := 0; r < side; r++ {
@@ -84,7 +84,7 @@ func TestKDESamplerSmallerStopProbWalksFarther(t *testing.T) {
 
 func TestKDESamplerIsolatedNodeStopsWalk(t *testing.T) {
 	g := graph.NewDynamic(1)
-	g.AddNode(0, nil) // single isolated node
+	g.AddNode(nil) // single isolated node
 	chips := sampling.NewChips(1, 5)
 	cfg := DefaultConfig()
 	cfg.StopProb = 0.01 // walks want to go far but cannot
@@ -111,7 +111,7 @@ func TestTheoremV1DensityDecaysAndSmooths(t *testing.T) {
 	// rich auxiliary distribution is impossible; instead use k=2 and drain.
 	chips = sampling.NewChips(n, 3)
 	for v := 0; v < n; v++ {
-		for chips.Count(v) > 1 && v != center {
+		for chips.Counts()[v] > 1 && v != center {
 			if !chips.Move(v, center) {
 				break
 			}
@@ -122,9 +122,9 @@ func TestTheoremV1DensityDecaysAndSmooths(t *testing.T) {
 	cfg.StopProb = 0.5
 	cfg.SeedKeep = 0.8
 	s := NewKDESampler(g, chips, cfg, rand.New(rand.NewSource(5)))
-	density := kde.EmpiricalDensity(n, 200000, s.SampleNode)
+	density := kdetest.EmpiricalDensity(n, 200000, s.SampleNode)
 
-	prof := kde.HopProfile(g, center, density, 4)
+	prof := kdetest.HopProfile(g, center, density, 4)
 	for h := 0; h+1 < len(prof); h++ {
 		if math.IsNaN(prof[h]) || math.IsNaN(prof[h+1]) {
 			continue
@@ -135,9 +135,9 @@ func TestTheoremV1DensityDecaysAndSmooths(t *testing.T) {
 	}
 	raw := make([]float64, n)
 	for v := 0; v < n; v++ {
-		raw[v] = float64(chips.Count(v)) / float64(chips.Total())
+		raw[v] = float64(chips.Counts()[v]) / float64(chips.Total())
 	}
-	if kde.EdgeSmoothness(g, density) >= kde.EdgeSmoothness(g, raw) {
+	if kdetest.EdgeSmoothness(g, density) >= kdetest.EdgeSmoothness(g, raw) {
 		t.Fatal("KDE density is not smoother than the chip distribution")
 	}
 }

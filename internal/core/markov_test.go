@@ -1,10 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
-	"streamgnn/internal/kde"
+	"streamgnn/internal/kde/kdetest"
 )
 
 func TestChipChainStateEnumeration(t *testing.T) {
@@ -67,8 +68,8 @@ func TestTheoremIV4ApproximateUnderChipSampling(t *testing.T) {
 	c := NewChipChain(utilities, 2, 1, false)
 	got := c.Stationary(30000)
 	want := c.TheoreticalStationary()
-	if kde.TotalVariation(got, want) > 0.15 {
-		t.Fatalf("TV distance %v too large", kde.TotalVariation(got, want))
+	if kdetest.TotalVariation(got, want) > 0.15 {
+		t.Fatalf("TV distance %v too large", kdetest.TotalVariation(got, want))
 	}
 	// The max-utility state (all movable chips at node 2) must be the most
 	// probable state.
@@ -118,4 +119,174 @@ func TestChipChainRejectsTrivial(t *testing.T) {
 		}
 	}()
 	NewChipChain([]float64{1}, 2, 1, true)
+}
+
+// ChipChain builds the exact Markov chain of Algorithm 1's chip state for a
+// small graph with *fixed* node utilities, enabling a direct check of
+// Theorem IV.4: the stationary probability of state s is proportional to
+// e^{u_s}, u_s the expected temporal utility of s.
+//
+// With UniformPairs (pairs drawn uniformly rather than from D) the chain is
+// exactly reversible with that stationary law — this matches the proof's
+// transition accounting. With chip-proportional pair selection, as Algorithm
+// 1 samples in practice, the pair-selection probability itself depends on
+// the state and the law holds approximately; the test suite checks both.
+type ChipChain struct {
+	N            int
+	K            int
+	MinChips     int
+	Utilities    []float64
+	UniformPairs bool
+
+	states [][]int
+	index  map[string]int
+}
+
+// NewChipChain enumerates the state space: all chip vectors of length
+// len(utilities) with every entry >= minChips summing to k*n.
+func NewChipChain(utilities []float64, k, minChips int, uniformPairs bool) *ChipChain {
+	n := len(utilities)
+	if n < 2 {
+		panic("core: ChipChain needs at least 2 nodes")
+	}
+	c := &ChipChain{
+		N: n, K: k, MinChips: minChips,
+		Utilities: utilities, UniformPairs: uniformPairs,
+		index: make(map[string]int),
+	}
+	total := k * n
+	cur := make([]int, n)
+	var rec func(pos, left int)
+	rec = func(pos, left int) {
+		if pos == n-1 {
+			if left >= minChips {
+				cur[pos] = left
+				st := append([]int(nil), cur...)
+				c.index[stateKey(st)] = len(c.states)
+				c.states = append(c.states, st)
+			}
+			return
+		}
+		for v := minChips; v <= left-(n-1-pos)*minChips; v++ {
+			cur[pos] = v
+			rec(pos+1, left-v)
+		}
+	}
+	rec(0, total)
+	return c
+}
+
+func stateKey(s []int) string { return fmt.Sprint(s) }
+
+// States returns the enumerated chip states.
+func (c *ChipChain) States() [][]int { return c.states }
+
+// ExpectedUtility returns u_s = Σ (c_i / total) · u_i for a state.
+func (c *ChipChain) ExpectedUtility(state []int) float64 {
+	total := float64(c.K * c.N)
+	var u float64
+	for i, ci := range state {
+		u += float64(ci) / total * c.Utilities[i]
+	}
+	return u
+}
+
+// TransitionMatrix builds the exact one-step transition matrix of Algorithm
+// 1 lines 2-16 with one pair per step and fixed utilities.
+func (c *ChipChain) TransitionMatrix() [][]float64 {
+	m := len(c.states)
+	total := float64(c.K * c.N)
+	P := make([][]float64, m)
+	for si, s := range c.states {
+		row := make([]float64, m)
+		for v1 := 0; v1 < c.N; v1++ {
+			for v2 := 0; v2 < c.N; v2++ {
+				var pPair float64
+				if c.UniformPairs {
+					pPair = 1 / float64(c.N*c.N)
+				} else {
+					pPair = float64(s[v1]) / total * float64(s[v2]) / total
+				}
+				if pPair == 0 {
+					continue
+				}
+				// Lines 8-10: ties favor v2 as winner.
+				w, l := v2, v1
+				if c.Utilities[v1] > c.Utilities[v2] {
+					w, l = v1, v2
+				}
+				delta := c.Utilities[w] - c.Utilities[l]
+				// Branch A (prob 1/2): chip l -> w.
+				if w != l && s[l] > c.MinChips {
+					row[c.moveIndex(s, l, w)] += pPair * 0.5
+				} else {
+					row[si] += pPair * 0.5
+				}
+				// Branch B (prob 1/2 * e^{-delta/kn}): chip w -> l.
+				pB := 0.5 * math.Exp(-delta/total)
+				if w != l && s[w] > c.MinChips {
+					row[c.moveIndex(s, w, l)] += pPair * pB
+				} else {
+					row[si] += pPair * pB
+				}
+				// Remaining mass stays put.
+				row[si] += pPair * (0.5 - pB)
+			}
+		}
+		P[si] = row
+	}
+	return P
+}
+
+func (c *ChipChain) moveIndex(s []int, from, to int) int {
+	next := append([]int(nil), s...)
+	next[from]--
+	next[to]++
+	idx, ok := c.index[stateKey(next)]
+	if !ok {
+		panic(fmt.Sprintf("core: move produced unknown state %v", next))
+	}
+	return idx
+}
+
+// Stationary computes the stationary distribution by power iteration.
+func (c *ChipChain) Stationary(iters int) []float64 {
+	P := c.TransitionMatrix()
+	m := len(c.states)
+	pi := make([]float64, m)
+	for i := range pi {
+		pi[i] = 1 / float64(m)
+	}
+	next := make([]float64, m)
+	for it := 0; it < iters; it++ {
+		for j := range next {
+			next[j] = 0
+		}
+		for i, p := range pi {
+			if p == 0 {
+				continue
+			}
+			row := P[i]
+			for j, q := range row {
+				next[j] += p * q
+			}
+		}
+		pi, next = next, pi
+	}
+	return pi
+}
+
+// TheoreticalStationary returns the Theorem IV.4 law π_s = e^{u_s} / Z over
+// the enumerated states.
+func (c *ChipChain) TheoreticalStationary() []float64 {
+	out := make([]float64, len(c.states))
+	var z float64
+	for i, s := range c.states {
+		out[i] = math.Exp(c.ExpectedUtility(s))
+		z += out[i]
+	}
+	for i := range out {
+		out[i] /= z
+	}
+	return out
 }

@@ -26,7 +26,7 @@ func TestKDESamplerResistsIsolationCollapse(t *testing.T) {
 	const connected = 10
 	const isolated = 200
 	for i := 0; i < connected+isolated; i++ {
-		g.AddNode(0, nil)
+		g.AddNode(nil)
 	}
 	for i := 0; i < connected; i++ {
 		g.AddUndirectedEdge(i, (i+1)%connected, 0, 0)
@@ -57,9 +57,9 @@ func TestKDESamplerResistsIsolationCollapse(t *testing.T) {
 func TestKDESamplerSeedsStayDiverse(t *testing.T) {
 	g := graph.NewDynamic(1)
 	// Star graph: every walk gravitates to the hub.
-	hub := g.AddNode(0, nil)
+	hub := g.AddNode(nil)
 	for i := 0; i < 30; i++ {
-		v := g.AddNode(0, nil)
+		v := g.AddNode(nil)
 		g.AddUndirectedEdge(hub, v, 0, 0)
 	}
 	chips := sampling.NewChips(g.N(), 5)
@@ -93,11 +93,11 @@ func TestAnchorsRemainActive(t *testing.T) {
 	tr.Workload.AddQuery(&q9)
 	a := NewAdaptiveLearner(tr, cfg, Weighted, rand.New(rand.NewSource(3)))
 	a.Step(nil)
-	if !a.Chips.Active(9) {
+	if a.Chips.EffectiveWeight(9) == 0 {
 		t.Fatal("isolated anchor was deactivated")
 	}
 	// A non-anchor isolated node is deactivated.
-	if a.Chips.Active(8) {
+	if a.Chips.EffectiveWeight(8) > 0 {
 		t.Fatal("isolated non-anchor stayed active")
 	}
 }

@@ -17,14 +17,16 @@ import (
 // partly labeled edges and 6 isolated ones — a model of the given kind with
 // committed recurrent state, and a workload that has revealed targets and
 // replay material (plus link pairs, negatives' embeddings and link replay when
-// link is set). mutate adjusts the trainer's configuration.
-func roundFixture(t *testing.T, kind dgnn.Kind, link bool, mutate func(*Config)) (*Trainer, autodiff.Optimizer) {
+// link is set). mutate adjusts the trainer's configuration. It returns the
+// trainer and the Adam optimizer under the model's wrapper, whose gradients
+// the tests clear and read.
+func roundFixture(t *testing.T, kind dgnn.Kind, link bool, mutate func(*Config)) (*Trainer, *autodiff.Adam) {
 	t.Helper()
 	const n, connected, hidden = 36, 30, 6
 	rng := rand.New(rand.NewSource(int64(100 + kind)))
 	g := graph.NewDynamic(3)
 	for v := 0; v < n; v++ {
-		g.AddNode(0, []float64{rng.NormFloat64(), rng.NormFloat64(), 1})
+		g.AddNode([]float64{rng.NormFloat64(), rng.NormFloat64(), 1})
 		if v%3 != 2 {
 			g.SetLabel(v, rng.Float64())
 		}
@@ -59,13 +61,15 @@ func roundFixture(t *testing.T, kind dgnn.Kind, link bool, mutate func(*Config))
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	opt := m.WrapOptimizer(autodiff.NewAdam(cfg.LR, append(m.Params(), heads.Params()...)))
-	tr := NewTrainer(g, m, w, opt, cfg, rng)
+	opt := autodiff.NewAdam(cfg.LR, append(m.Params(), heads.Params()...))
+	tr := NewTrainer(g, m, w, m.WrapOptimizer(opt), cfg, rng)
 	// One committed forward, predict and reveal: recurrent state, revealed
 	// targets and replay exist, and step 1's edges are the link positives.
 	m.BeginStep(0)
 	tp := autodiff.NewTape()
-	w.Predict(tensor.ViewOf(m.Forward(tp, dgnn.FullView(g)).Value), 0)
+	// Predict keeps a view of the embeddings, which the link negatives read
+	// after the tape is released: detach them from its recycling.
+	w.Predict(tensor.ViewOf(tp.Detach(m.Forward(tp, dgnn.FullView(g)))), 0)
 	tp.Release()
 	addEdges(12, 1)
 	w.Reveal(g, 1)
@@ -74,7 +78,7 @@ func roundFixture(t *testing.T, kind dgnn.Kind, link bool, mutate func(*Config))
 }
 
 // gradSnapshot copies every parameter gradient (nil reads as absent).
-func gradSnapshot(opt autodiff.Optimizer) [][]float64 {
+func gradSnapshot(opt *autodiff.Adam) [][]float64 {
 	out := make([][]float64, len(opt.Params()))
 	for i, p := range opt.Params() {
 		if p.Grad != nil {
@@ -86,7 +90,7 @@ func gradSnapshot(opt autodiff.Optimizer) [][]float64 {
 
 // evalAsRound evaluates centers as one round from zeroed gradients and returns
 // the units, the parameter gradients and the target counters it consumed.
-func evalAsRound(tr *Trainer, opt autodiff.Optimizer, centers []int, seeds []int64) ([]Unit, [][]float64, TrainerStats) {
+func evalAsRound(tr *Trainer, opt *autodiff.Adam, centers []int, seeds []int64) ([]Unit, [][]float64, TrainerStats) {
 	opt.ZeroGrad()
 	before := tr.Stats
 	r := new(round)
@@ -113,7 +117,7 @@ func targetDelta(now, before TrainerStats) TrainerStats {
 // must be bit-equal; gradients are the same terms in another association, so
 // they agree to 1e-12 of each parameter's largest entry — and exactly for a
 // round of one, which IS the reference.
-func checkRoundMatchesUnits(t *testing.T, tr *Trainer, opt autodiff.Optimizer, centers []int) {
+func checkRoundMatchesUnits(t *testing.T, tr *Trainer, opt *autodiff.Adam, centers []int) {
 	t.Helper()
 	seeds := make([]int64, len(centers))
 	for i := range seeds {

@@ -47,7 +47,7 @@ type Trainer struct {
 	ReplaySize int
 
 	rng *rand.Rand
-	// own is the round of TrainPartition, EvalPartition and TrainFull.
+	// own is the round of TrainFull.
 	own round
 	// tape records every training forward; finish releases it for the next.
 	// A recycled tape brings back its node shells and scratch slices (see
@@ -256,33 +256,6 @@ func (t *Trainer) step() {
 	start := now()
 	t.Opt.Step()
 	lap(&start, &t.Stats.OptimizerNs)
-}
-
-// roundOfOne evaluates node v's partition as a round of one unit, seeded from
-// the trainer's own rng.
-func (t *Trainer) roundOfOne(v int, apply bool) Unit {
-	r := &t.own
-	r.reset()
-	r.add(t.G.Partition(v, t.Model.Layers()), t.rng.Int63())
-	t.evalRound(r, apply)
-	return r.units[0]
-}
-
-// TrainPartition performs node v's training partition and returns its
-// temporal utility and whether any training material was available.
-func (t *Trainer) TrainPartition(v int) (utility float64, trained bool) {
-	u := t.roundOfOne(v, true)
-	if u.OK {
-		t.step()
-	}
-	return u.Utility, u.OK
-}
-
-// EvalPartition measures node v's partition loss without updating anything
-// (used by what-if analyses and tests).
-func (t *Trainer) EvalPartition(v int) (utility float64, ok bool) {
-	u := t.roundOfOne(v, false)
-	return u.Utility, u.OK
 }
 
 // TrainFull performs one full-graph training pass (the baseline) and

@@ -19,7 +19,7 @@ func workloadSetup(t *testing.T, cfg Config) (*graph.Dynamic, *Trainer, *query.W
 	g := graph.NewDynamic(2)
 	const n = 14
 	for i := 0; i < n; i++ {
-		g.AddNode(0, []float64{float64(i % 2), 1})
+		g.AddNode([]float64{float64(i % 2), 1})
 		g.SetLabel(i, float64(i%2))
 	}
 	for i := 0; i < n; i++ {
@@ -88,7 +88,7 @@ func TestLinkSelfSupervisionGlobalNegatives(t *testing.T) {
 	g := graph.NewDynamic(2)
 	const n = 20
 	for i := 0; i < n; i++ {
-		g.AddNode(0, []float64{float64(i % 3), 1})
+		g.AddNode([]float64{float64(i % 3), 1})
 	}
 	for i := 0; i < n; i++ {
 		g.AddUndirectedEdge(i, (i+1)%n, 0, 0)
@@ -139,4 +139,31 @@ func TestTrainerStatsAccumulate(t *testing.T) {
 	if colVec([]float64{1, 2}).Rows != 2 {
 		t.Fatal("colVec wrong")
 	}
+}
+
+// roundOfOne evaluates node v's partition as a round of one unit, seeded from
+// the trainer's own rng.
+func (t *Trainer) roundOfOne(v int, apply bool) Unit {
+	r := &t.own
+	r.reset()
+	r.add(t.G.Partition(v, t.Model.Layers()), t.rng.Int63())
+	t.evalRound(r, apply)
+	return r.units[0]
+}
+
+// TrainPartition performs node v's training partition and returns its
+// temporal utility and whether any training material was available.
+func (t *Trainer) TrainPartition(v int) (utility float64, trained bool) {
+	u := t.roundOfOne(v, true)
+	if u.OK {
+		t.step()
+	}
+	return u.Utility, u.OK
+}
+
+// EvalPartition measures node v's partition loss without updating anything
+// (used by what-if analyses and tests).
+func (t *Trainer) EvalPartition(v int) (utility float64, ok bool) {
+	u := t.roundOfOne(v, false)
+	return u.Utility, u.OK
 }

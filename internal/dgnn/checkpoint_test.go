@@ -83,22 +83,3 @@ func TestCheckpointRestoreValidation(t *testing.T) {
 		t.Fatal("EvolveGCN corrupt data accepted")
 	}
 }
-
-func TestResetAllModels(t *testing.T) {
-	g := ring(6, 3)
-	for _, k := range Kinds() {
-		rng := rand.New(rand.NewSource(2))
-		m := New(k, rng, 3, 4)
-		m.BeginStep(0)
-		tp := autodiff.NewTape()
-		m.Forward(tp, FullView(g))
-		m.Reset() // must not panic; state-carrying models verified elsewhere
-	}
-}
-
-func TestBaselineKinds(t *testing.T) {
-	base := BaselineKinds()
-	if len(base) != 7 || base[6] != EvolveGCN {
-		t.Fatalf("BaselineKinds = %v", base)
-	}
-}

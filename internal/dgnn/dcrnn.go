@@ -26,7 +26,7 @@ type DCRNNModel struct {
 func NewDCRNN(rng *rand.Rand, featDim, hidden int) *DCRNNModel {
 	const k = 2
 	m := &DCRNNModel{
-		cell: nn.NewConvGRUCell(hidden, func() nn.Module {
+		cell: nn.NewConvGRUCell(func() nn.Module {
 			return nn.NewDiffusionConv(rng, featDim+hidden, hidden, k)
 		}),
 		hidden: hidden,
@@ -48,9 +48,6 @@ func (m *DCRNNModel) Hidden() int { return m.hidden }
 
 // Params implements Model.
 func (m *DCRNNModel) Params() []*autodiff.Node { return m.cell.Params() }
-
-// Memoryless implements Model: DCRNN carries per-node GRU state.
-func (m *DCRNNModel) Memoryless() bool { return false }
 
 // WrapOptimizer implements Model.
 func (m *DCRNNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }

@@ -29,7 +29,7 @@ func growLoose(g *graph.Dynamic, rng *rand.Rand, k int, step int64) {
 		for j := range f {
 			f[j] = rng.NormFloat64()
 		}
-		g.AddNode(0, f)
+		g.AddNode(f)
 	}
 	n := g.N()
 	for e := 0; e < k; e++ {
@@ -71,7 +71,6 @@ func sameStateBits(t *testing.T, what string, a, b []StateDump) {
 // state row; and a second identical pass, on the release plan the first one
 // taught the inference tape, agrees with the first.
 func TestDemandOrderMatchesWholeRegion(t *testing.T) {
-	withPooling(t)
 	const featDim, hidden = 3, 5
 	for _, k := range Kinds() {
 		t.Run(k.String(), func(t *testing.T) {
@@ -176,7 +175,6 @@ func TestForwardPartShape(t *testing.T) {
 // several steps so the scratch is reused warm, against one part holding
 // everything.
 func TestForwardShardsConcurrentRegions(t *testing.T) {
-	withPooling(t)
 	s, err := shard.New(5, shard.Hash)
 	if err != nil {
 		t.Fatal(err)

@@ -54,9 +54,6 @@ func (m *DyGrEncoderModel) Params() []*autodiff.Node {
 	return nn.CollectParams(m.enc1, m.enc2, m.lstm, m.dec)
 }
 
-// Memoryless implements Model: DyGrEncoder carries per-node LSTM state.
-func (m *DyGrEncoderModel) Memoryless() bool { return false }
-
 // WrapOptimizer implements Model.
 func (m *DyGrEncoderModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 

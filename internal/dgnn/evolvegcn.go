@@ -90,18 +90,6 @@ func (m *EvolveGCNModel) BeginStep(t int) {
 	}
 }
 
-// Memoryless implements Model: the weight matrices evolve every step, so a
-// cached embedding row reflects the weights of the step it was computed at.
-func (m *EvolveGCNModel) Memoryless() bool { return false }
-
-// Reset implements Model: forgets captured evolutions (starting weights are
-// kept, as they are the model's only weights).
-func (m *EvolveGCNModel) Reset() {
-	for _, l := range m.weights {
-		l.wNext = nil
-	}
-}
-
 // WrapOptimizer implements Model.
 func (m *EvolveGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 

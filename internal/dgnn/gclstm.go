@@ -26,7 +26,7 @@ type GCLSTMModel struct {
 func NewGCLSTM(rng *rand.Rand, featDim, hidden int) *GCLSTMModel {
 	m := &GCLSTMModel{
 		enc: nn.NewGCNConv(rng, featDim, hidden),
-		cell: nn.NewConvLSTMCell(hidden, func() nn.Module {
+		cell: nn.NewConvLSTMCell(func() nn.Module {
 			return nn.NewGCNConv(rng, hidden+hidden, hidden)
 		}),
 		hidden: hidden,
@@ -48,9 +48,6 @@ func (m *GCLSTMModel) Hidden() int { return m.hidden }
 
 // Params implements Model.
 func (m *GCLSTMModel) Params() []*autodiff.Node { return nn.CollectParams(m.enc, m.cell) }
-
-// Memoryless implements Model: GC-LSTM carries per-node LSTM state.
-func (m *GCLSTMModel) Memoryless() bool { return false }
 
 // WrapOptimizer implements Model.
 func (m *GCLSTMModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }

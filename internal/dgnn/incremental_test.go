@@ -152,16 +152,6 @@ func TestCommitRowsMasksStateWriteback(t *testing.T) {
 	}
 }
 
-// Memoryless flags: WinGNN alone is a pure function of the view.
-func TestMemorylessFlags(t *testing.T) {
-	for _, m := range allModels(t) {
-		want := m.Name() == "WinGNN"
-		if m.Memoryless() != want {
-			t.Fatalf("%s Memoryless = %v, want %v", m.Name(), m.Memoryless(), want)
-		}
-	}
-}
-
 // HoldsNodeState flags: the six recurrent kinds hold edgeless rows; WinGNN
 // keeps no state and EvolveGCN's forward also advances its weights.
 func TestHoldsNodeStateFlags(t *testing.T) {

@@ -12,14 +12,6 @@ import (
 	"streamgnn/internal/tensor"
 )
 
-// withPooling turns the buffer pool on for a test and restores it after.
-func withPooling(t *testing.T) {
-	t.Helper()
-	was := tensor.PoolingEnabled()
-	tensor.EnablePooling(true)
-	t.Cleanup(func() { tensor.EnablePooling(was) })
-}
-
 // typedGraph is a ring with chords whose edges carry three edge types, so
 // RTGCN's per-relation path runs with more than one live relation, and whose
 // features change from step to step.
@@ -28,7 +20,7 @@ func typedGraph(n, featDim int) *graph.Dynamic {
 	for i := 0; i < n; i++ {
 		f := make([]float64, featDim)
 		f[0], f[1] = float64(i%3)-1, float64(i%5)*0.25
-		g.AddNode(0, f)
+		g.AddNode(f)
 	}
 	for i := 0; i < n; i++ {
 		g.AddUndirectedEdge(i, (i+1)%n, graph.EdgeType(i%3), int64(i))
@@ -96,7 +88,6 @@ func sameDumps(t *testing.T, what string, a, b []StateDump) {
 // tapes, bit for bit. The fourth row rotates the view shapes on a single tape,
 // so a release plan learned under one shape is validated against the others.
 func TestInferenceTapeMatchesRecordingTape(t *testing.T) {
-	withPooling(t)
 	const n, featDim, hidden, steps = 48, 3, 6, 4
 	rows := append(inferenceViews[:len(inferenceViews):len(inferenceViews)], viewCase{"rotating", func(g *graph.Dynamic, step int) View {
 		return inferenceViews[step%len(inferenceViews)].build(g, step)
@@ -129,7 +120,6 @@ func TestInferenceTapeMatchesRecordingTape(t *testing.T) {
 // each ordered pair of kinds, a tape warmed on the first must still compute
 // the second's values exactly.
 func TestInferenceTapeSharedAcrossKinds(t *testing.T) {
-	withPooling(t)
 	const n, featDim, hidden = 24, 3, 4
 	g := typedGraph(n, featDim)
 	for _, first := range Kinds() {
@@ -162,7 +152,6 @@ func TestInferenceTapeSharedAcrossKinds(t *testing.T) {
 // pooled shard-worker tape is — match fresh recording tapes bit for bit, output
 // and committed state.
 func TestInferenceTapeAcrossActiveBlockFlips(t *testing.T) {
-	withPooling(t)
 	const n, featDim, hidden, steps = 24, 3, 4, 8
 	g := typedGraph(n, featDim)
 	ref := NewDCRNN(rand.New(rand.NewSource(2)), featDim, hidden)
@@ -174,7 +163,7 @@ func TestInferenceTapeAcrossActiveBlockFlips(t *testing.T) {
 		// Two steps in three add a node without an edge (|A| < n); the third
 		// connects both, and every row is active again.
 		if step%3 != 2 {
-			pending = g.AddNode(0, []float64{1, float64(step), 0})
+			pending = g.AddNode([]float64{1, float64(step), 0})
 		} else {
 			for v := pending - 1; v <= pending; v++ {
 				g.AddEdge(v, step%n, 0, int64(200+step))
@@ -209,7 +198,6 @@ func TestInferenceTapeAcrossActiveBlockFlips(t *testing.T) {
 // recurrent model must agree with the serial single-region forward (run under
 // -race in CI).
 func TestForwardShardsOnInferenceTapesMatchesSerial(t *testing.T) {
-	withPooling(t)
 	g := islands(4, 10, 3)
 	all := make([]int, g.N())
 	for i := range all {
@@ -244,7 +232,7 @@ func mostlyIsolated(n, featDim int) *graph.Dynamic {
 	for i := 0; i < n; i++ {
 		f := make([]float64, featDim)
 		f[0], f[1] = float64(i%3)-1, float64(i%5)*0.25
-		g.AddNode(0, f)
+		g.AddNode(f)
 	}
 	for i, m := 0, n/20; i < m; i++ {
 		g.AddUndirectedEdge(i, (i+1)%m, graph.EdgeType(i%3), int64(i))
@@ -266,7 +254,6 @@ func mostlyIsolated(n, featDim int) *graph.Dynamic {
 // learns the plan: from the second on, every row-local op whose operand dies
 // there writes into that operand's buffer instead of drawing a new one.
 func TestFullForwardSteadyStateAllocation(t *testing.T) {
-	withPooling(t)
 	const n, featDim, hidden = 2000, 4, 16
 	newDCRNN := func() Model { return NewDCRNN(rand.New(rand.NewSource(1)), featDim, hidden) }
 	newTGCN := func() Model { return NewTGCN(rand.New(rand.NewSource(1)), featDim, hidden) }

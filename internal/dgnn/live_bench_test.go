@@ -16,7 +16,7 @@ import (
 func liveGraph(n int, share float64, rng *rand.Rand) (*graph.Dynamic, []int) {
 	g := graph.NewDynamic(4)
 	for v := 0; v < n; v++ {
-		g.AddNode(0, []float64{rng.Float64(), rng.Float64(), 1, 0})
+		g.AddNode([]float64{rng.Float64(), rng.Float64(), 1, 0})
 	}
 	live := rng.Perm(n)[:int(share*float64(n))]
 	sort.Ints(live)

@@ -199,18 +199,10 @@ type Model interface {
 	// BeginStep announces that the stream advanced to step t. Models with
 	// per-step weight dynamics (EvolveGCN) hook this.
 	BeginStep(t int)
-	// Memoryless reports whether Forward is a pure function of the view —
-	// no recurrent state and no per-step weight dynamics. For memoryless
-	// models incremental dirty-region inference is exact (bit-identical to
-	// a full forward); for stateful models it is bounded-staleness: rows
-	// outside the dirty frontier keep their last committed state.
-	Memoryless() bool
 	// Forward computes gradient-tracked embeddings (view.N × Hidden) and,
 	// unless view.NoCommit, writes updated recurrent state for the view's
 	// nodes (detached).
 	Forward(tp *autodiff.Tape, v View) *autodiff.Node
-	// Reset clears all recurrent state (training restart).
-	Reset()
 	// WrapOptimizer lets the model interpose on parameter updates
 	// (WinGNN's random gradient-aggregation window); most models return
 	// opt unchanged.
@@ -315,11 +307,6 @@ func ParseKind(name string) (Kind, error) {
 // the RTGCN extension.
 func Kinds() []Kind {
 	return []Kind{TGCN, DCRNN, GCLSTM, DyGrEncoder, ROLAND, WinGNN, EvolveGCN, RTGCN}
-}
-
-// BaselineKinds returns only the paper's seven baselines.
-func BaselineKinds() []Kind {
-	return Kinds()[:7]
 }
 
 // New constructs a baseline of the given kind.

@@ -52,9 +52,6 @@ func (m *ROLANDModel) Params() []*autodiff.Node {
 	return nn.CollectParams(m.conv1, m.conv2, m.upd1, m.upd2)
 }
 
-// Memoryless implements Model: ROLAND carries per-node layerwise state.
-func (m *ROLANDModel) Memoryless() bool { return false }
-
 // WrapOptimizer implements Model.
 func (m *ROLANDModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 

@@ -38,7 +38,7 @@ func NewRTGCN(rng *rand.Rand, featDim, hidden, relations int) *RTGCNModel {
 	}
 	m := &RTGCNModel{
 		enc: nn.NewRGCNConv(rng, featDim, hidden, relations),
-		cell: nn.NewConvGRUCell(hidden, func() nn.Module {
+		cell: nn.NewConvGRUCell(func() nn.Module {
 			return nn.NewRGCNConv(rng, hidden+hidden, hidden, relations)
 		}),
 		hidden:    hidden,
@@ -58,14 +58,8 @@ func (m *RTGCNModel) Layers() int { return 2 }
 // Hidden implements Model.
 func (m *RTGCNModel) Hidden() int { return m.hidden }
 
-// Relations returns the edge-type budget.
-func (m *RTGCNModel) Relations() int { return m.relations }
-
 // Params implements Model.
 func (m *RTGCNModel) Params() []*autodiff.Node { return nn.CollectParams(m.enc, m.cell) }
-
-// Memoryless implements Model: RTGCN carries per-node GRU state.
-func (m *RTGCNModel) Memoryless() bool { return false }
 
 // WrapOptimizer implements Model.
 func (m *RTGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }

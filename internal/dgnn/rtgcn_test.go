@@ -15,7 +15,7 @@ func typedRing(n, featDim int) *graph.Dynamic {
 	for i := 0; i < n; i++ {
 		f := make([]float64, featDim)
 		f[0] = float64(i%3) - 1
-		g.AddNode(0, f)
+		g.AddNode(f)
 	}
 	for i := 0; i < n; i++ {
 		g.AddUndirectedEdge(i, (i+1)%n, graph.EdgeType(i%2), int64(i))
@@ -33,7 +33,7 @@ func TestRTGCNRelations(t *testing.T) {
 	m.BeginStep(0)
 	tp := autodiff.NewTape()
 	out := m.Forward(tp, FullView(g))
-	loss := tp.MSE(out, tensor.New(8, 4))
+	loss := mse(tp, out, tensor.New(8, 4))
 	tp.Backward(loss)
 	for i, p := range m.Params() {
 		if p.Grad == nil {
@@ -50,8 +50,8 @@ func TestRTGCNDistinguishesRelations(t *testing.T) {
 	g1 := graph.NewDynamic(2)
 	g2 := graph.NewDynamic(2)
 	for i := 0; i < 4; i++ {
-		g1.AddNode(0, []float64{1, -0.5})
-		g2.AddNode(0, []float64{1, -0.5})
+		g1.AddNode([]float64{1, -0.5})
+		g2.AddNode([]float64{1, -0.5})
 	}
 	for i := 0; i < 4; i++ {
 		g1.AddUndirectedEdge(i, (i+1)%4, 0, 0)
@@ -136,15 +136,5 @@ func TestTypedAdjPartition(t *testing.T) {
 	}
 }
 
-func TestNumEdgeTypes(t *testing.T) {
-	g := graph.NewDynamic(1)
-	g.AddNode(0, nil)
-	if g.NumEdgeTypes() != 0 {
-		t.Fatal("edgeless graph should have 0 types")
-	}
-	g.AddNode(0, nil)
-	g.AddEdge(0, 1, 3, 0)
-	if g.NumEdgeTypes() != 4 {
-		t.Fatalf("NumEdgeTypes = %d", g.NumEdgeTypes())
-	}
-}
+// Relations returns the edge-type budget.
+func (m *RTGCNModel) Relations() int { return m.relations }

@@ -18,7 +18,7 @@ func islands(k, n, featDim int) *graph.Dynamic {
 	for i := 0; i < k*n; i++ {
 		f := make([]float64, featDim)
 		f[0] = float64(i%3) - 1
-		g.AddNode(0, f)
+		g.AddNode(f)
 	}
 	for c := 0; c < k; c++ {
 		for i := 0; i < n; i++ {

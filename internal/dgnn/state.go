@@ -64,13 +64,6 @@ func (ss nodeStates) PregrowState(n int, rows []int) {
 	}
 }
 
-// Reset implements Model.
-func (ss nodeStates) Reset() {
-	for _, s := range ss {
-		s.reset()
-	}
-}
-
 // DropSnapshot releases the BeginStep snapshot of m's per-node recurrent
 // state, for a step that runs no NoCommit forward: its committed writes then
 // land in place instead of cloning the pages the snapshot shares, and its
@@ -196,12 +189,4 @@ func (s *nodeState) rowInto(id int, dst []float64) {
 	for i := range dst {
 		dst[i] = 0
 	}
-}
-
-// reset zeroes all stored state and drops the snapshot.
-func (s *nodeState) reset() {
-	n := s.data.Rows()
-	s.data = tensor.NewPaged(s.dim)
-	s.data.Grow(n)
-	s.snap = nil
 }

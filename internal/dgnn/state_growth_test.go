@@ -17,9 +17,9 @@ func TestSnapshotCopiesTouchedPagesOnly(t *testing.T) {
 	page := int64(tensor.PageRows * dim)
 	s := newNodeState(dim)
 	row, sentinel := tensor.New(1, dim), tensor.New(1, dim)
-	sentinel.Fill(-1)
+	fill(sentinel, -1)
 	for step := 0; step < steps; step++ {
-		row.Fill(float64(step + 1))
+		fill(row, float64(step+1))
 		s.write(View{N: 1, IDs: []int{step}}, row)
 		// One node more than the snapshot holds, and the live state moves on
 		// under it; the write lands in a page the snapshot shares unless the
@@ -79,5 +79,12 @@ func TestScatterStateRowsRejectsBadIDs(t *testing.T) {
 		if err := m.ScatterStateRows(ids, []StateDump{d}); err == nil {
 			t.Fatalf("scatter to %v accepted", ids)
 		}
+	}
+}
+
+// fill sets every element of m to v.
+func fill(m *tensor.Matrix, v float64) {
+	for i := range m.Data {
+		m.Data[i] = v
 	}
 }

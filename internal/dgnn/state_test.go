@@ -86,7 +86,7 @@ func TestSnapshotWithGraphGrowth(t *testing.T) {
 	m.Forward(tp, FullView(g))
 	// New node arrives mid-step; a training forward touching it must not
 	// panic and must see zero state for it.
-	v := g.AddNode(0, []float64{1, 0, 0})
+	v := g.AddNode([]float64{1, 0, 0})
 	g.AddUndirectedEdge(v, 0, 0, 1)
 	sub := g.Partition(v, m.Layers())
 	sv := SubView(sub)

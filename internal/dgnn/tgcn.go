@@ -26,7 +26,7 @@ type TGCNModel struct {
 func NewTGCN(rng *rand.Rand, featDim, hidden int) *TGCNModel {
 	m := &TGCNModel{
 		enc: nn.NewGCNConv(rng, featDim, hidden),
-		cell: nn.NewConvGRUCell(hidden, func() nn.Module {
+		cell: nn.NewConvGRUCell(func() nn.Module {
 			return nn.NewGCNConv(rng, hidden+hidden, hidden)
 		}),
 		hidden: hidden,
@@ -47,9 +47,6 @@ func (m *TGCNModel) Hidden() int { return m.hidden }
 
 // Params implements Model.
 func (m *TGCNModel) Params() []*autodiff.Node { return nn.CollectParams(m.enc, m.cell) }
-
-// Memoryless implements Model: TGCN carries per-node GRU state.
-func (m *TGCNModel) Memoryless() bool { return false }
 
 // WrapOptimizer implements Model.
 func (m *TGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }

@@ -58,17 +58,9 @@ func (m *WinGNNModel) Params() []*autodiff.Node {
 // BeginStep implements Model.
 func (m *WinGNNModel) BeginStep(t int) {}
 
-// Memoryless implements Model: WinGNN is a pure GCN stack — its temporal
-// adaptation lives entirely in the optimizer's gradient window, so Forward
-// depends only on the view and incremental inference is exact.
-func (m *WinGNNModel) Memoryless() bool { return true }
-
 // PregrowState is a no-op: WinGNN keeps no per-node state. Implementing the
 // interface opts the model into the parallel shard fan-out.
 func (m *WinGNNModel) PregrowState(int, []int) {}
-
-// Reset implements Model.
-func (m *WinGNNModel) Reset() {}
 
 // WrapOptimizer implements Model: wraps opt in the random
 // gradient-aggregation window. The window draws from a private SplitMix64
@@ -104,9 +96,6 @@ type winOptimizer struct {
 
 // Params implements autodiff.Optimizer.
 func (w *winOptimizer) Params() []*autodiff.Node { return w.inner.Params() }
-
-// ZeroGrad implements autodiff.Optimizer.
-func (w *winOptimizer) ZeroGrad() { w.inner.ZeroGrad() }
 
 // Step implements autodiff.Optimizer.
 func (w *winOptimizer) Step() {

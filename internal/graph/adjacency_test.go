@@ -75,7 +75,7 @@ func mustMatchOracle(t *testing.T, what string, got *tensor.CSR, nodes []int, wa
 func multigraph(rng *rand.Rand, n int, isolated float64) *Dynamic {
 	g := NewDynamic(1)
 	for i := 0; i < n; i++ {
-		g.AddNode(0, nil)
+		g.AddNode(nil)
 	}
 	if m := int(float64(n) * (1 - isolated)); m > 0 {
 		for e := 0; e < 2*m; e++ {

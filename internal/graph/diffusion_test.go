@@ -13,7 +13,7 @@ import (
 func sparseDirected(rng *rand.Rand, n int, isolated float64) *Dynamic {
 	g := NewDynamic(2)
 	for i := 0; i < n; i++ {
-		g.AddNode(0, []float64{rng.Float64(), rng.Float64()})
+		g.AddNode([]float64{rng.Float64(), rng.Float64()})
 	}
 	if m := int(float64(n) * (1 - isolated)); m > 1 {
 		for e := 0; e < m; e++ {
@@ -111,7 +111,7 @@ func TestAdjCachesKeyOnTopology(t *testing.T) {
 	}
 	for name, mutate := range map[string]func(){
 		"AddEdge":       func() { g.AddEdge(0, 3, 0, 9) },
-		"AddNode":       func() { g.AddNode(0, nil) },
+		"AddNode":       func() { g.AddNode(nil) },
 		"window expiry": func() { g.ExpireEdgesBefore(1) },
 	} {
 		before := read()

@@ -49,7 +49,7 @@ func (g *Dynamic) Ball(sources []int, L int) []int {
 	if len(sources) == 0 {
 		return nil
 	}
-	seen := getScratch(len(g.ntype))
+	seen := getScratch(g.N())
 	ids := make([]int, 0, len(sources))
 	for _, v := range sources {
 		g.checkNode(v)

@@ -9,7 +9,7 @@ import (
 
 func TestDirtyTrackingDisabledByDefault(t *testing.T) {
 	g := NewDynamic(2)
-	g.AddNode(0, []float64{1, 0})
+	g.AddNode([]float64{1, 0})
 	if got := g.TakeDirty(); got != nil {
 		t.Fatalf("TakeDirty = %v on a disabled tracker", got)
 	}
@@ -18,9 +18,9 @@ func TestDirtyTrackingDisabledByDefault(t *testing.T) {
 func TestDirtyTrackingAccumulatesAndDrains(t *testing.T) {
 	g := NewDynamic(2)
 	g.EnableDirtyTracking()
-	a := g.AddNode(0, []float64{1, 0})
-	b := g.AddNode(0, []float64{0, 1})
-	c := g.AddNode(0, []float64{1, 1})
+	a := g.AddNode([]float64{1, 0})
+	b := g.AddNode([]float64{0, 1})
+	c := g.AddNode([]float64{1, 1})
 	g.AddEdge(a, b, 0, 0)
 	if got, want := g.TakeDirty(), []int{a, b, c}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("TakeDirty = %v, want %v", got, want)
@@ -47,9 +47,9 @@ func TestDirtyTrackingAccumulatesAndDrains(t *testing.T) {
 func TestDirtyTrackingSeesExpiry(t *testing.T) {
 	g := NewDynamic(2)
 	g.EnableDirtyTracking()
-	a := g.AddNode(0, nil)
-	b := g.AddNode(0, nil)
-	g.AddNode(0, nil)
+	a := g.AddNode(nil)
+	b := g.AddNode(nil)
+	g.AddNode(nil)
 	g.AddEdge(a, b, 0, 0)
 	g.TakeDirty()
 	g.ResetUpdated()
@@ -68,7 +68,7 @@ func TestBallMatchesKHopBallUnion(t *testing.T) {
 	g := NewDynamic(1)
 	const n = 60
 	for i := 0; i < n; i++ {
-		g.AddNode(0, []float64{1})
+		g.AddNode([]float64{1})
 	}
 	for i := 0; i < n; i++ {
 		g.AddEdge(i, (i+1)%n, 0, 0)
@@ -105,7 +105,7 @@ func TestLiveIsClosedUnderBall(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := NewDynamic(1)
 	for v := 0; v < 40; v++ {
-		g.AddNode(0, []float64{0})
+		g.AddNode([]float64{0})
 	}
 	for step := int64(0); step < 12; step++ {
 		for k := 0; k < 4; k++ {

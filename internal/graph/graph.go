@@ -15,9 +15,6 @@ import (
 	"streamgnn/internal/tensor"
 )
 
-// NodeType identifies the entity type of a node (patient, transaction, ...).
-type NodeType uint8
-
 // EdgeType identifies the relation type of an edge (lab event, flow, ...).
 type EdgeType uint8
 
@@ -41,9 +38,8 @@ func (e Edge) HasLabel() bool { return !math.IsNaN(e.Label) }
 // application and training.
 type Dynamic struct {
 	featDim int
-	ntype   []NodeType
 	feat    []float64 // n × featDim, row-major
-	label   []float64 // node labels; NaN = unlabeled
+	label   []float64 // node labels, one per node; NaN = unlabeled
 
 	out [][]Edge
 	in  [][]Edge
@@ -97,7 +93,7 @@ func NewDynamic(featDim int) *Dynamic {
 }
 
 // N returns the number of nodes.
-func (g *Dynamic) N() int { return len(g.ntype) }
+func (g *Dynamic) N() int { return len(g.label) }
 
 // FeatDim returns the per-node attribute dimension.
 func (g *Dynamic) FeatDim() int { return g.featDim }
@@ -117,12 +113,11 @@ func (g *Dynamic) markFwdDirty(v int) {
 	}
 }
 
-// AddNode appends a node of type t with the given attribute vector (padded
-// or truncated to FeatDim) and returns its id. New nodes start unlabeled.
-func (g *Dynamic) AddNode(t NodeType, feat []float64) int {
-	id := len(g.ntype)
+// AddNode appends a node with the given attribute vector (padded or
+// truncated to FeatDim) and returns its id. New nodes start unlabeled.
+func (g *Dynamic) AddNode(feat []float64) int {
+	id := g.N()
 	g.edgeVersion++
-	g.ntype = append(g.ntype, t)
 	row := make([]float64, g.featDim)
 	copy(row, feat)
 	g.feat = append(g.feat, row...)
@@ -135,9 +130,6 @@ func (g *Dynamic) AddNode(t NodeType, feat []float64) int {
 	g.markFwdDirty(id)
 	return id
 }
-
-// Type returns node v's type.
-func (g *Dynamic) Type(v int) NodeType { return g.ntype[v] }
 
 // AddEdge inserts a directed edge u→v of type et at time ts with no label.
 func (g *Dynamic) AddEdge(u, v int, et EdgeType, ts int64) {
@@ -166,8 +158,8 @@ func (g *Dynamic) AddUndirectedEdge(u, v int, et EdgeType, ts int64) {
 }
 
 func (g *Dynamic) checkNode(v int) {
-	if v < 0 || v >= len(g.ntype) {
-		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", v, len(g.ntype)))
+	if v < 0 || v >= g.N() {
+		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", v, g.N()))
 	}
 }
 
@@ -329,7 +321,7 @@ func (g *Dynamic) setRoot(v int) { g.root[v] = math.Sqrt(g.normDeg(v)) }
 // advances. The set is closed under Ball — an edgeless node has no neighbours
 // — so every row in it sees its whole receptive field inside it.
 func (g *Dynamic) Live(extra []int) []int {
-	mark := getScratch(len(g.ntype))
+	mark := getScratch(g.N())
 	for _, v := range extra {
 		g.checkNode(v)
 		mark[v] = 1
@@ -462,11 +454,8 @@ func (g *Dynamic) WalkAdj() *tensor.CSR {
 // D^{-1/2}(A+Aᵀ+I)D^{-1/2} of the current snapshot (cached per edge version).
 func (g *Dynamic) NormAdj() *tensor.CSR { return g.snapshot().NormAdj() }
 
-// RWAdj returns the row-normalized random-walk adjacency. reverse selects
-// the in-edge direction (used by DCRNN's bidirectional diffusion).
-func (g *Dynamic) RWAdj(reverse bool) *tensor.CSR { return g.snapshot().RWAdj(reverse) }
-
-// Diffusion returns the two random-walk adjacencies of RWAdj restricted to
-// the rows with a live edge (see tensor.Diffusion), built on first use per
+// Diffusion returns the two row-normalized random-walk adjacencies (out- and
+// in-edge direction, for DCRNN's bidirectional diffusion) restricted to the
+// rows with a live edge (see tensor.Diffusion), built on first use per
 // edge version.
 func (g *Dynamic) Diffusion() *tensor.Diffusion { return g.snapshot().Diffusion() }

@@ -5,13 +5,15 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"streamgnn/internal/tensor"
 )
 
 // chain builds 0-1-2-...-n-1 as undirected edges.
 func chain(n int) *Dynamic {
 	g := NewDynamic(2)
 	for i := 0; i < n; i++ {
-		g.AddNode(0, []float64{float64(i), 1})
+		g.AddNode([]float64{float64(i), 1})
 	}
 	for i := 0; i+1 < n; i++ {
 		g.AddUndirectedEdge(i, i+1, 0, int64(i))
@@ -21,13 +23,10 @@ func chain(n int) *Dynamic {
 
 func TestAddNodeAndFeatures(t *testing.T) {
 	g := NewDynamic(3)
-	a := g.AddNode(1, []float64{1, 2, 3})
-	b := g.AddNode(2, []float64{4}) // padded
+	a := g.AddNode([]float64{1, 2, 3})
+	b := g.AddNode([]float64{4}) // padded
 	if a != 0 || b != 1 || g.N() != 2 {
 		t.Fatalf("ids/N wrong: %d %d %d", a, b, g.N())
-	}
-	if g.Type(a) != 1 || g.Type(b) != 2 {
-		t.Fatal("types wrong")
 	}
 	f := g.Features()
 	if f.At(0, 2) != 3 || f.At(1, 0) != 4 || f.At(1, 1) != 0 {
@@ -41,7 +40,7 @@ func TestAddNodeAndFeatures(t *testing.T) {
 
 func TestLabels(t *testing.T) {
 	g := NewDynamic(1)
-	v := g.AddNode(0, nil)
+	v := g.AddNode(nil)
 	if _, ok := g.Label(v); ok {
 		t.Fatal("new node should be unlabeled")
 	}
@@ -53,9 +52,9 @@ func TestLabels(t *testing.T) {
 
 func TestEdgesAndDegree(t *testing.T) {
 	g := NewDynamic(1)
-	a := g.AddNode(0, nil)
-	b := g.AddNode(0, nil)
-	c := g.AddNode(0, nil)
+	a := g.AddNode(nil)
+	b := g.AddNode(nil)
+	c := g.AddNode(nil)
 	g.AddEdge(a, b, 1, 10)
 	g.AddEdge(c, a, 2, 20)
 	if len(g.OutEdges(a)) != 1 || g.OutEdges(a)[0].To != b {
@@ -74,8 +73,8 @@ func TestEdgesAndDegree(t *testing.T) {
 
 func TestEdgeLabels(t *testing.T) {
 	g := NewDynamic(1)
-	a := g.AddNode(0, nil)
-	b := g.AddNode(0, nil)
+	a := g.AddNode(nil)
+	b := g.AddNode(nil)
 	g.AddLabeledEdge(a, b, 0, 0, 1.0)
 	g.AddEdge(a, b, 0, 1)
 	if !g.OutEdges(a)[0].HasLabel() || g.OutEdges(a)[1].HasLabel() {
@@ -85,8 +84,8 @@ func TestEdgeLabels(t *testing.T) {
 
 func TestUpdatedSet(t *testing.T) {
 	g := NewDynamic(1)
-	a := g.AddNode(0, nil)
-	b := g.AddNode(0, nil)
+	a := g.AddNode(nil)
+	b := g.AddNode(nil)
 	g.ResetUpdated()
 	if len(g.Updated()) != 0 {
 		t.Fatal("update set not cleared")
@@ -138,7 +137,7 @@ func TestNormAdjRowSumsAndSymmetry(t *testing.T) {
 func TestRWAdjRowStochastic(t *testing.T) {
 	g := NewDynamic(1)
 	for i := 0; i < 4; i++ {
-		g.AddNode(0, nil)
+		g.AddNode(nil)
 	}
 	g.AddEdge(0, 1, 0, 0)
 	g.AddEdge(0, 2, 0, 0)
@@ -206,8 +205,8 @@ func TestKHopBallOnChain(t *testing.T) {
 
 func TestKHopBallUsesBothDirections(t *testing.T) {
 	g := NewDynamic(1)
-	a := g.AddNode(0, nil)
-	b := g.AddNode(0, nil)
+	a := g.AddNode(nil)
+	b := g.AddNode(nil)
 	g.AddEdge(b, a, 0, 0) // only incoming at a
 	ball := g.Ball([]int{a}, 1)
 	if len(ball) != 2 {
@@ -223,7 +222,7 @@ func TestKHopBallMatchesBFSDistances(t *testing.T) {
 		n := 3 + rng.Intn(12)
 		g := NewDynamic(1)
 		for i := 0; i < n; i++ {
-			g.AddNode(0, nil)
+			g.AddNode(nil)
 		}
 		for i := 0; i < 2*n; i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), 0, 0)
@@ -277,7 +276,7 @@ func TestKHopBallMatchesBFSDistances(t *testing.T) {
 
 func TestPanicsOnBadNode(t *testing.T) {
 	g := NewDynamic(1)
-	g.AddNode(0, nil)
+	g.AddNode(nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -289,14 +288,11 @@ func TestPanicsOnBadNode(t *testing.T) {
 func TestTypedAdjCacheAndCoverage(t *testing.T) {
 	g := NewDynamic(1)
 	for i := 0; i < 4; i++ {
-		g.AddNode(0, nil)
+		g.AddNode(nil)
 	}
 	g.AddEdge(0, 1, 0, 0)
 	g.AddEdge(1, 2, 1, 0)
 	g.AddEdge(2, 3, 5, 0) // beyond the requested budget: ignored
-	if g.NumEdgeTypes() != 6 {
-		t.Fatalf("NumEdgeTypes = %d", g.NumEdgeTypes())
-	}
 	typed := g.TypedAdj(2)
 	if len(typed) != 2 {
 		t.Fatalf("typed = %d", len(typed))
@@ -313,4 +309,18 @@ func TestTypedAdjCacheAndCoverage(t *testing.T) {
 	if got := g.TypedAdj(2); got[0].NNZ() == typed[0].NNZ() {
 		t.Fatal("cache not invalidated after mutation")
 	}
+}
+
+// RWAdj returns the row-normalized random-walk adjacency. reverse selects
+// the in-edge direction.
+func (g *Dynamic) RWAdj(reverse bool) *tensor.CSR { return g.snapshot().RWAdj(reverse) }
+
+// RWAdj returns the subgraph's row-normalized random-walk adjacency over all
+// its rows; reverse selects the in-edge direction.
+func (s *Subgraph) RWAdj(reverse bool) *tensor.CSR {
+	s.Diffusion()
+	if reverse {
+		return &s.r.rev
+	}
+	return &s.r.fwd
 }

@@ -22,7 +22,7 @@ func TestAttachShardingCarriesDirtyMarks(t *testing.T) {
 	g := NewDynamic(2)
 	g.EnableDirtyTracking()
 	for i := 0; i < 6; i++ {
-		g.AddNode(0, nil)
+		g.AddNode(nil)
 	}
 	attach(t, g, 2, shard.Hash)
 	ids := g.TakeDirty()
@@ -41,7 +41,7 @@ func TestShardEdgeClassificationAndExpiry(t *testing.T) {
 	attach(t, g, 2, shard.Range)
 	n := shard.RangeBlock + 4
 	for i := 0; i < n; i++ {
-		g.AddNode(0, nil)
+		g.AddNode(nil)
 	}
 	g.AddEdge(0, 1, 0, 10)                                 // local (both shard 0)
 	g.AddEdge(2, shard.RangeBlock, 0, 20)                  // cross (shard 0 → 1)
@@ -82,7 +82,7 @@ func TestAttachShardingScansExistingGraph(t *testing.T) {
 	g := NewDynamic(2)
 	n := 2 * shard.RangeBlock
 	for i := 0; i < n; i++ {
-		g.AddNode(0, nil)
+		g.AddNode(nil)
 	}
 	g.AddEdge(0, 1, 0, 0)                  // local after attach
 	g.AddEdge(1, shard.RangeBlock+1, 0, 0) // cross after attach
@@ -99,7 +99,7 @@ func TestAttachShardingScansExistingGraph(t *testing.T) {
 // The unsharded graph reports zero-value stats.
 func TestUnshardedStatsAreZero(t *testing.T) {
 	g := NewDynamic(2)
-	g.AddNode(0, nil)
+	g.AddNode(nil)
 	if st := g.ShardStats(); st.Shards != 0 {
 		t.Fatalf("unsharded ShardStats = %+v", st)
 	}

@@ -73,16 +73,6 @@ func (s *Subgraph) Diffusion() *tensor.Diffusion {
 	return s.r.Diffusion()
 }
 
-// RWAdj returns the subgraph's row-normalized random-walk adjacency over all
-// its rows; reverse selects the in-edge direction.
-func (s *Subgraph) RWAdj(reverse bool) *tensor.CSR {
-	s.Diffusion()
-	if reverse {
-		return &s.r.rev
-	}
-	return &s.r.fwd
-}
-
 // TypedAdj returns the subgraph's per-type normalized adjacencies.
 func (s *Subgraph) TypedAdj(ntypes int) []*tensor.CSR {
 	s.mu.Lock()

@@ -68,7 +68,7 @@ func TestSubgraphFeaturesMatchGlobal(t *testing.T) {
 func TestSubgraphLabeledEdges(t *testing.T) {
 	g := NewDynamic(1)
 	for i := 0; i < 4; i++ {
-		g.AddNode(0, nil)
+		g.AddNode(nil)
 	}
 	g.AddLabeledEdge(0, 1, 0, 0, 1)
 	g.AddLabeledEdge(1, 3, 0, 0, 0) // 3 outside subgraph
@@ -99,7 +99,7 @@ func TestSubgraphOfWholeGraphMatches(t *testing.T) {
 		g := NewDynamic(1)
 		all := make([]int, n)
 		for i := 0; i < n; i++ {
-			all[i] = g.AddNode(0, nil)
+			all[i] = g.AddNode(nil)
 		}
 		for i := 0; i < 3*n; i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), 0, 0)
@@ -123,7 +123,7 @@ func TestPartitionCenterPropagationExact(t *testing.T) {
 		n := 6 + rng.Intn(15)
 		g := NewDynamic(1)
 		for i := 0; i < n; i++ {
-			g.AddNode(0, []float64{rng.NormFloat64()})
+			g.AddNode([]float64{rng.NormFloat64()})
 		}
 		for i := 0; i < 2*n; i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), 0, 0)

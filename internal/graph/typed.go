@@ -7,20 +7,6 @@ import "streamgnn/internal/tensor"
 // adjacency per edge type, so a layer can learn a separate transform per
 // relation (lab event vs. prescription vs. diagnosis, ...).
 
-// NumEdgeTypes returns 1 + the largest edge type present (0 for an edgeless
-// graph).
-func (g *Dynamic) NumEdgeTypes() int {
-	maxType := -1
-	for v := range g.out {
-		for _, e := range g.out[v] {
-			if int(e.Type) > maxType {
-				maxType = int(e.Type)
-			}
-		}
-	}
-	return maxType + 1
-}
-
 // TypedAdj returns one symmetric-normalized adjacency per edge type (ntypes
 // matrices; see Region.TypedAdj). Degrees and edge types are topology, so the
 // result is cached per edge version like the other adjacencies: attribute and

@@ -13,7 +13,7 @@ import (
 func typedDirected(rng *rand.Rand, n int, isolated float64) *Dynamic {
 	g := NewDynamic(2)
 	for i := 0; i < n; i++ {
-		g.AddNode(0, []float64{rng.Float64(), rng.Float64()})
+		g.AddNode([]float64{rng.Float64(), rng.Float64()})
 	}
 	if m := int(float64(n) * (1 - isolated)); m > 1 {
 		for e := 0; e < m; e++ {
@@ -125,11 +125,11 @@ func checkUnion(t *testing.T, u *Union, subs []*Subgraph) {
 		full   *tensor.Matrix
 		in, aa *tensor.CSR
 	}{{"fwd", fwd, d.FwdIn, d.FwdAA}, {"rev", rev, d.RevIn, d.RevAA}} {
-		mustEqualDense(t, c.name+" In", c.in, tensor.GatherRows(c.full, active))
+		mustEqualDense(t, c.name+" In", c.in, gatherRows(c.full, active))
 		aa := tensor.New(len(active), len(active))
 		for i, r := range active {
 			for j, col := range active {
-				aa.Set(i, j, c.full.At(r, col))
+				aa.Data[i*aa.Cols+j] = c.full.At(r, col)
 			}
 		}
 		mustEqualDense(t, c.name+" AA", c.aa, aa)
@@ -169,7 +169,7 @@ func TestUnionIsBlockDiagonal(t *testing.T) {
 func TestUnionActiveBlockMixes(t *testing.T) {
 	g := NewDynamic(2)
 	for i := 0; i < 9; i++ {
-		g.AddNode(0, []float64{float64(i), 1})
+		g.AddNode([]float64{float64(i), 1})
 	}
 	g.AddUndirectedEdge(0, 1, 0, 0) // {0,1}: every row active
 	g.AddUndirectedEdge(1, 2, 0, 0)
@@ -221,11 +221,11 @@ func TestDiffusionConvOverUnionMatchesPartitions(t *testing.T) {
 		for i := range rows {
 			rows[i] = u.Offsets[b] + i
 		}
-		wantOut, wantGrad := run(s.Diffusion(), s.Features(), tensor.GatherRows(upstream, rows))
-		if !tensor.GatherRows(out, rows).Equal(wantOut) {
+		wantOut, wantGrad := run(s.Diffusion(), s.Features(), gatherRows(upstream, rows))
+		if !gatherRows(out, rows).Equal(wantOut) {
 			t.Fatalf("block %d: convolution rows differ from the partition's own", b)
 		}
-		if !tensor.GatherRows(grad, rows).Equal(wantGrad) {
+		if !gatherRows(grad, rows).Equal(wantGrad) {
 			t.Fatalf("block %d: input gradient rows differ from the partition's own", b)
 		}
 	}
@@ -247,7 +247,7 @@ func TestTypedAdjKeysOnTopology(t *testing.T) {
 		mutate func()
 	}{
 		{"AddEdge", func() { g.AddEdge(0, 3, 1, 90) }},
-		{"AddNode", func() { g.AddNode(0, nil) }},
+		{"AddNode", func() { g.AddNode(nil) }},
 		{"window expiry", func() { g.ExpireEdgesBefore(2) }},
 	} {
 		before := g.TypedAdj(3)
@@ -280,4 +280,9 @@ func TestTypedAdjKeysOnTopology(t *testing.T) {
 			t.Fatalf("typed adjacency %d was overwritten by a build of another width", ty)
 		}
 	}
+}
+
+// gatherRows returns the matrix whose i-th row is m's rows[i]-th row.
+func gatherRows(m *tensor.Matrix, rows []int) *tensor.Matrix {
+	return tensor.GatherRowsConcat(tensor.Concat{Rows: m.Rows, Parts: []*tensor.Matrix{m}}, rows)
 }

@@ -1,3 +1,7 @@
+// Package kde computes in closed form the sampling density that the graph-KDE
+// sampler of Algorithm 2 induces (the paper's Section V-B), for analysis and
+// for the serving path's density queries. The statistics its tests check
+// Theorem V.1 with live in kde/kdetest.
 package kde
 
 import (

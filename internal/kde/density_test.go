@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streamgnn/internal/graph"
+	"streamgnn/internal/kde/kdetest"
 )
 
 func TestGraphKDEDensityIsDistribution(t *testing.T) {
@@ -32,7 +33,7 @@ func TestGraphKDEDensityDecaysFromSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := HopProfile(g, 5, d, 4)
+	prof := kdetest.HopProfile(g, 5, d, 4)
 	for h := 0; h+1 < len(prof); h++ {
 		if prof[h] <= prof[h+1] {
 			t.Fatalf("density not decaying: %v", prof)
@@ -68,8 +69,8 @@ func TestGraphKDEDensityWeightedSeeds(t *testing.T) {
 
 func TestGraphKDEDensityIsolatedSeed(t *testing.T) {
 	g := graph.NewDynamic(1)
-	g.AddNode(0, nil)
-	g.AddNode(0, nil) // isolated pair
+	g.AddNode(nil)
+	g.AddNode(nil) // isolated pair
 	d, err := GraphKDEDensity(g, []int{0}, []float64{1}, 0.3, 16, 1e-12)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestGraphKDEDensityMatchesMonteCarlo(t *testing.T) {
 	}
 	// Simulate Algorithm 2's walk with the same fixed seeds.
 	rng := rand.New(rand.NewSource(8))
-	emp := EmpiricalDensity(g.N(), 300000, func() int {
+	emp := kdetest.EmpiricalDensity(g.N(), 300000, func() int {
 		s := seeds[0]
 		if rng.Float64()*3 >= 2 {
 			s = seeds[1]

@@ -6,110 +6,13 @@ import (
 	"testing"
 
 	"streamgnn/internal/graph"
+	"streamgnn/internal/kde/kdetest"
 )
-
-func integrate(f func(float64) float64, lo, hi float64, steps int) float64 {
-	h := (hi - lo) / float64(steps)
-	var s float64
-	for i := 0; i < steps; i++ {
-		s += f(lo+(float64(i)+0.5)*h) * h
-	}
-	return s
-}
-
-func TestKernelsIntegrateToOne(t *testing.T) {
-	for _, k := range []Kernel{Gaussian, Epanechnikov, Exponential} {
-		got := integrate(k.Density, -10, 10, 20000)
-		if math.Abs(got-1) > 1e-3 {
-			t.Fatalf("kernel %s integrates to %v", k.Name, got)
-		}
-	}
-}
-
-func TestKernelsSymmetric(t *testing.T) {
-	for _, k := range []Kernel{Gaussian, Epanechnikov, Exponential} {
-		for _, x := range []float64{0.1, 0.5, 0.9, 2} {
-			if math.Abs(k.Density(x)-k.Density(-x)) > 1e-12 {
-				t.Fatalf("kernel %s not symmetric at %v", k.Name, x)
-			}
-		}
-	}
-}
-
-func TestKernelDrawMatchesDensity(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, k := range []Kernel{Gaussian, Epanechnikov, Exponential} {
-		const n = 200000
-		var within float64
-		for i := 0; i < n; i++ {
-			if math.Abs(k.Draw(rng)) <= 0.5 {
-				within++
-			}
-		}
-		want := integrate(k.Density, -0.5, 0.5, 2000)
-		if math.Abs(within/n-want) > 0.01 {
-			t.Fatalf("kernel %s: P(|X|<0.5) = %v, want %v", k.Name, within/n, want)
-		}
-	}
-}
-
-func TestEstimatorDensityIntegratesToOne(t *testing.T) {
-	e := NewEstimator([]float64{-1, 0, 2}, 0.5, Gaussian)
-	got := integrate(e.Density, -15, 15, 30000)
-	if math.Abs(got-1) > 1e-3 {
-		t.Fatalf("estimate integrates to %v", got)
-	}
-}
-
-func TestWeightedEstimatorSkew(t *testing.T) {
-	e := NewEstimator([]float64{-3, 3}, 0.5, Gaussian)
-	e.SetWeights([]float64{1, 9})
-	if e.Density(3) <= e.Density(-3) {
-		t.Fatal("heavier point should dominate")
-	}
-	// Density near the heavy point should be ~9x the light point's.
-	ratio := e.Density(3) / e.Density(-3)
-	if ratio < 5 || ratio > 12 {
-		t.Fatalf("weight ratio not respected: %v", ratio)
-	}
-}
-
-func TestEstimatorSampleFollowsMixture(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	e := NewEstimator([]float64{-5, 5}, 0.3, Gaussian)
-	e.SetWeights([]float64{1, 3})
-	var right float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if e.Sample(rng) > 0 {
-			right++
-		}
-	}
-	if math.Abs(right/n-0.75) > 0.01 {
-		t.Fatalf("P(right mode) = %v, want 0.75", right/n)
-	}
-}
-
-func TestEstimatorValidation(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("zero bandwidth", func() { NewEstimator([]float64{1}, 0, Gaussian) })
-	mustPanic("empty sample", func() { NewEstimator(nil, 1, Gaussian) })
-	mustPanic("weight length", func() {
-		NewEstimator([]float64{1, 2}, 1, Gaussian).SetWeights([]float64{1})
-	})
-}
 
 func chainGraph(n int) *graph.Dynamic {
 	g := graph.NewDynamic(1)
 	for i := 0; i < n; i++ {
-		g.AddNode(0, nil)
+		g.AddNode(nil)
 	}
 	for i := 0; i+1 < n; i++ {
 		g.AddUndirectedEdge(i, i+1, 0, 0)
@@ -119,7 +22,7 @@ func chainGraph(n int) *graph.Dynamic {
 
 func TestEmpiricalDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	p := EmpiricalDensity(3, 90000, func() int {
+	p := kdetest.EmpiricalDensity(3, 90000, func() int {
 		r := rng.Float64()
 		switch {
 		case r < 0.5:
@@ -140,7 +43,7 @@ func TestEmpiricalDensity(t *testing.T) {
 
 func TestBFSDistancesAndHopProfile(t *testing.T) {
 	g := chainGraph(5)
-	d := BFSDistances(g, 2)
+	d := kdetest.BFSDistances(g, 2)
 	want := []int{2, 1, 0, 1, 2}
 	for i := range want {
 		if d[i] != want[i] {
@@ -148,7 +51,7 @@ func TestBFSDistancesAndHopProfile(t *testing.T) {
 		}
 	}
 	p := []float64{0.05, 0.15, 0.6, 0.15, 0.05}
-	prof := HopProfile(g, 2, p, 3)
+	prof := kdetest.HopProfile(g, 2, p, 3)
 	if prof[0] != 0.6 || prof[1] != 0.15 || prof[2] != 0.05 {
 		t.Fatalf("HopProfile = %v", prof)
 	}
@@ -159,23 +62,23 @@ func TestBFSDistancesAndHopProfile(t *testing.T) {
 
 func TestEdgeSmoothness(t *testing.T) {
 	g := chainGraph(3)
-	smooth := EdgeSmoothness(g, []float64{0.33, 0.34, 0.33})
-	spiky := EdgeSmoothness(g, []float64{0.0, 1.0, 0.0})
+	smooth := kdetest.EdgeSmoothness(g, []float64{0.33, 0.34, 0.33})
+	spiky := kdetest.EdgeSmoothness(g, []float64{0.0, 1.0, 0.0})
 	if smooth >= spiky {
 		t.Fatalf("smoothness ordering wrong: %v vs %v", smooth, spiky)
 	}
 	empty := graph.NewDynamic(1)
-	empty.AddNode(0, nil)
-	if EdgeSmoothness(empty, []float64{1}) != 0 {
+	empty.AddNode(nil)
+	if kdetest.EdgeSmoothness(empty, []float64{1}) != 0 {
 		t.Fatal("edgeless graph should have 0 smoothness")
 	}
 }
 
 func TestTotalVariation(t *testing.T) {
-	if tv := TotalVariation([]float64{1, 0}, []float64{0, 1}); math.Abs(tv-1) > 1e-12 {
+	if tv := kdetest.TotalVariation([]float64{1, 0}, []float64{0, 1}); math.Abs(tv-1) > 1e-12 {
 		t.Fatalf("TV = %v, want 1", tv)
 	}
-	if tv := TotalVariation([]float64{0.5, 0.5}, []float64{0.5, 0.5}); tv != 0 {
+	if tv := kdetest.TotalVariation([]float64{0.5, 0.5}, []float64{0.5, 0.5}); tv != 0 {
 		t.Fatalf("TV = %v, want 0", tv)
 	}
 }

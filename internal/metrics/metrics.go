@@ -117,27 +117,16 @@ func RankOf(target float64, negatives []float64) int {
 	return 1 + higher + equal/2
 }
 
-// Summary accumulates values and reports mean, standard deviation, min and
-// max using Welford's online algorithm.
+// Summary accumulates values and reports mean and standard deviation using
+// Welford's online algorithm.
 type Summary struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Add accumulates one value.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
@@ -157,65 +146,7 @@ func (s *Summary) Std() float64 {
 	return math.Sqrt(s.m2 / float64(s.n-1))
 }
 
-// Min returns the smallest accumulated value.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest accumulated value.
-func (s *Summary) Max() float64 { return s.max }
-
 // String formats the summary as the paper's "mean ± std".
 func (s *Summary) String() string {
 	return fmt.Sprintf("%.2f ± %.2f", s.Mean(), s.Std())
-}
-
-// Confusion is the 2x2 confusion matrix of a binary detector.
-type Confusion struct {
-	TP, FP, TN, FN int
-}
-
-// Confuse tallies scores against binary labels at the given threshold.
-func Confuse(scores []float64, labels []bool, thresh float64) Confusion {
-	if len(scores) != len(labels) {
-		panic(fmt.Sprintf("metrics: Confuse length mismatch %d vs %d", len(scores), len(labels)))
-	}
-	var c Confusion
-	for i, s := range scores {
-		pred := s > thresh
-		switch {
-		case pred && labels[i]:
-			c.TP++
-		case pred && !labels[i]:
-			c.FP++
-		case !pred && labels[i]:
-			c.FN++
-		default:
-			c.TN++
-		}
-	}
-	return c
-}
-
-// Precision returns TP/(TP+FP), or 0 when nothing was predicted positive.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP/(TP+FN), or 0 when no positives exist.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// F1 returns the harmonic mean of precision and recall (0 when undefined).
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"streamgnn/internal/autodiff"
-	"streamgnn/internal/tensor"
 )
 
 // GRUCell is a dense gated recurrent unit over row-batched inputs:
@@ -13,16 +12,14 @@ import (
 //	c = tanh([x|r∘h]·Wc + bc)   h' = z∘h + (1−z)∘c
 type GRUCell struct {
 	wz, wr, wc *Linear
-	hidden     int
 }
 
 // NewGRUCell returns a GRU cell with the given input and hidden sizes.
 func NewGRUCell(rng *rand.Rand, in, hidden int) *GRUCell {
 	return &GRUCell{
-		wz:     NewLinear(rng, in+hidden, hidden),
-		wr:     NewLinear(rng, in+hidden, hidden),
-		wc:     NewLinear(rng, in+hidden, hidden),
-		hidden: hidden,
+		wz: NewLinear(rng, in+hidden, hidden),
+		wr: NewLinear(rng, in+hidden, hidden),
+		wc: NewLinear(rng, in+hidden, hidden),
 	}
 }
 
@@ -40,27 +37,18 @@ func (c *GRUCell) Params() []*autodiff.Node {
 	return CollectParams(c.wz, c.wr, c.wc)
 }
 
-// Hidden returns the hidden dimension.
-func (c *GRUCell) Hidden() int { return c.hidden }
-
-// Gates exposes the update, reset, and candidate transforms for value-level
-// row kernels.
-func (c *GRUCell) Gates() (z, r, cand *Linear) { return c.wz, c.wr, c.wc }
-
 // LSTMCell is a dense long short-term memory cell over row-batched inputs.
 type LSTMCell struct {
 	wi, wf, wo, wg *Linear
-	hidden         int
 }
 
 // NewLSTMCell returns an LSTM cell with the given input and hidden sizes.
 func NewLSTMCell(rng *rand.Rand, in, hidden int) *LSTMCell {
 	return &LSTMCell{
-		wi:     NewLinear(rng, in+hidden, hidden),
-		wf:     NewLinear(rng, in+hidden, hidden),
-		wo:     NewLinear(rng, in+hidden, hidden),
-		wg:     NewLinear(rng, in+hidden, hidden),
-		hidden: hidden,
+		wi: NewLinear(rng, in+hidden, hidden),
+		wf: NewLinear(rng, in+hidden, hidden),
+		wo: NewLinear(rng, in+hidden, hidden),
+		wg: NewLinear(rng, in+hidden, hidden),
 	}
 }
 
@@ -81,13 +69,6 @@ func (c *LSTMCell) Params() []*autodiff.Node {
 	return CollectParams(c.wi, c.wf, c.wo, c.wg)
 }
 
-// Hidden returns the hidden dimension.
-func (c *LSTMCell) Hidden() int { return c.hidden }
-
-// Gates exposes the input, forget, output, and candidate transforms for
-// value-level row kernels.
-func (c *LSTMCell) Gates() (i, f, o, g *Linear) { return c.wi, c.wf, c.wo, c.wg }
-
 // GraphConvFn applies some graph convolution to x; it abstracts over GCN and
 // diffusion convolutions so the gated cells below can host either.
 type GraphConvFn func(tp *autodiff.Tape, x *autodiff.Node) *autodiff.Node
@@ -96,13 +77,12 @@ type GraphConvFn func(tp *autodiff.Tape, x *autodiff.Node) *autodiff.Node
 // recurrence of TGCN and DCRNN).
 type ConvGRUCell struct {
 	convZ, convR, convC Module
-	hidden              int
 }
 
 // NewConvGRUCell builds a graph-gated GRU from three conv constructors;
 // newConv produces a conv mapping in+hidden -> hidden channels.
-func NewConvGRUCell(hidden int, newConv func() Module) *ConvGRUCell {
-	return &ConvGRUCell{convZ: newConv(), convR: newConv(), convC: newConv(), hidden: hidden}
+func NewConvGRUCell(newConv func() Module) *ConvGRUCell {
+	return &ConvGRUCell{convZ: newConv(), convR: newConv(), convC: newConv()}
 }
 
 // Rows selects the rows a cell computes: the leading N, on rows in demand
@@ -166,23 +146,15 @@ func (c *ConvGRUCell) Params() []*autodiff.Node {
 	return CollectParams(c.convZ, c.convR, c.convC)
 }
 
-// Hidden returns the hidden dimension.
-func (c *ConvGRUCell) Hidden() int { return c.hidden }
-
-// Gates exposes the update, reset, and candidate conv modules for value-level
-// row kernels.
-func (c *ConvGRUCell) Gates() (z, r, cand Module) { return c.convZ, c.convR, c.convC }
-
 // ConvLSTMCell is an LSTM whose gate transforms are graph convolutions
 // (the recurrence of GCLSTM).
 type ConvLSTMCell struct {
 	convI, convF, convO, convG Module
-	hidden                     int
 }
 
 // NewConvLSTMCell builds a graph-gated LSTM from four conv constructors.
-func NewConvLSTMCell(hidden int, newConv func() Module) *ConvLSTMCell {
-	return &ConvLSTMCell{convI: newConv(), convF: newConv(), convO: newConv(), convG: newConv(), hidden: hidden}
+func NewConvLSTMCell(newConv func() Module) *ConvLSTMCell {
+	return &ConvLSTMCell{convI: newConv(), convF: newConv(), convO: newConv(), convG: newConv()}
 }
 
 // Apply advances the cell over every row, returning new hidden and cell state.
@@ -214,13 +186,3 @@ func (c *ConvLSTMCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h, cell *au
 func (c *ConvLSTMCell) Params() []*autodiff.Node {
 	return CollectParams(c.convI, c.convF, c.convO, c.convG)
 }
-
-// Hidden returns the hidden dimension.
-func (c *ConvLSTMCell) Hidden() int { return c.hidden }
-
-// Gates exposes the input, forget, output, and candidate conv modules for
-// value-level row kernels.
-func (c *ConvLSTMCell) Gates() (i, f, o, g Module) { return c.convI, c.convF, c.convO, c.convG }
-
-// ZeroState returns an n×dim zero matrix (initial recurrent state).
-func ZeroState(n, dim int) *tensor.Matrix { return tensor.New(n, dim) }

@@ -18,7 +18,7 @@ import (
 func diffusionGraph(rng *rand.Rand, n int, isolated float64) *graph.Dynamic {
 	g := graph.NewDynamic(1)
 	for i := 0; i < n; i++ {
-		g.AddNode(0, nil)
+		g.AddNode(nil)
 	}
 	m := int(float64(n) * (1 - isolated))
 	switch {
@@ -78,16 +78,14 @@ func sameBits(a, b *tensor.Matrix) bool {
 // inference tape reused for three passes with pooling on, so that from the
 // second pass the learned plan recycles each intermediate at its last use.
 func TestDiffusionConvMatchesDenseReference(t *testing.T) {
-	was := tensor.PoolingEnabled()
-	tensor.EnablePooling(true)
-	defer tensor.EnablePooling(was)
 	const n, in, out, K = 60, 5, 4, 2
 	for _, isolated := range []float64{0, 0.5, 0.97, 1} {
 		for trial := int64(0); trial < 4; trial++ {
 			t.Run(fmt.Sprintf("isolated=%v/%d", isolated, trial), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(10*trial + 1))
 				g := diffusionGraph(rng, n, isolated)
-				p, fwd, rev := g.Diffusion(), g.RWAdj(false), g.RWAdj(true)
+				p := g.Diffusion()
+				fwd, rev := rwAdj(p, p.FwdIn), rwAdj(p, p.RevIn)
 				if (p.ActiveRows() == n) != (isolated == 0) {
 					t.Fatalf("graph with isolated share %v has %d of %d rows active", isolated, p.ActiveRows(), n)
 				}
@@ -109,7 +107,7 @@ func TestDiffusionConvMatchesDenseReference(t *testing.T) {
 						y = tp.Mul(c1.ApplyDiffused(tp, d, nil), c2.ApplyDiffused(tp, d, nil))
 					}
 					y = tp.Add(y, tp.MatMul(x, c1.Wf[0]))
-					tp.Backward(tp.MSE(tp.Tanh(y), target))
+					tp.Backward(mse(tp, tp.Tanh(y), target))
 					for _, prm := range append(CollectParams(c1, c2), x) {
 						grads = append(grads, prm.Grad)
 					}
@@ -177,7 +175,7 @@ func TestDiffusionConvWantedRowsMatchEveryRow(t *testing.T) {
 				} else {
 					y = tp.GatherRows(c1.ApplyDiffused(tp, d, nil), want)
 				}
-				loss := tp.Add(tp.MSE(tp.Tanh(y), target), tp.Mean(tp.Tanh(c2.ApplyDiffused(tp, d, nil))))
+				loss := tp.Add(mse(tp, tp.Tanh(y), target), tp.Mean(tp.Tanh(c2.ApplyDiffused(tp, d, nil))))
 				tp.Backward(loss)
 				for _, prm := range append(CollectParams(c1, c2), x) {
 					grads = append(grads, prm.Grad)
@@ -204,8 +202,6 @@ func TestDiffusionConvWantedRowsMatchEveryRow(t *testing.T) {
 // where it is the dense ops. `make bench-kernels` runs it.
 func BenchmarkDiffusionConv(b *testing.B) {
 	const n, in, out, K = 10000, 23, 16, 2
-	tensor.EnablePooling(true)
-	defer tensor.EnablePooling(false)
 	for _, isolated := range []float64{0.95, 0} {
 		b.Run(fmt.Sprintf("n=%d/isolated=%v", n, isolated), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
@@ -223,4 +219,25 @@ func BenchmarkDiffusionConv(b *testing.B) {
 			b.ReportMetric(float64(p.ActiveRows()), "active-rows")
 		})
 	}
+}
+
+// rwAdj expands the active rows of one of p's matrices over all n columns
+// back to the n×n random-walk adjacency, whose other rows are empty.
+func rwAdj(p *tensor.Diffusion, in *tensor.CSR) *tensor.CSR {
+	if in.NRows == in.NCols {
+		return in
+	}
+	entries := make([][]tensor.CSREntry, in.NCols)
+	for i, r := range p.Active {
+		for k := in.RowPtr[i]; k < in.RowPtr[i+1]; k++ {
+			entries[r] = append(entries[r], tensor.CSREntry{Col: in.ColIdx[k], Val: in.Val[k]})
+		}
+	}
+	return tensor.NewCSR(in.NCols, in.NCols, entries)
+}
+
+// mse is the mean squared error of pred against the constant target, as one
+// segment.
+func mse(tp *autodiff.Tape, pred *autodiff.Node, target *tensor.Matrix) *autodiff.Node {
+	return tp.MSESeg(pred, target, []int{pred.Value.Rows})
 }

@@ -61,12 +61,6 @@ func (l *Linear) Clone() *Linear {
 	}
 }
 
-// In returns the input dimension.
-func (l *Linear) In() int { return l.in }
-
-// Out returns the output dimension.
-func (l *Linear) Out() int { return l.out }
-
 // GCNConv is a graph convolution h = Â·x·W + b with Â the symmetric
 // GCN-normalized adjacency (Kipf & Welling).
 type GCNConv struct {
@@ -86,9 +80,6 @@ func (c *GCNConv) Apply(tp *autodiff.Tape, adj *tensor.CSR, x *autodiff.Node) *a
 // Params implements Module.
 func (c *GCNConv) Params() []*autodiff.Node { return c.lin.Params() }
 
-// Out returns the output dimension.
-func (c *GCNConv) Out() int { return c.lin.out }
-
 // DiffusionConv is DCRNN's bidirectional diffusion convolution
 // h = Σ_{k=0..K} (P_f^k·x)·Wf_k + (P_r^k·x)·Wr_k + b, where P_f and P_r are
 // the forward and reverse random-walk transition matrices.
@@ -96,12 +87,11 @@ type DiffusionConv struct {
 	K      int
 	Wf, Wr []*autodiff.Node
 	B      *autodiff.Node
-	out    int
 }
 
 // NewDiffusionConv returns a K-step bidirectional diffusion convolution.
 func NewDiffusionConv(rng *rand.Rand, in, out, k int) *DiffusionConv {
-	c := &DiffusionConv{K: k, B: autodiff.Param(tensor.New(1, out)), out: out}
+	c := &DiffusionConv{K: k, B: autodiff.Param(tensor.New(1, out))}
 	for i := 0; i <= k; i++ {
 		c.Wf = append(c.Wf, autodiff.Param(tensor.Glorot(rng, in, out)))
 		c.Wr = append(c.Wr, autodiff.Param(tensor.Glorot(rng, in, out)))
@@ -213,9 +203,6 @@ func (c *DiffusionConv) Params() []*autodiff.Node {
 	return append(out, c.B)
 }
 
-// Out returns the output dimension.
-func (c *DiffusionConv) Out() int { return c.out }
-
 // MLP is a multilayer perceptron with ReLU activations between layers
 // (the per-query prediction head of the paper's architecture, Figure 2).
 type MLP struct {
@@ -284,9 +271,6 @@ func (m *MLP) Params() []*autodiff.Node {
 	}
 	return out
 }
-
-// Out returns the output dimension.
-func (m *MLP) Out() int { return m.layers[len(m.layers)-1].out }
 
 // Clone returns a deep value copy of the MLP: same widths, independent
 // parameter matrices. Cloned heads let serving snapshots score concurrently

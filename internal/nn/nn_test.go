@@ -39,13 +39,13 @@ func TestLinearLearnsIdentity(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		tp := autodiff.NewTape()
 		x := autodiff.Constant(tensor.NewRandom(rng, 8, 2, 1))
-		loss := tp.MSE(l.Apply(tp, x), x.Value)
+		loss := mse(tp, l.Apply(tp, x), x.Value)
 		tp.Backward(loss)
 		opt.Step()
 	}
 	tp := autodiff.NewTape()
 	x := autodiff.Constant(tensor.NewRandom(rng, 8, 2, 1))
-	loss := tp.MSE(l.Apply(tp, x), x.Value)
+	loss := mse(tp, l.Apply(tp, x), x.Value)
 	if loss.Value.Data[0] > 1e-3 {
 		t.Fatalf("linear did not learn identity: loss %v", loss.Value.Data[0])
 	}
@@ -59,7 +59,7 @@ func TestGCNConvMixesNeighbors(t *testing.T) {
 	}
 	tp := autodiff.NewTape()
 	x := tensor.New(3, 2)
-	x.Set(0, 0, 1) // only node 0 has signal
+	x.Data[0] = 1 // only node 0 has signal
 	y := c.Apply(tp, adj3(), autodiff.Constant(x))
 	// Node 1 is adjacent to 0, so it must receive nonzero output; node 2 is
 	// 2 hops away and must only see the bias.
@@ -109,7 +109,7 @@ func TestDiffusionConvGradientFlows(t *testing.T) {
 	rev := adj3()
 	tp := autodiff.NewTape()
 	x := autodiff.Constant(tensor.NewRandom(rng, 3, 2, 1))
-	loss := tp.MSE(c.Apply(tp, fwd, rev, x), tensor.New(3, 2))
+	loss := mse(tp, c.Apply(tp, fwd, rev, x), tensor.New(3, 2))
 	tp.Backward(loss)
 	for i, p := range c.Params() {
 		if p.Grad == nil {
@@ -131,7 +131,7 @@ func TestMLPShapesAndLearning(t *testing.T) {
 	var last float64
 	for i := 0; i < 1500; i++ {
 		tp := autodiff.NewTape()
-		loss := tp.MSE(m.Apply(tp, autodiff.Constant(xs)), ys)
+		loss := mse(tp, m.Apply(tp, autodiff.Constant(xs)), ys)
 		tp.Backward(loss)
 		opt.Step()
 		last = loss.Value.Data[0]
@@ -153,7 +153,7 @@ func TestMLPValidation(t *testing.T) {
 func TestGRUCellStepAndParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := NewGRUCell(rng, 3, 4)
-	if c.Hidden() != 4 || len(c.Params()) != 6 {
+	if len(c.Params()) != 6 {
 		t.Fatal("gru metadata wrong")
 	}
 	tp := autodiff.NewTape()
@@ -180,7 +180,7 @@ func TestGRUCellLearnsToRemember(t *testing.T) {
 		x := tensor.FromSlice(4, 1, []float64{0.9, -0.9, 0.5, -0.5})
 		h := autodiff.Constant(ZeroState(4, 1))
 		out := c.Apply(tp, autodiff.Constant(x), h)
-		loss := tp.MSE(out, x)
+		loss := mse(tp, out, x)
 		tp.Backward(loss)
 		opt.Step()
 		last = loss.Value.Data[0]
@@ -193,7 +193,7 @@ func TestGRUCellLearnsToRemember(t *testing.T) {
 func TestLSTMCellStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := NewLSTMCell(rng, 2, 3)
-	if c.Hidden() != 3 || len(c.Params()) != 8 {
+	if len(c.Params()) != 8 {
 		t.Fatal("lstm metadata wrong")
 	}
 	tp := autodiff.NewTape()
@@ -201,7 +201,7 @@ func TestLSTMCellStep(t *testing.T) {
 	h := autodiff.Constant(ZeroState(2, 3))
 	cell := autodiff.Constant(ZeroState(2, 3))
 	h2, c2 := c.Apply(tp, x, h, cell)
-	if h2.Value.Rows != 2 || c2.Value.Rows != 2 {
+	if h2.Value.Rows != 2 || h2.Value.Cols != 3 || c2.Value.Rows != 2 || c2.Value.Cols != 3 {
 		t.Fatal("shapes wrong")
 	}
 	if h2.Value.MaxAbs() > 1 {
@@ -212,7 +212,7 @@ func TestLSTMCellStep(t *testing.T) {
 func TestConvGRUCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	adj := adj3()
-	cell := NewConvGRUCell(2, func() Module { return NewGCNConv(rng, 3+2, 2) })
+	cell := NewConvGRUCell(func() Module { return NewGCNConv(rng, 3+2, 2) })
 	if len(cell.Params()) != 6 {
 		t.Fatalf("param count %d", len(cell.Params()))
 	}
@@ -226,7 +226,7 @@ func TestConvGRUCell(t *testing.T) {
 	if h2.Value.Rows != 3 || h2.Value.Cols != 2 {
 		t.Fatal("shape wrong")
 	}
-	loss := tp.MSE(h2, tensor.New(3, 2))
+	loss := mse(tp, h2, tensor.New(3, 2))
 	tp.Backward(loss)
 	for i, p := range cell.Params() {
 		if p.Grad == nil {
@@ -238,7 +238,7 @@ func TestConvGRUCell(t *testing.T) {
 func TestConvLSTMCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	adj := adj3()
-	cell := NewConvLSTMCell(2, func() Module { return NewGCNConv(rng, 1+2, 2) })
+	cell := NewConvLSTMCell(func() Module { return NewGCNConv(rng, 1+2, 2) })
 	if len(cell.Params()) != 8 {
 		t.Fatalf("param count %d", len(cell.Params()))
 	}
@@ -250,7 +250,7 @@ func TestConvLSTMCell(t *testing.T) {
 	h := autodiff.Constant(ZeroState(3, 2))
 	c := autodiff.Constant(ZeroState(3, 2))
 	h2, c2 := cell.Apply(tp, convFn, x, h, c)
-	loss := tp.MSE(tp.Add(h2, c2), tensor.New(3, 2))
+	loss := mse(tp, tp.Add(h2, c2), tensor.New(3, 2))
 	tp.Backward(loss)
 	for i, p := range cell.Params() {
 		if p.Grad == nil {
@@ -284,7 +284,7 @@ func TestRGCNConvShapesAndGrads(t *testing.T) {
 	if y.Value.Rows != 3 || y.Value.Cols != 4 {
 		t.Fatalf("shape %dx%d", y.Value.Rows, y.Value.Cols)
 	}
-	loss := tp.MSE(y, tensor.New(3, 4))
+	loss := mse(tp, y, tensor.New(3, 4))
 	tp.Backward(loss)
 	for i, p := range c.Params() {
 		if p.Grad == nil {
@@ -305,3 +305,27 @@ func TestRGCNConvSkipsMissingRelations(t *testing.T) {
 		t.Fatal("shape wrong with partial relations")
 	}
 }
+
+// ZeroState returns an n×dim zero matrix (initial recurrent state).
+func ZeroState(n, dim int) *tensor.Matrix { return tensor.New(n, dim) }
+
+// In returns the input dimension.
+func (l *Linear) In() int { return l.in }
+
+// Out returns the output dimension.
+func (l *Linear) Out() int { return l.out }
+
+// Out returns the output dimension.
+func (c *GCNConv) Out() int { return c.lin.out }
+
+// Out returns the output dimension.
+func (c *DiffusionConv) Out() int { return c.B.Value.Cols }
+
+// Out returns the output dimension.
+func (m *MLP) Out() int { return m.layers[len(m.layers)-1].out }
+
+// Relations returns the number of relation transforms.
+func (c *RGCNConv) Relations() int { return len(c.Rel) }
+
+// Out returns the output dimension.
+func (c *RGCNConv) Out() int { return c.B.Value.Cols }

@@ -19,7 +19,6 @@ type RGCNConv struct {
 	Self *autodiff.Node
 	Rel  []*autodiff.Node
 	B    *autodiff.Node
-	out  int
 }
 
 // NewRGCNConv returns an RGCN convolution over `relations` edge types.
@@ -27,16 +26,12 @@ func NewRGCNConv(rng *rand.Rand, in, out, relations int) *RGCNConv {
 	c := &RGCNConv{
 		Self: autodiff.Param(tensor.Glorot(rng, in, out)),
 		B:    autodiff.Param(tensor.New(1, out)),
-		out:  out,
 	}
 	for r := 0; r < relations; r++ {
 		c.Rel = append(c.Rel, autodiff.Param(tensor.Glorot(rng, in, out)))
 	}
 	return c
 }
-
-// Relations returns the number of relation transforms.
-func (c *RGCNConv) Relations() int { return len(c.Rel) }
 
 // Apply computes the relational convolution; typed must hold one adjacency
 // per relation (extra relations see a zero adjacency contribution if typed
@@ -72,6 +67,3 @@ func (c *RGCNConv) Params() []*autodiff.Node {
 	out = append(out, c.Rel...)
 	return append(out, c.B)
 }
-
-// Out returns the output dimension.
-func (c *RGCNConv) Out() int { return c.out }

@@ -13,9 +13,6 @@ import (
 // last reader while no relation was live must not release it under the
 // readers a live relation adds in the next pass.
 func TestRGCNConvRelationAppearsBetweenPasses(t *testing.T) {
-	was := tensor.PoolingEnabled()
-	tensor.EnablePooling(true)
-	t.Cleanup(func() { tensor.EnablePooling(was) })
 	rng := rand.New(rand.NewSource(4))
 	c := NewRGCNConv(rng, 3, 2, 2)
 	xm := tensor.NewRandom(rng, 4, 3, 1)

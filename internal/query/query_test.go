@@ -13,7 +13,7 @@ import (
 func testGraph(n int) *graph.Dynamic {
 	g := graph.NewDynamic(2)
 	for i := 0; i < n; i++ {
-		g.AddNode(0, []float64{float64(i), 1})
+		g.AddNode([]float64{float64(i), 1})
 	}
 	for i := 0; i+1 < n; i++ {
 		g.AddUndirectedEdge(i, i+1, 0, 0)

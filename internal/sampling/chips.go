@@ -38,25 +38,8 @@ func NewChips(n, k int) *Chips {
 	return c
 }
 
-// N returns the number of nodes covered.
-func (c *Chips) N() int { return len(c.counts) }
-
-// K returns the initial per-node chip count.
-func (c *Chips) K() int { return c.k }
-
 // Total returns the total number of chips.
 func (c *Chips) Total() int { return c.total }
-
-// Count returns node v's chip count.
-func (c *Chips) Count(v int) int { return c.counts[v] }
-
-// Prob returns node v's normalized probability under D.
-func (c *Chips) Prob(v int) float64 {
-	if c.total == 0 {
-		return 0
-	}
-	return float64(c.counts[v]) / float64(c.total)
-}
 
 // EnsureN grows the distribution so nodes [0, n) exist; nodes that arrive
 // in the stream start with k chips, like the initial nodes, and active.
@@ -87,9 +70,6 @@ func (c *Chips) SetActive(v int, on bool) {
 	}
 }
 
-// Active reports whether node v is eligible for sampling.
-func (c *Chips) Active(v int) bool { return c.active[v] }
-
 // EffectiveWeight returns node v's sampling weight (0 when inactive).
 func (c *Chips) EffectiveWeight(v int) float64 {
 	if !c.active[v] {
@@ -97,9 +77,6 @@ func (c *Chips) EffectiveWeight(v int) float64 {
 	}
 	return float64(c.counts[v])
 }
-
-// TotalWeight returns the total sampling weight over active nodes.
-func (c *Chips) TotalWeight() float64 { return c.f.Total() }
 
 // Move transfers one chip from node `from` to node `to`, refusing (and
 // returning false) if it would drop `from` below MinChips or if from == to.

@@ -24,9 +24,6 @@ func NewFenwick(n int) *Fenwick {
 	return f
 }
 
-// N returns the number of items.
-func (f *Fenwick) N() int { return f.n }
-
 func (f *Fenwick) growTo(n int) {
 	if n <= f.n {
 		return
@@ -71,9 +68,6 @@ func (f *Fenwick) Prefix(i int) float64 {
 	}
 	return s
 }
-
-// Weight returns item i's weight.
-func (f *Fenwick) Weight(i int) float64 { return f.weights[i] }
 
 // Total returns the sum of all weights.
 func (f *Fenwick) Total() float64 { return f.Prefix(f.n - 1) }

@@ -285,3 +285,32 @@ func TestChipsFenwickConsistency(t *testing.T) {
 		}
 	}
 }
+
+// N returns the number of nodes covered.
+func (c *Chips) N() int { return len(c.counts) }
+
+// K returns the initial per-node chip count.
+func (c *Chips) K() int { return c.k }
+
+// Count returns node v's chip count.
+func (c *Chips) Count(v int) int { return c.counts[v] }
+
+// Prob returns node v's normalized probability under D.
+func (c *Chips) Prob(v int) float64 {
+	if c.total == 0 {
+		return 0
+	}
+	return float64(c.counts[v]) / float64(c.total)
+}
+
+// Active reports whether node v is eligible for sampling.
+func (c *Chips) Active(v int) bool { return c.active[v] }
+
+// TotalWeight returns the total sampling weight over active nodes.
+func (c *Chips) TotalWeight() float64 { return c.f.Total() }
+
+// N returns the number of items.
+func (f *Fenwick) N() int { return f.n }
+
+// Weight returns item i's weight.
+func (f *Fenwick) Weight(i int) float64 { return f.weights[i] }

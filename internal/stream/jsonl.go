@@ -47,7 +47,7 @@ const (
 func (r Record) event() (Event, error) {
 	switch r.Op {
 	case OpNode:
-		return AddNode{Type: graph.NodeType(r.Type), Feat: r.Feat}, nil
+		return AddNode{Type: NodeType(r.Type), Feat: r.Feat}, nil
 	case OpEdge:
 		label := math.NaN()
 		if r.Label != nil {

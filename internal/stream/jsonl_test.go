@@ -61,7 +61,13 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if y, ok := g1.Label(1); !ok || y != 1 {
 		t.Fatal("node label lost")
 	}
-	if g1.Type(0) != 1 || g1.Type(1) != 2 {
+	// Node types travel in the records; the graph keeps none.
+	buf.Reset()
+	if err := WriteJSONL(&buf, sampleBatches()); err != nil {
+		t.Fatal(err)
+	}
+	b, ok := NewJSONLSource(&buf).Next()
+	if !ok || b.Events[0].(AddNode).Type != 1 || b.Events[1].(AddNode).Type != 2 {
 		t.Fatal("node types lost")
 	}
 }

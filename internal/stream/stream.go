@@ -16,15 +16,20 @@ type Event interface {
 	Apply(g *graph.Dynamic)
 }
 
+// NodeType identifies the entity type of a node (patient, transaction, ...).
+type NodeType uint8
+
 // AddNode creates a node. The id is assigned by insertion order; generators
-// construct events sequentially and therefore know the id in advance.
+// construct events sequentially and therefore know the id in advance. Type
+// travels with the record (JSONL, cluster frames), but no model reads node
+// types, so the graph keeps none.
 type AddNode struct {
-	Type graph.NodeType
+	Type NodeType
 	Feat []float64
 }
 
 // Apply implements Event.
-func (e AddNode) Apply(g *graph.Dynamic) { g.AddNode(e.Type, e.Feat) }
+func (e AddNode) Apply(g *graph.Dynamic) { g.AddNode(e.Feat) }
 
 // AddEdge inserts a directed edge; Label NaN means unlabeled. Use
 // math.NaN() or the NoLabel constant helper.
@@ -107,9 +112,6 @@ func NewReplayer(g *graph.Dynamic, src Source, windowSteps int) *Replayer {
 
 // Step returns the index of the last applied step (-1 before the first).
 func (r *Replayer) Step() int { return r.step }
-
-// Done reports whether the source is exhausted.
-func (r *Replayer) Done() bool { return r.done }
 
 // Advance applies the next step's events and the sliding-window expiry.
 // It reports whether a step was applied.

@@ -40,9 +40,9 @@ func BenchmarkDenseKernels(b *testing.B) {
 		run  func() *Matrix
 	}{
 		{"MatMul/10000x23·23x16", 10000 * 23 * 16, func() *Matrix { return MatMul(a, w) }},
-		{"MatMulAcc/10000x23·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulAccTo(nil, sum, a, w) }},
+		{"MatMulAcc/10000x23·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulAccConcatTo(nil, sum, whole(a), w) }},
 		{"MatMul/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMul(sparse, w) }},
-		{"MatMulAcc/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMulAccTo(nil, sum, sparse, w) }},
+		{"MatMulAcc/10000x23·23x16/zero94", 10000 * 23 * 16, func() *Matrix { return MatMulAccConcatTo(nil, sum, whole(sparse), w) }},
 		{"MatMul/[10000x7|10000x16]·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulConcatTo(nil, xh, w) }},
 		{"MatMulAcc/[10000x7|10000x16]·23x16", 10000 * 23 * 16, func() *Matrix { return MatMulAccConcatTo(nil, sum, xh, w) }},
 		{"ConcatCols+MatMul/[10000x7|10000x16]·23x16", 10000 * 23 * 16, func() *Matrix {
@@ -51,14 +51,12 @@ func BenchmarkDenseKernels(b *testing.B) {
 			return MatMul(c, w)
 		}},
 		{"MatMul/11x22·22x16", 11 * 22 * 16, func() *Matrix { return MatMul(px, pw) }},
-		{"MatMulTransA/11x22ᵀ·11x16", 11 * 22 * 16, func() *Matrix { return MatMulTransA(px, pg) }},
-		{"MatMulTransA/129x23ᵀ·129x16/zero93", 129 * 23 * 16, func() *Matrix { return MatMulTransA(ux, ug) }},
-		{"MatMulTransA/10000x23ᵀ·10000x16", 10000 * 23 * 16, func() *Matrix { return MatMulTransA(a, g) }},
+		{"MatMulTransA/11x22ᵀ·11x16", 11 * 22 * 16, func() *Matrix { return MatMulTransAConcat(whole(px), pg) }},
+		{"MatMulTransA/129x23ᵀ·129x16/zero93", 129 * 23 * 16, func() *Matrix { return MatMulTransAConcat(whole(ux), ug) }},
+		{"MatMulTransA/10000x23ᵀ·10000x16", 10000 * 23 * 16, func() *Matrix { return MatMulTransAConcat(whole(a), g) }},
 		{"MatMulTransB/11x16·(22x16)ᵀ", 11 * 22 * 16, func() *Matrix { return MatMulTransB(pg, pw) }},
 		{"MatMulTransBAddTo/11x16·(22x16)ᵀ", 11 * 22 * 16, func() *Matrix { MatMulTransBAddTo(pacc, pg, pw); return nil }},
 	}
-	EnablePooling(true)
-	defer EnablePooling(false)
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -82,8 +82,6 @@ func dirtyPool(sizes ...int) {
 // bit — signed zeros, all-zero input rows, empty CSR rows, every column count
 // around the 4-wide tile, poisoned pool buffers.
 func TestWriteOnceKernelsMatchReference(t *testing.T) {
-	EnablePooling(true)
-	defer EnablePooling(false)
 	rng := rand.New(rand.NewSource(9))
 	for _, cols := range []int{1, 2, 3, 4, 5, 7, 8, 16, 19} {
 		n := 192 + rng.Intn(7)
@@ -102,8 +100,8 @@ func TestWriteOnceKernelsMatchReference(t *testing.T) {
 			t.Fatalf("cols=%d: MatMul differs from the reference kernel", cols)
 		}
 		dirtyPool(n * cols)
-		if got := MatMulAccTo(nil, sum, a, b); !sameBits(Add(sum, want), got) {
-			t.Fatalf("cols=%d: MatMulAcc differs from Add(sum, MatMul)", cols)
+		if got := MatMulAccConcatTo(nil, sum, whole(a), b); !sameBits(AddTo(nil, sum, want), got) {
+			t.Fatalf("cols=%d: MatMulAcc differs from sum + MatMul", cols)
 		}
 
 		csr := emptyEveryFifthRow(randomCSR(rng, n, n, 0.03))
@@ -208,8 +206,6 @@ func zeroPattern(a *Matrix, pattern int) {
 // matrix written over its left factor, and MatMulTransA accumulated into a
 // zeroed output.
 func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
-	EnablePooling(true)
-	defer EnablePooling(false)
 	rng := rand.New(rand.NewSource(15))
 	rowCounts := []int{0, 1, 2, 3, 4, 5, 7, 10, 131, 200}
 	colCounts := []int{0, 1, 3, 4, 5, 7, 8, 9, 12, 13, 16, 19}
@@ -238,14 +234,14 @@ func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
 				dirtyPool(m*n, k*n)
 				check("MatMul", naiveMatMulAcc(nil, a, b), MatMul(a, b))
 				dirtyPool(m * n)
-				check("MatMulAcc", naiveMatMulAcc(sum, a, b), MatMulAccTo(nil, sum, a, b))
+				check("MatMulAcc", naiveMatMulAcc(sum, a, b), MatMulAccConcatTo(nil, sum, whole(a), b))
 				dirtyPool(m * n)
 				check("MatMulTransB", naiveMatMulTransB(a, bt), MatMulTransB(a, bt))
 				acc := sum.Clone()
 				MatMulTransBAddTo(acc, a, bt)
-				check("MatMulTransBAddTo", Add(sum, naiveMatMulTransB(a, bt)), acc)
+				check("MatMulTransBAddTo", AddTo(nil, sum, naiveMatMulTransB(a, bt)), acc)
 				dirtyPool(k * n)
-				check("MatMulTransA", naiveMatMulTransA(a, g), MatMulTransA(a, g))
+				check("MatMulTransA", naiveMatMulTransA(a, g), MatMulTransAConcat(whole(a), g))
 				into := New(k, n)
 				MatMulTransAConcatInto(into, whole(a), g)
 				check("MatMulTransAConcatInto", naiveMatMulTransA(a, g), into)
@@ -268,8 +264,6 @@ func TestDenseKernelsBitIdenticalToNaiveForFiniteOperands(t *testing.T) {
 // runs of them across and inside the four-row groups), signed zeros in a and
 // in b's other rows, and inner lengths that leave a tail after the skips.
 func TestMatMulTransASkipsZeroRowsOfB(t *testing.T) {
-	EnablePooling(true)
-	defer EnablePooling(false)
 	rng := rand.New(rand.NewSource(39))
 	negZero := math.Copysign(0, -1)
 	for trial := 0; trial < 400; trial++ {
@@ -287,7 +281,7 @@ func TestMatMulTransASkipsZeroRowsOfB(t *testing.T) {
 			}
 		}
 		dirtyPool(m * n)
-		if got, want := MatMulTransA(a, b), naiveMatMulTransA(a, b); !sameBits(want, got) {
+		if got, want := MatMulTransAConcat(whole(a), b), naiveMatMulTransA(a, b); !sameBits(want, got) {
 			t.Fatalf("trial %d: (%dx%d)ᵀ·%dx%d with %.0f %% zero rows of b differs from the naive loop", trial, k, m, k, n, 100*share)
 		}
 	}
@@ -300,8 +294,6 @@ func TestMatMulTransASkipsZeroRowsOfB(t *testing.T) {
 // several, parts longer than the concatenation's rows (a head), zero rows and
 // signed zeros, a sum that is a part of x, poisoned pool buffers.
 func TestConcatKernelsMatchDenseCopy(t *testing.T) {
-	EnablePooling(true)
-	defer EnablePooling(false)
 	rng := rand.New(rand.NewSource(35))
 	for trial := 0; trial < 60; trial++ {
 		rows := []int{0, 1, 3, 4, 9, 17}[trial%6]
@@ -326,27 +318,27 @@ func TestConcatKernelsMatchDenseCopy(t *testing.T) {
 		}
 		dirtyPool(rows*n, k*n)
 		check("MatMul", MatMul(d, w), MatMulConcatTo(nil, x, w))
-		check("MatMulAcc", MatMulAccTo(nil, sum, d, w), MatMulAccConcatTo(nil, sum, x, w))
-		check("MatMulTransA", MatMulTransA(d, g), MatMulTransAConcat(x, g))
+		check("MatMulAcc", MatMulAccConcatTo(nil, sum, whole(d), w), MatMulAccConcatTo(nil, sum, x, w))
+		check("MatMulTransA", MatMulTransAConcat(whole(d), g), MatMulTransAConcat(x, g))
 		into := New(k, n)
 		MatMulTransAConcatInto(into, x, g)
-		check("MatMulTransAConcatInto", MatMulTransA(d, g), into)
+		check("MatMulTransAConcatInto", MatMulTransAConcat(whole(d), g), into)
 		c := NewCSR(rows+1, rows, nil)
 		if rows > 0 {
 			c = emptyEveryFifthRow(randomCSR(rng, rows+1, rows, 0.4))
 		}
 		check("SpMM", SpMM(c, d), SpMMConcat(c, x))
 		gc := NewRandom(rng, c.NRows, k, 1)
-		whole := SpMMTrans(c, gc)
+		all := SpMMTransCols(c, gc, 0, gc.Cols)
 		for from := 0; from < k; from += 3 {
 			to := min(from+3, k)
-			check("SpMMTransCols", SliceCols(whole, from, to), SpMMTransCols(c, gc, from, to))
+			check("SpMMTransCols", SliceCols(all, from, to), SpMMTransCols(c, gc, from, to))
 		}
 		if p := parts[0]; p.Rows == rows && len(parts) > 1 {
 			// In place over a part of x: each row of x is assembled before
 			// the row of the sum is written.
 			wp := NewRandom(rng, k, p.Cols, 1)
-			want := MatMulAccTo(nil, p, d, wp)
+			want := MatMulAccConcatTo(nil, p, whole(d), wp)
 			check("MatMulAcc into a part", want, MatMulAccConcatTo(p, p, x, wp))
 		}
 	}
@@ -366,7 +358,7 @@ func TestDenseKernelsZeroTimesInf(t *testing.T) {
 	if got := MatMul(a, b); !isNaN(got.At(0, 0)) || got.At(1, 0) != 0 {
 		t.Fatalf("MatMul: got %v, want [NaN; 0]", got.Data)
 	}
-	if got := MatMulAccTo(nil, FromSlice(2, 1, []float64{1, 1}), a, b); !isNaN(got.At(0, 0)) || got.At(1, 0) != 1 {
+	if got := MatMulAccConcatTo(nil, FromSlice(2, 1, []float64{1, 1}), whole(a), b); !isNaN(got.At(0, 0)) || got.At(1, 0) != 1 {
 		t.Fatalf("MatMulAcc: got %v, want [NaN; 1]", got.Data)
 	}
 	if got := MatMulTransB(a, FromSlice(1, 2, []float64{inf, 2})); !isNaN(got.At(0, 0)) || got.At(1, 0) != 0 {
@@ -383,18 +375,18 @@ func TestDenseKernelsZeroTimesInf(t *testing.T) {
 		0, 0, 1,
 	})
 	g := FromSlice(5, 1, []float64{1, inf, 1, 1, 1})
-	if got := MatMulTransA(x, g); got.At(0, 0) != 0 || !isNaN(got.At(1, 0)) || got.At(2, 0) != 1 {
+	if got := MatMulTransAConcat(whole(x), g); got.At(0, 0) != 0 || !isNaN(got.At(1, 0)) || got.At(2, 0) != 1 {
 		t.Fatalf("MatMulTransA: got %v, want [0; NaN; 1]", got.Data)
 	}
 	g.Data[1], g.Data[4] = 1, inf
-	if got := MatMulTransA(x, g); !isNaN(got.At(0, 0)) || !isNaN(got.At(1, 0)) || got.At(2, 0) != inf {
+	if got := MatMulTransAConcat(whole(x), g); !isNaN(got.At(0, 0)) || !isNaN(got.At(1, 0)) || got.At(2, 0) != inf {
 		t.Fatalf("MatMulTransA k-tail: got %v, want [NaN; NaN; +Inf]", got.Data)
 	}
 	// A zero row of g — a row the loss does not reach — is skipped whole, so
 	// the Inf in x's row 1 meets no term: column 1 sums rows 0 and 4 alone.
 	x.Set(1, 1, inf)
 	g.Data[1], g.Data[4] = 0, 1
-	if got := MatMulTransA(x, g); got.At(0, 0) != 0 || got.At(1, 0) != 1 || got.At(2, 0) != 1 {
+	if got := MatMulTransAConcat(whole(x), g); got.At(0, 0) != 0 || got.At(1, 0) != 1 || got.At(2, 0) != 1 {
 		t.Fatalf("MatMulTransA over a zero row of g: got %v, want [0; 1; 1]", got.Data)
 	}
 }
@@ -423,8 +415,8 @@ func TestMatMulAccShapeChecks(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic(func() { MatMulAccTo(nil, New(2, 3), New(2, 4), New(5, 3)) })
-	mustPanic(func() { MatMulAccTo(nil, New(2, 2), New(2, 4), New(4, 3)) })
+	mustPanic(func() { MatMulAccConcatTo(nil, New(2, 3), whole(New(2, 4)), New(5, 3)) })
+	mustPanic(func() { MatMulAccConcatTo(nil, New(2, 2), whole(New(2, 4)), New(4, 3)) })
 	mustPanic(func() { MatMulTransBAddTo(New(2, 2), New(2, 4), New(3, 4)) })
 	mustPanic(func() { MatMulTransBAddTo(New(2, 3), New(2, 4), New(3, 5)) })
 }
@@ -432,8 +424,6 @@ func TestMatMulAccShapeChecks(t *testing.T) {
 // The pool counts its own traffic: a miss is a get plus fresh bytes of the
 // whole size class, a hit is a get and a hit and no fresh bytes.
 func TestPoolStats(t *testing.T) {
-	EnablePooling(true)
-	defer EnablePooling(false)
 	const n = 1000 // class 10: 1024 floats
 	// Drain recycled buffers of this class left by other tests.
 	for {

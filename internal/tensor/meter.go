@@ -8,15 +8,12 @@ import "sync/atomic"
 // materializes O(n·d) intermediates per layer, subgraph training only
 // O(|G_v|·d), and the meter makes that difference directly observable.
 //
-// The meter is cumulative-with-high-watermark over explicit epochs: call
-// ResetMeter at the start of a measured region; PeakFloats reports the
-// largest number of floats allocated by any single tensor since the reset,
-// and TotalFloats the cumulative allocation volume.
+// The meter is cumulative over explicit epochs: call ResetMeter at the start
+// of a measured region; TotalFloats reports the allocation volume since.
 
 var (
 	meterEnabled int64 // non-zero when metering
 	totalFloats  int64
-	peakFloats   int64
 )
 
 // EnableMeter turns the allocation meter on or off. The meter is off by
@@ -29,18 +26,11 @@ func EnableMeter(on bool) {
 	}
 }
 
-// ResetMeter zeroes the cumulative and peak counters.
-func ResetMeter() {
-	atomic.StoreInt64(&totalFloats, 0)
-	atomic.StoreInt64(&peakFloats, 0)
-}
+// ResetMeter zeroes the cumulative counter.
+func ResetMeter() { atomic.StoreInt64(&totalFloats, 0) }
 
 // TotalFloats returns the number of float64s allocated since the last reset.
 func TotalFloats() int64 { return atomic.LoadInt64(&totalFloats) }
-
-// PeakFloats returns the largest single-tensor allocation since the last
-// reset, in float64s.
-func PeakFloats() int64 { return atomic.LoadInt64(&peakFloats) }
 
 // TotalBytes returns TotalFloats expressed in bytes.
 func TotalBytes() int64 { return TotalFloats() * 8 }
@@ -50,10 +40,4 @@ func recordAlloc(n int) {
 		return
 	}
 	atomic.AddInt64(&totalFloats, int64(n))
-	for {
-		p := atomic.LoadInt64(&peakFloats)
-		if int64(n) <= p || atomic.CompareAndSwapInt64(&peakFloats, p, int64(n)) {
-			return
-		}
-	}
 }

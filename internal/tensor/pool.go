@@ -15,9 +15,8 @@ import (
 //
 // Pooling is orthogonal to the allocation meter: New always records the
 // logical allocation, whether the backing slice came from the pool or from
-// make, so metered working-set numbers stay comparable with pooling on or off.
-
-var poolEnabled int32
+// make, so metered working-set numbers count what a step asks for, not what
+// the pool happened to hold.
 
 // Pool counters, cumulative since process start (see ReadPoolStats). A get is
 // a hit or a miss, so the hot path pays for one counter.
@@ -106,20 +105,6 @@ func ringPut(c int, s []float64) bool {
 	return true
 }
 
-// EnablePooling turns buffer recycling on or off process-wide. Off by
-// default; safe to toggle at any time (outstanding buffers are simply
-// garbage-collected).
-func EnablePooling(on bool) {
-	if on {
-		atomic.StoreInt32(&poolEnabled, 1)
-	} else {
-		atomic.StoreInt32(&poolEnabled, 0)
-	}
-}
-
-// PoolingEnabled reports whether buffer recycling is active.
-func PoolingEnabled() bool { return atomic.LoadInt32(&poolEnabled) != 0 }
-
 // sizeClass returns the pool class for n floats, or -1 if n is not poolable.
 func sizeClass(n int) int {
 	if n <= 0 {
@@ -137,10 +122,7 @@ func sizeClass(n int) int {
 // arbitrary contents — only for callers that write every element before any
 // read (make-backed buffers are zeroed by the runtime regardless).
 func grab(n int, zero bool) []float64 {
-	c := -1
-	if atomic.LoadInt32(&poolEnabled) != 0 {
-		c = sizeClass(n)
-	}
+	c := sizeClass(n)
 	if c < 0 {
 		poolMisses.Add(1)
 		poolFreshBytes.Add(int64(n) * 8)
@@ -176,9 +158,9 @@ func Oversized(m *Matrix) bool { return sizeClass(cap(m.Data)) > sizeClass(len(m
 // a stale reference to the matrix fails loudly instead of reading recycled
 // data. Only buffers whose capacity is an exact size class are pooled;
 // anything else (including matrices built with FromSlice over foreign
-// storage) is left to the garbage collector. No-op when pooling is off.
+// storage) is left to the garbage collector.
 func Recycle(m *Matrix) {
-	if m == nil || atomic.LoadInt32(&poolEnabled) == 0 {
+	if m == nil {
 		return
 	}
 	s := m.Data

@@ -15,6 +15,8 @@ type CSR struct {
 // NewCSR builds a CSR matrix from per-row (col, val) entry lists. Entries
 // within a row keep their given order; duplicate columns are allowed and sum
 // under multiplication.
+//
+//streamlint:unreached-ok builds the sparse operands of the tests of tensor, autodiff and nn; the graph assembles its own
 func NewCSR(nrows, ncols int, entries [][]CSREntry) *CSR {
 	c := &CSR{NRows: nrows, NCols: ncols, RowPtr: make([]int, nrows+1)}
 	nnz := 0
@@ -99,7 +101,7 @@ func SpMM(c *CSR, x *Matrix) *Matrix { return SpMMConcat(c, whole(x)) }
 // SpMMConcat returns c·x for a concatenated x: each nonzero adds into every
 // part's column window of its output row in turn. An element's sequence of
 // roundings is per nonzero and does not depend on the columns, so the result
-// is bit-identical to SpMM of x.Dense().
+// is bit-identical to SpMM of the parts copied side by side.
 func SpMMConcat(c *CSR, x Concat) *Matrix {
 	if c.NCols != x.Rows {
 		panic(fmt.Sprintf("tensor: SpMM inner mismatch %dx%d · %dx%d", c.NRows, c.NCols, x.Rows, x.Cols()))
@@ -136,14 +138,11 @@ func SpMMConcat(c *CSR, x Concat) *Matrix {
 	return out
 }
 
-// SpMMTrans returns cᵀ·x for dense x (used for gradients through SpMM).
-func SpMMTrans(c *CSR, x *Matrix) *Matrix { return SpMMTransCols(c, x, 0, x.Cols) }
-
-// SpMMTransCols returns cᵀ·x over x's columns [from, to): the columns of
-// SpMMTrans(c, x) they are, each element summed as there.
+// SpMMTransCols returns cᵀ·x over x's columns [from, to) (used for gradients
+// through SpMM): each output row is accumulated over c's rows in order.
 func SpMMTransCols(c *CSR, x *Matrix, from, to int) *Matrix {
 	if c.NRows != x.Rows || from < 0 || to > x.Cols || from > to {
-		panic(fmt.Sprintf("tensor: SpMMTrans inner mismatch (%dx%d)ᵀ · %dx%d[:, %d:%d]", c.NRows, c.NCols, x.Rows, x.Cols, from, to))
+		panic(fmt.Sprintf("tensor: SpMMTransCols inner mismatch (%dx%d)ᵀ · %dx%d[:, %d:%d]", c.NRows, c.NCols, x.Rows, x.Cols, from, to))
 	}
 	out := New(c.NCols, to-from)
 	for r := 0; r < c.NRows; r++ {
@@ -159,7 +158,9 @@ func SpMMTransCols(c *CSR, x *Matrix, from, to int) *Matrix {
 	return out
 }
 
-// Dense converts c to a dense matrix (testing helper; duplicates sum).
+// Dense converts c to a dense matrix (duplicates sum).
+//
+//streamlint:unreached-ok the dense reference the tests of tensor, graph and dgnn compare sparse structures against
 func (c *CSR) Dense() *Matrix {
 	out := New(c.NRows, c.NCols)
 	for r := 0; r < c.NRows; r++ {

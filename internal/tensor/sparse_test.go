@@ -56,7 +56,7 @@ func TestSpMMTransMatchesDense(t *testing.T) {
 		n, m, k := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(4)
 		c := randomCSR(rng, n, m, 0.4)
 		x := NewRandom(rng, n, k, 2)
-		return SpMMTrans(c, x).AllClose(MatMul(Transpose(c.Dense()), x), 1e-10)
+		return SpMMTransCols(c, x, 0, x.Cols).AllClose(MatMul(Transpose(c.Dense()), x), 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -31,9 +31,9 @@ func Holds(rows, cols, n int) bool {
 	return n%cols == 0 && n/cols == rows
 }
 
-// New returns a zeroed rows×cols matrix. When pooling is enabled (see
-// EnablePooling) the backing buffer may be drawn from the recycle pool; the
-// allocation meter records the logical allocation either way.
+// New returns a zeroed rows×cols matrix. The backing buffer may be drawn from
+// the recycle pool (see pool.go); the allocation meter records the logical
+// allocation either way.
 func New(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
@@ -47,7 +47,7 @@ func New(rows, cols int) *Matrix {
 // output element before any read use it to skip New's zeroing pass: the
 // elementwise ops, and the row-accumulating kernels (MatMul,
 // MatMulAcc, SpMM), which initialize every output row themselves.
-// Scatter-accumulating ops (MatMulTransA, SpMMTrans) must use New.
+// Scatter-accumulating ops (MatMulTransAConcat, SpMMTransCols) must use New.
 func newUninit(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
@@ -87,9 +87,6 @@ func Glorot(rng *rand.Rand, rows, cols int) *Matrix {
 // At returns the element at (r, c).
 func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
 
-// Set stores v at (r, c).
-func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
-
 // Row returns a view of row r sharing the matrix storage.
 func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
@@ -107,14 +104,9 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Fill sets every element of m to v.
-func (m *Matrix) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
 // Equal reports whether m and o have identical shape and elements.
+//
+//streamlint:unreached-ok the bit-equality oracle of the tests of eight packages, which cannot share a _test.go file
 func (m *Matrix) Equal(o *Matrix) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
@@ -129,6 +121,8 @@ func (m *Matrix) Equal(o *Matrix) bool {
 
 // AllClose reports whether m and o have identical shape and elementwise
 // absolute differences no greater than tol.
+//
+//streamlint:unreached-ok the tolerance oracle of the tests of tensor, autodiff, graph and dgnn
 func (m *Matrix) AllClose(o *Matrix, tol float64) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
@@ -200,7 +194,7 @@ func dest(dst *Matrix, rows, cols int) *Matrix {
 // Concat is the column concatenation [P₀ | P₁ | …] of the leading Rows rows
 // of its parts, read where the parts are: the products and SpMM take each row,
 // or each part's column window, from the parts themselves, bit-identical to
-// the same kernel over Dense, the concatenation copied into one matrix. A
+// the same kernel over the concatenation copied into one matrix. A
 // single part is that matrix as it is.
 type Concat struct {
 	Rows  int
@@ -232,15 +226,6 @@ func (c Concat) row(i int, buf []float64) []float64 {
 	return buf
 }
 
-// Dense returns the concatenation copied into one new matrix.
-func (c Concat) Dense() *Matrix {
-	out := newUninit(c.Rows, c.Cols())
-	for r := 0; r < c.Rows; r++ {
-		copy(out.Row(r), c.row(r, out.Row(r)))
-	}
-	return out
-}
-
 // RowRange returns rows [lo, hi) of m, sharing its storage: the leading rows
 // of a row-major matrix's tail.
 func (m *Matrix) RowRange(lo, hi int) *Matrix {
@@ -256,7 +241,7 @@ func MatMulTo(dst, a, b *Matrix) *Matrix { return MatMulConcatTo(dst, whole(a), 
 
 // MatMulConcatTo writes a·b for a concatenated a into dst (a new matrix when
 // nil) and returns it: each row of a is assembled from its parts into one
-// reused row, which the kernel reads as MatMul reads a row of a.Dense(). dst
+// reused row, which the kernel reads as MatMul reads a row of one matrix. dst
 // may be a's single part itself when b is square, the product written over
 // its input: each row of a is copied into a one-row scratch before that row
 // of dst is written. Otherwise dst shares no storage with a or b.
@@ -269,17 +254,14 @@ func MatMulConcatTo(dst *Matrix, a Concat, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulAccTo writes sum + x·w into dst (a new matrix when nil; sum itself
-// for the sum in place) and returns it, bit-identical to Add(sum, MatMul(x,
-// w)): each product element is accumulated from zero exactly as MatMul would
-// and only then added to sum's, so the rounding sequence is the unfused
-// pair's — without materializing the product matrix. dst must not share
-// storage with x or w.
-func MatMulAccTo(dst, sum, x, w *Matrix) *Matrix { return MatMulAccConcatTo(dst, sum, whole(x), w) }
-
-// MatMulAccConcatTo is MatMulAccTo for a concatenated x, its rows assembled
-// as MatMulConcatTo's. dst may be sum even when sum is one of several parts of
-// x: a row of x is assembled before the row of dst is written.
+// MatMulAccConcatTo writes sum + x·w into dst (a new matrix when nil; sum
+// itself for the sum in place) and returns it, bit-identical to AddTo(nil,
+// sum, MatMulConcatTo(nil, x, w)): each product element is accumulated from
+// zero exactly as MatMul would and only then added to sum's, so the rounding
+// sequence is the unfused pair's — without materializing the product matrix.
+// x's rows are assembled as MatMulConcatTo's. dst must not share storage with
+// w, nor with x unless dst is sum: sum may be one of several parts of x, as a
+// row of x is assembled before the row of dst is written.
 func MatMulAccConcatTo(dst, sum *Matrix, x Concat, w *Matrix) *Matrix {
 	if x.Cols() != w.Rows {
 		panic(fmt.Sprintf("tensor: MatMulAcc inner mismatch %dx%d · %dx%d", x.Rows, x.Cols(), w.Rows, w.Cols))
@@ -470,13 +452,9 @@ func matMulTransBInto(a, b, out *Matrix, add bool) {
 	}
 }
 
-// MatMulTransA returns aᵀ·b, each output row accumulated in ascending-k
-// order.
-func MatMulTransA(a, b *Matrix) *Matrix { return MatMulTransAConcat(whole(a), b) }
-
 // MatMulTransAConcat returns aᵀ·b for a concatenated a: output row j reads
 // column j of a alone, so each part fills the block of rows its columns are,
-// bit-identical to MatMulTransA of a.Dense().
+// bit-identical to the product of the parts copied side by side.
 func MatMulTransAConcat(a Concat, b *Matrix) *Matrix {
 	out := New(a.Cols(), b.Cols)
 	MatMulTransAConcatInto(out, a, b)
@@ -558,26 +536,11 @@ func matMulTransAPass(a, b, out *Matrix, ks [4]int) {
 	}
 }
 
-// Transpose returns mᵀ.
-func Transpose(m *Matrix) *Matrix {
-	out := newUninit(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c, v := range row {
-			out.Data[c*m.Rows+r] = v
-		}
-	}
-	return out
-}
-
 // A row-local op's To form writes its result into dst and returns it; its
 // plain form, where it has one, is the To form with a nil dst, which
 // allocates the result. dst is nil, an operand of the result's shape (the op
 // in place: each element is read before it is written, in the same place), or
 // a matrix sharing no storage with the operands.
-
-// Add returns a+b.
-func Add(a, b *Matrix) *Matrix { return AddTo(nil, a, b) }
 
 // AddTo writes a+b into dst.
 func AddTo(dst, a, b *Matrix) *Matrix {
@@ -640,9 +603,6 @@ func AddScaledInPlace(a, b *Matrix, s float64) {
 	}
 }
 
-// AddRowVector returns m with the 1×cols row vector v added to every row.
-func AddRowVector(m, v *Matrix) *Matrix { return AddRowVectorTo(nil, m, v) }
-
 // AddRowVectorTo writes m plus v on every row into dst (m, not v, in place).
 func AddRowVectorTo(dst, m, v *Matrix) *Matrix {
 	if v.Rows != 1 || v.Cols != m.Cols {
@@ -677,6 +637,8 @@ func (m *Matrix) Mean() float64 {
 }
 
 // MaxAbs returns the largest absolute element (0 for an empty matrix).
+//
+//streamlint:unreached-ok the size oracle of the tests of tensor, autodiff, nn and dgnn
 func (m *Matrix) MaxAbs() float64 {
 	var mx float64
 	for _, v := range m.Data {
@@ -687,11 +649,8 @@ func (m *Matrix) MaxAbs() float64 {
 	return mx
 }
 
-// GatherRows returns the matrix whose i-th row is m's rows[i]-th row.
-func GatherRows(m *Matrix, rows []int) *Matrix { return GatherRowsConcat(whole(m), rows) }
-
-// GatherRowsConcat is GatherRows of a concatenation, each row assembled from
-// the parts straight into the output.
+// GatherRowsConcat returns the matrix whose i-th row is row rows[i] of c, each
+// row assembled from the parts straight into the output.
 func GatherRowsConcat(c Concat, rows []int) *Matrix {
 	out := newUninit(len(rows), c.Cols())
 	for i, r := range rows {
@@ -713,26 +672,6 @@ func ScatterRows(dst, src *Matrix, rows []int) {
 	for i, r := range rows {
 		copy(dst.Row(r), src.Row(i))
 	}
-}
-
-// ConcatCols returns [a | b], the column-wise concatenation.
-func ConcatCols(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", a.Rows, b.Rows))
-	}
-	return Concat{Rows: a.Rows, Parts: []*Matrix{a, b}}.Dense()
-}
-
-// SliceCols returns the column range [from, to) of m as a new matrix.
-func SliceCols(m *Matrix, from, to int) *Matrix {
-	if from < 0 || to > m.Cols || from > to {
-		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) of %d cols", from, to, m.Cols))
-	}
-	out := newUninit(m.Rows, to-from)
-	for r := 0; r < m.Rows; r++ {
-		copy(out.Row(r), m.Row(r)[from:to])
-	}
-	return out
 }
 
 // Sigmoid is the logistic function.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -71,7 +72,7 @@ func TestMatMulTransVariants(t *testing.T) {
 	}
 	// aᵀ·b via MatMulTransA
 	c := NewRandom(rng, 3, 4, 1)
-	if !MatMulTransA(a, c).AllClose(MatMul(Transpose(a), c), 1e-12) {
+	if !MatMulTransAConcat(whole(a), c).AllClose(MatMul(Transpose(a), c), 1e-12) {
 		t.Fatal("MatMulTransA inconsistent with MatMul")
 	}
 }
@@ -91,7 +92,7 @@ func TestTransposeInvolution(t *testing.T) {
 func TestAddSubMulScale(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := FromSlice(2, 2, []float64{5, 6, 7, 8})
-	if got := Add(a, b); !got.Equal(FromSlice(2, 2, []float64{6, 8, 10, 12})) {
+	if got := AddTo(nil, a, b); !got.Equal(FromSlice(2, 2, []float64{6, 8, 10, 12})) {
 		t.Fatalf("Add = %v", got)
 	}
 	if got := Sub(b, a); !got.Equal(FromSlice(2, 2, []float64{4, 4, 4, 4})) {
@@ -108,7 +109,7 @@ func TestAddSubMulScale(t *testing.T) {
 func TestAddRowVector(t *testing.T) {
 	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	v := FromSlice(1, 3, []float64{10, 20, 30})
-	got := AddRowVector(m, v)
+	got := AddRowVectorTo(nil, m, v)
 	want := FromSlice(2, 3, []float64{11, 22, 33, 14, 25, 36})
 	if !got.Equal(want) {
 		t.Fatalf("AddRowVector = %v", got)
@@ -117,7 +118,7 @@ func TestAddRowVector(t *testing.T) {
 
 func TestGatherScatterRows(t *testing.T) {
 	m := FromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6})
-	g := GatherRows(m, []int{2, 0})
+	g := GatherRowsConcat(whole(m), []int{2, 0})
 	if !g.Equal(FromSlice(2, 2, []float64{5, 6, 1, 2})) {
 		t.Fatalf("GatherRows = %v", g)
 	}
@@ -195,7 +196,7 @@ func TestShapePanics(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	Add(New(1, 2), New(2, 1))
+	AddTo(nil, New(1, 2), New(2, 1))
 }
 
 func TestMatMulAssociativityProperty(t *testing.T) {
@@ -232,14 +233,62 @@ func TestMeter(t *testing.T) {
 	if TotalFloats() != 109 {
 		t.Fatalf("TotalFloats = %d, want 109", TotalFloats())
 	}
-	if PeakFloats() != 100 {
-		t.Fatalf("PeakFloats = %d, want 100", PeakFloats())
-	}
 	if TotalBytes() != 109*8 {
 		t.Fatalf("TotalBytes = %d", TotalBytes())
 	}
 	ResetMeter()
-	if TotalFloats() != 0 || PeakFloats() != 0 {
+	if TotalFloats() != 0 {
 		t.Fatal("ResetMeter did not clear counters")
 	}
+}
+
+// Set stores v at (r, c).
+func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
+
+// Fill sets every element of m to v.
+func (m *Matrix) Fill(v float64) {
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+}
+
+// Dense returns the concatenation copied into one new matrix.
+func (c Concat) Dense() *Matrix {
+	out := newUninit(c.Rows, c.Cols())
+	for r := 0; r < c.Rows; r++ {
+		copy(out.Row(r), c.row(r, out.Row(r)))
+	}
+	return out
+}
+
+// Transpose returns mᵀ.
+func Transpose(m *Matrix) *Matrix {
+	out := newUninit(m.Cols, m.Rows)
+	for r := 0; r < m.Rows; r++ {
+		row := m.Row(r)
+		for c, v := range row {
+			out.Data[c*m.Rows+r] = v
+		}
+	}
+	return out
+}
+
+// ConcatCols returns [a | b], the column-wise concatenation.
+func ConcatCols(a, b *Matrix) *Matrix {
+	if a.Rows != b.Rows {
+		panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", a.Rows, b.Rows))
+	}
+	return Concat{Rows: a.Rows, Parts: []*Matrix{a, b}}.Dense()
+}
+
+// SliceCols returns the column range [from, to) of m as a new matrix.
+func SliceCols(m *Matrix, from, to int) *Matrix {
+	if from < 0 || to > m.Cols || from > to {
+		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) of %d cols", from, to, m.Cols))
+	}
+	out := newUninit(m.Rows, to-from)
+	for r := 0; r < m.Rows; r++ {
+		copy(out.Row(r), m.Row(r)[from:to])
+	}
+	return out
 }

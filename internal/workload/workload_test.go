@@ -138,13 +138,20 @@ func TestTaxiHeterogeneousAndWindowed(t *testing.T) {
 	d := Taxi(GenConfig{Seed: 5, Steps: 15})
 	g := replay(t, d)
 	grids, trips := 0, 0
-	for v := 0; v < g.N(); v++ {
-		switch g.Type(v) {
-		case 0:
-			grids++
-		case 1:
-			trips++
+	for _, b := range d.Batches {
+		for _, ev := range b.Events {
+			if n, ok := ev.(stream.AddNode); ok {
+				switch n.Type {
+				case 0:
+					grids++
+				case 1:
+					trips++
+				}
+			}
 		}
+	}
+	if grids+trips != g.N() {
+		t.Fatalf("%d grid and %d trip records for %d nodes", grids, trips, g.N())
 	}
 	if grids != 36 {
 		t.Fatalf("grid nodes = %d", grids)

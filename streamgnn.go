@@ -445,10 +445,6 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("streamgnn: %w", err)
 	}
-	// Buffer pooling is process-wide and load-bearing: training tapes and
-	// the inference tape both hand their intermediates back to it (metered
-	// allocation accounting is identical either way).
-	tensor.EnablePooling(true)
 	src := rng.New(cfg.Seed)
 	r := rand.New(src)
 	g := graph.NewDynamic(featDim)
@@ -484,9 +480,11 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// AddNode adds a node of the given type and returns its id.
+// AddNode adds a node and returns its id. nodeType names the node's entity
+// type, as a stream record does; no model reads node types, so the engine
+// keeps none.
 func (e *Engine) AddNode(nodeType int, feat []float64) int {
-	return e.g.AddNode(graph.NodeType(nodeType), feat)
+	return e.g.AddNode(feat)
 }
 
 // AddEdge adds a directed edge stamped with the current step.

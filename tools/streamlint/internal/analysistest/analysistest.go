@@ -87,7 +87,7 @@ func RunProgram(t *testing.T, root string, a *analysis.ProgramAnalyzer, pkgPaths
 	var units []*analysis.Unit
 	var files []*ast.File
 	for _, p := range pkgs {
-		units = append(units, &analysis.Unit{Path: p.Path, Files: p.Files, Pkg: p.Types, Info: p.Info})
+		units = append(units, p.Unit())
 		files = append(files, p.Files...)
 	}
 	var diags []analysis.Diagnostic

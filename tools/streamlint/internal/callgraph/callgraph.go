@@ -15,6 +15,12 @@
 // universes. FullName ("(*sync.Mutex).Lock", "streamgnn/internal/query.
 // AnswerBatch") is stable across them.
 //
+// Package-level var initializers run when the package initializes, so the
+// calls and references in them are edges of the package's init node
+// ("<path>.init"), which exists for every unit whether or not it declares
+// an init function. Instantiations of a generic function or method are
+// keyed by their generic origin.
+//
 // Soundness limits, shared by every client: calls through plain function
 // values (fields, parameters, closures passed around) produce no edge;
 // reflection and unsafe are invisible; function literals are attributed to
@@ -58,6 +64,8 @@ type Edge struct {
 // Node is one function in the program. Decl and Unit are nil for functions
 // known only through export data (no source body was loaded); such nodes
 // still exist so clients can test their FullName against forbidden sets.
+// A package's init node has a Unit but no Func, and a Decl only when the
+// package declares an init function.
 type Node struct {
 	FullName string
 	Func     *types.Func
@@ -70,9 +78,6 @@ type Node struct {
 type Graph struct {
 	nodes map[string]*Node
 }
-
-// Node returns the node with the given FullName, or nil.
-func (g *Graph) Node(fullName string) *Node { return g.nodes[fullName] }
 
 // NodeOf returns the node for fn, or nil.
 func (g *Graph) NodeOf(fn *types.Func) *Node {
@@ -136,27 +141,49 @@ func Build(units []*analysis.Unit) *Graph {
 		}
 	}
 
-	// Pass 2: walk every function body and record edges.
+	// Pass 2: walk every function body and every package-level var
+	// initializer and record edges.
 	for _, u := range units {
 		for _, f := range u.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					fn, _ := u.Info.Defs[d.Name].(*types.Func)
+					if fn == nil || d.Body == nil {
+						continue
+					}
+					g.addEdges(g.ensure(fn), u, d.Body, named)
+				case *ast.GenDecl:
+					if d.Tok != token.VAR {
+						continue
+					}
+					for _, spec := range d.Specs {
+						for _, v := range spec.(*ast.ValueSpec).Values {
+							g.addEdges(g.InitNode(u), u, v, named)
+						}
+					}
 				}
-				fn, _ := u.Info.Defs[fd.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				g.addEdges(g.ensure(fn), u, fd.Body, named)
 			}
 		}
 	}
 	return g
 }
 
+// InitNode returns the node that stands for u's initialization: its init
+// functions and its package-level var initializers.
+func (g *Graph) InitNode(u *analysis.Unit) *Node {
+	key := u.Path + ".init"
+	n := g.nodes[key]
+	if n == nil {
+		n = &Node{FullName: key, Unit: u}
+		g.nodes[key] = n
+	}
+	return n
+}
+
 // ensure returns the node for fn, creating a bodiless one if needed.
 func (g *Graph) ensure(fn *types.Func) *Node {
+	fn = fn.Origin()
 	key := fn.FullName()
 	n := g.nodes[key]
 	if n == nil {

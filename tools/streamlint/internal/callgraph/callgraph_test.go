@@ -18,7 +18,7 @@ func buildFixture(t *testing.T) *Graph {
 	}
 	var units []*analysis.Unit
 	for _, p := range pkgs {
-		units = append(units, &analysis.Unit{Path: p.Path, Files: p.Files, Pkg: p.Types, Info: p.Info})
+		units = append(units, p.Unit())
 	}
 	return Build(units)
 }
@@ -107,3 +107,6 @@ func TestCallGraphDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Node returns the node with the given FullName, or nil.
+func (g *Graph) Node(fullName string) *Node { return g.nodes[fullName] }

@@ -41,6 +41,11 @@ type Package struct {
 	Info  *types.Info
 }
 
+// Unit returns p as a unit of a whole-program pass.
+func (p *Package) Unit() *analysis.Unit {
+	return &analysis.Unit{Path: p.Path, Files: p.Files, Pkg: p.Types, Info: p.Info}
+}
+
 type listPkg struct {
 	ImportPath string
 	Dir        string

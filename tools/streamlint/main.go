@@ -1,11 +1,12 @@
 // Command streamlint is the repository's invariant checker: a multichecker
-// over seven repo-specific analyzers built on the stdlib-only analysis
+// over eight repo-specific analyzers built on the stdlib-only analysis
 // scaffolding in internal/analysis — the offline build environment cannot
 // vendor golang.org/x/tools, so streamlint carries a miniature of its API
 // instead. Four analyzers check one package at a time (detorder, poolsafe,
-// ckptstate, atomalign); three reason over the whole program through the
+// ckptstate, atomalign); four reason over the whole program through the
 // interprocedural call graph in internal/callgraph (lockfree, snapimmut,
-// atommix).
+// atommix, unreached). unreached also loads the benchmarks module beside the
+// repository, whose references into it count as calls.
 //
 // Two modes:
 //
@@ -18,8 +19,9 @@
 // every matched package at once. Vettool mode implements the cmd/go JSON
 // config protocol (-V=full, -flags, then one *.cfg per package unit), which
 // also covers _test.go files; there the whole-program analyzers see a
-// single-unit program, so their cross-package edges are absent — the
-// standalone run is the CI gate for those.
+// single-unit program, so their cross-package edges are absent, and
+// unreached, which needs the whole program, reports nothing — the standalone
+// run is the CI gate for those.
 //
 // -json additionally writes the diagnostics to stdout as a JSON array of
 // {file, line, col, analyzer, message, chain} objects (sorted like the
@@ -50,6 +52,7 @@ import (
 	"streamgnn/tools/streamlint/internal/checks/lockfree"
 	"streamgnn/tools/streamlint/internal/checks/poolsafe"
 	"streamgnn/tools/streamlint/internal/checks/snapimmut"
+	"streamgnn/tools/streamlint/internal/checks/unreached"
 	"streamgnn/tools/streamlint/internal/load"
 )
 
@@ -67,6 +70,7 @@ var programAnalyzers = []*analysis.ProgramAnalyzer{
 	lockfree.Analyzer,
 	snapimmut.Analyzer,
 	atommix.Analyzer,
+	unreached.Analyzer,
 }
 
 func main() {
@@ -138,7 +142,7 @@ func runAll(fset *token.FileSet, pkg *load.Package) ([]analysis.Diagnostic, erro
 func runProgram(fset *token.FileSet, pkgs []*load.Package) ([]analysis.Diagnostic, error) {
 	units := make([]*analysis.Unit, 0, len(pkgs))
 	for _, p := range pkgs {
-		units = append(units, &analysis.Unit{Path: p.Path, Files: p.Files, Pkg: p.Types, Info: p.Info})
+		units = append(units, p.Unit())
 	}
 	var diags []analysis.Diagnostic
 	for _, a := range programAnalyzers {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"streamgnn/tools/streamlint/internal/analysis"
 	"streamgnn/tools/streamlint/internal/analysistest"
 	"streamgnn/tools/streamlint/internal/checks/atomalign"
 	"streamgnn/tools/streamlint/internal/checks/atommix"
@@ -16,6 +17,8 @@ import (
 	"streamgnn/tools/streamlint/internal/checks/lockfree"
 	"streamgnn/tools/streamlint/internal/checks/poolsafe"
 	"streamgnn/tools/streamlint/internal/checks/snapimmut"
+	"streamgnn/tools/streamlint/internal/checks/unreached"
+	"streamgnn/tools/streamlint/internal/load"
 )
 
 var fixtureRoot = filepath.Join("testdata", "src")
@@ -62,6 +65,37 @@ func TestAtomMixFixtures(t *testing.T) {
 	// atomically; loading a's program pulls b in, and the cross-package mix
 	// is caught program-wide.
 	analysistest.RunProgram(t, fixtureRoot, atommix.Analyzer, "atommix/a")
+}
+
+func TestUnreachedFixtures(t *testing.T) {
+	// unreached/bench is loaded on its own, as the benchmarks module is: its
+	// reference to lib.BenchOnly keeps that function and its helper.
+	bench := func() ([]*analysis.Unit, error) {
+		pkgs, _, err := load.FixtureProgram(fixtureRoot, "unreached/bench")
+		if err != nil {
+			return nil, err
+		}
+		return []*analysis.Unit{pkgs[0].Unit()}, nil
+	}
+	analysistest.RunProgram(t, fixtureRoot, unreached.New(bench), "unreached/cmd/app", "unreached/api", "unreached/internal/libtest")
+}
+
+// TestUnreachedJudgesWholePrograms: the library alone, without the binary
+// and the packages that import it, is not judged.
+func TestUnreachedJudgesWholePrograms(t *testing.T) {
+	pkgs, fset, err := load.FixtureProgram(fixtureRoot, "unreached/internal/lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []*analysis.Unit
+	for _, p := range pkgs {
+		units = append(units, p.Unit())
+	}
+	var diags []analysis.Diagnostic
+	pass := &analysis.ProgramPass{Analyzer: unreached.Analyzer, Fset: fset, Units: units, Report: func(d analysis.Diagnostic) { diags = append(diags, d) }}
+	if err := unreached.Analyzer.Run(pass); err != nil || len(diags) != 0 {
+		t.Fatalf("a program without a main was judged: err %v, %d diagnostics", err, len(diags))
+	}
 }
 
 // buildTool compiles the streamlint binary once for the protocol tests.
@@ -211,6 +245,31 @@ func corrupt(s *store) {
 	}
 	if !strings.Contains(string(out), "snapimmut") || !strings.Contains(string(out), "derived from Publish()") {
 		t.Fatalf("missing snapimmut diagnostic:\n%s", out)
+	}
+}
+
+// TestStandaloneFindsSeededUnreached mirrors the CI self-test: an exported
+// function under internal/ that nothing calls fails the run.
+func TestStandaloneFindsSeededUnreached(t *testing.T) {
+	bin := buildTool(t)
+	dir := t.TempDir()
+	writeModule(t, dir, "package main\n\nimport \"example.com/scratch/internal/live\"\n\nfunc main() { live.Used() }\n")
+	if err := os.MkdirAll(filepath.Join(dir, "internal", "live"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	live := "package live\n\nfunc Used() {}\n\nfunc Unused() {}\n"
+	if err := os.WriteFile(filepath.Join(dir, "internal", "live", "live.go"), []byte(live), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "./...")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 2 {
+		t.Fatalf("want exit 2 with findings, got err=%v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "unreached: example.com/scratch/internal/live.Unused is reached from no main") || strings.Contains(string(out), "live.Used") {
+		t.Fatalf("want one unreached diagnostic, for live.Unused:\n%s", out)
 	}
 }
 
