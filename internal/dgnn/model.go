@@ -15,6 +15,7 @@ import (
 
 	"streamgnn/internal/autodiff"
 	"streamgnn/internal/graph"
+	"streamgnn/internal/nn"
 	"streamgnn/internal/tensor"
 )
 
@@ -38,8 +39,9 @@ type View struct {
 	Frontier []int
 	// Want, when non-nil on a NoCommit view, lists the rows (ascending) whose
 	// embeddings the caller reads: a training round's loss rows. A model may
-	// return those rows alone, in that order — DCRNN does — or ignore Want
-	// and return every row; the caller tells the two apart by the row count.
+	// return those rows alone, in that order — DCRNN, GCLSTM and TGCN do — or
+	// ignore Want and return every row; the caller tells the two apart by the
+	// row count.
 	Want []int
 	// NoCommit, when set, prevents the forward pass from writing updated
 	// recurrent state back (useful for what-if evaluation).
@@ -158,6 +160,25 @@ func (v View) rows(d int) int {
 		return v.Frontier[d]
 	}
 	return v.N
+}
+
+// gcnConv is the nn.RowConv of a cell whose gates are GCN convolutions over
+// the view's normalized adjacency: a gate on leading rows reads the head of
+// the adjacency over its input's rows, and one on the wanted rows (View.Want)
+// reads those rows of it, picked once for every gate. The product x·W runs on
+// every row of the input either way: the propagation reads it there.
+func (v View) gcnConv(tp *autodiff.Tape) nn.RowConv {
+	var want *tensor.CSR
+	if v.Want != nil {
+		want = v.Norm.Pick(v.Want)
+	}
+	return func(mod nn.Module, in *autodiff.Node, rows nn.Rows) *autodiff.Node {
+		adj := want
+		if rows.Want == nil {
+			adj = v.Norm.Head(rows.N, in.Value.Rows)
+		}
+		return mod.(*nn.GCNConv).Apply(tp, adj, in)
+	}
 }
 
 // LocalRows returns the positions in nodes (ascending, unique) of the ids in

@@ -2,6 +2,7 @@ package dgnn
 
 import (
 	"streamgnn/internal/autodiff"
+	"streamgnn/internal/nn"
 	"streamgnn/internal/tensor"
 )
 
@@ -117,7 +118,11 @@ func (s *nodeState) maxID(v View) int {
 func (s *nodeState) gather(v View) *tensor.Matrix { return s.gatherHead(v, v.N) }
 
 // gatherHead is gather for the view's leading n rows alone.
-func (s *nodeState) gatherHead(v View, n int) *tensor.Matrix {
+func (s *nodeState) gatherHead(v View, n int) *tensor.Matrix { return s.gatherSel(v, nn.Rows{N: n}) }
+
+// gatherSel is gather for the rows sel selects alone: its leading N, or the
+// rows it lists.
+func (s *nodeState) gatherSel(v View, sel nn.Rows) *tensor.Matrix {
 	if !v.NoCommit {
 		s.data.Grow(s.maxID(v) + 1)
 	}
@@ -125,9 +130,17 @@ func (s *nodeState) gatherHead(v View, n int) *tensor.Matrix {
 	if !(v.NoCommit || v.SnapshotState) || src == nil {
 		src = &s.data.RowView
 	}
+	n := sel.N
+	if sel.Want != nil {
+		n = len(sel.Want)
+	}
 	out := tensor.NewUninit(n, s.dim)
 	for i := 0; i < n; i++ {
-		if id := v.globalID(i); id < src.Rows() {
+		r := i
+		if sel.Want != nil {
+			r = sel.Want[i]
+		}
+		if id := v.globalID(r); id < src.Rows() {
 			copy(out.Row(i), src.Row(id))
 		} else {
 			clear(out.Row(i))

@@ -87,8 +87,7 @@ func NewConvGRUCell(newConv func() Module) *ConvGRUCell {
 
 // Rows selects the rows a cell computes: the leading N, on rows in demand
 // order (graph.Region), or, when Want is non-nil, the ascending rows it lists
-// instead (the rows a training round's loss reads, dgnn.View.Want), which
-// only DCRNN's convolution takes.
+// instead (the rows a training round's loss reads, dgnn.View.Want).
 type Rows struct {
 	N    int
 	Want []int
@@ -159,19 +158,18 @@ func NewConvLSTMCell(newConv func() Module) *ConvLSTMCell {
 
 // Apply advances the cell over every row, returning new hidden and cell state.
 func (c *ConvLSTMCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.Node) *autodiff.Node, x, h, cell *autodiff.Node) (hNew, cellNew *autodiff.Node) {
-	return c.ApplyRows(tp, allRows(conv), x, h, cell)
+	return c.ApplyRows(tp, allRows(conv), x, h, cell, Rows{N: cell.Value.Rows})
 }
 
-// ApplyRows advances the cell for the rows cell is given on — the leading
-// rows, in demand order, of the ones x and h cover: every gate convolves
-// [x|h], a view over x and h that the four products read where they are, and
-// is read on those rows alone. On a warm tape every gate activation writes
-// over its convolution's output. On a warm inference tape every product
-// also writes over the gate it reads, which a recording tape keeps for the
-// product's backward rule; tanh(cellNew) gets a buffer of its own where the
-// model keeps cellNew as state.
-func (c *ConvLSTMCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h, cell *autodiff.Node) (hNew, cellNew *autodiff.Node) {
-	n0 := Rows{N: cell.Value.Rows}
+// ApplyRows advances the cell for the rows n0 selects, the rows cell is given
+// on — the leading rows, in demand order, of the ones x and h cover, or a list
+// of them: every gate convolves [x|h], a view over x and h that the four
+// products read where they are, and is read on those rows alone. On a warm
+// tape every gate activation writes over its convolution's output. On a warm
+// inference tape every product also writes over the gate it reads, which a
+// recording tape keeps for the product's backward rule; tanh(cellNew) gets a
+// buffer of its own where the model keeps cellNew as state.
+func (c *ConvLSTMCell) ApplyRows(tp *autodiff.Tape, conv RowConv, x, h, cell *autodiff.Node, n0 Rows) (hNew, cellNew *autodiff.Node) {
 	xh := tp.ConcatCols(x, h)
 	i := tp.Sigmoid(conv(c.convI, xh, n0))
 	f := tp.Sigmoid(conv(c.convF, xh, n0))

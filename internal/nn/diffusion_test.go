@@ -154,16 +154,9 @@ func TestDiffusionConvWantedRowsMatchEveryRow(t *testing.T) {
 			rng := rand.New(rand.NewSource(20*trial + 3))
 			p := diffusionGraph(rng, n, isolated).Diffusion()
 			xm := tensor.NewRandom(rng, n, in, 1)
-			var want []int
-			share := float64(trial) / 5 // none, …, all
-			for r := 0; r < n; r++ {
-				if rng.Float64() < share || share == 1 {
-					want = append(want, r)
-				}
-			}
-			want = append(make([]int, 0, len(want)), want...) // never nil
+			want := wantedRows(rng, n, float64(trial)/5)
 			target := tensor.NewRandom(rng, len(want), out, 1)
-			run := func(listed bool) (val *tensor.Matrix, grads []*tensor.Matrix) {
+			run := func(listed bool) []*tensor.Matrix {
 				r := rand.New(rand.NewSource(trial))
 				c1, c2 := NewDiffusionConv(r, in, out, K), NewDiffusionConv(r, in, out, K)
 				x := autodiff.Param(xm.Clone())
@@ -177,21 +170,13 @@ func TestDiffusionConvWantedRowsMatchEveryRow(t *testing.T) {
 				}
 				loss := tp.Add(mse(tp, tp.Tanh(y), target), tp.Mean(tp.Tanh(c2.ApplyDiffused(tp, d, nil))))
 				tp.Backward(loss)
+				outs := []*tensor.Matrix{y.Value}
 				for _, prm := range append(CollectParams(c1, c2), x) {
-					grads = append(grads, prm.Grad)
+					outs = append(outs, prm.Grad)
 				}
-				return y.Value, grads
+				return outs
 			}
-			wantV, wantG := run(false)
-			gotV, gotG := run(true)
-			if !sameBits(wantV, gotV) {
-				t.Fatalf("isolated %v, %d wanted rows: value differs from every row's", isolated, len(want))
-			}
-			for i := range wantG {
-				if !sameBits(wantG[i], gotG[i]) {
-					t.Fatalf("isolated %v, %d wanted rows: gradient %d of %d differs from every row's", isolated, len(want), i, len(wantG))
-				}
-			}
+			checkWantedRuns(t, fmt.Sprintf("isolated %v, %d wanted rows", isolated, len(want)), run)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -255,6 +256,121 @@ func TestConvLSTMCell(t *testing.T) {
 	for i, p := range cell.Params() {
 		if p.Grad == nil {
 			t.Fatalf("conv-LSTM param %d got no gradient", i)
+		}
+	}
+}
+
+// wantedRows draws an ascending, non-nil set of n's rows holding about share
+// of them: none, some or all.
+func wantedRows(rng *rand.Rand, n int, share float64) []int {
+	want := []int{}
+	for r := 0; r < n; r++ {
+		if rng.Float64() < share || share == 1 {
+			want = append(want, r)
+		}
+	}
+	return want
+}
+
+// A GCN convolution over the adjacency's wanted rows (CSR.Pick) against the
+// same convolution on every row with the wanted ones gathered from it, beside
+// a second convolution of the same input on every row (a GRU's reset gate
+// beside its update gate): the wanted rows' values and every weight, bias and
+// input gradient are Float64bits-equal, isolated rows and wanted sets from
+// none to all.
+func TestGCNConvWantedRowsMatchEveryRow(t *testing.T) {
+	const n, in, out = 40, 5, 4
+	for _, isolated := range []float64{0, 0.5, 1} {
+		for trial := int64(0); trial < 6; trial++ {
+			rng := rand.New(rand.NewSource(20*trial + 5))
+			adj := diffusionGraph(rng, n, isolated).NormAdj()
+			xm := tensor.NewRandom(rng, n, in, 1)
+			want := wantedRows(rng, n, float64(trial)/5)
+			target := tensor.NewRandom(rng, len(want), out, 1)
+			run := func(listed bool) []*tensor.Matrix {
+				r := rand.New(rand.NewSource(trial))
+				c1, c2 := NewGCNConv(r, in, out), NewGCNConv(r, in, out)
+				x := autodiff.Param(xm.Clone())
+				tp := autodiff.NewTape()
+				var y *autodiff.Node
+				if listed {
+					y = c1.Apply(tp, adj.Pick(want), x)
+				} else {
+					y = tp.GatherRows(c1.Apply(tp, adj, x), want)
+				}
+				loss := tp.Add(mse(tp, tp.Tanh(y), target), tp.Mean(tp.Tanh(c2.Apply(tp, adj, x))))
+				tp.Backward(loss)
+				outs := []*tensor.Matrix{y.Value}
+				for _, prm := range append(CollectParams(c1, c2), x) {
+					outs = append(outs, prm.Grad)
+				}
+				return outs
+			}
+			checkWantedRuns(t, fmt.Sprintf("isolated %v, %d wanted rows", isolated, len(want)), run)
+		}
+	}
+}
+
+// A graph-gated LSTM cell on the wanted rows — its four gates over the
+// adjacency's wanted rows, the old cell state gathered there — against the
+// cell on every row with the wanted rows of its new hidden and cell state
+// gathered: values and every weight, bias and input gradient are
+// Float64bits-equal, the input and old hidden state read on every row as
+// GCLSTM reads them.
+func TestConvLSTMCellWantedRowsMatchEveryRow(t *testing.T) {
+	const n, in, hid = 40, 3, 4
+	for _, isolated := range []float64{0, 0.5, 1} {
+		for trial := int64(0); trial < 6; trial++ {
+			rng := rand.New(rand.NewSource(20*trial + 7))
+			adj := diffusionGraph(rng, n, isolated).NormAdj()
+			xm, hm, cm := tensor.NewRandom(rng, n, in, 1), tensor.NewRandom(rng, n, hid, 1), tensor.NewRandom(rng, n, hid, 1)
+			want := wantedRows(rng, n, float64(trial)/5)
+			target := tensor.NewRandom(rng, len(want), hid, 1)
+			run := func(listed bool) []*tensor.Matrix {
+				r := rand.New(rand.NewSource(trial))
+				cell := NewConvLSTMCell(func() Module { return NewGCNConv(r, in+hid, hid) })
+				x, h := autodiff.Param(xm.Clone()), autodiff.Param(hm.Clone())
+				tp := autodiff.NewTape()
+				pick := adj.Pick(want)
+				conv := func(m Module, in *autodiff.Node, rows Rows) *autodiff.Node {
+					a := adj
+					if rows.Want != nil {
+						a = pick
+					}
+					return m.(*GCNConv).Apply(tp, a, in)
+				}
+				var hNew, cNew *autodiff.Node
+				if listed {
+					c := autodiff.Constant(tensor.NewUninit(len(want), hid))
+					for i, row := range want {
+						copy(c.Value.Row(i), cm.Row(row))
+					}
+					hNew, cNew = cell.ApplyRows(tp, conv, x, h, c, Rows{N: n, Want: want})
+				} else {
+					hNew, cNew = cell.ApplyRows(tp, conv, x, h, autodiff.Constant(cm.Clone()), Rows{N: n})
+					hNew, cNew = tp.GatherRows(hNew, want), tp.GatherRows(cNew, want)
+				}
+				loss := tp.Add(mse(tp, hNew, target), tp.Mean(tp.Tanh(cNew)))
+				tp.Backward(loss)
+				outs := []*tensor.Matrix{hNew.Value, cNew.Value}
+				for _, prm := range append(cell.Params(), x, h) {
+					outs = append(outs, prm.Grad)
+				}
+				return outs
+			}
+			checkWantedRuns(t, fmt.Sprintf("isolated %v, %d wanted rows", isolated, len(want)), run)
+		}
+	}
+}
+
+// checkWantedRuns compares run on every row (false) with run on the wanted
+// rows (true): the values and gradients it returns, Float64bits-equal.
+func checkWantedRuns(t *testing.T, name string, run func(listed bool) []*tensor.Matrix) {
+	t.Helper()
+	want, got := run(false), run(true)
+	for i := range want {
+		if !sameBits(want[i], got[i]) {
+			t.Fatalf("%s: value or gradient %d of %d differs from every row's", name, i, len(want))
 		}
 	}
 }

@@ -93,6 +93,24 @@ func (c *CSR) Head(rows, cols int) *CSR {
 	return &CSR{NRows: rows, NCols: cols, RowPtr: c.RowPtr[:rows+1], ColIdx: c.ColIdx[:end], Val: c.Val[:end]}
 }
 
+// Pick returns the CSR of c's rows listed in rows, in that order, over all of
+// c's columns: row i of the result is row rows[i] of c, its entries copied in
+// their order, so SpMM over it computes those rows of SpMM over c bit for bit.
+func (c *CSR) Pick(rows []int) *CSR {
+	nnz := 0
+	for _, r := range rows {
+		nnz += c.RowNNZ(r)
+	}
+	p := &CSR{NRows: len(rows), NCols: c.NCols, RowPtr: make([]int, 1, len(rows)+1), ColIdx: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
+	for _, r := range rows {
+		lo, hi := c.RowPtr[r], c.RowPtr[r+1]
+		p.ColIdx = append(p.ColIdx, c.ColIdx[lo:hi]...)
+		p.Val = append(p.Val, c.Val[lo:hi]...)
+		p.RowPtr = append(p.RowPtr, len(p.ColIdx))
+	}
+	return p
+}
+
 // SpMM returns c·x for dense x. Like MatMul, each output row is initialized
 // and accumulated in one place (an empty CSR row is zeroed), so the output
 // needs no zeroing pass.

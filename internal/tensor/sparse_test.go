@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -130,5 +131,52 @@ func TestCSRHead(t *testing.T) {
 			}()
 			c.Head(shape[0], shape[1])
 		}()
+	}
+}
+
+// TestCSRPick checks a CSR of listed rows: SpMM over it is those rows of SpMM
+// over the whole bit for bit, and SpMMTransCols over it equals the whole's
+// SpMMTransCols when every other row of the gradient is ±0 — the sums start
+// at +0, so a ±0 term changes no bit.
+func TestCSRPick(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	negZero := math.Copysign(0, -1)
+	for trial := 0; trial < 60; trial++ {
+		n, m, k := 1+rng.Intn(9), 1+rng.Intn(9), 1+rng.Intn(4)
+		c := randomCSR(rng, n, m, 0.4)
+		var rows []int
+		for r := 0; r < n; r++ {
+			if rng.Intn(2) == 0 {
+				rows = append(rows, r)
+			}
+		}
+		p := c.Pick(rows)
+		if p.NRows != len(rows) || p.NCols != m {
+			t.Fatalf("Pick(%v) of a %dx%d CSR is %dx%d", rows, n, m, p.NRows, p.NCols)
+		}
+		x := NewRandom(rng, m, k, 2)
+		signedZeros(rng, x)
+		whole, got := SpMM(c, x), SpMM(p, x)
+		for i, r := range rows {
+			for j, v := range got.Row(i) {
+				if math.Float64bits(v) != math.Float64bits(whole.At(r, j)) {
+					t.Fatalf("trial %d: Pick(%v)·x row %d col %d = %v, the whole product's row %d = %v", trial, rows, i, j, v, r, whole.At(r, j))
+				}
+			}
+		}
+		g := NewRandom(rng, len(rows), k, 2)
+		signedZeros(rng, g)
+		full := New(n, k)
+		for i := range full.Data {
+			if rng.Intn(2) == 0 {
+				full.Data[i] = negZero
+			}
+		}
+		for i, r := range rows {
+			copy(full.Row(r), g.Row(i))
+		}
+		if want, got := SpMMTransCols(c, full, 0, k), SpMMTransCols(p, g, 0, k); !sameBits(got, want) {
+			t.Fatalf("trial %d: Pick(%v)ᵀ·g = %v, the whole's ᵀ·g = %v", trial, rows, got, want)
+		}
 	}
 }

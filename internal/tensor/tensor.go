@@ -1,9 +1,10 @@
 // Package tensor provides dense row-major float64 matrices and the small set
 // of linear-algebra primitives the rest of the library is built on.
 //
-// The package also maintains a process-wide allocation meter (see meter.go)
-// used by the benchmark harness to report the peak working-set size of a
-// training strategy in a machine-independent way.
+// The package also maintains a process-wide allocation meter (see meter.go):
+// the float64 values allocated since the last ResetMeter, which the benchmark
+// harness reads per step to report a training strategy's allocation volume
+// in a machine-independent way (peak_step_mb is the largest step's).
 package tensor
 
 import (
