@@ -170,7 +170,7 @@ func (v View) rows(d int) int {
 func (v View) gcnConv(tp *autodiff.Tape) nn.RowConv {
 	var want *tensor.CSR
 	if v.Want != nil {
-		want = v.Norm.Pick(v.Want)
+		want = v.Norm.Block(v.Want, nil)
 	}
 	return func(mod nn.Module, in *autodiff.Node, rows nn.Rows) *autodiff.Node {
 		adj := want

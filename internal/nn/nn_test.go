@@ -272,7 +272,7 @@ func wantedRows(rng *rand.Rand, n int, share float64) []int {
 	return want
 }
 
-// A GCN convolution over the adjacency's wanted rows (CSR.Pick) against the
+// A GCN convolution over the adjacency's wanted rows (CSR.Block) against the
 // same convolution on every row with the wanted ones gathered from it, beside
 // a second convolution of the same input on every row (a GRU's reset gate
 // beside its update gate): the wanted rows' values and every weight, bias and
@@ -294,7 +294,7 @@ func TestGCNConvWantedRowsMatchEveryRow(t *testing.T) {
 				tp := autodiff.NewTape()
 				var y *autodiff.Node
 				if listed {
-					y = c1.Apply(tp, adj.Pick(want), x)
+					y = c1.Apply(tp, adj.Block(want, nil), x)
 				} else {
 					y = tp.GatherRows(c1.Apply(tp, adj, x), want)
 				}
@@ -331,7 +331,7 @@ func TestConvLSTMCellWantedRowsMatchEveryRow(t *testing.T) {
 				cell := NewConvLSTMCell(func() Module { return NewGCNConv(r, in+hid, hid) })
 				x, h := autodiff.Param(xm.Clone()), autodiff.Param(hm.Clone())
 				tp := autodiff.NewTape()
-				pick := adj.Pick(want)
+				pick := adj.Block(want, nil)
 				conv := func(m Module, in *autodiff.Node, rows Rows) *autodiff.Node {
 					a := adj
 					if rows.Want != nil {
