@@ -490,3 +490,42 @@ func TestSumGrad(t *testing.T) {
 		t.Fatal("Sum value wrong")
 	}
 }
+
+// Head returns a's leading rows rows — a itself when that is all of them —
+// computed at once, as the planner's restrictions to leading rows are (see
+// in): the tests' way to record an op of kind opHead. Of a view it is a view
+// of the parts' leading rows. Otherwise it is a copy, unless a is read for the
+// last time here on a warm tape: then the head is the leading part of a's
+// buffer, which it takes from a (see reuse).
+func (t *Tape) Head(a *Node, rows int) *Node {
+	ar, cols := a.shape()
+	if rows == ar {
+		return a
+	}
+	if rows < 0 || rows > ar {
+		panic(fmt.Sprintf("autodiff: Head %d of %d rows", rows, ar))
+	}
+	n := t.add(opHead, rows, cols, a, nil, nil)
+	var v *tensor.Matrix
+	if a.view() {
+		t.view(n, rows, a, nil)
+		v = n.Value
+	} else if m := t.reuse(n, 1); m != nil {
+		v = tensor.FromSlice(rows, m.Cols, m.Data[:rows*m.Cols])
+	} else {
+		v = tensor.NewUninit(rows, cols)
+		copy(v.Data, a.Value.Data)
+	}
+	t.record(n, v)
+	t.ran = len(t.nodes)
+	return n
+}
+
+// Keep pins n's value (Pin) and returns it, for code that reads it outside
+// the tape's ops: Use, for a value computed already. A view has no value of
+// its own to return: Keep of one panics.
+func (t *Tape) Keep(n *Node) *tensor.Matrix {
+	m := n.read("Keep").Value
+	t.Pin(n)
+	return m
+}

@@ -115,7 +115,7 @@ type round struct {
 
 	union graph.Union
 	mat   material
-	// want is the ascending rows the material reads, the forward's View.Want.
+	// want is the ascending rows the material reads, the forward's View.Out.
 	want []int
 	// src seeds rnd afresh for each unit (O(1): the standard lagged-Fibonacci
 	// source pays a ~600-word initialization per seed), so which units share
@@ -150,14 +150,20 @@ func lap(last *time.Time, dst *int64) {
 }
 
 // forward runs the model over view on the trainer's tape, on the round's
-// clock, for the rows r's material reads (nil, with no forward, if none): it
-// passes them as View.Want and, if the model returns those rows alone,
-// renumbers the material's rows to their positions among them.
+// clock, for the rows r's material reads (nil, with no forward, if none): the
+// view's Out. The material keeps naming the view's rows: the loss's gathers
+// find them among the rows the forward returns.
 func (t *Trainer) forward(view dgnn.View, r *round, clock *time.Time) *autodiff.Node {
 	view.NoCommit = true // recurrent state advances only at inference time
-	view.Want = r.rowsRead()
-	atomic.AddInt64(&t.Stats.WantRows, int64(len(view.Want)))
-	if len(view.Want) == 0 {
+	r.want = r.want[:0]
+	for k := range r.mat {
+		r.want = append(append(r.want, r.mat[k].src...), r.mat[k].dst...)
+	}
+	slices.Sort(r.want)
+	r.want = slices.Compact(r.want)
+	view.Out = r.want
+	atomic.AddInt64(&t.Stats.WantRows, int64(len(view.Out)))
+	if len(view.Out) == 0 {
 		return nil
 	}
 	tp := t.tape
@@ -166,33 +172,7 @@ func (t *Trainer) forward(view dgnn.View, r *round, clock *time.Time) *autodiff.
 	emb := t.Model.Forward(tp, view)
 	lap(clock, &t.Stats.ForwardNs)
 	atomic.AddInt64(&t.Stats.UnionRows, int64(view.N))
-	if emb.Value.Rows < view.N {
-		r.mat.renumber(view.Want)
-	}
 	return emb
-}
-
-// rowsRead returns r.want, the ascending rows the material's terms read.
-func (r *round) rowsRead() []int {
-	want := r.want[:0]
-	for k := range r.mat {
-		want = append(append(want, r.mat[k].src...), r.mat[k].dst...)
-	}
-	slices.Sort(want)
-	r.want = slices.Compact(want)
-	return r.want
-}
-
-// renumber replaces every row the material reads with its position in want,
-// the ascending rows it reads.
-func (m *material) renumber(want []int) {
-	for k := range m {
-		for _, rows := range [...][]int{m[k].src, m[k].dst} {
-			for i, row := range rows {
-				rows[i], _ = slices.BinarySearch(want, row)
-			}
-		}
-	}
 }
 
 // evalRound is the one way training partitions are evaluated: ONE forward

@@ -57,17 +57,14 @@ func (m *DyGrEncoderModel) Params() []*autodiff.Node {
 // WrapOptimizer implements Model.
 func (m *DyGrEncoderModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 
-// Forward implements Model. In demand order the wanted rows read the second
-// encoder layer, the LSTM and the decoder on themselves, and the first encoder
-// layer a hop out.
+// Forward implements Model.
 func (m *DyGrEncoderModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
-	n0, n1 := v.rows(0), v.rows(1)
-	x := tp.ReLU(m.enc1.Apply(tp, v.Norm.Head(n1, v.N), autodiff.Constant(v.Feat)))
-	x = tp.ReLU(m.enc2.Apply(tp, v.Norm.Head(n0, n1), x))
-	h := tp.OwnedConstant(m.hState.gatherHead(v, n0))
-	c := tp.OwnedConstant(m.cState.gatherHead(v, n0))
+	tp.Plan()
+	x := tp.ReLU(m.enc1.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
+	x = tp.ReLU(m.enc2.Apply(tp, v.Norm, x))
+	h, c := m.hState.input(tp, v), m.cState.input(tp, v)
 	hNew, cNew := m.lstm.Apply(tp, x, h, c)
 	m.hState.commit(tp, v, hNew)
 	m.cState.commit(tp, v, cNew)
-	return tp.Tanh(m.dec.Apply(tp, hNew))
+	return v.run(tp, tp.Tanh(m.dec.Apply(tp, hNew)))
 }

@@ -93,26 +93,26 @@ func (m *EvolveGCNModel) BeginStep(t int) {
 // WrapOptimizer implements Model.
 func (m *EvolveGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 
-// Forward implements Model. In demand order the last layer runs on the wanted
-// rows and each layer before it a hop further out.
+// Forward implements Model. The first committed forward of a step captures
+// the evolved weights once the tape has computed them.
 func (m *EvolveGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
+	tp.Plan()
 	h := autodiff.Constant(v.Feat)
 	for i, l := range m.layers {
-		rows := v.rows(len(m.layers) - 1 - i)
 		w := m.weights[i]
 		w0 := autodiff.Constant(w.wStart)
 		wt := l.gru.Apply(tp, w0, w0) // evolve: rows of W are the GRU batch
 		// NoCommit first: a learner's forward must not read wNext, which the
 		// step's committed inference forward writes beside it.
 		if !v.NoCommit && w.wNext == nil {
-			w.wNext = wt.Value.Clone()
+			tp.Use(wt, nil, func(m *tensor.Matrix) { w.wNext = m.Clone() })
 		}
-		h = tp.AddBias(tp.SpMM(v.Norm.Head(rows, h.Value.Rows), tp.MatMul(h, wt)), l.bias)
+		h = tp.AddBias(tp.SpMM(v.Norm, tp.MatMul(h, wt)), l.bias)
 		if i+1 < len(m.layers) {
 			h = tp.ReLU(h)
 		} else {
 			h = tp.Tanh(h)
 		}
 	}
-	return h
+	return v.run(tp, h)
 }

@@ -52,19 +52,14 @@ func (m *GCLSTMModel) Params() []*autodiff.Node { return nn.CollectParams(m.enc,
 // WrapOptimizer implements Model.
 func (m *GCLSTMModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 
-// Forward implements Model. In demand order the wanted rows read the gates
-// and the old cell state on themselves, and the encoder and the old hidden
-// state a hop out. A view that lists its wanted rows (View.Want) gets those
-// alone: the gates, the old cell state and the update on them, the encoder
-// and the old hidden state on every row.
+// Forward implements Model.
 func (m *GCLSTMModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
-	n1 := v.rows(1)
-	x := tp.ReLU(m.enc.Apply(tp, v.Norm.Head(n1, v.N), autodiff.Constant(v.Feat)))
-	h := tp.OwnedConstant(m.hState.gatherHead(v, n1))
-	n0 := nn.Rows{N: v.rows(0), Want: v.Want}
-	c := tp.OwnedConstant(m.cState.gatherSel(v, n0))
-	hNew, cNew := m.cell.ApplyRows(tp, v.gcnConv(tp), x, h, c, n0)
+	tp.Plan()
+	x := tp.ReLU(m.enc.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
+	h, c := m.hState.input(tp, v), m.cState.input(tp, v)
+	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node { return mod.(*nn.GCNConv).Apply(tp, v.Norm, in) }
+	hNew, cNew := m.cell.Apply(tp, conv, x, h, c)
 	m.hState.commit(tp, v, hNew)
 	m.cState.commit(tp, v, cNew)
-	return hNew
+	return v.run(tp, hNew)
 }

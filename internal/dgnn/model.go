@@ -15,7 +15,6 @@ import (
 
 	"streamgnn/internal/autodiff"
 	"streamgnn/internal/graph"
-	"streamgnn/internal/nn"
 	"streamgnn/internal/tensor"
 )
 
@@ -30,19 +29,12 @@ type View struct {
 	// models only DCRNN asks.
 	RWFn func() *tensor.Diffusion
 	IDs  []int
-	// Frontier, when non-nil, says the rows are in demand order (RegionView):
-	// the forward's result is wanted on the leading Frontier[0] rows only, and
-	// the rows within d hops of those are the leading Frontier[d]. A forward
-	// then computes each intermediate on the prefix its readers need, returns
-	// Frontier[0] rows and commits recurrent state for exactly those. Nil is
-	// every row wanted, unless Want lists them: full forwards, training rounds.
-	Frontier []int
-	// Want, when non-nil on a NoCommit view, lists the rows (ascending) whose
-	// embeddings the caller reads: a training round's loss rows. A model may
-	// return those rows alone, in that order — DCRNN, GCLSTM and TGCN do — or
-	// ignore Want and return every row; the caller tells the two apart by the
-	// row count.
-	Want []int
+	// Out, when non-nil, lists the ascending rows whose embeddings the caller
+	// reads: a region's wanted rows (RegionView), a training round's loss
+	// rows. A forward computes each of its ops on the rows those read
+	// (autodiff.Tape.Run), returns those rows alone, in that order, and commits
+	// recurrent state for them. Nil is every row: full forwards.
+	Out []int
 	// NoCommit, when set, prevents the forward pass from writing updated
 	// recurrent state back (useful for what-if evaluation).
 	NoCommit bool
@@ -51,8 +43,8 @@ type View struct {
 	// the view spans the whole compute region, but only the exact rows — the
 	// dirty nodes' L-hop frontier — may overwrite live state; boundary rows
 	// have truncated receptive fields and must not. (A view in demand order
-	// says the same with Frontier[0].) The engine's full forward over a graph
-	// with held rows sets it to the live rows: held rows keep their state.
+	// says the same with Out.) The engine's full forward over a graph with
+	// held rows sets it to the live rows: held rows keep their state.
 	CommitRows []int
 	// SnapshotState makes a committed forward gather recurrent state from
 	// the BeginStep snapshot instead of the live buffer (writes still land
@@ -88,13 +80,13 @@ func FullView(g *graph.Dynamic) View {
 // the full view's are the graph's store, which no tape owns.
 func (v View) OwnFeat(tp *autodiff.Tape) {
 	if !v.featShared {
-		tp.Owned(v.Feat)
+		tp.OwnedConstant(v.Feat)
 	}
 }
 
-// SubView builds the view of an induced subgraph, every row wanted: Frontier
-// stays nil (the region underneath has nothing wanted, which on a view would
-// read "no rows").
+// SubView builds the view of an induced subgraph, every row wanted: Out stays
+// nil (the region underneath has nothing wanted, which on a view would read
+// "no rows").
 func SubView(s *graph.Subgraph) View {
 	return View{
 		N:       s.N(),
@@ -138,48 +130,28 @@ func DirtyView(s *graph.Subgraph, commitRows []int) View {
 
 // RegionView builds the view of an incremental forward over a hop-ordered
 // region: what DirtyView expresses with a commit mask over ascending rows, in
-// the order that lets the forward skip the rows nothing wanted reads. The
+// the order that lets the forward skip the rows nothing wanted reads. Its
+// question is the region's wanted rows, its leading Frontier[0]. The
 // random-walk and typed adjacencies are built only if the model asks.
 func RegionView(r *graph.Region) View {
+	out := make([]int, r.Frontier[0])
+	for i := range out {
+		out[i] = i
+	}
 	return View{
-		N:        r.N(),
-		Feat:     r.Features(),
-		Norm:     r.NormAdj(),
-		RWFn:     r.Diffusion,
-		IDs:      r.Nodes,
-		Frontier: r.Frontier,
-		TypedFn:  r.TypedAdj,
+		N:       r.N(),
+		Feat:    r.Features(),
+		Norm:    r.NormAdj(),
+		RWFn:    r.Diffusion,
+		IDs:     r.Nodes,
+		Out:     out,
+		TypedFn: r.TypedAdj,
 	}
 }
 
-// rows returns how many leading rows an intermediate that the output reads
-// across d hops must cover: Frontier[d], and every row where the view has no
-// demand order or its frontiers stop short of d.
-func (v View) rows(d int) int {
-	if d < len(v.Frontier) {
-		return v.Frontier[d]
-	}
-	return v.N
-}
-
-// gcnConv is the nn.RowConv of a cell whose gates are GCN convolutions over
-// the view's normalized adjacency: a gate on leading rows reads the head of
-// the adjacency over its input's rows, and one on the wanted rows (View.Want)
-// reads those rows of it, picked once for every gate. The product x·W runs on
-// every row of the input either way: the propagation reads it there.
-func (v View) gcnConv(tp *autodiff.Tape) nn.RowConv {
-	var want *tensor.CSR
-	if v.Want != nil {
-		want = v.Norm.Block(v.Want, nil)
-	}
-	return func(mod nn.Module, in *autodiff.Node, rows nn.Rows) *autodiff.Node {
-		adj := want
-		if rows.Want == nil {
-			adj = v.Norm.Head(rows.N, in.Value.Rows)
-		}
-		return mod.(*nn.GCNConv).Apply(tp, adj, in)
-	}
-}
+// run computes a forward recorded on tp since Plan for the rows the view's
+// caller reads, and returns them (autodiff.Tape.Run).
+func (v View) run(tp *autodiff.Tape, out *autodiff.Node) *autodiff.Node { return tp.Run(out, v.Out) }
 
 // LocalRows returns the positions in nodes (ascending, unique) of the ids in
 // subset (ascending, a subset of nodes) — the local row indices a DirtyView
@@ -220,9 +192,10 @@ type Model interface {
 	// BeginStep announces that the stream advanced to step t. Models with
 	// per-step weight dynamics (EvolveGCN) hook this.
 	BeginStep(t int)
-	// Forward computes gradient-tracked embeddings (view.N × Hidden) and,
-	// unless view.NoCommit, writes updated recurrent state for the view's
-	// nodes (detached).
+	// Forward computes gradient-tracked embeddings (the rows view.Out lists,
+	// or all view.N, × Hidden) and, unless view.NoCommit, writes updated
+	// recurrent state for the view's nodes (detached). It records its ops on
+	// a planning tape (autodiff.Tape.Plan) and runs them for those rows.
 	Forward(tp *autodiff.Tape, v View) *autodiff.Node
 	// WrapOptimizer lets the model interpose on parameter updates
 	// (WinGNN's random gradient-aggregation window); most models return

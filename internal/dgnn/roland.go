@@ -55,21 +55,18 @@ func (m *ROLANDModel) Params() []*autodiff.Node {
 // WrapOptimizer implements Model.
 func (m *ROLANDModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 
-// Forward implements Model. In demand order layer 2 runs on the wanted rows
-// and layer 1 a hop out; the commit keeps layer 1's wanted rows alone.
+// Forward implements Model.
 func (m *ROLANDModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
-	n0, n1 := v.rows(0), v.rows(1)
+	tp.Plan()
 	// Layer 1: conv on raw features, then hidden-state update.
-	c1 := tp.ReLU(m.conv1.Apply(tp, v.Norm.Head(n1, v.N), autodiff.Constant(v.Feat)))
-	prev1 := tp.OwnedConstant(m.h1.gatherHead(v, n1))
-	new1 := m.upd1.Apply(tp, c1, prev1)
+	c1 := tp.ReLU(m.conv1.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
+	new1 := m.upd1.Apply(tp, c1, m.h1.input(tp, v))
 
 	// Layer 2: conv on layer-1 state, then hidden-state update.
-	c2 := tp.ReLU(m.conv2.Apply(tp, v.Norm.Head(n0, n1), new1))
-	prev2 := tp.OwnedConstant(m.h2.gatherHead(v, n0))
-	new2 := m.upd2.Apply(tp, c2, prev2)
+	c2 := tp.ReLU(m.conv2.Apply(tp, v.Norm, new1))
+	new2 := m.upd2.Apply(tp, c2, m.h2.input(tp, v))
 
 	m.h1.commit(tp, v, new1)
 	m.h2.commit(tp, v, new2)
-	return new2
+	return v.run(tp, new2)
 }

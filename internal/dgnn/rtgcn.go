@@ -70,22 +70,17 @@ func (m *RTGCNModel) DumpState() []StateDump { return []StateDump{m.state.dump()
 // RestoreState implements Model.
 func (m *RTGCNModel) RestoreState(d []StateDump) (func(), error) { return restoreStates(d, m.state) }
 
-// Forward implements Model, in demand order by TGCN's rule. Views without
-// typed adjacency support fall back to treating every edge as relation 0.
+// Forward implements Model. Views without typed adjacency support fall back
+// to treating every edge as relation 0.
 func (m *RTGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
-	var typed []*tensor.CSR
+	tp.Plan()
+	typed := []*tensor.CSR{v.Norm}
 	if v.TypedFn != nil {
 		typed = v.TypedFn(m.relations)
-	} else {
-		typed = []*tensor.CSR{v.Norm}
 	}
-	n2 := v.rows(2)
-	x := tp.ReLU(m.enc.ApplyRows(tp, typed, autodiff.Constant(v.Feat), n2))
-	h := tp.OwnedConstant(m.state.gatherHead(v, n2))
-	conv := func(mod nn.Module, in *autodiff.Node, rows nn.Rows) *autodiff.Node {
-		return mod.(*nn.RGCNConv).ApplyRows(tp, typed, in, rows.N)
-	}
-	hNew := m.cell.ApplyRows(tp, conv, x, h, nn.Rows{N: v.rows(0)}, v.rows(1))
+	x := tp.ReLU(m.enc.Apply(tp, typed, autodiff.Constant(v.Feat)))
+	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node { return mod.(*nn.RGCNConv).Apply(tp, typed, in) }
+	hNew := m.cell.Apply(tp, conv, x, m.state.input(tp, v))
 	m.state.commit(tp, v, hNew)
-	return hNew
+	return v.run(tp, hNew)
 }

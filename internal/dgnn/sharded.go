@@ -119,7 +119,7 @@ func ForwardPart(g *graph.Dynamic, m Model, s int, nodes, exact []int) ShardForw
 	region.Build(g, nodes, res.IDs, m.Layers())
 	v := RegionView(region)
 	v.SnapshotState = true
-	res.Demand = [3]int{v.rows(0), v.rows(1), v.N}
+	res.Demand = [3]int{region.Frontier[0], region.Frontier[1], v.N}
 	res.Out = Infer(tp, m, v)
 	partTapes.Put(tp)
 	partRegions.Put(region)

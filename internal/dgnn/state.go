@@ -2,7 +2,6 @@ package dgnn
 
 import (
 	"streamgnn/internal/autodiff"
-	"streamgnn/internal/nn"
 	"streamgnn/internal/tensor"
 )
 
@@ -98,31 +97,21 @@ func (s *nodeState) maxID(v View) int {
 	return m
 }
 
-// gather returns the state rows for the view's nodes (a copy). NoCommit and
-// SnapshotState views read the BeginStep snapshot when one exists.
-//
-// NoCommit gathers are strictly read-only: nodes the state has never seen
-// read as zero rows instead of growing the state, exactly the values growth
-// would append. Training forwards (always NoCommit) therefore never mutate
-// shared model state and can run concurrently on worker goroutines.
-// Committed SnapshotState gathers (the sharded fan-out) rely on pregrow
-// having sized the live state already, making the growth below a no-op.
-//
-// A node newer than the source rows reads as a zero row — from the snapshot
-// too: falling back to the live state there would hand a training forward
-// the state this step's inference just committed for the node.
-//
-// A gather that reads the snapshot never touches the live state, not even
-// its page table: a learner's training forwards run beside the step's
-// committed inference forwards, which grow it and clone its pages.
-func (s *nodeState) gather(v View) *tensor.Matrix { return s.gatherHead(v, v.N) }
+// input records the state rows of the view's nodes as an input of tp's
+// forward, copied when the tape computes it, on the rows its readers need.
+func (s *nodeState) input(tp *autodiff.Tape, v View) *autodiff.Node {
+	return tp.Input(v.N, s.dim, s.source(v))
+}
 
-// gatherHead is gather for the view's leading n rows alone.
-func (s *nodeState) gatherHead(v View, n int) *tensor.Matrix { return s.gatherSel(v, nn.Rows{N: n}) }
-
-// gatherSel is gather for the rows sel selects alone: its leading N, or the
-// rows it lists.
-func (s *nodeState) gatherSel(v View, sel nn.Rows) *tensor.Matrix {
+// source returns the copy of the view's rows (rows nil: all of them) an input
+// fills. NoCommit and SnapshotState views read the BeginStep snapshot when
+// one exists, and never touch the live state, not even its page table: a
+// learner's training forwards run beside the step's committed forwards, which
+// grow it and clone its pages. A node the source has never stored reads as a
+// zero row — from the snapshot too: the live state would hand a training
+// forward the state this step's inference just committed. Committed views
+// grow the state first; the sharded fan-out's pregrow makes that a no-op.
+func (s *nodeState) source(v View) func(rows []int, out *tensor.Matrix) {
 	if !v.NoCommit {
 		s.data.Grow(s.maxID(v) + 1)
 	}
@@ -130,54 +119,50 @@ func (s *nodeState) gatherSel(v View, sel nn.Rows) *tensor.Matrix {
 	if !(v.NoCommit || v.SnapshotState) || src == nil {
 		src = &s.data.RowView
 	}
-	n := sel.N
-	if sel.Want != nil {
-		n = len(sel.Want)
-	}
-	out := tensor.NewUninit(n, s.dim)
-	for i := 0; i < n; i++ {
-		r := i
-		if sel.Want != nil {
-			r = sel.Want[i]
-		}
-		if id := v.globalID(r); id < src.Rows() {
-			copy(out.Row(i), src.Row(id))
-		} else {
-			clear(out.Row(i))
+	return func(rows []int, out *tensor.Matrix) {
+		for i := 0; i < out.Rows; i++ {
+			r := i
+			if rows != nil {
+				r = rows[i]
+			}
+			if id := v.globalID(r); id < src.Rows() {
+				copy(out.Row(i), src.Row(id))
+			} else {
+				clear(out.Row(i))
+			}
 		}
 	}
-	return out
 }
 
-// commit is a forward's recurrent-state write-back: n's value becomes the
-// state of the view's nodes unless the view is NoCommit. The value is pinned
-// on the tape either way — the write reads it outside the tape's ops, possibly
-// after the last op that consumes it, and an inference tape learns its pins
-// from every pass alike.
+// commit is a committed forward's recurrent-state write-back: n's value, on
+// the rows the view's caller reads, becomes the state of the view's nodes once
+// the tape has computed it. A NoCommit forward reads nothing of n here.
 func (s *nodeState) commit(tp *autodiff.Tape, v View, n *autodiff.Node) {
-	m := tp.Keep(n)
 	if !v.NoCommit {
-		s.write(v, m)
+		tp.Use(n, v.Out, func(m *tensor.Matrix) { s.write(v, m) })
 	}
 }
 
 // write stores m's rows back into the view's nodes. Only the exact rows of an
-// incremental forward land — the rows a CommitRows mask lists, the leading
-// Frontier[0] of a view in demand order (m may cover more) — and boundary rows
-// of the compute region keep their previous state.
+// incremental forward land — the rows a CommitRows mask lists, the rows Out
+// lists, each at its own position (m may cover more) — and boundary rows of
+// the compute region keep their previous state.
 func (s *nodeState) write(v View, m *tensor.Matrix) {
-	n := v.rows(0)
-	if m.Rows < n || m.Rows > v.N || m.Cols != s.dim {
+	rows := v.CommitRows
+	if rows == nil {
+		rows = v.Out
+	}
+	if m.Cols != s.dim || m.Rows > v.N || rows == nil && m.Rows != v.N || len(rows) > m.Rows {
 		panic("dgnn: state write shape mismatch")
 	}
 	s.data.Grow(s.maxID(v) + 1)
-	if v.CommitRows != nil {
-		for _, i := range v.CommitRows {
+	if rows == nil {
+		for i := 0; i < v.N; i++ {
 			s.data.SetRow(v.globalID(i), m.Row(i))
 		}
 		return
 	}
-	for i := 0; i < n; i++ {
+	for _, i := range rows {
 		s.data.SetRow(v.globalID(i), m.Row(i))
 	}
 }

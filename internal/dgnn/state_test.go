@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"streamgnn/internal/autodiff"
+	"streamgnn/internal/tensor"
 )
 
 // The invariant behind node-level training partitions: within a step, a
@@ -96,4 +97,12 @@ func TestSnapshotWithGraphGrowth(t *testing.T) {
 	if out.Value.Rows != sub.N() {
 		t.Fatal("growth forward wrong shape")
 	}
+}
+
+// gather returns the state rows of every node of the view, as a forward's
+// input holds them (a copy).
+func (s *nodeState) gather(v View) *tensor.Matrix {
+	out := tensor.NewUninit(v.N, s.dim)
+	s.source(v)(nil, out)
+	return out
 }

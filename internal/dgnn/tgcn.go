@@ -51,16 +51,12 @@ func (m *TGCNModel) Params() []*autodiff.Node { return nn.CollectParams(m.enc, m
 // WrapOptimizer implements Model.
 func (m *TGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 
-// Forward implements Model. In demand order the wanted rows read the update
-// gate and the candidate on themselves, the reset gate a hop out, and the
-// encoder and the old state two hops out. A view that lists its wanted rows
-// (View.Want) gets those alone: the update gate, the candidate and the
-// combine run on them, the encoder and the reset gate on every row.
+// Forward implements Model.
 func (m *TGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
-	n2 := v.rows(2)
-	x := tp.ReLU(m.enc.Apply(tp, v.Norm.Head(n2, v.N), autodiff.Constant(v.Feat)))
-	h := tp.OwnedConstant(m.state.gatherHead(v, n2))
-	hNew := m.cell.ApplyRows(tp, v.gcnConv(tp), x, h, nn.Rows{N: v.rows(0), Want: v.Want}, v.rows(1))
+	tp.Plan()
+	x := tp.ReLU(m.enc.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
+	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node { return mod.(*nn.GCNConv).Apply(tp, v.Norm, in) }
+	hNew := m.cell.Apply(tp, conv, x, m.state.input(tp, v))
 	m.state.commit(tp, v, hNew)
-	return hNew
+	return v.run(tp, hNew)
 }

@@ -70,14 +70,13 @@ func (m *WinGNNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer {
 	return &winOptimizer{inner: opt, window: m.window, src: srng.New(m.optSeed)}
 }
 
-// Forward implements Model. In demand order the second layer and the skip run
-// on the wanted rows and the first layer a hop out.
+// Forward implements Model.
 func (m *WinGNNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
-	n0, n1 := v.rows(0), v.rows(1)
+	tp.Plan()
 	x := autodiff.Constant(v.Feat)
-	h := tp.ReLU(m.conv1.Apply(tp, v.Norm.Head(n1, v.N), x))
-	h = m.conv2.Apply(tp, v.Norm.Head(n0, n1), h)
-	return tp.Tanh(tp.Add(h, m.skip.Apply(tp, tp.Head(x, n0))))
+	h := tp.ReLU(m.conv1.Apply(tp, v.Norm, x))
+	h = m.conv2.Apply(tp, v.Norm, h)
+	return v.run(tp, tp.Tanh(tp.Add(h, m.skip.Apply(tp, x))))
 }
 
 // winOptimizer implements WinGNN's random gradient-aggregation window: it

@@ -210,7 +210,7 @@ func TestDiffusionConvOverUnionMatchesPartitions(t *testing.T) {
 	run := func(d *tensor.Diffusion, feat *tensor.Matrix, upstream *tensor.Matrix) (out, grad *tensor.Matrix) {
 		tp := autodiff.NewTape()
 		x := autodiff.Param(feat)
-		y := conv.ApplyDiffused(tp, nn.Diffuse(tp, d, x, conv.K, nil), nil)
+		y := conv.ApplyDiffused(tp, nn.Diffuse(tp, d, x, conv.K))
 		tp.Backward(tp.Sum(tp.Mul(y, autodiff.Constant(upstream))))
 		return y.Value, x.Grad
 	}

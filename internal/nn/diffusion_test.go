@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"streamgnn/internal/autodiff"
@@ -104,8 +103,8 @@ func TestDiffusionConvMatchesDenseReference(t *testing.T) {
 						hops := denseHops(tp, fwd, rev, x, K)
 						y = tp.Mul(denseDiffusionConv(tp, c1, x, hops), denseDiffusionConv(tp, c2, x, hops))
 					} else {
-						d := Diffuse(tp, p, x, K, nil)
-						y = tp.Mul(c1.ApplyDiffused(tp, d, nil), c2.ApplyDiffused(tp, d, nil))
+						d := Diffuse(tp, p, x, K)
+						y = tp.Mul(c1.ApplyDiffused(tp, d), c2.ApplyDiffused(tp, d))
 					}
 					y = tp.Add(y, tp.MatMul(x, c1.Wf[0]))
 					tp.Backward(mse(tp, tp.Tanh(y), target))
@@ -131,7 +130,7 @@ func TestDiffusionConvMatchesDenseReference(t *testing.T) {
 				tp := autodiff.NewInferenceTape()
 				for pass := 0; pass < 3; pass++ {
 					x := tp.OwnedConstant(xm.Clone())
-					got := tp.Detach(c.ApplyDiffused(tp, Diffuse(tp, p, x, K, nil), nil))
+					got := tp.Detach(c.ApplyDiffused(tp, Diffuse(tp, p, x, K)))
 					tp.Release()
 					if !sameBits(want, got) {
 						t.Fatalf("inference pass %d: value differs from the dense reference", pass)
@@ -142,10 +141,10 @@ func TestDiffusionConvMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// A convolution on wanted rows against the same convolution on every row with
-// the wanted ones gathered from it, beside a second consumer of the same
-// propagation on every row (a GRU's reset gate beside its update gate): the
-// wanted rows' values and every weight, bias and input gradient are
+// A convolution read on wanted rows, recorded on a planning tape beside a
+// second consumer of the same propagation read on every row (a GRU's reset
+// gate beside its update gate), against the same program computed on every
+// row: the wanted rows' values and every weight, bias and input gradient are
 // Float64bits-equal, over graphs from every row active to none and wanted
 // sets from none to all, active and inactive rows mixed.
 func TestDiffusionConvWantedRowsMatchEveryRow(t *testing.T) {
@@ -157,19 +156,17 @@ func TestDiffusionConvWantedRowsMatchEveryRow(t *testing.T) {
 			xm := tensor.NewRandom(rng, n, in, 1)
 			want := wantedRows(rng, n, float64(trial)/5)
 			target := tensor.NewRandom(rng, len(want), out, 1)
-			run := func(listed bool) []*tensor.Matrix {
+			run := func(planned bool) []*tensor.Matrix {
 				r := rand.New(rand.NewSource(trial))
 				c1, c2 := NewDiffusionConv(r, in, out, K), NewDiffusionConv(r, in, out, K)
 				x := autodiff.Param(xm.Clone())
 				tp := autodiff.NewTape()
-				d := Diffuse(tp, p, x, K, nil)
-				var y *autodiff.Node
-				if listed {
-					y = c1.ApplyDiffused(tp, d, want)
-				} else {
-					y = tp.GatherRows(c1.ApplyDiffused(tp, d, nil), want)
+				if planned {
+					tp.Plan()
 				}
-				loss := tp.Add(mse(tp, tp.Tanh(y), target), tp.Mean(tp.Tanh(c2.ApplyDiffused(tp, d, nil))))
+				d := Diffuse(tp, p, x, K)
+				y := tp.GatherRows(c1.ApplyDiffused(tp, d), want)
+				loss := tp.Add(mse(tp, tp.Tanh(y), target), tp.Mean(tp.Tanh(c2.ApplyDiffused(tp, d))))
 				tp.Backward(loss)
 				outs := []*tensor.Matrix{y.Value}
 				for _, prm := range append(CollectParams(c1, c2), x) {
@@ -180,103 +177,6 @@ func TestDiffusionConvWantedRowsMatchEveryRow(t *testing.T) {
 			checkWantedRuns(t, fmt.Sprintf("isolated %v, %d wanted rows", isolated, len(want)), run)
 		}
 	}
-}
-
-// A convolution on wanted rows over hops listed for them, as DCRNN's
-// candidate reads them — the last hop on the wanted active rows, the one below
-// also on every row those read through its direction that is not +0 there —
-// against the same
-// convolution over the whole propagation on every row, the wanted rows
-// gathered: every hop holds exactly its listed rows, and the wanted rows'
-// values and every weight, bias and input gradient are Float64bits-equal,
-// over graphs from every row active to none and wanted sets from none to all.
-func TestDiffusionConvListedHopsMatchEveryRow(t *testing.T) {
-	const n, in, out, K = 40, 5, 4, 2
-	zeros := 0
-	for _, isolated := range []float64{0, 0.5, 0.97, 1} {
-		for trial := int64(0); trial < 6; trial++ {
-			rng := rand.New(rand.NewSource(30*trial + 7))
-			p := diffusionGraph(rng, n, isolated).Diffusion()
-			xm := tensor.NewRandom(rng, n, in, 1)
-			want := wantedRows(rng, n, float64(trial)/5)
-			target := tensor.NewRandom(rng, len(want), out, 1)
-			lists, zero := listedHops(p, want, K)
-			zeros += zero
-			run := func(listed bool) []*tensor.Matrix {
-				c := NewDiffusionConv(rand.New(rand.NewSource(trial)), in, out, K)
-				x := autodiff.Param(xm.Clone())
-				tp := autodiff.NewTape()
-				var y *autodiff.Node
-				if listed {
-					d := Diffuse(tp, p, x, K, lists)
-					for i, h := range d.hops {
-						if rows := lists[i/2][i%2]; h.Value.Rows != len(rows) {
-							t.Fatalf("hop %d direction %d holds %d rows, its demand %d", i/2+1, i%2, h.Value.Rows, len(rows))
-						}
-					}
-					y = c.ApplyDiffused(tp, d, want)
-				} else {
-					y = tp.GatherRows(c.ApplyDiffused(tp, Diffuse(tp, p, x, K, nil), nil), want)
-				}
-				tp.Backward(mse(tp, tp.Tanh(y), target))
-				outs := []*tensor.Matrix{y.Value}
-				for _, prm := range append(c.Params(), x) {
-					outs = append(outs, prm.Grad)
-				}
-				return outs
-			}
-			checkWantedRuns(t, fmt.Sprintf("isolated %v, %d wanted rows", isolated, len(want)), run)
-		}
-	}
-	if zeros == 0 {
-		t.Fatal("no lower hop left out a +0 row its hop above reads: the drop is untested")
-	}
-	t.Logf("%d +0 rows left out of lower hops", zeros)
-}
-
-// listedHops is the demand on a K-hop propagation read on the ascending rows
-// want, from the dense transition matrices, per direction: hop K on want's
-// active rows; each hop below on those and on every column a row of the hop
-// above has an entry in whose own hop can be nonzero — a row with an entry
-// in a column that can be nonzero at the hop below it, any column at hop 1.
-func listedHops(p *tensor.Diffusion, want []int, K int) (hops [][2][]int, zero int) {
-	var active []int
-	for _, r := range want {
-		if _, ok := p.Position(r); ok {
-			active = append(active, r)
-		}
-	}
-	hops = make([][2][]int, K)
-	for dir, in := range [2]*tensor.CSR{p.FwdIn, p.RevIn} {
-		dense := rwAdj(p, in).Dense()
-		live := make([][]bool, K) // live[k][c]: row c of hop k+1 can be nonzero
-		for k := range live {
-			live[k] = make([]bool, dense.Rows)
-			for r := range live[k] {
-				for c := 0; c < dense.Cols; c++ {
-					live[k][r] = live[k][r] || dense.At(r, c) != 0 && (k == 0 || live[k-1][c])
-				}
-			}
-		}
-		hops[K-1][dir] = append([]int{}, active...)
-		for k := K - 2; k >= 0; k-- {
-			rows := []int{}
-			for c := 0; c < dense.Cols; c++ {
-				needed, read := slices.Contains(active, c), false
-				for _, r := range hops[k+1][dir] {
-					read = read || dense.At(r, c) != 0
-				}
-				if needed = needed || read && live[k][c]; read && !needed {
-					zero++
-				}
-				if needed {
-					rows = append(rows, c)
-				}
-			}
-			hops[k][dir] = rows
-		}
-	}
-	return hops, zero
 }
 
 // BenchmarkDiffusionConv times one diffusion convolution of the taxi-infer
@@ -295,7 +195,7 @@ func BenchmarkDiffusionConv(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				x := tp.OwnedConstant(xm.Clone())
-				y := tp.Detach(c.ApplyDiffused(tp, Diffuse(tp, p, x, K, nil), nil))
+				y := tp.Detach(c.ApplyDiffused(tp, Diffuse(tp, p, x, K)))
 				tp.Release()
 				tensor.Recycle(y)
 			}
@@ -322,5 +222,5 @@ func rwAdj(p *tensor.Diffusion, in *tensor.CSR) *tensor.CSR {
 // mse is the mean squared error of pred against the constant target, as one
 // segment.
 func mse(tp *autodiff.Tape, pred *autodiff.Node, target *tensor.Matrix) *autodiff.Node {
-	return tp.MSESeg(pred, target, []int{pred.Value.Rows})
+	return tp.MSESeg(pred, target, []int{target.Rows})
 }

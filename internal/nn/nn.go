@@ -5,7 +5,6 @@
 package nn
 
 import (
-	"fmt"
 	"math/rand"
 
 	"streamgnn/internal/autodiff"
@@ -105,28 +104,19 @@ func NewDiffusionConv(rng *rand.Rand, in, out, k int) *DiffusionConv {
 // can share one propagation.
 type Diffused struct {
 	X *autodiff.Node
-	// hops[2(k-1)] is P_f^k·x and hops[2(k-1)+1] is P_r^k·x, on the rows
-	// rows[k-1] lists, or on the rows p.Active when rows is nil: every other
-	// row of them is zero or read by nothing.
+	// hops[2(k-1)] is P_f^k·x and hops[2(k-1)+1] is P_r^k·x, on the active
+	// rows p.Active: every other row of them is zero.
 	hops []*autodiff.Node
-	rows [][2][]int
 	p    *tensor.Diffusion
 }
 
 // Diffuse propagates x through k steps of the forward and reverse transition
-// matrices: the first hop reads the n-row x, later hops the hop before them
-// in the same direction. With rows nil every hop covers the active rows.
-// Otherwise rows[k-1] lists the rows hop k is computed on, forward then
-// reverse — ascending active rows, among them every row the hop above reads
-// through that direction's transition rows, unless it is +0 at hop k — and
-// each hop is an SpMM over its rows' block of the matrix, columns renumbered
-// to the rows of the hop below and entries naming a row it leaves out left
-// out too (tensor.CSR.Block). Either way every row a hop holds sums the same
-// nonzero terms in the same order, bit for bit, and each column of an SpMM's
-// transpose accumulates over the same rows in the same order, less rows whose
-// gradient is ±0 — those outside every listed row's reach.
-func Diffuse(tp *autodiff.Tape, p *tensor.Diffusion, x *autodiff.Node, k int, rows [][2][]int) Diffused {
-	d := Diffused{X: x, hops: make([]*autodiff.Node, 0, 2*k), rows: rows, p: p}
+// matrices over the active rows: the first hop reads the n-row x, later hops
+// the hop before them in the same direction. On a planning tape each hop runs
+// on the rows the products above it read, and a hop's SpMM leaves out the rows
+// of the hop below that are +0 whatever the data (autodiff.Tape.Run).
+func Diffuse(tp *autodiff.Tape, p *tensor.Diffusion, x *autodiff.Node, k int) Diffused {
+	d := Diffused{X: x, hops: make([]*autodiff.Node, 0, 2*k), p: p}
 	in, aa := [2]*tensor.CSR{p.FwdIn, p.RevIn}, [2]*tensor.CSR{p.FwdAA, p.RevAA}
 	for i := 0; i < k; i++ {
 		for dir := range in {
@@ -134,123 +124,36 @@ func Diffuse(tp *autodiff.Tape, p *tensor.Diffusion, x *autodiff.Node, k int, ro
 			if i > 0 {
 				src, adj = d.hops[2*(i-1)+dir], aa[dir]
 			}
-			if rows != nil {
-				var cols []int // the hop below's rows; nil is x's n rows
-				if i > 0 {
-					cols = rows[i-1][dir]
-				}
-				adj = in[dir].Block(positions(p, rows[i][dir]), cols)
-			}
 			d.hops = append(d.hops, tp.SpMM(adj, src))
 		}
 	}
 	return d
 }
 
-// positions returns the rows of p's active block that rows (ascending active
-// rows) are.
-func positions(p *tensor.Diffusion, rows []int) []int {
-	at := make([]int, len(rows))
-	for i, r := range rows {
-		j, ok := p.Position(r)
-		if !ok {
-			panic(fmt.Sprintf("nn: row %d of a hop is not active", r))
-		}
-		at[i] = j
-	}
-	return at
-}
-
-// Apply computes the diffusion convolution with the given forward and
-// reverse transition matrices, every row taken as active.
-func (c *DiffusionConv) Apply(tp *autodiff.Tape, fwd, rev *tensor.CSR, x *autodiff.Node) *autodiff.Node {
-	p := &tensor.Diffusion{FwdIn: fwd, RevIn: rev, FwdAA: fwd, RevAA: rev}
-	return c.ApplyDiffused(tp, Diffuse(tp, p, x, c.K, nil), nil)
-}
-
 // ApplyDiffused computes the convolution over an input already propagated
-// K steps by Diffuse, on the ascending rows want, or on every row when want is
-// nil: the weighted sum, in ascending k, forward before reverse. The hop-0
-// terms cover the wanted rows; the hop terms are added on the wanted rows
-// that are active alone and scattered back, since an inactive row's hop
-// inputs are zero and its sum is the hop-0 value bit for bit (DESIGN.md §8).
-// A product reads its hop where it is when the hop holds exactly its rows —
-// every active row, or the last hop listed for those rows — and otherwise
-// gathers them for itself, as it gathers its wanted rows of x: that keeps its
-// gradient share a term of its own (DESIGN.md §18). Every op after the first
-// product reads its running sum last, so on a warm tape the conv draws one
-// buffer for the wanted rows and one for their active ones: each MatMulAcc
-// adds into its sum, the scatter writes into the hop-0 sum and the bias is
-// added where the scatter left it.
-func (c *DiffusionConv) ApplyDiffused(tp *autodiff.Tape, d Diffused, want []int) *autodiff.Node {
-	rowsOf := func(x *autodiff.Node, rows []int) *autodiff.Node {
-		if rows == nil {
-			return x
-		}
-		return tp.GatherRows(x, rows)
-	}
-	base := tp.MatMulAcc(tp.MatMul(rowsOf(d.X, want), c.Wf[0]), rowsOf(d.X, want), c.Wr[0])
-	at, act := d.p.Active, []int(nil)
+// K steps by Diffuse: the weighted sum, in ascending k, forward before
+// reverse. The hop-0 terms cover every row; the hop terms are added on the
+// active rows alone and scattered back, since an inactive row's hop inputs are
+// zero and its sum is the hop-0 value bit for bit (DESIGN.md §8). Every op
+// after the first product reads its running sum last, so on a warm tape the
+// conv draws one buffer for the rows and one for their active ones: each
+// MatMulAcc adds into its sum, the scatter writes into the hop-0 sum and the
+// bias is added where the scatter left it.
+func (c *DiffusionConv) ApplyDiffused(tp *autodiff.Tape, d Diffused) *autodiff.Node {
+	base := tp.MatMulAcc(tp.MatMul(d.X, c.Wf[0]), d.X, c.Wr[0])
 	compact := d.p.ActiveRows() < d.p.Rows()
-	if want != nil {
-		at, act = d.active(want)
-		compact = len(at) < len(want)
-	}
 	sum := base
 	if compact {
-		sum = tp.GatherRows(base, at)
+		sum = tp.GatherRows(base, d.p.Active)
 	}
 	for k := 1; k <= c.K; k++ {
-		sum = tp.MatMulAcc(sum, rowsOf(d.hops[2*(k-1)], d.hopRows(k, 0, act)), c.Wf[k])
-		sum = tp.MatMulAcc(sum, rowsOf(d.hops[2*(k-1)+1], d.hopRows(k, 1, act)), c.Wr[k])
+		sum = tp.MatMulAcc(sum, d.hops[2*(k-1)], c.Wf[k])
+		sum = tp.MatMulAcc(sum, d.hops[2*(k-1)+1], c.Wr[k])
 	}
 	if compact {
-		sum = tp.ScatterRows(base, sum, at)
+		sum = tp.ScatterRows(base, sum, d.p.Active)
 	}
 	return tp.AddBias(sum, c.B)
-}
-
-// active returns the positions in want (ascending rows) of its active rows,
-// and those rows.
-func (d Diffused) active(want []int) (at, rows []int) {
-	at, rows = make([]int, 0, len(want)), make([]int, 0, len(want))
-	for i, r := range want {
-		if _, ok := d.p.Position(r); ok {
-			at, rows = append(at, i), append(rows, r)
-		}
-	}
-	return at, rows
-}
-
-// hopRows returns where the ascending active rows rows sit in hop k of
-// direction dir — rows nil is every active row, which listed hops are not
-// read on — and nil when the product reads the hop where it is. Of listed
-// hops that is the last alone, read on the rows it was listed for: a lower
-// hop also holds the rows the hop above reads, and a product's rows fill it
-// only where the data closes them, which would change the tape's program from
-// round to round and lose the writes in place a warm tape learned.
-func (d Diffused) hopRows(k, dir int, rows []int) []int {
-	if d.rows == nil {
-		if rows == nil || len(rows) == d.p.ActiveRows() {
-			return nil
-		}
-		return positions(d.p, rows)
-	}
-	have := d.rows[k-1][dir]
-	at, j := make([]int, len(rows)), 0
-	for i, r := range rows {
-		for j < len(have) && have[j] < r {
-			j++
-		}
-		if j == len(have) || have[j] != r {
-			panic(fmt.Sprintf("nn: row %d is read from hop %d, which does not hold it", r, k))
-		}
-		at[i] = j
-	}
-	if k == len(d.rows) && len(at) == len(have) {
-		return nil
-	}
-	return at
 }
 
 // Params implements Module.

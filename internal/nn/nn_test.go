@@ -272,12 +272,11 @@ func wantedRows(rng *rand.Rand, n int, share float64) []int {
 	return want
 }
 
-// A GCN convolution over the adjacency's wanted rows (CSR.Block) against the
-// same convolution on every row with the wanted ones gathered from it, beside
-// a second convolution of the same input on every row (a GRU's reset gate
-// beside its update gate): the wanted rows' values and every weight, bias and
-// input gradient are Float64bits-equal, isolated rows and wanted sets from
-// none to all.
+// A GCN convolution read on wanted rows, recorded on a planning tape beside a
+// second convolution of the same input read on every row (a GRU's reset gate
+// beside its update gate), against the same program computed on every row:
+// the wanted rows' values and every weight, bias and input gradient are
+// Float64bits-equal, isolated rows and wanted sets from none to all.
 func TestGCNConvWantedRowsMatchEveryRow(t *testing.T) {
 	const n, in, out = 40, 5, 4
 	for _, isolated := range []float64{0, 0.5, 1} {
@@ -287,17 +286,15 @@ func TestGCNConvWantedRowsMatchEveryRow(t *testing.T) {
 			xm := tensor.NewRandom(rng, n, in, 1)
 			want := wantedRows(rng, n, float64(trial)/5)
 			target := tensor.NewRandom(rng, len(want), out, 1)
-			run := func(listed bool) []*tensor.Matrix {
+			run := func(planned bool) []*tensor.Matrix {
 				r := rand.New(rand.NewSource(trial))
 				c1, c2 := NewGCNConv(r, in, out), NewGCNConv(r, in, out)
 				x := autodiff.Param(xm.Clone())
 				tp := autodiff.NewTape()
-				var y *autodiff.Node
-				if listed {
-					y = c1.Apply(tp, adj.Block(want, nil), x)
-				} else {
-					y = tp.GatherRows(c1.Apply(tp, adj, x), want)
+				if planned {
+					tp.Plan()
 				}
+				y := tp.GatherRows(c1.Apply(tp, adj, x), want)
 				loss := tp.Add(mse(tp, tp.Tanh(y), target), tp.Mean(tp.Tanh(c2.Apply(tp, adj, x))))
 				tp.Backward(loss)
 				outs := []*tensor.Matrix{y.Value}
@@ -311,12 +308,11 @@ func TestGCNConvWantedRowsMatchEveryRow(t *testing.T) {
 	}
 }
 
-// A graph-gated LSTM cell on the wanted rows — its four gates over the
-// adjacency's wanted rows, the old cell state gathered there — against the
-// cell on every row with the wanted rows of its new hidden and cell state
-// gathered: values and every weight, bias and input gradient are
-// Float64bits-equal, the input and old hidden state read on every row as
-// GCLSTM reads them.
+// A graph-gated LSTM cell read on the wanted rows of its new hidden and cell
+// state, recorded on a planning tape — its gates on the rows read, the
+// propagation on the rows those read — against the cell computed on every
+// row: values and every weight, bias and input gradient are
+// Float64bits-equal.
 func TestConvLSTMCellWantedRowsMatchEveryRow(t *testing.T) {
 	const n, in, hid = 40, 3, 4
 	for _, isolated := range []float64{0, 0.5, 1} {
@@ -326,30 +322,17 @@ func TestConvLSTMCellWantedRowsMatchEveryRow(t *testing.T) {
 			xm, hm, cm := tensor.NewRandom(rng, n, in, 1), tensor.NewRandom(rng, n, hid, 1), tensor.NewRandom(rng, n, hid, 1)
 			want := wantedRows(rng, n, float64(trial)/5)
 			target := tensor.NewRandom(rng, len(want), hid, 1)
-			run := func(listed bool) []*tensor.Matrix {
+			run := func(planned bool) []*tensor.Matrix {
 				r := rand.New(rand.NewSource(trial))
 				cell := NewConvLSTMCell(func() Module { return NewGCNConv(r, in+hid, hid) })
 				x, h := autodiff.Param(xm.Clone()), autodiff.Param(hm.Clone())
 				tp := autodiff.NewTape()
-				pick := adj.Block(want, nil)
-				conv := func(m Module, in *autodiff.Node, rows Rows) *autodiff.Node {
-					a := adj
-					if rows.Want != nil {
-						a = pick
-					}
-					return m.(*GCNConv).Apply(tp, a, in)
+				if planned {
+					tp.Plan()
 				}
-				var hNew, cNew *autodiff.Node
-				if listed {
-					c := autodiff.Constant(tensor.NewUninit(len(want), hid))
-					for i, row := range want {
-						copy(c.Value.Row(i), cm.Row(row))
-					}
-					hNew, cNew = cell.ApplyRows(tp, conv, x, h, c, Rows{N: n, Want: want})
-				} else {
-					hNew, cNew = cell.ApplyRows(tp, conv, x, h, autodiff.Constant(cm.Clone()), Rows{N: n})
-					hNew, cNew = tp.GatherRows(hNew, want), tp.GatherRows(cNew, want)
-				}
+				conv := func(m Module, in *autodiff.Node) *autodiff.Node { return m.(*GCNConv).Apply(tp, adj, in) }
+				hNew, cNew := cell.Apply(tp, conv, x, h, autodiff.Constant(cm.Clone()))
+				hNew, cNew = tp.GatherRows(hNew, want), tp.GatherRows(cNew, want)
 				loss := tp.Add(mse(tp, hNew, target), tp.Mean(tp.Tanh(cNew)))
 				tp.Backward(loss)
 				outs := []*tensor.Matrix{hNew.Value, cNew.Value}
@@ -363,9 +346,9 @@ func TestConvLSTMCellWantedRowsMatchEveryRow(t *testing.T) {
 	}
 }
 
-// checkWantedRuns compares run on every row (false) with run on the wanted
-// rows (true): the values and gradients it returns, Float64bits-equal.
-func checkWantedRuns(t *testing.T, name string, run func(listed bool) []*tensor.Matrix) {
+// checkWantedRuns compares run on every row (false) with run planned for the
+// wanted rows (true): the values and gradients it returns, Float64bits-equal.
+func checkWantedRuns(t *testing.T, name string, run func(planned bool) []*tensor.Matrix) {
 	t.Helper()
 	want, got := run(false), run(true)
 	for i := range want {
@@ -445,3 +428,10 @@ func (c *RGCNConv) Relations() int { return len(c.Rel) }
 
 // Out returns the output dimension.
 func (c *RGCNConv) Out() int { return c.B.Value.Cols }
+
+// Apply computes the diffusion convolution with the given forward and
+// reverse transition matrices, every row taken as active.
+func (c *DiffusionConv) Apply(tp *autodiff.Tape, fwd, rev *tensor.CSR, x *autodiff.Node) *autodiff.Node {
+	p := &tensor.Diffusion{FwdIn: fwd, RevIn: rev, FwdAA: fwd, RevAA: rev}
+	return c.ApplyDiffused(tp, Diffuse(tp, p, x, c.K))
+}

@@ -35,28 +35,21 @@ func NewRGCNConv(rng *rand.Rand, in, out, relations int) *RGCNConv {
 
 // Apply computes the relational convolution; typed must hold one adjacency
 // per relation (extra relations see a zero adjacency contribution if typed
-// is shorter — the stream may not have surfaced every type yet).
+// is shorter — the stream may not have surfaced every type yet). Whether a
+// relation takes part is decided on its whole adjacency, so one whose rows
+// read happen to be empty still adds its +0 rows.
 func (c *RGCNConv) Apply(tp *autodiff.Tape, typed []*tensor.CSR, x *autodiff.Node) *autodiff.Node {
-	return c.ApplyRows(tp, typed, x, x.Value.Rows)
-}
-
-// ApplyRows computes the convolution's leading rows rows, on rows in demand
-// order (graph.Region): each relation's product through the adjacency's
-// rows×x.Rows head. Whether a relation takes part is decided on its whole
-// adjacency, so a head that happens to be empty still adds its +0 rows
-// exactly as the whole convolution does.
-func (c *RGCNConv) ApplyRows(tp *autodiff.Tape, typed []*tensor.CSR, x *autodiff.Node, rows int) *autodiff.Node {
 	// Which relations read x changes with the data, so x is pinned (part by
 	// part, when it is a concatenation): an inference tape that learned its
 	// last reader from a pass with fewer live relations would release it under
 	// the readers a later pass adds.
 	tp.Pin(x)
-	sum := tp.MatMul(tp.Head(x, rows), c.Self)
+	sum := tp.MatMul(x, c.Self)
 	for r, w := range c.Rel {
 		if r >= len(typed) || typed[r].NNZ() == 0 {
 			continue
 		}
-		sum = tp.Add(sum, tp.SpMM(typed[r].Head(rows, x.Value.Rows), tp.MatMul(x, w)))
+		sum = tp.Add(sum, tp.SpMM(typed[r], tp.MatMul(x, w)))
 	}
 	return tp.AddBias(sum, c.B)
 }

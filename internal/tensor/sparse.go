@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // CSR is a compressed-sparse-row matrix with float64 values. It is used for
 // (normalized) graph adjacency matrices; values do not participate in
@@ -68,15 +65,6 @@ func (d *Diffusion) ActiveRows() int { return d.FwdIn.NRows }
 // Rows returns n, the row count of the matrices the block restricts.
 func (d *Diffusion) Rows() int { return d.FwdIn.NCols }
 
-// Position returns where row r of the n×n matrices sits among the active
-// rows — its row in FwdIn and RevIn — and whether it is active.
-func (d *Diffusion) Position(r int) (int, bool) {
-	if d.ActiveRows() == d.Rows() {
-		return r, r >= 0 && r < d.Rows()
-	}
-	return slices.BinarySearch(d.Active, r)
-}
-
 // CSREntry is one stored (column, value) pair of a CSR row.
 type CSREntry struct {
 	Col int
@@ -113,28 +101,27 @@ func (c *CSR) Head(rows, cols int) *CSR {
 // SpMM over it, with the input's rows cols, computes those rows of SpMM over c
 // bit for bit — an entry left out reads a row of ±0, and its ±0 term changes
 // no sum, which is never −0 — and its transpose accumulates each listed
-// column over the listed rows in their order. A Diffusion's A×A blocks are
-// Block(all of A, A); a hop on the rows a later hop reads is the block of
-// those rows over the rows of the hop before it that can be nonzero.
+// column over the listed rows in their order.
 func (c *CSR) Block(rows, cols []int) *CSR {
 	nnz := 0
 	for _, r := range rows {
 		nnz += c.RowNNZ(r)
 	}
-	ncols := c.NCols
+	ncols, at := c.NCols, []int(nil) // at[j] is 1 + column j's position in cols, 0 unlisted
 	if cols != nil {
-		ncols = len(cols)
+		ncols, at = len(cols), make([]int, c.NCols)
+		for i, j := range cols {
+			at[j] = i + 1
+		}
 	}
 	b := &CSR{NRows: len(rows), NCols: ncols, RowPtr: make([]int, 1, len(rows)+1), ColIdx: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
 	for _, r := range rows {
 		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
 			j := c.ColIdx[p]
-			if cols != nil {
-				at, ok := slices.BinarySearch(cols, j)
-				if !ok {
-					continue
-				}
-				j = at
+			if at != nil && at[j] == 0 {
+				continue
+			} else if at != nil {
+				j = at[j] - 1
 			}
 			b.ColIdx, b.Val = append(b.ColIdx, j), append(b.Val, c.Val[p])
 		}
