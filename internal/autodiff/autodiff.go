@@ -147,12 +147,14 @@ type Tape struct {
 
 	// planning is set by Plan and cleared by Run, which computes nodes[ran:].
 	// restrictions holds the nodes in made (see in), residuals MSESeg's, uses
-	// the reads Use defers; the rest is index scratch.
+	// the reads Use defers, cuts the SpMM blocks made (see block); the rest is
+	// index scratch.
 	planning     bool
 	ran          int
 	restrictions []*Node
 	residuals    []*tensor.Matrix
 	uses         []*Node
+	cuts         []cut
 	ints, pos    []int
 	marks        []bool
 }
@@ -174,8 +176,9 @@ const (
 // NewTape returns an empty recording tape, for forwards that run Backward.
 // Every value lives until Release, so the backward rules can read it — but a
 // warm tape gives a row-local op the buffer of an operand it reads last, by
-// the plan the previous pass left, unless a backward rule reads that
-// operand's value (ruleReads, which pins it, as Pin does).
+// the plan the previous pass left, and Backward a value's first gradient the
+// value's buffer, unless a backward rule reads that value (ruleReads, which
+// pins it, as Pin does).
 func NewTape() *Tape { return &Tape{} }
 
 // NewInferenceTape returns a tape in inference (no-grad) mode, for forwards
@@ -248,7 +251,8 @@ func (t *Tape) Release() {
 	}
 	clear(t.restrictions)
 	clear(t.uses)
-	t.nodes, t.restrictions, t.residuals, t.uses = t.nodes[:0], t.restrictions[:0], t.residuals[:0], t.uses[:0]
+	clear(t.cuts)
+	t.nodes, t.restrictions, t.residuals, t.uses, t.cuts = t.nodes[:0], t.restrictions[:0], t.residuals[:0], t.uses[:0], t.cuts[:0]
 	t.planning, t.ran = false, 0
 	t.endPass()
 }
@@ -594,6 +598,10 @@ func ensureGrad(n *Node) *tensor.Matrix {
 // unless its rule handed the buffer down to an operand, which leaves it nil
 // (see runBack). Ops recorded and not yet computed run first (Run). A tape
 // runs one backward per pass: a second one before Release panics.
+//
+// Afterwards a recorded value that no backward rule read and nobody pinned
+// (Pin, Use) may be gone, its Data nil: its gradient took its buffer (take).
+// Read such a value before Backward, or pin it.
 func (t *Tape) Backward(root *Node) {
 	if t.noGrad {
 		panic("autodiff: Backward on an inference tape")
@@ -630,7 +638,7 @@ func (t *Tape) Backward(root *Node) {
 	root.Grad.Data[0] = 1
 	for i := len(t.order) - 1; i >= 0; i-- {
 		if n := t.order[i]; n.hasGrad() {
-			n.runBack()
+			n.runBack(t)
 		}
 	}
 }
@@ -677,6 +685,36 @@ func plus(add bool, o, d float64) float64 {
 		return o + d
 	}
 	return d
+}
+
+// firstBlock returns where block k of p's first gradient is written, zeroed
+// when zero is set: p's own value buffer, when the tape may take it (take),
+// else one drawn for it.
+func (t *Tape) firstBlock(p *Node, k int, zero bool) *tensor.Matrix {
+	m := t.take(p)
+	if m == nil {
+		m = tensor.NewUninit(p.Value.Rows, p.blocks()[k].Cols)
+	}
+	if zero {
+		clear(m.Data)
+	}
+	return m
+}
+
+// take returns p's value buffer under a header of its own, for p's first
+// gradient, when nothing reads that value any more: p is an op output this
+// tape recorded — no restriction or copy Run returned; a leaf needs no
+// gradient — that still holds its data (a view holds none, and an input an op
+// wrote over lost it), and neither a backward rule (ruleReads) nor a Pin or
+// Use pinned it. p's value keeps its shape and loses its data, as record
+// leaves an input an op wrote over. nil otherwise.
+func (t *Tape) take(p *Node) *tensor.Matrix {
+	if p.seq <= 0 || p.Value.Data == nil || t.cur[p.seq-1].last == lastKept {
+		return nil
+	}
+	m := tensor.FromSlice(p.Value.Rows, p.Value.Cols, p.Value.Data)
+	p.Value.Data = nil
+	return m
 }
 
 // put gives p the contribution m, drawn for this rule: m becomes p's
@@ -728,16 +766,6 @@ func (n *Node) slot(k int) (dst **tensor.Matrix, first bool) {
 	return &n.Grad, false
 }
 
-// putBlock gives block k of n the contribution m, as put gives a node.
-func (n *Node) putBlock(k int, m *tensor.Matrix) {
-	if dst, first := n.slot(k); first {
-		*dst = m
-	} else {
-		tensor.AddInPlace(*dst, m)
-		tensor.Recycle(m)
-	}
-}
-
 // dInput gives p, the left factor of a product p·w, its share g·wᵀ: written
 // as p's gradient when p is fresh, added straight in otherwise. A view's
 // part takes its block g·W[part's rows]ᵀ, whose dot products are the ones
@@ -764,7 +792,9 @@ func dInput(p *Node, g, w *tensor.Matrix) {
 //
 // Every gradient buffer is written once and has one owner: a fresh parent's
 // first share is written as its gradient — g itself, handed down, where the
-// rule passes g on unchanged or elementwise — and later shares are added in.
+// rule passes g on unchanged or elementwise; for SpMM's input, Add's b and the
+// sources of GatherRows and Head, into the parent's own value buffer when t
+// may take it (firstBlock) — and later shares are added in.
 // Against adding every share onto zeros only a first share changes, from
 // +0 + s to s, so interior gradients differ at most in the sign of a zero and
 // every parameter gradient, summed onto +0, is bit-identical for finite
@@ -773,7 +803,7 @@ func dInput(p *Node, g, w *tensor.Matrix) {
 // A view keeps its gradient part by part (Node.grads), which the rules of the
 // ops that read views — the products' input rules, SpMM's, GatherRows',
 // Head's and ConcatCols' — write block by block.
-func (out *Node) runBack() {
+func (out *Node) runBack(t *Tape) {
 	g := out.Grad
 	switch out.op {
 	case opMatMul:
@@ -809,7 +839,13 @@ func (out *Node) runBack() {
 		x, off := out.parents[0], 0
 		for k, m := range x.blocks() {
 			if x.needs(k) {
-				x.putBlock(k, tensor.SpMMTransCols(out.auxCSR, g, off, off+m.Cols))
+				if dst, first := x.slot(k); first {
+					*dst = tensor.SpMMTransColsInto(t.firstBlock(x, k, false), out.auxCSR, g, off, off+m.Cols)
+				} else {
+					s := tensor.SpMMTransCols(out.auxCSR, g, off, off+m.Cols)
+					tensor.AddInPlace(*dst, s)
+					tensor.Recycle(s)
+				}
 			}
 			off += m.Cols
 		}
@@ -827,7 +863,7 @@ func (out *Node) runBack() {
 			}
 			dst, first := a.slot(k)
 			if first {
-				*dst = tensor.New(a.Value.Rows, s.Cols)
+				*dst = t.firstBlock(a, k, true)
 			}
 			for i, v := range s.Data {
 				(*dst).Data[i] += v
@@ -853,14 +889,15 @@ func (out *Node) runBack() {
 		return
 	case opAdd:
 		// a takes g first and unchanged; b reads it after, so b gets g
-		// written into a buffer of its own.
+		// copied into a buffer of its own.
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
 			out.pass(a, g)
 		}
 		if b.requiresGrad {
 			if fresh(b) {
-				b.Grad = g.Clone()
+				b.Grad = t.firstBlock(b, 0, false)
+				copy(b.Grad.Data, g.Data)
 			} else {
 				tensor.AddInPlace(ensureGrad(b), g)
 			}
@@ -952,7 +989,7 @@ func (out *Node) runBack() {
 			if a.needs(k) {
 				dst, first := a.slot(k)
 				if first {
-					*dst = tensor.New(a.Value.Rows, m.Cols)
+					*dst = t.firstBlock(a, k, true)
 				}
 				for i, r := range out.auxInts {
 					drow := (*dst).Row(r)

@@ -265,20 +265,40 @@ func (t *Tape) restrict(p *Node, rows, pos []int, c *Node, k int) *Node {
 // block returns the part of c an SpMM on rows rows (nil: all) reads of an
 // input holding rows cols (nil: all): c, its leading block (CSR.Head) when it
 // names no column past cols, or else CSR.Block, which leaves out the entries
-// naming a row the input does not hold, a +0 row (see needs).
+// naming a row the input does not hold, a +0 row (see needs). A request the
+// pass made before gets the block made then (GCLSTM's four gates read one).
 func (t *Tape) block(c *tensor.CSR, rows, cols []int) *tensor.CSR {
 	if rows == nil && cols == nil {
 		return c
 	}
+	for _, b := range t.cuts {
+		if b.c == c && same(b.rows, rows) && same(b.cols, cols) {
+			return b.b
+		}
+	}
 	k, m := count(rows, c.NRows), count(cols, c.NCols)
-	if first(rows) && first(cols) && (cols == nil || !slices.ContainsFunc(c.ColIdx[:c.RowPtr[k]], func(j int) bool { return j >= m })) {
-		return c.Head(k, m)
-	}
-	if rows == nil {
+	b := cut{c: c, rows: rows, cols: cols}
+	switch {
+	case first(rows) && first(cols) && (cols == nil || !slices.ContainsFunc(c.ColIdx[:c.RowPtr[k]], func(j int) bool { return j >= m })):
+		b.b = c.Head(k, m)
+	case rows == nil:
 		panic("autodiff: SpMM of every row over a value computed on some")
+	default:
+		b.b = c.Block(rows, cols)
 	}
-	return c.Block(rows, cols)
+	t.cuts = append(t.cuts, b)
+	return b.b
 }
+
+// cut is a block of c the pass made (block) for an SpMM on rows rows of an
+// input holding rows cols. The lists are nodes' rows, fixed until Release.
+type cut struct {
+	c, b       *tensor.CSR
+	rows, cols []int
+}
+
+// same reports whether a and b list the same rows, nil (every row) only nil.
+func same(a, b []int) bool { return (a == nil) == (b == nil) && slices.Equal(a, b) }
 
 // view makes n a view of the leading rows rows of a's parts and, unless nil,
 // b's: an operand's own parts if it is a view, else itself.

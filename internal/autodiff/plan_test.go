@@ -213,3 +213,30 @@ func TestPlannerRows(t *testing.T) {
 		})
 	}
 }
+
+// A pass makes each block once: a request for the same matrix, rows and
+// columns gets the block made before, any other — every row or none, every
+// column or none among them — a block of its own, and after Release the
+// request is made anew.
+func TestBlockOncePerRequest(t *testing.T) {
+	adj := newPlanInputs(rand.New(rand.NewSource(1))).adj
+	tp := NewTape()
+	rows, cols := []int{3, 7, 9}, []int{2, 3, 4, 5, 7, 8, 9, 10}
+	first := tp.block(adj, rows, cols)
+	if again := tp.block(adj, slices.Clone(rows), slices.Clone(cols)); again != first {
+		t.Fatal("an equal request made a second block")
+	}
+	others := [][2][]int{{rows, nil}, {rows, {}}, {{}, cols}, {{0, 1}, cols}, {{}, {}}, {{}, nil}}
+	made := []*tensor.CSR{first}
+	for _, o := range others {
+		b := tp.block(adj, o[0], o[1])
+		if slices.Contains(made, b) {
+			t.Fatalf("rows %v (nil %v) and columns %v (nil %v) got a block made for another request", o[0], o[0] == nil, o[1], o[1] == nil)
+		}
+		made = append(made, b)
+	}
+	tp.Release()
+	if tp.block(adj, rows, cols) == first {
+		t.Fatal("a block outlived Release")
+	}
+}

@@ -178,10 +178,16 @@ func SpMMConcat(c *CSR, x Concat) *Matrix {
 // SpMMTransCols returns cᵀ·x over x's columns [from, to) (used for gradients
 // through SpMM): each output row is accumulated over c's rows in order.
 func SpMMTransCols(c *CSR, x *Matrix, from, to int) *Matrix {
-	if c.NRows != x.Rows || from < 0 || to > x.Cols || from > to {
-		panic(fmt.Sprintf("tensor: SpMMTransCols inner mismatch (%dx%d)ᵀ · %dx%d[:, %d:%d]", c.NRows, c.NCols, x.Rows, x.Cols, from, to))
+	return SpMMTransColsInto(newUninit(c.NCols, to-from), c, x, from, to)
+}
+
+// SpMMTransColsInto is SpMMTransCols written into out, which it zeroes first
+// and returns: the same sums in the same order, so the same bits.
+func SpMMTransColsInto(out *Matrix, c *CSR, x *Matrix, from, to int) *Matrix {
+	if c.NRows != x.Rows || from < 0 || to > x.Cols || from > to || out.Rows != c.NCols || out.Cols != to-from {
+		panic(fmt.Sprintf("tensor: SpMMTransCols %dx%d = (%dx%d)ᵀ · %dx%d[:, %d:%d]", out.Rows, out.Cols, c.NRows, c.NCols, x.Rows, x.Cols, from, to))
 	}
-	out := New(c.NCols, to-from)
+	clear(out.Data)
 	for r := 0; r < c.NRows; r++ {
 		xrow := x.Row(r)[from:to]
 		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {

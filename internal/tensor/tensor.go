@@ -48,7 +48,8 @@ func New(rows, cols int) *Matrix {
 // output element before any read use it to skip New's zeroing pass: the
 // elementwise ops, and the row-accumulating kernels (MatMul,
 // MatMulAcc, SpMM), which initialize every output row themselves.
-// Scatter-accumulating ops (MatMulTransAConcat, SpMMTransCols) must use New.
+// Scatter-accumulating ops (MatMulTransAConcat, SpMMTransCols) must use New,
+// or zero the buffer themselves.
 func newUninit(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
