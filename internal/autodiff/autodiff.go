@@ -12,20 +12,22 @@
 // long-lived nodes whose Value persists across steps; the tape itself is
 // rebuilt for every forward pass.
 //
-// Every tape learns, pass by pass, which op reads each value last, and a
-// row-local op (or a product by a square matrix) that reads an operand for
-// the last time writes its result over that operand's buffer instead of
-// drawing one — on a recording tape only where no backward rule reads the
-// operand's value (see reuse). Forwards that will never run Backward — the
-// engine's per-step inference — use an inference tape (NewInferenceTape): the
-// same ops compute the same values but record nothing, and the tape also hands
-// each intermediate buffer back to the tensor pool at its last use.
+// A planned forward (Plan … Run) knows which op reads each value last before
+// it computes any, and a row-local op (or a product by a square matrix) that
+// reads an operand for the last time writes its result over that operand's
+// buffer instead of drawing one — on a recording tape only where no backward
+// rule reads the operand's value (see reuse). Forwards that will never run
+// Backward — the engine's per-step inference — use an inference tape
+// (NewInferenceTape): the same ops compute the same values but record
+// nothing, and the tape also hands each intermediate buffer back to the
+// tensor pool at its last use. Ops recorded outside Plan … Run compute at
+// once and do neither.
 //
 // A concatenation (ConcatCols) is a view over its operands, never a copy: the
 // products' left factors, SpMM, GatherRows, Head and ConcatCols read its parts
 // where they are, any other reader panics, and its gradient is kept per part,
 // for the parts that need one (see Node.parts). A read of a view is a read of each
-// part, for the plan as for the kernels; Pin pins a view part by part.
+// part, for last uses as for the kernels; Pin pins a view part by part.
 // A forward read on some of its rows runs each op on those rows (plan.go).
 package autodiff
 
@@ -108,13 +110,16 @@ type Node struct {
 
 	// The plan (see Run): lrows×lcols is the value on every row; rows
 	// the ascending rows of it Value holds, nil for all; need (or needAll)
-	// what its readers asked for. pending marks a node not computed yet, and
-	// pinned a Pin or Use of one. src is the node a restriction reads rows of
-	// (see in); fill draws an Input's rows; use reads a Use's, useRows.
+	// what its readers asked for. pending marks a node not computed yet. last
+	// is the index of the last op of its Run that reads it (0: none; afterRun:
+	// Run's caller), and pinned marks a Pin, a Use or a backward rule's read
+	// of it (see reuse). src is the node a restriction reads rows of (see in); fill draws
+	// an Input's rows; use reads a Use's, useRows.
 	lrows, lcols int
 	rows, need   []int
 	needAll      bool
 	pending      bool
+	last         int32
 	pinned       bool
 	src          *Node
 	fill         func(rows []int, dst *tensor.Matrix)
@@ -135,15 +140,11 @@ type Tape struct {
 	// would run the rules again over gradients the first left.
 	backwardRan bool
 
-	// noGrad marks an inference tape (NewInferenceTape). plan is the last-use
-	// plan learned from the previous pass, cur the one this pass is learning,
-	// and planOK whether every op of this pass so far matched plan. into is
-	// the input whose buffer the op being computed writes its result into
-	// (see reuse), until record moves the buffer to the op's output.
-	noGrad    bool
-	plan, cur []planStep
-	planOK    bool
-	into      *Node
+	// noGrad marks an inference tape (NewInferenceTape). into is the input
+	// whose buffer the op being computed writes its result into (see reuse),
+	// until record moves the buffer to the op's output.
+	noGrad bool
+	into   *Node
 
 	// planning is set by Plan and cleared by Run, which computes nodes[ran:].
 	// restrictions holds the nodes in made (see in), residuals MSESeg's, uses
@@ -159,26 +160,11 @@ type Tape struct {
 	marks        []bool
 }
 
-// planStep is one recorded node of a pass: the op that produced it and which
-// recorded nodes it read (the structural signature a later pass is matched
-// against), and the index of the last op that read its value.
-type planStep struct {
-	op   opKind
-	in   [3]int32 // seq of the recorded inputs; 0 for leaves and absent inputs
-	last int32    // index of the last reader, lastNone or lastKept
-}
-
-const (
-	lastNone int32 = -1 // no op reads the value: it lives until Release
-	lastKept int32 = -2 // pinned by Pin, or read by a backward rule
-)
-
 // NewTape returns an empty recording tape, for forwards that run Backward.
 // Every value lives until Release, so the backward rules can read it — but a
-// warm tape gives a row-local op the buffer of an operand it reads last, by
-// the plan the previous pass left, and Backward a value's first gradient the
-// value's buffer, unless a backward rule reads that value (ruleReads, which
-// pins it, as Pin does).
+// planned op gives a row-local result the buffer of an operand it reads last,
+// and Backward a value's first gradient the value's buffer, unless a backward
+// rule reads that value (ruleReads, which pins it, as Pin does).
 func NewTape() *Tape { return &Tape{} }
 
 // NewInferenceTape returns a tape in inference (no-grad) mode, for forwards
@@ -189,13 +175,10 @@ func NewTape() *Tape { return &Tape{} }
 // the cost of the values alone.
 //
 // The tape owns every op output (and every leaf it records) and recycles it into
-// the tensor pool: at Release at the latest, and normally right after the last
-// op that reads it. Last uses are learned, not declared: each pass records per
-// node which op read it last, and the next pass releases on that schedule for
-// as long as its own op sequence matches the recorded one op for op; at the
-// first mismatch it stops releasing early and relearns. A long-lived tape
-// running the same model therefore keeps only a handful of matrices live at
-// any point of a forward.
+// the tensor pool: at Release at the latest, and, in a planned forward, right
+// after the last op that reads it, which Run finds in the ops it is about to
+// compute. A planned forward therefore keeps only a handful of matrices live
+// at any point, from a fresh tape's first pass on.
 //
 // A row-local op writes over a dying operand rather than release it right
 // after allocating a buffer of its shape (see reuse), with the allocating
@@ -210,20 +193,11 @@ func NewTape() *Tape { return &Tape{} }
 // every op from writing over it. Backward panics on an inference tape.
 func NewInferenceTape() *Tape { return &Tape{noGrad: true} }
 
-// endPass ends a pass: the next may run Backward, and follows the plan this
-// one learned.
-func (t *Tape) endPass() {
-	t.backwardRan = false
-	t.plan, t.cur = t.cur, t.plan[:0]
-	t.planOK = true
-	t.into = nil // an op that panicked between reuse and record
-}
-
 // Release recycles every buffer recorded on the tape back into the tensor
-// pool and ends the pass, keeping the node shells, and the plan the pass
-// learned, for the next forward pass on this tape: it is the one way a pass
-// ends. Param and Constant nodes are never recorded, so persistent
-// parameters, their gradients, and caller-owned constants are untouched. A
+// pool and ends the pass, keeping the node shells for the next forward pass
+// on this tape: it is the one way a pass ends. Param and Constant nodes are
+// never recorded, so persistent parameters, their gradients, and
+// caller-owned constants are untouched. A
 // buffer is the Value, or the Grad, of one recorded node at a time, so it is
 // released at most once. Call only when nothing retains the tape's values —
 // after the backward and the utility reads of a training round; after Detach
@@ -242,7 +216,7 @@ func (t *Tape) Release() {
 			clear(n.parents)
 			n.parts, n.mats, n.grads, n.parents, n.need = n.parts[:0], n.mats[:0], n.grads[:0], n.parents[:0], n.need[:0]
 			n.Value, n.Grad, n.aux, n.auxCSR, n.src, n.fill, n.use, n.rows, n.useRows = nil, nil, nil, nil, nil, nil, nil, nil, nil
-			n.op, n.seq, n.needAll, n.pending, n.pinned = opNone, 0, false, false, false
+			n.op, n.seq, n.last, n.needAll, n.pending, n.pinned = opNone, 0, 0, false, false, false
 		}
 		t.free = append(t.free, ns...)
 	}
@@ -253,8 +227,8 @@ func (t *Tape) Release() {
 	clear(t.uses)
 	clear(t.cuts)
 	t.nodes, t.restrictions, t.residuals, t.uses, t.cuts = t.nodes[:0], t.restrictions[:0], t.residuals[:0], t.uses[:0], t.cuts[:0]
-	t.planning, t.ran = false, 0
-	t.endPass()
+	t.planning, t.ran, t.backwardRan = false, 0, false
+	t.into = nil // an op that panicked between reuse and record
 }
 
 // Detach takes n's value out of the tape's ownership and returns it: Release
@@ -292,32 +266,33 @@ func (t *Tape) Use(n *Node, rows []int, read func(*tensor.Matrix)) {
 }
 
 // Pin keeps n's value until Release — a view's part by part, with no copy —
-// for a value read after the last op that consumes it, or whose readers vary
-// from pass to pass. Call it on every pass, whether or not the value ends up
-// being read: it holds from the call on in this pass, and from the start in
-// the next through the plan the pass leaves behind. A pinned value is neither
-// released early nor written over, on either kind of tape.
+// for a value read after the last op that consumes it in its Run, by code or
+// by the ops of a later Run. Pin it before the Run that computes it, or at
+// least before that Run's last reader of it. A pinned value is neither
+// released early nor written over, on either kind of tape, nor given to its
+// gradient (take).
 func (t *Tape) Pin(n *Node) {
-	if n.pending {
-		n.pinned = true
-		return
-	}
 	gone := func(q *Node) bool { return q.seq != 0 && (q.Value == nil || q.Value.Data == nil) }
-	if !n.view() && gone(n) || slices.ContainsFunc(n.parts, gone) {
-		panic("autodiff: Pin of a value the tape already released or wrote over; Pin must be called on every pass")
+	if !n.pending && (!n.view() && gone(n) || slices.ContainsFunc(n.parts, gone)) {
+		panic("autodiff: Pin of a value the tape already released or wrote over; Pin it before its Run")
 	}
-	t.pin(n)
+	n.each(pin)
 }
 
-// pin keeps n's value, and a view's parts, from being released early or
-// written over, from now on in this pass and from the start of the next.
-func (t *Tape) pin(n *Node) {
+// each calls f on every node this tape recorded that a read of n reads: n,
+// and a view's parts, even those of a view not computed yet.
+func (n *Node) each(f func(*Node)) {
 	if n.seq > 0 {
-		t.cur[n.seq-1].last = lastKept
+		f(n)
+	}
+	if n.pending && n.view() {
+		for _, p := range n.parents {
+			p.each(f)
+		}
 	}
 	for _, q := range n.parts {
 		if q.seq > 0 {
-			t.cur[q.seq-1].last = lastKept
+			f(q)
 		}
 	}
 }
@@ -422,11 +397,10 @@ func (t *Tape) Input(rows, cols int, fill func(rows []int, dst *tensor.Matrix)) 
 	return t.done(n)
 }
 
-// record ends the computation of n with its value v and notes its plan step:
-// it moves to n the buffer of the input the op wrote into (see reuse) and pins
-// what n's backward rule reads (ruleReads), and n if it was pinned before it
-// ran. An inference tape releases the inputs n read last by the plan, and n's
-// restrictions (see in), and keeps no op kind and no parents.
+// record ends the computation of n with its value v: it moves to n the buffer
+// of the input the op wrote into (see reuse) and pins what n's backward rule
+// reads (ruleReads). An inference tape releases the inputs n reads last, and
+// n's restrictions (see in), and keeps no op kind and no parents.
 func (t *Tape) record(n *Node, v *tensor.Matrix) {
 	if p := t.into; p != nil {
 		// The output gets a header of its own and the input's goes stale, as
@@ -443,44 +417,53 @@ func (t *Tape) record(n *Node, v *tensor.Matrix) {
 		}
 	}
 	n.Value, n.pending = v, false
-	i := n.seq - 1
-	st := planStep{op: n.op, in: inputs(n.parents), last: lastNone}
-	t.cur = append(t.cur, st)
-	if t.planOK {
-		t.planOK = t.matches(i, n.op, st.in)
+	in, out := t.ruleReads(n)
+	for k, p := range n.parents {
+		if in[k] {
+			p.each(pin)
+		}
+	}
+	if out {
+		n.each(pin)
+	}
+	if !t.noGrad {
+		return
 	}
 	// A read of a view is a read of each of its parts, and a read of a
 	// restriction one of its source. An op that makes a view releases none of
 	// them: the view's value holds from its creation on, as any op's does.
-	release := n.op != opConcatCols && (n.op != opHead || !n.view())
-	for _, p := range n.parents {
-		for _, q := range [...]*Node{p, p.src} {
-			if q == nil {
-				continue
-			}
-			t.read(q.seq, i, release)
-			for _, r := range q.parts {
-				t.read(r.seq, i, release)
-			}
-		}
-	}
-	in, out := t.ruleReads(n)
-	for k, p := range n.parents {
-		if in[k] {
-			t.pin(p)
-		}
-	}
-	if out || n.pinned {
-		t.pin(n)
-	}
-	if t.noGrad {
+	i := n.seq - 1
+	if n.op != opConcatCols && (n.op != opHead || !n.view()) {
 		for _, p := range n.parents {
-			if p.seq == -1 && !p.view() && !n.view() {
-				tensor.Recycle(p.Value)
-				p.Value = nil
+			for _, q := range [...]*Node{p, p.src} {
+				if q != nil {
+					q.each(func(r *Node) { r.release(i) })
+				}
 			}
 		}
-		n.op, n.parents = opNone, n.parents[:0]
+	}
+	for _, p := range n.parents {
+		if p.seq == -1 && !p.view() && !n.view() {
+			tensor.Recycle(p.Value)
+			p.Value = nil
+		}
+	}
+	n.op, n.parents = opNone, n.parents[:0]
+}
+
+// pin keeps n's value from being released early, written over or given to
+// its gradient.
+func pin(n *Node) { n.pinned = true }
+
+// release recycles n's buffer, on an inference tape, when op i is the last
+// that reads it and nobody pinned it. A later read of a recycled or
+// written-over value — a read outside the ops of its Run, of a value nobody
+// pinned — fails loudly on the missing data rather than computing on
+// recycled storage.
+func (n *Node) release(i int32) {
+	if n.Value != nil && n.last == i && !n.pinned {
+		tensor.Recycle(n.Value)
+		n.Value = nil
 	}
 }
 
@@ -507,35 +490,16 @@ func (t *Tape) ruleReads(n *Node) (in [3]bool, out bool) {
 	return in, out
 }
 
-// inputs is the plan signature of an op's inputs: their seqs (a
-// restriction's source's, whatever the rows), 0 for leaves.
-func inputs(ps []*Node) (in [3]int32) {
-	for k, p := range ps {
-		if p.src != nil {
-			p = p.src
-		}
-		in[k] = max(p.seq, 0)
-	}
-	return in
-}
-
-// matches reports whether op i of this pass, of kind op on inputs in, is the
-// one the plan recorded at i.
-func (t *Tape) matches(i int32, op opKind, in [3]int32) bool {
-	return int(i) < len(t.plan) && t.plan[i].op == op && t.plan[i].in == in
-}
-
 // reuse returns the buffer n, an op about to be computed, may write its
 // result into: that of the first of its leading cands inputs that nobody
 // pinned — with Pin, or by a backward rule that reads it (ruleReads), n's own
 // included — and that no later op reads: a restriction drawn for n alone (see
-// in), or, on a tape whose pass matches the plan up to and including n, a
-// value the tape owns that the plan says n reads last, so no later op can
-// tell whether its buffer was written over or released. A read of a view
-// counts as a read of its parts, so no part is written over while a view of
-// it is read later. The op must take every element of the result from the
-// same element (or, for Head, row; a square MatMul copies each row out first)
-// of that input, not read others after writing; an input it also reads as a
+// in), or a value the tape owns whose last reader in its Run is n, so no
+// later op can tell whether its buffer was written over or released. A read
+// of a view counts as a read of its parts, so no part is written over while
+// a view of it is read later. The op must take every element of the result
+// from the same element (or, for Head, row; a square MatMul copies each row
+// out first) of that input, not read others after writing; an input it also reads as a
 // non-candidate does not qualify (MatMulAcc's x may hold sum as a part: it
 // assembles a row of x before it writes that row). A candidate is never a
 // view (MatMul offers a dense left factor alone). record moves the buffer to
@@ -543,41 +507,16 @@ func (t *Tape) matches(i int32, op opKind, in [3]int32) bool {
 func (t *Tape) reuse(n *Node, cands int) *tensor.Matrix {
 	ps := n.parents
 	reads, _ := t.ruleReads(n)
-	i := n.seq - 1
-	planned := t.planOK && t.matches(i, n.op, inputs(ps))
 	for k, p := range ps[:cands] {
 		if p.Value == nil || reads[k] || slices.Contains(ps[cands:], p) {
 			continue
 		}
-		mine := p.seq == -1 && !p.view()
-		if mine || planned && p.seq > 0 && t.plan[p.seq-1].last == i && t.cur[p.seq-1].last != lastKept {
+		if p.seq == -1 && !p.view() || p.seq > 0 && p.last == n.seq-1 && !p.pinned {
 			t.into = p
 			return p.Value
 		}
 	}
 	return nil
-}
-
-// read notes that op i of this pass read recorded node seq. On an inference
-// tape it also recycles the node's buffer, if release is set and the plan
-// (still matching) says nothing reads it afterwards; a recording tape keeps
-// every value for the backward rules. A later read of a recycled or
-// written-over value — possible only if the pass then departs from the plan
-// in a way that revisits an old value — fails loudly on the missing data
-// rather than computing on recycled storage.
-func (t *Tape) read(seq, i int32, release bool) {
-	if seq <= 0 {
-		return
-	}
-	c := &t.cur[seq-1]
-	if c.last == lastKept {
-		return // pinned earlier in this pass, whatever the plan learned
-	}
-	c.last = i
-	if n := t.nodes[seq-1]; release && t.noGrad && n.Value != nil && t.planOK && t.plan[seq-1].last == i {
-		tensor.Recycle(n.Value)
-		n.Value = nil
-	}
 }
 
 // ensureGrad returns the buffer a gradient contribution to n is added into:
@@ -709,7 +648,7 @@ func (t *Tape) firstBlock(p *Node, k int, zero bool) *tensor.Matrix {
 // Use pinned it. p's value keeps its shape and loses its data, as record
 // leaves an input an op wrote over. nil otherwise.
 func (t *Tape) take(p *Node) *tensor.Matrix {
-	if p.seq <= 0 || p.Value.Data == nil || t.cur[p.seq-1].last == lastKept {
+	if p.seq <= 0 || p.Value.Data == nil || p.pinned {
 		return nil
 	}
 	m := tensor.FromSlice(p.Value.Rows, p.Value.Cols, p.Value.Data)
@@ -1085,9 +1024,9 @@ func (out *Node) runBack(t *Tape) {
 // computes it on the rows its readers need (plan.go). A reader that cannot
 // read a view panics when it is recorded, before anything is computed.
 
-// MatMul returns a·b. On a warm tape a product by a square b may write over
-// a dense a it reads last (see reuse), never on a recording tape where b needs
-// a gradient, whose rule reads a.
+// MatMul returns a·b. In a planned forward a product by a square b may write
+// over a dense a it reads last (see reuse), never on a recording tape where b
+// needs a gradient, whose rule reads a.
 func (t *Tape) MatMul(a, b *Node) *Node {
 	rows, _ := a.shape()
 	_, cols := b.read("MatMul's right operand").shape()
@@ -1096,8 +1035,8 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 
 // MatMulAcc returns sum + x·w as one op: the value and all three gradients
 // are bit-identical to Add(sum, MatMul(x, w)), without materializing the
-// product (see tensor.MatMulAccConcatTo). On a warm tape it may add the product
-// into sum's buffer.
+// product (see tensor.MatMulAccConcatTo). In a planned forward it may add the
+// product into sum's buffer.
 func (t *Tape) MatMulAcc(sum, x, w *Node) *Node {
 	rows, cols := sum.read("MatMulAcc's sum").shape()
 	return t.done(t.add(opMatMulAcc, rows, cols, sum, x, w.read("MatMulAcc's w")))
@@ -1115,9 +1054,9 @@ func (t *Tape) SpMM(s *tensor.CSR, x *Node) *Node {
 	return t.done(n)
 }
 
-// The row-local ops below may, on a warm tape, write into the buffer of an
-// operand they read last (see reuse): either operand of Add, Sub and Mul, the
-// matrix operand of the rest.
+// The row-local ops below may, in a planned forward, write into the buffer of
+// an operand they read last (see reuse): either operand of Add, Sub and Mul,
+// the matrix operand of the rest.
 
 // Add returns a+b (same shape).
 func (t *Tape) Add(a, b *Node) *Node { return t.rowLocal(opAdd, "Add", a, b) }
@@ -1185,8 +1124,8 @@ func (t *Tape) GatherRows(a *Node, rows []int) *Node {
 // ScatterRows returns base with row rows[i] replaced by src's row i: the
 // inverse of GatherRows(·, rows) over a background. rows must be strictly
 // ascending (the backward rule walks them beside base's rows). The result is
-// a copy of base, unless a warm tape scatters into base's own buffer, which
-// base's last read allows (see reuse).
+// a copy of base, unless a planned forward scatters into base's own buffer,
+// which base's last read allows (see reuse).
 func (t *Tape) ScatterRows(base, src *Node, rows []int) *Node {
 	for i := 1; i < len(rows); i++ {
 		if rows[i] <= rows[i-1] {

@@ -492,11 +492,11 @@ func TestSumGrad(t *testing.T) {
 }
 
 // Head returns a's leading rows rows — a itself when that is all of them —
-// computed at once, as the planner's restrictions to leading rows are (see
-// in): the tests' way to record an op of kind opHead. Of a view it is a view
-// of the parts' leading rows. Otherwise it is a copy, unless a is read for the
-// last time here on a warm tape: then the head is the leading part of a's
-// buffer, which it takes from a (see reuse).
+// as the planner's restrictions to leading rows are (see in): the tests' way
+// to record an op of kind opHead. Of a view it is a view of the parts'
+// leading rows. Otherwise it is a copy, unless a planned forward reads a for
+// the last time here: then the head is the leading part of a's buffer, which
+// it takes from a (see reuse).
 func (t *Tape) Head(a *Node, rows int) *Node {
 	ar, cols := a.shape()
 	if rows == ar {
@@ -505,20 +505,7 @@ func (t *Tape) Head(a *Node, rows int) *Node {
 	if rows < 0 || rows > ar {
 		panic(fmt.Sprintf("autodiff: Head %d of %d rows", rows, ar))
 	}
-	n := t.add(opHead, rows, cols, a, nil, nil)
-	var v *tensor.Matrix
-	if a.view() {
-		t.view(n, rows, a, nil)
-		v = n.Value
-	} else if m := t.reuse(n, 1); m != nil {
-		v = tensor.FromSlice(rows, m.Cols, m.Data[:rows*m.Cols])
-	} else {
-		v = tensor.NewUninit(rows, cols)
-		copy(v.Data, a.Value.Data)
-	}
-	t.record(n, v)
-	t.ran = len(t.nodes)
-	return n
+	return t.done(t.add(opHead, rows, cols, a, nil, nil))
 }
 
 // Keep pins n's value (Pin) and returns it, for code that reads it outside

@@ -289,8 +289,7 @@ type program struct {
 	tp     *Tape
 	params []*Node
 	prior  []*Node
-	nodes  []*Node       // operands to draw from: every node built, leaves included
-	widths map[*Node]int // their widths, which an inference tape's released ones lose
+	nodes  []*Node // operands to draw from: every node built, leaves included
 	uses   map[*Node]int
 	terms  []*Node // scalar loss terms
 	// freeze makes every other parameter leaf need no gradient: the same
@@ -333,11 +332,7 @@ func (p *program) param(rows, cols int) *Node {
 
 // add makes n an operand for later ops.
 func (p *program) add(n *Node) *Node {
-	if p.widths == nil {
-		p.widths = map[*Node]int{}
-	}
 	p.nodes = append(p.nodes, n)
-	p.widths[n] = n.Value.Cols
 	return n
 }
 
@@ -346,7 +341,7 @@ func (p *program) add(n *Node) *Node {
 func (p *program) pick(cols int) *Node {
 	var ok []*Node
 	for _, n := range p.nodes {
-		if p.uses[n] < 4 && (cols == 0 || p.widths[n] == cols) {
+		if p.uses[n] < 4 && (cols == 0 || n.lcols == cols) {
 			ok = append(ok, n)
 		}
 	}
@@ -365,10 +360,10 @@ func (p *program) second(a *Node) *Node {
 		p.uses[a]++
 		return a
 	}
-	if b := p.pick(a.Value.Cols); b != nil {
+	if b := p.pick(a.lcols); b != nil {
 		return b
 	}
-	return p.param(progRows, a.Value.Cols)
+	return p.param(progRows, a.lcols)
 }
 
 // weight is the right factor of a product with a k-column left one: a
@@ -402,21 +397,21 @@ func (p *program) csr() *tensor.CSR {
 // upstream is a loss term over n with a random upstream gradient, zeros of
 // both signs included.
 func (p *program) upstream(n *Node) *Node {
-	tp := p.tp
+	tp, rows, cols := p.tp, n.lrows, n.lcols
 	switch p.rng.Intn(5) {
 	case 0:
 		return tp.Mean(n)
 	case 1:
-		ends := []int{n.Value.Rows / 2, n.Value.Rows}
-		return tp.Sum(tp.MSESeg(n, p.mat(n.Value.Rows, n.Value.Cols), ends))
+		ends := []int{rows / 2, rows}
+		return tp.Sum(tp.MSESeg(n, p.mat(rows, cols), ends))
 	case 2:
-		target := tensor.New(n.Value.Rows, n.Value.Cols)
+		target := tensor.New(rows, cols)
 		for i := range target.Data {
 			target.Data[i] = float64(p.rng.Intn(2))
 		}
-		return tp.Sum(tp.BCESeg(n, target, []int{n.Value.Rows}))
+		return tp.Sum(tp.BCESeg(n, target, []int{rows}))
 	}
-	return tp.Sum(tp.Mul(n, Constant(p.mat(n.Value.Rows, n.Value.Cols))))
+	return tp.Sum(tp.Mul(n, Constant(p.mat(rows, cols))))
 }
 
 // viewCase records, over operand a, one of the shapes of use concatenation
@@ -430,11 +425,11 @@ func (p *program) upstream(n *Node) *Node {
 // reaches rec: only those ops can read one (TestViewReadersPanic).
 func (p *program) viewCase(a *Node, rec func(*Node) *Node) {
 	tp := p.tp
-	cols := a.Value.Cols
+	cols := a.lcols
 	switch p.rng.Intn(5) {
 	case 0:
 		v := tp.ConcatCols(p.add(Constant(p.mat(progRows, 2))), a)
-		w := v.Value.Cols
+		w := v.lcols
 		rec(tp.SpMM(p.csr(), v))
 		rec(tp.MatMulAcc(tp.MatMul(v, p.param(w, cols)), v, p.param(w, cols)))
 	case 1:
@@ -466,7 +461,7 @@ func (p *program) viewCase(a *Node, rec func(*Node) *Node) {
 // the operands; SpMM; a gather of rows, some twice, some never; or a
 // concatenation of v, read in turn.
 func (p *program) partRead(v *Node) *Node {
-	tp, cols := p.tp, v.Value.Cols
+	tp, cols := p.tp, v.lcols
 	switch p.rng.Intn(5) {
 	case 0:
 		return tp.MatMul(v, p.weight(cols, 1+p.rng.Intn(3)))
@@ -475,7 +470,7 @@ func (p *program) partRead(v *Node) *Node {
 		if sum == nil {
 			sum = p.param(progRows, 2)
 		}
-		return tp.MatMulAcc(sum, v, p.weight(cols, sum.Value.Cols))
+		return tp.MatMulAcc(sum, v, p.weight(cols, sum.lcols))
 	case 2:
 		return tp.SpMM(p.csr(), v)
 	case 3:
@@ -508,7 +503,7 @@ func randomProgramOver(seed int64, tp *Tape, prior []*Node) (*Node, *program) {
 		if a == nil {
 			break
 		}
-		cols := p.widths[a]
+		cols := a.lcols
 		switch p.rng.Intn(16) {
 		case 0:
 			p.add(tp.Sigmoid(a))
@@ -542,7 +537,7 @@ func randomProgramOver(seed int64, tp *Tape, prior []*Node) (*Node, *program) {
 			} else if x = p.pick(0); x == nil {
 				x = p.param(progRows, 2)
 			}
-			p.add(tp.MatMulAcc(a, x, p.weight(x.Value.Cols, cols)))
+			p.add(tp.MatMulAcc(a, x, p.weight(x.lcols, cols)))
 		case 11:
 			p.add(tp.SpMM(p.csr(), a))
 		case 12:
@@ -622,7 +617,7 @@ func freshWrites(root *Node, p *program) (*Node, *program, []*Node) {
 		if a == nil {
 			a = p.param(progRows, 2)
 		}
-		return tp.MatMul(a, p.weight(p.widths[a], 1+p.rng.Intn(3)))
+		return tp.MatMul(a, p.weight(a.lcols, 1+p.rng.Intn(3)))
 	}
 	rows := make([]int, progRows)
 	for i := range rows {

@@ -69,8 +69,9 @@ func TestMatMulAccMatchesAddMatMul(t *testing.T) {
 			}
 		}
 
-		// In place on an inference tape, over a sum with −0 rows where x has
-		// all-zero ones (0 + −0 must still come out +0) and in the others.
+		// In place on an inference tape, planned, over a sum with −0 rows
+		// where x has all-zero ones (0 + −0 must still come out +0) and in
+		// the others.
 		r := rand.New(rand.NewSource(int64(200 + trial)))
 		sm := tensor.NewRandom(r, n, h, 1)
 		for row := 0; row < n; row += 2 {
@@ -84,11 +85,12 @@ func TestMatMulAccMatchesAddMatMul(t *testing.T) {
 		want := ref.Add(ref.Add(Constant(sm), ref.MatMul(x, w)), ref.MatMul(x, w2)).Value
 		tp := NewInferenceTape()
 		for pass := 0; pass < 2; pass++ {
+			tp.Plan()
 			sum := tp.OwnedConstant(sm.Clone())
 			buf := sum.Value.Data
-			out := tp.MatMulAcc(tp.MatMulAcc(sum, x, w), x, w2)
-			if inPlace := &out.Value.Data[0] == &buf[0]; inPlace != (pass > 0) {
-				t.Fatalf("trial %d pass %d: sum's buffer written in place: %v", trial, pass, inPlace)
+			out := tp.Run(tp.MatMulAcc(tp.MatMulAcc(sum, x, w), x, w2), nil)
+			if &out.Value.Data[0] != &buf[0] {
+				t.Fatalf("trial %d pass %d: sum's buffer not written in place", trial, pass)
 			}
 			if !bitEqual(want, out.Value) {
 				t.Fatalf("trial %d pass %d: value differs from Add(sum, MatMul)", trial, pass)
@@ -123,11 +125,12 @@ func gruLike(tp *Tape, x, h, w, leaf *Node) (out, kept *Node) {
 	return tp.Add(tp.Add(leaf, tp.Mul(z, h)), tp.Mul(tp.OneMinus(z), cand)), kept
 }
 
-// An inference tape computes the recording tape's values, learns last uses on
-// the first pass and from the second releases on that schedule, or writes in
-// place, so it meters fewer floats — kept and output values excepted, and
-// never over a kept value, a leaf, or an SpMM's input — and records no
-// backward state.
+// A planned forward on an inference tape computes the recording tape's
+// values and, from a fresh tape's first pass on, releases each value at its
+// last read or writes in place over it, so it meters fewer floats than the
+// same ops computed at once — kept and output values excepted, and never
+// over a kept value, a leaf, or an SpMM's input — and records no backward
+// state.
 func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
@@ -136,13 +139,20 @@ func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 	xm, hm, lm := tensor.NewRandom(rng, 5, 3, 1), tensor.NewRandom(rng, 5, 4, 1), tensor.NewRandom(rng, 5, 4, 1)
 	leaf := Constant(lm.Clone())
 	want, wantKept := gruLike(NewTape(), Constant(xm), Constant(hm), w, leaf)
+	tensor.ResetMeter()
+	eager := NewInferenceTape()
+	gruLike(eager, eager.OwnedConstant(xm.Clone()), eager.OwnedConstant(hm.Clone()), w, leaf)
+	eagerFloats := tensor.TotalFloats()
+	eager.Release()
 
 	tp := NewInferenceTape()
 	var floats [3]int64
 	for pass := 0; pass < 3; pass++ {
 		tensor.ResetMeter()
+		tp.Plan()
 		x, h := tp.OwnedConstant(xm.Clone()), tp.OwnedConstant(hm.Clone())
 		out, kept := gruLike(tp, x, h, w, leaf)
+		out = tp.Run(out, nil)
 		floats[pass] = tensor.TotalFloats()
 		if !bitEqual(want.Value, out.Value) {
 			t.Fatalf("pass %d: inference value differs from the recording tape's", pass)
@@ -159,13 +169,10 @@ func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 				live++
 			}
 		}
-		switch {
-		case pass == 0 && live != tp.Len():
-			t.Fatalf("first pass released %d values without a plan", tp.Len()-live)
-		case pass > 0 && live != 2:
+		if live != 2 {
 			t.Fatalf("pass %d: %d values live at the end, want the output and the kept one", pass, live)
 		}
-		if kept.Value == nil || x.Value != nil && pass > 0 {
+		if kept.Value == nil || x.Value != nil {
 			t.Fatalf("pass %d: kept value released or owned input not released", pass)
 		}
 		got := tp.Detach(out)
@@ -174,43 +181,63 @@ func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 			t.Fatalf("pass %d: detached output did not survive Release", pass)
 		}
 	}
-	if floats[1] >= floats[0] || floats[2] != floats[1] {
-		t.Fatalf("metered floats per pass %v: want fewer from the second pass on, as many each time", floats)
+	if floats[0] >= eagerFloats || floats[1] != floats[0] || floats[2] != floats[0] {
+		t.Fatalf("metered floats per pass %v: want fewer than the %d of the ops computed at once, as many each time", floats, eagerFloats)
 	}
 }
 
-// An inference tape computes a recording tape's values over random programs
-// of every forward op — concatenations read by each op that reads parts,
-// nested, their heads, their parts read elsewhere and written over after the
-// views' last read — pass after pass, departing passes and passes after them
-// included, while from the second pass on it releases values at their last
-// read and writes row-local results in place.
+// Run's output counts as read after every op of its Run: an op of the Run
+// that reads it last neither writes over it nor releases it, on either kind
+// of tape, and the copy of some of its rows Run returns reads it whole.
+func TestRunKeepsItsOutput(t *testing.T) {
+	xm := tensor.FromSlice(3, 2, []float64{1, -2, 0.5, 3, -1, 0})
+	want := NewTape().OneMinus(Constant(xm)).Value
+	for _, tp := range []*Tape{NewTape(), NewInferenceTape()} {
+		for _, rows := range [][]int{nil, {0, 2}} {
+			tp.Plan()
+			h := tp.OneMinus(tp.OwnedConstant(xm.Clone()))
+			tp.Sigmoid(h) // h's last reader among the ops
+			if out := tp.Run(h, rows); !holds(out) || !heldEqual(out, want) {
+				t.Fatalf("inference tape %v, rows %v: Run's output is %v, want %v", tp.noGrad, rows, out.Value, want)
+			}
+			tp.Release()
+		}
+	}
+}
+
+// A planned forward on an inference tape computes a recording tape's values
+// over random programs of every forward op — concatenations read by each op
+// that reads parts, nested, their heads, their parts read elsewhere and
+// written over after the views' last read — pass after pass, while it
+// releases values at their last read and writes row-local results in place:
+// every value that survives its Run, the output among them, holds the
+// recording tape's bits on the rows it was computed on.
 func TestInferenceTapeProgramsMatchRecordingTape(t *testing.T) {
 	released := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		tp := NewInferenceTape()
-		depart := variant{depart: 1 + int(seed%13)}
-		for pass, d := range []variant{{}, {}, {}, depart, depart, {}} {
+		for pass := 0; pass < 3; pass++ {
 			poisonPool()
-			want := inPlaceProgram(seed, NewTape(), d)
+			want := inPlaceProgram(seed, NewTape(), variant{})
 			poisonPool()
-			got := inPlaceProgram(seed, tp, d)
-			if len(got.vals) != len(want.vals) {
-				t.Fatalf("seed %d pass %d: %d values, recording tape %d", seed, pass, len(got.vals), len(want.vals))
+			tp.Plan()
+			got := inPlaceProgram(seed, tp, variant{})
+			if len(got.ops) != len(want.ops) {
+				t.Fatalf("seed %d pass %d: %d values, recording tape %d", seed, pass, len(got.ops), len(want.ops))
 			}
-			for i, v := range want.vals {
-				if !bitEqual(v, got.vals[i]) {
-					t.Fatalf("seed %d pass %d: value %d is %v, recording tape %v", seed, pass, i, got.vals[i], v)
+			for i, n := range got.ops {
+				if n.Value != nil && !heldEqual(n, want.ops[i].Value) {
+					t.Fatalf("seed %d pass %d: value %d is %v, recording tape %v", seed, pass, i, n.Value, want.ops[i].Value)
 				}
 			}
-			if k := got.kept; k != nil && (k.Value == nil || !bitEqual(k.Value, want.kept.Value)) {
+			if !holds(got.root) {
+				t.Fatalf("seed %d pass %d: the output was released", seed, pass)
+			}
+			if k := got.kept; k != nil && (k.Value == nil || !heldEqual(k, want.kept.Value)) {
 				t.Fatalf("seed %d pass %d: kept node %d released or written over", seed, pass, k.seq)
 			}
 			for _, n := range tp.nodes {
 				if n.Value == nil {
-					if pass == 0 {
-						t.Fatalf("seed %d: node %d released without a plan", seed, n.seq)
-					}
 					released++
 				}
 			}
@@ -219,7 +246,7 @@ func TestInferenceTapeProgramsMatchRecordingTape(t *testing.T) {
 		}
 	}
 	if released == 0 {
-		t.Fatal("no value released early: the programs do not exercise the plan")
+		t.Fatal("no value released early: the programs do not exercise last uses")
 	}
 	t.Logf("%d values released or written over before Release", released)
 }
@@ -272,71 +299,28 @@ func TestHeadSurvivesRecycledParent(t *testing.T) {
 	w := Param(tensor.NewRandom(rng, 4, 4, 1))
 	taken := false
 	forward := func(tp *Tape) *Node {
-		x := tp.Tanh(tp.OwnedConstant(xm.Clone()))
-		buf := x.Value.Data
-		h := tp.Head(x, 3) // x's last reader
-		taken = x.Value == nil && &h.Value.Data[0] == &buf[0]
-		big := tp.Scale(tp.OwnedConstant(xm.Clone()), -2) // x's shape: the pool's next buffer
+		c := xm.Clone()
+		buf := c.Data
+		x := tp.Tanh(tp.OwnedConstant(c)) // over c's buffer
+		h := tp.Head(x, 3)                // x's last reader
+		tp.Use(h, nil, func(m *tensor.Matrix) { taken = &m.Data[0] == &buf[0] })
+		fill := func(_ []int, dst *tensor.Matrix) { copy(dst.Data, xm.Data) }
+		big := tp.Scale(tp.Input(xm.Rows, xm.Cols, fill), -2) // x's shape: the pool's next buffer
 		return tp.Add(tp.MatMul(h, w), tp.Head(tp.MatMul(big, w), 3))
 	}
 	want := forward(NewTape()).Value
 	tp := NewInferenceTape()
 	for pass := 0; pass < 3; pass++ {
-		got := tp.Detach(forward(tp))
+		tp.Plan()
+		got := tp.Detach(tp.Run(forward(tp), nil))
 		tp.Release()
 		if !bitEqual(want, got) {
 			t.Fatalf("pass %d: value differs from the recording tape's", pass)
 		}
-		if taken != (pass > 0) {
-			t.Fatalf("pass %d: parent's buffer taken by its Head: %v", pass, taken)
+		if !taken {
+			t.Fatalf("pass %d: parent's buffer not taken by its Head", pass)
 		}
 	}
-}
-
-// When a pass departs from the learned op sequence the tape stops releasing
-// early, and writing in place, for the rest of that pass and relearns; values
-// stay right throughout, whether ops were inserted, dropped, or the same ops
-// read different nodes, and an op that meets the plan's at its index after a
-// departure does not write in place. A pass that departs only after an op
-// wrote over a value, and then reads that value, fails on its nil Value, as it
-// does on a value released early.
-func TestInferenceTapeRelearnsOnSequenceChange(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	w := Param(tensor.NewRandom(rng, 3, 3, 1))
-	xm := tensor.NewRandom(rng, 4, 3, 1)
-	forward := func(tp *Tape, variant int) *Node {
-		x := tp.OwnedConstant(xm.Clone())
-		h := tp.Tanh(tp.MatMul(x, w))
-		if variant == 4 { // another op kind, then the plan's OneMinus(g) at its index, then g again
-			g := tp.Tanh(h)
-			return tp.Mul(tp.OneMinus(g), tp.Add(g, h))
-		}
-		g := tp.Sigmoid(h)
-		switch variant {
-		case 1: // an inserted op reading a value the plan would release next
-			h = tp.Add(h, tp.MatMul(h, w))
-		case 2: // the same op kinds, wired to other nodes
-			h, g = g, h
-		case 3: // the plan's ops, then a read of g, which OneMinus wrote over
-			return tp.Mul(tp.OneMinus(g), tp.Add(g, h))
-		}
-		return tp.Mul(tp.OneMinus(g), h)
-	}
-	tp := NewInferenceTape()
-	for pass, variant := range []int{0, 0, 1, 1, 2, 2, 0, 4, 4, 0} {
-		want := forward(NewTape(), variant).Value
-		got := forward(tp, variant).Value
-		if !bitEqual(want, got) {
-			t.Fatalf("pass %d (variant %d): value differs after a sequence change", pass, variant)
-		}
-		tp.Release()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a read of a value written over in place did not fail")
-		}
-	}()
-	forward(tp, 3)
 }
 
 func TestInferenceTapeRejectsBackwardAndLateKeep(t *testing.T) {
@@ -354,43 +338,34 @@ func TestInferenceTapeRejectsBackwardAndLateKeep(t *testing.T) {
 	mustPanic("Backward on an inference tape", func() { tp.Backward(tp.Mean(tp.Add(a, a))) })
 	tp.Release()
 
-	// A value kept on one pass but not on the one the plan was learned from
-	// has been released by the time Keep runs: that must fail loudly.
-	chain := func(keep bool) {
-		h := tp.Tanh(tp.Add(a, a))
-		tp.Sigmoid(h)
-		if keep {
-			tp.Keep(h)
-		}
-	}
-	chain(false)
-	tp.Release()
-	mustPanic("Keep of a released value", func() { chain(true) })
-	tp.Release()
-
-	// Kept before the op the plan says reads it last, on a pass after one
-	// that did not keep it, a value is neither released nor written over.
-	early := func(keep bool) *Node {
+	// A value its Run wrote over or released, nobody having pinned it, is
+	// gone by the time a Keep after the Run comes: that must fail loudly.
+	chain := func(keep bool) *Node {
+		tp.Plan()
 		h := tp.Tanh(tp.Add(a, a))
 		if keep {
 			tp.Keep(h)
 		}
-		tp.Sigmoid(h)
+		tp.Run(tp.Sigmoid(h), nil)
 		return h
 	}
-	early(false)
+	h := chain(false)
+	mustPanic("Keep of a released value", func() { tp.Keep(h) })
 	tp.Release()
-	if h := early(true); h.Value == nil || h.Value.Data[0] != math.Tanh(2) {
-		t.Fatalf("a value kept on this pass alone was released or written over: %v", h.Value)
+
+	// Kept before its Run, a value is neither released nor written over by
+	// the op that reads it last.
+	if h := chain(true); h.Value == nil || h.Value.Data[0] != math.Tanh(2) {
+		t.Fatalf("a value kept before its Run was released or written over: %v", h.Value)
 	}
 	tp.Release()
 }
 
-// Pin of a view pins its parts where they are: it meters no float on an
-// inference tape, and the parts survive until Release a pass whose readers
-// vary from pass to pass — RTGCN's shape, a relation with edges on one pass
-// and none on the next, whose learned plan would otherwise release the parts
-// at the last reader of a pass without the relation.
+// Pin of a view, pinned before the Run that computes it, pins its parts where
+// they are: it meters no float on an inference tape, and the parts survive
+// their last readers until Release, for code that reads them after the Run,
+// whichever readers a pass has — a relation with edges on one pass and none
+// on the next.
 func TestPinViewKeepsPartsWithoutCopy(t *testing.T) {
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
@@ -399,6 +374,7 @@ func TestPinViewKeepsPartsWithoutCopy(t *testing.T) {
 	self, rel := Param(tensor.NewRandom(rng, 7, 2, 1)), Param(tensor.NewRandom(rng, 7, 2, 1))
 	adj := tensor.NewCSR(5, 5, [][]tensor.CSREntry{{{Col: 4, Val: 0.5}}, {{Col: 0, Val: 2}}, {{Col: 1, Val: -1}}, nil, {{Col: 2, Val: 1}}})
 	forward := func(tp *Tape, edges bool) (out, x, h *Node, pinned int64) {
+		tp.Plan()
 		x, h = tp.OwnedConstant(xm.Clone()), tp.Tanh(tp.OwnedConstant(hm.Clone()))
 		v := tp.ConcatCols(x, h)
 		tensor.ResetMeter()
@@ -408,7 +384,7 @@ func TestPinViewKeepsPartsWithoutCopy(t *testing.T) {
 		if edges {
 			out = tp.Add(out, tp.SpMM(adj.Head(3, 5), tp.MatMul(v, rel)))
 		}
-		return out, x, h, pinned
+		return tp.Run(out, nil), x, h, pinned
 	}
 	tp := NewInferenceTape()
 	for pass, edges := range []bool{false, false, true, false, true, true, false} {
@@ -420,7 +396,7 @@ func TestPinViewKeepsPartsWithoutCopy(t *testing.T) {
 		if !bitEqual(want.Value, out.Value) {
 			t.Fatalf("pass %d (edges %v): value differs from the recording tape's", pass, edges)
 		}
-		if x.Value == nil || !bitEqual(xm, x.Value) || h.Value == nil || !bitEqual(wantH.Value, h.Value) {
+		if !holds(x) || !bitEqual(xm, x.Value) || !holds(h) || !heldEqual(h, wantH.Value) {
 			t.Fatalf("pass %d (edges %v): a pinned part was released or written over", pass, edges)
 		}
 		tp.Release()

@@ -8,22 +8,21 @@ import (
 )
 
 // inPlaceRun is one pass of an inPlaceProgram: its loss, its program, every
-// op's value as the op computed it (copied before a later op could write over
-// it) and the node it kept.
+// op's node and the node it kept.
 type inPlaceRun struct {
 	root, kept *Node
 	p          *program
-	vals       []*tensor.Matrix
+	ops        []*Node
 }
 
 // variant is how a pass of an inPlaceProgram differs from its plain pass.
 type variant struct {
-	// depart > 0 records an op the plain pass does not have before its op
-	// number depart: the pass departs there from the plain pass's plan.
-	depart int
 	// freeze gives every other parameter leaf no gradient, which leaves the
-	// ops, and so the plan, as they are but changes what the rules read.
+	// ops as they are but changes what the rules read.
 	freeze bool
+	// pin pins every node before the Run: the same program, written over
+	// nowhere.
+	pin bool
 }
 
 // inPlaceProgram records a random forward of the row-local ops mixed with
@@ -31,13 +30,14 @@ type variant struct {
 // a gradient and operands that do not, aliased operands included: an operand
 // read by a ConcatCols and then by a row-local op last, concatenations in
 // their shapes of use (viewCase), loss terms read before other ops, and one
-// value pinned with Keep. The same seed and variant build
-// the same program on any tape.
+// value pinned with Keep. The same seed and variant build the same program on
+// any tape. On a planning tape (Plan) it runs the program for every row of
+// its loss.
 func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 	p := &program{rng: rand.New(rand.NewSource(seed)), tp: tp, uses: map[*Node]int{}, freeze: v.freeze}
 	run := &inPlaceRun{p: p}
 	op := func(n *Node) *Node {
-		run.vals = append(run.vals, dense(n.concat()))
+		run.ops = append(run.ops, n)
 		return p.add(n)
 	}
 	for c := 1; c <= 3; c++ {
@@ -49,11 +49,6 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 	ops := 16 + p.rng.Intn(24)
 	keepAt := p.rng.Intn(ops)
 	for k := 0; k < ops; k++ {
-		if k == v.depart {
-			// Mean is otherwise recorded only over interior nodes, after
-			// every op: a plan never has it here over a leaf.
-			p.terms = append(p.terms, tp.Mean(Constant(tensor.FromSlice(1, 2, []float64{1, -2}))))
-		}
 		if k == keepAt {
 			var live []*Node
 			for _, n := range p.nodes {
@@ -70,7 +65,7 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 		if a == nil {
 			break
 		}
-		cols := p.widths[a]
+		cols := a.lcols
 		switch p.rng.Intn(20) {
 		case 0:
 			op(tp.Sigmoid(a))
@@ -100,7 +95,7 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 			if x == nil {
 				x = p.param(progRows, 2)
 			}
-			op(tp.MatMulAcc(a, x, p.weight(x.Value.Cols, cols)))
+			op(tp.MatMulAcc(a, x, p.weight(x.lcols, cols)))
 		case 11:
 			op(tp.SpMM(p.csr(), a))
 		case 12:
@@ -120,7 +115,7 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 			op(tp.ScatterRows(a, src, []int{0, 1 + p.rng.Intn(progRows-1)}))
 		case 15:
 			h := tp.Head(a, 1+p.rng.Intn(progRows-1))
-			run.vals = append(run.vals, dense(h.concat()))
+			run.ops = append(run.ops, h)
 			p.terms = append(p.terms, p.upstream(tp.Scale(h, 3)))
 		case 16, 17:
 			// Read by a concatenation, then last by a row-local op, which
@@ -147,69 +142,104 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 	for _, term := range p.terms[1:] {
 		run.root = tp.Add(run.root, term)
 	}
-	run.vals = append(run.vals, dense(run.root.concat()))
+	if tp.planning {
+		if v.pin {
+			for _, n := range tp.nodes {
+				tp.Pin(n)
+			}
+		}
+		run.root = tp.Run(run.root, nil)
+	}
+	run.ops = append(run.ops, run.root)
 	return run
 }
 
-// A recording tape that learned its plan on a first pass writes row-local
-// results over operands no backward rule reads; every value, every interior
-// gradient and every parameter gradient is bit-identical to a fresh tape's,
-// over random programs, passes that depart from the plan partway, passes
-// whose leaves need other gradients than the plan's pass's (so other backward
-// rules read values) and passes after them; a kept value survives whole, and a written-over one keeps its
-// shape for the backward rules. A Keep that comes after a value was written
-// over panics, as it does on an inference tape.
+// heldEqual reports whether n holds want's values, the whole matrix computed
+// on every row, bit for bit on the rows n was computed on.
+func heldEqual(n *Node, want *tensor.Matrix) bool {
+	if n.rows == nil {
+		return bitEqual(n.Value, want)
+	}
+	if n.Value.Rows != len(n.rows) || n.Value.Cols != want.Cols {
+		return false
+	}
+	for j, r := range n.rows {
+		if !bitEqual(tensor.FromSlice(1, want.Cols, n.Value.Row(j)), tensor.FromSlice(1, want.Cols, want.Row(r))) {
+			return false
+		}
+	}
+	return true
+}
+
+// holds reports whether n still holds its value: no op wrote over it, and an
+// inference tape did not release it.
+func holds(n *Node) bool { return n.Value != nil && n.Value.Data != nil }
+
+// A recording tape running random programs planned writes row-local results
+// over operands no backward rule reads. Every value that keeps its data holds
+// the bits of the same program computed at once, which writes over nothing,
+// on the rows the planned program computed; every gradient, interior and
+// parameter, holds the bits of the same planned program with every node
+// pinned, which writes over nothing either — with every leaf needing a
+// gradient, and every other one (so other backward rules read values), pass
+// after pass on one tape. A kept value survives whole, and a written-over one
+// keeps its shape for the backward rules. A Keep that comes after the Run
+// wrote over the value panics, as it does on an inference tape.
 func TestRecordingInPlaceMatchesFreshTape(t *testing.T) {
 	written, writtenGrad := 0, 0
 	for seed := int64(1); seed <= 300; seed++ {
 		tp := NewTape()
-		depart := variant{depart: 1 + int(seed%13)}
-		frozen := variant{freeze: true}
-		for pass, d := range []variant{{}, {}, {}, depart, depart, {}, frozen, frozen, {}} {
+		for pass, d := range []variant{{}, {}, {freeze: true}, {}} {
 			poisonPool()
-			want := inPlaceProgram(seed, NewTape(), d)
-			want.p.tp.Backward(want.root)
+			eager := inPlaceProgram(seed, NewTape(), d)
 			poisonPool()
+			ref := NewTape()
+			ref.Plan()
+			want := inPlaceProgram(seed, ref, variant{freeze: d.freeze, pin: true})
+			poisonPool()
+			tp.Plan()
 			got := inPlaceProgram(seed, tp, d)
-			tp.Backward(got.root)
 
-			if len(got.vals) != len(want.vals) {
-				t.Fatalf("seed %d pass %d: %d values, fresh tape %d", seed, pass, len(got.vals), len(want.vals))
+			if len(got.ops) != len(eager.ops) {
+				t.Fatalf("seed %d pass %d: %d values, eager tape %d", seed, pass, len(got.ops), len(eager.ops))
 			}
-			for i, v := range want.vals {
-				if !bitEqual(v, got.vals[i]) {
-					t.Fatalf("seed %d pass %d: value %d is %v, fresh tape %v", seed, pass, i, got.vals[i], v)
+			for i, n := range got.ops {
+				if holds(n) && !heldEqual(n, eager.ops[i].Value) {
+					t.Fatalf("seed %d pass %d: value %d is %v, eager tape %v", seed, pass, i, n.Value, eager.ops[i].Value)
 				}
 			}
-			for i, w := range want.p.params {
-				wg, gg := w.Grad, got.p.params[i].Grad
-				if (wg == nil) != (gg == nil) || wg != nil && !bitEqual(wg, gg) {
-					t.Fatalf("seed %d pass %d: parameter %d gradient %v, fresh tape %v", seed, pass, i, gg, wg)
-				}
-			}
-			fresh := want.p.tp.nodes
 			for i, n := range tp.nodes {
-				ref := fresh[i]
-				if (n.Grad == nil) != (ref.Grad == nil) || n.Grad != nil && !bitEqual(n.Grad, ref.Grad) {
-					t.Fatalf("seed %d pass %d: node %d (op %d) gradient %v, fresh tape %v", seed, pass, i, n.op, n.Grad, ref.Grad)
+				r := ref.nodes[i]
+				if n.Value.Rows != r.Value.Rows || n.Value.Cols != r.Value.Cols {
+					t.Fatalf("seed %d pass %d: node %d is %dx%d, pinned tape %dx%d", seed, pass, i, n.Value.Rows, n.Value.Cols, r.Value.Rows, r.Value.Cols)
 				}
-				if n.Value.Rows != ref.Value.Rows || n.Value.Cols != ref.Value.Cols {
-					t.Fatalf("seed %d pass %d: node %d is %dx%d, fresh tape %dx%d", seed, pass, i, n.Value.Rows, n.Value.Cols, ref.Value.Rows, ref.Value.Cols)
-				}
-				if n.Value.Data == nil && ref.Value.Data != nil {
-					if pass == 0 {
-						t.Fatalf("seed %d: node %d written over without a plan", seed, i)
-					}
+				if !holds(n) && !n.view() {
 					written++
 					if n.requiresGrad {
 						writtenGrad++
 					}
 				}
 			}
-			if k := got.kept; k != nil && (k.Value.Data == nil || !bitEqual(k.Value, want.kept.Value)) {
+			if k := got.kept; k != nil && (!holds(k) || !heldEqual(k, eager.kept.Value)) {
 				t.Fatalf("seed %d pass %d: kept node %d written over", seed, pass, k.seq)
 			}
-			want.p.tp.Release()
+
+			ref.Backward(want.root)
+			tp.Backward(got.root)
+			for i, w := range want.p.params {
+				wg, gg := w.Grad, got.p.params[i].Grad
+				if (wg == nil) != (gg == nil) || wg != nil && !bitEqual(wg, gg) {
+					t.Fatalf("seed %d pass %d: parameter %d gradient %v, pinned tape %v", seed, pass, i, gg, wg)
+				}
+			}
+			for i, n := range tp.nodes {
+				r := ref.nodes[i]
+				if (n.Grad == nil) != (r.Grad == nil) || n.Grad != nil && !bitEqual(n.Grad, r.Grad) {
+					t.Fatalf("seed %d pass %d: node %d (op %d) gradient %v, pinned tape %v", seed, pass, i, n.op, n.Grad, r.Grad)
+				}
+			}
+			eager.p.tp.Release()
+			ref.Release()
 			tp.Release()
 		}
 	}
@@ -218,33 +248,27 @@ func TestRecordingInPlaceMatchesFreshTape(t *testing.T) {
 	}
 	t.Logf("%d values written over, %d of them needing a gradient", written, writtenGrad)
 
-	// A value kept on one pass but not on the one the plan was learned from
-	// has been written over by the time Keep runs: that must fail loudly.
+	// A value written over in its Run is gone by the time a Keep after the
+	// Run comes: that must fail loudly.
 	a := Param(tensor.FromSlice(1, 2, []float64{1, -1}))
 	tp := NewTape()
-	chain := func(keep bool) {
-		h := tp.Add(a, a)
-		tp.Backward(tp.Mean(tp.OneMinus(h)))
-		if keep {
-			tp.Keep(h)
-		}
-	}
-	chain(false)
-	tp.Release()
+	tp.Plan()
+	h := tp.Add(a, a)
+	tp.Backward(tp.Mean(tp.OneMinus(h)))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a late Keep of a value written over did not panic")
 		}
 	}()
-	chain(true)
+	tp.Keep(h)
 }
 
-// A product by a square matrix writes over its left factor on a warm tape
-// when it reads that factor last, and its values and gradients stay
-// bit-identical to a fresh tape's: on an inference tape, and on a recording
-// tape whose square factor is a constant. On a recording tape whose square
-// factor needs a gradient its rule reads the left factor, which is never
-// written over. The left factor has zero rows and −0 entries.
+// A product by a square matrix in a planned forward writes over its left
+// factor when it reads that factor last, and its values and gradients stay
+// bit-identical to the same ops computed at once: on an inference tape, and
+// on a recording tape whose square factor is a constant. On a recording tape
+// whose square factor needs a gradient its rule reads the left factor, which
+// is never written over. The left factor has zero rows and −0 entries.
 func TestSquareMatMulWritesOverDyingInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	x := randomWithZeroRows(rng, 7, 3)
@@ -252,13 +276,22 @@ func TestSquareMatMulWritesOverDyingInput(t *testing.T) {
 	w, bias := Param(tensor.NewRandom(rng, 3, 4, 1)), Param(tensor.New(1, 4))
 	sqConst, sqParam := Constant(tensor.NewRandom(rng, 4, 4, 1)), Param(tensor.NewRandom(rng, 4, 4, 1))
 	target := tensor.NewRandom(rng, 7, 4, 1)
-	// pass records a·sq over a dying a, and reports whether the product took
-	// a's buffer.
-	pass := func(tp *Tape, sq *Node) (out *Node, over bool) {
+	tensor.EnableMeter(true)
+	defer tensor.EnableMeter(false)
+	// pass records a·sq over a dying a, planned unless tp is fresh, and
+	// reports whether the product took a's buffer: whether the ops drew fewer
+	// floats than two products, x·w (which AddBias writes over) and a·sq.
+	pass := func(tp, fresh *Tape, sq *Node) (out *Node, over bool) {
+		tensor.ResetMeter()
+		if tp != fresh {
+			tp.Plan()
+		}
 		a := tp.AddBias(tp.MatMul(Constant(x), w), bias)
-		buf := &a.Value.Data[0]
 		out = tp.MatMul(a, sq)
-		return out, &out.Value.Data[0] == buf
+		if tp != fresh {
+			out = tp.Run(out, nil)
+		}
+		return out, tensor.TotalFloats() < int64(2*x.Rows*4)
 	}
 	params := []*Node{w, bias, sqParam}
 	for _, c := range []struct {
@@ -280,7 +313,7 @@ func TestSquareMatMulWritesOverDyingInput(t *testing.T) {
 			if c.inference {
 				fresh = NewInferenceTape()
 			}
-			want, _ := pass(fresh, c.sq)
+			want, _ := pass(fresh, fresh, c.sq)
 			wantVal := want.Value.Clone()
 			var wantGrads []*tensor.Matrix
 			if !c.inference {
@@ -294,8 +327,8 @@ func TestSquareMatMulWritesOverDyingInput(t *testing.T) {
 				}
 				zeroGrads(params)
 			}
-			got, over := pass(tp, c.sq)
-			if warm := k > 0; over != (warm && c.over) {
+			got, over := pass(tp, fresh, c.sq)
+			if over != c.over {
 				t.Fatalf("%s, pass %d: product written over its left factor: %v", c.name, k, over)
 			}
 			if !bitEqual(got.Value, wantVal) {

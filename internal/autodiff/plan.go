@@ -14,6 +14,9 @@ import (
 // everyRowShare; a reader of fewer rows reads a restriction (in). Rows and
 // parameter gradients hold the bits a run over every row gives them.
 
+// afterRun is the last reader of a value Run returns: none of its ops.
+const afterRun int32 = -1
+
 // everyRowShare is the share of its rows past which a node runs on every row,
 // sparing its readers copies (DESIGN.md §10); a leading block needs none.
 const everyRowShare = 0.7
@@ -28,6 +31,12 @@ func (t *Tape) Plan() { t.planning = true }
 // the caller reads (nil: every row) and those Use asked for, whose reads run
 // then. It returns out on exactly rows: out itself, or a copy of them when
 // out runs on more.
+//
+// Before it computes anything it notes on each node the last of these ops
+// that reads it (Node.last), out being read after all of them: that op may
+// write over the value or, on an inference tape, release it (see reuse). A
+// value read after its Run by anything else — code, or the ops of a later
+// Run — must be pinned (Pin, Use).
 func (t *Tape) Run(out *Node, rows []int) *Node {
 	t.planning = false
 	todo := t.nodes[t.ran:]
@@ -46,6 +55,13 @@ func (t *Tape) Run(out *Node, rows []int) *Node {
 			}
 		}
 	}
+	for _, n := range todo {
+		i := n.seq - 1
+		for _, p := range n.parents {
+			p.each(func(q *Node) { q.last = i })
+		}
+	}
+	out.each(func(q *Node) { q.last = afterRun })
 	for _, n := range todo {
 		t.exec(n)
 	}
@@ -222,9 +238,9 @@ func (t *Tape) positions(p *Node, rows []int) []int {
 
 // in makes input k of n the input itself when it holds exactly the rows n
 // needs of it, else a restriction of it to those (Head or GatherRows), which
-// n's backward rule reads as its parent. A restriction has no plan step: n may
-// write over it (reuse), an inference tape releases it after n unless n is a
-// view, and its source's read counts as n's.
+// n's backward rule reads as its parent. A restriction is no recorded node: n
+// may write over it (reuse), an inference tape releases it after n unless n
+// is a view, and its source's read counts as n's.
 func (t *Tape) in(n *Node, k int) {
 	p, need := n.parents[k], t.needs(n, k)
 	if need == nil {
@@ -372,6 +388,20 @@ func (t *Tape) exec(n *Node) {
 	case opConcatCols:
 		t.view(n, count(n.rows, n.lrows), ps[0], ps[1])
 		v = n.Value
+	case opHead:
+		// The leading rows of a, which holds n's rows first: a view of a
+		// view's parts, else a copy, or the head of a's buffer when n reads a
+		// last (see reuse).
+		k, a := count(n.rows, n.lrows), ps[0]
+		if a.view() {
+			t.view(n, k, a, nil)
+			v = n.Value
+		} else if m := t.reuse(n, 1); m != nil {
+			v = tensor.FromSlice(k, m.Cols, m.Data[:k*m.Cols])
+		} else {
+			v = tensor.NewUninit(k, n.lcols)
+			copy(v.Data, a.Value.Data)
+		}
 	case opGatherRows:
 		if ps[0].rows != nil || n.rows != nil {
 			t.ints = append(t.ints[:0], t.gathered(n)...)

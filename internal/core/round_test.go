@@ -317,7 +317,7 @@ func TestRoundMetersWithinCeilings(t *testing.T) {
 			opt.ZeroGrad()
 			return floats
 		}
-		metered(true) // warm: plan learned, parameter gradients allocated
+		metered(true) // warm: parameter gradients allocated, the pool filled
 		fwd := metered(false)
 		bwd := metered(true) - fwd
 		t.Logf("%s: forward and loss %d floats, backward %d", c.kind, fwd, bwd)
@@ -431,8 +431,8 @@ func (m activeOut) Forward(tp *autodiff.Tape, v dgnn.View) *autodiff.Node {
 
 // A warm DCRNN round A meters the same floats whether the round before it was
 // A or a round B of the same union shape whose forward returns every active
-// row: the rows a round reads change the rows each op runs on, never the op
-// list the tape's in-place plan is learned from. A's losses read an isolated
+// row: the rows a round reads change the rows each op runs on, and the round
+// before changes nothing. A's losses read an isolated
 // center (31, labeled); B has an isolated center in its place that no loss
 // reads (35, unlabeled), so B's rows are exactly the active ones.
 func TestRoundWarmPlanSurvivesChangingRows(t *testing.T) {

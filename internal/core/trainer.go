@@ -207,13 +207,16 @@ func (t *Trainer) evalRound(r *round, apply bool) {
 	r.trained = t.finish(emb, &r.mat, r.units, apply, &clock)
 }
 
-// finish builds the stacked loss of m over emb, reads each unit's utility off
-// it, backpropagates when apply is set, and releases the tape.
+// finish builds the stacked loss of m over emb, planned so that its row-local
+// head ops write in place, reads each unit's utility off it, backpropagates
+// when apply is set, and releases the tape.
 func (t *Trainer) finish(emb *autodiff.Node, m *material, units []Unit, apply bool, clock *time.Time) bool {
 	tp := t.tape
+	tp.Plan()
 	total := t.buildLoss(tp, emb, m)
 	trained := total != nil
 	if trained {
+		total = tp.Run(total, nil)
 		for i := range units {
 			if units[i].OK {
 				units[i].Utility = total.Value.Data[i]

@@ -68,8 +68,8 @@ func sameStateBits(t *testing.T, what string, a, b []StateDump) {
 // forward returns — bit for bit — the wanted nodes' rows of the whole-region
 // forward on the ascending subgraph (DirtyView over Induced, what the engine
 // ran before), commits the same recurrent state for them and touches no other
-// state row; and a second identical pass, on the release plan the first one
-// taught the inference tape, agrees with the first.
+// state row; and a second identical pass on the same inference tape agrees
+// with the first.
 func TestDemandOrderMatchesWholeRegion(t *testing.T) {
 	const featDim, hidden = 3, 5
 	for _, k := range Kinds() {

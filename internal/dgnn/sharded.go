@@ -20,10 +20,10 @@ import (
 // An incremental forward works in a hop-ordered region it lays out and an
 // inference tape it runs on. Each ForwardPart borrows one of each for its
 // duration, so concurrent parts share neither, and a warm one brings back the
-// region's arrays, or the tape's node shells and learned plan.
+// region's arrays, or the tape's node shells.
 var (
 	partRegions = sync.Pool{New: func() any { return new(graph.Region) }}
-	partTapes   = autodiff.NewTapePool()
+	partTapes   = sync.Pool{New: func() any { return autodiff.NewInferenceTape() }}
 )
 
 // ShardForward is one shard's slice of a sharded incremental forward.
@@ -114,7 +114,7 @@ func ForwardPart(g *graph.Dynamic, m Model, s int, nodes, exact []int) ShardForw
 	if len(nodes) == 0 {
 		return res
 	}
-	region, tp := partRegions.Get().(*graph.Region), partTapes.Get()
+	region, tp := partRegions.Get().(*graph.Region), partTapes.Get().(*autodiff.Tape)
 	res.IDs = IntersectSorted(exact, nodes)
 	region.Build(g, nodes, res.IDs, m.Layers())
 	v := RegionView(region)

@@ -57,10 +57,10 @@ func NewConvGRUCell(newConv func() Module) *ConvGRUCell {
 // Apply advances the cell: conv is invoked with each gate's conv module and
 // the gate input. [x|h] and [x|r∘h] are views over x, h and r∘h, which the
 // convolutions read where they are; their backward gives a part its block
-// only where it needs one. On a warm tape every gate activation writes over
-// its convolution's output, and on a warm inference tape every term of the
-// update over an operand it reads last, where a recording tape keeps the
-// ones a backward rule reads.
+// only where it needs one. Planned, every gate activation writes over its
+// convolution's output, and on an inference tape every term of the update
+// over an operand it reads last, where a recording tape keeps the ones a
+// backward rule reads.
 func (c *ConvGRUCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.Node) *autodiff.Node, x, h *autodiff.Node) *autodiff.Node {
 	xh := tp.ConcatCols(x, h)
 	z := tp.Sigmoid(conv(c.convZ, xh))
@@ -87,11 +87,10 @@ func NewConvLSTMCell(newConv func() Module) *ConvLSTMCell {
 
 // Apply advances the cell, returning new hidden and cell state: every gate
 // convolves [x|h], a view over x and h that the four products read where they
-// are. On a warm tape every gate activation writes over its convolution's
-// output. On a warm inference tape every product also writes over the gate it
-// reads, which a recording tape keeps for the product's backward rule;
-// tanh(cellNew) gets a buffer of its own where the model keeps cellNew as
-// state.
+// are. Planned, every gate activation writes over its convolution's output,
+// and on an inference tape every product also writes over the gate it reads,
+// which a recording tape keeps for the product's backward rule; tanh(cellNew)
+// gets a buffer of its own where the model keeps cellNew as state.
 func (c *ConvLSTMCell) Apply(tp *autodiff.Tape, conv func(m Module, x *autodiff.Node) *autodiff.Node, x, h, cell *autodiff.Node) (hNew, cellNew *autodiff.Node) {
 	xh := tp.ConcatCols(x, h)
 	i := tp.Sigmoid(conv(c.convI, xh))

@@ -74,9 +74,9 @@ func sameBits(a, b *tensor.Matrix) bool {
 
 // The diffusion convolution on the active block against the dense reference,
 // over graphs from every row active to none: value, every weight and bias
-// gradient and the input gradient on a recording tape, and the value on an
-// inference tape reused for three passes with pooling on, so that from the
-// second pass the learned plan recycles each intermediate at its last use.
+// gradient and the input gradient on a recording tape, and the value of a
+// planned forward on an inference tape reused for three passes with pooling
+// on, which recycles each intermediate at its last use.
 func TestDiffusionConvMatchesDenseReference(t *testing.T) {
 	const n, in, out, K = 60, 5, 4, 2
 	for _, isolated := range []float64{0, 0.5, 0.97, 1} {
@@ -129,8 +129,9 @@ func TestDiffusionConvMatchesDenseReference(t *testing.T) {
 				want := denseDiffusionConv(ref, c, xc, denseHops(ref, fwd, rev, xc, K)).Value
 				tp := autodiff.NewInferenceTape()
 				for pass := 0; pass < 3; pass++ {
+					tp.Plan()
 					x := tp.OwnedConstant(xm.Clone())
-					got := tp.Detach(c.ApplyDiffused(tp, Diffuse(tp, p, x, K)))
+					got := tp.Detach(tp.Run(c.ApplyDiffused(tp, Diffuse(tp, p, x, K)), nil))
 					tp.Release()
 					if !sameBits(want, got) {
 						t.Fatalf("inference pass %d: value differs from the dense reference", pass)
@@ -166,6 +167,7 @@ func TestDiffusionConvWantedRowsMatchEveryRow(t *testing.T) {
 				}
 				d := Diffuse(tp, p, x, K)
 				y := tp.GatherRows(c1.ApplyDiffused(tp, d), want)
+				tp.Pin(y) // read after Backward, which Tanh may write over
 				loss := tp.Add(mse(tp, tp.Tanh(y), target), tp.Mean(tp.Tanh(c2.ApplyDiffused(tp, d))))
 				tp.Backward(loss)
 				outs := []*tensor.Matrix{y.Value}

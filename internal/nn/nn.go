@@ -135,7 +135,7 @@ func Diffuse(tp *autodiff.Tape, p *tensor.Diffusion, x *autodiff.Node, k int) Di
 // reverse. The hop-0 terms cover every row; the hop terms are added on the
 // active rows alone and scattered back, since an inactive row's hop inputs are
 // zero and its sum is the hop-0 value bit for bit (DESIGN.md §8). Every op
-// after the first product reads its running sum last, so on a warm tape the
+// after the first product reads its running sum last, so when planned the
 // conv draws one buffer for the rows and one for their active ones: each
 // MatMulAcc adds into its sum, the scatter writes into the hop-0 sum and the
 // bias is added where the scatter left it.

@@ -295,6 +295,7 @@ func TestGCNConvWantedRowsMatchEveryRow(t *testing.T) {
 					tp.Plan()
 				}
 				y := tp.GatherRows(c1.Apply(tp, adj, x), want)
+				tp.Pin(y) // read after Backward, which Tanh may write over
 				loss := tp.Add(mse(tp, tp.Tanh(y), target), tp.Mean(tp.Tanh(c2.Apply(tp, adj, x))))
 				tp.Backward(loss)
 				outs := []*tensor.Matrix{y.Value}
@@ -333,6 +334,8 @@ func TestConvLSTMCellWantedRowsMatchEveryRow(t *testing.T) {
 				conv := func(m Module, in *autodiff.Node) *autodiff.Node { return m.(*GCNConv).Apply(tp, adj, in) }
 				hNew, cNew := cell.Apply(tp, conv, x, h, autodiff.Constant(cm.Clone()))
 				hNew, cNew = tp.GatherRows(hNew, want), tp.GatherRows(cNew, want)
+				tp.Pin(hNew) // read after Backward, as cNew, which Tanh may write over
+				tp.Pin(cNew)
 				loss := tp.Add(mse(tp, hNew, target), tp.Mean(tp.Tanh(cNew)))
 				tp.Backward(loss)
 				outs := []*tensor.Matrix{hNew.Value, cNew.Value}

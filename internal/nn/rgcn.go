@@ -39,11 +39,6 @@ func NewRGCNConv(rng *rand.Rand, in, out, relations int) *RGCNConv {
 // relation takes part is decided on its whole adjacency, so one whose rows
 // read happen to be empty still adds its +0 rows.
 func (c *RGCNConv) Apply(tp *autodiff.Tape, typed []*tensor.CSR, x *autodiff.Node) *autodiff.Node {
-	// Which relations read x changes with the data, so x is pinned (part by
-	// part, when it is a concatenation): an inference tape that learned its
-	// last reader from a pass with fewer live relations would release it under
-	// the readers a later pass adds.
-	tp.Pin(x)
 	sum := tp.MatMul(x, c.Self)
 	for r, w := range c.Rel {
 		if r >= len(typed) || typed[r].NNZ() == 0 {

@@ -346,7 +346,7 @@ type Engine struct {
 
 	step int
 	// inferTape runs the step loop's full forward; it is long-lived so its
-	// node shells and learned plan carry over from step to step. Splices run
+	// node shells carry over from step to step. Splices run
 	// on tapes dgnn.ForwardPart borrows. See autodiff.NewInferenceTape.
 	inferTape *autodiff.Tape
 	lastEmb   *tensor.RowView // this step's embeddings, frozen for every reader
