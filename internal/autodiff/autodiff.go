@@ -16,19 +16,23 @@
 // it computes any, and a row-local op (or a product by a square matrix) that
 // reads an operand for the last time writes its result over that operand's
 // buffer instead of drawing one — on a recording tape only where no backward
-// rule reads the operand's value (see reuse). Forwards that will never run
-// Backward — the engine's per-step inference — use an inference tape
-// (NewInferenceTape): the same ops compute the same values but record
-// nothing, and the tape also hands each intermediate buffer back to the
-// tensor pool at its last use. Ops recorded outside Plan … Run compute at
-// once and do neither.
+// rule reads the operand's value (see reuse). A recording tape gives every
+// other buffer back to its own pass once nothing reads it: a value after its
+// last reader, forward or backward, and an interior gradient once its rule
+// has run; the pass draws from those first (see NewTape). Forwards that will
+// never run Backward — the engine's per-step inference — use an inference
+// tape (NewInferenceTape): the same ops compute the same values but record
+// nothing, and the tape hands each intermediate buffer back to the tensor
+// pool at its last use. Ops recorded outside Plan … Run compute at once and
+// neither write over nor give back a value in the forward.
 //
 // A concatenation (ConcatCols) is a view over its operands, never a copy: the
-// products' left factors, SpMM, GatherRows, Head and ConcatCols read its parts
-// where they are, any other reader panics, and its gradient is kept per part,
-// for the parts that need one (see Node.parts). A read of a view is a read of each
-// part, for last uses as for the kernels; Pin pins a view part by part.
-// A forward read on some of its rows runs each op on those rows (plan.go).
+// products' left factors, SpMM, GatherRows, ConcatCols and a restriction to
+// leading rows (plan.go) read its parts where they are, any other reader
+// panics, and its gradient is kept per part, for the parts that need one (see
+// Node.parts). A read of a view is a read of each part, for last uses as for
+// the kernels; Pin pins a view part by part. A forward read on some of its
+// rows runs each op on those rows (plan.go).
 package autodiff
 
 import (
@@ -67,7 +71,7 @@ const (
 	opSum
 	opMatMulAcc
 	opScatterRows
-	opHead
+	opHead // a restriction to leading rows (plan.go)
 )
 
 // Node is one value in the computation graph.
@@ -98,7 +102,8 @@ type Node struct {
 	auxF    float64
 	auxInts []int
 
-	// parts makes the node a view (ConcatCols, and a Head of a view): its
+	// parts makes the node a view (ConcatCols, and a restriction of a view to
+	// leading rows): its
 	// value is the leading Value.Rows rows of these operands side by side,
 	// nested concatenations flattened, read where they are, and Value is a
 	// shape with no data of its own. mats holds the parts' values for the
@@ -112,14 +117,15 @@ type Node struct {
 	// the ascending rows of it Value holds, nil for all; need (or needAll)
 	// what its readers asked for. pending marks a node not computed yet. last
 	// is the index of the last op of its Run that reads it (0: none; afterRun:
-	// Run's caller), and pinned marks a Pin, a Use or a backward rule's read
-	// of it (see reuse). src is the node a restriction reads rows of (see in); fill draws
-	// an Input's rows; use reads a Use's, useRows.
+	// Run's caller), reads the number of backward rules recorded and not yet
+	// run that read its value (tally), and pinned marks a Pin or a Use of it
+	// (see reuse). src is the node a restriction reads rows of (see in); fill
+	// draws an Input's rows; use reads a Use's, useRows.
 	lrows, lcols int
 	rows, need   []int
 	needAll      bool
 	pending      bool
-	last         int32
+	last, reads  int32
 	pinned       bool
 	src          *Node
 	fill         func(rows []int, dst *tensor.Matrix)
@@ -146,6 +152,12 @@ type Tape struct {
 	noGrad bool
 	into   *Node
 
+	// spare holds the buffers a recording tape's pass gave back (keep) and
+	// has not drawn again (draw); tops maps a length to 1 + the index of the
+	// last one of that length kept, 0 for none.
+	spare []spareBuf
+	tops  map[int]int
+
 	// planning is set by Plan and cleared by Run, which computes nodes[ran:].
 	// restrictions holds the nodes in made (see in), residuals MSESeg's, uses
 	// the reads Use defers, cuts the SpMM blocks made (see block); the rest is
@@ -160,11 +172,26 @@ type Tape struct {
 	marks        []bool
 }
 
+// spareBuf is a buffer on the spare list, and 1 + the index of the one of
+// its length kept before it (0: none).
+type spareBuf struct {
+	data []float64
+	next int
+}
+
 // NewTape returns an empty recording tape, for forwards that run Backward.
-// Every value lives until Release, so the backward rules can read it — but a
-// planned op gives a row-local result the buffer of an operand it reads last,
-// and Backward a value's first gradient the value's buffer, unless a backward
-// rule reads that value (ruleReads, which pins it, as Pin does).
+// A value lives as long as something may read it, and each buffer then goes
+// to the tape's spare list, from which every later draw of the pass takes one
+// of its exact length before it asks the pool (draw): a planned op's operand
+// after the op that reads it last in its Run, unless a backward rule reads
+// it (ruleReads) — a row-local op writes its result over such an operand
+// instead (reuse) —, a value after the last backward rule that reads it, and
+// an interior gradient once its own rule has run. A recorded leaf, a view,
+// the value Run returns and whatever Pin or Use pinned are never given back
+// in the forward, and after Backward only pinned values, their gradients and
+// the parameters' gradients are sure to remain. The arithmetic is the same
+// whichever buffer a result lands in, so every value and gradient keeps its
+// bits.
 func NewTape() *Tape { return &Tape{} }
 
 // NewInferenceTape returns a tape in inference (no-grad) mode, for forwards
@@ -183,7 +210,8 @@ func NewTape() *Tape { return &Tape{} }
 // A row-local op writes over a dying operand rather than release it right
 // after allocating a buffer of its shape (see reuse), with the allocating
 // op's arithmetic, so every value is bit-identical. A recording tape writes
-// in place the same way but releases nothing before Release.
+// in place the same way and keeps what it gives back for its own pass (see
+// NewTape).
 //
 // Ownership rule: every buffer has one owner, the one node whose Value it is,
 // so Release hands each back exactly once. Nothing may hold a tape value past
@@ -216,13 +244,21 @@ func (t *Tape) Release() {
 			clear(n.parents)
 			n.parts, n.mats, n.grads, n.parents, n.need = n.parts[:0], n.mats[:0], n.grads[:0], n.parents[:0], n.need[:0]
 			n.Value, n.Grad, n.aux, n.auxCSR, n.src, n.fill, n.use, n.rows, n.useRows = nil, nil, nil, nil, nil, nil, nil, nil, nil
-			n.op, n.seq, n.last, n.needAll, n.pending, n.pinned = opNone, 0, 0, false, false, false
+			n.op, n.seq, n.last, n.reads, n.needAll, n.pending, n.pinned = opNone, 0, 0, 0, false, false, false
 		}
 		t.free = append(t.free, ns...)
 	}
 	for _, m := range t.residuals {
 		tensor.Recycle(m)
 	}
+	for _, b := range t.spare {
+		if b.data != nil {
+			tensor.Recycle(&tensor.Matrix{Data: b.data})
+		}
+	}
+	clear(t.spare)
+	clear(t.tops)
+	t.spare = t.spare[:0]
 	clear(t.restrictions)
 	clear(t.uses)
 	clear(t.cuts)
@@ -234,18 +270,12 @@ func (t *Tape) Release() {
 // Detach takes n's value out of the tape's ownership and returns it: Release
 // will not recycle it. The engine detaches the output of an inference forward
 // before releasing the tape, because the embedding store and the serving
-// snapshots keep aliasing that matrix. A value that is the head of a longer
-// buffer (a Head may take its parent's) is copied out instead, so the longer
-// buffer goes back to the pool at Release.
+// snapshots keep aliasing that matrix.
 func (t *Tape) Detach(n *Node) *tensor.Matrix {
 	m := n.read("Detach").Value
-	if n.seq == 0 {
-		return m
+	if n.seq != 0 {
+		n.Value = nil
 	}
-	if tensor.Oversized(m) {
-		return m.Clone()
-	}
-	n.Value = nil
 	return m
 }
 
@@ -269,8 +299,8 @@ func (t *Tape) Use(n *Node, rows []int, read func(*tensor.Matrix)) {
 // for a value read after the last op that consumes it in its Run, by code or
 // by the ops of a later Run. Pin it before the Run that computes it, or at
 // least before that Run's last reader of it. A pinned value is neither
-// released early nor written over, on either kind of tape, nor given to its
-// gradient (take).
+// released early nor written over, on either kind of tape, and on a
+// recording tape it keeps its gradient past Backward.
 func (t *Tape) Pin(n *Node) {
 	gone := func(q *Node) bool { return q.seq != 0 && (q.Value == nil || q.Value.Data == nil) }
 	if !n.pending && (!n.view() && gone(n) || slices.ContainsFunc(n.parts, gone)) {
@@ -299,9 +329,7 @@ func (n *Node) each(f func(*Node)) {
 
 // view reports whether n is a view over parts (see Node.parts), or will be
 // once computed.
-func (n *Node) view() bool {
-	return len(n.parts) > 0 || n.pending && (n.op == opConcatCols || n.op == opHead && n.parents[0].view())
-}
+func (n *Node) view() bool { return len(n.parts) > 0 || n.pending && n.op == opConcatCols }
 
 // shape returns n's shape on every row, whether or not it is computed.
 func (n *Node) shape() (rows, cols int) { return n.lrows, n.lcols }
@@ -322,7 +350,7 @@ func (n *Node) concat() tensor.Concat { return tensor.Concat{Rows: n.Value.Rows,
 // of a view, even one not computed yet, it panics before op is recorded.
 func (n *Node) read(op string) *Node {
 	if n.view() {
-		panic("autodiff: " + op + " cannot read a concatenation view; only MatMul's left factor, MatMulAcc's x, SpMM, GatherRows, Head and ConcatCols can")
+		panic("autodiff: " + op + " cannot read a concatenation view; only MatMul's left factor, MatMulAcc's x, SpMM, GatherRows and ConcatCols can")
 	}
 	return n
 }
@@ -398,9 +426,10 @@ func (t *Tape) Input(rows, cols int, fill func(rows []int, dst *tensor.Matrix)) 
 }
 
 // record ends the computation of n with its value v: it moves to n the buffer
-// of the input the op wrote into (see reuse) and pins what n's backward rule
-// reads (ruleReads). An inference tape releases the inputs n reads last, and
-// n's restrictions (see in), and keeps no op kind and no parents.
+// of the input the op wrote into (see reuse) and counts what n's backward
+// rule reads (ruleReads, tally). The inputs n reads last and n's restrictions
+// (see in) give their buffers up (drop). An inference tape keeps no op kind
+// and no parents.
 func (t *Tape) record(n *Node, v *tensor.Matrix) {
 	if p := t.into; p != nil {
 		// The output gets a header of its own and the input's goes stale, as
@@ -420,57 +449,131 @@ func (t *Tape) record(n *Node, v *tensor.Matrix) {
 	in, out := t.ruleReads(n)
 	for k, p := range n.parents {
 		if in[k] {
-			p.each(pin)
+			t.tally(p, 1)
 		}
 	}
 	if out {
-		n.each(pin)
-	}
-	if !t.noGrad {
-		return
+		t.tally(n, 1)
 	}
 	// A read of a view is a read of each of its parts, and a read of a
-	// restriction one of its source. An op that makes a view releases none of
-	// them: the view's value holds from its creation on, as any op's does.
-	i := n.seq - 1
-	if n.op != opConcatCols && (n.op != opHead || !n.view()) {
+	// restriction one of its source. An op that makes a view gives none of
+	// them up: the view's value holds from its creation on, as any op's does.
+	if !n.view() {
+		i := n.seq - 1
 		for _, p := range n.parents {
 			for _, q := range [...]*Node{p, p.src} {
-				if q != nil {
-					q.each(func(r *Node) { r.release(i) })
+				if q == nil {
+					continue
 				}
+				t.retire(q, i)
+				for _, r := range q.parts {
+					t.retire(r, i)
+				}
+			}
+			if p.seq == -1 && !p.view() {
+				t.drop(p)
 			}
 		}
 	}
-	for _, p := range n.parents {
-		if p.seq == -1 && !p.view() && !n.view() {
-			tensor.Recycle(p.Value)
-			p.Value = nil
-		}
+	if t.noGrad {
+		n.op, n.parents = opNone, n.parents[:0]
 	}
-	n.op, n.parents = opNone, n.parents[:0]
 }
 
-// pin keeps n's value from being released early, written over or given to
-// its gradient.
+// pin keeps n's value from being given up early or written over.
 func pin(n *Node) { n.pinned = true }
 
-// release recycles n's buffer, on an inference tape, when op i is the last
-// that reads it and nobody pinned it. A later read of a recycled or
-// written-over value — a read outside the ops of its Run, of a value nobody
-// pinned — fails loudly on the missing data rather than computing on
-// recycled storage.
-func (n *Node) release(i int32) {
-	if n.Value != nil && n.last == i && !n.pinned {
-		tensor.Recycle(n.Value)
-		n.Value = nil
+// retire drops q, a value this tape recorded, when op i is the last that
+// reads it and nobody pinned it. A later read of a value given up or written
+// over — a read outside the ops of its Run, of a value nobody pinned — fails
+// loudly on the missing data rather than computing on reused storage.
+func (t *Tape) retire(q *Node, i int32) {
+	if q.seq > 0 && q.last == i && !q.pinned && q.Value != nil {
+		t.drop(q)
 	}
+}
+
+// drop gives q's buffer up: to the tensor pool on an inference tape, which
+// keeps no header; on a recording tape to the spare list (keep), once no
+// backward rule still reads q and if q is an op's output or a restriction's
+// copy — a recorded leaf may share its buffer with a Constant, as a view's
+// features do.
+func (t *Tape) drop(q *Node) {
+	switch {
+	case t.noGrad:
+		tensor.Recycle(q.Value)
+		q.Value = nil
+	case q.reads == 0 && q.op != opNone:
+		t.keep(q.Value)
+	}
+}
+
+// tally adds d to the reads of each buffer a backward rule's read of n reads:
+// n's own, when n is a value this tape recorded or a restriction's copy, and
+// a view's parts'. A read taken off (d < 0) after the rule ran drops the
+// buffers no rule reads any more that nobody pinned.
+func (t *Tape) tally(n *Node, d int32) {
+	if n.seq > 0 || n.seq == -1 && !n.view() {
+		t.count(n, d)
+	}
+	for _, q := range n.parts {
+		if q.seq > 0 {
+			t.count(q, d)
+		}
+	}
+}
+
+// count adds d to q's reads, dropping q when a read taken off was its last.
+func (t *Tape) count(q *Node, d int32) {
+	if q.reads += d; d < 0 && q.reads == 0 && !q.pinned {
+		t.drop(q)
+	}
+}
+
+// keep gives m's buffer to the spare list, for a later draw of this pass,
+// and leaves m its shape with no data, as an input an op wrote over is left.
+func (t *Tape) keep(m *tensor.Matrix) {
+	if m == nil || len(m.Data) == 0 {
+		return
+	}
+	if t.tops == nil {
+		t.tops = map[int]int{}
+	}
+	k := len(m.Data)
+	t.spare = append(t.spare, spareBuf{m.Data, t.tops[k]})
+	t.tops[k] = len(t.spare)
+	m.Data = nil
+}
+
+// draw returns a rows×cols matrix to write every element of before reading
+// any: over the buffer of exactly its length the pass kept last (keep), or
+// over one from the pool, metered, when none is left.
+func (t *Tape) draw(rows, cols int) *tensor.Matrix {
+	k := rows * cols
+	if i := t.tops[k]; i > 0 {
+		b := &t.spare[i-1]
+		t.tops[k] = b.next
+		s := b.data
+		b.data = nil
+		return tensor.FromSlice(rows, cols, s)
+	}
+	return tensor.NewUninit(rows, cols)
+}
+
+// zeros is draw zero-filled.
+func (t *Tape) zeros(rows, cols int) *tensor.Matrix {
+	m := t.draw(rows, cols)
+	clear(m.Data)
+	return m
 }
 
 // ruleReads is the table of values the backward rule of n reads, on a
 // recording tape: which inputs, and whether its own output. Every rule not
 // listed reads shapes alone. A weight rule reads the parts of a view left
-// factor, MatMulAcc's sum among them if x holds it.
+// factor, MatMulAcc's sum among them if x holds it. record counts these reads
+// (tally) and Backward takes them off after the rule, which is what keeps a
+// value's buffer until its last backward reader; a pin is only ever a
+// caller's (Pin, Use).
 func (t *Tape) ruleReads(n *Node) (in [3]bool, out bool) {
 	if t.noGrad {
 		return in, false
@@ -491,19 +594,19 @@ func (t *Tape) ruleReads(n *Node) (in [3]bool, out bool) {
 }
 
 // reuse returns the buffer n, an op about to be computed, may write its
-// result into: that of the first of its leading cands inputs that nobody
-// pinned — with Pin, or by a backward rule that reads it (ruleReads), n's own
-// included — and that no later op reads: a restriction drawn for n alone (see
-// in), or a value the tape owns whose last reader in its Run is n, so no
-// later op can tell whether its buffer was written over or released. A read
-// of a view counts as a read of its parts, so no part is written over while
-// a view of it is read later. The op must take every element of the result
-// from the same element (or, for Head, row; a square MatMul copies each row
-// out first) of that input, not read others after writing; an input it also reads as a
-// non-candidate does not qualify (MatMulAcc's x may hold sum as a part: it
-// assembles a row of x before it writes that row). A candidate is never a
-// view (MatMul offers a dense left factor alone). record moves the buffer to
-// n. nil means the op allocates.
+// result into: that of the first of its leading cands inputs that no backward
+// rule reads (reads, and n's own rule: ruleReads), nobody pinned (Pin, Use)
+// and no later op reads: a restriction drawn for n alone (see in), or a value
+// the tape owns whose last reader in its Run is n, so no later op can tell
+// whether its buffer was written over or given up. A read of a view counts
+// as a read of its parts, so no part is written over while a view of it is
+// read later. The op must take every element of the result from the same
+// element (a square MatMul copies each row out first) of that input, not read
+// others after writing; an input it also reads as a non-candidate does not
+// qualify (MatMulAcc's x may hold sum as a part: it assembles a row of x
+// before it writes that row). A candidate is never a view (MatMul offers a
+// dense left factor alone). record moves the buffer to n. nil means the op
+// draws one (dst).
 func (t *Tape) reuse(n *Node, cands int) *tensor.Matrix {
 	ps := n.parents
 	reads, _ := t.ruleReads(n)
@@ -511,7 +614,7 @@ func (t *Tape) reuse(n *Node, cands int) *tensor.Matrix {
 		if p.Value == nil || reads[k] || slices.Contains(ps[cands:], p) {
 			continue
 		}
-		if p.seq == -1 && !p.view() || p.seq > 0 && p.last == n.seq-1 && !p.pinned {
+		if p.seq == -1 && !p.view() || p.seq > 0 && p.last == n.seq-1 && p.reads == 0 && !p.pinned {
 			t.into = p
 			return p.Value
 		}
@@ -519,13 +622,25 @@ func (t *Tape) reuse(n *Node, cands int) *tensor.Matrix {
 	return nil
 }
 
+// dst returns the buffer n writes its rows×cols result into: that of one of
+// its leading cands inputs (reuse), else one drawn (draw).
+func (t *Tape) dst(n *Node, cands, rows, cols int) *tensor.Matrix {
+	if m := t.reuse(n, cands); m != nil {
+		return m
+	}
+	return t.draw(rows, cols)
+}
+
 // ensureGrad returns the buffer a gradient contribution to n is added into:
-// n's own Grad, zero-filled on first use, which for interior nodes is private
-// to the tape. It clears the zeroed mark: the caller adds into the buffer.
-// Callers have already checked n.requiresGrad.
-func ensureGrad(n *Node) *tensor.Matrix {
-	if n.Grad == nil {
+// n's own Grad, zero-filled on first use — from the pool for a parameter,
+// whose Grad outlives the tape, as the pass draws (draw) for an interior
+// node, whose Grad is private to the tape. It clears the zeroed mark: the
+// caller adds into the buffer. Callers have already checked n.requiresGrad.
+func (t *Tape) ensureGrad(n *Node) *tensor.Matrix {
+	if n.Grad == nil && n.seq == 0 {
 		n.Grad = tensor.New(n.Value.Rows, n.Value.Cols)
+	} else if n.Grad == nil {
+		n.Grad = t.zeros(n.Value.Rows, n.Value.Cols)
 	}
 	n.zeroed = false
 	return n.Grad
@@ -533,14 +648,18 @@ func ensureGrad(n *Node) *tensor.Matrix {
 
 // Backward runs reverse-mode differentiation from root, which must be a
 // scalar (1x1) node produced by this tape. Every reachable parameter's
-// gradient is added into its Grad. An interior node's Grad is its gradient,
-// unless its rule handed the buffer down to an operand, which leaves it nil
-// (see runBack). Ops recorded and not yet computed run first (Run). A tape
-// runs one backward per pass: a second one before Release panics.
+// gradient is added into its Grad. Ops recorded and not yet computed run
+// first (Run). A tape runs one backward per pass: a second one before
+// Release panics.
 //
-// Afterwards a recorded value that no backward rule read and nobody pinned
-// (Pin, Use) may be gone, its Data nil: its gradient took its buffer (take).
-// Read such a value before Backward, or pin it.
+// At each node's turn, its rule run or not (a node no gradient reached),
+// the reads of its rule are taken off the values it reads (tally): a value
+// no rule reads any more gives its buffer to the spare list, for the draws
+// that follow (see NewTape), and so does the node's own gradient — its Grad,
+// or a view's blocks — once its rule has run. A pinned node (Pin, Use) keeps
+// both. Afterwards, then, only pinned values, their gradients and the
+// parameters' gradients are sure to remain: read any other value before
+// Backward, or pin it.
 func (t *Tape) Backward(root *Node) {
 	if t.noGrad {
 		panic("autodiff: Backward on an inference tape")
@@ -573,11 +692,29 @@ func (t *Tape) Backward(root *Node) {
 	for _, n := range t.order {
 		n.visited = false
 	}
-	ensureGrad(root)
+	t.ensureGrad(root)
 	root.Grad.Data[0] = 1
 	for i := len(t.order) - 1; i >= 0; i-- {
-		if n := t.order[i]; n.hasGrad() {
-			n.runBack(t)
+		n := t.order[i]
+		in, out := t.ruleReads(n)
+		if n.hasGrad() {
+			n.runBack(t, &in)
+		}
+		for k, p := range n.parents {
+			if in[k] {
+				t.tally(p, -1)
+			}
+		}
+		if out {
+			t.tally(n, -1)
+		}
+		if !n.pinned {
+			t.keep(n.Grad)
+			n.Grad = nil
+			for k, g := range n.grads {
+				t.keep(g)
+				n.grads[k] = nil
+			}
 		}
 	}
 }
@@ -598,21 +735,21 @@ func fresh(n *Node) bool { return n.seq != 0 && n.Grad == nil }
 // otherwise. The rule may read g afterwards, as long as whatever it then
 // writes into p's gradient (when p is an operand twice over) it writes
 // element by element after reading that element of g.
-func (out *Node) pass(p *Node, g *tensor.Matrix) {
+func (t *Tape) pass(out, p *Node, g *tensor.Matrix) {
 	if fresh(p) {
 		p.Grad, out.Grad = g, nil
 		return
 	}
-	tensor.AddInPlace(ensureGrad(p), g)
+	tensor.AddInPlace(t.ensureGrad(p), g)
 }
 
 // elementwise returns where an elementwise rule writes its contribution to p,
 // and whether it adds: g itself, which the rule overwrites and which is
 // handed down, when p is fresh; p's gradient, to add into, otherwise. Call it
 // after every other read of g in the rule.
-func (out *Node) elementwise(p *Node) (dst *tensor.Matrix, add bool) {
+func (t *Tape) elementwise(out, p *Node) (dst *tensor.Matrix, add bool) {
 	if !fresh(p) {
-		return ensureGrad(p), true
+		return t.ensureGrad(p), true
 	}
 	p.Grad, out.Grad = out.Grad, nil
 	return p.Grad, false
@@ -626,59 +763,30 @@ func plus(add bool, o, d float64) float64 {
 	return d
 }
 
-// firstBlock returns where block k of p's first gradient is written, zeroed
-// when zero is set: p's own value buffer, when the tape may take it (take),
-// else one drawn for it.
+// firstBlock returns where block k of p's first gradient is written, drawn
+// as the pass draws (draw) and zeroed when zero is set.
 func (t *Tape) firstBlock(p *Node, k int, zero bool) *tensor.Matrix {
-	m := t.take(p)
-	if m == nil {
-		m = tensor.NewUninit(p.Value.Rows, p.blocks()[k].Cols)
-	}
+	m := t.draw(p.Value.Rows, p.blocks()[k].Cols)
 	if zero {
 		clear(m.Data)
 	}
 	return m
 }
 
-// take returns p's value buffer under a header of its own, for p's first
-// gradient, when nothing reads that value any more: p is an op output this
-// tape recorded — no restriction or copy Run returned; a leaf needs no
-// gradient — that still holds its data (a view holds none, and an input an op
-// wrote over lost it), and neither a backward rule (ruleReads) nor a Pin or
-// Use pinned it. p's value keeps its shape and loses its data, as record
-// leaves an input an op wrote over. nil otherwise.
-func (t *Tape) take(p *Node) *tensor.Matrix {
-	if p.seq <= 0 || p.Value.Data == nil || p.pinned {
-		return nil
-	}
-	m := tensor.FromSlice(p.Value.Rows, p.Value.Cols, p.Value.Data)
-	p.Value.Data = nil
-	return m
-}
-
-// put gives p the contribution m, drawn for this rule: m becomes p's
-// gradient when p is fresh; otherwise it is added in and recycled at once —
-// a temporary is no tape node, so without this it would drain the buffer
-// pool every step.
-func put(p *Node, m *tensor.Matrix) {
-	if fresh(p) {
-		p.Grad = m
-		return
-	}
-	tensor.AddInPlace(ensureGrad(p), m)
-	tensor.Recycle(m)
-}
-
 // dWeight gives w, the right factor of a product x·w, its share xᵀ·g. A
 // gradient of all +0 (none yet, or zeroed) takes the sums straight in: a sum
 // from +0 is never −0, so +0 + s is s. Into any other the share is a
-// temporary added in, as the scatter's sums from +0 fix a parameter's bits.
-func dWeight(w *Node, x tensor.Concat, g *tensor.Matrix) {
+// temporary added in, as the scatter's sums from +0 fix a parameter's bits,
+// and then kept for the pass's next draw of its length.
+func (t *Tape) dWeight(w *Node, x tensor.Concat, g *tensor.Matrix) {
 	if w.Grad == nil || w.zeroed {
-		tensor.MatMulTransAConcatInto(ensureGrad(w), x, g)
+		tensor.MatMulTransAConcatInto(t.ensureGrad(w), x, g)
 		return
 	}
-	put(w, tensor.MatMulTransAConcat(x, g))
+	m := t.zeros(x.Cols(), g.Cols)
+	tensor.MatMulTransAConcatInto(m, x, g)
+	tensor.AddInPlace(w.Grad, m)
+	t.keep(m)
 }
 
 // The rules that read a view's parts write its gradient block by block: one
@@ -694,14 +802,14 @@ func (n *Node) needs(k int) bool {
 
 // slot returns where block k of n's gradient is, and whether it is fresh:
 // the next contribution is written there, not added in (see fresh).
-func (n *Node) slot(k int) (dst **tensor.Matrix, first bool) {
+func (t *Tape) slot(n *Node, k int) (dst **tensor.Matrix, first bool) {
 	if n.view() {
 		return &n.grads[k], n.grads[k] == nil
 	}
 	if fresh(n) {
 		return &n.Grad, true
 	}
-	ensureGrad(n)
+	t.ensureGrad(n)
 	return &n.Grad, false
 }
 
@@ -709,7 +817,7 @@ func (n *Node) slot(k int) (dst **tensor.Matrix, first bool) {
 // as p's gradient when p is fresh, added straight in otherwise. A view's
 // part takes its block g·W[part's rows]ᵀ, whose dot products are the ones
 // g·wᵀ has in those columns; a part that needs no gradient costs nothing.
-func dInput(p *Node, g, w *tensor.Matrix) {
+func (t *Tape) dInput(p *Node, g, w *tensor.Matrix) {
 	off := 0
 	for k, m := range p.blocks() {
 		wk := w.RowRange(off, off+m.Cols)
@@ -717,12 +825,19 @@ func dInput(p *Node, g, w *tensor.Matrix) {
 		if !p.needs(k) {
 			continue
 		}
-		if dst, first := p.slot(k); first {
-			*dst = tensor.MatMulTransB(g, wk)
+		if dst, first := t.slot(p, k); first {
+			*dst = tensor.MatMulTransBTo(t.draw(g.Rows, wk.Rows), g, wk)
 		} else {
 			tensor.MatMulTransBAddTo(*dst, g, wk)
 		}
 	}
+}
+
+// weightFirst reports whether a product x·w runs its weight rule before its
+// input rule: w needs a gradient and is neither x nor one of x's parts, to
+// which the input rule would give shares in another order.
+func weightFirst(x, w *Node) bool {
+	return w.requiresGrad && w != x && !slices.Contains(x.parts, w)
 }
 
 // runBack applies node out's backward rule, giving each parent that requires
@@ -731,9 +846,11 @@ func dInput(p *Node, g, w *tensor.Matrix) {
 //
 // Every gradient buffer is written once and has one owner: a fresh parent's
 // first share is written as its gradient — g itself, handed down, where the
-// rule passes g on unchanged or elementwise; for SpMM's input, Add's b and the
-// sources of GatherRows and Head, into the parent's own value buffer when t
-// may take it (firstBlock) — and later shares are added in.
+// rule passes g on unchanged or elementwise, else a buffer the pass draws
+// (draw) — and later shares are added in. A product's rule runs its weight
+// share first where that share reads the left factor's value last, so the
+// left factor's buffer may hold its own gradient; in[k] is cleared for a
+// read it has taken off already (see Backward).
 // Against adding every share onto zeros only a first share changes, from
 // +0 + s to s, so interior gradients differ at most in the sign of a zero and
 // every parameter gradient, summed onto +0, is bit-identical for finite
@@ -741,36 +858,52 @@ func dInput(p *Node, g, w *tensor.Matrix) {
 //
 // A view keeps its gradient part by part (Node.grads), which the rules of the
 // ops that read views — the products' input rules, SpMM's, GatherRows',
-// Head's and ConcatCols' — write block by block.
-func (out *Node) runBack(t *Tape) {
+// a restriction's to leading rows and ConcatCols' — write block by block.
+func (out *Node) runBack(t *Tape, in *[3]bool) {
 	g := out.Grad
 	switch out.op {
 	case opMatMul:
 		a, b := out.parents[0], out.parents[1]
-		if a.requiresGrad {
-			dInput(a, g, b.Value)
+		early := weightFirst(a, b)
+		if early {
+			t.dWeight(b, a.concat(), g)
+			t.tally(a, -1)
+			in[0] = false
 		}
-		if b.requiresGrad {
-			dWeight(b, a.concat(), g)
+		if a.requiresGrad {
+			t.dInput(a, g, b.Value)
+		}
+		if b.requiresGrad && !early {
+			t.dWeight(b, a.concat(), g)
 		}
 		return
 	case opMatMulAcc:
-		// sum + x·w: Add's rule for sum, then MatMul's for x and w, in the
-		// unfused pair's order. x's add form reads rows of g while it writes
-		// x's gradient, so a sum that is also x takes a copy of g.
+		// sum + x·w: Add's rule for sum, then MatMul's for x and w. x's add
+		// form reads rows of g while it writes x's gradient, so a sum that is
+		// also x takes a copy of g.
 		sum, x, w := out.parents[0], out.parents[1], out.parents[2]
 		if sum.requiresGrad {
 			if sum == x && fresh(sum) {
-				sum.Grad = g.Clone()
+				sum.Grad = t.draw(g.Rows, g.Cols)
+				copy(sum.Grad.Data, g.Data)
 			} else {
-				out.pass(sum, g)
+				t.pass(out, sum, g)
 			}
 		}
-		if x.requiresGrad {
-			dInput(x, g, w.Value)
+		early := weightFirst(x, w)
+		if early {
+			t.dWeight(w, x.concat(), g)
+			t.tally(x, -1)
+			if in[0] {
+				t.tally(sum, -1)
+			}
+			in[0], in[1] = false, false
 		}
-		if w.requiresGrad {
-			dWeight(w, x.concat(), g)
+		if x.requiresGrad {
+			t.dInput(x, g, w.Value)
+		}
+		if w.requiresGrad && !early {
+			t.dWeight(w, x.concat(), g)
 		}
 		return
 	case opSpMM:
@@ -778,12 +911,12 @@ func (out *Node) runBack(t *Tape) {
 		x, off := out.parents[0], 0
 		for k, m := range x.blocks() {
 			if x.needs(k) {
-				if dst, first := x.slot(k); first {
+				if dst, first := t.slot(x, k); first {
 					*dst = tensor.SpMMTransColsInto(t.firstBlock(x, k, false), out.auxCSR, g, off, off+m.Cols)
 				} else {
-					s := tensor.SpMMTransCols(out.auxCSR, g, off, off+m.Cols)
+					s := tensor.SpMMTransColsInto(t.draw(out.auxCSR.NCols, m.Cols), out.auxCSR, g, off, off+m.Cols)
 					tensor.AddInPlace(*dst, s)
-					tensor.Recycle(s)
+					t.keep(s)
 				}
 			}
 			off += m.Cols
@@ -800,7 +933,7 @@ func (out *Node) runBack(t *Tape) {
 			if s == nil || !a.needs(k) {
 				continue
 			}
-			dst, first := a.slot(k)
+			dst, first := t.slot(a, k)
 			if first {
 				*dst = t.firstBlock(a, k, true)
 			}
@@ -816,7 +949,7 @@ func (out *Node) runBack(t *Tape) {
 		for _, p := range out.parents {
 			for j := range p.blocks() {
 				if s := out.grads[k]; s != nil {
-					if dst, first := p.slot(j); first {
+					if dst, first := t.slot(p, j); first {
 						*dst, out.grads[k] = s, nil
 					} else {
 						tensor.AddInPlace(*dst, s)
@@ -831,14 +964,14 @@ func (out *Node) runBack(t *Tape) {
 		// copied into a buffer of its own.
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
-			out.pass(a, g)
+			t.pass(out, a, g)
 		}
 		if b.requiresGrad {
 			if fresh(b) {
 				b.Grad = t.firstBlock(b, 0, false)
 				copy(b.Grad.Data, g.Data)
 			} else {
-				tensor.AddInPlace(ensureGrad(b), g)
+				tensor.AddInPlace(t.ensureGrad(b), g)
 			}
 		}
 	case opMul:
@@ -846,16 +979,16 @@ func (out *Node) runBack(t *Tape) {
 		a, b := out.parents[0], out.parents[1]
 		if b.requiresGrad {
 			if fresh(b) {
-				b.Grad = tensor.Mul(g, a.Value)
+				b.Grad = tensor.MulTo(t.draw(g.Rows, g.Cols), g, a.Value)
 			} else {
-				bg := ensureGrad(b)
+				bg := t.ensureGrad(b)
 				for i, v := range g.Data {
 					bg.Data[i] += v * a.Value.Data[i]
 				}
 			}
 		}
 		if a.requiresGrad {
-			dst, add := out.elementwise(a)
+			dst, add := t.elementwise(out, a)
 			for i, v := range g.Data {
 				dst.Data[i] = plus(add, dst.Data[i], v*b.Value.Data[i])
 			}
@@ -863,7 +996,7 @@ func (out *Node) runBack(t *Tape) {
 	case opScale:
 		a := out.parents[0]
 		if a.requiresGrad {
-			dst, add := out.elementwise(a)
+			dst, add := t.elementwise(out, a)
 			for i, v := range g.Data {
 				dst.Data[i] = plus(add, dst.Data[i], out.auxF*v)
 			}
@@ -871,7 +1004,7 @@ func (out *Node) runBack(t *Tape) {
 	case opAddBias:
 		m, b := out.parents[0], out.parents[1]
 		if b.requiresGrad {
-			bg := ensureGrad(b)
+			bg := t.ensureGrad(b)
 			for r := 0; r < g.Rows; r++ {
 				for c, v := range g.Row(r) {
 					bg.Data[c] += v
@@ -879,12 +1012,12 @@ func (out *Node) runBack(t *Tape) {
 			}
 		}
 		if m.requiresGrad {
-			out.pass(m, g)
+			t.pass(out, m, g)
 		}
 	case opSigmoid:
 		a := out.parents[0]
 		if a.requiresGrad {
-			dst, add := out.elementwise(a)
+			dst, add := t.elementwise(out, a)
 			for i, y := range out.Value.Data {
 				dst.Data[i] = plus(add, dst.Data[i], g.Data[i]*y*(1-y))
 			}
@@ -892,7 +1025,7 @@ func (out *Node) runBack(t *Tape) {
 	case opTanh:
 		a := out.parents[0]
 		if a.requiresGrad {
-			dst, add := out.elementwise(a)
+			dst, add := t.elementwise(out, a)
 			for i, y := range out.Value.Data {
 				dst.Data[i] = plus(add, dst.Data[i], g.Data[i]*(1-y*y))
 			}
@@ -903,7 +1036,7 @@ func (out *Node) runBack(t *Tape) {
 		// above 0 exactly where a is (ReLUTo), and a may be written over.
 		a := out.parents[0]
 		if a.requiresGrad {
-			dst, add := out.elementwise(a)
+			dst, add := t.elementwise(out, a)
 			for i, y := range out.Value.Data {
 				switch {
 				case y > 0:
@@ -916,7 +1049,7 @@ func (out *Node) runBack(t *Tape) {
 	case opOneMinus:
 		a := out.parents[0]
 		if a.requiresGrad {
-			dst, add := out.elementwise(a)
+			dst, add := t.elementwise(out, a)
 			for i, v := range g.Data {
 				dst.Data[i] = plus(add, dst.Data[i], -v)
 			}
@@ -926,7 +1059,7 @@ func (out *Node) runBack(t *Tape) {
 		a, off := out.parents[0], 0
 		for k, m := range a.blocks() {
 			if a.needs(k) {
-				dst, first := a.slot(k)
+				dst, first := t.slot(a, k)
 				if first {
 					*dst = t.firstBlock(a, k, true)
 				}
@@ -944,7 +1077,7 @@ func (out *Node) runBack(t *Tape) {
 		// src's row i, every other row from base's own.
 		base, src := out.parents[0], out.parents[1]
 		if base.requiresGrad {
-			bg := ensureGrad(base)
+			bg := t.ensureGrad(base)
 			k := 0
 			for r := 0; r < g.Rows; r++ {
 				if k < len(out.auxInts) && out.auxInts[k] == r {
@@ -958,7 +1091,7 @@ func (out *Node) runBack(t *Tape) {
 			}
 		}
 		if src.requiresGrad {
-			sg := ensureGrad(src)
+			sg := t.ensureGrad(src)
 			for i, r := range out.auxInts {
 				srow := sg.Row(i)
 				for c, v := range g.Row(r) {
@@ -969,7 +1102,7 @@ func (out *Node) runBack(t *Tape) {
 	case opMean:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := ensureGrad(a)
+			ag := t.ensureGrad(a)
 			d := g.Data[0] / float64(a.Value.Rows*a.Value.Cols)
 			for i := range ag.Data {
 				ag.Data[i] += d
@@ -979,7 +1112,7 @@ func (out *Node) runBack(t *Tape) {
 		// aux is the residual pred−target; auxInts the segments' row ends.
 		pred := out.parents[0]
 		if pred.requiresGrad {
-			pg := ensureGrad(pred)
+			pg := t.ensureGrad(pred)
 			lo := 0
 			for s, end := range out.auxInts {
 				hi := end * out.aux.Cols
@@ -994,7 +1127,7 @@ func (out *Node) runBack(t *Tape) {
 		// aux is the 0/1 target matrix; auxInts the segments' row ends.
 		logits := out.parents[0]
 		if logits.requiresGrad {
-			lg := ensureGrad(logits)
+			lg := t.ensureGrad(logits)
 			lo := 0
 			for s, end := range out.auxInts {
 				hi := end * out.aux.Cols
@@ -1008,7 +1141,7 @@ func (out *Node) runBack(t *Tape) {
 	case opSum:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := ensureGrad(a)
+			ag := t.ensureGrad(a)
 			d := g.Data[0]
 			for i := range ag.Data {
 				ag.Data[i] += d
@@ -1099,7 +1232,7 @@ func (t *Tape) rowLocal(op opKind, name string, a, b *Node) *Node {
 
 // ConcatCols returns [a | b] as a view: no buffer of its own, its parts read
 // where they are by the ops that can — MatMul's and MatMulAcc's left factor,
-// SpMM's dense operand, GatherRows, Head, ConcatCols — while any other reader
+// SpMM's dense operand, GatherRows, ConcatCols — while any other reader
 // panics (see Node.parts). A concatenation of a view flattens into one list
 // of parts. Its gradient is kept part by part, for the parts that need one.
 func (t *Tape) ConcatCols(a, b *Node) *Node {

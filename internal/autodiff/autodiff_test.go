@@ -313,7 +313,7 @@ func TestViewReadersPanic(t *testing.T) {
 	tp := NewTape()
 	v := tp.ConcatCols(a, c)
 	got := tp.GatherRows(v, rows)
-	if want := tensor.GatherRowsConcat(one(dense(v.concat())), rows); !got.Value.Equal(want) {
+	if want := tensor.GatherRowsConcatTo(nil, one(dense(v.concat())), rows); !got.Value.Equal(want) {
 		t.Fatalf("GatherRows of a view reads %v, of its copy %v", got.Value, want)
 	}
 	tp.Backward(tp.Sum(got))
@@ -492,20 +492,26 @@ func TestSumGrad(t *testing.T) {
 }
 
 // Head returns a's leading rows rows — a itself when that is all of them —
-// as the planner's restrictions to leading rows are (see in): the tests' way
-// to record an op of kind opHead. Of a view it is a view of the parts'
-// leading rows. Otherwise it is a copy, unless a planned forward reads a for
-// the last time here: then the head is the leading part of a's buffer, which
-// it takes from a (see reuse).
+// as Run restricts a value to a reader of its leading rows (see restrict): a
+// view of a view's parts, else a copy, made at once, so a must be computed.
+// Like the copy Run returns, it is the caller's: no op writes over it or gives
+// it up. The tests' way to make a restriction without a Run; under Plan a
+// reader of fewer rows makes them (program.head).
 func (t *Tape) Head(a *Node, rows int) *Node {
-	ar, cols := a.shape()
+	ar, _ := a.shape()
 	if rows == ar {
 		return a
 	}
-	if rows < 0 || rows > ar {
-		panic(fmt.Sprintf("autodiff: Head %d of %d rows", rows, ar))
+	if rows < 0 || rows > ar || a.pending {
+		panic(fmt.Sprintf("autodiff: Head %d of %d rows (computed: %v)", rows, ar, !a.pending))
 	}
-	return t.done(t.add(opHead, rows, cols, a, nil, nil))
+	lead := make([]int, rows)
+	for i := range lead {
+		lead[i] = i
+	}
+	h := t.restrict(a, lead, lead, nil, 0)
+	h.seq, h.rows, h.lrows = -2, nil, rows // every row of a value of rows rows
+	return h
 }
 
 // Keep pins n's value (Pin) and returns it, for code that reads it outside

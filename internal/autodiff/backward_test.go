@@ -3,6 +3,7 @@ package autodiff
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamgnn/internal/tensor"
@@ -15,7 +16,7 @@ import (
 // every interior one. The reference reads every concatenation as the copy
 // ConcatCols once made, taken here, and keeps one gradient for it.
 func refBackward(t *Tape, root *Node) {
-	for _, n := range t.nodes {
+	for _, n := range slices.Concat(t.nodes, t.restrictions) {
 		if n.view() {
 			n.Value.Data = dense(n.concat()).Data
 		}
@@ -36,13 +37,29 @@ func refBackward(t *Tape, root *Node) {
 	for _, n := range order {
 		n.visited = false
 	}
-	ensureGrad(root)
+	refGrad(root)
 	root.Grad.Data[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		if n := order[i]; n.Grad != nil {
 			refRunBack(n)
 		}
 	}
+}
+
+// refGrad is the reference's gradient buffer of n, zero-filled on first use.
+func refGrad(n *Node) *tensor.Matrix {
+	if n.Grad == nil {
+		n.Grad = tensor.New(n.Value.Rows, n.Value.Cols)
+	}
+	n.zeroed = false
+	return n.Grad
+}
+
+// refTransA is the reference's temporary aᵀ·b, summed from +0.
+func refTransA(a, b *tensor.Matrix) *tensor.Matrix {
+	m := tensor.New(a.Cols, b.Cols)
+	tensor.MatMulTransAConcatInto(m, one(a), b)
+	return m
 }
 
 func refRunBack(out *Node) {
@@ -52,59 +69,59 @@ func refRunBack(out *Node) {
 		// Gradient temporaries are recycled immediately: they are not tape
 		// nodes, so without this they would drain the buffer pool every step.
 		if a.requiresGrad {
-			ag := ensureGrad(a)
-			tmp := tensor.MatMulTransB(out.Grad, b.Value)
+			ag := refGrad(a)
+			tmp := tensor.MatMulTransBTo(nil, out.Grad, b.Value)
 			tensor.AddInPlace(ag, tmp)
 			tensor.Recycle(tmp)
 		}
 		if b.requiresGrad {
-			bg := ensureGrad(b)
-			tmp := tensor.MatMulTransAConcat(one(a.Value), out.Grad)
+			bg := refGrad(b)
+			tmp := refTransA(a.Value, out.Grad)
 			tensor.AddInPlace(bg, tmp)
 			tensor.Recycle(tmp)
 		}
 	case opSpMM:
 		x := out.parents[0]
 		if x.requiresGrad {
-			xg := ensureGrad(x)
-			tmp := tensor.SpMMTransCols(out.auxCSR, out.Grad, 0, out.Grad.Cols)
+			xg := refGrad(x)
+			tmp := tensor.SpMMTransColsInto(tensor.New(out.auxCSR.NCols, out.Grad.Cols), out.auxCSR, out.Grad, 0, out.Grad.Cols)
 			tensor.AddInPlace(xg, tmp)
 			tensor.Recycle(tmp)
 		}
 	case opAdd:
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
-			tensor.AddInPlace(ensureGrad(a), out.Grad)
+			tensor.AddInPlace(refGrad(a), out.Grad)
 		}
 		if b.requiresGrad {
-			tensor.AddInPlace(ensureGrad(b), out.Grad)
+			tensor.AddInPlace(refGrad(b), out.Grad)
 		}
 	case opMul:
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
-			ag := ensureGrad(a)
-			tmp := tensor.Mul(out.Grad, b.Value)
+			ag := refGrad(a)
+			tmp := tensor.MulTo(nil, out.Grad, b.Value)
 			tensor.AddInPlace(ag, tmp)
 			tensor.Recycle(tmp)
 		}
 		if b.requiresGrad {
-			bg := ensureGrad(b)
-			tmp := tensor.Mul(out.Grad, a.Value)
+			bg := refGrad(b)
+			tmp := tensor.MulTo(nil, out.Grad, a.Value)
 			tensor.AddInPlace(bg, tmp)
 			tensor.Recycle(tmp)
 		}
 	case opScale:
 		a := out.parents[0]
 		if a.requiresGrad {
-			tensor.AddScaledInPlace(ensureGrad(a), out.Grad, out.auxF)
+			tensor.AddScaledInPlace(refGrad(a), out.Grad, out.auxF)
 		}
 	case opAddBias:
 		m, b := out.parents[0], out.parents[1]
 		if m.requiresGrad {
-			tensor.AddInPlace(ensureGrad(m), out.Grad)
+			tensor.AddInPlace(refGrad(m), out.Grad)
 		}
 		if b.requiresGrad {
-			bg := ensureGrad(b)
+			bg := refGrad(b)
 			for r := 0; r < out.Grad.Rows; r++ {
 				row := out.Grad.Row(r)
 				for c, v := range row {
@@ -115,7 +132,7 @@ func refRunBack(out *Node) {
 	case opSigmoid:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := ensureGrad(a)
+			ag := refGrad(a)
 			for i, y := range out.Value.Data {
 				ag.Data[i] += out.Grad.Data[i] * y * (1 - y)
 			}
@@ -123,7 +140,7 @@ func refRunBack(out *Node) {
 	case opTanh:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := ensureGrad(a)
+			ag := refGrad(a)
 			for i, y := range out.Value.Data {
 				ag.Data[i] += out.Grad.Data[i] * (1 - y*y)
 			}
@@ -131,9 +148,9 @@ func refRunBack(out *Node) {
 	case opReLU:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := ensureGrad(a)
-			for i := range out.Value.Data {
-				if a.Value.Data[i] > 0 {
+			ag := refGrad(a)
+			for i, y := range out.Value.Data {
+				if y > 0 { // exactly where a is above 0
 					ag.Data[i] += out.Grad.Data[i]
 				}
 			}
@@ -141,18 +158,18 @@ func refRunBack(out *Node) {
 	case opOneMinus:
 		a := out.parents[0]
 		if a.requiresGrad {
-			tensor.AddScaledInPlace(ensureGrad(a), out.Grad, -1)
+			tensor.AddScaledInPlace(refGrad(a), out.Grad, -1)
 		}
 	case opConcatCols:
 		a, b := out.parents[0], out.parents[1]
 		if a.requiresGrad {
-			ag := ensureGrad(a)
+			ag := refGrad(a)
 			tmp := sliceCols(out.Grad, 0, a.Value.Cols)
 			tensor.AddInPlace(ag, tmp)
 			tensor.Recycle(tmp)
 		}
 		if b.requiresGrad {
-			bg := ensureGrad(b)
+			bg := refGrad(b)
 			tmp := sliceCols(out.Grad, a.Value.Cols, out.Grad.Cols)
 			tensor.AddInPlace(bg, tmp)
 			tensor.Recycle(tmp)
@@ -160,7 +177,7 @@ func refRunBack(out *Node) {
 	case opGatherRows:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := ensureGrad(a)
+			ag := refGrad(a)
 			for i, r := range out.auxInts {
 				grow := out.Grad.Row(i)
 				arow := ag.Row(r)
@@ -174,7 +191,7 @@ func refRunBack(out *Node) {
 		// src's row i, every other row from base's own.
 		base, src := out.parents[0], out.parents[1]
 		if base.requiresGrad {
-			bg := ensureGrad(base)
+			bg := refGrad(base)
 			k := 0
 			for r := 0; r < out.Grad.Rows; r++ {
 				if k < len(out.auxInts) && out.auxInts[k] == r {
@@ -188,7 +205,7 @@ func refRunBack(out *Node) {
 			}
 		}
 		if src.requiresGrad {
-			sg := ensureGrad(src)
+			sg := refGrad(src)
 			for i, r := range out.auxInts {
 				srow := sg.Row(i)
 				for c, v := range out.Grad.Row(r) {
@@ -200,7 +217,7 @@ func refRunBack(out *Node) {
 		// The leading rows of a row-major matrix are the head of its data.
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := ensureGrad(a)
+			ag := refGrad(a)
 			for i, v := range out.Grad.Data {
 				ag.Data[i] += v
 			}
@@ -208,8 +225,8 @@ func refRunBack(out *Node) {
 	case opMean:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := ensureGrad(a)
-			g := out.Grad.Data[0] / float64(len(a.Value.Data))
+			ag := refGrad(a)
+			g := out.Grad.Data[0] / float64(a.Value.Rows*a.Value.Cols)
 			for i := range ag.Data {
 				ag.Data[i] += g
 			}
@@ -218,7 +235,7 @@ func refRunBack(out *Node) {
 		// aux is the residual pred−target; auxInts the segments' row ends.
 		pred := out.parents[0]
 		if pred.requiresGrad {
-			pg := ensureGrad(pred)
+			pg := refGrad(pred)
 			lo := 0
 			for s, end := range out.auxInts {
 				hi := end * out.aux.Cols
@@ -233,7 +250,7 @@ func refRunBack(out *Node) {
 		// aux is the 0/1 target matrix; auxInts the segments' row ends.
 		logits := out.parents[0]
 		if logits.requiresGrad {
-			lg := ensureGrad(logits)
+			lg := refGrad(logits)
 			lo := 0
 			for s, end := range out.auxInts {
 				hi := end * out.aux.Cols
@@ -247,7 +264,7 @@ func refRunBack(out *Node) {
 	case opSum:
 		a := out.parents[0]
 		if a.requiresGrad {
-			ag := ensureGrad(a)
+			ag := refGrad(a)
 			g := out.Grad.Data[0]
 			for i := range ag.Data {
 				ag.Data[i] += g
@@ -260,17 +277,17 @@ func refRunBack(out *Node) {
 		// zero, which no sum below can observe.
 		sum, x, w := out.parents[0], out.parents[1], out.parents[2]
 		if sum.requiresGrad {
-			tensor.AddInPlace(ensureGrad(sum), out.Grad)
+			tensor.AddInPlace(refGrad(sum), out.Grad)
 		}
 		if x.requiresGrad {
-			xg := ensureGrad(x)
-			tmp := tensor.MatMulTransB(out.Grad, w.Value)
+			xg := refGrad(x)
+			tmp := tensor.MatMulTransBTo(nil, out.Grad, w.Value)
 			tensor.AddInPlace(xg, tmp)
 			tensor.Recycle(tmp)
 		}
 		if w.requiresGrad {
-			wg := ensureGrad(w)
-			tmp := tensor.MatMulTransAConcat(one(x.Value), out.Grad)
+			wg := refGrad(w)
+			tmp := refTransA(x.Value, out.Grad)
 			tensor.AddInPlace(wg, tmp)
 			tensor.Recycle(tmp)
 		}
@@ -378,6 +395,20 @@ func (p *program) weight(k, cols int) *Node {
 	return p.param(k, cols)
 }
 
+// head reads n's leading r rows: a restriction made at once (Head) on a tape
+// that computes at once, and under Plan a gather of those rows, which has
+// Run compute n, and the row-local ops under it, on them alone.
+func (p *program) head(n *Node, r int) *Node {
+	if !p.tp.planning {
+		return p.tp.Head(n, r)
+	}
+	lead := make([]int, r)
+	for i := range lead {
+		lead[i] = i
+	}
+	return p.tp.GatherRows(n, lead)
+}
+
 func (p *program) csr() *tensor.CSR {
 	entries := make([][]tensor.CSREntry, progRows)
 	for r := range entries {
@@ -436,9 +467,18 @@ func (p *program) viewCase(a *Node, rec func(*Node) *Node) {
 		b := p.second(a)
 		rec(tp.MatMul(tp.ConcatCols(tp.ConcatCols(a, b), tp.Mul(a, b)), p.param(3*cols, 1+p.rng.Intn(3))))
 	case 2:
+		// Made at once, the heads are restrictions (Head); under Plan a head
+		// of the last product has Run compute the ops under it on those rows,
+		// over restrictions of their operands.
 		r := 1 + p.rng.Intn(progRows-1)
-		z := tp.MatMul(tp.Head(tp.ConcatCols(a, p.second(a)), r), p.param(2*cols, cols))
-		p.terms = append(p.terms, p.upstream(tp.MatMul(tp.ConcatCols(tp.Head(a, r), z), p.param(2*cols, 2))))
+		v := tp.ConcatCols(a, p.second(a))
+		if !tp.planning {
+			z := tp.MatMul(tp.Head(v, r), p.param(2*cols, cols))
+			p.terms = append(p.terms, p.upstream(tp.MatMul(tp.ConcatCols(tp.Head(a, r), z), p.param(2*cols, 2))))
+			break
+		}
+		z := tp.MatMul(v, p.param(2*cols, cols))
+		p.terms = append(p.terms, p.upstream(p.head(tp.MatMul(tp.ConcatCols(a, z), p.param(2*cols, 2)), r)))
 	case 3:
 		v := tp.ConcatCols(a, p.second(a))
 		w := Constant(p.mat(2*cols, 2))
@@ -557,7 +597,7 @@ func randomProgramOver(seed int64, tp *Tape, prior []*Node) (*Node, *program) {
 			// whose outputs have other shapes than their operand's.
 			src := tp.GatherRows(p.second(a), []int{p.rng.Intn(progRows), p.rng.Intn(progRows)})
 			p.add(tp.ScatterRows(a, src, []int{0, 1 + p.rng.Intn(progRows-1)}))
-			p.terms = append(p.terms, p.upstream(tp.Head(a, 1+p.rng.Intn(progRows-1))))
+			p.terms = append(p.terms, p.upstream(p.head(a, 1+p.rng.Intn(progRows-1))))
 		case 15:
 			p.viewCase(a, p.add)
 		}
@@ -606,99 +646,93 @@ func equalUpToZeroSign(a, b *tensor.Matrix) bool {
 	return true
 }
 
-// freshWrites adds to a random program's loss four terms, each over a
-// product no other op reads, whose one reader gives it its first gradient in
-// the product's own buffer: an SpMM, Add as its second operand, a gather of
-// some rows twice and some never, and a head. It returns the four products.
-func freshWrites(root *Node, p *program) (*Node, *program, []*Node) {
-	tp := p.tp
-	product := func() *Node {
-		a := p.pick(0)
-		if a == nil {
-			a = p.param(progRows, 2)
-		}
-		return tp.MatMul(a, p.weight(a.lcols, 1+p.rng.Intn(3)))
-	}
-	rows := make([]int, progRows)
-	for i := range rows {
-		rows[i] = p.rng.Intn(progRows)
-	}
-	dead := []*Node{product(), product(), product(), product()}
-	a := p.pick(dead[1].Value.Cols)
-	if a == nil {
-		a = p.param(progRows, dead[1].Value.Cols)
-	}
-	for _, n := range []*Node{
-		tp.SpMM(p.csr(), dead[0]),
-		tp.Add(a, dead[1]),
-		tp.GatherRows(dead[2], rows),
-		tp.Head(dead[3], 1+p.rng.Intn(progRows-1)),
-	} {
-		root = tp.Add(root, p.upstream(n))
-	}
-	return root, p, dead
-}
-
 // The in-place backward rules against the accumulate-onto-zeros reference,
 // over random programs of every op kind with ±0 in values and upstream
 // gradients, aliased operands, nodes read by one to four ops and interior
 // product weights, with poisoned pool buffers: parameter gradients are
-// bit-equal, interior gradients equal up to the sign of a zero, and no two
-// nodes own one buffer, value or gradient. Every op that reads views reads
-// one, and the first gradient of a product only SpMM, Add's second operand,
-// GatherRows or Head reads is written over the product's value (take).
+// bit-equal, interior gradients equal up to the sign of a zero — kept by the
+// same program with every node pinned —, and no two nodes own one buffer,
+// value or gradient. Every op that reads views reads one. With no node
+// pinned the backward keeps no interior gradient and no value a rule read,
+// and draws no more floats from the pool than the pinned one, fewer where a
+// buffer it gave back served a later draw.
 func TestBackwardRulesMatchAccumulatingReference(t *testing.T) {
+	tensor.EnableMeter(true)
+	defer tensor.EnableMeter(false)
 	seen, readsView := map[opKind]bool{}, map[opKind]bool{}
-	handed, taken := 0, [4]int{}
-	readers := [4]string{"SpMM", "Add's b", "GatherRows", "Head"}
+	handed, fewer := 0, 0
 	for seed := int64(1); seed <= 300; seed++ {
-		tpR, tpN := NewTape(), NewTape()
-		rootR, pR, _ := freshWrites(randomProgram(seed, tpR))
+		tpR, tpP, tpN := NewTape(), NewTape(), NewTape()
+		rootR, pR := randomProgram(seed, tpR)
 		poisonPool()
 		refBackward(tpR, rootR)
-		rootN, pN, dead := freshWrites(randomProgram(seed, tpN))
-		poisonPool()
-		tpN.Backward(rootN)
-		for k, n := range dead {
-			if !n.requiresGrad {
-				continue
-			}
-			if n.Value.Data != nil {
-				t.Fatalf("seed %d: the product %s reads alone kept its value: its gradient took a buffer of its own", seed, readers[k])
-			}
-			taken[k]++
+		rootP, pP := randomProgram(seed, tpP)
+		for _, n := range tpP.nodes {
+			tpP.Pin(n)
 		}
+		poisonPool()
+		tensor.ResetMeter()
+		tpP.Backward(rootP)
+		pinned := tensor.TotalFloats()
+		rootN, pN := randomProgram(seed, tpN)
+		read := map[*Node]bool{}
 		for _, n := range tpN.nodes {
+			read[n] = n.reads > 0 && n.op != opNone
+		}
+		poisonPool()
+		tensor.ResetMeter()
+		tpN.Backward(rootN)
+		switch plain := tensor.TotalFloats(); {
+		case plain > pinned:
+			t.Fatalf("seed %d: the backward meters %d floats, %d with every node pinned", seed, plain, pinned)
+		case plain < pinned:
+			fewer++
+		}
+		for _, n := range slices.Concat(tpN.nodes, tpN.restrictions) {
 			seen[n.op] = true
 			for _, q := range n.parents {
 				readsView[n.op] = readsView[n.op] || q.view()
 			}
-		}
-
-		if !bitEqual(rootR.Value, rootN.Value) {
-			t.Fatalf("seed %d: the two programs compute different losses", seed)
-		}
-		for i, want := range pR.params {
-			wantG, gotG := want.Grad, pN.params[i].Grad
-			if (wantG == nil) != (gotG == nil) || wantG != nil && !bitEqual(wantG, gotG) {
-				t.Fatalf("seed %d: parameter %d gradient %v, reference %v", seed, i, gotG, wantG)
+			if n.Grad != nil || slices.ContainsFunc(n.grads, func(g *tensor.Matrix) bool { return g != nil }) {
+				t.Fatalf("seed %d: node %d (op %d) kept its gradient past Backward, pinned by nobody", seed, n.seq, n.op)
+			}
+			if n.reads != 0 || read[n] && n.Value.Data != nil {
+				t.Fatalf("seed %d: node %d (op %d) kept its value past its last backward reader (%d reads left)", seed, n.seq, n.op, n.reads)
 			}
 		}
-		for _, n := range pN.nodes {
+
+		if !bitEqual(rootR.Value, rootN.Value) || !bitEqual(rootR.Value, rootP.Value) {
+			t.Fatalf("seed %d: the programs compute different losses", seed)
+		}
+		for i, want := range pR.params {
+			wantG := want.Grad
+			for _, gotG := range []*tensor.Matrix{pP.params[i].Grad, pN.params[i].Grad} {
+				if (wantG == nil) != (gotG == nil) || wantG != nil && !bitEqual(wantG, gotG) {
+					t.Fatalf("seed %d: parameter %d gradient %v, reference %v", seed, i, gotG, wantG)
+				}
+			}
+		}
+		for _, n := range pP.nodes {
 			if !n.requiresGrad && n.Grad != nil {
 				t.Fatalf("seed %d: a value that needs no gradient has one: %v", seed, n.Grad)
 			}
 		}
-		owner := map[*float64]int{}
-		own := func(i int, m *tensor.Matrix) {
-			if m != nil && len(m.Data) > 0 {
-				if j, ok := owner[&m.Data[0]]; ok {
-					t.Fatalf("seed %d: nodes %d and %d own one buffer", seed, j, i)
+		for _, tp := range []*Tape{tpP, tpN} {
+			owner := map[*float64]int{}
+			own := func(i int, m *tensor.Matrix) {
+				if m != nil && len(m.Data) > 0 {
+					if j, ok := owner[&m.Data[0]]; ok {
+						t.Fatalf("seed %d: nodes %d and %d own one buffer", seed, j, i)
+					}
+					owner[&m.Data[0]] = i
 				}
-				owner[&m.Data[0]] = i
+			}
+			for i, n := range tp.nodes {
+				own(i, n.Grad)
+				own(i, n.Value)
 			}
 		}
-		for i, n := range tpN.nodes {
+		for i, n := range tpP.nodes {
 			ref := tpR.nodes[i].Grad
 			switch {
 			case n.Grad == nil && ref != nil:
@@ -706,10 +740,9 @@ func TestBackwardRulesMatchAccumulatingReference(t *testing.T) {
 			case n.Grad != nil && (ref == nil || !equalUpToZeroSign(n.Grad, ref)):
 				t.Fatalf("seed %d: node %d (op %d) gradient %v, reference %v", seed, i, n.op, n.Grad, ref)
 			}
-			own(i, n.Grad)
-			own(i, n.Value)
 		}
 		tpR.Release()
+		tpP.Release()
 		tpN.Release()
 	}
 	for k := opMatMul; k <= opHead; k++ {
@@ -722,67 +755,99 @@ func TestBackwardRulesMatchAccumulatingReference(t *testing.T) {
 			t.Fatalf("no program read a view with op %d", k)
 		}
 	}
-	if handed == 0 {
-		t.Fatal("no rule handed its gradient buffer down")
-	}
-	for k, n := range taken {
-		if n == 0 {
-			t.Fatalf("no product that %s alone reads needed a gradient", readers[k])
-		}
+	if handed == 0 || fewer == 0 {
+		t.Fatalf("%d gradient buffers handed down, %d programs drew fewer floats unpinned: the programs miss a case", handed, fewer)
 	}
 }
 
-// A GCN convolution's product x·W, read by the SpMM alone, takes its gradient
-// in its own buffer: run as is and with the product pinned, which keeps its
-// value, the program gives bit-identical gradients to the parameters and the
-// input, and the unpinned backward meters exactly the product's floats fewer.
-// x, which a second SpMM gives its first gradient before the product's weight
-// rule reads x's value, keeps its buffer in both runs.
-func TestFreshGradientWritesOverDeadProduct(t *testing.T) {
+// A recording tape gives each buffer back to its own pass once nothing reads
+// it, and the pass draws from those first. In a GCN convolution over
+// x = tanh(X), then a square product z = h·V, pinned, and a loss term:
+//   - p = x·W, which no backward rule reads, gives its buffer to z at SpMM,
+//     its last reader;
+//   - h and x, which backward rules read, keep their values through the
+//     forward, and are gone after Backward;
+//   - in the backward, the loss term's value buffer takes its own gradient,
+//     h's value buffer, given back after Tanh's rule read it last, takes p's
+//     gradient, and s's gradient, spent once SpMM's rule has run, takes x's;
+//   - z, pinned, keeps its value and its gradient past Backward.
+//
+// So a warm pass meters exactly three buffers fewer in the forward (two of
+// them the in-place writes of AddBias and Tanh) and three fewer in the
+// backward than the same program with every node pinned, and every parameter
+// gradient, z's value and z's gradient are bit-equal to that program's.
+func TestRecordingTapeGivesBuffersBackAtLastUse(t *testing.T) {
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
 	rng := rand.New(rand.NewSource(5))
-	xm, wm, bm := tensor.NewRandom(rng, 6, 3, 1), tensor.NewRandom(rng, 3, 4, 1), tensor.NewRandom(rng, 1, 4, 1)
+	ps := []*Node{
+		Param(tensor.NewRandom(rng, 6, 4, 1)), Param(tensor.NewRandom(rng, 4, 4, 1)),
+		Param(tensor.NewRandom(rng, 1, 4, 1)), Param(tensor.NewRandom(rng, 4, 4, 1)),
+	}
+	c := Constant(tensor.NewRandom(rng, 6, 4, 1))
 	adj := tensor.NewCSR(6, 6, [][]tensor.CSREntry{
 		{{Col: 0, Val: 0.5}, {Col: 4, Val: 0.5}}, {{Col: 1, Val: 1}}, nil,
 		{{Col: 2, Val: -1}, {Col: 5, Val: 2}}, {{Col: 0, Val: 0.25}}, {{Col: 3, Val: 1}},
 	})
-	var grads [2][]*tensor.Matrix
-	var floats [2]int64
-	for run, pin := range []bool{true, false} {
+	type pass struct {
+		fwd, bwd         int64
+		held, gone, kept bool
+		z                []*tensor.Matrix // its value and gradient
+		grads            []*tensor.Matrix
+	}
+	run := func(pinAll bool) pass {
+		var r pass
 		tp := NewTape()
-		ps := []*Node{Param(xm.Clone()), Param(wm.Clone()), Param(bm.Clone())}
-		x := tp.Scale(ps[0], 3)
-		xw := tp.MatMul(x, ps[1])
-		if pin {
-			tp.Pin(xw)
+		tp.Plan()
+		x := tp.Tanh(ps[0])
+		p := tp.MatMul(x, ps[1])
+		h := tp.Tanh(tp.AddBias(tp.SpMM(adj, p), ps[2]))
+		z := tp.MatMul(h, ps[3])
+		tp.Pin(z)
+		loss := tp.Sum(tp.Mul(z, c))
+		if pinAll {
+			for _, n := range tp.nodes {
+				tp.Pin(n)
+			}
 		}
-		wantX, wantXW := x.Value.Clone(), xw.Value.Clone()
-		// The convolution's term first: the second SpMM's rule runs before
-		// the product's.
-		loss := tp.Add(tp.Mean(tp.ReLU(tp.AddBias(tp.SpMM(adj, xw), ps[2]))), tp.Mean(tp.SpMM(adj, x)))
+		tensor.ResetMeter()
+		loss = tp.Run(loss, nil)
+		r.fwd = tensor.TotalFloats()
+		r.held = holds(x) && holds(h)
 		tensor.ResetMeter()
 		tp.Backward(loss)
-		floats[run] = tensor.TotalFloats()
-		if kept := xw.Value.Data != nil; kept != pin || kept && !bitEqual(wantXW, xw.Value) {
-			t.Fatalf("pinned %v: the product kept its value: %v", pin, kept)
+		r.bwd = tensor.TotalFloats()
+		r.gone, r.kept = !holds(p) && !holds(x) && !holds(h), holds(z) && z.Grad != nil
+		if r.kept {
+			r.z = []*tensor.Matrix{z.Value.Clone(), z.Grad.Clone()}
 		}
-		if x.Value.Data == nil || !bitEqual(wantX, x.Value) {
-			t.Fatalf("pinned %v: x's value, which the product's weight rule reads, was written over", pin)
+		for _, p := range ps {
+			r.grads = append(r.grads, p.Grad.Clone())
 		}
-		grads[run] = []*tensor.Matrix{x.Grad, ps[0].Grad, ps[1].Grad, ps[2].Grad}
-		for k := range grads[run] {
-			grads[run][k] = grads[run][k].Clone()
-		}
+		zeroGrads(ps)
 		tp.Release()
+		return r
 	}
-	for k := range grads[0] {
-		if !bitEqual(grads[0][k], grads[1][k]) {
-			t.Fatalf("gradient %d: %v unpinned, %v pinned", k, grads[1][k], grads[0][k])
+	run(false) // warm: the parameters' gradients allocated
+	plain, pinned := run(false), run(true)
+	if !plain.held || !plain.gone || !plain.kept {
+		t.Fatalf("x and h held through the forward %v, p, x and h gone after Backward %v, z and its gradient kept %v", plain.held, plain.gone, plain.kept)
+	}
+	for k, m := range plain.z {
+		if !bitEqual(m, pinned.z[k]) {
+			t.Fatalf("z (%d: value, gradient) %v, every node pinned %v", k, m, pinned.z[k])
 		}
 	}
-	if d, product := floats[0]-floats[1], int64(xm.Rows*wm.Cols); d != product {
-		t.Fatalf("the backward meters %d floats pinned, %d unpinned: %d fewer, want the product's %d", floats[0], floats[1], d, product)
+	for k := range ps {
+		if !bitEqual(plain.grads[k], pinned.grads[k]) {
+			t.Fatalf("parameter %d gradient %v, every node pinned %v", k, plain.grads[k], pinned.grads[k])
+		}
+	}
+	t.Logf("forward %d and backward %d floats, %d and %d with every node pinned", plain.fwd, plain.bwd, pinned.fwd, pinned.bwd)
+	const buf = 6 * 4
+	if pinned.fwd-plain.fwd != 3*buf || pinned.bwd-plain.bwd != 3*buf {
+		t.Fatalf("forward and backward meter %d and %d floats, %d and %d with every node pinned; want three %d-float buffers fewer in each",
+			plain.fwd, plain.bwd, pinned.fwd, pinned.bwd, buf)
 	}
 }
 
@@ -852,4 +917,59 @@ func TestFirstProductIntoZeroedGradient(t *testing.T) {
 		t.Fatalf("%d first products into a zeroed gradient, %d parameters read by two products in a round: the programs miss a case", direct, twice)
 	}
 	t.Logf("%d first products into a zeroed gradient, %d parameters read by two products in a round", direct, twice)
+}
+
+// A recording tape gives no recorded leaf's buffer back: the caller may read
+// the same matrix through a Constant, as a model reads the features a view
+// registers (dgnn.View.OwnFeat). Here the leaf's last reader, an SpMM, comes
+// before a draw of the leaf's length and a read of the matrix through a
+// Constant, which must see it whole: the value equals the program computed
+// at once, which gives nothing back.
+func TestRecordingTapeKeepsLeaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	xm := tensor.NewRandom(rng, 6, 4, 1)
+	w := Param(tensor.NewRandom(rng, 4, 4, 1))
+	adj := tensor.NewCSR(6, 6, [][]tensor.CSREntry{
+		{{Col: 1, Val: 0.5}}, {{Col: 0, Val: 1}, {Col: 5, Val: -1}}, nil,
+		{{Col: 3, Val: 2}}, {{Col: 2, Val: 0.25}}, {{Col: 4, Val: 1}},
+	})
+	forward := func(tp *Tape) *Node {
+		x := xm.Clone()
+		s := tp.SpMM(adj, tp.OwnedConstant(x)) // the leaf's last reader
+		h := tp.Tanh(tp.MatMul(s, w))          // a draw of the leaf's length
+		return tp.Sum(tp.Mul(h, tp.MatMul(Constant(x), w)))
+	}
+	want := forward(NewTape()).Value
+	tp := NewTape()
+	tp.Plan()
+	if got := tp.Run(forward(tp), nil).Value; !bitEqual(want, got) {
+		t.Fatalf("planned %v, computed at once %v: the leaf's buffer served a later draw", got, want)
+	}
+	tp.Release()
+}
+
+// A product of a value by itself keeps its input rule before its weight
+// rule, so the value's gradient takes the two shares in the reference's
+// order after a share of a later op: the parameter's gradient is bit-equal
+// to the accumulate-onto-zeros reference's, over random values.
+func TestSelfProductKeepsShareOrder(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pm, c1, c2 := tensor.NewRandom(rng, 4, 4, 1), tensor.NewRandom(rng, 4, 4, 1), tensor.NewRandom(rng, 4, 4, 1)
+		var grads [2]*tensor.Matrix
+		for k := range grads {
+			tp, p := NewTape(), Param(pm.Clone())
+			root := tp.Add(tp.Sum(tp.Mul(tp.MatMul(p, p), Constant(c1))), tp.Sum(tp.Mul(p, Constant(c2))))
+			if k == 0 {
+				refBackward(tp, root)
+			} else {
+				tp.Backward(root)
+			}
+			grads[k] = p.Grad
+			tp.Release()
+		}
+		if !bitEqual(grads[0], grads[1]) {
+			t.Fatalf("seed %d: gradient %v, reference %v", seed, grads[1], grads[0])
+		}
+	}
 }

@@ -20,9 +20,9 @@ type variant struct {
 	// freeze gives every other parameter leaf no gradient, which leaves the
 	// ops as they are but changes what the rules read.
 	freeze bool
-	// pin pins every node before the Run: the same program, written over
-	// nowhere.
-	pin bool
+	// pin pins every pin-th node before the Run (0: none): with 1 the same
+	// program, written over and given back nowhere.
+	pin int
 }
 
 // inPlaceProgram records a random forward of the row-local ops mixed with
@@ -114,9 +114,11 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 			src := tp.GatherRows(p.second(a), []int{p.rng.Intn(progRows), p.rng.Intn(progRows)})
 			op(tp.ScatterRows(a, src, []int{0, 1 + p.rng.Intn(progRows-1)}))
 		case 15:
-			h := tp.Head(a, 1+p.rng.Intn(progRows-1))
+			// Under Plan, Scale on the head's rows alone, over a
+			// restriction of a, which it may write over.
+			h := p.head(tp.Scale(a, 3), 1+p.rng.Intn(progRows-1))
 			run.ops = append(run.ops, h)
-			p.terms = append(p.terms, p.upstream(tp.Scale(h, 3)))
+			p.terms = append(p.terms, p.upstream(h))
 		case 16, 17:
 			// Read by a concatenation, then last by a row-local op, which
 			// may write over it: the concatenation's rule reads its width.
@@ -143,8 +145,8 @@ func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
 		run.root = tp.Add(run.root, term)
 	}
 	if tp.planning {
-		if v.pin {
-			for _, n := range tp.nodes {
+		for i, n := range tp.nodes {
+			if v.pin > 0 && i%v.pin == 0 {
 				tp.Pin(n)
 			}
 		}
@@ -176,26 +178,29 @@ func heldEqual(n *Node, want *tensor.Matrix) bool {
 func holds(n *Node) bool { return n.Value != nil && n.Value.Data != nil }
 
 // A recording tape running random programs planned writes row-local results
-// over operands no backward rule reads. Every value that keeps its data holds
-// the bits of the same program computed at once, which writes over nothing,
-// on the rows the planned program computed; every gradient, interior and
-// parameter, holds the bits of the same planned program with every node
-// pinned, which writes over nothing either — with every leaf needing a
-// gradient, and every other one (so other backward rules read values), pass
-// after pass on one tape. A kept value survives whole, and a written-over one
-// keeps its shape for the backward rules. A Keep that comes after the Run
-// wrote over the value panics, as it does on an inference tape.
+// over operands no backward rule reads, and gives other buffers back at their
+// last use. Every value that keeps its data holds the bits of the same
+// program computed at once, which writes over nothing, on the rows the
+// planned program computed; every parameter gradient, and every interior one
+// of a node pinned, holds the bits of the same planned program with every
+// node pinned, which writes over and gives back nothing — with every leaf
+// needing a gradient, and every other one (so other backward rules read
+// values), with no node pinned and with some, pass after pass on one tape. A
+// pinned value survives Backward whole, with its gradient; no other node keeps
+// a gradient, and a value written over or given back keeps its shape for the
+// backward rules. A Keep that comes after the Run wrote over the value
+// panics, as it does on an inference tape.
 func TestRecordingInPlaceMatchesFreshTape(t *testing.T) {
-	written, writtenGrad := 0, 0
+	written, writtenGrad, pinnedGrads := 0, 0, 0
 	for seed := int64(1); seed <= 300; seed++ {
 		tp := NewTape()
-		for pass, d := range []variant{{}, {}, {freeze: true}, {}} {
+		for pass, d := range []variant{{}, {pin: 3}, {freeze: true}, {pin: 5}} {
 			poisonPool()
 			eager := inPlaceProgram(seed, NewTape(), d)
 			poisonPool()
 			ref := NewTape()
 			ref.Plan()
-			want := inPlaceProgram(seed, ref, variant{freeze: d.freeze, pin: true})
+			want := inPlaceProgram(seed, ref, variant{freeze: d.freeze, pin: 1})
 			poisonPool()
 			tp.Plan()
 			got := inPlaceProgram(seed, tp, d)
@@ -234,8 +239,16 @@ func TestRecordingInPlaceMatchesFreshTape(t *testing.T) {
 			}
 			for i, n := range tp.nodes {
 				r := ref.nodes[i]
-				if (n.Grad == nil) != (r.Grad == nil) || n.Grad != nil && !bitEqual(n.Grad, r.Grad) {
-					t.Fatalf("seed %d pass %d: node %d (op %d) gradient %v, pinned tape %v", seed, pass, i, n.op, n.Grad, r.Grad)
+				switch {
+				case !n.pinned && n.Grad != nil:
+					t.Fatalf("seed %d pass %d: node %d (op %d), not pinned, kept its gradient past Backward", seed, pass, i, n.op)
+				case !n.pinned:
+				case (n.Grad == nil) != (r.Grad == nil) || n.Grad != nil && !bitEqual(n.Grad, r.Grad):
+					t.Fatalf("seed %d pass %d: pinned node %d (op %d) gradient %v, pinned tape %v", seed, pass, i, n.op, n.Grad, r.Grad)
+				case !n.view() && (!holds(n) || !bitEqual(n.Value, r.Value)):
+					t.Fatalf("seed %d pass %d: pinned node %d (op %d) lost its value in Backward", seed, pass, i, n.op)
+				case n.Grad != nil:
+					pinnedGrads++
 				}
 			}
 			eager.p.tp.Release()
@@ -243,10 +256,10 @@ func TestRecordingInPlaceMatchesFreshTape(t *testing.T) {
 			tp.Release()
 		}
 	}
-	if written == 0 || writtenGrad == 0 {
-		t.Fatalf("%d values written over, %d of them needing a gradient: the programs do not exercise the in-place path", written, writtenGrad)
+	if written == 0 || writtenGrad == 0 || pinnedGrads == 0 {
+		t.Fatalf("%d values written over or given back, %d of them needing a gradient, %d pinned gradients: the programs miss a case", written, writtenGrad, pinnedGrads)
 	}
-	t.Logf("%d values written over, %d of them needing a gradient", written, writtenGrad)
+	t.Logf("%d values written over or given back, %d of them needing a gradient, %d pinned gradients compared", written, writtenGrad, pinnedGrads)
 
 	// A value written over in its Run is gone by the time a Keep after the
 	// Run comes: that must fail loudly.

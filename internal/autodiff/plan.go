@@ -267,12 +267,12 @@ func (t *Tape) restrict(p *Node, rows, pos []int, c *Node, k int) *Node {
 	switch {
 	case !first(pos):
 		r.op, r.auxInts = opGatherRows, append(r.auxInts[:0], pos...)
-		r.Value = tensor.GatherRowsConcat(p.concat(), r.auxInts)
+		r.Value = tensor.GatherRowsConcatTo(t.draw(len(pos), p.Value.Cols), p.concat(), r.auxInts)
 	case p.view() || c != nil && (c.op == opMatMul && k == 0 || c.op == opMatMulAcc && k == 1 || c.op == opConcatCols):
 		r.op = opHead
 		t.view(r, len(pos), p, nil)
 	default:
-		r.op, r.Value = opHead, tensor.NewUninit(len(pos), p.Value.Cols)
+		r.op, r.Value = opHead, t.draw(len(pos), p.Value.Cols)
 		copy(r.Value.Data, p.Value.Data)
 	}
 	return r
@@ -340,7 +340,7 @@ func (t *Tape) view(n *Node, rows int, a, b *Node) {
 }
 
 // The row-local kernels of one and of two dense operands, by op kind: each
-// writes into dst, or a buffer of its own when dst is nil.
+// writes into dst.
 var (
 	unary = [...]func(dst, a *tensor.Matrix) *tensor.Matrix{
 		opSigmoid: tensor.SigmoidTo, opTanh: tensor.TanhTo, opReLU: tensor.ReLUTo, opOneMinus: tensor.OneMinusTo,
@@ -359,60 +359,52 @@ func (t *Tape) exec(n *Node) {
 	}
 	var v *tensor.Matrix
 	ps := n.parents
+	// The shape of the result of a row-local op, MatMulAcc and ScatterRows.
+	rows, cols := 0, 0
+	if len(ps) > 0 {
+		rows, cols = ps[0].Value.Rows, ps[0].Value.Cols
+	}
 	switch n.op {
 	case opNone:
 		v = n.Value
 		if n.fill != nil {
-			v = tensor.NewUninit(count(n.rows, n.lrows), n.lcols)
+			v = t.draw(count(n.rows, n.lrows), n.lcols)
 			n.fill(n.rows, v)
 		}
 	case opMatMul:
-		var dst *tensor.Matrix
-		if b := ps[1].Value; !ps[0].view() && b.Rows == b.Cols {
-			dst = t.reuse(n, 1)
+		cands, b := 0, ps[1].Value
+		if !ps[0].view() && b.Rows == b.Cols {
+			cands = 1
 		}
-		v = tensor.MatMulConcatTo(dst, ps[0].concat(), ps[1].Value)
+		v = tensor.MatMulConcatTo(t.dst(n, cands, rows, b.Cols), ps[0].concat(), b)
 	case opMatMulAcc:
-		v = tensor.MatMulAccConcatTo(t.reuse(n, 1), ps[0].Value, ps[1].concat(), ps[2].Value)
+		v = tensor.MatMulAccConcatTo(t.dst(n, 1, rows, cols), ps[0].Value, ps[1].concat(), ps[2].Value)
 	case opSpMM:
 		n.auxCSR = t.block(n.auxCSR, n.rows, ps[0].rows)
-		v = tensor.SpMMConcat(n.auxCSR, ps[0].concat())
+		v = tensor.SpMMConcatTo(t.draw(n.auxCSR.NRows, cols), n.auxCSR, ps[0].concat())
 	case opAdd, opMul:
-		v = binary[n.op](t.reuse(n, 2), ps[0].Value, ps[1].Value)
+		v = binary[n.op](t.dst(n, 2, rows, cols), ps[0].Value, ps[1].Value)
 	case opAddBias:
-		v = binary[n.op](t.reuse(n, 1), ps[0].Value, ps[1].Value)
+		v = binary[n.op](t.dst(n, 1, rows, cols), ps[0].Value, ps[1].Value)
 	case opSigmoid, opTanh, opReLU, opOneMinus:
-		v = unary[n.op](t.reuse(n, 1), ps[0].Value)
+		v = unary[n.op](t.dst(n, 1, rows, cols), ps[0].Value)
 	case opScale:
-		v = tensor.ScaleTo(t.reuse(n, 1), ps[0].Value, n.auxF)
+		v = tensor.ScaleTo(t.dst(n, 1, rows, cols), ps[0].Value, n.auxF)
 	case opConcatCols:
 		t.view(n, count(n.rows, n.lrows), ps[0], ps[1])
 		v = n.Value
-	case opHead:
-		// The leading rows of a, which holds n's rows first: a view of a
-		// view's parts, else a copy, or the head of a's buffer when n reads a
-		// last (see reuse).
-		k, a := count(n.rows, n.lrows), ps[0]
-		if a.view() {
-			t.view(n, k, a, nil)
-			v = n.Value
-		} else if m := t.reuse(n, 1); m != nil {
-			v = tensor.FromSlice(k, m.Cols, m.Data[:k*m.Cols])
-		} else {
-			v = tensor.NewUninit(k, n.lcols)
-			copy(v.Data, a.Value.Data)
-		}
 	case opGatherRows:
 		if ps[0].rows != nil || n.rows != nil {
 			t.ints = append(t.ints[:0], t.gathered(n)...)
 			n.auxInts = append(n.auxInts[:0], t.positions(ps[0], t.ints)...)
 		}
-		v = tensor.GatherRowsConcat(ps[0].concat(), n.auxInts)
+		v = tensor.GatherRowsConcatTo(t.draw(len(n.auxInts), cols), ps[0].concat(), n.auxInts)
 	case opScatterRows:
-		_, rows := t.scattered(n, t.ints[:0], t.pos[:0])
-		n.auxInts = append(n.auxInts[:0], rows...)
+		_, at := t.scattered(n, t.ints[:0], t.pos[:0])
+		n.auxInts = append(n.auxInts[:0], at...)
 		if v = t.reuse(n, 1); v == nil {
-			v = ps[0].Value.Clone()
+			v = t.draw(rows, cols)
+			copy(v.Data, ps[0].Value.Data)
 		}
 		tensor.ScatterRows(v, ps[1].Value, n.auxInts)
 	case opMean:
@@ -421,7 +413,7 @@ func (t *Tape) exec(n *Node) {
 		v = tensor.FromSlice(1, 1, []float64{ps[0].Value.Sum()})
 	case opMSESeg:
 		// aux becomes the residual pred−target, which the rule reads.
-		d := tensor.Sub(ps[0].Value, n.aux)
+		d := tensor.SubTo(t.draw(rows, cols), ps[0].Value, n.aux)
 		t.residuals = append(t.residuals, d)
 		n.aux = d
 		v = segValue(n.auxInts, d.Cols, func(i int) float64 { return d.Data[i] * d.Data[i] })

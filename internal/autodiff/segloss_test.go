@@ -118,9 +118,9 @@ func TestSegLossMatchesPerSegment(t *testing.T) {
 			for r := lo; r < hi; r++ {
 				rows = append(rows, r)
 			}
-			alone := Param(tensor.GatherRowsConcat(one(pred.Value), rows))
+			alone := Param(tensor.GatherRowsConcatTo(nil, one(pred.Value), rows))
 			tp1 := NewTape()
-			out := l.one(tp1, alone, tensor.GatherRowsConcat(one(target), rows))
+			out := l.one(tp1, alone, tensor.GatherRowsConcatTo(nil, one(target), rows))
 			tp1.Backward(tp1.Scale(out, weights.Data[s]))
 			if math.Float64bits(out.Value.Data[0]) != math.Float64bits(want) {
 				t.Fatalf("%s: one-segment op value %v, reference %v", l.name, out.Value.Data[0], want)

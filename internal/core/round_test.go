@@ -271,9 +271,9 @@ func TestRoundWarmScratch(t *testing.T) {
 // buffer per node and drawing a temporary per rule, gives a concatenation's
 // parts their blocks without a sliced copy, none to a constant part,
 // accumulates a parameter's first product share straight into its zeroed
-// gradient, and writes a first gradient over its value where no backward rule
-// reads that value (SpMM's input, Add's second operand, the sources of
-// GatherRows and Head). Each backward ceiling is the kind's count plus 10 %.
+// gradient, and, forward and backward, gives each buffer back to the pass
+// once nothing reads it — a value after its last reader, an interior
+// gradient after its rule — for the pass's later draws of its length.
 func TestRoundMetersWithinCeilings(t *testing.T) {
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
@@ -281,13 +281,17 @@ func TestRoundMetersWithinCeilings(t *testing.T) {
 		kind     dgnn.Kind
 		fwd, bwd int64 // ceilings: forward and loss floats, backward floats
 	}{
-		// Each ceiling is the kind's count plus 10 %. With every op run on
-		// the rows the loss reads (autodiff.Tape.Run) and a first gradient
-		// written over a value no backward rule reads, a warm round meters
-		// 13 256 / 3 922 (GCLSTM), 13 324 / 5 582 (TGCN), 23 316 / 10 809
-		// (DCRNN) and 33 187 / 12 119 (RTGCN) forward / backward floats;
-		// the backward counts were 10 186, 10 694, 13 281 and 30 563 with a
-		// buffer drawn for every first gradient. 13 634 / 10 186, 13 324 / 10 694, 23 316 / 13 281 and
+		// Each ceiling is the kind's count plus 10 %. With each buffer given
+		// back to the pass at its last use, forward and backward, a warm
+		// round meters 8 510 / 2 971 (GCLSTM), 10 048 / 2 521 (TGCN),
+		// 22 955 / 2 137 (DCRNN) and 17 827 / 3 691 (RTGCN) forward /
+		// backward floats. 13 256 / 3 922, 13 324 / 5 582, 23 316 / 10 809
+		// and 33 187 / 12 119 with every value and interior gradient kept
+		// until Release, every op run on the rows the loss reads
+		// (autodiff.Tape.Run) and a first gradient written over a value no
+		// backward rule reads; the backward counts were 10 186, 10 694,
+		// 13 281 and 30 563 with a buffer drawn for every first gradient.
+		// 13 634 / 10 186, 13 324 / 10 694, 23 316 / 13 281 and
 		// 38 485 / 34 787 with those rows written into the models by hand
 		// (RTGCN's on every row); 20 060 / 13 042, 16 696 / 12 926 and
 		// 26 136 / 19 509 on every row. This fixture's losses read 58 of 174
@@ -299,10 +303,10 @@ func TestRoundMetersWithinCeilings(t *testing.T) {
 		// 16 288, 17 102 and 23 217 with one gradient per concatenation, and
 		// 58 633, 53 637 and 72 935 with a zero-filled buffer per node and a
 		// temporary per rule.
-		{dgnn.GCLSTM, 14582, 4315},
-		{dgnn.TGCN, 14656, 6141},
-		{dgnn.DCRNN, 25647, 11890},
-		{dgnn.RTGCN, 36506, 13331},
+		{dgnn.GCLSTM, 9361, 3269},
+		{dgnn.TGCN, 11053, 2774},
+		{dgnn.DCRNN, 25251, 2351},
+		{dgnn.RTGCN, 19610, 4061},
 	} {
 		tr, opt := roundFixture(t, c.kind, false, nil)
 		r := new(round)

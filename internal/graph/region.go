@@ -18,8 +18,9 @@ import (
 // ascending. A row's neighbours are at most one layer further out, so the rows
 // a d-deep intermediate must cover are a prefix — Frontier[d] — and every
 // adjacency row of that prefix names columns below Frontier[d+1]: the forward
-// runs the ordinary kernels on leading blocks (tensor.CSR.Head,
-// autodiff.Tape.Head) instead of the whole region. With nothing wanted the
+// runs the ordinary kernels on leading blocks (tensor.CSR.Head, and
+// autodiff.Tape.Run's restrictions to leading rows) instead of the whole
+// region. With nothing wanted the
 // order is plain ascending: a partition's.
 //
 // The order does not move a bit. A row holds its node's entries — self loop,

@@ -284,5 +284,5 @@ func TestTypedAdjKeysOnTopology(t *testing.T) {
 
 // gatherRows returns the matrix whose i-th row is m's rows[i]-th row.
 func gatherRows(m *tensor.Matrix, rows []int) *tensor.Matrix {
-	return tensor.GatherRowsConcat(tensor.Concat{Rows: m.Rows, Parts: []*tensor.Matrix{m}}, rows)
+	return tensor.GatherRowsConcatTo(nil, tensor.Concat{Rows: m.Rows, Parts: []*tensor.Matrix{m}}, rows)
 }

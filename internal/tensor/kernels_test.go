@@ -327,7 +327,7 @@ func TestConcatKernelsMatchDenseCopy(t *testing.T) {
 		if rows > 0 {
 			c = emptyEveryFifthRow(randomCSR(rng, rows+1, rows, 0.4))
 		}
-		check("SpMM", SpMM(c, d), SpMMConcat(c, x))
+		check("SpMM", SpMM(c, d), SpMMConcatTo(nil, c, x))
 		gc := NewRandom(rng, c.NRows, k, 1)
 		all := SpMMTransCols(c, gc, 0, gc.Cols)
 		for from := 0; from < k; from += 3 {

@@ -149,11 +149,6 @@ func grab(n int, zero bool) []float64 {
 	return s
 }
 
-// Oversized reports whether m's buffer belongs to a larger size class than a
-// buffer drawn for m's own shape: m is the leading part of a longer matrix's
-// storage.
-func Oversized(m *Matrix) bool { return sizeClass(cap(m.Data)) > sizeClass(len(m.Data)) }
-
 // Recycle returns m's backing buffer to the pool and detaches it from m, so
 // a stale reference to the matrix fails loudly instead of reading recycled
 // data. Only buffers whose capacity is an exact size class are pooled;

@@ -133,17 +133,18 @@ func (c *CSR) Block(rows, cols []int) *CSR {
 // SpMM returns c·x for dense x. Like MatMul, each output row is initialized
 // and accumulated in one place (an empty CSR row is zeroed), so the output
 // needs no zeroing pass.
-func SpMM(c *CSR, x *Matrix) *Matrix { return SpMMConcat(c, whole(x)) }
+func SpMM(c *CSR, x *Matrix) *Matrix { return SpMMConcatTo(nil, c, whole(x)) }
 
-// SpMMConcat returns c·x for a concatenated x: each nonzero adds into every
-// part's column window of its output row in turn. An element's sequence of
-// roundings is per nonzero and does not depend on the columns, so the result
-// is bit-identical to SpMM of the parts copied side by side.
-func SpMMConcat(c *CSR, x Concat) *Matrix {
+// SpMMConcatTo writes c·x for a concatenated x into dst (a new matrix when
+// nil), which shares no storage with x, and returns it: each nonzero adds
+// into every part's column window of its output row in turn. An element's
+// sequence of roundings is per nonzero and does not depend on the columns, so
+// the result is bit-identical to SpMM of the parts copied side by side.
+func SpMMConcatTo(dst *Matrix, c *CSR, x Concat) *Matrix {
 	if c.NCols != x.Rows {
 		panic(fmt.Sprintf("tensor: SpMM inner mismatch %dx%d · %dx%d", c.NRows, c.NCols, x.Rows, x.Cols()))
 	}
-	out := newUninit(c.NRows, x.Cols())
+	out := dest(dst, c.NRows, x.Cols())
 	for r := 0; r < c.NRows; r++ {
 		orow := out.Row(r)
 		p, end := c.RowPtr[r], c.RowPtr[r+1]
@@ -175,14 +176,9 @@ func SpMMConcat(c *CSR, x Concat) *Matrix {
 	return out
 }
 
-// SpMMTransCols returns cᵀ·x over x's columns [from, to) (used for gradients
-// through SpMM): each output row is accumulated over c's rows in order.
-func SpMMTransCols(c *CSR, x *Matrix, from, to int) *Matrix {
-	return SpMMTransColsInto(newUninit(c.NCols, to-from), c, x, from, to)
-}
-
-// SpMMTransColsInto is SpMMTransCols written into out, which it zeroes first
-// and returns: the same sums in the same order, so the same bits.
+// SpMMTransColsInto writes cᵀ·x over x's columns [from, to) into out (used
+// for gradients through SpMM), which it zeroes first and returns: each output
+// row is accumulated over c's rows in order.
 func SpMMTransColsInto(out *Matrix, c *CSR, x *Matrix, from, to int) *Matrix {
 	if c.NRows != x.Rows || from < 0 || to > x.Cols || from > to || out.Rows != c.NCols || out.Cols != to-from {
 		panic(fmt.Sprintf("tensor: SpMMTransCols %dx%d = (%dx%d)ᵀ · %dx%d[:, %d:%d]", out.Rows, out.Cols, c.NRows, c.NCols, x.Rows, x.Cols, from, to))

@@ -48,8 +48,8 @@ func New(rows, cols int) *Matrix {
 // output element before any read use it to skip New's zeroing pass: the
 // elementwise ops, and the row-accumulating kernels (MatMul,
 // MatMulAcc, SpMM), which initialize every output row themselves.
-// Scatter-accumulating ops (MatMulTransAConcat, SpMMTransCols) must use New,
-// or zero the buffer themselves.
+// Scatter-accumulating ops (MatMulTransAConcatInto, SpMMTransColsInto) are
+// given a zeroed buffer, or zero it themselves.
 func newUninit(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
@@ -378,18 +378,19 @@ func mulRow(orow, arow []float64, b *Matrix) {
 	}
 }
 
-// MatMulTransB returns a·bᵀ, every output element written once like MatMul's.
-func MatMulTransB(a, b *Matrix) *Matrix {
+// MatMulTransBTo writes a·bᵀ into dst (a new matrix when nil), which shares
+// no storage with a or b, and returns it.
+func MatMulTransBTo(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := newUninit(a.Rows, b.Rows)
+	out := dest(dst, a.Rows, b.Rows)
 	matMulTransBInto(a, b, out, false)
 	return out
 }
 
 // MatMulTransBAddTo adds a·bᵀ into dst, bit-identical to adding a
-// MatMulTransB(a, b) temporary into it: each dot product is summed from +0 in
+// MatMulTransBTo(nil, a, b) temporary into it: each dot product is summed from +0 in
 // registers exactly as MatMulTransB sums it and only then added to dst's
 // element, without the temporary. dst must not share storage with a or b.
 func MatMulTransBAddTo(dst, a, b *Matrix) {
@@ -454,19 +455,12 @@ func matMulTransBInto(a, b, out *Matrix, add bool) {
 	}
 }
 
-// MatMulTransAConcat returns aᵀ·b for a concatenated a: output row j reads
-// column j of a alone, so each part fills the block of rows its columns are,
-// bit-identical to the product of the parts copied side by side.
-func MatMulTransAConcat(a Concat, b *Matrix) *Matrix {
-	out := New(a.Cols(), b.Cols)
-	MatMulTransAConcatInto(out, a, b)
-	return out
-}
-
-// MatMulTransAConcatInto accumulates aᵀ·b into out, element by element onto
-// what out holds: into an out of all +0 it writes MatMulTransAConcat's bits,
-// without the temporary. Onto other values it is not out plus that product:
-// the terms are added to out's element one by one.
+// MatMulTransAConcatInto accumulates aᵀ·b for a concatenated a into out,
+// element by element onto what out holds: output row j reads column j of a
+// alone, so each part fills the block of rows its columns are, bit-identical
+// to the product of the parts copied side by side. Into an out of all +0 it
+// writes that product; onto other values it is not out plus the product: the
+// terms are added to out's element one by one.
 func MatMulTransAConcatInto(out *Matrix, a Concat, b *Matrix) {
 	if a.Rows != b.Rows || out.Rows != a.Cols() || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA %dx%d += (%dx%d)ᵀ · %dx%d", out.Rows, out.Cols, a.Rows, a.Cols(), b.Rows, b.Cols))
@@ -554,9 +548,6 @@ func AddTo(dst, a, b *Matrix) *Matrix {
 	return out
 }
 
-// Sub returns a−b.
-func Sub(a, b *Matrix) *Matrix { return SubTo(nil, a, b) }
-
 // SubTo writes a−b into dst.
 func SubTo(dst, a, b *Matrix) *Matrix {
 	shapeCheck("Sub", a, b)
@@ -566,9 +557,6 @@ func SubTo(dst, a, b *Matrix) *Matrix {
 	}
 	return out
 }
-
-// Mul returns the Hadamard (elementwise) product a∘b.
-func Mul(a, b *Matrix) *Matrix { return MulTo(nil, a, b) }
 
 // MulTo writes a∘b into dst.
 func MulTo(dst, a, b *Matrix) *Matrix {
@@ -651,10 +639,11 @@ func (m *Matrix) MaxAbs() float64 {
 	return mx
 }
 
-// GatherRowsConcat returns the matrix whose i-th row is row rows[i] of c, each
-// row assembled from the parts straight into the output.
-func GatherRowsConcat(c Concat, rows []int) *Matrix {
-	out := newUninit(len(rows), c.Cols())
+// GatherRowsConcatTo writes the matrix whose i-th row is row rows[i] of c
+// into dst (a new matrix when nil), which shares no storage with c, and
+// returns it: each row assembled from the parts straight into the output.
+func GatherRowsConcatTo(dst *Matrix, c Concat, rows []int) *Matrix {
+	out := dest(dst, len(rows), c.Cols())
 	for i, r := range rows {
 		if r < 0 || r >= c.Rows {
 			panic(fmt.Sprintf("tensor: GatherRows row %d of %d", r, c.Rows))

@@ -118,7 +118,7 @@ func TestAddRowVector(t *testing.T) {
 
 func TestGatherScatterRows(t *testing.T) {
 	m := FromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6})
-	g := GatherRowsConcat(whole(m), []int{2, 0})
+	g := GatherRowsConcatTo(nil, whole(m), []int{2, 0})
 	if !g.Equal(FromSlice(2, 2, []float64{5, 6, 1, 2})) {
 		t.Fatalf("GatherRows = %v", g)
 	}
@@ -292,3 +292,30 @@ func SliceCols(m *Matrix, from, to int) *Matrix {
 	}
 	return out
 }
+
+// The allocating forms of kernels the library calls with a destination
+// only, for the tests to read results by.
+
+// SpMMTransCols returns cᵀ·x over x's columns [from, to) (used for gradients
+// through SpMM): each output row is accumulated over c's rows in order.
+func SpMMTransCols(c *CSR, x *Matrix, from, to int) *Matrix {
+	return SpMMTransColsInto(newUninit(c.NCols, to-from), c, x, from, to)
+}
+
+// MatMulTransB returns a·bᵀ, every output element written once like MatMul's.
+func MatMulTransB(a, b *Matrix) *Matrix { return MatMulTransBTo(nil, a, b) }
+
+// MatMulTransAConcat returns aᵀ·b for a concatenated a: output row j reads
+// column j of a alone, so each part fills the block of rows its columns are,
+// bit-identical to the product of the parts copied side by side.
+func MatMulTransAConcat(a Concat, b *Matrix) *Matrix {
+	out := New(a.Cols(), b.Cols)
+	MatMulTransAConcatInto(out, a, b)
+	return out
+}
+
+// Sub returns a−b.
+func Sub(a, b *Matrix) *Matrix { return SubTo(nil, a, b) }
+
+// Mul returns the Hadamard (elementwise) product a∘b.
+func Mul(a, b *Matrix) *Matrix { return MulTo(nil, a, b) }
