@@ -15,16 +15,16 @@
 // A planned forward (Plan … Run) knows which op reads each value last before
 // it computes any, and a row-local op (or a product by a square matrix) that
 // reads an operand for the last time writes its result over that operand's
-// buffer instead of drawing one — on a recording tape only where no backward
-// rule reads the operand's value (see reuse). A recording tape gives every
-// other buffer back to its own pass once nothing reads it: a value after its
-// last reader, forward or backward, and an interior gradient once its rule
-// has run; the pass draws from those first (see NewTape). Forwards that will
-// never run Backward — the engine's per-step inference — use an inference
-// tape (NewInferenceTape): the same ops compute the same values but record
-// nothing, and the tape hands each intermediate buffer back to the tensor
-// pool at its last use. Ops recorded outside Plan … Run compute at once and
-// neither write over nor give back a value in the forward.
+// buffer instead of drawing one — only where no backward rule reads the
+// operand's value (see reuse). The tape gives every other buffer back to its
+// own pass once nothing reads it: a value after its last reader, forward or
+// backward, and an interior gradient once its rule has run; the pass draws
+// from those first, and Release hands them to the tensor pool (see NewTape).
+// Forwards that will never run Backward — the engine's per-step inference —
+// use an inference tape (NewInferenceTape), on which no op needs a gradient:
+// no backward rule reads a value, so each goes back at its last forward
+// reader. Ops recorded outside Plan … Run compute at once and neither write
+// over nor give back a value in the forward.
 //
 // A concatenation (ConcatCols) is a view over its operands, never a copy: the
 // products' left factors, SpMM, GatherRows, ConcatCols and a restriction to
@@ -103,12 +103,12 @@ type Node struct {
 	auxInts []int
 
 	// parts makes the node a view (ConcatCols, and a restriction of a view to
-	// leading rows): its
-	// value is the leading Value.Rows rows of these operands side by side,
-	// nested concatenations flattened, read where they are, and Value is a
-	// shape with no data of its own. mats holds the parts' values for the
-	// kernels; grads, on a recording tape, the view's gradient part by part,
-	// nil for a part that needs none. All three are empty on every other node.
+	// leading rows): its value is the leading Value.Rows rows of these
+	// operands side by side, nested concatenations flattened, read where they
+	// are, and Value is a shape with no data of its own. mats holds the parts'
+	// values for the kernels; grads, when the view needs a gradient, the
+	// view's gradient part by part, nil for a part that needs none. All three
+	// are empty on every other node.
 	parts []*Node
 	mats  []*tensor.Matrix
 	grads []*tensor.Matrix
@@ -146,15 +146,16 @@ type Tape struct {
 	// would run the rules again over gradients the first left.
 	backwardRan bool
 
-	// noGrad marks an inference tape (NewInferenceTape). into is the input
-	// whose buffer the op being computed writes its result into (see reuse),
-	// until record moves the buffer to the op's output.
+	// noGrad marks an inference tape (NewInferenceTape), on which no op
+	// needs a gradient. into is the input whose buffer the op being computed
+	// writes its result into (see reuse), until record moves the buffer to
+	// the op's output.
 	noGrad bool
 	into   *Node
 
-	// spare holds the buffers a recording tape's pass gave back (keep) and
-	// has not drawn again (draw); tops maps a length to 1 + the index of the
-	// last one of that length kept, 0 for none.
+	// spare holds the buffers the pass gave back (keep) and has not drawn
+	// again (draw); tops maps a length to 1 + the index of the last one of
+	// that length kept, 0 for none.
 	spare []spareBuf
 	tops  map[int]int
 
@@ -180,56 +181,51 @@ type spareBuf struct {
 }
 
 // NewTape returns an empty recording tape, for forwards that run Backward.
-// A value lives as long as something may read it, and each buffer then goes
-// to the tape's spare list, from which every later draw of the pass takes one
-// of its exact length before it asks the pool (draw): a planned op's operand
-// after the op that reads it last in its Run, unless a backward rule reads
-// it (ruleReads) — a row-local op writes its result over such an operand
-// instead (reuse) —, a value after the last backward rule that reads it, and
-// an interior gradient once its own rule has run. A recorded leaf, a view,
-// the value Run returns and whatever Pin or Use pinned are never given back
-// in the forward, and after Backward only pinned values, their gradients and
-// the parameters' gradients are sure to remain. The arithmetic is the same
-// whichever buffer a result lands in, so every value and gradient keeps its
-// bits.
-func NewTape() *Tape { return &Tape{} }
-
-// NewInferenceTape returns a tape in inference (no-grad) mode, for forwards
-// that never run Backward. Every op computes its value and nothing else — no
-// parents, no requiresGrad once computed; the odd pointer, scalar or index an
-// op stashes on its node shell is inert and cleared at Release — so the model
-// code that defines a training forward also defines the inference forward, at
-// the cost of the values alone.
 //
-// The tape owns every op output (and every leaf it records) and recycles it into
-// the tensor pool: at Release at the latest, and, in a planned forward, right
-// after the last op that reads it, which Run finds in the ops it is about to
-// compute. A planned forward therefore keeps only a handful of matrices live
-// at any point, from a fresh tape's first pass on.
-//
-// A row-local op writes over a dying operand rather than release it right
-// after allocating a buffer of its shape (see reuse), with the allocating
-// op's arithmetic, so every value is bit-identical. A recording tape writes
-// in place the same way and keeps what it gives back for its own pass (see
-// NewTape).
+// One rule gives buffers back, on this tape and on an inference tape alike.
+// The tape owns every value it records — an op's output, a restriction's
+// copy, an OwnedConstant, an Input — and a value lives as long as something
+// may read it; its buffer then goes to the tape's spare list (drop), from
+// which every later draw of the pass takes one of its exact length before it
+// asks the pool (draw). In a planned forward that is after the op that reads
+// it last in its Run, unless a backward rule reads it (ruleReads), and then
+// after the last such rule; a row-local op writes its result over an operand
+// it reads last that no rule reads, instead of drawing (reuse). An interior
+// gradient goes once its own rule has run. A view, the value Run returns and
+// whatever Pin or Use pinned are never given back in the forward, and after
+// Backward only pinned values, their gradients and the parameters' gradients
+// are sure to remain. Release hands the spare list to the pool. The
+// arithmetic is the same whichever buffer a result lands in, so every value
+// and gradient keeps its bits.
 //
 // Ownership rule: every buffer has one owner, the one node whose Value it is,
-// so Release hands each back exactly once. Nothing may hold a tape value past
+// so the tape gives each back exactly once. Nothing may hold a tape value past
 // Release except the forward's output, taken with Detach. A value that code
 // outside the tape's ops reads after the ops are done with it (a
 // recurrent-state commit) must be pinned with Use or Pin, which also keep
-// every op from writing over it. Backward panics on an inference tape.
+// every op from writing over it.
+func NewTape() *Tape { return &Tape{} }
+
+// NewInferenceTape returns a tape in inference (no-grad) mode, for forwards
+// that never run Backward: a recording tape on which no op needs a gradient,
+// whatever its operands, so no backward rule reads a value. NewTape's one
+// rule then gives each value's buffer back right after the last op that reads
+// it, which Run finds in the ops it is about to compute: a planned forward
+// keeps only a handful of matrices live at any point, from a fresh tape's
+// first pass on. The model code that defines a training forward thus also
+// defines the inference forward, at the cost of the values alone. Backward
+// panics on an inference tape.
 func NewInferenceTape() *Tape { return &Tape{noGrad: true} }
 
-// Release recycles every buffer recorded on the tape back into the tensor
-// pool and ends the pass, keeping the node shells for the next forward pass
-// on this tape: it is the one way a pass ends. Param and Constant nodes are
-// never recorded, so persistent parameters, their gradients, and
-// caller-owned constants are untouched. A
-// buffer is the Value, or the Grad, of one recorded node at a time, so it is
-// released at most once. Call only when nothing retains the tape's values —
-// after the backward and the utility reads of a training round; after Detach
-// has taken the output of an inference forward.
+// Release recycles every buffer the tape still owns, its spare list's among
+// them, back into the tensor pool and ends the pass, keeping the node shells
+// for the next forward pass on this tape: it is the one way a pass ends.
+// Param and Constant nodes are never recorded, so persistent parameters,
+// their gradients, and caller-owned constants are untouched. A buffer is the
+// Value, or the Grad, of one recorded node at a time, or on the spare list,
+// so it is released at most once. Call only when nothing retains the tape's
+// values — after the backward and the utility reads of a training round;
+// after Detach has taken the output of an inference forward.
 func (t *Tape) Release() {
 	for _, ns := range [...][]*Node{t.nodes, t.restrictions} {
 		for _, n := range ns {
@@ -299,12 +295,12 @@ func (t *Tape) Use(n *Node, rows []int, read func(*tensor.Matrix)) {
 // for a value read after the last op that consumes it in its Run, by code or
 // by the ops of a later Run. Pin it before the Run that computes it, or at
 // least before that Run's last reader of it. A pinned value is neither
-// released early nor written over, on either kind of tape, and on a
-// recording tape it keeps its gradient past Backward.
+// given back early nor written over, and on a recording tape it keeps its
+// gradient past Backward.
 func (t *Tape) Pin(n *Node) {
 	gone := func(q *Node) bool { return q.seq != 0 && (q.Value == nil || q.Value.Data == nil) }
 	if !n.pending && (!n.view() && gone(n) || slices.ContainsFunc(n.parts, gone)) {
-		panic("autodiff: Pin of a value the tape already released or wrote over; Pin it before its Run")
+		panic("autodiff: Pin of a value the tape already gave back or wrote over; Pin it before its Run")
 	}
 	n.each(pin)
 }
@@ -406,9 +402,9 @@ func (t *Tape) done(n *Node) *Node {
 }
 
 // OwnedConstant registers a gradient-free matrix built fresh for this pass
-// (gathered features, sampled batches) on the tape, so Release recycles its
-// buffer along with the op outputs, and returns the node to pass to the ops:
-// an inference tape sees the reads and recycles it after the last one.
+// (a view's gathered features) on the tape, which owns it from then
+// on, and returns the node to pass to the ops: its buffer goes back to the
+// pass after its last reader, as an op output's does (see NewTape).
 func (t *Tape) OwnedConstant(m *tensor.Matrix) *Node {
 	n := t.add(opNone, m.Rows, m.Cols, nil, nil, nil)
 	n.Value = m
@@ -428,22 +424,18 @@ func (t *Tape) Input(rows, cols int, fill func(rows []int, dst *tensor.Matrix)) 
 // record ends the computation of n with its value v: it moves to n the buffer
 // of the input the op wrote into (see reuse) and counts what n's backward
 // rule reads (ruleReads, tally). The inputs n reads last and n's restrictions
-// (see in) give their buffers up (drop). An inference tape keeps no op kind
-// and no parents.
+// (see in) give their buffers up (drop).
 func (t *Tape) record(n *Node, v *tensor.Matrix) {
 	if p := t.into; p != nil {
-		// The output gets a header of its own and the input's goes stale, as
-		// Recycle leaves it: a reference to it kept outside the tape fails
-		// loudly instead of reading the output. On a recording tape the input
-		// keeps its shape, which ensureGrad and the slicing rules read.
+		// The output gets a header of its own and the input keeps its shape
+		// with no data, as keep leaves a value given back: a reference to it
+		// kept outside the tape fails loudly instead of reading the output,
+		// while ensureGrad and the slicing rules read the shape.
 		t.into = nil
 		if v == p.Value {
 			v = tensor.FromSlice(v.Rows, v.Cols, v.Data)
 		}
 		p.Value.Data = nil
-		if t.noGrad {
-			p.Value = nil
-		}
 	}
 	n.Value, n.pending = v, false
 	in, out := t.ruleReads(n)
@@ -475,9 +467,6 @@ func (t *Tape) record(n *Node, v *tensor.Matrix) {
 			}
 		}
 	}
-	if t.noGrad {
-		n.op, n.parents = opNone, n.parents[:0]
-	}
 }
 
 // pin keeps n's value from being given up early or written over.
@@ -488,22 +477,15 @@ func pin(n *Node) { n.pinned = true }
 // over — a read outside the ops of its Run, of a value nobody pinned — fails
 // loudly on the missing data rather than computing on reused storage.
 func (t *Tape) retire(q *Node, i int32) {
-	if q.seq > 0 && q.last == i && !q.pinned && q.Value != nil {
+	if q.seq > 0 && q.last == i && !q.pinned {
 		t.drop(q)
 	}
 }
 
-// drop gives q's buffer up: to the tensor pool on an inference tape, which
-// keeps no header; on a recording tape to the spare list (keep), once no
-// backward rule still reads q and if q is an op's output or a restriction's
-// copy — a recorded leaf may share its buffer with a Constant, as a view's
-// features do.
+// drop gives q's buffer to the pass's spare list (keep) once no backward rule
+// still reads q: NewTape's one rule, on either kind of tape.
 func (t *Tape) drop(q *Node) {
-	switch {
-	case t.noGrad:
-		tensor.Recycle(q.Value)
-		q.Value = nil
-	case q.reads == 0 && q.op != opNone:
+	if q.reads == 0 {
 		t.keep(q.Value)
 	}
 }
@@ -567,15 +549,16 @@ func (t *Tape) zeros(rows, cols int) *tensor.Matrix {
 	return m
 }
 
-// ruleReads is the table of values the backward rule of n reads, on a
-// recording tape: which inputs, and whether its own output. Every rule not
+// ruleReads is the table of values the backward rule of n reads when n needs
+// a gradient (none on an inference tape): which inputs, and whether its own
+// output. Every rule not
 // listed reads shapes alone. A weight rule reads the parts of a view left
 // factor, MatMulAcc's sum among them if x holds it. record counts these reads
 // (tally) and Backward takes them off after the rule, which is what keeps a
 // value's buffer until its last backward reader; a pin is only ever a
 // caller's (Pin, Use).
 func (t *Tape) ruleReads(n *Node) (in [3]bool, out bool) {
-	if t.noGrad {
+	if !n.requiresGrad {
 		return in, false
 	}
 	ps := n.parents
@@ -1302,7 +1285,7 @@ func (t *Tape) segLoss(op opKind, name string, in *Node, target *tensor.Matrix, 
 	}
 	n := t.add(op, len(checkEnds(ends, rows)), 1, in, nil, nil)
 	n.aux = target
-	if t.noGrad {
+	if !n.requiresGrad {
 		n.auxInts = ends // read by the op alone, which drops it (exec)
 	} else {
 		n.auxInts = append(n.auxInts[:0], ends...)

@@ -126,11 +126,12 @@ func gruLike(tp *Tape, x, h, w, leaf *Node) (out, kept *Node) {
 }
 
 // A planned forward on an inference tape computes the recording tape's
-// values and, from a fresh tape's first pass on, releases each value at its
-// last read or writes in place over it, so it meters fewer floats than the
-// same ops computed at once — kept and output values excepted, and never
-// over a kept value, a leaf, or an SpMM's input — and records no backward
-// state.
+// values and, from a fresh tape's first pass on, gives each value's buffer
+// back to its pass at its last read or writes in place over it, so it meters
+// fewer floats than the same ops computed at once — kept and output values
+// excepted, and never over a kept value, a Constant, or an SpMM's input — and
+// counts no backward read: at the end the output and the kept value alone
+// hold data.
 func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
@@ -162,18 +163,18 @@ func TestInferenceTapeReleasesAtLastUse(t *testing.T) {
 		}
 		live := 0
 		for _, n := range tp.nodes {
-			if n.requiresGrad || n.op != opNone || len(n.parents) != 0 {
+			if n.requiresGrad || n.reads != 0 || len(n.grads) != 0 {
 				t.Fatalf("pass %d: inference tape recorded backward state", pass)
 			}
-			if n.Value != nil {
+			if holds(n) {
 				live++
 			}
 		}
 		if live != 2 {
-			t.Fatalf("pass %d: %d values live at the end, want the output and the kept one", pass, live)
+			t.Fatalf("pass %d: %d values hold data at the end, want the output and the kept one", pass, live)
 		}
-		if kept.Value == nil || x.Value != nil {
-			t.Fatalf("pass %d: kept value released or owned input not released", pass)
+		if !holds(kept) || holds(x) {
+			t.Fatalf("pass %d: kept value given back or owned input held", pass)
 		}
 		got := tp.Detach(out)
 		tp.Release()
@@ -208,10 +209,10 @@ func TestRunKeepsItsOutput(t *testing.T) {
 // A planned forward on an inference tape computes a recording tape's values
 // over random programs of every forward op — concatenations read by each op
 // that reads parts, nested, their heads, their parts read elsewhere and
-// written over after the views' last read — pass after pass, while it
-// releases values at their last read and writes row-local results in place:
-// every value that survives its Run, the output among them, holds the
-// recording tape's bits on the rows it was computed on.
+// written over after the views' last read — pass after pass, while it gives
+// values back at their last read and writes row-local results in place:
+// every value that still holds data after its Run, the output among them,
+// holds the recording tape's bits on the rows it was computed on.
 func TestInferenceTapeProgramsMatchRecordingTape(t *testing.T) {
 	released := 0
 	for seed := int64(1); seed <= 300; seed++ {
@@ -226,18 +227,18 @@ func TestInferenceTapeProgramsMatchRecordingTape(t *testing.T) {
 				t.Fatalf("seed %d pass %d: %d values, recording tape %d", seed, pass, len(got.ops), len(want.ops))
 			}
 			for i, n := range got.ops {
-				if n.Value != nil && !heldEqual(n, want.ops[i].Value) {
+				if holds(n) && !heldEqual(n, want.ops[i].Value) {
 					t.Fatalf("seed %d pass %d: value %d is %v, recording tape %v", seed, pass, i, n.Value, want.ops[i].Value)
 				}
 			}
 			if !holds(got.root) {
 				t.Fatalf("seed %d pass %d: the output was released", seed, pass)
 			}
-			if k := got.kept; k != nil && (k.Value == nil || !heldEqual(k, want.kept.Value)) {
-				t.Fatalf("seed %d pass %d: kept node %d released or written over", seed, pass, k.seq)
+			if k := got.kept; k != nil && (!holds(k) || !heldEqual(k, want.kept.Value)) {
+				t.Fatalf("seed %d pass %d: kept node %d given back or written over", seed, pass, k.seq)
 			}
 			for _, n := range tp.nodes {
-				if n.Value == nil {
+				if !n.view() && !holds(n) {
 					released++
 				}
 			}
@@ -246,9 +247,102 @@ func TestInferenceTapeProgramsMatchRecordingTape(t *testing.T) {
 		}
 	}
 	if released == 0 {
-		t.Fatal("no value released early: the programs do not exercise last uses")
+		t.Fatal("no value given back early: the programs do not exercise last uses")
 	}
-	t.Logf("%d values released or written over before Release", released)
+	t.Logf("%d values given back or written over before Release", released)
+}
+
+// An inference tape is a recording tape whose ops need no gradient: the same
+// random planned program with no parameter gradient, on one tape of each kind
+// pass after pass, meters the same floats on both, and the same values hold
+// data after the Run, with the same bits.
+func TestInferenceTapeIsRecordingTapeWithoutGradients(t *testing.T) {
+	tensor.EnableMeter(true)
+	defer tensor.EnableMeter(false)
+	given := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		inf, rec := NewInferenceTape(), NewTape()
+		for pass := 0; pass < 3; pass++ {
+			var runs [2]*inPlaceRun
+			var floats [2]int64
+			for k, tp := range []*Tape{inf, rec} {
+				poisonPool()
+				tensor.ResetMeter()
+				tp.Plan()
+				runs[k] = inPlaceProgram(seed, tp, variant{still: true})
+				floats[k] = tensor.TotalFloats()
+			}
+			if floats[0] != floats[1] {
+				t.Fatalf("seed %d pass %d: the inference tape metered %d floats, the recording tape %d", seed, pass, floats[0], floats[1])
+			}
+			for i, n := range inf.nodes {
+				m := rec.nodes[i]
+				if holds(n) != holds(m) || holds(n) && !bitEqual(n.Value, m.Value) {
+					t.Fatalf("seed %d pass %d: node %d holds data %v, %v on the recording tape", seed, pass, i+1, holds(n), holds(m))
+				}
+				if !n.view() && !holds(n) {
+					given++
+				}
+			}
+			inf.Release()
+			rec.Release()
+		}
+	}
+	if given == 0 {
+		t.Fatal("no value given back early: the programs do not exercise last uses")
+	}
+}
+
+// An owned leaf is given back after its last reader, on either kind of tape:
+// gathered features (OwnedConstant) and a state gather (Input) each read last
+// by an SpMM, which never writes in place, leave their buffers to the pass's
+// next draws of their lengths, which the meter does not count.
+func TestOwnedLeafServesLaterDraw(t *testing.T) {
+	tensor.EnableMeter(true)
+	defer tensor.EnableMeter(false)
+	rng := rand.New(rand.NewSource(7))
+	xm, hm := tensor.NewRandom(rng, 6, 4, 1), tensor.NewRandom(rng, 6, 3, 1)
+	w := Param(tensor.NewRandom(rng, 4, 1, 1))
+	adj := tensor.NewCSR(6, 6, [][]tensor.CSREntry{
+		{{Col: 1, Val: 0.5}}, {{Col: 0, Val: 1}, {Col: 5, Val: -1}}, nil,
+		{{Col: 3, Val: 2}}, {{Col: 2, Val: 0.25}}, {{Col: 4, Val: 1}},
+	})
+	forward := func(tp *Tape, x, h *Node) (zx, zh, root *Node) {
+		zx, zh = tp.SpMM(adj, tp.SpMM(adj, x)), tp.SpMM(adj, tp.SpMM(adj, h))
+		return zx, zh, tp.Add(tp.Sum(tp.MatMul(zx, w)), tp.Sum(zh))
+	}
+	_, _, want := forward(NewTape(), Constant(xm), Constant(hm))
+	for _, tp := range []*Tape{NewInferenceTape(), NewTape()} {
+		for pass := 0; pass < 2; pass++ {
+			x := xm.Clone()
+			buf := &x.Data[0]
+			tensor.ResetMeter()
+			tp.Plan()
+			xn := tp.OwnedConstant(x)
+			hn := tp.Input(6, 3, func(_ []int, dst *tensor.Matrix) { copy(dst.Data, hm.Data) })
+			zx, zh, root := forward(tp, xn, hn)
+			tp.Pin(zx)
+			tp.Pin(zh)
+			root = tp.Run(root, nil)
+			if !bitEqual(want.Value, root.Value) {
+				t.Fatalf("inference tape %v pass %d: value %v, computed at once %v", tp.noGrad, pass, root.Value, want.Value)
+			}
+			if holds(xn) || holds(hn) || &zx.Value.Data[0] != buf {
+				t.Fatalf("inference tape %v pass %d: an owned leaf held its buffer past its last reader", tp.noGrad, pass)
+			}
+			// The state gather, the two first SpMMs and the product: the
+			// second SpMMs draw the leaves' buffers, and Sum and Add return
+			// scalars of their own.
+			if got, want := tensor.TotalFloats(), int64(6*3+6*4+6*3+6); got != want {
+				t.Fatalf("inference tape %v pass %d: %d floats metered, want %d", tp.noGrad, pass, got, want)
+			}
+			if !tp.noGrad {
+				tp.Backward(root)
+				zeroGrads([]*Node{w})
+			}
+			tp.Release()
+		}
+	}
 }
 
 // ScatterRows owns its output: on an inference tape base's buffer becomes the

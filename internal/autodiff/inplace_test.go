@@ -20,6 +20,8 @@ type variant struct {
 	// freeze gives every other parameter leaf no gradient, which leaves the
 	// ops as they are but changes what the rules read.
 	freeze bool
+	// still gives no parameter leaf a gradient: the program needs none.
+	still bool
 	// pin pins every pin-th node before the Run (0: none): with 1 the same
 	// program, written over and given back nowhere.
 	pin int
@@ -34,7 +36,7 @@ type variant struct {
 // any tape. On a planning tape (Plan) it runs the program for every row of
 // its loss.
 func inPlaceProgram(seed int64, tp *Tape, v variant) *inPlaceRun {
-	p := &program{rng: rand.New(rand.NewSource(seed)), tp: tp, uses: map[*Node]int{}, freeze: v.freeze}
+	p := &program{rng: rand.New(rand.NewSource(seed)), tp: tp, uses: map[*Node]int{}, freeze: v.freeze, still: v.still}
 	run := &inPlaceRun{p: p}
 	op := func(n *Node) *Node {
 		run.ops = append(run.ops, n)
@@ -173,8 +175,8 @@ func heldEqual(n *Node, want *tensor.Matrix) bool {
 	return true
 }
 
-// holds reports whether n still holds its value: no op wrote over it, and an
-// inference tape did not release it.
+// holds reports whether n still holds its value: no op wrote over it, and
+// its tape did not give its buffer back.
 func holds(n *Node) bool { return n.Value != nil && n.Value.Data != nil }
 
 // A recording tape running random programs planned writes row-local results

@@ -34,7 +34,7 @@ func (t *Tape) Plan() { t.planning = true }
 //
 // Before it computes anything it notes on each node the last of these ops
 // that reads it (Node.last), out being read after all of them: that op may
-// write over the value or, on an inference tape, release it (see reuse). A
+// write over the value or give it back (see reuse, drop). A
 // value read after its Run by anything else — code, or the ops of a later
 // Run — must be pinned (Pin, Use).
 func (t *Tape) Run(out *Node, rows []int) *Node {
@@ -72,7 +72,7 @@ func (t *Tape) Run(out *Node, rows []int) *Node {
 	t.uses = t.uses[:0]
 	if rows != nil && len(t.positions(out, rows)) != out.Value.Rows {
 		out = t.restrict(out, rows, t.pos, nil, 0)
-		out.seq = -2 // the caller's to read: no op may write over it or release it
+		out.seq = -2 // the caller's to read: no op may write over it or give it back
 	}
 	return out
 }
@@ -239,8 +239,8 @@ func (t *Tape) positions(p *Node, rows []int) []int {
 // in makes input k of n the input itself when it holds exactly the rows n
 // needs of it, else a restriction of it to those (Head or GatherRows), which
 // n's backward rule reads as its parent. A restriction is no recorded node: n
-// may write over it (reuse), an inference tape releases it after n unless n
-// is a view, and its source's read counts as n's.
+// may write over it (reuse), it is given back after n unless n is a view or
+// a backward rule reads it, and its source's read counts as n's.
 func (t *Tape) in(n *Node, k int) {
 	p, need := n.parents[k], t.needs(n, k)
 	if need == nil {
@@ -332,7 +332,7 @@ func (t *Tape) view(n *Node, rows int, a, b *Node) {
 			n.parts = append(n.parts, p)
 		}
 	}
-	if !t.noGrad {
+	if n.requiresGrad {
 		for range n.parts {
 			n.grads = append(n.grads, nil)
 		}
@@ -421,7 +421,7 @@ func (t *Tape) exec(n *Node) {
 		z, y := ps[0].Value, n.aux
 		v = segValue(n.auxInts, y.Cols, func(i int) float64 { return bce(z.Data[i], y.Data[i]) })
 	}
-	if t.noGrad && (n.op == opMSESeg || n.op == opBCESeg) {
+	if !n.requiresGrad && (n.op == opMSESeg || n.op == opBCESeg) {
 		n.auxInts = nil // the caller's ends, which no rule reads
 	}
 	t.record(n, v)

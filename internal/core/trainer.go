@@ -166,10 +166,8 @@ func (t *Trainer) forward(view dgnn.View, r *round, clock *time.Time) *autodiff.
 	if len(view.Out) == 0 {
 		return nil
 	}
-	tp := t.tape
-	view.OwnFeat(tp)
 	lap(clock, &t.Stats.ExtractNs)
-	emb := t.Model.Forward(tp, view)
+	emb := t.Model.Forward(t.tape, view)
 	lap(clock, &t.Stats.ForwardNs)
 	atomic.AddInt64(&t.Stats.UnionRows, int64(view.N))
 	return emb

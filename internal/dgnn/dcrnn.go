@@ -66,7 +66,7 @@ func (m *DCRNNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 		}
 		return mod.(*nn.DiffusionConv).ApplyDiffused(tp, d)
 	}
-	hNew := m.cell.Apply(tp, conv, autodiff.Constant(v.Feat), h)
+	hNew := m.cell.Apply(tp, conv, v.feat(tp), h)
 	m.state.commit(tp, v, hNew)
 	return v.run(tp, hNew)
 }

@@ -60,7 +60,7 @@ func (m *DyGrEncoderModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimi
 // Forward implements Model.
 func (m *DyGrEncoderModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	tp.Plan()
-	x := tp.ReLU(m.enc1.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
+	x := tp.ReLU(m.enc1.Apply(tp, v.Norm, v.feat(tp)))
 	x = tp.ReLU(m.enc2.Apply(tp, v.Norm, x))
 	h, c := m.hState.input(tp, v), m.cState.input(tp, v)
 	hNew, cNew := m.lstm.Apply(tp, x, h, c)

@@ -97,7 +97,7 @@ func (m *EvolveGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimize
 // the evolved weights once the tape has computed them.
 func (m *EvolveGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	tp.Plan()
-	h := autodiff.Constant(v.Feat)
+	h := v.feat(tp)
 	for i, l := range m.layers {
 		w := m.weights[i]
 		w0 := autodiff.Constant(w.wStart)

@@ -55,7 +55,7 @@ func (m *GCLSTMModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer {
 // Forward implements Model.
 func (m *GCLSTMModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	tp.Plan()
-	x := tp.ReLU(m.enc.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
+	x := tp.ReLU(m.enc.Apply(tp, v.Norm, v.feat(tp)))
 	h, c := m.hState.input(tp, v), m.cState.input(tp, v)
 	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node { return mod.(*nn.GCNConv).Apply(tp, v.Norm, in) }
 	hNew, cNew := m.cell.Apply(tp, conv, x, h, c)

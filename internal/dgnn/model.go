@@ -56,8 +56,8 @@ type View struct {
 	// TypedFn lazily builds per-relation normalized adjacencies for
 	// relation-aware models (RTGCN); nil for views that cannot provide it.
 	TypedFn func(ntypes int) []*tensor.CSR
-	// featShared marks Feat as the graph's own store (FullView); see
-	// OwnFeat.
+	// featShared marks Feat as the graph's own store (FullView), which no
+	// tape owns; see feat.
 	featShared bool
 }
 
@@ -75,13 +75,16 @@ func FullView(g *graph.Dynamic) View {
 	}
 }
 
-// OwnFeat registers the view's features with tp, which recycles them at
-// Release: every view's but the full view's are gathered fresh for it, while
-// the full view's are the graph's store, which no tape owns.
-func (v View) OwnFeat(tp *autodiff.Tape) {
-	if !v.featShared {
-		tp.OwnedConstant(v.Feat)
+// feat returns the view's features as the node a forward on tp reads: the
+// full view's are the graph's store, a Constant no tape owns; every other
+// view's are gathered fresh for it, and tp owns them (OwnedConstant), giving
+// their buffer back after their last reader. A model calls it once per
+// forward.
+func (v View) feat(tp *autodiff.Tape) *autodiff.Node {
+	if v.featShared {
+		return autodiff.Constant(v.Feat)
 	}
+	return tp.OwnedConstant(v.Feat)
 }
 
 // SubView builds the view of an induced subgraph, every row wanted: Out stays
@@ -213,9 +216,8 @@ type Model interface {
 // (autodiff.NewInferenceTape) and returns the embedding matrix. The matrix is
 // detached from the tape — the caller owns it, and it never returns to the
 // tensor pool — while every intermediate, and v.Feat where the view gathered
-// it (see OwnFeat), is recycled before Infer returns.
+// it (see feat), goes back to the pool before Infer returns.
 func Infer(tp *autodiff.Tape, m Model, v View) *tensor.Matrix {
-	v.OwnFeat(tp)
 	out := tp.Detach(m.Forward(tp, v))
 	tp.Release()
 	return out

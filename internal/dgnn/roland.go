@@ -59,7 +59,7 @@ func (m *ROLANDModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer {
 func (m *ROLANDModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	tp.Plan()
 	// Layer 1: conv on raw features, then hidden-state update.
-	c1 := tp.ReLU(m.conv1.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
+	c1 := tp.ReLU(m.conv1.Apply(tp, v.Norm, v.feat(tp)))
 	new1 := m.upd1.Apply(tp, c1, m.h1.input(tp, v))
 
 	// Layer 2: conv on layer-1 state, then hidden-state update.

@@ -78,7 +78,7 @@ func (m *RTGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	if v.TypedFn != nil {
 		typed = v.TypedFn(m.relations)
 	}
-	x := tp.ReLU(m.enc.Apply(tp, typed, autodiff.Constant(v.Feat)))
+	x := tp.ReLU(m.enc.Apply(tp, typed, v.feat(tp)))
 	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node { return mod.(*nn.RGCNConv).Apply(tp, typed, in) }
 	hNew := m.cell.Apply(tp, conv, x, m.state.input(tp, v))
 	m.state.commit(tp, v, hNew)

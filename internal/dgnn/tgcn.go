@@ -54,7 +54,7 @@ func (m *TGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { r
 // Forward implements Model.
 func (m *TGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	tp.Plan()
-	x := tp.ReLU(m.enc.Apply(tp, v.Norm, autodiff.Constant(v.Feat)))
+	x := tp.ReLU(m.enc.Apply(tp, v.Norm, v.feat(tp)))
 	conv := func(mod nn.Module, in *autodiff.Node) *autodiff.Node { return mod.(*nn.GCNConv).Apply(tp, v.Norm, in) }
 	hNew := m.cell.Apply(tp, conv, x, m.state.input(tp, v))
 	m.state.commit(tp, v, hNew)

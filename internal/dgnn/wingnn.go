@@ -73,7 +73,7 @@ func (m *WinGNNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer {
 // Forward implements Model.
 func (m *WinGNNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	tp.Plan()
-	x := autodiff.Constant(v.Feat)
+	x := v.feat(tp)
 	h := tp.ReLU(m.conv1.Apply(tp, v.Norm, x))
 	h = m.conv2.Apply(tp, v.Norm, h)
 	return v.run(tp, tp.Tanh(tp.Add(h, m.skip.Apply(tp, x))))

@@ -6,12 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Buffer pooling for tape intermediates. A training unit builds and discards
-// a full set of matrices per partition, and an inference forward does the same
-// over the whole graph every step (its tape hands every intermediate back, see
-// autodiff.NewInferenceTape); recycling those buffers through a sized-class
-// sync.Pool removes the dominant source of allocation, zeroing and GC work on
-// both hot paths.
+// Buffer pooling for tape intermediates. A training round and an inference
+// forward each draw a full set of matrices per pass, and their tape hands
+// them back at Release (autodiff.Tape.Release); recycling those buffers
+// through sized-class rings removes the dominant source of allocation,
+// zeroing and GC work on both hot paths.
 //
 // Pooling is orthogonal to the allocation meter: New always records the
 // logical allocation, whether the backing slice came from the pool or from
@@ -40,17 +39,13 @@ func ReadPoolStats() PoolStats {
 // requests always fall through to make.
 const poolClasses = 27
 
-// pools[c] holds *[]float64 with cap exactly 1<<c; contents are arbitrary
-// (grab zeroes the prefix it hands out).
-var pools [poolClasses]sync.Pool
-
-// rings[c] is a small bounded stack in front of pools[c]. sync.Pool is
-// drained on every GC cycle, so on an allocation-heavy training step the hot
-// buffer shapes are re-made from scratch right after each collection; the
-// ring keeps that working set alive across GCs. Retention is bounded at
+// rings[c] is a small bounded stack of buffers with cap exactly 1<<c;
+// contents are arbitrary (grab zeroes the prefix it hands out). Unlike a
+// sync.Pool it is not drained by a GC cycle, so the hot buffer shapes of a
+// step survive the collections between steps. Retention is bounded at
 // ringFloats floats per class (larger classes hold proportionally fewer
-// buffers, the largest none), and overflow still drains through the
-// sync.Pool to the collector.
+// buffers, the largest none); a buffer offered to a full ring is left to the
+// collector.
 type classRing struct {
 	mu sync.Mutex
 	// buf stores slice headers by value: pushing a buffer must not allocate
@@ -90,19 +85,16 @@ func ringGet(c int) []float64 {
 	return s
 }
 
-// ringPut offers a buffer to ring c; returns false when the ring is full.
+// ringPut offers a buffer to ring c, which drops it when full.
 //
 //streamlint:lockfree-exempt bounded O(1) sized-class ring push — a few pointer moves under a per-class mutex, never the engine step lock
-func ringPut(c int, s []float64) bool {
+func ringPut(c int, s []float64) {
 	r := &rings[c]
 	r.mu.Lock()
-	if len(r.buf) >= ringCap(c) {
-		r.mu.Unlock()
-		return false
+	if len(r.buf) < ringCap(c) {
+		r.buf = append(r.buf, s)
 	}
-	r.buf = append(r.buf, s)
 	r.mu.Unlock()
-	return true
 }
 
 // sizeClass returns the pool class for n floats, or -1 if n is not poolable.
@@ -129,11 +121,6 @@ func grab(n int, zero bool) []float64 {
 		return make([]float64, n)
 	}
 	s := ringGet(c)
-	if s == nil {
-		if p, ok := pools[c].Get().(*[]float64); ok {
-			s = *p
-		}
-	}
 	if s == nil {
 		poolMisses.Add(1)
 		poolFreshBytes.Add(8 << uint(c))
@@ -164,8 +151,5 @@ func Recycle(m *Matrix) {
 	if c < 0 || cap(s) != 1<<c {
 		return
 	}
-	s = s[:cap(s)]
-	if !ringPut(c, s) {
-		pools[c].Put(&s)
-	}
+	ringPut(c, s[:cap(s)])
 }

@@ -173,10 +173,11 @@ type Telemetry struct {
 
 	// The tensor buffer pool's own counters (process-wide, cumulative):
 	// buffer requests, requests served from a recycled buffer, and bytes
-	// taken fresh from the Go heap. Inference forwards and training units
-	// both recycle their intermediates, so in steady state TensorFreshBytes
-	// grows by about one embedding matrix per full forward; a forward that
-	// allocates again shows here first.
+	// taken fresh from the Go heap. A tape draws from the pool only what its
+	// pass has not given back to itself, and returns every buffer at
+	// Release, so in steady state TensorFreshBytes grows by about one
+	// embedding matrix per full forward; a forward that allocates again
+	// shows here first.
 	TensorPoolGets   int64
 	TensorPoolHits   int64
 	TensorFreshBytes int64
