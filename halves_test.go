@@ -174,6 +174,21 @@ func sameEngineState(t *testing.T, a, b *Engine) {
 	}
 }
 
+// sameCheckpoints compares the checkpoint bytes of two engines.
+func sameCheckpoints(t *testing.T, a, b *Engine) {
+	t.Helper()
+	var ca, cb bytes.Buffer
+	if err := a.SaveCheckpoint(&ca); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SaveCheckpoint(&cb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ca.Bytes(), cb.Bytes()) {
+		t.Fatalf("checkpoints differ: %d vs %d bytes", ca.Len(), cb.Len())
+	}
+}
+
 // TestStepHalvesIndependentOfSchedule is the property that lets a step's
 // reveal, its inference half and its learner run at once: every answer, every
 // drift flag, every read a labeler makes of the graph and every bit of learned
@@ -181,7 +196,9 @@ func sameEngineState(t *testing.T, a, b *Engine) {
 // or overlapped on four — for every model kind, an event stream and a link
 // stream, the full and the incremental forward, the adaptive and the full
 // training strategy, and across a checkpoint resume. After every step the
-// live θ equals the learner's copy.
+// live θ equals the learner's copy. On the link stream a twin whose learner
+// reads its negatives after prediction, never computing them beside the
+// forward, ends in the same state and checkpoint bytes.
 func TestStepHalvesIndependentOfSchedule(t *testing.T) {
 	const steps = 8
 	datasets := map[string]*workload.Dataset{
@@ -204,6 +221,17 @@ func TestStepHalvesIndependentOfSchedule(t *testing.T) {
 						four.run(t, steps, 4)
 						sameSteps(t, one.steps, four.steps)
 						sameEngineState(t, one.e, four.e)
+						if ds.LinkPred {
+							// The twin's link learner reads its negatives from
+							// the embeddings prediction read, after it, on
+							// every step.
+							serial := newHalvesRun(t, ds, cfg)
+							serial.e.linkBeside = false
+							serial.run(t, steps, 4)
+							sameSteps(t, four.steps, serial.steps)
+							sameEngineState(t, four.e, serial.e)
+							sameCheckpoints(t, four.e, serial.e)
+						}
 					})
 				}
 			}

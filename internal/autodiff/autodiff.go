@@ -120,7 +120,8 @@ type Node struct {
 	// Run's caller), reads the number of backward rules recorded and not yet
 	// run that read its value (tally), and pinned marks a Pin or a Use of it
 	// (see reuse). src is the node a restriction reads rows of (see in); fill
-	// draws an Input's rows; use reads a Use's, useRows.
+	// draws an Input's rows; use reads a Use's, useRows. zero is a pending
+	// SpMM's +0 rows, once zeros has worked them out.
 	lrows, lcols int
 	rows, need   []int
 	needAll      bool
@@ -131,6 +132,7 @@ type Node struct {
 	fill         func(rows []int, dst *tensor.Matrix)
 	use          func(*tensor.Matrix)
 	useRows      []int
+	zero         []bool
 }
 
 // Tape records a forward computation for reverse-mode differentiation.
@@ -171,6 +173,7 @@ type Tape struct {
 	cuts         []cut
 	ints, pos    []int
 	marks        []bool
+	at           []int // CSR.Block's column table, all zero between calls
 }
 
 // spareBuf is a buffer on the spare list, and 1 + the index of the one of
@@ -239,7 +242,7 @@ func (t *Tape) Release() {
 			clear(n.grads)
 			clear(n.parents)
 			n.parts, n.mats, n.grads, n.parents, n.need = n.parts[:0], n.mats[:0], n.grads[:0], n.parents[:0], n.need[:0]
-			n.Value, n.Grad, n.aux, n.auxCSR, n.src, n.fill, n.use, n.rows, n.useRows = nil, nil, nil, nil, nil, nil, nil, nil, nil
+			n.Value, n.Grad, n.aux, n.auxCSR, n.src, n.fill, n.use, n.rows, n.useRows, n.zero = nil, nil, nil, nil, nil, nil, nil, nil, nil, nil
 			n.op, n.seq, n.last, n.reads, n.needAll, n.pending, n.pinned = opNone, 0, 0, 0, false, false, false
 		}
 		t.free = append(t.free, ns...)

@@ -93,7 +93,9 @@ func (n *Node) ask(rows []int) {
 
 // settle fixes the rows n is computed on, ascending, from what its readers
 // asked: every row of a matrix given whole, or of rows other than a leading
-// block once they cover everyRowShare of them.
+// block once they cover everyRowShare of them. A request short beside the
+// span of rows it names is sorted; any other is marked on the span and read
+// back, which costs the span but no comparison.
 func (t *Tape) settle(n *Node) {
 	if n.needAll || n.op == opNone && n.fill == nil {
 		n.rows = nil
@@ -101,15 +103,20 @@ func (t *Tape) settle(n *Node) {
 	}
 	if n.rows = n.need; !first(n.need) {
 		lo, hi := slices.Min(n.need), slices.Max(n.need)
-		if len(t.marks) <= hi {
-			t.marks = make([]bool, n.lrows)
-		}
-		for _, r := range n.need {
-			t.marks[r] = true
-		}
-		for n.rows = n.need[:0]; lo <= hi; lo++ {
-			if t.marks[lo] {
-				t.marks[lo], n.rows = false, append(n.rows, lo)
+		if 16*len(n.need) < hi-lo {
+			slices.Sort(n.need)
+			n.rows = slices.Compact(n.need)
+		} else {
+			if len(t.marks) <= hi {
+				t.marks = make([]bool, n.lrows)
+			}
+			for _, r := range n.need {
+				t.marks[r] = true
+			}
+			for n.rows = n.need[:0]; lo <= hi; lo++ {
+				if t.marks[lo] {
+					t.marks[lo], n.rows = false, append(n.rows, lo)
+				}
 			}
 		}
 	}
@@ -187,17 +194,20 @@ func (t *Tape) scattered(n *Node, src, at []int) ([]int, []int) {
 
 // zeros returns which rows of p are +0 whatever the data, when p is a
 // recorded SpMM: the rows whose entries all name +0 rows of its input, as an
-// SpMM's rows without entries are. nil for any other node: none known.
+// SpMM's rows without entries are. nil for any other node: none known. A
+// node's table is worked out once per pass (Node.zero).
 func zeros(p *Node) []bool {
 	if p.op != opSpMM || !p.pending {
 		return nil
 	}
-	c, in := p.auxCSR, zeros(p.parents[0])
-	z := make([]bool, c.NRows)
-	for r := range z {
-		z[r] = !slices.ContainsFunc(c.ColIdx[c.RowPtr[r]:c.RowPtr[r+1]], func(col int) bool { return in == nil || !in[col] })
+	if p.zero == nil {
+		c, in := p.auxCSR, zeros(p.parents[0])
+		p.zero = make([]bool, c.NRows)
+		for r := range p.zero {
+			p.zero[r] = !slices.ContainsFunc(c.ColIdx[c.RowPtr[r]:c.RowPtr[r+1]], func(col int) bool { return in == nil || !in[col] })
+		}
 	}
-	return z
+	return p.zero
 }
 
 // count is how many rows a node of lrows rows computed on rows holds.
@@ -300,7 +310,10 @@ func (t *Tape) block(c *tensor.CSR, rows, cols []int) *tensor.CSR {
 	case rows == nil:
 		panic("autodiff: SpMM of every row over a value computed on some")
 	default:
-		b.b = c.Block(rows, cols)
+		if cols != nil && len(t.at) < c.NCols {
+			t.at = make([]int, c.NCols)
+		}
+		b.b = c.Block(rows, cols, t.at)
 	}
 	t.cuts = append(t.cuts, b)
 	return b.b

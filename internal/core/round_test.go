@@ -69,8 +69,12 @@ func roundFixture(t *testing.T, kind dgnn.Kind, link bool, mutate func(*Config))
 	tp := autodiff.NewTape()
 	// Predict keeps a view of the embeddings, which the link negatives read
 	// after the tape is released: detach them from its recycling.
-	w.Predict(tensor.ViewOf(tp.Detach(m.Forward(tp, dgnn.FullView(g)))), 0)
+	emb := tensor.ViewOf(tp.Detach(m.Forward(tp, dgnn.FullView(g))))
+	w.Predict(emb, 0)
 	tp.Release()
+	if link {
+		tr.Negatives = ViewRows{View: emb}
+	}
 	addEdges(12, 1)
 	w.Reveal(g, 1)
 	m.BeginStep(1)

@@ -45,6 +45,10 @@ type Trainer struct {
 	// catastrophic interference of single-target online head updates at a
 	// cost independent of graph size.
 	ReplaySize int
+	// Negatives resolves the link negatives a round draws to their rows of
+	// the step's inference embeddings; the caller sets it for each training
+	// step of a link workload. nil draws none.
+	Negatives EmbeddingRows
 
 	rng *rand.Rand
 	// own is the round of TrainFull.
@@ -184,7 +188,8 @@ func (t *Trainer) forward(view dgnn.View, r *round, clock *time.Time) *autodiff.
 // r.units[i] receives unit i's outcome. Forward rows, and so utilities, are
 // bit-equal to evaluating each unit alone; parameter gradients are the same
 // terms summed inside one product over the stacked rows (DESIGN.md §18). The
-// material comes first, so the forward computes the rows it reads (forward).
+// material comes first, so the forward computes the rows it reads (forward);
+// the negatives every unit drew are resolved with one call of t.Negatives.
 // Each unit draws from its own rng seeded with r.seeds[i]. Evaluation writes
 // no model or graph state (NoCommit forward).
 func (t *Trainer) evalRound(r *round, apply bool) {
@@ -199,6 +204,9 @@ func (t *Trainer) evalRound(r *round, apply bool) {
 		r.src.Seed(r.seeds[i])
 		t.partitionMaterial(&r.mat, sub, r.union.Offsets[i], r.rnd)
 		r.units[i].OK = r.mat.closeUnit()
+	}
+	if neg := &r.mat[termLinkNeg]; len(neg.ids) > 0 {
+		neg.rows = t.Negatives.AppendRows(neg.rows, neg.ids)
 	}
 	lap(&clock, &t.Stats.LossNs)
 	emb := t.forward(dgnn.UnionView(&r.union), r, &clock)
@@ -272,9 +280,12 @@ const (
 // term is one loss term's material for a whole round, unit after unit. src
 // (and dst, for pair terms) are embedding rows of the round's forward; rows
 // are constant head-input rows, flattened (the negatives' detached embeddings,
-// replayed examples). Unit u's targets end at ends[u].
+// replayed examples). ids are the nodes whose inference rows rows receives once
+// the round's material is drawn (the negatives; see evalRound). Unit u's
+// targets end at ends[u].
 type term struct {
 	src, dst []int
+	ids      []int
 	rows     []float64
 	targets  []float64
 	ends     []int
@@ -301,7 +312,7 @@ type material [numTerms]term
 func (m *material) reset() {
 	for k := range m {
 		tm := &m[k]
-		tm.src, tm.dst, tm.rows, tm.targets, tm.ends = tm.src[:0], tm.dst[:0], tm.rows[:0], tm.targets[:0], tm.ends[:0]
+		tm.src, tm.dst, tm.ids, tm.rows, tm.targets, tm.ends = tm.src[:0], tm.dst[:0], tm.ids[:0], tm.rows[:0], tm.targets[:0], tm.ends[:0]
 	}
 }
 
@@ -355,7 +366,8 @@ func (t *Trainer) partitionMaterial(m *material, sub *graph.Subgraph, off int, r
 		// pair the center with *global* random nodes (their embeddings taken,
 		// detached, from the last inference): partitions are community-local,
 		// so in-partition negatives would cancel the community signal that
-		// link ranking needs.
+		// link ranking needs. They are drawn here and their rows resolved
+		// once per round (evalRound).
 		first := len(pairs.dst)
 		for _, e := range t.G.OutEdges(v) {
 			li := sub.LocalID(e.To)
@@ -368,15 +380,15 @@ func (t *Trainer) partitionMaterial(m *material, sub *graph.Subgraph, off int, r
 			}
 		}
 		count := len(pairs.dst) - first
-		if n := lt.NumEmbedded(); n > 1 && count > 0 {
-			neg := &m[termLinkNeg]
-			for k := 0; k < 2*count; k++ {
-				nv := rng.Intn(n)
-				if nv == v {
-					continue
-				}
-				if row, ok := lt.EmbeddingRow(nv); ok {
-					neg.rows = append(neg.rows, row...)
+		if t.Negatives != nil && count > 0 {
+			if n := t.Negatives.N(); n > 1 {
+				neg := &m[termLinkNeg]
+				for k := 0; k < 2*count; k++ {
+					nv := rng.Intn(n)
+					if nv == v {
+						continue
+					}
+					neg.ids = append(neg.ids, nv)
 					neg.node(off+center, 0)
 				}
 			}

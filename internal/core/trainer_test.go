@@ -100,11 +100,12 @@ func TestLinkSelfSupervisionGlobalNegatives(t *testing.T) {
 	cfg := DefaultConfig()
 	opt := autodiff.NewAdam(cfg.LR, append(m.Params(), heads.Params()...))
 	tr := NewTrainer(g, m, w, opt, cfg, rng)
-	// Observe embeddings so EmbeddingRow works.
+	// The negatives read the rows prediction read.
 	m.BeginStep(0)
 	tp := autodiff.NewTape()
-	emb := m.Forward(tp, dgnn.FullView(g))
-	w.Predict(tensor.ViewOf(emb.Value), 0)
+	emb := tensor.ViewOf(m.Forward(tp, dgnn.FullView(g)).Value)
+	w.Predict(emb, 0)
+	tr.Negatives = ViewRows{View: emb}
 	if _, ok := tr.TrainPartition(3); !ok {
 		t.Fatal("link self-supervision should provide material")
 	}

@@ -1,0 +1,47 @@
+package dgnn
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"streamgnn/internal/autodiff"
+)
+
+// BenchmarkFewRowForward times a planned NoCommit forward read on a few rows
+// of a 2 800-node graph — the pass a link learner runs for its negatives
+// beside the step's full forward — against that full forward, for every kind.
+// The few-row pass's bookkeeping (Tape.settle, zeros, CSR.Block) is what
+// separates its cost from the rows' share of the full one.
+func BenchmarkFewRowForward(b *testing.B) {
+	const n, hidden = 2800, 16
+	for _, k := range Kinds() {
+		for _, rows := range []int{3, 24, 0} {
+			name := fmt.Sprintf("%s/rows=%d", k, rows)
+			if rows == 0 {
+				name = fmt.Sprintf("%s/full", k)
+			}
+			b.Run(name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				g, _ := liveGraph(n, 0.6, rng)
+				m := New(k, rng, 4, hidden)
+				tp := autodiff.NewInferenceTape()
+				m.BeginStep(0)
+				Infer(tp, m, FullView(g))
+				m.BeginStep(1)
+				v := FullView(g)
+				v.NoCommit = true
+				if rows > 0 {
+					v.Out = rng.Perm(n)[:rows]
+					sort.Ints(v.Out)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Forward(tp, v)
+					tp.Release()
+				}
+			})
+		}
+	}
+}

@@ -49,6 +49,14 @@ type LinkPredTask struct {
 	// a balanced minibatch (constants; only the head trains through it).
 	replayEmb    []([]float64)
 	replayLabels []float64
+
+	// The scratch of reveal, reused from step to step: the pairs it scores
+	// and the slab replayEmb's rows sit in. The next reveal runs after every
+	// reader of this one's — the scoring and the step's learner.
+	//streamlint:ckpt-exempt scratch; replayEmb's rows, which alias slab, are checkpointed as copies
+	pairSrc, pairDst []int
+	//streamlint:ckpt-exempt scratch; replayEmb's rows, which alias slab, are checkpointed as copies
+	slab []float64
 }
 
 // NewLinkPredTask returns a link-prediction task with standard settings.
@@ -108,8 +116,7 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) func() {
 	// then go through one pass of the link head instead of
 	// len(pos)*(1+NegPerPos+RankNegs) scalar pairScore calls.
 	group := 1 + l.NegPerPos + l.RankNegs
-	src := make([]int, 0, len(pos)*group)
-	dst := make([]int, 0, len(pos)*group)
+	src, dst := l.pairSrc[:0], l.pairDst[:0]
 	for _, p := range pos {
 		src = append(src, p.U)
 		dst = append(dst, p.V)
@@ -122,11 +129,15 @@ func (l *LinkPredTask) reveal(g *graph.Dynamic, step int, h *Heads) func() {
 			dst = append(dst, l.rng.Intn(n))
 		}
 	}
-	// The replay keeps each positive and its NegPerPos negatives: one slice
+	l.pairSrc, l.pairDst = src, dst
+	// The replay keeps each positive and its NegPerPos negatives: one slab
 	// holds all of their head inputs, which replayRow writes and hands out in
 	// turn.
 	c := 3 * emb.Cols()
-	rows := make([]float64, len(pos)*(1+l.NegPerPos)*c)
+	if k := len(pos) * (1 + l.NegPerPos) * c; cap(l.slab) < k {
+		l.slab = make([]float64, k)
+	}
+	rows := l.slab
 	replayRow := func(i int) []float64 {
 		row := rows[:c:c]
 		rows = rows[c:]
@@ -168,18 +179,6 @@ func (l *LinkPredTask) Scores() ([]float64, []bool) { return l.scores, l.labels 
 
 // Ranks returns accumulated 1-based MRR ranks.
 func (l *LinkPredTask) Ranks() []int { return l.ranks }
-
-// EmbeddingRow returns node v's row of the last observed inference
-// embeddings (ok=false before the first observation or for unknown nodes).
-func (l *LinkPredTask) EmbeddingRow(v int) ([]float64, bool) {
-	if v < 0 || v >= l.lastEmb.Rows() {
-		return nil, false
-	}
-	return l.lastEmb.Row(v), true
-}
-
-// NumEmbedded returns the node count of the last observed embeddings.
-func (l *LinkPredTask) NumEmbedded() int { return l.lastEmb.Rows() }
 
 // AppendReplay samples up to n of the freshest revealed pair examples,
 // appending each pair-head input row to rows and its label to labels (see

@@ -136,29 +136,6 @@ func TestLinkReplayRowsArePairInputs(t *testing.T) {
 	}
 }
 
-func TestEmbeddingRowAccessors(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	lt := NewLinkPredTask(6)
-	if lt.NumEmbedded() != 0 {
-		t.Fatal("NumEmbedded before observe")
-	}
-	if _, ok := lt.EmbeddingRow(0); ok {
-		t.Fatal("EmbeddingRow before observe")
-	}
-	m := tensor.NewRandom(rng, 5, 3, 1)
-	lt.observeEmbeddings(tensor.ViewOf(m), 0)
-	if lt.NumEmbedded() != 5 {
-		t.Fatalf("NumEmbedded = %d", lt.NumEmbedded())
-	}
-	row, ok := lt.EmbeddingRow(2)
-	if !ok || len(row) != 3 || row[0] != m.At(2, 0) {
-		t.Fatal("EmbeddingRow wrong")
-	}
-	if _, ok := lt.EmbeddingRow(9); ok {
-		t.Fatal("out-of-range row accepted")
-	}
-}
-
 func TestSupervisionAddsInPartitionNegatives(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := NewHeads(rng, 4)

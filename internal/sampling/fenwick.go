@@ -13,7 +13,7 @@ import (
 // The item set can grow (amortized O(1) per added item).
 type Fenwick struct {
 	tree    []float64 // 1-based
-	weights []float64 // raw per-item weights, for O(n) rebuilds on growth
+	weights []float64 // raw per-item weights
 	n       int
 }
 
@@ -24,19 +24,25 @@ func NewFenwick(n int) *Fenwick {
 	return f
 }
 
+// growTo extends the item set to n items. The arrays grow by append, so
+// their capacity at least doubles when it runs out, and only the new tree
+// nodes are computed: node j sums its children j−2^k, lowest index first,
+// then its own weight, the order a build from scratch adds them in. The old
+// nodes cover old items alone and keep their sums.
 func (f *Fenwick) growTo(n int) {
 	if n <= f.n {
 		return
 	}
-	f.weights = append(f.weights, make([]float64, n-f.n)...)
+	old := f.n
+	f.weights = append(f.weights, make([]float64, n-old)...)
+	f.tree = append(f.tree, make([]float64, n+1-len(f.tree))...)
 	f.n = n
-	// Linear-time rebuild: tree[j] accumulates into its parent.
-	f.tree = make([]float64, n+1)
-	for i := 1; i <= n; i++ {
-		f.tree[i] += f.weights[i-1]
-		if p := i + (i & -i); p <= n {
-			f.tree[p] += f.tree[i]
+	for j := old + 1; j <= n; j++ {
+		var s float64
+		for k := (j & -j) >> 1; k > 0; k >>= 1 {
+			s += f.tree[j-k]
 		}
+		f.tree[j] = s + f.weights[j-1]
 	}
 }
 

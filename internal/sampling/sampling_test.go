@@ -47,6 +47,44 @@ func TestFenwickGrowPreservesWeights(t *testing.T) {
 	}
 }
 
+// TestFenwickGrowOneAtATimeMatchesFresh grows a tree one item at a time, as a
+// stream adds nodes, adding integer weights (chip counts) between growths:
+// its nodes hold the bits of a tree made at the final size with the same
+// weights added, and it draws the same samples.
+func TestFenwickGrowOneAtATimeMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	grown := NewFenwick(0)
+	var weights []float64
+	for n := 1; n <= 300; n++ {
+		grown.Grow(n)
+		w := float64(1 + rng.Intn(6))
+		weights = append(weights, w)
+		grown.Add(n-1, w)
+		if n%7 == 0 { // a chip move between old items
+			i, j := rng.Intn(n), rng.Intn(n)
+			grown.Add(i, -1)
+			grown.Add(j, 1)
+			weights[i]--
+			weights[j]++
+		}
+		fresh := NewFenwick(n)
+		for i, w := range weights {
+			fresh.Add(i, w)
+		}
+		for j := range fresh.tree {
+			if math.Float64bits(grown.tree[j]) != math.Float64bits(fresh.tree[j]) {
+				t.Fatalf("n=%d: tree[%d] = %v grown, %v fresh", n, j, grown.tree[j], fresh.tree[j])
+			}
+		}
+		a, b := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		for k := 0; k < 20; k++ {
+			if x, y := grown.Sample(a), fresh.Sample(b); x != y {
+				t.Fatalf("n=%d: draw %d is %d grown, %d fresh", n, k, x, y)
+			}
+		}
+	}
+}
+
 func TestFenwickPrefixMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -101,31 +101,38 @@ func (c *CSR) Head(rows, cols int) *CSR {
 // SpMM over it, with the input's rows cols, computes those rows of SpMM over c
 // bit for bit — an entry left out reads a row of ±0, and its ±0 term changes
 // no sum, which is never −0 — and its transpose accumulates each listed
-// column over the listed rows in their order.
-func (c *CSR) Block(rows, cols []int) *CSR {
+// column over the listed rows in their order. at is the caller's scratch
+// column table, c.NCols zeros at least (nil with cols nil), which Block marks
+// at cols and leaves zero again: a block costs its entries and cols, not c's
+// columns.
+func (c *CSR) Block(rows, cols, at []int) *CSR {
 	nnz := 0
 	for _, r := range rows {
 		nnz += c.RowNNZ(r)
 	}
-	ncols, at := c.NCols, []int(nil) // at[j] is 1 + column j's position in cols, 0 unlisted
+	ncols := c.NCols
 	if cols != nil {
-		ncols, at = len(cols), make([]int, c.NCols)
+		ncols, at = len(cols), at[:c.NCols]
 		for i, j := range cols {
-			at[j] = i + 1
+			at[j] = i + 1 // 1 + column j's position in cols, 0 unlisted
 		}
 	}
 	b := &CSR{NRows: len(rows), NCols: ncols, RowPtr: make([]int, 1, len(rows)+1), ColIdx: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
 	for _, r := range rows {
 		for p := c.RowPtr[r]; p < c.RowPtr[r+1]; p++ {
 			j := c.ColIdx[p]
-			if at != nil && at[j] == 0 {
-				continue
-			} else if at != nil {
+			if cols != nil {
+				if at[j] == 0 {
+					continue
+				}
 				j = at[j] - 1
 			}
 			b.ColIdx, b.Val = append(b.ColIdx, j), append(b.Val, c.Val[p])
 		}
 		b.RowPtr = append(b.RowPtr, len(b.ColIdx))
+	}
+	for _, j := range cols {
+		at[j] = 0
 	}
 	return b
 }

@@ -164,9 +164,13 @@ func TestCSRBlock(t *testing.T) {
 		}
 		var b *CSR
 		if trial%2 == 0 {
-			b = c.Block(rows, nil)
+			b = c.Block(rows, nil, nil)
 		} else {
-			b = c.Block(rows, cols)
+			at := make([]int, m+trial%3)
+			b = c.Block(rows, cols, at)
+			if slices.ContainsFunc(at, func(v int) bool { return v != 0 }) {
+				t.Fatalf("Block left its column table %v", at)
+			}
 		}
 		if b.NRows != len(rows) || b.NCols != len(cols) {
 			t.Fatalf("Block(%v, %v) of a %dx%d CSR is %dx%d", rows, cols, n, m, b.NRows, b.NCols)

@@ -353,8 +353,14 @@ type Engine struct {
 	emb       *dgnn.EmbStore  // the rows a forward did not compute (held, reused)
 	holds     bool            // dgnn.Kind.HoldsNodeState, and no link task scores held rows
 	liveShare float64         // liveRegionShare; tests move it to pick an executor
-	shards    *shard.Sharding // node-space partition; nil when Shards <= 1
-	shardFwd  ShardForwarder  // optional remote executor for sharded forwards
+	// fwdRows is where a link learner beside a full forward reads its
+	// negatives' rows (core.ForwardRows); otherwise it reads the rows
+	// prediction read, as on every step with linkBeside false, which tests
+	// set to compare the schedules.
+	fwdRows    *core.ForwardRows
+	linkBeside bool
+	shards     *shard.Sharding // node-space partition; nil when Shards <= 1
+	shardFwd   ShardForwarder  // optional remote executor for sharded forwards
 
 	driftDet     *drift.PageHinkley
 	driftFlag    bool
@@ -464,7 +470,8 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, ccfg: ccfg, g: g, model: model, wl: wl, sched: sched,
 		trainer: trainer, opt: opt, src: src, emb: dgnn.NewEmbStore(),
-		inferTape: autodiff.NewInferenceTape(), holds: kind.HoldsNodeState(), liveShare: liveRegionShare}
+		inferTape: autodiff.NewInferenceTape(), holds: kind.HoldsNodeState(), liveShare: liveRegionShare,
+		fwdRows: core.NewForwardRows(model, g), linkBeside: true}
 	if cfg.Shards > 1 {
 		e.shards, err = shard.New(cfg.Shards, layout)
 		if err != nil {
@@ -558,18 +565,18 @@ func (e *Engine) EnableLinkPrediction() {
 // between Step calls to feed the stream.
 //
 // A step is three tasks that only their data edges order (DESIGN.md §19).
-// A serial prologue expires edges and snapshots recurrent state (BeginStep).
-// Then one goroutine reveals truths and observes drift while the caller's
-// goroutine runs the forward on the live model, which reads nothing reveal
-// writes. Prediction waits for reveal: reveal resolves the predictions parked
-// for this step, and prediction replaces the embeddings link reveal reads.
+// A serial prologue expires edges, snapshots recurrent state (BeginStep) and
+// picks the rows the forward advances (advance). Then one goroutine reveals
+// truths and observes drift while the caller's goroutine runs the forward on
+// the live model, which reads nothing reveal writes. Prediction waits for
+// reveal: reveal resolves the predictions parked for this step. Then the
+// caller's goroutine scores the revealed link pairs, which no learner reads.
 // The learner, which trains its copy of θ, waits for reveal too; on a training
 // step whose learner reads nothing inference writes it runs on the reveal
-// goroutine, beside the forward and prediction, and otherwise after
-// prediction (learnerReadsInference); on a link step, beside reveal's scoring
-// of the pairs, which no learner reads. Then the learner's θ is copied into
-// the live model and the serving snapshot published. Answers are bit-identical
-// to running the tasks in turn.
+// goroutine, beside the forward, prediction and scoring, and otherwise after
+// them (learnerReadsInference). Then the learner's θ is copied into the live
+// model and the serving snapshot published. Answers are bit-identical to
+// running the tasks in turn.
 //
 // Each phase — window expiry, truth reveal, forward inference, query
 // prediction, training — is timed into the engine's telemetry histograms;
@@ -597,41 +604,66 @@ func (e *Engine) Step() error {
 	e.tele.phases[phaseExpire].ObserveSince(phaseStart)
 	updated := e.g.Updated()
 	e.model.BeginStep(t)
-	if !e.sched.Due(t) {
+	due := e.sched.Due(t)
+	if !due {
 		// Only the learner's training forwards read the state's snapshot;
 		// without one the forward's commits write the pages in place.
 		dgnn.DropSnapshot(e.model)
 	}
+	phaseStart = time.Now()
+	rows, r := e.advance(t, e.g.TakeDirty(), e.g.N())
+	policy := time.Since(phaseStart)
 
 	trained := false
+	beside := due && !e.learnerReadsInference(t, r)
 	train := func() {
 		phaseStart := time.Now()
+		switch {
+		case e.wl.LinkTask() == nil: // no negatives to read
+		case beside:
+			e.trainer.Negatives = e.fwdRows
+		default:
+			e.trainer.Negatives = core.ViewRows{View: e.lastEmb}
+		}
 		trained = e.sched.OnStep(t, updated)
 		e.tele.phases[phaseTrain].ObserveSince(phaseStart)
 	}
-	beside := e.sched.Due(t) && !e.learnerReadsInference(t)
+	var scoring func()
+	var revealTime time.Duration
 	revealed, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
 		phaseStart := time.Now()
-		scoring := e.wl.Reveal(e.g, t)
+		scoring = e.wl.Reveal(e.g, t)
 		e.observeDrift()
+		revealTime = time.Since(phaseStart)
 		close(revealed)
-		if scoring != nil {
-			scoring()
-		}
-		e.tele.phases[phaseReveal].ObserveSince(phaseStart)
 		if beside {
 			train()
 		}
 	}()
-	e.infer(t, revealed)
+
+	phaseStart = time.Now()
+	e.runForward(t, rows, r)
+	e.tele.phases[phaseForward].Observe((policy + time.Since(phaseStart)).Seconds())
+	<-revealed
+	phaseStart = time.Now()
+	e.wl.Predict(e.lastEmb, t)
+	e.tele.phases[phasePredict].ObserveSince(phaseStart)
+	if scoring != nil {
+		// The link reveal's scoring reads the previous step's embeddings and
+		// the live heads, which change only at CopyValues, after the join.
+		phaseStart = time.Now()
+		scoring()
+		revealTime += time.Since(phaseStart)
+	}
+	e.tele.phases[phaseReveal].Observe(revealTime.Seconds())
 	if !beside {
 		train()
 	}
 	waitStart := time.Now()
 	<-done
-	if beside || e.wl.LinkTask() != nil {
+	if beside {
 		e.tele.joinWait.ObserveSince(waitStart)
 	}
 
@@ -652,28 +684,21 @@ func (e *Engine) Step() error {
 	return nil
 }
 
-// infer is a step's inference half: the forward, then, once revealed is
-// closed, prediction from it.
-func (e *Engine) infer(t int, revealed <-chan struct{}) {
-	phaseStart := time.Now()
-	e.runForward(t)
-	e.tele.phases[phaseForward].ObserveSince(phaseStart)
-	<-revealed
-	phaseStart = time.Now()
-	e.wl.Predict(e.lastEmb, t)
-	e.tele.phases[phasePredict].ObserveSince(phaseStart)
-}
-
-// learnerReadsInference reports whether step t's training reads something its
-// inference half writes, and so must start after prediction instead of after
-// reveal on the reveal goroutine, beside the forward. Two things qualify:
-//   - on a link workload, the embeddings Predict records: training pairs each
-//     center with detached rows of them (the link-negative term);
+// learnerReadsInference reports whether step t's training, whose forward
+// takes rule r, reads something its inference half writes, and so must start
+// after prediction instead of after reveal on the reveal goroutine, beside the
+// forward:
 //   - on the engine's first step, the recurrent state: no BeginStep snapshot
 //     exists before a forward has committed state, so a training gather reads
-//     the live rows this step's forward commits.
-func (e *Engine) learnerReadsInference(t int) bool {
-	return e.wl.LinkTask() != nil || t == 0
+//     the live rows this step's forward commits;
+//   - on a step whose forward is not a full one, the rows the link negatives
+//     pair each center with: a splice step's rows include spliced and held
+//     ones a forward need not reproduce (ROADMAP item 19), so they are read
+//     from the embeddings prediction read. A full forward's rows the learner
+//     computes itself (core.ForwardRows); a learner without link negatives
+//     reads no row.
+func (e *Engine) learnerReadsInference(t int, r rule) bool {
+	return t == 0 || e.wl.LinkTask() != nil && (r != ruleAll || !e.linkBeside)
 }
 
 // rule names the policy rule that chose the rows a step's forward advances
@@ -732,7 +757,8 @@ func (e *Engine) advance(t int, dirty []int, n int) ([]int, rule) {
 const liveRegionShare = 0.85
 
 // runForward computes this step's inference embeddings into e.lastEmb: the
-// policy (advance) picks the rows, then the rule's executor advances them.
+// policy (advance) picked rows and rule r, and the rule's executor advances
+// them.
 // all runs the plain full forward; none publishes the store; live runs a
 // region forward over the live rows — closed under L-hop balls, so bit-equal
 // to a full forward masked to them — below liveRegionShare, and that masked
@@ -741,9 +767,8 @@ const liveRegionShare = 0.85
 // region's rows are not all a full forward's (ROADMAP item 19), so the choice
 // would move answers. With Shards > 1 the policy stays global, so no decision
 // depends on P; only region forwards fan out (DESIGN.md §12).
-func (e *Engine) runForward(t int) {
+func (e *Engine) runForward(t int, rows []int, r rule) {
 	n := e.g.N()
-	rows, r := e.advance(t, e.g.TakeDirty(), n)
 	computed := len(rows)
 	switch r {
 	case ruleAll:

@@ -211,10 +211,10 @@ func TestEngineLinkPrediction(t *testing.T) {
 	if m.N == 0 || m.MRR == 0 {
 		t.Fatalf("link prediction produced no metrics: %+v", m)
 	}
-	// Every link step joins reveal's scoring after its learner, and the reveal
-	// timer spans the scoring.
-	if tel := e.Telemetry(); tel.StepJoinWait.Count != 8 || tel.Phases[PhaseReveal].Count != 8 {
-		t.Fatalf("join waits %d, reveal phases %d, want 8 each", tel.StepJoinWait.Count, tel.Phases[PhaseReveal].Count)
+	// Every step but the first runs its learner beside the full forward and
+	// joins it, and the reveal timer spans the scoring on every step.
+	if tel := e.Telemetry(); tel.StepJoinWait.Count != 7 || tel.Phases[PhaseReveal].Count != 8 {
+		t.Fatalf("join waits %d, reveal phases %d, want 7 and 8", tel.StepJoinWait.Count, tel.Phases[PhaseReveal].Count)
 	}
 }
 

@@ -103,13 +103,15 @@ type Telemetry struct {
 	// Step is the whole-step latency distribution.
 	Step TelemetryHistogram
 	// Phases maps each StepPhases() name to its latency distribution. Reveal
-	// runs beside the forward, and train after reveal beside forward and
-	// predict (after predict on the first step and on a link workload, whose
-	// reveal scoring it runs beside), so the phases can sum past Step.
+	// runs beside the forward, and train after reveal beside forward, predict
+	// and the link reveal's scoring (after them on the first step, and on a
+	// link workload's step whose forward is not a full one), so the phases
+	// can sum past Step. Reveal counts the link pairs' scoring, which runs
+	// after predict.
 	Phases map[string]TelemetryHistogram
 	// StepJoinWait is how long a step waited at its join, per step whose
-	// learner ran beside inference and per link step, whose learner ran beside
-	// reveal's scoring: near zero where the step's own goroutine is longer.
+	// learner ran beside inference: near zero where the step's own goroutine
+	// is longer.
 	StepJoinWait TelemetryHistogram
 
 	// FullForwards counts steps whose forward policy advanced every live row
