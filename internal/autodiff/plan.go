@@ -178,18 +178,43 @@ func (t *Tape) gathered(n *Node) []int {
 }
 
 // scattered appends to src the rows of ScatterRows n's src that land on n's
-// rows, and to at where they land among them.
+// rows, and to at where they land among them (index), in the order of the
+// scatter's ascending index list.
 func (t *Tape) scattered(n *Node, src, at []int) ([]int, []int) {
+	pos := t.index(n.rows, n.lrows)
 	for i, r := range n.auxInts {
-		j, ok := r, true
-		if n.rows != nil {
-			j, ok = slices.BinarySearch(n.rows, r)
+		if pos != nil {
+			r = pos[r] - 1
 		}
-		if ok {
-			src, at = append(src, i), append(at, j)
+		if r >= 0 {
+			src, at = append(src, i), append(at, r)
 		}
 	}
+	t.unindex(n.rows)
 	return src, at
+}
+
+// index returns the tape's row table for a node of lrows rows computed on
+// rows: 1 + the position of each of them, 0 for a row not held; nil for rows
+// nil, every row, each at its own. unindex clears it, so the table stays all
+// zero between uses and costs the rows, not lrows (CSR.Block shares it).
+func (t *Tape) index(rows []int, lrows int) []int {
+	if rows == nil {
+		return nil
+	}
+	if len(t.at) < lrows {
+		t.at = make([]int, lrows)
+	}
+	for j, r := range rows {
+		t.at[r] = j + 1
+	}
+	return t.at
+}
+
+func (t *Tape) unindex(rows []int) {
+	for _, r := range rows {
+		t.at[r] = 0
+	}
 }
 
 // zeros returns which rows of p are +0 whatever the data, when p is a
@@ -229,19 +254,24 @@ func first(rows []int) bool {
 }
 
 // positions returns, in scratch, where the rows rows of p sit in its value:
-// each at its own row when p holds a leading block.
+// each at its own row when p holds a leading block, else as index finds it.
 func (t *Tape) positions(p *Node, rows []int) []int {
-	pos, search := t.pos[:0], !first(p.rows)
+	held := p.rows
+	if first(held) {
+		held = nil
+	}
+	pos, at := t.pos[:0], t.index(held, p.lrows)
 	for _, r := range rows {
-		j, ok := r, r < p.Value.Rows
-		if search {
-			j, ok = slices.BinarySearch(p.rows, r)
+		j := r
+		if at != nil {
+			j = at[r] - 1
 		}
-		if !ok {
+		if j < 0 || j >= p.Value.Rows {
 			panic(fmt.Sprintf("autodiff: row %d read of a value computed on %d rows without it", r, len(p.rows)))
 		}
 		pos = append(pos, j)
 	}
+	t.unindex(held)
 	t.pos = pos
 	return pos
 }

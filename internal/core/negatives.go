@@ -42,7 +42,8 @@ func (s ViewRows) AppendRows(dst []float64, ids []int) []float64 {
 // full forward computes, and it may run beside it. Its tape is its own: one
 // goroutine calls it.
 type ForwardRows struct {
-	model dgnn.Model
+	live  dgnn.Model
+	model dgnn.Model // the step's (BeginStep)
 	g     *graph.Dynamic
 	tape  *autodiff.Tape
 	out   []int // the view's Out: ids ascending, once each
@@ -50,8 +51,14 @@ type ForwardRows struct {
 
 // NewForwardRows returns the row source of m's full forwards over g.
 func NewForwardRows(m dgnn.Model, g *graph.Dynamic) *ForwardRows {
-	return &ForwardRows{model: m, g: g, tape: autodiff.NewInferenceTape()}
+	return &ForwardRows{live: m, model: m, g: g, tape: autodiff.NewInferenceTape()}
 }
+
+// BeginStep starts a step's calls, after the live model's BeginStep: they
+// run dgnn.StepForward's model, so EvolveGCN evolves its weights at the
+// step's first call only. The live model's parameters must not change until
+// the step's last call.
+func (s *ForwardRows) BeginStep() { s.model = dgnn.StepForward(s.live) }
 
 // N implements EmbeddingRows.
 func (s *ForwardRows) N() int { return s.g.N() }

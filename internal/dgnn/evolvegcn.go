@@ -15,7 +15,8 @@ import (
 // weights. Evolution happens once per stream step: every Forward within a
 // step recomputes the same on-tape evolution from the step's starting
 // weights, and the first Forward of a step captures the evolved value as the
-// next step's starting point.
+// next step's starting point. A step's copy (StepForward) evolves them once
+// for all its forwards.
 type EvolveGCNModel struct {
 	//streamlint:ckpt-exempt GRU and bias are trainable parameters, serialized through Params(); the evolving weights checkpoint through weights
 	layers []*evolveLayer
@@ -29,6 +30,10 @@ type EvolveGCNModel struct {
 	curStep int
 	//streamlint:ckpt-exempt step bookkeeping, re-established by BeginStep on the first resumed step
 	haveStep bool
+	// stepW is nil but on a step's copy (StepForward), where it holds W_t of
+	// each layer once the copy's first forward has evolved it.
+	//streamlint:ckpt-exempt a step's copy is never checkpointed; its first forward re-derives it
+	stepW []*tensor.Matrix
 }
 
 type evolveLayer struct {
@@ -94,17 +99,26 @@ func (m *EvolveGCNModel) BeginStep(t int) {
 func (m *EvolveGCNModel) WrapOptimizer(opt autodiff.Optimizer) autodiff.Optimizer { return opt }
 
 // Forward implements Model. The first committed forward of a step captures
-// the evolved weights once the tape has computed them.
+// the evolved weights once the tape has computed them; a step's copy keeps
+// them at its first forward and reads them at its later ones.
 func (m *EvolveGCNModel) Forward(tp *autodiff.Tape, v View) *autodiff.Node {
 	tp.Plan()
 	h := v.feat(tp)
 	for i, l := range m.layers {
 		w := m.weights[i]
-		w0 := autodiff.Constant(w.wStart)
-		wt := l.gru.Apply(tp, w0, w0) // evolve: rows of W are the GRU batch
+		var wt *autodiff.Node
+		if m.stepW != nil && m.stepW[i] != nil {
+			wt = autodiff.Constant(m.stepW[i])
+		} else {
+			w0 := autodiff.Constant(w.wStart)
+			wt = l.gru.Apply(tp, w0, w0) // evolve: rows of W are the GRU batch
+		}
+		switch {
+		case m.stepW != nil && m.stepW[i] == nil:
+			tp.Use(wt, nil, func(x *tensor.Matrix) { m.stepW[i] = x.Clone() })
 		// NoCommit first: a learner's forward must not read wNext, which the
 		// step's committed inference forward writes beside it.
-		if !v.NoCommit && w.wNext == nil {
+		case !v.NoCommit && w.wNext == nil:
 			tp.Use(wt, nil, func(m *tensor.Matrix) { w.wNext = m.Clone() })
 		}
 		h = tp.AddBias(tp.SpMM(v.Norm, tp.MatMul(h, wt)), l.bias)

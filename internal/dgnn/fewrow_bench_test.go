@@ -12,8 +12,12 @@ import (
 // BenchmarkFewRowForward times a planned NoCommit forward read on a few rows
 // of a 2 800-node graph — the pass a link learner runs for its negatives
 // beside the step's full forward — against that full forward, for every kind.
-// The few-row pass's bookkeeping (Tape.settle, zeros, CSR.Block) is what
-// separates its cost from the rows' share of the full one.
+// The few-row pass's bookkeeping (Tape.settle, zeros, CSR.Block, the row
+// table of Tape.positions and Tape.scattered) is what separates its cost from
+// the rows' share of the full one. The few-row passes run the step's copy of
+// the model (StepForward), as the learner's do, so every timed EvolveGCN pass
+// but the first reads the step's evolution of its weights instead of running
+// the GRU.
 func BenchmarkFewRowForward(b *testing.B) {
 	const n, hidden = 2800, 16
 	for _, k := range Kinds() {
@@ -30,15 +34,15 @@ func BenchmarkFewRowForward(b *testing.B) {
 				m.BeginStep(0)
 				Infer(tp, m, FullView(g))
 				m.BeginStep(1)
-				v := FullView(g)
+				v, f := FullView(g), m
 				v.NoCommit = true
 				if rows > 0 {
-					v.Out = rng.Perm(n)[:rows]
+					v.Out, f = rng.Perm(n)[:rows], StepForward(m)
 					sort.Ints(v.Out)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m.Forward(tp, v)
+					f.Forward(tp, v)
 					tp.Release()
 				}
 			})

@@ -5,6 +5,7 @@ import (
 
 	"streamgnn/internal/autodiff"
 	srng "streamgnn/internal/rng"
+	"streamgnn/internal/tensor"
 )
 
 // NewLearner returns the model a concurrent training half trains: a model of
@@ -23,6 +24,19 @@ func NewLearner(kind Kind, live Model, featDim, hidden int) Model {
 	autodiff.CopyValues(m.Params(), live.Params())
 	m.(interface{ shareState(live Model) }).shareState(live)
 	return m
+}
+
+// StepForward returns the model for one step's NoCommit forwards on an
+// inference tape, made after live's BeginStep: live itself, or for EvolveGCN
+// a copy sharing live's parameters and weights that evolves W_t at its first
+// forward and reads it as a constant at its later ones. It holds for that
+// step only, while live's parameters and weights do not change.
+func StepForward(live Model) Model {
+	m, ok := live.(*EvolveGCNModel)
+	if !ok {
+		return live
+	}
+	return &EvolveGCNModel{layers: m.layers, weights: m.weights, hidden: m.hidden, stepW: make([]*tensor.Matrix, len(m.layers))}
 }
 
 // shareState points the receiver's recurrent state at live's (same kind).

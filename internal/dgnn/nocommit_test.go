@@ -1,6 +1,7 @@
 package dgnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -73,4 +74,76 @@ func noCommitRows(tp *autodiff.Tape, m Model, g *graph.Dynamic, out []int) *tens
 	rows := m.Forward(tp, v).Value.Clone()
 	tp.Release()
 	return rows
+}
+
+// A step's copy of an EvolveGCN model (StepForward) evolves its weights once
+// for the step's NoCommit forwards on an inference tape: several passes on
+// different rows read bit for bit what the live model's own passes read, and
+// every pass after the first meters fewer floats. A copy made after BeginStep
+// of the next step, and one made after a checkpoint restore at the same step,
+// with the GRU's values changed each time, read the weights the new values
+// evolve, and the copy made before does not; any other kind's is the live
+// model itself.
+func TestEvolveGCNStepForwardEvolvesOnce(t *testing.T) {
+	const hidden = 6
+	g := typedGraph(40, 4)
+	tp := autodiff.NewInferenceTape()
+	m := New(EvolveGCN, rand.New(rand.NewSource(17)), 4, hidden)
+	m.BeginStep(0)
+	Infer(tp, m, FullView(g))
+	nudge := func() {
+		for _, p := range m.Params() {
+			for i := range p.Value.Data {
+				p.Value.Data[i] *= 1.01
+			}
+		}
+	}
+	same := func(when string, s Model, out []int, want bool) {
+		t.Helper()
+		got, live := noCommitRows(tp, s, g, out), noCommitRows(tp, m, g, out)
+		if eq := slices.Equal(bits(got.Data), bits(live.Data)); eq != want {
+			t.Fatalf("%s: rows bit-equal to the live model's: %v, want %v", when, eq, want)
+		}
+	}
+	tensor.EnableMeter(true)
+	defer tensor.EnableMeter(false)
+	m.BeginStep(1)
+	s := StepForward(m)
+	var first int64
+	for pass, out := range [][]int{{3}, {0, 7, 21}, {3}, {5, 39}} {
+		tensor.ResetMeter()
+		rows := noCommitRows(tp, s, g, out)
+		floats := tensor.TotalFloats()
+		tensor.Recycle(rows)
+		if pass == 0 {
+			first = floats
+		} else if floats >= first {
+			t.Fatalf("pass %d of the step metered %d floats, the first %d", pass, floats, first)
+		}
+		same(fmt.Sprintf("pass %d of step 1", pass), s, out, true)
+	}
+	nudge()
+	m.BeginStep(2)
+	same("the step 1 copy at step 2", s, []int{2, 30}, false)
+	s = StepForward(m)
+	same("a copy made at step 2", s, []int{2, 30}, true)
+	nudge()
+	restore, err := m.RestoreState(m.DumpState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore()
+	same("the copy made before a restore", s, []int{2, 30}, false)
+	same("a copy made after a restore", StepForward(m), []int{2, 30}, true)
+	if other := New(GCLSTM, rand.New(rand.NewSource(1)), 4, hidden); StepForward(other) != other {
+		t.Fatal("StepForward of a GCLSTM model is not the model itself")
+	}
+}
+
+func bits(x []float64) []uint64 {
+	b := make([]uint64, len(x))
+	for i, v := range x {
+		b[i] = math.Float64bits(v)
+	}
+	return b
 }

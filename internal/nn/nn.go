@@ -6,6 +6,7 @@ package nn
 
 import (
 	"math/rand"
+	"slices"
 
 	"streamgnn/internal/autodiff"
 	"streamgnn/internal/tensor"
@@ -194,11 +195,19 @@ func (m *MLP) Apply(tp *autodiff.Tape, x *autodiff.Node) *autodiff.Node {
 }
 
 // Score evaluates the MLP on n input rows one row at a time and returns each
-// row's first output; fill writes row i's input into row. Each layer runs the
-// kernels Apply's ops run, on one row: the product (tensor.MatMulTo), the bias
-// and, between layers, the ReLU. So every score is bit-identical to Apply's
-// on the stacked rows, and the scratch is one row per layer, not a matrix.
-func (m *MLP) Score(n int, fill func(i int, row []float64)) []float64 {
+// row's first output; fill writes row i's input into row and reports whether
+// its first shared inputs are those of row i−1 (shared 0: none is carried).
+// Each layer runs the kernels Apply's ops run, on one row: the product
+// (tensor.MatMulTo), the bias and, between layers, the ReLU. From the second
+// row of a run that repeats a nonzero prefix on, the first layer starts from
+// the prefix's share instead of summing it again: the link head's rows of one
+// source share their source's third. It multiplies [1 | the other inputs] by
+// [the prefix's sums; W's other rows], MatMulTo's chains in the same order —
+// 1·s is s, and s, summed from +0, is never −0. An all-±0 prefix takes the
+// plain product, since MatMulTo would skip it where the whole row's product
+// does not. So every score is bit-identical to Apply's on the stacked rows,
+// and the scratch is a few rows, not a matrix.
+func (m *MLP) Score(n, shared int, fill func(i int, row []float64) bool) []float64 {
 	if n == 0 {
 		return nil
 	}
@@ -206,18 +215,40 @@ func (m *MLP) Score(n int, fill func(i int, row []float64)) []float64 {
 	for _, l := range m.layers {
 		rows = append(rows, tensor.New(1, l.out))
 	}
+	w := m.layers[0].W.Value
+	x, prefix := rows[0].Data, tensor.FromSlice(1, shared, rows[0].Data[:shared])
+	var carried, rest *tensor.Matrix // [the prefix's sums; W's rows from shared] and [1 | x from shared]
+	if shared > 0 {
+		carried, rest = tensor.New(1+w.Rows-shared, w.Cols), tensor.New(1, 1+w.Rows-shared)
+		copy(carried.Data[w.Cols:], w.Data[shared*w.Cols:])
+		rest.Data[0] = 1
+	}
+	sums := false // carried's first row holds the sums of x's prefix
 	scores := make([]float64, n)
 	for i := range scores {
-		fill(i, rows[0].Data)
+		switch {
+		case !fill(i, x) || i == 0:
+			sums = false
+		case !sums && slices.ContainsFunc(prefix.Data, func(v float64) bool { return v != 0 }):
+			tensor.MatMulTo(carried.RowRange(0, 1), prefix, w.RowRange(0, shared))
+			sums = true
+		}
 		for k, l := range m.layers {
-			y := tensor.AddRowVectorTo(rows[k+1], tensor.MatMulTo(rows[k+1], rows[k], l.W.Value), l.B.Value)
+			y := rows[k+1]
+			if k == 0 && sums {
+				copy(rest.Data[1:], x[shared:])
+				tensor.MatMulTo(y, rest, carried)
+			} else {
+				tensor.MatMulTo(y, rows[k], l.W.Value)
+			}
+			tensor.AddRowVectorTo(y, y, l.B.Value)
 			if k+1 < len(m.layers) {
 				tensor.ReLUTo(y, y)
 			}
 		}
 		scores[i] = rows[len(m.layers)].Data[0]
 	}
-	for _, r := range rows {
+	for _, r := range append(rows, carried, rest) {
 		tensor.Recycle(r)
 	}
 	return scores

@@ -55,7 +55,7 @@ type Answer struct {
 // EventScores scores the event head at every anchor, one row at a time.
 // Anchors must be valid rows of emb.
 func EventScores(h *Heads, emb *tensor.RowView, anchors []int) []float64 {
-	return h.Event.Score(len(anchors), func(i int, row []float64) { copy(row, emb.Row(anchors[i])) })
+	return h.Event.Score(len(anchors), 0, func(i int, row []float64) bool { copy(row, emb.Row(anchors[i])); return false })
 }
 
 // pairRow writes the pair heads' input for the endpoint embeddings u and v,
@@ -71,9 +71,15 @@ func pairRow(row, u, v []float64) {
 }
 
 // LinkScores scores the link head on every (src, dst) pair, one row at a
-// time. src and dst must have equal length and index valid rows of emb.
+// time. src and dst must have equal length and index valid rows of emb. A
+// pair whose source is the pair before's reuses that source's share of the
+// head's first layer (nn.MLP.Score), as reveal's runs of one source's
+// candidates do; the bits are those of scoring each pair whole.
 func LinkScores(h *Heads, emb *tensor.RowView, src, dst []int) []float64 {
-	return h.Link.Score(len(src), func(i int, row []float64) { pairRow(row, emb.Row(src[i]), emb.Row(dst[i])) })
+	return h.Link.Score(len(src), emb.Cols(), func(i int, row []float64) bool {
+		pairRow(row, emb.Row(src[i]), emb.Row(dst[i]))
+		return i > 0 && src[i] == src[i-1]
+	})
 }
 
 // AnswerBatch answers a batch of predictive queries against one frozen view

@@ -93,14 +93,58 @@ func TestHeadScoresMatchApply(t *testing.T) {
 		for n := 1; n <= 12; n++ {
 			x := signedRows(rng, n, c.width)
 			want := column(tp, c.head, autodiff.Constant(x))
-			got := c.head.Score(n, func(i int, row []float64) { copy(row, x.Row(i)) })
+			got := c.head.Score(n, 0, func(i int, row []float64) bool {
+				copy(row, x.Row(i))
+				return false
+			})
 			if err := sameScores(got, want); err != nil {
 				t.Fatalf("%s head, %d rows: %v", c.name, n, err)
 			}
 		}
 	}
-	if h.Event.Score(0, nil) != nil {
+	if h.Event.Score(0, 0, nil) != nil {
 		t.Fatal("scoring no rows should return nil")
+	}
+}
+
+// LinkScores, which carries each source's third of the link head's first
+// layer from pair to pair, is bit-identical to Apply over the stacked
+// PairInput rows: runs of one source of every length from 1, sources changing
+// at every pair, a source row of all +0 and one of all −0, a −0 among a
+// source row's entries, pair rows of all ±0, and an Inf in the first layer's
+// weights — among the source's rows, which an all-±0 source row meets only
+// when the whole pair row is not ±0, or among the others.
+func TestLinkScoresCarrySourceSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const hidden, rows = 5, 9
+	emb := signedRows(rng, rows, hidden) // rows 0, 3 and 6 all +0, row 8 all −0
+	emb.Row(1)[0] = math.Copysign(0, -1)
+	view := tensor.ViewOf(emb)
+	tp := autodiff.NewInferenceTape()
+	for trial := 0; trial < 40; trial++ {
+		h := signedHeads(rng, hidden)
+		if w := h.Link.Params()[0].Value; trial%4 > 1 {
+			r := rng.Intn(hidden) // a source row
+			if trial%4 == 3 {
+				r = hidden + rng.Intn(w.Rows-hidden)
+			}
+			w.Row(r)[rng.Intn(w.Cols)] = math.Inf(1)
+		}
+		var src, dst []int
+		for len(src) < 40 {
+			s, run := rng.Intn(rows), 1+rng.Intn(6)
+			if trial%3 == 0 {
+				run = 1
+			}
+			for k := 0; k < run; k++ {
+				src, dst = append(src, s), append(dst, rng.Intn(rows))
+			}
+		}
+		src, dst = append(src, 0, 0, 8, 1), append(dst, 3, 8, 8, 1) // pair rows of all ±0, then a source after them
+		want := column(tp, h.Link, PairInput(tp, autodiff.Constant(emb), src, dst))
+		if err := sameScores(LinkScores(h, view, src, dst), want); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 	}
 }
 

@@ -621,6 +621,7 @@ func (e *Engine) Step() error {
 		switch {
 		case e.wl.LinkTask() == nil: // no negatives to read
 		case beside:
+			e.fwdRows.BeginStep()
 			e.trainer.Negatives = e.fwdRows
 		default:
 			e.trainer.Negatives = core.ViewRows{View: e.lastEmb}
