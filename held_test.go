@@ -96,89 +96,99 @@ func (h *heldStream) mutate(e *Engine, s int) {
 	for k := 2 + h.rng.Intn(5); k > 0; k-- {
 		h.addEdge(e, h.rng.Intn(n), h.rng.Intn(n))
 	}
+	if s == 9 {
+		// A burst chains four of every five nodes: most rows are live.
+		for u := 0; u+1 < n; u++ {
+			if u%5 < 3 {
+				h.addEdge(e, u, u+1)
+			}
+		}
+	}
 	v := h.rng.Intn(n)
 	e.SetFeature(v, []float64{h.rng.Float64(), 1, 0})
 	h.touched[v] = true
 }
 
+// heldEngine returns an engine over cfg fed by a heldStream seeded with
+// cfg.Seed, after the stream's first mutations, with one event query.
+func heldEngine(t *testing.T, cfg Config) (*Engine, *heldStream) {
+	t.Helper()
+	e, err := NewEngine(3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := &heldStream{rng: rand.New(rand.NewSource(cfg.Seed))}
+	stream.mutate(e, 0)
+	err = e.AddQuery(Query{Name: "q", Anchors: heldAnchors, Delta: 1, Threshold: 0.5,
+		Labeler: func(anchor, step int) (float64, bool) { return float64((anchor + step) % 3), true }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, stream
+}
+
+// heldAnchors are heldEngine's query anchors.
+var heldAnchors = []int{0, 7}
+
 // TestHeldRowsMatchFullForward is the live rule's property, for the six
 // recurrent kinds on random streams with expiry and edgeless new nodes: on
 // every step the live rows — a live edge, touched since the last step, or an
 // anchor — are bit-equal to a full forward from the same parameters and state,
-// the held rows keep their state and embedding bits, and the region executor
-// (liveShare 1) and the masked full executor (liveShare 0) agree on every bit.
+// and the held rows keep their state and embedding bits. The streams' live
+// steps advance both fewer and more than 0.85 of the rows, so the region
+// forward is held to it on sparse and dense live sets alike.
 func TestHeldRowsMatchFullForward(t *testing.T) {
-	anchors := []int{0, 7}
+	shares := map[bool]int{} // live steps by whether at least 0.85 of the rows were live
 	for _, model := range heldKinds {
 		for seed := int64(1); seed <= 3; seed++ {
-			var engines [2]*Engine
-			var streams [2]*heldStream
-			for i, share := range []float64{1, 0} {
-				cfg := Config{Model: model, Strategy: StrategyKDE, Hidden: 6, Seed: seed, WindowSteps: 3, Interval: 4}
-				e, err := NewEngine(3, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.liveShare = share
-				streams[i] = &heldStream{rng: rand.New(rand.NewSource(seed))}
-				streams[i].mutate(e, 0)
-				err = e.AddQuery(Query{Name: "q", Anchors: anchors, Delta: 1, Threshold: 0.5,
-					Labeler: func(anchor, step int) (float64, bool) { return float64((anchor + step) % 3), true }})
-				if err != nil {
-					t.Fatal(err)
-				}
-				engines[i] = e
-			}
-			region, masked := engines[0], engines[1]
+			e, stream := heldEngine(t, Config{Model: model, Strategy: StrategyKDE, Hidden: 6, Seed: seed, WindowSteps: 3, Interval: 4})
 			held := 0
 			for s := 0; s < 14; s++ {
 				if s > 0 {
-					streams[0].mutate(region, s)
-					streams[1].mutate(masked, s)
+					stream.mutate(e, s)
 				}
-				n := region.NumNodes()
+				n := e.NumNodes()
 				edged := make([]bool, n)
 				for v := 0; v < n; v++ {
-					edged[v] = region.Graph().Degree(v) > 0
+					edged[v] = e.Graph().Degree(v) > 0
 				}
-				prevEmb := region.lastEmb
-				params, before := dgnn.DumpParams(region.model.Params()), region.model.DumpState()
-				for _, e := range engines {
-					if err := e.Step(); err != nil {
-						t.Fatal(err)
-					}
+				prevEmb := e.lastEmb
+				params, before := dgnn.DumpParams(e.model.Params()), e.model.DumpState()
+				if err := e.Step(); err != nil {
+					t.Fatal(err)
 				}
-				if !region.lastEmb.Dense().Equal(masked.lastEmb.Dense()) {
-					t.Fatalf("%s seed %d step %d: the region and masked executors' embeddings differ", model, seed, s)
-				}
-				after := region.model.DumpState()
-				for k, d := range masked.model.DumpState() {
-					if !equalBits(d.Data, after[k].Data) {
-						t.Fatalf("%s seed %d step %d: the region and masked executors' states differ", model, seed, s)
-					}
-				}
-				want, wantState := referenceForward(t, region, params, before)
+				after := e.model.DumpState()
+				want, wantState := referenceForward(t, e, params, before)
+				live := 0
 				for v := 0; v < n; v++ {
-					live := prevEmb == nil || edged[v] || region.Graph().Degree(v) > 0 ||
-						streams[0].touched[v] || v == anchors[0] || v == anchors[1]
-					got := region.lastEmb.Row(v)
+					isLive := prevEmb == nil || edged[v] || e.Graph().Degree(v) > 0 ||
+						stream.touched[v] || v == heldAnchors[0] || v == heldAnchors[1]
+					got := e.lastEmb.Row(v)
 					switch {
-					case live && (!equalBits(got, want.Row(v)) || !equalBits(stateRow(after, v), stateRow(wantState, v))):
+					case isLive && (!equalBits(got, want.Row(v)) || !equalBits(stateRow(after, v), stateRow(wantState, v))):
 						t.Fatalf("%s seed %d step %d: live row %d differs from the full forward's", model, seed, s, v)
-					case !live && (!equalBits(got, prevEmb.Row(v)) || !equalBits(stateRow(after, v), stateRow(before, v))):
+					case !isLive && (!equalBits(got, prevEmb.Row(v)) || !equalBits(stateRow(after, v), stateRow(before, v))):
 						t.Fatalf("%s seed %d step %d: held row %d moved", model, seed, s, v)
-					case !live:
+					case isLive:
+						live++
+					default:
 						held++
 					}
+				}
+				if live < n {
+					if rows := e.Telemetry().ForwardRows; rows != int64(live) {
+						t.Fatalf("%s seed %d step %d: the forward advanced %d rows, %d are live", model, seed, s, rows, live)
+					}
+					shares[float64(live) >= 0.85*float64(n)]++
 				}
 			}
 			if held == 0 {
 				t.Fatalf("%s seed %d: no row was ever held; the test proved nothing", model, seed)
 			}
-			if region.Telemetry().ForwardDemandRows[0] == 0 || masked.Telemetry().ForwardDemandRows[0] != 0 {
-				t.Fatalf("%s seed %d: the engines did not run one executor each", model, seed)
-			}
 		}
+	}
+	if shares[true] == 0 || shares[false] == 0 {
+		t.Fatalf("%d live steps at or above 0.85 of the rows and %d below, want some of each", shares[true], shares[false])
 	}
 }
 

@@ -7,7 +7,25 @@ import (
 	"testing"
 
 	"streamgnn/internal/autodiff"
+	"streamgnn/internal/graph"
 )
+
+// edgedGraph is an n-node graph in which a random share of the nodes have
+// edges (two undirected edges each, to other such nodes) and the rest none.
+func edgedGraph(n int, share float64, rng *rand.Rand) *graph.Dynamic {
+	g := graph.NewDynamic(4)
+	for v := 0; v < n; v++ {
+		g.AddNode([]float64{rng.Float64(), rng.Float64(), 1, 0})
+	}
+	edged := rng.Perm(n)[:int(share*float64(n))]
+	sort.Ints(edged)
+	for _, u := range edged {
+		for k := 0; k < 2; k++ {
+			g.AddUndirectedEdge(u, edged[rng.Intn(len(edged))], 0, 0)
+		}
+	}
+	return g
+}
 
 // BenchmarkFewRowForward times a planned NoCommit forward read on a few rows
 // of a 2 800-node graph — the pass a link learner runs for its negatives
@@ -28,7 +46,7 @@ func BenchmarkFewRowForward(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
-				g, _ := liveGraph(n, 0.6, rng)
+				g := edgedGraph(n, 0.6, rng)
 				m := New(k, rng, 4, hidden)
 				tp := autodiff.NewInferenceTape()
 				m.BeginStep(0)

@@ -7,11 +7,10 @@ import (
 )
 
 // EmbStore is the managed per-node embedding rows behind the step's forward.
-// A full forward installs its output with SetFull (or SetLive, which keeps
-// the held rows); a region forward splices only the rows it advanced back
-// with Splice. The rows live in a tensor.Paged: SetFull adopts a matrix as
-// pages without copying it, and the store writes them in place until a
-// Publish.
+// A full forward installs its output with SetFull; a region forward splices
+// only the rows it advanced back with Splice. The rows live in a
+// tensor.Paged: SetFull adopts a matrix as pages without copying it, and the
+// store writes them in place until a Publish.
 //
 // Publish hands out a frozen view of the rows: publication copies the page
 // table, and the next Splice clones only the pages it writes, so a published
@@ -57,29 +56,10 @@ func (s *EmbStore) SetFull(m *tensor.Matrix, t int) {
 	s.lastFull = t
 }
 
-// SetLive installs m, a full forward's output at step t that advanced only
-// the rows in live (ascending), taking ownership of m: every other row is
-// held, so it is copied over from the store, which must cover it, and m's
-// rows become the store's pages as in SetFull. The engine runs this masked
-// forward only when most rows are live, so copying the held rows into m
-// moves fewer rows than writing the live ones into pages, and allocates
-// nothing.
-func (s *EmbStore) SetLive(m *tensor.Matrix, live []int, t int) {
-	j := 0
-	for v := 0; v < m.Rows; v++ {
-		if j < len(live) && live[j] == v {
-			j++
-			continue
-		}
-		copy(m.Row(v), s.rows.Row(v))
-	}
-	s.SetFull(m, t)
-}
-
 // Publish returns a frozen view of the stored rows (nil when invalid). The
 // view is never mutated afterwards: the store's next Splice clones the pages
-// it touches, and SetFull / SetLive / Invalidate replace the pages rather
-// than touch them. Publication copies the page table only.
+// it touches, and SetFull and Invalidate replace the pages rather than touch
+// them. Publication copies the page table only.
 func (s *EmbStore) Publish() *tensor.RowView {
 	if s.rows == nil {
 		return nil

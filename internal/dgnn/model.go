@@ -39,19 +39,19 @@ type View struct {
 	// recurrent state back (useful for what-if evaluation).
 	NoCommit bool
 	// CommitRows, when non-nil on a committed view, restricts recurrent-state
-	// write-back to these local row indices (ascending). DirtyView sets it:
-	// the view spans the whole compute region, but only the exact rows — the
+	// write-back to these local row indices (ascending). Only DirtyView, the
+	// reference the engine's region forwards are tested against, sets it: the
+	// view spans the whole compute region, but only the exact rows — the
 	// dirty nodes' L-hop frontier — may overwrite live state; boundary rows
-	// have truncated receptive fields and must not. (A view in demand order
-	// says the same with Out.) The engine's full forward over a graph with
-	// held rows sets it to the live rows: held rows keep their state.
+	// have truncated receptive fields and must not. The engine's views say
+	// the same with Out.
 	CommitRows []int
 	// SnapshotState makes a committed forward gather recurrent state from
 	// the BeginStep snapshot instead of the live buffer (writes still land
-	// live, masked by CommitRows). The sharded fan-out sets it on every
-	// per-shard view: at forward time the snapshot equals the live state
-	// (BeginStep just copied it), so values are unchanged, but concurrent
-	// shard workers never read a row another worker is committing.
+	// live). The sharded fan-out sets it on every per-shard view: at forward
+	// time the snapshot equals the live state (BeginStep just copied it), so
+	// values are unchanged, but concurrent shard workers never read a row
+	// another worker is committing.
 	SnapshotState bool
 	// TypedFn lazily builds per-relation normalized adjacencies for
 	// relation-aware models (RTGCN); nil for views that cannot provide it.

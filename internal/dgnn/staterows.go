@@ -16,7 +16,7 @@ import (
 // training gathers later in the same step still read. GatherStateRows and
 // ScatterStateRows move only the named rows of the *live* state and leave
 // the snapshot untouched, so a mid-step scatter is exactly equivalent to the
-// masked CommitRows write the local fan-out would have performed.
+// commit of the part's exact rows the local fan-out would have performed.
 
 // StateRows is implemented by models whose recurrent state is per-node and
 // can therefore be synchronized row-by-row across replicas. Models without
@@ -45,8 +45,8 @@ func (s *nodeState) gatherRows(ids []int) StateDump {
 }
 
 // scatterRows writes d's rows into the live state at ids. The snapshot is
-// left alone: a scatter stands in for this step's masked commit, which also
-// only touches live state.
+// left alone: a scatter stands in for this step's commit of those rows, which
+// also only touches live state.
 func (s *nodeState) scatterRows(ids []int, d StateDump) error {
 	if d.Cols != s.dim {
 		return fmt.Errorf("dgnn: state row scatter dim %d does not match model dim %d", d.Cols, s.dim)

@@ -117,6 +117,44 @@ func TestShardedBitEqualityRecurrent(t *testing.T) {
 	if eShard.Telemetry().IncrementalForwards == 0 {
 		t.Fatal("incremental path never ran")
 	}
+
+	// On a stream whose rows go edgeless, the step after a training step
+	// takes the live rule. One with at least 0.85 of its rows live fans out
+	// through RegionParts like a splice, every live row spliced by a shard.
+	held := Config{Model: "TGCN", Strategy: StrategyKDE, Hidden: 6, Seed: 2, WindowSteps: 3, Interval: 4, IncrementalForward: true}
+	flat, flatStream := heldEngine(t, held)
+	held.Shards = 2
+	sharded, shardStream := heldEngine(t, held)
+	dense := 0
+	for s := 0; s < 14; s++ {
+		if s > 0 {
+			flatStream.mutate(flat, s)
+			shardStream.mutate(sharded, s)
+		}
+		before := sharded.Telemetry()
+		for _, e := range []*Engine{flat, sharded} {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameMatrix(t, s, flat.lastEmb.Dense().Data, sharded.lastEmb.Dense().Data)
+		after := sharded.Telemetry()
+		live := after.FullForwards > before.FullForwards && after.SkippedRows > before.SkippedRows
+		if !live || float64(after.ForwardRows) < 0.85*float64(sharded.NumNodes()) {
+			continue
+		}
+		dense++
+		var spliced int64
+		for i, rows := range after.ShardSplicedRows {
+			spliced += rows - before.ShardSplicedRows[i]
+		}
+		if spliced != after.ForwardRows {
+			t.Fatalf("step %d: the shards spliced %d of the %d live rows", s, spliced, after.ForwardRows)
+		}
+	}
+	if dense == 0 {
+		t.Fatal("no live step advanced at least 0.85 of the rows; the test proved nothing")
+	}
 }
 
 // The range layout partitions contiguous id blocks; equality must hold for

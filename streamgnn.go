@@ -352,7 +352,6 @@ type Engine struct {
 	lastEmb   *tensor.RowView // this step's embeddings, frozen for every reader
 	emb       *dgnn.EmbStore  // the rows a forward did not compute (held, reused)
 	holds     bool            // dgnn.Kind.HoldsNodeState, and no link task scores held rows
-	liveShare float64         // liveRegionShare; tests move it to pick an executor
 	// fwdRows is where a link learner beside a full forward reads its
 	// negatives' rows (core.ForwardRows); otherwise it reads the rows
 	// prediction read, as on every step with linkBeside false, which tests
@@ -470,7 +469,7 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, ccfg: ccfg, g: g, model: model, wl: wl, sched: sched,
 		trainer: trainer, opt: opt, src: src, emb: dgnn.NewEmbStore(),
-		inferTape: autodiff.NewInferenceTape(), holds: kind.HoldsNodeState(), liveShare: liveRegionShare,
+		inferTape: autodiff.NewInferenceTape(), holds: kind.HoldsNodeState(),
 		fwdRows: core.NewForwardRows(model, g), linkBeside: true}
 	if cfg.Shards > 1 {
 		e.shards, err = shard.New(cfg.Shards, layout)
@@ -752,29 +751,22 @@ func (e *Engine) advance(t int, dirty []int, n int) ([]int, rule) {
 	return nil, ruleAll
 }
 
-// liveRegionShare is the live share of the rows from which a full forward
-// masked to them costs less than a region forward over them: the crossover
-// dgnn's BenchmarkLiveExecutors measures (EXPERIMENTS.md, "Held rows").
-const liveRegionShare = 0.85
-
 // runForward computes this step's inference embeddings into e.lastEmb: the
 // policy (advance) picked rows and rule r, and the rule's executor advances
 // them.
 // all runs the plain full forward; none publishes the store; live runs a
-// region forward over the live rows — closed under L-hop balls, so bit-equal
-// to a full forward masked to them — below liveRegionShare, and that masked
-// forward above; dirty runs a region forward over Ball(rows, L) in demand
-// order (graph.Region), never the masked one: for TGCN, DCRNN and RTGCN a
-// region's rows are not all a full forward's (ROADMAP item 19), so the choice
-// would move answers. With Shards > 1 the policy stays global, so no decision
-// depends on P; only region forwards fan out (DESIGN.md §12).
+// region forward over the live rows, which are closed under L-hop balls, so
+// each comes out bit-equal to a full forward's; dirty runs a region forward
+// over Ball(rows, L) in demand order (graph.Region). With Shards > 1 the
+// policy stays global, so no decision depends on P; only region forwards fan
+// out (DESIGN.md §12).
 func (e *Engine) runForward(t int, rows []int, r rule) {
 	n := e.g.N()
 	computed := len(rows)
 	switch r {
 	case ruleAll:
 		computed = n
-		e.forwardFull(t, nil)
+		e.forwardFull(t)
 	case ruleNone:
 		e.lastEmb = e.emb.Publish()
 	case ruleDirty:
@@ -782,12 +774,8 @@ func (e *Engine) runForward(t int, rows []int, r rule) {
 		e.forwardRegion(t, region, rows)
 		computed = len(region)
 	case ruleLive:
-		if float64(len(rows)) < e.liveShare*float64(n) {
-			e.forwardRegion(t, rows, rows)
-			e.emb.MarkFresh(t)
-		} else {
-			e.forwardFull(t, rows)
-		}
+		e.forwardRegion(t, rows, rows)
+		e.emb.MarkFresh(t)
 	}
 	if r >= ruleLive {
 		e.tele.fullForwards.Inc()
@@ -799,22 +787,15 @@ func (e *Engine) runForward(t int, rows []int, r rule) {
 	e.tele.dirtyFrac.Observe(float64(computed) / float64(n))
 }
 
-// forwardFull runs a forward over the whole graph of step t, committing the
-// rows of live (nil: every row) and holding the rest. With every row
-// committed the store adopts the output, unless no later step reads the
-// store (no IncrementalForward, no held rows): then it is served as is.
-func (e *Engine) forwardFull(t int, live []int) {
-	v := dgnn.FullView(e.g)
-	v.CommitRows = live
-	out := dgnn.Infer(e.inferTape, e.model, v)
-	switch {
-	case live != nil:
-		e.emb.SetLive(out, live, t)
-		e.lastEmb = e.emb.Publish()
-	case e.cfg.IncrementalForward || e.holds:
+// forwardFull runs a forward over the whole graph of step t, committing every
+// row. The store adopts the output, unless no later step reads the store (no
+// IncrementalForward, no held rows): then it is served as is.
+func (e *Engine) forwardFull(t int) {
+	out := dgnn.Infer(e.inferTape, e.model, dgnn.FullView(e.g))
+	if e.cfg.IncrementalForward || e.holds {
 		e.emb.SetFull(out, t)
 		e.lastEmb = e.emb.Publish()
-	default:
+	} else {
 		e.lastEmb = tensor.ViewOf(out)
 	}
 	if e.shardFwd != nil {

@@ -129,12 +129,13 @@ type Telemetry struct {
 	// compute: held rows (no live edge, not dirty, no anchor) and the rows a
 	// splice reused. Each step adds |V| − ForwardRows.
 	SkippedRows int64
-	// ForwardDemandRows totals, over the region forwards this process ran,
-	// the rows they had to cover at depth 0 (the exact rows, whose result is
-	// kept), 1 (within one hop of those) and 2 (the whole compute region): a
-	// model's intermediates run on one of the three, so a splice step that
-	// got slower shows here which of them grew. Parts a cluster replica ran
-	// count on the replica, not here.
+	// ForwardDemandRows totals, over the region forwards this process ran —
+	// every splice and every step of the live rule — the rows they had to
+	// cover at depth 0 (the exact rows, whose result is kept), 1 (within one
+	// hop of those) and 2 (the whole compute region): a model's intermediates
+	// run on one of the three, so a region step that got slower shows here
+	// which of them grew. Parts a cluster replica ran count on the replica,
+	// not here.
 	ForwardDemandRows [3]int64
 	// DirtyFraction is the per-step distribution of ForwardRows / |V|: 1 for
 	// a plain full forward, the live share when rows were held, a splice's
