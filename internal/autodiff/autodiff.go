@@ -38,6 +38,7 @@ package autodiff
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -157,9 +158,11 @@ type Tape struct {
 
 	// spare holds the buffers the pass gave back (keep) and has not drawn
 	// again (draw); tops maps a length to 1 + the index of the last one of
-	// that length kept, 0 for none.
-	spare []spareBuf
-	tops  map[int]int
+	// that length kept, 0 for none, and classes a size class c to that of
+	// the last one holding at least 1<<c floats and fewer than 1<<(c+1).
+	spare   []spareBuf
+	tops    map[int]int
+	classes [64]int
 
 	// planning is set by Plan and cleared by Run, which computes nodes[ran:].
 	// restrictions holds the nodes in made (see in), residuals MSESeg's, uses
@@ -177,10 +180,10 @@ type Tape struct {
 }
 
 // spareBuf is a buffer on the spare list, and 1 + the index of the one of
-// its length kept before it (0: none).
+// its length (next) and of its size class (peer) kept before it (0: none).
 type spareBuf struct {
-	data []float64
-	next int
+	data       []float64
+	next, peer int
 }
 
 // NewTape returns an empty recording tape, for forwards that run Backward.
@@ -257,6 +260,7 @@ func (t *Tape) Release() {
 	}
 	clear(t.spare)
 	clear(t.tops)
+	t.classes = [64]int{}
 	t.spare = t.spare[:0]
 	clear(t.restrictions)
 	clear(t.uses)
@@ -524,23 +528,36 @@ func (t *Tape) keep(m *tensor.Matrix) {
 	if t.tops == nil {
 		t.tops = map[int]int{}
 	}
-	k := len(m.Data)
-	t.spare = append(t.spare, spareBuf{m.Data, t.tops[k]})
-	t.tops[k] = len(t.spare)
+	k, c := len(m.Data), bits.Len(uint(cap(m.Data)))-1
+	t.spare = append(t.spare, spareBuf{m.Data, t.tops[k], t.classes[c]})
+	t.tops[k], t.classes[c] = len(t.spare), len(t.spare)
 	m.Data = nil
 }
 
 // draw returns a rows×cols matrix to write every element of before reading
 // any: over the buffer of exactly its length the pass kept last (keep), or
-// over one from the pool, metered, when none is left.
+// over one from the pool, metered, when none is left. In the backward, a
+// length no kept buffer has takes the last kept buffer of its pool size
+// class, the same capacity the pool would hand out: each loss term's
+// gradients have the term's own row count, which the pass's other values
+// rarely share.
 func (t *Tape) draw(rows, cols int) *tensor.Matrix {
 	k := rows * cols
-	if i := t.tops[k]; i > 0 {
+	for i := t.tops[k]; i > 0; i = t.tops[k] {
 		b := &t.spare[i-1]
 		t.tops[k] = b.next
-		s := b.data
-		b.data = nil
-		return tensor.FromSlice(rows, cols, s)
+		if s := b.data; s != nil { // nil: taken by its size class
+			b.data = nil
+			return tensor.FromSlice(rows, cols, s)
+		}
+	}
+	for c := bits.Len(uint(k - 1)); t.backwardRan && k > 0 && t.classes[c] > 0; {
+		b := &t.spare[t.classes[c]-1]
+		t.classes[c] = b.peer
+		if s := b.data; s != nil { // nil: taken by its length
+			b.data = nil
+			return tensor.FromSlice(rows, cols, s[:k])
+		}
 	}
 	return tensor.NewUninit(rows, cols)
 }
@@ -1018,17 +1035,22 @@ func (out *Node) runBack(t *Tape, in *[3]bool) {
 		}
 	case opReLU:
 		// Where a is not above 0 the share is +0: written as such into g,
-		// left out of a sum, as adding onto zeros leaves it. The output is
+		// left out of a sum — the sum's element is selected, not added to,
+		// so a −0 stays — as adding onto zeros leaves it. The output is
 		// above 0 exactly where a is (ReLUTo), and a may be written over.
 		a := out.parents[0]
 		if a.requiresGrad {
 			dst, add := t.elementwise(out, a)
-			for i, y := range out.Value.Data {
-				switch {
-				case y > 0:
-					dst.Data[i] = plus(add, dst.Data[i], g.Data[i])
-				case !add:
-					dst.Data[i] = 0
+			ys := out.Value.Data
+			ds, gs := dst.Data[:len(ys)], g.Data[:len(ys)]
+			if add {
+				for i, y := range ys {
+					m, d := tensor.PositiveMask(y), math.Float64bits(ds[i])
+					ds[i] = math.Float64frombits(math.Float64bits(ds[i]+gs[i])&m | d&^m)
+				}
+			} else {
+				for i, y := range ys {
+					ds[i] = math.Float64frombits(math.Float64bits(gs[i]) & tensor.PositiveMask(y))
 				}
 			}
 		}

@@ -89,6 +89,41 @@ func TestReLUGrad(t *testing.T) {
 	})
 }
 
+// The ReLU rule gives its input the output's gradient where the output is
+// above 0 and nothing elsewhere: where the input already has a gradient it
+// adds there and keeps every other element's bits, a −0 included; written
+// fresh it is +0 there. Inputs: NaN, ±0, ±Inf, subnormals.
+func TestReLUGradSpecialValues(t *testing.T) {
+	const sub = 5e-324
+	inf, nz := math.Inf(1), math.Copysign(0, -1)
+	vals := []float64{math.NaN(), 0, nz, inf, -inf, sub, -sub, 2, -2}
+	up := []float64{1.5, 2, 3, nz, 4, 5, 6, 0.25, 7} // the output's gradient
+	pre := []float64{nz, nz, nz, 1, nz, nz, nz, nz, 1}
+	want := []float64{nz, nz, nz, 1, nz, 5, nz, 0.25, 1}
+	a := Param(tensor.FromSlice(1, len(vals), append([]float64(nil), vals...)))
+	a.Grad = tensor.FromSlice(1, len(pre), append([]float64(nil), pre...))
+	// Fresh: the rule's share written into an interior input, read through
+	// a gradient of the sum that passes it on unchanged.
+	b := Param(tensor.FromSlice(1, len(vals), append([]float64(nil), vals...)))
+	c := Constant(tensor.FromSlice(1, len(up), up))
+	tp := NewTape()
+	loss := tp.Add(tp.Sum(tp.Mul(tp.ReLU(a), c)), tp.Sum(tp.Mul(tp.ReLU(tp.Add(b, Constant(tensor.New(1, len(vals))))), c)))
+	tp.Backward(loss)
+	for i, w := range want {
+		if math.Float64bits(a.Grad.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("added into: input %v, output gradient %v, gradient before %v: got %v, want %v", vals[i], up[i], pre[i], a.Grad.Data[i], w)
+		}
+		fresh := 0.0
+		if vals[i]+0 > 0 {
+			fresh = up[i] + 0 // b's gradient sums its share onto +0
+		}
+		if math.Float64bits(b.Grad.Data[i]) != math.Float64bits(fresh) {
+			t.Fatalf("fresh: input %v, output gradient %v: got %v, want %v", vals[i], up[i], b.Grad.Data[i], fresh)
+		}
+	}
+	tp.Release()
+}
+
 func TestSpMMGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	adj := tensor.NewCSR(3, 3, [][]tensor.CSREntry{

@@ -852,6 +852,65 @@ func TestRecordingTapeGivesBuffersBackAtLastUse(t *testing.T) {
 	}
 }
 
+// A backward draw of a length the pass kept no buffer of takes a kept buffer
+// of its pool size class. Three loss terms, each a two-layer head over 7, 6
+// and 5 rows, draw their hidden gradients — 28, 24 and 20 floats, one size
+// class — while their hidden values are still read, and the backward, which
+// reaches the 7-row term first, draws nothing the same program with three
+// 7-row terms does not: the smaller terms take the larger one's buffers.
+// Every gradient is bit-equal to the program's with every node pinned, which
+// gives no buffer back.
+func TestBackwardDrawTakesItsSizeClass(t *testing.T) {
+	tensor.EnableMeter(true)
+	defer tensor.EnableMeter(false)
+	rng := rand.New(rand.NewSource(9))
+	ws := []*Node{Param(tensor.NewRandom(rng, 4, 4, 1)), Param(tensor.NewRandom(rng, 4, 1, 1))}
+	xs := make([]*tensor.Matrix, 3)
+	for i := range xs {
+		xs[i] = tensor.NewRandom(rng, 7, 4, 1)
+	}
+	run := func(rows []int, pinAll bool) (int64, []*tensor.Matrix) {
+		tp := NewTape()
+		tp.Plan()
+		var loss *Node
+		for i, n := range rows {
+			x := Constant(tensor.FromSlice(n, 4, xs[i].Data[:4*n]))
+			term := tp.Sum(tp.MatMul(tp.Tanh(tp.MatMul(x, ws[0])), ws[1]))
+			if loss == nil {
+				loss = term
+			} else {
+				loss = tp.Add(term, loss)
+			}
+		}
+		if pinAll {
+			for _, n := range tp.nodes {
+				tp.Pin(n)
+			}
+		}
+		loss = tp.Run(loss, nil)
+		tensor.ResetMeter()
+		tp.Backward(loss)
+		floats := tensor.TotalFloats()
+		grads := []*tensor.Matrix{ws[0].Grad.Clone(), ws[1].Grad.Clone()}
+		zeroGrads(ws)
+		tp.Release()
+		return floats, grads
+	}
+	run([]int{7, 6, 5}, false) // warm: the weights' gradients allocated
+	mixed, g := run([]int{7, 6, 5}, false)
+	same, _ := run([]int{7, 7, 7}, false)
+	pinned, want := run([]int{7, 6, 5}, true)
+	t.Logf("backward floats: rows 7, 6, 5 %d; 7, 7, 7 %d; every node pinned %d", mixed, same, pinned)
+	for k := range ws {
+		if !bitEqual(g[k], want[k]) {
+			t.Fatalf("weight %d gradient %v, every node pinned %v", k, g[k], want[k])
+		}
+	}
+	if mixed != same || mixed >= pinned {
+		t.Fatalf("backward over rows 7, 6, 5 meters %d floats, over 7, 7, 7 %d, pinned %d", mixed, same, pinned)
+	}
+}
+
 // twoProducts adds to a random program's loss a term that reads its first
 // parameter as the right factor of two products.
 func twoProducts(root *Node, p *program) (*Node, *program) {

@@ -159,8 +159,32 @@ func CopyValues(dst, src []*Node) {
 		panic(fmt.Sprintf("autodiff: CopyValues into %d parameters from %d", len(dst), len(src)))
 	}
 	for i, d := range dst {
+		if len(d.Value.Data) != len(src[i].Value.Data) {
+			panic(fmt.Sprintf("autodiff: CopyValues parameter %d: %d values from %d", i, len(d.Value.Data), len(src[i].Value.Data)))
+		}
 		copy(d.Value.Data, src[i].Value.Data)
 	}
+}
+
+// AddGrads adds each src parameter's gradient into the dst parameter at the
+// same position, in place, and clears src's to +0: the gradient a learner
+// copy summed over its share of a round, merged into the one the optimizer
+// steps on. A src gradient no rule has added into since it was cleared is
+// all +0 and is left out.
+func AddGrads(dst, src []*Node) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("autodiff: AddGrads into %d parameters from %d", len(dst), len(src)))
+	}
+	for i, s := range src {
+		if d := dst[i]; s.Grad != nil && !s.zeroed {
+			if d.Grad == nil {
+				d.Grad = tensor.New(d.Value.Rows, d.Value.Cols)
+			}
+			tensor.AddInPlace(d.Grad, s.Grad)
+			d.zeroed = false
+		}
+	}
+	zeroGrads(src)
 }
 
 // idle reports a gradient of ±0 alone over moments of +0 alone: Adam's

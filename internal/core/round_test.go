@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"streamgnn/internal/autodiff"
@@ -95,13 +96,19 @@ func gradSnapshot(opt *autodiff.Adam) [][]float64 {
 // evalAsRound evaluates centers as one round from zeroed gradients and returns
 // the units, the parameter gradients and the target counters it consumed.
 func evalAsRound(tr *Trainer, opt *autodiff.Adam, centers []int, seeds []int64) ([]Unit, [][]float64, TrainerStats) {
+	return evalCut(tr, opt, centers, seeds, firstHalf(len(centers)))
+}
+
+// evalCut is evalAsRound with the first cut units on the trainer's learner
+// and the rest on its twin: a round on one tape when cut is len(centers).
+func evalCut(tr *Trainer, opt *autodiff.Adam, centers []int, seeds []int64, cut int) ([]Unit, [][]float64, TrainerStats) {
 	opt.ZeroGrad()
 	before := tr.Stats
 	r := new(round)
 	for i, v := range centers {
 		r.add(tr.G.Partition(v, tr.Model.Layers()), seeds[i])
 	}
-	tr.evalRound(r, true)
+	tr.evalHalves(r, cut, true)
 	return r.units, gradSnapshot(opt), targetDelta(tr.Stats, before)
 }
 
@@ -253,8 +260,13 @@ func TestRoundWarmScratch(t *testing.T) {
 		}
 	}
 	run(r, subs)() // warm: scratch at its high-water mark
-	if allocs := testing.AllocsPerRun(50, func() { r.union.Build(r.subs) }); allocs != 0 {
-		t.Fatalf("warm union build allocates %.1f times, want 0", allocs)
+	cut := firstHalf(len(r.subs))
+	build := func() {
+		r.halves[0].union.Build(r.subs[:cut])
+		r.halves[1].union.Build(r.subs[cut:])
+	}
+	if allocs := testing.AllocsPerRun(50, build); allocs != 0 {
+		t.Fatalf("warm union builds allocate %.1f times, want 0", allocs)
 	}
 	one := new(round)
 	run(one, subs[:1])()
@@ -267,7 +279,8 @@ func TestRoundWarmScratch(t *testing.T) {
 }
 
 // TestRoundMetersWithinCeilings is the volume promise of a warm 16-unit
-// round, its forward and loss metered apart from its backward pass. The
+// round as evalRound runs it, in two halves side by side, its forward and
+// loss metered apart from its backward pass. The
 // forward writes a row-local op's result over an operand no backward rule
 // reads (autodiff's reuse on a recording tape) and reads a concatenation's
 // parts where they are; the backward writes each interior gradient once and
@@ -277,7 +290,8 @@ func TestRoundWarmScratch(t *testing.T) {
 // accumulates a parameter's first product share straight into its zeroed
 // gradient, and, forward and backward, gives each buffer back to the pass
 // once nothing reads it — a value after its last reader, an interior
-// gradient after its rule — for the pass's later draws of its length.
+// gradient after its rule — for the pass's later draws of its length, and
+// the backward's of its size class.
 func TestRoundMetersWithinCeilings(t *testing.T) {
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
@@ -285,11 +299,17 @@ func TestRoundMetersWithinCeilings(t *testing.T) {
 		kind     dgnn.Kind
 		fwd, bwd int64 // ceilings: forward and loss floats, backward floats
 	}{
-		// Each ceiling is the kind's count plus 10 %. With each buffer given
-		// back to the pass at its last use, forward and backward, a warm
-		// round meters 8 510 / 2 971 (GCLSTM), 10 048 / 2 521 (TGCN),
-		// 22 955 / 2 137 (DCRNN) and 17 827 / 3 691 (RTGCN) forward /
-		// backward floats. 13 256 / 3 922, 13 324 / 5 582, 23 316 / 10 809
+		// Each ceiling is the kind's count on one tape plus 10 %. Split in
+		// two halves of 8 units, as evalRound runs it, with a backward draw
+		// taking a kept buffer of its size class when none of its length is
+		// kept, a warm round meters 8 510 / 1 658 (GCLSTM), 10 048 / 1 298
+		// (TGCN), 22 776 / 242 (DCRNN) and 17 827 / 2 474 (RTGCN) forward /
+		// backward floats; split with exact-length draws alone, 8 510 /
+		// 3 014, 10 048 / 2 564, 22 776 / 2 480 and 17 827 / 3 734. On one
+		// tape, with each buffer given back to the pass at its last use,
+		// forward and backward, and exact-length draws, it metered 8 510 /
+		// 2 971, 10 048 / 2 521, 22 955 / 2 137 and 17 827 / 3 691.
+		// 13 256 / 3 922, 13 324 / 5 582, 23 316 / 10 809
 		// and 33 187 / 12 119 with every value and interior gradient kept
 		// until Release, every op run on the rows the loss reads
 		// (autodiff.Tape.Run) and a first gradient written over a value no
@@ -360,9 +380,10 @@ func (m rowCount) Forward(tp *autodiff.Tape, v dgnn.View) *autodiff.Node {
 }
 
 // TestRoundWantedRowsMatchEveryRow is the exactness of View.Out: a round
-// whose model computes each op on the rows the loss reads gives utilities and
+// whose models compute each op on the rows the loss reads gives utilities and
 // every parameter gradient Float64bits-equal to the same round forwarded on
-// every row, for all eight kinds on the event and the link workload, and a
+// every row, for all eight kinds on the event and the link workload (the
+// round of 16 split, both halves' models wrapped), and a
 // full-graph pass steps to the same parameters. Every kind must return
 // exactly the rows asked for, and the rounds' losses must read fewer rows
 // than they stack, or the test says nothing.
@@ -371,20 +392,20 @@ func TestRoundWantedRowsMatchEveryRow(t *testing.T) {
 		var wantRows, unionRows int64
 		for _, link := range []bool{false, true} {
 			tr, opt := roundFixture(t, kind, link, nil)
-			model := tr.Model
+			model, twin := tr.Model, tr.twinLearner().model
 			for _, centers := range roundCenters {
 				seeds := make([]int64, len(centers))
 				for i := range seeds {
 					seeds[i] = int64(2000 + 5*i)
 				}
 				before := tr.Stats
-				tr.Model = rowCount{model, t}
+				tr.Model, tr.twin.model = rowCount{model, t}, rowCount{twin, t}
 				want, wantGrad, _ := evalAsRound(tr, opt, centers, seeds)
 				wantRows += tr.Stats.WantRows - before.WantRows
 				unionRows += tr.Stats.UnionRows - before.UnionRows
-				tr.Model = everyRow{model}
+				tr.Model, tr.twin.model = everyRow{model}, everyRow{twin}
 				got, gotGrad, _ := evalAsRound(tr, opt, centers, seeds)
-				tr.Model = model
+				tr.Model, tr.twin.model = model, twin
 				opt.ZeroGrad()
 				name := fmt.Sprintf("%s/link=%v/units=%d", kind, link, len(centers))
 				for i := range want {
@@ -447,9 +468,9 @@ func TestRoundWarmPlanSurvivesChangingRows(t *testing.T) {
 	tensor.EnableMeter(true)
 	defer tensor.EnableMeter(false)
 	tr, opt := roundFixture(t, dgnn.DCRNN, false, nil)
-	model := tr.Model
-	run := func(isolated int, m dgnn.Model) int64 {
-		tr.Model = m
+	model, twin := tr.Model, tr.twinLearner().model
+	run := func(isolated int, m, tm dgnn.Model) int64 {
+		tr.Model, tr.twin.model = m, tm
 		r := new(round)
 		for i, v := range []int{3, 4, isolated, 0, 9, 17, 12, 25, 7, 21} {
 			r.add(tr.G.Partition(v, 2), int64(i))
@@ -459,10 +480,81 @@ func TestRoundWarmPlanSurvivesChangingRows(t *testing.T) {
 		opt.ZeroGrad()
 		return tensor.TotalFloats()
 	}
-	run(31, model)
-	warm := run(31, model)
-	run(35, activeOut{model})
-	if after := run(31, model); after != warm {
+	run(31, model, twin)
+	warm := run(31, model, twin)
+	run(35, activeOut{model}, activeOut{twin})
+	if after := run(31, model, twin); after != warm {
 		t.Fatalf("a warm round meters %d floats after a round on every active row, %d after itself", after, warm)
+	}
+}
+
+// TestSplitRoundMatchesHalves pins the gradient contract of a round of two or
+// more pairs, for all eight kinds on the event and the link workload: its
+// utilities are bit-equal to the same round evaluated on one tape, and its
+// gradients to each half evaluated alone on one tape from zeroed gradients,
+// the second half's added into the first's — with the halves side by side
+// and with one processor, each after an optimizer step. The split round
+// counts as one round.
+func TestSplitRoundMatchesHalves(t *testing.T) {
+	rounds := [][]int{roundCenters[2], {3, 31, 4, 33, 9, 12}, {0, 9, 17, 12}}
+	for _, kind := range dgnn.Kinds() {
+		for _, link := range []bool{false, true} {
+			tr, opt := roundFixture(t, kind, link, nil)
+			for _, centers := range rounds {
+				name := fmt.Sprintf("%s/link=%v/units=%d", kind, link, len(centers))
+				seeds := make([]int64, len(centers))
+				for i := range seeds {
+					seeds[i] = int64(3000 + 11*i)
+				}
+				cut := firstHalf(len(centers))
+				if cut >= len(centers) || cut%2 != 0 {
+					t.Fatalf("%s: first half of %d units", name, cut)
+				}
+				// Step θ first: the twin must start each round from the
+				// optimizer's values, not from those it was built with.
+				evalAsRound(tr, opt, centers, seeds)
+				opt.Step()
+				want, _, _ := evalCut(tr, opt, centers, seeds, len(centers))
+				first, firstGrad, _ := evalCut(tr, opt, centers[:cut], seeds[:cut], cut)
+				second, secondGrad, _ := evalCut(tr, opt, centers[cut:], seeds[cut:], len(centers)-cut)
+				if fmt.Sprint(append(first, second...)) != fmt.Sprint(want) {
+					t.Fatalf("%s: halves alone %v %v, one tape %v", name, first, second, want)
+				}
+				wantGrad := firstGrad
+				for p, g := range secondGrad {
+					if g != nil && wantGrad[p] == nil {
+						wantGrad[p] = make([]float64, len(g))
+					}
+					for j, x := range g {
+						wantGrad[p][j] += x
+					}
+				}
+				for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+					prev := runtime.GOMAXPROCS(procs)
+					before := tr.Stats
+					got, gotGrad, _ := evalAsRound(tr, opt, centers, seeds)
+					runtime.GOMAXPROCS(prev)
+					opt.ZeroGrad()
+					if rounds, units := tr.Stats.Rounds-before.Rounds, tr.Stats.Units-before.Units; rounds != 1 || units != int64(len(centers)) {
+						t.Fatalf("%s: a split round counted as %d rounds of %d units", name, rounds, units)
+					}
+					for i := range want {
+						if got[i].OK != want[i].OK || math.Float64bits(got[i].Utility) != math.Float64bits(want[i].Utility) {
+							t.Fatalf("%s, GOMAXPROCS %d: unit %d split %+v, one tape %+v", name, procs, i, got[i], want[i])
+						}
+					}
+					for p := range wantGrad {
+						if len(gotGrad[p]) != len(wantGrad[p]) {
+							t.Fatalf("%s, GOMAXPROCS %d: param %d gradient of %d entries, want %d", name, procs, p, len(gotGrad[p]), len(wantGrad[p]))
+						}
+						for j, x := range wantGrad[p] {
+							if math.Float64bits(gotGrad[p][j]) != math.Float64bits(x) {
+								t.Fatalf("%s, GOMAXPROCS %d: param %d[%d] split %v, halves added %v", name, procs, p, j, gotGrad[p][j], x)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -53,11 +53,23 @@ type Trainer struct {
 	rng *rand.Rand
 	// own is the round of TrainFull.
 	own round
-	// tape records every training forward; finish releases it for the next.
-	// A recycled tape brings back its node shells and scratch slices (see
-	// autodiff.Tape), so a warm round allocates little beyond its op outputs'
-	// headers.
+	// tape records every training forward of Model; finish releases it for
+	// the next. A recycled tape brings back its node shells and scratch slices
+	// (see autodiff.Tape), so a warm round allocates little beyond its op
+	// outputs' headers.
 	tape *autodiff.Tape
+	// twin evaluates the second half of a round of two or more pairs beside
+	// the first (evalHalves); the first such round builds it (twinLearner).
+	// twinParams lists its parameters as Opt.Params() lists the trainer's.
+	twin       learner
+	twinParams []*autodiff.Node
+}
+
+// learner is what one half of a round runs on: a model, its heads and a tape.
+type learner struct {
+	model dgnn.Model
+	heads *query.Heads
+	tape  *autodiff.Tape
 }
 
 // TrainerStats counts the training targets consumed so far and accounts for
@@ -96,6 +108,16 @@ func NewTrainer(g *graph.Dynamic, m dgnn.Model, w *query.Workload, opt autodiff.
 	}
 }
 
+// twinLearner returns the twin, building it on first use: a trainer whose
+// rounds never split (one pair a round, TrainFull) holds no second model.
+func (t *Trainer) twinLearner() *learner {
+	if t.twin.model == nil {
+		t.twin = learner{dgnn.NewLearner(t.Model, t.G.FeatDim()), t.Heads.Clone(), autodiff.NewTape()}
+		t.twinParams = append(t.twin.model.Params(), t.twin.heads.Params()...)
+	}
+	return &t.twin
+}
+
 // Unit is one training partition's outcome in a round: whether it had any
 // training material and, if so, its temporal utility — the loss at the round's
 // parameters, before backpropagation (Section IV-A).
@@ -107,9 +129,9 @@ type Unit struct {
 
 // round is a step's training units — the partitions subs, their rng seeds
 // and, after evalRound, their outcomes — plus the scratch one evaluation of
-// them reuses: the union's arrays, the stacked material and the units' rng.
-// Every slice grows to a high-water mark, so a warm round allocates little
-// beyond its tape's op outputs.
+// them reuses: each half's union and material, the negatives and the units'
+// rng. Every slice grows to a high-water mark, so a warm round allocates
+// little beyond its tapes' op outputs.
 type round struct {
 	subs  []*graph.Subgraph
 	seeds []int64
@@ -117,15 +139,27 @@ type round struct {
 	// trained reports whether any unit of the last evaluation had material.
 	trained bool
 
-	union graph.Union
-	mat   material
-	// want is the ascending rows the material reads, the forward's View.Out.
-	want []int
+	// halves[0] holds the units the trainer's own learner evaluates,
+	// halves[1] those its twin does; TrainFull uses the first alone.
+	halves [2]half
+	// negIDs and negRows are the link negatives of both halves, resolved
+	// together.
+	negIDs  []int
+	negRows []float64
 	// src seeds rnd afresh for each unit (O(1): the standard lagged-Fibonacci
 	// source pays a ~600-word initialization per seed), so which units share
 	// a round cannot perturb a unit's sampled replay batches and negatives.
 	src rng.SplitMix64
 	rnd *rand.Rand
+}
+
+// half is the scratch of one half of a round: its units' disjoint union,
+// their stacked material and the rows that material reads (the forward's
+// View.Out, ascending).
+type half struct {
+	union graph.Union
+	mat   material
+	want  []int
 }
 
 // reset empties the round's units, keeping its scratch.
@@ -146,80 +180,144 @@ func now() time.Time {
 	return time.Now() //streamlint:ordered-ok round-accounting telemetry; the timestamp never feeds computation
 }
 
-// lap adds the time since *last to the counter *dst and restarts the clock.
+// lap adds the time since *last to the counter *dst and restarts the clock;
+// a nil clock (the twin's half of a round) times nothing.
 func lap(last *time.Time, dst *int64) {
+	if last == nil {
+		return
+	}
 	t := now()
 	atomic.AddInt64(dst, int64(t.Sub(*last)))
 	*last = t
 }
 
-// forward runs the model over view on the trainer's tape, on the round's
-// clock, for the rows r's material reads (nil, with no forward, if none): the
-// view's Out. The material keeps naming the view's rows: the loss's gathers
-// find them among the rows the forward returns.
-func (t *Trainer) forward(view dgnn.View, r *round, clock *time.Time) *autodiff.Node {
+// forward runs l's model over view on l's tape, on the round's clock, for
+// the rows h's material reads (nil, with no forward, if none): the view's
+// Out. The material keeps naming the view's rows: the loss's gathers find
+// them among the rows the forward returns.
+func (t *Trainer) forward(l *learner, view dgnn.View, h *half, clock *time.Time) *autodiff.Node {
 	view.NoCommit = true // recurrent state advances only at inference time
-	r.want = r.want[:0]
-	for k := range r.mat {
-		r.want = append(append(r.want, r.mat[k].src...), r.mat[k].dst...)
+	h.want = h.want[:0]
+	for k := range h.mat {
+		h.want = append(append(h.want, h.mat[k].src...), h.mat[k].dst...)
 	}
-	slices.Sort(r.want)
-	r.want = slices.Compact(r.want)
-	view.Out = r.want
+	slices.Sort(h.want)
+	h.want = slices.Compact(h.want)
+	view.Out = h.want
 	atomic.AddInt64(&t.Stats.WantRows, int64(len(view.Out)))
 	if len(view.Out) == 0 {
 		return nil
 	}
 	lap(clock, &t.Stats.ExtractNs)
-	emb := t.Model.Forward(t.tape, view)
+	emb := l.model.Forward(l.tape, view)
 	lap(clock, &t.Stats.ForwardNs)
 	atomic.AddInt64(&t.Stats.UnionRows, int64(view.N))
 	return emb
 }
 
-// evalRound is the one way training partitions are evaluated: ONE forward
-// over their disjoint union, one stacked loss whose terms reduce per unit
-// (buildLoss) and — when apply is set — one backward from the sum of the
-// units' losses into the parameters' gradients. Algorithm 1 evaluates every
-// partition of a round at the same θ_t and steps once on the summed gradient,
-// so nothing orders the units; the union saves the per-op cost of a tape per
-// unit for products of ten rows.
+// evalRound is the one way training partitions are evaluated: per half of
+// the round, ONE forward over its units' disjoint union, one stacked loss
+// whose terms reduce per unit (buildLoss) and — when apply is set — one
+// backward from the sum of the units' losses into the parameters' gradients.
+// Algorithm 1 evaluates every partition of a round at the same θ_t and steps
+// once on the summed gradient, so nothing orders the units; the union saves
+// the per-op cost of a tape per unit for products of ten rows, and a round of
+// two or more pairs runs its second half beside the first, on the twin
+// (firstHalf, evalHalves).
 //
 // r.units[i] receives unit i's outcome. Forward rows, and so utilities, are
 // bit-equal to evaluating each unit alone; parameter gradients are the same
-// terms summed inside one product over the stacked rows (DESIGN.md §18). The
-// material comes first, so the forward computes the rows it reads (forward);
-// the negatives every unit drew are resolved with one call of t.Negatives.
-// Each unit draws from its own rng seeded with r.seeds[i]. Evaluation writes
-// no model or graph state (NoCommit forward).
+// terms summed inside one product per half over its stacked rows, the second
+// half's added into the first's (DESIGN.md §18). The material comes first, so
+// the forward computes the rows it reads (forward); the negatives every unit
+// drew are resolved with one call of t.Negatives. Each unit draws from its
+// own rng seeded with r.seeds[i]. Evaluation writes no model or graph state
+// (NoCommit forward).
 func (t *Trainer) evalRound(r *round, apply bool) {
+	t.evalHalves(r, firstHalf(len(r.subs)), apply)
+}
+
+// firstHalf returns how many of a round's n units its first half holds: the
+// units of its first ⌈P/2⌉ pairs, P = n/2, or all n when n is at most one
+// pair. A round of one pair keeps a single half: splitting it buys no second
+// core's worth of work and costs the twin's pass (DESIGN.md §18).
+func firstHalf(n int) int {
+	if n <= 2 {
+		return n
+	}
+	return 2 * ((n + 2) / 4)
+}
+
+// evalHalves evaluates r's first cut units on the trainer's learner and the
+// rest, if any, on its twin, on a goroutine that ends before evalHalves
+// returns. The twin starts from the learner's values; its gradient, summed
+// from +0 over its own rows, is added into the learner's at the join, so the
+// bits do not depend on how the halves are scheduled. The round's part timers
+// run on the caller's clock alone, the wait at the join in the backward's.
+func (t *Trainer) evalHalves(r *round, cut int, apply bool) {
 	clock := now()
-	r.union.Build(r.subs)
+	// Half h holds units ends[h] to ends[h+1]; the second runs if it holds any.
+	ends := [3]int{0, cut, len(r.subs)}
+	halves := r.halves[:min(2, 1+len(r.subs)-cut)]
+	for h := range halves {
+		halves[h].union.Build(r.subs[ends[h]:ends[h+1]])
+	}
 	lap(&clock, &t.Stats.ExtractNs)
-	r.mat.reset()
 	if r.rnd == nil {
 		r.rnd = rand.New(&r.src)
 	}
-	for i, sub := range r.subs {
-		r.src.Seed(r.seeds[i])
-		t.partitionMaterial(&r.mat, sub, r.union.Offsets[i], r.rnd)
-		r.units[i].OK = r.mat.closeUnit()
+	r.negIDs = r.negIDs[:0]
+	for h := range halves {
+		hf := &halves[h]
+		hf.mat.reset()
+		for i := ends[h]; i < ends[h+1]; i++ {
+			r.src.Seed(r.seeds[i])
+			t.partitionMaterial(&hf.mat, r.subs[i], hf.union.Offsets[i-ends[h]], r.rnd)
+			r.units[i].OK = hf.mat.closeUnit()
+		}
+		r.negIDs = append(r.negIDs, hf.mat[termLinkNeg].ids...)
 	}
-	if neg := &r.mat[termLinkNeg]; len(neg.ids) > 0 {
-		neg.rows = t.Negatives.AppendRows(neg.rows, neg.ids)
+	if len(r.negIDs) > 0 {
+		r.negRows = t.Negatives.AppendRows(r.negRows[:0], r.negIDs)
+		width, at := len(r.negRows)/len(r.negIDs), 0
+		for h := range halves {
+			neg := &halves[h].mat[termLinkNeg]
+			end := at + width*len(neg.ids)
+			neg.rows, at = r.negRows[at:end:end], end
+		}
 	}
 	lap(&clock, &t.Stats.LossNs)
-	emb := t.forward(dgnn.UnionView(&r.union), r, &clock)
-	r.trained = t.finish(emb, &r.mat, r.units, apply, &clock)
+	run := func(l *learner, h int, clock *time.Time) bool {
+		hf := &halves[h]
+		emb := t.forward(l, dgnn.UnionView(&hf.union), hf, clock)
+		return t.finish(l, emb, &hf.mat, r.units[ends[h]:ends[h+1]], apply, clock)
+	}
+	first := learner{t.Model, t.Heads, t.tape}
+	if len(halves) == 1 {
+		r.trained = run(&first, 0, &clock)
+	} else {
+		twin := t.twinLearner()
+		autodiff.CopyValues(t.twinParams, t.Opt.Params())
+		second := make(chan bool)
+		go func() { second <- run(twin, 1, nil) }()
+		r.trained = run(&first, 0, &clock)
+		r.trained = <-second || r.trained
+		if apply {
+			autodiff.AddGrads(t.Opt.Params(), t.twinParams)
+		}
+		lap(&clock, &t.Stats.BackwardNs)
+	}
+	atomic.AddInt64(&t.Stats.Rounds, 1)
+	atomic.AddInt64(&t.Stats.Units, int64(len(r.units)))
 }
 
-// finish builds the stacked loss of m over emb, planned so that its row-local
+// finish builds l's stacked loss of m over emb, planned so that its row-local
 // head ops write in place, reads each unit's utility off it, backpropagates
-// when apply is set, and releases the tape.
-func (t *Trainer) finish(emb *autodiff.Node, m *material, units []Unit, apply bool, clock *time.Time) bool {
-	tp := t.tape
+// when apply is set, and releases l's tape.
+func (t *Trainer) finish(l *learner, emb *autodiff.Node, m *material, units []Unit, apply bool, clock *time.Time) bool {
+	tp := l.tape
 	tp.Plan()
-	total := t.buildLoss(tp, emb, m)
+	total := t.buildLoss(tp, l.heads, emb, m)
 	trained := total != nil
 	if trained {
 		total = tp.Run(total, nil)
@@ -235,8 +333,6 @@ func (t *Trainer) finish(emb *autodiff.Node, m *material, units []Unit, apply bo
 	}
 	tp.Release()
 	lap(clock, &t.Stats.BackwardNs)
-	atomic.AddInt64(&t.Stats.Rounds, 1)
-	atomic.AddInt64(&t.Stats.Units, int64(len(units)))
 	return trained
 }
 
@@ -252,13 +348,17 @@ func (t *Trainer) step() {
 // whole snapshot as its one segment.
 func (t *Trainer) TrainFull() (loss float64, trained bool) {
 	clock := now()
-	m := &t.own.mat
-	m.reset()
-	t.fullMaterial(m)
-	unit := [1]Unit{{OK: m.closeUnit()}}
+	h := &t.own.halves[0]
+	h.mat.reset()
+	t.fullMaterial(&h.mat)
+	unit := [1]Unit{{OK: h.mat.closeUnit()}}
 	lap(&clock, &t.Stats.LossNs)
-	emb := t.forward(dgnn.FullView(t.G), &t.own, &clock)
-	if t.finish(emb, m, unit[:], true, &clock) {
+	l := learner{t.Model, t.Heads, t.tape}
+	emb := t.forward(&l, dgnn.FullView(t.G), h, &clock)
+	trained = t.finish(&l, emb, &h.mat, unit[:], true, &clock)
+	atomic.AddInt64(&t.Stats.Rounds, 1)
+	atomic.AddInt64(&t.Stats.Units, 1)
+	if trained {
 		t.step()
 	}
 	return unit[0].Utility, unit[0].OK
@@ -344,10 +444,18 @@ func (t *Trainer) partitionMaterial(m *material, sub *graph.Subgraph, off int, r
 	if y, ok := t.G.Label(v); ok {
 		m[termSelfNode].node(off+center, y)
 	}
-	src, dst, labels := sub.LabeledEdges()
-	for i := range src {
-		if src[i] == center || dst[i] == center {
-			m[termSelfEdge].pair(off+src[i], off+dst[i], labels[i])
+	// The labeled edges inside sub that touch the center, in sub's row order.
+	for li, u := range sub.Nodes {
+		for _, e := range t.G.OutEdges(u) {
+			switch {
+			case !e.HasLabel():
+			case li == center:
+				if lj := sub.LocalID(e.To); lj >= 0 {
+					m[termSelfEdge].pair(off+li, off+lj, e.Label)
+				}
+			case e.To == v:
+				m[termSelfEdge].pair(off+li, off+center, e.Label)
+			}
 		}
 	}
 	sup := t.Workload.Supervision(sub, rng)
@@ -428,15 +536,15 @@ func (t *Trainer) fullMaterial(m *material) {
 	}
 }
 
-// buildLoss assembles the weighted training loss of the round over emb: per
+// buildLoss assembles the weighted training loss of the round over emb with
+// heads: per
 // term kind the units' rows are one head application and one segmented loss,
 // a column of per-unit means; the weighted columns add up, in term order, to
 // the column of the units' losses. A unit without a target in some term reads
 // +0 there, which changes no sum, so entry u is bit for bit the loss unit u's
 // terms alone add up to — its temporal utility. It returns nil when the round
 // has no target at all.
-func (t *Trainer) buildLoss(tp *autodiff.Tape, emb *autodiff.Node, m *material) *autodiff.Node {
-	heads := t.Heads
+func (t *Trainer) buildLoss(tp *autodiff.Tape, heads *query.Heads, emb *autodiff.Node, m *material) *autodiff.Node {
 	var total *autodiff.Node
 	for k := range m {
 		tm := &m[k]

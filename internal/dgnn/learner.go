@@ -9,7 +9,7 @@ import (
 )
 
 // NewLearner returns the model a concurrent training half trains: a model of
-// kind shaped like live (New with featDim and hidden), with parameter nodes of
+// live's kind and width over featDim features, with parameter nodes of
 // its own holding live's values, that shares live's recurrent-state objects,
 // so live's BeginStep snapshots them for both. Its forwards must be NoCommit:
 // a NoCommit gather reads only the BeginStep snapshot, never the live buffer
@@ -19,8 +19,12 @@ import (
 // Building it draws nothing from the caller's random stream: the construction
 // values are overwritten, and WinGNN's optimizer seed is live's as long as the
 // caller wraps the learner's optimizer with live.WrapOptimizer.
-func NewLearner(kind Kind, live Model, featDim, hidden int) Model {
-	m := New(kind, rand.New(srng.New(1)), featDim, hidden)
+func NewLearner(live Model, featDim int) Model {
+	kind, err := ParseKind(live.Name())
+	if err != nil {
+		panic(err)
+	}
+	m := New(kind, rand.New(srng.New(1)), featDim, live.Hidden())
 	autodiff.CopyValues(m.Params(), live.Params())
 	m.(interface{ shareState(live Model) }).shareState(live)
 	return m

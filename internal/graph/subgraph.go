@@ -17,7 +17,7 @@ import (
 // A Subgraph is built once and never laid out again. A training round owns
 // the partitions it extracts; the whole snapshot's Subgraph can be read by
 // both halves of a step, so the lock is for the region's two lazy builds.
-// Features and LabeledEdges read through to the live graph.
+// Features reads through to the live graph.
 type Subgraph struct {
 	// Nodes maps local index -> global node id (ascending, unique).
 	Nodes []int
@@ -82,21 +82,3 @@ func (s *Subgraph) TypedAdj(ntypes int) []*tensor.CSR {
 
 // Features returns the |S|×FeatDim attribute matrix of the subgraph nodes.
 func (s *Subgraph) Features() *tensor.Matrix { return s.r.Features() }
-
-// LabeledEdges returns local (src, dst) pairs and labels for labeled edges
-// fully inside the subgraph.
-func (s *Subgraph) LabeledEdges() (src, dst []int, labels []float64) {
-	for li, v := range s.Nodes {
-		for _, e := range s.r.g.out[v] {
-			if !e.HasLabel() {
-				continue
-			}
-			if lj := s.LocalID(e.To); lj >= 0 {
-				src = append(src, li)
-				dst = append(dst, lj)
-				labels = append(labels, e.Label)
-			}
-		}
-	}
-	return src, dst, labels
-}

@@ -65,21 +65,6 @@ func TestSubgraphFeaturesMatchGlobal(t *testing.T) {
 	}
 }
 
-func TestSubgraphLabeledEdges(t *testing.T) {
-	g := NewDynamic(1)
-	for i := 0; i < 4; i++ {
-		g.AddNode(nil)
-	}
-	g.AddLabeledEdge(0, 1, 0, 0, 1)
-	g.AddLabeledEdge(1, 3, 0, 0, 0) // 3 outside subgraph
-	g.AddEdge(1, 2, 0, 0)           // unlabeled
-	s := g.Induced([]int{0, 1, 2}, -1)
-	src, dst, labels := s.LabeledEdges()
-	if len(src) != 1 || src[0] != 0 || dst[0] != 1 || labels[0] != 1 {
-		t.Fatalf("labeled edges %v %v %v", src, dst, labels)
-	}
-}
-
 func TestInducedCenterMustBeMember(t *testing.T) {
 	g := chain(3)
 	defer func() {

@@ -687,16 +687,26 @@ func TanhTo(dst, m *Matrix) *Matrix {
 }
 
 // ReLUTo writes max(0, x) of each element x of m into dst: x itself when it
-// is above 0, +0 otherwise (a NaN and a −0 included).
+// is above 0, +0 otherwise (a NaN and a −0 included). It selects with
+// PositiveMask: a branch on the sign mispredicts on about half the elements.
 func ReLUTo(dst, m *Matrix) *Matrix {
 	out := dest(dst, m.Rows, m.Cols)
+	od := out.Data[:len(m.Data)]
 	for i, v := range m.Data {
-		if !(v > 0) {
-			v = 0
-		}
-		out.Data[i] = v
+		od[i] = math.Float64frombits(math.Float64bits(v) & PositiveMask(v))
 	}
 	return out
+}
+
+// PositiveMask returns a word of all ones when v is above 0 and of all zeros
+// otherwise (a NaN and a −0 included), without a branch: ANDed with a
+// float's bits it keeps the float or makes it +0.
+func PositiveMask(v float64) uint64 {
+	var above uint64
+	if v > 0 {
+		above = 1
+	}
+	return -above
 }
 
 // OneMinusTo writes 1−x of each element x of m into dst.

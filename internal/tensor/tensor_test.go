@@ -154,18 +154,21 @@ func TestSumMeanNorms(t *testing.T) {
 	}
 }
 
-// ReLU maps every element that is not above 0 — a −0 and a NaN included — to
-// +0, and OneMinus is 1−x; each computes the same into a fresh matrix and in
-// place.
+// ReLU maps every element that is not above 0 — a −0, a NaN, −Inf and a
+// negative subnormal included — to +0 and keeps every other, +Inf and a
+// positive subnormal included, and OneMinus is 1−x; each computes the same
+// into a fresh matrix and in place.
 func TestReLUAndOneMinus(t *testing.T) {
-	in := []float64{-2, math.Copysign(0, -1), 0, 2, math.NaN()}
+	const sub = 5e-324 // the smallest subnormal
+	inf := math.Inf(1)
+	in := []float64{-2, math.Copysign(0, -1), 0, 2, math.NaN(), inf, -inf, sub, -sub, 3 * sub, math.MaxFloat64}
 	for _, c := range []struct {
 		name string
 		to   func(dst, m *Matrix) *Matrix
 		want []float64
 	}{
-		{"ReLU", ReLUTo, []float64{0, 0, 0, 2, 0}},
-		{"OneMinus", OneMinusTo, []float64{3, 1, 1, -1, math.NaN()}},
+		{"ReLU", ReLUTo, []float64{0, 0, 0, 2, 0, inf, 0, sub, 0, 3 * sub, math.MaxFloat64}},
+		{"OneMinus", OneMinusTo, []float64{3, 1, 1, -1, math.NaN(), -inf, inf, 1, 1, 1, -math.MaxFloat64}},
 	} {
 		m := FromSlice(1, len(in), append([]float64(nil), in...))
 		got := c.to(nil, m)

@@ -458,7 +458,7 @@ func NewEngine(featDim int, cfg Config) (*Engine, error) {
 	wl := query.NewWorkload(heads)
 	// The learner trains its own copy of θ, so training can run beside
 	// inference, which reads the live one; see Step.
-	learner, learnerHeads := dgnn.NewLearner(kind, model, featDim, cfg.Hidden), heads.Clone()
+	learner, learnerHeads := dgnn.NewLearner(model, featDim), heads.Clone()
 	params := append(learner.Params(), learnerHeads.Params()...)
 	opt := model.WrapOptimizer(autodiff.NewAdam(ccfg.LR, params))
 	trainer := core.NewTrainer(g, learner, wl, opt, ccfg, r)
