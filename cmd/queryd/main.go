@@ -30,8 +30,8 @@
 //	GET  /metrics  Prometheus text format (step/phase latency histograms,
 //	               training and cache counters, workload quality gauges,
 //	               query-serving latency/batch-size/queue-depth)
-//	POST /query    batched predictive-query serving: a JSON batch of event /
-//	               link / density queries, answered against the latest
+//	POST /query    batched predictive-query serving: a JSON batch of event
+//	               and link queries, answered against the latest
 //	               completed step's immutable snapshot through the
 //	               micro-batching admission queue (-batch-max / -batch-wait);
 //	               see README "Serving"
@@ -390,9 +390,8 @@ type server struct {
 	done    bool // replay finished
 
 	// batcher is the /query admission queue. Its answer path reads the
-	// engine's atomic serving snapshot, NOT mu: query batches — including
-	// density queries, which evaluate from the snapshot's frozen seed window
-	// and walk adjacency — score concurrently with the replay loop's Step.
+	// engine's atomic serving snapshot, NOT mu: query batches score
+	// concurrently with the replay loop's Step.
 	batcher *serve.Batcher
 
 	// afterStep, when set, runs under mu right after each successful Step —
@@ -404,9 +403,7 @@ type server struct {
 }
 
 // answerBatch answers one flushed micro-batch against the latest published
-// serving snapshot — lock-free with respect to the step loop for all three
-// query kinds. The KDE seed-window density is evaluated at most once per
-// snapshot (QuerySnapshot.Density memoizes), shared by every density query.
+// serving snapshot, lock-free with respect to the step loop.
 func (s *server) answerBatch(reqs []query.Request) []query.Answer {
 	snapshot := s.eng.QuerySnapshot()
 	if snapshot == nil {
@@ -416,16 +413,7 @@ func (s *server) answerBatch(reqs []query.Request) []query.Answer {
 		}
 		return out
 	}
-	var density []float64
-	for _, r := range reqs {
-		if r.Kind == query.KindDensity {
-			if d, err := snapshot.Density(); err == nil {
-				density = d
-			}
-			break
-		}
-	}
-	return snapshot.Answer(reqs, density)
+	return snapshot.Answer(reqs, nil)
 }
 
 // replay drives the engine until the stream ends or ctx is canceled. It

@@ -188,12 +188,11 @@ func (h *harness) checkRemoteServing(t *testing.T, step int) {
 			t.Fatalf("step %d: remote answer %+v != local %+v", step, got[0], want[i])
 		}
 	}
-	// Link and density queries always stay on the coordinator.
-	if s := h.coord.Route(query.Request{Kind: query.KindLink, Src: 0, Dst: 1}); s != -1 {
-		t.Fatalf("link query routed to replica %d, want local", s)
-	}
-	if s := h.coord.Route(query.Request{Kind: query.KindDensity, Node: 0}); s != -1 {
-		t.Fatalf("density query routed to replica %d, want local", s)
+	// Link queries, and kinds no one serves, always stay on the coordinator.
+	for _, r := range []query.Request{{Kind: query.KindLink, Src: 0, Dst: 1}, {Kind: "density", Node: 0}} {
+		if s := h.coord.Route(r); s != -1 {
+			t.Fatalf("%s query routed to replica %d, want local", r.Kind, s)
+		}
 	}
 }
 

@@ -513,8 +513,8 @@ func (c *Coordinator) PublishStep(step int) {
 }
 
 // Route decides where a predictive query is answered: event queries go to
-// the replica owning the anchor, everything else (link pairs span shards,
-// density needs the coordinator's KDE state) stays local. Lock-free — safe
+// the replica owning the anchor; everything else (link pairs span shards, an
+// unknown kind is rejected the same everywhere) stays local. Lock-free — safe
 // on serving goroutines (serve.Router for serve.NewFanout).
 func (c *Coordinator) Route(req query.Request) int {
 	if req.Kind != query.KindEvent || req.Anchor < 0 {

@@ -402,7 +402,7 @@ func (r *Replica) HandleAnswer(req AnswerRequest) (AnswerResponse, error) {
 	if snap.step != req.Step {
 		return AnswerResponse{}, fmt.Errorf("cluster: serving mirror at step %d, batch wants %d", snap.step, req.Step)
 	}
-	answers := query.AnswerBatch(snap.heads, snap.emb, req.Reqs, nil)
+	answers := query.AnswerBatch(snap.heads, snap.emb, req.Reqs)
 	r.stats.answers.Add(int64(len(req.Reqs)))
 	resp := AnswerResponse{Step: snap.step, Answers: make([]WireAnswer, len(answers))}
 	for i, a := range answers {

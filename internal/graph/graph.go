@@ -75,8 +75,6 @@ type Dynamic struct {
 	fullMu      sync.Mutex
 	full        *Subgraph
 	fullVersion int64
-	walkVersion int64
-	walkAdj     *tensor.CSR
 }
 
 // NewDynamic returns an empty dynamic graph whose nodes carry featDim
@@ -418,36 +416,6 @@ func (g *Dynamic) newDiffusion(fwd, rev *tensor.CSR, active activeRows) tensor.D
 	}
 	putScratch(pos)
 	return tensor.Diffusion{Active: rows, FwdIn: &cs[0], FwdAA: &cs[1], RevIn: &cs[2], RevAA: &cs[3]}
-}
-
-// WalkAdj returns the unweighted undirected walk adjacency used by the
-// graph-KDE density: row v lists v's out-edge targets then in-edge sources,
-// each with unit value, so RowNNZ(v) == Degree(v) and the entry order matches
-// iterating OutEdges then InEdges. The CSR is cached per edge version and
-// rebuilt into a fresh allocation, so a pointer captured by a serving
-// snapshot stays immutable while the graph keeps mutating.
-func (g *Dynamic) WalkAdj() *tensor.CSR {
-	if g.walkAdj != nil && g.walkVersion == g.edgeVersion && g.walkAdj.NRows == g.N() {
-		return g.walkAdj
-	}
-	// Every edge is an entry of both its endpoints' rows, all of value 1.
-	n, nnz := g.N(), 2*g.NumEdges()
-	w := &tensor.CSR{NRows: n, NCols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, 0, nnz), Val: make([]float64, nnz)}
-	for i := range w.Val {
-		w.Val[i] = 1
-	}
-	for v := 0; v < n; v++ {
-		for _, e := range g.out[v] {
-			w.ColIdx = append(w.ColIdx, e.To)
-		}
-		for _, e := range g.in[v] {
-			w.ColIdx = append(w.ColIdx, e.To)
-		}
-		w.RowPtr[v+1] = len(w.ColIdx)
-	}
-	g.walkAdj = w
-	g.walkVersion = g.edgeVersion
-	return g.walkAdj
 }
 
 // NormAdj returns the symmetric GCN-normalized adjacency

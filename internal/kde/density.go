@@ -1,14 +1,13 @@
 // Package kde computes in closed form the sampling density that the graph-KDE
-// sampler of Algorithm 2 induces (the paper's Section V-B), for analysis and
-// for the serving path's density queries. The statistics its tests check
-// Theorem V.1 with live in kde/kdetest.
+// sampler of Algorithm 2 induces (the paper's Section V-B), for analysis:
+// Algorithm 2 itself only samples. The statistics its tests check Theorem V.1
+// with live in kde/kdetest.
 package kde
 
 import (
 	"fmt"
 
 	"streamgnn/internal/graph"
-	"streamgnn/internal/tensor"
 )
 
 // GraphKDEDensity computes, in closed form, the sampling density that
@@ -21,19 +20,10 @@ import (
 // (Algorithm 2 itself never materializes it — it only samples), useful for
 // analysis: plotting kernels, verifying Theorem V.1's decay, and choosing q.
 // The series Σ_h q(1−q)^h π_h is truncated once the remaining walk mass
-// drops below tol, after at most maxHops steps.
+// drops below tol, after at most maxHops steps. A hop moves a node's mass to
+// its out-edge targets, then its in-edge sources, in list order.
 func GraphKDEDensity(g *graph.Dynamic, seeds []int, weights []float64, q float64, maxHops int, tol float64) ([]float64, error) {
-	return GraphKDEDensityCSR(g.WalkAdj(), seeds, weights, q, maxHops, tol)
-}
-
-// GraphKDEDensityCSR is GraphKDEDensity over a frozen walk adjacency (one row
-// per node, entries the node's out-edge targets then in-edge sources — the
-// shape graph.Dynamic.WalkAdj returns). Because the CSR is immutable, a
-// serving snapshot can capture it at publish time and evaluate the density
-// lock-free while the live graph keeps mutating; the per-entry accumulation
-// order matches the live-graph walk exactly, so both paths are bit-identical.
-func GraphKDEDensityCSR(adj *tensor.CSR, seeds []int, weights []float64, q float64, maxHops int, tol float64) ([]float64, error) {
-	n := adj.NRows
+	n := g.N()
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("kde: no seeds")
 	}
@@ -75,7 +65,7 @@ func GraphKDEDensityCSR(adj *tensor.CSR, seeds []int, weights []float64, q float
 			if cur[v] == 0 {
 				continue
 			}
-			if adj.RowNNZ(v) == 0 {
+			if g.Degree(v) == 0 {
 				density[v] += cur[v]
 			} else {
 				density[v] += q * cur[v]
@@ -93,13 +83,16 @@ func GraphKDEDensityCSR(adj *tensor.CSR, seeds []int, weights []float64, q float
 			if cur[v] == 0 {
 				continue
 			}
-			deg := adj.RowNNZ(v)
+			deg := g.Degree(v)
 			if deg == 0 {
 				continue
 			}
 			move := (1 - q) * cur[v] / float64(deg)
-			for p := adj.RowPtr[v]; p < adj.RowPtr[v+1]; p++ {
-				next[adj.ColIdx[p]] += move
+			for _, e := range g.OutEdges(v) {
+				next[e.To] += move
+			}
+			for _, e := range g.InEdges(v) {
+				next[e.To] += move
 			}
 			surviving += (1 - q) * cur[v]
 		}

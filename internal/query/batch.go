@@ -10,8 +10,7 @@ import (
 // against one frozen view of the embedding rows, the event and the link
 // requests each through one row-by-row pass of their head (nn.MLP.Score),
 // which builds a row's head input straight from the view and keeps no stacked
-// matrix; density requests index one KDE seed-window density vector shared by
-// the batch. Score runs each row through the kernels the head's tape forward
+// matrix. Score runs each row through the kernels the head's tape forward
 // runs, so every score is bit-identical to that forward's over the stacked
 // rows, and to the request answered alone, for any batch size. The per-step
 // Workload.Predict and LinkPredTask.reveal score through these same functions,
@@ -25,15 +24,12 @@ const (
 	// KindLink scores the link head on one (src, dst) node pair: the logit
 	// that the edge appears next step.
 	KindLink = "link"
-	// KindDensity reads the graph-KDE seed-window sampling density at one
-	// node. The density vector is evaluated once per batch and shared by
-	// every density request in it.
-	KindDensity = "density"
 )
 
 // Request is one predictive query in a served batch. Exactly the fields of
 // its kind are consulted: Anchor for event queries, Src/Dst for link
-// queries, Node for density queries.
+// queries. No kind reads Node: the cluster's answer frame carries it across
+// unread, and the benchmark ledger puts a request id in it.
 type Request struct {
 	Kind   string `json:"kind"`
 	Anchor int    `json:"anchor,omitempty"`
@@ -44,8 +40,7 @@ type Request struct {
 
 // Answer is the result for one Request; answers are returned in request
 // order. OK is false when the request could not be served (node outside the
-// embedding matrix, unknown kind, no density vector for a density request),
-// with Err naming the reason.
+// embedding matrix, unknown kind), with Err naming the reason.
 type Answer struct {
 	Score float64 `json:"score"`
 	OK    bool    `json:"ok"`
@@ -83,12 +78,10 @@ func LinkScores(h *Heads, emb *tensor.RowView, src, dst []int) []float64 {
 }
 
 // AnswerBatch answers a batch of predictive queries against one frozen view
-// of the embedding rows: all event requests share one pass of the event head,
-// all link requests one pass of the link head, and all density requests index
-// the caller-supplied seed-window density vector (evaluated once per batch;
-// nil when density serving is unavailable). Answers are returned in request
-// order and are bit-identical to answering each request alone.
-func AnswerBatch(h *Heads, emb *tensor.RowView, reqs []Request, density []float64) []Answer {
+// of the embedding rows: all event requests share one pass of the event head
+// and all link requests one pass of the link head. Answers are returned in
+// request order and are bit-identical to answering each request alone.
+func AnswerBatch(h *Heads, emb *tensor.RowView, reqs []Request) []Answer {
 	answers := make([]Answer, len(reqs))
 	var evIdx, anchors []int
 	var lnIdx, src, dst []int
@@ -109,16 +102,6 @@ func AnswerBatch(h *Heads, emb *tensor.RowView, reqs []Request, density []float6
 			lnIdx = append(lnIdx, i)
 			src = append(src, r.Src)
 			dst = append(dst, r.Dst)
-		case KindDensity:
-			if density == nil {
-				answers[i] = Answer{Err: "no seed-window density available"}
-				continue
-			}
-			if r.Node < 0 || r.Node >= len(density) {
-				answers[i] = Answer{Err: "node outside the density vector"}
-				continue
-			}
-			answers[i] = Answer{Score: density[r.Node], OK: true}
 		default:
 			answers[i] = Answer{Err: fmt.Sprintf("unknown query kind %q", r.Kind)}
 		}

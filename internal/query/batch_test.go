@@ -158,10 +158,6 @@ func TestAnswerBatchMatchesEachAlone(t *testing.T) {
 	h := signedHeads(rng, hidden)
 	emb := signedRows(rng, rows, hidden)
 	view := tensor.ViewOf(emb)
-	density := make([]float64, rows)
-	for i := range density {
-		density[i] = rng.Float64()
-	}
 	var reqs []Request
 	var anchors, src, dst []int
 	for i := 0; i < 60; i++ {
@@ -175,17 +171,17 @@ func TestAnswerBatchMatchesEachAlone(t *testing.T) {
 			src, dst = append(src, r.Src), append(dst, r.Dst)
 			reqs = append(reqs, r)
 		case 4:
-			reqs = append(reqs, Request{Kind: KindDensity, Node: rng.Intn(rows)})
+			reqs = append(reqs, Request{Kind: "density", Node: rng.Intn(rows)})
 		case 5:
 			reqs = append(reqs, Request{Kind: KindEvent, Anchor: rows + rng.Intn(3)}, Request{Kind: KindLink, Src: -1, Dst: 0})
 		default:
 			reqs = append(reqs, Request{Kind: "bogus"})
 		}
 	}
-	batched := AnswerBatch(h, view, reqs, density)
+	batched := AnswerBatch(h, view, reqs)
 	var event, link []float64
 	for i, r := range reqs {
-		alone := AnswerBatch(h, view, reqs[i:i+1], density)[0]
+		alone := AnswerBatch(h, view, reqs[i:i+1])[0]
 		got := batched[i]
 		if got.OK != alone.OK || got.Err != alone.Err || math.Float64bits(got.Score) != math.Float64bits(alone.Score) {
 			t.Fatalf("request %d (%+v): batched %+v, alone %+v", i, r, got, alone)
@@ -195,6 +191,10 @@ func TestAnswerBatchMatchesEachAlone(t *testing.T) {
 			event = append(event, got.Score)
 		case got.OK && r.Kind == KindLink:
 			link = append(link, got.Score)
+		case r.Kind != KindEvent && r.Kind != KindLink:
+			if want := fmt.Sprintf("unknown query kind %q", r.Kind); got.OK || got.Err != want {
+				t.Fatalf("request %d (%+v): %+v, want error %q", i, r, got, want)
+			}
 		}
 	}
 	tp := autodiff.NewInferenceTape()

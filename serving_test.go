@@ -1,6 +1,11 @@
 package streamgnn
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,8 +14,8 @@ import (
 )
 
 // mixedRequests builds a deterministic request batch covering every kind plus
-// the rejection paths (out-of-range anchors and an unknown kind), so the
-// batched scatter has holes to route around.
+// the rejection paths (out-of-range anchors and unknown kinds, among them the
+// retired "density"), so the batched scatter has holes to route around.
 func mixedRequests(rng *rand.Rand, rows, count int) []query.Request {
 	reqs := make([]query.Request, count)
 	for i := range reqs {
@@ -22,7 +27,7 @@ func mixedRequests(rng *rand.Rand, rows, count int) []query.Request {
 		case 3:
 			reqs[i] = query.Request{Kind: query.KindEvent, Anchor: rows + rng.Intn(5)}
 		default:
-			reqs[i] = query.Request{Kind: query.KindDensity, Node: rng.Intn(rows)}
+			reqs[i] = query.Request{Kind: "density", Node: rng.Intn(rows)}
 		}
 	}
 	reqs[0] = query.Request{Kind: "bogus"}
@@ -45,19 +50,22 @@ func TestBatchedAnswersBitEqualSerial(t *testing.T) {
 		if snap.Step() != e.CurrentStep()-1 {
 			t.Fatalf("%s: snapshot step %d, engine step %d", name, snap.Step(), e.CurrentStep())
 		}
-		density := make([]float64, snap.Rows())
-		for i := range density {
-			density[i] = float64(i) * 0.25
-		}
 		rng := rand.New(rand.NewSource(42))
 		for _, batch := range []int{1, 7, 64} {
 			reqs := mixedRequests(rng, snap.Rows(), batch)
-			batched := snap.Answer(reqs, density)
+			batched := snap.Answer(reqs, nil)
 			for i := range reqs {
-				serial := snap.Answer(reqs[i:i+1], density)[0]
+				serial := snap.Answer(reqs[i:i+1], nil)[0]
 				if serial != batched[i] {
 					t.Fatalf("%s batch=%d query %d (%+v): batched %+v != serial %+v",
 						name, batch, i, reqs[i], batched[i], serial)
+				}
+				k := reqs[i].Kind
+				if k == query.KindEvent || k == query.KindLink {
+					continue
+				}
+				if want := fmt.Sprintf("unknown query kind %q", k); serial.OK || serial.Err != want {
+					t.Fatalf("%s: %q request answered %+v, want error %q", name, k, serial, want)
 				}
 			}
 		}
@@ -124,6 +132,12 @@ func TestSnapshotStableUnderConcurrentSteps(t *testing.T) {
 	}
 }
 
+// seedWindowDensityDigest is the hex SHA-256 of SeedWindowDensity's vector
+// (each entry's float64 bits, little-endian) after endToEnd's six KDE steps.
+// It pins the walk's accumulation order: the density reads each node's
+// out-edges, then its in-edges, and sums in exactly that order.
+const seedWindowDensityDigest = "9e7eac704b6aeb9b568f1cac011e5d584bbdbcc19981a209575f722266eec639"
+
 func TestSeedWindowDensity(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Strategy = StrategyKDE
@@ -136,145 +150,25 @@ func TestSeedWindowDensity(t *testing.T) {
 	if len(d) != e.NumNodes() {
 		t.Fatalf("density len %d, nodes %d", len(d), e.NumNodes())
 	}
+	h := sha256.New()
 	for i, v := range d {
 		if v < 0 {
 			t.Fatalf("negative density at %d: %v", i, v)
 		}
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
 	}
-	// The density vector is what KindDensity answers serve.
-	snap := e.QuerySnapshot()
-	ans := snap.Answer([]query.Request{{Kind: query.KindDensity, Node: 3}}, d)
-	if !ans[0].OK || ans[0].Score != d[3] {
-		t.Fatalf("density answer %+v, want score %v", ans[0], d[3])
-	}
-	// Without a vector, density queries fail cleanly.
-	if a := snap.Answer([]query.Request{{Kind: query.KindDensity}}, nil)[0]; a.OK || a.Err == "" {
-		t.Fatalf("nil density accepted: %+v", a)
+	if got := hex.EncodeToString(h.Sum(nil)); got != seedWindowDensityDigest {
+		t.Fatalf("density digest %s, pinned %s", got, seedWindowDensityDigest)
 	}
 
-	// Strategies without a KDE seed window refuse — on the engine and on the
-	// snapshot alike.
+	// Strategies without a KDE seed window refuse.
 	cfg2 := DefaultConfig()
 	cfg2.Strategy = StrategyFull
 	cfg2.Hidden = 6
 	e2 := endToEnd(t, cfg2, 2)
 	if _, err := e2.SeedWindowDensity(); err == nil {
 		t.Fatal("full strategy returned a seed-window density")
-	}
-	if _, err := e2.QuerySnapshot().Density(); err == nil {
-		t.Fatal("full strategy's snapshot returned a density")
-	}
-}
-
-// The snapshot's lazily evaluated density must be bit-identical to the
-// engine's live SeedWindowDensity when nothing stepped in between: both walk
-// the same seed window, chip weights and adjacency in the same accumulation
-// order.
-func TestSnapshotDensityMatchesSeedWindowDensity(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Strategy = StrategyKDE
-	cfg.Hidden = 6
-	e := endToEnd(t, cfg, 6)
-	want, err := e.SeedWindowDensity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.QuerySnapshot().Density()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMatrix(t, e.CurrentStep(), want, got)
-	// A density answer off the snapshot serves exactly this vector.
-	snap := e.QuerySnapshot()
-	ans := snap.Answer([]query.Request{{Kind: query.KindDensity, Node: 2}}, got)
-	if !ans[0].OK || ans[0].Score != want[2] {
-		t.Fatalf("density answer %+v, want score %v", ans[0], want[2])
-	}
-	// Mutating and stepping publishes a fresh capture; the held snapshot's
-	// vector does not move.
-	e.AddEdge(0, 7, 0)
-	if err := e.Step(); err != nil {
-		t.Fatal(err)
-	}
-	again, err := snap.Density()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMatrix(t, e.CurrentStep(), want, again)
-}
-
-// A held snapshot must keep answering density queries bit-identically while
-// the engine steps and mutates the graph — run with -race: the stepper
-// rebuilds the walk adjacency and rotates the seed window, and the reader
-// evaluates the captured ones, so any sharing of mutable state is a data
-// race. This is the regression test for density queries acquiring the engine
-// step lock: the reader never touches the engine, only the snapshot.
-func TestDensityStableUnderConcurrentSteps(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Strategy = StrategyKDE
-	cfg.Hidden = 6
-	cfg.Interval = 2
-	e := endToEnd(t, cfg, 4)
-	snap := e.QuerySnapshot()
-	want, err := snap.Density()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := []query.Request{{Kind: query.KindDensity, Node: 1}, {Kind: query.KindDensity, Node: 9}}
-	wantAns := snap.Answer(reqs, want)
-
-	rng := rand.New(rand.NewSource(5))
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // the step loop: the only goroutine mutating the engine
-		defer wg.Done()
-		defer close(done)
-		for s := 0; s < 12; s++ {
-			e.AddEdge(rng.Intn(e.NumNodes()), rng.Intn(e.NumNodes()), 0)
-			if err := e.Step(); err != nil {
-				t.Errorf("step: %v", err)
-				return
-			}
-		}
-	}()
-	for alive := true; alive; {
-		select {
-		case <-done:
-			alive = false
-		default:
-		}
-		got, err := snap.Density()
-		if err != nil {
-			t.Errorf("held snapshot's density failed: %v", err)
-			break
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("held snapshot's density[%d] drifted: %v != %v", i, got[i], want[i])
-				alive = false
-				break
-			}
-		}
-		gotAns := snap.Answer(reqs, got)
-		for i := range wantAns {
-			if gotAns[i] != wantAns[i] {
-				t.Errorf("held snapshot's density answer %d drifted: %+v != %+v", i, gotAns[i], wantAns[i])
-				alive = false
-				break
-			}
-		}
-		// Fresh snapshots evaluate their own captures concurrently with the
-		// stepper — lock-free for every query kind.
-		if fresh := e.QuerySnapshot(); fresh != nil {
-			if _, err := fresh.Density(); err != nil {
-				t.Errorf("fresh snapshot's density failed: %v", err)
-				alive = false
-			}
-		}
-	}
-	wg.Wait()
-	if fresh := e.QuerySnapshot(); fresh == snap || fresh.Step() <= snap.Step() {
-		t.Fatal("engine did not publish fresh snapshots while stepping")
 	}
 }

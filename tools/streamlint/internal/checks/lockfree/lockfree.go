@@ -2,8 +2,7 @@
 // any function annotated `//streamlint:lockfree` must not transitively
 // acquire a sync.Mutex or sync.RWMutex, and must not call into the engine
 // step loop (any function marked `//streamlint:steploop`). The serving-path
-// roots — QuerySnapshot.Answer, QuerySnapshot.Density, the serve.Batcher
-// flush path — ride published snapshots precisely so they never contend
+// roots — QuerySnapshot.Answer and the serve.Batcher flush path — ride published snapshots precisely so they never contend
 // with Step; a lock sneaking into that path silently reintroduces the stall
 // the design exists to avoid (DESIGN.md §13).
 //
